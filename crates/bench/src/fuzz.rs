@@ -17,26 +17,24 @@
 //!
 //! * **C source** — byte- and token-level mutations (truncate, delete,
 //!   duplicate, splice across corpus entries, dictionary-token
-//!   insertion) over the hot-path kernels and a PolyBench kernel.
+//!   insertion) over four hot-path-shaped kernels and a PolyBench kernel.
 //! * **Module structure** — instruction-level mutations of lowered
 //!   modules (truncated bodies, duplicated/injected instructions with
 //!   wild immediates, block-nest wrapping past the depth bound).
 //! * **Binary bytes** — bit flips and truncations of encoded modules
 //!   fed to the decoder, with survivors re-ingested as modules.
 //!
-//! When a mutated module is accepted and self-contained, all three
-//! execution tiers (register, stack, tree oracle — the difftest chain)
-//! run it under a fuel budget and must agree on values and traps.
+//! When a mutated module is accepted and self-contained, the register
+//! tier and the tree oracle (the difftest pair) run it under a fuel
+//! budget and must agree on values and traps.
 
 use cage::engine::{ExecConfig, Imports, Store, Trap, Value};
 use cage::serve::{HostProfile, InstancePre, ServeError};
 use cage::wasm::builder::ModuleBuilder;
 use cage::wasm::{BlockType, CompileLimits, Instr, Module, ValType};
-use cage::{Core, Engine, Error, OptPasses, Variant};
+use cage::{Core, Engine, Error, OptLevel, Variant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::hotpath;
 
 /// How many cases to run and from which seed — everything a failure
 /// report needs to reproduce.
@@ -82,7 +80,7 @@ pub struct FuzzReport {
     pub decode_accepted: u64,
     /// Mutated binaries the decoder rejected.
     pub decode_rejected: u64,
-    /// Accepted modules run through all three execution tiers.
+    /// Accepted modules run through both execution tiers.
     pub differential_runs: u64,
     /// Accepted C sources swept across pipeline configs (no-opt,
     /// standard, full-opt) with cross-config outcome comparison.
@@ -93,16 +91,99 @@ pub struct FuzzReport {
     pub max_frontend_fuel: u64,
 }
 
+// The seed sources below are mutated byte-wise, so their exact text —
+// indentation and trailing spaces included — is part of what a pinned
+// `CAGE_FUZZ_SEED` reproduces.
+
+/// Call-heavy: a tight loop of direct calls through a tiny leaf, so
+/// frame cost dominates over arithmetic.
+const CALL_HEAVY: &str = r#"
+        long leaf(long a, long b) {
+            return a + b;
+        }
+        long mid(long a, long b) {
+            return leaf(a, b) + leaf(b, a);
+        }
+        long run(long n) {
+            long acc = 0;
+            for (long i = 0; i < n; i++) {
+                acc = acc + mid(acc, i);
+            }
+            return acc;
+        }
+    "#;
+
+/// Load/store-heavy: repeated array sweeps, so the scalar memory path
+/// dominates.
+const MEM_HEAVY: &str = r#"
+        double a[2048];
+        double run(long rounds) {
+            for (long i = 0; i < 2048; i++) {
+                a[i] = (double)i * 0.5;
+            }
+            double s = 0.0;
+            for (long r = 0; r < rounds; r++) {
+                for (long i = 0; i < 2048; i++) {
+                    s = s + a[i];
+                    a[i] = s * 0.000001;
+                }
+            }
+            return s;
+        }
+    "#;
+
+/// Bulk-heavy: memset/memcpy churn through the libc host functions.
+const BULK_HEAVY: &str = r#"
+        long run(long rounds) {
+            char* a = malloc(4096);
+            char* b = malloc(4096);
+            for (long r = 0; r < rounds; r++) {
+                memset(a, 42, 4096);
+                memcpy(b, a, 4096);
+            }
+            long v = b[4095];
+            free(a);
+            free(b);
+            return v;
+        }
+    "#;
+
+/// Branch-heavy C: a tight loop whose body is an if/else ladder plus
+/// an inner loop with an early `break`, so `br`/`br_if` dispatch and
+/// block exits dominate over arithmetic.
+const BRANCH_HEAVY: &str = r#"
+        long run(long n) {
+            long acc = 0;
+            for (long i = 0; i < n; i++) {
+                if (i % 3 == 0) {
+                    acc = acc + 1;
+                } else if (i % 5 == 0) {
+                    acc = acc + 2;
+                } else if (i % 7 == 0) {
+                    acc = acc + 3;
+                } else {
+                    acc = acc - 1;
+                }
+                long j = i & 15;
+                while (j > 0) {
+                    j = j - 1;
+                    if (j == 7) { break; }
+                }
+            }
+            return acc;
+        }
+    "#;
+
 /// Valid C seeds the source mutator starts from. Small but varied:
 /// calls, arrays, libc churn, branch ladders, and a real PolyBench
 /// kernel with nested loops over 2-D arrays.
 fn c_corpus() -> Vec<&'static str> {
     let mut corpus = vec![
-        hotpath::CALL_HEAVY,
-        hotpath::MEM_HEAVY,
-        hotpath::BULK_HEAVY,
-        hotpath::BRANCH_HEAVY,
-        // Switch fan-out and globals, which the hot-path kernels lack.
+        CALL_HEAVY,
+        MEM_HEAVY,
+        BULK_HEAVY,
+        BRANCH_HEAVY,
+        // Switch fan-out and globals, which the kernels above lack.
         r#"
         long table[16];
         long pick(long i) {
@@ -295,9 +376,92 @@ fn mutate_module(rng: &mut StdRng, seed: &Module) -> Module {
     module
 }
 
+/// Wraps `body` in the shared counting-loop harness:
+/// `do { body; } while (++locals[i] < locals[n])`.
+fn counted_loop(mut body: Vec<Instr>, n: u32, i: u32) -> Instr {
+    body.extend([
+        Instr::LocalGet(i),
+        Instr::I64Const(1),
+        Instr::I64Add,
+        Instr::LocalSet(i),
+        Instr::LocalGet(i),
+        Instr::LocalGet(n),
+        Instr::I64LtS,
+        Instr::BrIf(0),
+    ]);
+    Instr::Loop(BlockType::Empty, body)
+}
+
+/// Hand-built wasm exercising the control paths C codegen never
+/// emits: a tight `br_table` dispatch loop (export `dispatch`) and a
+/// loop that exits a 32-deep block nest through a variable-depth
+/// `br_table` every iteration (export `unwind`).
+fn branch_module() -> Module {
+    let mut b = ModuleBuilder::new();
+    let (n, i, acc) = (0, 1, 2);
+
+    // dispatch(n): loop { switch (i % 4) { 0: acc+=1; 1: acc+=3; _: {} } }
+    let selector = vec![
+        Instr::LocalGet(i),
+        Instr::I64Const(4),
+        Instr::I64RemU,
+        Instr::I32WrapI64,
+        Instr::BrTable(vec![0, 1], 2),
+    ];
+    let case0 = vec![
+        Instr::LocalGet(acc),
+        Instr::I64Const(1),
+        Instr::I64Add,
+        Instr::LocalSet(acc),
+        Instr::Br(1),
+    ];
+    let case1 = vec![
+        Instr::LocalGet(acc),
+        Instr::I64Const(3),
+        Instr::I64Add,
+        Instr::LocalSet(acc),
+        Instr::Br(0),
+    ];
+    let mut b1 = vec![Instr::Block(BlockType::Empty, selector)];
+    b1.extend(case0);
+    let mut b2 = vec![Instr::Block(BlockType::Empty, b1)];
+    b2.extend(case1);
+    let dispatch = b.add_function(
+        &[ValType::I64],
+        &[ValType::I64],
+        &[ValType::I64, ValType::I64],
+        vec![
+            counted_loop(vec![Instr::Block(BlockType::Empty, b2)], n, i),
+            Instr::LocalGet(acc),
+        ],
+    );
+    b.export_func("dispatch", dispatch);
+
+    // unwind(n): every iteration enters 32 nested blocks and exits a
+    // variable number of them in one br_table branch.
+    const DEPTH: u32 = 32;
+    let mut nest = vec![
+        Instr::LocalGet(i),
+        Instr::I64Const(i64::from(DEPTH)),
+        Instr::I64RemU,
+        Instr::I32WrapI64,
+        Instr::BrTable((0..DEPTH - 1).collect(), DEPTH - 1),
+    ];
+    for _ in 0..DEPTH {
+        nest = vec![Instr::Block(BlockType::Empty, nest)];
+    }
+    let unwind = b.add_function(
+        &[ValType::I64],
+        &[ValType::I64],
+        &[ValType::I64, ValType::I64],
+        vec![counted_loop(nest, n, i), Instr::LocalGet(i)],
+    );
+    b.export_func("unwind", unwind);
+    b.build()
+}
 /// A tiny correct-by-construction module for the decode seeds, so the
 /// binary fuzzing also covers encodings the C pipeline never produces
-/// (`br_table` nests from [`hotpath::branch_module`] plus this one).
+/// (`br_table` nests from [`branch_module`] plus this one).
 fn small_module() -> Module {
     let mut b = ModuleBuilder::new();
     let f = b.add_function(
@@ -358,7 +522,7 @@ fn register_outcomes(module: &Module) -> Option<ExportOutcomes> {
 }
 
 /// Sweeps one accepted C source across the three `PipelineConfig`
-/// levels: each level's module runs all three execution tiers (they
+/// levels: each level's module runs both execution tiers (they
 /// must agree), and the register-tier outcomes are compared across
 /// levels — the optimiser may only change *cost*, never values or
 /// traps. Returns whether a full cross-level comparison happened.
@@ -408,8 +572,8 @@ fn sweep_pipelines(source: &str, sweep_engines: &[Engine; 3]) -> bool {
     true
 }
 
-/// Runs one accepted, import-free module through all three execution
-/// tiers under a fuel budget and asserts they agree on every export.
+/// Runs one accepted, import-free module through both execution tiers
+/// under a fuel budget and asserts they agree on every export.
 ///
 /// # Panics
 ///
@@ -417,9 +581,8 @@ fn sweep_pipelines(source: &str, sweep_engines: &[Engine; 3]) -> bool {
 fn run_differential(module: &Module) -> bool {
     let mut ran = false;
     let exports = i64_exports(module);
-    let tiers: [Tier; 3] = [
+    let tiers: [Tier; 2] = [
         |s, h, f, a| s.call(h, f, a),
-        |s, h, f, a| s.call_stack(h, f, a),
         |s, h, f, a| s.call_tree(h, f, a),
     ];
     for (func_idx, arity) in exports {
@@ -435,10 +598,6 @@ fn run_differential(module: &Module) -> bool {
         }
         assert_eq!(
             outcomes[0], outcomes[1],
-            "register and stack tiers disagree on func {func_idx}"
-        );
-        assert_eq!(
-            outcomes[0], outcomes[2],
             "register and tree tiers disagree on func {func_idx}"
         );
         ran = true;
@@ -467,16 +626,16 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
     // same variant so the only degree of freedom is the pass set.
     let sweep_engines = [
         Engine::builder(Variant::BaselineWasm64)
-            .optimize(false)
+            .opt_level(OptLevel::None)
             .build(),
         Engine::builder(Variant::BaselineWasm64).build(),
         Engine::builder(Variant::BaselineWasm64)
-            .opt_passes(OptPasses::full())
+            .opt_level(OptLevel::Full)
             .build(),
     ];
 
     // Module seeds: hand-built br_table nests plus real lowered C.
-    let mut module_seeds: Vec<Module> = vec![hotpath::branch_module(), small_module()];
+    let mut module_seeds: Vec<Module> = vec![branch_module(), small_module()];
     for src in &corpus {
         if let Ok(artifact) = engines[0].compile(src) {
             module_seeds.push(artifact.module().clone());

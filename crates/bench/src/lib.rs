@@ -156,190 +156,6 @@ pub fn fig15_sweep() -> Vec<(Core, [f64; 3])> {
 
 pub mod fuzz;
 
-/// Hot-path microbenchmark kernels, shared by the criterion bench
-/// (`benches/hotpath.rs`) and the `hotpath_json` summary binary so the
-/// wall-clock trajectory recorded per PR measures exactly what the bench
-/// measures.
-pub mod hotpath {
-    use cage::wasm::builder::ModuleBuilder;
-    use cage::wasm::{BlockType, Instr, Module, ValType};
-
-    /// Call-heavy: a tight loop of direct calls through a tiny leaf, so
-    /// frame cost dominates over arithmetic.
-    pub const CALL_HEAVY: &str = r#"
-        long leaf(long a, long b) {
-            return a + b;
-        }
-        long mid(long a, long b) {
-            return leaf(a, b) + leaf(b, a);
-        }
-        long run(long n) {
-            long acc = 0;
-            for (long i = 0; i < n; i++) {
-                acc = acc + mid(acc, i);
-            }
-            return acc;
-        }
-    "#;
-
-    /// Load/store-heavy: repeated array sweeps, so the scalar memory path
-    /// dominates.
-    pub const MEM_HEAVY: &str = r#"
-        double a[2048];
-        double run(long rounds) {
-            for (long i = 0; i < 2048; i++) {
-                a[i] = (double)i * 0.5;
-            }
-            double s = 0.0;
-            for (long r = 0; r < rounds; r++) {
-                for (long i = 0; i < 2048; i++) {
-                    s = s + a[i];
-                    a[i] = s * 0.000001;
-                }
-            }
-            return s;
-        }
-    "#;
-
-    /// Bulk-heavy: memset/memcpy churn through the libc host functions.
-    pub const BULK_HEAVY: &str = r#"
-        long run(long rounds) {
-            char* a = malloc(4096);
-            char* b = malloc(4096);
-            for (long r = 0; r < rounds; r++) {
-                memset(a, 42, 4096);
-                memcpy(b, a, 4096);
-            }
-            long v = b[4095];
-            free(a);
-            free(b);
-            return v;
-        }
-    "#;
-
-    /// Branch-heavy C: a tight loop whose body is an if/else ladder plus
-    /// an inner loop with an early `break`, so `br`/`br_if` dispatch and
-    /// block exits dominate over arithmetic.
-    pub const BRANCH_HEAVY: &str = r#"
-        long run(long n) {
-            long acc = 0;
-            for (long i = 0; i < n; i++) {
-                if (i % 3 == 0) {
-                    acc = acc + 1;
-                } else if (i % 5 == 0) {
-                    acc = acc + 2;
-                } else if (i % 7 == 0) {
-                    acc = acc + 3;
-                } else {
-                    acc = acc - 1;
-                }
-                long j = i & 15;
-                while (j > 0) {
-                    j = j - 1;
-                    if (j == 7) { break; }
-                }
-            }
-            return acc;
-        }
-    "#;
-
-    /// The C-source kernels as `(name, source, run-argument)` rows.
-    #[must_use]
-    pub fn c_kernels() -> [(&'static str, &'static str, i64); 4] {
-        [
-            ("calls", CALL_HEAVY, 20_000),
-            ("memory", MEM_HEAVY, 20),
-            ("bulk", BULK_HEAVY, 200),
-            ("branches", BRANCH_HEAVY, 200_000),
-        ]
-    }
-
-    /// Wraps `body` in the shared counting-loop harness:
-    /// `do { body; } while (++locals[i] < locals[n])`.
-    fn counted_loop(mut body: Vec<Instr>, n: u32, i: u32) -> Instr {
-        body.extend([
-            Instr::LocalGet(i),
-            Instr::I64Const(1),
-            Instr::I64Add,
-            Instr::LocalSet(i),
-            Instr::LocalGet(i),
-            Instr::LocalGet(n),
-            Instr::I64LtS,
-            Instr::BrIf(0),
-        ]);
-        Instr::Loop(BlockType::Empty, body)
-    }
-
-    /// Hand-built wasm exercising the control paths C codegen never
-    /// emits: a tight `br_table` dispatch loop (export `dispatch`) and a
-    /// loop that exits a 32-deep block nest through a variable-depth
-    /// `br_table` every iteration (export `unwind`).
-    #[must_use]
-    pub fn branch_module() -> Module {
-        let mut b = ModuleBuilder::new();
-        let (n, i, acc) = (0, 1, 2);
-
-        // dispatch(n): loop { switch (i % 4) { 0: acc+=1; 1: acc+=3; _: {} } }
-        let selector = vec![
-            Instr::LocalGet(i),
-            Instr::I64Const(4),
-            Instr::I64RemU,
-            Instr::I32WrapI64,
-            Instr::BrTable(vec![0, 1], 2),
-        ];
-        let case0 = vec![
-            Instr::LocalGet(acc),
-            Instr::I64Const(1),
-            Instr::I64Add,
-            Instr::LocalSet(acc),
-            Instr::Br(1),
-        ];
-        let case1 = vec![
-            Instr::LocalGet(acc),
-            Instr::I64Const(3),
-            Instr::I64Add,
-            Instr::LocalSet(acc),
-            Instr::Br(0),
-        ];
-        let mut b1 = vec![Instr::Block(BlockType::Empty, selector)];
-        b1.extend(case0);
-        let mut b2 = vec![Instr::Block(BlockType::Empty, b1)];
-        b2.extend(case1);
-        let dispatch = b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64],
-            vec![
-                counted_loop(vec![Instr::Block(BlockType::Empty, b2)], n, i),
-                Instr::LocalGet(acc),
-            ],
-        );
-        b.export_func("dispatch", dispatch);
-
-        // unwind(n): every iteration enters 32 nested blocks and exits a
-        // variable number of them in one br_table branch.
-        const DEPTH: u32 = 32;
-        let mut nest = vec![
-            Instr::LocalGet(i),
-            Instr::I64Const(i64::from(DEPTH)),
-            Instr::I64RemU,
-            Instr::I32WrapI64,
-            Instr::BrTable((0..DEPTH - 1).collect(), DEPTH - 1),
-        ];
-        for _ in 0..DEPTH {
-            nest = vec![Instr::Block(BlockType::Empty, nest)];
-        }
-        let unwind = b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64],
-            vec![counted_loop(nest, n, i), Instr::LocalGet(i)],
-        );
-        b.export_func("unwind", unwind);
-        b.build()
-    }
-}
-
 /// Writes `content` to `results/<name>` (creating the directory), and
 /// returns the path.
 ///

@@ -10,7 +10,7 @@
 //! Regenerate with `cargo run --release --example golden_cycles` — but
 //! only when a cost-model change *intends* to shift cycles.
 
-use cage::{Core, Engine, OptPasses, Variant};
+use cage::{Core, Engine, OptLevel, Variant};
 
 const GOLDEN: &str = include_str!("golden_polybench_cycles.tsv");
 const GOLDEN_OPT: &str = include_str!("golden_polybench_cycles_opt.tsv");
@@ -97,7 +97,7 @@ fn optimized_pipeline_cycles_are_bit_identical_to_golden() {
             .unwrap_or_else(|| panic!("golden kernel {kernel_name} missing from suite"));
         let engine = Engine::builder(variant)
             .core(Core::CortexX3)
-            .opt_passes(OptPasses::full())
+            .opt_level(OptLevel::Full)
             .build();
         let artifact = engine.compile(kernel.source).expect("builds");
         let mut inst = engine.instantiate(&artifact).expect("instantiates");

@@ -6,7 +6,7 @@
 //! seed) and asserts the robustness invariants: zero compile-stage
 //! panics, bounded frontend fuel, all three mutation families
 //! exercised, and at least one accepted module surviving the
-//! three-tier differential.
+//! register-vs-tree differential.
 
 use cage_bench::fuzz::{run, FuzzConfig};
 
@@ -26,7 +26,7 @@ fn seeded_sweep_is_panic_free_and_bounded() {
     assert!(d_total >= config.cases / 4, "{report:?}");
     // The mutators are not so aggressive that nothing survives: some
     // mutated C still compiles, and some mutated module still runs the
-    // differential (otherwise the three-tier check is dead code).
+    // differential (otherwise the cross-tier check is dead code).
     assert!(report.c_accepted > 0, "{report:?}");
     assert!(report.differential_runs > 0, "{report:?}");
     // The optimiser sweep is live: at least one accepted C source was

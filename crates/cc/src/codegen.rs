@@ -527,7 +527,10 @@ impl<'p> Codegen<'p> {
         match self.ir_type(ty) {
             IrType::I32 => Operand::ConstI32(0),
             IrType::F64 => Operand::ConstF64(0.0),
-            _ => Operand::ConstI64(0),
+            IrType::I64 => Operand::ConstI64(0),
+            // A null pointer is as wide as the target's addresses.
+            IrType::Ptr if self.ptr_bytes == 4 => Operand::ConstI32(0),
+            IrType::Ptr => Operand::ConstI64(0),
         }
     }
 

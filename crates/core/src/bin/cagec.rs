@@ -18,7 +18,7 @@
 
 use std::process::ExitCode;
 
-use cage::{Core, Engine, Error, OptPasses, Value, Variant};
+use cage::{Core, Engine, Error, OptLevel, Value, Variant};
 
 /// Compile (or usage/I-O) failure.
 const EXIT_COMPILE: u8 = 1;
@@ -46,18 +46,6 @@ struct Args {
     opt: OptLevel,
 }
 
-/// Optimisation level selected on the command line.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OptLevel {
-    /// The standard pipeline (mem2reg, const-fold, DCE).
-    Default,
-    /// `--opt`: standard plus CSE, store-to-load forwarding, strength
-    /// reduction and CFG simplification.
-    Full,
-    /// `-O0`: no optimisation passes at all (sanitizers only).
-    None,
-}
-
 const USAGE: &str = "\
 usage: cagec <file.c> [options]
 
@@ -71,8 +59,8 @@ options:
                    run an exported function with i64 arguments
   --list-exports   print the exported functions and their signatures
   --dump-bytecode <fn>
-                   disassemble the flat bytecode of an exported function
-                   (pc, op, resolved branch targets)
+                   disassemble the register bytecode of an exported
+                   function (pc, op, resolved branch targets, charges)
   --memory <pages> linear memory size in 64 KiB pages (default: 64)
   --opt            enable the full IR optimiser (CSE, load forwarding,
                    strength reduction, CFG simplify) on top of the
@@ -96,7 +84,7 @@ fn parse_args() -> Result<Args, String> {
     let mut dump_bytecode = None;
     let mut stats = false;
     let mut memory_pages = 64;
-    let mut opt = OptLevel::Default;
+    let mut opt = OptLevel::Standard;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--variant" => {
@@ -221,15 +209,11 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_COMPILE);
         }
     };
-    let mut builder = Engine::builder(args.variant)
+    let engine = Engine::builder(args.variant)
         .core(args.core)
-        .memory_pages(args.memory_pages);
-    match args.opt {
-        OptLevel::Default => {}
-        OptLevel::Full => builder = builder.opt_passes(OptPasses::full()),
-        OptLevel::None => builder = builder.optimize(false),
-    }
-    let engine = builder.build();
+        .memory_pages(args.memory_pages)
+        .opt_level(args.opt)
+        .build();
     let artifact = match engine.compile(&source) {
         Ok(a) => a,
         Err(e) => {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cage_engine::{CostModel, ExecConfig, WasmParams, WasmResults};
-use cage_ir::passes::{HardenConfig, OptPasses, PipelineConfig};
+use cage_ir::passes::{HardenConfig, OptLevel, PipelineConfig};
 use cage_mte::Core;
 use cage_runtime::{InstanceToken, Linker, MemoryReport, Runtime, Variant};
 use cage_wasm::{CompileLimits, ValType};
@@ -319,23 +319,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables the optimisation passes that precede the
-    /// sanitizers (on by default; off is useful for ablations).
+    /// Selects how much of the optimiser precedes the sanitizers
+    /// ([`OptLevel::Standard`] by default). The default pipeline's output
+    /// is pinned byte-for-byte by the PolyBench cycle golden file;
+    /// [`OptLevel::Full`] has its own golden variant (charges follow the
+    /// surviving ops), and [`OptLevel::None`] is for ablations.
     #[must_use]
-    pub fn optimize(mut self, optimize: bool) -> Self {
-        self.pipeline.optimize = optimize;
-        self
-    }
-
-    /// Selects the extended optimiser passes (CSE, store-to-load
-    /// forwarding, strength reduction, CFG simplification) layered on
-    /// top of the standard trio. Off by default: the default
-    /// pipeline's output is pinned byte-for-byte by the PolyBench
-    /// cycle golden file, while the optimised pipeline has its own
-    /// golden variant (charges follow the surviving ops).
-    #[must_use]
-    pub fn opt_passes(mut self, opt: OptPasses) -> Self {
-        self.pipeline.opt = opt;
+    pub fn opt_level(mut self, level: OptLevel) -> Self {
+        self.pipeline.opt_level = level;
         self
     }
 
@@ -411,9 +402,10 @@ impl Artifact {
         list_exports(&self.module)
     }
 
-    /// Disassembles the flat bytecode the interpreter will execute for the
-    /// exported function `name` — program counters, ops and resolved
-    /// branch targets (the `cagec --dump-bytecode` backend).
+    /// Disassembles the register bytecode the interpreter will execute for
+    /// the exported function `name` — program counters, ops, resolved
+    /// branch targets and charge recipes (the `cagec --dump-bytecode`
+    /// backend).
     ///
     /// Returns `None` when `name` is not an exported local function
     /// (imported host functions have no bytecode).
@@ -445,37 +437,6 @@ impl Artifact {
             });
         }
         Ok(rt.instantiate_linked(&self.module, self.heap_base, linker)?)
-    }
-
-    /// Instantiates on `core` with a fresh runtime and libc.
-    ///
-    /// # Errors
-    ///
-    /// Instantiation errors (e.g. sandbox-tag exhaustion).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::instantiate` / `Engine::instantiate_with`"
-    )]
-    pub fn instantiate(&self, core: Core) -> Result<Instance, cage_runtime::RuntimeError> {
-        let mut rt = Runtime::new(self.variant, core);
-        let token = rt.instantiate_linked(&self.module, self.heap_base, &Linker::with_libc())?;
-        Ok(Instance::new(rt, token))
-    }
-
-    /// Instantiates into an existing runtime (multi-instance processes).
-    ///
-    /// # Errors
-    ///
-    /// Instantiation errors.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Artifact::instantiate_into` with a `Linker`"
-    )]
-    pub fn instantiate_in(
-        &self,
-        rt: &mut Runtime,
-    ) -> Result<InstanceToken, cage_runtime::RuntimeError> {
-        rt.instantiate_linked(&self.module, self.heap_base, &Linker::with_libc())
     }
 }
 

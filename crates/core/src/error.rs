@@ -2,8 +2,8 @@
 //!
 //! One `cage::Error` spans the whole pipeline — frontend, lowering,
 //! validation, instantiation, execution traps, and typed-call signature
-//! checking — replacing the old scatter of `BuildError`, `RuntimeError`
-//! and bare `Trap` returns that every embedder had to convert between.
+//! checking — so embedders never convert between per-stage error types
+//! (`CompileError`, `LowerError`, `RuntimeError`, bare `Trap`).
 
 use std::fmt;
 
@@ -207,17 +207,6 @@ impl From<cage_runtime::RuntimeError> for Error {
     fn from(e: cage_runtime::RuntimeError) -> Self {
         match e {
             cage_runtime::RuntimeError::Instantiate(i) => Error::Instantiate(i),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<crate::BuildError> for Error {
-    fn from(e: crate::BuildError) -> Self {
-        match e {
-            crate::BuildError::Compile(c) => Error::Compile(c),
-            crate::BuildError::Lower(l) => Error::Lower(l),
-            crate::BuildError::Validate(v) => Error::Validate(v),
         }
     }
 }

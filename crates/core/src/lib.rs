@@ -72,13 +72,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-
 mod embed;
 mod error;
 pub mod gallery;
 
-pub use cage_ir::passes::OptPasses;
+pub use cage_ir::passes::OptLevel;
 pub use embed::{compile_panic_count, Artifact, Engine, EngineBuilder, Instance, TypedFunc};
 pub use error::Error;
 
@@ -98,99 +96,6 @@ pub use cage_pac as pac;
 pub use cage_runtime as runtime;
 pub use cage_serve as serve;
 pub use cage_wasm as wasm;
-
-/// Build failures across the pipeline (legacy; absorbed by [`Error`]).
-#[derive(Debug)]
-pub enum BuildError {
-    /// Frontend (parse/typecheck) error.
-    Compile(cage_cc::CompileError),
-    /// Backend (lowering) error.
-    Lower(cage_ir::LowerError),
-    /// The produced module failed validation (a toolchain bug if it ever
-    /// happens — surfaced rather than panicking).
-    Validate(cage_wasm::ValidationError),
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::Compile(e) => write!(f, "compile error: {e}"),
-            BuildError::Lower(e) => write!(f, "lowering error: {e}"),
-            BuildError::Validate(e) => write!(f, "validation error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-/// Build options beyond the variant (legacy; superseded by
-/// [`Engine::builder`]).
-#[deprecated(since = "0.2.0", note = "configure an `Engine` via `Engine::builder`")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BuildOptions {
-    /// Table 3 configuration.
-    pub variant: Variant,
-    /// Linear memory in 64 KiB pages.
-    pub memory_pages: u64,
-    /// Shadow-stack bytes.
-    pub stack_size: u64,
-}
-
-#[allow(deprecated)]
-impl BuildOptions {
-    /// Default options for `variant`.
-    #[must_use]
-    pub fn new(variant: Variant) -> Self {
-        BuildOptions {
-            variant,
-            memory_pages: 64,
-            stack_size: 64 * 1024,
-        }
-    }
-}
-
-/// Compiles and hardens `source` for `variant` with default options
-/// (legacy; superseded by [`Engine::compile`]).
-///
-/// # Errors
-///
-/// [`BuildError`] on compile or lowering failures.
-#[deprecated(since = "0.2.0", note = "use `Engine::new(variant).compile(source)`")]
-pub fn build(source: &str, variant: Variant) -> Result<Artifact, BuildError> {
-    to_build_error(Engine::new(variant).compile(source))
-}
-
-/// Compiles and hardens `source` with explicit options (legacy; superseded
-/// by [`Engine::builder`] + [`Engine::compile`]).
-///
-/// # Errors
-///
-/// [`BuildError`] on compile or lowering failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::builder(variant)...build().compile(source)`"
-)]
-#[allow(deprecated)]
-pub fn build_with(source: &str, opts: &BuildOptions) -> Result<Artifact, BuildError> {
-    let engine = Engine::builder(opts.variant)
-        .memory_pages(opts.memory_pages)
-        .stack_size(opts.stack_size)
-        .build();
-    to_build_error(engine.compile(source))
-}
-
-/// Maps the unified error back onto the legacy build-error shape.
-fn to_build_error(result: Result<Artifact, Error>) -> Result<Artifact, BuildError> {
-    result.map_err(|e| match e {
-        Error::Compile(c) => BuildError::Compile(c),
-        Error::Lower(l) => BuildError::Lower(l),
-        Error::Validate(v) => BuildError::Validate(v),
-        // The legacy shape predates limit/panic rejection: fold both
-        // into the frontend bucket rather than panicking on them.
-        Error::LimitExceeded(l) => BuildError::Compile(cage_cc::CompileError::from_limit(l)),
-        other => BuildError::Compile(cage_cc::CompileError::new(0, other.to_string())),
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -240,20 +145,6 @@ mod tests {
         let caged = instantiate(Variant::CageFull);
         assert_eq!(base.memory_report().tag_bytes, 0);
         assert!(caged.memory_report().tag_bytes > 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_build_shim_still_works() {
-        let artifact = build("long f() { return 41; }", Variant::CageFull).unwrap();
-        let mut inst = artifact.instantiate(Core::CortexX3).unwrap();
-        assert_eq!(inst.invoke("f", &[]).unwrap(), vec![Value::I64(41)]);
-        let opts = BuildOptions {
-            memory_pages: 128,
-            ..BuildOptions::new(Variant::BaselineWasm64)
-        };
-        let artifact = build_with("long g() { return 2; }", &opts).unwrap();
-        assert_eq!(artifact.memory_pages(), 128);
     }
 
     #[test]

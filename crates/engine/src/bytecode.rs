@@ -1,35 +1,32 @@
-//! Bytecode lowerings: the execution forms of a function body.
+//! Bytecode lowering: the execution form of a function body.
 //!
 //! The structured `cage_wasm::Instr` tree is what the validator and the
-//! toolchain passes consume; at instantiation each body is lowered into
-//! two flat forms:
+//! toolchain passes consume; at instantiation each body is lowered once,
+//! into **register bytecode** ([`RegOp`] / [`RegCode`], built by
+//! [`compile_reg`]). The body goes through SSA construction
+//! (`cage_ir::ssa`, Braun-style) into virtual registers, phis are
+//! eliminated with parallel copies, and a linear scan
+//! (`cage_ir::regalloc`) assigns every value a slot in a fixed per-frame
+//! register file. Stack shuffling disappears by construction:
+//! `local.get`/`local.set`/`local.tee`, constants, `drop` and `nop`
+//! dissolve into the dataflow, and each remaining dispatch is a generic
+//! 3-address operation. Cycle accounting stays bit-identical to executing
+//! the source instructions one by one (which is what the tree-walking
+//! reference in `interp` does) because every register op carries a
+//! *charge recipe* — the class charges of the source ops it retired, in
+//! original order — replayed by the dispatch loop before the op body.
 //!
-//! * **Flat stack bytecode** ([`Op`] / [`FlatCode`], built by
-//!   [`compile`]): a direct transcription of the stack machine with
-//!   control flow resolved to absolute program counters. `Block`/`Loop`/
-//!   `If` disappear; every branch carries a [`BranchTarget`] collapse
-//!   descriptor `(pc, stack height, arity)`; the skip over an `else` arm
-//!   is a synthetic [`Op::Jump`] and the function epilogue a synthetic
-//!   [`Op::End`] — neither charges cycles nor retires an instruction.
-//!   Since the register tier took over the hot path this form survives as
-//!   the mid-tier differential oracle (tree → flat-stack → flat-reg).
-//!
-//! * **Register bytecode** ([`RegOp`] / [`RegCode`], built by
-//!   [`compile_reg`]): the primary tier. The body is lowered through
-//!   SSA construction (`cage_ir::ssa`, Braun-style) into virtual
-//!   registers, phis are eliminated with parallel copies, and a linear
-//!   scan (`cage_ir::regalloc`) assigns every value a slot in a fixed
-//!   per-frame register file. Stack shuffling disappears by
-//!   construction: `local.get`/`local.set`/`local.tee`, constants,
-//!   `drop` and `nop` dissolve into the dataflow, and each remaining
-//!   dispatch is a generic 3-address operation. Cycle accounting stays
-//!   bit-identical to the stack forms because every register op carries a
-//!   *charge recipe* — the class charges of the source ops it retired, in
-//!   original order — replayed by the dispatch loop before the op body.
+//! [`Op`] is the flat form of one *data* instruction (everything but
+//! structured control flow and calls, see [`flat_op`]). It is not an
+//! execution tier of its own: the tree-walking reference executes data
+//! instructions through it, and the register form carries the rare
+//! stateful ones (globals, memory management, segments, pointer
+//! sign/auth, `unreachable`) as [`RegOp::Bridge`] — both run the single
+//! shared `exec_op`.
 //!
 //! Statically unreachable code (anything following an unconditional
-//! branch inside a block) is never emitted by the stack lowering, and the
-//! register lowering only reaches it through unreachable join blocks.
+//! branch inside a block) is never lowered; all that survives of it is
+//! the construct's join block, which may itself be unreachable.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -37,30 +34,7 @@ use std::fmt;
 use cage_ir::regalloc::{self, BlockRange, LivenessInput, ValueRef};
 use cage_ir::ssa::{self, SsaBuilder, UNDEF};
 use cage_wasm::instr::{LoadOp, StoreOp};
-use cage_wasm::{numeric_signature, FuncType, Instr, Module};
-
-/// A resolved branch destination: jump to `pc` after collapsing the
-/// operand stack to `height` (relative to the function's frame base),
-/// keeping the top `arity` values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchTarget {
-    /// Absolute program counter of the destination.
-    pub pc: u32,
-    /// Operand-stack height of the target frame, relative to frame base.
-    pub height: u32,
-    /// Number of result values the branch carries.
-    pub arity: u32,
-}
-
-impl fmt::Display for BranchTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "\u{2192}{:04} (h={}, a={})",
-            self.pc, self.height, self.arity
-        )
-    }
-}
+use cage_wasm::{FuncType, Instr, Module};
 
 /// A two-operand ALU operation with a generic 3-address register form:
 /// non-trapping, charges one instruction of its class (`Simple` for
@@ -268,8 +242,7 @@ impl AluOp {
 /// (divide-by-zero, `INT_MIN / -1` overflow) and the whole family
 /// charges the `Div`/`FloatDiv` class instead of `Simple`/`Float`. The
 /// charge lands in the op's recipe — replayed before the operands are
-/// even read, matching the stack tiers, which charge before the trap
-/// checks.
+/// even read, matching `exec_op`, which charges before its trap checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum DivOp {
@@ -309,39 +282,18 @@ impl DivOp {
     }
 }
 
-/// A flat bytecode instruction.
+/// The flat form of one data instruction.
 ///
-/// Control flow is fully resolved: branch ops carry [`BranchTarget`]s,
-/// `If`/`Jump` carry absolute pcs, and `Call`/`CallIndirect` push a
-/// return-pc frame on the interpreter's explicit call stack. All other
-/// ops mirror their `cage_wasm::Instr` counterparts one-to-one (constants
-/// are pre-encoded as untagged operand slots, memory ops keep only the
-/// static offset their execution needs).
+/// Every variant mirrors its `cage_wasm::Instr` counterpart one-to-one
+/// (constants are pre-encoded as untagged operand slots, memory ops keep
+/// only the static offset their execution needs). Structured control flow
+/// and calls have no `Op`: the register lowering and the tree-walking
+/// reference each handle those positionally.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub enum Op {
-    // -- control (resolved) -------------------------------------------------
     Unreachable,
     Nop,
-    /// Synthetic unconditional jump (skip over an `else` arm). Free: it
-    /// charges no cycles and retires no instruction.
-    Jump(u32),
-    /// `if`: charges a branch, pops the condition, falls through into the
-    /// then-arm when non-zero, jumps to the else-arm (or join point) when
-    /// zero. Arms start at the same height, so no collapse is needed.
-    If(u32),
-    Br(BranchTarget),
-    BrIf(BranchTarget),
-    /// `br_table`: the selector indexes the slice; out-of-range selectors
-    /// (and the last entry itself) take the default, stored last.
-    BrTable(Box<[BranchTarget]>),
-    Return,
-    /// Synthetic function epilogue: collapses to the frame base, pops the
-    /// call frame. Free, like [`Op::Jump`] — an explicit `return` charges
-    /// a branch, falling off the end does not.
-    End,
-    Call(u32),
-    CallIndirect(u32),
     // -- parametric / variable ----------------------------------------------
     Drop,
     Select,
@@ -511,28 +463,12 @@ pub enum Op {
     I64Extend32S,
 }
 
-/// A function body compiled to flat bytecode, always `End`-terminated.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlatCode {
-    /// The flat instruction array.
-    pub ops: Box<[Op]>,
-    /// Pre-resolved handler index per op (parallel to `ops`): resolved
-    /// once at lowering time by [`crate::interp::handler_index`]. This is
-    /// the introspectable form of the dispatch resolution; `thread` is
-    /// its fn-pointer mirror, which the loop actually calls (a unit test
-    /// pins the two in sync).
-    pub handlers: Box<[u16]>,
-    /// The same handlers as direct fn pointers (parallel to `ops`), so
-    /// the dispatch loop is one load plus one indirect call per op.
-    pub(crate) thread: Box<[crate::interp::Handler]>,
-}
-
 /// Maps a non-control instruction to its flat op.
 ///
 /// Returns `None` for structured control flow (`Block`/`Loop`/`If`,
-/// branches, `Return`, calls), which the compiler lowers positionally.
-/// Shared by the compiler and the test-oracle tree walker so the data
-/// ops have exactly one execution implementation.
+/// branches, `Return`, calls), which the register lowering and the tree
+/// walker handle positionally. Shared by both so the data ops have
+/// exactly one execution implementation.
 #[must_use]
 pub fn flat_op(instr: &Instr) -> Option<Op> {
     macro_rules! same {
@@ -707,133 +643,6 @@ pub fn flat_op(instr: &Instr) -> Option<Op> {
     })
 }
 
-/// Net operand-stack effect `(pops, pushes)` of a non-control instruction.
-fn simple_effect(instr: &Instr) -> (usize, usize) {
-    use Instr::*;
-    match instr {
-        Unreachable | Nop => (0, 0),
-        Drop => (1, 0),
-        Select => (3, 1),
-        LocalGet(_) | GlobalGet(_) | MemorySize | I32Const(_) | I64Const(_) | F32Const(_)
-        | F64Const(_) => (0, 1),
-        LocalSet(_) | GlobalSet(_) => (1, 0),
-        LocalTee(_) | Load(..) | MemoryGrow | PointerSign | PointerAuth => (1, 1),
-        Store(..) | SegmentFree(_) => (2, 0),
-        MemoryFill | MemoryCopy | SegmentSetTag(_) => (3, 0),
-        SegmentNew(_) => (2, 1),
-        other => {
-            let (params, result) = numeric_signature(other)
-                .unwrap_or_else(|| unreachable!("control instruction {other:?} in simple_effect"));
-            (params.len(), usize::from(result.is_some()))
-        }
-    }
-}
-
-/// A branch still awaiting its destination pc: op index, plus the entry
-/// slot when the op is a `br_table`.
-struct Patch {
-    op: usize,
-    slot: usize,
-}
-
-/// One open control construct during lowering.
-struct CtrlFrame {
-    /// Branch destination for a loop (its start pc); forward targets are
-    /// patched when the construct ends.
-    loop_start: Option<u32>,
-    /// Operand height at entry, relative to the frame base.
-    height: usize,
-    /// Values a branch to this label carries (0 for loops).
-    br_arity: usize,
-    /// Values the construct leaves on the stack when it ends.
-    end_arity: usize,
-    /// Forward branches to patch with the end pc.
-    patches: Vec<Patch>,
-}
-
-struct Compiler<'m> {
-    module: &'m Module,
-    ops: Vec<Op>,
-    /// Current operand height relative to the frame base.
-    height: usize,
-    ctrl: Vec<CtrlFrame>,
-}
-
-/// Lowers a validated function body to flat bytecode.
-///
-/// `results` is the function's result count — the arity of branches that
-/// target the function label and of the epilogue collapse.
-///
-/// # Panics
-///
-/// Panics on unvalidated input (branch depths or stack effects that the
-/// validator would reject).
-#[must_use]
-pub fn compile(module: &Module, results: usize, body: &[Instr]) -> FlatCode {
-    let limits = cage_wasm::CompileLimits::unlimited();
-    match try_compile(module, results, body, &limits, &limits.fuel()) {
-        Ok(code) => code,
-        Err(e) => unreachable!("unlimited lowering cannot bust a limit: {e}"),
-    }
-}
-
-/// Like [`compile`], but bounds the lowering work against `limits` and
-/// the shared `fuel` budget before any recursion happens.
-///
-/// The body's op count and nesting depth are measured iteratively up
-/// front, so a hostile module cannot push the compiler into deep
-/// recursion or an oversized op buffer.
-///
-/// # Errors
-///
-/// [`cage_wasm::LimitError`] when the body busts a bound.
-///
-/// # Panics
-///
-/// Panics on unvalidated input, like [`compile`].
-pub fn try_compile(
-    module: &Module,
-    results: usize,
-    body: &[Instr],
-    limits: &cage_wasm::CompileLimits,
-    fuel: &cage_wasm::CompileFuel,
-) -> Result<FlatCode, cage_wasm::LimitError> {
-    let stats = check_body_budget(body, limits)?;
-    fuel.charge(stats.ops as u64)?;
-    let mut c = Compiler {
-        module,
-        ops: Vec::with_capacity(body.len() + 1),
-        height: 0,
-        ctrl: Vec::with_capacity(8),
-    };
-    c.ctrl.push(CtrlFrame {
-        loop_start: None,
-        height: 0,
-        br_arity: results,
-        end_arity: results,
-        patches: Vec::new(),
-    });
-    c.lower_seq(body);
-    let frame = c.ctrl.pop().expect("function frame");
-    let end = c.ops.len() as u32;
-    for p in frame.patches {
-        c.apply_patch(&p, end);
-    }
-    c.ops.push(Op::End);
-    // Resolve each op's dispatch handler once, after patching settled
-    // the final op array.
-    let handlers: Box<[u16]> = c.ops.iter().map(crate::interp::handler_index).collect();
-    let thread = handlers
-        .iter()
-        .map(|&i| crate::interp::handler_for_index(i))
-        .collect();
-    Ok(FlatCode {
-        ops: c.ops.into_boxed_slice(),
-        handlers,
-        thread,
-    })
-}
-
 /// Iteratively measures `body` and rejects it when its total op count or
 /// nesting depth busts `limits`; returns the measured stats on success.
 fn check_body_budget(
@@ -859,228 +668,9 @@ fn check_body_budget(
     Ok(stats)
 }
 
-impl Compiler<'_> {
-    fn emit(&mut self, op: Op) -> usize {
-        self.ops.push(op);
-        self.ops.len() - 1
-    }
-
-    fn apply_patch(&mut self, p: &Patch, pc: u32) {
-        match &mut self.ops[p.op] {
-            Op::Br(t) | Op::BrIf(t) => t.pc = pc,
-            Op::BrTable(ts) => ts[p.slot].pc = pc,
-            Op::Jump(t) | Op::If(t) => *t = pc,
-            other => unreachable!("patching non-branch op {other:?}"),
-        }
-    }
-
-    /// Resolves a branch to `depth` labels up. Loop targets are known
-    /// (backward); forward targets register a patch on the frame.
-    fn branch_target(&mut self, depth: u32, op: usize, slot: usize) -> BranchTarget {
-        let idx = self
-            .ctrl
-            .len()
-            .checked_sub(1 + depth as usize)
-            .expect("validated branch depth");
-        let frame = &mut self.ctrl[idx];
-        match frame.loop_start {
-            Some(pc) => BranchTarget {
-                pc,
-                height: frame.height as u32,
-                arity: 0,
-            },
-            None => {
-                frame.patches.push(Patch { op, slot });
-                BranchTarget {
-                    pc: u32::MAX,
-                    height: frame.height as u32,
-                    arity: frame.br_arity as u32,
-                }
-            }
-        }
-    }
-
-    /// Closes the innermost construct: patches its forward branches to the
-    /// current pc and restores the post-construct operand height.
-    fn end_frame(&mut self) {
-        let frame = self.ctrl.pop().expect("control frame");
-        let end = self.ops.len() as u32;
-        for p in &frame.patches {
-            self.apply_patch(p, end);
-        }
-        self.height = frame.height + frame.end_arity;
-    }
-
-    /// Lowers a sequence; returns whether its end is reachable. Dead code
-    /// after an unconditional transfer is skipped entirely.
-    fn lower_seq(&mut self, body: &[Instr]) -> bool {
-        for instr in body {
-            if self.lower_instr(instr) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Lowers one instruction; returns `true` when it transfers control
-    /// unconditionally (terminating the current sequence).
-    fn lower_instr(&mut self, instr: &Instr) -> bool {
-        match instr {
-            Instr::Block(bt, inner) => {
-                let arity = bt.arity();
-                self.ctrl.push(CtrlFrame {
-                    loop_start: None,
-                    height: self.height,
-                    br_arity: arity,
-                    end_arity: arity,
-                    patches: Vec::new(),
-                });
-                let reachable = self.lower_seq(inner);
-                debug_assert!(
-                    !reachable || self.height == self.ctrl.last().expect("frame").height + arity,
-                    "validated block fallthrough height"
-                );
-                self.end_frame();
-                false
-            }
-            Instr::Loop(bt, inner) => {
-                self.ctrl.push(CtrlFrame {
-                    loop_start: Some(self.ops.len() as u32),
-                    height: self.height,
-                    br_arity: 0,
-                    end_arity: bt.arity(),
-                    patches: Vec::new(),
-                });
-                self.lower_seq(inner);
-                self.end_frame();
-                false
-            }
-            Instr::If(bt, then_body, else_body) => {
-                self.height -= 1; // condition
-                let arity = bt.arity();
-                let if_idx = self.emit(Op::If(u32::MAX));
-                let entry = self.height;
-                self.ctrl.push(CtrlFrame {
-                    loop_start: None,
-                    height: entry,
-                    br_arity: arity,
-                    end_arity: arity,
-                    patches: Vec::new(),
-                });
-                let then_reachable = self.lower_seq(then_body);
-                if else_body.is_empty() {
-                    // No else: the false edge lands on the join point.
-                    let end = self.ops.len() as u32;
-                    self.apply_patch(
-                        &Patch {
-                            op: if_idx,
-                            slot: 0,
-                        },
-                        end,
-                    );
-                } else {
-                    if then_reachable {
-                        let jump = self.emit(Op::Jump(u32::MAX));
-                        self.ctrl
-                            .last_mut()
-                            .expect("if frame")
-                            .patches
-                            .push(Patch { op: jump, slot: 0 });
-                    }
-                    let else_start = self.ops.len() as u32;
-                    self.apply_patch(
-                        &Patch {
-                            op: if_idx,
-                            slot: 0,
-                        },
-                        else_start,
-                    );
-                    self.height = entry;
-                    self.lower_seq(else_body);
-                }
-                self.end_frame();
-                false
-            }
-            Instr::Br(depth) => {
-                let op = self.ops.len();
-                let target = self.branch_target(*depth, op, 0);
-                self.emit(Op::Br(target));
-                true
-            }
-            Instr::BrIf(depth) => {
-                self.height -= 1; // condition
-                let op = self.ops.len();
-                let target = self.branch_target(*depth, op, 0);
-                self.emit(Op::BrIf(target));
-                false
-            }
-            Instr::BrTable(targets, default) => {
-                self.height -= 1; // selector
-                let op = self.ops.len();
-                let resolved: Box<[BranchTarget]> = targets
-                    .iter()
-                    .chain(std::iter::once(default))
-                    .enumerate()
-                    .map(|(slot, depth)| self.branch_target(*depth, op, slot))
-                    .collect();
-                self.emit(Op::BrTable(resolved));
-                true
-            }
-            Instr::Return => {
-                self.emit(Op::Return);
-                true
-            }
-            Instr::Call(f) => {
-                let ty = self.module.func_type(*f).expect("validated call target");
-                self.height -= ty.params.len();
-                self.height += ty.results.len();
-                self.emit(Op::Call(*f));
-                false
-            }
-            Instr::CallIndirect(type_idx) => {
-                let ty = &self.module.types[*type_idx as usize];
-                self.height -= 1 + ty.params.len(); // table index + arguments
-                self.height += ty.results.len();
-                self.emit(Op::CallIndirect(*type_idx));
-                false
-            }
-            other => {
-                let (pops, pushes) = simple_effect(other);
-                self.height = self
-                    .height
-                    .checked_sub(pops)
-                    .expect("validated stack effect")
-                    + pushes;
-                let op = flat_op(other).expect("non-control instruction");
-                self.emit(op);
-                matches!(other, Instr::Unreachable)
-            }
-        }
-    }
-}
-
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Op::Jump(pc) => write!(f, "jump \u{2192}{pc:04}"),
-            Op::If(pc) => write!(f, "if (else \u{2192}{pc:04})"),
-            Op::Br(t) => write!(f, "br {t}"),
-            Op::BrIf(t) => write!(f, "br_if {t}"),
-            Op::BrTable(ts) => {
-                let (default, cases) = ts.split_last().expect("br_table has a default");
-                write!(f, "br_table [")?;
-                for (i, t) in cases.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, "] default {default}")
-            }
-            Op::Return => f.write_str("return"),
-            Op::End => f.write_str("end"),
-            Op::Call(i) => write!(f, "call {i}"),
-            Op::CallIndirect(t) => write!(f, "call_indirect (type {t})"),
             Op::Const(v) => write!(f, "const {v:#x}"),
             Op::Load(op, off) => write!(f, "{op:?} offset={off}"),
             Op::Store(op, off) => write!(f, "{op:?} offset={off}"),
@@ -1097,39 +687,8 @@ impl fmt::Display for Op {
     }
 }
 
-/// Disassembles the flat *stack* bytecode of function `func_idx` (joint
-/// index space) of a validated module — the mid-tier lowering. The
-/// primary `cagec --dump-bytecode` backend is [`disassemble`], which
-/// renders the register form.
-///
-/// Returns `None` when the index is out of range or names an imported
-/// host function (imports have no bytecode).
-#[must_use]
-pub fn disassemble_stack(module: &Module, func_idx: u32) -> Option<String> {
-    use std::fmt::Write as _;
-
-    let imported = module.imported_func_count();
-    let local = func_idx.checked_sub(imported)?;
-    let func = module.funcs.get(local as usize)?;
-    let ty = module.types.get(func.type_idx as usize)?;
-    let code = compile(module, ty.results.len(), &func.body);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "func {func_idx} (params {}, results {}, locals {}): {} ops",
-        ty.params.len(),
-        ty.results.len(),
-        func.locals.len(),
-        code.ops.len()
-    );
-    for (pc, op) in code.ops.iter().enumerate() {
-        let _ = writeln!(out, "  {pc:04}: {op}");
-    }
-    Some(out)
-}
-
 // ===========================================================================
-// Register bytecode (primary tier)
+// Register bytecode
 // ===========================================================================
 
 /// Cycle-charge class of one retired source instruction.
@@ -1138,8 +697,9 @@ pub fn disassemble_stack(module: &Module, func_idx: u32) -> Option<String> {
 /// `tee`, constants, `drop`, `nop`) into the dataflow, so a single
 /// [`RegOp`] can retire several source instructions. To keep cycle
 /// accounting and retired-instruction counts byte-for-byte identical to
-/// the stack tiers, every register op carries a *charge recipe*: the
-/// class tags of its constituent source ops in original program order.
+/// the tree-walking reference, every register op carries a *charge
+/// recipe*: the class tags of its constituent source ops in original
+/// program order.
 /// The dispatch loop replays the recipe — one charge per tag — before
 /// running the op body, so a trap inside the op leaves exactly the
 /// charges the unfused sequence would have.
@@ -1283,7 +843,7 @@ pub struct RegCallIndirect {
 /// (`exec_op`): globals, memory management, segments, pointer sign/auth
 /// and `unreachable`. The bridge stages `args` into a
 /// scratch operand stack, runs the op (which does its own internal
-/// charging, exactly as the stack tiers do), and moves the result to
+/// charging, exactly as under the tree walker), and moves the result to
 /// `ret`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegBridge {
@@ -1795,8 +1355,8 @@ impl<'m> RegCompiler<'m> {
                     self.b.seal_block(t);
                     if self.lower_seq(then_body) {
                         // Reachable then-arm end: jump over the else arm
-                        // into the join. The jump itself is free (the
-                        // stack tier's synthetic `Op::Jump`), so no
+                        // into the join. The jump itself is free (no
+                        // source instruction retires there), so no
                         // branch tag — only the pending charges ride on
                         // it.
                         self.edge(x);
@@ -2114,8 +1674,7 @@ pub fn try_compile_reg(
     fuel: &cage_wasm::CompileFuel,
 ) -> Result<RegCode, cage_wasm::LimitError> {
     let stats = check_body_budget(body, limits)?;
-    // SSA lowering does strictly more work per op than the stack tier:
-    // charge double.
+    // SSA construction plus slot assignment: two units per op.
     fuel.charge(stats.ops as u64 * 2)?;
     let mut c = RegCompiler {
         module,
@@ -2147,8 +1706,8 @@ pub fn try_compile_reg(
         }
     }
     // The function label: a join block whose phis are the results; its
-    // terminator is the epilogue return, which (like the stack tier's
-    // synthetic `Op::End`) charges nothing. Explicit `return`s bypass it.
+    // terminator is the epilogue return, which charges nothing (falling
+    // off the end retires no instruction). Explicit `return`s bypass it.
     let ret_block = c.new_block();
     let ret_phis: Vec<ssa::Value> = (0..ty.results.len())
         .map(|_| c.b.new_phi(ret_block))
@@ -2689,10 +2248,11 @@ fn charge_letter(tag: ChargeTag) -> char {
 }
 
 /// Disassembles the register bytecode of function `func_idx` (joint
-/// index space) of a validated module — the primary tier, and the
-/// backend of `cagec --dump-bytecode`. Register names show the linear
-/// scan's hot/spill split (`r0..` hot, `s0..` spill); each op's charge
-/// recipe is appended as `; charges <letters>` in retired-source order.
+/// index space) of a validated module — what `Store::call` executes,
+/// and the backend of `cagec --dump-bytecode`. Register names show the
+/// linear scan's hot/spill split (`r0..` hot, `s0..` spill); each op's
+/// charge recipe is appended as `; charges <letters>` in retired-source
+/// order.
 ///
 /// Returns `None` when the index is out of range or names an imported
 /// host function (imports have no bytecode).
@@ -2827,183 +2387,12 @@ mod tests {
     use cage_wasm::builder::ModuleBuilder;
     use cage_wasm::{BlockType, ValType};
 
-    fn compile_body(body: Vec<Instr>) -> FlatCode {
-        let mut b = ModuleBuilder::new();
-        b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64, ValType::I32],
-            body,
-        );
-        let module = b.build();
-        cage_wasm::validate(&module).expect("fixture validates");
-        compile(&module, 1, &module.funcs[0].body)
-    }
-
-    #[test]
-    fn straight_line_ends_with_end() {
-        let code = compile_body(vec![Instr::LocalGet(0)]);
-        assert_eq!(code.ops.as_ref(), &[Op::LocalGet(0), Op::End]);
-    }
-
-    #[test]
-    fn block_branches_resolve_to_block_end() {
-        // block { local.get 0; br_if 0 } local.get 0
-        let code = compile_body(vec![
-            Instr::Block(
-                BlockType::Empty,
-                vec![Instr::LocalGet(0), Instr::I32WrapI64, Instr::BrIf(0)],
-            ),
-            Instr::LocalGet(0),
-        ]);
-        assert_eq!(
-            code.ops.as_ref(),
-            &[
-                Op::LocalGet(0),
-                Op::I32WrapI64,
-                Op::BrIf(BranchTarget {
-                    pc: 3,
-                    height: 0,
-                    arity: 0
-                }),
-                Op::LocalGet(0),
-                Op::End,
-            ]
-        );
-    }
-
-    #[test]
-    fn loop_branches_resolve_backward() {
-        let code = compile_body(vec![
-            Instr::Loop(
-                BlockType::Empty,
-                vec![Instr::LocalGet(0), Instr::I32WrapI64, Instr::BrIf(0)],
-            ),
-            Instr::LocalGet(0),
-        ]);
-        assert_eq!(
-            code.ops[2],
-            Op::BrIf(BranchTarget {
-                pc: 0,
-                height: 0,
-                arity: 0
-            })
-        );
-    }
-
-    #[test]
-    fn if_else_lowers_to_test_jump_join() {
-        // if (result i64) { 1 } else { 2 }
-        let code = compile_body(vec![
-            Instr::LocalGet(0),
-            Instr::I32WrapI64,
-            Instr::If(
-                BlockType::Value(ValType::I64),
-                vec![Instr::I64Const(1)],
-                vec![Instr::I64Const(2)],
-            ),
-        ]);
-        assert_eq!(
-            code.ops.as_ref(),
-            &[
-                Op::LocalGet(0),
-                Op::I32WrapI64,
-                Op::If(5), // false -> else arm
-                Op::Const(1),
-                Op::Jump(6), // skip else
-                Op::Const(2),
-                Op::End,
-            ]
-        );
-    }
-
-    #[test]
-    fn br_table_keeps_default_last_and_heights_per_target() {
-        // block { i64.const 9; block { ...; br_table [1] 0 }; drop } local.get 0
-        let code = compile_body(vec![
-            Instr::Block(
-                BlockType::Empty,
-                vec![
-                    Instr::I64Const(9),
-                    Instr::Block(
-                        BlockType::Empty,
-                        vec![
-                            Instr::LocalGet(0),
-                            Instr::I32WrapI64,
-                            Instr::BrTable(vec![1], 0),
-                        ],
-                    ),
-                    Instr::Drop,
-                ],
-            ),
-            Instr::LocalGet(0),
-        ]);
-        let Op::BrTable(ts) = &code.ops[3] else {
-            panic!("expected br_table, got {:?}", code.ops[3]);
-        };
-        // Entry 0 exits the outer block (below the pending i64.const 9,
-        // height 0); the default exits the inner block above it (height 1).
-        assert_eq!(
-            ts.as_ref(),
-            &[
-                BranchTarget {
-                    pc: 5,
-                    height: 0,
-                    arity: 0
-                },
-                BranchTarget {
-                    pc: 4,
-                    height: 1,
-                    arity: 0
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn value_carrying_branch_records_arity() {
-        // block (result i64) { local.get 0; local.get 0; wrap; br_if 0 }
-        let code = compile_body(vec![Instr::Block(
-            BlockType::Value(ValType::I64),
-            vec![
-                Instr::LocalGet(0),
-                Instr::LocalGet(0),
-                Instr::I32WrapI64,
-                Instr::BrIf(0),
-            ],
-        )]);
-        assert_eq!(code.ops[0], Op::LocalGet(0));
-        assert_eq!(
-            code.ops[3],
-            Op::BrIf(BranchTarget {
-                pc: 4,
-                height: 0,
-                arity: 1
-            })
-        );
-    }
-
-    fn compile_mem_body(body: Vec<Instr>) -> FlatCode {
-        let mut b = ModuleBuilder::new();
-        b.add_memory64(1);
-        b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64, ValType::I32],
-            body,
-        );
-        let module = b.build();
-        cage_wasm::validate(&module).expect("fixture validates");
-        compile(&module, 1, &module.funcs[0].body)
-    }
-
     #[test]
     fn branchy_memory_bodies_execute_bit_identically_across_tiers() {
         // A branch-heavy body with memory traffic, value-carrying block
         // exits, a loop back-edge and a br_table landing just past its
-        // own terminator. All three execution tiers — register bytecode
-        // (the default `call`), flat stack bytecode (`call_stack`) and
-        // the tree oracle (`call_tree`) — must agree bit-for-bit on
+        // own terminator. Register bytecode (the default `call`) and the
+        // tree-walking reference (`call_tree`) must agree bit-for-bit on
         // results, cycle bits and retired counts, for branch-taken and
         // fall-through arguments alike.
         use crate::config::ExecConfig;
@@ -3030,7 +2419,7 @@ mod tests {
             Instr::LocalGet(2),
             Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
             Instr::LocalSet(1),
-            // A loop whose header label binds at a fused store's pc.
+            // A loop whose header label binds at the store's pc.
             Instr::Block(
                 BlockType::Empty,
                 vec![Instr::Loop(
@@ -3072,19 +2461,17 @@ mod tests {
         cage_wasm::validate(&module).expect("fixture validates");
 
         // Precondition: branches survive lowering.
-        let code = compile(&module, 1, &module.funcs[0].body);
+        let func = &module.funcs[0];
+        let ty = &module.types[func.type_idx as usize];
+        let code = compile_reg(&module, ty, func.locals.len(), &func.body);
         assert!(code
             .ops
             .iter()
-            .any(|op| matches!(op, Op::BrIf(_) | Op::BrTable(_))));
+            .any(|op| matches!(op, RegOp::BrIf { .. } | RegOp::BrTable { .. })));
 
         for arg in [0i64, 1, -1, 7] {
             let mut reg = Store::new(ExecConfig::default());
             let rh = reg
-                .instantiate(&module, &Imports::new())
-                .expect("instantiates");
-            let mut flat = Store::new(ExecConfig::default());
-            let fh = flat
                 .instantiate(&module, &Imports::new())
                 .expect("instantiates");
             let mut tree = Store::new(ExecConfig::default());
@@ -3093,52 +2480,18 @@ mod tests {
                 .expect("instantiates");
             let args = [Value::I64(arg)];
             let r = reg.call(rh, 0, &args);
-            let f = flat.call_stack(fh, 0, &args);
             let t = tree.call_tree(th, 0, &args);
-            assert_eq!(r, f, "arg {arg}: register vs stack outcome");
-            assert_eq!(f, t, "arg {arg}: stack vs oracle outcome");
+            assert_eq!(r, t, "arg {arg}: register vs tree outcome");
             assert_eq!(
                 reg.cycles(rh).to_bits(),
                 tree.cycles(th).to_bits(),
                 "arg {arg}: register cycle bits"
             );
             assert_eq!(
-                flat.cycles(fh).to_bits(),
-                tree.cycles(th).to_bits(),
-                "arg {arg}: stack cycle bits"
-            );
-            assert_eq!(
                 reg.instr_count(rh),
                 tree.instr_count(th),
                 "arg {arg}: register retired counts"
             );
-            assert_eq!(
-                flat.instr_count(fh),
-                tree.instr_count(th),
-                "arg {arg}: stack retired counts"
-            );
-        }
-    }
-
-    #[test]
-    fn handler_indices_and_thread_pointers_stay_in_sync() {
-        // `handlers` is the introspectable per-op dispatch resolution;
-        // `thread` is its fn-pointer mirror the loop actually calls.
-        // They are built from the same resolver — pin that.
-        let code = compile_mem_body(vec![
-            Instr::LocalGet(1),
-            Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
-            Instr::LocalSet(2),
-            Instr::LocalGet(0),
-        ]);
-        assert_eq!(code.handlers.len(), code.ops.len());
-        assert_eq!(code.thread.len(), code.ops.len());
-        for (i, op) in code.ops.iter().enumerate() {
-            assert_eq!(code.handlers[i], crate::interp::handler_index(op));
-            assert!(std::ptr::fn_addr_eq(
-                code.thread[i],
-                crate::interp::handler_for_index(code.handlers[i])
-            ));
         }
     }
 
@@ -3160,9 +2513,9 @@ mod tests {
 
     #[test]
     fn reg_handler_indices_and_thread_pointers_stay_in_sync() {
-        // Same invariant as the stack tier: `handlers` is the
-        // introspectable per-op resolution, `thread` the fn-pointer
-        // mirror the register loop actually calls.
+        // `handlers` is the introspectable per-op dispatch resolution;
+        // `thread` is its fn-pointer mirror the loop actually calls.
+        // They are built from the same resolver — pin that.
         let code = compile_reg_body(vec![
             Instr::LocalGet(1),
             Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
@@ -3236,75 +2589,43 @@ mod tests {
     }
 
     #[test]
-    fn register_stream_dispatches_fewer_ops_than_stack_stream() {
-        // The point of the register tier: the stack shuffles dissolve
-        // into operand slots, so the same body dispatches strictly fewer
-        // ops per execution than the stack stream it replaced.
-        let body = vec![
-            Instr::LocalGet(1),
-            Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
-            Instr::LocalGet(0),
-            Instr::I64Add,
-            Instr::LocalSet(2),
-            Instr::LocalGet(2),
-            Instr::LocalGet(0),
-            Instr::Store(
-                cage_wasm::instr::StoreOp::I64Store,
-                cage_wasm::MemArg::none(),
-            ),
-            Instr::LocalGet(2),
-        ];
-        let reg = compile_reg_body(body.clone());
-        let stack = compile_mem_body(body);
-        assert!(
-            reg.ops.len() < stack.ops.len(),
-            "register stream ({}) not shorter than stack stream ({})",
-            reg.ops.len(),
-            stack.ops.len()
-        );
-    }
-
-    #[test]
     fn dead_code_after_terminator_is_dropped() {
-        let code = compile_body(vec![
+        // Nothing after the `return` is lowered: the stream is the `ret`
+        // carrying the `local.get` and `return` charges, then the
+        // (unreachable) epilogue, which charges nothing — the dead
+        // `local.get`/`drop` left neither an op nor a charge behind.
+        let code = compile_reg_body(vec![
             Instr::LocalGet(0),
             Instr::Return,
             Instr::LocalGet(0),
             Instr::Drop,
         ]);
-        assert_eq!(code.ops.as_ref(), &[Op::LocalGet(0), Op::Return, Op::End]);
+        assert!(
+            matches!(code.ops.as_ref(), [RegOp::Ret { .. }, RegOp::Ret { .. }]),
+            "{:?}",
+            code.ops
+        );
+        let (off, len) = code.recipes[0];
+        assert_eq!(
+            &code.pool[off as usize..off as usize + len as usize],
+            &[ChargeTag::Simple, ChargeTag::Branch]
+        );
+        assert_eq!(code.recipes[1].1, 0, "epilogue charges nothing");
     }
 
     #[test]
     fn constants_are_predecoded() {
-        let code = compile_body(vec![
-            Instr::F64Const(std::f64::consts::PI.to_bits()),
-            Instr::Drop,
-            Instr::LocalGet(0),
-        ]);
-        assert_eq!(code.ops[0], Op::Const(std::f64::consts::PI.to_bits()));
-    }
-
-    #[test]
-    fn stack_disassembly_renders_resolved_targets() {
-        let mut b = ModuleBuilder::new();
-        b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[],
-            vec![
-                Instr::Block(
-                    BlockType::Empty,
-                    vec![Instr::LocalGet(0), Instr::I32WrapI64, Instr::BrIf(0)],
-                ),
-                Instr::LocalGet(0),
-            ],
+        let pi = std::f64::consts::PI.to_bits();
+        assert_eq!(flat_op(&Instr::F64Const(pi)), Some(Op::Const(pi)));
+        // ...and the register form materializes the same untagged slot.
+        let code = compile_reg_body(vec![Instr::F64Const(pi), Instr::I64ReinterpretF64]);
+        assert!(
+            code.ops
+                .iter()
+                .any(|op| matches!(op, RegOp::Const { v, .. } if *v == pi)),
+            "{:?}",
+            code.ops
         );
-        let module = b.build();
-        let text = disassemble_stack(&module, 0).expect("local function");
-        assert!(text.contains("br_if \u{2192}0003"), "{text}");
-        assert!(text.contains("0004: end"), "{text}");
-        assert!(disassemble_stack(&module, 9).is_none());
     }
 
     #[test]

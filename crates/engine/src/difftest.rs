@@ -1,8 +1,7 @@
-//! Differential property test: all three execution tiers must be
-//! bit-identical on randomized control-flow bodies — the register tier
-//! (`Store::call`, SSA → linear scan → 3-address bytecode), the stack
-//! tier (`Store::call_stack`, the flat stack bytecode it replaced) and
-//! the structured tree walker (the `#[cfg(test)]` oracle in `interp.rs`).
+//! Differential property test: the register tier (`Store::call`, SSA →
+//! linear scan → 3-address bytecode) must be bit-identical to the
+//! structured tree walker (`Store::call_tree`, the reference
+//! implementation in `interp.rs`) on randomized control-flow bodies.
 //! Same results, same traps, same cycle-counter f64 bits, same
 //! retired-instruction counts.
 //!
@@ -459,7 +458,7 @@ impl Gen {
     /// temporaries on the operand stack before folding them down to one
     /// value. Past the hot-slot budget the linear scan must spill, so
     /// both the hot and the spilled slot paths are differentially
-    /// pinned — the stack tier and tree oracle never spill anything.
+    /// pinned — the tree oracle never spills anything.
     fn pressure_statement(&mut self, out: &mut Vec<Instr>) {
         let n = 18 + self.upto(23);
         for _ in 0..n {
@@ -861,18 +860,16 @@ fn configs() -> [ExecConfig; 2] {
     ]
 }
 
-/// Renders the module's register bytecode (as the primary tier executes
-/// it, slot assignments, charge recipes and resolved targets included)
-/// next to the stack bytecode and the structured tree, so a reported
-/// seed is actionable without re-running the generator by hand.
+/// Renders the module's register bytecode (as it executes: slot
+/// assignments, charge recipes and resolved targets included) next to
+/// the structured tree, so a reported seed is actionable without
+/// re-running the generator by hand.
 fn dump_divergence(module: &Module) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for (name, idx) in [("run", 0u32), ("helper", HELPER)] {
         let _ = writeln!(out, "--- register bytecode ({name}) ---");
         out.push_str(&crate::bytecode::disassemble(module, idx).unwrap_or_default());
-        let _ = writeln!(out, "--- stack bytecode ({name}) ---");
-        out.push_str(&crate::bytecode::disassemble_stack(module, idx).unwrap_or_default());
     }
     let _ = writeln!(out, "--- structured tree (run) ---");
     let _ = writeln!(out, "{:#?}", module.funcs[0].body);
@@ -929,14 +926,14 @@ fn assert_bitwise_same(seed: u64, pair: &str, module: &Module, a: &Observed, b: 
 }
 
 /// Runs one generated module under every config, asserting the register
-/// tier, the stack tier and the tree oracle are bit-identical; returns
+/// tier and the tree oracle are bit-identical; returns
 /// whether the base-config execution trapped (the trap-rate probe).
 fn check_equivalence(seed: u64, arg: i64) -> bool {
     check_equivalence_with(seed, arg, InstanceLimits::default())
 }
 
 /// [`check_equivalence`] under explicit resource limits, installed
-/// identically on every tier's store: limit denials (`memory.grow`
+/// identically on both tiers' stores: limit denials (`memory.grow`
 /// reporting `-1` where the unlimited module would have grown, and the
 /// OOB traps of bulk ops that then land past the pinned size) must be
 /// just as bit-identical as the happy paths.
@@ -961,13 +958,11 @@ fn check_equivalence_with(seed: u64, arg: i64, limits: InstanceLimits) -> bool {
             (result, store.cycles(h).to_bits(), store.instr_count(h))
         };
         let reg = observe(&|s, h| s.invoke(h, "run", &args));
-        let stack = observe(&|s, h| s.call_stack(h, 0, &args));
         let tree = observe(&|s, h| s.call_tree(h, 0, &args));
         if ci == 0 {
             base_trapped = reg.0.is_err();
         }
 
-        assert_bitwise_same(seed, "register vs stack", &module, &reg, &stack);
         assert_bitwise_same(seed, "register vs tree", &module, &reg, &tree);
     }
     base_trapped
@@ -993,8 +988,8 @@ fn known_shapes_are_bit_identical() {
 /// The same random bodies with the memory pinned at its single initial
 /// page: every `memory.grow` with a positive delta is denied by the
 /// resource limit (the guest observes `-1`), and bulk ops that banked on
-/// the grown region trap OOB instead — identically across all three
-/// tiers and both cost models.
+/// the grown region trap OOB instead — identically across both tiers
+/// and both cost models.
 const PINNED: InstanceLimits = InstanceLimits {
     max_memory_pages: Some(1),
     max_table_elements: None,
@@ -1022,7 +1017,7 @@ fn known_shapes_are_bit_identical_under_a_page_limit() {
 /// `memory.fill` into the region the grow would have provided. With the
 /// limit, the grow reports `-1` and the fill traps OOB; without it, both
 /// succeed — and each of the two worlds is internally bit-identical
-/// across the register tier, the stack tier and the tree oracle.
+/// across the register tier and the tree oracle.
 #[test]
 fn page_limit_denies_grow_and_downstream_fill_traps_across_tiers() {
     let mut b = ModuleBuilder::new();
@@ -1053,31 +1048,30 @@ fn page_limit_denies_grow_and_downstream_fill_traps_across_tiers() {
     let module = b.build();
     validate(&module).expect("hand-built module validates");
 
-    let observe = |limits: InstanceLimits, tier: u8| -> Observed {
+    let observe = |limits: InstanceLimits, tree: bool| -> Observed {
         let mut store = Store::new(ExecConfig::default());
         store.set_default_limits(limits);
         let h = store
             .instantiate(&module, &Imports::new())
             .expect("instantiates");
         let args = [Value::I64(1)];
-        let result = match tier {
-            0 => store.call(h, 0, &args),
-            1 => store.call_stack(h, 0, &args),
-            _ => store.call_tree(h, 0, &args),
+        let result = if tree {
+            store.call_tree(h, 0, &args)
+        } else {
+            store.call(h, 0, &args)
         };
         (result, store.cycles(h).to_bits(), store.instr_count(h))
     };
 
-    let capped = observe(PINNED, 0);
+    let capped = observe(PINNED, false);
     assert!(
         matches!(capped.0, Err(crate::trap::Trap::OutOfBounds { .. })),
         "capped grow should leave the fill OOB, got {:?}",
         capped.0
     );
-    assert_eq!(capped, observe(PINNED, 1), "capped: register vs stack");
-    assert_eq!(capped, observe(PINNED, 2), "capped: register vs tree");
+    assert_eq!(capped, observe(PINNED, true), "capped: register vs tree");
 
-    let unlimited = observe(InstanceLimits::default(), 0);
+    let unlimited = observe(InstanceLimits::default(), false);
     assert_eq!(
         unlimited.0,
         Ok(vec![Value::I64(1)]),
@@ -1085,12 +1079,7 @@ fn page_limit_denies_grow_and_downstream_fill_traps_across_tiers() {
     );
     assert_eq!(
         unlimited,
-        observe(InstanceLimits::default(), 1),
-        "unlimited: register vs stack"
-    );
-    assert_eq!(
-        unlimited,
-        observe(InstanceLimits::default(), 2),
+        observe(InstanceLimits::default(), true),
         "unlimited: register vs tree"
     );
 }
@@ -1205,11 +1194,11 @@ fn trap_rate_stays_in_a_healthy_band() {
 // ---------------------------------------------------------------------------
 // Pipeline-config sweep: the optimiser must be invisible.
 //
-// Everything above differentially pins the three execution tiers on raw
-// wasm modules. This section pins the *compiler*: random structured IR
+// Everything above differentially pins the register tier against the
+// tree oracle on raw wasm modules. This section pins the *compiler*: random structured IR
 // bodies are pushed through every `PipelineConfig` variant (no passes,
 // the standard trio, the full extended optimiser) and each lowering runs
-// on all three tiers. Within a variant the tiers must be bit-identical —
+// on both. Within a variant the two must be bit-identical —
 // results, traps, cycle bits, retired counts. Across variants the
 // retired counts legitimately differ (that is the optimiser's whole
 // job), but results and traps must not.
@@ -1607,8 +1596,8 @@ fn random_ir_module(seed: u64) -> IrModule {
     module
 }
 
-/// Lowers `ir` under `config` and observes all three tiers.
-fn observe_pipeline(ir: &IrModule, config: &PipelineConfig, arg: i64, seed: u64) -> [Observed; 3] {
+/// Lowers `ir` under `config` and observes `[register tier, tree oracle]`.
+fn observe_pipeline(ir: &IrModule, config: &PipelineConfig, arg: i64, seed: u64) -> [Observed; 2] {
     let mut module = ir.clone();
     run_pipeline_config(&mut module, config);
     let lowered = ir_lower(&module, &LowerOptions::default())
@@ -1625,23 +1614,21 @@ fn observe_pipeline(ir: &IrModule, config: &PipelineConfig, arg: i64, seed: u64)
         })
         .expect("run is exported");
     let args = [Value::I64(arg)];
-    let mut out = Vec::new();
-    for tier in 0u8..3 {
+    [false, true].map(|tree| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&lowered.module, &Imports::new())
             .expect("instantiates");
-        let result = match tier {
-            0 => store.call(h, run_idx, &args),
-            1 => store.call_stack(h, run_idx, &args),
-            _ => store.call_tree(h, run_idx, &args),
+        let result = if tree {
+            store.call_tree(h, run_idx, &args)
+        } else {
+            store.call(h, run_idx, &args)
         };
-        out.push((result, store.cycles(h).to_bits(), store.instr_count(h)));
-    }
-    out.try_into().expect("three tiers")
+        (result, store.cycles(h).to_bits(), store.instr_count(h))
+    })
 }
 
-/// The sweep: three pipeline variants, three tiers each.
+/// The sweep: three pipeline variants, register tier vs tree oracle each.
 fn check_pipeline_equivalence(seed: u64, arg: i64) {
     let ir = random_ir_module(seed);
     let variants: [(&str, PipelineConfig); 3] = [
@@ -1651,32 +1638,30 @@ fn check_pipeline_equivalence(seed: u64, arg: i64) {
     ];
     let mut per_variant: Vec<(&str, Result<Vec<Value>, crate::trap::Trap>)> = Vec::new();
     for (name, config) in variants {
-        let [reg, stack, tree] = observe_pipeline(&ir, &config, arg, seed);
-        // Within a variant the tiers execute the same lowered module:
+        let [reg, tree] = observe_pipeline(&ir, &config, arg, seed);
+        // Within a variant both execute the same lowered module:
         // bit-identical, retired counts included.
-        for (label, other) in [("stack", &stack), ("tree", &tree)] {
-            match (&reg.0, &other.0) {
-                (Ok(a), Ok(b)) => assert!(
-                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bit_eq(y)),
-                    "seed {seed} [{name}]: register vs {label} results diverged: {a:?} vs {b:?}"
-                ),
-                (Err(a), Err(b)) => {
-                    assert_eq!(
-                        a, b,
-                        "seed {seed} [{name}]: register vs {label} traps diverged"
-                    );
-                }
-                _ => panic!(
-                    "seed {seed} [{name}]: register vs {label} outcome diverged: {:?} vs {:?}",
-                    reg.0, other.0
-                ),
+        match (&reg.0, &tree.0) {
+            (Ok(a), Ok(b)) => assert!(
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bit_eq(y)),
+                "seed {seed} [{name}]: register vs tree results diverged: {a:?} vs {b:?}"
+            ),
+            (Err(a), Err(b)) => {
+                assert_eq!(
+                    a, b,
+                    "seed {seed} [{name}]: register vs tree traps diverged"
+                );
             }
-            assert_eq!(
-                (reg.1, reg.2),
-                (other.1, other.2),
-                "seed {seed} [{name}]: register vs {label} cycle/retired counts diverged"
-            );
+            _ => panic!(
+                "seed {seed} [{name}]: register vs tree outcome diverged: {:?} vs {:?}",
+                reg.0, tree.0
+            ),
         }
+        assert_eq!(
+            (reg.1, reg.2),
+            (tree.1, tree.2),
+            "seed {seed} [{name}]: register vs tree cycle/retired counts diverged"
+        );
         per_variant.push((name, reg.0));
     }
     // Across variants only the semantics is pinned: same values, same

@@ -1,37 +1,36 @@
-//! The interpreter: flat-bytecode execution of validated modules with
+//! The interpreter: register-bytecode execution of validated modules with
 //! cycle accounting, implementing core WASM semantics plus the paper's
 //! Fig. 11 small-step rules for the Cage instructions.
 //!
-//! The primary tier is a *register machine*: function bodies are lowered
-//! through SSA into [`crate::bytecode::RegCode`] — generic 3-address ops
-//! over a fixed per-frame register file — and executed by [`Interp::run_reg`],
-//! a direct-threaded loop that replays each op's *charge recipe* (the
+//! Execution is a *register machine*: function bodies are lowered through
+//! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
+//! fixed per-frame register file — and executed by [`Interp::run_reg`], a
+//! direct-threaded loop that replays each op's *charge recipe* (the
 //! cycle-class tags of its constituent source instructions, in original
 //! program order) before running the op body, so cycle accounting and
-//! retired-instruction counts are byte-for-byte identical to the stack
-//! tiers. Calls push a return-pc frame on an explicit call stack and grow
-//! the register arena, so guest call depth never consumes host Rust stack.
+//! retired-instruction counts are byte-for-byte identical to retiring the
+//! source instructions one at a time. Calls push a return-pc frame on an
+//! explicit call stack and grow the register arena, so guest call depth
+//! never consumes host Rust stack.
 //!
-//! The stack tier survives underneath (`Store::call_stack`): functions
-//! are also precompiled into flat [`crate::bytecode::FlatCode`], every
-//! op's handler resolved to a fn pointer at lowering time, with branches
-//! collapsing through precompiled [`BranchTarget`] descriptors. The
-//! differential tests drive all tiers against each other.
+//! Operands are *untagged*: registers (and the reference walker's operand
+//! stack and locals arena) are plain `u64` slots ([`Value::to_slot`]
+//! encoding — validation already guarantees types, so no runtime tag is
+//! stored or matched). Typed [`Value`]s exist only at API boundaries:
+//! external `Store::call` arguments/results, host calls and globals
+//! convert at the edge. Scalar loads/stores on configurations without
+//! live tag checks take a cached fast path — one bounds compare against
+//! the cached guest size, then a direct little-endian read — and fall
+//! back to the full [`crate::memory::LinearMemory::resolve`] policy ladder
+//! only when MTE sandboxing or internal tagging is active.
 //!
-//! Operands are *untagged*: the shared operand stack and locals arena are
-//! plain `u64` slots ([`Value::to_slot`] encoding — validation already
-//! guarantees types, so no runtime tag is stored or matched). Typed
-//! [`Value`]s exist only at API boundaries: external `Store::call`
-//! arguments/results, host calls and globals convert at the edge.
-//! Scalar loads/stores on configurations without live tag checks take a
-//! cached fast path — one bounds compare against the cached guest size,
-//! then a direct little-endian read — and fall back to the full
-//! [`crate::memory::LinearMemory::resolve`] policy ladder only when MTE
-//! sandboxing or internal tagging is active.
-//!
-//! The original structured tree walker survives behind `#[cfg(test)]` as
-//! the differential-testing oracle: property tests assert the flat
-//! dispatcher is bit-identical to it on results, traps and cycles.
+//! The structured tree walker (`mod tree`, behind `Store::call_tree`) is
+//! the reference implementation: it executes the `Instr` tree recursively,
+//! one source instruction at a time, and the differential tests assert
+//! the register machine is bit-identical to it on results, traps, cycles
+//! and retired instructions. The two share one data-op implementation
+//! ([`Interp::exec_op`]): the walker runs every data instruction through
+//! it, the register machine only its bridged ops.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +39,7 @@ use std::sync::Arc;
 use cage_mte::pointer::ADDR_MASK;
 use cage_wasm::instr::{LoadOp, StoreOp};
 
-use crate::bytecode::{AluOp, BranchTarget, DivOp, Op, RegOp, UnaOp};
+use crate::bytecode::{AluOp, DivOp, Op, RegOp, UnaOp};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::cost::InstrClass;
 use crate::host::HostContext;
@@ -136,16 +135,6 @@ struct Charges {
     mem_manage: f64,
     sign: f64,
     auth: f64,
-}
-
-/// A suspended caller on the explicit call stack: everything needed to
-/// resume it when the callee returns.
-struct Frame {
-    func: Arc<CompiledFunc>,
-    ret_pc: usize,
-    locals_base: usize,
-    frame_base: usize,
-    arity: usize,
 }
 
 pub(crate) struct Interp<'s> {
@@ -279,38 +268,9 @@ impl<'s> Interp<'s> {
         Ok(())
     }
 
-    /// Calls function `func_idx` with `args`; returns its results.
-    ///
-    /// This is the external entry point: it allocates the shared operand
-    /// stack and locals arena once, and every nested guest call below it
-    /// reuses them through the explicit call stack in [`Interp::run`].
-    /// Typed [`Value`]s convert to untagged slots here and back at the
-    /// end — the interior never sees a tag.
-    pub(crate) fn call_function(
-        &mut self,
-        func_idx: u32,
-        args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
-        self.check_entry(func_idx, args)?;
-        let ty = Arc::clone(&self.store.instances[self.inst].funcs[func_idx as usize].ty);
-        let mut stack: Vec<u64> = Vec::with_capacity(64);
-        let mut locals: Vec<u64> = Vec::with_capacity(32);
-        stack.extend(args.iter().map(|v| v.to_slot()));
-        let result = self.run(func_idx, &mut stack, &mut locals);
-        self.flush_accounting();
-        result?;
-        debug_assert_eq!(stack.len(), ty.results.len(), "validated result arity");
-        Ok(ty
-            .results
-            .iter()
-            .zip(&stack)
-            .map(|(ty, raw)| Value::from_slot(*ty, *raw))
-            .collect())
-    }
-
     /// Internal call sites are arity-checked by validation, but the
     /// external entry points take embedder-supplied arguments: verify them
-    /// before they hit the shared-stack frame layout.
+    /// before they hit the frame layout.
     fn check_entry(&self, func_idx: u32, args: &[Value]) -> Result<(), Trap> {
         let inst = &self.store.instances[self.inst];
         let func = inst
@@ -353,92 +313,6 @@ impl<'s> Interp<'s> {
         // All-zero slots are the zero value of every type.
         locals.resize(locals.len() + func.locals.len(), 0);
         (locals_base, stack.len())
-    }
-
-    /// The direct-threaded dispatch loop: executes `entry` (and everything
-    /// it calls) to completion on the shared operand stack and locals
-    /// arena.
-    ///
-    /// Every op carries a handler index resolved at lowering time
-    /// ([`handler_index`]); the loop is nothing but an indirect call
-    /// through [`HANDLERS`] per retired op — no enum match on the hot
-    /// path. Control flow never recurses: branch handlers collapse the
-    /// operand stack through their precompiled [`BranchTarget`] and assign
-    /// the program counter; call handlers push a [`Frame`] and jump to
-    /// pc 0 of the callee, so host stack usage is constant in both guest
-    /// nesting depth and guest call depth (the latter bounded by
-    /// `max_call_depth`).
-    fn run(&mut self, entry: u32, stack: &mut Vec<u64>, locals: &mut Vec<u64>) -> Result<(), Trap> {
-        if self.depth >= self.max_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        let func = Arc::clone(&self.store.instances[self.inst].funcs[entry as usize]);
-        if func.is_host {
-            self.depth += 1;
-            let result = self.call_host(entry, &func, stack);
-            self.depth -= 1;
-            return result;
-        }
-        self.depth += 1;
-        let (locals_base, frame_base) = Self::enter(&func, stack, locals);
-        let arity = func.ty.results.len();
-        let mut st = InterpState {
-            it: self,
-            stack,
-            locals,
-            frames: Vec::with_capacity(8),
-            func,
-            pc: 0,
-            locals_base,
-            frame_base,
-            arity,
-            mem_m64: false,
-            mem_size: 0,
-            mem_fast: false,
-        };
-        st.refresh_mem();
-        // The loop keeps its own reference to the executing function so
-        // handlers can receive `&Op` without re-indexing through `st`,
-        // and the program counter lives in a register here — handlers
-        // steer it through their `Flow` result instead of through
-        // memory. Call/return handlers answer `Flow::Refetch` when they
-        // switch functions, parking the resume pc in `st.pc`.
-        let mut cur = Arc::clone(&st.func);
-        let mut pc: usize = 0;
-        loop {
-            // Hoist the code slices out of the dispatch path: between
-            // function switches, `ops`/`handlers` live in registers and
-            // each dispatch is two indexed loads plus the indirect call.
-            let ops: &[Op] = &cur.code.ops;
-            let thread: &[Handler] = &cur.code.thread;
-            // Fuel is consumed at the charge-free control transitions
-            // only (jumps, calls, returns): the check stays off the
-            // straight-line fall-through path and off the cycle model.
-            let switched = loop {
-                let handler = thread[pc];
-                match handler(&mut st, &ops[pc], pc) {
-                    Ok(Flow::Next) => pc += 1,
-                    Ok(Flow::Jump(target)) => {
-                        st.it.consume_fuel()?;
-                        pc = target as usize;
-                    }
-                    Ok(Flow::Refetch) => {
-                        st.it.consume_fuel()?;
-                        break true;
-                    }
-                    Ok(Flow::Done) => {
-                        st.it.consume_fuel()?;
-                        break false;
-                    }
-                    Err(trap) => return Err(*trap),
-                }
-            };
-            if !switched {
-                return Ok(());
-            }
-            cur = Arc::clone(&st.func);
-            pc = st.pc;
-        }
     }
 
     /// The typed API boundary for host calls: untagged argument slots
@@ -564,13 +438,13 @@ impl<'s> Interp<'s> {
             .write_scalar(index, offset, width, raw, &config)
     }
 
-    /// Executes one data op (anything but resolved control flow): the
-    /// single implementation shared by the flat dispatch loop and the
-    /// `#[cfg(test)]` tree-walking oracle.
+    /// Executes one data op (anything but control flow and calls): the
+    /// single implementation shared by the tree-walking reference and the
+    /// register machine's bridged ops.
     ///
-    /// `inline(always)` so the dispatch loop's control match and this
-    /// data match fuse into a single jump table — without it every
-    /// arithmetic instruction pays a second dispatch.
+    /// `inline(always)` so the tree walker's control match and this data
+    /// match fuse into a single jump table — without it every arithmetic
+    /// instruction pays a second dispatch.
     #[inline(always)]
     #[allow(clippy::too_many_lines, clippy::inline_always)]
     fn exec_op(
@@ -1014,29 +888,10 @@ impl<'s> Interp<'s> {
             I64Extend8S => una!(s, get_i64, |a: i64| i64::from(a as i8)),
             I64Extend16S => una!(s, get_i64, |a: i64| i64::from(a as i16)),
             I64Extend32S => una!(s, get_i64, |a: i64| i64::from(a as i32)),
-
-            other => unreachable!("control op {other:?} reached exec_op"),
         }
         Ok(())
     }
 }
-
-// -- direct-threaded dispatch ---------------------------------------------
-//
-// The dispatch loop never matches on the op enum: every op carries the
-// index of its handler in [`HANDLERS`], resolved once at lowering time
-// ([`handler_index`], called from `bytecode::compile`), and the loop is a
-// bare indirect call per retired op. Handlers are plain fns over
-// [`InterpState`] — the per-call bundle of interpreter, shared operand
-// stack/locals arena, explicit call-frame stack and the cached
-// linear-memory view. The register tier mirrors the same shape over
-// [`RegState`] and [`REG_HANDLERS`].
-//
-// Rarely-executed data ops (conversions, division, globals, bulk/segment
-// ops…) share the [`h_data`] handler, which defers to the single
-// [`Interp::exec_op`] implementation the tree oracle and the register
-// tier's bridge ops also use; the hot shapes — control flow, locals,
-// constants, loads/stores — get dedicated handlers.
 
 /// What the dispatch loop does after a handler returns.
 pub(crate) enum Flow {
@@ -1045,165 +900,10 @@ pub(crate) enum Flow {
     /// Jump to an absolute pc within the current function.
     Jump(u32),
     /// The current function changed (call or return): the loop must
-    /// refetch its code reference and resume at `InterpState::pc`.
+    /// refetch its code reference and resume at `RegState::pc`.
     Refetch,
     /// The outermost frame returned: execution is complete.
     Done,
-}
-
-/// The per-call execution state handlers operate on.
-pub(crate) struct InterpState<'a, 's> {
-    it: &'a mut Interp<'s>,
-    stack: &'a mut Vec<u64>,
-    locals: &'a mut Vec<u64>,
-    /// Suspended callers (the explicit call stack).
-    frames: Vec<Frame>,
-    /// The function currently executing.
-    func: Arc<CompiledFunc>,
-    /// Program counter, already advanced past the current op.
-    pc: usize,
-    locals_base: usize,
-    frame_base: usize,
-    arity: usize,
-    // Cached linear-memory fast path: when no tag scheme is live
-    // (`Interp::fast_mem`), a scalar access is one overflow-checked
-    // address add, one bounds compare against this cached guest size, and
-    // a direct little-endian read — the full `resolve()` policy ladder
-    // never runs. The cache is invalidated wherever the guest size can
-    // change: `memory.grow` and host calls (hosts may grow the memory
-    // through their checked context).
-    mem_m64: bool,
-    mem_size: u64,
-    mem_fast: bool,
-}
-
-/// An op handler: executes one op on the shared state. The op reference
-/// is handed in by the dispatch loop (it keeps the current function's
-/// code alive across the call), and the error side is boxed so the
-/// common return fits in a register — traps are cold and terminal.
-pub(crate) type Handler =
-    for<'h, 'a, 's, 'o> fn(&'h mut InterpState<'a, 's>, &'o Op, usize) -> Result<Flow, Box<Trap>>;
-
-/// The handler fn pointer for a resolved index — used at lowering time to
-/// pre-thread the code (`FlatCode::thread`).
-pub(crate) fn handler_for_index(index: u16) -> Handler {
-    HANDLERS[index as usize]
-}
-
-impl InterpState<'_, '_> {
-    /// Recomputes the cached linear-memory view from the instance.
-    fn refresh_mem(&mut self) {
-        match self.it.store.instances[self.it.inst].memory.as_ref() {
-            Some(m) if self.it.fast_mem => {
-                self.mem_m64 = m.is_memory64();
-                self.mem_size = m.size();
-                self.mem_fast = true;
-            }
-            _ => self.mem_fast = false,
-        }
-    }
-
-    /// Takes a resolved branch: collapse to the target frame, jump.
-    #[inline(always)]
-    fn take_branch(&mut self, t: BranchTarget) -> Flow {
-        Interp::collapse(
-            self.stack,
-            self.frame_base + t.height as usize,
-            t.arity as usize,
-        );
-        Flow::Jump(t.pc)
-    }
-
-    /// Scalar load: the cached fast path when no tag scheme is live,
-    /// the full `resolve()` policy ladder otherwise — identical results
-    /// and trap payloads either way (pinned by the differential tests
-    /// and the trap matrix).
-    #[inline(always)]
-    fn load_scalar(&mut self, op: LoadOp, index: u64, offset: u64) -> Result<u64, Trap> {
-        let width = op.width();
-        let raw = if self.mem_fast {
-            let addr = fast_addr(index, offset, width, self.mem_m64, self.mem_size)?;
-            self.it.store.instances[self.it.inst]
-                .memory
-                .as_ref()
-                .expect("fast path implies memory")
-                .read_le(addr, width)
-        } else {
-            self.it.mem_read_scalar(index, offset, width)?
-        };
-        Ok(decode_load(op, raw))
-    }
-
-    /// Scalar store twin of [`InterpState::load_scalar`].
-    #[inline(always)]
-    fn store_scalar(&mut self, op: StoreOp, index: u64, offset: u64, raw: u64) -> Result<(), Trap> {
-        let width = op.width();
-        if self.mem_fast {
-            let addr = fast_addr(index, offset, width, self.mem_m64, self.mem_size)?;
-            self.it.store.instances[self.it.inst]
-                .memory
-                .as_mut()
-                .expect("fast path implies memory")
-                .write_le(addr, width, raw);
-            Ok(())
-        } else {
-            self.it.mem_write_scalar(index, offset, width, raw)
-        }
-    }
-
-    /// Enters callee `idx`: host functions run inline on the shared
-    /// stack (`Flow::Continue`); guest functions suspend the caller onto
-    /// `frames` and switch `func` (`Flow::Refetch`).
-    fn do_call(&mut self, idx: u32, pc: usize) -> Result<Flow, Trap> {
-        if self.it.depth >= self.it.max_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        let callee = Arc::clone(&self.it.store.instances[self.it.inst].funcs[idx as usize]);
-        if callee.is_host {
-            self.it.depth += 1;
-            let result = self.it.call_host(idx, &callee, self.stack);
-            self.it.depth -= 1;
-            result?;
-            self.refresh_mem();
-            return Ok(Flow::Next);
-        }
-        {
-            self.it.depth += 1;
-            let (lb, fb) = Interp::enter(&callee, self.stack, self.locals);
-            self.frames.push(Frame {
-                func: std::mem::replace(&mut self.func, callee),
-                ret_pc: pc + 1,
-                locals_base: self.locals_base,
-                frame_base: self.frame_base,
-                arity: self.arity,
-            });
-            self.locals_base = lb;
-            self.frame_base = fb;
-            self.arity = self.func.ty.results.len();
-            self.pc = 0;
-        }
-        Ok(Flow::Refetch)
-    }
-
-    /// Function epilogue: slide the results down over the frame, release
-    /// the locals frame, resume the suspended caller (or finish when this
-    /// was the outermost frame).
-    fn do_return(&mut self) -> Flow {
-        Interp::collapse(self.stack, self.frame_base, self.arity);
-        self.locals.truncate(self.locals_base);
-        self.it.depth -= 1;
-        match self.frames.pop() {
-            Some(frame) => {
-                self.func = frame.func;
-                self.pc = frame.ret_pc;
-                self.locals_base = frame.locals_base;
-                self.frame_base = frame.frame_base;
-                self.arity = frame.arity;
-                Flow::Refetch
-            }
-            None => Flow::Done,
-        }
-    }
 }
 
 /// Destructures the current op's payload inside a handler. The handler
@@ -1217,246 +917,20 @@ macro_rules! op_payload {
     };
 }
 
-/// Builds the [`HANDLERS`] table and the matching [`handler_index`]
-/// resolver from one list, so the two cannot drift: the resolver scans the
-/// patterns in table order (only at lowering time — never on the dispatch
-/// hot path) and everything unlisted falls through to the `@default`
-/// handler stored last.
-macro_rules! dispatch_table {
-    ($($pat:pat => $handler:ident,)+ @default $default:ident) => {
-        /// The direct-threaded dispatch table.
-        static HANDLERS: [Handler; 1 + [$(stringify!($handler)),+].len()] =
-            [$($handler,)+ $default];
-
-        /// Resolves an op to its index in the dispatch table — called once
-        /// per op by `bytecode::compile`.
-        #[must_use]
-        pub(crate) fn handler_index(op: &Op) -> u16 {
-            let mut index = 0u16;
-            $(
-                if matches!(op, $pat) {
-                    return index;
-                }
-                index += 1;
-            )+
-            // Everything else shares the generic exec_op handler.
-            index
-        }
-    };
-}
-
-dispatch_table! {
-    Op::Jump(_) => h_jump,
-    Op::If(_) => h_if,
-    Op::Br(_) => h_br,
-    Op::BrIf(_) => h_br_if,
-    Op::BrTable(_) => h_br_table,
-    Op::Return => h_return,
-    Op::End => h_end,
-    Op::Call(_) => h_call,
-    Op::CallIndirect(_) => h_call_indirect,
-    Op::Const(_) => h_const,
-    Op::LocalGet(_) => h_local_get,
-    Op::LocalSet(_) => h_local_set,
-    Op::LocalTee(_) => h_local_tee,
-    Op::I32WrapI64 => h_wrap_i64,
-    Op::I64ExtendI32S => h_extend_i32_s,
-    Op::I64ExtendI32U => h_extend_i32_u,
-    Op::Load(..) => h_load,
-    Op::Store(..) => h_store,
-    Op::MemoryGrow => h_memory_grow,
-    @default h_data
-}
-
-// -- control handlers ------------------------------------------------------
-
-fn h_jump(_st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::Jump(target));
-    Ok(Flow::Jump(target))
-}
-
-fn h_if(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::If(else_pc));
-    st.it.charge(st.it.charges.branch);
-    if get_i32(st.stack.pop().expect("validated")) == 0 {
-        return Ok(Flow::Jump(else_pc));
-    }
-    Ok(Flow::Next)
-}
-
-fn h_br(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::Br(target));
-    st.it.charge(st.it.charges.branch);
-    Ok(st.take_branch(target))
-}
-
-fn h_br_if(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::BrIf(target));
-    st.it.charge(st.it.charges.branch);
-    if get_i32(st.stack.pop().expect("validated")) != 0 {
-        return Ok(st.take_branch(target));
-    }
-    Ok(Flow::Next)
-}
-
-fn h_br_table(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, Op::BrTable(targets));
-    st.it.charge(st.it.charges.branch);
-    let i = get_i32(st.stack.pop().expect("validated")) as usize;
-    let target = *targets
-        .get(i)
-        .unwrap_or_else(|| targets.last().expect("br_table has a default"));
-    Ok(st.take_branch(target))
-}
-
-fn h_return(st: &mut InterpState, _op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    st.it.charge(st.it.charges.branch);
-    Ok(st.do_return())
-}
-
-fn h_end(st: &mut InterpState, _op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    Ok(st.do_return())
-}
-
-fn h_call(st: &mut InterpState, op: &Op, pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::Call(f));
-    st.it.charge(st.it.charges.call);
-    Ok(st.do_call(f, pc)?)
-}
-
-fn h_call_indirect(st: &mut InterpState, op: &Op, pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::CallIndirect(type_idx));
-    st.it.charge(st.it.charges.call_indirect);
-    let table_idx = get_i32(st.stack.pop().expect("validated")) as u32;
-    let (func_idx, expected, actual) = {
-        let inst = &st.it.store.instances[st.it.inst];
-        let func_idx = inst
-            .table
-            .get(table_idx as usize)
-            .copied()
-            .flatten()
-            .ok_or(Trap::UndefinedElement)?;
-        (
-            func_idx,
-            Arc::clone(&inst.types[type_idx as usize]),
-            Arc::clone(&inst.funcs[func_idx as usize].ty),
-        )
-    };
-    // Pointer equality first: types are deduplicated per module, so the
-    // slow structural compare is a cold path.
-    if !Arc::ptr_eq(&expected, &actual) && *expected != *actual {
-        return Err(Box::new(Trap::IndirectCallTypeMismatch));
-    }
-    Ok(st.do_call(func_idx, pc)?)
-}
-
-// -- locals / constants ----------------------------------------------------
-
-fn h_const(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::Const(v));
-    st.it.charge(st.it.charges.simple);
-    st.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn h_local_get(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::LocalGet(i));
-    st.it.charge(st.it.charges.simple);
-    st.stack.push(st.locals[st.locals_base + i as usize]);
-    Ok(Flow::Next)
-}
-
-fn h_local_set(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::LocalSet(i));
-    st.it.charge(st.it.charges.simple);
-    st.locals[st.locals_base + i as usize] = st.stack.pop().expect("validated");
-    Ok(Flow::Next)
-}
-
-fn h_local_tee(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::LocalTee(i));
-    st.it.charge(st.it.charges.simple);
-    st.locals[st.locals_base + i as usize] = *st.stack.last().expect("validated");
-    Ok(Flow::Next)
-}
-
-// Zero-cost width changes get dedicated handlers: they appear in every
-// wasm64 address computation, and the generic exec_op path would pay a
-// second dispatch for what is one mask of the slot.
-
-fn h_wrap_i64(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::I32WrapI64);
-    st.it.charge(0.0);
-    let a = st.stack.pop().expect("validated");
-    st.stack.push(slot_i32(get_i64(a) as i32));
-    Ok(Flow::Next)
-}
-
-fn h_extend_i32_s(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::I64ExtendI32S);
-    st.it.charge(0.0);
-    let a = st.stack.pop().expect("validated");
-    st.stack.push(slot_i64(i64::from(get_i32(a))));
-    Ok(Flow::Next)
-}
-
-fn h_extend_i32_u(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::I64ExtendI32U);
-    st.it.charge(0.0);
-    let a = st.stack.pop().expect("validated");
-    st.stack.push(slot_i64((get_i32(a) as u32) as i64));
-    Ok(Flow::Next)
-}
-
-// -- memory ----------------------------------------------------------------
-
-fn h_load(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::Load(op, offset));
-    st.it.charge(st.it.charges.mem);
-    let index = st.stack.pop().expect("validated");
-    let v = st.load_scalar(op, index, offset)?;
-    st.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn h_store(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &Op::Store(op, offset));
-    st.it.charge(st.it.charges.mem);
-    let raw = st.stack.pop().expect("validated");
-    let index = st.stack.pop().expect("validated");
-    st.store_scalar(op, index, offset, raw)?;
-    Ok(Flow::Next)
-}
-
-fn h_memory_grow(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    st.it.exec_op(op, st.stack, st.locals, st.locals_base)?;
-    st.refresh_mem();
-    Ok(Flow::Next)
-}
-
-// -- everything else --------------------------------------------------------
-
-/// Generic data-op handler: defers to the single [`Interp::exec_op`]
-/// implementation shared with the tree oracle.
-fn h_data(st: &mut InterpState, op: &Op, _pc: usize) -> Result<Flow, Box<Trap>> {
-    st.it.exec_op(op, st.stack, st.locals, st.locals_base)?;
-    Ok(Flow::Next)
-}
-
 // ===========================================================================
-// Register-tier dispatch (primary)
+// Register dispatch
 // ===========================================================================
 //
-// The register dispatch loop mirrors the stack tier's shape: a direct-
-// threaded inner loop over pre-resolved handler fn pointers, an explicit
-// call stack, and fuel consumed only at charge-free control transitions
-// (so a fuel trap lands on identical instruction counts and cycle bits).
-// The differences are the operand model — a flat per-frame register file
-// in one growing arena instead of an operand stack — and the charging
-// model: each op's interned charge recipe replays *before* the op body
-// runs, one `charge()` per retired source instruction in original program
-// order, which keeps cycle bits and instruction counts byte-for-byte
-// identical to the stack tiers even on trap paths.
+// A direct-threaded inner loop over handler fn pointers resolved at
+// lowering time ([`reg_handler_index`]) — an indirect call per dispatched
+// op, no enum match on the hot path — with an explicit call stack, and
+// fuel consumed only at charge-free control transitions (so a fuel trap
+// lands on identical instruction counts and cycle bits on every run).
+// Operands live in a flat per-frame register file in one growing arena.
+// Each op's interned charge recipe replays *before* the op body runs, one
+// `charge()` per retired source instruction in original program order,
+// which keeps cycle bits and instruction counts byte-for-byte identical
+// to the tree-walking reference even on trap paths.
 
 impl Charges {
     /// The cycle charge of each recipe tag, flattened into an array
@@ -1505,7 +979,13 @@ pub(crate) struct RegState<'a, 's> {
     /// Return-value staging buffer: `Ret` fills it, the caller's call op
     /// (or `call_function_reg` for the outermost frame) drains it.
     ret_buf: Vec<u64>,
-    // Cached linear-memory fast path (see `InterpState`).
+    // Cached linear-memory fast path: when no tag scheme is live
+    // (`Interp::fast_mem`), a scalar access is one overflow-checked
+    // address add, one bounds compare against this cached guest size, and
+    // a direct little-endian read — the full `resolve()` policy ladder
+    // never runs. The cache is invalidated wherever the guest size can
+    // change: `memory.grow` and host calls (hosts may grow the memory
+    // through their checked context).
     mem_m64: bool,
     mem_size: u64,
     mem_fast: bool,
@@ -1536,9 +1016,10 @@ impl RegState<'_, '_> {
         }
     }
 
-    /// Scalar load, sharing the stack tier's split: the cached fast path
-    /// when no tag scheme is live, the full `resolve()` policy ladder
-    /// otherwise — identical results and trap payloads either way.
+    /// Scalar load: the cached fast path when no tag scheme is live, the
+    /// full `resolve()` policy ladder otherwise — identical results and
+    /// trap payloads either way (pinned by the differential tests and the
+    /// trap matrix).
     #[inline(always)]
     fn load_scalar(&mut self, op: LoadOp, index: u64, offset: u64) -> Result<u64, Trap> {
         let width = op.width();
@@ -1756,8 +1237,8 @@ fn h_reg_div(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap
 /// Evaluates a division/remainder op on untagged slots — bit-identical
 /// to the corresponding `exec_op` arm, including trap payloads. The
 /// `Div`/`FloatDiv` charge is NOT applied here: it rides in the op's
-/// recipe, which the dispatch loop replays first (the stack tiers charge
-/// before their trap checks, so the order matches).
+/// recipe, which the dispatch loop replays first (`exec_op` charges
+/// before its trap checks, so the order matches).
 fn div_eval(op: DivOp, a: u64, b: u64) -> Result<u64, Box<Trap>> {
     use DivOp::*;
     Ok(match op {
@@ -1886,7 +1367,7 @@ fn h_reg_bridge(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<T
     buf.clear();
     buf.extend(bridge.args.iter().map(|&a| st.get(a)));
     // Bridged ops never touch locals, so an empty arena suffices. The op
-    // does its own internal charging, exactly as the stack tiers do.
+    // does its own internal charging, exactly as under the tree walker.
     let result = st.it.exec_op(&bridge.op, &mut buf, &mut [], 0);
     if let Err(trap) = result {
         st.scratch = buf;
@@ -2022,10 +1503,9 @@ fn una_eval(op: UnaOp, a: u64) -> Result<u64, Trap> {
 }
 
 impl Interp<'_> {
-    /// Calls function `func_idx` with `args` on the register tier —
-    /// the external entry point of the primary tier. The typed boundary
-    /// mirrors [`Interp::call_function`]: `Value`s convert to untagged
-    /// slots here and back at the end.
+    /// Calls function `func_idx` with `args` — the external entry point.
+    /// Typed [`Value`]s convert to untagged slots here and back at the
+    /// end; the interior never sees a tag.
     pub(crate) fn call_function_reg(
         &mut self,
         func_idx: u32,
@@ -2033,14 +1513,9 @@ impl Interp<'_> {
     ) -> Result<Vec<Value>, Trap> {
         self.check_entry(func_idx, args)?;
         let func = Arc::clone(&self.store.instances[self.inst].funcs[func_idx as usize]);
-        if func.is_host {
-            // Host entry points have no register code; the stack-tier
-            // entry shares the same typed boundary and host path.
-            return self.call_function(func_idx, args);
-        }
         let arg_slots: Vec<u64> = args.iter().map(|v| v.to_slot()).collect();
         let mut results: Vec<u64> = Vec::with_capacity(func.ty.results.len());
-        let result = self.run_reg(&func, &arg_slots, &mut results);
+        let result = self.run_reg(func_idx, &func, &arg_slots, &mut results);
         self.flush_accounting();
         result?;
         debug_assert_eq!(
@@ -2057,15 +1532,21 @@ impl Interp<'_> {
             .collect())
     }
 
-    /// The register tier's dispatch loop: executes `func` (and everything
-    /// it calls) to completion on one growing register-file arena.
+    /// The dispatch loop: executes `func` (and everything it calls) to
+    /// completion on one growing register-file arena.
     ///
-    /// Structure is identical to [`Interp::run`] — hoisted code slices,
-    /// an indirect call per retired op, fuel at charge-free control
-    /// transitions only — plus the recipe replay that charges each op's
-    /// constituent source instructions before its body runs.
+    /// Between function switches the code slices live in registers and
+    /// each dispatch is the recipe replay (charging the op's constituent
+    /// source instructions before its body runs) plus one indirect call.
+    /// Control flow never recurses: call handlers push a [`RegFrame`] and
+    /// jump to pc 0 of the callee, so host stack usage is constant in both
+    /// guest nesting depth and guest call depth (the latter bounded by
+    /// `max_call_depth`). Fuel is consumed at the charge-free control
+    /// transitions only (jumps, calls, returns): the check stays off the
+    /// straight-line fall-through path and off the cycle model.
     fn run_reg(
         &mut self,
+        func_idx: u32,
         func: &Arc<CompiledFunc>,
         args: &[u64],
         results: &mut Vec<u64>,
@@ -2074,6 +1555,14 @@ impl Interp<'_> {
             return Err(Trap::CallStackExhausted);
         }
         self.depth += 1;
+        if func.is_host {
+            // Host entry points have no register code: `call_host`
+            // replaces the staged arguments with the results in place.
+            results.extend_from_slice(args);
+            let result = self.call_host(func_idx, func, results);
+            self.depth -= 1;
+            return result;
+        }
         let mut regs: Vec<u64> = vec![0; func.reg.frame_size as usize];
         for (&slot, &v) in func.reg.param_slots.iter().zip(args) {
             regs[slot as usize] = v;
@@ -2105,7 +1594,7 @@ impl Interp<'_> {
                 // Replay the op's charge recipe before the body: one
                 // charge per retired source instruction, in original
                 // program order — a trap inside the body leaves exactly
-                // the charges the stack tiers would have.
+                // the charges the unfused source sequence would have.
                 let (off, len) = recipes[pc];
                 for &tag in &pool[off as usize..(off + u32::from(len)) as usize] {
                     st.it.charge(charge_table[tag as usize]);
@@ -2138,12 +1627,12 @@ impl Interp<'_> {
     }
 }
 
-// -- tree-walking oracle (testing only) -----------------------------------
+// -- tree-walking reference (testing only) --------------------------------
 //
-// The pre-flat-bytecode interpreter, preserved as the differential-testing
-// oracle: it executes the *structured* `Instr` tree recursively exactly as
-// production did before the refactor, delegating every data op to the same
-// `exec_op` the flat dispatcher uses. Property tests — the in-crate
+// The reference implementation the register machine is compared against:
+// it executes the *structured* `Instr` tree recursively, one source
+// instruction at a time, delegating every data op to the same `exec_op`
+// the register machine's bridged ops use. Property tests — the in-crate
 // difftest and the trap-matrix integration test, which is why this is not
 // `#[cfg(test)]` — assert both paths are bit-identical on results, traps,
 // cycles and retired instructions.
@@ -2165,7 +1654,7 @@ mod tree {
 
     impl Interp<'_> {
         /// Oracle entry point: the structured-tree twin of
-        /// [`Interp::call_function`].
+        /// [`Interp::call_function_reg`].
         pub(crate) fn call_function_tree(
             &mut self,
             func_idx: u32,
@@ -2174,7 +1663,7 @@ mod tree {
             self.check_entry(func_idx, args)?;
             // The oracle shares the untagged-slot machinery (`enter`,
             // `collapse`, `exec_op`); typed values convert at this call
-            // boundary exactly like `call_function`.
+            // boundary exactly like `call_function_reg`.
             let ty = Arc::clone(&self.store.instances[self.inst].funcs[func_idx as usize].ty);
             let mut stack: Vec<u64> = Vec::with_capacity(64);
             let mut locals: Vec<u64> = Vec::with_capacity(32);
@@ -2595,316 +2084,6 @@ fn trunc_to_u64(v: f64) -> Result<u64, Trap> {
         return Err(Trap::IntegerOverflow);
     }
     Ok(t as u64)
-}
-
-#[cfg(test)]
-mod ab_bench {
-    //! In-process A/B timing of the flat dispatcher against the tree
-    //! oracle — immune to ambient machine drift between separate runs.
-    //! `cargo test --release -p cage-engine ab_bench -- --ignored --nocapture`
-    use crate::config::ExecConfig;
-    use crate::store::Store;
-    use crate::value::Value;
-    use cage_wasm::builder::ModuleBuilder;
-    use cage_wasm::{BlockType, Instr, ValType};
-
-    fn time<F: FnMut()>(mut f: F) -> std::time::Duration {
-        f(); // warm
-        let start = std::time::Instant::now();
-        for _ in 0..5 {
-            f();
-        }
-        start.elapsed() / 5
-    }
-
-    fn ab(name: &str, module: &cage_wasm::Module, export_idx: u32, arg: i64) {
-        let mut store = Store::new(ExecConfig::default());
-        let h = store.instantiate(module, &Default::default()).unwrap();
-        let args = [Value::I64(arg)];
-        let flat_out = store.call(h, export_idx, &args).unwrap();
-        let tree_out = store.call_tree(h, export_idx, &args).unwrap();
-        assert_eq!(flat_out, tree_out, "{name}: divergent results");
-        let flat = time(|| {
-            store.call(h, export_idx, &args).unwrap();
-        });
-        let tree = time(|| {
-            store.call_tree(h, export_idx, &args).unwrap();
-        });
-        println!(
-            "{name:<12} tree {tree:>12?}  flat {flat:>12?}  speedup {:.2}x",
-            tree.as_secs_f64() / flat.as_secs_f64()
-        );
-    }
-
-    /// Wraps `body` in the shared counting-loop harness:
-    /// `do { body; } while (++locals[i] < locals[n])`.
-    fn counted_loop(mut body: Vec<Instr>, n: u32, i: u32) -> Instr {
-        body.extend([
-            Instr::LocalGet(i),
-            Instr::I64Const(1),
-            Instr::I64Add,
-            Instr::LocalSet(i),
-            Instr::LocalGet(i),
-            Instr::LocalGet(n),
-            Instr::I64LtS,
-            Instr::BrIf(0),
-        ]);
-        Instr::Loop(BlockType::Empty, body)
-    }
-
-    /// if/else ladder + inner br_if loop, the shape C codegen emits.
-    fn branchy() -> (cage_wasm::Module, u32) {
-        let (n, i, acc, j) = (0, 1, 2, 3);
-        let ladder = vec![
-            Instr::LocalGet(i),
-            Instr::I64Const(3),
-            Instr::I64RemS,
-            Instr::I64Eqz,
-            Instr::If(
-                BlockType::Empty,
-                vec![
-                    Instr::LocalGet(acc),
-                    Instr::I64Const(1),
-                    Instr::I64Add,
-                    Instr::LocalSet(acc),
-                ],
-                vec![
-                    Instr::LocalGet(i),
-                    Instr::I64Const(5),
-                    Instr::I64RemS,
-                    Instr::I64Eqz,
-                    Instr::If(
-                        BlockType::Empty,
-                        vec![
-                            Instr::LocalGet(acc),
-                            Instr::I64Const(2),
-                            Instr::I64Add,
-                            Instr::LocalSet(acc),
-                        ],
-                        vec![
-                            Instr::LocalGet(acc),
-                            Instr::I64Const(1),
-                            Instr::I64Sub,
-                            Instr::LocalSet(acc),
-                        ],
-                    ),
-                ],
-            ),
-            // j = i & 15; while (j > 0) { j--; if (j == 7) break; }
-            Instr::LocalGet(i),
-            Instr::I64Const(15),
-            Instr::I64And,
-            Instr::LocalSet(j),
-            Instr::Block(
-                BlockType::Empty,
-                vec![Instr::Loop(
-                    BlockType::Empty,
-                    vec![
-                        Instr::LocalGet(j),
-                        Instr::I64Const(0),
-                        Instr::I64LeS,
-                        Instr::BrIf(1),
-                        Instr::LocalGet(j),
-                        Instr::I64Const(1),
-                        Instr::I64Sub,
-                        Instr::LocalSet(j),
-                        Instr::LocalGet(j),
-                        Instr::I64Const(7),
-                        Instr::I64Eq,
-                        Instr::BrIf(1),
-                        Instr::Br(0),
-                    ],
-                )],
-            ),
-        ];
-        let loop_body = ladder;
-        let mut b = ModuleBuilder::new();
-        let f = b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64, ValType::I64],
-            vec![counted_loop(loop_body, n, i), Instr::LocalGet(acc)],
-        );
-        (b.build(), f)
-    }
-
-    /// Tight br_table dispatch loop.
-    fn dispatchy() -> (cage_wasm::Module, u32) {
-        let (n, i, acc) = (0, 1, 2);
-        let selector = vec![
-            Instr::LocalGet(i),
-            Instr::I64Const(4),
-            Instr::I64RemU,
-            Instr::I32WrapI64,
-            Instr::BrTable(vec![0, 1], 2),
-        ];
-        let mut b1 = vec![Instr::Block(BlockType::Empty, selector)];
-        b1.extend([
-            Instr::LocalGet(acc),
-            Instr::I64Const(1),
-            Instr::I64Add,
-            Instr::LocalSet(acc),
-            Instr::Br(1),
-        ]);
-        let mut b2 = vec![Instr::Block(BlockType::Empty, b1)];
-        b2.extend([
-            Instr::LocalGet(acc),
-            Instr::I64Const(3),
-            Instr::I64Add,
-            Instr::LocalSet(acc),
-            Instr::Br(0),
-        ]);
-        let loop_body = vec![Instr::Block(BlockType::Empty, b2)];
-        let mut b = ModuleBuilder::new();
-        let f = b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64],
-            vec![counted_loop(loop_body, n, i), Instr::LocalGet(acc)],
-        );
-        (b.build(), f)
-    }
-
-    /// Variable-depth exits from a 32-deep block nest.
-    fn unwindy() -> (cage_wasm::Module, u32) {
-        const DEPTH: u32 = 32;
-        let (n, i) = (0, 1);
-        let mut nest = vec![
-            Instr::LocalGet(i),
-            Instr::I64Const(i64::from(DEPTH)),
-            Instr::I64RemU,
-            Instr::I32WrapI64,
-            Instr::BrTable((0..DEPTH - 1).collect(), DEPTH - 1),
-        ];
-        for _ in 0..DEPTH {
-            nest = vec![Instr::Block(BlockType::Empty, nest)];
-        }
-        let loop_body = nest;
-        let mut b = ModuleBuilder::new();
-        let f = b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64],
-            vec![counted_loop(loop_body, n, i), Instr::LocalGet(i)],
-        );
-        (b.build(), f)
-    }
-
-    /// Call-heavy: run -> mid -> 2x leaf per iteration.
-    fn cally() -> (cage_wasm::Module, u32) {
-        let mut b = ModuleBuilder::new();
-        let leaf = b.add_function(
-            &[ValType::I64, ValType::I64],
-            &[ValType::I64],
-            &[],
-            vec![Instr::LocalGet(0), Instr::LocalGet(1), Instr::I64Add],
-        );
-        let mid = b.add_function(
-            &[ValType::I64, ValType::I64],
-            &[ValType::I64],
-            &[],
-            vec![
-                Instr::LocalGet(0),
-                Instr::LocalGet(1),
-                Instr::Call(leaf),
-                Instr::LocalGet(1),
-                Instr::LocalGet(0),
-                Instr::Call(leaf),
-                Instr::I64Add,
-            ],
-        );
-        let (n, i, acc) = (0, 1, 2);
-        let f = b.add_function(
-            &[ValType::I64],
-            &[ValType::I64],
-            &[ValType::I64, ValType::I64],
-            vec![
-                Instr::Loop(
-                    BlockType::Empty,
-                    vec![
-                        Instr::LocalGet(acc),
-                        Instr::LocalGet(i),
-                        Instr::Call(mid),
-                        Instr::LocalSet(acc),
-                        Instr::LocalGet(i),
-                        Instr::I64Const(1),
-                        Instr::I64Add,
-                        Instr::LocalSet(i),
-                        Instr::LocalGet(i),
-                        Instr::LocalGet(n),
-                        Instr::I64LtS,
-                        Instr::BrIf(0),
-                    ],
-                ),
-                Instr::LocalGet(acc),
-            ],
-        );
-        (b.build(), f)
-    }
-
-    /// gemm-ish: f64 load/mul/add/store sweeps.
-    fn memmy() -> (cage_wasm::Module, u32) {
-        use cage_wasm::instr::{LoadOp, StoreOp};
-        use cage_wasm::MemArg;
-        let (n, i, s) = (0, 1, 2);
-        let mut b = ModuleBuilder::new();
-        b.add_memory64(2);
-        let f = b.add_function(
-            &[ValType::I64],
-            &[ValType::F64],
-            &[ValType::I64, ValType::F64],
-            vec![
-                Instr::Loop(
-                    BlockType::Empty,
-                    vec![
-                        // s += mem[(i*8) & 0xFFF8]; mem[..] = s * 0.5
-                        Instr::LocalGet(i),
-                        Instr::I64Const(8),
-                        Instr::I64Mul,
-                        Instr::I64Const(0xFFF8),
-                        Instr::I64And,
-                        Instr::Load(LoadOp::F64Load, MemArg::none()),
-                        Instr::LocalGet(s),
-                        Instr::F64Add,
-                        Instr::LocalSet(s),
-                        Instr::LocalGet(i),
-                        Instr::I64Const(8),
-                        Instr::I64Mul,
-                        Instr::I64Const(0xFFF8),
-                        Instr::I64And,
-                        Instr::LocalGet(s),
-                        Instr::F64Const(0.5f64.to_bits()),
-                        Instr::F64Mul,
-                        Instr::Store(StoreOp::F64Store, MemArg::none()),
-                        Instr::LocalGet(i),
-                        Instr::I64Const(1),
-                        Instr::I64Add,
-                        Instr::LocalSet(i),
-                        Instr::LocalGet(i),
-                        Instr::LocalGet(n),
-                        Instr::I64LtS,
-                        Instr::BrIf(0),
-                    ],
-                ),
-                Instr::LocalGet(s),
-            ],
-        );
-        (b.build(), f)
-    }
-
-    #[test]
-    #[ignore = "timing A/B, run explicitly in release"]
-    fn flat_vs_tree_wallclock() {
-        for (name, (module, f), arg) in [
-            ("branchy", branchy(), 300_000i64),
-            ("dispatch", dispatchy(), 500_000),
-            ("unwind", unwindy(), 500_000),
-            ("calls", cally(), 100_000),
-            ("mem", memmy(), 500_000),
-        ] {
-            ab(name, &module, f, arg);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use cage_pac::{PacKey, PacSigner, PointerLayout};
 use cage_wasm::{validate, FuncType, ImportKind, Module, ValType, ValidationError};
 use rand::{Rng, SeedableRng};
 
-use crate::bytecode::{self, FlatCode, RegCode};
+use crate::bytecode::{self, RegCode};
 use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
 use crate::cost::CostModel;
 use crate::host::{HostFunc, Imports};
@@ -102,7 +102,7 @@ pub struct InstanceHandle(pub(crate) usize);
 ///   instantiation (initial size) and inside `memory.grow` — a grow past
 ///   the cap fails with the in-language `-1`, exactly like exceeding the
 ///   module's own declared maximum, so guests observe a deterministic,
-///   spec-shaped failure on every tier.
+///   spec-shaped failure.
 /// * `max_table_elements` caps the function table at instantiation (the
 ///   engine has no `table.grow`, so the initial size is the only growth
 ///   point).
@@ -119,7 +119,7 @@ pub struct InstanceLimits {
 }
 
 /// A function precompiled at instantiation: resolved type, local
-/// declarations and flat bytecode, shared behind an `Arc` so the
+/// declarations and register bytecode, shared behind an `Arc` so the
 /// interpreter's call path never deep-clones anything and pre-compiled
 /// templates ([`Precompiled`]) can cross threads.
 #[derive(Debug)]
@@ -127,13 +127,10 @@ pub(crate) struct CompiledFunc {
     /// Resolved signature, shared with the instance's type table so
     /// `call_indirect` can compare by pointer first.
     pub(crate) ty: Arc<FuncType>,
-    /// Declared locals (after the parameters). Empty for host functions.
+    /// Declared locals (after the parameters); the tree-walking reference
+    /// sizes its frames from them. Empty for host functions.
     pub(crate) locals: Vec<ValType>,
-    /// Flat stack bytecode lowered from the structured body — branch
-    /// targets resolved to pc offsets, block arities baked into collapse
-    /// descriptors. Empty for host functions.
-    pub(crate) code: FlatCode,
-    /// Register bytecode lowered through SSA — the primary tier
+    /// Register bytecode lowered through SSA, the one execution form
     /// ([`Store::call`] dispatches it). Empty for host functions.
     pub(crate) reg: RegCode,
     /// Whether this index dispatches to an imported host function.
@@ -145,8 +142,8 @@ pub(crate) struct CompiledFunc {
 type CompiledTables = (Vec<Arc<FuncType>>, Vec<Arc<CompiledFunc>>);
 
 /// Precompiles every function in `module`'s joint index space (imports
-/// first, then local functions) down to flat bytecode, plus the shared
-/// type table.
+/// first, then local functions) down to register bytecode, plus the
+/// shared type table.
 fn precompile(
     module: &Module,
     limits: &cage_wasm::CompileLimits,
@@ -158,19 +155,16 @@ fn precompile(
         funcs.push(Arc::new(CompiledFunc {
             ty: Arc::clone(&types[type_idx as usize]),
             locals: Vec::new(),
-            code: FlatCode::default(),
             reg: RegCode::default(),
             is_host: true,
         }));
     }
     for f in &module.funcs {
         let ty = Arc::clone(&types[f.type_idx as usize]);
-        let code = bytecode::try_compile(module, ty.results.len(), &f.body, limits, fuel)?;
         let reg = bytecode::try_compile_reg(module, &ty, f.locals.len(), &f.body, limits, fuel)?;
         funcs.push(Arc::new(CompiledFunc {
             ty,
             locals: f.locals.clone(),
-            code,
             reg,
             is_host: false,
         }));
@@ -179,7 +173,7 @@ fn precompile(
 }
 
 /// A validated, fully precompiled module template: the compile-once half
-/// of instantiation (validation, flat-bytecode lowering, type-table
+/// of instantiation (validation, bytecode lowering, type-table
 /// resolution), separated from the per-instance half (memory, globals,
 /// tables, keys). `Send + Sync` — build it once, share it across worker
 /// threads, and stamp instances out of it via
@@ -192,7 +186,7 @@ pub struct Precompiled {
 }
 
 impl Precompiled {
-    /// Validates and precompiles `module` down to flat bytecode, under
+    /// Validates and precompiles `module` down to register bytecode, under
     /// the default (generous) [`cage_wasm::CompileLimits`].
     ///
     /// # Errors
@@ -205,7 +199,8 @@ impl Precompiled {
 
     /// Like [`Precompiled::new`], but under caller-chosen compile
     /// limits. One fuel budget covers the whole module: validation
-    /// pre-scans plus both bytecode tiers for every function.
+    /// pre-scans plus the register lowering of every function (two units
+    /// per body op).
     ///
     /// # Errors
     ///
@@ -585,9 +580,8 @@ impl Store {
         self.call(handle, func_idx, args)
     }
 
-    /// Calls a function by index on the register tier (the primary
-    /// execution path: SSA-lowered 3-address bytecode over a per-frame
-    /// register file).
+    /// Calls a function by index: executes its SSA-lowered 3-address
+    /// bytecode over a per-frame register file.
     ///
     /// # Errors
     ///
@@ -611,36 +605,9 @@ impl Store {
         Ok(results)
     }
 
-    /// Calls a function by index through the flat *stack* bytecode tier
-    /// — the previous primary path, kept as a differential-testing
-    /// reference alongside the tree oracle. Mirrors [`Store::call`]
-    /// exactly, including surfacing of deferred asynchronous MTE faults.
-    /// Not part of the supported embedder API.
-    ///
-    /// # Errors
-    ///
-    /// Propagates traps, exactly as [`Store::call`] does.
-    #[doc(hidden)]
-    pub fn call_stack(
-        &mut self,
-        handle: InstanceHandle,
-        func_idx: u32,
-        args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
-        let mut interp = Interp::new(self, handle.0);
-        let results = interp.call_function(func_idx, args)?;
-        if let Some(mem) = self.instances[handle.0].memory.as_mut() {
-            if let Some(fault) = mem.take_async_fault() {
-                return Err(Trap::AsyncTagCheck(fault));
-            }
-        }
-        Ok(results)
-    }
-
     /// Calls a function by index through the structured tree walker — the
-    /// pre-flat-bytecode interpreter kept as the differential-testing
-    /// oracle (the in-crate difftest and the trap-matrix integration test
-    /// compare it against the threaded dispatcher). Mirrors
+    /// reference implementation (the in-crate difftest and the trap-matrix
+    /// integration test compare the register machine against it). Mirrors
     /// [`Store::call`] exactly, including surfacing of deferred
     /// asynchronous MTE faults. Not part of the supported embedder API.
     #[doc(hidden)]
@@ -691,13 +658,14 @@ impl Store {
     ///
     /// Fuel is a deterministic preemption mechanism for multi-tenant
     /// serving: one unit is consumed at every control transition of the
-    /// flat dispatch loop (branch taken, function entered or returned
+    /// dispatch loop (branch taken, function entered or returned
     /// from), and execution traps with [`Trap::FuelExhausted`] when the
     /// budget hits zero — at the identical instruction count and cycle
     /// bits on every run of the same program. Fuel checks ride on the
     /// charge-free control ops, so cycle accounting is unaffected. The
-    /// tree-walking differential oracle (`Store::call_tree`) does not
-    /// implement fuel; it models wasm semantics, not embedder preemption.
+    /// tree-walking reference (`Store::call_tree`) does not implement
+    /// fuel; it models wasm semantics, not embedder preemption — the trap
+    /// matrix pins the preemption points as literals instead.
     pub fn set_fuel(&mut self, handle: InstanceHandle, fuel: Option<u64>) {
         let inst = &mut self.instances[handle.0];
         inst.fuel = fuel;

@@ -1,12 +1,12 @@
-//! Deep-nesting regression test: the flat dispatcher must execute guest
+//! Deep-nesting regression test: the dispatch loop must execute guest
 //! control flow in host stack space that is *constant* in guest nesting
 //! depth.
 //!
-//! The pre-flat-bytecode tree walker recursed one `exec_seq`/`exec_instr`
-//! Rust frame per `block` level, so a 50 000-deep nest consumed megabytes
-//! of host stack and could overflow outright. After flattening, blocks
-//! compile to nothing and a `br` out of the whole nest is one
-//! collapse-and-jump, so the dispatch loop's stack usage does not move.
+//! The tree walker recurses one `exec_seq`/`exec_instr` Rust frame per
+//! `block` level, so a 50 000-deep nest consumes megabytes of host stack
+//! and can overflow outright. In register bytecode blocks compile to
+//! nothing and a `br` out of the whole nest is one jump, so the dispatch
+//! loop's stack usage does not move.
 //!
 //! Measurement: a host function records the address of one of its stack
 //! locals. It is called twice — once at function entry and once from the

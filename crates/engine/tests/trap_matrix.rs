@@ -2,28 +2,27 @@
 //!
 //! Every `LoadOp`/`StoreOp` width is executed at a matrix of addresses
 //! (in-bounds, granule-straddling, exactly-at-end, one-past-end, far
-//! out-of-bounds) under all four tag schemes, through three execution
-//! tiers:
+//! out-of-bounds) under all four tag schemes, through both execution
+//! paths:
 //!
-//! * the **register tier** (`Store::call`, the primary path): SSA
+//! * the **register tier** (`Store::call`, what production runs): SSA
 //!   construction and linear-scan slot assignment lower the body to
 //!   generic 3-address ops over a per-frame register file;
-//! * the **stack tier** (`Store::call_stack`): the flat stack bytecode
-//!   the register machine replaced, kept as a differential reference;
-//! * the **tree oracle** (`Store::call_tree`): the pre-flat structured
-//!   walker.
+//! * the **tree oracle** (`Store::call_tree`): the structured walker,
+//!   the reference implementation.
 //!
-//! All three must agree on the trap kind *and payload*, and — because
-//! each register op replays its retired source ops' cycle charges in
-//! original order — on the cycle-counter bits and retired-instruction
-//! counts too.
+//! Both must agree on the trap kind *and payload*, and — because each
+//! register op replays its retired source ops' cycle charges in original
+//! order — on the cycle-counter bits and retired-instruction counts too.
 //!
 //! Separate `FuelExhausted` and `EpochInterrupt` rows pin deterministic
 //! preemption: the same program under the same fuel budget (or an
 //! already-due epoch deadline) traps at the identical instruction count
-//! and cycle bits, across runs, across lowerings of the same loop, and
-//! across the register and stack tiers — and where both expire at once,
-//! fuel wins.
+//! and cycle bits, across runs and across lowerings of the same loop —
+//! and where both expire at once, fuel wins. The tree oracle does not
+//! model preemption, so the preemption points themselves are pinned as
+//! literals (recorded while a second bytecode tier still existed and
+//! agreed with them).
 
 use cage_engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store, Trap, Value};
 use cage_wasm::builder::ModuleBuilder;
@@ -205,7 +204,6 @@ enum Expect {
 #[derive(Clone, Copy, Debug)]
 enum Tier {
     Reg,
-    Stack,
     Tree,
 }
 
@@ -223,7 +221,6 @@ fn run_path(
     let args = [Value::I64(addr as i64)];
     let result = match tier {
         Tier::Reg => store.call(h, func, &args),
-        Tier::Stack => store.call_stack(h, func, &args),
         Tier::Tree => store.call_tree(h, func, &args),
     };
     (result, store.cycles(h).to_bits(), store.instr_count(h))
@@ -242,22 +239,20 @@ fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
             for (case, addr, expect) in addr_cases(access.width()) {
                 let cell = format!("{access:?} @ {case} under {scheme}");
                 let reg = run_path(config, &module, 0, addr, Tier::Reg);
-                let stack = run_path(config, &module, 0, addr, Tier::Stack);
                 let tree = run_path(config, &module, 0, addr, Tier::Tree);
 
-                // Register tier vs stack tier vs tree oracle: identical
-                // outcome (trap kind and payload), cycle bits and retired
-                // instructions — same function, so everything must match.
-                assert_eq!(reg, stack, "{cell}: register tier vs stack tier");
+                // Register tier vs tree oracle: identical outcome (trap
+                // kind and payload), cycle bits and retired instructions
+                // — same function, so everything must match.
                 assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
 
                 // The fenced lowering of the same access, through both
-                // flat tiers: same everything again.
+                // paths: same everything again.
                 let fenced = run_path(config, &module, 1, addr, Tier::Reg);
-                let fenced_stack = run_path(config, &module, 1, addr, Tier::Stack);
+                let fenced_tree = run_path(config, &module, 1, addr, Tier::Tree);
                 assert_eq!(
-                    fenced, fenced_stack,
-                    "{cell}: fenced body diverged between register and stack tiers"
+                    fenced, fenced_tree,
+                    "{cell}: fenced body diverged between register tier and tree oracle"
                 );
 
                 // Adjacent vs fenced: same trap kind and payload.
@@ -291,10 +286,10 @@ fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
 /// only at the charge-free control transitions (back-edge jumps,
 /// function switches, returns), so the same program under the same
 /// budget must trap at the identical retired-instruction count, cycle
-/// bits and consumed-fuel total — across repeated runs, across the
-/// adjacent vs block-fenced lowering of the same loop body, AND across
-/// the register and stack tiers. A scheduler preempting tenants by fuel
-/// therefore cannot perturb the cycle model.
+/// bits and consumed-fuel total — across repeated runs and across the
+/// adjacent vs block-fenced lowering of the same loop body — and at
+/// exactly the pinned point for each budget. A scheduler preempting
+/// tenants by fuel therefore cannot perturb the cycle model.
 #[test]
 fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
     // func 0: an infinite increment loop whose body lowers to a single
@@ -333,18 +328,13 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
     assert_eq!((a, f), (0, 1));
     let module = b.build();
 
-    let run = |func: u32, budget: u64, stack: bool| {
+    let run = |func: u32, budget: u64| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&module, &Imports::new())
             .expect("instantiates");
         store.set_fuel(h, Some(budget));
-        let args = [Value::I64(0)];
-        let result = if stack {
-            store.call_stack(h, func, &args)
-        } else {
-            store.call(h, func, &args)
-        };
+        let result = store.call(h, func, &[Value::I64(0)]);
         (
             result,
             store.cycles(h).to_bits(),
@@ -354,35 +344,38 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
         )
     };
 
-    for budget in [1u64, 2, 3, 10, 1_000] {
-        let first = run(0, budget, false);
+    // (budget, cycle bits, retired instructions) at the trap: the loop
+    // retires five instructions per iteration and burns one unit of fuel
+    // per back edge.
+    for (budget, cycle_bits, retired) in [
+        (1u64, 0x4009_9999_9999_999a_u64, 10u64),
+        (2, 0x4013_3333_3333_3333, 15),
+        (3, 0x4019_9999_9999_9999, 20),
+        (10, 0x4031_9999_9999_999a, 55),
+        (1_000, 0x4099_0666_6666_6603, 5_005),
+    ] {
+        let first = run(0, budget);
         assert_eq!(
             first,
-            run(0, budget, false),
+            run(0, budget),
             "budget {budget}: fuel trap is not reproducible across runs"
         );
         assert_eq!(
             first,
-            run(1, budget, false),
+            run(1, budget),
             "budget {budget}: fuel trap diverged between adjacent and fenced lowering"
         );
         assert_eq!(
             first,
-            run(0, budget, true),
-            "budget {budget}: fuel trap diverged between register and stack tiers"
+            (
+                Err(Trap::FuelExhausted),
+                cycle_bits,
+                retired,
+                budget,
+                Some(0)
+            ),
+            "budget {budget}: preemption point moved"
         );
-        assert_eq!(
-            first,
-            run(1, budget, true),
-            "budget {budget}: fenced fuel trap diverged between register and stack tiers"
-        );
-        assert_eq!(
-            first.0,
-            Err(Trap::FuelExhausted),
-            "budget {budget}: expected preemption"
-        );
-        assert_eq!(first.3, budget, "budget {budget}: consumed-fuel total");
-        assert_eq!(first.4, Some(0), "budget {budget}: remaining fuel");
     }
 }
 
@@ -430,8 +423,8 @@ fn fuel_covers_straight_line_bodies_at_the_outermost_return() {
 /// The `EpochInterrupt` row: epoch preemption rides the same charge-free
 /// control transitions as fuel, so a deadline that is already due when
 /// the call starts must trap at the identical retired-instruction count
-/// and cycle bits — across repeated runs, across the adjacent vs fenced
-/// lowering, and across the register and stack tiers. An embedder thread
+/// and cycle bits — across repeated runs and across the adjacent vs
+/// fenced lowering — at exactly the pinned point. An embedder thread
 /// ticking the shared epoch can move *when* the trap fires in wall-clock
 /// time, but never *where* it lands in the cycle model.
 #[test]
@@ -472,7 +465,7 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
     // `ticks` epochs elapse before the call, against a deadline of 1:
     // 0 ticks -> the deadline is still ahead and an infinite loop would
     // hang, so that case runs with fuel as a backstop instead (below).
-    let run = |func: u32, ticks: u64, stack: bool| {
+    let run = |func: u32, ticks: u64| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&module, &Imports::new())
@@ -481,51 +474,37 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
         for _ in 0..ticks {
             store.increment_epoch();
         }
-        let args = [Value::I64(0)];
-        let result = if stack {
-            store.call_stack(h, func, &args)
-        } else {
-            store.call(h, func, &args)
-        };
+        let result = store.call(h, func, &[Value::I64(0)]);
         (result, store.cycles(h).to_bits(), store.instr_count(h))
     };
 
     for ticks in [1u64, 2, 100] {
-        let first = run(0, ticks, false);
+        let first = run(0, ticks);
         assert_eq!(
             first,
-            run(0, ticks, false),
+            run(0, ticks),
             "ticks {ticks}: epoch trap is not reproducible across runs"
         );
         assert_eq!(
             first,
-            run(1, ticks, false),
+            run(1, ticks),
             "ticks {ticks}: epoch trap diverged between adjacent and fenced lowering"
         );
+        // However far past the deadline the epoch has advanced, the trap
+        // lands at the first back edge: one iteration, five retired
+        // instructions.
         assert_eq!(
             first,
-            run(0, ticks, true),
-            "ticks {ticks}: epoch trap diverged between register and stack tiers"
-        );
-        assert_eq!(
-            first,
-            run(1, ticks, true),
-            "ticks {ticks}: fenced epoch trap diverged between register and stack tiers"
-        );
-        assert_eq!(
-            first.0,
-            Err(Trap::EpochInterrupt),
-            "ticks {ticks}: expected preemption"
+            (Err(Trap::EpochInterrupt), 0x3ff9_9999_9999_999a, 5),
+            "ticks {ticks}: preemption point moved"
         );
     }
-    // However far past the deadline the epoch has advanced, the trap
-    // lands at the same first preemption point: identical everything.
-    assert_eq!(run(0, 1, false), run(0, 100, false));
 }
 
 /// Where fuel and epoch expire at the same preemption point, fuel wins —
 /// the check order is part of the deterministic contract — and the cycle
-/// bits match the fuel-only and epoch-only traps at that point.
+/// bits match the fuel-only and epoch-only traps at that point (the
+/// outermost return, after all three instructions retired).
 #[test]
 fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
     let mut b = ModuleBuilder::new();
@@ -538,7 +517,7 @@ fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
     );
     let module = b.build();
 
-    let run = |fuel: Option<u64>, deadline_due: bool, stack: bool| {
+    let run = |fuel: Option<u64>, deadline_due: bool| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&module, &Imports::new())
@@ -547,26 +526,25 @@ fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
         if deadline_due {
             store.set_epoch_deadline(h, Some(0));
         }
-        let result = if stack {
-            store.call_stack(h, 0, &[Value::I64(41)])
-        } else {
-            store.call(h, 0, &[Value::I64(41)])
-        };
-        (result, store.cycles(h).to_bits())
+        let result = store.call(h, 0, &[Value::I64(41)]);
+        (result, store.cycles(h).to_bits(), store.instr_count(h))
     };
 
-    for stack in [false, true] {
-        let fuel_only = run(Some(0), false, stack);
-        let epoch_only = run(None, true, stack);
-        let both = run(Some(0), true, stack);
-        assert_eq!(fuel_only.0, Err(Trap::FuelExhausted));
-        assert_eq!(epoch_only.0, Err(Trap::EpochInterrupt));
-        // Same preemption point, so the cycle model cannot tell the three
-        // apart; the trap kind is pinned to fuel when both are due.
-        assert_eq!(both.0, Err(Trap::FuelExhausted), "stack={stack}");
-        assert_eq!(fuel_only.1, epoch_only.1, "stack={stack}");
-        assert_eq!(fuel_only.1, both.1, "stack={stack}");
-    }
+    // Same preemption point, so the cycle model cannot tell the three
+    // apart; the trap kind is pinned to fuel when both are due.
+    let (cycle_bits, retired) = (0x3fe8_0000_0000_0000_u64, 3_u64);
+    assert_eq!(
+        run(Some(0), false),
+        (Err(Trap::FuelExhausted), cycle_bits, retired)
+    );
+    assert_eq!(
+        run(None, true),
+        (Err(Trap::EpochInterrupt), cycle_bits, retired)
+    );
+    assert_eq!(
+        run(Some(0), true),
+        (Err(Trap::FuelExhausted), cycle_bits, retired)
+    );
 }
 
 /// The register lowering must dissolve the stack shuffles the retired
@@ -608,20 +586,13 @@ fn register_lowering_dissolves_stack_shuffles() {
         "fence leaked into the 3-address store:\n{fenced}"
     );
 
-    // The register stream is strictly shorter than the stack stream it
-    // replaced: the stack shuffles are gone, not renamed.
-    let reg_ops = cage_engine::disassemble(&module, 0)
-        .expect("local function")
-        .lines()
-        .count()
-        - 1;
-    let stack_ops = cage_engine::disassemble_stack(&module, 0)
-        .expect("local function")
-        .lines()
-        .count()
-        - 1;
+    // The register stream — zero-init of the value local, the store, the
+    // return — is strictly shorter than the source body plus its
+    // implicit `end`: the stack shuffles are gone, not renamed.
+    let reg_ops = adjacent.lines().count() - 1;
+    let source_ops = module.funcs[0].body.len() + 1;
     assert!(
-        reg_ops < stack_ops,
-        "register stream ({reg_ops} ops) not shorter than stack stream ({stack_ops} ops)"
+        reg_ops < source_ops,
+        "register stream ({reg_ops} ops) not shorter than the source ({source_ops} instrs)"
     );
 }

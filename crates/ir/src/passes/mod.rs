@@ -42,97 +42,67 @@ impl HardenConfig {
     }
 }
 
-/// Per-pass toggles for the extended optimiser (beyond the standard
-/// `mem2reg`/const-fold/DCE trio).
+/// How much of the optimiser runs before the sanitizers. The levels are
+/// ordered: each runs everything the one below it does.
 ///
-/// All off by default: the standard pipeline's output — and therefore
-/// the PolyBench cycle golden file — is byte-for-byte unchanged unless
-/// an embedder opts in. The optimised pipeline has its own golden
-/// variant (see `crates/bench/tests/cycle_regression.rs`): the cycle
-/// model's contract is that *charges follow the surviving ops*, so an
-/// op the optimiser removes charges nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OptPasses {
-    /// Local value numbering (CSE) with constant/copy propagation.
-    pub cse: bool,
-    /// Store-to-load forwarding and redundant-load elimination.
-    pub load_forward: bool,
-    /// Mul/divu/remu by powers of two become shifts/masks.
-    pub strength_reduce: bool,
-    /// Constant-condition `If`/`While` pruning and unreachable-code
-    /// removal.
-    pub simplify_cfg: bool,
-}
-
-impl OptPasses {
-    /// Everything on — the `-O` configuration.
-    #[must_use]
-    pub fn full() -> Self {
-        OptPasses {
-            cse: true,
-            load_forward: true,
-            strength_reduce: true,
-            simplify_cfg: true,
-        }
-    }
-
-    /// Everything off — the standard pipeline (the default).
-    #[must_use]
-    pub fn none() -> Self {
-        OptPasses::default()
-    }
-
-    fn any(self) -> bool {
-        self.cse || self.load_forward || self.strength_reduce || self.simplify_cfg
-    }
+/// The cycle model's contract is that *charges follow the surviving ops*
+/// — an op the optimiser removes charges nothing — so each of the two
+/// optimising levels has its own PolyBench cycle golden file (see
+/// `crates/bench/tests/cycle_regression.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum OptLevel {
+    /// No optimisation at all (`-O0`): sanitizers only. Useful for
+    /// measuring sanitizer cost on unoptimised code.
+    None,
+    /// `mem2reg`, constant folding and DCE — the paper's §6.1 pipeline
+    /// and the default.
+    #[default]
+    Standard,
+    /// The standard passes plus local value numbering (CSE) with
+    /// constant/copy propagation, CFG simplification, store-to-load
+    /// forwarding and power-of-two strength reduction (`-O`). They rely
+    /// on `mem2reg` having promoted allocas first.
+    Full,
 }
 
 /// Full pipeline configuration: optimisation level plus sanitizers.
 ///
 /// [`run_pipeline`] is the common fixed-shape entry; embedders that need
-/// to ablate the optimiser (e.g. to measure sanitizer cost on unoptimised
-/// code) configure a `PipelineConfig` through `cage::EngineBuilder`.
+/// another level configure a `PipelineConfig` through
+/// `cage::EngineBuilder`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Run the optimisation passes (`mem2reg`, const-fold, DCE) before the
-    /// sanitizers — the paper's §6.1 ordering.
-    pub optimize: bool,
-    /// Extended optimiser passes layered on top of `optimize` (ignored
-    /// unless `optimize` is set — they rely on `mem2reg` having
-    /// promoted allocas first).
-    pub opt: OptPasses,
+    /// Which optimisation passes run before the sanitizers — the paper's
+    /// §6.1 ordering.
+    pub opt_level: OptLevel,
     /// Which sanitizer passes follow.
     pub harden: HardenConfig,
 }
 
 impl PipelineConfig {
-    /// The standard pipeline for `harden`: optimisations on.
+    /// The standard pipeline for `harden`: [`OptLevel::Standard`].
     #[must_use]
     pub fn standard(harden: HardenConfig) -> Self {
         PipelineConfig {
-            optimize: true,
-            opt: OptPasses::none(),
+            opt_level: OptLevel::Standard,
             harden,
         }
     }
 
-    /// The fully optimised pipeline: standard passes plus the whole
-    /// extended set.
+    /// The fully optimised pipeline: [`OptLevel::Full`].
     #[must_use]
     pub fn full_opt(harden: HardenConfig) -> Self {
         PipelineConfig {
-            optimize: true,
-            opt: OptPasses::full(),
+            opt_level: OptLevel::Full,
             harden,
         }
     }
 
-    /// No optimisation at all (`-O0`): sanitizers only.
+    /// No optimisation at all: [`OptLevel::None`], sanitizers only.
     #[must_use]
     pub fn no_opt(harden: HardenConfig) -> Self {
         PipelineConfig {
-            optimize: false,
-            opt: OptPasses::none(),
+            opt_level: OptLevel::None,
             harden,
         }
     }
@@ -188,35 +158,23 @@ pub fn run_pipeline_config_fueled(
         }
         cost
     };
-    if config.optimize {
+    if config.opt_level >= OptLevel::Standard {
         fuel.charge(cost_of(module).saturating_mul(3))?;
         for func in &mut module.functions {
             mem2reg::run(func);
             const_fold::run(func);
         }
-        if config.opt.any() {
-            // One charge unit per statement per extended pass run (the
-            // CSE toggle buys a constant-fold rerun: propagation turns
-            // register operands into constants that fold).
-            let runs = u64::from(config.opt.cse) * 2
-                + u64::from(config.opt.simplify_cfg)
-                + u64::from(config.opt.load_forward)
-                + u64::from(config.opt.strength_reduce);
-            fuel.charge(cost_of(module).saturating_mul(runs))?;
+        if config.opt_level == OptLevel::Full {
+            // One charge unit per statement per extended pass run: five,
+            // counting the constant-fold rerun after CSE (propagation
+            // turns register operands into constants that fold).
+            fuel.charge(cost_of(module).saturating_mul(5))?;
             for func in &mut module.functions {
-                if config.opt.cse {
-                    cse::run(func);
-                    const_fold::run(func);
-                }
-                if config.opt.simplify_cfg {
-                    simplify_cfg::run(func);
-                }
-                if config.opt.load_forward {
-                    load_forward::run(func);
-                }
-                if config.opt.strength_reduce {
-                    strength_reduce::run(func);
-                }
+                cse::run(func);
+                const_fold::run(func);
+                simplify_cfg::run(func);
+                load_forward::run(func);
+                strength_reduce::run(func);
             }
         }
         for func in &mut module.functions {
@@ -249,19 +207,22 @@ mod tests {
 
     #[test]
     fn opt_passes_constructors() {
-        assert!(OptPasses::full().any());
-        assert!(!OptPasses::none().any());
+        assert!(OptLevel::None < OptLevel::Standard && OptLevel::Standard < OptLevel::Full);
         // The default (and therefore the standard pipeline) keeps the
         // extended passes off — the golden-file contract.
+        assert_eq!(OptLevel::default(), OptLevel::Standard);
         assert_eq!(
-            PipelineConfig::standard(HardenConfig::none()).opt,
-            OptPasses::none()
+            PipelineConfig::standard(HardenConfig::none()).opt_level,
+            OptLevel::Standard
         );
         assert_eq!(
-            PipelineConfig::full_opt(HardenConfig::none()).opt,
-            OptPasses::full()
+            PipelineConfig::full_opt(HardenConfig::none()).opt_level,
+            OptLevel::Full
         );
-        assert!(!PipelineConfig::no_opt(HardenConfig::none()).optimize);
+        assert_eq!(
+            PipelineConfig::no_opt(HardenConfig::none()).opt_level,
+            OptLevel::None
+        );
     }
 
     #[test]

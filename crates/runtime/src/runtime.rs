@@ -88,27 +88,6 @@ impl Runtime {
         &mut self.store
     }
 
-    /// Instantiates `module` with a fresh implicit libc.
-    ///
-    /// Superseded by [`Runtime::instantiate_linked`], which makes the host
-    /// surface (libc included) explicit through a [`Linker`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Instantiate`] — including the 15-sandbox limit under
-    /// MTE sandboxing.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Runtime::instantiate_linked` with `Linker::with_libc()`"
-    )]
-    pub fn instantiate(
-        &mut self,
-        module: &Module,
-        heap_base: u64,
-    ) -> Result<InstanceToken, RuntimeError> {
-        self.instantiate_linked(module, heap_base, &Linker::with_libc())
-    }
-
     /// Instantiates `module` against `linker`, the explicit host surface.
     ///
     /// When the linker provides libc ([`Linker::with_libc`]) a fresh

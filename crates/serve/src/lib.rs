@@ -205,7 +205,7 @@ impl From<Trap> for ServeError {
 
 /// A pre-validated, pre-compiled, pre-linked instance template.
 ///
-/// Building one runs validation and flat-bytecode compilation exactly
+/// Building one runs validation and bytecode compilation exactly
 /// once; every instance stamped from it shares the compiled functions
 /// behind `Arc`s. The template is `Send + Sync` — clone an
 /// `Arc<InstancePre>` into each worker thread and give it to that

@@ -611,9 +611,8 @@ impl<'m> FuncValidator<'m> {
 /// `(parameter types, result type)`, or `None` for instructions with
 /// immediates or control effects.
 ///
-/// Public because consumers that re-derive static stack layouts (the
-/// engine's flat-bytecode compiler) need the same operand counts the
-/// validator checks against.
+/// Public because consumers that re-derive static stack layouts need
+/// the same operand counts the validator checks against.
 #[allow(clippy::too_many_lines)]
 #[must_use]
 pub fn numeric_signature(instr: &Instr) -> Option<(&'static [ValType], Option<ValType>)> {

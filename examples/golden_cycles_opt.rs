@@ -5,14 +5,14 @@
 //! ops, so this capture pins what the optimiser leaves behind:
 //! regenerate (release mode, Cortex-X3) only when a pass change
 //! *intends* to shift the optimized gallery.
-use cage::{Core, Engine, OptPasses, Variant};
+use cage::{Core, Engine, OptLevel, Variant};
 
 fn main() {
     for kernel in cage_polybench::kernels() {
         for variant in Variant::ALL {
             let engine = Engine::builder(variant)
                 .core(Core::CortexX3)
-                .opt_passes(OptPasses::full())
+                .opt_level(OptLevel::Full)
                 .build();
             let artifact = engine.compile(kernel.source).expect("builds");
             let mut inst = engine.instantiate(&artifact).expect("instantiates");

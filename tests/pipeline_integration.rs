@@ -54,18 +54,44 @@ fn artifact_survives_binary_roundtrip_and_runs() {
     }
 }
 
+/// A data-pointer local declared without an initialiser: its implicit
+/// zero must be pointer-width on every variant (wasm32 included).
+const UNINIT_DATA_PTR: &str = r#"
+long run(long a) { long *p; long b[2]; p = b; p[0] = a; return p[0]; }
+"#;
+
+/// The same for a function-pointer local, assigned on both arms of a
+/// branch.
+const UNINIT_FN_PTR: &str = r#"
+long f0(long x) { return x + 1; }
+long f1(long x) { return x * 2; }
+long run(long a) {
+    long (*fp)(long);
+    if (a & 1) fp = f0; else fp = f1;
+    return fp(a);
+}
+"#;
+
 #[test]
 fn results_identical_across_variants_and_cores() {
-    let mut golden: Option<f64> = None;
-    for variant in Variant::ALL {
-        for core in Core::ALL {
-            let engine = Engine::builder(variant).core(core).build();
-            let mut inst = engine.instantiate(&engine.compile(APP).unwrap()).unwrap();
-            let run_stats = inst.get_typed::<i64, f64>("run_stats").unwrap();
-            let out = run_stats.call(&mut inst, 30).unwrap();
-            match golden {
-                None => golden = Some(out),
-                Some(g) => assert_eq!(out, g, "{variant} on {core}"),
+    for (source, export, arg, expected) in [
+        (APP, "run_stats", 30, None),
+        (UNINIT_DATA_PTR, "run", 7, Some(Value::I64(7))),
+        (UNINIT_FN_PTR, "run", 7, Some(Value::I64(8))),
+    ] {
+        let mut golden: Option<Vec<Value>> = expected.map(|v| vec![v]);
+        for variant in Variant::ALL {
+            for core in Core::ALL {
+                let engine = Engine::builder(variant).core(core).build();
+                let artifact = engine
+                    .compile(source)
+                    .unwrap_or_else(|e| panic!("{variant}: {e}\n{source}"));
+                let mut inst = engine.instantiate(&artifact).unwrap();
+                let out = inst.invoke(export, &[Value::I64(arg)]).unwrap();
+                match &golden {
+                    None => golden = Some(out),
+                    Some(g) => assert_eq!(&out, g, "{export} under {variant} on {core}"),
+                }
             }
         }
     }

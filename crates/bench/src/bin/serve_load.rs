@@ -1,12 +1,12 @@
-//! Multi-tenant serving load driver.
+//! Multi-tenant serving smoke: correctness under threads, no timing.
 //!
 //! Compiles one request handler, builds one shared `InstancePre`
-//! template, and drives thousands of concurrent instances across worker
-//! threads — each worker owning a `Pool` that stamps, serves, releases
-//! and recycles instance slots under a fuel budget. Writes
-//! `results/bench_serve.json` with instantiations/sec, recycle (reset)
-//! throughput and p50/p90/p99 invoke latency, so the throughput axis of
-//! the serving layer is recorded per PR like the hot-path numbers.
+//! template, and drives many concurrent instances across worker threads —
+//! each worker owning a `Pool` that stamps, serves, releases and recycles
+//! instance slots under a fuel budget — checking every response against a
+//! host-side reference and the pool counters against the arithmetic of
+//! the run. What this used to time is `cage-bench`'s `serve_steady`,
+//! `serve_churn` and `serve_cold` workloads now.
 //!
 //! With `--chaos`, a fault-injection phase follows the load phase: every
 //! worker draws from a seeded `FaultPlan` and forces host traps, host
@@ -14,8 +14,7 @@
 //! expiry into live checkout/invoke/release cycles — then probes the
 //! pool with a healthy request after every injected fault. The run
 //! aborts if any fault class fails to produce its expected outcome or
-//! any probe fails, so "completes" means "survived"; per-class survival
-//! counts land in the same JSON under `"chaos"`.
+//! any probe fails, so "completes" means "survived".
 //!
 //! Flags (defaults in brackets): `--instances N` [1024] total concurrent
 //! instances, `--threads T` [4] worker threads, `--requests R` [8]
@@ -25,10 +24,9 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::env;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cage::serve::EpochTicker;
 use cage::wasm::ValType;
@@ -39,7 +37,7 @@ use cage::{
 
 /// The request handler every tenant runs: allocator churn plus a memory
 /// sweep, so cold instantiation, invoke and dirty-page reset all have
-/// real work to do.
+/// real work to do. [`expected`] is its host-side reference.
 const HANDLER: &str = r#"
     long handle(long req) {
         long n = 16 + (req % 16);
@@ -55,6 +53,12 @@ const HANDLER: &str = r#"
         return acc;
     }
 "#;
+
+/// What `handle(req)` must return.
+fn expected(req: i64) -> i64 {
+    let n = 16 + req % 16;
+    (0..n).map(|i| req * 31 + i).sum()
+}
 
 /// The chaos-phase handler: the same work as `handle`, routed through a
 /// host hook whose behaviour the worker flips between benign, trapping
@@ -113,13 +117,6 @@ fn chaos_profile() -> HostProfile {
             },
         );
     }))
-}
-
-struct WorkerReport {
-    latencies_ns: Vec<u64>,
-    instantiate_secs: f64,
-    churn_secs: f64,
-    metrics: PoolMetrics,
 }
 
 /// Per-fault-class injection/survival tally from one chaos worker.
@@ -268,74 +265,50 @@ fn inject(
 
 /// One worker: fill a pool with `instances` live instances, serve
 /// `requests` rounds across them, then recycle every slot once (the
-/// steady-state path: release + dirty-page-reset checkout).
+/// steady-state path: release + dirty-page-reset checkout) and serve
+/// from the recycled slots. Every response is checked.
 fn worker(
     pre: Arc<InstancePre>,
     instances: usize,
     requests: usize,
     fuel: Option<u64>,
-) -> WorkerReport {
+) -> PoolMetrics {
     let mut pool = Pool::new(pre);
     pool.set_fuel_budget(fuel);
+    let serve = |pool: &mut Pool, inst: &cage::PooledInstance, req: i64| {
+        let out = pool
+            .invoke(inst, "handle", &[Value::I64(req)])
+            .expect("handler runs");
+        assert_eq!(out, [Value::I64(expected(req))], "handle({req})");
+    };
 
-    let t = Instant::now();
-    let mut held = Vec::with_capacity(instances);
-    for _ in 0..instances {
-        held.push(pool.checkout().expect("cold checkout"));
-    }
-    let instantiate_secs = t.elapsed().as_secs_f64();
-
-    let mut latencies_ns = Vec::with_capacity(instances * requests);
+    let mut held: Vec<_> = (0..instances)
+        .map(|_| pool.checkout().expect("cold checkout"))
+        .collect();
     for round in 0..requests {
         for (i, inst) in held.iter().enumerate() {
-            let req = (round * instances + i) as i64;
-            let t = Instant::now();
-            let out = pool
-                .invoke(inst, "handle", &[Value::I64(req)])
-                .expect("handler runs");
-            latencies_ns.push(t.elapsed().as_nanos() as u64);
-            std::hint::black_box(out);
+            serve(&mut pool, inst, (round * instances + i) as i64);
         }
     }
 
-    let t = Instant::now();
     for inst in held.drain(..) {
         pool.release(inst);
     }
-    let mut recycled = Vec::with_capacity(instances);
-    for _ in 0..instances {
-        recycled.push(pool.checkout().expect("recycled checkout"));
-    }
-    let churn_secs = t.elapsed().as_secs_f64();
+    let recycled: Vec<_> = (0..instances)
+        .map(|_| pool.checkout().expect("recycled checkout"))
+        .collect();
     assert_eq!(
         pool.capacity(),
         instances,
         "churn must recycle slots, not grow the pool"
     );
     for (i, inst) in recycled.iter().enumerate() {
-        let out = pool
-            .invoke(inst, "handle", &[Value::I64(i as i64)])
-            .expect("recycled instance serves");
-        std::hint::black_box(out);
+        serve(&mut pool, inst, i as i64);
     }
     for inst in recycled {
         pool.release(inst);
     }
-
-    WorkerReport {
-        latencies_ns,
-        instantiate_secs,
-        churn_secs,
-        metrics: pool.metrics(),
-    }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
+    pool.metrics()
 }
 
 fn main() {
@@ -379,8 +352,7 @@ fn main() {
             .expect("template builds"),
     );
 
-    let wall = Instant::now();
-    let reports: Vec<WorkerReport> = thread::scope(|scope| {
+    let reports: Vec<PoolMetrics> = thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 // Spread the remainder over the first workers.
@@ -394,71 +366,30 @@ fn main() {
             .map(|h| h.join().expect("worker"))
             .collect()
     });
-    let wall_secs = wall.elapsed().as_secs_f64();
 
     let mut totals = PoolMetrics::default();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut instantiate_secs: f64 = 0.0;
-    let mut churn_secs: f64 = 0.0;
     for r in &reports {
-        totals.merge(&r.metrics);
-        latencies.extend_from_slice(&r.latencies_ns);
-        // Workers run concurrently: wall-clock is the slowest worker.
-        instantiate_secs = instantiate_secs.max(r.instantiate_secs);
-        churn_secs = churn_secs.max(r.churn_secs);
+        totals.merge(r);
     }
-    latencies.sort_unstable();
-    let (p50, p90, p99) = (
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.90),
-        percentile(&latencies, 0.99),
+    let n = instances as u64;
+    assert_eq!(
+        (totals.instantiations, totals.resets, totals.invocations),
+        (n, n, n * (requests as u64 + 1)),
+        "every slot stamped once, recycled once, and served every request"
     );
-    let max_ns = latencies.last().copied().unwrap_or(0);
-    let instantiations_per_sec = instances as f64 / instantiate_secs;
-    let resets_per_sec = instances as f64 / churn_secs;
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"cage-bench-serve/1\",");
-    let _ = writeln!(json, "  \"variant\": \"{}\",", variant.label());
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"instances\": {instances},");
-    let _ = writeln!(json, "  \"requests_per_instance\": {requests},");
-    let _ = writeln!(json, "  \"fuel_budget\": {fuel},");
-    let _ = writeln!(json, "  \"wall_secs\": {wall_secs:.6},");
-    let _ = writeln!(
-        json,
-        "  \"instantiate\": {{\"count\": {instances}, \"secs\": {instantiate_secs:.6}, \
-         \"per_sec\": {instantiations_per_sec:.1}}},"
+    assert_eq!(
+        (totals.quarantined, totals.exhausted, totals.leaked),
+        (0, 0, 0),
+        "healthy traffic costs no slot"
     );
-    let _ = writeln!(
-        json,
-        "  \"recycle\": {{\"count\": {instances}, \"secs\": {churn_secs:.6}, \
-         \"per_sec\": {resets_per_sec:.1}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"invoke_latency_ns\": {{\"count\": {}, \"p50\": {p50}, \"p90\": {p90}, \
-         \"p99\": {p99}, \"max\": {max_ns}}},",
-        latencies.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"pool\": {{\"instantiations\": {}, \"resets\": {}, \"invocations\": {}, \
-         \"instr_count\": {}, \"fuel_consumed\": {}, \"cycles\": {:.1}, \
-         \"quarantined\": {}, \"exhausted\": {}, \"leaked\": {}}},",
-        totals.instantiations,
-        totals.resets,
-        totals.invocations,
-        totals.instr_count,
-        totals.fuel_consumed,
-        totals.cycles,
-        totals.quarantined,
-        totals.exhausted,
-        totals.leaked,
+    println!(
+        "load: {instances} instances x {threads} threads, {} checked responses, \
+         {} instantiations, {} resets",
+        totals.invocations, totals.instantiations, totals.resets
     );
 
     // -- chaos phase -------------------------------------------------------
-    let chaos_json = if chaos {
+    if chaos {
         // Injected host panics are expected by the hundreds: silence their
         // default-hook stack traces, let every other panic print normally.
         let prev_hook = std::panic::take_hook();
@@ -484,7 +415,6 @@ fn main() {
         // One wall-clock ticker preempting across every worker's pool.
         let ticker = EpochTicker::new(Duration::from_millis(1));
 
-        let chaos_wall = Instant::now();
         let reports: Vec<ChaosReport> = thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
@@ -500,7 +430,6 @@ fn main() {
                 .map(|h| h.join().expect("chaos worker survived"))
                 .collect()
         });
-        let chaos_secs = chaos_wall.elapsed().as_secs_f64();
         drop(ticker);
 
         let mut chaos_totals = ChaosReport::default();
@@ -515,47 +444,11 @@ fn main() {
             .classes
             .values()
             .fold((0, 0), |acc, (i, s)| (acc.0 + i, acc.1 + s));
-        let mut c = String::from("{\n");
-        let _ = writeln!(c, "    \"seed\": {chaos_seed},");
-        let _ = writeln!(c, "    \"requests\": {injected},");
-        let _ = writeln!(c, "    \"survived\": {survived},");
-        let _ = writeln!(c, "    \"wall_secs\": {chaos_secs:.6},");
-        let _ = writeln!(
-            c,
-            "    \"quarantined\": {},",
-            chaos_totals.metrics.quarantined
-        );
-        let _ = writeln!(c, "    \"classes\": {{");
-        let n = chaos_totals.classes.len();
-        for (idx, (class, (i, s))) in chaos_totals.classes.iter().enumerate() {
-            let comma = if idx + 1 < n { "," } else { "" };
-            let _ = writeln!(
-                c,
-                "      \"{class}\": {{\"injected\": {i}, \"survived\": {s}}}{comma}"
-            );
-        }
-        let _ = writeln!(c, "    }}");
-        c.push_str("  }");
         println!(
             "chaos: {survived}/{injected} faults survived across {} classes, \
-             {} slots quarantined, in {chaos_secs:.2}s",
+             {} slots quarantined",
             chaos_totals.classes.len(),
             chaos_totals.metrics.quarantined
         );
-        c
-    } else {
-        String::from("null")
-    };
-    let _ = writeln!(json, "  \"chaos\": {chaos_json}");
-    json.push_str("}\n");
-
-    let path = cage_bench::write_results("bench_serve.json", &json);
-    println!("wrote {}", path.display());
-    println!(
-        "{instances} instances x {threads} threads ({} invokes) in {wall_secs:.2}s",
-        latencies.len()
-    );
-    println!("instantiate: {instantiations_per_sec:>10.0} /s");
-    println!("recycle:     {resets_per_sec:>10.0} /s");
-    println!("invoke p50/p90/p99: {p50} / {p90} / {p99} ns");
+    }
 }

@@ -188,7 +188,7 @@ impl LinearMemory {
         let initial = scheme.initial_tag();
         if !initial.is_zero() {
             tags.set_tag_range(0, guest_size, initial)
-                .expect("page-aligned guest region");
+                .expect("page-aligned guest region inside the tag store");
         }
         let pool = TagPool::new(scheme.segment_exclusion(), seed)
             .expect("segment exclusion leaves tags available");
@@ -237,8 +237,9 @@ impl LinearMemory {
     }
 
     /// Restores the memory to its freshly-created state in O(pages
-    /// touched): re-zeroes and re-tags only the pages on the dirty list,
-    /// discards any pending asynchronous fault, and rewinds the segment
+    /// touched): re-zeroes and re-tags only the pages on the dirty list
+    /// (one fill pair per run of adjacent pages), discards any pending
+    /// asynchronous fault, and rewinds the segment
     /// tag pool to its seed so the next run draws the same tags. Data
     /// segments are *not* re-applied here — the store does that, exactly
     /// as at instantiation. A grown memory rebuilds wholesale.
@@ -258,10 +259,12 @@ impl LinearMemory {
         }
         let initial = self.scheme.initial_tag();
         let total = self.data.len() as u64;
-        for i in 0..self.dirty_pages.len() {
-            let page = self.dirty_pages[i];
-            let start = page * PAGE_SIZE;
-            let end = (start + PAGE_SIZE).min(total);
+        // Each maximal run of adjacent dirty pages is one data fill and
+        // one tag fill, whatever order the pages were first touched in.
+        self.dirty_pages.sort_unstable();
+        for run in self.dirty_pages.chunk_by(|a, b| a + 1 == *b) {
+            let start = run[0] * PAGE_SIZE;
+            let end = (start + run.len() as u64 * PAGE_SIZE).min(total);
             self.data[start as usize..end as usize].fill(0);
             // Retag the guest portion; slack tags never change (segment
             // ops are guest-bounded) so zero is still in force there.
@@ -269,9 +272,11 @@ impl LinearMemory {
             if start < guest_end {
                 self.tags
                     .set_tag_range(start, guest_end - start, initial)
-                    .expect("page-aligned reset");
+                    .expect("page-aligned run inside guest memory");
             }
-            self.dirty_bits[(page / 64) as usize] &= !(1 << (page % 64));
+            for page in run {
+                self.dirty_bits[(page / 64) as usize] &= !(1 << (page % 64));
+            }
         }
         self.dirty_pages.clear();
         let _ = self.tags.take_async_fault();
@@ -367,24 +372,14 @@ impl LinearMemory {
         self.data.resize(total as usize, 0);
         // Zero the region that used to be slack and is now guest memory.
         let old_size = self.guest_size;
-        for b in &mut self.data
-            [old_size as usize..(old_size + RUNTIME_SLACK.min(new_size - old_size)) as usize]
-        {
-            *b = 0;
-        }
+        self.data[old_size as usize..(old_size + RUNTIME_SLACK.min(new_size - old_size)) as usize]
+            .fill(0);
         self.tags.grow(new_size + RUNTIME_SLACK);
-        let initial = self.scheme.initial_tag();
-        if !initial.is_zero() {
-            self.tags
-                .set_tag_range(old_size, new_size - old_size, initial)
-                .expect("page-aligned grow");
-        } else {
-            // New guest pages must be untagged even though the old slack
-            // region may never have been tagged differently (it is zero).
-            self.tags
-                .set_tag_range(old_size, new_size - old_size, Tag::ZERO)
-                .expect("page-aligned grow");
-        }
+        // New guest pages (the old slack region included) carry the
+        // scheme's initial tag.
+        self.tags
+            .set_tag_range(old_size, new_size - old_size, self.scheme.initial_tag())
+            .expect("page-aligned grow inside the grown tag store");
         self.guest_size = new_size;
         Some(old_pages)
     }
@@ -700,9 +695,7 @@ impl LinearMemory {
             .set_tag_range(addr, len, mem_tag)
             .expect("range checked above");
         // Zero the segment (segment.new returns zeroed memory).
-        for b in &mut self.data[addr as usize..(addr + len) as usize] {
-            *b = 0;
-        }
+        self.data[addr as usize..(addr + len) as usize].fill(0);
         let nibble = self.scheme.pointer_nibble(mem_tag);
         Ok((ptr & !(0xF << 56)) | (u64::from(nibble) << 56))
     }

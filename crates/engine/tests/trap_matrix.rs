@@ -227,7 +227,7 @@ fn run_path(
 }
 
 #[test]
-fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
+fn every_width_addr_and_scheme_agrees_across_both_tiers() {
     let accesses: Vec<Access> = ALL_LOADS
         .iter()
         .map(|&l| Access::Load(l))
@@ -277,6 +277,117 @@ fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
                         assert!(reg.0.is_err(), "{cell}: expected a trap");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The bulk rows: `memory.fill` and both sides of `memory.copy` over a
+/// 64-granule segment in which one granule has been retagged. A bulk
+/// access is one tag check over the whole range, which the tag store
+/// answers 16 granules per compared word — so the needle sits first, at
+/// the last granule before a word seam, on it, just past it, and last.
+/// The fault must name that granule and its tag, identically (payload,
+/// cycle bits, retired count) on the register tier and the tree oracle.
+#[test]
+fn bulk_ops_fault_at_the_first_mismatching_granule_across_tiers() {
+    // Odd first granule; the range starts 3 bytes into it and ends 2
+    // bytes short of the end of the last one.
+    const BASE: i64 = 4096 + 16;
+    const GRANULES: i64 = 64;
+    const LEN: i64 = GRANULES * 16;
+    const CLEAN: i64 = 32_768;
+    let (start, len) = (BASE + 3, LEN - 5);
+
+    // (needle) -> i64: tag the segment, retag granule `needle` of it
+    // through an untagged pointer (skipped when negative), then the op.
+    let body = |op: Vec<Instr>| {
+        let mut body = vec![
+            Instr::I64Const(BASE),
+            Instr::I64Const(LEN),
+            Instr::SegmentNew(0),
+            Instr::I64Const(3),
+            Instr::I64Add,
+            Instr::LocalSet(1),
+            Instr::LocalGet(0),
+            Instr::I64Const(0),
+            Instr::I64GeS,
+            Instr::If(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I64Const(16),
+                    Instr::I64Mul,
+                    Instr::I64Const(BASE),
+                    Instr::I64Add,
+                    Instr::I64Const(0),
+                    Instr::I64Const(16),
+                    Instr::SegmentSetTag(0),
+                ],
+                vec![],
+            ),
+        ];
+        body.extend(op);
+        body
+    };
+    let ops = [
+        (
+            "memory.fill",
+            vec![
+                Instr::LocalGet(1),
+                Instr::I32Const(0xAB),
+                Instr::I64Const(len),
+                Instr::MemoryFill,
+            ],
+        ),
+        (
+            "memory.copy (write side)",
+            vec![
+                Instr::LocalGet(1),
+                Instr::I64Const(CLEAN),
+                Instr::I64Const(len),
+                Instr::MemoryCopy,
+            ],
+        ),
+        (
+            "memory.copy (read side)",
+            vec![
+                Instr::I64Const(CLEAN),
+                Instr::LocalGet(1),
+                Instr::I64Const(len),
+                Instr::MemoryCopy,
+            ],
+        ),
+    ];
+    let mut b = ModuleBuilder::new();
+    b.add_memory64(1);
+    for (_, op) in &ops {
+        b.add_function(&[ValType::I64], &[], &[ValType::I64], body(op.clone()));
+    }
+    let module = b.build();
+
+    for (func, (name, _)) in ops.iter().enumerate() {
+        for (scheme, config) in schemes() {
+            for needle in [-1, 0, 14, 15, 16, GRANULES - 1] {
+                let cell = format!("{name}, needle at granule {needle}, under {scheme}");
+                let reg = run_path(config, &module, func as u32, needle as u64, Tier::Reg);
+                let tree = run_path(config, &module, func as u32, needle as u64, Tier::Tree);
+                assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
+                if needle < 0 || !config.internal.is_enabled() {
+                    assert!(reg.0.is_ok(), "{cell}: expected pass, got {:?}", reg.0);
+                    continue;
+                }
+                let Err(Trap::TagCheck(fault)) = &reg.0 else {
+                    panic!("{cell}: expected a tag-check fault, got {:?}", reg.0);
+                };
+                let granule = (BASE + 16 * needle) as u64;
+                assert_eq!(fault.addr, granule.max(start as u64), "{cell}: {fault}");
+                // The retag went through an untagged pointer, so the
+                // needle carries the guest-untagged tag: 1 when combined
+                // with sandboxing (Fig. 13b), else 0.
+                let untagged = u8::from(config.bounds == BoundsCheckStrategy::MteSandbox);
+                assert_eq!(fault.mem_tag.map(|t| t.value()), Some(untagged), "{cell}");
+                assert!(!fault.asynchronous, "{cell}");
             }
         }
     }

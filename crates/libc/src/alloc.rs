@@ -156,15 +156,41 @@ impl Allocator {
         Ok(tagged)
     }
 
+    /// The `(metadata address, user size)` of the block `ptr` claims to
+    /// point into, read from guest memory — or `None` when `ptr` cannot be
+    /// an allocation: its metadata slot lies below the heap or outside
+    /// guest memory (a wild pointer must not become a host-side
+    /// out-of-range read), the slot lacks the magic, or the recorded size
+    /// is empty or runs past the end of memory (the slot is guest-writable,
+    /// so its size is untrusted input to the free list).
+    fn block_at(&self, mem: &LinearMemory, ptr: u64) -> Option<(u64, u64)> {
+        let block = (ptr & ADDR_MASK).wrapping_sub(META_SIZE);
+        let user = block.checked_add(META_SIZE)?;
+        if block < self.heap_base || user > mem.size() {
+            return None;
+        }
+        let meta = mem.read_resolved(block, META_SIZE);
+        let user_size = u64::from_le_bytes(meta[..8].try_into().expect("8 bytes"));
+        let magic = u32::from_le_bytes(meta[8..12].try_into().expect("4 bytes"));
+        let in_memory = user
+            .checked_add(user_size)
+            .is_some_and(|end| end <= mem.size());
+        (magic == MAGIC && user_size != 0 && in_memory).then_some((block, user_size))
+    }
+
     /// `free`.
     ///
     /// With internal safety enabled, freeing through a stale pointer
-    /// (double free) or a non-allocation traps; on baselines it silently
-    /// corrupts the free list, as real dlmalloc would.
+    /// (double free) or a non-allocation traps; on baselines a double free
+    /// silently corrupts the free list, as real dlmalloc would, and a
+    /// pointer that cannot be an allocation (metadata slot outside the
+    /// heap, no magic, size running past memory) is ignored. No pointer
+    /// value panics the host.
     ///
     /// # Errors
     ///
-    /// [`Trap::SegmentFault`] on double-free (hardened configurations).
+    /// [`Trap::SegmentFault`] on double-free, [`Trap::Host`] on a
+    /// non-allocation (hardened configurations).
     pub fn free(
         &mut self,
         mem: &mut LinearMemory,
@@ -174,17 +200,12 @@ impl Allocator {
         if ptr == 0 {
             return Ok(()); // free(NULL)
         }
-        let user = ptr & ADDR_MASK;
-        let block = user.wrapping_sub(META_SIZE);
-        let meta = mem.read_resolved(block, 16).to_vec();
-        let user_size = u64::from_le_bytes(meta[..8].try_into().expect("8 bytes"));
-        let magic = u32::from_le_bytes(meta[8..12].try_into().expect("4 bytes"));
-        if magic != MAGIC || user_size == 0 || block < self.heap_base {
+        let Some((block, user_size)) = self.block_at(mem, ptr) else {
             if config.internal.is_enabled() {
                 return Err(Trap::Host(format!("free of invalid pointer {ptr:#x}")));
             }
             return Ok(()); // baseline: undefined behaviour, carry on
-        }
+        };
         // The paper's temporal-safety core: segment.free validates the
         // pointer still owns the segment and retags it (Fig. 11 rule 9/10).
         mem.segment_free(ptr, user_size, config)?;
@@ -437,6 +458,74 @@ mod tests {
         let (mut mem, config, mut a) = setup(InternalSafety::Mte);
         let err = a.free(&mut mem, &config, 0x4040).unwrap_err();
         assert!(matches!(err, Trap::Host(_)), "{err}");
+    }
+
+    /// Pointers whose metadata slot would lie before address 0, straddle
+    /// the end of guest memory, or lie past it (in the runtime slack and
+    /// far beyond): `free`/`realloc` used to index the host's backing
+    /// store with them unchecked.
+    fn wild_pointers(mem: &LinearMemory) -> [u64; 8] {
+        let end = mem.size();
+        [
+            8,
+            15,
+            end + 8,
+            end + META_SIZE,
+            end + 4096,
+            1 << 40,
+            ADDR_MASK,
+            (0x7 << 56) | 8,
+        ]
+    }
+
+    #[test]
+    fn hardened_free_and_realloc_of_wild_pointers_trap_without_panicking() {
+        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
+        for ptr in wild_pointers(&mem) {
+            let err = a.free(&mut mem, &config, ptr).unwrap_err();
+            assert!(matches!(err, Trap::Host(_)), "free({ptr:#x}): {err}");
+            assert!(
+                a.realloc(&mut mem, &config, ptr, 32).is_err(),
+                "realloc({ptr:#x}) must trap"
+            );
+        }
+    }
+
+    #[test]
+    fn baseline_free_and_realloc_of_wild_pointers_carry_on_without_panicking() {
+        let (mut mem, config, mut a) = setup(InternalSafety::Off);
+        for ptr in wild_pointers(&mem) {
+            a.free(&mut mem, &config, ptr).unwrap();
+            // The zero-length copy out of a pointer past guest memory is
+            // an ordinary bounds trap; inside it, realloc allocates anew.
+            match a.realloc(&mut mem, &config, ptr, 32) {
+                Ok(p) => assert!(p >= HEAP_BASE + META_SIZE, "realloc({ptr:#x}) -> {p:#x}"),
+                Err(err) => assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}"),
+            }
+        }
+        assert_eq!(a.stats().frees, 0, "nothing was an allocation");
+    }
+
+    #[test]
+    fn forged_oversized_metadata_is_not_an_allocation() {
+        // The metadata slot is untagged, so the guest can write the magic
+        // and any size it likes; a size running past memory must not reach
+        // the free list (a later malloc would hand out, and the host would
+        // write metadata to, addresses outside the backing store).
+        for internal in [InternalSafety::Off, InternalSafety::Mte] {
+            let (mut mem, config, mut a) = setup(internal);
+            let block = HEAP_BASE + 256;
+            for size in [u64::MAX - 15, u64::MAX - 31, mem.size(), 1 << 40] {
+                let mut meta = [0u8; 16];
+                meta[..8].copy_from_slice(&size.to_le_bytes());
+                meta[8..12].copy_from_slice(&MAGIC.to_le_bytes());
+                mem.write_resolved(block, &meta);
+                let freed = a.free(&mut mem, &config, block + META_SIZE);
+                assert_eq!(freed.is_err(), internal.is_enabled(), "size {size:#x}");
+            }
+            let p = a.malloc(&mut mem, &config, 64).unwrap();
+            assert_eq!(p & ADDR_MASK, HEAP_BASE + META_SIZE, "free list untouched");
+        }
     }
 
     proptest::proptest! {

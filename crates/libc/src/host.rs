@@ -403,6 +403,34 @@ mod tests {
     }
 
     #[test]
+    fn free_and_realloc_of_wild_pointers_from_c_never_panic_the_host() {
+        // `free((char*)8)` puts the metadata slot below address 0; the
+        // second pointer puts it past the end of guest memory. Both used
+        // to be an out-of-range slice index inside the host function.
+        let src = r#"
+            long run(long p) {
+                free((char*)p);
+                return 1;
+            }
+            long again(long p) {
+                char* q = realloc((char*)p, 32);
+                return q != 0;
+            }
+        "#;
+        for p in [8, 1 << 40] {
+            for entry in ["run", "again"] {
+                let (hardened, _) = run_c(src, InternalSafety::Mte, entry, &[Value::I64(p)]);
+                let err = hardened.unwrap_err();
+                assert!(!matches!(err, Trap::HostPanic(_)), "{entry}({p:#x}): {err}");
+            }
+            let (base, _) = run_c(src, InternalSafety::Off, "run", &[Value::I64(p)]);
+            assert_eq!(base.unwrap(), vec![Value::I64(1)], "baseline ignores it");
+        }
+        let (base, _) = run_c(src, InternalSafety::Off, "again", &[Value::I64(8)]);
+        assert_eq!(base.unwrap(), vec![Value::I64(1)], "realloc allocates anew");
+    }
+
+    #[test]
     fn strcpy_overflow_is_caught_mid_copy() {
         // The Listing-1 / CVE-2018-14550 shape: strcpy into an undersized
         // heap buffer.

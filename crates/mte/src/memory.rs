@@ -9,6 +9,11 @@
 use crate::fault::{AccessKind, TagCheckFault};
 use crate::tag::{Tag, TagError, GRANULE_SIZE};
 
+const GRANULE: u64 = GRANULE_SIZE as u64;
+
+/// The most granules an access of scalar width (at most 8 bytes) touches.
+const SCALAR_GRANULES: usize = 2;
+
 /// The MTE check mode, per-thread state on real hardware (§2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MteMode {
@@ -66,7 +71,7 @@ impl TagMemory {
     /// Creates tag storage for `size` bytes, all granules tagged zero.
     #[must_use]
     pub fn new(size: u64, mode: MteMode) -> Self {
-        let granules = size.div_ceil(GRANULE_SIZE as u64);
+        let granules = size.div_ceil(GRANULE);
         TagMemory {
             nibbles: vec![0; granules.div_ceil(2) as usize],
             size,
@@ -86,7 +91,7 @@ impl TagMemory {
     /// tagged zero (as with `mmap`-fresh pages).
     pub fn grow(&mut self, new_size: u64) {
         assert!(new_size >= self.size, "TagMemory cannot shrink");
-        let granules = new_size.div_ceil(GRANULE_SIZE as u64);
+        let granules = new_size.div_ceil(GRANULE);
         self.nibbles.resize(granules.div_ceil(2) as usize, 0);
         self.size = new_size;
     }
@@ -109,7 +114,13 @@ impl TagMemory {
     }
 
     fn granule_index(addr: u64) -> usize {
-        (addr / GRANULE_SIZE as u64) as usize
+        (addr / GRANULE) as usize
+    }
+
+    /// The stored nibble of granule `idx`.
+    #[inline]
+    fn nibble(&self, idx: usize) -> u8 {
+        (self.nibbles[idx / 2] >> ((idx & 1) * 4)) & 0xF
     }
 
     /// Reads the tag of the granule containing `addr` (models `ldg`).
@@ -120,53 +131,95 @@ impl TagMemory {
         if addr >= self.size {
             return None;
         }
-        let idx = Self::granule_index(addr);
-        let byte = self.nibbles[idx / 2];
-        let nibble = if idx.is_multiple_of(2) {
-            byte & 0xF
-        } else {
-            byte >> 4
-        };
-        Some(Tag::from_low_bits(nibble))
-    }
-
-    fn set_granule(&mut self, idx: usize, tag: Tag) {
-        let byte = &mut self.nibbles[idx / 2];
-        if idx.is_multiple_of(2) {
-            *byte = (*byte & 0xF0) | tag.value();
-        } else {
-            *byte = (*byte & 0x0F) | (tag.value() << 4);
-        }
+        Some(Tag::from_low_bits(self.nibble(Self::granule_index(addr))))
     }
 
     /// Tags `[addr, addr + len)` with `tag` (models a `stg` loop / `st2g`).
     ///
+    /// Fill kernel: an odd first or last granule is a nibble
+    /// read-modify-write, everything between is whole bytes `fill`ed with
+    /// `tag * 0x11`.
+    ///
     /// # Errors
     ///
-    /// * [`TagError::Unaligned`] if `addr` or `len` is not 16-byte aligned.
-    /// * [`TagError::OutOfRange`] is never returned here; out-of-bounds
-    ///   ranges produce [`TagError::Unaligned`]-distinct errors via
-    ///   [`TagMemory::set_tag_range`]'s bound check, reported as
-    ///   [`TagError::Unaligned`] would be misleading, so a dedicated check
-    ///   returns `Err(TagError::Unaligned(addr))` only for alignment and a
-    ///   panic-free bound failure returns `Err(TagError::OutOfRange(0))`
-    ///   sentinel — see tests.
+    /// * [`TagError::Unaligned`] if `addr` or `len` is not a multiple of
+    ///   the 16-byte granule (carrying the offending value);
+    /// * [`TagError::RangeOutOfBounds`] if `addr + len` overflows or ends
+    ///   past [`TagMemory::size`].
+    ///
+    /// Nothing is written on error.
     pub fn set_tag_range(&mut self, addr: u64, len: u64, tag: Tag) -> Result<(), TagError> {
-        if !addr.is_multiple_of(GRANULE_SIZE as u64) {
+        if !addr.is_multiple_of(GRANULE) {
             return Err(TagError::Unaligned(addr));
         }
-        if !len.is_multiple_of(GRANULE_SIZE as u64) {
+        if !len.is_multiple_of(GRANULE) {
             return Err(TagError::Unaligned(len));
         }
-        if addr.checked_add(len).is_none() || addr + len > self.size {
-            return Err(TagError::OutOfRange(0));
+        if addr.checked_add(len).is_none_or(|end| end > self.size) {
+            return Err(TagError::RangeOutOfBounds { addr, len });
         }
-        let first = Self::granule_index(addr);
-        let count = (len / GRANULE_SIZE as u64) as usize;
-        for idx in first..first + count {
-            self.set_granule(idx, tag);
+        let mut g = Self::granule_index(addr);
+        let mut g_end = g + (len / GRANULE) as usize;
+        if g < g_end && g % 2 == 1 {
+            let byte = &mut self.nibbles[g / 2];
+            *byte = (*byte & 0x0F) | (tag.value() << 4);
+            g += 1;
         }
+        if g < g_end && g_end % 2 == 1 {
+            g_end -= 1;
+            let byte = &mut self.nibbles[g_end / 2];
+            *byte = (*byte & 0xF0) | tag.value();
+        }
+        self.nibbles[g / 2..g_end / 2].fill(tag.value() * 0x11);
         Ok(())
+    }
+
+    /// `Some((idx, stored tag))` when granule `idx` does not carry `tag`.
+    #[inline]
+    fn differs(&self, idx: usize, tag: Tag) -> Option<(usize, Tag)> {
+        let stored = self.nibble(idx);
+        (stored != tag.value()).then(|| (idx, Tag::from_low_bits(stored)))
+    }
+
+    /// The first granule in `g..=g_last` (both in bounds) whose stored tag
+    /// is not `tag`, with that stored tag — the scan behind both
+    /// [`TagMemory::range_tag`] and the access check.
+    ///
+    /// A scalar access touches one granule, sometimes two; those are
+    /// compared nibble by nibble right here, so the interpreter's hot path
+    /// never pays for a call into the wide kernel.
+    #[inline]
+    fn first_differing(&self, g: usize, g_last: usize, tag: Tag) -> Option<(usize, Tag)> {
+        if g_last - g < SCALAR_GRANULES {
+            return (g..=g_last).find_map(|idx| self.differs(idx, tag));
+        }
+        self.first_differing_wide(g, g_last + 1, tag)
+    }
+
+    /// Compare kernel for `g..g_end`: whole bytes are compared 8 at a
+    /// time (16 granules) against `tag` replicated into every nibble; an
+    /// odd first granule and whatever follows the last whole word are
+    /// single nibbles. The word is assembled little-endian, so nibble `k`
+    /// of it is granule `k` of the chunk and the lowest differing bit names
+    /// the first differing granule.
+    #[inline(never)]
+    fn first_differing_wide(&self, mut g: usize, g_end: usize, tag: Tag) -> Option<(usize, Tag)> {
+        if g % 2 == 1 {
+            if let Some(hit) = self.differs(g, tag) {
+                return Some(hit);
+            }
+            g += 1;
+        }
+        let pattern = u64::from_le_bytes([tag.value() * 0x11; 8]);
+        for chunk in self.nibbles[g / 2..g_end / 2].chunks_exact(8) {
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+            if word != pattern {
+                let k = ((word ^ pattern).trailing_zeros() / 4) as usize;
+                return Some((g + k, Tag::from_low_bits((word >> (k * 4)) as u8)));
+            }
+            g += 16;
+        }
+        (g..g_end).find_map(|idx| self.differs(idx, tag))
     }
 
     /// Extracts the common tag of `[addr, addr + len)` — the paper's
@@ -182,15 +235,9 @@ impl TagMemory {
             return None;
         }
         let first = self.tag_at(addr)?;
-        let mut g = addr / GRANULE_SIZE as u64 + 1;
-        let g_last = last / GRANULE_SIZE as u64;
-        while g <= g_last {
-            if self.tag_at(g * GRANULE_SIZE as u64)? != first {
-                return None;
-            }
-            g += 1;
-        }
-        Some(first)
+        self.first_differing(Self::granule_index(addr), Self::granule_index(last), first)
+            .is_none()
+            .then_some(first)
     }
 
     /// Performs the lock-and-key check for an access of `len` bytes at
@@ -246,17 +293,12 @@ impl TagMemory {
         if last >= self.size {
             return Some((addr.max(self.size), None));
         }
-        let mut g = addr / GRANULE_SIZE as u64;
-        let g_last = last / GRANULE_SIZE as u64;
-        while g <= g_last {
-            let g_addr = g * GRANULE_SIZE as u64;
-            let mem_tag = self.tag_at(g_addr).expect("granule in bounds");
-            if mem_tag != ptr_tag {
-                return Some((g_addr.max(addr), Some(mem_tag)));
-            }
-            g += 1;
-        }
-        None
+        let (g, mem_tag) = self.first_differing(
+            Self::granule_index(addr),
+            Self::granule_index(last),
+            ptr_tag,
+        )?;
+        Some(((g as u64 * GRANULE).max(addr), Some(mem_tag)))
     }
 
     /// Takes the pending asynchronous fault, if any (models the kernel
@@ -311,8 +353,16 @@ mod tests {
     fn set_tag_range_enforces_bounds() {
         let mut m = mem(MteMode::Synchronous);
         let t = Tag::new(1).unwrap();
-        assert!(m.set_tag_range(1008, 32, t).is_err());
-        assert!(m.set_tag_range(u64::MAX - 15, 16, t).is_err());
+        for (addr, len) in [(1008, 32), (1024, 16), (u64::MAX - 15, 16)] {
+            assert_eq!(
+                m.set_tag_range(addr, len, t),
+                Err(TagError::RangeOutOfBounds { addr, len })
+            );
+        }
+        assert_eq!(m.range_tag(0, 1024), Some(Tag::ZERO), "nothing written");
+        // Ending exactly at `size` is in range; so is an empty range there.
+        assert_eq!(m.set_tag_range(1008, 16, t), Ok(()));
+        assert_eq!(m.set_tag_range(1024, 0, t), Ok(()));
     }
 
     #[test]

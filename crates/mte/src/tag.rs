@@ -114,6 +114,13 @@ pub enum TagError {
     AllTagsExcluded,
     /// An address or length was not aligned to the 16-byte granule.
     Unaligned(u64),
+    /// The range `[addr, addr + len)` does not lie inside the tag store.
+    RangeOutOfBounds {
+        /// First byte of the rejected range.
+        addr: u64,
+        /// Its length in bytes.
+        len: u64,
+    },
 }
 
 impl fmt::Display for TagError {
@@ -122,6 +129,9 @@ impl fmt::Display for TagError {
             TagError::OutOfRange(v) => write!(f, "tag value {v} does not fit in 4 bits"),
             TagError::AllTagsExcluded => write!(f, "tag pool excludes all 16 tags"),
             TagError::Unaligned(a) => write!(f, "address {a:#x} is not 16-byte aligned"),
+            TagError::RangeOutOfBounds { addr, len } => {
+                write!(f, "range {addr:#x}+{len:#x} lies outside the tag store")
+            }
         }
     }
 }

@@ -1010,6 +1010,34 @@ mod tests {
     }
 
     #[test]
+    fn wild_free_is_a_guest_trap_that_does_not_cost_the_slot() {
+        // `free((char*)8)` used to index the host's backing store out of
+        // range inside libc's host function: a `Trap::HostPanic`, so any
+        // tenant could quarantine slots at will.
+        const WILD: &str = r#"
+            long run(long p) { free((char*)p); return 1; }
+        "#;
+        for variant in [Variant::CageFull, Variant::BaselineWasm64] {
+            let mut pool = Pool::new(template(WILD, variant, HostProfile::Libc));
+            for p in [8, 1 << 40] {
+                let inst = pool.checkout().unwrap();
+                match pool.invoke(&inst, "run", &[Value::I64(p)]) {
+                    Ok(out) => assert!(!variant.provides_memory_safety(), "{variant}: {out:?}"),
+                    Err(trap) => assert!(matches!(trap, Trap::Host(_)), "{variant}: {trap}"),
+                }
+                assert!(!pool.is_poisoned(&inst), "{variant}: free({p:#x})");
+                pool.release(inst);
+            }
+            let m = pool.metrics();
+            assert_eq!(
+                (m.quarantined, m.instantiations, m.resets),
+                (0, 1, 1),
+                "{variant}: one slot served both requests"
+            );
+        }
+    }
+
+    #[test]
     fn epoch_deadline_already_due_preempts_at_first_transition() {
         let pre = template(
             "long spin(long n) { long acc = 0; while (1) { acc = acc + n; } return acc; }",

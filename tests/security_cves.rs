@@ -85,6 +85,42 @@ fn sandboxing_alone_does_not_provide_internal_safety() {
 }
 
 #[test]
+fn wild_frees_never_panic_the_host_under_any_variant() {
+    // Not a CVE class the paper lists, but the same contract: a guest's
+    // bad pointer is the guest's problem. `free` reads a metadata slot 16
+    // bytes below its argument, so these two put the slot below address 0
+    // and past the end of the 4 MiB guest memory (an `int`-sized constant:
+    // wasm32 pointers are 32 bits). Hardened variants trap in the
+    // guest; baselines ignore the call, as dlmalloc's undefined behaviour
+    // would let them. None may take the host function down with them
+    // (`Trap::HostPanic`, which a serving pool answers by quarantining
+    // the slot).
+    const LOW: &str = "long run(long n) { free((char*)8); return n; }";
+    const PAST_END: &str = "long run(long n) { free((char*)2147483632); return n; }";
+    for source in [LOW, PAST_END] {
+        for variant in Variant::ALL {
+            let engine = Engine::new(variant);
+            let artifact = engine.compile(source).unwrap();
+            let mut inst = engine.instantiate(&artifact).unwrap();
+            let run = inst.get_typed::<i64, i64>("run").unwrap();
+            match run.call(&mut inst, 7) {
+                Ok(n) => {
+                    assert_eq!(n, 7, "{variant}: {source}");
+                    assert!(!variant.provides_memory_safety(), "{variant}: {source}");
+                }
+                Err(err) => {
+                    assert!(
+                        matches!(err.as_trap(), Some(cage::Trap::Host(_))),
+                        "{variant}: {source}: {err}"
+                    );
+                    assert!(variant.provides_memory_safety(), "{variant}: {source}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn causes_cover_the_tables_three_classes() {
     let causes: std::collections::BTreeSet<&str> = cases().iter().map(|c| c.cause).collect();
     assert!(causes.contains("Out-of-bounds"));

@@ -1555,8 +1555,24 @@ impl<'p> Codegen<'p> {
             (CType::Double, CType::Long) => cast(ctx, F64ToI64S, v, IrType::I64),
             // Pointer conversions are representation-preserving.
             (a, b) if a.is_pointer() && b.is_pointer() => v,
-            (a, CType::Long) if a.is_pointer() => cast(ctx, PtrToInt, v, IrType::I64),
-            (CType::Long, b) if b.is_pointer() => cast(ctx, IntToPtr, v, IrType::Ptr),
+            // `long` is 64 bits under either pointer width: a 4-byte
+            // pointer is zero-extended into it and truncated out of it.
+            (a, CType::Long) if a.is_pointer() => {
+                if self.ptr_bytes == 8 {
+                    cast(ctx, PtrToInt, v, IrType::I64)
+                } else {
+                    let int = cast(ctx, PtrToInt, v, IrType::I32);
+                    cast(ctx, I32ToI64U, int, IrType::I64)
+                }
+            }
+            (CType::Long, b) if b.is_pointer() => {
+                let narrow = if self.ptr_bytes == 8 {
+                    v
+                } else {
+                    cast(ctx, I64ToI32, v, IrType::I32)
+                };
+                cast(ctx, IntToPtr, narrow, IrType::Ptr)
+            }
             (CType::Char | CType::Int, b) if b.is_pointer() => {
                 let wide = if self.ptr_bytes == 8 {
                     cast(ctx, I32ToI64S, v, IrType::I64)

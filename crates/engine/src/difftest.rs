@@ -35,6 +35,7 @@ use cage_wasm::{validate, BlockType, Instr, MemArg, Module, ValType};
 
 use crate::config::{ExecConfig, InternalSafety};
 use crate::host::Imports;
+use crate::memory::RUNTIME_SLACK;
 use crate::store::{InstanceLimits, Store};
 use crate::value::Value;
 
@@ -802,7 +803,7 @@ fn random_module(seed: u64) -> Module {
 
     let mut b = ModuleBuilder::new();
     // One initial page with an explicit 64-page maximum: constant grows
-    // still succeed (and stress the reset path's wholesale-rebuild
+    // still succeed (and stress the reset path's shrink-in-place
     // branch), but a grow by a computed local value — products in the
     // millions are routine in these bodies — fails with `-1` instead of
     // asking the host allocator for terabytes.
@@ -1105,7 +1106,6 @@ fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64,
         let fresh_h = fresh_store
             .instantiate(module, &Imports::new())
             .expect("instantiates");
-        let fresh = fresh_store.invoke(fresh_h, "run", &[Value::I64(arg)]);
 
         // Same-seed store: one tenant dirties the instance (a trap here
         // is fine — that's a tenant dying), then the slot is recycled.
@@ -1117,6 +1117,29 @@ fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64,
         pool_store
             .reset_instance(pool_h)
             .expect("reset succeeds (module has no start function)");
+
+        // Before either runs the probe: the recycled memory *is* a fresh
+        // one — size, every logical byte (slack included, committed or
+        // not) and every tag — not merely one the probe cannot tell apart.
+        let (fresh_mem, pool_mem) = (
+            fresh_store.memory(fresh_h).expect("has memory"),
+            pool_store.memory(pool_h).expect("has memory"),
+        );
+        assert_eq!(fresh_mem.size(), pool_mem.size(), "{what}: reset size");
+        let total = fresh_mem.size() + RUNTIME_SLACK;
+        assert!(
+            fresh_mem.read_resolved(0, total) == pool_mem.read_resolved(0, total),
+            "{what}: reset data image differs from a fresh instance's\n{}",
+            dump_divergence(module)
+        );
+        assert!(
+            fresh_mem.tags().packed() == pool_mem.tags().packed(),
+            "{what}: reset tag store differs from a fresh instance's\n{}",
+            dump_divergence(module)
+        );
+        assert_eq!(pool_mem.dirty_page_count(), 0, "{what}: dirty after reset");
+
+        let fresh = fresh_store.invoke(fresh_h, "run", &[Value::I64(arg)]);
         let recycled = pool_store.invoke(pool_h, "run", &[Value::I64(arg)]);
 
         match (&fresh, &recycled) {
@@ -1316,6 +1339,109 @@ fn straddling_segments_and_scattered_pages_reset_to_a_fresh_instance() {
             tag == 0,
             !config.internal.is_enabled(),
             "the probe sums zeroes, leaving only the new segment's tag nibble: {tag:#x}"
+        );
+    }
+}
+
+/// A dirty tenant that grows a two-page memory by three, writes the new
+/// top page and what used to be the runtime slack, and leaves a live
+/// segment across the old end of guest memory (so the bytes that become
+/// slack again carry a guest tag); and a probe that reads the size, grows
+/// by one and reads the old slack back through the new page.
+fn grow_and_scribble_module() -> Module {
+    const PAGE: i64 = 65_536;
+    let dirty = vec![
+        Instr::I64Const(3),
+        Instr::MemoryGrow,
+        Instr::Drop,
+        Instr::I64Const(5 * PAGE - 8),
+        Instr::I64Const(0x5555),
+        Instr::Store(StoreOp::I64Store, MemArg::none()),
+        Instr::I64Const(2 * PAGE + 128),
+        Instr::I64Const(0x2222),
+        Instr::Store(StoreOp::I64Store, MemArg::none()),
+        Instr::I64Const(2 * PAGE - 32),
+        Instr::I64Const(64),
+        Instr::SegmentNew(0),
+        Instr::I64Const(40),
+        Instr::I64Add,
+        Instr::I64Const(0x1212),
+        Instr::Store(StoreOp::I64Store, MemArg::none()),
+        Instr::MemorySize,
+    ];
+    let probe = vec![
+        Instr::MemorySize,
+        Instr::I64Const(1),
+        Instr::MemoryGrow,
+        Instr::I64Add,
+        Instr::I64Const(2 * PAGE + 128),
+        Instr::Load(LoadOp::I64Load, MemArg::none()),
+        Instr::I64Add,
+        Instr::I64Const(2 * PAGE + 8),
+        Instr::Load(LoadOp::I64Load, MemArg::none()),
+        Instr::I64Add,
+    ];
+    let mut b = ModuleBuilder::new();
+    b.add_memory(cage_wasm::MemoryType {
+        limits: cage_wasm::Limits {
+            min: 2,
+            max: Some(8),
+        },
+        memory64: true,
+    });
+    let run = b.add_function(
+        &[ValType::I64],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::LocalGet(ARG),
+            Instr::I64Const(0),
+            Instr::I64GtS,
+            Instr::If(BlockType::Value(ValType::I64), dirty, probe),
+        ],
+    );
+    b.export_func("run", run);
+    let module = b.build();
+    validate(&module).expect("hand-built module validates");
+    module
+}
+
+#[test]
+fn a_grown_and_scribbled_memory_resets_to_a_fresh_instance() {
+    let module = grow_and_scribble_module();
+    let [plain, software] = configs();
+    let mte = ExecConfig {
+        internal: InternalSafety::Mte,
+        ..plain
+    };
+    let combined = ExecConfig {
+        bounds: crate::config::BoundsCheckStrategy::MteSandbox,
+        ..mte
+    };
+    let configs = [plain, software, mte, combined];
+    for (arg, dirty_arg) in [(0, 1), (1, 1), (1, 0), (0, 0)] {
+        check_reset_of("grown shape", &module, &configs, arg, dirty_arg);
+    }
+    // The shape is only a test if the dirty tenant ran to completion, and
+    // the reset then gave back exactly the pages above the base size.
+    for config in [plain, mte, combined] {
+        let mut store = Store::new(config);
+        let h = store.instantiate(&module, &Imports::new()).unwrap();
+        assert_eq!(
+            store.invoke(h, "run", &[Value::I64(1)]),
+            Ok(vec![Value::I64(5)]),
+            "{config:?}"
+        );
+        assert_eq!(store.memory(h).unwrap().committed_bytes(), 5 * 65_536);
+        store.reset_instance(h).unwrap();
+        let mem = store.memory(h).unwrap();
+        assert_eq!(mem.size_pages(), 2);
+        assert_eq!(mem.committed_bytes(), 2 * 65_536 + RUNTIME_SLACK);
+        // 2 pages + (2 -> 3 pages, old size 2) + two zero loads.
+        assert_eq!(
+            store.invoke(h, "run", &[Value::I64(0)]),
+            Ok(vec![Value::I64(4)]),
+            "{config:?}"
         );
     }
 }

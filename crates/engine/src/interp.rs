@@ -36,13 +36,13 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cage_mte::pointer::ADDR_MASK;
 use cage_wasm::instr::{LoadOp, StoreOp};
 
 use crate::bytecode::{AluOp, DivOp, Op, RegOp, UnaOp};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::cost::InstrClass;
 use crate::host::HostContext;
+use crate::memory::fast_addr;
 use crate::store::{CompiledFunc, Store};
 use crate::trap::Trap;
 use crate::value::Value;
@@ -981,11 +981,14 @@ pub(crate) struct RegState<'a, 's> {
     ret_buf: Vec<u64>,
     // Cached linear-memory fast path: when no tag scheme is live
     // (`Interp::fast_mem`), a scalar access is one overflow-checked
-    // address add, one bounds compare against this cached guest size, and
-    // a direct little-endian read — the full `resolve()` policy ladder
-    // never runs. The cache is invalidated wherever the guest size can
-    // change: `memory.grow` and host calls (hosts may grow the memory
-    // through their checked context).
+    // address add, one bounds compare against this cached bound, and a
+    // direct little-endian read — the full `resolve()` policy ladder never
+    // runs. The bound is `LinearMemory::fast_bound` (guest size capped by
+    // the committed prefix); a miss goes to `commit_miss`, which decides
+    // against the real guest size. The cache is refreshed wherever the
+    // guest size can change — `memory.grow` and host calls (hosts may
+    // grow the memory through their checked context) — and a stale value
+    // is only ever too small, which costs a `commit_miss` and nothing else.
     mem_m64: bool,
     mem_size: u64,
     mem_fast: bool,
@@ -1009,11 +1012,37 @@ impl RegState<'_, '_> {
         match self.it.store.instances[self.it.inst].memory.as_ref() {
             Some(m) if self.it.fast_mem => {
                 self.mem_m64 = m.is_memory64();
-                self.mem_size = m.size();
+                self.mem_size = m.fast_bound();
                 self.mem_fast = true;
             }
             _ => self.mem_fast = false,
         }
+    }
+
+    /// The fast path's address: one overflow-checked add and one compare
+    /// against the cached bound; anything else is [`RegState::commit_miss`].
+    #[inline(always)]
+    fn fast_scalar_addr(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
+        match fast_addr(index, offset, width, self.mem_m64, self.mem_size) {
+            Ok(addr) => Ok(addr),
+            Err(_) => self.commit_miss(index, offset, width),
+        }
+    }
+
+    /// The fast path's miss: the access ends past the cached bound, so it
+    /// is either out of bounds or the first touch of an uncommitted page.
+    /// The memory decides (same trap payload as the fast path would have
+    /// built against the guest size), commits, and the cache is refreshed.
+    #[cold]
+    #[inline(never)]
+    fn commit_miss(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
+        let mem = self.it.store.instances[self.it.inst]
+            .memory
+            .as_mut()
+            .expect("fast path implies memory");
+        let addr = mem.commit_scalar(index, offset, width)?;
+        self.mem_size = mem.fast_bound();
+        Ok(addr)
     }
 
     /// Scalar load: the cached fast path when no tag scheme is live, the
@@ -1024,7 +1053,7 @@ impl RegState<'_, '_> {
     fn load_scalar(&mut self, op: LoadOp, index: u64, offset: u64) -> Result<u64, Trap> {
         let width = op.width();
         let raw = if self.mem_fast {
-            let addr = fast_addr(index, offset, width, self.mem_m64, self.mem_size)?;
+            let addr = self.fast_scalar_addr(index, offset, width)?;
             self.it.store.instances[self.it.inst]
                 .memory
                 .as_ref()
@@ -1041,7 +1070,7 @@ impl RegState<'_, '_> {
     fn store_scalar(&mut self, op: StoreOp, index: u64, offset: u64, raw: u64) -> Result<(), Trap> {
         let width = op.width();
         if self.mem_fast {
-            let addr = fast_addr(index, offset, width, self.mem_m64, self.mem_size)?;
+            let addr = self.fast_scalar_addr(index, offset, width)?;
             self.it.store.instances[self.it.inst]
                 .memory
                 .as_mut()
@@ -1968,22 +1997,6 @@ fn alu_eval(op: AluOp, a: u64, b: u64) -> u64 {
     }
 }
 
-/// The cached fast-path address computation: bit-identical to the
-/// `resolve()` arithmetic for configurations with no live tag checks —
-/// same masking, same overflow handling, same trap payloads.
-#[inline(always)]
-fn fast_addr(index: u64, offset: u64, width: u64, m64: bool, size: u64) -> Result<u64, Trap> {
-    let base = if m64 { index & ADDR_MASK } else { index };
-    let addr = base.checked_add(offset).ok_or(Trap::OutOfBounds {
-        addr: u64::MAX,
-        len: width,
-    })?;
-    match addr.checked_add(width) {
-        Some(end) if end <= size => Ok(addr),
-        _ => Err(Trap::OutOfBounds { addr, len: width }),
-    }
-}
-
 fn wasm_fmin32(a: f32, b: f32) -> f32 {
     if a.is_nan() || b.is_nan() {
         f32::NAN
@@ -2088,6 +2101,8 @@ fn trunc_to_u64(v: f64) -> Result<u64, Trap> {
 
 #[cfg(test)]
 mod tests {
+    use cage_mte::pointer::ADDR_MASK;
+
     use super::*;
 
     #[test]

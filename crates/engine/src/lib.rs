@@ -55,6 +55,8 @@ mod difftest;
 pub mod host;
 pub mod interp;
 pub mod memory;
+#[cfg(test)]
+mod memory_model;
 pub mod store;
 pub mod trap;
 pub mod typed;

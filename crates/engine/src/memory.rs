@@ -5,6 +5,40 @@
 //! stands in for adjacent runtime memory. The slack is always tagged zero
 //! (the runtime's tag, §6.4), which is what lets MTE catch sandbox escapes
 //! that software bounds checks miss (the CVE-2023-26489 experiment).
+//!
+//! # The committed prefix
+//!
+//! Creating (or growing) a memory *reserves* its declared size and backs
+//! none of it: `data.len()` is the **committed prefix**, `data.capacity()`
+//! covers guest memory plus slack. The invariant every method keeps:
+//!
+//! * `data.len()` is a multiple of [`PAGE_SIZE`] or equals the total size
+//!   (guest plus slack), and never exceeds it;
+//! * bytes in `[data.len(), total)` are logically zero: nothing has ever
+//!   been written there, so readers that take `&self` see zeros, and
+//!   [`LinearMemory::reset`] has nothing to clear there (a page can still
+//!   be on the dirty list for its *tags*, which are stored eagerly).
+//!
+//! The prefix grows where an access was already being compared against
+//! `data.len()`: the final slack check of [`LinearMemory::resolve`] and the
+//! interpreter's cached scalar bound (`LinearMemory::fast_bound`). A miss
+//! of either compare goes to a cold function that re-runs the real
+//! guest/slack bound (same trap payload as before), zero-extends the prefix
+//! inside the reserved capacity (no reallocation) and retries. The stack
+//! sits at the bottom of a guest's memory and the heap grows up from
+//! `__heap_base`, so the touched set is a prefix and the worst case commits
+//! what an eager allocation would have zeroed unconditionally.
+//!
+//! **A stale cached bound is safe.** The interpreter caches
+//! `min(guest size, committed)`. Neither term shrinks under it: only
+//! `reset` of a grown memory truncates, which happens between calls, and
+//! the cache is refreshed at the start of every call and after every host
+//! call. So a stale value is only ever too *small*: the access takes the
+//! cold path, which decides against the real bounds. It can never admit an
+//! access the real bounds would refuse.
+//!
+//! The tag store stays eager: it is 1/32 of the data (3 µs per 4 MiB) and
+//! pre-tagging it is the instantiation cost §7.2 measures.
 
 use cage_mte::pointer::ADDR_MASK;
 use cage_mte::{AccessKind, MteMode, Tag, TagExclusionMask, TagMemory, TagPool};
@@ -111,6 +145,8 @@ impl TagScheme {
 /// A guest linear memory plus its MTE tag storage.
 #[derive(Debug)]
 pub struct LinearMemory {
+    /// The committed prefix (see the module docs); capacity is reserved
+    /// for `guest_size + RUNTIME_SLACK`.
     data: Vec<u8>,
     guest_size: u64,
     max_pages: Option<u64>,
@@ -124,9 +160,8 @@ pub struct LinearMemory {
     scheme: TagScheme,
     pool: TagPool,
     /// Construction parameters retained so [`LinearMemory::reset`] can
-    /// rebuild the freshly-instantiated state.
+    /// restore the freshly-instantiated state.
     base_pages: u64,
-    mode: MteMode,
     seed: u64,
     /// One bit per page of `data` (guest plus slack): set when the page
     /// has been written or retagged since creation or the last reset.
@@ -134,9 +169,6 @@ pub struct LinearMemory {
     /// The set bits in first-dirtied order — the O(pages-touched)
     /// worklist [`LinearMemory::reset`] walks.
     dirty_pages: Vec<u64>,
-    /// Set by [`LinearMemory::grow`]: a grown memory resets wholesale,
-    /// since the grow itself already paid an O(memory) resize.
-    grown: bool,
 }
 
 impl LinearMemory {
@@ -144,7 +176,7 @@ impl LinearMemory {
     ///
     /// Guest memory is pre-tagged with the scheme's initial tag (this is
     /// the instantiation-time tagging pass whose cost §7.2 measures); the
-    /// runtime slack stays tagged zero.
+    /// runtime slack stays tagged zero. No data byte is committed.
     #[must_use]
     pub fn new(
         initial_pages: u64,
@@ -162,8 +194,8 @@ impl LinearMemory {
     /// unallocatable initial size instead of panicking or aborting.
     ///
     /// A hostile module can declare any 64-bit page count; the byte-size
-    /// computation must not wrap (a wrap would under-allocate while
-    /// `guest_size` claims the full range) and the allocation must not
+    /// computation must not wrap (a wrap would under-reserve while
+    /// `guest_size` claims the full range) and the reservation must not
     /// abort the process.
     ///
     /// # Errors
@@ -183,7 +215,6 @@ impl LinearMemory {
         let total_usize = usize::try_from(total).map_err(|_| too_big())?;
         let mut data = Vec::new();
         data.try_reserve_exact(total_usize).map_err(|_| too_big())?;
-        data.resize(total_usize, 0);
         let mut tags = TagMemory::new(total, mode);
         let initial = scheme.initial_tag();
         if !initial.is_zero() {
@@ -203,12 +234,89 @@ impl LinearMemory {
             scheme,
             pool,
             base_pages: initial_pages,
-            mode,
             seed,
             dirty_bits: vec![0; total_pages.div_ceil(64) as usize],
             dirty_pages: Vec::new(),
-            grown: false,
         })
+    }
+
+    /// Guest memory plus runtime slack: the reserved size of `data`.
+    #[inline]
+    fn total(&self) -> u64 {
+        self.guest_size + RUNTIME_SLACK
+    }
+
+    /// Zero-extends the committed prefix to cover `[0, end)`, rounded up
+    /// to a page and capped at the total size. The capacity was reserved
+    /// at creation or by [`LinearMemory::grow`], so this never reallocates.
+    /// An `end` past the total commits everything and leaves the caller's
+    /// slice index to panic, as it always did.
+    #[cold]
+    #[inline(never)]
+    fn commit(&mut self, end: u64) {
+        let target = end
+            .checked_next_multiple_of(PAGE_SIZE)
+            .map_or(self.total(), |rounded| rounded.min(self.total()));
+        if target > self.data.len() as u64 {
+            self.data.resize(target as usize, 0);
+        }
+    }
+
+    /// The miss path of the final check in [`LinearMemory::resolve`] and
+    /// [`LinearMemory::raw_write_unchecked`]: the access ends past the
+    /// committed prefix, so decide it against the real bound (guest memory
+    /// plus slack) and commit up to it.
+    #[cold]
+    #[inline(never)]
+    fn commit_access(&mut self, addr: u64, width: u64) -> Result<(), Trap> {
+        match addr.checked_add(width) {
+            Some(end) if end <= self.total() => {
+                self.commit(end);
+                Ok(())
+            }
+            _ => Err(Trap::OutOfBounds { addr, len: width }),
+        }
+    }
+
+    /// The bound the interpreter's scalar fast path caches: an access that
+    /// ends at or below it is inside guest memory *and* inside the
+    /// committed prefix, so [`LinearMemory::read_le`] /
+    /// [`LinearMemory::write_le`] may index `data` directly.
+    #[inline]
+    pub(crate) fn fast_bound(&self) -> u64 {
+        self.guest_size.min(self.data.len() as u64)
+    }
+
+    /// The miss path of that fast path: re-runs [`fast_addr`] against the
+    /// real guest size (so the trap payload is the one a fully committed
+    /// memory would have produced), commits the page(s) under the access
+    /// and returns the address. The caller refreshes its cached
+    /// [`LinearMemory::fast_bound`] afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::OutOfBounds`], exactly as [`fast_addr`].
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn commit_scalar(
+        &mut self,
+        index: u64,
+        offset: u64,
+        width: u64,
+    ) -> Result<u64, Trap> {
+        let addr = fast_addr(index, offset, width, self.memory64, self.guest_size)?;
+        self.commit(addr + width);
+        Ok(addr)
+    }
+
+    /// Host bytes of linear memory actually backed: the committed prefix.
+    /// Host-side and dependent on the touch pattern — unlike
+    /// [`LinearMemory::resident_bytes`], which is the *modelled* footprint
+    /// of §7.3 and must not change with it. The tag store (eager, 1/32 of
+    /// the declared size) is not counted.
+    #[must_use]
+    pub fn committed_bytes(&self) -> u64 {
+        self.data.len() as u64
     }
 
     /// Records the pages covering `[addr, addr + len)` in the dirty
@@ -242,30 +350,41 @@ impl LinearMemory {
     /// asynchronous fault, and rewinds the segment
     /// tag pool to its seed so the next run draws the same tags. Data
     /// segments are *not* re-applied here — the store does that, exactly
-    /// as at instantiation. A grown memory rebuilds wholesale.
+    /// as at instantiation.
+    ///
+    /// The committed prefix survives (a warm slot stays warm), so the data
+    /// fill is clamped to it. A grown memory shrinks back in place first.
+    /// Nothing here allocates or can fail: this runs on the pool's recycle
+    /// path, outside any `catch_unwind`.
     pub fn reset(&mut self) {
-        if self.grown {
-            let page_limit = self.page_limit;
-            *self = LinearMemory::new(
-                self.base_pages,
-                self.max_pages,
-                self.memory64,
-                self.scheme,
-                self.mode,
-                self.seed,
-            );
-            self.page_limit = page_limit;
-            return;
+        let base_size = self.base_pages * PAGE_SIZE;
+        if self.guest_size != base_size {
+            // Undo the grows: drop the pages above the base size from the
+            // prefix and the tag store (the loop below clamps to the new
+            // total, so for them it only clears the dirty bit). The
+            // base-sized slack was guest memory while grown, so it carries
+            // guest tags; its data is on the dirty list like any page's.
+            self.guest_size = base_size;
+            let total = self.total();
+            self.data.truncate(total as usize);
+            self.tags.shrink(total);
+            self.tags
+                .set_tag_range(base_size, RUNTIME_SLACK, Tag::ZERO)
+                .expect("granule-aligned slack inside the shrunk tag store");
         }
         let initial = self.scheme.initial_tag();
-        let total = self.data.len() as u64;
+        let (total, committed) = (self.total(), self.data.len() as u64);
         // Each maximal run of adjacent dirty pages is one data fill and
         // one tag fill, whatever order the pages were first touched in.
         self.dirty_pages.sort_unstable();
         for run in self.dirty_pages.chunk_by(|a, b| a + 1 == *b) {
             let start = run[0] * PAGE_SIZE;
             let end = (start + run.len() as u64 * PAGE_SIZE).min(total);
-            self.data[start as usize..end as usize].fill(0);
+            // Past the prefix there is nothing to clear: a page is dirty
+            // there only for its tags.
+            if start < committed {
+                self.data[start as usize..end.min(committed) as usize].fill(0);
+            }
             // Retag the guest portion; slack tags never change (segment
             // ops are guest-bounded) so zero is still in force there.
             let guest_end = end.min(self.guest_size);
@@ -327,7 +446,9 @@ impl LinearMemory {
     }
 
     /// Estimated resident bytes: data plus the 1/32 tag-space overhead
-    /// when MTE is in use (§7.3).
+    /// when MTE is in use (§7.3). This is the *modelled* footprint — a
+    /// function of the declared size and the scheme only. What the host
+    /// actually backs is [`LinearMemory::committed_bytes`].
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         let tag_overhead = if self.scheme == TagScheme::None {
@@ -339,7 +460,9 @@ impl LinearMemory {
     }
 
     /// Grows by `delta_pages`, returning the old size in pages, or `None`
-    /// (≙ wasm `-1`) if the maximum would be exceeded.
+    /// (≙ wasm `-1`) if the maximum would be exceeded or the host cannot
+    /// reserve the new size. Like creation, a grow reserves and commits
+    /// nothing.
     pub fn grow(&mut self, delta_pages: u64) -> Option<u64> {
         let old_pages = self.size_pages();
         let new_pages = old_pages.checked_add(delta_pages)?;
@@ -364,23 +487,37 @@ impl LinearMemory {
         // (wasm `-1`) instead of wrapping to a tiny allocation.
         let new_size = new_pages.checked_mul(PAGE_SIZE)?;
         let total = new_size.checked_add(RUNTIME_SLACK)?;
-        self.grown = true;
+        // Reserve data, tags and dirty bits before touching any state: a
+        // host that cannot back the grow answers `-1`, it does not abort.
+        let committed = self.data.len() as u64;
+        let extra = usize::try_from(total - committed).ok()?;
+        self.data.try_reserve_exact(extra).ok()?;
         let words = total.div_ceil(PAGE_SIZE).div_ceil(64) as usize;
-        if self.dirty_bits.len() < words {
+        let more_words = words.saturating_sub(self.dirty_bits.len());
+        self.dirty_bits.try_reserve_exact(more_words).ok()?;
+        self.tags.try_grow(total).ok()?;
+        if more_words > 0 {
             self.dirty_bits.resize(words, 0);
         }
-        self.data.resize(total as usize, 0);
-        // Zero the region that used to be slack and is now guest memory.
         let old_size = self.guest_size;
-        self.data[old_size as usize..(old_size + RUNTIME_SLACK.min(new_size - old_size)) as usize]
-            .fill(0);
-        self.tags.grow(new_size + RUNTIME_SLACK);
-        // New guest pages (the old slack region included) carry the
-        // scheme's initial tag.
-        self.tags
-            .set_tag_range(old_size, new_size - old_size, self.scheme.initial_tag())
-            .expect("page-aligned grow inside the grown tag store");
-        self.guest_size = new_size;
+        if new_size > old_size {
+            // The old slack becomes guest memory: zero whatever of it was
+            // committed (a sandbox escape may have scribbled there), and
+            // re-round a prefix that ended with it.
+            if committed > old_size {
+                let slack_end = committed.min(old_size + RUNTIME_SLACK);
+                self.data[old_size as usize..slack_end as usize].fill(0);
+            }
+            self.guest_size = new_size;
+            if !self.data.len().is_multiple_of(PAGE_SIZE as usize) {
+                self.commit(self.data.len() as u64);
+            }
+            // New guest pages (the old slack region included) carry the
+            // scheme's initial tag.
+            self.tags
+                .set_tag_range(old_size, new_size - old_size, self.scheme.initial_tag())
+                .expect("page-aligned grow inside the grown tag store");
+        }
         Some(old_pages)
     }
 
@@ -436,26 +573,52 @@ impl LinearMemory {
         // records the fault and returns Ok, and the software branch was
         // skipped entirely under MteSandbox — so this final slack check
         // must tolerate `addr + width` overflowing for huge bulk lengths
-        // instead of wrapping around.
+        // instead of wrapping around. It compares against the committed
+        // prefix: a miss is either the first touch of a page or a real
+        // escape past the slack, and the cold path tells them apart.
         if addr
             .checked_add(width)
             .is_none_or(|end| end > self.data.len() as u64)
         {
-            return Err(Trap::OutOfBounds { addr, len: width });
+            self.commit_access(addr, width)?;
         }
         Ok(addr)
     }
 
-    /// Reads `width` bytes at the resolved address.
+    /// The `width` bytes at the resolved address: what is committed of
+    /// them, and zeros for the rest — a range that was never written reads
+    /// as zeros without being committed by the read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr + width` exceeds guest memory plus slack — callers
+    /// must have bounds-checked.
     #[must_use]
-    pub fn read_resolved(&self, addr: u64, width: u64) -> &[u8] {
-        &self.data[addr as usize..(addr + width) as usize]
+    pub fn read_resolved(&self, addr: u64, width: u64) -> Vec<u8> {
+        assert!(
+            addr.checked_add(width)
+                .is_some_and(|end| end <= self.total()),
+            "read of {width} bytes at {addr:#x} leaves the memory"
+        );
+        let committed = self.data.len() as u64;
+        let mut out = Vec::with_capacity(width as usize);
+        out.extend_from_slice(
+            &self.data[addr.min(committed) as usize..(addr + width).min(committed) as usize],
+        );
+        out.resize(width as usize, 0);
+        out
     }
 
-    /// Writes bytes at the resolved address.
+    /// Writes bytes at the resolved address, committing the pages under
+    /// them (the runtime's own writes — data segments, allocator metadata
+    /// — arrive here without a [`LinearMemory::resolve`]).
     pub fn write_resolved(&mut self, addr: u64, bytes: &[u8]) {
+        let end = addr + bytes.len() as u64;
+        if end > self.data.len() as u64 {
+            self.commit(end);
+        }
         self.mark_dirty(addr, bytes.len() as u64);
-        self.data[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
+        self.data[addr as usize..end as usize].copy_from_slice(bytes);
     }
 
     /// Checked read: resolve + read.
@@ -471,7 +634,7 @@ impl LinearMemory {
         config: &ExecConfig,
     ) -> Result<Vec<u8>, Trap> {
         let addr = self.resolve(index, offset, width, AccessKind::Read, config)?;
-        Ok(self.read_resolved(addr, width).to_vec())
+        Ok(self.read_resolved(addr, width))
     }
 
     /// Checked write: resolve + write.
@@ -493,33 +656,50 @@ impl LinearMemory {
 
     /// Raw little-endian scalar read at an already-resolved (or
     /// fast-path-bounds-checked) address: each power-of-two width decodes
-    /// straight off the slice with `from_le_bytes`, no staging buffer.
+    /// straight off the slice with `from_le_bytes`, no staging buffer. The
+    /// slice bounds check that used to panic now leads to the zero-padded
+    /// read of a never-committed range instead, so `&self` readers (the
+    /// allocator's metadata probe) need no commit.
     ///
     /// # Panics
     ///
-    /// Panics if `addr + width` exceeds the data region — callers must
-    /// have bounds-checked (via [`LinearMemory::resolve`] or the
+    /// Panics if `addr + width` exceeds guest memory plus slack — callers
+    /// must have bounds-checked (via [`LinearMemory::resolve`] or the
     /// interpreter's cached fast path).
     #[inline(always)]
     #[must_use]
     pub fn read_le(&self, addr: u64, width: u64) -> u64 {
         let a = addr as usize;
         match width {
-            8 => u64::from_le_bytes(self.data[a..a + 8].try_into().expect("width")),
-            4 => u64::from(u32::from_le_bytes(
-                self.data[a..a + 4].try_into().expect("width"),
-            )),
-            2 => u64::from(u16::from_le_bytes(
-                self.data[a..a + 2].try_into().expect("width"),
-            )),
-            1 => u64::from(self.data[a]),
-            _ => {
-                debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-                let mut buf = [0u8; 8];
-                buf[..width as usize].copy_from_slice(&self.data[a..a + width as usize]);
-                u64::from_le_bytes(buf)
-            }
+            8 => match self.data.get(a..a + 8) {
+                Some(b) => u64::from_le_bytes(b.try_into().expect("width")),
+                None => self.read_le_uncommitted(addr, width),
+            },
+            4 => match self.data.get(a..a + 4) {
+                Some(b) => u64::from(u32::from_le_bytes(b.try_into().expect("width"))),
+                None => self.read_le_uncommitted(addr, width),
+            },
+            2 => match self.data.get(a..a + 2) {
+                Some(b) => u64::from(u16::from_le_bytes(b.try_into().expect("width"))),
+                None => self.read_le_uncommitted(addr, width),
+            },
+            1 => match self.data.get(a) {
+                Some(&b) => u64::from(b),
+                None => self.read_le_uncommitted(addr, width),
+            },
+            _ => self.read_le_uncommitted(addr, width),
         }
+    }
+
+    /// [`LinearMemory::read_le`] for a range that is not wholly committed
+    /// (or an odd width): zeros past the prefix.
+    #[cold]
+    #[inline(never)]
+    fn read_le_uncommitted(&self, addr: u64, width: u64) -> u64 {
+        assert!(width <= 8, "scalar accesses are at most 8 bytes");
+        let mut buf = [0u8; 8];
+        buf[..width as usize].copy_from_slice(&self.read_resolved(addr, width));
+        u64::from_le_bytes(buf)
     }
 
     /// Raw little-endian scalar write at an already-resolved address —
@@ -641,19 +821,19 @@ impl LinearMemory {
                 .check_access(addr, width.max(1), ptr_tag, AccessKind::Write)?;
         }
         if addr + width > self.data.len() as u64 {
-            return Err(Trap::OutOfBounds { addr, len: width });
+            self.commit_access(addr, width)?;
         }
         self.write_resolved(addr, bytes);
         Ok(())
     }
 
     /// Reads a byte from the simulated *runtime* region beyond the guest
-    /// memory (test/observability hook for the escape experiments).
+    /// memory (test/observability hook for the escape experiments); `None`
+    /// past the slack. Slack nobody wrote to reads as zero.
     #[must_use]
     pub fn runtime_byte(&self, offset_past_guest: u64) -> Option<u8> {
-        self.data
-            .get((self.guest_size + offset_past_guest) as usize)
-            .copied()
+        let addr = self.guest_size.checked_add(offset_past_guest)?;
+        (addr < self.total()).then(|| self.data.get(addr as usize).copied().unwrap_or(0))
     }
 
     // -- Fig. 11: segment semantics -----------------------------------------
@@ -694,8 +874,12 @@ impl LinearMemory {
         self.tags
             .set_tag_range(addr, len, mem_tag)
             .expect("range checked above");
-        // Zero the segment (segment.new returns zeroed memory).
-        self.data[addr as usize..(addr + len) as usize].fill(0);
+        // Zero the segment (segment.new returns zeroed memory); what lies
+        // past the committed prefix is zero already and stays uncommitted.
+        let committed = self.data.len() as u64;
+        if addr < committed {
+            self.data[addr as usize..(addr + len).min(committed) as usize].fill(0);
+        }
         let nibble = self.scheme.pointer_nibble(mem_tag);
         Ok((ptr & !(0xF << 56)) | (u64::from(nibble) << 56))
     }
@@ -762,6 +946,30 @@ impl LinearMemory {
     /// at call boundaries, like the kernel does at context switches).
     pub fn take_async_fault(&mut self) -> Option<cage_mte::TagCheckFault> {
         self.tags.take_async_fault()
+    }
+}
+
+/// The scalar fast path's address computation: bit-identical to the
+/// [`LinearMemory::resolve`] arithmetic for configurations with no live
+/// tag checks — same masking, same overflow handling, same trap payloads.
+/// The interpreter runs it against its cached [`LinearMemory::fast_bound`];
+/// [`LinearMemory::commit_scalar`] re-runs it against the guest size.
+#[inline(always)]
+pub(crate) fn fast_addr(
+    index: u64,
+    offset: u64,
+    width: u64,
+    m64: bool,
+    bound: u64,
+) -> Result<u64, Trap> {
+    let base = if m64 { index & ADDR_MASK } else { index };
+    let addr = base.checked_add(offset).ok_or(Trap::OutOfBounds {
+        addr: u64::MAX,
+        len: width,
+    })?;
+    match addr.checked_add(width) {
+        Some(end) if end <= bound => Ok(addr),
+        _ => Err(Trap::OutOfBounds { addr, len: width }),
     }
 }
 
@@ -1032,6 +1240,120 @@ mod tests {
         }
         // The memory stays usable afterwards.
         assert!(m.write(0, 0, &[1], &c).is_ok());
+    }
+
+    #[test]
+    fn creation_reserves_the_declared_size_and_commits_none_of_it() {
+        let m =
+            LinearMemory::try_new(1024, None, true, TagScheme::None, MteMode::Disabled, 0).unwrap();
+        assert_eq!(m.committed_bytes(), 0);
+        assert_eq!(m.size_pages(), 1024);
+        assert_eq!(m.resident_bytes(), 1024 * PAGE_SIZE, "the model is not");
+        // Readers that take `&self` see zeros and commit nothing.
+        assert_eq!(m.read_le(5 * PAGE_SIZE, 8), 0);
+        assert_eq!(m.read_resolved(1024 * PAGE_SIZE - 4, 8), vec![0; 8]);
+        assert_eq!(m.runtime_byte(RUNTIME_SLACK - 1), Some(0));
+        assert_eq!(m.runtime_byte(RUNTIME_SLACK), None);
+        assert_eq!(m.committed_bytes(), 0);
+    }
+
+    #[test]
+    fn the_prefix_grows_by_whole_pages_at_first_touch_and_survives_reset() {
+        let mut m = LinearMemory::new(4, None, true, TagScheme::None, MteMode::Disabled, 0);
+        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
+        m.write(100, 0, &[1], &c).unwrap();
+        assert_eq!(m.committed_bytes(), PAGE_SIZE);
+        // A read is a touch too, and one that straddles the frontier
+        // commits the page on the far side.
+        assert_eq!(m.read_scalar(PAGE_SIZE - 4, 0, 8, &c), Ok(0));
+        assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
+        // `&self` reads across the frontier: committed bytes, then zeros.
+        m.write(2 * PAGE_SIZE - 2, 0, &[0xAA, 0xBB], &c).unwrap();
+        assert_eq!(m.read_le(2 * PAGE_SIZE - 2, 4), 0xBBAA);
+        assert_eq!(m.read_resolved(2 * PAGE_SIZE - 1, 3), vec![0xBB, 0, 0]);
+        assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
+        // Out of bounds commits nothing and traps as it always did.
+        assert_eq!(
+            m.write(4 * PAGE_SIZE - 1, 0, &[1, 2], &c),
+            Err(Trap::OutOfBounds {
+                addr: 4 * PAGE_SIZE - 1,
+                len: 2
+            })
+        );
+        assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
+        // The slack is not a whole page: touching it commits everything.
+        m.raw_write_unchecked(4 * PAGE_SIZE + 8, &[7], &c).unwrap();
+        assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
+        m.reset();
+        assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
+        assert_eq!(m.dirty_page_count(), 0);
+        assert_eq!(m.read(0, 0, 128, &c).unwrap(), vec![0; 128]);
+        assert_eq!(m.runtime_byte(8), Some(0));
+    }
+
+    #[test]
+    fn a_page_dirty_for_its_tags_alone_resets_without_being_committed() {
+        let mut m = mem4(TagScheme::InternalOnly);
+        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Mte);
+        let p = m.segment_new(3 * PAGE_SIZE - 32, 64, &c).unwrap();
+        assert_eq!((m.committed_bytes(), m.dirty_page_count()), (0, 2));
+        assert_eq!(
+            m.tags().tag_at(3 * PAGE_SIZE).map(Tag::value),
+            Some((p >> 56) as u8)
+        );
+        m.reset();
+        assert_eq!((m.committed_bytes(), m.dirty_page_count()), (0, 0));
+        assert_eq!(m.tags().range_tag(0, 4 * PAGE_SIZE), Some(Tag::ZERO));
+    }
+
+    fn mem4(scheme: TagScheme) -> LinearMemory {
+        LinearMemory::new(4, Some(16), true, scheme, MteMode::Synchronous, 42)
+    }
+
+    #[test]
+    fn a_grown_memory_resets_by_shrinking_in_place() {
+        let mut m = mem4(TagScheme::Combined);
+        let c = cfg(BoundsCheckStrategy::MteSandbox, InternalSafety::Mte);
+        m.set_page_limit(Some(12));
+        assert_eq!(m.grow(6), Some(4));
+        assert_eq!(m.grow(3), None, "page limit");
+        m.write(9 * PAGE_SIZE, 0, &[9], &c).unwrap();
+        m.write(4 * PAGE_SIZE + 16, 0, &[4], &c).unwrap();
+        assert_eq!(m.committed_bytes(), 10 * PAGE_SIZE);
+        m.reset();
+        assert_eq!(m.size_pages(), 4);
+        assert_eq!(m.page_limit(), Some(12), "the embedder's cap survives");
+        assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
+        assert_eq!(m.tags().size(), 4 * PAGE_SIZE + RUNTIME_SLACK);
+        assert_eq!(m.dirty_page_count(), 0);
+        // What was guest memory while grown is runtime slack again:
+        // zeroed, tagged zero, and out of the guest's reach.
+        assert_eq!(m.runtime_byte(16), Some(0));
+        assert_eq!(
+            m.tags().range_tag(4 * PAGE_SIZE, RUNTIME_SLACK),
+            Some(Tag::ZERO)
+        );
+        assert!(matches!(
+            m.write(4 * PAGE_SIZE + 16, 0, &[1], &c),
+            Err(Trap::TagCheck(_))
+        ));
+        // And it grows again, into zeroed pages carrying the guest tag.
+        assert_eq!(m.grow(1), Some(4));
+        assert_eq!(m.read(4 * PAGE_SIZE + 16, 0, 1, &c).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn a_grow_the_host_cannot_reserve_is_a_wasm_minus_one() {
+        // 2^49 bytes is more address space than the host has: the
+        // reservation fails, and that must be an answer, not an abort.
+        let mut m = LinearMemory::new(1, None, true, TagScheme::None, MteMode::Disabled, 0);
+        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
+        m.write(8, 0, &[1], &c).unwrap();
+        assert_eq!(m.grow(1 << 33), None);
+        assert_eq!((m.size_pages(), m.committed_bytes()), (1, PAGE_SIZE));
+        assert_eq!(m.tags().size(), PAGE_SIZE + RUNTIME_SLACK);
+        assert_eq!(m.grow(1), Some(1), "still growable");
+        assert_eq!(m.read(8, 0, 1, &c).unwrap(), vec![1]);
     }
 
     #[test]

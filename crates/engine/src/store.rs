@@ -838,6 +838,14 @@ impl Store {
         self.instances[handle.0].memory.as_mut()
     }
 
+    /// Releases the linear memory of an instance that will never run
+    /// again (a serving pool's quarantined slot): instances live as long
+    /// as the store, and without this so would the backing store of every
+    /// retired one. Later accesses through `handle` trap with "no memory".
+    pub fn drop_memory(&mut self, handle: InstanceHandle) {
+        self.instances[handle.0].memory = None;
+    }
+
     /// Signs `ptr` with `handle`'s instance key — the runtime-side
     /// operation backing `i64.pointer_sign` (exposed for tests and the
     /// cross-instance experiments).

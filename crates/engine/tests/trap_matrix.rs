@@ -393,6 +393,233 @@ fn bulk_ops_fault_at_the_first_mismatching_granule_across_tiers() {
     }
 }
 
+/// The commit-frontier rows. Linear memory is backed lazily: each body
+/// first stores to address 8, which commits page 0 of a three-page memory
+/// and leaves the frontier at the 0|1 page boundary; then comes the access
+/// under test. Scalar and bulk accesses that straddle the frontier, end
+/// exactly at the end of guest memory, are zero-width at that boundary,
+/// or land in the runtime slack (where asynchronous MTE lets the access
+/// complete and reports at the call boundary) must produce the same
+/// payload, cycle bits, retired count *and committed prefix* on the
+/// register tier — whose scalar fast path commits through its cached
+/// bound — and on the tree oracle, which goes through `resolve()`.
+#[test]
+fn accesses_at_the_commit_frontier_agree_across_tiers() {
+    use cage_mte::MteMode;
+    const GUEST: u64 = 3 * PAGE;
+    const SLACK: u64 = 4096;
+
+    let touch_page_0 = [
+        Instr::I64Const(8),
+        Instr::I64Const(1),
+        Instr::Store(StoreOp::I64Store, MemArg::none()),
+    ];
+    let body = |op: &[Instr]| [&touch_page_0[..], op].concat();
+    let mut b = ModuleBuilder::new();
+    b.add_memory64(3);
+    let params = [ValType::I64, ValType::I64];
+    let load = b.add_function(
+        &params,
+        &[],
+        &[],
+        body(&[
+            Instr::LocalGet(0),
+            Instr::Load(LoadOp::I64Load, MemArg::none()),
+            Instr::Drop,
+        ]),
+    );
+    let store = b.add_function(
+        &params,
+        &[],
+        &[],
+        body(&[
+            Instr::LocalGet(0),
+            Instr::I64Const(0x0123_4567_89AB_CDEF),
+            Instr::Store(StoreOp::I64Store, MemArg::none()),
+        ]),
+    );
+    let fill = b.add_function(
+        &params,
+        &[],
+        &[],
+        body(&[
+            Instr::LocalGet(0),
+            Instr::I32Const(0xAB),
+            Instr::LocalGet(1),
+            Instr::MemoryFill,
+        ]),
+    );
+    let copy_to = b.add_function(
+        &params,
+        &[],
+        &[],
+        body(&[
+            Instr::LocalGet(0),
+            Instr::I64Const(0),
+            Instr::LocalGet(1),
+            Instr::MemoryCopy,
+        ]),
+    );
+    let copy_from = b.add_function(
+        &params,
+        &[],
+        &[],
+        body(&[
+            Instr::I64Const(0),
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::MemoryCopy,
+        ]),
+    );
+    // 2^49 bytes: a grow the module's limits allow and the host cannot
+    // reserve. `-1`, not an abort, on both tiers.
+    let grow = b.add_function(
+        &params,
+        &[ValType::I64],
+        &[],
+        vec![Instr::I64Const(1 << 33), Instr::MemoryGrow],
+    );
+    let module = b.build();
+
+    let run = |config: ExecConfig, func: u32, addr: u64, len: u64, tier: Tier| {
+        let mut store = Store::new(config);
+        let h = store
+            .instantiate(&module, &Imports::new())
+            .expect("instantiates");
+        assert_eq!(store.memory(h).unwrap().committed_bytes(), 0);
+        let args = [Value::I64(addr as i64), Value::I64(len as i64)];
+        let result = match tier {
+            Tier::Reg => store.call(h, func, &args),
+            Tier::Tree => store.call_tree(h, func, &args),
+        };
+        (
+            result,
+            store.cycles(h).to_bits(),
+            store.instr_count(h),
+            store.memory(h).unwrap().committed_bytes(),
+        )
+    };
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Where {
+        /// Inside guest memory: passes everywhere, commits `pages`.
+        Guest { pages: u64 },
+        /// Ends in the runtime slack.
+        Slack,
+        /// Out of bounds by the spec whatever the strategy.
+        Refused,
+    }
+    let bulk = [fill, copy_to, copy_from];
+    let mut rows: Vec<(&str, u32, u64, u64, Where)> = Vec::new();
+    for (name, func) in [("load", load), ("store", store)] {
+        rows.extend([
+            (name, func, 64, 8, Where::Guest { pages: 1 }),
+            (name, func, PAGE - 4, 8, Where::Guest { pages: 2 }),
+            (name, func, PAGE, 8, Where::Guest { pages: 2 }),
+            (name, func, GUEST - 8, 8, Where::Guest { pages: 3 }),
+            (name, func, GUEST - 7, 8, Where::Slack),
+            (name, func, GUEST + 16, 8, Where::Slack),
+            (name, func, GUEST + SLACK - 4, 8, Where::Refused),
+        ]);
+    }
+    for (name, func) in [
+        ("fill", fill),
+        ("copy to", copy_to),
+        ("copy from", copy_from),
+    ] {
+        rows.extend([
+            (name, func, PAGE - 100, 200, Where::Guest { pages: 2 }),
+            (
+                name,
+                func,
+                PAGE - 100,
+                PAGE + 200,
+                Where::Guest { pages: 3 },
+            ),
+            (name, func, GUEST - 4096, 4096, Where::Guest { pages: 3 }),
+            (name, func, PAGE + 17, 0, Where::Guest { pages: 2 }),
+            (name, func, GUEST, 0, Where::Guest { pages: 3 }),
+            (name, func, GUEST + 1, 0, Where::Refused),
+            (name, func, GUEST - 8, 16, Where::Slack),
+            (name, func, GUEST, SLACK, Where::Slack),
+            (name, func, GUEST - 8, SLACK + 9, Where::Refused),
+            (name, func, PAGE, u64::MAX - PAGE, Where::Refused),
+        ]);
+    }
+
+    for (scheme, base) in schemes() {
+        for mode in [
+            MteMode::Synchronous,
+            MteMode::Asynchronous,
+            MteMode::Asymmetric,
+        ] {
+            let config = ExecConfig {
+                mte_mode: mode,
+                ..base
+            };
+            for &(name, func, addr, len, place) in &rows {
+                let cell = format!("{name}({addr:#x}, {len:#x}) under {scheme}, {mode:?}");
+                let reg = run(config, func, addr, len, Tier::Reg);
+                let tree = run(config, func, addr, len, Tier::Tree);
+                assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
+                let (result, committed) = (&reg.0, reg.3);
+                let sandbox = config.bounds == BoundsCheckStrategy::MteSandbox;
+                // Whether the tag check of this access faults in place.
+                let reads = func == load || func == copy_from;
+                let sync = mode == MteMode::Synchronous || (mode == MteMode::Asymmetric && !reads);
+                match place {
+                    Where::Guest { pages } => {
+                        assert_eq!(result, &Ok(vec![]), "{cell}");
+                        assert_eq!(committed, pages * PAGE, "{cell}: committed prefix");
+                    }
+                    Where::Slack if !sandbox => {
+                        assert_eq!(result, &Err(Trap::OutOfBounds { addr, len }), "{cell}");
+                        assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
+                    }
+                    Where::Slack if sync => {
+                        assert!(
+                            matches!(result, Err(Trap::TagCheck(_))),
+                            "{cell}: {result:?}"
+                        );
+                        assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
+                    }
+                    // The CVE-2023-26489 shape under asynchronous MTE: the
+                    // access completes in the slack, the fault surfaces at
+                    // the call boundary.
+                    Where::Slack => {
+                        assert!(
+                            matches!(result, Err(Trap::AsyncTagCheck(f)) if f.asynchronous),
+                            "{cell}: {result:?}"
+                        );
+                        assert_eq!(committed, GUEST + SLACK, "{cell}: the slack is committed");
+                    }
+                    Where::Refused => {
+                        assert!(result.is_err(), "{cell}: expected a trap");
+                        // `memory.copy` resolves its source (address 0 in
+                        // `copy to`) first, and a huge length fails there.
+                        let addr = if func == copy_to && len > GUEST {
+                            0
+                        } else {
+                            addr
+                        };
+                        if len == 0 || !sandbox || !bulk.contains(&func) && !sync {
+                            assert_eq!(result, &Err(Trap::OutOfBounds { addr, len }), "{cell}");
+                        }
+                        assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
+                    }
+                }
+            }
+            let reg = run(config, grow, 0, 0, Tier::Reg);
+            assert_eq!(
+                reg,
+                run(config, grow, 0, 0, Tier::Tree),
+                "grow under {scheme}"
+            );
+            assert_eq!(reg.0, Ok(vec![Value::I64(-1)]), "grow under {scheme}");
+        }
+    }
+}
+
 /// The `FuelExhausted` row: deterministic preemption. Fuel is charged
 /// only at the charge-free control transitions (back-edge jumps,
 /// function switches, returns), so the same program under the same

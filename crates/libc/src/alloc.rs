@@ -169,9 +169,10 @@ impl Allocator {
         if block < self.heap_base || user > mem.size() {
             return None;
         }
-        let meta = mem.read_resolved(block, META_SIZE);
-        let user_size = u64::from_le_bytes(meta[..8].try_into().expect("8 bytes"));
-        let magic = u32::from_le_bytes(meta[8..12].try_into().expect("4 bytes"));
+        // `read_le` takes `&self` and commits nothing: a slot in memory no
+        // one has written yet reads as zeros, which is not the magic.
+        let user_size = mem.read_le(block, 8);
+        let magic = mem.read_le(block + 8, 4) as u32;
         let in_memory = user
             .checked_add(user_size)
             .is_some_and(|end| end <= mem.size());
@@ -463,8 +464,16 @@ mod tests {
     /// Pointers whose metadata slot would lie before address 0, straddle
     /// the end of guest memory, or lie past it (in the runtime slack and
     /// far beyond): `free`/`realloc` used to index the host's backing
-    /// store with them unchecked.
-    fn wild_pointers(mem: &LinearMemory) -> [u64; 8] {
+    /// store with them unchecked. And pointers whose slot is inside guest
+    /// memory the host has not committed: in a page nobody touched, across
+    /// the commit frontier, and flush against either side of it.
+    ///
+    /// Commits page 0 first (an allocation), so the frontier is where the
+    /// table says it is.
+    fn wild_pointers(mem: &mut LinearMemory, config: &ExecConfig, a: &mut Allocator) -> [u64; 12] {
+        assert_ne!(a.malloc(mem, config, 32).unwrap(), 0);
+        let frontier = mem.committed_bytes();
+        assert_eq!(frontier, 65_536);
         let end = mem.size();
         [
             8,
@@ -475,13 +484,17 @@ mod tests {
             1 << 40,
             ADDR_MASK,
             (0x7 << 56) | 8,
+            2 * frontier + 64,
+            frontier + 8,
+            frontier,
+            frontier + META_SIZE,
         ]
     }
 
     #[test]
     fn hardened_free_and_realloc_of_wild_pointers_trap_without_panicking() {
         let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        for ptr in wild_pointers(&mem) {
+        for ptr in wild_pointers(&mut mem, &config, &mut a) {
             let err = a.free(&mut mem, &config, ptr).unwrap_err();
             assert!(matches!(err, Trap::Host(_)), "free({ptr:#x}): {err}");
             assert!(
@@ -494,7 +507,7 @@ mod tests {
     #[test]
     fn baseline_free_and_realloc_of_wild_pointers_carry_on_without_panicking() {
         let (mut mem, config, mut a) = setup(InternalSafety::Off);
-        for ptr in wild_pointers(&mem) {
+        for ptr in wild_pointers(&mut mem, &config, &mut a) {
             a.free(&mut mem, &config, ptr).unwrap();
             // The zero-length copy out of a pointer past guest memory is
             // an ordinary bounds trap; inside it, realloc allocates anew.

@@ -6,6 +6,8 @@
 //! space for a contiguous region (a WASM linear memory or a whole simulated
 //! process address space) plus the check machinery for the four MTE modes.
 
+use std::collections::TryReserveError;
+
 use crate::fault::{AccessKind, TagCheckFault};
 use crate::tag::{Tag, TagError, GRANULE_SIZE};
 
@@ -89,11 +91,40 @@ impl TagMemory {
 
     /// Grows the covered region to `new_size` bytes; new granules are
     /// tagged zero (as with `mmap`-fresh pages).
-    pub fn grow(&mut self, new_size: u64) {
-        assert!(new_size >= self.size, "TagMemory cannot shrink");
-        let granules = new_size.div_ceil(GRANULE);
-        self.nibbles.resize(granules.div_ceil(2) as usize, 0);
+    ///
+    /// # Errors
+    ///
+    /// The allocator's error when the larger store cannot be reserved; the
+    /// store is unchanged.
+    pub fn try_grow(&mut self, new_size: u64) -> Result<(), TryReserveError> {
+        assert!(new_size >= self.size, "try_grow cannot shrink");
+        let bytes = new_size.div_ceil(GRANULE).div_ceil(2) as usize;
+        self.nibbles
+            .try_reserve_exact(bytes.saturating_sub(self.nibbles.len()))?;
+        self.nibbles.resize(bytes, 0);
         self.size = new_size;
+        Ok(())
+    }
+
+    /// Shrinks the covered region to `new_size` bytes in place (the
+    /// allocation is kept), forgetting the tags above it: a later
+    /// [`TagMemory::try_grow`] finds them zero again.
+    pub fn shrink(&mut self, new_size: u64) {
+        assert!(new_size <= self.size, "shrink cannot grow");
+        let granules = new_size.div_ceil(GRANULE);
+        self.nibbles.truncate(granules.div_ceil(2) as usize);
+        if granules % 2 == 1 {
+            // The last byte's high nibble belongs to a dropped granule.
+            *self.nibbles.last_mut().expect("an odd count is not zero") &= 0x0F;
+        }
+        self.size = new_size;
+    }
+
+    /// The packed store itself, two granules per byte (low nibble = even
+    /// granule): for comparing two stores wholesale.
+    #[must_use]
+    pub fn packed(&self) -> &[u8] {
+        &self.nibbles
     }
 
     /// The current check mode.
@@ -473,10 +504,29 @@ mod tests {
     fn grow_extends_with_zero_tags() {
         let mut m = mem(MteMode::Synchronous);
         m.set_tag_range(1008, 16, Tag::new(3).unwrap()).unwrap();
-        m.grow(2048);
+        m.try_grow(2048).unwrap();
         assert_eq!(m.tag_at(1008), Some(Tag::new(3).unwrap()));
         assert_eq!(m.tag_at(1024), Some(Tag::ZERO));
         assert_eq!(m.size(), 2048);
+    }
+
+    #[test]
+    fn shrink_forgets_the_tags_above_the_new_size() {
+        let three = Tag::new(3).unwrap();
+        // An odd and an even granule count, and a ragged (mid-granule) end.
+        for new_size in [1008 - 16, 1008, 1008 - 8] {
+            let mut m = mem(MteMode::Synchronous);
+            m.set_tag_range(0, 1024, three).unwrap();
+            m.shrink(new_size);
+            assert_eq!(m.size(), new_size);
+            assert_eq!(m.tag_at(new_size - 1), Some(three));
+            assert_eq!(m.tag_at(new_size), None);
+            assert_eq!(m.packed().len() as u64, new_size.div_ceil(16).div_ceil(2));
+            m.try_grow(1024).unwrap();
+            let first_new = new_size.next_multiple_of(16);
+            assert_eq!(m.range_tag(first_new, 1024 - first_new), Some(Tag::ZERO));
+            assert_eq!(m.range_tag(0, first_new), Some(three));
+        }
     }
 
     #[test]

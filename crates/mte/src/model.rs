@@ -35,6 +35,13 @@ impl Model {
         }
     }
 
+    /// New granules are zero; a shrink forgets the ones above `size`.
+    fn resize(&mut self, size: u64) {
+        self.granules
+            .resize(size.div_ceil(GRANULE) as usize, Tag::ZERO);
+        self.size = size;
+    }
+
     fn tag_at(&self, addr: u64) -> Option<Tag> {
         (addr < self.size).then(|| self.granules[(addr / GRANULE) as usize])
     }
@@ -170,15 +177,30 @@ fn assert_same_granules(kernel: &TagMemory, model: &Model, step: &str) {
 fn run_against_model(seed: u64, mode: MteMode) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Odd and even granule totals, and a size that ends mid-granule.
-    let granules = [640u64, 641, 1024, 333][below(&mut rng, 4) as usize];
-    let size = granules * GRANULE - [0, 0, 8][below(&mut rng, 3) as usize];
+    let mut granules = [640u64, 641, 1024, 333][below(&mut rng, 4) as usize];
+    let mut size = granules * GRANULE - [0, 0, 8][below(&mut rng, 3) as usize];
     let mut kernel = TagMemory::new(size, mode);
     let mut model = Model::new(size, mode);
 
     for step in 0..200 {
         let what = format!("seed {seed} {mode:?} step {step}");
         let g = below(&mut rng, granules);
-        match below(&mut rng, 10) {
+        match below(&mut rng, 11) {
+            // Resize, in place: a shrink to an odd, even or ragged granule
+            // count must leave nothing behind for the next grow to find.
+            10 => {
+                granules = [300u64, 333, 640, 641, 1024, 1100][below(&mut rng, 6) as usize];
+                let new_size = granules * GRANULE - [0, 0, 8][below(&mut rng, 3) as usize];
+                if new_size >= size {
+                    kernel.try_grow(new_size).unwrap();
+                } else {
+                    kernel.shrink(new_size);
+                }
+                model.resize(new_size);
+                size = new_size;
+                assert_eq!(kernel.size(), size, "{what}: size");
+                assert_same_granules(&kernel, &model, &what);
+            }
             // Fill: mostly valid; sometimes running to or past `size`,
             // sometimes unaligned.
             0..=3 => {

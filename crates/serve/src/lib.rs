@@ -479,9 +479,13 @@ impl Pool {
 
     /// Permanently retires a slot: it never re-enters the free list, its
     /// capacity no longer counts against the cap (so the cold path can
-    /// replace it lazily), and the quarantine metric records it.
+    /// replace it lazily), and the quarantine metric records it. The
+    /// slot's linear memory is released now — the instance itself lives
+    /// as long as the store, and a capped pool that keeps replacing
+    /// poisoned capacity must not keep every dead tenant's memory too.
     fn quarantine(&mut self, slot: usize) {
         self.slots[slot].poisoned = true;
+        self.store.drop_memory(self.slots[slot].handle);
         self.quarantined += 1;
         self.metrics.quarantined += 1;
     }
@@ -663,6 +667,20 @@ impl Pool {
         self.quarantined
     }
 
+    /// Host bytes of linear memory this pool's slots actually back: the
+    /// sum of [`cage_engine::LinearMemory::committed_bytes`] over every
+    /// slot that is not quarantined (those have released theirs).
+    /// Host-side, and it varies with what the tenants touched — the
+    /// *modelled* footprint of §7.3 is `resident_bytes`, which does not.
+    #[must_use]
+    pub fn committed_bytes(&self) -> u64 {
+        self.slots
+            .iter()
+            .filter_map(|slot| self.store.memory(slot.handle))
+            .map(cage_engine::LinearMemory::committed_bytes)
+            .sum()
+    }
+
     /// Records a module refused at template-build time
     /// ([`ServeError::Rejected`] / [`ServeError::CompilePanic`] from
     /// [`InstancePre::new`]) in this pool's metrics, so per-worker
@@ -776,10 +794,20 @@ mod tests {
     use cage_ir::{lower, LowerOptions};
 
     fn template(source: &str, variant: Variant, host: HostProfile) -> Arc<InstancePre> {
+        template_of_pages(source, variant, host, LowerOptions::default().memory_pages)
+    }
+
+    fn template_of_pages(
+        source: &str,
+        variant: Variant,
+        host: HostProfile,
+        memory_pages: u64,
+    ) -> Arc<InstancePre> {
         let mut ir = cage_cc::compile(source).expect("compiles");
         run_pipeline(&mut ir, variant.harden_config());
         let opts = LowerOptions {
             ptr_width: variant.ptr_width(),
+            memory_pages,
             ..LowerOptions::default()
         };
         let lowered = lower(&ir, &opts).expect("lowers");
@@ -979,6 +1007,100 @@ mod tests {
         assert_eq!(pool.capacity(), 2, "fresh slot beside the quarantined one");
         assert_eq!(pool.metrics().instantiations, 2);
         assert_eq!(pool.metrics().resets, 0, "poisoned slot never recycled");
+    }
+
+    #[test]
+    fn quarantined_slots_release_their_linear_memory() {
+        // A capped pool replaces poisoned capacity; the instances it
+        // retires live as long as its store. Their memories must not.
+        use cage_wasm::ValType;
+        let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
+            *linker = Linker::with_libc();
+            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args| {
+                panic!("injected host panic")
+            });
+        }));
+        let pre = template(
+            r#"
+                long boom(void);
+                long f() {
+                    long* p = (long*)malloc(200000);
+                    p[20000] = 1;
+                    return boom();
+                }
+            "#,
+            Variant::BaselineWasm64,
+            profile,
+        );
+        let mut pool = Pool::new(pre);
+        pool.set_max_slots(Some(1));
+        let mut one_slot = 0;
+        for round in 0..8 {
+            let inst = pool.checkout().unwrap();
+            let err = pool.invoke(&inst, "f", &[]).unwrap_err();
+            assert!(matches!(err, Trap::HostPanic(_)), "{err}");
+            let live = pool.committed_bytes();
+            assert!(live >= 3 * 65_536, "the tenant touched page 2: {live}");
+            one_slot = one_slot.max(live);
+            assert_eq!(live, one_slot, "round {round}: one live slot, no more");
+            pool.release(inst);
+            assert_eq!(pool.committed_bytes(), 0, "round {round}");
+        }
+        assert_eq!(pool.quarantined(), 8);
+        assert_eq!(pool.capacity(), 8);
+    }
+
+    #[test]
+    fn a_cold_checkout_commits_what_the_tenant_touches_not_what_the_module_declares() {
+        // cage-bench's `handle` request, on the 64-page memory its engine
+        // declares.
+        const HANDLE: &str = r#"
+            long handle(long req) {
+                long n = 16 + (req % 16);
+                long* buf = (long*)malloc(n * 8);
+                long acc = 0;
+                for (long i = 0; i < n; i++) {
+                    buf[i] = req * 31 + i;
+                }
+                for (long i = 0; i < n; i++) {
+                    acc = acc + buf[i];
+                }
+                free((char*)buf);
+                return acc;
+            }
+        "#;
+        const PAGE: u64 = 65_536;
+        let pre = template_of_pages(HANDLE, Variant::CageMemSafety, HostProfile::Libc, 64);
+        // Freshly instantiated: the pages under the data segments, if any.
+        let under_data = pre
+            .module()
+            .data
+            .iter()
+            .map(|d| (d.offset + d.bytes.len() as u64).next_multiple_of(PAGE))
+            .max()
+            .unwrap_or(0);
+        let mut pool = Pool::new(pre);
+        let inst = pool.checkout().unwrap();
+        let handle = pool.slots[inst.slot].handle;
+        assert_eq!(pool.store().memory(handle).unwrap().size_pages(), 64);
+        assert_eq!(pool.committed_bytes(), under_data);
+        assert!(under_data <= PAGE, "{under_data}");
+
+        let out = pool.invoke(&inst, "handle", &[Value::I64(7)]).unwrap();
+        assert_eq!(out, vec![Value::I64((0..23).map(|i| 7 * 31 + i).sum())]);
+        let touched = pool.committed_bytes();
+        assert!((PAGE..=2 * PAGE).contains(&touched), "{touched}");
+
+        // A recycle keeps the prefix (the slot stays warm) and empties the
+        // dirty list; the next request commits nothing new.
+        pool.release(inst);
+        let inst = pool.checkout().unwrap();
+        assert_eq!(pool.metrics().resets, 1);
+        assert_eq!(pool.committed_bytes(), touched);
+        assert_eq!(pool.store().memory(handle).unwrap().dirty_page_count(), 0);
+        pool.invoke(&inst, "handle", &[Value::I64(8)]).unwrap();
+        assert_eq!(pool.committed_bytes(), touched);
+        pool.release(inst);
     }
 
     #[test]

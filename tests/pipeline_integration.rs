@@ -97,6 +97,55 @@ fn results_identical_across_variants_and_cores() {
     }
 }
 
+/// `long` is 64 bits under either pointer width, so a cast between it and
+/// a pointer changes width on wasm32: truncating into the pointer,
+/// zero-extending out of it. (Both used to emit the pointer cast on the
+/// i64 directly, which the validator refused.)
+const LONG_POINTER_CASTS: &str = r#"
+    long round_trip(long n) {
+        char* p = (char*)n;
+        return (long)p;
+    }
+    long through_the_heap(long v) {
+        long* p = (long*)malloc(16);
+        long n = (long)p;
+        long* q = (long*)n;
+        q[1] = v;
+        long got = p[1];
+        free((char*)n);
+        return got;
+    }
+"#;
+
+#[test]
+fn long_pointer_casts_compile_and_run_on_every_variant() {
+    for variant in Variant::ALL {
+        let engine = Engine::new(variant);
+        let artifact = engine
+            .compile(LONG_POINTER_CASTS)
+            .unwrap_or_else(|e| panic!("{variant}: {e}"));
+        let mut inst = engine.instantiate(&artifact).unwrap();
+        let round_trip = inst.get_typed::<i64, i64>("round_trip").unwrap();
+        let narrow = variant == Variant::BaselineWasm32;
+        for (n, want32) in [
+            (64, 64),
+            // Above `INT_MAX`: zero-extended, not sign-extended.
+            (0x8000_0040, 0x8000_0040),
+            // Above 32 bits: a 4-byte pointer keeps the low half.
+            (0x1_0000_0040, 0x40),
+        ] {
+            let want = if narrow { want32 } else { n };
+            assert_eq!(round_trip.call(&mut inst, n).unwrap(), want, "{variant}");
+        }
+        let through_the_heap = inst.get_typed::<i64, i64>("through_the_heap").unwrap();
+        assert_eq!(
+            through_the_heap.call(&mut inst, 99).unwrap(),
+            99,
+            "{variant}"
+        );
+    }
+}
+
 #[test]
 fn stdout_and_libc_work_through_the_facade() {
     let engine = Engine::builder(Variant::CageFull)

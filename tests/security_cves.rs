@@ -95,9 +95,25 @@ fn wild_frees_never_panic_the_host_under_any_variant() {
     // would let them. None may take the host function down with them
     // (`Trap::HostPanic`, which a serving pool answers by quarantining
     // the slot).
+    //
+    // Linear memory is backed lazily, so three more put the slot where the
+    // host has committed nothing to read from: in a page no one has
+    // touched (3 MiB in), across the commit frontier (the first page
+    // boundary above a live allocation), and 8 bytes short of the runtime
+    // slack past the end of guest memory.
     const LOW: &str = "long run(long n) { free((char*)8); return n; }";
     const PAST_END: &str = "long run(long n) { free((char*)2147483632); return n; }";
-    for source in [LOW, PAST_END] {
+    const UNTOUCHED: &str = "long run(long n) { free((char*)3145792); return n; }";
+    const FRONTIER: &str = r#"
+        long run(long n) {
+            char* p = malloc(16);
+            long next_page = ((long)p / 65536 + 1) * 65536;
+            free((char*)(next_page + 8));
+            return n;
+        }
+    "#;
+    const SLACK: &str = "long run(long n) { free((char*)4194312); return n; }";
+    for source in [LOW, PAST_END, UNTOUCHED, FRONTIER, SLACK] {
         for variant in Variant::ALL {
             let engine = Engine::new(variant);
             let artifact = engine.compile(source).unwrap();

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 14: PolyBench/C runtime overheads of the Table 3
 //! configurations, normalised to baseline wasm64, per core.
 //!
-//! Also covers the §3 claim (E9 in DESIGN.md): the wasm32 row shows the
+//! Also covers the paper's §3 claim: the wasm32 row shows the
 //! 32→64-bit sandboxing cost (~6-8 % on out-of-order cores, ~52 % on the
 //! in-order A510, read as 100/wasm32 - 1).
 

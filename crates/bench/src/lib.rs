@@ -1,8 +1,8 @@
 //! # cage-bench — the experiment harness
 //!
-//! One regeneration target per table/figure of the paper (see `DESIGN.md`
-//! §4 for the experiment index). Each binary prints the paper-style rows
-//! and writes machine-readable output under `results/`.
+//! One regeneration target per table/figure of the paper (README,
+//! "Regenerating the paper's results"). Each binary prints the paper-style
+//! rows and writes machine-readable output under `results/`.
 //!
 //! | paper artefact | binary |
 //! |---|---|

@@ -13,6 +13,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cage_engine::trap::panic_message;
 use cage_engine::{CostModel, ExecConfig, WasmParams, WasmResults};
 use cage_ir::passes::{HardenConfig, OptLevel, PipelineConfig};
 use cage_mte::Core;
@@ -471,15 +472,6 @@ static COMPILE_PANICS: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn compile_panic_count() -> u64 {
     COMPILE_PANICS.load(Ordering::Relaxed)
-}
-
-/// Renders a caught panic payload for diagnostics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 impl Instance {

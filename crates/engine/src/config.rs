@@ -39,12 +39,9 @@ pub enum InternalSafety {
     /// hardened modules run on the baseline configurations.
     #[default]
     Off,
-    /// Hardware MTE implements segments (the paper's primary deployment).
+    /// Hardware MTE implements segments (the paper's deployment; its
+    /// "equivalent software fallback", §4.1, is not modelled).
     Mte,
-    /// Software fallback: the same tag memory, maintained and checked in
-    /// software at a per-access cost (the paper's "equivalent software
-    /// fallback" deployment model, §4.1).
-    Software,
 }
 
 impl InternalSafety {
@@ -69,9 +66,6 @@ pub struct ExecConfig {
     pub pointer_auth: bool,
     /// MTE check mode (sync for Cage's deployment, §6.3).
     pub mte_mode: MteMode,
-    /// Whether FEAT_FPAC is modelled (trap on failed auth; the Pixel 8 has
-    /// it).
-    pub fpac: bool,
     /// Maximum call depth before [`crate::Trap::CallStackExhausted`].
     ///
     /// The interpreter maps guest frames onto Rust frames; the default is
@@ -81,12 +75,6 @@ pub struct ExecConfig {
     pub max_call_depth: usize,
     /// RNG seed for tag and key generation (determinism for benches).
     pub seed: u64,
-    /// Future-work extension (§6.4): reuse sandbox tags beyond 15
-    /// instances. Sound when instances' address ranges cannot reach each
-    /// other (guard pages between memories — which separate per-instance
-    /// memories guarantee in this engine), so two sandboxes may share a
-    /// tag without sharing reachable memory.
-    pub sandbox_tag_reuse: bool,
 }
 
 impl Default for ExecConfig {
@@ -97,10 +85,8 @@ impl Default for ExecConfig {
             internal: InternalSafety::Off,
             pointer_auth: false,
             mte_mode: MteMode::Synchronous,
-            fpac: true,
             max_call_depth: 128,
             seed: 0xCA9E,
-            sandbox_tag_reuse: false,
         }
     }
 }
@@ -145,11 +131,6 @@ mod tests {
             ..ExecConfig::default()
         };
         assert!(c2.mte_active());
-        let c3 = ExecConfig {
-            internal: InternalSafety::Software,
-            ..ExecConfig::default()
-        };
-        assert!(!c3.mte_active());
     }
 
     #[test]
@@ -165,7 +146,6 @@ mod tests {
         assert!(!BoundsCheckStrategy::GuardPages.has_software_check());
         assert!(!BoundsCheckStrategy::MteSandbox.has_software_check());
         assert!(InternalSafety::Mte.is_enabled());
-        assert!(InternalSafety::Software.is_enabled());
         assert!(!InternalSafety::Off.is_enabled());
     }
 }

@@ -67,8 +67,6 @@ pub struct CostModel {
     /// Extra cycles per access when sandboxing and internal safety share
     /// the single hardware check (combined mode, Fig. 13b).
     combined_check: f64,
-    /// Extra cycles per access for the software tag-check fallback.
-    software_tag_check: f64,
     /// `pacda` dependency latency charged by `i64.pointer_sign`.
     pac_sign: f64,
     /// `autda` dependency latency charged by `i64.pointer_auth`.
@@ -123,8 +121,6 @@ impl CostModel {
         let sandbox_check = sandbox_check * mode_scale;
         let internal_check = internal_check * mode_scale;
         let combined_check = combined_check * mode_scale;
-        // Software fallback: a load of the shadow tag plus a compare+branch.
-        let software_tag_check = if core.is_out_of_order() { 1.2 } else { 4.0 };
         CostModel {
             core,
             simple,
@@ -140,7 +136,6 @@ impl CostModel {
             sandbox_check,
             internal_check,
             combined_check,
-            software_tag_check,
             pac_sign: PacInstr::Pacda.latency(core),
             // The authenticate in the Fig. 9 call sequence overlaps with
             // the indirect-branch resolution ("adding pointer
@@ -184,17 +179,14 @@ impl CostModel {
             cost += self.bounds_check;
         }
         let sandbox = config.bounds == BoundsCheckStrategy::MteSandbox;
-        let internal_hw = config.internal == InternalSafety::Mte;
-        cost += match (sandbox, internal_hw) {
+        let internal = config.internal == InternalSafety::Mte;
+        cost += match (sandbox, internal) {
             // A single hardware check enforces both properties (§6.4).
             (true, true) => self.combined_check,
             (true, false) => self.sandbox_check,
             (false, true) => self.internal_check,
             (false, false) => 0.0,
         };
-        if config.internal == InternalSafety::Software {
-            cost += self.software_tag_check;
-        }
         cost
     }
 
@@ -292,16 +284,6 @@ mod tests {
         gp.bounds = BoundsCheckStrategy::GuardPages;
         let model = CostModel::for_config(&gp);
         assert_eq!(model.mem_access_cost(&gp), model.mem_access);
-    }
-
-    #[test]
-    fn software_fallback_costs_more_than_hardware() {
-        let mut hw = cfg(Core::CortexA715);
-        hw.internal = InternalSafety::Mte;
-        let mut sw = cfg(Core::CortexA715);
-        sw.internal = InternalSafety::Software;
-        let model = CostModel::for_config(&hw);
-        assert!(model.mem_access_cost(&sw) > model.mem_access_cost(&hw));
     }
 
     #[test]

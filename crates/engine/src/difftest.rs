@@ -20,8 +20,8 @@
 //! tree oracle, bit-for-bit.
 //!
 //! Register-pressure statements stress the linear scan specifically:
-//! expression trees holding more simultaneously live temporaries than the
-//! hot-slot budget (forcing spills), temporaries pinned live across calls
+//! expression trees holding dozens of simultaneously live temporaries
+//! (wide frames, heavy slot reuse), temporaries pinned live across calls
 //! and `memory.grow` (forcing save/restore and cache refresh under live
 //! values), and value-yielding `if/else` diamonds (phis at the join).
 
@@ -457,9 +457,8 @@ impl Gen {
 
     /// Register pressure: materialises 18–40 simultaneously live
     /// temporaries on the operand stack before folding them down to one
-    /// value. Past the hot-slot budget the linear scan must spill, so
-    /// both the hot and the spilled slot paths are differentially
-    /// pinned — the tree oracle never spills anything.
+    /// value, so the linear scan's widest frames and its slot reuse are
+    /// differentially pinned — the tree oracle assigns no slots at all.
     fn pressure_statement(&mut self, out: &mut Vec<Instr>) {
         let n = 18 + self.upto(23);
         for _ in 0..n {
@@ -678,7 +677,7 @@ impl Gen {
                 self.set_move_statement(out);
                 false
             }
-            // Register pressure: more live temporaries than hot slots.
+            // Register pressure: dozens of live temporaries.
             16 => {
                 self.pressure_statement(out);
                 false
@@ -851,11 +850,11 @@ fn configs() -> [ExecConfig; 2] {
     };
     [
         base,
-        // Software internal safety: memory accesses pay per-access tag
-        // maintenance, exercising the checked paths under a second cost
-        // model.
+        // Internal memory safety (`CageMemSafety`'s engine config): memory
+        // accesses leave the cached fast path for the `resolve()` ladder
+        // and its tag check, under a second cost model.
         ExecConfig {
-            internal: InternalSafety::Software,
+            internal: InternalSafety::Mte,
             ..base
         },
     ]

@@ -28,23 +28,24 @@
 //! the reference implementation: it executes the `Instr` tree recursively,
 //! one source instruction at a time, and the differential tests assert
 //! the register machine is bit-identical to it on results, traps, cycles
-//! and retired instructions. The two share one data-op implementation
-//! ([`Interp::exec_op`]): the walker runs every data instruction through
-//! it, the register machine only its bridged ops.
+//! and retired instructions. The two share one data-instruction
+//! implementation ([`Interp::exec_op`]): the walker runs every data
+//! instruction through it, the register machine only its bridged ones.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cage_wasm::instr::{LoadOp, StoreOp};
+use cage_wasm::Instr;
 
-use crate::bytecode::{AluOp, DivOp, Op, RegOp, UnaOp};
+use crate::bytecode::{AluOp, DivOp, RegOp, UnaOp};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::cost::InstrClass;
 use crate::host::HostContext;
 use crate::memory::fast_addr;
 use crate::store::{CompiledFunc, Store};
-use crate::trap::Trap;
+use crate::trap::{panic_message, Trap};
 use crate::value::Value;
 
 // -- untagged slot codec --------------------------------------------------
@@ -352,16 +353,7 @@ impl<'s> Interp<'s> {
         // instance, quarantining the slot instead of recycling it.
         let result =
             panic::catch_unwind(AssertUnwindSafe(|| (host.func)(&mut ctx, &self.host_args)))
-                .unwrap_or_else(|payload| {
-                    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
-                    Err(Trap::HostPanic(msg))
-                });
+                .unwrap_or_else(|payload| Err(Trap::HostPanic(panic_message(payload.as_ref()))));
         self.cycles = self.store.instances[self.inst].cycles;
         let results = result?;
         // Host results re-enter the untagged stack, so arity and type
@@ -438,9 +430,9 @@ impl<'s> Interp<'s> {
             .write_scalar(index, offset, width, raw, &config)
     }
 
-    /// Executes one data op (anything but control flow and calls): the
-    /// single implementation shared by the tree-walking reference and the
-    /// register machine's bridged ops.
+    /// Executes one data instruction (anything but control flow and
+    /// calls): the single implementation shared by the tree-walking
+    /// reference and the register machine's bridged ops.
     ///
     /// `inline(always)` so the tree walker's control match and this data
     /// match fuse into a single jump table — without it every arithmetic
@@ -449,12 +441,12 @@ impl<'s> Interp<'s> {
     #[allow(clippy::too_many_lines, clippy::inline_always)]
     fn exec_op(
         &mut self,
-        op: &Op,
+        instr: &Instr,
         stack: &mut Vec<u64>,
         locals: &mut [u64],
         lbase: usize,
     ) -> Result<(), Trap> {
-        use Op::*;
+        use Instr::*;
         macro_rules! una {
             ($cost:expr, $pop:ident, $push:expr) => {{
                 self.charge($cost);
@@ -482,7 +474,12 @@ impl<'s> Interp<'s> {
         let fl = self.charges.float;
         let dv = self.charges.div;
         let fdv = self.charges.float_div;
-        match op {
+        match instr {
+            // Validation plus the callers' own control match keep these
+            // out: the tree walker handles them positionally, and the
+            // register lowering never bridges them.
+            Block(..) | Loop(..) | If(..) | Br(_) | BrIf(_) | BrTable(..) | Return | Call(_)
+            | CallIndirect(_) => unreachable!("control instruction {instr:?} in exec_op"),
             Unreachable => {
                 self.charge(s);
                 return Err(Trap::Unreachable);
@@ -523,20 +520,20 @@ impl<'s> Interp<'s> {
                 // type is recovered from the current value.
                 *g = Value::from_slot(g.ty(), raw);
             }
-            Load(op, offset) => {
+            Load(op, memarg) => {
                 self.charge(self.charges.mem);
                 let index = self.pop_index(stack);
-                let raw = self.mem_read_scalar(index, *offset, op.width())?;
+                let raw = self.mem_read_scalar(index, memarg.offset, op.width())?;
                 stack.push(decode_load(*op, raw));
             }
-            Store(op, offset) => {
+            Store(op, memarg) => {
                 self.charge(self.charges.mem);
                 // Slot encoding is the store encoding: the write truncates
                 // to the op's width, which is exactly what every StoreOp
                 // did to its typed value.
                 let raw = stack.pop().expect("validated");
                 let index = self.pop_index(stack);
-                self.mem_write_scalar(index, *offset, op.width(), raw)?;
+                self.mem_write_scalar(index, memarg.offset, op.width(), raw)?;
             }
             MemorySize => {
                 self.charge(self.charges.mem_manage);
@@ -575,9 +572,21 @@ impl<'s> Interp<'s> {
                 let config = self.config;
                 self.memory_mut()?.copy(dst, src, len, &config)?;
             }
-            Const(v) => {
+            I32Const(v) => {
                 self.charge(s);
-                stack.push(*v);
+                stack.push(slot_i32(*v));
+            }
+            I64Const(v) => {
+                self.charge(s);
+                stack.push(slot_i64(*v));
+            }
+            F32Const(bits) => {
+                self.charge(s);
+                stack.push(u64::from(*bits));
+            }
+            F64Const(bits) => {
+                self.charge(s);
+                stack.push(*bits);
             }
 
             // -- Cage extension (Fig. 11) ---------------------------------
@@ -1402,7 +1411,8 @@ fn h_reg_bridge(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<T
         st.scratch = buf;
         return Err(Box::new(trap));
     }
-    if bridge.grow {
+    // `memory.grow` can move linear memory: refresh the fast-path cache.
+    if matches!(bridge.op, Instr::MemoryGrow) {
         st.refresh_mem();
     }
     if let Some(dst) = bridge.ret {
@@ -1667,7 +1677,6 @@ impl Interp<'_> {
 // cycles and retired instructions.
 mod tree {
     use super::*;
-    use crate::bytecode::flat_op;
     use cage_wasm::Instr;
 
     /// Control-flow outcome of executing an instruction sequence.
@@ -1865,8 +1874,7 @@ mod tree {
                     self.call_frame_tree(func_idx, stack, locals)?;
                 }
                 other => {
-                    let op = flat_op(other).expect("non-control instruction");
-                    self.exec_op(&op, stack, locals, lbase)?;
+                    self.exec_op(other, stack, locals, lbase)?;
                 }
             }
             Ok(Flow::Next)

@@ -1,8 +1,7 @@
 //! # cage-engine — WASM interpreter with Cage semantics and cycle accounting
 //!
 //! The execution substrate of the Cage reproduction, standing in for
-//! wasmtime + Cranelift on the paper's Pixel 8 (see `DESIGN.md` §2). It
-//! provides:
+//! wasmtime + Cranelift on the paper's Pixel 8 (paper §6). It provides:
 //!
 //! * a complete interpreter for the `cage-wasm` instruction set, including
 //!   the paper's Fig. 11 small-step semantics for `segment.new`,
@@ -11,10 +10,9 @@
 //! * the three sandboxing strategies of §2.1/§6.4 — explicit software
 //!   bounds checks, guard pages (wasm32 only) and MTE-based sandboxing with
 //!   the Fig. 13 index masking;
-//! * internal memory safety (tag-checked loads/stores) in hardware-MTE and
-//!   software-fallback flavours plus a disabled mode, per the paper's
-//!   deployment model ("Cage can also be deployed on any platform ... with
-//!   an equivalent software fallback");
+//! * internal memory safety (tag-checked loads/stores) on hardware MTE,
+//!   plus a disabled mode (the paper's "equivalent software fallback"
+//!   deployment, §4.1, is not modelled);
 //! * deterministic cycle accounting parameterised by Tensor G3 core
 //!   ([`cost::CostModel`]), which is how the reproduction regenerates the
 //!   paper's relative performance results without Arm hardware.

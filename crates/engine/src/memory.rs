@@ -1021,7 +1021,7 @@ mod tests {
 
     #[test]
     fn sandbox_escape_unchecked_write_blocked_by_mte_but_not_software() {
-        // The CVE-2023-26489 experiment (DESIGN.md E10).
+        // The CVE-2023-26489 experiment (paper §3).
         let instance_tag = Tag::new(3).unwrap();
         // MTE sandbox: the forged access faults.
         let mut m = mem(TagScheme::ExternalOnly { instance_tag });

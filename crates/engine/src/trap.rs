@@ -59,6 +59,18 @@ pub enum Trap {
     HostPanic(String),
 }
 
+/// Renders a caught panic payload (what `catch_unwind` returns) for
+/// diagnostics: the message behind [`Trap::HostPanic`] and the embedding
+/// layers' compile-panic errors.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Why a segment instruction trapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentFaultReason {

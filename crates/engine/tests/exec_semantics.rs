@@ -1,6 +1,8 @@
 //! End-to-end execution semantics: whole modules through the interpreter.
 
-use cage_engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store, Trap, Value};
+use cage_engine::{
+    BoundsCheckStrategy, ExecConfig, Imports, InstantiateError, InternalSafety, Store, Trap, Value,
+};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::{BlockType, Instr, MemArg, Module, ValType};
@@ -563,10 +565,10 @@ fn host_function_call_and_memory_access() {
 }
 
 #[test]
-fn tag_reuse_extension_allows_more_than_fifteen_sandboxes() {
-    // The §6.4 future-work mode: beyond 15 instances, sandbox tags wrap.
-    // Isolation still holds because per-instance memories are disjoint and
-    // out-of-bounds accesses land in zero-tagged runtime slack.
+fn fifteen_sandboxes_work_and_the_sixteenth_is_refused() {
+    // §6.4: one sandbox tag per instance, 15 per process. Every one of
+    // the 15 runs and catches its own escapes; there is no tag left for a
+    // 16th.
     let mut b = ModuleBuilder::new();
     b.add_memory64(1);
     let touch = b.add_function(
@@ -586,12 +588,11 @@ fn tag_reuse_extension_allows_more_than_fifteen_sandboxes() {
 
     let config = ExecConfig {
         bounds: BoundsCheckStrategy::MteSandbox,
-        sandbox_tag_reuse: true,
         ..ExecConfig::default()
     };
     let mut store = Store::new(config);
     let mut handles = Vec::new();
-    for i in 0..40 {
+    for i in 0..15 {
         let h = store
             .instantiate(&m, &Imports::new())
             .unwrap_or_else(|e| panic!("instance {i}: {e}"));
@@ -608,16 +609,10 @@ fn tag_reuse_extension_allows_more_than_fifteen_sandboxes() {
             .unwrap_err();
         assert!(matches!(err, Trap::TagCheck(_)), "{err}");
     }
-    // Without the extension the 16th instantiation fails.
-    let strict = ExecConfig {
-        bounds: BoundsCheckStrategy::MteSandbox,
-        ..ExecConfig::default()
-    };
-    let mut store = Store::new(strict);
-    for _ in 0..15 {
-        store.instantiate(&m, &Imports::new()).unwrap();
-    }
-    assert!(store.instantiate(&m, &Imports::new()).is_err());
+    assert!(matches!(
+        store.instantiate(&m, &Imports::new()),
+        Err(InstantiateError::TooManySandboxes)
+    ));
 }
 
 #[test]
@@ -849,4 +844,139 @@ fn bulk_ops_respect_tag_checks() {
     let h = store.instantiate(&m, &Imports::new()).unwrap();
     let err = store.invoke(h, "f", &[Value::I64(48)]).unwrap_err();
     assert!(matches!(err, Trap::TagCheck(_)), "{err}");
+}
+
+/// The first instruction the binary decoder produces for `code` followed
+/// by zero immediates (leftover zero bytes decode as `unreachable`).
+fn decoded_instr(code: &[u8]) -> Option<Instr> {
+    let mut body = vec![0x00]; // no locals
+    body.extend_from_slice(code);
+    body.extend_from_slice(&[0; 8]);
+    body.push(0x0B);
+    let mut bin = b"\0asm\x01\0\0\0".to_vec();
+    bin.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type 0: () -> ()
+    bin.extend_from_slice(&[3, 2, 1, 0]); // one function of type 0
+    bin.extend_from_slice(&[10, body.len() as u8 + 2, 1, body.len() as u8]);
+    bin.extend_from_slice(&body);
+    cage_wasm::binary::decode(&bin).ok()?.funcs[0]
+        .body
+        .first()
+        .cloned()
+}
+
+/// Operand and result types of a data instruction with zero immediates.
+fn data_signature(instr: &Instr) -> (Vec<ValType>, Vec<ValType>) {
+    use ValType::{F32, F64, I32, I64};
+    if let Some((params, result)) = cage_wasm::numeric_signature(instr) {
+        return (params.to_vec(), result.into_iter().collect());
+    }
+    match instr {
+        Instr::Unreachable | Instr::Nop => (vec![], vec![]),
+        Instr::Drop | Instr::LocalSet(0) | Instr::GlobalSet(0) => (vec![I64], vec![]),
+        Instr::Select => (vec![I64, I64, I32], vec![I64]),
+        Instr::LocalGet(0) | Instr::GlobalGet(0) | Instr::MemorySize | Instr::I64Const(_) => {
+            (vec![], vec![I64])
+        }
+        Instr::LocalTee(0) | Instr::MemoryGrow | Instr::PointerSign | Instr::PointerAuth => {
+            (vec![I64], vec![I64])
+        }
+        Instr::Load(op, _) => (vec![I64], vec![op.result_type()]),
+        Instr::Store(op, _) => (vec![I64, op.value_type()], vec![]),
+        Instr::MemoryFill => (vec![I64, I32, I64], vec![]),
+        Instr::MemoryCopy | Instr::SegmentSetTag(_) => (vec![I64, I64, I64], vec![]),
+        Instr::I32Const(_) => (vec![], vec![I32]),
+        Instr::F32Const(_) => (vec![], vec![F32]),
+        Instr::F64Const(_) => (vec![], vec![F64]),
+        Instr::SegmentNew(_) => (vec![I64, I64], vec![I64]),
+        Instr::SegmentFree(_) => (vec![I64, I64], vec![]),
+        other => panic!("the decoder produced {other:?}: give it a signature here"),
+    }
+}
+
+#[test]
+fn every_decodable_data_instruction_agrees_between_register_and_tree() {
+    // The whole opcode table, taken from the decoder itself: each data
+    // instruction as a one-instruction body over typed arguments must
+    // lower (no instruction reaches the `unreachable!` arms of the
+    // lowering or of `exec_op`) and agree with the tree oracle on result
+    // or trap, cycle bits and retired count.
+    let mut codes: Vec<Vec<u8>> = (0x00..=0xFAu8).map(|op| vec![op]).collect();
+    for prefix in [0xFB, 0xFC] {
+        codes.extend((0..32u8).map(|sub| vec![prefix, sub]));
+    }
+    let is_control = |i: &Instr| {
+        matches!(
+            i,
+            Instr::Block(..)
+                | Instr::Loop(..)
+                | Instr::If(..)
+                | Instr::Br(_)
+                | Instr::BrIf(_)
+                | Instr::BrTable(..)
+                | Instr::Return
+                | Instr::Call(_)
+                | Instr::CallIndirect(_)
+        )
+    };
+    let instrs: Vec<Instr> = codes
+        .iter()
+        .filter_map(|code| decoded_instr(code))
+        .filter(|i| !is_control(i))
+        .collect();
+    // Every non-control `Instr` variant: a smaller table means the probe
+    // above stopped reaching the decoder.
+    assert!(instrs.len() >= 173, "only {} instructions", instrs.len());
+
+    let configs = [
+        ExecConfig::default(),
+        ExecConfig {
+            internal: InternalSafety::Mte,
+            pointer_auth: true,
+            ..ExecConfig::default()
+        },
+    ];
+    // Three argument rows per instruction: zeros (division and bulk-op
+    // edge), small in-range values, and negative/non-finite ones
+    // (out-of-bounds addresses, trapping truncations).
+    let arg = |ty: ValType, row: usize| match ty {
+        ValType::I32 => Value::I32([0, 16, -7][row]),
+        ValType::I64 => Value::I64([0, 16, -7][row]),
+        ValType::F32 => Value::F32([0.0, 1.5, f32::NAN][row]),
+        ValType::F64 => Value::F64([0.0, 1.5, f64::NEG_INFINITY][row]),
+    };
+    for instr in &instrs {
+        let (params, results) = data_signature(instr);
+        let mut body: Vec<Instr> = (0..params.len() as u32).map(Instr::LocalGet).collect();
+        body.push(instr.clone());
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(1);
+        b.add_global(ValType::I64, true, Instr::I64Const(5));
+        // One declared local, so `local.get 0` has a local to read.
+        let f = b.add_function(&params, &results, &[ValType::I64], body);
+        b.export_func("f", f);
+        let m = b.build();
+        cage_wasm::validate(&m).unwrap_or_else(|e| panic!("{instr}: {e}"));
+        for config in configs {
+            for row in 0..3 {
+                let args: Vec<Value> = params.iter().map(|&ty| arg(ty, row)).collect();
+                let outcome = |tree: bool| {
+                    let mut store = Store::new(config);
+                    let h = store.instantiate(&m, &Imports::new()).unwrap();
+                    let out = if tree {
+                        store.call_tree(h, f, &args)
+                    } else {
+                        store.call(h, f, &args)
+                    };
+                    // NaN results compare by bit pattern.
+                    let out = out.map(|vs| vs.iter().map(|v| v.to_slot()).collect::<Vec<_>>());
+                    (out, store.cycles(h).to_bits(), store.instr_count(h))
+                };
+                assert_eq!(
+                    outcome(false),
+                    outcome(true),
+                    "{instr} row {row} {config:?}"
+                );
+            }
+        }
+    }
 }

@@ -10,13 +10,12 @@
 //! handled exactly (a value live into a loop header is live out of the
 //! back-edge block, which extends its hull over the whole loop body).
 //!
-//! [`linear_scan`] then assigns each interval a frame slot: the first
-//! `hot` slots model the register file a later JIT tier would map to
-//! machine registers; overflow intervals get *spill* slots above the hot
-//! watermark. In the interpreter both regions are plain frame slots with
-//! identical access cost — the distinction is recorded (and shown by the
-//! disassembler) because it is the contract the native tier will
-//! inherit, not because the interpreter pays for it.
+//! [`linear_scan`] then assigns each interval a frame slot, reusing the
+//! lowest slot whose previous interval has ended — a frame is as wide as
+//! the function's peak number of simultaneously live values.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use cage_wasm::LimitError;
 
@@ -208,49 +207,25 @@ pub fn live_intervals(input: &LivenessInput) -> Vec<Option<Interval>> {
 pub struct Allocation {
     /// Frame slot per value (`u16::MAX` for values with no interval).
     pub slot: Vec<u16>,
-    /// Total frame slots used (hot watermark + spill slots).
+    /// Total frame slots used.
     pub frame_size: u16,
-    /// Hot-region watermark: slots `0..hot_used` are "register" slots,
-    /// `hot_used..frame_size` are spill slots.
-    pub hot_used: u16,
-    /// Number of intervals that overflowed into spill slots.
-    pub spilled: u32,
 }
 
 /// Sentinel slot for values that were never referenced.
 pub const NO_SLOT: u16 = u16::MAX;
 
 /// Classic linear scan over the intervals: values whose intervals do not
-/// overlap share slots; at most `hot` values occupy the hot region at
-/// once, the rest overflow to spill slots (which are themselves reused).
-///
-/// # Panics
-///
-/// Panics if more than `u16::MAX - 1` simultaneous slots are required.
-/// Untrusted callers should use [`try_linear_scan`].
-#[must_use]
-pub fn linear_scan(intervals: &[Option<Interval>], hot: u16) -> Allocation {
-    match try_linear_scan(intervals, hot) {
-        Ok(a) => a,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Like [`linear_scan`], but returns a [`LimitError`] instead of
-/// panicking when a function needs more than `u16::MAX - 1` simultaneous
-/// frame slots — reachable from hostile input (e.g. tens of thousands of
-/// values all live at once), so the instantiation path must not abort.
+/// overlap share slots, and each interval takes the lowest free slot
+/// (deterministic and dense).
 ///
 /// # Errors
 ///
-/// [`LimitError`] (`what: "frame slots"`) on slot overflow.
-pub fn try_linear_scan(intervals: &[Option<Interval>], hot: u16) -> Result<Allocation, LimitError> {
-    const SLOT_LIMIT: u64 = u16::MAX as u64 - 1;
-    let overflow = || LimitError {
-        what: "frame slots",
-        limit: SLOT_LIMIT,
-        actual: SLOT_LIMIT + 1,
-    };
+/// [`LimitError`] (`what: "frame slots"`) when a function needs more
+/// than `u16::MAX - 1` simultaneous frame slots — reachable from hostile
+/// input (e.g. tens of thousands of values all live at once), so the
+/// instantiation path must not abort.
+pub fn linear_scan(intervals: &[Option<Interval>]) -> Result<Allocation, LimitError> {
+    const SLOT_LIMIT: u16 = u16::MAX - 1;
     let mut order: Vec<(u32, Interval)> = intervals
         .iter()
         .enumerate()
@@ -259,74 +234,36 @@ pub fn try_linear_scan(intervals: &[Option<Interval>], hot: u16) -> Result<Alloc
     order.sort_by_key(|&(v, iv)| (iv.start, v));
 
     let mut slot = vec![NO_SLOT; intervals.len()];
-    // `true` when `slot[v]` holds a spill *ordinal* (rebased above the
-    // hot watermark at the end) rather than a hot slot index.
-    let mut is_spill = vec![false; intervals.len()];
-    // Free lists, kept sorted descending so `pop` yields the lowest
-    // index — deterministic and dense.
-    let mut free_hot: Vec<u16> = (0..hot).rev().collect();
-    let mut free_spill: Vec<u16> = Vec::new(); // spill ordinals
-    let mut next_spill: u16 = 0;
-    let mut hot_used: u16 = 0;
-    let mut spilled: u32 = 0;
-    // Active: (end, slot_or_spill_ordinal, is_spill), sorted by end asc.
-    let mut active: Vec<(u32, u16, bool)> = Vec::new();
+    // Slots whose interval has ended; every slot below `frame_size` is
+    // either here or in `active`.
+    let mut free: BinaryHeap<Reverse<u16>> = BinaryHeap::new();
+    let mut frame_size: u16 = 0;
+    // Active: (end, slot), sorted by end ascending.
+    let mut active: Vec<(u32, u16)> = Vec::new();
 
     for &(v, iv) in &order {
         // Expire intervals that ended strictly before this one starts.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].0 < iv.start {
-                let (_, s, sp) = active.remove(i);
-                if sp {
-                    free_spill.push(s);
-                    free_spill.sort_unstable_by(|a, b| b.cmp(a));
-                } else {
-                    free_hot.push(s);
-                    free_hot.sort_unstable_by(|a, b| b.cmp(a));
-                }
-            } else {
-                i += 1;
+        let expired = active.partition_point(|&(end, _)| end < iv.start);
+        free.extend(active.drain(..expired).map(|(_, s)| Reverse(s)));
+        let s = match free.pop() {
+            Some(Reverse(s)) => s,
+            None if frame_size == SLOT_LIMIT => {
+                return Err(LimitError {
+                    what: "frame slots",
+                    limit: u64::from(SLOT_LIMIT),
+                    actual: u64::from(SLOT_LIMIT) + 1,
+                });
             }
-        }
-        let (s, sp) = if let Some(s) = free_hot.pop() {
-            hot_used = hot_used.max(s + 1);
-            (s, false)
-        } else {
-            spilled += 1;
-            let ordinal = match free_spill.pop() {
-                Some(o) => o,
-                None => {
-                    let o = next_spill;
-                    next_spill = next_spill.checked_add(1).ok_or_else(overflow)?;
-                    o
-                }
-            };
-            (ordinal, true)
+            None => {
+                frame_size += 1;
+                frame_size - 1
+            }
         };
         slot[v as usize] = s;
-        is_spill[v as usize] = sp;
-        let ins = active.partition_point(|&(e, _, _)| e <= iv.end);
-        active.insert(ins, (iv.end, s, sp));
+        let ins = active.partition_point(|&(end, _)| end <= iv.end);
+        active.insert(ins, (iv.end, s));
     }
-
-    // Spill ordinals were provisional (the hot watermark was still
-    // moving); rebase them to sit directly above the hot region.
-    let frame_size = u16::try_from(u32::from(hot_used) + u32::from(next_spill))
-        .ok()
-        .filter(|&f| f != NO_SLOT)
-        .ok_or_else(overflow)?;
-    for (v, s) in slot.iter_mut().enumerate() {
-        if *s != NO_SLOT && is_spill[v] {
-            *s += hot_used;
-        }
-    }
-    Ok(Allocation {
-        slot,
-        frame_size,
-        hot_used,
-        spilled,
-    })
+    Ok(Allocation { slot, frame_size })
 }
 
 #[cfg(test)]
@@ -358,10 +295,9 @@ mod tests {
         let iv = live_intervals(&input);
         assert_eq!(iv[0], Some(Interval { start: 0, end: 1 }));
         assert_eq!(iv[1], Some(Interval { start: 2, end: 3 }));
-        let a = linear_scan(&iv, 4);
+        let a = linear_scan(&iv).unwrap();
         assert_eq!(a.slot[0], a.slot[1]);
         assert_eq!(a.frame_size, 1);
-        assert_eq!(a.spilled, 0);
     }
 
     #[test]
@@ -371,13 +307,13 @@ mod tests {
             blocks: one_block(3),
             refs: refs(&[(0, 0, true), (1, 1, true), (2, 0, false), (3, 1, false)]),
         };
-        let a = linear_scan(&live_intervals(&input), 4);
+        let a = linear_scan(&live_intervals(&input)).unwrap();
         assert_ne!(a.slot[0], a.slot[1]);
     }
 
     #[test]
-    fn pressure_beyond_hot_budget_spills() {
-        // 5 values all live at once, hot budget 2: 3 spill slots.
+    fn simultaneously_live_values_get_one_slot_each() {
+        // 5 values all live at once: a 5-slot frame, densely numbered.
         let mut r = Vec::new();
         for v in 0..5u32 {
             r.push((v, v, true));
@@ -388,17 +324,11 @@ mod tests {
             blocks: one_block(14),
             refs: refs(&r),
         };
-        let a = linear_scan(&live_intervals(&input), 2);
-        assert_eq!(a.hot_used, 2);
-        assert_eq!(a.spilled, 3);
+        let a = linear_scan(&live_intervals(&input)).unwrap();
         assert_eq!(a.frame_size, 5);
-        // All five slots distinct.
         let mut slots: Vec<u16> = a.slot.clone();
         slots.sort_unstable();
-        slots.dedup();
-        assert_eq!(slots.len(), 5);
-        // Spill slots sit directly above the hot watermark.
-        assert!(a.slot.iter().all(|&s| s < a.frame_size));
+        assert_eq!(slots, [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -442,7 +372,7 @@ mod tests {
         assert_eq!(iv[0], Some(Interval { start: 0, end: 4 }));
         // v1 is live across the loop entirely.
         assert_eq!(iv[1], Some(Interval { start: 1, end: 5 }));
-        let a = linear_scan(&iv, 8);
+        let a = linear_scan(&iv).unwrap();
         assert_ne!(a.slot[0], a.slot[2]);
         assert_ne!(a.slot[1], a.slot[2]);
     }
@@ -450,12 +380,12 @@ mod tests {
     #[test]
     fn slot_overflow_is_an_error_not_a_panic() {
         // 70k values all live simultaneously: more simultaneous slots
-        // than u16 can index. try_linear_scan must report it.
+        // than u16 can index. linear_scan must report it.
         let n = 70_000u32;
         let intervals: Vec<Option<Interval>> = (0..n)
             .map(|_| Some(Interval { start: 0, end: 1 }))
             .collect();
-        let err = try_linear_scan(&intervals, 16).unwrap_err();
+        let err = linear_scan(&intervals).unwrap_err();
         assert_eq!(err.what, "frame slots");
     }
 
@@ -466,7 +396,7 @@ mod tests {
             blocks: one_block(1),
             refs: refs(&[(0, 0, true), (1, 0, false)]),
         };
-        let a = linear_scan(&live_intervals(&input), 4);
+        let a = linear_scan(&live_intervals(&input)).unwrap();
         assert_eq!(a.slot[1], NO_SLOT);
     }
 }

@@ -1,7 +1,7 @@
 //! SipHash-2-4, implemented from scratch.
 //!
 //! PAC hardware uses the QARMA block cipher; this reproduction substitutes
-//! SipHash-2-4 as the keyed PRF (see DESIGN.md §2). SipHash is a 128-bit-key
+//! SipHash-2-4 as the keyed PRF. SipHash is a 128-bit-key
 //! MAC with a 64-bit output, which we truncate to the pointer layout's
 //! signature budget exactly as hardware truncates QARMA's output.
 //!

@@ -100,7 +100,6 @@ impl Variant {
             // Cage runs MTE synchronously so violations trap before their
             // effects are observable (§6.3).
             mte_mode: MteMode::Synchronous,
-            fpac: true,
             ..ExecConfig::default()
         }
     }

@@ -90,6 +90,7 @@ use std::thread;
 use std::time::Duration;
 
 use cage_engine::store::InstantiateError;
+use cage_engine::trap::panic_message;
 use cage_engine::{InstanceHandle, InstanceLimits, Precompiled, Store, Trap, Value};
 use cage_libc::Libc;
 use cage_mte::Core;
@@ -231,15 +232,6 @@ static TEMPLATE_COMPILE_PANICS: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn compile_panic_count() -> u64 {
     TEMPLATE_COMPILE_PANICS.load(Ordering::Relaxed)
-}
-
-/// Renders a caught panic payload for diagnostics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 impl InstancePre {

@@ -31,7 +31,7 @@ pub(crate) enum SectionId {
 /// The magic header: `\0asm` + version 1.
 pub(crate) const MAGIC: [u8; 8] = [0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00];
 
-/// One-byte prefix for Cage's extension opcodes (`DESIGN.md`).
+/// One-byte prefix for Cage's extension opcodes.
 pub(crate) const CAGE_PREFIX: u8 = 0xFB;
 
 /// One-byte prefix for the bulk-memory (`0xFC`) opcodes.

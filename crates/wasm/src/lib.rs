@@ -16,10 +16,9 @@
 //! | `i64.pointer_sign`    | `[i64] -> [i64]`       |
 //! | `i64.pointer_auth`    | `[i64] -> [i64]`       |
 //!
-//! The Cage instructions are encoded under the `0xFB` prefix (see
-//! `DESIGN.md`); the validator implements the paper's Fig. 10 typing rules,
-//! in particular that segment instructions are only valid when a memory is
-//! declared.
+//! The Cage instructions are encoded under the `0xFB` prefix; the
+//! validator implements the paper's Fig. 10 typing rules, in particular
+//! that segment instructions are only valid when a memory is declared.
 //!
 //! ## Example
 //!

@@ -1,4 +1,4 @@
-//! The CVE-2023-26489 experiment (§3, DESIGN.md E10): a miscompiled bounds
+//! The CVE-2023-26489 experiment (paper §3): a miscompiled bounds
 //! check lets WASM address memory outside its sandbox. Software bounds
 //! checks can be *skipped* by such a bug; the MTE tag check cannot, because
 //! on hardware it is part of the memory pipeline itself.

@@ -74,9 +74,12 @@ fn dump_bytecode_shows_pcs_and_resolved_targets() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // Header with the function's shape and the linear scan's verdict.
+    // Header with the function's shape and its frame size.
     assert!(stdout.contains("params 1, results 1"), "{stdout}");
-    assert!(stdout.contains("regs ("), "{stdout}");
+    assert!(
+        stdout.lines().next().is_some_and(|l| l.ends_with(" regs")),
+        "{stdout}"
+    );
     // pc-prefixed lines.
     assert!(stdout.contains("0000: "), "{stdout}");
     // Resolved branch targets render as absolute pcs.
@@ -165,6 +168,53 @@ fn dump_bytecode_renders_register_form() {
     // Dissolved stack shuffles survive as charge-recipe letters (the
     // load absorbs simple charges plus its own memory charge).
     assert!(stdout.contains("; charges ssm"), "{stdout}");
+}
+
+#[test]
+fn dump_bytecode_prints_bridged_instructions_by_mnemonic_over_one_register_namespace() {
+    // Bridged instructions print with the paper's text mnemonics (the
+    // same ones `--emit-wat` uses), and every register is a frame slot
+    // `rN`: there is no second register class.
+    let program = tempfile::with_suffix(
+        ".c",
+        "long run(char* p) {
+            char* t = __builtin_segment_new(p, 32);
+            __builtin_segment_free(t, 32);
+            return (long)t;
+        }",
+    );
+    let out = cagec()
+        .arg(program.path())
+        .args(["--variant", "mem-safety", "--dump-bytecode", "run"])
+        .output()
+        .expect("cagec runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.contains("bridge segment.new offset=0 args [r0, r") && l.contains("] -> r")),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("bridge segment.free offset=0 args [r"),
+        "{stdout}"
+    );
+    // Every operand list names frame slots only.
+    for line in stdout.lines().filter(|l| l.contains('[')) {
+        let list = &line[line.find('[').unwrap() + 1..line.find(']').unwrap()];
+        for name in list.split(", ").filter(|n| !n.is_empty()) {
+            let slot = name.strip_prefix('r');
+            assert!(
+                slot.is_some_and(|n| n.parse::<u16>().is_ok()),
+                "{name} in {line}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Property-based invariants across the stack (DESIGN.md §7).
+//! Property-based invariants across the stack.
 
 use cage::engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store};
 use cage::pac::{PacKey, PacSigner, PointerLayout};

@@ -459,6 +459,37 @@ fn branch_module() -> Module {
     b.export_func("unwind", unwind);
     b.build()
 }
+/// A ladder of sequential diamonds in one function (export `ladder`):
+/// `if (x & k) acc += k` for `k = 1..=512`. Thousands of blocks with two
+/// values live in each — the shape on which the register lowering's
+/// liveness and phi placement were once quadratic.
+fn ladder_module() -> Module {
+    let mut body = Vec::new();
+    for k in 1..=512 {
+        body.extend([
+            Instr::LocalGet(0),
+            Instr::I64Const(k),
+            Instr::I64And,
+            Instr::I32WrapI64,
+            Instr::If(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(1),
+                    Instr::I64Const(k),
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                ],
+                vec![],
+            ),
+        ]);
+    }
+    body.push(Instr::LocalGet(1));
+    let mut b = ModuleBuilder::new();
+    let f = b.add_function(&[ValType::I64], &[ValType::I64], &[ValType::I64], body);
+    b.export_func("ladder", f);
+    b.build()
+}
+
 /// A tiny correct-by-construction module for the decode seeds, so the
 /// binary fuzzing also covers encodings the C pipeline never produces
 /// (`br_table` nests from [`branch_module`] plus this one).
@@ -634,8 +665,9 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
             .build(),
     ];
 
-    // Module seeds: hand-built br_table nests plus real lowered C.
-    let mut module_seeds: Vec<Module> = vec![branch_module(), small_module()];
+    // Module seeds: hand-built br_table nests and a diamond ladder, plus
+    // real lowered C.
+    let mut module_seeds: Vec<Module> = vec![branch_module(), small_module(), ladder_module()];
     for src in &corpus {
         if let Ok(artifact) = engines[0].compile(src) {
             module_seeds.push(artifact.module().clone());

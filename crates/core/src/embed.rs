@@ -3,18 +3,22 @@
 //!
 //! An `Engine` is the shared, cheaply-cloneable compilation environment:
 //! variant, simulated core, cost model, memory/stack sizing and the pass
-//! pipeline. One engine compiles any number of [`Artifact`]s; one artifact
-//! instantiates any number of times — against the engine's default libc
-//! linker, a custom [`Linker`], or into a shared [`Runtime`] for
-//! multi-instance processes under the §6.4 MTE tag budget.
+//! pipeline. One engine compiles any number of [`Artifact`]s; an artifact
+//! is compiled all the way down to register bytecode, once, and
+//! instantiates any number of times without compiling anything again —
+//! against the engine's default libc linker, a custom [`Linker`], into a
+//! shared [`Runtime`] for multi-instance processes under the §6.4 MTE
+//! tag budget, or as the template of serving pools
+//! ([`Engine::instance_pre`]).
 
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cage_engine::store::InstantiateError;
 use cage_engine::trap::panic_message;
-use cage_engine::{CostModel, ExecConfig, WasmParams, WasmResults};
+use cage_engine::{CostModel, ExecConfig, Precompiled, WasmParams, WasmResults};
 use cage_ir::passes::{HardenConfig, OptLevel, PipelineConfig};
 use cage_mte::Core;
 use cage_runtime::{InstanceToken, Linker, MemoryReport, Runtime, Variant};
@@ -134,7 +138,11 @@ impl Engine {
         CostModel::for_config(&self.exec_config())
     }
 
-    /// Compiles and hardens C `source` into an [`Artifact`].
+    /// Compiles and hardens C `source` into an [`Artifact`]: frontend,
+    /// passes, lowering to wasm, the module's one validation, and the
+    /// register lowering of every function — the artifact holds the
+    /// bytecode its instances will execute, so instantiating it compiles
+    /// nothing.
     ///
     /// Every stage runs under the engine's [`CompileLimits`] and a
     /// shared compile-fuel budget, so arbitrary (hostile) source is
@@ -163,8 +171,9 @@ impl Engine {
     }
 
     /// The compile pipeline proper: frontend → passes → lowering →
-    /// validation, one limit policy and one fuel budget across all of
-    /// it. [`Engine::compile`] wraps this in the panic backstop.
+    /// validation → register bytecode, one limit policy and one fuel
+    /// budget across all of it. [`Engine::compile`] wraps this in the
+    /// panic backstop.
     fn compile_inner(&self, source: &str) -> Result<Artifact, Error> {
         let limits = self.inner.limits;
         let fuel = limits.fuel();
@@ -172,6 +181,13 @@ impl Engine {
         let ast = cage_cc::parse_with(source, &limits, &fuel)?;
         let mut ir_module =
             cage_cc::codegen::compile_ast_for_with(&ast, ptr_bytes, &limits, &fuel)?;
+        // Each stage's input is dropped as soon as the next form exists,
+        // not at the end: later stages then allocate out of what the
+        // earlier ones freed, instead of the whole pipeline's garbage
+        // being handed back at once — which glibc makes the next large
+        // allocation pay for (the first instantiation's memory
+        // reservation: 262 us after a large unit, measured).
+        drop(ast);
         cage_ir::passes::run_pipeline_config_fueled(&mut ir_module, &self.inner.pipeline, &fuel)?;
         let lowered = cage_ir::lower_with_limits(
             &ir_module,
@@ -183,9 +199,13 @@ impl Engine {
             &limits,
             &fuel,
         )?;
-        cage_wasm::validate_with_limits(&lowered.module, &limits, &fuel)?;
+        drop(ir_module);
+        let pre = Precompiled::compile(lowered.module, &limits, &fuel).map_err(|e| match e {
+            InstantiateError::Validation(v) => Error::Validate(v),
+            other => Error::from(other),
+        })?;
         Ok(Artifact {
-            module: lowered.module,
+            pre,
             heap_base: lowered.heap_base,
             variant: self.inner.variant,
             memory_pages: self.inner.memory_pages,
@@ -200,52 +220,45 @@ impl Engine {
         Runtime::new(self.inner.variant, self.inner.core)
     }
 
-    /// Builds a `Send + Sync` serving template from `artifact`: validated
-    /// and compiled once, then stamped out by per-worker
-    /// [`cage_serve::Pool`]s without re-running compilation or link
-    /// resolution.
+    /// Checks that `artifact` was compiled for the variant this engine
+    /// runs: its hardening instructions would not match the execution
+    /// config otherwise.
+    fn check_variant(&self, artifact: &Artifact) -> Result<(), Error> {
+        if artifact.variant == self.inner.variant {
+            return Ok(());
+        }
+        Err(Error::VariantMismatch {
+            artifact: artifact.variant.to_string(),
+            engine: self.inner.variant.to_string(),
+        })
+    }
+
+    /// Wraps `artifact` as a `Send + Sync` serving template, stamped out
+    /// by per-worker [`cage_serve::Pool`]s. The artifact is already
+    /// compiled, so this shares it and compiles nothing.
     ///
     /// # Errors
     ///
     /// [`Error::VariantMismatch`] when the artifact was compiled for a
-    /// different variant; [`Error::Instantiate`] when validation fails;
-    /// [`Error::LimitExceeded`] when the module busts the engine's
-    /// compile limits.
+    /// different variant.
     pub fn instance_pre(
         &self,
         artifact: &Artifact,
         host: cage_serve::HostProfile,
     ) -> Result<cage_serve::InstancePre, Error> {
-        if artifact.variant != self.inner.variant {
-            return Err(Error::VariantMismatch {
-                artifact: artifact.variant.to_string(),
-                engine: self.inner.variant.to_string(),
-            });
-        }
-        cage_serve::InstancePre::with_limits(
+        self.check_variant(artifact)?;
+        Ok(cage_serve::InstancePre::from_precompiled(
             self.inner.variant,
             self.inner.core,
-            &artifact.module,
+            artifact.pre.clone(),
             artifact.heap_base,
             host,
-            &self.inner.limits,
-        )
-        .map_err(|e| match e {
-            cage_serve::ServeError::Rejected(l) => Error::LimitExceeded(l),
-            cage_serve::ServeError::CompilePanic(message) => Error::CompilePanic { message },
-            cage_serve::ServeError::Instantiate(i) => Error::Instantiate(i),
-            cage_serve::ServeError::Trap(t) => Error::Trap(t),
-            // A template build never checks out pool slots, so
-            // `Exhausted` cannot occur here; route it through the
-            // internal-bug bucket rather than panicking if that ever
-            // changes.
-            other => Error::CompilePanic {
-                message: other.to_string(),
-            },
-        })
+        ))
     }
 
-    /// Instantiates `artifact` in its own process with the hardened libc.
+    /// Instantiates `artifact` in its own process with the hardened libc:
+    /// a fresh [`Runtime`] and one instance stamped from the artifact's
+    /// precompiled module.
     ///
     /// # Errors
     ///
@@ -268,14 +281,9 @@ impl Engine {
         artifact: &Artifact,
         linker: &Linker,
     ) -> Result<Instance, Error> {
-        if artifact.variant != self.inner.variant {
-            return Err(Error::VariantMismatch {
-                artifact: artifact.variant.to_string(),
-                engine: self.inner.variant.to_string(),
-            });
-        }
+        self.check_variant(artifact)?;
         let mut rt = self.runtime();
-        let token = rt.instantiate_linked(&artifact.module, artifact.heap_base, linker)?;
+        let token = rt.instantiate_precompiled(&artifact.pre, artifact.heap_base, linker)?;
         Ok(Instance::new(rt, token))
     }
 }
@@ -356,10 +364,12 @@ impl EngineBuilder {
     }
 }
 
-/// A compiled, hardened module ready to instantiate.
+/// A compiled, hardened module ready to instantiate: the validated wasm
+/// module together with the register bytecode of every function, shared
+/// behind `Arc`s (a clone is a handful of reference counts).
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    pub(crate) module: cage_wasm::Module,
+    pub(crate) pre: Precompiled,
     pub(crate) heap_base: u64,
     pub(crate) variant: Variant,
     pub(crate) memory_pages: u64,
@@ -369,7 +379,15 @@ impl Artifact {
     /// The wasm module.
     #[must_use]
     pub fn module(&self) -> &cage_wasm::Module {
-        &self.module
+        self.pre.module()
+    }
+
+    /// The precompiled template every instance of this artifact is
+    /// stamped from (raw [`cage_engine::Store`] embedding, per-function
+    /// disassembly).
+    #[must_use]
+    pub fn precompiled(&self) -> &Precompiled {
+        &self.pre
     }
 
     /// First heap byte (where the hardened allocator starts).
@@ -393,27 +411,27 @@ impl Artifact {
     /// Serialises to the binary format (with Cage's `0xFB` instructions).
     #[must_use]
     pub fn wasm_bytes(&self) -> Vec<u8> {
-        cage_wasm::binary::encode(&self.module)
+        cage_wasm::binary::encode(self.module())
     }
 
     /// The exported function names and their signatures, in module order —
     /// available without instantiating (no host surface required).
     #[must_use]
     pub fn exports(&self) -> Vec<(String, String)> {
-        list_exports(&self.module)
+        list_exports(self.module())
     }
 
-    /// Disassembles the register bytecode the interpreter will execute for
-    /// the exported function `name` — program counters, ops, resolved
-    /// branch targets and charge recipes (the `cagec --dump-bytecode`
-    /// backend).
+    /// Disassembles the register bytecode this artifact holds for the
+    /// exported function `name` — the code its instances execute, not a
+    /// fresh lowering: program counters, ops, resolved branch targets and
+    /// charge recipes (the `cagec --dump-bytecode` backend).
     ///
     /// Returns `None` when `name` is not an exported local function
     /// (imported host functions have no bytecode).
     #[must_use]
     pub fn disassemble(&self, name: &str) -> Option<String> {
-        match self.module.export(name)?.kind {
-            cage_wasm::ExportKind::Func(idx) => cage_engine::disassemble(&self.module, idx),
+        match self.module().export(name)?.kind {
+            cage_wasm::ExportKind::Func(idx) => self.pre.disassemble(idx),
             _ => None,
         }
     }
@@ -437,7 +455,7 @@ impl Artifact {
                 engine: rt.variant().to_string(),
             });
         }
-        Ok(rt.instantiate_linked(&self.module, self.heap_base, linker)?)
+        Ok(rt.instantiate_precompiled(&self.pre, self.heap_base, linker)?)
     }
 }
 

@@ -18,8 +18,8 @@ pub enum Error {
     Compile(cage_cc::CompileError),
     /// A [`cage_wasm::CompileLimits`] bound was exceeded while ingesting
     /// the program — any stage (frontend, passes, lowering, validation,
-    /// instantiation-time compilation) can report it. The input was too
-    /// big or too deep, not malformed.
+    /// the register lowering) can report it. The input was too big or too
+    /// deep, not malformed.
     LimitExceeded(LimitError),
     /// A compile stage panicked on this input. The panic was caught at
     /// the [`crate::Engine::compile`] boundary (the process is fine) and

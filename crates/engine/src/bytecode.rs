@@ -1,9 +1,10 @@
 //! Bytecode lowering: the execution form of a function body.
 //!
 //! The structured `cage_wasm::Instr` tree is what the validator and the
-//! toolchain passes consume; at instantiation each body is lowered once,
-//! into **register bytecode** ([`RegOp`] / [`RegCode`], built by
-//! [`compile_reg`]). The body goes through SSA construction
+//! toolchain passes consume; when a module is compiled
+//! ([`crate::Precompiled`]) each body is lowered once, into **register
+//! bytecode** ([`RegOp`] / [`RegCode`], built by [`compile_reg`]). The
+//! body goes through SSA construction
 //! (`cage_ir::ssa`, Braun-style) into virtual registers, phis are
 //! eliminated with parallel copies, and a linear scan
 //! (`cage_ir::regalloc`) assigns every value a slot in a fixed per-frame
@@ -27,12 +28,13 @@
 //! branch inside a block) is never lowered; all that survives of it is
 //! the construct's join block, which may itself be unreachable.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 use cage_ir::regalloc::{self, BlockRange, LivenessInput, ValueRef};
 use cage_ir::ssa::{self, SsaBuilder, UNDEF};
 use cage_wasm::instr::{LoadOp, StoreOp};
-use cage_wasm::{FuncType, Instr, Module};
+use cage_wasm::{CompileFuel, FuncType, Instr, LimitError, Module};
 
 /// Declares a family of register-form ops named after the instructions
 /// they lower from, with the `Instr` -> op mapping, from one variant list.
@@ -205,31 +207,6 @@ impl DivOp {
     }
 }
 
-/// Iteratively measures `body` and rejects it when its total op count or
-/// nesting depth busts `limits`; returns the measured stats on success.
-fn check_body_budget(
-    body: &[Instr],
-    limits: &cage_wasm::CompileLimits,
-) -> Result<cage_wasm::limits::BodyStats, cage_wasm::LimitError> {
-    let cap = limits.max_body_ops.max(limits.max_nesting_depth);
-    let stats = cage_wasm::limits::body_stats(body, cap);
-    if stats.ops > limits.max_body_ops {
-        return Err(cage_wasm::LimitError {
-            what: "body ops",
-            limit: limits.max_body_ops as u64,
-            actual: stats.ops as u64,
-        });
-    }
-    if stats.depth > limits.max_nesting_depth {
-        return Err(cage_wasm::LimitError {
-            what: "body nesting depth",
-            limit: limits.max_nesting_depth as u64,
-            actual: stats.depth as u64,
-        });
-    }
-    Ok(stats)
-}
-
 // ===========================================================================
 // Register bytecode
 // ===========================================================================
@@ -268,6 +245,11 @@ pub enum ChargeTag {
     /// Free op that still retires an instruction (`i32.wrap_i64`,
     /// `i64.extend_i32_{s,u}` charge zero cycles on this machine).
     Zero,
+}
+
+impl ChargeTag {
+    /// Number of charge classes (the tags are `0..COUNT` as `u8`).
+    pub const COUNT: usize = ChargeTag::Zero as usize + 1;
 }
 
 macro_rules! una_ops {
@@ -718,15 +700,27 @@ impl LTerm {
     }
 }
 
+/// A charge recipe during lowering: a run of [`RegCompiler::tags`].
+type Recipe = Range<u32>;
+
+/// Table marker: no entry.
+const NONE: u32 = u32::MAX;
+
 /// One lowered basic block: instructions plus terminator, each with its
 /// charge recipe, and the successor edges (mirrored into the SSA
-/// builder's predecessor lists).
+/// builder's predecessor lists). A block is only ever appended to while
+/// it is the current one, so its instructions and edges are contiguous
+/// runs of the compiler's two arenas.
 #[derive(Debug, Default)]
 struct LBlock {
-    insts: Vec<(RInst, Vec<ChargeTag>)>,
+    /// Run of [`RegCompiler::insts`].
+    insts: Range<u32>,
     term: LTerm,
-    term_recipe: Vec<ChargeTag>,
-    succs: Vec<ssa::Block>,
+    term_recipe: Recipe,
+    /// Run of [`RegCompiler::succs`].
+    succs: Range<u32>,
+    /// Position in [`RegCompiler::layout`].
+    layout_idx: u32,
 }
 
 /// One open control construct during register lowering. Every construct
@@ -748,6 +742,7 @@ struct RCtrlFrame {
 
 struct RegCompiler<'m> {
     module: &'m Module,
+    fuel: &'m CompileFuel,
     b: SsaBuilder,
     /// Lowered blocks, indexed by `ssa::Block` id.
     blocks: Vec<LBlock>,
@@ -756,13 +751,25 @@ struct RegCompiler<'m> {
     cur: ssa::Block,
     /// The abstract operand stack, holding SSA values.
     stack: Vec<ssa::Value>,
-    /// Charge tags of dissolved ops awaiting a carrier instruction.
-    pending: Vec<ChargeTag>,
     ctrl: Vec<RCtrlFrame>,
-    /// Constant pool: bits -> value id (shared across uses)...
-    const_ids: BTreeMap<u64, ssa::Value>,
-    /// ...and value id -> bits, for immediates and materialization.
-    const_val: BTreeMap<ssa::Value, u64>,
+    /// The instructions of every block with their recipes, in layout
+    /// order.
+    insts: Vec<(RInst, Recipe)>,
+    /// The successor edges of every block, in layout order, each with
+    /// its index among the successor's predecessor edges.
+    succs: Vec<(ssa::Block, u32)>,
+    /// The charge tags of every recipe, in source order. The tail from
+    /// `pending_from` on is dissolved ops awaiting a carrier instruction.
+    tags: Vec<ChargeTag>,
+    pending_from: u32,
+    /// Constant pool: bits -> value id (shared across uses). Keyed by
+    /// guest-chosen bits, so hashed, and never iterated.
+    const_ids: HashMap<u64, ssa::Value>,
+    /// Every constant `(value id, bits)`, in ascending value id...
+    consts: Vec<(ssa::Value, u64)>,
+    /// ...and value id -> index into `consts` (grown on demand, [`NONE`]
+    /// for other values), for immediates and materialization.
+    const_of: Vec<u32>,
 }
 
 impl<'m> RegCompiler<'m> {
@@ -777,15 +784,27 @@ impl<'m> RegCompiler<'m> {
     /// previous block (if it ended with [`LTerm::None`]) falls through
     /// into it.
     fn start_block(&mut self, blk: ssa::Block) {
+        self.close_block();
+        let lb = &mut self.blocks[blk as usize];
+        lb.layout_idx = self.layout.len() as u32;
+        lb.insts.start = self.insts.len() as u32;
+        lb.succs.start = self.succs.len() as u32;
         self.layout.push(blk);
         self.cur = blk;
+    }
+
+    /// Ends the current block's runs of instructions and edges.
+    fn close_block(&mut self) {
+        let lb = &mut self.blocks[self.cur as usize];
+        lb.insts.end = self.insts.len() as u32;
+        lb.succs.end = self.succs.len() as u32;
     }
 
     /// Registers the CFG edge `cur -> to` (each `(pred, succ)` pair is
     /// registered at most once by construction).
     fn edge(&mut self, to: ssa::Block) {
+        self.succs.push((to, self.b.preds(to).len() as u32));
         self.b.add_pred(to, self.cur);
-        self.blocks[self.cur as usize].succs.push(to);
     }
 
     fn const_value(&mut self, bits: u64) -> ssa::Value {
@@ -794,35 +813,48 @@ impl<'m> RegCompiler<'m> {
         }
         let v = self.b.new_value();
         self.const_ids.insert(bits, v);
-        self.const_val.insert(v, bits);
+        self.const_of.resize(v as usize + 1, NONE);
+        self.const_of[v as usize] = self.consts.len() as u32;
+        self.consts.push((v, bits));
         v
     }
 
+    /// Index into `consts` of a (resolved) value, when it is a constant.
+    fn const_idx(&self, v: ssa::Value) -> Option<usize> {
+        let idx = *self.const_of.get(v as usize)?;
+        (idx != NONE).then_some(idx as usize)
+    }
+
+    /// Takes the pending tags as a recipe.
+    fn take_pending(&mut self) -> Recipe {
+        let end = self.tags.len() as u32;
+        std::mem::replace(&mut self.pending_from, end)..end
+    }
+
+    /// Emits an instruction that charges `tag` itself, after the pending
+    /// tags.
     fn emit(&mut self, inst: RInst, tag: ChargeTag) {
-        let mut recipe = std::mem::take(&mut self.pending);
-        recipe.push(tag);
-        self.blocks[self.cur as usize].insts.push((inst, recipe));
+        self.tags.push(tag);
+        self.emit_bridge(inst);
     }
 
     /// Emits a bridge, whose recipe is the pending tags only (`exec_op`
     /// does the op's own charging internally).
     fn emit_bridge(&mut self, inst: RInst) {
-        let recipe = std::mem::take(&mut self.pending);
-        self.blocks[self.cur as usize].insts.push((inst, recipe));
+        let recipe = self.take_pending();
+        self.insts.push((inst, recipe));
     }
 
     /// Pins pending charges on a [`RInst::Flush`] before a point where
     /// control can leave the block without a terminator op.
     fn flush_pending(&mut self) {
-        if !self.pending.is_empty() {
-            let recipe = std::mem::take(&mut self.pending);
-            self.blocks[self.cur as usize]
-                .insts
-                .push((RInst::Flush, recipe));
+        let recipe = self.take_pending();
+        if !recipe.is_empty() {
+            self.insts.push((RInst::Flush, recipe));
         }
     }
 
-    fn terminate(&mut self, term: LTerm, recipe: Vec<ChargeTag>) {
+    fn terminate(&mut self, term: LTerm, recipe: Recipe) {
         let blk = &mut self.blocks[self.cur as usize];
         blk.term = term;
         blk.term_recipe = recipe;
@@ -830,10 +862,9 @@ impl<'m> RegCompiler<'m> {
 
     /// Pending tags plus a final `tag` — the recipe of a charging
     /// terminator.
-    fn branch_recipe(&mut self, tag: ChargeTag) -> Vec<ChargeTag> {
-        let mut recipe = std::mem::take(&mut self.pending);
-        recipe.push(tag);
-        recipe
+    fn branch_recipe(&mut self, tag: ChargeTag) -> Recipe {
+        self.tags.push(tag);
+        self.take_pending()
     }
 
     /// Feeds the top `phis.len()` stack values into `phis` along the
@@ -849,7 +880,7 @@ impl<'m> RegCompiler<'m> {
     /// the join (unless the body ended on a terminator), resets the
     /// operand stack to entry height plus the join phis, and continues
     /// lowering in the join block.
-    fn end_construct(&mut self, terminated: bool) {
+    fn end_construct(&mut self, terminated: bool) -> Result<(), LimitError> {
         let frame = self.ctrl.pop().expect("control frame");
         if !terminated {
             self.flush_pending();
@@ -859,23 +890,27 @@ impl<'m> RegCompiler<'m> {
         self.stack.truncate(frame.height);
         self.stack.extend(frame.end_phis.iter().copied());
         self.start_block(frame.end_block);
-        self.b.seal_block(frame.end_block);
+        self.b.seal_block(frame.end_block, self.fuel)
     }
 
     /// Lowers a sequence; returns whether its end is reachable.
-    fn lower_seq(&mut self, body: &[Instr]) -> bool {
+    fn lower_seq(&mut self, body: &[Instr]) -> Result<bool, LimitError> {
         for instr in body {
-            if self.lower_instr(instr) {
-                return false;
+            if self.lower_instr(instr)? {
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
     /// Lowers one instruction; returns `true` when it transfers control
     /// unconditionally.
-    fn lower_instr(&mut self, instr: &Instr) -> bool {
-        match instr {
+    ///
+    /// # Errors
+    ///
+    /// [`LimitError`] (`what: "compile fuel"`) from the SSA builder.
+    fn lower_instr(&mut self, instr: &Instr) -> Result<bool, LimitError> {
+        Ok(match instr {
             Instr::Block(bt, inner) => {
                 let arity = bt.arity();
                 let height = self.stack.len();
@@ -888,8 +923,8 @@ impl<'m> RegCompiler<'m> {
                     end_phis: phis,
                     height,
                 });
-                let reachable = self.lower_seq(inner);
-                self.end_construct(!reachable);
+                let reachable = self.lower_seq(inner)?;
+                self.end_construct(!reachable)?;
                 false
             }
             Instr::Loop(bt, inner) => {
@@ -910,9 +945,9 @@ impl<'m> RegCompiler<'m> {
                     end_phis,
                     height,
                 });
-                let reachable = self.lower_seq(inner);
-                self.b.seal_block(header);
-                self.end_construct(!reachable);
+                let reachable = self.lower_seq(inner)?;
+                self.b.seal_block(header, self.fuel)?;
+                self.end_construct(!reachable)?;
                 false
             }
             Instr::If(bt, then_body, else_body) => {
@@ -937,9 +972,9 @@ impl<'m> RegCompiler<'m> {
                         height,
                     });
                     self.start_block(t);
-                    self.b.seal_block(t);
-                    let reachable = self.lower_seq(then_body);
-                    self.end_construct(!reachable);
+                    self.b.seal_block(t, self.fuel)?;
+                    let reachable = self.lower_seq(then_body)?;
+                    self.end_construct(!reachable)?;
                 } else {
                     let e = self.new_block();
                     self.terminate(LTerm::BrIfZ { cond, else_b: e }, recipe);
@@ -954,8 +989,8 @@ impl<'m> RegCompiler<'m> {
                         height,
                     });
                     self.start_block(t);
-                    self.b.seal_block(t);
-                    if self.lower_seq(then_body) {
+                    self.b.seal_block(t, self.fuel)?;
+                    if self.lower_seq(then_body)? {
                         // Reachable then-arm end: jump over the else arm
                         // into the join. The jump itself is free (no
                         // source instruction retires there), so no
@@ -965,14 +1000,14 @@ impl<'m> RegCompiler<'m> {
                         let frame = self.ctrl.last().expect("if frame");
                         let phis = frame.end_phis.clone();
                         self.feed_phis(&phis);
-                        let recipe = std::mem::take(&mut self.pending);
+                        let recipe = self.take_pending();
                         self.terminate(LTerm::Jump(x), recipe);
                     }
                     self.stack.truncate(height);
                     self.start_block(e);
-                    self.b.seal_block(e);
-                    let reachable = self.lower_seq(else_body);
-                    self.end_construct(!reachable);
+                    self.b.seal_block(e, self.fuel)?;
+                    let reachable = self.lower_seq(else_body)?;
+                    self.end_construct(!reachable)?;
                 }
                 false
             }
@@ -1008,7 +1043,7 @@ impl<'m> RegCompiler<'m> {
                     recipe,
                 );
                 self.start_block(fall);
-                self.b.seal_block(fall);
+                self.b.seal_block(fall, self.fuel)?;
                 false
             }
             Instr::BrTable(targets, default) => {
@@ -1083,8 +1118,8 @@ impl<'m> RegCompiler<'m> {
                 );
                 false
             }
-            other => self.lower_data_op(other),
-        }
+            other => self.lower_data_op(other)?,
+        })
     }
 }
 
@@ -1118,7 +1153,7 @@ fn const_bits(instr: &Instr) -> Option<u64> {
 impl RegCompiler<'_> {
     /// Lowers one data instruction (anything [`RegCompiler::lower_instr`]
     /// does not handle positionally); returns `true` for `unreachable`.
-    fn lower_data_op(&mut self, instr: &Instr) -> bool {
+    fn lower_data_op(&mut self, instr: &Instr) -> Result<bool, LimitError> {
         if let Some(alu) = AluOp::from_instr(instr) {
             let b = self.stack.pop().expect("validated");
             let a = self.stack.pop().expect("validated");
@@ -1130,14 +1165,14 @@ impl RegCompiler<'_> {
                 ChargeTag::Simple
             };
             self.emit(RInst::Alu { op: alu, dst, a, b }, tag);
-            return false;
+            return Ok(false);
         }
         if let Some(una) = UnaOp::from_instr(instr) {
             let a = self.stack.pop().expect("validated");
             let dst = self.b.new_value();
             self.stack.push(dst);
             self.emit(RInst::Una { op: una, dst, a }, una.charge_tag());
-            return false;
+            return Ok(false);
         }
         if let Some(div) = DivOp::from_instr(instr) {
             let b = self.stack.pop().expect("validated");
@@ -1150,34 +1185,34 @@ impl RegCompiler<'_> {
                 ChargeTag::Div
             };
             self.emit(RInst::Div { op: div, dst, a, b }, tag);
-            return false;
+            return Ok(false);
         }
         if let Some(bits) = const_bits(instr) {
             let v = self.const_value(bits);
             self.stack.push(v);
-            self.pending.push(ChargeTag::Simple);
-            return false;
+            self.tags.push(ChargeTag::Simple);
+            return Ok(false);
         }
         match *instr {
-            Instr::Nop => self.pending.push(ChargeTag::Simple),
+            Instr::Nop => self.tags.push(ChargeTag::Simple),
             Instr::Drop => {
                 self.stack.pop().expect("validated");
-                self.pending.push(ChargeTag::Simple);
+                self.tags.push(ChargeTag::Simple);
             }
             Instr::LocalGet(i) => {
-                let v = self.b.read_var(i, self.cur);
+                let v = self.b.read_var(i, self.cur, self.fuel)?;
                 self.stack.push(v);
-                self.pending.push(ChargeTag::Simple);
+                self.tags.push(ChargeTag::Simple);
             }
             Instr::LocalSet(i) => {
                 let v = self.stack.pop().expect("validated");
-                self.b.write_var(i, self.cur, v);
-                self.pending.push(ChargeTag::Simple);
+                self.b.write_var(i, self.cur, v, self.fuel)?;
+                self.tags.push(ChargeTag::Simple);
             }
             Instr::LocalTee(i) => {
                 let v = *self.stack.last().expect("validated");
-                self.b.write_var(i, self.cur, v);
-                self.pending.push(ChargeTag::Simple);
+                self.b.write_var(i, self.cur, v, self.fuel)?;
+                self.tags.push(ChargeTag::Simple);
             }
             Instr::Select => {
                 let cond = self.stack.pop().expect("validated");
@@ -1225,12 +1260,12 @@ impl RegCompiler<'_> {
                     ret,
                 });
                 if matches!(instr, Instr::Unreachable) {
-                    self.terminate(LTerm::Halt, Vec::new());
-                    return true;
+                    self.terminate(LTerm::Halt, 0..0);
+                    return Ok(true);
                 }
             }
         }
-        false
+        Ok(false)
     }
 }
 
@@ -1242,10 +1277,15 @@ impl RegCompiler<'_> {
 /// with interned charge recipes.
 ///
 /// `num_locals` is the count of declared (non-parameter) locals, which
-/// start zero-initialized. The lowering work is bounded: op count and
-/// nesting depth are measured iteratively before the recursive SSA
-/// construction runs, the SSA value count is capped, and frame-slot
-/// allocation reports overflow instead of panicking.
+/// start zero-initialized. `body` must have passed
+/// [`cage_wasm::validate_with_limits`] under `limits`: that is what
+/// bounded its op count and the nesting depth the SSA construction
+/// recurses over. The lowering work is bounded in turn: two fuel units
+/// are charged per op; the two steps whose work can outgrow the op count
+/// (the SSA builder's definition rows and reaching-definition walk, the
+/// liveness propagation) charge `fuel` for what they actually do; the
+/// SSA value count is capped, and frame-slot allocation reports overflow
+/// instead of panicking.
 ///
 /// # Errors
 ///
@@ -1260,38 +1300,40 @@ pub fn compile_reg(
     num_locals: usize,
     body: &[Instr],
     limits: &cage_wasm::CompileLimits,
-    fuel: &cage_wasm::CompileFuel,
-) -> Result<RegCode, cage_wasm::LimitError> {
-    let stats = check_body_budget(body, limits)?;
+    fuel: &CompileFuel,
+) -> Result<RegCode, LimitError> {
+    let ops = cage_wasm::limits::body_stats(body, limits.max_body_ops).ops;
     // SSA construction plus slot assignment: two units per op.
-    fuel.charge(stats.ops as u64 * 2)?;
+    fuel.charge(ops as u64 * 2)?;
     let mut c = RegCompiler {
         module,
-        b: SsaBuilder::new(),
+        fuel,
+        b: SsaBuilder::new((ty.params.len() + num_locals) as u32),
         blocks: Vec::with_capacity(16),
         layout: Vec::with_capacity(16),
         cur: 0,
         stack: Vec::with_capacity(16),
-        pending: Vec::new(),
         ctrl: Vec::with_capacity(8),
-        const_ids: BTreeMap::new(),
-        const_val: BTreeMap::new(),
+        insts: Vec::with_capacity(ops / 2),
+        succs: Vec::with_capacity(16),
+        tags: Vec::with_capacity(ops),
+        pending_from: 0,
+        const_ids: HashMap::new(),
+        consts: Vec::new(),
+        const_of: Vec::new(),
     };
     let entry = c.new_block();
-    c.b.seal_block(entry);
+    c.b.seal_block(entry, fuel)?;
     c.layout.push(entry);
     c.cur = entry;
-    let params: Vec<ssa::Value> = (0..ty.params.len())
-        .map(|i| {
-            let v = c.b.new_value();
-            c.b.write_var(i as u32, entry, v);
-            v
-        })
-        .collect();
+    let params: Vec<ssa::Value> = (0..ty.params.len()).map(|_| c.b.new_value()).collect();
+    for (i, &v) in params.iter().enumerate() {
+        c.b.write_var(i as u32, entry, v, fuel)?;
+    }
     if num_locals > 0 {
         let zero = c.const_value(0);
         for i in 0..num_locals {
-            c.b.write_var((ty.params.len() + i) as u32, entry, zero);
+            c.b.write_var((ty.params.len() + i) as u32, entry, zero, fuel)?;
         }
     }
     // The function label: a join block whose phis are the results; its
@@ -1308,14 +1350,15 @@ pub fn compile_reg(
         end_phis: ret_phis,
         height: 0,
     });
-    let reachable = c.lower_seq(body);
-    c.end_construct(!reachable);
+    let reachable = c.lower_seq(body)?;
+    c.end_construct(!reachable)?;
     let srcs = std::mem::take(&mut c.stack);
-    c.terminate(LTerm::Ret { srcs }, Vec::new());
+    c.terminate(LTerm::Ret { srcs }, 0..0);
+    c.close_block();
 
-    c.b.finish();
+    c.b.finish(fuel)?;
     if c.b.num_values() > limits.max_ssa_values {
-        return Err(cage_wasm::LimitError {
+        return Err(LimitError {
             what: "ssa values",
             limit: u64::from(limits.max_ssa_values),
             actual: u64::from(c.b.num_values()),
@@ -1324,24 +1367,64 @@ pub fn compile_reg(
     emit_reg(&c, &params)
 }
 
-fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm::LimitError> {
+/// Interns charge recipes into the pool of a [`RegCode`]: identical tag
+/// sequences share pool storage, first occurrence first. The index is a
+/// trie over the tag alphabet, so a lookup costs one table step per tag
+/// and hashes nothing.
+struct RecipeInterner {
+    /// Trie nodes, the root first: the node one tag further for each
+    /// tag, and the pool offset of the sequence that ends here —
+    /// [`NONE`] where there is none yet.
+    nodes: Vec<([u32; ChargeTag::COUNT], u32)>,
+    pool: Vec<ChargeTag>,
+}
+
+impl RecipeInterner {
+    fn intern(&mut self, recipe: &[ChargeTag]) -> (u32, u16) {
+        if recipe.is_empty() {
+            return (0, 0);
+        }
+        let mut node = 0;
+        for &tag in recipe {
+            let mut next = self.nodes[node].0[tag as usize];
+            if next == NONE {
+                next = self.nodes.len() as u32;
+                self.nodes[node].0[tag as usize] = next;
+                self.nodes.push(([NONE; ChargeTag::COUNT], NONE));
+            }
+            node = next as usize;
+        }
+        let offset = &mut self.nodes[node].1;
+        if *offset == NONE {
+            *offset = self.pool.len() as u32;
+            self.pool.extend_from_slice(recipe);
+        }
+        (*offset, recipe.len() as u16)
+    }
+}
+
+fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitError> {
     let b = &c.b;
     let r = |v: ssa::Value| b.resolve(v);
     let num_values = b.num_values();
+    let const_idx = |v: ssa::Value| c.const_idx(r(v));
+    let is_const = |v: ssa::Value| const_idx(v).is_some();
+    let insts_of = |lb: &LBlock| &c.insts[lb.insts.start as usize..lb.insts.end as usize];
+    let succs_of = |lb: &LBlock| &c.succs[lb.succs.start as usize..lb.succs.end as usize];
 
     // Which constants must live in a register: any resolved operand
     // position that cannot fold into an immediate and is not a phi-copy
-    // source (those become direct constant writes).
-    let is_const = |v: ssa::Value| c.const_val.contains_key(&r(v));
-    let mut materialize: BTreeSet<ssa::Value> = BTreeSet::new();
+    // source (those become direct constant writes). Parallel to
+    // `c.consts`, so in ascending value id.
+    let mut materialize = vec![false; c.consts.len()];
     let mut mark = |v: ssa::Value| {
-        if is_const(v) {
-            materialize.insert(r(v));
+        if let Some(idx) = const_idx(v) {
+            materialize[idx] = true;
         }
     };
     for &blk in &c.layout {
         let lb = &c.blocks[blk as usize];
-        for (inst, _) in &lb.insts {
+        for (inst, _) in insts_of(lb) {
             inst.operands(|role, v| {
                 if role == Operand::Use {
                     mark(v);
@@ -1350,6 +1433,10 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         }
         lb.term.uses().iter().for_each(|&v| mark(v));
     }
+    let materialized = || {
+        let picked = c.consts.iter().zip(&materialize);
+        picked.filter_map(|(&cv, &keep)| keep.then_some(cv))
+    };
 
     // Phi-elimination copies per layout block: every surviving phi of a
     // successor gets one copy on this edge. Copies are emitted
@@ -1358,21 +1445,21 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
     // across the batch) have overlapping intervals and therefore
     // distinct slots, while aliasing *within* the batch is resolved by
     // the copy sequencer's slot-level dependency analysis.
-    let mut block_copies: Vec<Vec<(ssa::Value, ssa::Value)>> = Vec::with_capacity(c.layout.len());
+    let mut copies: Vec<(ssa::Value, ssa::Value)> = Vec::new();
+    let mut copies_of: Vec<Range<usize>> = Vec::with_capacity(c.layout.len());
     for &blk in &c.layout {
-        let mut copies = Vec::new();
-        for &s in &c.blocks[blk as usize].succs {
+        let first = copies.len();
+        for &(s, edge) in succs_of(&c.blocks[blk as usize]) {
             for phi in b.phis_in(s) {
-                let src = b
-                    .phi_operands(phi)
-                    .iter()
-                    .find(|&&(p, _)| p == blk)
-                    .map(|&(_, v)| v)
-                    .expect("phi has an operand for every predecessor edge");
+                // A phi's operands are in edge order: the builder fills
+                // variable phis edge by edge, and the lowering feeds
+                // result phis as it registers each edge.
+                let (pred, src) = b.phi_operands(phi)[edge as usize];
+                assert_eq!(pred, blk, "phi operands follow the edges");
                 copies.push((phi, src));
             }
         }
-        block_copies.push(copies);
+        copies_of.push(first..copies.len());
     }
 
     // Linearise: every instruction gets one position (uses and defs
@@ -1382,19 +1469,20 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
     // additionally counts as *used* at the terminator of each
     // predecessor, which pins every copied-to phi live across the whole
     // copy batch — that keeps batch destinations pairwise overlapping
-    // (distinct slots), which the copy sequencer requires.
-    let mut refs: Vec<ValueRef> = Vec::new();
-    let mut ranges: Vec<BlockRange> = Vec::with_capacity(c.layout.len());
-    let layout_idx: BTreeMap<ssa::Block, u32> = c
-        .layout
-        .iter()
-        .enumerate()
-        .map(|(i, &blk)| (blk, i as u32))
-        .collect();
+    // (distinct slots), which the copy sequencer requires. References
+    // are reported in position order, uses before definitions, which is
+    // the order the liveness pass wants them in.
+    let mut liveness = LivenessInput {
+        num_values,
+        blocks: Vec::with_capacity(c.layout.len()),
+        succs: Vec::with_capacity(c.succs.len()),
+        refs: Vec::with_capacity(c.insts.len() * 3),
+    };
     let mut pos: u32 = 0;
     for (i, &blk) in c.layout.iter().enumerate() {
         let lb = &c.blocks[blk as usize];
         let start = pos;
+        let refs = &mut liveness.refs;
         let mut touch = |pos: u32, v: ssa::Value, is_def: bool| {
             refs.push(ValueRef {
                 pos,
@@ -1407,12 +1495,12 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                 touch(pos, p, true);
                 pos += 1;
             }
-            for &cv in &materialize {
+            for (cv, _) in materialized() {
                 touch(pos, cv, true);
                 pos += 1;
             }
         }
-        for (inst, _) in &lb.insts {
+        for (inst, _) in insts_of(lb) {
             inst.operands(|role, v| match role {
                 Operand::Def => touch(pos, v, true),
                 Operand::FoldableUse if is_const(v) => {}
@@ -1420,33 +1508,34 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
             });
             pos += 1;
         }
-        let copies = &block_copies[i];
-        let term_pos = pos + copies.len() as u32;
-        for &(phi, src) in copies {
-            touch(pos, phi, true);
+        let batch = &copies[copies_of[i].clone()];
+        for &(phi, src) in batch {
             if !is_const(src) {
                 touch(pos, src, false);
             }
-            touch(term_pos, phi, false);
+            touch(pos, phi, true);
             pos += 1;
         }
-        debug_assert_eq!(pos, term_pos);
+        for &(phi, _) in batch {
+            touch(pos, phi, false);
+        }
         for &v in lb.term.uses() {
             touch(pos, v, false);
         }
         pos += 1;
-        ranges.push(BlockRange {
+        let first_succ = liveness.succs.len() as u32;
+        let layout_succs = succs_of(lb)
+            .iter()
+            .map(|&(s, _)| c.blocks[s as usize].layout_idx);
+        liveness.succs.extend(layout_succs);
+        liveness.blocks.push(BlockRange {
             start,
             end: pos - 1,
-            succs: lb.succs.iter().map(|s| layout_idx[s]).collect(),
+            succs: first_succ..liveness.succs.len() as u32,
         });
     }
 
-    let intervals = regalloc::live_intervals(&LivenessInput {
-        num_values,
-        blocks: ranges,
-        refs,
-    });
+    let intervals = regalloc::live_intervals(&liveness, c.fuel)?;
     let alloc = regalloc::linear_scan(&intervals)?;
     let scratch = alloc.frame_size;
     // `linear_scan` guarantees frame_size <= u16::MAX - 1, so the
@@ -1472,32 +1561,39 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         slot: usize,
         target: ssa::Block,
     }
-    let mut ops: Vec<RegOp> = Vec::new();
-    let mut op_recipes: Vec<&[ChargeTag]> = Vec::new();
-    const EMPTY_RECIPE: &[ChargeTag] = &[];
+    let mut ops: Vec<RegOp> = Vec::with_capacity(c.insts.len() + c.layout.len());
+    let mut recipes: Vec<(u32, u16)> = Vec::with_capacity(ops.capacity());
+    let mut interner = RecipeInterner {
+        nodes: vec![([NONE; ChargeTag::COUNT], NONE)],
+        pool: Vec::new(),
+    };
+    let mut intern =
+        |recipe: &Recipe| interner.intern(&c.tags[recipe.start as usize..recipe.end as usize]);
+    const FREE: (u32, u16) = (0, 0);
     let mut patches: Vec<RPatch> = Vec::new();
     let mut block_pc: Vec<u32> = Vec::with_capacity(c.layout.len());
+    let mut pairs: Vec<(u16, u16)> = Vec::new();
     for (i, &blk) in c.layout.iter().enumerate() {
         let lb = &c.blocks[blk as usize];
         block_pc.push(ops.len() as u32);
         if i == 0 {
-            for &cv in &materialize {
+            for (cv, bits) in materialized() {
                 ops.push(RegOp::Const {
                     dst: slot(cv),
-                    v: c.const_val[&cv],
+                    v: bits,
                 });
-                op_recipes.push(EMPTY_RECIPE);
+                recipes.push(FREE);
             }
         }
-        for (inst, recipe) in &lb.insts {
+        for (inst, recipe) in insts_of(lb) {
             let op = match inst {
                 RInst::Flush => RegOp::Nop,
-                RInst::Alu { op, dst, a, b: rb } => match c.const_val.get(&r(*rb)) {
-                    Some(&k) => RegOp::AluImm {
+                RInst::Alu { op, dst, a, b: rb } => match const_idx(*rb) {
+                    Some(idx) => RegOp::AluImm {
                         op: *op,
                         dst: slot(*dst),
                         a: slot(*a),
-                        k,
+                        k: c.consts[idx].1,
                     },
                     None => RegOp::Alu {
                         op: *op,
@@ -1573,33 +1669,38 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                 })),
             };
             ops.push(op);
-            op_recipes.push(recipe);
+            recipes.push(intern(recipe));
         }
-        let pairs: Vec<(u16, u16)> = block_copies[i]
-            .iter()
-            .filter(|&&(_, src)| !is_const(src))
-            .map(|&(phi, src)| (slot(phi), slot(src)))
-            .collect();
+        let batch = &copies[copies_of[i].clone()];
+        pairs.clear();
+        pairs.extend(
+            batch
+                .iter()
+                .filter(|&&(_, src)| !is_const(src))
+                .map(|&(phi, src)| (slot(phi), slot(src))),
+        );
         for (dst, src) in ssa::sequence_parallel_copies(&pairs, scratch) {
             ops.push(RegOp::Move { dst, src });
-            op_recipes.push(EMPTY_RECIPE);
+            recipes.push(FREE);
         }
-        for &(phi, src) in &block_copies[i] {
-            if let Some(&v) = c.const_val.get(&r(src)) {
-                ops.push(RegOp::Const { dst: slot(phi), v });
-                op_recipes.push(EMPTY_RECIPE);
+        for &(phi, src) in batch {
+            if let Some(idx) = const_idx(src) {
+                ops.push(RegOp::Const {
+                    dst: slot(phi),
+                    v: c.consts[idx].1,
+                });
+                recipes.push(FREE);
             }
         }
-        match &lb.term {
-            LTerm::None | LTerm::Halt => {}
+        let term_op = match &lb.term {
+            LTerm::None | LTerm::Halt => continue,
             LTerm::Jump(t) => {
                 patches.push(RPatch {
                     op: ops.len(),
                     slot: 0,
                     target: *t,
                 });
-                ops.push(RegOp::Jump(u32::MAX));
-                op_recipes.push(&lb.term_recipe);
+                RegOp::Jump(u32::MAX)
             }
             LTerm::BrIf { cond, then_b } => {
                 patches.push(RPatch {
@@ -1607,11 +1708,10 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                     slot: 0,
                     target: *then_b,
                 });
-                ops.push(RegOp::BrIf {
+                RegOp::BrIf {
                     cond: slot(*cond),
                     target: u32::MAX,
-                });
-                op_recipes.push(&lb.term_recipe);
+                }
             }
             LTerm::BrIfZ { cond, else_b } => {
                 patches.push(RPatch {
@@ -1619,11 +1719,10 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                     slot: 0,
                     target: *else_b,
                 });
-                ops.push(RegOp::BrIfZ {
+                RegOp::BrIfZ {
                     cond: slot(*cond),
                     target: u32::MAX,
-                });
-                op_recipes.push(&lb.term_recipe);
+                }
             }
             LTerm::BrTable { sel, targets } => {
                 for (slot_idx, t) in targets.iter().enumerate() {
@@ -1633,22 +1732,20 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                         target: *t,
                     });
                 }
-                ops.push(RegOp::BrTable {
+                RegOp::BrTable {
                     sel: slot(*sel),
                     targets: vec![u32::MAX; targets.len()].into_boxed_slice(),
-                });
-                op_recipes.push(&lb.term_recipe);
+                }
             }
-            LTerm::Ret { srcs } => {
-                ops.push(RegOp::Ret {
-                    srcs: srcs.iter().map(|&s| slot(s)).collect(),
-                });
-                op_recipes.push(&lb.term_recipe);
-            }
-        }
+            LTerm::Ret { srcs } => RegOp::Ret {
+                srcs: srcs.iter().map(|&s| slot(s)).collect(),
+            },
+        };
+        ops.push(term_op);
+        recipes.push(intern(&lb.term_recipe));
     }
     for p in &patches {
-        let pc = block_pc[layout_idx[&p.target] as usize];
+        let pc = block_pc[c.blocks[p.target as usize].layout_idx as usize];
         match &mut ops[p.op] {
             RegOp::Jump(t) => *t = pc,
             RegOp::BrIf { target, .. } | RegOp::BrIfZ { target, .. } => *target = pc,
@@ -1657,23 +1754,6 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         }
     }
 
-    // Intern the recipes: identical tag sequences share pool storage.
-    let mut pool: Vec<ChargeTag> = Vec::new();
-    let mut interned: HashMap<&[ChargeTag], (u32, u16)> = HashMap::new();
-    let recipes: Box<[(u32, u16)]> = op_recipes
-        .iter()
-        .map(|&recipe| {
-            if recipe.is_empty() {
-                return (0, 0);
-            }
-            *interned.entry(recipe).or_insert_with(|| {
-                let off = pool.len() as u32;
-                pool.extend(recipe.iter().copied());
-                (off, recipe.len() as u16)
-            })
-        })
-        .collect();
-
     let handlers: Box<[u16]> = ops.iter().map(crate::interp::reg_handler_index).collect();
     let thread = handlers
         .iter()
@@ -1681,8 +1761,8 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         .collect();
     Ok(RegCode {
         ops: ops.into_boxed_slice(),
-        recipes,
-        pool: pool.into_boxed_slice(),
+        recipes: recipes.into_boxed_slice(),
+        pool: interner.pool.into_boxed_slice(),
         frame_size,
         param_slots: params.iter().map(|&p| slot(p)).collect(),
         handlers,
@@ -1708,33 +1788,15 @@ fn charge_letter(tag: ChargeTag) -> char {
     }
 }
 
-/// Disassembles the register bytecode of function `func_idx` (joint
-/// index space) of a validated module — what `Store::call` executes,
-/// and the backend of `cagec --dump-bytecode`. Registers are frame slots
-/// `r0..`; a bridged instruction prints with its text mnemonic; each
-/// op's charge recipe is appended as `; charges <letters>` in
-/// retired-source order.
-///
-/// Returns `None` when the index is out of range or names an imported
-/// host function (imports have no bytecode).
-#[must_use]
-pub fn disassemble(module: &Module, func_idx: u32) -> Option<String> {
+/// Disassembles `code`, the register bytecode of function `func_idx`
+/// (joint index space) with signature `ty` — the backend of
+/// [`crate::Precompiled::disassemble`] and `cagec --dump-bytecode`.
+/// Registers are frame slots `r0..`; a bridged instruction prints with
+/// its text mnemonic; each op's charge recipe is appended as `; charges
+/// <letters>` in retired-source order.
+pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> String {
     use std::fmt::Write as _;
 
-    let imported = module.imported_func_count();
-    let local = func_idx.checked_sub(imported)?;
-    let func = module.funcs.get(local as usize)?;
-    let ty = module.types.get(func.type_idx as usize)?;
-    let limits = cage_wasm::CompileLimits::unlimited();
-    let code = compile_reg(
-        module,
-        ty,
-        func.locals.len(),
-        &func.body,
-        &limits,
-        &limits.fuel(),
-    )
-    .ok()?;
     let reg = |s: u16| format!("r{s}");
     let regs = |list: &[u16]| -> String {
         let names: Vec<String> = list.iter().map(|&s| reg(s)).collect();
@@ -1841,7 +1903,7 @@ pub fn disassemble(module: &Module, func_idx: u32) -> Option<String> {
         };
         let _ = writeln!(out, "  {pc:04}: {body}{charges}");
     }
-    Some(out)
+    out
 }
 
 #[cfg(test)]
@@ -2120,9 +2182,8 @@ mod tests {
             &[],
             vec![Instr::LocalGet(0), Instr::MemoryGrow],
         );
-        let module = b.build();
-        cage_wasm::validate(&module).expect("fixture validates");
-        let text = disassemble(&module, 0).expect("local function");
+        let pre = crate::Precompiled::new(&b.build()).expect("fixture compiles");
+        let text = pre.disassemble(0).expect("local function");
         assert!(text.starts_with("func 0 (params 1, results 1): "), "{text}");
         assert!(text.contains("bridge memory.grow args [r0] -> r"), "{text}");
     }

@@ -867,9 +867,14 @@ fn configs() -> [ExecConfig; 2] {
 fn dump_divergence(module: &Module) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
+    let pre = crate::Precompiled::new(module).ok();
     for (name, idx) in [("run", 0u32), ("helper", HELPER)] {
         let _ = writeln!(out, "--- register bytecode ({name}) ---");
-        out.push_str(&crate::bytecode::disassemble(module, idx).unwrap_or_default());
+        out.push_str(
+            &pre.as_ref()
+                .and_then(|p| p.disassemble(idx))
+                .unwrap_or_default(),
+        );
     }
     let _ = writeln!(out, "--- structured tree (run) ---");
     let _ = writeln!(out, "{:#?}", module.funcs[0].body);

@@ -60,7 +60,6 @@ pub mod trap;
 pub mod typed;
 pub mod value;
 
-pub use bytecode::disassemble;
 pub use config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
 pub use cost::{CostModel, InstrClass};
 pub use host::{HostContext, HostFunc, Imports};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use cage_mte::{MteMode, Tag};
 use cage_pac::{PacKey, PacSigner, PointerLayout};
-use cage_wasm::{validate, FuncType, ImportKind, Module, ValType, ValidationError};
+use cage_wasm::{FuncType, ImportKind, Module, ValType, ValidationError};
 use rand::{Rng, SeedableRng};
 
 use crate::bytecode::{self, RegCode};
@@ -118,10 +118,11 @@ pub struct InstanceLimits {
     pub max_call_depth: Option<usize>,
 }
 
-/// A function precompiled at instantiation: resolved type, local
-/// declarations and register bytecode, shared behind an `Arc` so the
-/// interpreter's call path never deep-clones anything and pre-compiled
-/// templates ([`Precompiled`]) can cross threads.
+/// One function of a [`Precompiled`] module: resolved type, local
+/// declarations and register bytecode, lowered once when the module was
+/// compiled and shared behind an `Arc` by every instance stamped from the
+/// template — the interpreter's call path never deep-clones anything, and
+/// templates can cross threads.
 #[derive(Debug)]
 pub(crate) struct CompiledFunc {
     /// Resolved signature, shared with the instance's type table so
@@ -141,14 +142,19 @@ pub(crate) struct CompiledFunc {
 /// what [`precompile`] produces and a [`Precompiled`] template shares.
 type CompiledTables = (Vec<Arc<FuncType>>, Vec<Arc<CompiledFunc>>);
 
-/// Precompiles every function in `module`'s joint index space (imports
-/// first, then local functions) down to register bytecode, plus the
-/// shared type table.
+/// Validates `module` — the one validation it ever gets — and
+/// precompiles every function in its joint index space (imports first,
+/// then local functions) down to register bytecode, plus the shared type
+/// table.
 fn precompile(
     module: &Module,
     limits: &cage_wasm::CompileLimits,
     fuel: &cage_wasm::CompileFuel,
-) -> Result<CompiledTables, cage_wasm::LimitError> {
+) -> Result<CompiledTables, InstantiateError> {
+    cage_wasm::validate_with_limits(module, limits, fuel).map_err(|e| match e.limit() {
+        Some(l) => InstantiateError::CompileLimit(l.clone()),
+        None => InstantiateError::Validation(e),
+    })?;
     let types: Vec<Arc<FuncType>> = module.types.iter().cloned().map(Arc::new).collect();
     let mut funcs = Vec::with_capacity(module.total_func_count() as usize);
     for type_idx in module.imported_func_type_indices() {
@@ -175,9 +181,11 @@ fn precompile(
 /// A validated, fully precompiled module template: the compile-once half
 /// of instantiation (validation, bytecode lowering, type-table
 /// resolution), separated from the per-instance half (memory, globals,
-/// tables, keys). `Send + Sync` — build it once, share it across worker
-/// threads, and stamp instances out of it via
-/// [`Store::instantiate_precompiled`] without re-running any compilation.
+/// tables, keys). It is the only thing a [`Store`] instantiates, so every
+/// module is validated and lowered exactly once however many instances
+/// it gets. `Send + Sync`, and a clone shares everything behind `Arc`s —
+/// build it once, share it across worker threads, and stamp instances out
+/// of it via [`Store::instantiate_precompiled`].
 #[derive(Debug, Clone)]
 pub struct Precompiled {
     pub(crate) module: Arc<Module>,
@@ -197,27 +205,44 @@ impl Precompiled {
         Self::with_limits(module, &cage_wasm::CompileLimits::default())
     }
 
-    /// Like [`Precompiled::new`], but under caller-chosen compile
-    /// limits. One fuel budget covers the whole module: validation
-    /// pre-scans plus the register lowering of every function (two units
-    /// per body op).
+    /// Like [`Precompiled::new`], but under caller-chosen compile limits
+    /// and a fuel budget of its own. Copies `module` once it has passed
+    /// (a caller that owns it uses [`Precompiled::compile`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Precompiled::compile`].
+    pub fn with_limits(
+        module: &Module,
+        limits: &cage_wasm::CompileLimits,
+    ) -> Result<Self, InstantiateError> {
+        let (types, funcs) = precompile(module, limits, &limits.fuel())?;
+        Ok(Precompiled {
+            module: Arc::new(module.clone()),
+            types,
+            funcs,
+        })
+    }
+
+    /// Validates `module` and lowers every function to register
+    /// bytecode, under `limits` and charging `fuel`: the tail of whatever
+    /// pipeline produced the module shares that pipeline's budget.
+    /// Validation pre-scans charge one unit per body op and the lowering
+    /// two, plus whatever the SSA builder and the liveness propagation do
+    /// beyond that (see [`crate::bytecode::compile_reg`]).
     ///
     /// # Errors
     ///
     /// [`InstantiateError::Validation`] when the module is invalid;
     /// [`InstantiateError::CompileLimit`] when it busts a compile bound.
-    pub fn with_limits(
-        module: &Module,
+    pub fn compile(
+        module: Module,
         limits: &cage_wasm::CompileLimits,
+        fuel: &cage_wasm::CompileFuel,
     ) -> Result<Self, InstantiateError> {
-        let fuel = limits.fuel();
-        cage_wasm::validate_with_limits(module, limits, &fuel).map_err(|e| match e.limit() {
-            Some(l) => InstantiateError::CompileLimit(l.clone()),
-            None => InstantiateError::Validation(e),
-        })?;
-        let (types, funcs) = precompile(module, limits, &fuel)?;
+        let (types, funcs) = precompile(&module, limits, fuel)?;
         Ok(Precompiled {
-            module: Arc::new(module.clone()),
+            module: Arc::new(module),
             types,
             funcs,
         })
@@ -227,6 +252,16 @@ impl Precompiled {
     #[must_use]
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// Disassembles the register bytecode this template holds for
+    /// function `func_idx` (joint index space) — the code every instance
+    /// stamped from it executes. `None` when the index is out of range or
+    /// names an imported host function (imports have no bytecode).
+    #[must_use]
+    pub fn disassemble(&self, func_idx: u32) -> Option<String> {
+        let func = self.funcs.get(func_idx as usize).filter(|f| !f.is_host)?;
+        Some(bytecode::disassemble(func_idx, &func.ty, &func.reg))
     }
 }
 
@@ -394,11 +429,11 @@ impl Store {
         })
     }
 
-    /// Instantiates `module`, resolving its imports from `imports`.
-    ///
-    /// Validates, allocates and pre-tags the linear memory, initialises
-    /// table and data segments, generates the per-instance PAC key and
-    /// modifier, and runs the start function.
+    /// Compiles `module` under the default [`cage_wasm::CompileLimits`]
+    /// and instantiates it: [`Precompiled::new`] followed by
+    /// [`Store::instantiate_precompiled`], for a module that gets one
+    /// instance. Anything else builds the [`Precompiled`] itself — once,
+    /// and under the limits it wants.
     ///
     /// # Errors
     ///
@@ -408,42 +443,26 @@ impl Store {
         module: &Module,
         imports: &Imports,
     ) -> Result<InstanceHandle, InstantiateError> {
-        validate(module)?;
-        // Direct instantiation is the trusted embedder path (the engine's
-        // own tests instantiate pathologically deep fixtures); untrusted
-        // modules go through `Precompiled::with_limits`.
-        let limits = cage_wasm::CompileLimits::unlimited();
-        let (types, funcs) = precompile(module, &limits, &limits.fuel())?;
-        self.instantiate_prepared(Arc::new(module.clone()), types, funcs, imports)
+        self.instantiate_precompiled(&Precompiled::new(module)?, imports)
     }
 
-    /// Instantiates a [`Precompiled`] template: the cheap per-instance
-    /// half only — no validation, no bytecode lowering, the shared type
-    /// and function tables are reference-counted from the template.
+    /// Instantiates a [`Precompiled`] template: the per-instance half
+    /// only — no validation, no bytecode lowering, the shared type and
+    /// function tables are reference-counted from the template.
+    /// Allocates and pre-tags the linear memory, initialises table and
+    /// data segments, generates the per-instance PAC key and modifier,
+    /// and runs the start function.
     ///
     /// # Errors
     ///
-    /// See [`InstantiateError`] (everything except `Validation`).
+    /// See [`InstantiateError`] (everything except `Validation` and
+    /// `CompileLimit`).
     pub fn instantiate_precompiled(
         &mut self,
         pre: &Precompiled,
         imports: &Imports,
     ) -> Result<InstanceHandle, InstantiateError> {
-        self.instantiate_prepared(
-            Arc::clone(&pre.module),
-            pre.types.clone(),
-            pre.funcs.clone(),
-            imports,
-        )
-    }
-
-    fn instantiate_prepared(
-        &mut self,
-        module: Arc<Module>,
-        types: Vec<Arc<FuncType>>,
-        funcs: Vec<Arc<CompiledFunc>>,
-        imports: &Imports,
-    ) -> Result<InstanceHandle, InstantiateError> {
+        let module = Arc::clone(&pre.module);
         let mut host_funcs = Vec::new();
         for import in &module.imports {
             match &import.kind {
@@ -531,8 +550,8 @@ impl Store {
 
         let instance = Instance {
             module: Arc::clone(&module),
-            types,
-            funcs,
+            types: pre.types.clone(),
+            funcs: pre.funcs.clone(),
             memory,
             globals,
             table,

@@ -1,8 +1,7 @@
 //! Compile-limit and hostile-parameter regressions: a module with
 //! pathological sizes must come back as a structured error from the
-//! bounded entry points ([`Precompiled::with_limits`],
-//! [`Store::instantiate`]) — never a panic, abort, or runaway
-//! allocation.
+//! entry points ([`Precompiled::with_limits`], [`Store::instantiate`])
+//! — never a panic, abort, or runaway allocation.
 
 use cage_engine::{ExecConfig, Imports, InstantiateError, Precompiled, Store};
 use cage_wasm::builder::ModuleBuilder;

@@ -20,9 +20,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cage_engine::{ExecConfig, HostFunc, Imports, Store, Value};
+use cage_engine::{ExecConfig, HostFunc, Imports, Precompiled, Store, Value};
 use cage_wasm::builder::ModuleBuilder;
-use cage_wasm::{BlockType, Instr, ValType};
+use cage_wasm::{BlockType, CompileLimits, Instr, ValType};
 
 const DEPTH: u32 = 50_000;
 
@@ -68,7 +68,13 @@ fn fifty_thousand_nested_blocks_execute_in_constant_host_stack() {
                 }),
             );
             let mut store = Store::new(ExecConfig::default());
-            let h = store.instantiate(&module, &imports).expect("instantiates");
+            // Far past the default nesting bound: a trusted fixture,
+            // compiled without one.
+            let pre = Precompiled::with_limits(&module, &CompileLimits::unlimited())
+                .expect("compiles unbounded");
+            let h = store
+                .instantiate_precompiled(&pre, &imports)
+                .expect("instantiates");
             let out = store.invoke(h, "run", &[]).expect("runs");
             assert_eq!(out, vec![Value::I64(42)], "deep br carried the result out");
 
@@ -108,8 +114,10 @@ fn deep_branch_is_cheap_in_cycles_too() {
             b.export_func("run", f);
             let module = b.build();
             let mut store = Store::new(ExecConfig::default());
+            let pre = Precompiled::with_limits(&module, &CompileLimits::unlimited())
+                .expect("compiles unbounded");
             let h = store
-                .instantiate(&module, &Imports::new())
+                .instantiate_precompiled(&pre, &Imports::new())
                 .expect("instantiates");
             let out = store.invoke(h, "run", &[]).expect("runs");
             assert_eq!(out, vec![Value::I64(42)]);

@@ -24,7 +24,9 @@
 //! literals (recorded while a second bytecode tier still existed and
 //! agreed with them).
 
-use cage_engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store, Trap, Value};
+use cage_engine::{
+    BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Precompiled, Store, Trap, Value,
+};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::{BlockType, Instr, MemArg, Module, ValType};
@@ -893,9 +895,9 @@ fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
 /// recipe replays the retired `local.get`s' charges in source order.
 #[test]
 fn register_lowering_dissolves_stack_shuffles() {
-    let module = matrix_module(Access::Load(LoadOp::I64Load));
-    let adjacent = cage_engine::disassemble(&module, 0).expect("local function");
-    let fenced = cage_engine::disassemble(&module, 1).expect("local function");
+    let pre = Precompiled::new(&matrix_module(Access::Load(LoadOp::I64Load))).expect("compiles");
+    let adjacent = pre.disassemble(0).expect("local function");
+    let fenced = pre.disassemble(1).expect("local function");
     // Adjacent: the load absorbs the retired local.get's simple charge.
     assert!(
         adjacent.contains("r1 <- I64Load offset=0 addr=r0  ; charges sm"),
@@ -912,9 +914,10 @@ fn register_lowering_dissolves_stack_shuffles() {
         "fenced body lost the label nop carrying the operand charge:\n{fenced}"
     );
 
-    let module = matrix_module(Access::Store(StoreOp::I32Store16));
-    let adjacent = cage_engine::disassemble(&module, 0).expect("local function");
-    let fenced = cage_engine::disassemble(&module, 1).expect("local function");
+    let pre =
+        Precompiled::new(&matrix_module(Access::Store(StoreOp::I32Store16))).expect("compiles");
+    let adjacent = pre.disassemble(0).expect("local function");
+    let fenced = pre.disassemble(1).expect("local function");
     assert!(
         adjacent.contains("I32Store16 offset=0 addr=r0, val=r1  ; charges ssm"),
         "adjacent store did not absorb both operand charges:\n{adjacent}"
@@ -928,7 +931,7 @@ fn register_lowering_dissolves_stack_shuffles() {
     // return — is strictly shorter than the source body plus its
     // implicit `end`: the stack shuffles are gone, not renamed.
     let reg_ops = adjacent.lines().count() - 1;
-    let source_ops = module.funcs[0].body.len() + 1;
+    let source_ops = pre.module().funcs[0].body.len() + 1;
     assert!(
         reg_ops < source_ops,
         "register stream ({reg_ops} ops) not shorter than the source ({source_ops} instrs)"

@@ -33,6 +33,8 @@ pub mod analysis;
 pub mod builder;
 pub mod instr;
 pub mod lower;
+#[cfg(test)]
+mod lowering_model;
 pub mod module;
 pub mod passes;
 pub mod regalloc;

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use cage_engine::store::InstantiateError;
-use cage_engine::{InstanceHandle, Store, Trap, Value};
+use cage_engine::{InstanceHandle, Precompiled, Store, Trap, Value};
 use cage_libc::Libc;
 use cage_mte::Core;
 use cage_wasm::Module;
@@ -88,7 +88,26 @@ impl Runtime {
         &mut self.store
     }
 
-    /// Instantiates `module` against `linker`, the explicit host surface.
+    /// Compiles `module` under the default compile limits and
+    /// instantiates it against `linker`: [`Precompiled::new`] followed by
+    /// [`Runtime::instantiate_precompiled`], for a hand-built module that
+    /// gets one instance.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Instantiate`] — an invalid or over-limit module,
+    /// and everything [`Runtime::instantiate_precompiled`] reports.
+    pub fn instantiate_linked(
+        &mut self,
+        module: &Module,
+        heap_base: u64,
+        linker: &Linker,
+    ) -> Result<InstanceToken, RuntimeError> {
+        self.instantiate_precompiled(&Precompiled::new(module)?, heap_base, linker)
+    }
+
+    /// Stamps an instance out of `pre` against `linker`, the explicit
+    /// host surface; nothing is validated or compiled here.
     ///
     /// When the linker provides libc ([`Linker::with_libc`]) a fresh
     /// per-instance libc is created with its heap at `heap_base` (use the
@@ -99,14 +118,14 @@ impl Runtime {
     ///
     /// [`RuntimeError::Instantiate`] — unresolved imports, the 15-sandbox
     /// MTE limit, a trapping start function.
-    pub fn instantiate_linked(
+    pub fn instantiate_precompiled(
         &mut self,
-        module: &Module,
+        pre: &Precompiled,
         heap_base: u64,
         linker: &Linker,
     ) -> Result<InstanceToken, RuntimeError> {
         let libc = if linker.provides_libc() {
-            Some(if module.is_memory64() {
+            Some(if pre.module().is_memory64() {
                 Libc::new(heap_base)
             } else {
                 Libc::new_wasm32(heap_base)
@@ -115,7 +134,7 @@ impl Runtime {
             None
         };
         let imports = linker.build_imports(libc.as_ref());
-        let handle = self.store.instantiate(module, &imports)?;
+        let handle = self.store.instantiate_precompiled(pre, &imports)?;
         self.libcs.push(libc);
         self.handles.push(handle);
         Ok(InstanceToken {

@@ -290,13 +290,27 @@ impl InstancePre {
                 return Err(ServeError::CompilePanic(panic_message(&*payload)));
             }
         };
-        Ok(InstancePre {
+        Ok(Self::from_precompiled(variant, core, pre, heap_base, host))
+    }
+
+    /// A template over an already compiled module — nothing is validated
+    /// or lowered here, so nothing can be rejected or panic. The caller
+    /// vouches that `pre` was compiled for `variant`.
+    #[must_use]
+    pub fn from_precompiled(
+        variant: Variant,
+        core: Core,
+        pre: Precompiled,
+        heap_base: u64,
+        host: HostProfile,
+    ) -> Self {
+        InstancePre {
             pre,
             heap_base,
             variant,
             core,
             host,
-        })
+        }
     }
 
     /// The template's module.

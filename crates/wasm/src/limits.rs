@@ -3,7 +3,7 @@
 //! The serving story (PR 6/8) made *execution* preemptible and bounded;
 //! this module bounds *compilation*. Every stage of the pipeline —
 //! C frontend, IR passes, lowering, validation, and the engine's
-//! bytecode/SSA/regalloc lowering at instantiation — checks its input
+//! SSA/regalloc/bytecode lowering — checks its input
 //! against a [`CompileLimits`] and charges a shared [`CompileFuel`]
 //! budget, so a hostile guest program is rejected with a structured
 //! [`LimitError`] instead of wedging or aborting the server.
@@ -15,10 +15,9 @@
 //! still recurse over the structured instruction tree — the limits are
 //! what make that recursion safe on arbitrary input.
 //!
-//! Trusted, internal entry points (`Store::instantiate` on hand-built
-//! modules, e.g. the deep-nesting regression tests) use
-//! [`CompileLimits::unlimited`]; everything reachable from untrusted
-//! source or module bytes uses [`CompileLimits::default`].
+//! Trusted, internal callers (the deep-nesting regression tests) pass
+//! [`CompileLimits::unlimited`] explicitly; every entry point that does
+//! not take limits uses [`CompileLimits::default`].
 
 use std::cell::Cell;
 use std::fmt;

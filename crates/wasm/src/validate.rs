@@ -72,12 +72,27 @@ impl std::error::Error for ValidationError {}
 
 type VResult<T> = Result<T, ValidationError>;
 
+thread_local! {
+    static VALIDATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many modules [`validate`] (and so [`validate_with_limits`]) has
+/// been asked to check on this thread — for the tests that pin "each
+/// module is validated exactly once on every path". Per thread, so tests
+/// running in parallel do not see each other.
+#[doc(hidden)]
+#[must_use]
+pub fn validation_count() -> u64 {
+    VALIDATIONS.with(std::cell::Cell::get)
+}
+
 /// Validates a module.
 ///
 /// # Errors
 ///
 /// Returns the first [`ValidationError`] found.
 pub fn validate(module: &Module) -> VResult<()> {
+    VALIDATIONS.with(|n| n.set(n.get() + 1));
     validate_structure(module)?;
     let imported = module.imported_func_count();
     for (i, func) in module.funcs.iter().enumerate() {

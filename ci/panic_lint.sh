@@ -16,7 +16,10 @@
 #
 # Counting stops at the first `#[cfg(test)]` attribute line (a mention
 # of it inside a comment does not count): test modules sit at the bottom
-# of their files in this codebase and are free to unwrap.
+# of their files in this codebase and are free to unwrap. A whole file
+# is skipped when the crate root (`lib.rs`) declares its module under
+# `#[cfg(test)]` — reference models and differential harnesses that no
+# input outside `cargo test` can reach.
 #
 # Regenerate the baseline after an audit with:
 #   ci/panic_lint.sh --write-baseline
@@ -41,10 +44,25 @@ count_file() {
   ' "$1"
 }
 
+# Names of the modules that `$1` (a crate root) declares `#[cfg(test)]`.
+test_only_mods() {
+  awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1; next }
+    gated && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;/ {
+      sub(/;.*/, ""); print $NF
+    }
+    !/^[[:space:]]*#\[/ { gated = 0 }
+  ' "$1"
+}
+
 current="$(mktemp)"
 trap 'rm -f "$current"' EXIT
 for dir in "${CRATES[@]}"; do
+  skip=" $(test_only_mods "$dir/lib.rs" | tr '\n' ' ')"
   while IFS= read -r file; do
+    mod=${file#"$dir/"}
+    mod=${mod%%/*}
+    case "$skip" in *" ${mod%.rs} "*) continue ;; esac
     count=$(count_file "$file")
     if [ "$count" -gt 0 ]; then
       printf '%s %s\n' "$file" "$count" >>"$current"

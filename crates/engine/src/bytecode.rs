@@ -16,6 +16,8 @@
 //! reference in `interp` does) because every register op carries a
 //! *charge recipe* — the class charges of the source ops it retired, in
 //! original order — replayed by the dispatch loop before the op body.
+//! The loop dispatches by matching on the [`RegOp`] itself, so a
+//! [`RegCode`] holds nothing per op beyond the op and its recipe.
 //!
 //! `cage_wasm::Instr` is the only instruction vocabulary: the rare
 //! stateful data instructions (globals, memory management, segments,
@@ -366,9 +368,10 @@ pub struct RegCallIndirect {
 
 /// A rare or stateful instruction bridged to the shared `exec_op`:
 /// globals, memory management, segments, pointer sign/auth and
-/// `unreachable`. The bridge stages `args` into a scratch operand stack,
-/// runs the instruction (which does its own internal charging, exactly
-/// as under the tree walker), and moves the result to `ret`.
+/// `unreachable`. The dispatch loop's bridge arm — an out-of-line call,
+/// these are cold — stages `args` into a scratch operand stack, runs the
+/// instruction (which does its own internal charging, exactly as under
+/// the tree walker), and moves the result to `ret`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegBridge {
     /// The bridged instruction.
@@ -516,7 +519,9 @@ pub enum RegOp {
     Bridge(Box<RegBridge>),
 }
 
-/// A function body compiled to register bytecode.
+/// A function body compiled to register bytecode: the ops, their charge
+/// recipes and the frame layout. Dispatch is a `match` on the op, so
+/// there is no per-op handler resolution to carry.
 #[derive(Debug, Clone, Default)]
 pub struct RegCode {
     /// The flat instruction array.
@@ -532,11 +537,6 @@ pub struct RegCode {
     /// Frame slot of each parameter, in signature order: the caller
     /// writes arguments straight into the callee frame.
     pub param_slots: Box<[u16]>,
-    /// Pre-resolved handler index per op (parallel to `ops`), the
-    /// introspectable form of the dispatch resolution.
-    pub handlers: Box<[u16]>,
-    /// The same handlers as direct fn pointers, which the loop calls.
-    pub(crate) thread: Box<[crate::interp::RegHandler]>,
 }
 
 // -- register lowering, pass 1: structured body -> SSA CFG ------------------
@@ -1754,19 +1754,12 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
         }
     }
 
-    let handlers: Box<[u16]> = ops.iter().map(crate::interp::reg_handler_index).collect();
-    let thread = handlers
-        .iter()
-        .map(|&i| crate::interp::reg_handler_for_index(i))
-        .collect();
     Ok(RegCode {
         ops: ops.into_boxed_slice(),
         recipes: recipes.into_boxed_slice(),
         pool: interner.pool.into_boxed_slice(),
         frame_size,
         param_slots: params.iter().map(|&p| slot(p)).collect(),
-        handlers,
-        thread,
     })
 }
 
@@ -2045,28 +2038,6 @@ mod tests {
         let module = b.build();
         cage_wasm::validate(&module).expect("fixture validates");
         compile_func0(&module)
-    }
-
-    #[test]
-    fn reg_handler_indices_and_thread_pointers_stay_in_sync() {
-        // `handlers` is the introspectable per-op dispatch resolution;
-        // `thread` is its fn-pointer mirror the loop actually calls.
-        // They are built from the same resolver — pin that.
-        let code = compile_reg_body(vec![
-            Instr::LocalGet(1),
-            Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
-            Instr::LocalSet(2),
-            Instr::LocalGet(0),
-        ]);
-        assert_eq!(code.handlers.len(), code.ops.len());
-        assert_eq!(code.thread.len(), code.ops.len());
-        for (i, op) in code.ops.iter().enumerate() {
-            assert_eq!(code.handlers[i], crate::interp::reg_handler_index(op));
-            assert!(std::ptr::fn_addr_eq(
-                code.thread[i],
-                crate::interp::reg_handler_for_index(code.handlers[i])
-            ));
-        }
     }
 
     #[test]

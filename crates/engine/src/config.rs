@@ -68,10 +68,13 @@ pub struct ExecConfig {
     pub mte_mode: MteMode,
     /// Maximum call depth before [`crate::Trap::CallStackExhausted`].
     ///
-    /// The interpreter maps guest frames onto Rust frames; the default is
-    /// conservative so debug builds stay within thread stacks. Embedders
-    /// running deep recursion should raise it and run on a thread with a
-    /// matching stack size.
+    /// Guest calls cost no host stack: the dispatch loop keeps suspended
+    /// callers on an explicit frame `Vec` and their registers in one
+    /// arena, so no thread stack size goes with this limit. What it
+    /// bounds is that heap: at most depth × 65 535 register slots × 8 B
+    /// of arena (a frame is as wide as its function's peak register
+    /// pressure, a `u16` count) plus one frame record per call. Only the
+    /// tree-walking reference (`Store::call_tree`) recurses on the host.
     pub max_call_depth: usize,
     /// RNG seed for tag and key generation (determinism for benches).
     pub seed: u64,

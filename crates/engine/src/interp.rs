@@ -4,14 +4,18 @@
 //!
 //! Execution is a *register machine*: function bodies are lowered through
 //! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
-//! fixed per-frame register file — and executed by [`Interp::run_reg`], a
-//! direct-threaded loop that replays each op's *charge recipe* (the
-//! cycle-class tags of its constituent source instructions, in original
-//! program order) before running the op body, so cycle accounting and
-//! retired-instruction counts are byte-for-byte identical to retiring the
-//! source instructions one at a time. Calls push a return-pc frame on an
-//! explicit call stack and grow the register arena, so guest call depth
-//! never consumes host Rust stack.
+//! fixed per-frame register file — and executed by [`Interp::run_reg`]:
+//! one function holding one `loop { match op }`, a single jump table over
+//! the 18 [`RegOp`] kinds. Each iteration replays the op's *charge recipe*
+//! (the cycle-class tags of its constituent source instructions, in
+//! original program order) and then runs the op's arm, so cycle accounting
+//! and retired-instruction counts are byte-for-byte identical to retiring
+//! the source instructions one at a time; a trap leaves the loop by `?`.
+//! Calls push a frame — the caller's *index* in the template's function
+//! table, its arena base and return pc — on an explicit call stack and
+//! grow the register arena, so guest call depth never consumes host Rust
+//! stack; the table is borrowed once per invocation, so a call or return
+//! touches no reference count.
 //!
 //! Operands are *untagged*: registers (and the reference walker's operand
 //! stack and locals arena) are plain `u64` slots ([`Value::to_slot`]
@@ -33,13 +37,13 @@
 //! instruction through it, the register machine only its bridged ones.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use cage_wasm::instr::{LoadOp, StoreOp};
-use cage_wasm::Instr;
+use cage_wasm::{FuncType, Instr};
 
-use crate::bytecode::{AluOp, DivOp, RegOp, UnaOp};
+use crate::bytecode::{AluOp, DivOp, RegBridge, RegCallIndirect, RegCode, RegOp, UnaOp};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::cost::InstrClass;
 use crate::host::HostContext;
@@ -158,11 +162,9 @@ pub(crate) struct Interp<'s> {
     fuel: Option<u64>,
     /// Consumed-fuel accumulator, mirrored like `cycles`.
     fuel_consumed: u64,
-    /// The store's shared epoch counter (one `Arc` clone per call, loaded
-    /// relaxed at preemption points only while a deadline is set).
-    epoch: Arc<AtomicU64>,
     /// Epoch deadline, mirrored from the instance; `None` disables the
-    /// epoch compare entirely.
+    /// epoch compare (and the load of the store's shared counter)
+    /// entirely.
     epoch_deadline: Option<u64>,
     /// Effective call-depth limit: the engine config tightened by the
     /// instance's [`crate::store::InstanceLimits`].
@@ -198,7 +200,6 @@ impl<'s> Interp<'s> {
         let instr_count = store.instances[inst].instr_count;
         let fuel = store.instances[inst].fuel;
         let fuel_consumed = store.instances[inst].fuel_consumed;
-        let epoch = Arc::clone(&store.epoch);
         let epoch_deadline = store.instances[inst].epoch_deadline;
         let max_depth = store.instances[inst]
             .limits
@@ -216,7 +217,6 @@ impl<'s> Interp<'s> {
             instr_count,
             fuel,
             fuel_consumed,
-            epoch,
             epoch_deadline,
             max_depth,
             fast_mem,
@@ -262,7 +262,7 @@ impl<'s> Interp<'s> {
             self.fuel_consumed += 1;
         }
         if let Some(deadline) = self.epoch_deadline {
-            if self.epoch.load(Ordering::Relaxed) >= deadline {
+            if self.store.epoch.load(Ordering::Relaxed) >= deadline {
                 return Err(Trap::EpochInterrupt);
             }
         }
@@ -275,6 +275,7 @@ impl<'s> Interp<'s> {
     fn check_entry(&self, func_idx: u32, args: &[Value]) -> Result<(), Trap> {
         let inst = &self.store.instances[self.inst];
         let func = inst
+            .pre
             .funcs
             .get(func_idx as usize)
             .ok_or_else(|| Trap::Host(format!("no function at index {func_idx}")))?;
@@ -902,39 +903,17 @@ impl<'s> Interp<'s> {
     }
 }
 
-/// What the dispatch loop does after a handler returns.
-pub(crate) enum Flow {
-    /// Fall through to the next op.
-    Next,
-    /// Jump to an absolute pc within the current function.
-    Jump(u32),
-    /// The current function changed (call or return): the loop must
-    /// refetch its code reference and resume at `RegState::pc`.
-    Refetch,
-    /// The outermost frame returned: execution is complete.
-    Done,
-}
-
-/// Destructures the current op's payload inside a handler. The handler
-/// index was resolved from the op at lowering time, so the pattern cannot
-/// fail to match.
-macro_rules! op_payload {
-    ($op:ident, $pat:pat) => {
-        let $pat = $op else {
-            unreachable!("handler index resolved at lowering")
-        };
-    };
-}
-
 // ===========================================================================
 // Register dispatch
 // ===========================================================================
 //
-// A direct-threaded inner loop over handler fn pointers resolved at
-// lowering time ([`reg_handler_index`]) — an indirect call per dispatched
-// op, no enum match on the hot path — with an explicit call stack, and
-// fuel consumed only at charge-free control transitions (so a fuel trap
-// lands on identical instruction counts and cycle bits on every run).
+// One function, one `loop { match op }` over the 18 `RegOp` kinds (a single
+// jump table whose layout is the compiler's, not the linker's), with an
+// explicit call stack of function *indices* into the template's function
+// table — borrowed once per invocation, so a guest call or return touches
+// no reference count — and fuel consumed only at charge-free control
+// transfers (so a fuel trap lands on identical instruction counts and
+// cycle bits on every run). Traps leave the loop by plain `?`.
 // Operands live in a flat per-frame register file in one growing arena.
 // Each op's interned charge recipe replays *before* the op body runs, one
 // `charge()` per retired source instruction in original program order,
@@ -964,30 +943,32 @@ impl Charges {
 
 /// A suspended caller on the register tier's explicit call stack.
 struct RegFrame {
-    func: Arc<CompiledFunc>,
+    /// The caller's index in the function table.
+    func: u32,
     base: usize,
     ret_pc: usize,
 }
 
-/// The per-call execution state register handlers operate on.
-pub(crate) struct RegState<'a, 's> {
+/// The per-invocation execution state of the dispatch loop.
+struct RegState<'a, 's> {
     it: &'a mut Interp<'s>,
-    /// Register-file arena: the active frame owns `func.reg.frame_size`
-    /// slots starting at `base`; suspended callers keep theirs below.
-    regs: &'a mut Vec<u64>,
+    /// The template's function table, borrowed for the whole run: frames
+    /// and calls name functions by index into it.
+    funcs: &'a [CompiledFunc],
+    /// The template's type table (`call_indirect` signature checks).
+    types: &'a [Arc<FuncType>],
+    /// Register-file arena: the active frame owns its function's
+    /// `frame_size` slots starting at `base`; suspended callers keep
+    /// theirs below.
+    regs: Vec<u64>,
     /// Suspended callers (the explicit call stack).
     frames: Vec<RegFrame>,
-    /// The function currently executing.
-    func: Arc<CompiledFunc>,
-    /// Program counter, parked here across a function switch.
-    pc: usize,
+    /// Index of the function currently executing.
+    func: u32,
     /// Arena offset of the active frame.
     base: usize,
     /// Reusable staging stack for bridged ops and host calls.
     scratch: Vec<u64>,
-    /// Return-value staging buffer: `Ret` fills it, the caller's call op
-    /// (or `call_function_reg` for the outermost frame) drains it.
-    ret_buf: Vec<u64>,
     // Cached linear-memory fast path: when no tag scheme is live
     // (`Interp::fast_mem`), a scalar access is one overflow-checked
     // address add, one bounds compare against this cached bound, and a
@@ -1003,7 +984,7 @@ pub(crate) struct RegState<'a, 's> {
     mem_fast: bool,
 }
 
-impl RegState<'_, '_> {
+impl<'a> RegState<'a, '_> {
     /// Reads register `slot` of the active frame.
     #[inline(always)]
     fn get(&self, slot: u16) -> u64 {
@@ -1091,32 +1072,26 @@ impl RegState<'_, '_> {
         }
     }
 
-    /// Enters callee `idx`: host functions run on the staging stack
-    /// (`Flow::Next`); guest functions suspend the caller onto `frames`,
-    /// grow the arena by the callee's frame and copy the arguments into
-    /// its parameter slots (`Flow::Refetch`).
-    fn do_call(&mut self, idx: u32, args: &[u16], rets: &[u16], pc: usize) -> Result<Flow, Trap> {
+    /// Calls function `idx` from the op at `pc`. A guest callee suspends
+    /// the caller onto `frames`, grows the arena by its frame, receives
+    /// the arguments in its parameter slots and becomes `self.func`: the
+    /// loop resumes at its pc 0 with its code, returned here. A host
+    /// callee runs to completion on the staging stack and returns `None`:
+    /// the loop falls through.
+    fn do_call(
+        &mut self,
+        idx: u32,
+        args: &[u16],
+        rets: &[u16],
+        pc: usize,
+    ) -> Result<Option<&'a RegCode>, Trap> {
         if self.it.depth >= self.it.max_depth {
             return Err(Trap::CallStackExhausted);
         }
-        let callee = Arc::clone(&self.it.store.instances[self.it.inst].funcs[idx as usize]);
+        let callee = &self.funcs[idx as usize];
         if callee.is_host {
-            let mut buf = std::mem::take(&mut self.scratch);
-            buf.clear();
-            buf.extend(args.iter().map(|&a| self.get(a)));
-            self.it.depth += 1;
-            let result = self.it.call_host(idx, &callee, &mut buf);
-            self.it.depth -= 1;
-            if result.is_ok() {
-                // Hosts may grow the memory through their checked context.
-                self.refresh_mem();
-                for (&slot, &v) in rets.iter().zip(buf.iter()) {
-                    self.regs[self.base + slot as usize] = v;
-                }
-            }
-            self.scratch = buf;
-            result?;
-            return Ok(Flow::Next);
+            self.host_call(idx, callee, args, rets)?;
+            return Ok(None);
         }
         self.it.depth += 1;
         let new_base = self.regs.len();
@@ -1126,150 +1101,108 @@ impl RegState<'_, '_> {
             self.regs[new_base + slot as usize] = self.regs[self.base + a as usize];
         }
         self.frames.push(RegFrame {
-            func: std::mem::replace(&mut self.func, callee),
+            func: std::mem::replace(&mut self.func, idx),
             base: self.base,
             ret_pc: pc + 1,
         });
         self.base = new_base;
-        self.pc = 0;
-        Ok(Flow::Refetch)
+        Ok(Some(&callee.reg))
     }
 
-    /// Function epilogue: copy the staged results into the caller's
-    /// result registers (they live in the caller's call op), release the
-    /// frame, resume the suspended caller — or finish when this was the
-    /// outermost frame, leaving the results staged in `ret_buf`.
-    fn do_return(&mut self) -> Flow {
+    /// Stages the argument registers for the typed host boundary and
+    /// moves the host's results into the result registers.
+    #[inline(never)]
+    fn host_call(
+        &mut self,
+        idx: u32,
+        callee: &CompiledFunc,
+        args: &[u16],
+        rets: &[u16],
+    ) -> Result<(), Trap> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.extend(args.iter().map(|&a| self.get(a)));
+        self.it.depth += 1;
+        let result = self.it.call_host(idx, callee, &mut buf);
         self.it.depth -= 1;
-        match self.frames.pop() {
-            Some(frame) => {
-                self.regs.truncate(self.base);
-                let rets = match &frame.func.reg.ops[frame.ret_pc - 1] {
-                    RegOp::Call(c) => &c.rets,
-                    RegOp::CallIndirect(c) => &c.rets,
-                    other => unreachable!("return to non-call reg op {other:?}"),
-                };
-                for (&slot, &v) in rets.iter().zip(self.ret_buf.iter()) {
-                    self.regs[frame.base + slot as usize] = v;
-                }
-                self.base = frame.base;
-                self.pc = frame.ret_pc;
-                self.func = frame.func;
-                Flow::Refetch
+        if result.is_ok() {
+            // Hosts may grow the memory through their checked context.
+            self.refresh_mem();
+            for (&slot, &v) in rets.iter().zip(buf.iter()) {
+                self.set(slot, v);
             }
-            None => Flow::Done,
         }
+        self.scratch = buf;
+        result
     }
-}
 
-/// A register-op handler: executes one op on the shared state. Charging
-/// is the dispatch loop's job (recipe replay before the body), never the
-/// handler's.
-pub(crate) type RegHandler =
-    for<'h, 'a, 's, 'o> fn(&'h mut RegState<'a, 's>, &'o RegOp, usize) -> Result<Flow, Box<Trap>>;
-
-fn h_reg_nop(_st: &mut RegState, _op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    Ok(Flow::Next)
-}
-
-fn h_reg_jump(_st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Jump(target));
-    Ok(Flow::Jump(target))
-}
-
-fn h_reg_br_if(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::BrIf { cond, target });
-    if get_i32(st.get(cond)) != 0 {
-        return Ok(Flow::Jump(target));
-    }
-    Ok(Flow::Next)
-}
-
-fn h_reg_br_if_z(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::BrIfZ { cond, target });
-    if get_i32(st.get(cond)) == 0 {
-        return Ok(Flow::Jump(target));
-    }
-    Ok(Flow::Next)
-}
-
-fn h_reg_br_table(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, RegOp::BrTable { sel, targets });
-    let i = get_i32(st.get(*sel)) as usize;
-    let target = *targets
-        .get(i)
-        .unwrap_or_else(|| targets.last().expect("br_table has a default"));
-    Ok(Flow::Jump(target))
-}
-
-fn h_reg_ret(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, RegOp::Ret { srcs });
-    let mut buf = std::mem::take(&mut st.ret_buf);
-    buf.clear();
-    buf.extend(srcs.iter().map(|&s| st.get(s)));
-    st.ret_buf = buf;
-    Ok(st.do_return())
-}
-
-fn h_reg_call(st: &mut RegState, op: &RegOp, pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, RegOp::Call(call));
-    Ok(st.do_call(call.func, &call.args, &call.rets, pc)?)
-}
-
-fn h_reg_call_indirect(st: &mut RegState, op: &RegOp, pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, RegOp::CallIndirect(call));
-    let table_idx = get_i32(st.get(call.sel)) as u32;
-    let (func_idx, expected, actual) = {
-        let inst = &st.it.store.instances[st.it.inst];
-        let func_idx = inst
+    /// Resolves a `call_indirect` to its callee: table lookup, then the
+    /// signature check — by pointer first, since types are deduplicated
+    /// per module and both sides borrow the template's tables; the
+    /// structural compare is the cold fallback.
+    #[inline(never)]
+    fn resolve_indirect(&self, call: &RegCallIndirect) -> Result<u32, Trap> {
+        let table_idx = get_i32(self.get(call.sel)) as u32;
+        let func_idx = self.it.store.instances[self.it.inst]
             .table
             .get(table_idx as usize)
             .copied()
             .flatten()
             .ok_or(Trap::UndefinedElement)?;
-        (
-            func_idx,
-            Arc::clone(&inst.types[call.type_idx as usize]),
-            Arc::clone(&inst.funcs[func_idx as usize].ty),
-        )
-    };
-    // Pointer equality first: types are deduplicated per module, so the
-    // slow structural compare is a cold path.
-    if !Arc::ptr_eq(&expected, &actual) && *expected != *actual {
-        return Err(Box::new(Trap::IndirectCallTypeMismatch));
+        let expected = &self.types[call.type_idx as usize];
+        let actual = &self.funcs[func_idx as usize].ty;
+        if !Arc::ptr_eq(expected, actual) && expected != actual {
+            return Err(Trap::IndirectCallTypeMismatch);
+        }
+        Ok(func_idx)
     }
-    Ok(st.do_call(func_idx, &call.args, &call.rets, pc)?)
-}
 
-fn h_reg_move(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Move { dst, src });
-    st.set(dst, st.get(src));
-    Ok(Flow::Next)
-}
+    /// Function epilogue: copy the `srcs` registers into the caller's
+    /// result registers (they live in the caller's call op), release the
+    /// frame and resume the suspended caller — its code and return pc are
+    /// returned. `None` when this was the outermost frame, whose results
+    /// the loop reads out of `srcs` itself.
+    fn do_return(&mut self, srcs: &[u16]) -> Option<(&'a RegCode, usize)> {
+        self.it.depth -= 1;
+        let frame = self.frames.pop()?;
+        let code = &self.funcs[frame.func as usize].reg;
+        let rets = match &code.ops[frame.ret_pc - 1] {
+            RegOp::Call(c) => &c.rets,
+            RegOp::CallIndirect(c) => &c.rets,
+            other => unreachable!("return to non-call reg op {other:?}"),
+        };
+        for (&dst, &src) in rets.iter().zip(srcs) {
+            self.regs[frame.base + dst as usize] = self.regs[self.base + src as usize];
+        }
+        self.regs.truncate(self.base);
+        self.base = frame.base;
+        self.func = frame.func;
+        Some((code, frame.ret_pc))
+    }
 
-fn h_reg_const(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Const { dst, v });
-    st.set(dst, v);
-    Ok(Flow::Next)
-}
-
-fn h_reg_alu(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Alu { op, dst, a, b });
-    st.set(dst, alu_eval(op, st.get(a), st.get(b)));
-    Ok(Flow::Next)
-}
-
-fn h_reg_alu_imm(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::AluImm { op, dst, a, k });
-    st.set(dst, alu_eval(op, st.get(a), k));
-    Ok(Flow::Next)
-}
-
-fn h_reg_div(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Div { op, dst, a, b });
-    let v = div_eval(op, st.get(a), st.get(b))?;
-    st.set(dst, v);
-    Ok(Flow::Next)
+    /// Runs a bridged instruction through the oracle's [`Interp::exec_op`]
+    /// on the staging stack. Bridged ops never touch locals, so an empty
+    /// arena suffices, and the op does its own internal charging, exactly
+    /// as under the tree walker.
+    #[inline(never)]
+    fn bridge(&mut self, bridge: &RegBridge) -> Result<(), Trap> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.extend(bridge.args.iter().map(|&a| self.get(a)));
+        let result = self.it.exec_op(&bridge.op, &mut buf, &mut [], 0);
+        if result.is_ok() {
+            // `memory.grow` can move linear memory: refresh the fast-path
+            // cache.
+            if matches!(bridge.op, Instr::MemoryGrow) {
+                self.refresh_mem();
+            }
+            if let Some(dst) = bridge.ret {
+                self.set(dst, buf.pop().expect("bridged op pushes its result"));
+            }
+        }
+        self.scratch = buf;
+        result
+    }
 }
 
 /// Evaluates a division/remainder op on untagged slots — bit-identical
@@ -1277,205 +1210,76 @@ fn h_reg_div(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap
 /// `Div`/`FloatDiv` charge is NOT applied here: it rides in the op's
 /// recipe, which the dispatch loop replays first (`exec_op` charges
 /// before its trap checks, so the order matches).
-fn div_eval(op: DivOp, a: u64, b: u64) -> Result<u64, Box<Trap>> {
+fn div_eval(op: DivOp, a: u64, b: u64) -> Result<u64, Trap> {
     use DivOp::*;
     Ok(match op {
         I32DivS => {
             let (a, b) = (get_i32(a), get_i32(b));
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             let (q, overflow) = a.overflowing_div(b);
             if overflow {
-                return Err(Box::new(Trap::IntegerOverflow));
+                return Err(Trap::IntegerOverflow);
             }
             slot_i32(q)
         }
         I32DivU => {
             let (a, b) = (get_i32(a) as u32, get_i32(b) as u32);
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             slot_i32((a / b) as i32)
         }
         I32RemS => {
             let (a, b) = (get_i32(a), get_i32(b));
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             slot_i32(a.wrapping_rem(b))
         }
         I32RemU => {
             let (a, b) = (get_i32(a) as u32, get_i32(b) as u32);
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             slot_i32((a % b) as i32)
         }
         I64DivS => {
             let (a, b) = (get_i64(a), get_i64(b));
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             let (q, overflow) = a.overflowing_div(b);
             if overflow {
-                return Err(Box::new(Trap::IntegerOverflow));
+                return Err(Trap::IntegerOverflow);
             }
             slot_i64(q)
         }
         I64DivU => {
             let (a, b) = (get_i64(a) as u64, get_i64(b) as u64);
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             slot_i64((a / b) as i64)
         }
         I64RemS => {
             let (a, b) = (get_i64(a), get_i64(b));
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             slot_i64(a.wrapping_rem(b))
         }
         I64RemU => {
             let (a, b) = (get_i64(a) as u64, get_i64(b) as u64);
             if b == 0 {
-                return Err(Box::new(Trap::DivideByZero));
+                return Err(Trap::DivideByZero);
             }
             slot_i64((a % b) as i64)
         }
         F32Div => slot_f32(get_f32(a) / get_f32(b)),
         F64Div => slot_f64(get_f64(a) / get_f64(b)),
     })
-}
-
-fn h_reg_una(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Una { op, dst, a });
-    let v = una_eval(op, st.get(a))?;
-    st.set(dst, v);
-    Ok(Flow::Next)
-}
-
-fn h_reg_select(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, &RegOp::Select { dst, cond, a, b });
-    let v = if get_i32(st.get(cond)) != 0 {
-        st.get(a)
-    } else {
-        st.get(b)
-    };
-    st.set(dst, v);
-    Ok(Flow::Next)
-}
-
-fn h_reg_load(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(
-        op,
-        &RegOp::Load {
-            op,
-            offset,
-            dst,
-            addr
-        }
-    );
-    let index = st.get(addr);
-    let v = st.load_scalar(op, index, offset)?;
-    st.set(dst, v);
-    Ok(Flow::Next)
-}
-
-fn h_reg_store(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(
-        op,
-        &RegOp::Store {
-            op,
-            offset,
-            addr,
-            val
-        }
-    );
-    let index = st.get(addr);
-    let raw = st.get(val);
-    st.store_scalar(op, index, offset, raw)?;
-    Ok(Flow::Next)
-}
-
-fn h_reg_bridge(st: &mut RegState, op: &RegOp, _pc: usize) -> Result<Flow, Box<Trap>> {
-    op_payload!(op, RegOp::Bridge(bridge));
-    let mut buf = std::mem::take(&mut st.scratch);
-    buf.clear();
-    buf.extend(bridge.args.iter().map(|&a| st.get(a)));
-    // Bridged ops never touch locals, so an empty arena suffices. The op
-    // does its own internal charging, exactly as under the tree walker.
-    let result = st.it.exec_op(&bridge.op, &mut buf, &mut [], 0);
-    if let Err(trap) = result {
-        st.scratch = buf;
-        return Err(Box::new(trap));
-    }
-    // `memory.grow` can move linear memory: refresh the fast-path cache.
-    if matches!(bridge.op, Instr::MemoryGrow) {
-        st.refresh_mem();
-    }
-    if let Some(dst) = bridge.ret {
-        st.set(dst, buf.pop().expect("bridged op pushes its result"));
-    }
-    st.scratch = buf;
-    Ok(Flow::Next)
-}
-
-/// The register tier's direct-threaded dispatch table. Kept in sync with
-/// [`reg_handler_index`] by the exhaustive match there — adding a
-/// [`RegOp`] variant without a table entry is a compile error.
-static REG_HANDLERS: [RegHandler; 18] = [
-    h_reg_nop,
-    h_reg_jump,
-    h_reg_br_if,
-    h_reg_br_if_z,
-    h_reg_br_table,
-    h_reg_ret,
-    h_reg_call,
-    h_reg_call_indirect,
-    h_reg_move,
-    h_reg_const,
-    h_reg_alu,
-    h_reg_alu_imm,
-    h_reg_una,
-    h_reg_select,
-    h_reg_load,
-    h_reg_store,
-    h_reg_bridge,
-    h_reg_div,
-];
-
-/// Resolves a register op to its index in [`REG_HANDLERS`] — called once
-/// per op by `bytecode::compile_reg`, never on the dispatch hot path.
-#[must_use]
-pub(crate) fn reg_handler_index(op: &RegOp) -> u16 {
-    match op {
-        RegOp::Nop => 0,
-        RegOp::Jump(_) => 1,
-        RegOp::BrIf { .. } => 2,
-        RegOp::BrIfZ { .. } => 3,
-        RegOp::BrTable { .. } => 4,
-        RegOp::Ret { .. } => 5,
-        RegOp::Call(_) => 6,
-        RegOp::CallIndirect(_) => 7,
-        RegOp::Move { .. } => 8,
-        RegOp::Const { .. } => 9,
-        RegOp::Alu { .. } => 10,
-        RegOp::AluImm { .. } => 11,
-        RegOp::Una { .. } => 12,
-        RegOp::Select { .. } => 13,
-        RegOp::Load { .. } => 14,
-        RegOp::Store { .. } => 15,
-        RegOp::Bridge(_) => 16,
-        RegOp::Div { .. } => 17,
-    }
-}
-
-/// The handler fn pointer for a resolved index — used at lowering time to
-/// pre-thread the code (`RegCode::thread`).
-pub(crate) fn reg_handler_for_index(index: u16) -> RegHandler {
-    REG_HANDLERS[index as usize]
 }
 
 /// Evaluates a one-operand register op on untagged slots — bit-identical
@@ -1544,26 +1348,25 @@ fn una_eval(op: UnaOp, a: u64) -> Result<u64, Trap> {
 impl Interp<'_> {
     /// Calls function `func_idx` with `args` — the external entry point.
     /// Typed [`Value`]s convert to untagged slots here and back at the
-    /// end; the interior never sees a tag.
+    /// end; the interior never sees a tag. The template's two tables are
+    /// cloned here, once, and borrowed by everything below: the only
+    /// shared reference counts an invocation touches.
     pub(crate) fn call_function_reg(
         &mut self,
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
         self.check_entry(func_idx, args)?;
-        let func = Arc::clone(&self.store.instances[self.inst].funcs[func_idx as usize]);
+        let pre = &self.store.instances[self.inst].pre;
+        let (types, funcs) = (Arc::clone(&pre.types), Arc::clone(&pre.funcs));
+        let ty = &funcs[func_idx as usize].ty;
         let arg_slots: Vec<u64> = args.iter().map(|v| v.to_slot()).collect();
-        let mut results: Vec<u64> = Vec::with_capacity(func.ty.results.len());
-        let result = self.run_reg(func_idx, &func, &arg_slots, &mut results);
+        let mut results: Vec<u64> = Vec::with_capacity(ty.results.len());
+        let result = self.run_reg(&types, &funcs, func_idx, &arg_slots, &mut results);
         self.flush_accounting();
         result?;
-        debug_assert_eq!(
-            results.len(),
-            func.ty.results.len(),
-            "validated result arity"
-        );
-        Ok(func
-            .ty
+        debug_assert_eq!(results.len(), ty.results.len(), "validated result arity");
+        Ok(ty
             .results
             .iter()
             .zip(&results)
@@ -1571,22 +1374,23 @@ impl Interp<'_> {
             .collect())
     }
 
-    /// The dispatch loop: executes `func` (and everything it calls) to
-    /// completion on one growing register-file arena.
+    /// The dispatch loop: executes function `func_idx` (and everything it
+    /// calls) to completion on one growing register-file arena.
     ///
-    /// Between function switches the code slices live in registers and
-    /// each dispatch is the recipe replay (charging the op's constituent
-    /// source instructions before its body runs) plus one indirect call.
-    /// Control flow never recurses: call handlers push a [`RegFrame`] and
-    /// jump to pc 0 of the callee, so host stack usage is constant in both
-    /// guest nesting depth and guest call depth (the latter bounded by
-    /// `max_call_depth`). Fuel is consumed at the charge-free control
-    /// transitions only (jumps, calls, returns): the check stays off the
-    /// straight-line fall-through path and off the cycle model.
+    /// Each dispatch is the recipe replay (charging the op's constituent
+    /// source instructions before its body runs) plus one jump-table
+    /// `match`; a trap leaves by `?`. Control flow never recurses: a call
+    /// pushes a [`RegFrame`] and continues at pc 0 of the callee, so host
+    /// stack usage is constant in both guest nesting depth and guest call
+    /// depth (the latter bounded by `max_call_depth`). Fuel is consumed in
+    /// the arms that transfer control (a taken branch, a guest call, a
+    /// return) and nowhere else: the check stays off the straight-line
+    /// fall-through path, off host calls and off the cycle model.
     fn run_reg(
         &mut self,
+        types: &[Arc<FuncType>],
+        funcs: &[CompiledFunc],
         func_idx: u32,
-        func: &Arc<CompiledFunc>,
         args: &[u64],
         results: &mut Vec<u64>,
     ) -> Result<(), Trap> {
@@ -1594,6 +1398,7 @@ impl Interp<'_> {
             return Err(Trap::CallStackExhausted);
         }
         self.depth += 1;
+        let func = &funcs[func_idx as usize];
         if func.is_host {
             // Host entry points have no register code: `call_host`
             // replaces the staged arguments with the results in place.
@@ -1606,62 +1411,127 @@ impl Interp<'_> {
         for (&slot, &v) in func.reg.param_slots.iter().zip(args) {
             regs[slot as usize] = v;
         }
+        let charge_table = self.charges.tag_table();
         let mut st = RegState {
             it: self,
-            regs: &mut regs,
+            funcs,
+            types,
+            regs,
             frames: Vec::with_capacity(8),
-            func: Arc::clone(func),
-            pc: 0,
+            func: func_idx,
             base: 0,
             scratch: Vec::with_capacity(8),
-            ret_buf: Vec::new(),
             mem_m64: false,
             mem_size: 0,
             mem_fast: false,
         };
         st.refresh_mem();
-        let charge_table = st.it.charges.tag_table();
-        let mut cur = Arc::clone(&st.func);
+        let mut code = &func.reg;
         let mut pc: usize = 0;
+        // A control transfer within the current function: the preemption
+        // point, then the jump.
+        macro_rules! jump {
+            ($target:expr) => {{
+                st.it.consume_fuel()?;
+                pc = $target as usize;
+                continue;
+            }};
+        }
         loop {
-            let code = &cur.reg;
-            let ops: &[RegOp] = &code.ops;
-            let thread: &[RegHandler] = &code.thread;
-            let recipes = &code.recipes;
-            let pool = &code.pool;
-            let switched = loop {
-                // Replay the op's charge recipe before the body: one
-                // charge per retired source instruction, in original
-                // program order — a trap inside the body leaves exactly
-                // the charges the unfused source sequence would have.
-                let (off, len) = recipes[pc];
-                for &tag in &pool[off as usize..(off + u32::from(len)) as usize] {
-                    st.it.charge(charge_table[tag as usize]);
-                }
-                let handler = thread[pc];
-                match handler(&mut st, &ops[pc], pc) {
-                    Ok(Flow::Next) => pc += 1,
-                    Ok(Flow::Jump(target)) => {
-                        st.it.consume_fuel()?;
-                        pc = target as usize;
-                    }
-                    Ok(Flow::Refetch) => {
-                        st.it.consume_fuel()?;
-                        break true;
-                    }
-                    Ok(Flow::Done) => {
-                        st.it.consume_fuel()?;
-                        break false;
-                    }
-                    Err(trap) => return Err(*trap),
-                }
-            };
-            if !switched {
-                results.extend_from_slice(&st.ret_buf);
-                return Ok(());
+            // Replay the op's charge recipe before the body: one charge
+            // per retired source instruction, in original program order —
+            // a trap inside the body leaves exactly the charges the
+            // unfused source sequence would have.
+            let (off, len) = code.recipes[pc];
+            for &tag in &code.pool[off as usize..(off + u32::from(len)) as usize] {
+                st.it.charge(charge_table[tag as usize]);
             }
-            cur = Arc::clone(&st.func);
-            pc = st.pc;
+            match &code.ops[pc] {
+                RegOp::Nop => {}
+                &RegOp::Jump(target) => jump!(target),
+                &RegOp::BrIf { cond, target } => {
+                    if get_i32(st.get(cond)) != 0 {
+                        jump!(target);
+                    }
+                }
+                &RegOp::BrIfZ { cond, target } => {
+                    if get_i32(st.get(cond)) == 0 {
+                        jump!(target);
+                    }
+                }
+                RegOp::BrTable { sel, targets } => {
+                    let i = get_i32(st.get(*sel)) as usize;
+                    let target = *targets
+                        .get(i)
+                        .unwrap_or_else(|| targets.last().expect("br_table has a default"));
+                    jump!(target);
+                }
+                RegOp::Ret { srcs } => {
+                    let resumed = st.do_return(srcs);
+                    st.it.consume_fuel()?;
+                    let Some((caller, ret_pc)) = resumed else {
+                        results.extend(srcs.iter().map(|&s| st.get(s)));
+                        return Ok(());
+                    };
+                    code = caller;
+                    pc = ret_pc;
+                    continue;
+                }
+                RegOp::Call(call) => {
+                    if let Some(callee) = st.do_call(call.func, &call.args, &call.rets, pc)? {
+                        st.it.consume_fuel()?;
+                        code = callee;
+                        pc = 0;
+                        continue;
+                    }
+                }
+                RegOp::CallIndirect(call) => {
+                    let func_idx = st.resolve_indirect(call)?;
+                    if let Some(callee) = st.do_call(func_idx, &call.args, &call.rets, pc)? {
+                        st.it.consume_fuel()?;
+                        code = callee;
+                        pc = 0;
+                        continue;
+                    }
+                }
+                &RegOp::Move { dst, src } => st.set(dst, st.get(src)),
+                &RegOp::Const { dst, v } => st.set(dst, v),
+                &RegOp::Alu { op, dst, a, b } => st.set(dst, alu_eval(op, st.get(a), st.get(b))),
+                &RegOp::AluImm { op, dst, a, k } => st.set(dst, alu_eval(op, st.get(a), k)),
+                &RegOp::Div { op, dst, a, b } => {
+                    let v = div_eval(op, st.get(a), st.get(b))?;
+                    st.set(dst, v);
+                }
+                &RegOp::Una { op, dst, a } => {
+                    let v = una_eval(op, st.get(a))?;
+                    st.set(dst, v);
+                }
+                &RegOp::Select { dst, cond, a, b } => {
+                    let v = if get_i32(st.get(cond)) != 0 {
+                        st.get(a)
+                    } else {
+                        st.get(b)
+                    };
+                    st.set(dst, v);
+                }
+                &RegOp::Load {
+                    op,
+                    offset,
+                    dst,
+                    addr,
+                } => {
+                    let v = st.load_scalar(op, st.get(addr), offset)?;
+                    st.set(dst, v);
+                }
+                &RegOp::Store {
+                    op,
+                    offset,
+                    addr,
+                    val,
+                } => st.store_scalar(op, st.get(addr), offset, st.get(val))?,
+                RegOp::Bridge(bridge) => st.bridge(bridge)?,
+            }
+            pc += 1;
         }
     }
 }
@@ -1702,7 +1572,7 @@ mod tree {
             // The oracle shares the untagged-slot machinery (`enter`,
             // `collapse`, `exec_op`); typed values convert at this call
             // boundary exactly like `call_function_reg`.
-            let ty = Arc::clone(&self.store.instances[self.inst].funcs[func_idx as usize].ty);
+            let ty = Arc::clone(&self.store.instances[self.inst].pre.funcs[func_idx as usize].ty);
             let mut stack: Vec<u64> = Vec::with_capacity(64);
             let mut locals: Vec<u64> = Vec::with_capacity(32);
             stack.extend(args.iter().map(|v| v.to_slot()));
@@ -1739,24 +1609,20 @@ mod tree {
             stack: &mut Vec<u64>,
             locals: &mut Vec<u64>,
         ) -> Result<(), Trap> {
-            let func = Arc::clone(&self.store.instances[self.inst].funcs[func_idx as usize]);
+            // Function table and structured body (the compiled form is
+            // flat) are borrowed from a clone of the instance's template:
+            // three reference counts per call, fine on this test-only path.
+            let pre = self.store.instances[self.inst].pre.clone();
+            let func = &pre.funcs[func_idx as usize];
             if func.is_host {
-                return self.call_host(func_idx, &func, stack);
+                return self.call_host(func_idx, func, stack);
             }
-            // The structured body lives on the instance's module (the
-            // compiled form is flat); cloning it per call is fine on this
-            // test-only path.
-            let body = {
-                let inst = &self.store.instances[self.inst];
-                let imported = inst.module.imported_func_count();
-                inst.module.funcs[(func_idx - imported) as usize]
-                    .body
-                    .clone()
-            };
-            let (locals_base, frame_base) = Self::enter(&func, stack, locals);
+            let imported = pre.module.imported_func_count();
+            let body = &pre.module.funcs[(func_idx - imported) as usize].body;
+            let (locals_base, frame_base) = Self::enter(func, stack, locals);
             // On Next/Return/Br(function level) alike, the results sit on
             // top; slide them down over any abandoned operands.
-            self.exec_seq_tree(&body, stack, locals, locals_base)?;
+            self.exec_seq_tree(body, stack, locals, locals_base)?;
             Self::collapse(stack, frame_base, func.ty.results.len());
             locals.truncate(locals_base);
             Ok(())
@@ -1854,21 +1720,14 @@ mod tree {
                 Instr::CallIndirect(type_idx) => {
                     self.charge(self.charges.call_indirect);
                     let table_idx = get_i32(stack.pop().expect("validated")) as u32;
-                    let (func_idx, expected, actual) = {
-                        let inst = &self.store.instances[self.inst];
-                        let func_idx = inst
-                            .table
-                            .get(table_idx as usize)
-                            .copied()
-                            .flatten()
-                            .ok_or(Trap::UndefinedElement)?;
-                        (
-                            func_idx,
-                            Arc::clone(&inst.types[*type_idx as usize]),
-                            Arc::clone(&inst.funcs[func_idx as usize].ty),
-                        )
-                    };
-                    if !Arc::ptr_eq(&expected, &actual) && *expected != *actual {
+                    let inst = &self.store.instances[self.inst];
+                    let func_idx = inst
+                        .table
+                        .get(table_idx as usize)
+                        .copied()
+                        .flatten()
+                        .ok_or(Trap::UndefinedElement)?;
+                    if inst.pre.types[*type_idx as usize] != inst.pre.funcs[func_idx as usize].ty {
                         return Err(Trap::IndirectCallTypeMismatch);
                     }
                     self.call_frame_tree(func_idx, stack, locals)?;

@@ -120,12 +120,13 @@ pub struct InstanceLimits {
 
 /// One function of a [`Precompiled`] module: resolved type, local
 /// declarations and register bytecode, lowered once when the module was
-/// compiled and shared behind an `Arc` by every instance stamped from the
-/// template — the interpreter's call path never deep-clones anything, and
-/// templates can cross threads.
+/// compiled. It lives in the template's one function table, which every
+/// instance shares; the interpreter borrows that table once per
+/// invocation and names functions by index from then on, so its call path
+/// neither clones nor ref-counts anything.
 #[derive(Debug)]
 pub(crate) struct CompiledFunc {
-    /// Resolved signature, shared with the instance's type table so
+    /// Resolved signature, shared with the template's type table so
     /// `call_indirect` can compare by pointer first.
     pub(crate) ty: Arc<FuncType>,
     /// Declared locals (after the parameters); the tree-walking reference
@@ -140,7 +141,7 @@ pub(crate) struct CompiledFunc {
 
 /// The shared type table plus every function compiled to bytecode —
 /// what [`precompile`] produces and a [`Precompiled`] template shares.
-type CompiledTables = (Vec<Arc<FuncType>>, Vec<Arc<CompiledFunc>>);
+type CompiledTables = (Arc<[Arc<FuncType>]>, Arc<[CompiledFunc]>);
 
 /// Validates `module` — the one validation it ever gets — and
 /// precompiles every function in its joint index space (imports first,
@@ -155,27 +156,27 @@ fn precompile(
         Some(l) => InstantiateError::CompileLimit(l.clone()),
         None => InstantiateError::Validation(e),
     })?;
-    let types: Vec<Arc<FuncType>> = module.types.iter().cloned().map(Arc::new).collect();
+    let types: Arc<[Arc<FuncType>]> = module.types.iter().cloned().map(Arc::new).collect();
     let mut funcs = Vec::with_capacity(module.total_func_count() as usize);
     for type_idx in module.imported_func_type_indices() {
-        funcs.push(Arc::new(CompiledFunc {
+        funcs.push(CompiledFunc {
             ty: Arc::clone(&types[type_idx as usize]),
             locals: Vec::new(),
             reg: RegCode::default(),
             is_host: true,
-        }));
+        });
     }
     for f in &module.funcs {
         let ty = Arc::clone(&types[f.type_idx as usize]);
         let reg = bytecode::compile_reg(module, &ty, f.locals.len(), &f.body, limits, fuel)?;
-        funcs.push(Arc::new(CompiledFunc {
+        funcs.push(CompiledFunc {
             ty,
             locals: f.locals.clone(),
             reg,
             is_host: false,
-        }));
+        });
     }
-    Ok((types, funcs))
+    Ok((types, funcs.into()))
 }
 
 /// A validated, fully precompiled module template: the compile-once half
@@ -183,14 +184,17 @@ fn precompile(
 /// resolution), separated from the per-instance half (memory, globals,
 /// tables, keys). It is the only thing a [`Store`] instantiates, so every
 /// module is validated and lowered exactly once however many instances
-/// it gets. `Send + Sync`, and a clone shares everything behind `Arc`s —
-/// build it once, share it across worker threads, and stamp instances out
-/// of it via [`Store::instantiate_precompiled`].
+/// it gets. `Send + Sync`, and a clone is three reference counts — the
+/// module, the type table and the function table are one shared slice
+/// each — so build it once, share it across worker threads, and stamp
+/// instances out of it via [`Store::instantiate_precompiled`].
 #[derive(Debug, Clone)]
 pub struct Precompiled {
     pub(crate) module: Arc<Module>,
-    pub(crate) types: Vec<Arc<FuncType>>,
-    pub(crate) funcs: Vec<Arc<CompiledFunc>>,
+    /// Shared type table (indexes `module.types`).
+    pub(crate) types: Arc<[Arc<FuncType>]>,
+    /// Joint function index space (imports, then locals).
+    pub(crate) funcs: Arc<[CompiledFunc]>,
 }
 
 impl Precompiled {
@@ -322,13 +326,10 @@ fn apply_initial_state(
     Ok(())
 }
 
-/// One instantiated module.
+/// One instantiated module: a clone of the template it was stamped from
+/// plus the state that is its own.
 pub(crate) struct Instance {
-    pub(crate) module: Arc<Module>,
-    /// Shared type table (indexes `module.types`).
-    pub(crate) types: Vec<Arc<FuncType>>,
-    /// Precompiled joint function index space (imports, then locals).
-    pub(crate) funcs: Vec<Arc<CompiledFunc>>,
+    pub(crate) pre: Precompiled,
     pub(crate) memory: Option<LinearMemory>,
     pub(crate) globals: Vec<Value>,
     pub(crate) table: Vec<Option<u32>>,
@@ -447,8 +448,8 @@ impl Store {
     }
 
     /// Instantiates a [`Precompiled`] template: the per-instance half
-    /// only — no validation, no bytecode lowering, the shared type and
-    /// function tables are reference-counted from the template.
+    /// only — no validation, no bytecode lowering, no copy of the type or
+    /// function table (the instance holds a clone of the template).
     /// Allocates and pre-tags the linear memory, initialises table and
     /// data segments, generates the per-instance PAC key and modifier,
     /// and runs the start function.
@@ -462,7 +463,7 @@ impl Store {
         pre: &Precompiled,
         imports: &Imports,
     ) -> Result<InstanceHandle, InstantiateError> {
-        let module = Arc::clone(&pre.module);
+        let module: &Module = &pre.module;
         let mut host_funcs = Vec::new();
         for import in &module.imports {
             match &import.kind {
@@ -546,12 +547,10 @@ impl Store {
             ))
         })?;
         table.resize(table_size, None);
-        apply_initial_state(&module, memory.as_mut(), &mut globals, &mut table)?;
+        apply_initial_state(module, memory.as_mut(), &mut globals, &mut table)?;
 
         let instance = Instance {
-            module: Arc::clone(&module),
-            types: pre.types.clone(),
-            funcs: pre.funcs.clone(),
+            pre: pre.clone(),
             memory,
             globals,
             table,
@@ -602,7 +601,7 @@ impl Store {
     ) -> Result<Vec<Value>, Trap> {
         let func_idx = {
             let inst = &self.instances[handle.0];
-            match inst.module.export(name).map(|e| e.kind) {
+            match inst.pre.module.export(name).map(|e| e.kind) {
                 Some(cage_wasm::ExportKind::Func(i)) => i,
                 _ => return Err(Trap::Host(format!("no exported function \"{name}\""))),
             }
@@ -812,7 +811,7 @@ impl Store {
     ///
     /// Propagates a trapping start function.
     pub fn reset_instance(&mut self, handle: InstanceHandle) -> Result<(), Trap> {
-        let module = Arc::clone(&self.instances[handle.0].module);
+        let module = Arc::clone(&self.instances[handle.0].pre.module);
         {
             let inst = &mut self.instances[handle.0];
             if let Some(mem) = inst.memory.as_mut() {
@@ -846,7 +845,7 @@ impl Store {
     /// typed calls).
     #[must_use]
     pub fn module(&self, handle: InstanceHandle) -> &Module {
-        &self.instances[handle.0].module
+        &self.instances[handle.0].pre.module
     }
 
     /// Read access to an instance's memory.
@@ -891,7 +890,7 @@ impl Store {
     #[must_use]
     pub fn global(&self, handle: InstanceHandle, name: &str) -> Option<Value> {
         let inst = &self.instances[handle.0];
-        match inst.module.export(name).map(|e| e.kind) {
+        match inst.pre.module.export(name).map(|e| e.kind) {
             Some(cage_wasm::ExportKind::Global(i)) => inst.globals.get(i as usize).copied(),
             _ => None,
         }

@@ -1,6 +1,6 @@
 //! Deep-nesting regression test: the dispatch loop must execute guest
 //! control flow in host stack space that is *constant* in guest nesting
-//! depth.
+//! depth — and, last test, in guest *call* depth.
 //!
 //! The tree walker recurses one `exec_seq`/`exec_instr` Rust frame per
 //! `block` level, so a 50 000-deep nest consumes megabytes of host stack
@@ -43,6 +43,24 @@ fn deeply_nested_module() -> cage_wasm::Module {
     b.build()
 }
 
+/// `env.probe`: records the address of one of its own stack locals on
+/// every call.
+fn probe_imports() -> (Imports, Rc<RefCell<Vec<usize>>>) {
+    let addrs: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&addrs);
+    let mut imports = Imports::new();
+    imports.define(
+        "env",
+        "probe",
+        HostFunc::new(&[], &[], move |_, _| {
+            let marker = 0u8;
+            sink.borrow_mut().push(std::ptr::addr_of!(marker) as usize);
+            Ok(vec![])
+        }),
+    );
+    (imports, addrs)
+}
+
 /// Compile-time recursion (validator, lowering, tree drop) needs a big
 /// stack at this depth — debug-build frames are several KiB per nesting
 /// level, and 512 MiB measurably overflows at DEPTH = 50 000. Execution
@@ -55,18 +73,7 @@ fn fifty_thousand_nested_blocks_execute_in_constant_host_stack() {
         .stack_size(COMPILE_STACK)
         .spawn(|| {
             let module = deeply_nested_module();
-            let addrs: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-            let sink = Rc::clone(&addrs);
-            let mut imports = Imports::new();
-            imports.define(
-                "env",
-                "probe",
-                HostFunc::new(&[], &[], move |_, _| {
-                    let marker = 0u8;
-                    sink.borrow_mut().push(std::ptr::addr_of!(marker) as usize);
-                    Ok(vec![])
-                }),
-            );
+            let (imports, addrs) = probe_imports();
             let mut store = Store::new(ExecConfig::default());
             // Far past the default nesting bound: a trusted fixture,
             // compiled without one.
@@ -127,4 +134,67 @@ fn deep_branch_is_cheap_in_cycles_too() {
         .expect("spawn")
         .join()
         .expect("deep-branch thread");
+}
+
+#[test]
+fn a_hundred_thousand_nested_calls_execute_in_constant_host_stack() {
+    // The same address probe across *call* depth: a guest call pushes a
+    // frame record and grows the register arena, both on the heap, so the
+    // probe at every depth down to 100 000 runs from the dispatch frame
+    // the probe at depth 1 ran from. 1 MiB of thread stack holds nothing proportional
+    // to the depth: the tree walker's Rust frame per guest call (hundreds
+    // of bytes) would overflow it ten times over.
+    const CALLS: i64 = 100_000;
+    std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(|| {
+            let mut b = ModuleBuilder::new();
+            let probe = b.import_func("env", "probe", &[], &[]);
+            // descend(n): probe, then recurse until n reaches 1.
+            let descend = b.add_function(&[ValType::I64], &[ValType::I64], &[], vec![]);
+            b.set_body(
+                descend,
+                vec![
+                    Instr::Call(probe),
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Eq,
+                    Instr::If(
+                        BlockType::Empty,
+                        vec![Instr::I64Const(42), Instr::Return],
+                        vec![],
+                    ),
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Sub,
+                    Instr::Call(descend),
+                ],
+            );
+            b.export_func("descend", descend);
+            let module = b.build();
+
+            let (imports, addrs) = probe_imports();
+            let mut store = Store::new(ExecConfig {
+                max_call_depth: 200_000,
+                ..ExecConfig::default()
+            });
+            let h = store.instantiate(&module, &imports).expect("instantiates");
+            let out = store
+                .invoke(h, "descend", &[Value::I64(CALLS)])
+                .expect("runs");
+            assert_eq!(out, vec![Value::I64(42)], "the result came back up");
+
+            let addrs = addrs.borrow();
+            assert_eq!(addrs.len(), CALLS as usize, "one probe per call depth");
+            let lowest = addrs.iter().min().expect("probed");
+            let distance = addrs.iter().max().expect("probed") - lowest;
+            assert!(
+                distance < 64 << 10,
+                "{CALLS} nested guest calls moved the host stack by {distance} bytes \
+                 — dispatch is consuming stack proportional to guest call depth again"
+            );
+        })
+        .expect("spawn")
+        .join()
+        .expect("deep-call thread");
 }

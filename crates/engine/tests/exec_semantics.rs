@@ -935,14 +935,38 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
             ..ExecConfig::default()
         },
     ];
-    // Three argument rows per instruction: zeros (division and bulk-op
-    // edge), small in-range values, and negative/non-finite ones
-    // (out-of-bounds addresses, trapping truncations).
-    let arg = |ty: ValType, row: usize| match ty {
-        ValType::I32 => Value::I32([0, 16, -7][row]),
-        ValType::I64 => Value::I64([0, 16, -7][row]),
-        ValType::F32 => Value::F32([0.0, 1.5, f32::NAN][row]),
-        ValType::F64 => Value::F64([0.0, 1.5, f64::NEG_INFINITY][row]),
+    // Five argument rows per instruction. Three feed every parameter the
+    // same value: zeros (division and bulk-op edge), small in-range
+    // values, and negative/non-finite ones (out-of-bounds addresses,
+    // trapping truncations). Two depend on the parameter's position, for
+    // what only a *pair* of operands reaches: `MIN / -1`, a shift count
+    // past the width, the zero-sign tie of `min`/`max`/`copysign`, and
+    // finite truncations out of range (3e9 for i32, 2^63 for i64).
+    const ROWS: usize = 5;
+    let arg = |ty: ValType, row: usize, pos: usize| {
+        let p = pos % 2;
+        match ty {
+            ValType::I32 => Value::I32([[0; 2], [16; 2], [-7; 2], [i32::MIN, -1], [1, 65]][row][p]),
+            ValType::I64 => Value::I64([[0; 2], [16; 2], [-7; 2], [i64::MIN, -1], [1, 65]][row][p]),
+            ValType::F32 => Value::F32(
+                [
+                    [0.0; 2],
+                    [1.5; 2],
+                    [f32::NAN; 2],
+                    [0.0, -0.0],
+                    [3e9, 9_223_372_036_854_775_808.0],
+                ][row][p],
+            ),
+            ValType::F64 => Value::F64(
+                [
+                    [0.0; 2],
+                    [1.5; 2],
+                    [f64::NEG_INFINITY; 2],
+                    [0.0, -0.0],
+                    [3e9, 9_223_372_036_854_775_808.0],
+                ][row][p],
+            ),
+        }
     };
     for instr in &instrs {
         let (params, results) = data_signature(instr);
@@ -957,8 +981,12 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
         let m = b.build();
         cage_wasm::validate(&m).unwrap_or_else(|e| panic!("{instr}: {e}"));
         for config in configs {
-            for row in 0..3 {
-                let args: Vec<Value> = params.iter().map(|&ty| arg(ty, row)).collect();
+            for row in 0..ROWS {
+                let args: Vec<Value> = params
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &ty)| arg(ty, row, pos))
+                    .collect();
                 let outcome = |tree: bool| {
                     let mut store = Store::new(config);
                     let h = store.instantiate(&m, &Imports::new()).unwrap();

@@ -937,3 +937,274 @@ fn register_lowering_dissolves_stack_shuffles() {
         "register stream ({reg_ops} ops) not shorter than the source ({source_ops} instrs)"
     );
 }
+
+/// Every preemption point, one small function per shape. Fuel (and the
+/// epoch compare riding on it) is consumed at exactly the control
+/// *transfers* of the dispatch loop — a taken `br_if`, the `BrIfZ`/`Jump`
+/// pair an `if`/`else` lowers to, every `br_table` whatever its selector,
+/// a guest `call`/`call_indirect`, and every `return`, inner or outermost
+/// — after the transferring op's charge recipe has replayed, and never on
+/// a not-taken branch or a host call. For each shape the consumed total
+/// under a generous budget is pinned as a literal, and every smaller
+/// budget must end in `FuelExhausted` at a pinned `(instr_count, cycle
+/// bits)`, identically across two runs; an epoch deadline that is already
+/// due traps where a zero budget does.
+#[test]
+fn fuel_is_consumed_at_exactly_the_control_transitions() {
+    use cage_engine::HostFunc;
+
+    let i64_to_i64 = ([ValType::I64], [ValType::I64]);
+    let mut b = ModuleBuilder::new();
+    let host = b.import_func("env", "inc", &i64_to_i64.0, &i64_to_i64.1);
+    // `local1 = 5` unless the `br_if` skips it.
+    let br_if = b.add_function(
+        &[ValType::I32],
+        &[ValType::I64],
+        &[ValType::I64],
+        vec![
+            Instr::Block(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::BrIf(0),
+                    Instr::I64Const(5),
+                    Instr::LocalSet(1),
+                ],
+            ),
+            Instr::LocalGet(1),
+        ],
+    );
+    let if_else = b.add_function(
+        &[ValType::I32],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::If(
+                BlockType::Value(ValType::I64),
+                vec![Instr::I64Const(1)],
+                vec![Instr::I64Const(2)],
+            ),
+        ],
+    );
+    let br_table = b.add_function(
+        &[ValType::I32],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::Block(
+                BlockType::Empty,
+                vec![
+                    Instr::Block(
+                        BlockType::Empty,
+                        vec![
+                            Instr::Block(
+                                BlockType::Empty,
+                                vec![Instr::LocalGet(0), Instr::BrTable(vec![0, 1], 2)],
+                            ),
+                            Instr::I64Const(10),
+                            Instr::Return,
+                        ],
+                    ),
+                    Instr::I64Const(20),
+                    Instr::Return,
+                ],
+            ),
+            Instr::I64Const(30),
+        ],
+    );
+    // The callee leaves through an explicit inner `return`.
+    let callee = b.add_function(
+        &i64_to_i64.0,
+        &i64_to_i64.1,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I64Const(1),
+            Instr::I64Add,
+            Instr::Return,
+        ],
+    );
+    let call = b.add_function(
+        &i64_to_i64.0,
+        &i64_to_i64.1,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::Call(callee),
+            Instr::I64Const(1),
+            Instr::I64Add,
+        ],
+    );
+    b.add_table(1);
+    b.add_elem(0, vec![callee]);
+    let ty = b.intern_type(cage_wasm::FuncType::new(&i64_to_i64.0, &i64_to_i64.1));
+    let call_indirect = b.add_function(
+        &i64_to_i64.0,
+        &i64_to_i64.1,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I32Const(0),
+            Instr::CallIndirect(ty),
+            Instr::I64Const(1),
+            Instr::I64Add,
+        ],
+    );
+    let host_call = b.add_function(
+        &i64_to_i64.0,
+        &i64_to_i64.1,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::Call(host),
+            Instr::I64Const(1),
+            Instr::I64Add,
+        ],
+    );
+    let module = b.build();
+
+    #[derive(Clone, Copy)]
+    enum Preempt {
+        Fuel(u64),
+        EpochDue,
+    }
+    let run = |func: u32, arg: Value, preempt: Preempt| {
+        let mut imports = Imports::new();
+        imports.define(
+            "env",
+            "inc",
+            HostFunc::new(&i64_to_i64.0, &i64_to_i64.1, |_, args| {
+                Ok(vec![Value::I64(args[0].as_i64() + 1)])
+            }),
+        );
+        let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(&module, &imports).expect("instantiates");
+        match preempt {
+            Preempt::Fuel(budget) => store.set_fuel(h, Some(budget)),
+            Preempt::EpochDue => store.set_epoch_deadline(h, Some(0)),
+        }
+        let result = store.call(h, func, &[arg]);
+        (
+            result,
+            store.fuel_consumed(h),
+            store.instr_count(h),
+            store.cycles(h).to_bits(),
+        )
+    };
+
+    // (shape, function, argument, result, then one `(instr_count, cycle
+    // bits)` trap point per unit of fuel a full run consumes: entry `n`
+    // is where a budget of `n` runs dry).
+    type Shape<'a> = (&'a str, u32, Value, i64, &'a [(u64, u64)]);
+    const ENTRY: (u64, u64) = (2, 0x3feb_3333_3333_3333);
+    const THIRD: (u64, u64) = (3, 0x3ff1_9999_9999_999a);
+    const FOURTH: (u64, u64) = (4, 0x3ffb_3333_3333_3334);
+    let shapes: [Shape; 11] = [
+        // Only the outermost return, after all five instructions.
+        (
+            "br_if not taken",
+            br_if,
+            Value::I32(0),
+            5,
+            &[(5, 0x3ff9_9999_9999_999a)],
+        ),
+        // The taken branch (after its own charge), then the return.
+        ("br_if taken", br_if, Value::I32(1), 0, &[ENTRY, THIRD]),
+        // `BrIfZ` falls through free; the `Jump` over the else arm and
+        // the return both land after the arm's constant.
+        ("if: then arm", if_else, Value::I32(1), 1, &[THIRD, THIRD]),
+        ("if: else arm", if_else, Value::I32(0), 2, &[ENTRY, THIRD]),
+        (
+            "br_table first",
+            br_table,
+            Value::I32(0),
+            10,
+            &[ENTRY, FOURTH],
+        ),
+        (
+            "br_table last",
+            br_table,
+            Value::I32(1),
+            20,
+            &[ENTRY, FOURTH],
+        ),
+        // The default target falls off the end: no `return` to charge.
+        (
+            "br_table out of range",
+            br_table,
+            Value::I32(5),
+            30,
+            &[ENTRY, THIRD],
+        ),
+        (
+            "br_table negative",
+            br_table,
+            Value::I32(-1),
+            30,
+            &[ENTRY, THIRD],
+        ),
+        // Function entry (after the call's charge), the inner `return`,
+        // the outermost return.
+        (
+            "call + inner return",
+            call,
+            Value::I64(40),
+            42,
+            &[
+                (2, 0x4011_0000_0000_0000),
+                (6, 0x4016_6666_6666_6666),
+                (8, 0x4018_6666_6666_6666),
+            ],
+        ),
+        (
+            "call_indirect",
+            call_indirect,
+            Value::I64(40),
+            42,
+            &[
+                (3, 0x4037_8000_0000_0000),
+                (7, 0x4038_d999_9999_999a),
+                (9, 0x4039_5999_9999_999a),
+            ],
+        ),
+        // A host call is not a preemption point: only the return is.
+        (
+            "host call",
+            host_call,
+            Value::I64(40),
+            42,
+            &[(4, 0x4013_0000_0000_0000)],
+        ),
+    ];
+    for (shape, func, arg, result, trap_points) in shapes {
+        let (out, consumed, ..) = run(func, arg, Preempt::Fuel(1_000));
+        assert_eq!(out, Ok(vec![Value::I64(result)]), "{shape}");
+        let observed: Vec<(u64, u64)> = (0..consumed)
+            .map(|budget| {
+                let first = run(func, arg, Preempt::Fuel(budget));
+                assert_eq!(
+                    first,
+                    run(func, arg, Preempt::Fuel(budget)),
+                    "{shape}: budget {budget} is not reproducible across runs"
+                );
+                assert_eq!(
+                    (&first.0, first.1),
+                    (&Err(Trap::FuelExhausted), budget),
+                    "{shape}: budget {budget}"
+                );
+                (first.2, first.3)
+            })
+            .collect();
+        assert_eq!(
+            observed, trap_points,
+            "{shape}: preemption points moved: {observed:#x?}"
+        );
+        let due = run(func, arg, Preempt::EpochDue);
+        assert_eq!(
+            due,
+            (Err(Trap::EpochInterrupt), 0, observed[0].0, observed[0].1),
+            "{shape}: an already-due epoch deadline traps where a zero budget does"
+        );
+    }
+}

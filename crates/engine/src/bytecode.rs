@@ -19,12 +19,16 @@
 //! The loop dispatches by matching on the [`RegOp`] itself, so a
 //! [`RegCode`] holds nothing per op beyond the op and its recipe.
 //!
-//! `cage_wasm::Instr` is the only instruction vocabulary: the rare
-//! stateful data instructions (globals, memory management, segments,
-//! pointer sign/auth, `unreachable`) ride in the register form as
-//! [`RegOp::Bridge`] holding the `Instr` itself, and run the same
-//! `exec_op` the tree-walking reference runs every data instruction
-//! through.
+//! `cage_wasm::Instr` is the only instruction vocabulary. The 128
+//! numeric instructions lower by one lookup in the table of
+//! `cage_wasm::numeric`: the row's family ([`AluOp`], [`DivOp`] or
+//! [`UnaOp`], defined there and re-exported here) picks the 3-address
+//! form, its class the [`ChargeTag`], and its `eval` is what the dispatch
+//! loop runs. The rare stateful data instructions (globals, memory
+//! management, segments, pointer sign/auth, `unreachable`) ride in the
+//! register form as [`RegOp::Bridge`] holding the `Instr` itself, and run
+//! the same `exec_op` the tree-walking reference runs every data
+//! instruction through.
 //!
 //! Statically unreachable code (anything following an unconditional
 //! branch inside a block) is never lowered; all that survives of it is
@@ -36,178 +40,14 @@ use std::ops::Range;
 use cage_ir::regalloc::{self, BlockRange, LivenessInput, ValueRef};
 use cage_ir::ssa::{self, SsaBuilder, UNDEF};
 use cage_wasm::instr::{LoadOp, StoreOp};
+use cage_wasm::numeric::{self, slot_i32, slot_i64, Numeric, NumericClass};
 use cage_wasm::{CompileFuel, FuncType, Instr, LimitError, Module};
 
-/// Declares a family of register-form ops named after the instructions
-/// they lower from, with the `Instr` -> op mapping, from one variant list.
-macro_rules! instr_family {
-    ($(#[$doc:meta])* $name:ident { $($v:ident),+ $(,)? }) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        #[allow(missing_docs)]
-        pub enum $name {
-            $($v,)+
-        }
-
-        impl $name {
-            /// Maps an instruction of this family to its register form.
-            #[must_use]
-            pub fn from_instr(instr: &Instr) -> Option<$name> {
-                match instr {
-                    $(Instr::$v => Some($name::$v),)+
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-instr_family!(
-    /// A two-operand ALU operation with a generic 3-address register form:
-    /// non-trapping, charges one instruction of its class (`Simple` for
-    /// integer ops, `Float` for float arithmetic and comparisons).
-    /// Division/remainder and unary ops are excluded — they have their own
-    /// [`DivOp`] and [`UnaOp`] families (division traps and charges the
-    /// `Div`/`FloatDiv` class).
-    ///
-    /// Operands and results are untagged 64-bit slots (see
-    /// [`crate::value::Value::to_slot`]); the interpreter evaluates these with
-    /// `alu_eval`, which the differential property tests pin against the
-    /// tree-walking reference's `exec_op`.
-    AluOp {
-        I32Add,
-        I32Sub,
-        I32Mul,
-        I32And,
-        I32Or,
-        I32Xor,
-        I32Shl,
-        I32ShrS,
-        I32ShrU,
-        I32Rotl,
-        I32Rotr,
-        I32Eq,
-        I32Ne,
-        I32LtS,
-        I32LtU,
-        I32GtS,
-        I32GtU,
-        I32LeS,
-        I32LeU,
-        I32GeS,
-        I32GeU,
-        I64Add,
-        I64Sub,
-        I64Mul,
-        I64And,
-        I64Or,
-        I64Xor,
-        I64Shl,
-        I64ShrS,
-        I64ShrU,
-        I64Rotl,
-        I64Rotr,
-        I64Eq,
-        I64Ne,
-        I64LtS,
-        I64LtU,
-        I64GtS,
-        I64GtU,
-        I64LeS,
-        I64LeU,
-        I64GeS,
-        I64GeU,
-        F32Add,
-        F32Sub,
-        F32Mul,
-        F32Min,
-        F32Max,
-        F32Copysign,
-        F32Eq,
-        F32Ne,
-        F32Lt,
-        F32Gt,
-        F32Le,
-        F32Ge,
-        F64Add,
-        F64Sub,
-        F64Mul,
-        F64Min,
-        F64Max,
-        F64Copysign,
-        F64Eq,
-        F64Ne,
-        F64Lt,
-        F64Gt,
-        F64Le,
-        F64Ge,
-    }
-);
-
-impl AluOp {
-    /// Whether the op charges the `Float` class (float arithmetic and
-    /// comparisons) rather than `Simple`.
-    #[must_use]
-    pub fn is_float(self) -> bool {
-        use AluOp::*;
-        matches!(
-            self,
-            F32Add
-                | F32Sub
-                | F32Mul
-                | F32Min
-                | F32Max
-                | F32Copysign
-                | F32Eq
-                | F32Ne
-                | F32Lt
-                | F32Gt
-                | F32Le
-                | F32Ge
-                | F64Add
-                | F64Sub
-                | F64Mul
-                | F64Min
-                | F64Max
-                | F64Copysign
-                | F64Eq
-                | F64Ne
-                | F64Lt
-                | F64Gt
-                | F64Le
-                | F64Ge
-        )
-    }
-}
-
-instr_family!(
-    /// A division or remainder operation with a direct 3-address register
-    /// form. Split out of [`AluOp`] because the integer variants trap
-    /// (divide-by-zero, `INT_MIN / -1` overflow) and the whole family
-    /// charges the `Div`/`FloatDiv` class instead of `Simple`/`Float`. The
-    /// charge lands in the op's recipe — replayed before the operands are
-    /// even read, matching `exec_op`, which charges before its trap checks.
-    DivOp {
-        I32DivS,
-        I32DivU,
-        I32RemS,
-        I32RemU,
-        I64DivS,
-        I64DivU,
-        I64RemS,
-        I64RemU,
-        F32Div,
-        F64Div,
-    }
-);
-
-impl DivOp {
-    /// Whether the op charges the `FloatDiv` class rather than `Div`.
-    #[must_use]
-    pub fn is_float(self) -> bool {
-        matches!(self, DivOp::F32Div | DivOp::F64Div)
-    }
-}
+/// The three register-form families of the numeric instructions, named
+/// after the instructions they lower from. Their variant lists, semantics
+/// (`eval`) and charge classes are rows of the one table in
+/// [`cage_wasm::numeric`].
+pub use cage_wasm::numeric::{AluOp, DivOp, UnaOp};
 
 // ===========================================================================
 // Register bytecode
@@ -254,91 +94,17 @@ impl ChargeTag {
     pub const COUNT: usize = ChargeTag::Zero as usize + 1;
 }
 
-macro_rules! una_ops {
-    ($($v:ident => $tag:ident),+ $(,)?) => {
-        /// A one-operand op in 3-address register form: `dst <- op a`.
-        /// Trapping conversions (the `trunc` family) are included — they
-        /// report their trap through `una_eval` like any other op.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        #[allow(missing_docs)]
-        pub enum UnaOp {
-            $($v,)+
+impl From<NumericClass> for ChargeTag {
+    fn from(class: NumericClass) -> Self {
+        match class {
+            NumericClass::Simple => ChargeTag::Simple,
+            NumericClass::Float => ChargeTag::Float,
+            NumericClass::Div => ChargeTag::Div,
+            NumericClass::FloatDiv => ChargeTag::FloatDiv,
+            NumericClass::Free => ChargeTag::Zero,
         }
-
-        impl UnaOp {
-            /// Maps a plain unary instruction to its register form.
-            #[must_use]
-            pub fn from_instr(instr: &Instr) -> Option<UnaOp> {
-                match instr {
-                    $(Instr::$v => Some(UnaOp::$v),)+
-                    _ => None,
-                }
-            }
-
-            /// The charge class the source op retires.
-            #[must_use]
-            pub fn charge_tag(self) -> ChargeTag {
-                match self {
-                    $(UnaOp::$v => ChargeTag::$tag,)+
-                }
-            }
-        }
-    };
+    }
 }
-una_ops!(
-    I32Eqz => Simple,
-    I64Eqz => Simple,
-    I32Clz => Simple,
-    I32Ctz => Simple,
-    I32Popcnt => Simple,
-    I64Clz => Simple,
-    I64Ctz => Simple,
-    I64Popcnt => Simple,
-    I32WrapI64 => Zero,
-    I64ExtendI32S => Zero,
-    I64ExtendI32U => Zero,
-    I32Extend8S => Simple,
-    I32Extend16S => Simple,
-    I64Extend8S => Simple,
-    I64Extend16S => Simple,
-    I64Extend32S => Simple,
-    I32ReinterpretF32 => Simple,
-    I64ReinterpretF64 => Simple,
-    F32ReinterpretI32 => Simple,
-    F64ReinterpretI64 => Simple,
-    I32TruncF32S => Float,
-    I32TruncF32U => Float,
-    I32TruncF64S => Float,
-    I32TruncF64U => Float,
-    I64TruncF32S => Float,
-    I64TruncF32U => Float,
-    I64TruncF64S => Float,
-    I64TruncF64U => Float,
-    F32ConvertI32S => Float,
-    F32ConvertI32U => Float,
-    F32ConvertI64S => Float,
-    F32ConvertI64U => Float,
-    F32DemoteF64 => Float,
-    F64ConvertI32S => Float,
-    F64ConvertI32U => Float,
-    F64ConvertI64S => Float,
-    F64ConvertI64U => Float,
-    F64PromoteF32 => Float,
-    F32Abs => Float,
-    F32Neg => Float,
-    F32Ceil => Float,
-    F32Floor => Float,
-    F32Trunc => Float,
-    F32Nearest => Float,
-    F32Sqrt => FloatDiv,
-    F64Abs => Float,
-    F64Neg => Float,
-    F64Ceil => Float,
-    F64Floor => Float,
-    F64Trunc => Float,
-    F64Nearest => Float,
-    F64Sqrt => FloatDiv,
-);
 
 /// A direct call in register form: argument and result register lists
 /// replace the operand stack. The callee's own frame is laid out by its
@@ -1142,8 +908,8 @@ fn bridge_effect(instr: &Instr) -> (usize, usize) {
 /// The untagged operand slot of a constant instruction.
 fn const_bits(instr: &Instr) -> Option<u64> {
     match *instr {
-        Instr::I32Const(v) => Some(v as u32 as u64),
-        Instr::I64Const(v) => Some(v as u64),
+        Instr::I32Const(v) => Some(slot_i32(v)),
+        Instr::I64Const(v) => Some(slot_i64(v)),
         Instr::F32Const(bits) => Some(u64::from(bits)),
         Instr::F64Const(bits) => Some(bits),
         _ => None,
@@ -1154,37 +920,22 @@ impl RegCompiler<'_> {
     /// Lowers one data instruction (anything [`RegCompiler::lower_instr`]
     /// does not handle positionally); returns `true` for `unreachable`.
     fn lower_data_op(&mut self, instr: &Instr) -> Result<bool, LimitError> {
-        if let Some(alu) = AluOp::from_instr(instr) {
-            let b = self.stack.pop().expect("validated");
-            let a = self.stack.pop().expect("validated");
+        if let Some(op) = numeric::classify(instr) {
             let dst = self.b.new_value();
-            self.stack.push(dst);
-            let tag = if alu.is_float() {
-                ChargeTag::Float
-            } else {
-                ChargeTag::Simple
+            let mut pop = || self.stack.pop().expect("validated");
+            let inst = match op {
+                Numeric::Alu(op) => {
+                    let (b, a) = (pop(), pop());
+                    RInst::Alu { op, dst, a, b }
+                }
+                Numeric::Div(op) => {
+                    let (b, a) = (pop(), pop());
+                    RInst::Div { op, dst, a, b }
+                }
+                Numeric::Una(op) => RInst::Una { op, dst, a: pop() },
             };
-            self.emit(RInst::Alu { op: alu, dst, a, b }, tag);
-            return Ok(false);
-        }
-        if let Some(una) = UnaOp::from_instr(instr) {
-            let a = self.stack.pop().expect("validated");
-            let dst = self.b.new_value();
             self.stack.push(dst);
-            self.emit(RInst::Una { op: una, dst, a }, una.charge_tag());
-            return Ok(false);
-        }
-        if let Some(div) = DivOp::from_instr(instr) {
-            let b = self.stack.pop().expect("validated");
-            let a = self.stack.pop().expect("validated");
-            let dst = self.b.new_value();
-            self.stack.push(dst);
-            let tag = if div.is_float() {
-                ChargeTag::FloatDiv
-            } else {
-                ChargeTag::Div
-            };
-            self.emit(RInst::Div { op: div, dst, a, b }, tag);
+            self.emit(inst, op.class().into());
             return Ok(false);
         }
         if let Some(bits) = const_bits(instr) {

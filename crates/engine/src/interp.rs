@@ -18,8 +18,9 @@
 //! touches no reference count.
 //!
 //! Operands are *untagged*: registers (and the reference walker's operand
-//! stack and locals arena) are plain `u64` slots ([`Value::to_slot`]
-//! encoding — validation already guarantees types, so no runtime tag is
+//! stack and locals arena) are plain `u64` slots (the encoding
+//! `cage_wasm::numeric` defines, which [`Value::to_slot`] is the typed
+//! door to — validation already guarantees types, so no runtime tag is
 //! stored or matched). Typed [`Value`]s exist only at API boundaries:
 //! external `Store::call` arguments/results, host calls and globals
 //! convert at the edge. Scalar loads/stores on configurations without
@@ -32,18 +33,30 @@
 //! the reference implementation: it executes the `Instr` tree recursively,
 //! one source instruction at a time, and the differential tests assert
 //! the register machine is bit-identical to it on results, traps, cycles
-//! and retired instructions. The two share one data-instruction
-//! implementation ([`Interp::exec_op`]): the walker runs every data
-//! instruction through it, the register machine only its bridged ones.
+//! and retired instructions. The walker runs every data instruction
+//! through [`Interp::exec_op`], which holds the oracle's own hand-written
+//! arm — semantics and charge — for each of them. The register machine
+//! shares that function only for its bridged ops (globals, memory
+//! management, segments, pointer sign/auth, `unreachable`). The 128
+//! numeric instructions it evaluates instead through the rows of the
+//! table in `cage_wasm::numeric` (`AluOp`/`DivOp`/`UnaOp::eval`, inlined
+//! into the dispatch loop's four arms, charged by the recipe), so for
+//! those the differential tests compare two independent transcriptions
+//! of the semantics, and `exec_op`'s numeric arms read nothing from the
+//! table but the slot encoding and the `fmin`/`fmax`/`trunc` helpers.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use cage_wasm::instr::{LoadOp, StoreOp};
+use cage_wasm::numeric::{
+    get_f32, get_f64, get_i32, get_i64, slot_bool, slot_i32, slot_i64, trunc_to_i32, trunc_to_i64,
+    trunc_to_u32, trunc_to_u64, wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, IntoSlot,
+};
 use cage_wasm::{FuncType, Instr};
 
-use crate::bytecode::{AluOp, DivOp, RegBridge, RegCallIndirect, RegCode, RegOp, UnaOp};
+use crate::bytecode::{RegBridge, RegCallIndirect, RegCode, RegOp};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::cost::InstrClass;
 use crate::host::HostContext;
@@ -51,80 +64,6 @@ use crate::memory::fast_addr;
 use crate::store::{CompiledFunc, Store};
 use crate::trap::{panic_message, Trap};
 use crate::value::Value;
-
-// -- untagged slot codec --------------------------------------------------
-//
-// The inverse pair of `Value::to_slot`/`Value::from_slot`, split per type
-// so the hot loop never touches a tag: i32/f32 live in the low 32 bits
-// (zero-extended), i64 is reinterpreted, f64 is its bit pattern.
-
-#[inline(always)]
-fn slot_i32(v: i32) -> u64 {
-    v as u32 as u64
-}
-#[inline(always)]
-fn slot_i64(v: i64) -> u64 {
-    v as u64
-}
-#[inline(always)]
-fn slot_f32(v: f32) -> u64 {
-    u64::from(v.to_bits())
-}
-#[inline(always)]
-fn slot_f64(v: f64) -> u64 {
-    v.to_bits()
-}
-#[inline(always)]
-fn slot_bool(v: bool) -> u64 {
-    u64::from(v)
-}
-#[inline(always)]
-fn get_i32(s: u64) -> i32 {
-    s as u32 as i32
-}
-#[inline(always)]
-fn get_i64(s: u64) -> i64 {
-    s as i64
-}
-#[inline(always)]
-fn get_f32(s: u64) -> f32 {
-    f32::from_bits(s as u32)
-}
-#[inline(always)]
-fn get_f64(s: u64) -> f64 {
-    f64::from_bits(s)
-}
-
-/// Typed result → untagged slot, so the numeric macros stay generic over
-/// the operation's result type (the compile-time analogue of the old
-/// `Value::from`).
-trait IntoSlot {
-    fn into_slot(self) -> u64;
-}
-impl IntoSlot for i32 {
-    #[inline(always)]
-    fn into_slot(self) -> u64 {
-        slot_i32(self)
-    }
-}
-impl IntoSlot for i64 {
-    #[inline(always)]
-    fn into_slot(self) -> u64 {
-        slot_i64(self)
-    }
-}
-impl IntoSlot for f32 {
-    #[inline(always)]
-    fn into_slot(self) -> u64 {
-        slot_f32(self)
-    }
-}
-impl IntoSlot for f64 {
-    #[inline(always)]
-    fn into_slot(self) -> u64 {
-        slot_f64(self)
-    }
-}
 
 /// Per-class cycle charges, flattened for the hot loop.
 #[derive(Debug, Clone, Copy)]
@@ -1205,146 +1144,6 @@ impl<'a> RegState<'a, '_> {
     }
 }
 
-/// Evaluates a division/remainder op on untagged slots — bit-identical
-/// to the corresponding `exec_op` arm, including trap payloads. The
-/// `Div`/`FloatDiv` charge is NOT applied here: it rides in the op's
-/// recipe, which the dispatch loop replays first (`exec_op` charges
-/// before its trap checks, so the order matches).
-fn div_eval(op: DivOp, a: u64, b: u64) -> Result<u64, Trap> {
-    use DivOp::*;
-    Ok(match op {
-        I32DivS => {
-            let (a, b) = (get_i32(a), get_i32(b));
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            let (q, overflow) = a.overflowing_div(b);
-            if overflow {
-                return Err(Trap::IntegerOverflow);
-            }
-            slot_i32(q)
-        }
-        I32DivU => {
-            let (a, b) = (get_i32(a) as u32, get_i32(b) as u32);
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            slot_i32((a / b) as i32)
-        }
-        I32RemS => {
-            let (a, b) = (get_i32(a), get_i32(b));
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            slot_i32(a.wrapping_rem(b))
-        }
-        I32RemU => {
-            let (a, b) = (get_i32(a) as u32, get_i32(b) as u32);
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            slot_i32((a % b) as i32)
-        }
-        I64DivS => {
-            let (a, b) = (get_i64(a), get_i64(b));
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            let (q, overflow) = a.overflowing_div(b);
-            if overflow {
-                return Err(Trap::IntegerOverflow);
-            }
-            slot_i64(q)
-        }
-        I64DivU => {
-            let (a, b) = (get_i64(a) as u64, get_i64(b) as u64);
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            slot_i64((a / b) as i64)
-        }
-        I64RemS => {
-            let (a, b) = (get_i64(a), get_i64(b));
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            slot_i64(a.wrapping_rem(b))
-        }
-        I64RemU => {
-            let (a, b) = (get_i64(a) as u64, get_i64(b) as u64);
-            if b == 0 {
-                return Err(Trap::DivideByZero);
-            }
-            slot_i64((a % b) as i64)
-        }
-        F32Div => slot_f32(get_f32(a) / get_f32(b)),
-        F64Div => slot_f64(get_f64(a) / get_f64(b)),
-    })
-}
-
-/// Evaluates a one-operand register op on untagged slots — bit-identical
-/// to the corresponding `exec_op` arm, including trap payloads for the
-/// trapping `trunc` family. Charging is the recipe's job, not this fn's.
-#[inline(always)]
-#[allow(clippy::too_many_lines)]
-fn una_eval(op: UnaOp, a: u64) -> Result<u64, Trap> {
-    use UnaOp::*;
-    Ok(match op {
-        I32Eqz => slot_i32(i32::from(get_i32(a) == 0)),
-        I64Eqz => slot_bool(get_i64(a) == 0),
-        I32Clz => slot_i32(get_i32(a).leading_zeros() as i32),
-        I32Ctz => slot_i32(get_i32(a).trailing_zeros() as i32),
-        I32Popcnt => slot_i32(get_i32(a).count_ones() as i32),
-        I64Clz => slot_i64(i64::from(get_i64(a).leading_zeros())),
-        I64Ctz => slot_i64(i64::from(get_i64(a).trailing_zeros())),
-        I64Popcnt => slot_i64(i64::from(get_i64(a).count_ones())),
-        I32WrapI64 => slot_i32(get_i64(a) as i32),
-        I64ExtendI32S => slot_i64(i64::from(get_i32(a))),
-        I64ExtendI32U => slot_i64((get_i32(a) as u32) as i64),
-        I32Extend8S => slot_i32(i32::from(get_i32(a) as i8)),
-        I32Extend16S => slot_i32(i32::from(get_i32(a) as i16)),
-        I64Extend8S => slot_i64(i64::from(get_i64(a) as i8)),
-        I64Extend16S => slot_i64(i64::from(get_i64(a) as i16)),
-        I64Extend32S => slot_i64(i64::from(get_i64(a) as i32)),
-        I32ReinterpretF32 => slot_i32(get_f32(a).to_bits() as i32),
-        I64ReinterpretF64 => slot_i64(get_f64(a).to_bits() as i64),
-        F32ReinterpretI32 => slot_f32(f32::from_bits(get_i32(a) as u32)),
-        F64ReinterpretI64 => slot_f64(f64::from_bits(get_i64(a) as u64)),
-        I32TruncF32S => slot_i32(trunc_to_i32(f64::from(get_f32(a)))?),
-        I32TruncF32U => slot_i32(trunc_to_u32(f64::from(get_f32(a)))? as i32),
-        I32TruncF64S => slot_i32(trunc_to_i32(get_f64(a))?),
-        I32TruncF64U => slot_i32(trunc_to_u32(get_f64(a))? as i32),
-        I64TruncF32S => slot_i64(trunc_to_i64(f64::from(get_f32(a)))?),
-        I64TruncF32U => slot_i64(trunc_to_u64(f64::from(get_f32(a)))? as i64),
-        I64TruncF64S => slot_i64(trunc_to_i64(get_f64(a))?),
-        I64TruncF64U => slot_i64(trunc_to_u64(get_f64(a))? as i64),
-        F32ConvertI32S => slot_f32(get_i32(a) as f32),
-        F32ConvertI32U => slot_f32((get_i32(a) as u32) as f32),
-        F32ConvertI64S => slot_f32(get_i64(a) as f32),
-        F32ConvertI64U => slot_f32((get_i64(a) as u64) as f32),
-        F32DemoteF64 => slot_f32(get_f64(a) as f32),
-        F64ConvertI32S => slot_f64(f64::from(get_i32(a))),
-        F64ConvertI32U => slot_f64(f64::from(get_i32(a) as u32)),
-        F64ConvertI64S => slot_f64(get_i64(a) as f64),
-        F64ConvertI64U => slot_f64((get_i64(a) as u64) as f64),
-        F64PromoteF32 => slot_f64(f64::from(get_f32(a))),
-        F32Abs => slot_f32(get_f32(a).abs()),
-        F32Neg => slot_f32(-get_f32(a)),
-        F32Ceil => slot_f32(get_f32(a).ceil()),
-        F32Floor => slot_f32(get_f32(a).floor()),
-        F32Trunc => slot_f32(get_f32(a).trunc()),
-        F32Nearest => slot_f32(get_f32(a).round_ties_even()),
-        F32Sqrt => slot_f32(get_f32(a).sqrt()),
-        F64Abs => slot_f64(get_f64(a).abs()),
-        F64Neg => slot_f64(-get_f64(a)),
-        F64Ceil => slot_f64(get_f64(a).ceil()),
-        F64Floor => slot_f64(get_f64(a).floor()),
-        F64Trunc => slot_f64(get_f64(a).trunc()),
-        F64Nearest => slot_f64(get_f64(a).round_ties_even()),
-        F64Sqrt => slot_f64(get_f64(a).sqrt()),
-    })
-}
-
 impl Interp<'_> {
     /// Calls function `func_idx` with `args` — the external entry point.
     /// Typed [`Value`]s convert to untagged slots here and back at the
@@ -1496,14 +1295,14 @@ impl Interp<'_> {
                 }
                 &RegOp::Move { dst, src } => st.set(dst, st.get(src)),
                 &RegOp::Const { dst, v } => st.set(dst, v),
-                &RegOp::Alu { op, dst, a, b } => st.set(dst, alu_eval(op, st.get(a), st.get(b))),
-                &RegOp::AluImm { op, dst, a, k } => st.set(dst, alu_eval(op, st.get(a), k)),
+                &RegOp::Alu { op, dst, a, b } => st.set(dst, op.eval(st.get(a), st.get(b))),
+                &RegOp::AluImm { op, dst, a, k } => st.set(dst, op.eval(st.get(a), k)),
                 &RegOp::Div { op, dst, a, b } => {
-                    let v = div_eval(op, st.get(a), st.get(b))?;
+                    let v = op.eval(st.get(a), st.get(b))?;
                     st.set(dst, v);
                 }
                 &RegOp::Una { op, dst, a } => {
-                    let v = una_eval(op, st.get(a))?;
+                    let v = op.eval(st.get(a))?;
                     st.set(dst, v);
                 }
                 &RegOp::Select { dst, cond, a, b } => {
@@ -1769,234 +1568,11 @@ fn decode_load(op: LoadOp, raw: u64) -> u64 {
     }
 }
 
-/// Evaluates a two-operand ALU op on untagged slots — semantically
-/// identical to the corresponding `exec_op` arm (the differential
-/// property tests compare register execution against the tree oracle
-/// to pin this).
-#[inline(always)]
-#[allow(clippy::too_many_lines)]
-fn alu_eval(op: AluOp, a: u64, b: u64) -> u64 {
-    macro_rules! ib {
-        ($get:ident, $slot:ident, $f:expr) => {{
-            $slot($f($get(a), $get(b)))
-        }};
-    }
-    macro_rules! ic {
-        ($get:ident, $f:expr) => {{
-            slot_bool($f($get(a), $get(b)))
-        }};
-    }
-    match op {
-        AluOp::I32Add => ib!(get_i32, slot_i32, |a: i32, b: i32| a.wrapping_add(b)),
-        AluOp::I32Sub => ib!(get_i32, slot_i32, |a: i32, b: i32| a.wrapping_sub(b)),
-        AluOp::I32Mul => ib!(get_i32, slot_i32, |a: i32, b: i32| a.wrapping_mul(b)),
-        AluOp::I32And => ib!(get_i32, slot_i32, |a: i32, b: i32| a & b),
-        AluOp::I32Or => ib!(get_i32, slot_i32, |a: i32, b: i32| a | b),
-        AluOp::I32Xor => ib!(get_i32, slot_i32, |a: i32, b: i32| a ^ b),
-        AluOp::I32Shl => ib!(get_i32, slot_i32, |a: i32, b: i32| a.wrapping_shl(b as u32)),
-        AluOp::I32ShrS => ib!(get_i32, slot_i32, |a: i32, b: i32| a.wrapping_shr(b as u32)),
-        AluOp::I32ShrU => ib!(get_i32, slot_i32, |a: i32, b: i32| {
-            (a as u32).wrapping_shr(b as u32) as i32
-        }),
-        AluOp::I32Rotl => ib!(get_i32, slot_i32, |a: i32, b: i32| a
-            .rotate_left(b as u32 & 31)),
-        AluOp::I32Rotr => ib!(get_i32, slot_i32, |a: i32, b: i32| a
-            .rotate_right(b as u32 & 31)),
-        AluOp::I32Eq => ic!(get_i32, |a, b| a == b),
-        AluOp::I32Ne => ic!(get_i32, |a, b| a != b),
-        AluOp::I32LtS => ic!(get_i32, |a, b| a < b),
-        AluOp::I32LtU => ic!(get_i32, |a: i32, b: i32| (a as u32) < b as u32),
-        AluOp::I32GtS => ic!(get_i32, |a, b| a > b),
-        AluOp::I32GtU => ic!(get_i32, |a: i32, b: i32| a as u32 > b as u32),
-        AluOp::I32LeS => ic!(get_i32, |a, b| a <= b),
-        AluOp::I32LeU => ic!(get_i32, |a: i32, b: i32| a as u32 <= b as u32),
-        AluOp::I32GeS => ic!(get_i32, |a, b| a >= b),
-        AluOp::I32GeU => ic!(get_i32, |a: i32, b: i32| a as u32 >= b as u32),
-        AluOp::I64Add => ib!(get_i64, slot_i64, |a: i64, b: i64| a.wrapping_add(b)),
-        AluOp::I64Sub => ib!(get_i64, slot_i64, |a: i64, b: i64| a.wrapping_sub(b)),
-        AluOp::I64Mul => ib!(get_i64, slot_i64, |a: i64, b: i64| a.wrapping_mul(b)),
-        AluOp::I64And => ib!(get_i64, slot_i64, |a: i64, b: i64| a & b),
-        AluOp::I64Or => ib!(get_i64, slot_i64, |a: i64, b: i64| a | b),
-        AluOp::I64Xor => ib!(get_i64, slot_i64, |a: i64, b: i64| a ^ b),
-        AluOp::I64Shl => ib!(get_i64, slot_i64, |a: i64, b: i64| a.wrapping_shl(b as u32)),
-        AluOp::I64ShrS => ib!(get_i64, slot_i64, |a: i64, b: i64| a.wrapping_shr(b as u32)),
-        AluOp::I64ShrU => ib!(get_i64, slot_i64, |a: i64, b: i64| {
-            (a as u64).wrapping_shr(b as u32) as i64
-        }),
-        AluOp::I64Rotl => ib!(get_i64, slot_i64, |a: i64, b: i64| a
-            .rotate_left(b as u32 & 63)),
-        AluOp::I64Rotr => ib!(get_i64, slot_i64, |a: i64, b: i64| a
-            .rotate_right(b as u32 & 63)),
-        AluOp::I64Eq => ic!(get_i64, |a, b| a == b),
-        AluOp::I64Ne => ic!(get_i64, |a, b| a != b),
-        AluOp::I64LtS => ic!(get_i64, |a, b| a < b),
-        AluOp::I64LtU => ic!(get_i64, |a: i64, b: i64| (a as u64) < b as u64),
-        AluOp::I64GtS => ic!(get_i64, |a, b| a > b),
-        AluOp::I64GtU => ic!(get_i64, |a: i64, b: i64| a as u64 > b as u64),
-        AluOp::I64LeS => ic!(get_i64, |a, b| a <= b),
-        AluOp::I64LeU => ic!(get_i64, |a: i64, b: i64| a as u64 <= b as u64),
-        AluOp::I64GeS => ic!(get_i64, |a, b| a >= b),
-        AluOp::I64GeU => ic!(get_i64, |a: i64, b: i64| a as u64 >= b as u64),
-        AluOp::F32Add => ib!(get_f32, slot_f32, |a: f32, b: f32| a + b),
-        AluOp::F32Sub => ib!(get_f32, slot_f32, |a: f32, b: f32| a - b),
-        AluOp::F32Mul => ib!(get_f32, slot_f32, |a: f32, b: f32| a * b),
-        AluOp::F32Min => ib!(get_f32, slot_f32, wasm_fmin32),
-        AluOp::F32Max => ib!(get_f32, slot_f32, wasm_fmax32),
-        AluOp::F32Copysign => ib!(get_f32, slot_f32, |a: f32, b: f32| a.copysign(b)),
-        AluOp::F32Eq => ic!(get_f32, |a, b| a == b),
-        AluOp::F32Ne => ic!(get_f32, |a, b| a != b),
-        AluOp::F32Lt => ic!(get_f32, |a, b| a < b),
-        AluOp::F32Gt => ic!(get_f32, |a, b| a > b),
-        AluOp::F32Le => ic!(get_f32, |a, b| a <= b),
-        AluOp::F32Ge => ic!(get_f32, |a, b| a >= b),
-        AluOp::F64Add => ib!(get_f64, slot_f64, |a: f64, b: f64| a + b),
-        AluOp::F64Sub => ib!(get_f64, slot_f64, |a: f64, b: f64| a - b),
-        AluOp::F64Mul => ib!(get_f64, slot_f64, |a: f64, b: f64| a * b),
-        AluOp::F64Min => ib!(get_f64, slot_f64, wasm_fmin64),
-        AluOp::F64Max => ib!(get_f64, slot_f64, wasm_fmax64),
-        AluOp::F64Copysign => ib!(get_f64, slot_f64, |a: f64, b: f64| a.copysign(b)),
-        AluOp::F64Eq => ic!(get_f64, |a, b| a == b),
-        AluOp::F64Ne => ic!(get_f64, |a, b| a != b),
-        AluOp::F64Lt => ic!(get_f64, |a, b| a < b),
-        AluOp::F64Gt => ic!(get_f64, |a, b| a > b),
-        AluOp::F64Le => ic!(get_f64, |a, b| a <= b),
-        AluOp::F64Ge => ic!(get_f64, |a, b| a >= b),
-    }
-}
-
-fn wasm_fmin32(a: f32, b: f32) -> f32 {
-    if a.is_nan() || b.is_nan() {
-        f32::NAN
-    } else if a == b {
-        if a.is_sign_negative() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.min(b)
-    }
-}
-
-fn wasm_fmax32(a: f32, b: f32) -> f32 {
-    if a.is_nan() || b.is_nan() {
-        f32::NAN
-    } else if a == b {
-        if a.is_sign_positive() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.max(b)
-    }
-}
-
-fn wasm_fmin64(a: f64, b: f64) -> f64 {
-    if a.is_nan() || b.is_nan() {
-        f64::NAN
-    } else if a == b {
-        if a.is_sign_negative() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.min(b)
-    }
-}
-
-fn wasm_fmax64(a: f64, b: f64) -> f64 {
-    if a.is_nan() || b.is_nan() {
-        f64::NAN
-    } else if a == b {
-        if a.is_sign_positive() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.max(b)
-    }
-}
-
-fn trunc_to_i32(v: f64) -> Result<i32, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if !(-2_147_483_648.0..=2_147_483_647.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as i32)
-}
-
-fn trunc_to_u32(v: f64) -> Result<u32, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if !(0.0..=4_294_967_295.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as u32)
-}
-
-fn trunc_to_i64(v: f64) -> Result<i64, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    // 2^63 is exactly representable; anything >= it overflows, as does
-    // anything < -2^63.
-    if !(-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as i64)
-}
-
-fn trunc_to_u64(v: f64) -> Result<u64, Trap> {
-    if v.is_nan() {
-        return Err(Trap::InvalidConversion);
-    }
-    let t = v.trunc();
-    if !(0.0..18_446_744_073_709_551_616.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use cage_mte::pointer::ADDR_MASK;
 
     use super::*;
-
-    #[test]
-    fn fmin_fmax_zero_signs() {
-        assert!(wasm_fmin64(0.0, -0.0).is_sign_negative());
-        assert!(wasm_fmax64(0.0, -0.0).is_sign_positive());
-        assert!(wasm_fmin32(-0.0, 0.0).is_sign_negative());
-    }
-
-    #[test]
-    fn fmin_fmax_nan_propagation() {
-        assert!(wasm_fmin64(f64::NAN, 1.0).is_nan());
-        assert!(wasm_fmax32(1.0, f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn trunc_bounds() {
-        assert_eq!(trunc_to_i32(-2_147_483_648.9).unwrap(), i32::MIN);
-        assert!(trunc_to_i32(2_147_483_648.0).is_err());
-        assert!(trunc_to_i32(f64::NAN).is_err());
-        assert_eq!(trunc_to_u32(4_294_967_295.0).unwrap(), u32::MAX);
-        assert!(trunc_to_u32(-1.0).is_err());
-        assert_eq!(trunc_to_i64(-9.223_372_036_854_776e18).unwrap(), i64::MIN);
-        assert!(trunc_to_i64(9.223_372_036_854_776e18).is_err());
-        assert_eq!(trunc_to_u64(1.8e19).unwrap(), 18_000_000_000_000_000_000);
-        assert!(trunc_to_u64(1.9e19).is_err());
-    }
 
     #[test]
     fn load_codec_decodes_slots() {
@@ -2039,31 +1615,5 @@ mod tests {
             fast_addr(ADDR_MASK, 0, 8, false, 4096),
             Err(Trap::OutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn alu_eval_matches_unfused_semantics() {
-        use crate::bytecode::AluOp;
-        let a = Value::I32(-7).to_slot();
-        let b = Value::I32(3).to_slot();
-        assert_eq!(alu_eval(AluOp::I32Add, a, b), Value::I32(-4).to_slot());
-        assert_eq!(alu_eval(AluOp::I32LtU, a, b), 0, "-7 as u32 is large");
-        assert_eq!(alu_eval(AluOp::I32LtS, a, b), 1);
-        let x = Value::I64(i64::MIN).to_slot();
-        assert_eq!(
-            alu_eval(AluOp::I64Sub, x, Value::I64(1).to_slot()),
-            Value::I64(i64::MAX).to_slot(),
-            "wrapping"
-        );
-        let f = Value::F64(1.5).to_slot();
-        let g = Value::F64(-0.0).to_slot();
-        assert_eq!(alu_eval(AluOp::F64Mul, f, f), Value::F64(2.25).to_slot());
-        assert_eq!(
-            alu_eval(AluOp::F64Min, Value::F64(0.0).to_slot(), g),
-            g,
-            "min picks the negative zero"
-        );
-        let nan = alu_eval(AluOp::F32Add, Value::F32(f32::NAN).to_slot(), f);
-        assert!(get_f32(nan).is_nan());
     }
 }

@@ -5,6 +5,7 @@ use std::fmt;
 
 use cage_mte::TagCheckFault;
 use cage_pac::PacFault;
+use cage_wasm::numeric::NumericTrap;
 
 /// Why execution trapped.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,6 +136,16 @@ impl From<TagCheckFault> for Trap {
 impl From<PacFault> for Trap {
     fn from(fault: PacFault) -> Self {
         Trap::PointerAuth(fault)
+    }
+}
+
+impl From<NumericTrap> for Trap {
+    fn from(trap: NumericTrap) -> Self {
+        match trap {
+            NumericTrap::DivideByZero => Trap::DivideByZero,
+            NumericTrap::IntegerOverflow => Trap::IntegerOverflow,
+            NumericTrap::InvalidConversion => Trap::InvalidConversion,
+        }
     }
 }
 

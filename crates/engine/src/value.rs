@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use cage_wasm::numeric::{
+    get_f32, get_f64, get_i32, get_i64, slot_f32, slot_f64, slot_i32, slot_i64,
+};
 use cage_wasm::ValType;
 
 /// A WebAssembly runtime value.
@@ -104,15 +107,15 @@ impl Value {
 
     /// Encodes the value into an untagged 64-bit operand slot — the
     /// interpreter's runtime representation. Validation guarantees types,
-    /// so slots carry no tag: `i32` and `f32` bits are zero-extended,
-    /// `i64` is reinterpreted, `f64` travels as its bit pattern.
+    /// so slots carry no tag; the encoding itself is defined once, in
+    /// [`cage_wasm::numeric`] (`slot_*`/`get_*`).
     #[must_use]
     pub fn to_slot(self) -> u64 {
         match self {
-            Value::I32(v) => v as u32 as u64,
-            Value::I64(v) => v as u64,
-            Value::F32(v) => u64::from(v.to_bits()),
-            Value::F64(v) => v.to_bits(),
+            Value::I32(v) => slot_i32(v),
+            Value::I64(v) => slot_i64(v),
+            Value::F32(v) => slot_f32(v),
+            Value::F64(v) => slot_f64(v),
         }
     }
 
@@ -122,10 +125,10 @@ impl Value {
     #[must_use]
     pub fn from_slot(ty: ValType, raw: u64) -> Value {
         match ty {
-            ValType::I32 => Value::I32(raw as u32 as i32),
-            ValType::I64 => Value::I64(raw as i64),
-            ValType::F32 => Value::F32(f32::from_bits(raw as u32)),
-            ValType::F64 => Value::F64(f64::from_bits(raw)),
+            ValType::I32 => Value::I32(get_i32(raw)),
+            ValType::I64 => Value::I64(get_i64(raw)),
+            ValType::F32 => Value::F32(get_f32(raw)),
+            ValType::F64 => Value::F64(get_f64(raw)),
         }
     }
 

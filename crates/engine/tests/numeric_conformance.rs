@@ -54,6 +54,30 @@ fn shift_counts_are_masked() {
 }
 
 #[test]
+fn right_shifts_are_logical_or_arithmetic_by_opcode() {
+    let m = binop_module(Instr::I32ShrU, ValType::I32, ValType::I32);
+    assert_eq!(
+        run1(&m, &[Value::I32(-1), Value::I32(1)]).unwrap(),
+        Value::I32(i32::MAX)
+    );
+    let m = binop_module(Instr::I32ShrS, ValType::I32, ValType::I32);
+    assert_eq!(
+        run1(&m, &[Value::I32(-8), Value::I32(1)]).unwrap(),
+        Value::I32(-4)
+    );
+    let m = binop_module(Instr::I64ShrU, ValType::I64, ValType::I64);
+    assert_eq!(
+        run1(&m, &[Value::I64(-1), Value::I64(1)]).unwrap(),
+        Value::I64(i64::MAX)
+    );
+    let m = binop_module(Instr::I64ShrS, ValType::I64, ValType::I64);
+    assert_eq!(
+        run1(&m, &[Value::I64(-8), Value::I64(1)]).unwrap(),
+        Value::I64(-4)
+    );
+}
+
+#[test]
 fn rotates_wrap_correctly() {
     let m = binop_module(Instr::I32Rotl, ValType::I32, ValType::I32);
     assert_eq!(

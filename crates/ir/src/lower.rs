@@ -935,7 +935,9 @@ fn float_binop_defined(op: BinOp) -> bool {
     )
 }
 
-fn binop_instr(op: BinOp, ty: IrType, pw: PtrWidth) -> Instr {
+/// The instruction `op` lowers to at `ty` — also what `const_fold`
+/// evaluates a constant pair with, so it folds to what this computes.
+pub(crate) fn binop_instr(op: BinOp, ty: IrType, pw: PtrWidth) -> Instr {
     use BinOp::*;
     let wide = match ty {
         IrType::I32 => false,

@@ -1,26 +1,34 @@
 //! Constant folding and algebraic simplification.
 //!
-//! The evaluator is *typed*: every integer op is evaluated at the width
-//! of the expression's `IrType`, matching what the lowered wasm (and the
-//! engine tiers) will compute at runtime. Getting this wrong silently
-//! diverges optimized from unoptimized code — historically `eval_int`
-//! ran everything at 64 bits, so `i32.shl x, 32` folded to `0` instead
-//! of `x` (wasm masks the shift count mod 32), `i32.shr_u -1, 1` folded
-//! to `-1` instead of `0x7FFF_FFFF` (the sign-extended constant leaked
-//! phantom high bits into unsigned ops), and `i32.div_s INT_MIN, -1`
-//! folded to a value where the spec mandates a trap.
+//! The folder has no arithmetic of its own. A constant pair folds to what
+//! the wasm instruction the lowering emits for that `(BinOp, IrType)`
+//! (`lower::binop_instr`) computes on it, evaluated by the same table row
+//! (`cage_wasm::numeric`) the engine's dispatch loop runs — so a fold the
+//! runtime would not compute cannot be written down. Getting the width
+//! wrong silently diverges optimized from unoptimized code: historically a
+//! private `eval_int` ran everything at 64 bits, so `i32.shl x, 32` folded
+//! to `0` instead of `x` (wasm masks the shift count mod 32),
+//! `i32.shr_u -1, 1` folded to `-1` instead of `0x7FFF_FFFF`, and
+//! `i32.div_s INT_MIN, -1` folded to a value where the spec mandates a
+//! trap.
 //!
-//! Folding rules:
-//! - shifts mask their count mod the operand width (mod 32 at i32);
-//! - unsigned div/rem/shift/compare zero-extend 32-bit operands;
-//! - ops that trap at runtime (`div`/`rem` by zero, `div_s MIN, -1`)
-//!   are never folded — the trap must survive to runtime;
+//! What is folded, and what is refused:
+//! - an instruction that traps on its operands (`div`/`rem` by zero,
+//!   `div_s MIN, -1`) is never folded — the trap must survive to runtime;
 //! - `Ptr`-typed ops fold only when the result is truncation-compatible
 //!   (`add`/`sub`/`mul`/`and`/`or`/`xor`), because the pointer width is
 //!   decided later by the lowering target (8 bytes on wasm64, 4 on
-//!   wasm32) and anything width-sensitive would bake in the wrong one.
+//!   wasm32) and anything width-sensitive would bake in the wrong one;
+//! - `f64` folds `add`/`sub`/`mul`/`div` and `neg`/`sqrt`/`fabs`, not
+//!   comparisons;
+//! - the algebraic identities (`x + 0`, `x * 1`, `x << 0`, …) are not
+//!   arithmetic on two constants and are decided here.
+
+use cage_wasm::numeric::{self, get_f64, get_i32, get_i64, slot_f64, slot_i32, slot_i64, Numeric};
+use cage_wasm::{Instr, ValType};
 
 use crate::instr::{BinOp, Expr, Operand, Stmt, UnOp};
+use crate::lower::{binop_instr, PtrWidth};
 use crate::module::IrFunction;
 use crate::types::IrType;
 
@@ -44,42 +52,32 @@ fn fold(expr: &Expr) -> Option<Expr> {
 }
 
 fn fold_binop(op: BinOp, ty: IrType, lhs: &Operand, rhs: &Operand) -> Option<Expr> {
-    // Integer constant folding, at the expression's width.
-    if let (Some(a), Some(b)) = (lhs.as_const_int(), rhs.as_const_int()) {
-        if ty != IrType::F64 {
-            let v = eval_int(op, ty, a, b)?;
-            return Some(Expr::Use(if op.is_comparison() {
-                Operand::ConstI32(v as i32)
-            } else {
-                match ty {
-                    IrType::I32 => Operand::ConstI32(v as i32),
-                    _ => Operand::ConstI64(v),
-                }
-            }));
-        }
-    }
-    // Float constant folding for the arithmetic ops.
-    if let (Operand::ConstF64(a), Operand::ConstF64(b)) = (lhs, rhs) {
-        let v = match op {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a * b,
-            BinOp::DivS => a / b,
-            _ => return None,
+    use BinOp::*;
+    if lhs.as_value().is_none() && rhs.as_value().is_none() {
+        let folds = match ty {
+            IrType::I32 | IrType::I64 => true,
+            IrType::Ptr => matches!(op, Add | Sub | Mul | And | Or | Xor),
+            IrType::F64 => matches!(op, Add | Sub | Mul | DivS),
         };
-        return Some(Expr::Use(Operand::ConstF64(v)));
+        if !folds {
+            return None;
+        }
+        // A pointer op that folds is one whose 64-bit result truncates
+        // to the 32-bit one, so it is evaluated at 64 bits.
+        let instr = binop_instr(op, ty, PtrWidth::W64);
+        return eval(&instr, &[*lhs, *rhs]).map(Expr::Use);
     }
     // Algebraic identities (integer only; float identities are unsound
     // under NaN/signed zero).
     if ty != IrType::F64 {
         match (op, rhs.as_const_int()) {
-            (BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor, Some(0)) => {
+            (Add | Sub | Or | Xor, Some(0)) => {
                 return Some(Expr::Use(*lhs));
             }
             // A shift is a no-op when the *masked* count is zero; the
             // mask depends on the width, so Ptr (width unknown until
             // lowering) only qualifies for a literal zero count.
-            (BinOp::Shl | BinOp::ShrS | BinOp::ShrU, Some(c))
+            (Shl | ShrS | ShrU, Some(c))
                 if match ty {
                     IrType::I32 => c & 31 == 0,
                     IrType::I64 => c & 63 == 0,
@@ -88,10 +86,10 @@ fn fold_binop(op: BinOp, ty: IrType, lhs: &Operand, rhs: &Operand) -> Option<Exp
             {
                 return Some(Expr::Use(*lhs));
             }
-            (BinOp::Mul, Some(1)) | (BinOp::DivS | BinOp::DivU, Some(1)) => {
+            (Mul, Some(1)) | (DivS | DivU, Some(1)) => {
                 return Some(Expr::Use(*lhs));
             }
-            (BinOp::Mul | BinOp::And, Some(0)) => {
+            (Mul | And, Some(0)) => {
                 return Some(Expr::Use(match ty {
                     IrType::I32 => Operand::ConstI32(0),
                     _ => Operand::ConstI64(0),
@@ -103,133 +101,55 @@ fn fold_binop(op: BinOp, ty: IrType, lhs: &Operand, rhs: &Operand) -> Option<Exp
     None
 }
 
-/// Evaluates an integer binop at the width of `ty`, returning `None`
-/// when the op must not be folded (runtime-trapping, or `Ptr`-typed and
-/// width-sensitive). Results are sign-extended to i64; comparisons
-/// yield 0/1.
-fn eval_int(op: BinOp, ty: IrType, a: i64, b: i64) -> Option<i64> {
-    match ty {
-        IrType::I32 => eval_i32(op, a as i32, b as i32),
-        IrType::I64 => eval_i64(op, a, b),
-        // Pointer width is a lowering decision; only ops whose 64-bit
-        // result truncates to the correct 32-bit result are safe here.
-        IrType::Ptr => match op {
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor => {
-                eval_i64(op, a, b)
-            }
-            _ => None,
-        },
-        IrType::F64 => None,
-    }
-}
-
-fn eval_i32(op: BinOp, a: i32, b: i32) -> Option<i64> {
-    let au = a as u32;
-    let bu = b as u32;
-    let v: i32 = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::DivS => {
-            // b == 0 and MIN/-1 both trap at runtime; leave them.
-            a.checked_div(b)?
-        }
-        BinOp::DivU => au.checked_div(bu)? as i32,
-        BinOp::RemS => {
-            if b == 0 {
-                return None;
-            }
-            // MIN % -1 is 0 in wasm (no trap).
-            a.wrapping_rem(b)
-        }
-        BinOp::RemU => au.checked_rem(bu)? as i32,
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        // wrapping_sh{l,r} mask the count mod 32 — wasm semantics.
-        BinOp::Shl => a.wrapping_shl(bu),
-        BinOp::ShrS => a.wrapping_shr(bu),
-        BinOp::ShrU => au.wrapping_shr(bu) as i32,
-        BinOp::Eq => i32::from(a == b),
-        BinOp::Ne => i32::from(a != b),
-        BinOp::LtS => i32::from(a < b),
-        BinOp::LtU => i32::from(au < bu),
-        BinOp::LeS => i32::from(a <= b),
-        BinOp::LeU => i32::from(au <= bu),
-        BinOp::GtS => i32::from(a > b),
-        BinOp::GtU => i32::from(au > bu),
-        BinOp::GeS => i32::from(a >= b),
-        BinOp::GeU => i32::from(au >= bu),
-    };
-    Some(i64::from(v))
-}
-
-fn eval_i64(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    let au = a as u64;
-    let bu = b as u64;
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::DivS => a.checked_div(b)?,
-        BinOp::DivU => (au.checked_div(bu)?) as i64,
-        BinOp::RemS => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::RemU => (au.checked_rem(bu)?) as i64,
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::ShrS => a.wrapping_shr(b as u32),
-        BinOp::ShrU => au.wrapping_shr(b as u32) as i64,
-        BinOp::Eq => i64::from(a == b),
-        BinOp::Ne => i64::from(a != b),
-        BinOp::LtS => i64::from(a < b),
-        BinOp::LtU => i64::from(au < bu),
-        BinOp::LeS => i64::from(a <= b),
-        BinOp::LeU => i64::from(au <= bu),
-        BinOp::GtS => i64::from(a > b),
-        BinOp::GtU => i64::from(au > bu),
-        BinOp::GeS => i64::from(a >= b),
-        BinOp::GeU => i64::from(au >= bu),
-    })
-}
-
+/// Folds a `UnOp` of a constant through the instruction `lower_expr`
+/// emits for it. wasm has no integer negate or complement, so those two
+/// lower to (and fold as) `0 - x` and `x ^ -1`, which commute with
+/// truncation and are therefore safe at `Ptr`; `Not` (`x == 0`) is not,
+/// and is refused there.
 fn fold_unop(op: UnOp, ty: IrType, operand: &Operand) -> Option<Expr> {
-    if let Some(a) = operand.as_const_int() {
-        // Width audit: `Neg` and `BitNot` commute with truncation, so a
-        // 64-bit evaluation truncated to i32 is exact at i32 (including
-        // `-INT_MIN`, which wraps — wasm has no trapping negate).
-        // `Not` (`x == 0`) is width-stable for sign-extended constants
-        // (zero iff zero) but NOT truncation-stable, so it is refused
-        // at `Ptr` where the width is unknown until lowering.
-        let v = match (op, ty) {
-            (_, IrType::F64) => return None,
-            (UnOp::Neg, _) => a.wrapping_neg(),
-            (UnOp::Not, IrType::I32 | IrType::I64) => i64::from(a == 0),
-            (UnOp::BitNot, _) => !a,
+    let int = |op: BinOp| binop_instr(op, ty, PtrWidth::W64);
+    let x = *operand;
+    let folded = match (op, ty) {
+        (UnOp::Neg, IrType::F64) => eval(&Instr::F64Neg, &[x]),
+        (UnOp::Sqrt, IrType::F64) => eval(&Instr::F64Sqrt, &[x]),
+        (UnOp::Fabs, IrType::F64) => eval(&Instr::F64Abs, &[x]),
+        (_, IrType::F64) => None,
+        (UnOp::Neg, _) => eval(&int(BinOp::Sub), &[Operand::ConstI64(0), x]),
+        (UnOp::BitNot, _) => eval(&int(BinOp::Xor), &[x, Operand::ConstI64(-1)]),
+        (UnOp::Not, IrType::I32) => eval(&Instr::I32Eqz, &[x]),
+        (UnOp::Not, IrType::I64) => eval(&Instr::I64Eqz, &[x]),
+        _ => None,
+    };
+    folded.map(Expr::Use)
+}
+
+/// Runs the numeric instruction `instr` on constant operands, one per
+/// parameter, exactly as the engine would. `None` when an operand is not
+/// a constant of its parameter's type, or when the instruction traps on
+/// these operands.
+fn eval(instr: &Instr, operands: &[Operand]) -> Option<Operand> {
+    let op = numeric::classify(instr)?;
+    let (params, result) = op.signature();
+    let slot = |i: usize| {
+        let operand = operands.get(i)?;
+        Some(match (params.get(i)?, operand) {
+            (ValType::I32, _) => slot_i32(operand.as_const_int()? as i32),
+            (ValType::I64, _) => slot_i64(operand.as_const_int()?),
+            (ValType::F64, Operand::ConstF64(v)) => slot_f64(*v),
             _ => return None,
-        };
-        return Some(Expr::Use(match ty {
-            IrType::I32 => Operand::ConstI32(v as i32),
-            _ if op == UnOp::Not => Operand::ConstI32(v as i32),
-            _ => Operand::ConstI64(v),
-        }));
-    }
-    if let Operand::ConstF64(a) = operand {
-        let v = match op {
-            UnOp::Neg => -a,
-            UnOp::Sqrt => a.sqrt(),
-            UnOp::Fabs => a.abs(),
-            _ => return None,
-        };
-        return Some(Expr::Use(Operand::ConstF64(v)));
-    }
-    None
+        })
+    };
+    let out = match op {
+        Numeric::Alu(op) => op.eval(slot(0)?, slot(1)?),
+        Numeric::Div(op) => op.eval(slot(0)?, slot(1)?).ok()?,
+        Numeric::Una(op) => op.eval(slot(0)?).ok()?,
+    };
+    Some(match result {
+        ValType::I32 => Operand::ConstI32(get_i32(out)),
+        ValType::I64 => Operand::ConstI64(get_i64(out)),
+        ValType::F64 => Operand::ConstF64(get_f64(out)),
+        ValType::F32 => return None,
+    })
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@ pub mod instr;
 pub mod leb;
 pub mod limits;
 pub mod module;
+pub mod numeric;
 pub mod text;
 pub mod types;
 pub mod validate;
@@ -59,5 +60,6 @@ pub mod validate;
 pub use instr::{BlockType, Instr, MemArg};
 pub use limits::{CompileFuel, CompileLimits, LimitError};
 pub use module::{Data, Elem, Export, ExportKind, Function, Global, Import, ImportKind, Module};
+pub use numeric::numeric_signature;
 pub use types::{FuncType, GlobalType, Limits, MemoryType, TableType, ValType};
-pub use validate::{numeric_signature, validate, validate_with_limits, ValidationError};
+pub use validate::{validate, validate_with_limits, ValidationError};

@@ -138,8 +138,8 @@ fn leaf_text(instr: &Instr) -> String {
         LocalTee(i) => format!("local.tee {i}"),
         GlobalGet(i) => format!("global.get {i}"),
         GlobalSet(i) => format!("global.set {i}"),
-        Load(op, m) => format!("{op:?} offset={}", m.offset).to_lowercase(),
-        Store(op, m) => format!("{op:?} offset={}", m.offset).to_lowercase(),
+        Load(op, m) => format!("{} offset={}", dotted(op), m.offset),
+        Store(op, m) => format!("{} offset={}", dotted(op), m.offset),
         MemorySize => "memory.size".into(),
         MemoryGrow => "memory.grow".into(),
         MemoryFill => "memory.fill".into(),
@@ -153,24 +153,27 @@ fn leaf_text(instr: &Instr) -> String {
         SegmentFree(o) => format!("segment.free offset={o}"),
         PointerSign => "i64.pointer_sign".into(),
         PointerAuth => "i64.pointer_auth".into(),
-        // Numeric instructions: derive the dotted mnemonic from the
-        // variant name (I64ExtendI32S -> i64.extend_i32_s).
-        other => {
-            let debug = format!("{other:?}");
-            let (prefix, rest) = debug.split_at(3);
-            let mut out = prefix.to_lowercase();
-            out.push('.');
-            let mut prev_lower = false;
-            for c in rest.chars() {
-                if c.is_ascii_uppercase() && prev_lower {
-                    out.push('_');
-                }
-                prev_lower = c.is_ascii_lowercase() || c.is_ascii_digit();
-                out.push(c.to_ascii_lowercase());
-            }
-            out
-        }
+        // Numeric instructions.
+        other => dotted(other),
     }
+}
+
+/// Derives the dotted mnemonic from a type-prefixed variant name:
+/// `I64ExtendI32S` -> `i64.extend_i32_s`, `I32Load8S` -> `i32.load8_s`.
+fn dotted(variant: &impl fmt::Debug) -> String {
+    let debug = format!("{variant:?}");
+    let (prefix, rest) = debug.split_at(3);
+    let mut out = prefix.to_lowercase();
+    out.push('.');
+    let mut prev_lower = false;
+    for c in rest.chars() {
+        if c.is_ascii_uppercase() && prev_lower {
+            out.push('_');
+        }
+        prev_lower = c.is_ascii_lowercase() || c.is_ascii_digit();
+        out.push(c.to_ascii_lowercase());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -201,6 +204,46 @@ mod tests {
         assert_eq!(Instr::I64ExtendI32S.to_string(), "i64.extend_i32_s");
         assert_eq!(Instr::F64ConvertI64U.to_string(), "f64.convert_i64_u");
         assert_eq!(Instr::F32DemoteF64.to_string(), "f32.demote_f64");
+    }
+
+    #[test]
+    fn load_and_store_mnemonics_are_dotted() {
+        use crate::instr::{LoadOp::*, MemArg, StoreOp::*};
+        let loads = [
+            (I32Load, "i32.load"),
+            (I64Load, "i64.load"),
+            (F32Load, "f32.load"),
+            (F64Load, "f64.load"),
+            (I32Load8S, "i32.load8_s"),
+            (I32Load8U, "i32.load8_u"),
+            (I32Load16S, "i32.load16_s"),
+            (I32Load16U, "i32.load16_u"),
+            (I64Load8S, "i64.load8_s"),
+            (I64Load8U, "i64.load8_u"),
+            (I64Load16S, "i64.load16_s"),
+            (I64Load16U, "i64.load16_u"),
+            (I64Load32S, "i64.load32_s"),
+            (I64Load32U, "i64.load32_u"),
+        ];
+        for (op, text) in loads {
+            let printed = Instr::Load(op, MemArg::offset(8)).to_string();
+            assert_eq!(printed, format!("{text} offset=8"));
+        }
+        let stores = [
+            (I32Store, "i32.store"),
+            (I64Store, "i64.store"),
+            (F32Store, "f32.store"),
+            (F64Store, "f64.store"),
+            (I32Store8, "i32.store8"),
+            (I32Store16, "i32.store16"),
+            (I64Store8, "i64.store8"),
+            (I64Store16, "i64.store16"),
+            (I64Store32, "i64.store32"),
+        ];
+        for (op, text) in stores {
+            let printed = Instr::Store(op, MemArg::none()).to_string();
+            assert_eq!(printed, format!("{text} offset=0"));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::fmt;
 use crate::instr::Instr;
 use crate::limits::{CompileFuel, CompileLimits, LimitError};
 use crate::module::{ExportKind, ImportKind, Module};
+use crate::numeric::numeric_signature;
 use crate::types::{FuncType, ValType};
 
 /// A validation failure.
@@ -620,69 +621,6 @@ impl<'m> FuncValidator<'m> {
         }
         Ok(())
     }
-}
-
-/// Stack signature of the immediate-free numeric instructions:
-/// `(parameter types, result type)`, or `None` for instructions with
-/// immediates or control effects.
-///
-/// Public because consumers that re-derive static stack layouts need
-/// the same operand counts the validator checks against.
-#[allow(clippy::too_many_lines)]
-#[must_use]
-pub fn numeric_signature(instr: &Instr) -> Option<(&'static [ValType], Option<ValType>)> {
-    use Instr::*;
-    use ValType::*;
-    const I32_1: &[ValType] = &[I32];
-    const I32_2: &[ValType] = &[I32, I32];
-    const I64_1: &[ValType] = &[I64];
-    const I64_2: &[ValType] = &[I64, I64];
-    const F32_1: &[ValType] = &[F32];
-    const F32_2: &[ValType] = &[F32, F32];
-    const F64_1: &[ValType] = &[F64];
-    const F64_2: &[ValType] = &[F64, F64];
-    Some(match instr {
-        I32Eqz => (I32_1, Some(I32)),
-        I32Eq | I32Ne | I32LtS | I32LtU | I32GtS | I32GtU | I32LeS | I32LeU | I32GeS | I32GeU => {
-            (I32_2, Some(I32))
-        }
-        I32Clz | I32Ctz | I32Popcnt | I32Extend8S | I32Extend16S => (I32_1, Some(I32)),
-        I32Add | I32Sub | I32Mul | I32DivS | I32DivU | I32RemS | I32RemU | I32And | I32Or
-        | I32Xor | I32Shl | I32ShrS | I32ShrU | I32Rotl | I32Rotr => (I32_2, Some(I32)),
-        I64Eqz => (I64_1, Some(I32)),
-        I64Eq | I64Ne | I64LtS | I64LtU | I64GtS | I64GtU | I64LeS | I64LeU | I64GeS | I64GeU => {
-            (I64_2, Some(I32))
-        }
-        I64Clz | I64Ctz | I64Popcnt | I64Extend8S | I64Extend16S | I64Extend32S => {
-            (I64_1, Some(I64))
-        }
-        I64Add | I64Sub | I64Mul | I64DivS | I64DivU | I64RemS | I64RemU | I64And | I64Or
-        | I64Xor | I64Shl | I64ShrS | I64ShrU | I64Rotl | I64Rotr => (I64_2, Some(I64)),
-        F32Eq | F32Ne | F32Lt | F32Gt | F32Le | F32Ge => (F32_2, Some(I32)),
-        F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F32Sqrt => {
-            (F32_1, Some(F32))
-        }
-        F32Add | F32Sub | F32Mul | F32Div | F32Min | F32Max | F32Copysign => (F32_2, Some(F32)),
-        F64Eq | F64Ne | F64Lt | F64Gt | F64Le | F64Ge => (F64_2, Some(I32)),
-        F64Abs | F64Neg | F64Ceil | F64Floor | F64Trunc | F64Nearest | F64Sqrt => {
-            (F64_1, Some(F64))
-        }
-        F64Add | F64Sub | F64Mul | F64Div | F64Min | F64Max | F64Copysign => (F64_2, Some(F64)),
-        I32WrapI64 => (I64_1, Some(I32)),
-        I32TruncF32S | I32TruncF32U | I32ReinterpretF32 => (F32_1, Some(I32)),
-        I32TruncF64S | I32TruncF64U => (F64_1, Some(I32)),
-        I64ExtendI32S | I64ExtendI32U => (I32_1, Some(I64)),
-        I64TruncF32S | I64TruncF32U => (F32_1, Some(I64)),
-        I64TruncF64S | I64TruncF64U | I64ReinterpretF64 => (F64_1, Some(I64)),
-        F32ConvertI32S | F32ConvertI32U | F32ReinterpretI32 => (I32_1, Some(F32)),
-        F32ConvertI64S | F32ConvertI64U => (I64_1, Some(F32)),
-        F32DemoteF64 => (F64_1, Some(F32)),
-        F64ConvertI32S | F64ConvertI32U => (I32_1, Some(F64)),
-        F64ConvertI64S | F64ConvertI64U => (I64_1, Some(F64)),
-        F64PromoteF32 => (F32_1, Some(F64)),
-        F64ReinterpretI64 => (I64_1, Some(F64)),
-        _ => return None,
-    })
 }
 
 #[cfg(test)]

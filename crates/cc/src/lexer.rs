@@ -1,26 +1,46 @@
 //! Tokeniser for the micro-C subset.
+//!
+//! **What borrows, what owns.** A [`Token`] lives as long as the source
+//! text it was cut from: identifiers and keywords are `&'src str` slices
+//! of that text, punctuation is a `&'static str` out of this file, and
+//! numbers and character constants are plain values — so lexing an
+//! identifier allocates nothing and the parser's `bump` copies two
+//! words. The one owner is a string literal: its text is *unescaped*
+//! while lexing (`\n` becomes one byte), so it no longer is a slice of
+//! the source and carries its own `String`.
+//!
+//! Punctuation is decided by the first byte and at most two bytes of
+//! lookahead ([`punct`]), longest operator first (maximal munch).
+//!
+//! The loop charges one fuel unit per iteration (a token, one
+//! whitespace byte, a comment or a preprocessor line), never per byte
+//! inside a token: the scan is linear in the source, and the source is
+//! bounded by `max_source_bytes` before the first byte is looked at.
+//! `lexer_model.rs` keeps the previous tokeniser (owned identifiers, a
+//! linear scan over the operator list) as the `#[cfg(test)]` reference.
 
 use crate::error::CompileError;
 
 /// A token with its source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'src> {
     /// Token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// 1-based line number.
     pub line: u32,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword (keywords are distinguished by the parser).
-    Ident(String),
+pub enum TokenKind<'src> {
+    /// Identifier or keyword (keywords are distinguished by the parser),
+    /// borrowed from the source.
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Floating literal.
     Float(f64),
-    /// String literal (unescaped).
+    /// String literal (unescaped, hence owned).
     Str(String),
     /// Character constant value.
     Char(u8),
@@ -30,10 +50,10 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl<'src> TokenKind<'src> {
     /// The identifier text, if this is an identifier.
     #[must_use]
-    pub fn as_ident(&self) -> Option<&str> {
+    pub fn as_ident(&self) -> Option<&'src str> {
         match self {
             TokenKind::Ident(s) => Some(s),
             _ => None,
@@ -41,19 +61,69 @@ impl TokenKind {
     }
 }
 
-const PUNCTS: &[&str] = &[
-    // Longest first so maximal munch works.
-    "<<=", ">>=", "...", "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "&=",
-    "|=", "^=", "<<", ">>", "++", "--", "->", "(", ")", "{", "}", "[", "]", ";", ",", "+", "-",
-    "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=", ".", "?", ":",
-];
+/// The operator or punctuator at the start of `rest` (non-empty), longest
+/// match first: the first byte picks the family, the next one or two
+/// bytes the member.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let second = rest.get(1).copied();
+    let third = rest.get(2).copied();
+    Some(match (rest[0], second, third) {
+        (b'<', Some(b'<'), Some(b'=')) => "<<=",
+        (b'>', Some(b'>'), Some(b'=')) => ">>=",
+        (b'.', Some(b'.'), Some(b'.')) => "...",
+        (b'&', Some(b'&'), _) => "&&",
+        (b'|', Some(b'|'), _) => "||",
+        (b'=', Some(b'='), _) => "==",
+        (b'!', Some(b'='), _) => "!=",
+        (b'<', Some(b'='), _) => "<=",
+        (b'>', Some(b'='), _) => ">=",
+        (b'+', Some(b'='), _) => "+=",
+        (b'-', Some(b'='), _) => "-=",
+        (b'*', Some(b'='), _) => "*=",
+        (b'/', Some(b'='), _) => "/=",
+        (b'%', Some(b'='), _) => "%=",
+        (b'&', Some(b'='), _) => "&=",
+        (b'|', Some(b'='), _) => "|=",
+        (b'^', Some(b'='), _) => "^=",
+        (b'<', Some(b'<'), _) => "<<",
+        (b'>', Some(b'>'), _) => ">>",
+        (b'+', Some(b'+'), _) => "++",
+        (b'-', Some(b'-'), _) => "--",
+        (b'-', Some(b'>'), _) => "->",
+        (b'(', ..) => "(",
+        (b')', ..) => ")",
+        (b'{', ..) => "{",
+        (b'}', ..) => "}",
+        (b'[', ..) => "[",
+        (b']', ..) => "]",
+        (b';', ..) => ";",
+        (b',', ..) => ",",
+        (b'+', ..) => "+",
+        (b'-', ..) => "-",
+        (b'*', ..) => "*",
+        (b'/', ..) => "/",
+        (b'%', ..) => "%",
+        (b'&', ..) => "&",
+        (b'|', ..) => "|",
+        (b'^', ..) => "^",
+        (b'~', ..) => "~",
+        (b'!', ..) => "!",
+        (b'<', ..) => "<",
+        (b'>', ..) => ">",
+        (b'=', ..) => "=",
+        (b'.', ..) => ".",
+        (b'?', ..) => "?",
+        (b':', ..) => ":",
+        _ => return None,
+    })
+}
 
 /// Tokenises `source` without resource bounds.
 ///
 /// # Errors
 ///
 /// [`CompileError`] on malformed literals or unknown characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, CompileError> {
     lex_with(
         source,
         &cage_wasm::CompileLimits::unlimited(),
@@ -62,16 +132,16 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
 }
 
 /// Tokenises `source`, rejecting oversized input and charging one fuel
-/// unit per token.
+/// unit per loop iteration (see the module docs).
 ///
 /// # Errors
 ///
 /// [`CompileError`] on malformed input or a busted limit.
-pub fn lex_with(
-    source: &str,
+pub fn lex_with<'src>(
+    source: &'src str,
     limits: &cage_wasm::CompileLimits,
     fuel: &cage_wasm::CompileFuel,
-) -> Result<Vec<Token>, CompileError> {
+) -> Result<Vec<Token<'src>>, CompileError> {
     if source.len() > limits.max_source_bytes {
         return Err(CompileError::from_limit(cage_wasm::LimitError {
             what: "source bytes",
@@ -124,7 +194,7 @@ pub fn lex_with(
                     i += 1;
                 }
                 tokens.push(Token {
-                    kind: TokenKind::Ident(source[start..i].to_string()),
+                    kind: TokenKind::Ident(&source[start..i]),
                     line,
                 });
             }
@@ -243,25 +313,27 @@ pub fn lex_with(
                     line,
                 });
             }
-            _ => {
-                let rest = &source[i..];
-                let punct = PUNCTS.iter().find(|p| rest.starts_with(**p));
-                match punct {
-                    Some(p) => {
-                        tokens.push(Token {
-                            kind: TokenKind::Punct(p),
-                            line,
-                        });
-                        i += p.len();
-                    }
-                    None => {
-                        return Err(CompileError::new(
-                            line,
-                            format!("unexpected character {:?}", rest.chars().next().unwrap()),
-                        ))
-                    }
+            _ => match punct(&bytes[i..]) {
+                Some(p) => {
+                    tokens.push(Token {
+                        kind: TokenKind::Punct(p),
+                        line,
+                    });
+                    i += p.len();
                 }
-            }
+                None => {
+                    // Every arm above stops on an ASCII byte, so `i` is
+                    // a char boundary; were it not, name the byte.
+                    let found = source.get(i..).and_then(|rest| rest.chars().next());
+                    return Err(CompileError::new(
+                        line,
+                        match found {
+                            Some(ch) => format!("unexpected character {ch:?}"),
+                            None => format!("unexpected byte {c:#04x}"),
+                        },
+                    ));
+                }
+            },
         }
     }
     tokens.push(Token {
@@ -293,7 +365,7 @@ fn unescape(esc: u8, line: u32) -> Result<u8, CompileError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -302,9 +374,9 @@ mod tests {
         assert_eq!(
             kinds("foo 42 _bar9"),
             vec![
-                TokenKind::Ident("foo".into()),
+                TokenKind::Ident("foo"),
                 TokenKind::Int(42),
-                TokenKind::Ident("_bar9".into()),
+                TokenKind::Ident("_bar9"),
                 TokenKind::Eof
             ]
         );
@@ -334,11 +406,11 @@ mod tests {
         assert_eq!(
             kinds("a<<=b->c++"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Punct("<<="),
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Punct("->"),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::Punct("++"),
                 TokenKind::Eof
             ]
@@ -362,7 +434,7 @@ mod tests {
     fn comments_and_preprocessor_skipped() {
         assert_eq!(
             kinds("#include <x.h>\n// line\n/* block\nblock */ x"),
-            vec![TokenKind::Ident("x".into()), TokenKind::Eof]
+            vec![TokenKind::Ident("x"), TokenKind::Eof]
         );
     }
 

@@ -47,6 +47,8 @@ pub mod ast;
 pub mod codegen;
 pub mod error;
 pub mod lexer;
+#[cfg(test)]
+mod lexer_model;
 pub mod parser;
 pub mod types;
 

@@ -64,8 +64,8 @@ const IGNORED_QUALIFIERS: &[&str] = &[
     "static", "const", "register", "volatile", "inline", "unsigned", "signed",
 ];
 
-struct Parser<'f> {
-    tokens: Vec<Token>,
+struct Parser<'src, 'f> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     program: Program,
     /// Current recursion depth across the guarded entry points.
@@ -75,7 +75,7 @@ struct Parser<'f> {
     fuel: &'f cage_wasm::CompileFuel,
 }
 
-impl Parser<'_> {
+impl<'src> Parser<'src, '_> {
     /// Enters one guarded recursion level; pair with [`Self::leave`].
     fn enter(&mut self) -> Result<(), CompileError> {
         self.fuel.charge(1).map_err(CompileError::from_limit)?;
@@ -94,11 +94,11 @@ impl Parser<'_> {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'src> {
         &self.tokens[self.pos].kind
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
+    fn peek_at(&self, n: usize) -> &TokenKind<'src> {
         &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
     }
 
@@ -106,7 +106,10 @@ impl Parser<'_> {
         self.tokens[self.pos].line
     }
 
-    fn bump(&mut self) -> TokenKind {
+    /// Takes the current token: a copy of two words for everything that
+    /// borrows (identifiers, keywords, punctuation); only a string
+    /// literal's unescaped text is cloned.
+    fn bump(&mut self) -> TokenKind<'src> {
         let t = self.tokens[self.pos].kind.clone();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
@@ -136,7 +139,7 @@ impl Parser<'_> {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Ident(s) if s == kw) {
+        if matches!(self.peek(), TokenKind::Ident(s) if *s == kw) {
             self.bump();
             true
         } else {
@@ -146,14 +149,15 @@ impl Parser<'_> {
 
     fn expect_ident(&mut self) -> Result<String, CompileError> {
         match self.bump() {
-            TokenKind::Ident(s) => Ok(s),
+            TokenKind::Ident(s) => Ok(s.to_string()),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
         }
     }
 
     fn skip_qualifiers(&mut self) {
         loop {
-            let is_qual = matches!(self.peek(), TokenKind::Ident(s) if IGNORED_QUALIFIERS.contains(&s.as_str()));
+            let is_qual =
+                matches!(self.peek(), TokenKind::Ident(s) if IGNORED_QUALIFIERS.contains(s));
             if is_qual {
                 self.bump();
             } else {
@@ -164,9 +168,7 @@ impl Parser<'_> {
 
     fn at_type(&self) -> bool {
         match self.peek() {
-            TokenKind::Ident(s) => {
-                TYPE_KEYWORDS.contains(&s.as_str()) || IGNORED_QUALIFIERS.contains(&s.as_str())
-            }
+            TokenKind::Ident(s) => TYPE_KEYWORDS.contains(s) || IGNORED_QUALIFIERS.contains(s),
             _ => false,
         }
     }
@@ -175,7 +177,7 @@ impl Parser<'_> {
         while !matches!(self.peek(), TokenKind::Eof) {
             self.skip_qualifiers();
             // struct definition?
-            if matches!(self.peek(), TokenKind::Ident(s) if s == "struct")
+            if matches!(self.peek(), TokenKind::Ident("struct"))
                 && matches!(self.peek_at(2), TokenKind::Punct("{"))
             {
                 self.parse_struct_def()?;
@@ -232,7 +234,7 @@ impl Parser<'_> {
     fn parse_type(&mut self) -> Result<CType, CompileError> {
         self.skip_qualifiers();
         let base = match self.bump() {
-            TokenKind::Ident(s) => match s.as_str() {
+            TokenKind::Ident(s) => match s {
                 "void" => CType::Void,
                 "char" => CType::Char,
                 "int" => CType::Int,
@@ -269,7 +271,7 @@ impl Parser<'_> {
 }
 
 // Rust requires the ? on parse_pointers’ recursion; keep signatures uniform.
-impl Parser<'_> {
+impl<'src> Parser<'src, '_> {
     /// Parses a declarator after the base type: `name`, `name[N]...`, or
     /// the function-pointer form `(*name)(params)`. Returns
     /// `(name, type, was_function_pointer)`.
@@ -387,7 +389,7 @@ impl Parser<'_> {
         }
         match self.peek() {
             TokenKind::Punct("{") => Ok(Stmt::Block(self.parse_block()?)),
-            TokenKind::Ident(s) if s == "if" => {
+            TokenKind::Ident("if") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let cond = self.parse_expr()?;
@@ -400,7 +402,7 @@ impl Parser<'_> {
                 };
                 Ok(Stmt::If { cond, then, els })
             }
-            TokenKind::Ident(s) if s == "while" => {
+            TokenKind::Ident("while") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let cond = self.parse_expr()?;
@@ -408,7 +410,7 @@ impl Parser<'_> {
                 let body = self.parse_stmt_as_block()?;
                 Ok(Stmt::While { cond, body })
             }
-            TokenKind::Ident(s) if s == "for" => {
+            TokenKind::Ident("for") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let init = if self.eat_punct(";") {
@@ -440,7 +442,7 @@ impl Parser<'_> {
                     body,
                 })
             }
-            TokenKind::Ident(s) if s == "return" => {
+            TokenKind::Ident("return") => {
                 self.bump();
                 let value = if matches!(self.peek(), TokenKind::Punct(";")) {
                     None
@@ -450,12 +452,12 @@ impl Parser<'_> {
                 self.expect_punct(";")?;
                 Ok(Stmt::Return(value, line))
             }
-            TokenKind::Ident(s) if s == "break" => {
+            TokenKind::Ident("break") => {
                 self.bump();
                 self.expect_punct(";")?;
                 Ok(Stmt::Break(line))
             }
-            TokenKind::Ident(s) if s == "continue" => {
+            TokenKind::Ident("continue") => {
                 self.bump();
                 self.expect_punct(";")?;
                 Ok(Stmt::Continue(line))
@@ -625,7 +627,7 @@ impl Parser<'_> {
         let line = self.line();
         // Cast: "(" type ... ")" unary
         if matches!(self.peek(), TokenKind::Punct("("))
-            && matches!(self.peek_at(1), TokenKind::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()))
+            && matches!(self.peek_at(1), TokenKind::Ident(s) if TYPE_KEYWORDS.contains(s))
         {
             self.bump();
             let ty = self.parse_type()?;
@@ -669,7 +671,7 @@ impl Parser<'_> {
                 let e = self.parse_unary()?;
                 Ok(Expr::new(ExprKind::PreIncDec(false, Box::new(e)), line))
             }
-            TokenKind::Ident(s) if s == "sizeof" => {
+            TokenKind::Ident("sizeof") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let ty = self.parse_type()?;
@@ -723,7 +725,7 @@ impl Parser<'_> {
             TokenKind::Float(v) => Ok(Expr::new(ExprKind::FloatLit(v), line)),
             TokenKind::Str(s) => Ok(Expr::new(ExprKind::StrLit(s), line)),
             TokenKind::Char(c) => Ok(Expr::new(ExprKind::CharLit(c), line)),
-            TokenKind::Ident(s) => Ok(Expr::new(ExprKind::Ident(s), line)),
+            TokenKind::Ident(s) => Ok(Expr::new(ExprKind::Ident(s.to_string()), line)),
             TokenKind::Punct("(") => {
                 let e = self.parse_expr()?;
                 self.expect_punct(")")?;

@@ -333,6 +333,62 @@ pub enum Stmt {
     },
 }
 
+impl Expr {
+    /// Calls `f` on every operand the expression reads, in field order.
+    pub fn for_each_operand(&self, f: &mut impl FnMut(&Operand)) {
+        match self {
+            Expr::Use(op)
+            | Expr::PointerSign(op)
+            | Expr::PointerAuth(op)
+            | Expr::UnOp { operand: op, .. }
+            | Expr::Cast { operand: op, .. }
+            | Expr::Load { addr: op, .. } => f(op),
+            Expr::BinOp { lhs: a, rhs: b, .. }
+            | Expr::Gep {
+                base: a, index: b, ..
+            }
+            | Expr::SegmentNew { addr: a, len: b }
+            | Expr::TagIncrement { prev: a, addr: b } => {
+                f(a);
+                f(b);
+            }
+            Expr::Call { args, .. } => args.iter().for_each(f),
+            Expr::CallIndirect { target, args, .. } => {
+                f(target);
+                args.iter().for_each(f);
+            }
+            Expr::AllocaAddr(_) | Expr::GlobalAddr(_) | Expr::FuncAddr(_) => {}
+        }
+    }
+}
+
+impl Stmt {
+    /// Calls `f` on every operand the statement itself reads — its
+    /// expression's operands, its address and value, its condition — and
+    /// not on those of nested bodies (combine with [`visit_stmts`]).
+    pub fn for_each_operand(&self, f: &mut impl FnMut(&Operand)) {
+        match self {
+            Stmt::Assign { expr, .. } | Stmt::Perform(expr) => expr.for_each_operand(f),
+            Stmt::Store { addr, value, .. } => {
+                f(addr);
+                f(value);
+            }
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => f(cond),
+            Stmt::Return(Some(op)) => f(op),
+            Stmt::SegmentSetTag { addr, tagged, len } => {
+                f(addr);
+                f(tagged);
+                f(len);
+            }
+            Stmt::SegmentFree { ptr, len } => {
+                f(ptr);
+                f(len);
+            }
+            Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
+        }
+    }
+}
+
 /// Walks all statements in a body depth-first, mutably.
 pub fn visit_stmts_mut(body: &mut [Stmt], f: &mut impl FnMut(&mut Stmt)) {
     for stmt in body.iter_mut() {

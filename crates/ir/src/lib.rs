@@ -37,6 +37,8 @@ pub mod lower;
 mod lowering_model;
 pub mod module;
 pub mod passes;
+#[cfg(test)]
+mod passes_model;
 pub mod regalloc;
 pub mod ssa;
 pub mod types;

@@ -7,6 +7,18 @@ use crate::types::IrType;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
 
+/// `table[v]`, growing the table first when `v` lies past its end. The
+/// tables start at `value_types.len()` and the frontend never names a
+/// register beyond that, so the growth is for hand-built IR only: no
+/// pass may panic on an id it has no type for.
+pub(crate) fn value_slot<T: Clone + Default>(table: &mut Vec<T>, v: ValueId) -> &mut T {
+    let i = v.0 as usize;
+    if i >= table.len() {
+        table.resize(i + 1, T::default());
+    }
+    &mut table[i]
+}
+
 /// A stack allocation within a function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AllocaId(pub u32);

@@ -16,6 +16,26 @@ pub mod strength_reduce;
 
 use crate::module::IrModule;
 
+thread_local! {
+    static WORK_UNITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many statements, graph nodes and edges the table-driven passes
+/// (`mem2reg`, `dce`, the alloca analysis, `stack_safety`, `ptr_auth`)
+/// have visited on this thread — for `tests/pass_scaling.rs`, which pins
+/// that the count grows linearly with the input where a wall clock could
+/// only suggest it. Each pass adds once per function, from a local. Per
+/// thread, so tests running in parallel do not see each other.
+#[doc(hidden)]
+#[must_use]
+pub fn work_units() -> u64 {
+    WORK_UNITS.with(std::cell::Cell::get)
+}
+
+pub(crate) fn add_work(units: u64) {
+    WORK_UNITS.with(|n| n.set(n.get().saturating_add(units)));
+}
+
 /// Which hardening passes to run (the `-fsanitize=...`-style flags).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HardenConfig {

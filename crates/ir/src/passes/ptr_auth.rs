@@ -6,111 +6,87 @@
 //! Fig. 9 sequence: `i64.pointer_auth; i32.wrap_i64; call_indirect`).
 
 use crate::instr::{Expr, Operand, Stmt};
-use crate::module::{IrFunction, IrModule};
+use crate::module::{IrFunction, IrModule, ValueId};
 use crate::types::IrType;
 
 /// Runs the pass on every function of `module`.
 pub fn run(module: &mut IrModule) {
     for func in &mut module.functions {
-        run_function(func);
+        let mut body = std::mem::take(&mut func.body);
+        let mut work = 0;
+        rewrite_body(func, &mut body, &mut work);
+        func.body = body;
+        crate::passes::add_work(work);
     }
 }
 
-fn run_function(func: &mut IrFunction) {
-    let body = std::mem::take(&mut func.body);
-    func.body = rewrite_body(func, body);
-}
-
-fn rewrite_body(func: &mut IrFunction, body: Vec<Stmt>) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(body.len());
-    for stmt in body {
-        match stmt {
-            Stmt::Assign { dst, expr } => rewrite_expr(func, dst, expr, &mut out),
-            Stmt::Perform(expr) => {
-                // Route through a scratch destination so indirect-call
-                // instrumentation is shared; pure Perform only wraps calls.
-                match expr {
-                    Expr::CallIndirect {
-                        target,
-                        params,
-                        ret,
-                        args,
-                    } => {
-                        let authed = func.new_value(IrType::Ptr);
-                        out.push(Stmt::Assign {
-                            dst: authed,
-                            expr: Expr::PointerAuth(target),
-                        });
-                        out.push(Stmt::Perform(Expr::CallIndirect {
-                            target: Operand::Value(authed),
-                            params,
-                            ret,
-                            args,
-                        }));
-                    }
-                    other => out.push(Stmt::Perform(other)),
-                }
-            }
-            Stmt::If { cond, then, els } => out.push(Stmt::If {
-                cond,
-                then: rewrite_body(func, then),
-                els: rewrite_body(func, els),
-            }),
-            Stmt::While { header, cond, body } => out.push(Stmt::While {
-                header: rewrite_body(func, header),
-                cond,
-                body: rewrite_body(func, body),
-            }),
-            other => out.push(other),
+/// The function pointer the pass must deal with before `stmt` runs: the
+/// freshly taken address to sign, or the call target to authenticate.
+fn instrumented(stmt: &mut Stmt) -> Option<&mut Expr> {
+    match stmt {
+        Stmt::Assign {
+            expr: expr @ (Expr::FuncAddr(_) | Expr::CallIndirect { .. }),
+            ..
         }
+        | Stmt::Perform(expr @ Expr::CallIndirect { .. }) => Some(expr),
+        _ => None,
     }
-    out
 }
 
-fn rewrite_expr(
-    func: &mut IrFunction,
-    dst: crate::module::ValueId,
-    expr: Expr,
-    out: &mut Vec<Stmt>,
-) {
-    match expr {
+/// Makes `expr` go through `reg` and returns the statement to put in
+/// front of it, which defines `reg`.
+fn instrument(expr: &mut Expr, reg: ValueId) -> Stmt {
+    let via = Operand::Value(reg);
+    let expr = match expr {
+        // Indirect call: authenticate the pointer first.
+        Expr::CallIndirect { target, .. } => Expr::PointerAuth(std::mem::replace(target, via)),
         // Taking a function's address: sign it at creation (§4.2 "when
         // creating function pointers, indices into the function table are
         // first zero-extended to 64 bits and then signed").
-        Expr::FuncAddr(f) => {
-            let raw = func.new_value(IrType::Ptr);
-            out.push(Stmt::Assign {
-                dst: raw,
-                expr: Expr::FuncAddr(f),
-            });
-            out.push(Stmt::Assign {
-                dst,
-                expr: Expr::PointerSign(Operand::Value(raw)),
-            });
+        addr => std::mem::replace(addr, Expr::PointerSign(via)),
+    };
+    Stmt::Assign { dst: reg, expr }
+}
+
+/// Instruments `body` and the bodies nested in it, in place.
+fn rewrite_body(func: &mut IrFunction, body: &mut Vec<Stmt>, work: &mut u64) {
+    *work += body.len() as u64;
+    // Forwards: a fresh register per instrumented statement, numbered in
+    // statement order with the nested bodies' in between.
+    let mut fresh: Vec<ValueId> = Vec::new();
+    for stmt in body.iter_mut() {
+        match stmt {
+            Stmt::If { then, els, .. } => {
+                rewrite_body(func, then, work);
+                rewrite_body(func, els, work);
+            }
+            Stmt::While { header, body, .. } => {
+                rewrite_body(func, header, work);
+                rewrite_body(func, body, work);
+            }
+            other => {
+                if instrumented(other).is_some() {
+                    fresh.push(func.new_value(IrType::Ptr));
+                }
+            }
         }
-        // Indirect call: authenticate the pointer first.
-        Expr::CallIndirect {
-            target,
-            params,
-            ret,
-            args,
-        } => {
-            let authed = func.new_value(IrType::Ptr);
-            out.push(Stmt::Assign {
-                dst: authed,
-                expr: Expr::PointerAuth(target),
-            });
-            out.push(Stmt::Assign {
-                dst,
-                expr: Expr::CallIndirect {
-                    target: Operand::Value(authed),
-                    params,
-                    ret,
-                    args,
-                },
-            });
+    }
+    // Backwards: grow the body by one slot per fresh register and slide
+    // the statements into their final places from the end, so that each
+    // moves once and the ones in front of the first insertion not at all.
+    let mut read = body.len();
+    body.resize(read + fresh.len(), Stmt::Break);
+    let mut write = body.len();
+    while read < write {
+        read -= 1;
+        write -= 1;
+        *work += 1;
+        body.swap(read, write);
+        if let Some(expr) = instrumented(&mut body[write]) {
+            let front = instrument(expr, fresh[write - read - 1]);
+            write -= 1;
+            body[write] = front;
         }
-        other => out.push(Stmt::Assign { dst, expr: other }),
     }
 }
 

@@ -18,10 +18,21 @@
 //! the frame **if no such untagged stack slot exists**") implies the
 //! opposite polarity — a guard is only needed when the frame's first slot
 //! *is* tagged. We implement the prose semantics.
+//!
+//! The rewrite is linear in the function: the analysis' verdict is
+//! written to `allocas[id].instrument` and read back from there, the raw
+//! and tagged registers of a slot sit in a table indexed by [`AllocaId`]
+//! (handed out slot by slot in ascending id, raw then tagged — wasm local
+//! indices depend on that order), and one walk both redirects the
+//! address-taking and makes room for the untag sequence in front of every
+//! `Return`: a body grows once, by all its untag statements, and its
+//! statements slide into place from the end — each at most once — instead
+//! of the tail being shifted for every statement inserted.
 
 use crate::analysis::analyze_allocas;
 use crate::instr::{Expr, Operand, Stmt};
 use crate::module::{Alloca, AllocaId, IrFunction, ValueId};
+use crate::passes::add_work;
 use crate::types::IrType;
 
 /// Rounds a slot size up to the 16-byte tag granule.
@@ -30,18 +41,30 @@ pub fn granule_align(size: u64) -> u64 {
     size.div_ceil(16).max(1) * 16
 }
 
+/// The frame (raw) and tagged pointer registers of an instrumented slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotRegs {
+    raw: ValueId,
+    tagged: ValueId,
+}
+
 /// Runs Algorithm 1 on `func`.
 pub fn run(func: &mut IrFunction) {
     let analysis = analyze_allocas(func);
-    let to_instrument: Vec<AllocaId> = (0..func.allocas.len() as u32)
-        .map(AllocaId)
-        .filter(|id| analysis.needs_instrumentation(*id))
-        .collect();
-    if to_instrument.is_empty() {
-        return;
+    // Registers for the raw (frame) and tagged pointers of each slot,
+    // indexed by alloca id; `None` for the slots left alone.
+    let mut regs: Vec<Option<SlotRegs>> = vec![None; func.allocas.len()];
+    for (i, slot) in regs.iter_mut().enumerate() {
+        if analysis.needs_instrumentation(AllocaId(i as u32)) {
+            func.allocas[i].instrument = true;
+            *slot = Some(SlotRegs {
+                raw: func.new_value(IrType::Ptr),
+                tagged: func.new_value(IrType::Ptr),
+            });
+        }
     }
-    for id in &to_instrument {
-        func.allocas[id.0 as usize].instrument = true;
+    if regs.iter().all(Option::is_none) {
+        return;
     }
 
     // insertGuardAlloc: needed when the frame starts with a tagged slot.
@@ -53,62 +76,22 @@ pub fn run(func: &mut IrFunction) {
             is_guard: true,
         });
     }
-
-    // Registers for the raw (frame) and tagged pointers of each slot.
-    let mut raw_regs: Vec<(AllocaId, ValueId)> = Vec::new();
-    let mut tagged_regs: Vec<(AllocaId, ValueId)> = Vec::new();
-    for id in &to_instrument {
-        raw_regs.push((*id, func.new_value(IrType::Ptr)));
-        tagged_regs.push((*id, func.new_value(IrType::Ptr)));
-    }
-    let tagged_of = |id: AllocaId| -> ValueId {
-        tagged_regs
-            .iter()
-            .find(|(a, _)| *a == id)
-            .map(|(_, v)| *v)
-            .expect("instrumented alloca has a tagged register")
+    let slots = || {
+        regs.iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.map(|r| (i, r)))
     };
-
-    // Rewrite AllocaAddr uses of instrumented slots to the tagged pointer
-    // (before the prologue is spliced in, so the prologue's own
-    // AllocaAddr expressions stay raw).
-    let instrumented = |id: AllocaId| to_instrument.contains(&id);
-    crate::instr::visit_stmts_mut(&mut func.body, &mut |stmt| {
-        let rewrite = |expr: &mut Expr| {
-            if let Expr::AllocaAddr(id) = expr {
-                if instrumented(*id) {
-                    *expr = Expr::Use(Operand::Value(tagged_of(*id)));
-                }
-            }
-        };
-        match stmt {
-            Stmt::Assign { expr, .. } | Stmt::Perform(expr) => rewrite(expr),
-            _ => {}
-        }
-    });
+    let len_of = |i: usize| Operand::ConstI64(granule_align(func.allocas[i].size) as i64);
 
     // insertUntaggingCode: before every return and at fall-through exit.
-    let untag_stmts: Vec<Stmt> = to_instrument
-        .iter()
-        .map(|id| {
-            let raw = raw_regs
-                .iter()
-                .find(|(a, _)| *a == *id)
-                .map(|(_, v)| *v)
-                .expect("raw register");
-            let size = granule_align(func.allocas[id.0 as usize].size);
-            Stmt::SegmentSetTag {
-                addr: Operand::Value(raw),
-                // The untagged frame pointer carries the frame's tag.
-                tagged: Operand::Value(raw),
-                len: Operand::ConstI64(size as i64),
-            }
+    let untag: Vec<Stmt> = slots()
+        .map(|(i, r)| Stmt::SegmentSetTag {
+            addr: Operand::Value(r.raw),
+            // The untagged frame pointer carries the frame's tag.
+            tagged: Operand::Value(r.raw),
+            len: len_of(i),
         })
         .collect();
-    insert_before_returns(&mut func.body, &untag_stmts);
-    if !ends_with_return(&func.body) {
-        func.body.extend(untag_stmts.iter().cloned());
-    }
 
     // insertTaggingCode: the prologue, spliced in front. The first slot
     // draws a random tag (`segment.new`, i.e. `irg`); each subsequent slot
@@ -116,74 +99,101 @@ pub fn run(func: &mut IrFunction) {
     // slots within the frame never share a tag.
     let mut prologue = Vec::new();
     let mut prev_tagged: Option<ValueId> = None;
-    for id in &to_instrument {
-        let raw = raw_regs
-            .iter()
-            .find(|(a, _)| *a == *id)
-            .map(|(_, v)| *v)
-            .expect("raw register");
-        let size = granule_align(func.allocas[id.0 as usize].size);
+    for (i, r) in slots() {
         prologue.push(Stmt::Assign {
-            dst: raw,
-            expr: Expr::AllocaAddr(*id),
+            dst: r.raw,
+            expr: Expr::AllocaAddr(AllocaId(i as u32)),
         });
-        let tagged = tagged_of(*id);
         match prev_tagged {
             None => prologue.push(Stmt::Assign {
-                dst: tagged,
+                dst: r.tagged,
                 expr: Expr::SegmentNew {
-                    addr: Operand::Value(raw),
-                    len: Operand::ConstI64(size as i64),
+                    addr: Operand::Value(r.raw),
+                    len: len_of(i),
                 },
             }),
             Some(prev) => {
                 prologue.push(Stmt::Assign {
-                    dst: tagged,
+                    dst: r.tagged,
                     expr: Expr::TagIncrement {
                         prev: Operand::Value(prev),
-                        addr: Operand::Value(raw),
+                        addr: Operand::Value(r.raw),
                     },
                 });
                 prologue.push(Stmt::SegmentSetTag {
-                    addr: Operand::Value(raw),
-                    tagged: Operand::Value(tagged),
-                    len: Operand::ConstI64(size as i64),
+                    addr: Operand::Value(r.raw),
+                    tagged: Operand::Value(r.tagged),
+                    len: len_of(i),
                 });
             }
         }
-        prev_tagged = Some(tagged);
+        prev_tagged = Some(r.tagged);
     }
-    prologue.append(&mut func.body);
+
+    // The body: address-taking of instrumented slots goes through the
+    // tagged pointer (the prologue's own `AllocaAddr`s, spliced in
+    // afterwards, stay raw), and every exit untags first.
+    let mut work = (prologue.len() + untag.len()) as u64;
+    let mut body = std::mem::take(&mut func.body);
+    instrument_body(&mut body, &regs, &untag, &mut work);
+    if !matches!(body.last(), Some(Stmt::Return(_))) {
+        body.extend(untag.iter().cloned());
+    }
+    prologue.append(&mut body);
     func.body = prologue;
+    add_work(work);
 }
 
-fn ends_with_return(body: &[Stmt]) -> bool {
-    matches!(body.last(), Some(Stmt::Return(_)))
-}
-
-fn insert_before_returns(body: &mut Vec<Stmt>, untag: &[Stmt]) {
-    let mut i = 0;
-    while i < body.len() {
-        match &mut body[i] {
-            Stmt::Return(_) => {
-                for (k, s) in untag.iter().cloned().enumerate() {
-                    body.insert(i + k, s);
+/// Redirects `AllocaAddr` of instrumented slots to their tagged register
+/// and puts `untag` in front of every `Return`, in `body` and below it.
+fn instrument_body(
+    body: &mut Vec<Stmt>,
+    regs: &[Option<SlotRegs>],
+    untag: &[Stmt],
+    work: &mut u64,
+) {
+    *work += body.len() as u64;
+    let mut returns = 0;
+    for stmt in body.iter_mut() {
+        match stmt {
+            Stmt::Assign { expr, .. } | Stmt::Perform(expr) => {
+                if let Expr::AllocaAddr(id) = expr {
+                    if let Some(Some(r)) = regs.get(id.0 as usize) {
+                        *expr = Expr::Use(Operand::Value(r.tagged));
+                    }
                 }
-                i += untag.len() + 1;
             }
             Stmt::If { then, els, .. } => {
-                insert_before_returns(then, untag);
-                insert_before_returns(els, untag);
-                i += 1;
+                instrument_body(then, regs, untag, work);
+                instrument_body(els, regs, untag, work);
             }
             Stmt::While {
                 header, body: b, ..
             } => {
-                insert_before_returns(header, untag);
-                insert_before_returns(b, untag);
-                i += 1;
+                instrument_body(header, regs, untag, work);
+                instrument_body(b, regs, untag, work);
             }
-            _ => i += 1,
+            Stmt::Return(_) => returns += 1,
+            _ => {}
+        }
+    }
+    // Grow the body by the untag sequences and slide the statements into
+    // their final places from the end: each moves once, and the ones in
+    // front of the first return — all but the last statement, usually —
+    // not at all.
+    let mut read = body.len();
+    body.resize(read + returns * untag.len(), Stmt::Break);
+    let mut write = body.len();
+    while read < write {
+        read -= 1;
+        write -= 1;
+        *work += 1;
+        body.swap(read, write);
+        if matches!(body[write], Stmt::Return(_)) {
+            for stmt in untag.iter().rev() {
+                write -= 1;
+                body[write] = stmt.clone();
+            }
         }
     }
 }
@@ -336,5 +346,89 @@ mod tests {
             }
         });
         assert_eq!(untag_count, 2, "one untag per exit path");
+    }
+
+    #[test]
+    fn nested_returns_are_untagged_before_not_after() {
+        // Two instrumented slots; returns in a loop body inside a branch,
+        // in the loop header, and mid-body at the top level.
+        let mut b = FunctionBuilder::new("f", &[IrType::I32], Some(IrType::I32));
+        for name in ["x", "y"] {
+            let a = b.alloca(16, name);
+            let p = b.alloca_addr(a);
+            b.stmt(Stmt::Perform(Expr::Call {
+                callee: Callee::Extern(0),
+                args: vec![p],
+            }));
+        }
+        b.push_block();
+        b.push_block();
+        b.stmt(Stmt::Return(Some(Operand::ConstI32(3))));
+        let header = b.pop_block();
+        b.push_block();
+        b.stmt(Stmt::Break);
+        b.stmt(Stmt::Return(Some(Operand::ConstI32(1))));
+        b.stmt(Stmt::Continue);
+        let body = b.pop_block();
+        b.stmt(Stmt::While {
+            header,
+            cond: b.param(0),
+            body,
+        });
+        let then = b.pop_block();
+        b.stmt(Stmt::If {
+            cond: b.param(0),
+            then,
+            els: vec![],
+        });
+        b.stmt(Stmt::Return(Some(Operand::ConstI32(2))));
+        b.stmt(Stmt::Perform(Expr::Call {
+            callee: Callee::Extern(0),
+            args: vec![],
+        }));
+        let mut f = b.finish();
+        run(&mut f);
+
+        // Every body: each `Return` directly preceded by the two untags
+        // (x's, then y's), and no untag anywhere else — except the
+        // fall-through exit, since the function does not end in a return.
+        fn check(body: &[Stmt], fall_through: bool, returns: &mut u32) {
+            let untag_len = |s: &Stmt| match s {
+                Stmt::SegmentSetTag { addr, tagged, len } if addr == tagged => Some(*len),
+                _ => None,
+            };
+            let mut expected_untags = 0;
+            for (i, stmt) in body.iter().enumerate() {
+                match stmt {
+                    Stmt::Return(_) => {
+                        *returns += 1;
+                        expected_untags += 2;
+                        assert!(i >= 2, "{body:#?}");
+                        assert!(untag_len(&body[i - 2]).is_some(), "{body:#?}");
+                        assert!(untag_len(&body[i - 1]).is_some(), "{body:#?}");
+                        assert_ne!(body[i - 2], body[i - 1]);
+                    }
+                    Stmt::If { then, els, .. } => {
+                        check(then, false, returns);
+                        check(els, false, returns);
+                    }
+                    Stmt::While { header, body, .. } => {
+                        check(header, false, returns);
+                        check(body, false, returns);
+                    }
+                    _ => {}
+                }
+            }
+            if fall_through {
+                expected_untags += 2;
+                assert!(untag_len(&body[body.len() - 1]).is_some());
+            }
+            let untags = body.iter().filter(|s| untag_len(s).is_some()).count();
+            assert_eq!(untags, expected_untags, "{body:#?}");
+        }
+        let mut returns = 0;
+        // Skip the prologue (raw, segment.new, raw, tag-increment, set-tag).
+        check(&f.body[5..], true, &mut returns);
+        assert_eq!(returns, 3);
     }
 }

@@ -96,6 +96,56 @@ fn ten_thousand_locals_hit_the_locals_limit() {
     assert!(err.limit().is_some(), "want a limit error, got: {err}");
 }
 
+/// Accepted or refused on a limit — and, either way, back without a
+/// caught panic (and, the point of the two shapes below, within the
+/// test's lifetime: both used to hold `Engine::compile` for minutes).
+fn assert_compiles_or_hits_a_limit(source: &str) {
+    let panics_before = cage::compile_panic_count();
+    if let Err(err) = Engine::new(Variant::CageFull).compile(source) {
+        assert!(err.limit().is_some(), "want a limit error, got: {err}");
+    }
+    assert_eq!(cage::compile_panic_count(), panics_before);
+}
+
+#[test]
+fn half_a_megabyte_of_dead_chain_is_swept_not_rescanned() {
+    // Every definition is read only by the next one, the last by nobody:
+    // dead-code elimination that rescans after each removal pass takes
+    // one scan per link (11 s for 8 000 lines; this is 20 000).
+    let mut source = String::from("long f(long x) {\nlong d0 = x;\n");
+    for i in 1..20_000 {
+        source.push_str(&format!("long d{i} = d{} + 1;\n", i - 1));
+    }
+    source.push_str("return x;\n}\n");
+    assert!(source.len() > 480_000 && source.len() < 1 << 20);
+    assert_compiles_or_hits_a_limit(&source);
+}
+
+#[test]
+fn half_a_megabyte_of_arrays_behind_pointers_is_analysed_in_bounded_memory() {
+    // One pointer that may hold any of 6 000 arrays, 6 000 pointers
+    // derived from it: an alloca analysis with a set of arrays per
+    // register needs registers x arrays memory (600 MB at 4 000).
+    let n = 6_000;
+    let mut source = String::from("long f(long x) {\nlong acc = 0;\n");
+    for i in 0..n {
+        source.push_str(&format!("long a{i}[2];\n"));
+    }
+    source.push_str("long *p = a0;\n");
+    for i in 0..n {
+        source.push_str(&format!("if (x == {i}) p = a{i};\n"));
+    }
+    for i in 0..n {
+        source.push_str(&format!("long *q{i} = p + {};\n", i % 2));
+    }
+    for i in 0..n {
+        source.push_str(&format!("acc = acc + q{i}[0];\n"));
+    }
+    source.push_str("return acc;\n}\n");
+    assert!(source.len() > 480_000 && source.len() < 1 << 20);
+    assert_compiles_or_hits_a_limit(&source);
+}
+
 #[test]
 fn pathological_switch_fanout_is_bounded() {
     // 100k cases: accepted-or-limit is fine, panic/hang is not. The body

@@ -230,3 +230,37 @@ fn memory_overhead_bound_holds_per_paper() {
     let overhead = caged.memory_report().overhead_over(&base.memory_report());
     assert!(overhead < 0.053, "memory overhead {overhead}");
 }
+
+/// Six scalars whose names are address-taken in a sibling scope: the
+/// shadowing six get stack slots too, and `mem2reg` promotes all of them
+/// — in one function, so the order the promoted registers are handed out
+/// in decides wasm local indices, LEB widths and the module's size.
+const SIX_PROMOTABLE_SLOTS: &str = r#"
+long g(long *p) { return *p; }
+long gi(int *p) { return *p; }
+long gd(double *p) { return (long)*p; }
+long f(long x) {
+    long r = 0;
+    { long a = 5; int b = 6; double c = 1.0; long d = 2; int e = 3; double h = 4.0;
+      r = r + g(&a) + gi(&b) + gd(&c) + g(&d) + gi(&e) + gd(&h); }
+    { long a = x; int b = 1; double c = 2.5; long d = x * 2; int e = 7; double h = 0.5;
+      for (long k = 0; k < x; k++) { a = a + b; c = c + h; d = d + e; b = b + 1; e = e + 2; h = h + 1.0; }
+      r = r + a + b + (long)c + d + e + (long)h; }
+    return r;
+}
+"#;
+
+#[test]
+fn compiling_twice_gives_the_same_module() {
+    let engine = Engine::new(Variant::CageFull);
+    let mut modules = std::collections::BTreeSet::new();
+    for _ in 0..16 {
+        modules.insert(engine.compile(SIX_PROMOTABLE_SLOTS).unwrap().wasm_bytes());
+    }
+    assert_eq!(modules.len(), 1, "Engine::compile is not deterministic");
+
+    let artifact = engine.compile(SIX_PROMOTABLE_SLOTS).unwrap();
+    let mut instance = engine.instantiate(&artifact).unwrap();
+    let out = instance.invoke("f", &[Value::I64(5)]).unwrap();
+    assert_eq!(out, vec![Value::I64(149)]);
+}

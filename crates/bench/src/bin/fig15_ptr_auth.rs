@@ -1,28 +1,6 @@
 //! Regenerates Fig. 15: overheads of pointer authentication on the
-//! call-indirect 2mm variant (static vs dynamic vs authenticated dynamic).
-
-use std::fmt::Write as _;
+//! call-indirect 2mm variant.
 
 fn main() {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 15: 2mm-with-calls runtime, normalised to static (%)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>9} {:>9}",
-        "Core", "static", "dynamic", "ptr-auth"
-    );
-    for (core, [s, d, a]) in cage_bench::fig15_sweep() {
-        let _ = writeln!(out, "{:<12} {s:>8.1} {d:>9.1} {a:>9.1}", core.to_string());
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "expected shape (paper): dynamic 115-122%, ptr-auth within ~1-2% of dynamic"
-    );
-    print!("{out}");
-    let path = cage_bench::write_results("ptr-auth.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::fig15_ptr_auth());
 }

@@ -1,42 +1,6 @@
 //! Regenerates Fig. 16 / Table 4: initialising and tagging 128 MiB with
 //! the different store-tag instruction variants, per core.
 
-use std::fmt::Write as _;
-
-use cage::mte::timing::{bulk_init_ms, BulkInitVariant, CALIBRATION_BYTES};
-use cage::mte::Core;
-
 fn main() {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 16: 128 MiB init/tag variants (ms, lower is better)"
-    );
-    let _ = write!(out, "{:<12}", "Core");
-    for v in BulkInitVariant::ALL {
-        let _ = write!(out, " {:>11}", v.label());
-    }
-    let _ = writeln!(out);
-    for core in Core::ALL {
-        let _ = write!(out, "{:<12}", core.to_string());
-        for v in BulkInitVariant::ALL {
-            let _ = write!(out, " {:>11.1}", bulk_init_ms(core, CALIBRATION_BYTES, v));
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "Table 4 metadata:");
-    let _ = writeln!(out, "{:<12} {:>8} {:>8}", "variant", "sets 0", "tags");
-    for v in BulkInitVariant::ALL {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>8}",
-            v.label(),
-            if v.zeroes_memory() { "yes" } else { "no" },
-            if v.sets_tags() { "yes" } else { "no" }
-        );
-    }
-    print!("{out}");
-    let path = cage_bench::write_results("stg.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::fig16_stg_variants());
 }

@@ -1,47 +1,6 @@
-//! Regenerates Fig. 4: performance overhead of MTE sync and async mode for
-//! writing 128 MiB of memory, per core.
-
-use std::fmt::Write as _;
-
-use cage::mte::timing::{memset_ms, CALIBRATION_BYTES};
-use cage::mte::{Core, MteMode};
+//! Regenerates Fig. 4: overhead of MTE sync and async mode for writing
+//! 128 MiB of memory, per core.
 
 fn main() {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 4: 128 MiB memset under MTE modes (ms, lower is better)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>8} {:>8}",
-        "Core", "none", "async", "sync"
-    );
-    for core in Core::ALL {
-        let none = memset_ms(core, CALIBRATION_BYTES, MteMode::Disabled);
-        let asyn = memset_ms(core, CALIBRATION_BYTES, MteMode::Asynchronous);
-        let sync = memset_ms(core, CALIBRATION_BYTES, MteMode::Synchronous);
-        let _ = writeln!(
-            out,
-            "{:<12} {none:>8.1} {asyn:>8.1} {sync:>8.1}",
-            core.to_string()
-        );
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "overheads vs disabled:");
-    for core in Core::ALL {
-        let none = memset_ms(core, CALIBRATION_BYTES, MteMode::Disabled);
-        let asyn = memset_ms(core, CALIBRATION_BYTES, MteMode::Asynchronous);
-        let sync = memset_ms(core, CALIBRATION_BYTES, MteMode::Synchronous);
-        let _ = writeln!(
-            out,
-            "{:<12} async {:+.1}%  sync {:+.1}%",
-            core.to_string(),
-            (asyn / none - 1.0) * 100.0,
-            (sync / none - 1.0) * 100.0
-        );
-    }
-    print!("{out}");
-    let path = cage_bench::write_results("mte-mode.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::fig4_mte_modes());
 }

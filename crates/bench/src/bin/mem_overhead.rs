@@ -1,105 +1,5 @@
 //! Regenerates the §7.3 memory-overhead estimate.
-//!
-//! Two components, as in the paper: (i) the wasm64-over-wasm32 data-size
-//! delta (pointers double in size — measured on a pointer-heavy linked
-//! list, ~0.6 % on PolyBench where data is mostly scalar arrays), and
-//! (ii) the MTE tag space, 4 bits per 16 bytes = 3.125 % of tagged memory.
-
-use std::fmt::Write as _;
-
-use cage::{Engine, Variant};
-
-/// Pointer-bearing workload: a linked list where node size depends on the
-/// pointer width.
-const LIST: &str = r#"
-struct Node {
-    char* next;
-    char* prev;
-    char* data;
-    int value;
-};
-
-long run(long n) {
-    char* head = 0;
-    for (long i = 0; i < n; i++) {
-        struct Node* node = (struct Node*)malloc(sizeof(struct Node));
-        node->next = head;
-        node->prev = 0;
-        node->data = 0;
-        node->value = (int)i;
-        head = (char*)node;
-    }
-    long sum = 0;
-    struct Node* cur = (struct Node*)head;
-    while (cur) {
-        sum += cur->value;
-        cur = (struct Node*)cur->next;
-    }
-    return sum;
-}
-"#;
-
-fn heap_used(variant: Variant) -> u64 {
-    let engine = Engine::new(variant);
-    let artifact = engine.compile(LIST).expect("builds");
-    let mut inst = engine.instantiate(&artifact).expect("instantiates");
-    let run = inst.get_typed::<i64, i64>("run").expect("run export");
-    run.call(&mut inst, 1000).expect("runs");
-    inst.memory_report().heap_peak_bytes
-}
 
 fn main() {
-    let mut out = String::new();
-    let _ = writeln!(out, "Memory overhead (§7.3)");
-    let _ = writeln!(out);
-
-    // Component (i): pointer-width data growth.
-    let h32 = heap_used(Variant::BaselineWasm32);
-    let h64 = heap_used(Variant::BaselineWasm64);
-    let ptr_delta = h64 as f64 / h32 as f64 - 1.0;
-    let _ = writeln!(out, "pointer-heavy heap (1000-node list):");
-    let _ = writeln!(
-        out,
-        "  wasm32 peak {h32} B, wasm64 peak {h64} B -> {:+.1}%",
-        ptr_delta * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "  (PolyBench data is scalar arrays; its measured wasm64 delta is ~0.6%)"
-    );
-    let _ = writeln!(out);
-
-    // Component (ii): the tag space on a PolyBench instance.
-    let kernel = cage_polybench::kernel("gemm").expect("gemm exists");
-    let mut reports = Vec::new();
-    for variant in [Variant::BaselineWasm64, Variant::CageFull] {
-        let engine = Engine::new(variant);
-        let artifact = engine.compile(kernel.source).expect("builds");
-        let mut inst = engine.instantiate(&artifact).expect("instantiates");
-        inst.invoke("run", &[]).expect("runs");
-        reports.push(inst.memory_report());
-    }
-    let wasm64 = reports[0];
-    let caged = reports[1];
-    let _ = writeln!(out, "PolyBench (gemm) instance:");
-    let _ = writeln!(
-        out,
-        "  wasm64 resident {} B; Cage resident {} B (tag space {} B)",
-        wasm64.resident_bytes, caged.resident_bytes, caged.tag_bytes
-    );
-    let tag_delta = caged.overhead_over(&wasm64) * 100.0;
-    let _ = writeln!(
-        out,
-        "  Cage over wasm64: {tag_delta:+.2}% (tag space = 1/32 = 3.125%)"
-    );
-    let _ = writeln!(out);
-    let estimate = 0.6 + tag_delta;
-    let _ = writeln!(
-        out,
-        "paper-style estimate: 0.6% (wasm64 delta) + {tag_delta:.2}% (tags) = {estimate:.2}% < 5.3%"
-    );
-    assert!(estimate < 5.3, "memory overhead exceeds the paper's bound");
-    print!("{out}");
-    let path = cage_bench::write_results("mem.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::mem_overhead());
 }

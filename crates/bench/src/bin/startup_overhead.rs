@@ -1,57 +1,5 @@
-//! Regenerates the §7.2 startup-overhead experiment: instantiating a
-//! module with a 128 MiB static memory and calling an empty function.
-
-use std::fmt::Write as _;
-
-use cage::runtime::startup_report;
-use cage::{Core, Variant};
+//! Regenerates the §7.2 startup-overhead experiment.
 
 fn main() {
-    const MIB_128: u64 = 128 * 1024 * 1024;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Startup overhead: 128 MiB static memory, empty export (§7.2)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:<16} {:>9} {:>10} {:>9} {:>9}",
-        "Core", "variant", "base ms", "tagging ms", "total ms", "tag %"
-    );
-    for core in Core::ALL {
-        for variant in [Variant::BaselineWasm64, Variant::CageFull] {
-            let r = startup_report(variant, core, MIB_128);
-            let _ = writeln!(
-                out,
-                "{:<12} {:<16} {:>9.1} {:>10.2} {:>9.1} {:>8.1}%",
-                core.to_string(),
-                variant.label(),
-                r.base_ms,
-                r.tagging_ms,
-                r.total_ms(),
-                r.tagging_fraction() * 100.0
-            );
-        }
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "context: a standalone stg tagging pass over 128 MiB would cost:"
-    );
-    for core in Core::ALL {
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>6.1} ms (hidden: the runtime tags while zeroing, via stzg)",
-            core.to_string(),
-            cage::mte::timing::tag_region_ms(core, MIB_128)
-        );
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "claim (§7.2): the overhead of tagging the linear memory is hidden by the\nruntime's startup overhead — the tagging column stays a small fraction."
-    );
-    print!("{out}");
-    let path = cage_bench::write_results("startup.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::startup_overhead());
 }

@@ -1,54 +1,6 @@
-//! Regenerates Table 1: MTE and PAC instruction throughput (instructions
-//! per cycle) and latencies (cycles) per core.
-//!
-//! Runs the paper's microbenchmark (§2.3) against the simulated pipeline:
-//! 10^6 instructions in an unrolled loop, without data dependencies for
-//! throughput and with a serial dependency chain for latency.
-
-use std::fmt::Write as _;
-
-use cage::mte::pipeline::{measure_mte, run_chained, run_independent, InstrParams};
-use cage::mte::{Core, MteInstr};
-use cage::pac::PacInstr;
-
-const N: u64 = 1_000_000;
+//! Regenerates Table 1: MTE and PAC instruction throughput and latencies
+//! per core.
 
 fn main() {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table 1: MTE and PAC instruction throughput (inst/cycle) and latency (cycles)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>9} {:>6} {:>9} {:>6} {:>9} {:>6}",
-        "Inst", "X3 Tp", "Lat", "A715 Tp", "Lat", "A510 Tp", "Lat"
-    );
-    let _ = writeln!(out, "MTE");
-    for instr in MteInstr::ALL {
-        let mut row = format!("{:<8}", instr.mnemonic());
-        for core in Core::ALL {
-            let (tp, lat) = measure_mte(instr, core, N);
-            let lat_s = lat.map_or_else(|| "-".to_string(), |l| format!("{l:.2}"));
-            let _ = write!(row, " {tp:>9.2} {lat_s:>6}");
-        }
-        let _ = writeln!(out, "{row}");
-    }
-    let _ = writeln!(out, "PAC");
-    for instr in PacInstr::ALL {
-        let mut row = format!("{:<8}", instr.mnemonic());
-        for core in Core::ALL {
-            let params = InstrParams {
-                throughput: instr.throughput(core),
-                latency: Some(instr.latency(core)),
-            };
-            let tp = run_independent(params, N).throughput();
-            let lat = run_chained(params, N).latency();
-            let _ = write!(row, " {tp:>9.2} {lat:>6.2}");
-        }
-        let _ = writeln!(out, "{row}");
-    }
-    print!("{out}");
-    let path = cage_bench::write_results("inst-cycles.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::table1_instructions());
 }

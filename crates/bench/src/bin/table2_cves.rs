@@ -1,42 +1,6 @@
 //! Regenerates Table 2: the CVE classes, whether plain WASM mitigates
 //! them, and whether Cage catches them.
 
-use std::fmt::Write as _;
-
-use cage::{Engine, Variant};
-
-fn outcome(source: &str, variant: Variant) -> &'static str {
-    let engine = Engine::new(variant);
-    let artifact = engine.compile(source).expect("builds");
-    let mut inst = engine.instantiate(&artifact).expect("instantiates");
-    let run = inst.get_typed::<i64, i64>("run").expect("run export");
-    match run.call(&mut inst, 1) {
-        Ok(_) => "undetected",
-        Err(e) if e.is_memory_safety_violation() => "trapped",
-        Err(_) => "other trap",
-    }
-}
-
 fn main() {
-    let mut out = String::new();
-    let _ = writeln!(out, "Table 2: memory-safety errors and their mitigation");
-    let _ = writeln!(
-        out,
-        "{:<16} {:<16} {:<18} {:<12} {:<12}",
-        "CVE", "Cause", "Mitigated in WASM", "baseline", "Cage"
-    );
-    for case in cage::gallery::cases() {
-        let base = outcome(case.source, Variant::BaselineWasm64);
-        let caged = outcome(case.source, Variant::CageFull);
-        let _ = writeln!(
-            out,
-            "{:<16} {:<16} {:<18} {:<12} {:<12}",
-            case.cve, case.cause, case.mitigated_in_wasm, base, caged
-        );
-        assert_eq!(base, "undetected", "{}: baseline must miss it", case.cve);
-        assert_eq!(caged, "trapped", "{}: Cage must catch it", case.cve);
-    }
-    print!("{out}");
-    let path = cage_bench::write_results("cves.txt", &out);
-    println!("\nwritten to {}", path.display());
+    print!("{}", cage_bench::figures::table2_cves());
 }

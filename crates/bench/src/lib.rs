@@ -1,8 +1,9 @@
 //! # cage-bench — the experiment harness
 //!
 //! One regeneration target per table/figure of the paper (README,
-//! "Regenerating the paper's results"). Each binary prints the paper-style
-//! rows and writes machine-readable output under `results/`.
+//! "Regenerating the paper's results"). Each binary prints the text of
+//! the function of the same name in [`figures`]; the committed copies
+//! under `tests/golden_figures/` are what tier-1 compares them with.
 //!
 //! | paper artefact | binary |
 //! |---|---|
@@ -17,9 +18,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::fs;
-use std::path::PathBuf;
 
 use cage::{Core, Engine, Variant};
 use cage_polybench::Kernel;
@@ -154,32 +152,8 @@ pub fn fig15_sweep() -> Vec<(Core, [f64; 3])> {
         .collect()
 }
 
+pub mod figures;
 pub mod fuzz;
-
-/// Writes `content` to `results/<name>` (creating the directory), and
-/// returns the path.
-///
-/// # Panics
-///
-/// Panics on I/O errors.
-pub fn write_results(name: &str, content: &str) -> PathBuf {
-    let dir = results_dir();
-    fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(name);
-    fs::write(&path, content).expect("write results file");
-    path
-}
-
-/// The `results/` directory at the workspace root.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .join("results")
-}
 
 #[cfg(test)]
 mod tests {
@@ -204,10 +178,5 @@ mod tests {
         let sandbox = fig.mean_percent(Variant::CageSandboxing, Core::CortexA510);
         assert!(wasm32 < 80.0, "wasm32 {wasm32}");
         assert!(sandbox < 80.0, "sandbox {sandbox}");
-    }
-
-    #[test]
-    fn results_dir_is_under_workspace_root() {
-        assert!(results_dir().ends_with("results"));
     }
 }

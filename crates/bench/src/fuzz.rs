@@ -604,7 +604,8 @@ fn sweep_pipelines(source: &str, sweep_engines: &[Engine; 3]) -> bool {
 }
 
 /// Runs one accepted, import-free module through both execution tiers
-/// under a fuel budget and asserts they agree on every export.
+/// under a fuel budget and asserts they agree on every export: same
+/// result or trap, same retired counts class by class.
 ///
 /// # Panics
 ///
@@ -618,14 +619,16 @@ fn run_differential(module: &Module) -> bool {
     ];
     for (func_idx, arity) in exports {
         let args = vec![Value::I64(3); arity];
-        let mut outcomes: Vec<Result<Vec<Value>, Trap>> = Vec::new();
+        // Result or trap, and everything the instance was charged.
+        let mut outcomes = Vec::new();
         for tier in tiers {
             let mut store = Store::new(ExecConfig::default());
             let Ok(handle) = store.instantiate(module, &Imports::new()) else {
                 return ran;
             };
             store.set_fuel(handle, Some(200_000));
-            outcomes.push(tier(&mut store, handle, func_idx, &args));
+            let result = tier(&mut store, handle, func_idx, &args);
+            outcomes.push((result, store.charge_counts(handle)));
         }
         assert_eq!(
             outcomes[0], outcomes[1],

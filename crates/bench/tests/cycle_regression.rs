@@ -1,19 +1,42 @@
-//! Cycle-accounting regression gate for the execution hot path.
+//! The cost model's regression gate: what every PolyBench kernel retires,
+//! class by class, under every Table 3 variant and both pipelines — and
+//! what that costs on each of the three cores.
 //!
-//! The interpreter's allocation-free refactor (precompiled call frames,
-//! shared operand stack, scalar memory access, in-place bulk ops) must not
-//! move a single simulated cycle: the golden file pins the exact `f64`
-//! bit pattern of the cycle counter and the retired-instruction count for
-//! every PolyBench kernel under every Table 3 variant, captured from the
-//! pre-refactor interpreter on Cortex-X3.
+//! An instance accounts in integers (`cage::engine::ChargeCounts`): the
+//! golden files pin the whole count vector of a run, which is exact and
+//! does not depend on the simulated core, and the cycles derived from it
+//! for Cortex-X3, A715 and A510. A row is
 //!
-//! Regenerate with `cargo run --release --example golden_cycles` — but
-//! only when a cost-model change *intends* to shift cycles.
+//! ```text
+//! kernel  variant  X3 cycle bits  instr_count  <one count per class>  A715 cycle bits  A510 cycle bits
+//! ```
+//!
+//! with the classes in `ChargeClass::ALL` order (the header line names
+//! them). The first four columns are what `cage-bench` reads.
+//!
+//! Regenerate with `cargo run --release -p cage --example golden_cycles >
+//! crates/bench/tests/golden_polybench_cycles.tsv` (and `… --example
+//! golden_cycles -- opt > …_opt.tsv`) — but only when a cost-model or
+//! lowering change *intends* to shift what is retired.
+//!
+//! The `bridge_f64_chain_*.tsv` files are the goldens of the
+//! representation this one replaced — one `f64` bumped once per retired
+//! instruction in program order, as captured by PR 20's parent — and are
+//! never regenerated: the bridge test holds the derived cycles to them.
 
+use std::sync::OnceLock;
+
+use cage::engine::{ChargeClass, ChargeCounts, CostModel};
 use cage::{Core, Engine, OptLevel, Variant};
 
 const GOLDEN: &str = include_str!("golden_polybench_cycles.tsv");
 const GOLDEN_OPT: &str = include_str!("golden_polybench_cycles_opt.tsv");
+const BRIDGE: &str = include_str!("bridge_f64_chain_cycles.tsv");
+const BRIDGE_OPT: &str = include_str!("bridge_f64_chain_cycles_opt.tsv");
+
+/// The sweep's size at capture time (20 kernels x 6 variants); never
+/// shrink silently.
+const ROWS: usize = 120;
 
 fn variant_by_debug_name(name: &str) -> Variant {
     *Variant::ALL
@@ -22,48 +45,110 @@ fn variant_by_debug_name(name: &str) -> Variant {
         .unwrap_or_else(|| panic!("unknown variant {name} in golden file"))
 }
 
+/// The data rows of a golden file, split into columns.
+fn rows(golden: &str) -> Vec<Vec<&str>> {
+    let rows: Vec<Vec<&str>> = golden
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| l.split('\t').collect())
+        .collect();
+    assert!(rows.len() >= ROWS, "golden file unexpectedly small");
+    rows
+}
+
+fn num(field: &str) -> u64 {
+    field.parse().expect("u64 column")
+}
+
+/// Runs `kernel` under (`variant`, `core`, `level`) and returns what it
+/// was charged and the engine's own reading of the cycles.
+fn run(kernel: &str, variant: Variant, core: Core, level: OptLevel) -> (ChargeCounts, f64) {
+    let kernel = cage_polybench::kernel(kernel)
+        .unwrap_or_else(|| panic!("golden kernel {kernel} missing from suite"));
+    let engine = Engine::builder(variant).core(core).opt_level(level).build();
+    let artifact = engine.compile(kernel.source).expect("builds");
+    let mut inst = engine.instantiate(&artifact).expect("instantiates");
+    inst.invoke("run", &[]).expect("runs");
+    (inst.charge_counts(), inst.cycles())
+}
+
+/// What each row of `golden` is charged on Cortex-X3 today, in file
+/// order. Both the golden test and the bridge test read it, so each
+/// pipeline's sweep runs once.
+fn x3_sweep(golden: &str, level: OptLevel) -> Vec<(ChargeCounts, f64)> {
+    rows(golden)
+        .iter()
+        .map(|f| run(f[0], variant_by_debug_name(f[1]), Core::CortexX3, level))
+        .collect()
+}
+
+fn default_sweep() -> &'static [(ChargeCounts, f64)] {
+    static SWEEP: OnceLock<Vec<(ChargeCounts, f64)>> = OnceLock::new();
+    SWEEP.get_or_init(|| x3_sweep(GOLDEN, OptLevel::default()))
+}
+
+fn opt_sweep() -> &'static [(ChargeCounts, f64)] {
+    static SWEEP: OnceLock<Vec<(ChargeCounts, f64)>> = OnceLock::new();
+    SWEEP.get_or_init(|| x3_sweep(GOLDEN_OPT, OptLevel::Full))
+}
+
+/// The count vector a golden row pins.
+fn golden_counts(f: &[&str]) -> ChargeCounts {
+    let mut counts = ChargeCounts::default();
+    for (count, field) in counts.counts.iter_mut().zip(&f[4..]) {
+        *count = num(field);
+    }
+    counts
+}
+
+/// Cycles of `counts` under `variant` on `core`.
+fn derive(counts: &ChargeCounts, variant: Variant, core: Core) -> f64 {
+    counts.cycles(&CostModel::class_weights(&variant.exec_config(core)))
+}
+
+/// Every row of `golden` against `sweep`: the count vector exactly, the
+/// retired-instruction count as its sum, and the cycles of all three
+/// cores — the engine's own X3 reading and the two derived from the same
+/// counts — to the bit.
+fn check_golden(golden: &str, sweep: &[(ChargeCounts, f64)], what: &str) {
+    for (f, (counts, x3_cycles)) in rows(golden).iter().zip(sweep) {
+        let (kernel, variant) = (f[0], variant_by_debug_name(f[1]));
+        assert_eq!(f.len(), 4 + ChargeClass::COUNT + 2, "{kernel}: columns");
+        assert_eq!(
+            *counts,
+            golden_counts(f),
+            "{kernel}/{variant:?} ({what}): retired counts drifted (classes: {:?})",
+            ChargeClass::ALL.map(ChargeClass::name)
+        );
+        assert_eq!(counts.instr_count(), num(f[3]), "{kernel}/{variant:?}");
+        let cores = [
+            (Core::CortexX3, *x3_cycles, f[2]),
+            (
+                Core::CortexA715,
+                derive(counts, variant, Core::CortexA715),
+                f[4 + ChargeClass::COUNT],
+            ),
+            (
+                Core::CortexA510,
+                derive(counts, variant, Core::CortexA510),
+                f[5 + ChargeClass::COUNT],
+            ),
+        ];
+        for (core, cycles, golden_bits) in cores {
+            assert_eq!(
+                cycles.to_bits(),
+                num(golden_bits),
+                "{kernel}/{variant:?} ({what}) on {core}: simulated cycles drifted \
+                 (got {cycles}, golden {})",
+                f64::from_bits(num(golden_bits)),
+            );
+        }
+    }
+}
+
 #[test]
 fn polybench_gallery_cycles_are_bit_identical_to_golden() {
-    let mut checked = 0;
-    for line in GOLDEN.lines().filter(|l| !l.trim().is_empty()) {
-        let mut fields = line.split('\t');
-        let kernel_name = fields.next().expect("kernel column");
-        let variant = variant_by_debug_name(fields.next().expect("variant column"));
-        let cycle_bits: u64 = fields
-            .next()
-            .expect("cycle-bits column")
-            .parse()
-            .expect("u64 cycle bits");
-        let instr_count: u64 = fields
-            .next()
-            .expect("instr-count column")
-            .parse()
-            .expect("u64 instr count");
-
-        let kernel = cage_polybench::kernel(kernel_name)
-            .unwrap_or_else(|| panic!("golden kernel {kernel_name} missing from suite"));
-        let engine = Engine::builder(variant).core(Core::CortexX3).build();
-        let artifact = engine.compile(kernel.source).expect("builds");
-        let mut inst = engine.instantiate(&artifact).expect("instantiates");
-        inst.invoke("run", &[]).expect("runs");
-
-        assert_eq!(
-            inst.cycles().to_bits(),
-            cycle_bits,
-            "{kernel_name}/{variant:?}: simulated cycles drifted \
-             (got {}, golden {})",
-            inst.cycles(),
-            f64::from_bits(cycle_bits),
-        );
-        assert_eq!(
-            inst.instr_count(),
-            instr_count,
-            "{kernel_name}/{variant:?}: retired instruction count drifted"
-        );
-        checked += 1;
-    }
-    // 20 kernels x 6 variants at capture time; never shrink silently.
-    assert!(checked >= 120, "golden file unexpectedly small: {checked}");
+    check_golden(GOLDEN, default_sweep(), "default");
 }
 
 /// The optimized-pipeline variant of the gate: same gallery, same
@@ -71,57 +156,73 @@ fn polybench_gallery_cycles_are_bit_identical_to_golden() {
 /// forwarding, strength reduction, CFG simplification) enabled. The
 /// cycle model charges only the ops that survive the passes, so this
 /// golden file pins *what the optimiser leaves behind*: any pass change
-/// that moves a cycle or a retired op on the gallery must regenerate it
-/// deliberately (`cargo run --release --example golden_cycles_opt`).
-/// The default-config golden file above stays byte-for-byte untouched —
-/// the extended passes are off by default.
+/// that moves a retired op on the gallery must regenerate it
+/// deliberately (`golden_cycles -- opt`). The default-config golden file
+/// above stays untouched — the extended passes are off by default.
 #[test]
 fn optimized_pipeline_cycles_are_bit_identical_to_golden() {
-    let mut checked = 0;
-    for line in GOLDEN_OPT.lines().filter(|l| !l.trim().is_empty()) {
-        let mut fields = line.split('\t');
-        let kernel_name = fields.next().expect("kernel column");
-        let variant = variant_by_debug_name(fields.next().expect("variant column"));
-        let cycle_bits: u64 = fields
-            .next()
-            .expect("cycle-bits column")
-            .parse()
-            .expect("u64 cycle bits");
-        let instr_count: u64 = fields
-            .next()
-            .expect("instr-count column")
-            .parse()
-            .expect("u64 instr count");
+    check_golden(GOLDEN_OPT, opt_sweep(), "optimized");
+}
 
-        let kernel = cage_polybench::kernel(kernel_name)
-            .unwrap_or_else(|| panic!("golden kernel {kernel_name} missing from suite"));
-        let engine = Engine::builder(variant)
-            .core(Core::CortexX3)
-            .opt_level(OptLevel::Full)
-            .build();
-        let artifact = engine.compile(kernel.source).expect("builds");
-        let mut inst = engine.instantiate(&artifact).expect("instantiates");
-        inst.invoke("run", &[]).expect("runs");
-
-        assert_eq!(
-            inst.cycles().to_bits(),
-            cycle_bits,
-            "{kernel_name}/{variant:?} (optimized): simulated cycles drifted \
-             (got {}, golden {})",
-            inst.cycles(),
-            f64::from_bits(cycle_bits),
-        );
-        assert_eq!(
-            inst.instr_count(),
-            instr_count,
-            "{kernel_name}/{variant:?} (optimized): retired instruction count drifted"
-        );
-        checked += 1;
+/// The bridge between the two representations of the cost model. For all
+/// 240 rows of the goldens this accounting replaced, the retired count is
+/// exactly what the in-order `f64` chain counted, and the derived X3
+/// cycles are the same number up to the chain's own rounding drift: the
+/// chain made one rounding per retired instruction (10^5 to 10^6 of
+/// them), the dot product makes one per class. Run with `--nocapture` for
+/// the largest distance seen.
+#[test]
+fn derived_cycles_match_the_f64_chain_they_replaced() {
+    let mut worst = (0.0f64, String::new());
+    let pairs = [
+        (BRIDGE, GOLDEN, default_sweep()),
+        (BRIDGE_OPT, GOLDEN_OPT, opt_sweep()),
+    ];
+    for (bridge, golden, sweep) in pairs {
+        for ((f, g), (counts, cycles)) in rows(bridge).iter().zip(rows(golden)).zip(sweep) {
+            assert_eq!((f[0], f[1]), (g[0], g[1]), "bridge and golden rows pair up");
+            let old = f64::from_bits(num(f[2]));
+            assert_eq!(counts.instr_count(), num(f[3]), "{}/{}", f[0], f[1]);
+            let distance = ((cycles - old) / old).abs();
+            assert!(
+                distance <= 1e-10,
+                "{}/{}: derived {cycles} vs chained {old}: relative distance {distance:e}",
+                f[0],
+                f[1]
+            );
+            if distance > worst.0 {
+                worst = (distance, format!("{}/{}", f[0], f[1]));
+            }
+        }
     }
-    assert!(
-        checked >= 120,
-        "optimized golden file unexpectedly small: {checked}"
+    eprintln!(
+        "bridge: largest relative distance {:e} at {}",
+        worst.0, worst.1
     );
+}
+
+/// The counts do not depend on the core: every kernel x variant x level
+/// run on Cortex-A715 and on Cortex-A510 is charged the vector the
+/// golden pins for Cortex-X3, and the engine's own reading of the cycles
+/// there is the golden's derived column — so Fig. 14's other two thirds
+/// are held by numbers too.
+#[test]
+fn count_vectors_are_identical_under_all_three_cores() {
+    for (golden, level) in [(GOLDEN, OptLevel::default()), (GOLDEN_OPT, OptLevel::Full)] {
+        for f in rows(golden) {
+            let (kernel, variant) = (f[0], variant_by_debug_name(f[1]));
+            let pinned = golden_counts(&f);
+            for (core, column) in [(Core::CortexA715, 4), (Core::CortexA510, 5)] {
+                let (counts, cycles) = run(kernel, variant, core, level);
+                assert_eq!(counts, pinned, "{kernel}/{variant:?} on {core}");
+                assert_eq!(
+                    cycles.to_bits(),
+                    num(f[column + ChargeClass::COUNT]),
+                    "{kernel}/{variant:?} on {core}"
+                );
+            }
+        }
+    }
 }
 
 /// The optimiser must actually earn its keep on the gallery: for every
@@ -130,36 +231,20 @@ fn optimized_pipeline_cycles_are_bit_identical_to_golden() {
 /// strictly fewer — the measured win the ROADMAP records.
 #[test]
 fn optimized_pipeline_retires_fewer_instructions() {
-    let parse = |golden: &str| -> Vec<(String, String, u64)> {
-        golden
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|line| {
-                let f: Vec<&str> = line.split('\t').collect();
-                (
-                    f[0].to_string(),
-                    f[1].to_string(),
-                    f[3].parse().expect("u64"),
-                )
-            })
-            .collect()
-    };
-    let default_counts = parse(GOLDEN);
-    let opt_counts = parse(GOLDEN_OPT);
-    assert_eq!(default_counts.len(), opt_counts.len());
+    let (default_rows, opt_rows) = (rows(GOLDEN), rows(GOLDEN_OPT));
+    assert_eq!(default_rows.len(), opt_rows.len());
     let (mut total_default, mut total_opt) = (0u64, 0u64);
-    for (d, o) in default_counts.iter().zip(&opt_counts) {
-        assert_eq!((&d.0, &d.1), (&o.0, &o.1), "golden files out of order");
+    for (d, o) in default_rows.iter().zip(&opt_rows) {
+        assert_eq!((d[0], d[1]), (o[0], o[1]), "golden files out of order");
+        let (d_count, o_count) = (num(d[3]), num(o[3]));
         assert!(
-            o.2 <= d.2,
-            "{}/{}: optimized pipeline retired MORE instructions ({} > {})",
-            o.0,
-            o.1,
-            o.2,
-            d.2
+            o_count <= d_count,
+            "{}/{}: optimized pipeline retired MORE instructions ({o_count} > {d_count})",
+            o[0],
+            o[1],
         );
-        total_default += d.2;
-        total_opt += o.2;
+        total_default += d_count;
+        total_opt += o_count;
     }
     assert!(
         total_opt < total_default,

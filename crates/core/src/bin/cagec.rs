@@ -9,6 +9,7 @@
 //! cagec program.c --variant wasm64 --emit program.wasm
 //! cagec program.c --list-exports
 //! cagec program.c --invoke work 42 7 --core a510 --stats
+//! cagec program.c --invoke work 42 7 --profile
 //! ```
 //!
 //! Exit codes distinguish failure stages: `1` for compile/build errors,
@@ -18,7 +19,8 @@
 
 use std::process::ExitCode;
 
-use cage::{Core, Engine, Error, OptLevel, Value, Variant};
+use cage::engine::{ChargeCounts, CostModel};
+use cage::{Core, Engine, Error, Instance, OptLevel, Value, Variant};
 
 /// Compile (or usage/I-O) failure.
 const EXIT_COMPILE: u8 = 1;
@@ -42,6 +44,7 @@ struct Args {
     list_exports: bool,
     dump_bytecode: Option<String>,
     stats: bool,
+    profile: bool,
     memory_pages: u64,
     opt: OptLevel,
 }
@@ -67,6 +70,9 @@ options:
                    standard passes
   -O0              disable all optimisation passes (sanitizers only)
   --stats          print simulated cycles/time and memory report
+  --profile        print where the run's cycles went: retired count, cycles
+                   and share per charge class on the selected core, and what
+                   the same counts cost on the other two cores
 
 exit codes: 1 compile error, 2 usage, 3 guest trap, 4 instantiation failure,
             5 input exceeds compile limits
@@ -83,6 +89,7 @@ fn parse_args() -> Result<Args, String> {
     let mut list_exports = false;
     let mut dump_bytecode = None;
     let mut stats = false;
+    let mut profile = false;
     let mut memory_pages = 64;
     let mut opt = OptLevel::Standard;
     while let Some(arg) = argv.next() {
@@ -136,6 +143,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--memory needs an integer")?;
             }
             "--stats" => stats = true,
+            "--profile" => profile = true,
             "--opt" => opt = OptLevel::Full,
             "-O0" => opt = OptLevel::None,
             "--help" | "-h" => return Err(String::new()),
@@ -155,6 +163,7 @@ fn parse_args() -> Result<Args, String> {
         list_exports,
         dump_bytecode,
         stats,
+        profile,
         memory_pages,
         opt,
     })
@@ -173,6 +182,57 @@ fn report(err: &Error) {
             shown = text;
         }
         source = cause.source();
+    }
+}
+
+/// Prints the cycle attribution of what `instance` has run so far: one
+/// row per charge class it retired anything in, priced on the engine's
+/// core, then what hosts charged, the total, and the guest's share of
+/// the same counts priced on the other two cores. What the hosts charged
+/// was computed under the selected core's configuration (libc prices its
+/// tagging by core), so it is its own row and is not rescaled.
+fn print_profile(engine: &Engine, instance: &Instance) {
+    let counts = instance.charge_counts();
+    let config = engine.exec_config();
+    let weights = CostModel::class_weights(&config);
+    let total = counts.cycles(&weights);
+    let row = |name: &str, count: &str, cycles: f64| {
+        let share = if total > 0.0 {
+            100.0 * cycles / total
+        } else {
+            0.0
+        };
+        eprintln!("[profile] {name:<22} {count:>12} {cycles:>16.2} {share:>6.1}%");
+    };
+    eprintln!(
+        "[profile] {:<22} {:>12} {:>16} {:>7}",
+        "class", "count", "cycles", "share"
+    );
+    for ((class, n), weight) in counts.iter().zip(weights) {
+        if n != 0 {
+            row(class.name(), &n.to_string(), n as f64 * weight);
+        }
+    }
+    row("host functions", "-", counts.host_cycles);
+    row(
+        &format!("total on {}", engine.core()),
+        &counts.instr_count().to_string(),
+        total,
+    );
+    let guest = ChargeCounts {
+        host_cycles: 0.0,
+        ..counts
+    };
+    for core in Core::ALL {
+        if core != engine.core() {
+            let weights = CostModel::class_weights(&config.on_core(core));
+            eprintln!(
+                "[profile] {:<22} {:>12} {:>16.2}",
+                format!("guest on {core}"),
+                "",
+                guest.cycles(&weights)
+            );
+        }
     }
 }
 
@@ -298,6 +358,9 @@ fn main() -> ExitCode {
                             "[stats] linear {} B, tag space {} B, heap peak {} B",
                             mem.linear_bytes, mem.tag_bytes, mem.heap_peak_bytes
                         );
+                    }
+                    if args.profile {
+                        print_profile(&engine, &instance);
                     }
                 }
                 Err(err) => {

@@ -555,7 +555,19 @@ impl Instance {
         self.rt.simulated_ms(self.token)
     }
 
-    /// Simulated cycles.
+    /// What the instance has been charged: the retired counts per
+    /// [`cage_engine::ChargeClass`] (each class knows its name) and the
+    /// cycles its host functions charged. The counts do not depend on the
+    /// simulated core: price them with
+    /// [`cage_engine::CostModel::class_weights`] of any core's
+    /// configuration to see where the cycles went there.
+    #[must_use]
+    pub fn charge_counts(&self) -> cage_engine::ChargeCounts {
+        self.rt.charge_counts(self.token)
+    }
+
+    /// Simulated cycles: [`Instance::charge_counts`] priced on the
+    /// configured core.
     #[must_use]
     pub fn cycles(&self) -> f64 {
         self.rt.cycles(self.token)

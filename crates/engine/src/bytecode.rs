@@ -11,11 +11,12 @@
 //! register file. Stack shuffling disappears by construction:
 //! `local.get`/`local.set`/`local.tee`, constants, `drop` and `nop`
 //! dissolve into the dataflow, and each remaining dispatch is a generic
-//! 3-address operation. Cycle accounting stays bit-identical to executing
-//! the source instructions one by one (which is what the tree-walking
-//! reference in `interp` does) because every register op carries a
-//! *charge recipe* — the class charges of the source ops it retired, in
-//! original order — replayed by the dispatch loop before the op body.
+//! 3-address operation. What is retired stays identical, class by class,
+//! to executing the source instructions one by one (which is what the
+//! tree-walking reference in `interp` does) because every register op
+//! carries a *charge recipe* — the classes of the source ops it retired,
+//! in original order — which the dispatch loop charges, as one packed
+//! word of per-class counts, before the op body.
 //! The loop dispatches by matching on the [`RegOp`] itself, so a
 //! [`RegCode`] holds nothing per op beyond the op and its recipe.
 //!
@@ -43,6 +44,8 @@ use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::numeric::{self, slot_i32, slot_i64, Numeric, NumericClass};
 use cage_wasm::{CompileFuel, FuncType, Instr, LimitError, Module};
 
+use crate::cost::ChargeClass;
+
 /// The three register-form families of the numeric instructions, named
 /// after the instructions they lower from. Their variant lists, semantics
 /// (`eval`) and charge classes are rows of the one table in
@@ -57,36 +60,41 @@ pub use cage_wasm::numeric::{AluOp, DivOp, UnaOp};
 ///
 /// The register lowering dissolves stack shuffling (`local.get`/`set`/
 /// `tee`, constants, `drop`, `nop`) into the dataflow, so a single
-/// [`RegOp`] can retire several source instructions. To keep cycle
-/// accounting and retired-instruction counts byte-for-byte identical to
-/// the tree-walking reference, every register op carries a *charge
-/// recipe*: the class tags of its constituent source ops in original
-/// program order.
-/// The dispatch loop replays the recipe — one charge per tag — before
-/// running the op body, so a trap inside the op leaves exactly the
-/// charges the unfused sequence would have.
+/// [`RegOp`] can retire several source instructions. To keep the retired
+/// counts per class identical to the tree-walking reference, every
+/// register op carries a *charge recipe*: the class tags of its
+/// constituent source ops in original program order, and the same recipe
+/// as one packed word of per-class counts ([`RegCode::packed`]).
+/// The dispatch loop adds that word to its running sum before running
+/// the op body, so a trap inside the op leaves exactly the charges the
+/// unfused sequence would have.
+///
+/// A tag's discriminant is three things at once: its lane in the packed
+/// word, its index in the trie of the recipe interner, and — being the
+/// discriminant of the [`ChargeClass`] of the same name — its index in
+/// the instance's count vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum ChargeTag {
     /// Integer ALU / stack-shuffle class.
-    Simple,
+    Simple = ChargeClass::Simple as u8,
     /// Float arithmetic, comparison and conversion class.
-    Float,
+    Float = ChargeClass::Float as u8,
     /// Integer division/remainder class.
-    Div,
+    Div = ChargeClass::Div as u8,
     /// Float division / square-root class.
-    FloatDiv,
+    FloatDiv = ChargeClass::FloatDiv as u8,
     /// Branch class.
-    Branch,
+    Branch = ChargeClass::Branch as u8,
     /// Direct-call class.
-    Call,
+    Call = ChargeClass::Call as u8,
     /// Indirect-call class.
-    CallIndirect,
+    CallIndirect = ChargeClass::CallIndirect as u8,
     /// Memory-access class.
-    Mem,
+    Mem = ChargeClass::Mem as u8,
     /// Free op that still retires an instruction (`i32.wrap_i64`,
     /// `i64.extend_i32_{s,u}` charge zero cycles on this machine).
-    Zero,
+    Zero = ChargeClass::Zero as u8,
 }
 
 impl ChargeTag {
@@ -103,6 +111,93 @@ impl From<NumericClass> for ChargeTag {
             NumericClass::FloatDiv => ChargeTag::FloatDiv,
             NumericClass::Free => ChargeTag::Zero,
         }
+    }
+}
+
+const _: () = {
+    assert!(MAX_RECIPE <= u16::MAX as usize);
+    assert!(MAX_RECIPE < lane_limit(ChargeTag::Simple as usize));
+    assert!(lane_shift(ChargeTag::COUNT) == u64::BITS);
+};
+
+/// Longest recipe one op carries. [`emit_reg`] splits a longer one over
+/// leading [`RegOp::Nop`] carriers, so a recipe's length fits the `u16`
+/// of [`RegCode::recipes`].
+const MAX_RECIPE: usize = 4096;
+
+/// Width of lane `lane` of a packed recipe ([`RegCode::packed`]): the
+/// lanes of the nine tags fill a `u64`, which is what lets the dispatch
+/// loop keep its running sum in one register. A recipe is a run of
+/// dissolved stack shuffles — all [`ChargeTag::Simple`] — closed by the
+/// tag of the op that carries it, so the simple lane is wide and the
+/// others narrow.
+const fn lane_bits(lane: usize) -> u32 {
+    if lane == ChargeTag::Simple as usize {
+        16
+    } else {
+        6
+    }
+}
+
+/// Position of lane `lane` in the packed word.
+const fn lane_shift(lane: usize) -> u32 {
+    let mut shift = 0;
+    let mut below = 0;
+    while below < lane {
+        shift += lane_bits(below);
+        below += 1;
+    }
+    shift
+}
+
+/// What one recipe may add to lane `lane` stays below this: half the
+/// lane's range, the value of its guard bit.
+const fn lane_limit(lane: usize) -> usize {
+    1 << (lane_bits(lane) - 1)
+}
+
+/// The top bit of every lane. The dispatch loop adds one packed recipe
+/// per op to a running sum and empties the sum into the instance's
+/// counts as soon as one of these is set: a lane under its guard bit is
+/// below half its range and one more recipe adds less than the other
+/// half, so no lane ever carries into its neighbour.
+pub(crate) const LANE_GUARD: u64 = {
+    let mut guard = 0;
+    let mut lane = 0;
+    while lane < ChargeTag::COUNT {
+        guard |= (lane_limit(lane) as u64) << lane_shift(lane);
+        lane += 1;
+    }
+    guard
+};
+
+/// The count of each tag in `recipe`'s longest prefix that one op can
+/// carry — at most [`MAX_RECIPE`] tags, each tag fewer times than its
+/// lane's limit — and the length of that prefix.
+fn fitting_prefix(recipe: &[ChargeTag]) -> ([usize; ChargeTag::COUNT], usize) {
+    let mut counts = [0; ChargeTag::COUNT];
+    for (taken, &tag) in recipe.iter().take(MAX_RECIPE).enumerate() {
+        if counts[tag as usize] + 1 == lane_limit(tag as usize) {
+            return (counts, taken);
+        }
+        counts[tag as usize] += 1;
+    }
+    (counts, recipe.len().min(MAX_RECIPE))
+}
+
+/// Packs per-tag counts (of a [`fitting_prefix`]) into one lane per tag.
+fn pack_counts(counts: &[usize; ChargeTag::COUNT]) -> u64 {
+    counts
+        .iter()
+        .enumerate()
+        .fold(0, |word, (lane, &n)| word | (n as u64) << lane_shift(lane))
+}
+
+/// Adds the lanes of a sum of packed recipes to the count vector they
+/// index (the recipe classes come first in it).
+pub(crate) fn unpack_lanes(acc: u64, counts: &mut [u64; ChargeClass::COUNT]) {
+    for (lane, count) in counts.iter_mut().take(ChargeTag::COUNT).enumerate() {
+        *count += (acc >> lane_shift(lane)) & ((1 << lane_bits(lane)) - 1);
     }
 }
 
@@ -153,7 +248,7 @@ pub struct RegBridge {
 /// branch targets are plain pcs (the register file needs no collapse).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegOp {
-    /// Placeholder that only replays its charge recipe (source ops whose
+    /// Placeholder that only carries a charge recipe (source ops whose
     /// effects fully dissolved, pinned at a control-flow point).
     Nop,
     /// Unconditional jump.
@@ -217,7 +312,7 @@ pub enum RegOp {
     },
     /// `dst <- a op b` for division/remainder: the integer forms trap on
     /// a zero divisor (and `INT_MIN / -1`), after the recipe — which
-    /// carries the `Div`/`FloatDiv` charge — has replayed.
+    /// carries the `Div`/`FloatDiv` charge — has been charged.
     Div {
         /// The operation.
         op: DivOp,
@@ -297,6 +392,12 @@ pub struct RegCode {
     pub recipes: Box<[(u32, u16)]>,
     /// Interned charge-tag pool shared by all recipes.
     pub pool: Box<[ChargeTag]>,
+    /// Per-op recipe again, as counts: how many tags of each class it
+    /// holds, [`ChargeTag::COUNT`] lanes in one word (parallel to `ops`).
+    /// This is what the dispatch loop reads — one integer add per op,
+    /// whatever the recipe's length; `recipes`/`pool` keep the order for
+    /// the disassembly.
+    pub packed: Box<[u64]>,
     /// Total frame slots, including the reserved scratch slot (the last
     /// one), which parallel-copy cycles and dead writes use.
     pub frame_size: u16,
@@ -1131,9 +1232,10 @@ struct RecipeInterner {
 }
 
 impl RecipeInterner {
-    fn intern(&mut self, recipe: &[ChargeTag]) -> (u32, u16) {
+    /// The pool offset of `recipe`.
+    fn intern(&mut self, recipe: &[ChargeTag]) -> u32 {
         if recipe.is_empty() {
-            return (0, 0);
+            return 0;
         }
         let mut node = 0;
         for &tag in recipe {
@@ -1150,7 +1252,41 @@ impl RecipeInterner {
             *offset = self.pool.len() as u32;
             self.pool.extend_from_slice(recipe);
         }
-        (*offset, recipe.len() as u16)
+        *offset
+    }
+}
+
+/// The three per-op tables of a [`RegCode`] under construction.
+struct Emitter {
+    ops: Vec<RegOp>,
+    recipes: Vec<(u32, u16)>,
+    packed: Vec<u64>,
+    interner: RecipeInterner,
+}
+
+impl Emitter {
+    /// Appends `op` with the charge recipe `tags`. A recipe that does not
+    /// fit one op (longer than [`MAX_RECIPE`], or too many of one tag for
+    /// its lane) goes chunk by chunk, in order, onto [`RegOp::Nop`]
+    /// carriers in front of `op`, which keeps the tail — so all of it is
+    /// still charged before the body of `op` runs, and a branch to where
+    /// `op` would have stood lands on the first carrier.
+    fn push(&mut self, op: RegOp, tags: &[ChargeTag]) {
+        let mut rest = tags;
+        loop {
+            let (counts, fits) = fitting_prefix(rest);
+            let (chunk, tail) = rest.split_at(fits);
+            self.packed.push(pack_counts(&counts));
+            // `fits <= MAX_RECIPE`, which fits a `u16`.
+            self.recipes
+                .push((self.interner.intern(chunk), fits as u16));
+            if tail.is_empty() {
+                self.ops.push(op);
+                return;
+            }
+            self.ops.push(RegOp::Nop);
+            rest = tail;
+        }
     }
 }
 
@@ -1312,28 +1448,27 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
         slot: usize,
         target: ssa::Block,
     }
-    let mut ops: Vec<RegOp> = Vec::with_capacity(c.insts.len() + c.layout.len());
-    let mut recipes: Vec<(u32, u16)> = Vec::with_capacity(ops.capacity());
-    let mut interner = RecipeInterner {
-        nodes: vec![([NONE; ChargeTag::COUNT], NONE)],
-        pool: Vec::new(),
+    let capacity = c.insts.len() + c.layout.len();
+    let mut em = Emitter {
+        ops: Vec::with_capacity(capacity),
+        recipes: Vec::with_capacity(capacity),
+        packed: Vec::with_capacity(capacity),
+        interner: RecipeInterner {
+            nodes: vec![([NONE; ChargeTag::COUNT], NONE)],
+            pool: Vec::new(),
+        },
     };
-    let mut intern =
-        |recipe: &Recipe| interner.intern(&c.tags[recipe.start as usize..recipe.end as usize]);
-    const FREE: (u32, u16) = (0, 0);
+    let tags_of = |recipe: &Recipe| &c.tags[recipe.start as usize..recipe.end as usize];
     let mut patches: Vec<RPatch> = Vec::new();
     let mut block_pc: Vec<u32> = Vec::with_capacity(c.layout.len());
     let mut pairs: Vec<(u16, u16)> = Vec::new();
     for (i, &blk) in c.layout.iter().enumerate() {
         let lb = &c.blocks[blk as usize];
-        block_pc.push(ops.len() as u32);
+        block_pc.push(em.ops.len() as u32);
         if i == 0 {
             for (cv, bits) in materialized() {
-                ops.push(RegOp::Const {
-                    dst: slot(cv),
-                    v: bits,
-                });
-                recipes.push(FREE);
+                let dst = slot(cv);
+                em.push(RegOp::Const { dst, v: bits }, &[]);
             }
         }
         for (inst, recipe) in insts_of(lb) {
@@ -1419,8 +1554,7 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
                     ret: (*ret).map(&slot),
                 })),
             };
-            ops.push(op);
-            recipes.push(intern(recipe));
+            em.push(op, tags_of(recipe));
         }
         let batch = &copies[copies_of[i].clone()];
         pairs.clear();
@@ -1431,73 +1565,58 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
                 .map(|&(phi, src)| (slot(phi), slot(src))),
         );
         for (dst, src) in ssa::sequence_parallel_copies(&pairs, scratch) {
-            ops.push(RegOp::Move { dst, src });
-            recipes.push(FREE);
+            em.push(RegOp::Move { dst, src }, &[]);
         }
         for &(phi, src) in batch {
             if let Some(idx) = const_idx(src) {
-                ops.push(RegOp::Const {
-                    dst: slot(phi),
-                    v: c.consts[idx].1,
-                });
-                recipes.push(FREE);
+                let v = c.consts[idx].1;
+                em.push(RegOp::Const { dst: slot(phi), v }, &[]);
             }
         }
-        let term_op = match &lb.term {
+        // The terminator's targets are patched once every block has its
+        // pc; its own pc is known only after its recipe's carriers.
+        let (term_op, targets): (RegOp, &[ssa::Block]) = match &lb.term {
             LTerm::None | LTerm::Halt => continue,
-            LTerm::Jump(t) => {
-                patches.push(RPatch {
-                    op: ops.len(),
-                    slot: 0,
-                    target: *t,
-                });
-                RegOp::Jump(u32::MAX)
-            }
-            LTerm::BrIf { cond, then_b } => {
-                patches.push(RPatch {
-                    op: ops.len(),
-                    slot: 0,
-                    target: *then_b,
-                });
+            LTerm::Jump(t) => (RegOp::Jump(u32::MAX), std::slice::from_ref(t)),
+            LTerm::BrIf { cond, then_b } => (
                 RegOp::BrIf {
                     cond: slot(*cond),
                     target: u32::MAX,
-                }
-            }
-            LTerm::BrIfZ { cond, else_b } => {
-                patches.push(RPatch {
-                    op: ops.len(),
-                    slot: 0,
-                    target: *else_b,
-                });
+                },
+                std::slice::from_ref(then_b),
+            ),
+            LTerm::BrIfZ { cond, else_b } => (
                 RegOp::BrIfZ {
                     cond: slot(*cond),
                     target: u32::MAX,
-                }
-            }
-            LTerm::BrTable { sel, targets } => {
-                for (slot_idx, t) in targets.iter().enumerate() {
-                    patches.push(RPatch {
-                        op: ops.len(),
-                        slot: slot_idx,
-                        target: *t,
-                    });
-                }
+                },
+                std::slice::from_ref(else_b),
+            ),
+            LTerm::BrTable { sel, targets } => (
                 RegOp::BrTable {
                     sel: slot(*sel),
                     targets: vec![u32::MAX; targets.len()].into_boxed_slice(),
-                }
-            }
-            LTerm::Ret { srcs } => RegOp::Ret {
-                srcs: srcs.iter().map(|&s| slot(s)).collect(),
-            },
+                },
+                targets,
+            ),
+            LTerm::Ret { srcs } => (
+                RegOp::Ret {
+                    srcs: srcs.iter().map(|&s| slot(s)).collect(),
+                },
+                &[],
+            ),
         };
-        ops.push(term_op);
-        recipes.push(intern(&lb.term_recipe));
+        em.push(term_op, tags_of(&lb.term_recipe));
+        let op = em.ops.len() - 1;
+        patches.extend(targets.iter().enumerate().map(|(slot, &target)| RPatch {
+            op,
+            slot,
+            target,
+        }));
     }
     for p in &patches {
         let pc = block_pc[c.blocks[p.target as usize].layout_idx as usize];
-        match &mut ops[p.op] {
+        match &mut em.ops[p.op] {
             RegOp::Jump(t) => *t = pc,
             RegOp::BrIf { target, .. } | RegOp::BrIfZ { target, .. } => *target = pc,
             RegOp::BrTable { targets, .. } => targets[p.slot] = pc,
@@ -1506,9 +1625,10 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
     }
 
     Ok(RegCode {
-        ops: ops.into_boxed_slice(),
-        recipes: recipes.into_boxed_slice(),
-        pool: interner.pool.into_boxed_slice(),
+        ops: em.ops.into_boxed_slice(),
+        recipes: em.recipes.into_boxed_slice(),
+        pool: em.interner.pool.into_boxed_slice(),
+        packed: em.packed.into_boxed_slice(),
         frame_size,
         param_slots: params.iter().map(|&p| slot(p)).collect(),
     })
@@ -1662,7 +1782,7 @@ mod tests {
         // exits, a loop back-edge and a br_table landing just past its
         // own terminator. Register bytecode (the default `call`) and the
         // tree-walking reference (`call_tree`) must agree bit-for-bit on
-        // results, cycle bits and retired counts, for branch-taken and
+        // results and charge counts, for branch-taken and
         // fall-through arguments alike.
         use crate::config::ExecConfig;
         use crate::host::Imports;
@@ -1750,14 +1870,9 @@ mod tests {
             let t = tree.call_tree(th, 0, &args);
             assert_eq!(r, t, "arg {arg}: register vs tree outcome");
             assert_eq!(
-                reg.cycles(rh).to_bits(),
-                tree.cycles(th).to_bits(),
-                "arg {arg}: register cycle bits"
-            );
-            assert_eq!(
-                reg.instr_count(rh),
-                tree.instr_count(th),
-                "arg {arg}: register retired counts"
+                reg.charge_counts(rh),
+                tree.charge_counts(th),
+                "arg {arg}: register vs tree charge counts"
             );
         }
     }
@@ -1795,7 +1910,7 @@ mod tests {
     fn forty_live_temporaries_get_forty_distinct_slots_and_still_execute() {
         // 40 simultaneously live temporaries need 40 distinct frame
         // slots — a frame is as wide as its peak pressure, there is no
-        // register budget to overflow — and the result (and cycle bits)
+        // register budget to overflow — and the result (and the charge)
         // must be identical to the tree oracle.
         use crate::config::ExecConfig;
         use crate::host::Imports;
@@ -1848,8 +1963,7 @@ mod tests {
         let expected = 3 * n + n * (n + 1) / 2;
         assert_eq!(reg.call(rh, 0, &args), Ok(vec![Value::I64(expected)]));
         assert_eq!(tree.call_tree(th, 0, &args), Ok(vec![Value::I64(expected)]));
-        assert_eq!(reg.cycles(rh).to_bits(), tree.cycles(th).to_bits());
-        assert_eq!(reg.instr_count(rh), tree.instr_count(th));
+        assert_eq!(reg.charge_counts(rh), tree.charge_counts(th));
     }
 
     #[test]
@@ -1875,6 +1989,62 @@ mod tests {
             &[ChargeTag::Simple, ChargeTag::Branch]
         );
         assert_eq!(code.recipes[1].1, 0, "epilogue charges nothing");
+    }
+
+    #[test]
+    fn long_recipes_split_over_leading_carriers_in_order() {
+        // 2.5 chunks of dissolved `nop`s in front of a division: two
+        // `nop` carriers of a full chunk each, then the `Div` with the
+        // tail — the division's own tag last, so every tag is charged
+        // before the op that can trap runs — and each op's packed word
+        // counts exactly its own slice of the pool.
+        let nops = 2 * MAX_RECIPE + MAX_RECIPE / 2;
+        let mut body = vec![Instr::Nop; nops];
+        body.extend([Instr::LocalGet(0), Instr::LocalGet(0), Instr::I64DivS]);
+        let code = compile_reg_body(body);
+        let recipe = |pc: usize| {
+            let (off, len) = code.recipes[pc];
+            &code.pool[off as usize..off as usize + len as usize]
+        };
+        assert!(
+            matches!(
+                code.ops.as_ref(),
+                [RegOp::Nop, RegOp::Nop, RegOp::Div { .. }, RegOp::Ret { .. }]
+            ),
+            "{:?}",
+            code.ops
+        );
+        let mut tags = vec![ChargeTag::Simple; nops + 2];
+        tags.push(ChargeTag::Div);
+        let charged: Vec<ChargeTag> = (0..3).flat_map(|pc| recipe(pc).iter().copied()).collect();
+        assert_eq!(charged, tags);
+        assert_eq!(
+            [recipe(0).len(), recipe(1).len(), recipe(2).len()],
+            [MAX_RECIPE, MAX_RECIPE, MAX_RECIPE / 2 + 3]
+        );
+        for pc in 0..code.ops.len() {
+            assert_eq!(
+                code.packed[pc],
+                pack_counts(&fitting_prefix(recipe(pc)).0),
+                "pc {pc}"
+            );
+        }
+        let lane = |word: u64, tag: ChargeTag| {
+            (word >> lane_shift(tag as usize)) & ((1 << lane_bits(tag as usize)) - 1)
+        };
+        assert_eq!(lane(code.packed[2], ChargeTag::Simple), 2050);
+        assert_eq!(lane(code.packed[2], ChargeTag::Div), 1);
+        assert_eq!(
+            code.packed[0] & LANE_GUARD,
+            0,
+            "a full chunk sets no guard bit"
+        );
+        // The lowering never closes a recipe with more than one tag that
+        // is not `Simple`, but the split does not lean on that: a narrow
+        // lane ends a chunk just as the length does.
+        let (counts, fits) = fitting_prefix(&[ChargeTag::Mem; 40]);
+        assert_eq!((counts[ChargeTag::Mem as usize], fits), (31, 31));
+        assert_eq!(pack_counts(&counts) & LANE_GUARD, 0);
     }
 
     #[test]

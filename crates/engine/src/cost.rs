@@ -21,27 +21,182 @@ use cage_pac::PacInstr;
 
 use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
 
-/// Instruction classes the model distinguishes.
+/// One class of what an instance accounts in.
+///
+/// An instance does not accumulate cycles: it counts, per class, what it
+/// retired ([`ChargeCounts`]), and cycles are the dot product of those
+/// counts with the cost model's per-class weights
+/// ([`CostModel::class_weights`]), taken in this order whenever somebody
+/// reads them. The counts do not depend on the simulated core, so one run
+/// prices all three.
+///
+/// The first [`ChargeClass::OPS`] classes count retired instructions, one
+/// each — the nine classes of the register tier's charge recipes first,
+/// in [`crate::bytecode::ChargeTag`] order, then the bridged
+/// instructions. The rest are the data-dependent units those bridged
+/// instructions charge on top (bytes filled or copied, granules tagged)
+/// and retire nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstrClass {
-    /// Simple integer ALU / compare / select / const / local access.
+#[repr(u8)]
+pub enum ChargeClass {
+    /// Simple integer ALU / compare / select / const / local and global
+    /// access.
     Simple,
-    /// Floating-point arithmetic.
+    /// Float arithmetic, comparison and conversion.
     Float,
     /// Integer division / remainder.
     Div,
-    /// Float division / sqrt.
+    /// Float division / square root.
     FloatDiv,
-    /// Taken-or-not branch, br_table dispatch.
+    /// Branch, `br_table` dispatch, `return`.
     Branch,
-    /// Direct call (+ return).
+    /// Direct call.
     Call,
-    /// Indirect call: table bounds + signature check + load.
+    /// Indirect call.
     CallIndirect,
-    /// Linear-memory load or store (base cost, before sandbox extras).
-    MemAccess,
-    /// memory.size/grow bookkeeping.
+    /// Scalar load or store, sandbox and tag checks included.
+    Mem,
+    /// Retired but free: the width changes the cores rename away.
+    Zero,
+    /// `memory.size` / `memory.grow`.
     MemManage,
+    /// `i64.pointer_sign`.
+    Sign,
+    /// `i64.pointer_auth`.
+    Auth,
+    /// `memory.fill`, the per-op part.
+    Fill,
+    /// `memory.copy`, the per-op part.
+    Copy,
+    /// `segment.new`, the per-op part (`irg` + setup).
+    SegmentNew,
+    /// `segment.set_tag` / `segment.free`, the per-op part.
+    Retag,
+    /// Bytes written by `memory.fill`.
+    FillBytes,
+    /// Bytes moved by `memory.copy`.
+    CopyBytes,
+    /// 16-byte granules tagged and zeroed by `segment.new` (`stzg`).
+    SegmentNewGranules,
+    /// 16-byte granules retagged by `segment.set_tag` / `segment.free`
+    /// (`stg`).
+    RetagGranules,
+}
+
+impl ChargeClass {
+    /// Number of classes.
+    pub const COUNT: usize = ChargeClass::RetagGranules as usize + 1;
+    /// The classes `0..OPS` count retired instructions.
+    pub const OPS: usize = ChargeClass::Retag as usize + 1;
+    /// Every class, in accounting order.
+    pub const ALL: [ChargeClass; ChargeClass::COUNT] = [
+        ChargeClass::Simple,
+        ChargeClass::Float,
+        ChargeClass::Div,
+        ChargeClass::FloatDiv,
+        ChargeClass::Branch,
+        ChargeClass::Call,
+        ChargeClass::CallIndirect,
+        ChargeClass::Mem,
+        ChargeClass::Zero,
+        ChargeClass::MemManage,
+        ChargeClass::Sign,
+        ChargeClass::Auth,
+        ChargeClass::Fill,
+        ChargeClass::Copy,
+        ChargeClass::SegmentNew,
+        ChargeClass::Retag,
+        ChargeClass::FillBytes,
+        ChargeClass::CopyBytes,
+        ChargeClass::SegmentNewGranules,
+        ChargeClass::RetagGranules,
+    ];
+
+    /// The class's name as profiles and golden files print it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ChargeClass::Simple => "simple",
+            ChargeClass::Float => "float",
+            ChargeClass::Div => "div",
+            ChargeClass::FloatDiv => "float_div",
+            ChargeClass::Branch => "branch",
+            ChargeClass::Call => "call",
+            ChargeClass::CallIndirect => "call_indirect",
+            ChargeClass::Mem => "mem",
+            ChargeClass::Zero => "zero",
+            ChargeClass::MemManage => "mem_manage",
+            ChargeClass::Sign => "sign",
+            ChargeClass::Auth => "auth",
+            ChargeClass::Fill => "fill",
+            ChargeClass::Copy => "copy",
+            ChargeClass::SegmentNew => "segment_new",
+            ChargeClass::Retag => "retag",
+            ChargeClass::FillBytes => "fill_bytes",
+            ChargeClass::CopyBytes => "copy_bytes",
+            ChargeClass::SegmentNewGranules => "segment_new_granules",
+            ChargeClass::RetagGranules => "retag_granules",
+        }
+    }
+}
+
+/// Cycles per unit of each [`ChargeClass`], in class order.
+pub type ClassWeights = [f64; ChargeClass::COUNT];
+
+/// What an instance has been charged: the retired counts per
+/// [`ChargeClass`], and the cycles host functions charged through
+/// [`crate::HostContext::charge`] (an `f64` the embedder chooses, so it
+/// stays one; host calls are its only writers and keep their order).
+///
+/// Equality compares `host_cycles` by bit pattern: two executions agree
+/// when they charged exactly the same things.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChargeCounts {
+    /// Retired counts, indexed by `ChargeClass as usize`.
+    pub counts: [u64; ChargeClass::COUNT],
+    /// Cycles charged by host functions.
+    pub host_cycles: f64,
+}
+
+impl PartialEq for ChargeCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.counts == other.counts && self.host_cycles.to_bits() == other.host_cycles.to_bits()
+    }
+}
+
+impl Eq for ChargeCounts {}
+
+impl ChargeCounts {
+    /// The count of one class.
+    #[must_use]
+    pub fn get(&self, class: ChargeClass) -> u64 {
+        self.counts[class as usize]
+    }
+
+    /// Every class with its count, in accounting order.
+    pub fn iter(&self) -> impl Iterator<Item = (ChargeClass, u64)> + '_ {
+        ChargeClass::ALL.into_iter().zip(self.counts)
+    }
+
+    /// Retired instructions: the sum of the op classes.
+    #[must_use]
+    pub fn instr_count(&self) -> u64 {
+        self.counts[..ChargeClass::OPS].iter().sum()
+    }
+
+    /// Simulated cycles under `weights`: the host's cycles plus the dot
+    /// product in class order — a function of the counts alone, however
+    /// invocations, host calls and resets split the run that made them.
+    #[must_use]
+    pub fn cycles(&self, weights: &ClassWeights) -> f64 {
+        let guest: f64 = self
+            .counts
+            .iter()
+            .zip(weights)
+            .map(|(&n, w)| n as f64 * w)
+            .sum();
+        self.host_cycles + guest
+    }
 }
 
 /// Per-core, per-configuration cycle costs.
@@ -154,22 +309,6 @@ impl CostModel {
         self.core
     }
 
-    /// Base cost of an instruction class.
-    #[must_use]
-    pub fn class_cost(&self, class: InstrClass) -> f64 {
-        match class {
-            InstrClass::Simple => self.simple,
-            InstrClass::Float => self.float,
-            InstrClass::Div => self.div,
-            InstrClass::FloatDiv => self.float_div,
-            InstrClass::Branch => self.branch,
-            InstrClass::Call => self.call,
-            InstrClass::CallIndirect => self.call_indirect,
-            InstrClass::MemAccess => self.mem_access,
-            InstrClass::MemManage => self.mem_manage,
-        }
-    }
-
     /// Full cost of one memory access under the configured sandbox and
     /// internal-safety settings.
     #[must_use]
@@ -210,16 +349,37 @@ impl CostModel {
         }
     }
 
-    /// Cost of `segment.new` over `granules` 16-byte granules.
+    /// Cycles per unit of every [`ChargeClass`] under `config`, in class
+    /// order: what [`ChargeCounts::cycles`] multiplies the counts by.
+    /// `memory.fill` moves 16 bytes per access-equivalent and
+    /// `memory.copy` 8, each on top of one access for the op itself; a
+    /// segment op costs its base plus one store-tag per granule.
     #[must_use]
-    pub fn segment_new_cost(&self, granules: u64) -> f64 {
-        self.segment_base + self.tag_granule * granules as f64
-    }
-
-    /// Cost of `segment.free` / `segment.set_tag` over `granules` granules.
-    #[must_use]
-    pub fn segment_retag_cost(&self, granules: u64) -> f64 {
-        self.segment_base + self.untag_granule * granules as f64
+    pub fn class_weights(config: &ExecConfig) -> ClassWeights {
+        let m = Self::for_config(config);
+        let mem = m.mem_access_cost(config);
+        [
+            m.simple,
+            m.float,
+            m.div,
+            m.float_div,
+            m.branch,
+            m.call,
+            m.call_indirect,
+            mem,
+            0.0,
+            m.mem_manage,
+            m.pointer_sign_cost(config),
+            m.pointer_auth_cost(config),
+            mem,
+            mem,
+            m.segment_base,
+            m.segment_base,
+            mem / 16.0,
+            mem / 8.0,
+            m.tag_granule,
+            m.untag_granule,
+        ]
     }
 
     /// Converts accumulated cycles to milliseconds on this core.
@@ -239,16 +399,16 @@ mod tests {
 
     #[test]
     fn in_order_core_is_slower_everywhere() {
-        let x3 = CostModel::for_config(&cfg(Core::CortexX3));
-        let a510 = CostModel::for_config(&cfg(Core::CortexA510));
+        let x3 = CostModel::class_weights(&cfg(Core::CortexX3));
+        let a510 = CostModel::class_weights(&cfg(Core::CortexA510));
         for class in [
-            InstrClass::Simple,
-            InstrClass::Float,
-            InstrClass::Branch,
-            InstrClass::Call,
-            InstrClass::MemAccess,
+            ChargeClass::Simple,
+            ChargeClass::Float,
+            ChargeClass::Branch,
+            ChargeClass::Call,
+            ChargeClass::Mem,
         ] {
-            assert!(a510.class_cost(class) > x3.class_cost(class), "{class:?}");
+            assert!(a510[class as usize] > x3[class as usize], "{class:?}");
         }
     }
 
@@ -303,11 +463,50 @@ mod tests {
 
     #[test]
     fn segment_costs_scale_with_granules() {
-        let model = CostModel::for_config(&cfg(Core::CortexX3));
-        let small = model.segment_new_cost(1);
-        let large = model.segment_new_cost(64);
-        assert!(large > small);
-        assert!((large - small) - model.tag_granule * 63.0 < 1e-9);
+        let config = cfg(Core::CortexX3);
+        let weights = CostModel::class_weights(&config);
+        let segment_new = |granules: u64| {
+            let mut counts = ChargeCounts::default();
+            counts.counts[ChargeClass::SegmentNew as usize] = 1;
+            counts.counts[ChargeClass::SegmentNewGranules as usize] = granules;
+            counts.cycles(&weights)
+        };
+        let model = CostModel::for_config(&config);
+        assert_eq!(segment_new(1), model.segment_base + model.tag_granule);
+        assert!((segment_new(64) - segment_new(1) - model.tag_granule * 63.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn counts_price_to_cycles_and_retired_instructions() {
+        let config = cfg(Core::CortexA510);
+        let weights = CostModel::class_weights(&config);
+        let mut counts = ChargeCounts {
+            host_cycles: 80.0,
+            ..ChargeCounts::default()
+        };
+        counts.counts[ChargeClass::Simple as usize] = 3;
+        counts.counts[ChargeClass::Zero as usize] = 2;
+        counts.counts[ChargeClass::Fill as usize] = 1;
+        counts.counts[ChargeClass::FillBytes as usize] = 32;
+        // Units are charged but retire nothing; `Zero` retires but is free.
+        assert_eq!(counts.instr_count(), 6);
+        let mem = CostModel::for_config(&config).mem_access_cost(&config);
+        assert_eq!(
+            counts.cycles(&weights),
+            80.0 + 3.0 * 1.0 + mem + 32.0 * (mem / 16.0)
+        );
+        // Every class has a distinct name, and the order is the enum's.
+        for (i, class) in ChargeClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+            assert_eq!(
+                ChargeClass::ALL
+                    .iter()
+                    .filter(|c| c.name() == class.name())
+                    .count(),
+                1
+            );
+        }
+        assert!(weights[..ChargeClass::OPS].iter().all(|w| *w >= 0.0));
     }
 
     #[test]
@@ -325,8 +524,8 @@ mod tests {
     #[test]
     fn indirect_call_costs_more_than_direct() {
         for core in Core::ALL {
-            let m = CostModel::for_config(&cfg(core));
-            assert!(m.class_cost(InstrClass::CallIndirect) > m.class_cost(InstrClass::Call));
+            let w = CostModel::class_weights(&cfg(core));
+            assert!(w[ChargeClass::CallIndirect as usize] > w[ChargeClass::Call as usize]);
         }
     }
 }

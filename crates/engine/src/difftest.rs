@@ -2,8 +2,10 @@
 //! linear scan → 3-address bytecode) must be bit-identical to the
 //! structured tree walker (`Store::call_tree`, the reference
 //! implementation in `interp.rs`) on randomized control-flow bodies.
-//! Same results, same traps, same cycle-counter f64 bits, same
-//! retired-instruction counts.
+//! Same results, same traps, same charge: the whole vector of retired
+//! counts per class plus the bits of what hosts charged, from which cycles
+//! and the retired-instruction count follow — so two mis-charges that
+//! cancel in the cycle total still show.
 //!
 //! Bodies are generated correct-by-construction (every statement is
 //! stack-neutral, loops are bounded by a counter incremented at the loop
@@ -34,6 +36,7 @@ use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::{validate, BlockType, Instr, MemArg, Module, ValType};
 
 use crate::config::{ExecConfig, InternalSafety};
+use crate::cost::{ChargeClass, ChargeCounts};
 use crate::host::Imports;
 use crate::memory::RUNTIME_SLACK;
 use crate::store::{InstanceLimits, Store};
@@ -881,9 +884,9 @@ fn dump_divergence(module: &Module) -> String {
     out
 }
 
-/// One tier's observable outcome: result-or-trap, cycle bits, retired
-/// instructions.
-type Observed = (Result<Vec<Value>, crate::trap::Trap>, u64, u64);
+/// One tier's observable outcome: result-or-trap and what the instance
+/// was charged.
+type Observed = (Result<Vec<Value>, crate::trap::Trap>, ChargeCounts);
 
 fn assert_bitwise_same(seed: u64, pair: &str, module: &Module, a: &Observed, b: &Observed) {
     match (&a.0, &b.0) {
@@ -919,14 +922,8 @@ fn assert_bitwise_same(seed: u64, pair: &str, module: &Module, a: &Observed, b: 
     assert_eq!(
         a.1,
         b.1,
-        "seed {seed}: {pair}: cycle bits diverged\n{}",
+        "seed {seed}: {pair}: charge counts diverged\n{}",
         dump_divergence(module),
-    );
-    assert_eq!(
-        a.2,
-        b.2,
-        "seed {seed}: {pair}: retired-instruction counts diverged\n{}",
-        dump_divergence(module)
     );
 }
 
@@ -960,7 +957,7 @@ fn check_equivalence_with(seed: u64, arg: i64, limits: InstanceLimits) -> bool {
                 .instantiate(&module, &Imports::new())
                 .expect("instantiates");
             let result = run(&mut store, h);
-            (result, store.cycles(h).to_bits(), store.instr_count(h))
+            (result, store.charge_counts(h))
         };
         let reg = observe(&|s, h| s.invoke(h, "run", &args));
         let tree = observe(&|s, h| s.call_tree(h, 0, &args));
@@ -1065,7 +1062,7 @@ fn page_limit_denies_grow_and_downstream_fill_traps_across_tiers() {
         } else {
             store.call(h, 0, &args)
         };
-        (result, store.cycles(h).to_bits(), store.instr_count(h))
+        (result, store.charge_counts(h))
     };
 
     let capped = observe(PINNED, false);
@@ -1091,8 +1088,8 @@ fn page_limit_denies_grow_and_downstream_fill_traps_across_tiers() {
 
 /// Pool-reset equivalence oracle: recycling an instance through
 /// `Store::reset_instance` must be indistinguishable from a fresh
-/// instantiation — same results, same traps, same cycle-counter f64
-/// bits, same retired-instruction counts — even after the previous
+/// instantiation — same results, same traps, same charge counts — even
+/// after the previous
 /// tenant grew, filled, copied and trapped its way through memory (the
 /// generator emits `memory.grow`/`memory.fill`/`memory.copy` and has a
 /// healthy trap rate, so all of those histories are exercised).
@@ -1171,18 +1168,10 @@ fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64,
             ),
         }
         assert_eq!(
-            fresh_store.cycles(fresh_h).to_bits(),
-            pool_store.cycles(pool_h).to_bits(),
-            "{what}: reset cycle bits diverged (fresh {}, recycled {})\n{}",
-            fresh_store.cycles(fresh_h),
-            pool_store.cycles(pool_h),
+            fresh_store.charge_counts(fresh_h),
+            pool_store.charge_counts(pool_h),
+            "{what}: reset charge counts diverged\n{}",
             dump_divergence(module),
-        );
-        assert_eq!(
-            fresh_store.instr_count(fresh_h),
-            pool_store.instr_count(pool_h),
-            "{what}: reset retired-instruction counts diverged\n{}",
-            dump_divergence(module)
         );
     }
 }
@@ -1200,6 +1189,181 @@ fn known_shapes_reset_to_a_fresh_instance() {
     for seed in [0, 1, 2, 42, 0xCA9E, u64::MAX] {
         check_reset_equivalence(seed, 7, -3);
         check_reset_equivalence(seed, -3, 7);
+    }
+}
+
+/// Cycles are a function of the counts, and the counts of a run are the
+/// sum of the counts of its parts — however the run is split. One module
+/// (float, division, memory, a bulk fill and a charging host call per
+/// iteration) is run four ways on both tiers: as three invocations on
+/// one instance, as the same three on three fresh instances whose count
+/// vectors are added, on an instance recycled by `reset_instance` after
+/// another tenant, and as one invocation of a driver that calls the
+/// three in turn. The first three agree on every count and on the cycle
+/// bits; the driver differs from them by exactly its own nine
+/// instructions. (Under the `f64` accumulator this replaced, the sum of
+/// the parts' cycles and the cycles of the whole differed in the last
+/// places.)
+#[test]
+fn charge_is_the_same_however_a_run_is_split() {
+    const PARTS: [i64; 3] = [5, 0, 11];
+    let i64_to_i64: (&[ValType], &[ValType]) = (&[ValType::I64], &[ValType::I64]);
+    let mut b = ModuleBuilder::new();
+    let tick = b.import_func("env", "tick", i64_to_i64.0, i64_to_i64.1);
+    b.add_memory64(1);
+    // work(n): locals 1 = i (i64), 2 = acc (f64).
+    let work = b.add_function(
+        i64_to_i64.0,
+        i64_to_i64.1,
+        &[ValType::I64, ValType::F64],
+        vec![
+            Instr::Block(
+                BlockType::Empty,
+                vec![Instr::Loop(
+                    BlockType::Empty,
+                    vec![
+                        Instr::LocalGet(1),
+                        Instr::LocalGet(0),
+                        Instr::I64GeS,
+                        Instr::BrIf(1),
+                        // acc = sqrt(acc * 1.5 + f64(i))
+                        Instr::LocalGet(2),
+                        Instr::F64Const(1.5f64.to_bits()),
+                        Instr::F64Mul,
+                        Instr::LocalGet(1),
+                        Instr::F64ConvertI64S,
+                        Instr::F64Add,
+                        Instr::F64Sqrt,
+                        Instr::LocalSet(2),
+                        // mem[8 * i] = tick(i) / (i + 1); acc += mem[8 * i]
+                        Instr::LocalGet(1),
+                        Instr::I64Const(8),
+                        Instr::I64Mul,
+                        Instr::LocalGet(1),
+                        Instr::Call(tick),
+                        Instr::LocalGet(1),
+                        Instr::I64Const(1),
+                        Instr::I64Add,
+                        Instr::I64DivS,
+                        Instr::Store(StoreOp::I64Store, MemArg::default()),
+                        Instr::LocalGet(1),
+                        Instr::I64Const(1),
+                        Instr::I64Add,
+                        Instr::LocalSet(1),
+                        Instr::Br(0),
+                    ],
+                )],
+            ),
+            // memory.fill(dst = 256, val = 1, len = n)
+            Instr::I64Const(256),
+            Instr::I32Const(1),
+            Instr::LocalGet(0),
+            Instr::MemoryFill,
+            Instr::LocalGet(2),
+            Instr::I64ReinterpretF64,
+        ],
+    );
+    let mut driver_body = Vec::new();
+    for n in PARTS {
+        driver_body.extend([Instr::I64Const(n), Instr::Call(work), Instr::Drop]);
+    }
+    let driver = b.add_function(&[], &[], &[], driver_body);
+    b.export_func("work", work);
+    b.export_func("driver", driver);
+    let module = b.build();
+    validate(&module).expect("hand-built module validates");
+
+    let imports = || {
+        let mut imports = Imports::new();
+        imports.define(
+            "env",
+            "tick",
+            crate::host::HostFunc::new(i64_to_i64.0, i64_to_i64.1, |ctx, args| {
+                // Exactly representable, so the hosts' own sum does not
+                // depend on where a run is cut either.
+                ctx.charge(12.5);
+                Ok(vec![Value::I64(args[0].as_i64() + 100)])
+            }),
+        );
+        imports
+    };
+    let driver_overhead = {
+        let mut counts = ChargeCounts::default();
+        counts.counts[ChargeClass::Simple as usize] = 6;
+        counts.counts[ChargeClass::Call as usize] = 3;
+        counts
+    };
+    let add = |a: ChargeCounts, b: ChargeCounts| {
+        let mut sum = a;
+        for (s, n) in sum.counts.iter_mut().zip(b.counts) {
+            *s += n;
+        }
+        sum.host_cycles += b.host_cycles;
+        sum
+    };
+
+    for config in configs() {
+        let weights = crate::cost::CostModel::class_weights(&config);
+        for tree in [false, true] {
+            let call = |store: &mut Store, h, func: u32, args: &[Value]| {
+                if tree {
+                    store.call_tree(h, func, args)
+                } else {
+                    store.call(h, func, args)
+                }
+                .expect("runs")
+            };
+            let fresh = || {
+                let mut store = Store::new(config);
+                let h = store
+                    .instantiate(&module, &imports())
+                    .expect("instantiates");
+                (store, h)
+            };
+
+            let (mut whole, whole_h) = fresh();
+            let (mut recycled, recycled_h) = fresh();
+            call(&mut recycled, recycled_h, work, &[Value::I64(3)]);
+            recycled.reset_instance(recycled_h).expect("resets");
+            let mut sum_of_parts = ChargeCounts::default();
+            for n in PARTS {
+                call(&mut whole, whole_h, work, &[Value::I64(n)]);
+                call(&mut recycled, recycled_h, work, &[Value::I64(n)]);
+                let (mut part, part_h) = fresh();
+                call(&mut part, part_h, work, &[Value::I64(n)]);
+                sum_of_parts = add(sum_of_parts, part.charge_counts(part_h));
+            }
+            let (mut driven, driven_h) = fresh();
+            call(&mut driven, driven_h, driver, &[]);
+
+            let what = format!("{config:?}, tree {tree}");
+            let counts = whole.charge_counts(whole_h);
+            assert_eq!(counts.host_cycles, 16.0 * 12.5, "{what}");
+            assert_eq!(counts.get(ChargeClass::Fill), 3, "{what}");
+            assert_eq!(counts.get(ChargeClass::FillBytes), 16, "{what}");
+            assert_eq!(counts.get(ChargeClass::FloatDiv), 16, "{what}");
+            assert_eq!(counts, sum_of_parts, "{what}: whole vs sum of parts");
+            assert_eq!(counts, recycled.charge_counts(recycled_h), "{what}");
+            assert_eq!(
+                add(counts, driver_overhead),
+                driven.charge_counts(driven_h),
+                "{what}: one invocation vs three"
+            );
+            for (store, h) in [(&whole, whole_h), (&recycled, recycled_h)] {
+                assert_eq!(
+                    store.cycles(h).to_bits(),
+                    sum_of_parts.cycles(&weights).to_bits(),
+                    "{what}: cycles are derived from the counts"
+                );
+            }
+            assert_eq!(
+                driven.cycles(driven_h).to_bits(),
+                add(sum_of_parts, driver_overhead)
+                    .cycles(&weights)
+                    .to_bits(),
+                "{what}"
+            );
+        }
     }
 }
 
@@ -1903,7 +2067,7 @@ fn observe_pipeline(ir: &IrModule, config: &PipelineConfig, arg: i64, seed: u64)
         } else {
             store.call(h, run_idx, &args)
         };
-        (result, store.cycles(h).to_bits(), store.instr_count(h))
+        (result, store.charge_counts(h))
     })
 }
 
@@ -1937,9 +2101,8 @@ fn check_pipeline_equivalence(seed: u64, arg: i64) {
             ),
         }
         assert_eq!(
-            (reg.1, reg.2),
-            (tree.1, tree.2),
-            "seed {seed} [{name}]: register vs tree cycle/retired counts diverged"
+            reg.1, tree.1,
+            "seed {seed} [{name}]: register vs tree charge counts diverged"
         );
         per_variant.push((name, reg.0));
     }

@@ -24,7 +24,12 @@ pub struct HostContext<'a> {
     pub memory: Option<&'a mut LinearMemory>,
     /// The engine configuration in force.
     pub config: &'a ExecConfig,
-    /// Cycle accumulator: host functions may charge simulated time.
+    /// The cycles host functions have charged this instance
+    /// ([`crate::ChargeCounts::host_cycles`]): host functions may charge
+    /// simulated time by adding to it. It is not the instance's cycle
+    /// total — the guest's share is kept as integer counts per class and
+    /// priced when read — so reading it tells a host only what hosts
+    /// charged.
     pub cycles: &'a mut f64,
 }
 

@@ -6,11 +6,15 @@
 //! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
 //! fixed per-frame register file — and executed by [`Interp::run_reg`]:
 //! one function holding one `loop { match op }`, a single jump table over
-//! the 18 [`RegOp`] kinds. Each iteration replays the op's *charge recipe*
-//! (the cycle-class tags of its constituent source instructions, in
-//! original program order) and then runs the op's arm, so cycle accounting
-//! and retired-instruction counts are byte-for-byte identical to retiring
-//! the source instructions one at a time; a trap leaves the loop by `?`.
+//! the 18 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
+//! (how many source instructions of each class it retires, packed into
+//! one word) to a running sum held in a register and then runs the op's
+//! arm, so the per-class retired counts are exactly those of retiring the
+//! source instructions one at a time; the sum is emptied into the
+//! instance's integer counts when a lane fills, before anything outside
+//! the loop runs, and on the loop's one exit. Cycles are not accumulated
+//! at all: they are derived from the counts when somebody reads them
+//! ([`crate::cost::ChargeCounts::cycles`]).
 //! Calls push a frame — the caller's *index* in the template's function
 //! table, its arena base and return pc — on an explicit call stack and
 //! grow the register arena, so guest call depth never consumes host Rust
@@ -32,8 +36,8 @@
 //! The structured tree walker (`mod tree`, behind `Store::call_tree`) is
 //! the reference implementation: it executes the `Instr` tree recursively,
 //! one source instruction at a time, and the differential tests assert
-//! the register machine is bit-identical to it on results, traps, cycles
-//! and retired instructions. The walker runs every data instruction
+//! the register machine is identical to it on results, traps and the
+//! whole count vector. The walker runs every data instruction
 //! through [`Interp::exec_op`], which holds the oracle's own hand-written
 //! arm — semantics and charge — for each of them. The register machine
 //! shares that function only for its bridged ops (globals, memory
@@ -56,50 +60,31 @@ use cage_wasm::numeric::{
 };
 use cage_wasm::{FuncType, Instr};
 
-use crate::bytecode::{RegBridge, RegCallIndirect, RegCode, RegOp};
+use crate::bytecode::{unpack_lanes, RegBridge, RegCallIndirect, RegCode, RegOp, LANE_GUARD};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
-use crate::cost::InstrClass;
+use crate::cost::ChargeClass;
 use crate::host::HostContext;
 use crate::memory::fast_addr;
 use crate::store::{CompiledFunc, Store};
 use crate::trap::{panic_message, Trap};
 use crate::value::Value;
 
-/// Per-class cycle charges, flattened for the hot loop.
-#[derive(Debug, Clone, Copy)]
-struct Charges {
-    simple: f64,
-    float: f64,
-    div: f64,
-    float_div: f64,
-    branch: f64,
-    call: f64,
-    call_indirect: f64,
-    mem: f64,
-    mem_manage: f64,
-    sign: f64,
-    auth: f64,
-}
-
 pub(crate) struct Interp<'s> {
     store: &'s mut Store,
     inst: usize,
     config: ExecConfig,
-    charges: Charges,
     depth: usize,
-    /// Cycle accumulator, mirrored from the instance for the duration of
-    /// a call so [`Interp::charge`] touches no memory beyond the
-    /// interpreter struct. Synced back around host calls (which charge
-    /// through [`HostContext`]) and at the end of execution — the f64
-    /// additions happen in exactly the same order as charging the
-    /// instance directly, so cycle bits are unchanged.
-    cycles: f64,
-    /// Retired-instruction accumulator, mirrored like `cycles`.
-    instr_count: u64,
-    /// Remaining fuel, mirrored from the instance like `cycles`; `None`
+    /// The retired counts per [`ChargeClass`], mirrored from the instance
+    /// for the duration of a call so [`Interp::charge`] touches no memory
+    /// beyond the interpreter struct. Written back before host calls and
+    /// at the end of execution ([`Interp::flush_accounting`]). What hosts
+    /// charge is not mirrored: it goes straight to the instance's
+    /// `host_cycles` through [`HostContext`].
+    counts: [u64; ChargeClass::COUNT],
+    /// Remaining fuel, mirrored from the instance like `counts`; `None`
     /// disables the checks entirely.
     fuel: Option<u64>,
-    /// Consumed-fuel accumulator, mirrored like `cycles`.
+    /// Consumed-fuel accumulator, mirrored like `counts`.
     fuel_consumed: u64,
     /// Epoch deadline, mirrored from the instance; `None` disables the
     /// epoch compare (and the load of the store's shared counter)
@@ -121,22 +106,7 @@ pub(crate) struct Interp<'s> {
 impl<'s> Interp<'s> {
     pub(crate) fn new(store: &'s mut Store, inst: usize) -> Self {
         let config = store.config;
-        let cost = store.cost;
-        let charges = Charges {
-            simple: cost.class_cost(InstrClass::Simple),
-            float: cost.class_cost(InstrClass::Float),
-            div: cost.class_cost(InstrClass::Div),
-            float_div: cost.class_cost(InstrClass::FloatDiv),
-            branch: cost.class_cost(InstrClass::Branch),
-            call: cost.class_cost(InstrClass::Call),
-            call_indirect: cost.class_cost(InstrClass::CallIndirect),
-            mem: cost.mem_access_cost(&config),
-            mem_manage: cost.class_cost(InstrClass::MemManage),
-            sign: cost.pointer_sign_cost(&config),
-            auth: cost.pointer_auth_cost(&config),
-        };
-        let cycles = store.instances[inst].cycles;
-        let instr_count = store.instances[inst].instr_count;
+        let counts = store.instances[inst].counts.counts;
         let fuel = store.instances[inst].fuel;
         let fuel_consumed = store.instances[inst].fuel_consumed;
         let epoch_deadline = store.instances[inst].epoch_deadline;
@@ -150,10 +120,8 @@ impl<'s> Interp<'s> {
             store,
             inst,
             config,
-            charges,
             depth: 0,
-            cycles,
-            instr_count,
+            counts,
             fuel,
             fuel_consumed,
             epoch_deadline,
@@ -163,19 +131,36 @@ impl<'s> Interp<'s> {
         }
     }
 
+    /// Retires one instruction of `class`.
     #[inline]
-    fn charge(&mut self, cycles: f64) {
-        self.cycles += cycles;
-        self.instr_count += 1;
+    fn charge(&mut self, class: ChargeClass) {
+        self.counts[class as usize] += 1;
     }
 
-    /// Writes the local cycle/instruction accumulators back to the
-    /// instance — before anything else observes them (host calls, the
-    /// embedder after the call returns).
+    /// Charges `n` data-dependent units of `class` (bytes, granules). The
+    /// guest chooses `n` — a `memory.fill` of `u64::MAX` bytes is charged
+    /// before it traps — so the count saturates instead of wrapping.
+    #[inline]
+    fn charge_units(&mut self, class: ChargeClass, n: u64) {
+        let count = &mut self.counts[class as usize];
+        *count = count.saturating_add(n);
+    }
+
+    /// Empties the dispatch loop's running sum of packed recipes into the
+    /// counts. Off the loop's straight path: a narrow lane fills after 32
+    /// ops of its class at the earliest, the simple lane after 2^15.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, acc: u64) {
+        unpack_lanes(acc, &mut self.counts);
+    }
+
+    /// Writes the local counts and fuel back to the instance — before
+    /// anything else observes them (host calls, the embedder after the
+    /// call returns).
     fn flush_accounting(&mut self) {
         let i = &mut self.store.instances[self.inst];
-        i.cycles = self.cycles;
-        i.instr_count = self.instr_count;
+        i.counts.counts = self.counts;
         i.fuel = self.fuel;
         i.fuel_consumed = self.fuel_consumed;
     }
@@ -186,8 +171,7 @@ impl<'s> Interp<'s> {
     /// returned from). Both checks ride exclusively on charge-free
     /// control ops, so they are invisible to cycle accounting. The fuel
     /// transition sequence is a pure function of the program — the trap
-    /// lands on the identical instruction count and cycle bits on every
-    /// run — while the epoch trigger is an external timer; a deadline
+    /// lands on the identical count vector on every run — while the epoch trigger is an external timer; a deadline
     /// already at or below the current epoch is deterministic again
     /// (traps at the first preemption point). Fuel wins when both expire
     /// at the same point. Free (two `None` tests) when neither is set.
@@ -276,15 +260,15 @@ impl<'s> Interp<'s> {
                 .zip(&stack[args_base..])
                 .map(|(ty, raw)| Value::from_slot(*ty, *raw)),
         );
-        // The host charges through the instance's accumulator: hand it the
-        // local tally and take back whatever it charged, preserving the
-        // exact order of f64 additions.
+        // The instance's counts are complete while foreign code runs; what
+        // the host charges lands in the instance's `host_cycles`, which
+        // nothing else writes.
         self.flush_accounting();
         let inst = &mut self.store.instances[self.inst];
         let mut ctx = HostContext {
             memory: inst.memory.as_mut(),
             config: &self.config,
-            cycles: &mut inst.cycles,
+            cycles: &mut inst.counts.host_cycles,
         };
         // A panicking host function must not unwind through the dispatch
         // loop: the store would be left mid-mutation with no record of
@@ -294,7 +278,6 @@ impl<'s> Interp<'s> {
         let result =
             panic::catch_unwind(AssertUnwindSafe(|| (host.func)(&mut ctx, &self.host_args)))
                 .unwrap_or_else(|payload| Err(Trap::HostPanic(panic_message(payload.as_ref()))));
-        self.cycles = self.store.instances[self.inst].cycles;
         let results = result?;
         // Host results re-enter the untagged stack, so arity and type
         // errors here would corrupt the frame layout or silently
@@ -410,10 +393,10 @@ impl<'s> Interp<'s> {
                 stack.push(slot_bool($op(a, b)));
             }};
         }
-        let s = self.charges.simple;
-        let fl = self.charges.float;
-        let dv = self.charges.div;
-        let fdv = self.charges.float_div;
+        let s = ChargeClass::Simple;
+        let fl = ChargeClass::Float;
+        let dv = ChargeClass::Div;
+        let fdv = ChargeClass::FloatDiv;
         match instr {
             // Validation plus the callers' own control match keep these
             // out: the tree walker handles them positionally, and the
@@ -461,13 +444,13 @@ impl<'s> Interp<'s> {
                 *g = Value::from_slot(g.ty(), raw);
             }
             Load(op, memarg) => {
-                self.charge(self.charges.mem);
+                self.charge(ChargeClass::Mem);
                 let index = self.pop_index(stack);
                 let raw = self.mem_read_scalar(index, memarg.offset, op.width())?;
                 stack.push(decode_load(*op, raw));
             }
             Store(op, memarg) => {
-                self.charge(self.charges.mem);
+                self.charge(ChargeClass::Mem);
                 // Slot encoding is the store encoding: the write truncates
                 // to the op's width, which is exactly what every StoreOp
                 // did to its typed value.
@@ -476,7 +459,7 @@ impl<'s> Interp<'s> {
                 self.mem_write_scalar(index, memarg.offset, op.width(), raw)?;
             }
             MemorySize => {
-                self.charge(self.charges.mem_manage);
+                self.charge(ChargeClass::MemManage);
                 let (pages, m64) = {
                     let mem = self.memory()?;
                     (mem.size_pages(), mem.is_memory64())
@@ -484,7 +467,7 @@ impl<'s> Interp<'s> {
                 stack.push(size_value(pages, m64));
             }
             MemoryGrow => {
-                self.charge(self.charges.mem_manage);
+                self.charge(ChargeClass::MemManage);
                 let delta = self.pop_index(stack);
                 let (result, m64) = {
                     let mem = self.memory_mut()?;
@@ -500,7 +483,8 @@ impl<'s> Interp<'s> {
                 let len = self.pop_index(stack);
                 let val = get_i32(stack.pop().expect("validated")) as u8;
                 let dst = self.pop_index(stack);
-                self.charge(self.charges.mem * (len as f64 / 16.0 + 1.0));
+                self.charge(ChargeClass::Fill);
+                self.charge_units(ChargeClass::FillBytes, len);
                 let config = self.config;
                 self.memory_mut()?.fill(dst, val, len, &config)?;
             }
@@ -508,7 +492,8 @@ impl<'s> Interp<'s> {
                 let len = self.pop_index(stack);
                 let src = self.pop_index(stack);
                 let dst = self.pop_index(stack);
-                self.charge(self.charges.mem * (len as f64 / 8.0 + 1.0));
+                self.charge(ChargeClass::Copy);
+                self.charge_units(ChargeClass::CopyBytes, len);
                 let config = self.config;
                 self.memory_mut()?.copy(dst, src, len, &config)?;
             }
@@ -534,7 +519,8 @@ impl<'s> Interp<'s> {
                 let len = stack.pop().expect("validated");
                 let ptr = stack.pop().expect("validated");
                 // Partial granules still cost a full stzg/stg (div_ceil).
-                self.charge(self.store.cost.segment_new_cost(len.div_ceil(16)));
+                self.charge(ChargeClass::SegmentNew);
+                self.charge_units(ChargeClass::SegmentNewGranules, len.div_ceil(16));
                 let config = self.config;
                 let tagged =
                     self.memory_mut()?
@@ -545,7 +531,8 @@ impl<'s> Interp<'s> {
                 let len = stack.pop().expect("validated");
                 let tagged = stack.pop().expect("validated");
                 let ptr = stack.pop().expect("validated");
-                self.charge(self.store.cost.segment_retag_cost(len.div_ceil(16)));
+                self.charge(ChargeClass::Retag);
+                self.charge_units(ChargeClass::RetagGranules, len.div_ceil(16));
                 let config = self.config;
                 self.memory_mut()?.segment_set_tag(
                     ptr.wrapping_add(*offset),
@@ -557,13 +544,14 @@ impl<'s> Interp<'s> {
             SegmentFree(offset) => {
                 let len = stack.pop().expect("validated");
                 let ptr = stack.pop().expect("validated");
-                self.charge(self.store.cost.segment_retag_cost(len.div_ceil(16)));
+                self.charge(ChargeClass::Retag);
+                self.charge_units(ChargeClass::RetagGranules, len.div_ceil(16));
                 let config = self.config;
                 self.memory_mut()?
                     .segment_free(ptr.wrapping_add(*offset), len, &config)?;
             }
             PointerSign => {
-                self.charge(self.charges.sign);
+                self.charge(ChargeClass::Sign);
                 let ptr = stack.pop().expect("validated");
                 let signed = if self.config.pointer_auth {
                     let inst = &self.store.instances[self.inst];
@@ -574,7 +562,7 @@ impl<'s> Interp<'s> {
                 stack.push(signed);
             }
             PointerAuth => {
-                self.charge(self.charges.auth);
+                self.charge(ChargeClass::Auth);
                 let ptr = stack.pop().expect("validated");
                 let stripped = if self.config.pointer_auth {
                     let inst = &self.store.instances[self.inst];
@@ -775,7 +763,7 @@ impl<'s> Interp<'s> {
             // Width changes are register renames on the simulated cores
             // (zero-cost move elimination): charged as free so wasm64's
             // extra extend/wrap traffic prices only real work.
-            I32WrapI64 => una!(0.0, get_i64, |a: i64| a as i32),
+            I32WrapI64 => una!(ChargeClass::Zero, get_i64, |a: i64| a as i32),
             I32TruncF32S => {
                 self.charge(fl);
                 let a = get_f32(stack.pop().expect("validated"));
@@ -796,8 +784,8 @@ impl<'s> Interp<'s> {
                 let a = get_f64(stack.pop().expect("validated"));
                 stack.push(slot_i32(trunc_to_u32(a)? as i32));
             }
-            I64ExtendI32S => una!(0.0, get_i32, |a: i32| i64::from(a)),
-            I64ExtendI32U => una!(0.0, get_i32, |a: i32| (a as u32) as i64),
+            I64ExtendI32S => una!(ChargeClass::Zero, get_i32, |a: i32| i64::from(a)),
+            I64ExtendI32U => una!(ChargeClass::Zero, get_i32, |a: i32| (a as u32) as i64),
             I64TruncF32S => {
                 self.charge(fl);
                 let a = get_f32(stack.pop().expect("validated"));
@@ -851,34 +839,13 @@ impl<'s> Interp<'s> {
 // explicit call stack of function *indices* into the template's function
 // table — borrowed once per invocation, so a guest call or return touches
 // no reference count — and fuel consumed only at charge-free control
-// transfers (so a fuel trap lands on identical instruction counts and
-// cycle bits on every run). Traps leave the loop by plain `?`.
+// transfers (so a fuel trap lands on the identical count vector on every
+// run). The loop has one exit: an arm that traps breaks out of it with the
+// error, so the running charge sum is emptied in exactly one place.
 // Operands live in a flat per-frame register file in one growing arena.
-// Each op's interned charge recipe replays *before* the op body runs, one
-// `charge()` per retired source instruction in original program order,
-// which keeps cycle bits and instruction counts byte-for-byte identical
-// to the tree-walking reference even on trap paths.
-
-impl Charges {
-    /// The cycle charge of each recipe tag, flattened into an array
-    /// indexed by the tag's `#[repr(u8)]` discriminant (declaration
-    /// order: simple, float, div, float-div, branch, call, indirect,
-    /// mem, zero) — the recipe replay on the register tier's dispatch
-    /// loop indexes this instead of matching per tag.
-    fn tag_table(&self) -> [f64; 9] {
-        [
-            self.simple,
-            self.float,
-            self.div,
-            self.float_div,
-            self.branch,
-            self.call,
-            self.call_indirect,
-            self.mem,
-            0.0,
-        ]
-    }
-}
+// Each op's packed charge recipe is added *before* the op body runs, which
+// keeps the counts identical to the tree-walking reference even on trap
+// paths.
 
 /// A suspended caller on the register tier's explicit call stack.
 struct RegFrame {
@@ -1176,9 +1143,14 @@ impl Interp<'_> {
     /// The dispatch loop: executes function `func_idx` (and everything it
     /// calls) to completion on one growing register-file arena.
     ///
-    /// Each dispatch is the recipe replay (charging the op's constituent
-    /// source instructions before its body runs) plus one jump-table
-    /// `match`; a trap leaves by `?`. Control flow never recurses: a call
+    /// Each dispatch is one integer add (the op's packed recipe onto the
+    /// running sum `acc`, a local that no arm's straight path stores), one
+    /// test of the lanes' guard bits, and one jump-table `match`. `acc` is
+    /// emptied into the counts when a guard bit is set, before a host
+    /// call or a bridged op (so the instance's counts are complete
+    /// whenever code that is not this loop runs), and after the loop,
+    /// which every arm leaves the same way — a `break` with the result, a
+    /// trap included. Control flow never recurses: a call
     /// pushes a [`RegFrame`] and continues at pc 0 of the callee, so host
     /// stack usage is constant in both guest nesting depth and guest call
     /// depth (the latter bounded by `max_call_depth`). Fuel is consumed in
@@ -1210,7 +1182,6 @@ impl Interp<'_> {
         for (&slot, &v) in func.reg.param_slots.iter().zip(args) {
             regs[slot as usize] = v;
         }
-        let charge_table = self.charges.tag_table();
         let mut st = RegState {
             it: self,
             funcs,
@@ -1227,23 +1198,55 @@ impl Interp<'_> {
         st.refresh_mem();
         let mut code = &func.reg;
         let mut pc: usize = 0;
+        let mut acc: u64 = 0;
+        // `?` for the loop: a trap is the loop's value.
+        macro_rules! tri {
+            ($result:expr) => {
+                match $result {
+                    Ok(v) => v,
+                    Err(trap) => break Err(trap.into()),
+                }
+            };
+        }
+        // Hands `acc` to the counts: nothing charged so far is missing
+        // from them when the code that follows runs.
+        macro_rules! spill {
+            () => {{
+                st.it.spill(acc);
+                acc = 0;
+            }};
+        }
         // A control transfer within the current function: the preemption
         // point, then the jump.
         macro_rules! jump {
             ($target:expr) => {{
-                st.it.consume_fuel()?;
+                tri!(st.it.consume_fuel());
                 pc = $target as usize;
                 continue;
             }};
         }
-        loop {
-            // Replay the op's charge recipe before the body: one charge
-            // per retired source instruction, in original program order —
-            // a trap inside the body leaves exactly the charges the
-            // unfused source sequence would have.
-            let (off, len) = code.recipes[pc];
-            for &tag in &code.pool[off as usize..(off + u32::from(len)) as usize] {
-                st.it.charge(charge_table[tag as usize]);
+        // A call to function `$idx`: a guest callee becomes the running
+        // code, a host callee has run when `do_call` returns.
+        macro_rules! call {
+            ($idx:expr, $call:expr) => {{
+                let idx = $idx;
+                if st.funcs[idx as usize].is_host {
+                    spill!();
+                }
+                if let Some(callee) = tri!(st.do_call(idx, &$call.args, &$call.rets, pc)) {
+                    tri!(st.it.consume_fuel());
+                    code = callee;
+                    pc = 0;
+                    continue;
+                }
+            }};
+        }
+        let result = loop {
+            // Charge the op before its body: a trap inside the body leaves
+            // exactly the charges the unfused source sequence would have.
+            acc += code.packed[pc];
+            if acc & LANE_GUARD != 0 {
+                spill!();
             }
             match &code.ops[pc] {
                 RegOp::Nop => {}
@@ -1267,42 +1270,27 @@ impl Interp<'_> {
                 }
                 RegOp::Ret { srcs } => {
                     let resumed = st.do_return(srcs);
-                    st.it.consume_fuel()?;
+                    tri!(st.it.consume_fuel());
                     let Some((caller, ret_pc)) = resumed else {
                         results.extend(srcs.iter().map(|&s| st.get(s)));
-                        return Ok(());
+                        break Ok(());
                     };
                     code = caller;
                     pc = ret_pc;
                     continue;
                 }
-                RegOp::Call(call) => {
-                    if let Some(callee) = st.do_call(call.func, &call.args, &call.rets, pc)? {
-                        st.it.consume_fuel()?;
-                        code = callee;
-                        pc = 0;
-                        continue;
-                    }
-                }
-                RegOp::CallIndirect(call) => {
-                    let func_idx = st.resolve_indirect(call)?;
-                    if let Some(callee) = st.do_call(func_idx, &call.args, &call.rets, pc)? {
-                        st.it.consume_fuel()?;
-                        code = callee;
-                        pc = 0;
-                        continue;
-                    }
-                }
+                RegOp::Call(call) => call!(call.func, call),
+                RegOp::CallIndirect(call) => call!(tri!(st.resolve_indirect(call)), call),
                 &RegOp::Move { dst, src } => st.set(dst, st.get(src)),
                 &RegOp::Const { dst, v } => st.set(dst, v),
                 &RegOp::Alu { op, dst, a, b } => st.set(dst, op.eval(st.get(a), st.get(b))),
                 &RegOp::AluImm { op, dst, a, k } => st.set(dst, op.eval(st.get(a), k)),
                 &RegOp::Div { op, dst, a, b } => {
-                    let v = op.eval(st.get(a), st.get(b))?;
+                    let v = tri!(op.eval(st.get(a), st.get(b)));
                     st.set(dst, v);
                 }
                 &RegOp::Una { op, dst, a } => {
-                    let v = op.eval(st.get(a))?;
+                    let v = tri!(op.eval(st.get(a)));
                     st.set(dst, v);
                 }
                 &RegOp::Select { dst, cond, a, b } => {
@@ -1319,7 +1307,7 @@ impl Interp<'_> {
                     dst,
                     addr,
                 } => {
-                    let v = st.load_scalar(op, st.get(addr), offset)?;
+                    let v = tri!(st.load_scalar(op, st.get(addr), offset));
                     st.set(dst, v);
                 }
                 &RegOp::Store {
@@ -1327,11 +1315,16 @@ impl Interp<'_> {
                     offset,
                     addr,
                     val,
-                } => st.store_scalar(op, st.get(addr), offset, st.get(val))?,
-                RegOp::Bridge(bridge) => st.bridge(bridge)?,
+                } => tri!(st.store_scalar(op, st.get(addr), offset, st.get(val))),
+                RegOp::Bridge(bridge) => {
+                    spill!();
+                    tri!(st.bridge(bridge));
+                }
             }
             pc += 1;
-        }
+        };
+        st.it.spill(acc);
+        result
     }
 }
 
@@ -1477,7 +1470,7 @@ mod tree {
                     }
                 }
                 Instr::If(bt, then_body, else_body) => {
-                    self.charge(self.charges.branch);
+                    self.charge(ChargeClass::Branch);
                     let cond = get_i32(stack.pop().expect("validated"));
                     let height = stack.len();
                     let arity = bt.arity();
@@ -1490,34 +1483,34 @@ mod tree {
                     }
                 }
                 Instr::Br(depth) => {
-                    self.charge(self.charges.branch);
+                    self.charge(ChargeClass::Branch);
                     return Ok(Flow::Br(*depth));
                 }
                 Instr::BrIf(depth) => {
-                    self.charge(self.charges.branch);
+                    self.charge(ChargeClass::Branch);
                     let cond = get_i32(stack.pop().expect("validated"));
                     if cond != 0 {
                         return Ok(Flow::Br(*depth));
                     }
                 }
                 Instr::BrTable(targets, default) => {
-                    self.charge(self.charges.branch);
+                    self.charge(ChargeClass::Branch);
                     let i = get_i32(stack.pop().expect("validated")) as usize;
                     let target = targets.get(i).copied().unwrap_or(*default);
                     return Ok(Flow::Br(target));
                 }
                 Instr::Return => {
-                    self.charge(self.charges.branch);
+                    self.charge(ChargeClass::Branch);
                     return Ok(Flow::Return);
                 }
                 Instr::Call(f) => {
-                    self.charge(self.charges.call);
+                    self.charge(ChargeClass::Call);
                     // Arguments are already on the shared stack; the callee
                     // consumes them and leaves its results in place.
                     self.call_frame_tree(*f, stack, locals)?;
                 }
                 Instr::CallIndirect(type_idx) => {
-                    self.charge(self.charges.call_indirect);
+                    self.charge(ChargeClass::CallIndirect);
                     let table_idx = get_i32(stack.pop().expect("validated")) as u32;
                     let inst = &self.store.instances[self.inst];
                     let func_idx = inst

@@ -61,7 +61,7 @@ pub mod typed;
 pub mod value;
 
 pub use config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
-pub use cost::{CostModel, InstrClass};
+pub use cost::{ChargeClass, ChargeCounts, ClassWeights, CostModel};
 pub use host::{HostContext, HostFunc, Imports};
 pub use memory::{LinearMemory, TagScheme};
 pub use store::{InstanceHandle, InstanceLimits, InstantiateError, Precompiled, Store};

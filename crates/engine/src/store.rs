@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::bytecode::{self, RegCode};
 use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
-use crate::cost::CostModel;
+use crate::cost::{ChargeCounts, ClassWeights, CostModel};
 use crate::host::{HostFunc, Imports};
 use crate::interp::Interp;
 use crate::memory::{LinearMemory, TagScheme};
@@ -336,8 +336,10 @@ pub(crate) struct Instance {
     pub(crate) host_funcs: Vec<Rc<RefCell<HostFunc>>>,
     pub(crate) pac: PacSigner,
     pub(crate) pac_modifier: u64,
-    pub(crate) cycles: f64,
-    pub(crate) instr_count: u64,
+    /// What the instance has been charged, as integer counts per class;
+    /// cycles and the retired-instruction count are derived from it on
+    /// read.
+    pub(crate) counts: ChargeCounts,
     /// Remaining fuel (preemption budget), `None` = unlimited.
     pub(crate) fuel: Option<u64>,
     /// Fuel consumed since the last [`Store::set_fuel`]/reset.
@@ -354,6 +356,8 @@ pub(crate) struct Instance {
 pub struct Store {
     pub(crate) config: ExecConfig,
     pub(crate) cost: CostModel,
+    /// `cost` as cycles per unit of each charge class, under `config`.
+    weights: ClassWeights,
     pub(crate) instances: Vec<Instance>,
     /// Engine-shared epoch counter for wall-clock preemption: an embedder
     /// thread ticks it, the dispatch loop compares it against per-instance
@@ -381,6 +385,7 @@ impl Store {
     pub fn new(config: ExecConfig) -> Self {
         Store {
             cost: CostModel::for_config(&config),
+            weights: CostModel::class_weights(&config),
             rng: rand::rngs::StdRng::seed_from_u64(config.seed),
             next_sandbox_tag: 1,
             config,
@@ -570,8 +575,7 @@ impl Store {
             // PAC keys are per-process on hardware; co-resident instances
             // are distinguished by a random modifier (§6.3).
             pac_modifier: self.rng.gen(),
-            cycles: 0.0,
-            instr_count: 0,
+            counts: ChargeCounts::default(),
             fuel: None,
             fuel_consumed: 0,
             epoch_deadline: None,
@@ -656,10 +660,20 @@ impl Store {
         Ok(results)
     }
 
-    /// Simulated cycles charged to `handle` so far.
+    /// What `handle` has been charged so far: the retired counts per
+    /// [`crate::ChargeClass`] and the cycles its host functions charged.
+    /// Independent of the simulated core; [`Store::cycles`] and
+    /// [`Store::instr_count`] are derived from it.
+    #[must_use]
+    pub fn charge_counts(&self, handle: InstanceHandle) -> ChargeCounts {
+        self.instances[handle.0].counts
+    }
+
+    /// Simulated cycles charged to `handle` so far: its counts priced by
+    /// the configured core's cost model.
     #[must_use]
     pub fn cycles(&self, handle: InstanceHandle) -> f64 {
-        self.instances[handle.0].cycles
+        self.instances[handle.0].counts.cycles(&self.weights)
     }
 
     /// Simulated milliseconds for `handle` on the configured core.
@@ -671,15 +685,13 @@ impl Store {
     /// Instructions retired by `handle`.
     #[must_use]
     pub fn instr_count(&self, handle: InstanceHandle) -> u64 {
-        self.instances[handle.0].instr_count
+        self.instances[handle.0].counts.instr_count()
     }
 
     /// Resets the cycle/instruction counters of `handle` (between benchmark
     /// phases).
     pub fn reset_counters(&mut self, handle: InstanceHandle) {
-        let inst = &mut self.instances[handle.0];
-        inst.cycles = 0.0;
-        inst.instr_count = 0;
+        self.instances[handle.0].counts = ChargeCounts::default();
     }
 
     /// Sets (or clears, with `None`) the fuel budget of `handle` and
@@ -825,8 +837,7 @@ impl Store {
                 &mut inst.table,
             )
             .expect("segment ranges were checked at instantiation");
-            inst.cycles = 0.0;
-            inst.instr_count = 0;
+            inst.counts = ChargeCounts::default();
             inst.fuel = None;
             inst.fuel_consumed = 0;
             // Preemption state is per-checkout embedder policy, cleared

@@ -1,7 +1,8 @@
 //! End-to-end execution semantics: whole modules through the interpreter.
 
 use cage_engine::{
-    BoundsCheckStrategy, ExecConfig, Imports, InstantiateError, InternalSafety, Store, Trap, Value,
+    BoundsCheckStrategy, ChargeClass, ChargeCounts, CostModel, ExecConfig, Imports,
+    InstantiateError, InternalSafety, Store, Trap, Value,
 };
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
@@ -521,7 +522,7 @@ fn cycle_accounting_is_deterministic() {
         store
             .invoke(h, "dispatch", &[Value::I32(1), Value::I64(9)])
             .unwrap();
-        (store.cycles(h), store.instr_count(h))
+        store.charge_counts(h)
     };
     assert_eq!(run(), run());
 }
@@ -785,28 +786,26 @@ fn segment_tag_costs_round_partial_granules_up() {
         internal: InternalSafety::Mte,
         ..ExecConfig::default()
     };
-    let cycles_for = |len: i64| {
+    let charged_for = |len: i64| {
         let mut store = Store::new(config);
         let h = store.instantiate(&m, &Imports::new()).unwrap();
         store.invoke(h, "f", &[Value::I64(len)]).unwrap_err();
-        (
-            store.cycles(h),
-            store.cost_model().segment_new_cost(1),
-            store.cost_model().segment_new_cost(2),
-        )
+        store.charge_counts(h)
     };
-    let (c15, one_granule, two_granules) = cycles_for(15);
-    let (c31, _, _) = cycles_for(31);
-    assert!(one_granule > 0.0, "stzg must cost cycles under MTE");
-    // Same instruction mix, one extra granule of tagging cost.
-    assert_eq!(c31 - c15, two_granules - one_granule);
-    // And the 15-byte segment already pays for its single granule: the
+    let (c15, c31) = (charged_for(15), charged_for(31));
+    // The 15-byte segment already pays for its single granule, and the
     // only other charges in the body are the two const/local pushes.
-    let store = Store::new(config);
-    let simple = store
-        .cost_model()
-        .class_cost(cage_engine::InstrClass::Simple);
-    assert_eq!(c15, 2.0 * simple + one_granule);
+    let mut expected = ChargeCounts::default();
+    expected.counts[ChargeClass::Simple as usize] = 2;
+    expected.counts[ChargeClass::SegmentNew as usize] = 1;
+    expected.counts[ChargeClass::SegmentNewGranules as usize] = 1;
+    assert_eq!(c15, expected);
+    // Same instruction mix, one extra granule of tagging cost.
+    expected.counts[ChargeClass::SegmentNewGranules as usize] = 2;
+    assert_eq!(c31, expected);
+    // And a granule costs cycles under MTE.
+    let weights = CostModel::class_weights(&config);
+    assert!(c31.cycles(&weights) > c15.cycles(&weights));
 }
 
 #[test]
@@ -845,6 +844,90 @@ fn bulk_ops_respect_tag_checks() {
     let h = store.instantiate(&m, &Imports::new()).unwrap();
     let err = store.invoke(h, "f", &[Value::I64(48)]).unwrap_err();
     assert!(matches!(err, Trap::TagCheck(_)), "{err}");
+}
+
+/// A register op carries the charges of every dissolved instruction in
+/// front of it, and such a run has no bound short of the body-size limit:
+/// its length once went through a `u16` and wrapped (65 535 `nop`s and a
+/// constant retired nothing at all on the register tier). Runs around
+/// that width, and past twice it, must retire exactly what the tree
+/// oracle retires — also when a branch targets the op the run is bound
+/// to, and when that op traps.
+#[test]
+fn long_runs_of_dissolved_instructions_are_charged_in_full() {
+    let compare = |what: &str, params: &[ValType], body: Vec<Instr>, args: &[Value]| {
+        let mut b = ModuleBuilder::new();
+        let f = b.add_function(params, &[ValType::I64], &[], body);
+        let m = b.build();
+        cage_wasm::validate(&m).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let outcome = |tree: bool| {
+            let mut store = Store::new(ExecConfig::default());
+            let h = store.instantiate(&m, &Imports::new()).unwrap();
+            let out = if tree {
+                store.call_tree(h, f, args)
+            } else {
+                store.call(h, f, args)
+            };
+            (out, store.charge_counts(h))
+        };
+        let reg = outcome(false);
+        assert_eq!(reg, outcome(true), "{what}: register vs tree");
+        reg
+    };
+    let simple = |n: u64| {
+        let mut counts = ChargeCounts::default();
+        counts.counts[ChargeClass::Simple as usize] = n;
+        counts
+    };
+
+    for nops in [1_000, 65_535, 65_536, 70_000, 140_000] {
+        let mut body = vec![Instr::Nop; nops];
+        body.push(Instr::I64Const(7));
+        let (out, charged) = compare(&format!("{nops} nops"), &[], body, &[]);
+        assert_eq!(out, Ok(vec![Value::I64(7)]), "{nops} nops");
+        assert_eq!(charged, simple(nops as u64 + 1), "{nops} nops");
+    }
+
+    // The run sits behind a label: the taken `br_if` must land where the
+    // run's charges begin, not on the op that holds their tail.
+    let mut behind_label = vec![Instr::Block(
+        BlockType::Empty,
+        vec![
+            Instr::LocalGet(0),
+            Instr::BrIf(0),
+            Instr::I64Const(1),
+            Instr::Drop,
+        ],
+    )];
+    behind_label.extend(vec![Instr::Nop; 70_000]);
+    behind_label.push(Instr::I64Const(7));
+    for (taken, skipped) in [(0, 0), (1, 2)] {
+        let (out, charged) = compare(
+            "70 000 nops behind a label",
+            &[ValType::I32],
+            behind_label.clone(),
+            &[Value::I32(taken)],
+        );
+        assert_eq!(out, Ok(vec![Value::I64(7)]));
+        let mut expected = simple(70_004 - skipped);
+        expected.counts[ChargeClass::Branch as usize] = 1;
+        assert_eq!(charged, expected, "br_if {taken}");
+    }
+
+    // The run ends in an op that traps: everything in front of it has
+    // been charged by then, the division included.
+    let mut trapping = vec![Instr::Nop; 70_000];
+    trapping.extend([
+        Instr::I32Const(1),
+        Instr::I32Const(0),
+        Instr::I32DivS,
+        Instr::I64ExtendI32S,
+    ]);
+    let (out, charged) = compare("70 000 nops, then a division by zero", &[], trapping, &[]);
+    assert_eq!(out, Err(Trap::DivideByZero));
+    let mut expected = simple(70_002);
+    expected.counts[ChargeClass::Div as usize] = 1;
+    assert_eq!(charged, expected);
 }
 
 /// The first instruction the binary decoder produces for `code` followed
@@ -1010,7 +1093,7 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
                     };
                     // NaN results compare by bit pattern.
                     let out = out.map(|vs| vs.iter().map(|v| v.to_slot()).collect::<Vec<_>>());
-                    (out, store.cycles(h).to_bits(), store.instr_count(h))
+                    (out, store.charge_counts(h))
                 };
                 assert_eq!(
                     outcome(false),

@@ -12,20 +12,23 @@
 //!   the reference implementation.
 //!
 //! Both must agree on the trap kind *and payload*, and — because each
-//! register op replays its retired source ops' cycle charges in original
-//! order — on the cycle-counter bits and retired-instruction counts too.
+//! register op carries the charge classes of the source ops it retired —
+//! on the whole vector of retired counts per class too (cycles and the
+//! retired-instruction count are derived from it).
 //!
 //! Separate `FuelExhausted` and `EpochInterrupt` rows pin deterministic
 //! preemption: the same program under the same fuel budget (or an
-//! already-due epoch deadline) traps at the identical instruction count
-//! and cycle bits, across runs and across lowerings of the same loop —
+//! already-due epoch deadline) traps at the identical count vector,
+//! across runs and across lowerings of the same loop —
 //! and where both expire at once, fuel wins. The tree oracle does not
 //! model preemption, so the preemption points themselves are pinned as
 //! literals (recorded while a second bytecode tier still existed and
 //! agreed with them).
 
+use cage_engine::ChargeClass::{Branch, Call, CallIndirect, Simple};
 use cage_engine::{
-    BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Precompiled, Store, Trap, Value,
+    BoundsCheckStrategy, ChargeClass, ChargeCounts, ExecConfig, Imports, InternalSafety,
+    Precompiled, Store, Trap, Value,
 };
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
@@ -215,7 +218,7 @@ fn run_path(
     func: u32,
     addr: u64,
     tier: Tier,
-) -> (Result<Vec<Value>, Trap>, u64, u64) {
+) -> (Result<Vec<Value>, Trap>, ChargeCounts) {
     let mut store = Store::new(config);
     let h = store
         .instantiate(module, &Imports::new())
@@ -225,7 +228,23 @@ fn run_path(
         Tier::Reg => store.call(h, func, &args),
         Tier::Tree => store.call_tree(h, func, &args),
     };
-    (result, store.cycles(h).to_bits(), store.instr_count(h))
+    (result, store.charge_counts(h))
+}
+
+/// A count vector from its non-zero classes.
+fn counts(classes: &[(ChargeClass, u64)]) -> ChargeCounts {
+    let mut counts = ChargeCounts::default();
+    for &(class, n) in classes {
+        counts.counts[class as usize] = n;
+    }
+    counts
+}
+
+/// The non-zero classes of a count vector (how the literals below are
+/// written; a mismatch prints this form).
+fn classes(counts: &ChargeCounts) -> Vec<(ChargeClass, u64)> {
+    assert_eq!(counts.host_cycles, 0.0);
+    counts.iter().filter(|&(_, n)| n != 0).collect()
 }
 
 #[test]
@@ -496,8 +515,7 @@ fn accesses_at_the_commit_frontier_agree_across_tiers() {
         };
         (
             result,
-            store.cycles(h).to_bits(),
-            store.instr_count(h),
+            store.charge_counts(h),
             store.memory(h).unwrap().committed_bytes(),
         )
     };
@@ -564,7 +582,7 @@ fn accesses_at_the_commit_frontier_agree_across_tiers() {
                 let reg = run(config, func, addr, len, Tier::Reg);
                 let tree = run(config, func, addr, len, Tier::Tree);
                 assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
-                let (result, committed) = (&reg.0, reg.3);
+                let (result, committed) = (&reg.0, reg.2);
                 let sandbox = config.bounds == BoundsCheckStrategy::MteSandbox;
                 // Whether the tag check of this access faults in place.
                 let reads = func == load || func == copy_from;
@@ -677,23 +695,17 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
         let result = store.call(h, func, &[Value::I64(0)]);
         (
             result,
-            store.cycles(h).to_bits(),
-            store.instr_count(h),
+            store.charge_counts(h),
             store.fuel_consumed(h),
             store.fuel_remaining(h),
         )
     };
 
-    // (budget, cycle bits, retired instructions) at the trap: the loop
-    // retires five instructions per iteration and burns one unit of fuel
-    // per back edge.
-    for (budget, cycle_bits, retired) in [
-        (1u64, 0x4009_9999_9999_999a_u64, 10u64),
-        (2, 0x4013_3333_3333_3333, 15),
-        (3, 0x4019_9999_9999_9999, 20),
-        (10, 0x4031_9999_9999_999a, 55),
-        (1_000, 0x4099_0666_6666_6603, 5_005),
-    ] {
+    // (budget, back edges retired) at the trap: the loop retires four
+    // simple instructions and its `br` per iteration and burns one unit
+    // of fuel per back edge.
+    for (budget, iterations) in [(1u64, 2u64), (2, 3), (3, 4), (10, 11), (1_000, 1_001)] {
+        let charged = counts(&[(Simple, 4 * iterations), (Branch, iterations)]);
         let first = run(0, budget);
         assert_eq!(
             first,
@@ -707,13 +719,7 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
         );
         assert_eq!(
             first,
-            (
-                Err(Trap::FuelExhausted),
-                cycle_bits,
-                retired,
-                budget,
-                Some(0)
-            ),
+            (Err(Trap::FuelExhausted), charged, budget, Some(0)),
             "budget {budget}: preemption point moved"
         );
     }
@@ -722,7 +728,7 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
 /// Straight-line bodies have no jumps, so their only fuel charge is the
 /// outermost return: a zero budget still preempts them (at the final
 /// `ret`), one unit of fuel is enough to finish, and `None` disables the
-/// checks entirely — with bit-identical cycles in all three cases.
+/// checks entirely — with identical charge counts in all three cases.
 #[test]
 fn fuel_covers_straight_line_bodies_at_the_outermost_return() {
     let mut b = ModuleBuilder::new();
@@ -742,7 +748,7 @@ fn fuel_covers_straight_line_bodies_at_the_outermost_return() {
             .expect("instantiates");
         store.set_fuel(h, budget);
         let result = store.call(h, 0, &[Value::I64(41)]);
-        (result, store.cycles(h).to_bits(), store.fuel_consumed(h))
+        (result, store.charge_counts(h), store.fuel_consumed(h))
     };
 
     let (starved, starved_cycles, starved_consumed) = run(Some(0));
@@ -815,7 +821,7 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
             store.increment_epoch();
         }
         let result = store.call(h, func, &[Value::I64(0)]);
-        (result, store.cycles(h).to_bits(), store.instr_count(h))
+        (result, store.charge_counts(h))
     };
 
     for ticks in [1u64, 2, 100] {
@@ -835,7 +841,10 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
         // instructions.
         assert_eq!(
             first,
-            (Err(Trap::EpochInterrupt), 0x3ff9_9999_9999_999a, 5),
+            (
+                Err(Trap::EpochInterrupt),
+                counts(&[(Simple, 4), (Branch, 1)])
+            ),
             "ticks {ticks}: preemption point moved"
         );
     }
@@ -867,24 +876,15 @@ fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
             store.set_epoch_deadline(h, Some(0));
         }
         let result = store.call(h, 0, &[Value::I64(41)]);
-        (result, store.cycles(h).to_bits(), store.instr_count(h))
+        (result, store.charge_counts(h))
     };
 
     // Same preemption point, so the cycle model cannot tell the three
     // apart; the trap kind is pinned to fuel when both are due.
-    let (cycle_bits, retired) = (0x3fe8_0000_0000_0000_u64, 3_u64);
-    assert_eq!(
-        run(Some(0), false),
-        (Err(Trap::FuelExhausted), cycle_bits, retired)
-    );
-    assert_eq!(
-        run(None, true),
-        (Err(Trap::EpochInterrupt), cycle_bits, retired)
-    );
-    assert_eq!(
-        run(Some(0), true),
-        (Err(Trap::FuelExhausted), cycle_bits, retired)
-    );
+    let charged = counts(&[(Simple, 3)]);
+    assert_eq!(run(Some(0), false), (Err(Trap::FuelExhausted), charged));
+    assert_eq!(run(None, true), (Err(Trap::EpochInterrupt), charged));
+    assert_eq!(run(Some(0), true), (Err(Trap::FuelExhausted), charged));
 }
 
 /// The register lowering must dissolve the stack shuffles the retired
@@ -946,9 +946,9 @@ fn register_lowering_dissolves_stack_shuffles() {
 /// — after the transferring op's charge recipe has replayed, and never on
 /// a not-taken branch or a host call. For each shape the consumed total
 /// under a generous budget is pinned as a literal, and every smaller
-/// budget must end in `FuelExhausted` at a pinned `(instr_count, cycle
-/// bits)`, identically across two runs; an epoch deadline that is already
-/// due traps where a zero budget does.
+/// budget must end in `FuelExhausted` at a pinned count vector (written
+/// as its non-zero classes), identically across two runs; an epoch
+/// deadline that is already due traps where a zero budget does.
 #[test]
 fn fuel_is_consumed_at_exactly_the_control_transitions() {
     use cage_engine::HostFunc;
@@ -1085,21 +1085,17 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
             Preempt::EpochDue => store.set_epoch_deadline(h, Some(0)),
         }
         let result = store.call(h, func, &[arg]);
-        (
-            result,
-            store.fuel_consumed(h),
-            store.instr_count(h),
-            store.cycles(h).to_bits(),
-        )
+        (result, store.fuel_consumed(h), store.charge_counts(h))
     };
 
-    // (shape, function, argument, result, then one `(instr_count, cycle
-    // bits)` trap point per unit of fuel a full run consumes: entry `n`
-    // is where a budget of `n` runs dry).
-    type Shape<'a> = (&'a str, u32, Value, i64, &'a [(u64, u64)]);
-    const ENTRY: (u64, u64) = (2, 0x3feb_3333_3333_3333);
-    const THIRD: (u64, u64) = (3, 0x3ff1_9999_9999_999a);
-    const FOURTH: (u64, u64) = (4, 0x3ffb_3333_3333_3334);
+    // (shape, function, argument, result, then one trap point — what had
+    // been retired, by class — per unit of fuel a full run consumes: entry
+    // `n` is where a budget of `n` runs dry).
+    type Point<'a> = &'a [(ChargeClass, u64)];
+    type Shape<'a> = (&'a str, u32, Value, i64, &'a [Point<'a>]);
+    const ENTRY: Point = &[(Simple, 1), (Branch, 1)];
+    const THIRD: Point = &[(Simple, 2), (Branch, 1)];
+    const FOURTH: Point = &[(Simple, 2), (Branch, 2)];
     let shapes: [Shape; 11] = [
         // Only the outermost return, after all five instructions.
         (
@@ -1107,7 +1103,7 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
             br_if,
             Value::I32(0),
             5,
-            &[(5, 0x3ff9_9999_9999_999a)],
+            &[&[(Simple, 4), (Branch, 1)]],
         ),
         // The taken branch (after its own charge), then the return.
         ("br_if taken", br_if, Value::I32(1), 0, &[ENTRY, THIRD]),
@@ -1152,9 +1148,9 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
             Value::I64(40),
             42,
             &[
-                (2, 0x4011_0000_0000_0000),
-                (6, 0x4016_6666_6666_6666),
-                (8, 0x4018_6666_6666_6666),
+                &[(Simple, 1), (Call, 1)],
+                &[(Simple, 4), (Branch, 1), (Call, 1)],
+                &[(Simple, 6), (Branch, 1), (Call, 1)],
             ],
         ),
         (
@@ -1163,9 +1159,9 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
             Value::I64(40),
             42,
             &[
-                (3, 0x4037_8000_0000_0000),
-                (7, 0x4038_d999_9999_999a),
-                (9, 0x4039_5999_9999_999a),
+                &[(Simple, 2), (CallIndirect, 1)],
+                &[(Simple, 5), (Branch, 1), (CallIndirect, 1)],
+                &[(Simple, 7), (Branch, 1), (CallIndirect, 1)],
             ],
         ),
         // A host call is not a preemption point: only the return is.
@@ -1174,13 +1170,13 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
             host_call,
             Value::I64(40),
             42,
-            &[(4, 0x4013_0000_0000_0000)],
+            &[&[(Simple, 3), (Call, 1)]],
         ),
     ];
     for (shape, func, arg, result, trap_points) in shapes {
         let (out, consumed, ..) = run(func, arg, Preempt::Fuel(1_000));
         assert_eq!(out, Ok(vec![Value::I64(result)]), "{shape}");
-        let observed: Vec<(u64, u64)> = (0..consumed)
+        let observed: Vec<ChargeCounts> = (0..consumed)
             .map(|budget| {
                 let first = run(func, arg, Preempt::Fuel(budget));
                 assert_eq!(
@@ -1193,17 +1189,19 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
                     (&Err(Trap::FuelExhausted), budget),
                     "{shape}: budget {budget}"
                 );
-                (first.2, first.3)
+                first.2
             })
             .collect();
         assert_eq!(
-            observed, trap_points,
-            "{shape}: preemption points moved: {observed:#x?}"
+            observed,
+            trap_points.iter().map(|p| counts(p)).collect::<Vec<_>>(),
+            "{shape}: preemption points moved: {:?}",
+            observed.iter().map(classes).collect::<Vec<_>>()
         );
         let due = run(func, arg, Preempt::EpochDue);
         assert_eq!(
             due,
-            (Err(Trap::EpochInterrupt), 0, observed[0].0, observed[0].1),
+            (Err(Trap::EpochInterrupt), 0, observed[0]),
             "{shape}: an already-due epoch deadline traps where a zero budget does"
         );
     }

@@ -179,6 +179,14 @@ impl Runtime {
         self.store.simulated_ms(token.handle)
     }
 
+    /// What an instance has been charged: retired counts per class and
+    /// the cycles its host functions charged (core-independent; cycles
+    /// and the instruction count are derived from it).
+    #[must_use]
+    pub fn charge_counts(&self, token: InstanceToken) -> cage_engine::ChargeCounts {
+        self.store.charge_counts(token.handle)
+    }
+
     /// Simulated cycles consumed by an instance.
     #[must_use]
     pub fn cycles(&self, token: InstanceToken) -> f64 {

@@ -1,9 +1,10 @@
 //! CLI tests for `cagec`: the `--dump-bytecode` disassembly must show
 //! the register bytecode the interpreter executes — pcs, 3-address ops
 //! over linear-scan slots, resolved branch targets, charge recipes —
-//! unknown functions must fail with the usage exit code, and hostile
-//! inputs (empty, binary, limit-busting) must exit with the documented
-//! codes rather than crash.
+//! unknown functions must fail with the usage exit code, `--profile`
+//! must print the per-class attribution of a run, and hostile inputs
+//! (empty, binary, limit-busting) must exit with the documented codes
+//! rather than crash.
 
 use std::process::Command;
 
@@ -327,3 +328,38 @@ fn opt_flag_shrinks_dumped_bytecode() {
         "--opt grew the bytecode: {op_counts:?}"
     );
 }
+
+/// `--profile` answers "where did the cycles go" for one run: the gemm
+/// kernel under full Cage on Cortex-X3, class by class, then the guest's
+/// same counts priced on the other two cores. The counts are the golden's
+/// (`gemm CageFull`), the cycles column is counts x the class's weight.
+#[test]
+fn profile_prints_the_gemm_attribution_table() {
+    let gemm = cage_polybench::kernel("gemm").expect("gemm exists");
+    let program = tempfile::with_suffix(".c", gemm.source);
+    let out = cagec()
+        .arg(program.path())
+        .args(["--variant", "cage", "--invoke", "run", "--profile"])
+        .output()
+        .expect("cagec runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let table: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("[profile] "))
+        .collect();
+    assert_eq!(table, PROFILE_GEMM.lines().collect::<Vec<_>>(), "{stderr}");
+}
+
+const PROFILE_GEMM: &str = "\
+class                         count           cycles   share
+simple                       755227        188806.75   75.0%
+float                         27600         13800.00    5.5%
+float_div                      1200          9600.00    3.8%
+branch                        18984         11390.40    4.5%
+mem                           34400         28208.00   11.2%
+zero                          68800             0.00    0.0%
+host functions                    -             0.00    0.0%
+total on Cortex-X3           906211        251805.15  100.0%
+guest on Cortex-A715                       325473.71
+guest on Cortex-A510                       986267.00";

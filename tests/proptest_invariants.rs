@@ -157,8 +157,8 @@ proptest! {
         }
     }
 
-    /// Engine determinism: identical (module, config, seed) runs charge
-    /// identical cycles under arbitrary internal-safety settings.
+    /// Engine determinism: identical (module, config, seed) runs are
+    /// charged identical counts under arbitrary internal-safety settings.
     #[test]
     fn cycle_accounting_is_pure(
         seed: u64,
@@ -177,7 +177,7 @@ proptest! {
             let mut store = Store::new(config);
             let h = store.instantiate(artifact.module(), &Imports::new()).unwrap();
             store.invoke(h, "f", &[Value::I64(50)]).unwrap();
-            store.cycles(h).to_bits()
+            store.charge_counts(h)
         };
         prop_assert_eq!(run(), run());
     }

@@ -1,10 +1,12 @@
 //! Register-bytecode identity gate.
 //!
 //! The cycle goldens pin what the bytecode *costs*; this pins what it
-//! *is*. One row per (program, variant, optimisation level): the FNV-1a
-//! 64 digest of the disassembly of every local function the artifact
-//! holds — value numbering, slot assignment, charge recipes and branch
-//! targets all show in that text — over the 20 PolyBench kernels and the
+//! *is*. One row per (program, variant, optimisation level): how many
+//! local functions the artifact holds, how many register ops they come to
+//! (so a lowering change shows its size in the diff of the golden file),
+//! and the FNV-1a 64 digest of their disassembly — value numbering, slot
+//! assignment, charge recipes and branch targets all show in that text —
+//! over the 20 PolyBench kernels and the
 //! C sources of `cage::gallery`, under all six variants and both the
 //! standard and the full pipeline. A change to the register lowering
 //! that is meant to be a pure speed-up (containers, passes over the same
@@ -55,16 +57,19 @@ fn current_rows() -> String {
                 let module = artifact.module();
                 let imported = module.imported_func_count();
                 let mut hash = 0xcbf2_9ce4_8422_2325;
+                let mut ops = 0;
                 for local in 0..module.funcs.len() as u32 {
                     let text = artifact
                         .precompiled()
                         .disassemble(imported + local)
                         .expect("local function");
+                    // A header line, then one line per op.
+                    ops += text.lines().count() - 1;
                     hash = fnv1a64(&text, hash);
                 }
                 writeln!(
                     out,
-                    "{family}\t{name}\t{variant:?}\t{level_name}\t{}\t{hash:016x}",
+                    "{family}\t{name}\t{variant:?}\t{level_name}\t{}\t{ops}\t{hash:016x}",
                     module.funcs.len()
                 )
                 .expect("writing to a String");

@@ -11,7 +11,10 @@
 //! register file. Stack shuffling disappears by construction:
 //! `local.get`/`local.set`/`local.tee`, constants, `drop` and `nop`
 //! dissolve into the dataflow, and each remaining dispatch is a generic
-//! 3-address operation. What is retired stays identical, class by class,
+//! 3-address operation — or, after one instruction-selection step
+//! (`select`) over the SSA form, a whole expression tree of them: an
+//! array address, a comparison and the branch on it, an op and the phi
+//! copy of its result. What is retired stays identical, class by class,
 //! to executing the source instructions one by one (which is what the
 //! tree-walking reference in `interp` does) because every register op
 //! carries a *charge recipe* — the classes of the source ops it retired,
@@ -127,10 +130,10 @@ const MAX_RECIPE: usize = 4096;
 
 /// Width of lane `lane` of a packed recipe ([`RegCode::packed`]): the
 /// lanes of the nine tags fill a `u64`, which is what lets the dispatch
-/// loop keep its running sum in one register. A recipe is a run of
-/// dissolved stack shuffles — all [`ChargeTag::Simple`] — closed by the
-/// tag of the op that carries it, so the simple lane is wide and the
-/// others narrow.
+/// loop keep its running sum in one register. A recipe is mostly
+/// dissolved stack shuffles — all [`ChargeTag::Simple`] — around the tags
+/// of the few instructions its op stands for, so the simple lane is wide
+/// and the others narrow.
 const fn lane_bits(lane: usize) -> u32 {
     if lane == ChargeTag::Simple as usize {
         16
@@ -243,9 +246,51 @@ pub struct RegBridge {
     pub ret: Option<u16>,
 }
 
+/// How [`RegOp::IndexAdd`] widens its index register before scaling it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexExt {
+    /// The index is an `i64` already.
+    None,
+    /// `i64.extend_i32_s`.
+    S32,
+    /// `i64.extend_i32_u`.
+    U32,
+}
+
+impl IndexExt {
+    /// The widening instruction this stands for, when there is one.
+    fn of(op: UnaOp) -> Option<IndexExt> {
+        match op {
+            UnaOp::I64ExtendI32S => Some(IndexExt::S32),
+            UnaOp::I64ExtendI32U => Some(IndexExt::U32),
+            _ => None,
+        }
+    }
+
+    /// Widens an index slot: the table row of the instruction this
+    /// stands for (neither row traps).
+    #[inline(always)]
+    #[must_use]
+    pub fn eval(self, x: u64) -> u64 {
+        let widened = match self {
+            IndexExt::None => return x,
+            IndexExt::S32 => UnaOp::I64ExtendI32S.eval(x),
+            IndexExt::U32 => UnaOp::I64ExtendI32U.eval(x),
+        };
+        widened.unwrap_or(x)
+    }
+}
+
 /// A register bytecode instruction: generic 3-address operations over a
 /// fixed per-frame register file. No operand stack exists at run time;
 /// branch targets are plain pcs (the register file needs no collapse).
+///
+/// Three forms retire a whole expression tree in one dispatch, the way
+/// the paper's AArch64 backend selects `add Xd, Xn, Wm, SXTW`/`madd` and
+/// `b.cond`/`cbz` for the same trees: [`RegOp::IndexAdd`],
+/// [`RegOp::BrCmp`] and [`RegOp::BrCmpImm`]. Each carries the recipes of
+/// the instructions it stands for, in order, so what is charged — and
+/// where a trap or the end of the fuel finds the counts — does not move.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegOp {
     /// Placeholder that only carries a charge recipe (source ops whose
@@ -264,6 +309,34 @@ pub enum RegOp {
     BrIfZ {
         /// Condition register.
         cond: u16,
+        /// Destination pc.
+        target: u32,
+    },
+    /// Jump when `a op b` is non-zero — or, with `negate`, when it is
+    /// zero: a comparison (and an `i32.eqz` of it) fused into the branch
+    /// that consumed it.
+    BrCmp {
+        /// The comparison.
+        op: AluOp,
+        /// Branch on a zero result instead.
+        negate: bool,
+        /// Left operand register.
+        a: u16,
+        /// Right operand register.
+        b: u16,
+        /// Destination pc.
+        target: u32,
+    },
+    /// [`RegOp::BrCmp`] with the right operand folded.
+    BrCmpImm {
+        /// The comparison.
+        op: AluOp,
+        /// Branch on a zero result instead.
+        negate: bool,
+        /// Left operand register.
+        a: u16,
+        /// Pre-encoded right operand.
+        k: u64,
         /// Destination pc.
         target: u32,
     },
@@ -343,6 +416,21 @@ pub enum RegOp {
         /// Operand register.
         a: u16,
     },
+    /// `dst <- base + ext(idx) * k`, wrapping: the address of `A[i]` — an
+    /// `i64.extend_i32_{s,u}` (or none), an `i64.mul` by a constant and
+    /// an `i64.add`, fused.
+    IndexAdd {
+        /// Destination register.
+        dst: u16,
+        /// Base register.
+        base: u16,
+        /// Index register.
+        idx: u16,
+        /// How the index widens to `i64`.
+        ext: IndexExt,
+        /// Pre-encoded scale.
+        k: u64,
+    },
     /// `dst <- cond != 0 ? a : b`.
     Select {
         /// Destination register.
@@ -379,6 +467,10 @@ pub enum RegOp {
     /// Bridged instruction (see [`RegBridge`]).
     Bridge(Box<RegBridge>),
 }
+
+// The dispatch loop indexes `RegCode::ops` by pc (`lea (%r12,%r12,2)`):
+// an op that outgrows three words slows every dispatch.
+const _: () = assert!(std::mem::size_of::<RegOp>() == 24);
 
 /// A function body compiled to register bytecode: the ops, their charge
 /// recipes and the frame layout. Dispatch is a `match` on the op, so
@@ -431,6 +523,14 @@ enum RInst {
         dst: ssa::Value,
         a: ssa::Value,
     },
+    /// `dst <- base + ext(idx) * k`; only [`select`] makes these.
+    IndexAdd {
+        dst: ssa::Value,
+        base: ssa::Value,
+        idx: ssa::Value,
+        ext: IndexExt,
+        k: u64,
+    },
     Select {
         dst: ssa::Value,
         cond: ssa::Value,
@@ -482,6 +582,15 @@ enum LTerm {
         cond: ssa::Value,
         else_b: ssa::Block,
     },
+    /// Branch when `a op b` is non-zero (zero, with `negate`); only
+    /// [`select`] makes these.
+    BrCmp {
+        op: AluOp,
+        negate: bool,
+        a: ssa::Value,
+        b: ssa::Value,
+        target: ssa::Block,
+    },
     BrTable {
         sel: ssa::Value,
         targets: Vec<ssa::Block>,
@@ -506,6 +615,24 @@ enum Operand {
 }
 
 impl RInst {
+    /// The value the instruction defines, when it is one that [`select`]
+    /// may rename (calls and bridges define theirs in place).
+    fn dst_mut(&mut self) -> Option<&mut ssa::Value> {
+        match self {
+            RInst::Alu { dst, .. }
+            | RInst::Div { dst, .. }
+            | RInst::Una { dst, .. }
+            | RInst::IndexAdd { dst, .. }
+            | RInst::Select { dst, .. }
+            | RInst::Load { dst, .. } => Some(dst),
+            RInst::Flush
+            | RInst::Store { .. }
+            | RInst::Call { .. }
+            | RInst::CallIndirect { .. }
+            | RInst::Bridge { .. } => None,
+        }
+    }
+
     /// Enumerates the operands, uses before definitions.
     fn operands(&self, mut f: impl FnMut(Operand, ssa::Value)) {
         use Operand::{Def, FoldableUse, Use};
@@ -523,6 +650,11 @@ impl RInst {
             }
             RInst::Una { dst, a, .. } | RInst::Load { dst, addr: a, .. } => {
                 f(Use, *a);
+                f(Def, *dst);
+            }
+            RInst::IndexAdd { dst, base, idx, .. } => {
+                f(Use, *base);
+                f(Use, *idx);
                 f(Def, *dst);
             }
             RInst::Select { dst, cond, a, b } => {
@@ -555,14 +687,19 @@ impl RInst {
 }
 
 impl LTerm {
-    /// The values the terminator reads.
-    fn uses(&self) -> &[ssa::Value] {
+    /// Enumerates the values the terminator reads.
+    fn operands(&self, mut f: impl FnMut(Operand, ssa::Value)) {
+        use Operand::{FoldableUse, Use};
         match self {
             LTerm::BrIf { cond: v, .. }
             | LTerm::BrIfZ { cond: v, .. }
-            | LTerm::BrTable { sel: v, .. } => std::slice::from_ref(v),
-            LTerm::Ret { srcs } => srcs,
-            LTerm::None | LTerm::Jump(_) | LTerm::Halt => &[],
+            | LTerm::BrTable { sel: v, .. } => f(Use, *v),
+            LTerm::BrCmp { a, b, .. } => {
+                f(Use, *a);
+                f(FoldableUse, *b);
+            }
+            LTerm::Ret { srcs } => srcs.iter().for_each(|&s| f(Use, s)),
+            LTerm::None | LTerm::Jump(_) | LTerm::Halt => {}
         }
     }
 }
@@ -629,17 +766,42 @@ struct RegCompiler<'m> {
     /// `pending_from` on is dissolved ops awaiting a carrier instruction.
     tags: Vec<ChargeTag>,
     pending_from: u32,
-    /// Constant pool: bits -> value id (shared across uses). Keyed by
-    /// guest-chosen bits, so hashed, and never iterated.
-    const_ids: HashMap<u64, ssa::Value>,
+    consts: ConstPool,
+}
+
+/// The constants of a function under lowering: one SSA value per bit
+/// pattern, shared across uses.
+#[derive(Default)]
+struct ConstPool {
+    /// Bits -> value id. Keyed by guest-chosen bits, so hashed, and never
+    /// iterated.
+    ids: HashMap<u64, ssa::Value>,
     /// Every constant `(value id, bits)`, in ascending value id...
-    consts: Vec<(ssa::Value, u64)>,
-    /// ...and value id -> index into `consts` (grown on demand, [`NONE`]
+    list: Vec<(ssa::Value, u64)>,
+    /// ...and value id -> index into `list` (grown on demand, [`NONE`]
     /// for other values), for immediates and materialization.
-    const_of: Vec<u32>,
+    of: Vec<u32>,
+}
+
+impl ConstPool {
+    /// The bits of a (resolved) value, when it is a constant.
+    fn bits(&self, v: ssa::Value) -> Option<u64> {
+        let idx = *self.of.get(v as usize)?;
+        (idx != NONE).then(|| self.list[idx as usize].1)
+    }
 }
 
 impl<'m> RegCompiler<'m> {
+    /// The instructions of a (closed) block, with their recipes.
+    fn insts_of(&self, lb: &LBlock) -> &[(RInst, Recipe)] {
+        &self.insts[lb.insts.start as usize..lb.insts.end as usize]
+    }
+
+    /// The successor edges of a (closed) block.
+    fn succs_of(&self, lb: &LBlock) -> &[(ssa::Block, u32)] {
+        &self.succs[lb.succs.start as usize..lb.succs.end as usize]
+    }
+
     fn new_block(&mut self) -> ssa::Block {
         let blk = self.b.new_block();
         debug_assert_eq!(blk as usize, self.blocks.len());
@@ -675,21 +837,16 @@ impl<'m> RegCompiler<'m> {
     }
 
     fn const_value(&mut self, bits: u64) -> ssa::Value {
-        if let Some(&v) = self.const_ids.get(&bits) {
+        let pool = &mut self.consts;
+        if let Some(&v) = pool.ids.get(&bits) {
             return v;
         }
         let v = self.b.new_value();
-        self.const_ids.insert(bits, v);
-        self.const_of.resize(v as usize + 1, NONE);
-        self.const_of[v as usize] = self.consts.len() as u32;
-        self.consts.push((v, bits));
+        pool.ids.insert(bits, v);
+        pool.of.resize(v as usize + 1, NONE);
+        pool.of[v as usize] = pool.list.len() as u32;
+        pool.list.push((v, bits));
         v
-    }
-
-    /// Index into `consts` of a (resolved) value, when it is a constant.
-    fn const_idx(&self, v: ssa::Value) -> Option<usize> {
-        let idx = *self.const_of.get(v as usize)?;
-        (idx != NONE).then_some(idx as usize)
     }
 
     /// Takes the pending tags as a recipe.
@@ -1022,6 +1179,19 @@ impl RegCompiler<'_> {
     /// does not handle positionally); returns `true` for `unreachable`.
     fn lower_data_op(&mut self, instr: &Instr) -> Result<bool, LimitError> {
         if let Some(op) = numeric::classify(instr) {
+            if let Numeric::Una(una) = op {
+                // A constant operand the op does not trap on: the result
+                // is a constant too, and the op dissolves like the
+                // `const` that fed it — its tag joins the pending recipe.
+                let operand = self.stack.last().and_then(|&a| self.consts.bits(a));
+                if let Some(Ok(bits)) = operand.map(|bits| una.eval(bits)) {
+                    self.stack.pop();
+                    let v = self.const_value(bits);
+                    self.stack.push(v);
+                    self.tags.push(op.class().into());
+                    return Ok(false);
+                }
+            }
             let dst = self.b.new_value();
             let mut pop = || self.stack.pop().expect("validated");
             let inst = match op {
@@ -1125,17 +1295,18 @@ impl RegCompiler<'_> {
 
 /// Compiles a validated function body to register bytecode: SSA
 /// construction over the structured body, phi elimination via parallel
-/// copies, liveness + linear-scan slot assignment, then flat emission
-/// with interned charge recipes.
+/// copies, instruction selection, liveness + linear-scan slot
+/// assignment, then flat emission with interned charge recipes.
 ///
 /// `num_locals` is the count of declared (non-parameter) locals, which
 /// start zero-initialized. `body` must have passed
 /// [`cage_wasm::validate_with_limits`] under `limits`: that is what
 /// bounded its op count and the nesting depth the SSA construction
 /// recurses over. The lowering work is bounded in turn: two fuel units
-/// are charged per op; the two steps whose work can outgrow the op count
-/// (the SSA builder's definition rows and reaching-definition walk, the
-/// liveness propagation) charge `fuel` for what they actually do; the
+/// are charged per op, and one more per instruction and phi copy the
+/// selection step visits; the two steps whose work can outgrow the op
+/// count (the SSA builder's definition rows and reaching-definition walk,
+/// the liveness propagation) charge `fuel` for what they actually do; the
 /// SSA value count is capped, and frame-slot allocation reports overflow
 /// instead of panicking.
 ///
@@ -1170,9 +1341,7 @@ pub fn compile_reg(
         succs: Vec::with_capacity(16),
         tags: Vec::with_capacity(ops),
         pending_from: 0,
-        const_ids: HashMap::new(),
-        consts: Vec::new(),
-        const_of: Vec::new(),
+        consts: ConstPool::default(),
     };
     let entry = c.new_block();
     c.b.seal_block(entry, fuel)?;
@@ -1216,7 +1385,351 @@ pub fn compile_reg(
             actual: u64::from(c.b.num_values()),
         });
     }
-    emit_reg(&c, &params)
+    let mut copies = PhiCopies::of(&c);
+    let reads = select(&mut c, &mut copies)?;
+    emit_reg(&c, &params, &copies, &reads)
+}
+
+// -- register lowering, selection: one dispatch per expression tree ---------
+
+/// The phi-elimination copies of every layout block: every surviving phi
+/// of a successor gets one copy on this edge. Copies are emitted
+/// unconditionally before the terminator — safe because any two values
+/// involved (batch sources, batch destinations, values live across the
+/// batch) have overlapping intervals and therefore distinct slots, while
+/// aliasing *within* the batch is resolved by the copy sequencer's
+/// slot-level dependency analysis.
+struct PhiCopies {
+    /// `(phi, source)`, the source resolved. A copy of a phi onto itself
+    /// copies nothing: that is how [`select`] strikes one out.
+    pairs: Vec<(ssa::Value, ssa::Value)>,
+    /// Each layout block's run of `pairs`.
+    of_block: Vec<Range<usize>>,
+}
+
+impl PhiCopies {
+    fn of(c: &RegCompiler) -> PhiCopies {
+        let b = &c.b;
+        let mut pairs = Vec::new();
+        let mut of_block = Vec::with_capacity(c.layout.len());
+        for &blk in &c.layout {
+            let first = pairs.len();
+            let lb = &c.blocks[blk as usize];
+            for &(s, edge) in c.succs_of(lb) {
+                for phi in b.phis_in(s) {
+                    // A phi's operands are in edge order: the builder fills
+                    // variable phis edge by edge, and the lowering feeds
+                    // result phis as it registers each edge.
+                    let (pred, src) = b.phi_operands(phi)[edge as usize];
+                    assert_eq!(pred, blk, "phi operands follow the edges");
+                    pairs.push((phi, b.resolve(src)));
+                }
+            }
+            of_block.push(first..pairs.len());
+        }
+        PhiCopies { pairs, of_block }
+    }
+
+    /// Every phi the `i`th layout block writes, with its source.
+    fn batch(&self, i: usize) -> &[(ssa::Value, ssa::Value)] {
+        &self.pairs[self.of_block[i].clone()]
+    }
+
+    /// The copies of [`PhiCopies::batch`] that copy something.
+    fn pending(&self, i: usize) -> impl Iterator<Item = (ssa::Value, ssa::Value)> + '_ {
+        let batch = self.batch(i).iter().copied();
+        batch.filter(|&(phi, src)| src != phi)
+    }
+}
+
+/// What [`select`] knows about every (resolved) value, in three tables
+/// indexed by the dense value ids.
+struct ValueTable<'c> {
+    b: &'c SsaBuilder,
+    consts: &'c ConstPool,
+    /// How many operand positions read the value from a register: every
+    /// use by an instruction, a terminator or a phi copy, except a
+    /// constant that folds into an immediate or a constant write. A
+    /// constant is materialized when this is not zero; an intermediate
+    /// result may fuse into its reader when this is one.
+    reads: Vec<u32>,
+    /// Index in [`RegCompiler::insts`] of the instruction that defines
+    /// the value ([`NONE`] before selection has kept one).
+    def_at: Vec<u32>,
+    /// Index of the last kept instruction that reads the value. A block's
+    /// copies read at the index one past its last instruction: later than
+    /// every instruction of the block.
+    last_read: Vec<u32>,
+}
+
+impl ValueTable<'_> {
+    /// Counts one read of `v` in operand role `role`.
+    fn count(&mut self, role: Operand, v: ssa::Value) {
+        let v = self.b.resolve(v);
+        let folds = role == Operand::FoldableUse && self.consts.bits(v).is_some();
+        if role != Operand::Def && v != UNDEF && !folds {
+            self.reads[v as usize] += 1;
+        }
+    }
+
+    /// Whether the result `v` of an instruction has exactly one reader.
+    fn read_once(&self, v: ssa::Value) -> bool {
+        self.reads[v as usize] == 1
+    }
+
+    /// Records that `inst` now stands at index `at`.
+    fn keep(&mut self, inst: &RInst, at: usize) {
+        inst.operands(|role, v| match (role, self.b.resolve(v)) {
+            (_, UNDEF) => {}
+            (Operand::Def, v) => self.def_at[v as usize] = at as u32,
+            (_, v) => self.last_read[v as usize] = at as u32,
+        });
+    }
+}
+
+/// The recipe of an op fused from `parts` (at least one) and a last part
+/// with recipe `last`. The parts are adjacent instructions of one block,
+/// which makes their recipes one run of [`RegCompiler::tags`]: nothing
+/// that could trap or consume fuel stands between the charges the fused
+/// op takes together.
+fn fused_recipe(parts: &[(RInst, Recipe)], last: &Recipe) -> Recipe {
+    let recipes = parts.iter().map(|(_, recipe)| recipe).chain([last]);
+    debug_assert!(recipes
+        .clone()
+        .zip(recipes.skip(1))
+        .all(|(one, next)| one.end == next.start));
+    parts[0].1.start..last.end
+}
+
+/// Instruction selection: fuses chains of **adjacent, single-use,
+/// non-trapping** instructions into the forms one dispatch retires, and
+/// returns the register reads of every value (see [`ValueTable::reads`])
+/// as they stand afterwards.
+///
+/// * `ext; mul by constant; add` (either operand order, the `ext`
+///   optional) becomes [`RInst::IndexAdd`];
+/// * an op whose `i32` result — or the `i32.eqz` of it — only a `br_if`
+///   or an `if` reads becomes that block's [`LTerm::BrCmp`];
+/// * an op whose result only a phi copy of its own block reads writes
+///   the phi itself, and the copy goes.
+///
+/// The fused op takes the parts' recipes, which adjacency makes one run
+/// of [`RegCompiler::tags`]: every charge stays where it was relative to
+/// anything that can trap or consume fuel. One unit of `fuel` per
+/// instruction and copy visited.
+fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, LimitError> {
+    let num_values = c.b.num_values() as usize;
+    let mut t = ValueTable {
+        b: &c.b,
+        consts: &c.consts,
+        reads: vec![0; num_values],
+        def_at: vec![NONE; num_values],
+        last_read: vec![0; num_values],
+    };
+    for (i, &blk) in c.layout.iter().enumerate() {
+        let lb = &c.blocks[blk as usize];
+        for (inst, _) in c.insts_of(lb) {
+            inst.operands(|role, v| t.count(role, v));
+        }
+        lb.term.operands(|role, v| t.count(role, v));
+        for (_, src) in copies.pending(i) {
+            t.count(Operand::FoldableUse, src);
+        }
+    }
+
+    // Blocks are runs of `insts` in layout order, so the survivors move
+    // down in place.
+    let mut kept = 0;
+    for (i, &blk) in c.layout.iter().enumerate() {
+        let lb = &mut c.blocks[blk as usize];
+        let batch = &mut copies.pairs[copies.of_block[i].clone()];
+        c.fuel
+            .charge(u64::from(lb.insts.end - lb.insts.start) + batch.len() as u64)?;
+        let first = kept;
+        for at in lb.insts.start as usize..lb.insts.end as usize {
+            let (mut inst, mut recipe) = std::mem::replace(&mut c.insts[at], (RInst::Flush, 0..0));
+            if let Some((fused, parts)) = index_add(&mut t, &c.insts[first..kept], &inst) {
+                recipe = fused_recipe(&c.insts[kept - parts..kept], &recipe);
+                kept -= parts;
+                inst = fused;
+            }
+            t.keep(&inst, kept);
+            c.insts[kept] = (inst, recipe);
+            kept += 1;
+        }
+        if let Some((term, parts)) = br_cmp(&t, &c.insts[first..kept], &lb.term, batch) {
+            lb.term_recipe = fused_recipe(&c.insts[kept - parts..kept], &lb.term_recipe);
+            kept -= parts;
+            lb.term = term;
+        }
+        lb.insts = first as u32..kept as u32;
+        coalesce_copies(&mut t, &mut c.insts[first..kept], first, batch);
+    }
+    c.insts.truncate(kept);
+    Ok(t.reads)
+}
+
+/// [`RInst::IndexAdd`] for `add`, the instruction about to follow `tail`
+/// in its block, and how many instructions at the end of `tail` it
+/// replaces — when `add` is an `i64.add` of the `i64.mul` right before
+/// it, that product is by a constant and has no other reader, and (to
+/// take the index's widening in as well) the same holds for an
+/// `i64.extend_i32_{s,u}` before the product.
+fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Option<(RInst, usize)> {
+    let r = |v: ssa::Value| t.b.resolve(v);
+    let &RInst::Alu {
+        op: AluOp::I64Add,
+        dst,
+        a,
+        b,
+    } = add
+    else {
+        return None;
+    };
+    let (mul, rest) = tail.split_last()?;
+    let RInst::Alu {
+        op: AluOp::I64Mul,
+        dst: product,
+        a: p,
+        b: q,
+    } = mul.0
+    else {
+        return None;
+    };
+    if !t.read_once(product) {
+        return None;
+    }
+    // The product is one addend (not both: that would be two reads)...
+    let base = match (r(a) == product, r(b) == product) {
+        (false, true) => a,
+        (true, false) => b,
+        _ => return None,
+    };
+    // ...and one of its factors is the scale.
+    let (mut idx, k, scale_on_left) = match (t.consts.bits(r(p)), t.consts.bits(r(q))) {
+        (_, Some(k)) => (p, k, false),
+        (Some(k), None) => (q, k, true),
+        (None, None) => return None,
+    };
+    let mut ext = IndexExt::None;
+    let mut parts = 1;
+    if let Some(&(RInst::Una { op, dst: wide, a }, _)) = rest.last() {
+        if let Some(widens) = IndexExt::of(op) {
+            if r(idx) == wide && t.read_once(wide) {
+                (idx, ext, parts) = (a, widens, 2);
+            }
+        }
+    }
+    // A scale on the product's left stood in a register, a constant base
+    // on the sum's right did not: the fused op turns both around.
+    if scale_on_left {
+        t.reads[r(p) as usize] -= 1;
+    }
+    if base == b && t.consts.bits(r(b)).is_some() {
+        t.reads[r(b) as usize] += 1;
+    }
+    let fused = RInst::IndexAdd {
+        dst,
+        base,
+        idx,
+        ext,
+        k,
+    };
+    Some((fused, parts))
+}
+
+/// The terminator `term` of a block fused with the end of its
+/// instructions `tail`, and how many of them it replaces — when the
+/// `br_if`/`if` is the only reader of an `i32.eqz` (which turns the
+/// branch around), of a two-operand op, or of the one after the other.
+///
+/// The fused terminator reads its operands where it stands: after the
+/// block's phi copies `batch`, where the unfused instruction read them
+/// before. So none of them may be a phi this block itself writes (`old =
+/// i; i = i + 1; if (old < n) continue` in a one-block loop).
+fn br_cmp(
+    t: &ValueTable,
+    tail: &[(RInst, Recipe)],
+    term: &LTerm,
+    batch: &[(ssa::Value, ssa::Value)],
+) -> Option<(LTerm, usize)> {
+    let r = |v: ssa::Value| t.b.resolve(v);
+    let (mut cond, target, mut negate) = match *term {
+        LTerm::BrIf { cond, then_b } => (cond, then_b, false),
+        LTerm::BrIfZ { cond, else_b } => (cond, else_b, true),
+        _ => return None,
+    };
+    // Whether the branch is all that reads `dst`.
+    let feeds = |dst: ssa::Value, cond: ssa::Value| r(cond) == dst && t.read_once(dst);
+    let mut rest = tail;
+    if let Some(&(RInst::Una { op, dst, a }, _)) = rest.last() {
+        if op == UnaOp::I32Eqz && feeds(dst, cond) {
+            (cond, negate) = (a, !negate);
+            rest = &rest[..rest.len() - 1];
+        }
+    }
+    let mut fused = match negate {
+        false => LTerm::BrIf {
+            cond,
+            then_b: target,
+        },
+        true => LTerm::BrIfZ {
+            cond,
+            else_b: target,
+        },
+    };
+    if let Some(&(RInst::Alu { op, dst, a, b }, _)) = rest.last() {
+        if feeds(dst, cond) {
+            fused = LTerm::BrCmp {
+                op,
+                negate,
+                a,
+                b,
+                target,
+            };
+            rest = &rest[..rest.len() - 1];
+        }
+    }
+    let parts = tail.len() - rest.len();
+    if parts == 0 {
+        return None;
+    }
+    let mut overwritten = false;
+    fused.operands(|_, v| overwritten |= batch.iter().any(|&(phi, _)| phi == r(v)));
+    (!overwritten).then_some((fused, parts))
+}
+
+/// Strikes out every copy `phi <- t` of `batch` whose source is the
+/// result of one of the block's instructions `insts` (which start at
+/// index `first` of [`RegCompiler::insts`]) and has no other reader: the
+/// instruction writes `phi` instead — unless something between it and
+/// the end of the block, a copy of the batch included, still reads the
+/// phi's old value.
+fn coalesce_copies(
+    t: &mut ValueTable,
+    insts: &mut [(RInst, Recipe)],
+    first: usize,
+    batch: &mut [(ssa::Value, ssa::Value)],
+) {
+    let end = first + insts.len();
+    for &(phi, src) in batch.iter() {
+        if src != phi && src != UNDEF {
+            t.last_read[src as usize] = end as u32;
+        }
+    }
+    for (phi, src) in batch {
+        if *src == *phi || *src == UNDEF || !t.read_once(*src) {
+            continue;
+        }
+        let at = t.def_at[*src as usize] as usize;
+        if at < first || at >= end || t.last_read[*phi as usize] as usize > at {
+            continue;
+        }
+        if let Some(dst) = insts[at - first].0.dst_mut().filter(|dst| **dst == *src) {
+            *dst = *phi;
+            *src = *phi;
+        }
+    }
 }
 
 /// Interns charge recipes into the pool of a [`RegCode`]: identical tag
@@ -1290,75 +1803,38 @@ impl Emitter {
     }
 }
 
-fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitError> {
+fn emit_reg(
+    c: &RegCompiler,
+    params: &[ssa::Value],
+    copies: &PhiCopies,
+    reads: &[u32],
+) -> Result<RegCode, LimitError> {
     let b = &c.b;
     let r = |v: ssa::Value| b.resolve(v);
     let num_values = b.num_values();
-    let const_idx = |v: ssa::Value| c.const_idx(r(v));
-    let is_const = |v: ssa::Value| const_idx(v).is_some();
-    let insts_of = |lb: &LBlock| &c.insts[lb.insts.start as usize..lb.insts.end as usize];
-    let succs_of = |lb: &LBlock| &c.succs[lb.succs.start as usize..lb.succs.end as usize];
+    let const_bits = |v: ssa::Value| c.consts.bits(r(v));
+    let is_const = |v: ssa::Value| const_bits(v).is_some();
 
-    // Which constants must live in a register: any resolved operand
-    // position that cannot fold into an immediate and is not a phi-copy
-    // source (those become direct constant writes). Parallel to
-    // `c.consts`, so in ascending value id.
-    let mut materialize = vec![false; c.consts.len()];
-    let mut mark = |v: ssa::Value| {
-        if let Some(idx) = const_idx(v) {
-            materialize[idx] = true;
-        }
-    };
-    for &blk in &c.layout {
-        let lb = &c.blocks[blk as usize];
-        for (inst, _) in insts_of(lb) {
-            inst.operands(|role, v| {
-                if role == Operand::Use {
-                    mark(v);
-                }
-            });
-        }
-        lb.term.uses().iter().for_each(|&v| mark(v));
-    }
+    // The constants that must live in a register: those some operand
+    // position reads that cannot fold into an immediate and is not a
+    // phi-copy source (those become direct constant writes). In
+    // ascending value id.
     let materialized = || {
-        let picked = c.consts.iter().zip(&materialize);
-        picked.filter_map(|(&cv, &keep)| keep.then_some(cv))
+        let read = |&&(v, _): &&(ssa::Value, u64)| reads[v as usize] > 0;
+        c.consts.list.iter().filter(read).copied()
     };
-
-    // Phi-elimination copies per layout block: every surviving phi of a
-    // successor gets one copy on this edge. Copies are emitted
-    // unconditionally before the terminator — safe because any two
-    // values involved (batch sources, batch destinations, values live
-    // across the batch) have overlapping intervals and therefore
-    // distinct slots, while aliasing *within* the batch is resolved by
-    // the copy sequencer's slot-level dependency analysis.
-    let mut copies: Vec<(ssa::Value, ssa::Value)> = Vec::new();
-    let mut copies_of: Vec<Range<usize>> = Vec::with_capacity(c.layout.len());
-    for &blk in &c.layout {
-        let first = copies.len();
-        for &(s, edge) in succs_of(&c.blocks[blk as usize]) {
-            for phi in b.phis_in(s) {
-                // A phi's operands are in edge order: the builder fills
-                // variable phis edge by edge, and the lowering feeds
-                // result phis as it registers each edge.
-                let (pred, src) = b.phi_operands(phi)[edge as usize];
-                assert_eq!(pred, blk, "phi operands follow the edges");
-                copies.push((phi, src));
-            }
-        }
-        copies_of.push(first..copies.len());
-    }
 
     // Linearise: every instruction gets one position (uses and defs
     // together); each copy gets its own; the terminator always gets one
-    // (so every block spans at least one position). Parameter and
-    // materialized-constant definitions open the entry block. A phi
-    // additionally counts as *used* at the terminator of each
-    // predecessor, which pins every copied-to phi live across the whole
-    // copy batch — that keeps batch destinations pairwise overlapping
-    // (distinct slots), which the copy sequencer requires. References
-    // are reported in position order, uses before definitions, which is
-    // the order the liveness pass wants them in.
+    // (so every block spans at least one position), and what it reads —
+    // the operands of a fused comparison included — it reads there,
+    // after the copies. Parameter and materialized-constant definitions
+    // open the entry block. A phi additionally counts as *used* at the
+    // terminator of each predecessor, which pins every copied-to phi
+    // live across the whole copy batch — that keeps batch destinations
+    // pairwise overlapping (distinct slots), which the copy sequencer
+    // requires. References are reported in position order, uses before
+    // definitions, which is the order the liveness pass wants them in.
     let mut liveness = LivenessInput {
         num_values,
         blocks: Vec::with_capacity(c.layout.len()),
@@ -1370,48 +1846,45 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
         let lb = &c.blocks[blk as usize];
         let start = pos;
         let refs = &mut liveness.refs;
-        let mut touch = |pos: u32, v: ssa::Value, is_def: bool| {
+        // A constant read that folds into an immediate (or, for a copy,
+        // into a constant write) touches no register.
+        let mut refer = |pos: u32, role: Operand, v: ssa::Value| {
+            if role == Operand::FoldableUse && is_const(v) {
+                return;
+            }
             refs.push(ValueRef {
                 pos,
                 value: r(v),
-                is_def,
+                is_def: role == Operand::Def,
             });
         };
         if i == 0 {
             for &p in params {
-                touch(pos, p, true);
+                refer(pos, Operand::Def, p);
                 pos += 1;
             }
             for (cv, _) in materialized() {
-                touch(pos, cv, true);
+                refer(pos, Operand::Def, cv);
                 pos += 1;
             }
         }
-        for (inst, _) in insts_of(lb) {
-            inst.operands(|role, v| match role {
-                Operand::Def => touch(pos, v, true),
-                Operand::FoldableUse if is_const(v) => {}
-                Operand::Use | Operand::FoldableUse => touch(pos, v, false),
-            });
+        for (inst, _) in c.insts_of(lb) {
+            inst.operands(|role, v| refer(pos, role, v));
             pos += 1;
         }
-        let batch = &copies[copies_of[i].clone()];
-        for &(phi, src) in batch {
-            if !is_const(src) {
-                touch(pos, src, false);
-            }
-            touch(pos, phi, true);
+        for (phi, src) in copies.pending(i) {
+            refer(pos, Operand::FoldableUse, src);
+            refer(pos, Operand::Def, phi);
             pos += 1;
         }
-        for &(phi, _) in batch {
-            touch(pos, phi, false);
+        for &(phi, _) in copies.batch(i) {
+            refer(pos, Operand::Use, phi);
         }
-        for &v in lb.term.uses() {
-            touch(pos, v, false);
-        }
+        lb.term.operands(|role, v| refer(pos, role, v));
         pos += 1;
         let first_succ = liveness.succs.len() as u32;
-        let layout_succs = succs_of(lb)
+        let layout_succs = c
+            .succs_of(lb)
             .iter()
             .map(|&(s, _)| c.blocks[s as usize].layout_idx);
         liveness.succs.extend(layout_succs);
@@ -1471,15 +1944,15 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
                 em.push(RegOp::Const { dst, v: bits }, &[]);
             }
         }
-        for (inst, recipe) in insts_of(lb) {
+        for (inst, recipe) in c.insts_of(lb) {
             let op = match inst {
                 RInst::Flush => RegOp::Nop,
-                RInst::Alu { op, dst, a, b: rb } => match const_idx(*rb) {
-                    Some(idx) => RegOp::AluImm {
+                RInst::Alu { op, dst, a, b: rb } => match const_bits(*rb) {
+                    Some(k) => RegOp::AluImm {
                         op: *op,
                         dst: slot(*dst),
                         a: slot(*a),
-                        k: c.consts[idx].1,
+                        k,
                     },
                     None => RegOp::Alu {
                         op: *op,
@@ -1498,6 +1971,19 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
                     op: *op,
                     dst: slot(*dst),
                     a: slot(*a),
+                },
+                RInst::IndexAdd {
+                    dst,
+                    base,
+                    idx,
+                    ext,
+                    k,
+                } => RegOp::IndexAdd {
+                    dst: slot(*dst),
+                    base: slot(*base),
+                    idx: slot(*idx),
+                    ext: *ext,
+                    k: *k,
                 },
                 RInst::Select {
                     dst,
@@ -1556,20 +2042,18 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
             };
             em.push(op, tags_of(recipe));
         }
-        let batch = &copies[copies_of[i].clone()];
         pairs.clear();
         pairs.extend(
-            batch
-                .iter()
-                .filter(|&&(_, src)| !is_const(src))
-                .map(|&(phi, src)| (slot(phi), slot(src))),
+            copies
+                .pending(i)
+                .filter(|&(_, src)| !is_const(src))
+                .map(|(phi, src)| (slot(phi), slot(src))),
         );
         for (dst, src) in ssa::sequence_parallel_copies(&pairs, scratch) {
             em.push(RegOp::Move { dst, src }, &[]);
         }
-        for &(phi, src) in batch {
-            if let Some(idx) = const_idx(src) {
-                let v = c.consts[idx].1;
+        for (phi, src) in copies.pending(i) {
+            if let Some(v) = const_bits(src) {
                 em.push(RegOp::Const { dst: slot(phi), v }, &[]);
             }
         }
@@ -1591,6 +2075,31 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
                     target: u32::MAX,
                 },
                 std::slice::from_ref(else_b),
+            ),
+            LTerm::BrCmp {
+                op,
+                negate,
+                a,
+                b: rb,
+                target,
+            } => (
+                match const_bits(*rb) {
+                    Some(k) => RegOp::BrCmpImm {
+                        op: *op,
+                        negate: *negate,
+                        a: slot(*a),
+                        k,
+                        target: u32::MAX,
+                    },
+                    None => RegOp::BrCmp {
+                        op: *op,
+                        negate: *negate,
+                        a: slot(*a),
+                        b: slot(*rb),
+                        target: u32::MAX,
+                    },
+                },
+                std::slice::from_ref(target),
             ),
             LTerm::BrTable { sel, targets } => (
                 RegOp::BrTable {
@@ -1618,7 +2127,10 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, LimitErro
         let pc = block_pc[c.blocks[p.target as usize].layout_idx as usize];
         match &mut em.ops[p.op] {
             RegOp::Jump(t) => *t = pc,
-            RegOp::BrIf { target, .. } | RegOp::BrIfZ { target, .. } => *target = pc,
+            RegOp::BrIf { target, .. }
+            | RegOp::BrIfZ { target, .. }
+            | RegOp::BrCmp { target, .. }
+            | RegOp::BrCmpImm { target, .. } => *target = pc,
             RegOp::BrTable { targets, .. } => targets[p.slot] = pc,
             other => unreachable!("patching non-branch reg op {other:?}"),
         }
@@ -1656,8 +2168,10 @@ fn charge_letter(tag: ChargeTag) -> char {
 /// (joint index space) with signature `ty` — the backend of
 /// [`crate::Precompiled::disassemble`] and `cagec --dump-bytecode`.
 /// Registers are frame slots `r0..`; a bridged instruction prints with
-/// its text mnemonic; each op's charge recipe is appended as `; charges
-/// <letters>` in retired-source order.
+/// its text mnemonic; the fused forms print as what they compute (`r9 <-
+/// r7 + sext r5 * 0x8`; `br_cmp I64LtS r1, r2`, or `br_cmp_z` when it
+/// branches on a zero result); each op's charge recipe is appended as
+/// `; charges <letters>` in retired-source order.
 pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> String {
     use std::fmt::Write as _;
 
@@ -1666,6 +2180,7 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
         let names: Vec<String> = list.iter().map(|&s| reg(s)).collect();
         format!("[{}]", names.join(", "))
     };
+    let br_cmp = |negate: bool| if negate { "br_cmp_z" } else { "br_cmp" };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1685,6 +2200,29 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
             RegOp::BrIfZ { cond, target } => {
                 format!("br_if_z {} \u{2192}{target:04}", reg(*cond))
             }
+            RegOp::BrCmp {
+                op,
+                negate,
+                a,
+                b,
+                target,
+            } => format!(
+                "{} {op:?} {}, {} \u{2192}{target:04}",
+                br_cmp(*negate),
+                reg(*a),
+                reg(*b)
+            ),
+            RegOp::BrCmpImm {
+                op,
+                negate,
+                a,
+                k,
+                target,
+            } => format!(
+                "{} {op:?} {}, const {k:#x} \u{2192}{target:04}",
+                br_cmp(*negate),
+                reg(*a)
+            ),
             RegOp::BrTable { sel, targets } => {
                 let (default, cases) = targets.split_last().expect("br_table has a default");
                 let cases: Vec<String> = cases.iter().map(|t| format!("\u{2192}{t:04}")).collect();
@@ -1720,6 +2258,25 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 format!("{} <- {op:?} {}, const {k:#x}", reg(*dst), reg(*a))
             }
             RegOp::Una { op, dst, a } => format!("{} <- {op:?} {}", reg(*dst), reg(*a)),
+            RegOp::IndexAdd {
+                dst,
+                base,
+                idx,
+                ext,
+                k,
+            } => {
+                let ext = match ext {
+                    IndexExt::None => "",
+                    IndexExt::S32 => "sext ",
+                    IndexExt::U32 => "zext ",
+                };
+                format!(
+                    "{} <- {} + {ext}{} * {k:#x}",
+                    reg(*dst),
+                    reg(*base),
+                    reg(*idx)
+                )
+            }
             RegOp::Select { dst, cond, a, b } => format!(
                 "{} <- select {} ? {} : {}",
                 reg(*dst),
@@ -2039,12 +2596,156 @@ mod tests {
             0,
             "a full chunk sets no guard bit"
         );
-        // The lowering never closes a recipe with more than one tag that
-        // is not `Simple`, but the split does not lean on that: a narrow
-        // lane ends a chunk just as the length does.
+        // A recipe seldom holds more than a few tags that are not
+        // `Simple` (a fused op's parts, folded constants' ops), and the
+        // split does not lean on it: a narrow lane ends a chunk just as
+        // the length does.
         let (counts, fits) = fitting_prefix(&[ChargeTag::Mem; 40]);
         assert_eq!((counts[ChargeTag::Mem as usize], fits), (31, 31));
         assert_eq!(pack_counts(&counts) & LANE_GUARD, 0);
+    }
+
+    fn recipe(code: &RegCode, pc: usize) -> &[ChargeTag] {
+        let (off, len) = code.recipes[pc];
+        &code.pool[off as usize..off as usize + len as usize]
+    }
+
+    #[test]
+    fn selection_gives_a_fused_op_its_parts_recipes_in_order() {
+        use ChargeTag::{Branch, Simple, Zero};
+        // x + (long)(int)x * 8 < 100, as a `br_if`: the address op
+        // retires the `extend` (class zero, like the `wrap` before it),
+        // the constant, the `mul` and the `add`, in that order; the branch
+        // the constant, the comparison, the `i32.eqz` and itself.
+        let code = compile_reg_body(vec![
+            Instr::Block(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::LocalGet(0),
+                    Instr::I32WrapI64,
+                    Instr::I64ExtendI32S,
+                    Instr::I64Const(8),
+                    Instr::I64Mul,
+                    Instr::I64Add,
+                    Instr::I64Const(100),
+                    Instr::I64LtS,
+                    Instr::I32Eqz,
+                    Instr::BrIf(0),
+                ],
+            ),
+            Instr::LocalGet(0),
+        ]);
+        assert!(
+            matches!(
+                code.ops.as_ref(),
+                [
+                    RegOp::Una {
+                        op: UnaOp::I32WrapI64,
+                        ..
+                    },
+                    RegOp::IndexAdd {
+                        ext: IndexExt::S32,
+                        k: 8,
+                        ..
+                    },
+                    RegOp::BrCmpImm {
+                        op: AluOp::I64LtS,
+                        negate: true,
+                        k: 100,
+                        ..
+                    },
+                    RegOp::Nop,
+                    RegOp::Ret { .. }
+                ]
+            ),
+            "{:?}",
+            code.ops
+        );
+        assert_eq!(recipe(&code, 0), [Simple, Simple, Zero]);
+        assert_eq!(recipe(&code, 1), [Zero, Simple, Simple, Simple]);
+        assert_eq!(recipe(&code, 2), [Simple, Simple, Simple, Branch]);
+        for pc in 0..code.ops.len() {
+            let packed = pack_counts(&fitting_prefix(recipe(&code, pc)).0);
+            assert_eq!(code.packed[pc], packed, "pc {pc}");
+        }
+    }
+
+    #[test]
+    fn selection_keeps_a_fused_comparison_live_across_the_copies_in_front_of_it() {
+        // The branch carries a value to the block's result, so a phi copy
+        // stands between the fused comparison's old place and the
+        // terminator that now reads its operands: the operands must not
+        // share a slot with the phi that copy writes.
+        use crate::config::ExecConfig;
+        use crate::host::Imports;
+        use crate::store::Store;
+        use crate::value::Value;
+
+        let body = vec![
+            Instr::Block(
+                BlockType::Value(ValType::I64),
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::LocalGet(0),
+                    Instr::I64Const(5),
+                    Instr::I64Add,
+                    Instr::LocalGet(0),
+                    Instr::I64Const(7),
+                    Instr::I64Xor,
+                    Instr::I64LtS,
+                    Instr::BrIf(0),
+                    Instr::Drop,
+                    Instr::I64Const(-1),
+                ],
+            ),
+            Instr::LocalSet(1),
+            Instr::LocalGet(1),
+        ];
+        let code = compile_reg_body(body.clone());
+        let (at, a, b) = code
+            .ops
+            .iter()
+            .enumerate()
+            .find_map(|(pc, op)| match op {
+                RegOp::BrCmp { a, b, .. } => Some((pc, *a, *b)),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no fused comparison in {:?}", code.ops));
+        let RegOp::Move { dst, .. } = code.ops[at - 1] else {
+            panic!("no phi copy in front of the branch: {:?}", code.ops);
+        };
+        assert!(dst != a && dst != b, "{:?}", code.ops);
+
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(1);
+        b.add_function(
+            &[ValType::I64],
+            &[ValType::I64],
+            &[ValType::I64, ValType::I64, ValType::I32],
+            body,
+        );
+        let module = b.build();
+        cage_wasm::validate(&module).expect("fixture validates");
+        // x + 5 < x ^ 7 at 0 and 8, not at 2 and 3.
+        for (x, expected) in [(0, 0), (2, -1), (3, -1), (8, 8)] {
+            let mut reg = Store::new(ExecConfig::default());
+            let rh = reg
+                .instantiate(&module, &Imports::new())
+                .expect("instantiates");
+            let mut tree = Store::new(ExecConfig::default());
+            let th = tree
+                .instantiate(&module, &Imports::new())
+                .expect("instantiates");
+            let args = [Value::I64(x)];
+            assert_eq!(
+                reg.call(rh, 0, &args),
+                Ok(vec![Value::I64(expected)]),
+                "{x}"
+            );
+            assert_eq!(tree.call_tree(th, 0, &args), Ok(vec![Value::I64(expected)]));
+            assert_eq!(reg.charge_counts(rh), tree.charge_counts(th));
+        }
     }
 
     #[test]

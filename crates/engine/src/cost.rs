@@ -166,6 +166,17 @@ impl PartialEq for ChargeCounts {
 
 impl Eq for ChargeCounts {}
 
+impl std::ops::AddAssign<&ChargeCounts> for ChargeCounts {
+    /// Adds what another run was charged: class by class, and the host's
+    /// cycles.
+    fn add_assign(&mut self, other: &ChargeCounts) {
+        for (sum, n) in self.counts.iter_mut().zip(other.counts) {
+            *sum += n;
+        }
+        self.host_cycles += other.host_cycles;
+    }
+}
+
 impl ChargeCounts {
     /// The count of one class.
     #[must_use]

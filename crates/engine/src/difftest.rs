@@ -379,35 +379,59 @@ impl Gen {
         }
     }
 
-    /// Array-address chains: scale-and-add materialised through a temp
-    /// local, then a load or store at the register-held address — the
-    /// `ConstLocalPair`/`AluSCExt`/`AluChainSet`/`LoadRSet` bait.
+    /// Array-address chains — `base + ext(index) * scale`, the shape
+    /// instruction selection fuses into one op — then a load or store at
+    /// the computed address. Every spelling: signed, unsigned or no
+    /// widening; the scale on either side of the product and the product
+    /// on either side of the sum; scales that wrap or vanish; and, half
+    /// the time, a second reader of the widened index or of the product
+    /// (through a `local.tee`), which must keep that part an op of its own.
     fn addr_chain_statement(&mut self, out: &mut Vec<Instr>) {
+        let mut base = Vec::new();
         if self.rng.gen() {
-            // Constant base through a temp (ConstLocalPair shape).
-            out.push(Instr::I64Const(self.int_in(0, 4096)));
-            out.push(Instr::LocalSet(SCR));
-            out.push(Instr::LocalGet(SCR));
+            // Constant base through a temp.
+            base.push(Instr::I64Const(self.int_in(0, 4096)));
+            base.push(Instr::LocalSet(SCR));
+            base.push(Instr::LocalGet(SCR));
         } else {
-            out.push(Instr::LocalGet(self.pick_i64_local()));
+            base.push(Instr::LocalGet(self.pick_i64_local()));
         }
-        match self.upto(3) {
-            // Bare local index (AluRC shape).
-            0 => out.push(Instr::LocalGet(self.pick_i64_local())),
-            // i32 index extended (AluSCExt shape).
-            1 => {
-                out.push(Instr::LocalGet(FLAG));
-                out.push(Instr::I64ExtendI32S);
-            }
-            // Compound index (AluSC / AluChainSet shape).
-            _ => {
-                out.push(Instr::LocalGet(self.pick_i64_local()));
-                out.push(Instr::I64Const(7));
-                out.push(Instr::I64And);
-            }
+        let mut index = Vec::new();
+        match self.upto(4) {
+            // Bare local index.
+            0 => index.push(Instr::LocalGet(self.pick_i64_local())),
+            // i32 index, widened either way.
+            1 => index.extend([Instr::LocalGet(FLAG), Instr::I64ExtendI32S]),
+            2 => index.extend([Instr::LocalGet(FLAG), Instr::I64ExtendI32U]),
+            // Compound index.
+            _ => index.extend([
+                Instr::LocalGet(self.pick_i64_local()),
+                Instr::I64Const(7),
+                Instr::I64And,
+            ]),
         }
-        out.push(Instr::I64Const(8));
-        out.push(Instr::I64Mul);
+        let scale = Instr::I64Const([8, 8, 8, 1, 0, -1, 24, i64::MIN][self.upto(8)]);
+        // Second readers: of the index, of the product, or none.
+        let reread = self.upto(4);
+        if reread == 0 {
+            index.push(Instr::LocalTee(ACC));
+        }
+        let mut product = if self.rng.gen() {
+            [index, vec![scale]].concat()
+        } else {
+            [vec![scale], index].concat()
+        };
+        product.push(Instr::I64Mul);
+        if reread == 1 {
+            product.push(Instr::LocalTee(ACC));
+        }
+        if self.rng.gen() {
+            out.extend(base);
+            out.extend(product);
+        } else {
+            out.extend(product);
+            out.extend(base);
+        }
         out.push(Instr::I64Add);
         out.push(Instr::LocalSet(SCR));
         out.push(Instr::LocalGet(SCR));
@@ -1293,12 +1317,8 @@ fn charge_is_the_same_however_a_run_is_split() {
         counts.counts[ChargeClass::Call as usize] = 3;
         counts
     };
-    let add = |a: ChargeCounts, b: ChargeCounts| {
-        let mut sum = a;
-        for (s, n) in sum.counts.iter_mut().zip(b.counts) {
-            *s += n;
-        }
-        sum.host_cycles += b.host_cycles;
+    let add = |mut sum: ChargeCounts, b: ChargeCounts| {
+        sum += &b;
         sum
     };
 
@@ -1715,7 +1735,7 @@ struct IrCtx {
 /// a register undefined on one path.
 fn ir_statement(g: &mut IrGen, b: &mut FunctionBuilder, cx: &mut IrCtx, depth: usize) {
     let nested = depth > 0;
-    let max = if depth >= 2 { 6 } else { 8 };
+    let max = if depth >= 2 { 7 } else { 9 };
     match g.upto(max) {
         // Pure i64 arithmetic; occasionally repeat the exact same
         // operands a second time (CSE bait), and half the constants are
@@ -1932,9 +1952,50 @@ fn ir_statement(g: &mut IrGen, b: &mut FunctionBuilder, cx: &mut IrCtx, depth: u
                 },
             );
         }
+        // An array access, `base[(long)i]` with `i` an `int` kept inside
+        // the alloca: widen (either way), scale, add — the chain the
+        // register lowering fuses into one op — and load. At the top
+        // level the widened index or the product is sometimes read again,
+        // which must keep it an op of its own.
+        6 => {
+            let i = b.binop(
+                BinOp::And,
+                IrType::I32,
+                g.pick(&cx.pool32),
+                Operand::ConstI32(7),
+            );
+            let kind = if g.upto(2) == 0 {
+                CastKind::I32ToI64S
+            } else {
+                CastKind::I32ToI64U
+            };
+            let wide = b.assign(IrType::I64, Expr::Cast { kind, operand: i });
+            let scaled = b.binop(BinOp::Mul, IrType::I64, wide, Operand::ConstI64(8));
+            let addr = b.binop(BinOp::Add, IrType::Ptr, g.pick(&cx.ptrs), scaled);
+            let l = b.load(MemTy::I64, addr, 0);
+            if nested {
+                let m = cx.muts[g.upto(cx.muts.len())];
+                b.reassign(
+                    m,
+                    Expr::BinOp {
+                        op: BinOp::Add,
+                        ty: IrType::I64,
+                        lhs: Operand::Value(m),
+                        rhs: l,
+                    },
+                );
+            } else {
+                cx.pool.push(l);
+                match g.upto(3) {
+                    0 => cx.pool.push(wide),
+                    1 => cx.pool.push(scaled),
+                    _ => {}
+                }
+            }
+        }
         // If / if-else: real compare conditions and constant conditions
         // (the CFG simplifier's prune-and-splice path).
-        6 => {
+        7 => {
             let cond = match g.upto(4) {
                 0 => Operand::ConstI32(0),
                 1 => Operand::ConstI32(1),

@@ -6,7 +6,7 @@
 //! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
 //! fixed per-frame register file — and executed by [`Interp::run_reg`]:
 //! one function holding one `loop { match op }`, a single jump table over
-//! the 18 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
+//! the 21 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
 //! (how many source instructions of each class it retires, packed into
 //! one word) to a running sum held in a register and then runs the op's
 //! arm, so the per-class retired counts are exactly those of retiring the
@@ -44,7 +44,8 @@
 //! management, segments, pointer sign/auth, `unreachable`). The 128
 //! numeric instructions it evaluates instead through the rows of the
 //! table in `cage_wasm::numeric` (`AluOp`/`DivOp`/`UnaOp::eval`, inlined
-//! into the dispatch loop's four arms, charged by the recipe), so for
+//! into the dispatch loop's arms — the four generic ones and the three
+//! fused forms — and charged by the recipe), so for
 //! those the differential tests compare two independent transcriptions
 //! of the semantics, and `exec_op`'s numeric arms read nothing from the
 //! table but the slot encoding and the `fmin`/`fmax`/`trunc` helpers.
@@ -60,7 +61,9 @@ use cage_wasm::numeric::{
 };
 use cage_wasm::{FuncType, Instr};
 
-use crate::bytecode::{unpack_lanes, RegBridge, RegCallIndirect, RegCode, RegOp, LANE_GUARD};
+use crate::bytecode::{
+    unpack_lanes, AluOp, RegBridge, RegCallIndirect, RegCode, RegOp, LANE_GUARD,
+};
 use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::cost::ChargeClass;
 use crate::host::HostContext;
@@ -1261,6 +1264,28 @@ impl Interp<'_> {
                         jump!(target);
                     }
                 }
+                &RegOp::BrCmp {
+                    op,
+                    negate,
+                    a,
+                    b,
+                    target,
+                } => {
+                    if (get_i32(op.eval(st.get(a), st.get(b))) != 0) != negate {
+                        jump!(target);
+                    }
+                }
+                &RegOp::BrCmpImm {
+                    op,
+                    negate,
+                    a,
+                    k,
+                    target,
+                } => {
+                    if (get_i32(op.eval(st.get(a), k)) != 0) != negate {
+                        jump!(target);
+                    }
+                }
                 RegOp::BrTable { sel, targets } => {
                     let i = get_i32(st.get(*sel)) as usize;
                     let target = *targets
@@ -1292,6 +1317,16 @@ impl Interp<'_> {
                 &RegOp::Una { op, dst, a } => {
                     let v = tri!(op.eval(st.get(a)));
                     st.set(dst, v);
+                }
+                &RegOp::IndexAdd {
+                    dst,
+                    base,
+                    idx,
+                    ext,
+                    k,
+                } => {
+                    let scaled = AluOp::I64Mul.eval(ext.eval(st.get(idx)), k);
+                    st.set(dst, AluOp::I64Add.eval(st.get(base), scaled));
                 }
                 &RegOp::Select { dst, cond, a, b } => {
                     let v = if get_i32(st.get(cond)) != 0 {

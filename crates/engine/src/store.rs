@@ -232,8 +232,9 @@ impl Precompiled {
     /// bytecode, under `limits` and charging `fuel`: the tail of whatever
     /// pipeline produced the module shares that pipeline's budget.
     /// Validation pre-scans charge one unit per body op and the lowering
-    /// two, plus whatever the SSA builder and the liveness propagation do
-    /// beyond that (see [`crate::bytecode::compile_reg`]).
+    /// two, plus what instruction selection visits and whatever the SSA
+    /// builder and the liveness propagation do beyond that (see
+    /// [`crate::bytecode::compile_reg`]).
     ///
     /// # Errors
     ///
@@ -673,7 +674,14 @@ impl Store {
     /// the configured core's cost model.
     #[must_use]
     pub fn cycles(&self, handle: InstanceHandle) -> f64 {
-        self.instances[handle.0].counts.cycles(&self.weights)
+        self.price(&self.instances[handle.0].counts)
+    }
+
+    /// What `counts` — of one instance, or summed over several of this
+    /// store — cost in simulated cycles on the configured core.
+    #[must_use]
+    pub fn price(&self, counts: &ChargeCounts) -> f64 {
+        counts.cycles(&self.weights)
     }
 
     /// Simulated milliseconds for `handle` on the configured core.

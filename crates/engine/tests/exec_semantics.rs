@@ -1104,3 +1104,770 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
         }
     }
 }
+
+// -- instruction selection: the fused forms against the tree oracle ---------
+//
+// `bytecode::select` fuses `ext; mul; add` chains into `IndexAdd`, a
+// two-operand op (and an `i32.eqz` of it) into the `br_if`/`if` that reads
+// it, and an op into the phi copy that reads it; the lowering folds a unary
+// op of a constant. Every row below runs one small function on both tiers
+// and compares outcome and the whole count vector, and looks at the
+// register code for the form it is about.
+
+use cage_engine::bytecode::{compile_reg, AluOp, IndexExt, RegCode, RegOp, UnaOp};
+
+/// A module of one function `params -> results` with `locals` and a page
+/// of memory, and the function's register code.
+fn lowered(
+    what: &str,
+    params: &[ValType],
+    results: &[ValType],
+    locals: &[ValType],
+    body: Vec<Instr>,
+) -> (Module, RegCode) {
+    let mut b = ModuleBuilder::new();
+    b.add_memory64(1);
+    b.add_function(params, results, locals, body);
+    let m = b.build();
+    cage_wasm::validate(&m).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let func = &m.funcs[0];
+    let limits = cage_wasm::CompileLimits::unlimited();
+    let code = compile_reg(
+        &m,
+        &m.types[func.type_idx as usize],
+        func.locals.len(),
+        &func.body,
+        &limits,
+        &limits.fuel(),
+    )
+    .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+    (m, code)
+}
+
+/// Runs function 0 of `m` on both tiers: outcome (results by bit pattern)
+/// and count vector must be the same, and are returned.
+fn on_both_tiers(what: &str, m: &Module, args: &[Value]) -> (Result<Vec<u64>, Trap>, ChargeCounts) {
+    let outcome = |tree: bool| {
+        let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(m, &Imports::new()).unwrap();
+        let out = if tree {
+            store.call_tree(h, 0, args)
+        } else {
+            // A branch fused the wrong way round must end as a mismatch,
+            // not as a loop that never exits.
+            store.set_fuel(h, Some(1 << 20));
+            store.call(h, 0, args)
+        };
+        let out = out.map(|vs| vs.iter().map(|v| v.to_slot()).collect::<Vec<_>>());
+        (out, store.charge_counts(h))
+    };
+    let reg = outcome(false);
+    assert_eq!(reg, outcome(true), "{what} {args:?}: register vs tree");
+    reg
+}
+
+fn count_ops(code: &RegCode, pick: impl Fn(&RegOp) -> bool) -> usize {
+    code.ops.iter().filter(|op| pick(op)).count()
+}
+
+#[test]
+fn selection_index_add_rows_agree_with_the_tree_oracle() {
+    use ValType::{I32, I64};
+    let exts = [
+        (IndexExt::None, None),
+        (IndexExt::S32, Some(Instr::I64ExtendI32S)),
+        (IndexExt::U32, Some(Instr::I64ExtendI32U)),
+    ];
+    let scales = [0i64, 1, -1 /* u64::MAX */, 8, i64::MIN];
+    let bases = [
+        0i64,
+        0x1_0000,
+        -4, /* wraps with any positive product */
+        i64::MIN,
+    ];
+    for (ext, ext_instr) in &exts {
+        for &k in &scales {
+            // Three spellings of `base + ext(idx) * k`: the product on the
+            // sum's right or left, the scale on the product's right or left.
+            for order in 0..3 {
+                let index = [Instr::LocalGet(1)].into_iter().chain(ext_instr.clone());
+                let mut body = Vec::new();
+                match order {
+                    0 => {
+                        body.push(Instr::LocalGet(0));
+                        body.extend(index);
+                        body.extend([Instr::I64Const(k), Instr::I64Mul]);
+                    }
+                    1 => {
+                        body.extend(index);
+                        body.extend([Instr::I64Const(k), Instr::I64Mul, Instr::LocalGet(0)]);
+                    }
+                    _ => {
+                        body.extend([Instr::LocalGet(0), Instr::I64Const(k)]);
+                        body.extend(index);
+                        body.push(Instr::I64Mul);
+                    }
+                }
+                body.push(Instr::I64Add);
+                let what = format!("{ext:?} * {k} (order {order})");
+                let idx_ty = if *ext == IndexExt::None { I64 } else { I32 };
+                let (m, code) = lowered(&what, &[I64, idx_ty], &[I64], &[], body);
+                assert!(
+                    matches!(
+                        code.ops.as_ref(),
+                        [RegOp::IndexAdd { ext: e, k: scale, .. }, RegOp::Ret { .. }]
+                            if e == ext && *scale == k as u64
+                    ),
+                    "{what}: {:?}",
+                    code.ops
+                );
+                for &base in &bases {
+                    for idx in [0i64, 1, -1, 7, i64::from(i32::MIN), i64::MAX] {
+                        let (arg, wide) = match ext {
+                            IndexExt::None => (Value::I64(idx), idx),
+                            IndexExt::S32 => (Value::I32(idx as i32), i64::from(idx as i32)),
+                            IndexExt::U32 => (Value::I32(idx as i32), i64::from(idx as u32)),
+                        };
+                        let (out, counts) = on_both_tiers(&what, &m, &[Value::I64(base), arg]);
+                        let expected = base.wrapping_add(wide.wrapping_mul(k));
+                        assert_eq!(out, Ok(vec![expected as u64]), "{what}: {base} {idx}");
+                        let widenings = u64::from(*ext != IndexExt::None);
+                        assert_eq!(counts.get(ChargeClass::Zero), widenings, "{what}");
+                        assert_eq!(counts.instr_count(), 5 + widenings, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    // A constant base on the sum's right stood in no register before the
+    // fusion; the fused op reads it from one.
+    let (m, code) = lowered(
+        "constant base",
+        &[I32],
+        &[I64],
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I64ExtendI32U,
+            Instr::I64Const(24),
+            Instr::I64Mul,
+            Instr::I64Const(0x10010),
+            Instr::I64Add,
+        ],
+    );
+    assert!(
+        matches!(
+            code.ops.as_ref(),
+            [
+                RegOp::Const { v: 0x10010, .. },
+                RegOp::IndexAdd {
+                    ext: IndexExt::U32,
+                    k: 24,
+                    ..
+                },
+                RegOp::Ret { .. }
+            ]
+        ),
+        "{:?}",
+        code.ops
+    );
+    let (out, _) = on_both_tiers("constant base", &m, &[Value::I32(-1)]);
+    assert_eq!(out, Ok(vec![0x10010 + 24 * u64::from(u32::MAX)]));
+}
+
+#[test]
+fn selection_compare_and_branch_rows_agree_with_the_tree_oracle() {
+    // Every comparison row of the numeric table (opcodes 0x46..=0x66, the
+    // two `eqz` tests aside, which are unary) and one op that is no
+    // comparison but has an `i32` result, each feeding a `br_if` and an
+    // `if`, bare and through an `i32.eqz`, with the right operand in a
+    // register and as an immediate.
+    let mut rows: Vec<Instr> = (0x46..=0x66u8)
+        .filter_map(cage_wasm::numeric::decode)
+        .filter(|i| matches!(cage_wasm::numeric::classify(i), Some(Numeric::Alu(_))))
+        .collect();
+    assert_eq!(rows.len(), 32, "comparison rows");
+    rows.push(Instr::I32And);
+    let pairs = |ty: ValType| -> Vec<[Value; 2]> {
+        let i32s = [(0, 0), (1, 2), (2, 1), (-1, 1), (i32::MIN, i32::MAX)];
+        let f64s = [
+            (0.0, -0.0),
+            (1.5, 2.5),
+            (f64::NAN, 1.0),
+            (2.5, 1.5),
+            (f64::INFINITY, f64::NEG_INFINITY),
+        ];
+        match ty {
+            ValType::I32 => i32s.map(|(a, b)| [Value::I32(a), Value::I32(b)]).to_vec(),
+            ValType::I64 => i32s
+                .map(|(a, b)| {
+                    [
+                        Value::I64(i64::from(a) << 20),
+                        Value::I64(i64::from(b) << 20),
+                    ]
+                })
+                .to_vec(),
+            ValType::F32 => f64s
+                .map(|(a, b)| [Value::F32(a as f32), Value::F32(b as f32)])
+                .to_vec(),
+            ValType::F64 => f64s.map(|(a, b)| [Value::F64(a), Value::F64(b)]).to_vec(),
+        }
+    };
+    let constant = |v: Value| match v {
+        Value::I32(v) => Instr::I32Const(v),
+        Value::I64(v) => Instr::I64Const(v),
+        Value::F32(v) => Instr::F32Const(v.to_bits()),
+        Value::F64(v) => Instr::F64Const(v.to_bits()),
+    };
+    for instr in &rows {
+        let Some(Numeric::Alu(op)) = cage_wasm::numeric::classify(instr) else {
+            unreachable!()
+        };
+        let ty = cage_wasm::numeric_signature(instr).unwrap().0[0];
+        for through_eqz in [false, true] {
+            for as_if in [false, true] {
+                for imm in [false, true] {
+                    for [a, b] in pairs(ty) {
+                        let what = format!("{instr} eqz={through_eqz} if={as_if} imm={imm}");
+                        let mut cond = vec![Instr::LocalGet(0)];
+                        cond.push(if imm { constant(b) } else { Instr::LocalGet(1) });
+                        cond.push(instr.clone());
+                        if through_eqz {
+                            cond.push(Instr::I32Eqz);
+                        }
+                        let body = if as_if {
+                            cond.push(Instr::If(
+                                BlockType::Value(ValType::I64),
+                                vec![Instr::I64Const(10)],
+                                vec![Instr::I64Const(20)],
+                            ));
+                            cond
+                        } else {
+                            cond.push(Instr::BrIf(0));
+                            cond.extend([Instr::I64Const(20), Instr::Return]);
+                            vec![Instr::Block(BlockType::Empty, cond), Instr::I64Const(10)]
+                        };
+                        let (m, code) = lowered(&what, &[ty, ty], &[ValType::I64], &[], body);
+                        // `br_if` branches on non-zero, `if` away on zero;
+                        // the `eqz` turns either around.
+                        let negate = as_if != through_eqz;
+                        let fused = count_ops(&code, |o| match (o, imm) {
+                            (
+                                RegOp::BrCmp {
+                                    op: o, negate: n, ..
+                                },
+                                false,
+                            )
+                            | (
+                                RegOp::BrCmpImm {
+                                    op: o, negate: n, ..
+                                },
+                                true,
+                            ) => *o == op && *n == negate,
+                            _ => false,
+                        });
+                        let unfused = count_ops(&code, |o| {
+                            matches!(
+                                o,
+                                RegOp::Alu { .. }
+                                    | RegOp::AluImm { .. }
+                                    | RegOp::Una { .. }
+                                    | RegOp::BrIf { .. }
+                                    | RegOp::BrIfZ { .. }
+                            )
+                        });
+                        assert_eq!((fused, unfused), (1, 0), "{what}: {:?}", code.ops);
+                        let (out, counts) = on_both_tiers(&what, &m, &[a, b]);
+                        let holds = op.eval(a.to_slot(), b.to_slot()) as u32 != 0;
+                        let expected = if holds != through_eqz { 10 } else { 20 };
+                        assert_eq!(out, Ok(vec![expected]), "{what}: {a:?} {b:?}");
+                        // get, get/const, compare [, eqz], branch, and on
+                        // the `br_if`'s fall-through a `return` — and in
+                        // each form the arm's constant.
+                        let returns = u64::from(!as_if && expected == 20);
+                        assert_eq!(
+                            counts.instr_count(),
+                            5 + u64::from(through_eqz) + returns,
+                            "{what}: {a:?} {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // An `i32.eqz` of something that is no two-operand op turns the branch
+    // around and goes.
+    let (m, code) = lowered(
+        "bare eqz",
+        &[ValType::I32],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::Block(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I32Eqz,
+                    Instr::BrIf(0),
+                    Instr::I64Const(20),
+                    Instr::Return,
+                ],
+            ),
+            Instr::I64Const(10),
+        ],
+    );
+    let flipped = count_ops(&code, |o| matches!(o, RegOp::BrIfZ { .. }));
+    let unfused = count_ops(&code, |o| {
+        matches!(o, RegOp::Una { .. } | RegOp::BrIf { .. })
+    });
+    assert_eq!((flipped, unfused), (1, 0), "{:?}", code.ops);
+    for (arg, expected) in [(0, 10), (1, 20), (-1, 20)] {
+        let (out, _) = on_both_tiers("bare eqz", &m, &[Value::I32(arg)]);
+        assert_eq!(out, Ok(vec![expected]), "bare eqz {arg}");
+    }
+}
+
+#[test]
+fn selection_coalesces_an_op_with_the_phi_copy_that_reads_it() {
+    // sum = 0; for (i = 0; i < n; i++) sum += i * i — two loop-carried
+    // variables, each written by the op that computes its next value: no
+    // `Move` is left in the loop.
+    let body = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(0),
+                    Instr::I64GeS,
+                    Instr::BrIf(1),
+                    Instr::LocalGet(2),
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(1),
+                    Instr::I64Mul,
+                    Instr::I64Add,
+                    Instr::LocalSet(2),
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(2),
+    ];
+    let (m, code) = lowered(
+        "sum of squares",
+        &[ValType::I64],
+        &[ValType::I64],
+        &[ValType::I64, ValType::I64],
+        body,
+    );
+    assert_eq!(
+        count_ops(&code, |o| matches!(o, RegOp::Move { .. })),
+        0,
+        "{:?}",
+        code.ops
+    );
+    assert_eq!(count_ops(&code, |o| matches!(o, RegOp::BrCmp { .. })), 1);
+    for n in [0i64, 1, 2, 10] {
+        let (out, _) = on_both_tiers("sum of squares", &m, &[Value::I64(n)]);
+        let expected: i64 = (0..n).map(|i| i * i).sum();
+        assert_eq!(out, Ok(vec![expected as u64]), "n = {n}");
+    }
+
+    // Both arms of an `if` write the join's phi where they compute it.
+    let (m, code) = lowered(
+        "if/else value",
+        &[ValType::I64],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I64Eqz,
+            Instr::If(
+                BlockType::Value(ValType::I64),
+                vec![Instr::LocalGet(0), Instr::I64Const(5), Instr::I64Add],
+                vec![Instr::LocalGet(0), Instr::I64Const(3), Instr::I64Mul],
+            ),
+        ],
+    );
+    assert_eq!(
+        count_ops(&code, |o| matches!(o, RegOp::Move { .. })),
+        0,
+        "{:?}",
+        code.ops
+    );
+    for (arg, expected) in [(0i64, 5u64), (7, 21)] {
+        let (out, _) = on_both_tiers("if/else value", &m, &[Value::I64(arg)]);
+        assert_eq!(out, Ok(vec![expected]));
+    }
+}
+
+#[test]
+fn selection_folds_a_unary_op_of_a_constant_into_a_charged_constant() {
+    // `(long)3`: the widening retires (class `zero`) without an op.
+    let (m, code) = lowered(
+        "extend of a constant",
+        &[ValType::I64],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I32Const(-3),
+            Instr::I64ExtendI32S,
+            Instr::I64Add,
+        ],
+    );
+    assert!(
+        matches!(
+            code.ops.as_ref(),
+            [RegOp::AluImm { op: AluOp::I64Add, k, .. }, RegOp::Ret { .. }] if *k == -3i64 as u64
+        ),
+        "{:?}",
+        code.ops
+    );
+    let (out, counts) = on_both_tiers("extend of a constant", &m, &[Value::I64(10)]);
+    assert_eq!(out, Ok(vec![7]));
+    let mut expected = ChargeCounts::default();
+    expected.counts[ChargeClass::Simple as usize] = 3;
+    expected.counts[ChargeClass::Zero as usize] = 1;
+    assert_eq!(counts, expected);
+
+    // A float op folds too, and its tag — not `simple` — rides on the
+    // carrier: here the function's `ret`.
+    let (m, code) = lowered(
+        "sqrt of a constant",
+        &[],
+        &[ValType::F64],
+        &[],
+        vec![
+            Instr::F64Const(9f64.to_bits()),
+            Instr::F64Sqrt,
+            Instr::F64Neg,
+        ],
+    );
+    assert_eq!(count_ops(&code, |o| matches!(o, RegOp::Una { .. })), 0);
+    let (out, counts) = on_both_tiers("sqrt of a constant", &m, &[]);
+    assert_eq!(out, Ok(vec![(-3f64).to_bits()]));
+    let mut expected = ChargeCounts::default();
+    expected.counts[ChargeClass::Simple as usize] = 1;
+    expected.counts[ChargeClass::Float as usize] = 1;
+    expected.counts[ChargeClass::FloatDiv as usize] = 1;
+    assert_eq!(counts, expected);
+}
+
+#[test]
+fn selection_must_not_fuse_table() {
+    use ValType::{I32, I64};
+    let una = |code: &RegCode, which: UnaOp| {
+        count_ops(code, |o| matches!(o, RegOp::Una { op, .. } if *op == which))
+    };
+    let index_adds = |code: &RegCode| count_ops(code, |o| matches!(o, RegOp::IndexAdd { .. }));
+
+    // The widened index is `local.tee`'d and read again: it stays an op
+    // of its own (the product still fuses into the sum).
+    let (m, code) = lowered(
+        "widened index read twice",
+        &[I64, I32],
+        &[I64],
+        &[I64],
+        vec![
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I64ExtendI32S,
+            Instr::LocalTee(2),
+            Instr::I64Const(8),
+            Instr::I64Mul,
+            Instr::I64Add,
+            Instr::LocalGet(2),
+            Instr::I64Xor,
+        ],
+    );
+    assert_eq!(una(&code, UnaOp::I64ExtendI32S), 1, "{:?}", code.ops);
+    assert!(
+        code.ops.iter().any(|o| matches!(
+            o,
+            RegOp::IndexAdd {
+                ext: IndexExt::None,
+                ..
+            }
+        )),
+        "{:?}",
+        code.ops
+    );
+    let (out, _) = on_both_tiers(
+        "widened index read twice",
+        &m,
+        &[Value::I64(100), Value::I32(-2)],
+    );
+    assert_eq!(out, Ok(vec![((100 - 16) ^ -2i64) as u64]));
+
+    // The product is read again: nothing fuses.
+    let (m, code) = lowered(
+        "product read twice",
+        &[I64, I32],
+        &[I64],
+        &[I64],
+        vec![
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I64ExtendI32U,
+            Instr::I64Const(8),
+            Instr::I64Mul,
+            Instr::LocalTee(2),
+            Instr::I64Add,
+            Instr::LocalGet(2),
+            Instr::I64Sub,
+        ],
+    );
+    assert_eq!(index_adds(&code), 0, "{:?}", code.ops);
+    let (out, _) = on_both_tiers("product read twice", &m, &[Value::I64(100), Value::I32(3)]);
+    assert_eq!(out, Ok(vec![100]));
+
+    // The product is loop-carried: besides the sum, a phi copy reads it.
+    let carried = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    // acc += prev; prev = i * 8; acc += base + prev
+                    Instr::LocalGet(3),
+                    Instr::LocalGet(2),
+                    Instr::I64Add,
+                    Instr::LocalGet(0),
+                    Instr::LocalGet(1),
+                    Instr::I64Const(8),
+                    Instr::I64Mul,
+                    Instr::LocalTee(2),
+                    Instr::I64Add,
+                    Instr::I64Add,
+                    Instr::LocalSet(3),
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Sub,
+                    Instr::LocalTee(1),
+                    Instr::I64Eqz,
+                    Instr::BrIf(1),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(3),
+    ];
+    let (m, code) = lowered(
+        "product feeds a phi",
+        &[I64, I64],
+        &[I64],
+        &[I64, I64],
+        carried,
+    );
+    assert_eq!(index_adds(&code), 0, "{:?}", code.ops);
+    let (out, _) = on_both_tiers(
+        "product feeds a phi",
+        &m,
+        &[Value::I64(1000), Value::I64(3)],
+    );
+    // i = 3, 2, 1: prev = 0, 24, 16 going in; base + i * 8 each round.
+    assert_eq!(out, Ok(vec![24 + 16 + 3 * 1000 + 24 + 16 + 8]));
+
+    // A division between the product and the sum: the chain is not
+    // adjacent, and when the division traps the sum's charges must not
+    // have been taken yet.
+    let (m, code) = lowered(
+        "division between the parts",
+        &[I64, I32, I64],
+        &[I64],
+        &[I64],
+        vec![
+            Instr::LocalGet(1),
+            Instr::I64ExtendI32S,
+            Instr::I64Const(8),
+            Instr::I64Mul,
+            Instr::LocalGet(0),
+            Instr::LocalGet(2),
+            Instr::I64DivU,
+            Instr::LocalSet(3),
+            Instr::LocalGet(0),
+            Instr::I64Add,
+            Instr::LocalGet(3),
+            Instr::I64Add,
+        ],
+    );
+    assert_eq!(index_adds(&code), 0, "{:?}", code.ops);
+    let args = |divisor| [Value::I64(96), Value::I32(2), Value::I64(divisor)];
+    let (out, _) = on_both_tiers("division between the parts", &m, &args(3));
+    assert_eq!(out, Ok(vec![16 + 96 + 32]));
+    let (out, counts) = on_both_tiers("division between the parts", &m, &args(0));
+    assert_eq!(out, Err(Trap::DivideByZero));
+    let mut expected = ChargeCounts::default();
+    expected.counts[ChargeClass::Simple as usize] = 5;
+    expected.counts[ChargeClass::Zero as usize] = 1;
+    expected.counts[ChargeClass::Div as usize] = 1;
+    assert_eq!(counts, expected);
+
+    // old = i; i = i + 1; if (old < n) continue — in a one-block loop the
+    // block's own copy batch overwrites `i` before the terminator runs, so
+    // a comparison that reads the old `i` has to run where it stood.
+    let pre_increment = |through_eqz: bool| {
+        let mut body = vec![
+            Instr::LocalGet(0),
+            Instr::LocalGet(0),
+            Instr::I64Const(1),
+            Instr::I64Add,
+            Instr::LocalSet(0),
+            Instr::LocalGet(1),
+        ];
+        body.push(if through_eqz {
+            Instr::I64GeS
+        } else {
+            Instr::I64LtS
+        });
+        if through_eqz {
+            body.push(Instr::I32Eqz);
+        }
+        body.push(Instr::BrIf(0));
+        vec![Instr::Loop(BlockType::Empty, body), Instr::LocalGet(0)]
+    };
+    for through_eqz in [false, true] {
+        let what = format!("pre-increment phi loop (eqz={through_eqz})");
+        let (m, code) = lowered(&what, &[I64, I64], &[I64], &[], pre_increment(through_eqz));
+        let fused = count_ops(&code, |o| {
+            matches!(o, RegOp::BrCmp { .. } | RegOp::BrCmpImm { .. })
+        });
+        assert_eq!(fused, 0, "{what}: {:?}", code.ops);
+        for (n, expected) in [(0i64, 1u64), (1, 2), (5, 6), (-3, 1)] {
+            let (out, _) = on_both_tiers(&what, &m, &[Value::I64(0), Value::I64(n)]);
+            assert_eq!(out, Ok(vec![expected]), "{what}: n = {n}");
+        }
+    }
+    // The same with a bare `i32.eqz` of the old value: the branch may not
+    // read it after the copies either.
+    let (m, code) = lowered(
+        "pre-decrement phi loop through a bare eqz",
+        &[I32],
+        &[I32],
+        &[],
+        vec![
+            Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::LocalGet(0),
+                    Instr::I32Const(1),
+                    Instr::I32Sub,
+                    Instr::LocalSet(0),
+                    Instr::I32Eqz,
+                    Instr::BrIf(0),
+                ],
+            ),
+            Instr::LocalGet(0),
+        ],
+    );
+    assert_eq!(una(&code, UnaOp::I32Eqz), 1, "{:?}", code.ops);
+    for (arg, expected) in [(0i32, -2i32), (1, 0), (5, 4)] {
+        let (out, _) = on_both_tiers("bare eqz of the old phi", &m, &[Value::I32(arg)]);
+        assert_eq!(out, Ok(vec![u64::from(expected as u32)]), "arg = {arg}");
+    }
+
+    // `i32.trunc_f64_s(NaN)` of a constant stays an op, and traps.
+    let (m, code) = lowered(
+        "trunc of a constant NaN",
+        &[],
+        &[I32],
+        &[],
+        vec![Instr::F64Const(f64::NAN.to_bits()), Instr::I32TruncF64S],
+    );
+    assert_eq!(una(&code, UnaOp::I32TruncF64S), 1, "{:?}", code.ops);
+    let (out, counts) = on_both_tiers("trunc of a constant NaN", &m, &[]);
+    assert_eq!(out, Err(Trap::InvalidConversion));
+    let mut expected = ChargeCounts::default();
+    expected.counts[ChargeClass::Simple as usize] = 1;
+    expected.counts[ChargeClass::Float as usize] = 1;
+    assert_eq!(counts, expected);
+
+    // The phi's old value is read after the op that computes its next
+    // one: the op may not write the phi early.
+    let read_after = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I64Eqz,
+                    Instr::BrIf(1),
+                    // next = i - 1 (on the stack); acc += i * i; i = next
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Sub,
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(0),
+                    Instr::LocalGet(0),
+                    Instr::I64Mul,
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                    Instr::LocalSet(0),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(1),
+    ];
+    let (m, code) = lowered(
+        "phi read after its next value",
+        &[I64],
+        &[I64],
+        &[I64],
+        read_after,
+    );
+    assert!(
+        code.ops.iter().any(|o| matches!(
+            o,
+            RegOp::AluImm { op: AluOp::I64Sub, dst, a, .. } if dst != a
+        )),
+        "{:?}",
+        code.ops
+    );
+    let (out, _) = on_both_tiers("phi read after its next value", &m, &[Value::I64(4)]);
+    assert_eq!(out, Ok(vec![16 + 9 + 4 + 1]));
+
+    // a, b = b, a + b: the copy `a <- b` still reads the phi the sum would
+    // write.
+    let fib = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I64Eqz,
+                    Instr::BrIf(1),
+                    Instr::LocalGet(2),
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(2),
+                    Instr::I64Add,
+                    Instr::LocalSet(2),
+                    Instr::LocalSet(1),
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Sub,
+                    Instr::LocalSet(0),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(1),
+    ];
+    let fib = [vec![Instr::I64Const(1), Instr::LocalSet(2)], fib].concat();
+    let (m, _) = lowered("fibonacci swap", &[I64], &[I64], &[I64, I64], fib);
+    for (n, expected) in [(0i64, 0u64), (1, 1), (2, 1), (10, 55)] {
+        let (out, _) = on_both_tiers("fibonacci swap", &m, &[Value::I64(n)]);
+        assert_eq!(out, Ok(vec![expected]), "fib({n})");
+    }
+}

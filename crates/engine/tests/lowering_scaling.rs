@@ -71,6 +71,90 @@ fn a_diamond_ladder_lowers_in_fuel_linear_in_its_length() {
     assert_eq!(out, [Value::I64(expected)]);
 }
 
+/// `n` address computations in a row: `acc = acc + (long)i * 8`, each an
+/// `ext; mul; add` chain for instruction selection to fuse.
+fn address_chain(n: usize) -> Module {
+    let mut body = Vec::new();
+    for _ in 0..n {
+        body.extend([
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I64ExtendI32S,
+            Instr::I64Const(8),
+            Instr::I64Mul,
+            Instr::I64Add,
+            Instr::LocalSet(0),
+        ]);
+    }
+    body.push(Instr::LocalGet(0));
+    let mut b = ModuleBuilder::new();
+    let f = b.add_function(&[ValType::I64, ValType::I32], &[ValType::I64], &[], body);
+    b.export_func("run", f);
+    b.build()
+}
+
+/// `n` rungs of `if (x < k) skip; acc += k`, each a comparison for
+/// instruction selection to fuse into its branch.
+fn compare_branch_ladder(n: i64) -> Module {
+    let mut body = Vec::new();
+    for k in 1..=n {
+        body.push(Instr::Block(
+            BlockType::Empty,
+            vec![
+                Instr::LocalGet(0),
+                Instr::I64Const(k),
+                Instr::I64LtS,
+                Instr::BrIf(0),
+                Instr::LocalGet(1),
+                Instr::I64Const(k),
+                Instr::I64Add,
+                Instr::LocalSet(1),
+            ],
+        ));
+    }
+    body.push(Instr::LocalGet(1));
+    let mut b = ModuleBuilder::new();
+    let f = b.add_function(&[ValType::I64], &[ValType::I64], &[ValType::I64], body);
+    b.export_func("run", f);
+    b.build()
+}
+
+#[test]
+fn instruction_selection_lowers_in_fuel_linear_in_the_chains_it_fuses() {
+    let run = |pre: &Precompiled, args: &[Value]| {
+        let mut store = Store::new(ExecConfig::default());
+        let h = store
+            .instantiate_precompiled(pre, &Imports::new())
+            .expect("instantiates");
+        store.invoke(h, "run", args).expect("runs")
+    };
+    let fused = |pre: &Precompiled, form: &str| {
+        let text = pre.disassemble(0).expect("local function");
+        text.lines().filter(|l| l.contains(form)).count()
+    };
+
+    let (small, _) = compile_counting_fuel(address_chain(4_000));
+    let (large, pre) = compile_counting_fuel(address_chain(16_000));
+    assert!(
+        large as f64 <= small as f64 * 4.5,
+        "4x the address triples took {large} fuel against {small}"
+    );
+    assert_eq!(fused(&pre, " + sext r"), 16_000);
+    let out = run(&pre, &[Value::I64(5), Value::I32(-3)]);
+    assert_eq!(out, [Value::I64(5 - 3 * 8 * 16_000)]);
+
+    let (small, _) = compile_counting_fuel(compare_branch_ladder(4_000));
+    let (large, pre) = compile_counting_fuel(compare_branch_ladder(16_000));
+    assert!(
+        large as f64 <= small as f64 * 4.5,
+        "4x the compare-branch rungs took {large} fuel against {small}"
+    );
+    assert_eq!(fused(&pre, ": br_cmp I64LtS r"), 16_000);
+    let x = 9_000;
+    let expected: i64 = (1..=x).sum();
+    assert_eq!(run(&pre, &[Value::I64(x)]), [Value::I64(expected)]);
+}
+
 fn assert_runs_out_of_fuel(module: Module) {
     let limits = CompileLimits::default();
     match Precompiled::with_limits(&module, &limits) {

@@ -1206,3 +1206,234 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
         );
     }
 }
+
+/// Instruction selection retires several source instructions in one
+/// dispatch and must not move a trap or a preemption point: an access
+/// that traps directly behind a fused address computation, and fuel that
+/// runs dry exactly at a fused compare-and-branch, find the counts where
+/// the unfused code left them. The literals are what the parent of the
+/// selection step (one op per source instruction) retired for the same
+/// source; the tree oracle agrees on the rows it models.
+#[test]
+fn selection_keeps_trap_and_preemption_points() {
+    use cage_engine::ChargeClass::{Mem, Zero};
+
+    // `A[i]` with `i` an `int`: widen, scale, add, load.
+    let index_load = vec![
+        Instr::LocalGet(0),
+        Instr::LocalGet(1),
+        Instr::I64ExtendI32S,
+        Instr::I64Const(8),
+        Instr::I64Mul,
+        Instr::I64Add,
+        Instr::Load(LoadOp::I64Load, MemArg::none()),
+    ];
+    // do { i = i + 1; } while (i < n) — the bottom test fuses into the
+    // back edge.
+    let bottom_tested = vec![
+        Instr::Loop(
+            BlockType::Empty,
+            vec![
+                Instr::LocalGet(1),
+                Instr::I64Const(1),
+                Instr::I64Add,
+                Instr::LocalTee(1),
+                Instr::LocalGet(0),
+                Instr::I64LtS,
+                Instr::BrIf(0),
+            ],
+        ),
+        Instr::LocalGet(1),
+    ];
+    // for (i = 0; i < n; i++) — the top test goes through an `i32.eqz`
+    // into the exit branch; the back edge is a plain `br`.
+    let top_tested = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(0),
+                    Instr::I64LtS,
+                    Instr::I32Eqz,
+                    Instr::BrIf(1),
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(1),
+    ];
+    let mut b = ModuleBuilder::new();
+    b.add_memory64(1);
+    let load = b.add_function(
+        &[ValType::I64, ValType::I32],
+        &[ValType::I64],
+        &[],
+        index_load,
+    );
+    let bottom = b.add_function(
+        &[ValType::I64],
+        &[ValType::I64],
+        &[ValType::I64],
+        bottom_tested,
+    );
+    let top = b.add_function(
+        &[ValType::I64],
+        &[ValType::I64],
+        &[ValType::I64],
+        top_tested,
+    );
+    let module = b.build();
+    cage_wasm::validate(&module).expect("fixture validates");
+
+    let pre = Precompiled::new(&module).expect("compiles");
+    let text = |func: u32| pre.disassemble(func).expect("local function");
+    assert!(
+        text(load).contains("r2 <- r0 + sext r1 * 0x8  ; charges sszsss\n")
+            && text(load).contains("I64Load offset=0 addr=r2  ; charges m\n"),
+        "{}",
+        text(load)
+    );
+    assert!(
+        text(bottom).contains("br_cmp I64LtS r2, r0 \u{2192}")
+            && !text(bottom).contains("<- I64LtS"),
+        "{}",
+        text(bottom)
+    );
+    assert!(
+        text(top).contains("br_cmp_z I64LtS r1, r0 \u{2192}") && !text(top).contains("I32Eqz"),
+        "{}",
+        text(top)
+    );
+
+    // The access right behind the fused address: in bounds, at the last
+    // word, one past it, and far out through a negative index.
+    for (base, idx, in_bounds) in [
+        (0, 0, true),
+        (PAGE as i64 - 16, 1, true),
+        (PAGE as i64 - 8, 1, false),
+        (64, -9, false),
+    ] {
+        let run = |tier: Tier| {
+            let mut store = Store::new(ExecConfig::default());
+            let h = store
+                .instantiate(&module, &Imports::new())
+                .expect("instantiates");
+            let args = [Value::I64(base), Value::I32(idx)];
+            let result = match tier {
+                Tier::Reg => store.call(h, load, &args),
+                Tier::Tree => store.call_tree(h, load, &args),
+            };
+            (result, store.charge_counts(h))
+        };
+        let (result, charged) = run(Tier::Reg);
+        assert_eq!(
+            (result.clone(), charged),
+            run(Tier::Tree),
+            "{base} + {idx} * 8"
+        );
+        match result {
+            Ok(_) => assert!(in_bounds, "{base} + {idx} * 8"),
+            Err(trap) => assert!(
+                !in_bounds && matches!(trap, Trap::OutOfBounds { len: 8, .. }),
+                "{base} + {idx} * 8: {trap:?}"
+            ),
+        }
+        assert_eq!(
+            charged,
+            counts(&[(Simple, 5), (Mem, 1), (Zero, 1)]),
+            "{base} + {idx} * 8: {:?}",
+            classes(&charged)
+        );
+    }
+
+    // Fuel: one unit per taken back edge (and one for the return).
+    let run = |func: u32, n: i64, budget: u64| {
+        let mut store = Store::new(ExecConfig::default());
+        let h = store
+            .instantiate(&module, &Imports::new())
+            .expect("instantiates");
+        store.set_fuel(h, Some(budget));
+        let result = store.call(h, func, &[Value::I64(n)]);
+        (result, store.fuel_consumed(h), store.charge_counts(h))
+    };
+    // Bottom-tested: six simple instructions and the `br_if` per round;
+    // a budget of `b` runs dry on the taken `br_if` of round `b + 1`.
+    assert_eq!(
+        run(bottom, 5, 1_000),
+        (
+            Ok(vec![Value::I64(5)]),
+            5,
+            counts(&[(Simple, 6 * 5 + 1), (Branch, 5)])
+        )
+    );
+    for budget in 0..4u64 {
+        let first = run(bottom, 5, budget);
+        assert_eq!(
+            first,
+            run(bottom, 5, budget),
+            "budget {budget}: not reproducible"
+        );
+        let rounds = budget + 1;
+        assert_eq!(
+            first,
+            (
+                Err(Trap::FuelExhausted),
+                budget,
+                counts(&[(Simple, 6 * rounds), (Branch, rounds)])
+            ),
+            "bottom-tested, budget {budget}: {:?}",
+            classes(&first.2)
+        );
+    }
+    // The last round's `br_if` falls through, free; the budget of 4 then
+    // runs dry at the return.
+    assert_eq!(
+        run(bottom, 5, 4),
+        (
+            Err(Trap::FuelExhausted),
+            4,
+            counts(&[(Simple, 6 * 5 + 1), (Branch, 5)])
+        )
+    );
+    // Top-tested: the exit test (four simple, the `br_if`) falls through
+    // free on every round but the last; fuel goes at the `br` — four more
+    // simple instructions further on — and, after the taken exit branch
+    // of round `n + 1`, at that branch and at the return.
+    assert_eq!(
+        run(top, 3, 1_000),
+        (
+            Ok(vec![Value::I64(3)]),
+            5,
+            counts(&[(Simple, 8 * 3 + 4 + 1), (Branch, 2 * 3 + 1)])
+        )
+    );
+    let top_points: [&[(ChargeClass, u64)]; 5] = [
+        &[(Simple, 8), (Branch, 2)],
+        &[(Simple, 16), (Branch, 4)],
+        &[(Simple, 24), (Branch, 6)],
+        // The taken exit branch, where the fused op carries the charges
+        // of the two `local.get`s, the comparison and the `i32.eqz`.
+        &[(Simple, 28), (Branch, 7)],
+        &[(Simple, 29), (Branch, 7)],
+    ];
+    for (budget, point) in top_points.iter().enumerate() {
+        let first = run(top, 3, budget as u64);
+        assert_eq!(
+            first,
+            run(top, 3, budget as u64),
+            "budget {budget}: not reproducible"
+        );
+        assert_eq!(
+            first,
+            (Err(Trap::FuelExhausted), budget as u64, counts(point)),
+            "top-tested, budget {budget}: {:?}",
+            classes(&first.2)
+        );
+    }
+}

@@ -5,7 +5,7 @@
 //! of the tagged memory. Tag storage lives in the tag PA space, invisible
 //! to the OS, so the paper *adds* it to the RSS estimate; we do the same.
 
-use cage_engine::LinearMemory;
+use cage_engine::{ChargeCounts, LinearMemory};
 use cage_libc::AllocStats;
 
 use crate::variant::Variant;
@@ -56,10 +56,16 @@ impl MemoryReport {
     }
 }
 
-/// Pool-level execution totals: per-instance counters (cycles, retired
-/// instructions, fuel) aggregated across every instance a pool has
-/// served, plus the pool's own churn counters. The load driver merges
-/// one snapshot per worker into the run totals it reports.
+/// Pool-level execution totals: per-instance counters (what was charged,
+/// fuel) aggregated across every instance a pool has served, plus the
+/// pool's own churn counters. The load driver merges one snapshot per
+/// worker into the run totals it reports.
+///
+/// A pool accumulates the integer [`ChargeCounts`] of its instances and
+/// nothing priced: `cycles` and `instr_count` are derived from `counts`
+/// when the pool hands out a snapshot (`Pool::metrics`), so they do not
+/// depend on the order instances were released in, and a release adds
+/// integers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolMetrics {
     /// Instances stamped out from scratch (cold path).
@@ -68,9 +74,12 @@ pub struct PoolMetrics {
     pub resets: u64,
     /// Guest invocations completed (including ones that trapped).
     pub invocations: u64,
-    /// Model cycles accumulated across all served instances.
+    /// What all served instances were charged, class by class.
+    pub counts: ChargeCounts,
+    /// Model cycles of `counts` under the pool's cost model, as of the
+    /// snapshot (zero in a pool's own running totals).
     pub cycles: f64,
-    /// Retired instructions accumulated across all served instances.
+    /// Retired instructions in `counts`, as of the snapshot (likewise).
     pub instr_count: u64,
     /// Fuel consumed across all served instances (0 when no budget set).
     pub fuel_consumed: u64,
@@ -89,9 +98,8 @@ pub struct PoolMetrics {
 
 impl PoolMetrics {
     /// Folds the counters of one served instance into the totals.
-    pub fn absorb_instance(&mut self, cycles: f64, instr_count: u64, fuel_consumed: u64) {
-        self.cycles += cycles;
-        self.instr_count += instr_count;
+    pub fn absorb_instance(&mut self, counts: &ChargeCounts, fuel_consumed: u64) {
+        self.counts += counts;
         self.fuel_consumed += fuel_consumed;
     }
 
@@ -100,6 +108,7 @@ impl PoolMetrics {
         self.instantiations += other.instantiations;
         self.resets += other.resets;
         self.invocations += other.invocations;
+        self.counts += &other.counts;
         self.cycles += other.cycles;
         self.instr_count += other.instr_count;
         self.fuel_consumed += other.fuel_consumed;

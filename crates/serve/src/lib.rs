@@ -602,8 +602,7 @@ impl Pool {
     pub fn release(&mut self, inst: PooledInstance) {
         let handle = self.slots[inst.slot].handle;
         self.metrics.absorb_instance(
-            self.store.cycles(handle),
-            self.store.instr_count(handle),
+            &self.store.charge_counts(handle),
             self.store.fuel_consumed(handle),
         );
         self.outstanding -= 1;
@@ -696,10 +695,15 @@ impl Pool {
         self.metrics.rejected += 1;
     }
 
-    /// Snapshot of the pool totals.
+    /// Snapshot of the pool totals, with `cycles` and `instr_count`
+    /// derived from the accumulated counts here, on read.
     #[must_use]
     pub fn metrics(&self) -> PoolMetrics {
-        self.metrics
+        PoolMetrics {
+            cycles: self.store.price(&self.metrics.counts),
+            instr_count: self.metrics.counts.instr_count(),
+            ..self.metrics
+        }
     }
 
     /// The template this pool serves.
@@ -861,6 +865,55 @@ mod tests {
         assert_eq!((m.instantiations, m.resets, m.invocations), (1, 1, 3));
         assert_eq!(pool.capacity(), 1, "one slot served both checkouts");
         pool.release(b);
+    }
+
+    #[test]
+    fn pool_totals_are_counts_priced_on_read_whatever_the_release_order() {
+        // Three instances with unlike amounts of work (memory traffic,
+        // libc host calls, a division), released in two different orders
+        // by two pools of one template: the totals are the same to the
+        // bit, and `cycles`/`instr_count` are what the accumulated counts
+        // come to under the pool's cost model.
+        let pre = template(
+            r#"
+            long work(long n) {
+                char* p = malloc(64);
+                long acc = 0;
+                for (long i = 0; i < n; i++) {
+                    p[i % 64] = i;
+                    acc = acc + p[i % 64] / 3;
+                }
+                free(p);
+                return acc;
+            }
+            "#,
+            Variant::CageMemSafety,
+            HostProfile::Libc,
+        );
+        let totals = |order: [usize; 3]| {
+            let mut pool = Pool::new(Arc::clone(&pre));
+            let mut held: Vec<_> = (0..3).map(|_| Some(pool.checkout().unwrap())).collect();
+            for (inst, n) in held.iter().zip([7, 1_000, 33]) {
+                let inst = inst.as_ref().expect("held");
+                pool.invoke(inst, "work", &[Value::I64(n)]).unwrap();
+            }
+            for i in order {
+                pool.release(held[i].take().expect("released once"));
+            }
+            let m = pool.metrics();
+            assert_eq!(m.cycles, pool.store().price(&m.counts));
+            assert_eq!(m.instr_count, m.counts.instr_count());
+            m
+        };
+        let m = totals([0, 1, 2]);
+        assert_eq!(m, totals([2, 0, 1]));
+        assert_eq!(m, totals([1, 2, 0]));
+        assert!(m.instr_count > 10_000 && m.cycles > 0.0, "{m:?}");
+        // Merged snapshots add up, derived fields included.
+        let mut fleet = m;
+        fleet.merge(&m);
+        assert_eq!(fleet.instr_count, 2 * m.instr_count);
+        assert_eq!(fleet.counts.instr_count(), fleet.instr_count);
     }
 
     #[test]

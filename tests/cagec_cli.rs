@@ -88,9 +88,10 @@ fn dump_bytecode_shows_pcs_and_resolved_targets() {
         stdout.contains('\u{2192}'),
         "no resolved targets in:\n{stdout}"
     );
-    // The loop's conditional branch and the function epilogue both
-    // appear, and retired source ops show up as charge recipes.
-    assert!(stdout.contains("br_if"), "{stdout}");
+    // The loop's conditional branch — the exit test fused into it — and
+    // the function epilogue both appear, and retired source ops show up
+    // as charge recipes.
+    assert!(stdout.contains("br_cmp_z I64LtS r"), "{stdout}");
     assert!(stdout.contains("ret ["), "{stdout}");
     assert!(stdout.contains("; charges "), "{stdout}");
 }
@@ -164,11 +165,85 @@ fn dump_bytecode_renders_register_form() {
             .any(|l| l.contains("I64Store offset=0 addr=r") && l.contains("val=r")),
         "{stdout}"
     );
-    // The array indexing scale folds its constant into an AluImm.
-    assert!(stdout.contains("I64Mul r0, const 0x8"), "{stdout}");
+    // The array indexing is one op: base plus index times the folded
+    // element size, charged as the constant, multiply and add it retires
+    // (and the dissolved stack shuffles in front of them).
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.contains(" + r0 * 0x8  ; charges s") && l.contains(" <- r")),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("I64Mul"), "{stdout}");
     // Dissolved stack shuffles survive as charge-recipe letters (the
     // load absorbs simple charges plus its own memory charge).
     assert!(stdout.contains("; charges ssm"), "{stdout}");
+}
+
+#[test]
+fn dump_bytecode_shows_gemm_inner_loop_in_eighteen_ops() {
+    // The `k` loop of gemm under `cage` — `C[i][j] = C[i][j] + 1.5 *
+    // A[i][k] * B[k][j]` — is the hottest code of the PolyBench sweep.
+    // Instruction selection leaves it at 18 dispatches per round (37
+    // before): one fused exit test, eight `base + sext(i) * stride`
+    // address ops, three loads, three float ops, the store, the
+    // increment writing `k` in place, and the back edge.
+    let gemm = cage_polybench::kernel("gemm").expect("gemm exists");
+    let program = tempfile::with_suffix(".c", gemm.source);
+    let out = cagec()
+        .arg(program.path())
+        .args(["--variant", "cage", "--dump-bytecode", "run"])
+        .output()
+        .expect("cagec runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ops: Vec<&str> = stdout.lines().skip(1).collect();
+    let target = |line: &str| -> Option<usize> {
+        let (_, pc) = line.split_once('\u{2192}')?;
+        pc[..4].parse().ok()
+    };
+    // Loops are `header: br_cmp_z … →exit`, body, `jump →header`; the
+    // innermost one with three loads in it is the `k` loop.
+    let k_loop = ops
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.contains(": jump "))
+        .filter_map(|(back, l)| Some(&ops[target(l)?..=back]))
+        .filter(|body| body.iter().filter(|l| l.contains("F64Load")).count() == 3)
+        .min_by_key(|body| body.len())
+        .expect("a loop with three loads");
+    assert!(
+        k_loop.len() <= 18,
+        "{} ops:\n{}",
+        k_loop.len(),
+        k_loop.join("\n")
+    );
+    assert!(k_loop[0].contains("br_cmp_z I32LtS"), "{}", k_loop[0]);
+    // `rA <- rB` and nothing else on the line is a `Move`.
+    let is_move = |l: &str| {
+        l.split_once("<- r")
+            .is_some_and(|(_, src)| src.chars().all(|c| c.is_ascii_digit()))
+    };
+    let left: Vec<&&str> = k_loop
+        .iter()
+        .filter(|l| {
+            is_move(l)
+                || ["I64ExtendI32S", "I32Eqz", "I64Mul"]
+                    .iter()
+                    .any(|op| l.contains(op))
+        })
+        .collect();
+    assert!(left.is_empty(), "left in the k loop: {left:?}");
+    assert_eq!(
+        k_loop.iter().filter(|l| l.contains(" + sext r")).count(),
+        8,
+        "{}",
+        k_loop.join("\n")
+    );
 }
 
 #[test]

@@ -45,24 +45,22 @@ impl HostContext<'_> {
             .ok_or_else(|| Trap::Host("host function requires a memory".into()))
     }
 
-    /// Reads guest memory through the configured checks.
+    /// Reads guest memory through the memory's own checks.
     ///
     /// # Errors
     ///
     /// Propagates bounds/tag traps.
     pub fn read_bytes(&mut self, ptr: u64, len: u64) -> Result<Vec<u8>, Trap> {
-        let config = *self.config;
-        self.memory()?.read(ptr, 0, len, &config)
+        self.memory()?.read(ptr, 0, len)
     }
 
-    /// Writes guest memory through the configured checks.
+    /// Writes guest memory through the memory's own checks.
     ///
     /// # Errors
     ///
     /// Propagates bounds/tag traps.
     pub fn write_bytes(&mut self, ptr: u64, bytes: &[u8]) -> Result<(), Trap> {
-        let config = *self.config;
-        self.memory()?.write(ptr, 0, bytes, &config)
+        self.memory()?.write(ptr, 0, bytes)
     }
 
     /// Charges `cycles` of simulated time to the caller.

@@ -27,11 +27,14 @@
 //! door to — validation already guarantees types, so no runtime tag is
 //! stored or matched). Typed [`Value`]s exist only at API boundaries:
 //! external `Store::call` arguments/results, host calls and globals
-//! convert at the edge. Scalar loads/stores on configurations without
-//! live tag checks take a cached fast path — one bounds compare against
-//! the cached guest size, then a direct little-endian read — and fall
-//! back to the full [`crate::memory::LinearMemory::resolve`] policy ladder
-//! only when MTE sandboxing or internal tagging is active.
+//! convert at the edge. Which path a scalar load/store takes is the
+//! memory's decision, made once when it was built from its
+//! [`crate::memory::TagScheme`]: the loop asks
+//! [`crate::memory::LinearMemory::tag_checked`] and, when no tag check is
+//! live, caches a bound — one compare against the cached guest size, then
+//! a direct little-endian read; otherwise every access goes through
+//! [`crate::memory::LinearMemory::resolve`]. The loop owns the cache and
+//! nothing else: no policy is derived here.
 //!
 //! The structured tree walker (`mod tree`, behind `Store::call_tree`) is
 //! the reference implementation: it executes the `Instr` tree recursively,
@@ -64,7 +67,7 @@ use cage_wasm::{FuncType, Instr};
 use crate::bytecode::{
     unpack_lanes, AluOp, RegBridge, RegCallIndirect, RegCode, RegOp, LANE_GUARD,
 };
-use crate::config::{BoundsCheckStrategy, ExecConfig};
+use crate::config::ExecConfig;
 use crate::cost::ChargeClass;
 use crate::host::HostContext;
 use crate::memory::fast_addr;
@@ -96,11 +99,6 @@ pub(crate) struct Interp<'s> {
     /// Effective call-depth limit: the engine config tightened by the
     /// instance's [`crate::store::InstanceLimits`].
     max_depth: usize,
-    /// Whether the configuration permits the cached linear-memory fast
-    /// path: no MTE sandboxing and no internal tagging, so `resolve()`
-    /// degenerates to the software bounds compare. Computed once — the
-    /// config never changes mid-store.
-    fast_mem: bool,
     /// Reusable scratch for host-call argument conversion, so crossing
     /// the typed API boundary does not allocate per call.
     host_args: Vec<Value>,
@@ -117,8 +115,6 @@ impl<'s> Interp<'s> {
             .limits
             .max_call_depth
             .map_or(config.max_call_depth, |l| l.min(config.max_call_depth));
-        let fast_mem =
-            config.bounds != BoundsCheckStrategy::MteSandbox && !config.internal.is_enabled();
         Interp {
             store,
             inst,
@@ -129,7 +125,6 @@ impl<'s> Interp<'s> {
             fuel_consumed,
             epoch_deadline,
             max_depth,
-            fast_mem,
             host_args: Vec::new(),
         }
     }
@@ -338,24 +333,6 @@ impl<'s> Interp<'s> {
         stack.pop().expect("validated")
     }
 
-    fn mem_read_scalar(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
-        let config = self.config;
-        self.memory_mut()?
-            .read_scalar(index, offset, width, &config)
-    }
-
-    fn mem_write_scalar(
-        &mut self,
-        index: u64,
-        offset: u64,
-        width: u64,
-        raw: u64,
-    ) -> Result<(), Trap> {
-        let config = self.config;
-        self.memory_mut()?
-            .write_scalar(index, offset, width, raw, &config)
-    }
-
     /// Executes one data instruction (anything but control flow and
     /// calls): the single implementation shared by the tree-walking
     /// reference and the register machine's bridged ops.
@@ -449,7 +426,9 @@ impl<'s> Interp<'s> {
             Load(op, memarg) => {
                 self.charge(ChargeClass::Mem);
                 let index = self.pop_index(stack);
-                let raw = self.mem_read_scalar(index, memarg.offset, op.width())?;
+                let raw = self
+                    .memory_mut()?
+                    .read_scalar(index, memarg.offset, op.width())?;
                 stack.push(decode_load(*op, raw));
             }
             Store(op, memarg) => {
@@ -459,7 +438,8 @@ impl<'s> Interp<'s> {
                 // did to its typed value.
                 let raw = stack.pop().expect("validated");
                 let index = self.pop_index(stack);
-                self.mem_write_scalar(index, memarg.offset, op.width(), raw)?;
+                self.memory_mut()?
+                    .write_scalar(index, memarg.offset, op.width(), raw)?;
             }
             MemorySize => {
                 self.charge(ChargeClass::MemManage);
@@ -488,8 +468,7 @@ impl<'s> Interp<'s> {
                 let dst = self.pop_index(stack);
                 self.charge(ChargeClass::Fill);
                 self.charge_units(ChargeClass::FillBytes, len);
-                let config = self.config;
-                self.memory_mut()?.fill(dst, val, len, &config)?;
+                self.memory_mut()?.fill(dst, val, len)?;
             }
             MemoryCopy => {
                 let len = self.pop_index(stack);
@@ -497,8 +476,7 @@ impl<'s> Interp<'s> {
                 let dst = self.pop_index(stack);
                 self.charge(ChargeClass::Copy);
                 self.charge_units(ChargeClass::CopyBytes, len);
-                let config = self.config;
-                self.memory_mut()?.copy(dst, src, len, &config)?;
+                self.memory_mut()?.copy(dst, src, len)?;
             }
             I32Const(v) => {
                 self.charge(s);
@@ -524,10 +502,9 @@ impl<'s> Interp<'s> {
                 // Partial granules still cost a full stzg/stg (div_ceil).
                 self.charge(ChargeClass::SegmentNew);
                 self.charge_units(ChargeClass::SegmentNewGranules, len.div_ceil(16));
-                let config = self.config;
-                let tagged =
-                    self.memory_mut()?
-                        .segment_new(ptr.wrapping_add(*offset), len, &config)?;
+                let tagged = self
+                    .memory_mut()?
+                    .segment_new(ptr.wrapping_add(*offset), len)?;
                 stack.push(tagged);
             }
             SegmentSetTag(offset) => {
@@ -536,22 +513,16 @@ impl<'s> Interp<'s> {
                 let ptr = stack.pop().expect("validated");
                 self.charge(ChargeClass::Retag);
                 self.charge_units(ChargeClass::RetagGranules, len.div_ceil(16));
-                let config = self.config;
-                self.memory_mut()?.segment_set_tag(
-                    ptr.wrapping_add(*offset),
-                    tagged,
-                    len,
-                    &config,
-                )?;
+                self.memory_mut()?
+                    .segment_set_tag(ptr.wrapping_add(*offset), tagged, len)?;
             }
             SegmentFree(offset) => {
                 let len = stack.pop().expect("validated");
                 let ptr = stack.pop().expect("validated");
                 self.charge(ChargeClass::Retag);
                 self.charge_units(ChargeClass::RetagGranules, len.div_ceil(16));
-                let config = self.config;
                 self.memory_mut()?
-                    .segment_free(ptr.wrapping_add(*offset), len, &config)?;
+                    .segment_free(ptr.wrapping_add(*offset), len)?;
             }
             PointerSign => {
                 self.charge(ChargeClass::Sign);
@@ -878,11 +849,11 @@ struct RegState<'a, 's> {
     base: usize,
     /// Reusable staging stack for bridged ops and host calls.
     scratch: Vec<u64>,
-    // Cached linear-memory fast path: when no tag scheme is live
-    // (`Interp::fast_mem`), a scalar access is one overflow-checked
-    // address add, one bounds compare against this cached bound, and a
-    // direct little-endian read — the full `resolve()` policy ladder never
-    // runs. The bound is `LinearMemory::fast_bound` (guest size capped by
+    // Cached linear-memory fast path: when the memory says no tag check
+    // is live (`LinearMemory::tag_checked`), a scalar access is one
+    // overflow-checked address add, one bounds compare against this
+    // cached bound, and a direct little-endian read — the full
+    // `resolve()` policy ladder never runs. The bound is `LinearMemory::fast_bound` (guest size capped by
     // the committed prefix); a miss goes to `commit_miss`, which decides
     // against the real guest size. The cache is refreshed wherever the
     // guest size can change — `memory.grow` and host calls (hosts may
@@ -909,7 +880,7 @@ impl<'a> RegState<'a, '_> {
     /// Recomputes the cached linear-memory view from the instance.
     fn refresh_mem(&mut self) {
         match self.it.store.instances[self.it.inst].memory.as_ref() {
-            Some(m) if self.it.fast_mem => {
+            Some(m) if !m.tag_checked() => {
                 self.mem_m64 = m.is_memory64();
                 self.mem_size = m.fast_bound();
                 self.mem_fast = true;
@@ -959,7 +930,7 @@ impl<'a> RegState<'a, '_> {
                 .expect("fast path implies memory")
                 .read_le(addr, width)
         } else {
-            self.it.mem_read_scalar(index, offset, width)?
+            self.it.memory_mut()?.read_scalar(index, offset, width)?
         };
         Ok(decode_load(op, raw))
     }
@@ -977,7 +948,9 @@ impl<'a> RegState<'a, '_> {
                 .write_le(addr, width, raw);
             Ok(())
         } else {
-            self.it.mem_write_scalar(index, offset, width, raw)
+            self.it
+                .memory_mut()?
+                .write_scalar(index, offset, width, raw)
         }
     }
 

@@ -6,6 +6,19 @@
 //! (the runtime's tag, §6.4), which is what lets MTE catch sandbox escapes
 //! that software bounds checks miss (the CVE-2023-26489 experiment).
 //!
+//! # Who decides the access policy
+//!
+//! The memory does, once, when it is built: [`LinearMemory::try_new`] turns
+//! its [`TagScheme`] into three predicates — whether the tag check replaces
+//! the bounds check, whether segment instructions are live, whether
+//! ordinary accesses are tag-checked at all — and every access method
+//! reads them off `self`. No caller passes a configuration in, so a memory
+//! cannot be driven under a policy it was not pre-tagged for. The store
+//! picks the scheme from the engine configuration at instantiation; the
+//! interpreter's dispatch loop asks [`LinearMemory::tag_checked`] and
+//! caches a bound when the answer is no. That cache is loop state, not a
+//! second copy of the policy.
+//!
 //! # The committed prefix
 //!
 //! Creating (or growing) a memory *reserves* its declared size and backs
@@ -43,7 +56,6 @@
 use cage_mte::pointer::ADDR_MASK;
 use cage_mte::{AccessKind, MteMode, Tag, TagExclusionMask, TagMemory, TagPool};
 
-use crate::config::{BoundsCheckStrategy, ExecConfig};
 use crate::trap::{SegmentFaultReason, Trap};
 
 /// Bytes of simulated runtime memory adjacent to the guest's linear memory.
@@ -52,7 +64,11 @@ pub const RUNTIME_SLACK: u64 = 4096;
 /// WASM page size re-export for convenience.
 pub const PAGE_SIZE: u64 = cage_wasm::types::PAGE_SIZE;
 
-/// How pointer tags are derived and memory is pre-tagged (§6.3/§6.4).
+/// How pointer tags are derived and memory is pre-tagged (§6.3/§6.4) —
+/// and thereby the memory's whole access policy: which check guards an
+/// access (bounds or tag), whether `segment.*` does anything, and what a
+/// pointer's tag bits mean are all functions of the scheme a
+/// [`LinearMemory`] was built under, fixed for its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagScheme {
     /// No MTE use at all (baselines).
@@ -158,6 +174,14 @@ pub struct LinearMemory {
     memory64: bool,
     tags: TagMemory,
     scheme: TagScheme,
+    /// The scheme's three predicates, resolved once in
+    /// [`LinearMemory::try_new`] so no access re-derives them: the MTE
+    /// tag check stands in for the bounds check (§6.4), …
+    sandboxed: bool,
+    /// … the `segment.*` instructions act on this memory (§6.3), …
+    segments_live: bool,
+    /// … ordinary accesses are tag-checked at all.
+    tag_checked: bool,
     pool: TagPool,
     /// Construction parameters retained so [`LinearMemory::reset`] can
     /// restore the freshly-instantiated state.
@@ -224,6 +248,13 @@ impl LinearMemory {
         let pool = TagPool::new(scheme.segment_exclusion(), seed)
             .expect("segment exclusion leaves tags available");
         let total_pages = total.div_ceil(PAGE_SIZE);
+        // The one place the scheme becomes an access policy.
+        let (sandboxed, segments_live) = match scheme {
+            TagScheme::None => (false, false),
+            TagScheme::InternalOnly => (false, true),
+            TagScheme::ExternalOnly { .. } => (true, false),
+            TagScheme::Combined => (true, true),
+        };
         Ok(LinearMemory {
             data,
             guest_size,
@@ -232,6 +263,9 @@ impl LinearMemory {
             memory64,
             tags,
             scheme,
+            sandboxed,
+            segments_live,
+            tag_checked: sandboxed || segments_live,
             pool,
             base_pages: initial_pages,
             seed,
@@ -439,6 +473,23 @@ impl LinearMemory {
         self.scheme
     }
 
+    /// Whether the `segment.*` instructions act on this memory (§6.3) —
+    /// [`TagScheme::InternalOnly`] or [`TagScheme::Combined`] — rather
+    /// than being inert.
+    #[must_use]
+    pub fn segments_live(&self) -> bool {
+        self.segments_live
+    }
+
+    /// Whether ordinary accesses are tag-checked at all: every scheme but
+    /// [`TagScheme::None`]. A caller that caches a bounds-only fast path
+    /// (the interpreter's dispatch loop) may do so exactly when this is
+    /// `false`.
+    #[must_use]
+    pub fn tag_checked(&self) -> bool {
+        self.tag_checked
+    }
+
     /// Read-only view of the tag store (tests, metrics).
     #[must_use]
     pub fn tags(&self) -> &TagMemory {
@@ -522,8 +573,9 @@ impl LinearMemory {
     }
 
     /// Resolves a (index, offset, width) access: computes the address,
-    /// applies the configured sandbox policy and tag checks, and returns
-    /// the in-bounds physical address.
+    /// applies this memory's sandbox policy and tag checks (fixed by its
+    /// [`TagScheme`] at construction), and returns the in-bounds physical
+    /// address.
     ///
     /// # Errors
     ///
@@ -535,7 +587,6 @@ impl LinearMemory {
         offset: u64,
         width: u64,
         kind: AccessKind,
-        config: &ExecConfig,
     ) -> Result<u64, Trap> {
         let base = if self.memory64 {
             index & ADDR_MASK
@@ -547,8 +598,7 @@ impl LinearMemory {
             len: width,
         })?;
 
-        let mte_sandbox = config.bounds == BoundsCheckStrategy::MteSandbox && config.mte_active();
-        if !mte_sandbox || width == 0 {
+        if !self.sandboxed || width == 0 {
             // Software bounds check, or the guard-page fault (functionally
             // identical, free in the cost model). Zero-width bulk accesses
             // take this check under every strategy: no granule is touched
@@ -563,8 +613,7 @@ impl LinearMemory {
         // Zero-width accesses (zero-length bulk ops) touch no granule and
         // pass tag-free, matching hardware MTE and the Wasm bulk-memory
         // spec, which permits `len == 0` at the memory boundary.
-        let tag_checked = mte_sandbox || config.internal.is_enabled();
-        if tag_checked && width > 0 {
+        if self.tag_checked && width > 0 {
             let ptr_tag = self.scheme.ptr_tag(index);
             self.tags.check_access(addr, width, ptr_tag, kind)?;
         }
@@ -626,14 +675,8 @@ impl LinearMemory {
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
-    pub fn read(
-        &mut self,
-        index: u64,
-        offset: u64,
-        width: u64,
-        config: &ExecConfig,
-    ) -> Result<Vec<u8>, Trap> {
-        let addr = self.resolve(index, offset, width, AccessKind::Read, config)?;
+    pub fn read(&mut self, index: u64, offset: u64, width: u64) -> Result<Vec<u8>, Trap> {
+        let addr = self.resolve(index, offset, width, AccessKind::Read)?;
         Ok(self.read_resolved(addr, width))
     }
 
@@ -642,14 +685,8 @@ impl LinearMemory {
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
-    pub fn write(
-        &mut self,
-        index: u64,
-        offset: u64,
-        bytes: &[u8],
-        config: &ExecConfig,
-    ) -> Result<(), Trap> {
-        let addr = self.resolve(index, offset, bytes.len() as u64, AccessKind::Write, config)?;
+    pub fn write(&mut self, index: u64, offset: u64, bytes: &[u8]) -> Result<(), Trap> {
+        let addr = self.resolve(index, offset, bytes.len() as u64, AccessKind::Write)?;
         self.write_resolved(addr, bytes);
         Ok(())
     }
@@ -733,15 +770,9 @@ impl LinearMemory {
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
-    pub fn read_scalar(
-        &mut self,
-        index: u64,
-        offset: u64,
-        width: u64,
-        config: &ExecConfig,
-    ) -> Result<u64, Trap> {
+    pub fn read_scalar(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
         debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-        let addr = self.resolve(index, offset, width, AccessKind::Read, config)?;
+        let addr = self.resolve(index, offset, width, AccessKind::Read)?;
         Ok(self.read_le(addr, width))
     }
 
@@ -757,10 +788,9 @@ impl LinearMemory {
         offset: u64,
         width: u64,
         raw: u64,
-        config: &ExecConfig,
     ) -> Result<(), Trap> {
         debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-        let addr = self.resolve(index, offset, width, AccessKind::Write, config)?;
+        let addr = self.resolve(index, offset, width, AccessKind::Write)?;
         self.write_le(addr, width, raw);
         Ok(())
     }
@@ -772,8 +802,8 @@ impl LinearMemory {
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
-    pub fn fill(&mut self, dst: u64, val: u8, len: u64, config: &ExecConfig) -> Result<(), Trap> {
-        let addr = self.resolve(dst, 0, len, AccessKind::Write, config)?;
+    pub fn fill(&mut self, dst: u64, val: u8, len: u64) -> Result<(), Trap> {
+        let addr = self.resolve(dst, 0, len, AccessKind::Write)?;
         self.mark_dirty(addr, len);
         self.data[addr as usize..(addr + len) as usize].fill(val);
         Ok(())
@@ -788,9 +818,9 @@ impl LinearMemory {
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
-    pub fn copy(&mut self, dst: u64, src: u64, len: u64, config: &ExecConfig) -> Result<(), Trap> {
-        let s = self.resolve(src, 0, len, AccessKind::Read, config)?;
-        let d = self.resolve(dst, 0, len, AccessKind::Write, config)?;
+    pub fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
+        let s = self.resolve(src, 0, len, AccessKind::Read)?;
+        let d = self.resolve(dst, 0, len, AccessKind::Write)?;
         self.mark_dirty(d, len);
         self.data
             .copy_within(s as usize..(s + len) as usize, d as usize);
@@ -807,15 +837,10 @@ impl LinearMemory {
     ///
     /// [`Trap::TagCheck`] under MTE sandboxing; [`Trap::OutOfBounds`] only
     /// when the access leaves the simulated address space entirely.
-    pub fn raw_write_unchecked(
-        &mut self,
-        index: u64,
-        bytes: &[u8],
-        config: &ExecConfig,
-    ) -> Result<(), Trap> {
+    pub fn raw_write_unchecked(&mut self, index: u64, bytes: &[u8]) -> Result<(), Trap> {
         let addr = index & ADDR_MASK;
         let width = bytes.len() as u64;
-        if config.mte_active() {
+        if self.tag_checked {
             let ptr_tag = self.scheme.ptr_tag(index);
             self.tags
                 .check_access(addr, width.max(1), ptr_tag, AccessKind::Write)?;
@@ -861,8 +886,8 @@ impl LinearMemory {
     ///
     /// [`Trap::SegmentFault`] on unaligned or out-of-bounds segments
     /// (rule 6).
-    pub fn segment_new(&mut self, ptr: u64, len: u64, config: &ExecConfig) -> Result<u64, Trap> {
-        if !config.internal.is_enabled() {
+    pub fn segment_new(&mut self, ptr: u64, len: u64) -> Result<u64, Trap> {
+        if !self.segments_live {
             // Inert fallback: untagged pointer, untouched memory. Keeps
             // hardened modules runnable on baseline configurations.
             return Ok(ptr);
@@ -890,14 +915,8 @@ impl LinearMemory {
     /// # Errors
     ///
     /// [`Trap::SegmentFault`] per rule 8.
-    pub fn segment_set_tag(
-        &mut self,
-        ptr: u64,
-        tagged_ptr: u64,
-        len: u64,
-        config: &ExecConfig,
-    ) -> Result<(), Trap> {
-        if !config.internal.is_enabled() {
+    pub fn segment_set_tag(&mut self, ptr: u64, tagged_ptr: u64, len: u64) -> Result<(), Trap> {
+        if !self.segments_live {
             return Ok(());
         }
         let addr = ptr & ADDR_MASK;
@@ -918,8 +937,8 @@ impl LinearMemory {
     ///
     /// [`Trap::SegmentFault`] with [`SegmentFaultReason::BadFree`] when the
     /// pointer's tag no longer matches (rule 10).
-    pub fn segment_free(&mut self, ptr: u64, len: u64, config: &ExecConfig) -> Result<(), Trap> {
-        if !config.internal.is_enabled() {
+    pub fn segment_free(&mut self, ptr: u64, len: u64) -> Result<(), Trap> {
+        if !self.segments_live {
             return Ok(());
         }
         let addr = ptr & ADDR_MASK;
@@ -976,46 +995,53 @@ pub(crate) fn fast_addr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::InternalSafety;
-
-    fn cfg(bounds: BoundsCheckStrategy, internal: InternalSafety) -> ExecConfig {
-        ExecConfig {
-            bounds,
-            internal,
-            ..ExecConfig::default()
-        }
-    }
-
     fn mem(scheme: TagScheme) -> LinearMemory {
         LinearMemory::new(1, None, true, scheme, MteMode::Synchronous, 42)
     }
 
     #[test]
+    fn policy_is_a_function_of_the_scheme() {
+        let instance_tag = Tag::new(9).unwrap();
+        // (scheme, sandboxed, segments_live, tag_checked)
+        let rows = [
+            (TagScheme::None, false, false, false),
+            (TagScheme::InternalOnly, false, true, true),
+            (TagScheme::ExternalOnly { instance_tag }, true, false, true),
+            (TagScheme::Combined, true, true, true),
+        ];
+        for (scheme, sandboxed, segments_live, tag_checked) in rows {
+            let m = mem(scheme);
+            assert_eq!(
+                (m.sandboxed, m.segments_live(), m.tag_checked()),
+                (sandboxed, segments_live, tag_checked),
+                "{scheme:?}"
+            );
+        }
+    }
+
+    #[test]
     fn software_bounds_checks_trap_oob() {
         let mut m = mem(TagScheme::None);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        assert!(m.write(0, 0, &[1, 2, 3], &c).is_ok());
-        let err = m.write(PAGE_SIZE - 1, 0, &[1, 2], &c).unwrap_err();
+        assert!(m.write(0, 0, &[1, 2, 3]).is_ok());
+        let err = m.write(PAGE_SIZE - 1, 0, &[1, 2]).unwrap_err();
         assert!(matches!(err, Trap::OutOfBounds { .. }));
     }
 
     #[test]
     fn reads_return_written_bytes() {
         let mut m = mem(TagScheme::None);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        m.write(100, 4, &[9, 8, 7], &c).unwrap();
-        assert_eq!(m.read(100, 4, 3, &c).unwrap(), vec![9, 8, 7]);
+        m.write(100, 4, &[9, 8, 7]).unwrap();
+        assert_eq!(m.read(100, 4, 3).unwrap(), vec![9, 8, 7]);
     }
 
     #[test]
     fn mte_sandbox_catches_oob_as_tag_fault() {
         let instance_tag = Tag::new(5).unwrap();
         let mut m = mem(TagScheme::ExternalOnly { instance_tag });
-        let c = cfg(BoundsCheckStrategy::MteSandbox, InternalSafety::Off);
         // In-bounds is fine: guest memory carries the instance tag.
-        assert!(m.write(0, 0, &[1], &c).is_ok());
+        assert!(m.write(0, 0, &[1]).is_ok());
         // One past the end: runtime slack is tagged 0 != 5.
-        let err = m.write(PAGE_SIZE, 0, &[1], &c).unwrap_err();
+        let err = m.write(PAGE_SIZE, 0, &[1]).unwrap_err();
         assert!(matches!(err, Trap::TagCheck(_)), "{err}");
     }
 
@@ -1025,51 +1051,47 @@ mod tests {
         let instance_tag = Tag::new(3).unwrap();
         // MTE sandbox: the forged access faults.
         let mut m = mem(TagScheme::ExternalOnly { instance_tag });
-        let c = cfg(BoundsCheckStrategy::MteSandbox, InternalSafety::Off);
         let escape_addr = PAGE_SIZE + 64;
-        assert!(m.raw_write_unchecked(escape_addr, &[0x66], &c).is_err());
+        assert!(m.raw_write_unchecked(escape_addr, &[0x66]).is_err());
         // Software bounds: the miscompiled access silently corrupts
         // runtime memory.
         let mut m2 = mem(TagScheme::None);
-        let c2 = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        m2.raw_write_unchecked(escape_addr, &[0x66], &c2).unwrap();
+        m2.raw_write_unchecked(escape_addr, &[0x66]).unwrap();
         assert_eq!(m2.runtime_byte(64), Some(0x66));
     }
 
     #[test]
     fn segment_new_returns_tagged_pointer_and_zeroes() {
         let mut m = mem(TagScheme::InternalOnly);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Mte);
-        m.write(32, 0, &[0xAA; 16], &c).unwrap();
-        let tagged = m.segment_new(32, 32, &c).unwrap();
+        m.write(32, 0, &[0xAA; 16]).unwrap();
+        let tagged = m.segment_new(32, 32).unwrap();
         assert_ne!(tagged >> 56, 0, "pointer carries a tag");
         assert_eq!(tagged & ADDR_MASK, 32);
         // The segment is zeroed and accessible through the tagged pointer.
-        assert_eq!(m.read(tagged, 0, 16, &c).unwrap(), vec![0; 16]);
+        assert_eq!(m.read(tagged, 0, 16).unwrap(), vec![0; 16]);
         // The old untagged pointer no longer works.
-        assert!(m.read(32, 0, 16, &c).is_err());
+        assert!(m.read(32, 0, 16).is_err());
     }
 
     #[test]
     fn segment_new_rejects_unaligned_and_oob() {
         let mut m = mem(TagScheme::InternalOnly);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Mte);
         assert!(matches!(
-            m.segment_new(8, 16, &c),
+            m.segment_new(8, 16),
             Err(Trap::SegmentFault {
                 reason: SegmentFaultReason::Unaligned,
                 ..
             })
         ));
         assert!(matches!(
-            m.segment_new(16, 24, &c),
+            m.segment_new(16, 24),
             Err(Trap::SegmentFault {
                 reason: SegmentFaultReason::Unaligned,
                 ..
             })
         ));
         assert!(matches!(
-            m.segment_new(PAGE_SIZE - 16, 32, &c),
+            m.segment_new(PAGE_SIZE - 16, 32),
             Err(Trap::SegmentFault {
                 reason: SegmentFaultReason::OutOfBounds,
                 ..
@@ -1080,15 +1102,14 @@ mod tests {
     #[test]
     fn use_after_free_and_double_free_trap() {
         let mut m = mem(TagScheme::InternalOnly);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Mte);
-        let p = m.segment_new(64, 32, &c).unwrap();
-        m.write(p, 0, &[1], &c).unwrap();
-        m.segment_free(p, 32, &c).unwrap();
+        let p = m.segment_new(64, 32).unwrap();
+        m.write(p, 0, &[1]).unwrap();
+        m.segment_free(p, 32).unwrap();
         // Use after free: tag was rotated away.
-        assert!(matches!(m.write(p, 0, &[1], &c), Err(Trap::TagCheck(_))));
+        assert!(matches!(m.write(p, 0, &[1]), Err(Trap::TagCheck(_))));
         // Double free: the stale pointer no longer owns the segment.
         assert!(matches!(
-            m.segment_free(p, 32, &c),
+            m.segment_free(p, 32),
             Err(Trap::SegmentFault {
                 reason: SegmentFaultReason::BadFree,
                 ..
@@ -1099,26 +1120,24 @@ mod tests {
     #[test]
     fn segment_set_tag_transfers_ownership() {
         let mut m = mem(TagScheme::InternalOnly);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Mte);
-        let a = m.segment_new(0, 32, &c).unwrap();
-        let b = m.segment_new(32, 32, &c).unwrap();
+        let a = m.segment_new(0, 32).unwrap();
+        let b = m.segment_new(32, 32).unwrap();
         // Merge: give [0,32) to b's tag.
-        m.segment_set_tag(0, b, 32, &c).unwrap();
+        m.segment_set_tag(0, b, 32).unwrap();
         // b can now access the first segment through its own tag.
         let b_first = b & !ADDR_MASK; // b's tag, address 0
-        assert!(m.read(b_first, 0, 16, &c).is_ok());
+        assert!(m.read(b_first, 0, 16).is_ok());
         // a's pointer lost access.
-        assert!(m.read(a, 0, 16, &c).is_err());
+        assert!(m.read(a, 0, 16).is_err());
     }
 
     #[test]
     fn inert_segments_when_safety_disabled() {
         let mut m = mem(TagScheme::None);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        let p = m.segment_new(32, 32, &c).unwrap();
+        let p = m.segment_new(32, 32).unwrap();
         assert_eq!(p, 32, "pointer unchanged");
-        m.segment_free(p, 32, &c).unwrap();
-        m.segment_free(p, 32, &c).unwrap(); // no double-free detection
+        m.segment_free(p, 32).unwrap();
+        m.segment_free(p, 32).unwrap(); // no double-free detection
     }
 
     #[test]
@@ -1148,16 +1167,15 @@ mod tests {
     #[test]
     fn combined_segments_work_end_to_end() {
         let mut m = mem(TagScheme::Combined);
-        let c = cfg(BoundsCheckStrategy::MteSandbox, InternalSafety::Mte);
-        let p = m.segment_new(128, 64, &c).unwrap();
-        m.write(p, 0, &[7; 8], &c).unwrap();
-        assert_eq!(m.read(p, 0, 8, &c).unwrap(), vec![7; 8]);
+        let p = m.segment_new(128, 64).unwrap();
+        m.write(p, 0, &[7; 8]).unwrap();
+        assert_eq!(m.read(p, 0, 8).unwrap(), vec![7; 8]);
         // Untagged access to the segment faults.
-        assert!(m.read(128, 0, 8, &c).is_err());
+        assert!(m.read(128, 0, 8).is_err());
         // Untagged access elsewhere still works (guest-untagged tag 1).
-        m.write(0, 0, &[1], &c).unwrap();
-        m.segment_free(p, 64, &c).unwrap();
-        assert!(m.read(p, 0, 8, &c).is_err());
+        m.write(0, 0, &[1]).unwrap();
+        m.segment_free(p, 64).unwrap();
+        assert!(m.read(p, 0, 8).is_err());
     }
 
     #[test]
@@ -1171,11 +1189,10 @@ mod tests {
             MteMode::Synchronous,
             1,
         );
-        let c = cfg(BoundsCheckStrategy::MteSandbox, InternalSafety::Off);
         assert_eq!(m.grow(2), Some(1));
         assert_eq!(m.size_pages(), 3);
         // New pages carry the instance tag: accessible under sandboxing.
-        m.write(2 * PAGE_SIZE + 8, 0, &[5], &c).unwrap();
+        m.write(2 * PAGE_SIZE + 8, 0, &[5]).unwrap();
         // Growing past max fails.
         assert_eq!(m.grow(10), None);
     }
@@ -1189,8 +1206,7 @@ mod tests {
         assert_eq!(m.grow(delta), None);
         assert_eq!(m.grow(u64::MAX), None); // page count itself overflows
         assert_eq!(m.size_pages(), 1, "failed grows leave the size intact");
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        assert!(m.write(0, 0, &[1], &c).is_ok(), "memory still usable");
+        assert!(m.write(0, 0, &[1]).is_ok(), "memory still usable");
     }
 
     #[test]
@@ -1224,22 +1240,16 @@ mod tests {
             MteMode::Asynchronous,
             9,
         );
-        let c = ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
-            internal: InternalSafety::Off,
-            mte_mode: MteMode::Asynchronous,
-            ..ExecConfig::default()
-        };
         for len in [u64::MAX, u64::MAX - 64, u64::MAX / 2] {
-            let err = m.resolve(64, 0, len, AccessKind::Write, &c).unwrap_err();
+            let err = m.resolve(64, 0, len, AccessKind::Write).unwrap_err();
             assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}");
-            let err = m.fill(64, 0xAA, len, &c).unwrap_err();
+            let err = m.fill(64, 0xAA, len).unwrap_err();
             assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}");
-            let err = m.copy(64, 0, len, &c).unwrap_err();
+            let err = m.copy(64, 0, len).unwrap_err();
             assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}");
         }
         // The memory stays usable afterwards.
-        assert!(m.write(0, 0, &[1], &c).is_ok());
+        assert!(m.write(0, 0, &[1]).is_ok());
     }
 
     #[test]
@@ -1260,21 +1270,20 @@ mod tests {
     #[test]
     fn the_prefix_grows_by_whole_pages_at_first_touch_and_survives_reset() {
         let mut m = LinearMemory::new(4, None, true, TagScheme::None, MteMode::Disabled, 0);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        m.write(100, 0, &[1], &c).unwrap();
+        m.write(100, 0, &[1]).unwrap();
         assert_eq!(m.committed_bytes(), PAGE_SIZE);
         // A read is a touch too, and one that straddles the frontier
         // commits the page on the far side.
-        assert_eq!(m.read_scalar(PAGE_SIZE - 4, 0, 8, &c), Ok(0));
+        assert_eq!(m.read_scalar(PAGE_SIZE - 4, 0, 8), Ok(0));
         assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
         // `&self` reads across the frontier: committed bytes, then zeros.
-        m.write(2 * PAGE_SIZE - 2, 0, &[0xAA, 0xBB], &c).unwrap();
+        m.write(2 * PAGE_SIZE - 2, 0, &[0xAA, 0xBB]).unwrap();
         assert_eq!(m.read_le(2 * PAGE_SIZE - 2, 4), 0xBBAA);
         assert_eq!(m.read_resolved(2 * PAGE_SIZE - 1, 3), vec![0xBB, 0, 0]);
         assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
         // Out of bounds commits nothing and traps as it always did.
         assert_eq!(
-            m.write(4 * PAGE_SIZE - 1, 0, &[1, 2], &c),
+            m.write(4 * PAGE_SIZE - 1, 0, &[1, 2]),
             Err(Trap::OutOfBounds {
                 addr: 4 * PAGE_SIZE - 1,
                 len: 2
@@ -1282,20 +1291,19 @@ mod tests {
         );
         assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE);
         // The slack is not a whole page: touching it commits everything.
-        m.raw_write_unchecked(4 * PAGE_SIZE + 8, &[7], &c).unwrap();
+        m.raw_write_unchecked(4 * PAGE_SIZE + 8, &[7]).unwrap();
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
         m.reset();
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
         assert_eq!(m.dirty_page_count(), 0);
-        assert_eq!(m.read(0, 0, 128, &c).unwrap(), vec![0; 128]);
+        assert_eq!(m.read(0, 0, 128).unwrap(), vec![0; 128]);
         assert_eq!(m.runtime_byte(8), Some(0));
     }
 
     #[test]
     fn a_page_dirty_for_its_tags_alone_resets_without_being_committed() {
         let mut m = mem4(TagScheme::InternalOnly);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Mte);
-        let p = m.segment_new(3 * PAGE_SIZE - 32, 64, &c).unwrap();
+        let p = m.segment_new(3 * PAGE_SIZE - 32, 64).unwrap();
         assert_eq!((m.committed_bytes(), m.dirty_page_count()), (0, 2));
         assert_eq!(
             m.tags().tag_at(3 * PAGE_SIZE).map(Tag::value),
@@ -1313,12 +1321,11 @@ mod tests {
     #[test]
     fn a_grown_memory_resets_by_shrinking_in_place() {
         let mut m = mem4(TagScheme::Combined);
-        let c = cfg(BoundsCheckStrategy::MteSandbox, InternalSafety::Mte);
         m.set_page_limit(Some(12));
         assert_eq!(m.grow(6), Some(4));
         assert_eq!(m.grow(3), None, "page limit");
-        m.write(9 * PAGE_SIZE, 0, &[9], &c).unwrap();
-        m.write(4 * PAGE_SIZE + 16, 0, &[4], &c).unwrap();
+        m.write(9 * PAGE_SIZE, 0, &[9]).unwrap();
+        m.write(4 * PAGE_SIZE + 16, 0, &[4]).unwrap();
         assert_eq!(m.committed_bytes(), 10 * PAGE_SIZE);
         m.reset();
         assert_eq!(m.size_pages(), 4);
@@ -1334,12 +1341,12 @@ mod tests {
             Some(Tag::ZERO)
         );
         assert!(matches!(
-            m.write(4 * PAGE_SIZE + 16, 0, &[1], &c),
+            m.write(4 * PAGE_SIZE + 16, 0, &[1]),
             Err(Trap::TagCheck(_))
         ));
         // And it grows again, into zeroed pages carrying the guest tag.
         assert_eq!(m.grow(1), Some(4));
-        assert_eq!(m.read(4 * PAGE_SIZE + 16, 0, 1, &c).unwrap(), vec![0]);
+        assert_eq!(m.read(4 * PAGE_SIZE + 16, 0, 1).unwrap(), vec![0]);
     }
 
     #[test]
@@ -1347,13 +1354,12 @@ mod tests {
         // 2^49 bytes is more address space than the host has: the
         // reservation fails, and that must be an answer, not an abort.
         let mut m = LinearMemory::new(1, None, true, TagScheme::None, MteMode::Disabled, 0);
-        let c = cfg(BoundsCheckStrategy::Software, InternalSafety::Off);
-        m.write(8, 0, &[1], &c).unwrap();
+        m.write(8, 0, &[1]).unwrap();
         assert_eq!(m.grow(1 << 33), None);
         assert_eq!((m.size_pages(), m.committed_bytes()), (1, PAGE_SIZE));
         assert_eq!(m.tags().size(), PAGE_SIZE + RUNTIME_SLACK);
         assert_eq!(m.grow(1), Some(1), "still growable");
-        assert_eq!(m.read(8, 0, 1, &c).unwrap(), vec![1]);
+        assert_eq!(m.read(8, 0, 1).unwrap(), vec![1]);
     }
 
     #[test]
@@ -1366,16 +1372,10 @@ mod tests {
             MteMode::Asynchronous,
             7,
         );
-        let c = ExecConfig {
-            bounds: BoundsCheckStrategy::Software,
-            internal: InternalSafety::Mte,
-            mte_mode: MteMode::Asynchronous,
-            ..ExecConfig::default()
-        };
-        let p = m.segment_new(0, 32, &c).unwrap();
-        m.segment_free(p, 32, &c).unwrap();
+        let p = m.segment_new(0, 32).unwrap();
+        m.segment_free(p, 32).unwrap();
         // UAF write completes...
-        assert!(m.write(p, 0, &[1], &c).is_ok());
+        assert!(m.write(p, 0, &[1]).is_ok());
         // ...but the fault is pending.
         assert!(m.take_async_fault().is_some());
     }

@@ -16,7 +16,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
 use crate::memory::{fast_addr, LinearMemory, TagScheme, PAGE_SIZE, RUNTIME_SLACK};
 use crate::trap::{SegmentFaultReason, Trap};
 
@@ -80,6 +79,23 @@ impl Eager {
         self.dirty.clear();
     }
 
+    /// The model's own reading of the scheme — spelled out here rather
+    /// than asked of [`LinearMemory`], so that the real memory's mapping
+    /// has something independent to be held to.
+    fn sandboxed(&self) -> bool {
+        match self.scheme {
+            TagScheme::None | TagScheme::InternalOnly => false,
+            TagScheme::ExternalOnly { .. } | TagScheme::Combined => true,
+        }
+    }
+
+    fn segments_live(&self) -> bool {
+        match self.scheme {
+            TagScheme::None | TagScheme::ExternalOnly { .. } => false,
+            TagScheme::InternalOnly | TagScheme::Combined => true,
+        }
+    }
+
     fn mark_dirty(&mut self, addr: u64, len: u64) {
         if len > 0 {
             self.dirty
@@ -122,7 +138,6 @@ impl Eager {
         offset: u64,
         width: u64,
         kind: AccessKind,
-        config: &ExecConfig,
     ) -> Result<u64, Trap> {
         let base = if self.memory64 {
             index & ADDR_MASK
@@ -135,11 +150,11 @@ impl Eager {
         })?;
         let oob = Trap::OutOfBounds { addr, len: width };
         let end = addr.checked_add(width);
-        let mte_sandbox = config.bounds == BoundsCheckStrategy::MteSandbox && config.mte_active();
+        let mte_sandbox = self.sandboxed();
         if (!mte_sandbox || width == 0) && end.is_none_or(|end| end > self.guest_size) {
             return Err(oob);
         }
-        if (mte_sandbox || config.internal.is_enabled()) && width > 0 {
+        if (mte_sandbox || self.segments_live()) && width > 0 {
             self.tags
                 .check_access(addr, width, self.scheme.ptr_tag(index), kind)?;
         }
@@ -149,71 +164,53 @@ impl Eager {
         Ok(addr)
     }
 
-    fn read(&mut self, index: u64, width: u64, config: &ExecConfig) -> Result<Vec<u8>, Trap> {
-        let addr = self.resolve(index, 0, width, AccessKind::Read, config)? as usize;
+    fn read(&mut self, index: u64, width: u64) -> Result<Vec<u8>, Trap> {
+        let addr = self.resolve(index, 0, width, AccessKind::Read)? as usize;
         Ok(self.data[addr..addr + width as usize].to_vec())
     }
 
-    fn write(&mut self, index: u64, bytes: &[u8], config: &ExecConfig) -> Result<(), Trap> {
-        let addr = self.resolve(index, 0, bytes.len() as u64, AccessKind::Write, config)?;
+    fn write(&mut self, index: u64, bytes: &[u8]) -> Result<(), Trap> {
+        let addr = self.resolve(index, 0, bytes.len() as u64, AccessKind::Write)?;
         self.mark_dirty(addr, bytes.len() as u64);
         self.data[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
-    fn read_scalar(
-        &mut self,
-        index: u64,
-        offset: u64,
-        width: u64,
-        config: &ExecConfig,
-    ) -> Result<u64, Trap> {
-        let addr = self.resolve(index, offset, width, AccessKind::Read, config)? as usize;
+    fn read_scalar(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
+        let addr = self.resolve(index, offset, width, AccessKind::Read)? as usize;
         let mut buf = [0u8; 8];
         buf[..width as usize].copy_from_slice(&self.data[addr..addr + width as usize]);
         Ok(u64::from_le_bytes(buf))
     }
 
-    fn write_scalar(
-        &mut self,
-        index: u64,
-        offset: u64,
-        width: u64,
-        raw: u64,
-        config: &ExecConfig,
-    ) -> Result<(), Trap> {
-        let addr = self.resolve(index, offset, width, AccessKind::Write, config)?;
+    fn write_scalar(&mut self, index: u64, offset: u64, width: u64, raw: u64) -> Result<(), Trap> {
+        let addr = self.resolve(index, offset, width, AccessKind::Write)?;
         self.mark_dirty(addr, width);
         self.data[addr as usize..(addr + width) as usize]
             .copy_from_slice(&raw.to_le_bytes()[..width as usize]);
         Ok(())
     }
 
-    fn fill(&mut self, dst: u64, val: u8, len: u64, config: &ExecConfig) -> Result<(), Trap> {
-        let addr = self.resolve(dst, 0, len, AccessKind::Write, config)?;
+    fn fill(&mut self, dst: u64, val: u8, len: u64) -> Result<(), Trap> {
+        let addr = self.resolve(dst, 0, len, AccessKind::Write)?;
         self.mark_dirty(addr, len);
         self.data[addr as usize..(addr + len) as usize].fill(val);
         Ok(())
     }
 
-    fn copy(&mut self, dst: u64, src: u64, len: u64, config: &ExecConfig) -> Result<(), Trap> {
-        let s = self.resolve(src, 0, len, AccessKind::Read, config)? as usize;
-        let d = self.resolve(dst, 0, len, AccessKind::Write, config)?;
+    fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
+        let s = self.resolve(src, 0, len, AccessKind::Read)? as usize;
+        let d = self.resolve(dst, 0, len, AccessKind::Write)?;
         self.mark_dirty(d, len);
         let moved = self.data[s..s + len as usize].to_vec();
         self.data[d as usize..(d + len) as usize].copy_from_slice(&moved);
         Ok(())
     }
 
-    fn raw_write_unchecked(
-        &mut self,
-        index: u64,
-        bytes: &[u8],
-        config: &ExecConfig,
-    ) -> Result<(), Trap> {
+    fn raw_write_unchecked(&mut self, index: u64, bytes: &[u8]) -> Result<(), Trap> {
         let addr = index & ADDR_MASK;
         let width = bytes.len() as u64;
-        if config.mte_active() {
+        if self.sandboxed() || self.segments_live() {
             self.tags.check_access(
                 addr,
                 width.max(1),
@@ -243,8 +240,8 @@ impl Eager {
         Ok(())
     }
 
-    fn segment_new(&mut self, ptr: u64, len: u64, config: &ExecConfig) -> Result<u64, Trap> {
-        if !config.internal.is_enabled() {
+    fn segment_new(&mut self, ptr: u64, len: u64) -> Result<u64, Trap> {
+        if !self.segments_live() {
             return Ok(ptr);
         }
         let addr = ptr & ADDR_MASK;
@@ -257,14 +254,8 @@ impl Eager {
         Ok((ptr & !(0xF << 56)) | (u64::from(nibble) << 56))
     }
 
-    fn segment_set_tag(
-        &mut self,
-        ptr: u64,
-        tagged_ptr: u64,
-        len: u64,
-        config: &ExecConfig,
-    ) -> Result<(), Trap> {
-        if !config.internal.is_enabled() {
+    fn segment_set_tag(&mut self, ptr: u64, tagged_ptr: u64, len: u64) -> Result<(), Trap> {
+        if !self.segments_live() {
             return Ok(());
         }
         let addr = ptr & ADDR_MASK;
@@ -275,8 +266,8 @@ impl Eager {
         Ok(())
     }
 
-    fn segment_free(&mut self, ptr: u64, len: u64, config: &ExecConfig) -> Result<(), Trap> {
-        if !config.internal.is_enabled() {
+    fn segment_free(&mut self, ptr: u64, len: u64) -> Result<(), Trap> {
+        if !self.segments_live() {
             return Ok(());
         }
         let addr = ptr & ADDR_MASK;
@@ -350,21 +341,6 @@ fn pick_len(rng: &mut StdRng) -> u64 {
     }
 }
 
-fn config_for(scheme: TagScheme, mode: MteMode) -> ExecConfig {
-    let (bounds, internal) = match scheme {
-        TagScheme::None => (BoundsCheckStrategy::Software, InternalSafety::Off),
-        TagScheme::InternalOnly => (BoundsCheckStrategy::Software, InternalSafety::Mte),
-        TagScheme::ExternalOnly { .. } => (BoundsCheckStrategy::MteSandbox, InternalSafety::Off),
-        TagScheme::Combined => (BoundsCheckStrategy::MteSandbox, InternalSafety::Mte),
-    };
-    ExecConfig {
-        bounds,
-        internal,
-        mte_mode: mode,
-        ..ExecConfig::default()
-    }
-}
-
 /// The interpreter's scalar fast path (`RegState::fast_scalar_addr`),
 /// reproduced: the compare runs against a bound cached across ops, and
 /// only a miss asks the memory and refreshes the cache.
@@ -427,7 +403,6 @@ fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
 /// comparing every returned value and the whole state after each.
 fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let config = config_for(scheme, mode);
     let pages = 1 + below(&mut rng, 2);
     let max_pages = Some(pages + 2);
     let memory64 = scheme != TagScheme::None || below(&mut rng, 4) != 0;
@@ -439,7 +414,7 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
     // The interpreter's scalar fast path applies when no tag scheme is
     // live; its cached bound is refreshed only by a miss, after a grow and
     // at the start of a call (here: a reset).
-    let fast = config.bounds != BoundsCheckStrategy::MteSandbox && !config.internal.is_enabled();
+    let fast = !model.sandboxed() && !model.segments_live();
     let mut cached = real.fast_bound();
     // Tagged pointers to live segments, so most accesses under a tag
     // scheme go through a pointer that is allowed to make them.
@@ -467,9 +442,9 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                     fast_scalar_addr(&mut real, &mut cached, index, offset, width)
                         .map(|addr| real.read_le(addr, width))
                 } else {
-                    real.read_scalar(index, offset, width, &config)
+                    real.read_scalar(index, offset, width)
                 };
-                let want = model.read_scalar(index, offset, width, &config);
+                let want = model.read_scalar(index, offset, width);
                 assert_eq!(got, want, "{what}: load{width}({index:#x}+{offset})");
             }
             3..=5 => {
@@ -479,16 +454,16 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                     fast_scalar_addr(&mut real, &mut cached, index, offset, width)
                         .map(|addr| real.write_le(addr, width, raw))
                 } else {
-                    real.write_scalar(index, offset, width, raw, &config)
+                    real.write_scalar(index, offset, width, raw)
                 };
-                let want = model.write_scalar(index, offset, width, raw, &config);
+                let want = model.write_scalar(index, offset, width, raw);
                 assert_eq!(got, want, "{what}: store{width}({index:#x}+{offset})");
             }
             6 => {
                 let len = pick_len(&mut rng);
                 assert_eq!(
-                    real.read(index, 0, len, &config),
-                    model.read(index, len, &config),
+                    real.read(index, 0, len),
+                    model.read(index, len),
                     "{what}: read({index:#x}, {len:#x})"
                 );
             }
@@ -496,8 +471,8 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                 let len = pick_len(&mut rng).min(2 * PAGE_SIZE);
                 let bytes = random_bytes(&mut rng, len);
                 assert_eq!(
-                    real.write(index, 0, &bytes, &config),
-                    model.write(index, &bytes, &config),
+                    real.write(index, 0, &bytes),
+                    model.write(index, &bytes),
                     "{what}: write({index:#x}, {:#x})",
                     bytes.len()
                 );
@@ -505,8 +480,8 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
             8 | 9 => {
                 let (val, len) = (rng.gen(), pick_len(&mut rng));
                 assert_eq!(
-                    real.fill(index, val, len, &config),
-                    model.fill(index, val, len, &config),
+                    real.fill(index, val, len),
+                    model.fill(index, val, len),
                     "{what}: fill({index:#x}, {len:#x})"
                 );
             }
@@ -519,8 +494,8 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                 };
                 let len = pick_len(&mut rng);
                 assert_eq!(
-                    real.copy(index, src, len, &config),
-                    model.copy(index, src, len, &config),
+                    real.copy(index, src, len),
+                    model.copy(index, src, len),
                     "{what}: copy({index:#x}, {src:#x}, {len:#x})"
                 );
             }
@@ -531,15 +506,15 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                     1 => len += 4,
                     _ => {}
                 }
-                let got = real.segment_new(ptr, len, &config);
+                let got = real.segment_new(ptr, len);
                 assert_eq!(
                     got,
-                    model.segment_new(ptr, len, &config),
+                    model.segment_new(ptr, len),
                     "{what}: segment_new({ptr:#x}, {len:#x})"
                 );
                 // (Without internal safety the op is inert and accepts
                 // any range.)
-                if let (Ok(tagged), true) = (got, len > 0 && config.internal.is_enabled()) {
+                if let (Ok(tagged), true) = (got, len > 0 && model.segments_live()) {
                     segments.push((tagged, len));
                 }
             }
@@ -547,8 +522,8 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                 let (ptr, len) = (index & !0xF, pick_len(&mut rng) & !0xF);
                 let tagged = segments.last().map_or(index, |s| s.0);
                 assert_eq!(
-                    real.segment_set_tag(ptr, tagged, len, &config),
-                    model.segment_set_tag(ptr, tagged, len, &config),
+                    real.segment_set_tag(ptr, tagged, len),
+                    model.segment_set_tag(ptr, tagged, len),
                     "{what}: segment_set_tag({ptr:#x}, {tagged:#x}, {len:#x})"
                 );
             }
@@ -567,8 +542,8 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                     }
                 };
                 assert_eq!(
-                    real.segment_free(ptr, len, &config),
-                    model.segment_free(ptr, len, &config),
+                    real.segment_free(ptr, len),
+                    model.segment_free(ptr, len),
                     "{what}: segment_free({ptr:#x}, {len:#x})"
                 );
             }
@@ -576,8 +551,8 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
                 let len = 1 + below(&mut rng, 40);
                 let bytes = random_bytes(&mut rng, len);
                 assert_eq!(
-                    real.raw_write_unchecked(index, &bytes, &config),
-                    model.raw_write_unchecked(index, &bytes, &config),
+                    real.raw_write_unchecked(index, &bytes),
+                    model.raw_write_unchecked(index, &bytes),
                     "{what}: raw_write_unchecked({index:#x}, {})",
                     bytes.len()
                 );
@@ -678,7 +653,6 @@ proptest! {
 fn grown_reset_shrinks_in_place_and_matches_the_model() {
     for scheme in schemes() {
         let mode = MteMode::Synchronous;
-        let config = config_for(scheme, mode);
         let mut real = LinearMemory::new(2, Some(8), true, scheme, mode, 7);
         let mut model = Eager::new(2, Some(8), true, scheme, mode, 7);
         for delta in [1, 0, 3] {
@@ -686,11 +660,11 @@ fn grown_reset_shrinks_in_place_and_matches_the_model() {
         }
         // Page 0, the old slack (now guest memory), and the top page.
         for addr in [8, 2 * PAGE_SIZE + 100, 6 * PAGE_SIZE - 8] {
-            real.write_scalar(addr, 0, 8, 0xABCD, &config).unwrap();
-            model.write_scalar(addr, 0, 8, 0xABCD, &config).unwrap();
+            real.write_scalar(addr, 0, 8, 0xABCD).unwrap();
+            model.write_scalar(addr, 0, 8, 0xABCD).unwrap();
         }
-        let seg = real.segment_new(3 * PAGE_SIZE - 32, 64, &config);
-        assert_eq!(seg, model.segment_new(3 * PAGE_SIZE - 32, 64, &config));
+        let seg = real.segment_new(3 * PAGE_SIZE - 32, 64);
+        assert_eq!(seg, model.segment_new(3 * PAGE_SIZE - 32, 64));
         assert_same_state(&real, &model, "grown and written");
         assert_eq!(real.committed_bytes(), 6 * PAGE_SIZE);
 
@@ -703,11 +677,11 @@ fn grown_reset_shrinks_in_place_and_matches_the_model() {
         // And it grows again, with fresh pages.
         assert_eq!(real.grow(1), model.grow(1));
         assert_eq!(
-            real.read_scalar(2 * PAGE_SIZE + 100, 0, 8, &config),
+            real.read_scalar(2 * PAGE_SIZE + 100, 0, 8),
             Ok(0),
             "{scheme:?}"
         );
-        let _ = model.read_scalar(2 * PAGE_SIZE + 100, 0, 8, &config);
+        let _ = model.read_scalar(2 * PAGE_SIZE + 100, 0, 8);
         assert_same_state(&real, &model, "regrown");
     }
 }

@@ -368,7 +368,6 @@ pub struct Store {
     /// Limits applied to instances created after this point.
     default_limits: InstanceLimits,
     rng: rand::rngs::StdRng,
-    next_sandbox_tag: u8,
 }
 
 impl fmt::Debug for Store {
@@ -388,7 +387,6 @@ impl Store {
             cost: CostModel::for_config(&config),
             weights: CostModel::class_weights(&config),
             rng: rand::rngs::StdRng::seed_from_u64(config.seed),
-            next_sandbox_tag: 1,
             config,
             instances: Vec::new(),
             epoch: Arc::new(AtomicU64::new(0)),
@@ -408,31 +406,32 @@ impl Store {
         &self.cost
     }
 
-    fn tag_scheme(&mut self) -> Result<TagScheme, InstantiateError> {
+    /// The scheme the next instance's memory is built under. Sandbox tags
+    /// are read off the live memories, not counted: a tag is taken while
+    /// some instance's memory holds it and free again the moment that
+    /// memory is dropped ([`Store::drop_memory`]).
+    fn tag_scheme(&self) -> Result<TagScheme, InstantiateError> {
         let sandbox = self.config.bounds == BoundsCheckStrategy::MteSandbox;
         let internal = self.config.internal == InternalSafety::Mte;
+        let held = |scheme: TagScheme| {
+            self.instances
+                .iter()
+                .any(|i| i.memory.as_ref().is_some_and(|m| m.scheme() == scheme))
+        };
         Ok(match (sandbox, internal) {
             (false, false) => TagScheme::None,
             (false, true) => TagScheme::InternalOnly,
-            (true, false) => {
-                if self.next_sandbox_tag > 15 {
-                    return Err(InstantiateError::TooManySandboxes);
-                }
-                let tag = Tag::new(self.next_sandbox_tag).expect("1..=15");
-                self.next_sandbox_tag += 1;
-                TagScheme::ExternalOnly { instance_tag: tag }
+            (true, false) => (1..=15)
+                .map(|t| TagScheme::ExternalOnly {
+                    instance_tag: Tag::from_low_bits(t),
+                })
+                .find(|&scheme| !held(scheme))
+                .ok_or(InstantiateError::TooManySandboxes)?,
+            // Combined mode isolates a single instance (§6.4).
+            (true, true) if held(TagScheme::Combined) => {
+                return Err(InstantiateError::TooManySandboxes);
             }
-            (true, true) => {
-                // Combined mode isolates a single instance (§6.4).
-                if self.instances.iter().any(|i| {
-                    i.memory
-                        .as_ref()
-                        .is_some_and(|m| m.scheme() == TagScheme::Combined)
-                }) {
-                    return Err(InstantiateError::TooManySandboxes);
-                }
-                TagScheme::Combined
-            }
+            (true, true) => TagScheme::Combined,
         })
     }
 
@@ -1055,6 +1054,66 @@ mod tests {
         }
         let err = store.instantiate(&module, &Imports::new()).unwrap_err();
         assert!(matches!(err, InstantiateError::TooManySandboxes));
+    }
+
+    #[test]
+    fn a_dropped_memory_returns_its_sandbox_tag() {
+        let config = ExecConfig {
+            bounds: BoundsCheckStrategy::MteSandbox,
+            ..ExecConfig::default()
+        };
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(1);
+        let module = b.build();
+        let tag_of = |store: &Store, h| match store.memory(h).unwrap().scheme() {
+            TagScheme::ExternalOnly { instance_tag } => instance_tag.value(),
+            other => panic!("sandboxed store built {other:?}"),
+        };
+        let mut store = Store::new(config);
+        let handles: Vec<_> = (0..15)
+            .map(|_| store.instantiate(&module, &Imports::new()).unwrap())
+            .collect();
+        let tags: Vec<u8> = handles.iter().map(|&h| tag_of(&store, h)).collect();
+        assert_eq!(tags, (1..=15).collect::<Vec<u8>>());
+        let full = |store: &mut Store| {
+            matches!(
+                store.instantiate(&module, &Imports::new()),
+                Err(InstantiateError::TooManySandboxes)
+            )
+        };
+        assert!(full(&mut store));
+        for victim in [6usize, 0, 14] {
+            // The tenant dirties its memory before it is retired: the
+            // next holder of the tag must see none of it.
+            let mem = store.memory_mut(handles[victim]).unwrap();
+            mem.write(64, 0, &[0xEE; 32]).unwrap();
+            store.drop_memory(handles[victim]);
+            let h = store.instantiate(&module, &Imports::new()).unwrap();
+            assert_eq!(tag_of(&store, h), tags[victim], "the freed tag, no other");
+            assert!(full(&mut store), "and only that one was free");
+
+            // The instance a fresh store builds under the same tag.
+            let mut fresh = Store::new(config);
+            let fh = (0..=victim)
+                .map(|_| fresh.instantiate(&module, &Imports::new()).unwrap())
+                .last()
+                .unwrap();
+            let recycled = store.memory_mut(h).unwrap();
+            let fresh = fresh.memory_mut(fh).unwrap();
+            assert_eq!(recycled.scheme(), fresh.scheme());
+            assert!(recycled.tags().packed() == fresh.tags().packed());
+            assert_eq!(
+                (recycled.committed_bytes(), fresh.committed_bytes()),
+                (0, 0)
+            );
+            assert_eq!(recycled.read(64, 0, 32), Ok(vec![0; 32]));
+            assert_eq!(fresh.read(64, 0, 32), Ok(vec![0; 32]));
+            let size = recycled.size();
+            let escape = recycled.write(size, 0, &[1]);
+            assert!(matches!(escape, Err(Trap::TagCheck(_))), "{escape:?}");
+            assert_eq!(escape, fresh.write(size, 0, &[1]));
+            assert_eq!(recycled.committed_bytes(), fresh.committed_bytes());
+        }
     }
 
     #[test]

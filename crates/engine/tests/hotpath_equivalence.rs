@@ -6,7 +6,7 @@
 //! bulk `copy` must match a naive temp-buffer copy on every overlap shape.
 
 use cage_engine::memory::PAGE_SIZE;
-use cage_engine::{BoundsCheckStrategy, ExecConfig, InternalSafety, LinearMemory, TagScheme};
+use cage_engine::{LinearMemory, TagScheme};
 use cage_mte::{MteMode, Tag};
 use cage_wasm::instr::{LoadOp, StoreOp};
 
@@ -39,44 +39,15 @@ const STORE_OPS: [StoreOp; 9] = [
     StoreOp::I64Store32,
 ];
 
-/// Every tag scheme with its matching execution config.
-fn schemes() -> Vec<(TagScheme, ExecConfig)> {
-    let base = ExecConfig::default();
-    vec![
-        (
-            TagScheme::None,
-            ExecConfig {
-                bounds: BoundsCheckStrategy::Software,
-                internal: InternalSafety::Off,
-                ..base
-            },
-        ),
-        (
-            TagScheme::InternalOnly,
-            ExecConfig {
-                bounds: BoundsCheckStrategy::Software,
-                internal: InternalSafety::Mte,
-                ..base
-            },
-        ),
-        (
-            TagScheme::ExternalOnly {
-                instance_tag: Tag::new(5).expect("valid tag"),
-            },
-            ExecConfig {
-                bounds: BoundsCheckStrategy::MteSandbox,
-                internal: InternalSafety::Off,
-                ..base
-            },
-        ),
-        (
-            TagScheme::Combined,
-            ExecConfig {
-                bounds: BoundsCheckStrategy::MteSandbox,
-                internal: InternalSafety::Mte,
-                ..base
-            },
-        ),
+/// Every tag scheme; a memory built under one carries its own policy.
+fn schemes() -> [TagScheme; 4] {
+    [
+        TagScheme::None,
+        TagScheme::InternalOnly,
+        TagScheme::ExternalOnly {
+            instance_tag: Tag::new(5).expect("valid tag"),
+        },
+        TagScheme::Combined,
     ]
 }
 
@@ -98,8 +69,8 @@ fn mask(width: u64) -> u64 {
 }
 
 /// Assembles the legacy byte-slice read the way the old interpreter did.
-fn legacy_read(m: &mut LinearMemory, index: u64, width: u64, config: &ExecConfig) -> u64 {
-    let bytes = m.read(index, 0, width, config).expect("in-bounds read");
+fn legacy_read(m: &mut LinearMemory, index: u64, width: u64) -> u64 {
+    let bytes = m.read(index, 0, width).expect("in-bounds read");
     let mut buf = [0u8; 8];
     buf[..bytes.len()].copy_from_slice(&bytes);
     u64::from_le_bytes(buf)
@@ -111,27 +82,27 @@ proptest::proptest! {
     /// every tag scheme — and vice versa for legacy writes.
     #[test]
     fn prop_scalar_and_slice_paths_agree(raw: u64, addr in 0u64..(PAGE_SIZE - 8)) {
-        for (scheme, config) in schemes() {
+        for scheme in schemes() {
             let mut m = mem(scheme);
             for op in STORE_OPS {
                 let width = op.width();
-                m.write_scalar(addr, 0, width, raw, &config).expect("scalar write");
+                m.write_scalar(addr, 0, width, raw).expect("scalar write");
                 let expected = raw & mask(width);
                 // Legacy byte-slice readback sees the same bits...
                 proptest::prop_assert_eq!(
-                    legacy_read(&mut m, addr, width, &config), expected,
+                    legacy_read(&mut m, addr, width), expected,
                     "store {:?} under {:?}", op, scheme
                 );
                 // ...as does the scalar readback.
-                let scalar = m.read_scalar(addr, 0, width, &config).expect("scalar read");
+                let scalar = m.read_scalar(addr, 0, width).expect("scalar read");
                 proptest::prop_assert_eq!(scalar, expected);
             }
             for op in LOAD_OPS {
                 let width = op.width();
                 // Legacy byte-slice write, scalar readback.
                 let bytes = raw.to_le_bytes();
-                m.write(addr, 0, &bytes[..width as usize], &config).expect("slice write");
-                let scalar = m.read_scalar(addr, 0, width, &config).expect("scalar read");
+                m.write(addr, 0, &bytes[..width as usize]).expect("slice write");
+                let scalar = m.read_scalar(addr, 0, width).expect("scalar read");
                 proptest::prop_assert_eq!(
                     scalar, raw & mask(width),
                     "load {:?} under {:?}", op, scheme
@@ -149,7 +120,6 @@ proptest::proptest! {
         src in 0u64..512,
         len in 0u64..300,
     ) {
-        let config = ExecConfig::default();
         let mut m = mem(TagScheme::None);
         // Deterministic pseudo-random initial contents.
         let mut state = seed | 1;
@@ -159,12 +129,12 @@ proptest::proptest! {
                 (state >> 56) as u8
             })
             .collect();
-        m.write(0, 0, &image, &config).expect("init write");
+        m.write(0, 0, &image).expect("init write");
         // Naive model: read through a temporary buffer, then write.
         let temp = image[src as usize..(src + len) as usize].to_vec();
         image[dst as usize..(dst + len) as usize].copy_from_slice(&temp);
         // In-place engine copy.
-        m.copy(dst, src, len, &config).expect("bulk copy");
+        m.copy(dst, src, len).expect("bulk copy");
         proptest::prop_assert_eq!(m.read_resolved(0, 1024), &image[..]);
     }
 
@@ -175,10 +145,9 @@ proptest::proptest! {
         dst in 0u64..900,
         len in 0u64..100,
     ) {
-        let config = ExecConfig::default();
         let mut m = mem(TagScheme::None);
         let val = val as u8;
-        m.fill(dst, val, len, &config).expect("bulk fill");
+        m.fill(dst, val, len).expect("bulk fill");
         let got = m.read_resolved(dst, len.max(1));
         if len > 0 {
             proptest::prop_assert!(got.iter().all(|b| *b == val));
@@ -190,27 +159,27 @@ proptest::proptest! {
 /// boundary (Wasm bulk-memory semantics) but not past it.
 #[test]
 fn zero_length_bulk_ops_at_boundary() {
-    for (scheme, config) in schemes() {
+    for scheme in schemes() {
         let mut m = mem(scheme);
         let size = m.size();
-        m.fill(size, 0xAB, 0, &config)
+        m.fill(size, 0xAB, 0)
             .unwrap_or_else(|e| panic!("fill len=0 at boundary under {scheme:?}: {e}"));
-        m.copy(size, size, 0, &config)
+        m.copy(size, size, 0)
             .unwrap_or_else(|e| panic!("copy len=0 at boundary under {scheme:?}: {e}"));
-        m.copy(0, size, 0, &config).expect("src at boundary");
-        m.copy(size, 0, 0, &config).expect("dst at boundary");
+        m.copy(0, size, 0).expect("src at boundary");
+        m.copy(size, 0, 0).expect("dst at boundary");
     }
     // One past the end traps under every strategy: zero-width accesses
     // touch no granule, so even the MTE-sandbox variants fall back to the
     // spec's `addr <= len(mem)` bounds check.
-    for (scheme, config) in schemes() {
+    for scheme in schemes() {
         let mut m = mem(scheme);
         let size = m.size();
         assert!(
-            m.fill(size + 1, 0, 0, &config).is_err(),
+            m.fill(size + 1, 0, 0).is_err(),
             "fill past boundary under {scheme:?}"
         );
-        assert!(m.copy(size + 1, 0, 0, &config).is_err());
-        assert!(m.copy(0, size + 1, 0, &config).is_err());
+        assert!(m.copy(size + 1, 0, 0).is_err());
+        assert!(m.copy(0, size + 1, 0).is_err());
     }
 }

@@ -101,12 +101,7 @@ impl Allocator {
     ///
     /// Propagates segment traps (only possible through engine bugs, since
     /// the allocator always passes aligned in-bounds regions).
-    pub fn malloc(
-        &mut self,
-        mem: &mut LinearMemory,
-        config: &ExecConfig,
-        size: u64,
-    ) -> Result<u64, Trap> {
+    pub fn malloc(&mut self, mem: &mut LinearMemory, size: u64) -> Result<u64, Trap> {
         let user_size = align16(size);
         let need = META_SIZE + user_size;
 
@@ -145,7 +140,7 @@ impl Allocator {
         let user = block + META_SIZE;
         // Create the segment; on baseline configs this is inert and
         // returns the raw pointer (zeroing is preserved via the engine).
-        let tagged = mem.segment_new(user, user_size, config)?;
+        let tagged = mem.segment_new(user, user_size)?;
 
         self.live.insert(block, user_size);
         self.stats.mallocs += 1;
@@ -192,24 +187,19 @@ impl Allocator {
     ///
     /// [`Trap::SegmentFault`] on double-free, [`Trap::Host`] on a
     /// non-allocation (hardened configurations).
-    pub fn free(
-        &mut self,
-        mem: &mut LinearMemory,
-        config: &ExecConfig,
-        ptr: u64,
-    ) -> Result<(), Trap> {
+    pub fn free(&mut self, mem: &mut LinearMemory, ptr: u64) -> Result<(), Trap> {
         if ptr == 0 {
             return Ok(()); // free(NULL)
         }
         let Some((block, user_size)) = self.block_at(mem, ptr) else {
-            if config.internal.is_enabled() {
+            if mem.segments_live() {
                 return Err(Trap::Host(format!("free of invalid pointer {ptr:#x}")));
             }
             return Ok(()); // baseline: undefined behaviour, carry on
         };
         // The paper's temporal-safety core: segment.free validates the
         // pointer still owns the segment and retags it (Fig. 11 rule 9/10).
-        mem.segment_free(ptr, user_size, config)?;
+        mem.segment_free(ptr, user_size)?;
 
         if self.live.remove(&block).is_some() {
             self.stats.frees += 1;
@@ -247,24 +237,23 @@ impl Allocator {
     pub fn realloc(
         &mut self,
         mem: &mut LinearMemory,
-        config: &ExecConfig,
         ptr: u64,
         new_size: u64,
     ) -> Result<u64, Trap> {
         if ptr == 0 {
-            return self.malloc(mem, config, new_size);
+            return self.malloc(mem, new_size);
         }
         let user = ptr & ADDR_MASK;
         let block = user.wrapping_sub(META_SIZE);
         let old_size = self.live.get(&block).copied().unwrap_or(0);
-        let new_ptr = self.malloc(mem, config, new_size)?;
+        let new_ptr = self.malloc(mem, new_size)?;
         if new_ptr == 0 {
             return Ok(0);
         }
         let copy = old_size.min(align16(new_size));
         // Copy through the checked path: a stale `ptr` faults.
-        mem.copy(new_ptr, ptr, copy, config)?;
-        self.free(mem, config, ptr)?;
+        mem.copy(new_ptr, ptr, copy)?;
+        self.free(mem, ptr)?;
         Ok(new_ptr)
     }
 
@@ -279,12 +268,12 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cage_engine::{BoundsCheckStrategy, InternalSafety, TagScheme};
+    use cage_engine::{InternalSafety, TagScheme};
     use cage_mte::MteMode;
 
     const HEAP_BASE: u64 = 4096;
 
-    fn setup(internal: InternalSafety) -> (LinearMemory, ExecConfig, Allocator) {
+    fn setup(internal: InternalSafety) -> (LinearMemory, Allocator) {
         let scheme = if internal.is_enabled() {
             TagScheme::InternalOnly
         } else {
@@ -296,18 +285,13 @@ mod tests {
             MteMode::Disabled
         };
         let mem = LinearMemory::new(4, None, true, scheme, mode, 99);
-        let config = ExecConfig {
-            bounds: BoundsCheckStrategy::Software,
-            internal,
-            ..ExecConfig::default()
-        };
-        (mem, config, Allocator::new(HEAP_BASE))
+        (mem, Allocator::new(HEAP_BASE))
     }
 
     #[test]
     fn malloc_returns_tagged_16_aligned_pointers() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p = a.malloc(&mut mem, &config, 20).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p = a.malloc(&mut mem, 20).unwrap();
         assert_ne!(p, 0);
         assert_eq!(p & ADDR_MASK & 0xF, 0, "16-aligned");
         assert_ne!(p >> 56, 0, "tagged");
@@ -316,26 +300,26 @@ mod tests {
 
     #[test]
     fn heap_overflow_into_metadata_is_caught() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p = a.malloc(&mut mem, &config, 32).unwrap();
-        let _q = a.malloc(&mut mem, &config, 32).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p = a.malloc(&mut mem, 32).unwrap();
+        let _q = a.malloc(&mut mem, 32).unwrap();
         // In-bounds write: fine.
-        mem.write(p, 31, &[1], &config).unwrap();
+        mem.write(p, 31, &[1]).unwrap();
         // One past the end hits the next block's untagged metadata slot.
-        let err = mem.write(p, 32, &[1], &config).unwrap_err();
+        let err = mem.write(p, 32, &[1]).unwrap_err();
         assert!(matches!(err, Trap::TagCheck(_)), "{err}");
     }
 
     #[test]
     fn adjacent_allocations_never_share_a_tag_with_metadata_between() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
         // Many pairs: even with random tags, the untagged metadata slot
         // guarantees a tag break at every boundary.
-        let mut prev = a.malloc(&mut mem, &config, 16).unwrap();
+        let mut prev = a.malloc(&mut mem, 16).unwrap();
         for _ in 0..50 {
-            let next = a.malloc(&mut mem, &config, 16).unwrap();
+            let next = a.malloc(&mut mem, 16).unwrap();
             // Overflow from prev can never reach next undetected.
-            let err = mem.write(prev, 16, &[0xAA], &config).unwrap_err();
+            let err = mem.write(prev, 16, &[0xAA]).unwrap_err();
             assert!(matches!(err, Trap::TagCheck(_)));
             prev = next;
         }
@@ -343,48 +327,42 @@ mod tests {
 
     #[test]
     fn use_after_free_is_caught() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p = a.malloc(&mut mem, &config, 64).unwrap();
-        mem.write(p, 0, &[7], &config).unwrap();
-        a.free(&mut mem, &config, p).unwrap();
-        let err = mem.read(p, 0, 1, &config).unwrap_err();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p = a.malloc(&mut mem, 64).unwrap();
+        mem.write(p, 0, &[7]).unwrap();
+        a.free(&mut mem, p).unwrap();
+        let err = mem.read(p, 0, 1).unwrap_err();
         assert!(matches!(err, Trap::TagCheck(_)), "{err}");
     }
 
     #[test]
     fn double_free_is_caught() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p = a.malloc(&mut mem, &config, 64).unwrap();
-        a.free(&mut mem, &config, p).unwrap();
-        let err = a.free(&mut mem, &config, p).unwrap_err();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p = a.malloc(&mut mem, 64).unwrap();
+        a.free(&mut mem, p).unwrap();
+        let err = a.free(&mut mem, p).unwrap_err();
         assert!(err.is_memory_safety_violation(), "{err}");
     }
 
     #[test]
     fn baseline_misses_overflow_uaf_and_double_free() {
         // Table 2's "Mitigated in WASM: No" column.
-        let (mut mem, config, mut a) = setup(InternalSafety::Off);
-        let p = a.malloc(&mut mem, &config, 32).unwrap();
-        let _q = a.malloc(&mut mem, &config, 32).unwrap();
-        assert!(
-            mem.write(p, 32, &[1], &config).is_ok(),
-            "overflow unnoticed"
-        );
-        a.free(&mut mem, &config, p).unwrap();
-        assert!(mem.read(p, 0, 1, &config).is_ok(), "UAF unnoticed");
-        assert!(
-            a.free(&mut mem, &config, p).is_ok(),
-            "double free unnoticed"
-        );
+        let (mut mem, mut a) = setup(InternalSafety::Off);
+        let p = a.malloc(&mut mem, 32).unwrap();
+        let _q = a.malloc(&mut mem, 32).unwrap();
+        assert!(mem.write(p, 32, &[1]).is_ok(), "overflow unnoticed");
+        a.free(&mut mem, p).unwrap();
+        assert!(mem.read(p, 0, 1).is_ok(), "UAF unnoticed");
+        assert!(a.free(&mut mem, p).is_ok(), "double free unnoticed");
     }
 
     #[test]
     fn free_reuses_memory() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p1 = a.malloc(&mut mem, &config, 64).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p1 = a.malloc(&mut mem, 64).unwrap();
         let addr1 = p1 & ADDR_MASK;
-        a.free(&mut mem, &config, p1).unwrap();
-        let p2 = a.malloc(&mut mem, &config, 64).unwrap();
+        a.free(&mut mem, p1).unwrap();
+        let p2 = a.malloc(&mut mem, 64).unwrap();
         assert_eq!(p2 & ADDR_MASK, addr1, "block reused");
         // The reused block's new tag differs from the stale pointer's
         // (probabilistically guaranteed here by the retag-on-free design;
@@ -393,55 +371,55 @@ mod tests {
 
     #[test]
     fn coalescing_merges_neighbours() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p1 = a.malloc(&mut mem, &config, 32).unwrap();
-        let p2 = a.malloc(&mut mem, &config, 32).unwrap();
-        let p3 = a.malloc(&mut mem, &config, 32).unwrap();
-        let _hold = a.malloc(&mut mem, &config, 32).unwrap();
-        a.free(&mut mem, &config, p1).unwrap();
-        a.free(&mut mem, &config, p3).unwrap();
-        a.free(&mut mem, &config, p2).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p1 = a.malloc(&mut mem, 32).unwrap();
+        let p2 = a.malloc(&mut mem, 32).unwrap();
+        let p3 = a.malloc(&mut mem, 32).unwrap();
+        let _hold = a.malloc(&mut mem, 32).unwrap();
+        a.free(&mut mem, p1).unwrap();
+        a.free(&mut mem, p3).unwrap();
+        a.free(&mut mem, p2).unwrap();
         // All three coalesced into one block big enough for a large alloc.
-        let big = a.malloc(&mut mem, &config, 100).unwrap();
+        let big = a.malloc(&mut mem, 100).unwrap();
         assert_eq!(big & ADDR_MASK, p1 & ADDR_MASK);
     }
 
     #[test]
     fn wilderness_shrinks_on_trailing_free() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
         let before = a.stats().brk;
-        let p = a.malloc(&mut mem, &config, 128).unwrap();
+        let p = a.malloc(&mut mem, 128).unwrap();
         assert!(a.stats().brk > before);
-        a.free(&mut mem, &config, p).unwrap();
+        a.free(&mut mem, p).unwrap();
         assert_eq!(a.stats().brk, before, "brk restored");
     }
 
     #[test]
     fn out_of_memory_returns_null() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p = a.malloc(&mut mem, &config, 10 * 1024 * 1024).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p = a.malloc(&mut mem, 10 * 1024 * 1024).unwrap();
         assert_eq!(p, 0);
     }
 
     #[test]
     fn realloc_preserves_contents() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p = a.malloc(&mut mem, &config, 16).unwrap();
-        mem.write(p, 0, b"abcdefgh", &config).unwrap();
-        let q = a.realloc(&mut mem, &config, p, 64).unwrap();
-        assert_eq!(mem.read(q, 0, 8, &config).unwrap(), b"abcdefgh");
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p = a.malloc(&mut mem, 16).unwrap();
+        mem.write(p, 0, b"abcdefgh").unwrap();
+        let q = a.realloc(&mut mem, p, 64).unwrap();
+        assert_eq!(mem.read(q, 0, 8).unwrap(), b"abcdefgh");
         // Old pointer is now stale.
-        assert!(mem.read(p, 0, 1, &config).is_err());
+        assert!(mem.read(p, 0, 1).is_err());
     }
 
     #[test]
     fn stats_track_live_and_peak() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let p1 = a.malloc(&mut mem, &config, 32).unwrap();
-        let _p2 = a.malloc(&mut mem, &config, 32).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let p1 = a.malloc(&mut mem, 32).unwrap();
+        let _p2 = a.malloc(&mut mem, 32).unwrap();
         assert_eq!(a.stats().live, 2);
         assert_eq!(a.stats().live_bytes, 64);
-        a.free(&mut mem, &config, p1).unwrap();
+        a.free(&mut mem, p1).unwrap();
         assert_eq!(a.stats().live, 1);
         assert_eq!(a.stats().mallocs, 2);
         assert_eq!(a.stats().frees, 1);
@@ -450,14 +428,14 @@ mod tests {
 
     #[test]
     fn free_null_is_a_no_op() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        a.free(&mut mem, &config, 0).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        a.free(&mut mem, 0).unwrap();
     }
 
     #[test]
     fn hardened_free_of_garbage_pointer_errors() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        let err = a.free(&mut mem, &config, 0x4040).unwrap_err();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let err = a.free(&mut mem, 0x4040).unwrap_err();
         assert!(matches!(err, Trap::Host(_)), "{err}");
     }
 
@@ -470,8 +448,8 @@ mod tests {
     ///
     /// Commits page 0 first (an allocation), so the frontier is where the
     /// table says it is.
-    fn wild_pointers(mem: &mut LinearMemory, config: &ExecConfig, a: &mut Allocator) -> [u64; 12] {
-        assert_ne!(a.malloc(mem, config, 32).unwrap(), 0);
+    fn wild_pointers(mem: &mut LinearMemory, a: &mut Allocator) -> [u64; 12] {
+        assert_ne!(a.malloc(mem, 32).unwrap(), 0);
         let frontier = mem.committed_bytes();
         assert_eq!(frontier, 65_536);
         let end = mem.size();
@@ -493,12 +471,12 @@ mod tests {
 
     #[test]
     fn hardened_free_and_realloc_of_wild_pointers_trap_without_panicking() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Mte);
-        for ptr in wild_pointers(&mut mem, &config, &mut a) {
-            let err = a.free(&mut mem, &config, ptr).unwrap_err();
+        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        for ptr in wild_pointers(&mut mem, &mut a) {
+            let err = a.free(&mut mem, ptr).unwrap_err();
             assert!(matches!(err, Trap::Host(_)), "free({ptr:#x}): {err}");
             assert!(
-                a.realloc(&mut mem, &config, ptr, 32).is_err(),
+                a.realloc(&mut mem, ptr, 32).is_err(),
                 "realloc({ptr:#x}) must trap"
             );
         }
@@ -506,12 +484,12 @@ mod tests {
 
     #[test]
     fn baseline_free_and_realloc_of_wild_pointers_carry_on_without_panicking() {
-        let (mut mem, config, mut a) = setup(InternalSafety::Off);
-        for ptr in wild_pointers(&mut mem, &config, &mut a) {
-            a.free(&mut mem, &config, ptr).unwrap();
+        let (mut mem, mut a) = setup(InternalSafety::Off);
+        for ptr in wild_pointers(&mut mem, &mut a) {
+            a.free(&mut mem, ptr).unwrap();
             // The zero-length copy out of a pointer past guest memory is
             // an ordinary bounds trap; inside it, realloc allocates anew.
-            match a.realloc(&mut mem, &config, ptr, 32) {
+            match a.realloc(&mut mem, ptr, 32) {
                 Ok(p) => assert!(p >= HEAP_BASE + META_SIZE, "realloc({ptr:#x}) -> {p:#x}"),
                 Err(err) => assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}"),
             }
@@ -526,17 +504,17 @@ mod tests {
         // the free list (a later malloc would hand out, and the host would
         // write metadata to, addresses outside the backing store).
         for internal in [InternalSafety::Off, InternalSafety::Mte] {
-            let (mut mem, config, mut a) = setup(internal);
+            let (mut mem, mut a) = setup(internal);
             let block = HEAP_BASE + 256;
             for size in [u64::MAX - 15, u64::MAX - 31, mem.size(), 1 << 40] {
                 let mut meta = [0u8; 16];
                 meta[..8].copy_from_slice(&size.to_le_bytes());
                 meta[8..12].copy_from_slice(&MAGIC.to_le_bytes());
                 mem.write_resolved(block, &meta);
-                let freed = a.free(&mut mem, &config, block + META_SIZE);
+                let freed = a.free(&mut mem, block + META_SIZE);
                 assert_eq!(freed.is_err(), internal.is_enabled(), "size {size:#x}");
             }
-            let p = a.malloc(&mut mem, &config, 64).unwrap();
+            let p = a.malloc(&mut mem, 64).unwrap();
             assert_eq!(p & ADDR_MASK, HEAP_BASE + META_SIZE, "free list untouched");
         }
     }
@@ -546,10 +524,10 @@ mod tests {
         /// 16-aligned, and hardened adjacent overflow is always caught.
         #[test]
         fn prop_no_overlapping_allocations(sizes in proptest::collection::vec(1u64..200, 1..40)) {
-            let (mut mem, config, mut a) = setup(InternalSafety::Mte);
+            let (mut mem, mut a) = setup(InternalSafety::Mte);
             let mut ptrs: Vec<(u64, u64)> = Vec::new();
             for s in &sizes {
-                let p = a.malloc(&mut mem, &config, *s).unwrap();
+                let p = a.malloc(&mut mem, *s).unwrap();
                 if p == 0 { continue; }
                 let addr = p & ADDR_MASK;
                 let len = a.usable_size(p).unwrap();
@@ -566,13 +544,13 @@ mod tests {
                 if i % 2 == 0 {
                     let tag_ptr = mem.tags().tag_at(*addr).unwrap();
                     let tagged = (u64::from(tag_ptr.value()) << 56) | addr;
-                    a.free(&mut mem, &config, tagged).unwrap();
+                    a.free(&mut mem, tagged).unwrap();
                 } else {
                     kept.push((*addr, *len));
                 }
             }
             for s in &sizes {
-                let p = a.malloc(&mut mem, &config, *s).unwrap();
+                let p = a.malloc(&mut mem, *s).unwrap();
                 if p == 0 { continue; }
                 let addr = p & ADDR_MASK;
                 let len = a.usable_size(p).unwrap();

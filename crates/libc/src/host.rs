@@ -114,10 +114,9 @@ impl Libc {
             "malloc",
             HostFunc::new(&[I64], &[ptr_ty], move |ctx, args| {
                 let size = arg_u64(&args[0]);
-                let config = *ctx.config;
-                ctx.charge(80.0 + Allocator::tagging_cycles(&config, size));
+                ctx.charge(80.0 + Allocator::tagging_cycles(ctx.config, size));
                 let mem = ctx.memory()?;
-                let p = s.borrow_mut().alloc.malloc(mem, &config, size)?;
+                let p = s.borrow_mut().alloc.malloc(mem, size)?;
                 Ok(vec![ptr_val(p)])
             }),
         );
@@ -129,14 +128,13 @@ impl Libc {
             "calloc",
             HostFunc::new(&[I64, I64], &[ptr_ty], move |ctx, args| {
                 let total = arg_u64(&args[0]).saturating_mul(arg_u64(&args[1]));
-                let config = *ctx.config;
-                ctx.charge(90.0 + Allocator::tagging_cycles(&config, total));
+                ctx.charge(90.0 + Allocator::tagging_cycles(ctx.config, total));
                 let mem = ctx.memory()?;
-                let p = s.borrow_mut().alloc.malloc(mem, &config, total)?;
+                let p = s.borrow_mut().alloc.malloc(mem, total)?;
                 if p != 0 {
                     // segment.new zeroes under MTE; zero explicitly for the
                     // baseline path too.
-                    mem.fill(p, 0, total, &config)?;
+                    mem.fill(p, 0, total)?;
                 }
                 Ok(vec![ptr_val(p)])
             }),
@@ -149,10 +147,9 @@ impl Libc {
             "realloc",
             HostFunc::new(&[ptr_ty, I64], &[ptr_ty], move |ctx, args| {
                 let (ptr, size) = (arg_u64(&args[0]), arg_u64(&args[1]));
-                let config = *ctx.config;
-                ctx.charge(120.0 + Allocator::tagging_cycles(&config, size));
+                ctx.charge(120.0 + Allocator::tagging_cycles(ctx.config, size));
                 let mem = ctx.memory()?;
-                let p = s.borrow_mut().alloc.realloc(mem, &config, ptr, size)?;
+                let p = s.borrow_mut().alloc.realloc(mem, ptr, size)?;
                 Ok(vec![ptr_val(p)])
             }),
         );
@@ -164,10 +161,9 @@ impl Libc {
             "free",
             HostFunc::new(&[ptr_ty], &[], move |ctx, args| {
                 let ptr = arg_u64(&args[0]);
-                let config = *ctx.config;
                 ctx.charge(60.0);
                 let mem = ctx.memory()?;
-                s.borrow_mut().alloc.free(mem, &config, ptr)?;
+                s.borrow_mut().alloc.free(mem, ptr)?;
                 Ok(vec![])
             }),
         );
@@ -180,12 +176,11 @@ impl Libc {
             "strcpy",
             HostFunc::new(&[ptr_ty, ptr_ty], &[ptr_ty], move |ctx, args| {
                 let (dst, src) = (arg_u64(&args[0]), arg_u64(&args[1]));
-                let config = *ctx.config;
                 let mem = ctx.memory()?;
                 let mut i = 0u64;
                 loop {
-                    let byte = mem.read(src, i, 1, &config)?[0];
-                    mem.write(dst, i, &[byte], &config)?;
+                    let byte = mem.read_scalar(src, i, 1)?;
+                    mem.write_scalar(dst, i, 1, byte)?;
                     if byte == 0 {
                         break;
                     }
@@ -202,10 +197,9 @@ impl Libc {
             "strlen",
             HostFunc::new(&[ptr_ty], &[I64], move |ctx, args| {
                 let s = arg_u64(&args[0]);
-                let config = *ctx.config;
                 let mem = ctx.memory()?;
                 let mut n = 0u64;
-                while mem.read(s, n, 1, &config)?[0] != 0 {
+                while mem.read_scalar(s, n, 1)? != 0 {
                     n += 1;
                 }
                 ctx.charge(2.0 * n as f64);
@@ -219,10 +213,8 @@ impl Libc {
             "memset",
             HostFunc::new(&[ptr_ty, ValType::I32, I64], &[ptr_ty], move |ctx, args| {
                 let (p, v, len) = (arg_u64(&args[0]), args[1].as_i32() as u8, arg_u64(&args[2]));
-                let config = *ctx.config;
                 ctx.charge(len as f64 / 8.0 + 4.0);
-                let mem = ctx.memory()?;
-                mem.fill(p, v, len, &config)?;
+                ctx.memory()?.fill(p, v, len)?;
                 Ok(vec![ptr_val(p)])
             }),
         );
@@ -233,10 +225,8 @@ impl Libc {
             "memcpy",
             HostFunc::new(&[ptr_ty, ptr_ty, I64], &[ptr_ty], move |ctx, args| {
                 let (dst, src, len) = (arg_u64(&args[0]), arg_u64(&args[1]), arg_u64(&args[2]));
-                let config = *ctx.config;
                 ctx.charge(len as f64 / 8.0 + 4.0);
-                let mem = ctx.memory()?;
-                mem.copy(dst, src, len, &config)?;
+                ctx.memory()?.copy(dst, src, len)?;
                 Ok(vec![ptr_val(dst)])
             }),
         );
@@ -272,12 +262,11 @@ impl Libc {
             "print_str",
             HostFunc::new(&[ptr_ty], &[], move |ctx, args| {
                 let p = arg_u64(&args[0]);
-                let config = *ctx.config;
                 let mem = ctx.memory()?;
                 let mut bytes = Vec::new();
                 let mut i = 0u64;
                 loop {
-                    let b = mem.read(p, i, 1, &config)?[0];
+                    let b = mem.read_scalar(p, i, 1)? as u8;
                     if b == 0 {
                         break;
                     }
@@ -298,9 +287,11 @@ impl Libc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cage_engine::{ExecConfig, InternalSafety, Store};
+    use cage_engine::host::HostContext;
+    use cage_engine::{ExecConfig, InternalSafety, LinearMemory, Store, TagScheme};
     use cage_ir::passes::{run_pipeline, HardenConfig};
     use cage_ir::{lower, LowerOptions};
+    use cage_mte::{AccessKind, MteMode, Tag, TagCheckFault};
 
     fn run_c(
         source: &str,
@@ -454,6 +445,78 @@ mod tests {
         assert!(ok.is_ok());
         let (err, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(1)]);
         assert!(err.unwrap_err().is_memory_safety_violation());
+    }
+
+    /// Calls one registered libc function on a bare memory, the way the
+    /// interpreter's host boundary does.
+    fn host_call(
+        imports: &Imports,
+        mem: &mut LinearMemory,
+        name: &str,
+        args: &[Value],
+    ) -> Result<Vec<Value>, Trap> {
+        let config = ExecConfig {
+            internal: InternalSafety::Mte,
+            ..ExecConfig::default()
+        };
+        let mut cycles = 0.0;
+        let mut ctx = HostContext {
+            memory: Some(mem),
+            config: &config,
+            cycles: &mut cycles,
+        };
+        let func = imports.resolve("cage_libc", name).unwrap();
+        let out = (func.borrow_mut().func)(&mut ctx, args);
+        out
+    }
+
+    #[test]
+    fn strcpy_overrunning_a_16_byte_segment_faults_at_byte_16() {
+        // The byte loop's contract, as literals: one checked read and one
+        // checked write per byte, and the fault is the write of the first
+        // byte past the destination segment — into the next block's
+        // untagged metadata slot — with everything before it copied.
+        let libc = Libc::new(4096);
+        let mut imports = Imports::new();
+        libc.register(&mut imports);
+        let mut mem = LinearMemory::new(
+            4,
+            None,
+            true,
+            TagScheme::InternalOnly,
+            MteMode::Synchronous,
+            99,
+        );
+        let malloc = |mem: &mut LinearMemory, size: i64| {
+            host_call(&imports, mem, "malloc", &[Value::I64(size)]).unwrap()[0].as_i64() as u64
+        };
+        let dst = malloc(&mut mem, 16);
+        let src = malloc(&mut mem, 64);
+        assert_eq!((dst, src), (0x0300_0000_0000_1010, 0x0400_0000_0000_1030));
+        mem.write(src, 0, &[b'A'; 30]).unwrap();
+        let checks = mem.tags().check_count();
+        let args = [Value::from(dst), Value::from(src)];
+        let err = host_call(&imports, &mut mem, "strcpy", &args).unwrap_err();
+        assert_eq!(
+            err,
+            Trap::TagCheck(TagCheckFault {
+                addr: 0x1020,
+                ptr_tag: Tag::new(3).unwrap(),
+                mem_tag: Some(Tag::ZERO),
+                access: AccessKind::Write,
+                asynchronous: false,
+            })
+        );
+        assert_eq!(mem.tags().check_count() - checks, 34, "17 reads, 17 writes");
+        assert_eq!(mem.read(dst, 0, 16).unwrap(), vec![b'A'; 16]);
+        // `strlen` and `print_str` walk the same way: one check per byte,
+        // terminator included.
+        let checks = mem.tags().check_count();
+        let len = host_call(&imports, &mut mem, "strlen", &[Value::from(src)]).unwrap();
+        assert_eq!(len, vec![Value::I64(30)]);
+        host_call(&imports, &mut mem, "print_str", &[Value::from(src)]).unwrap();
+        assert_eq!(mem.tags().check_count() - checks, 62);
+        assert_eq!(libc.stdout(), format!("{}\n", "A".repeat(30)));
     }
 
     #[test]

@@ -8,15 +8,16 @@
 use cage_engine::{ChargeCounts, LinearMemory};
 use cage_libc::AllocStats;
 
-use crate::variant::Variant;
-
-/// A memory report for one instance.
+/// A memory report for one instance: §7.3's *modelled* footprint — a
+/// function of the declared memory size and its tag scheme, which is what
+/// `mem_overhead` prints. What the host actually backs depends on the
+/// touch pattern and is [`LinearMemory::committed_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryReport {
     /// Linear-memory size in bytes.
     pub linear_bytes: u64,
-    /// Estimated MTE tag-storage bytes (1/32 of tagged memory; 0 when MTE
-    /// is off for this variant).
+    /// Estimated MTE tag-storage bytes (1/32 of tagged memory; 0 when the
+    /// memory's scheme is `TagScheme::None`).
     pub tag_bytes: u64,
     /// Estimated resident total: linear + tag storage.
     pub resident_bytes: u64,
@@ -27,20 +28,17 @@ pub struct MemoryReport {
 }
 
 impl MemoryReport {
-    /// Collects the report from an instance's memory and allocator stats.
+    /// Collects the report from an instance's memory and allocator
+    /// stats. The tag share is the memory's own
+    /// ([`LinearMemory::resident_bytes`]).
     #[must_use]
-    pub fn collect(
-        memory: Option<&LinearMemory>,
-        alloc: AllocStats,
-        variant: Variant,
-    ) -> MemoryReport {
+    pub fn collect(memory: Option<&LinearMemory>, alloc: AllocStats) -> MemoryReport {
         let linear_bytes = memory.map_or(0, LinearMemory::size);
-        let mte_in_use = variant.exec_config(cage_mte::Core::CortexX3).mte_active();
-        let tag_bytes = if mte_in_use { linear_bytes / 32 } else { 0 };
+        let resident_bytes = memory.map_or(0, LinearMemory::resident_bytes);
         MemoryReport {
             linear_bytes,
-            tag_bytes,
-            resident_bytes: linear_bytes + tag_bytes,
+            tag_bytes: resident_bytes - linear_bytes,
+            resident_bytes,
             heap_peak_bytes: alloc.peak_bytes,
             heap_used_bytes: alloc.brk,
         }
@@ -132,7 +130,7 @@ mod tests {
     #[test]
     fn tag_overhead_is_one_thirty_second() {
         let m = mem(32, TagScheme::InternalOnly);
-        let report = MemoryReport::collect(Some(&m), AllocStats::default(), Variant::CageFull);
+        let report = MemoryReport::collect(Some(&m), AllocStats::default());
         assert_eq!(report.linear_bytes, 32 * 65_536);
         assert_eq!(report.tag_bytes, report.linear_bytes / 32);
         assert_eq!(
@@ -144,16 +142,16 @@ mod tests {
     #[test]
     fn baselines_have_no_tag_overhead() {
         let m = mem(32, TagScheme::None);
-        let report =
-            MemoryReport::collect(Some(&m), AllocStats::default(), Variant::BaselineWasm64);
+        let report = MemoryReport::collect(Some(&m), AllocStats::default());
         assert_eq!(report.tag_bytes, 0);
     }
 
     #[test]
     fn overhead_calculation() {
-        let m = mem(32, TagScheme::None);
-        let base = MemoryReport::collect(Some(&m), AllocStats::default(), Variant::BaselineWasm64);
-        let caged = MemoryReport::collect(Some(&m), AllocStats::default(), Variant::CageFull);
+        let plain = mem(32, TagScheme::None);
+        let tagged = mem(32, TagScheme::Combined);
+        let base = MemoryReport::collect(Some(&plain), AllocStats::default());
+        let caged = MemoryReport::collect(Some(&tagged), AllocStats::default());
         let overhead = caged.overhead_over(&base);
         // Pure tag overhead: 3.125 %.
         assert!((overhead - 0.03125).abs() < 1e-9, "{overhead}");
@@ -163,7 +161,7 @@ mod tests {
 
     #[test]
     fn missing_memory_is_zero() {
-        let report = MemoryReport::collect(None, AllocStats::default(), Variant::CageFull);
+        let report = MemoryReport::collect(None, AllocStats::default());
         assert_eq!(report.resident_bytes, 0);
         assert_eq!(report.overhead_over(&report), 0.0);
     }

@@ -211,7 +211,7 @@ impl Runtime {
             .as_ref()
             .map(Libc::stats)
             .unwrap_or_default();
-        MemoryReport::collect(self.store.memory(token.handle), stats, self.variant)
+        MemoryReport::collect(self.store.memory(token.handle), stats)
     }
 
     /// Number of instances in this process.

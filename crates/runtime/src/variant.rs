@@ -152,6 +152,60 @@ mod tests {
         assert!(!cfg(CageMemSafety).pointer_auth);
     }
 
+    /// Table 3 → the memory an instance actually gets. The store is the
+    /// one place that turns `(bounds, internal)` into a `TagScheme` and
+    /// the memory the one place that turns the scheme into a policy; a
+    /// variant that uses no MTE gets a store that checks nothing, whatever
+    /// `mte_mode` the config carries.
+    #[test]
+    fn every_variant_instantiates_a_memory_under_its_scheme_and_mode() {
+        use cage_engine::{Imports, Store, TagScheme};
+        use cage_mte::Tag;
+        use Variant::*;
+        let mut b = cage_wasm::builder::ModuleBuilder::new();
+        b.add_memory64(1);
+        let module = b.build();
+        let first_sandbox = TagScheme::ExternalOnly {
+            instance_tag: Tag::new(1).unwrap(),
+        };
+        // (variant, scheme, uses MTE, segments live)
+        let rows = [
+            (BaselineWasm32, TagScheme::None, false, false),
+            (BaselineWasm64, TagScheme::None, false, false),
+            (CageMemSafety, TagScheme::InternalOnly, true, true),
+            (CagePtrAuth, TagScheme::None, false, false),
+            (CageSandboxing, first_sandbox, true, false),
+            (CageFull, TagScheme::Combined, true, true),
+        ];
+        let modes = [
+            MteMode::Disabled,
+            MteMode::Synchronous,
+            MteMode::Asynchronous,
+            MteMode::Asymmetric,
+        ];
+        for (variant, scheme, uses_mte, segments_live) in rows {
+            for mode in modes {
+                let config = ExecConfig {
+                    mte_mode: mode,
+                    ..variant.exec_config(Core::CortexX3)
+                };
+                assert_eq!(config.mte_active(), uses_mte, "{variant}");
+                let mut store = Store::new(config);
+                let h = store.instantiate(&module, &Imports::new()).unwrap();
+                let mem = store.memory(h).unwrap();
+                let what = format!("{variant} under {mode:?}");
+                assert_eq!(mem.scheme(), scheme, "{what}");
+                let want_mode = if uses_mte { mode } else { MteMode::Disabled };
+                assert_eq!(mem.tags().mode(), want_mode, "{what}");
+                assert_eq!(
+                    (mem.segments_live(), mem.tag_checked()),
+                    (segments_live, uses_mte),
+                    "{what}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn harden_configs_match_variants() {
         assert!(Variant::CageFull.harden_config().stack_safety);

@@ -1110,6 +1110,50 @@ mod tests {
     }
 
     #[test]
+    fn a_sandboxed_pool_outlives_more_quarantines_than_there_are_sandbox_tags() {
+        // §6.4 gives a store 15 sandbox tags. A quarantined slot drops its
+        // memory, and with it the tag: twenty poisoned tenants later the
+        // pool still serves, one live sandbox at a time.
+        use cage_wasm::ValType;
+        let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
+            *linker = Linker::with_libc();
+            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args| {
+                panic!("injected host panic")
+            });
+        }));
+        let pre = template(
+            r#"
+                long boom(void);
+                long f() {
+                    long* p = (long*)malloc(200000);
+                    p[20000] = 1;
+                    return boom();
+                }
+                long g(long x) { return x + 1; }
+            "#,
+            Variant::CageSandboxing,
+            profile,
+        );
+        let mut pool = Pool::new(pre);
+        pool.set_max_slots(Some(1));
+        for round in 0..20 {
+            let inst = pool
+                .checkout()
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            let err = pool.invoke(&inst, "f", &[]).unwrap_err();
+            assert!(matches!(err, Trap::HostPanic(_)), "{err}");
+            pool.release(inst);
+            assert_eq!(pool.committed_bytes(), 0, "round {round}");
+        }
+        assert_eq!(pool.quarantined(), 20);
+        let inst = pool.checkout().unwrap();
+        let out = pool.invoke(&inst, "g", &[Value::I64(41)]).unwrap();
+        assert_eq!(out, vec![Value::I64(42)]);
+        pool.release(inst);
+        assert_eq!(pool.metrics().instantiations, 21);
+    }
+
+    #[test]
     fn a_cold_checkout_commits_what_the_tenant_touches_not_what_the_module_declares() {
         // cage-bench's `handle` request, on the 64-page memory its engine
         // declares.

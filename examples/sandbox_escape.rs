@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("[{label}]");
         // The faulty lowering: the compiled access skips the explicit
         // bounds check (as the real CVE's erroneous lowering rule did).
-        match mem.raw_write_unchecked(target, &[0x66], &config) {
+        match mem.raw_write_unchecked(target, &[0x66]) {
             Ok(()) => {
                 println!("  escape write at {target:#x} SUCCEEDED");
                 println!(

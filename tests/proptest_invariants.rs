@@ -52,7 +52,7 @@ proptest! {
         let h = store.instantiate(artifact.module(), &Imports::new()).unwrap();
         let mem = store.memory_mut(h).unwrap();
         let size = mem.size();
-        let result = mem.raw_write_unchecked(index, &[0x5A], &config);
+        let result = mem.raw_write_unchecked(index, &[0x5A]);
         let addr = index & ((1u64 << 48) - 1);
         if addr < size {
             // In bounds: always permitted (the instance owns its memory).

@@ -24,12 +24,11 @@ fn store_with(bounds: BoundsCheckStrategy) -> (Store, cage::engine::InstanceHand
 #[test]
 fn software_bounds_cannot_stop_a_miscompiled_access() {
     let (mut store, h) = store_with(BoundsCheckStrategy::Software);
-    let config = *store.config();
     let mem = store.memory_mut(h).unwrap();
     let target = mem.size() + 128;
     // The faulty lowering skipped the check: the write lands in runtime
     // memory.
-    mem.raw_write_unchecked(target, &[0xAB], &config).unwrap();
+    mem.raw_write_unchecked(target, &[0xAB]).unwrap();
     assert_eq!(
         mem.runtime_byte(128),
         Some(0xAB),
@@ -40,12 +39,9 @@ fn software_bounds_cannot_stop_a_miscompiled_access() {
 #[test]
 fn mte_sandbox_contains_the_same_access() {
     let (mut store, h) = store_with(BoundsCheckStrategy::MteSandbox);
-    let config = *store.config();
     let mem = store.memory_mut(h).unwrap();
     let target = mem.size() + 128;
-    let err = mem
-        .raw_write_unchecked(target, &[0xAB], &config)
-        .unwrap_err();
+    let err = mem.raw_write_unchecked(target, &[0xAB]).unwrap_err();
     assert!(matches!(err, Trap::TagCheck(_)), "{err}");
     assert_eq!(mem.runtime_byte(128), Some(0), "runtime memory intact");
 }
@@ -55,13 +51,12 @@ fn mte_sandbox_blocks_forged_tag_bits() {
     // Fig. 13a: index masking strips guest-controlled tag bits, so even an
     // index with "the right" tag nibble cannot address runtime memory.
     let (mut store, h) = store_with(BoundsCheckStrategy::MteSandbox);
-    let config = *store.config();
     let mem = store.memory_mut(h).unwrap();
     let beyond = mem.size() + 16;
     for forged_nibble in 0..16u64 {
         let forged = beyond | (forged_nibble << 56);
         assert!(
-            mem.raw_write_unchecked(forged, &[1], &config).is_err(),
+            mem.raw_write_unchecked(forged, &[1]).is_err(),
             "forged tag {forged_nibble:#x} escaped the sandbox"
         );
     }
@@ -70,10 +65,9 @@ fn mte_sandbox_blocks_forged_tag_bits() {
 #[test]
 fn in_bounds_accesses_unaffected_by_sandboxing() {
     let (mut store, h) = store_with(BoundsCheckStrategy::MteSandbox);
-    let config = *store.config();
     let mem = store.memory_mut(h).unwrap();
-    mem.write(1024, 0, &[7, 8, 9], &config).unwrap();
-    assert_eq!(mem.read(1024, 0, 3, &config).unwrap(), vec![7, 8, 9]);
+    mem.write(1024, 0, &[7, 8, 9]).unwrap();
+    assert_eq!(mem.read(1024, 0, 3).unwrap(), vec![7, 8, 9]);
 }
 
 #[test]
@@ -93,5 +87,5 @@ fn combined_mode_still_contains_escapes() {
         .unwrap();
     let mem = store.memory_mut(h).unwrap();
     let target = mem.size() + 32;
-    assert!(mem.raw_write_unchecked(target, &[1], &config).is_err());
+    assert!(mem.raw_write_unchecked(target, &[1]).is_err());
 }

@@ -28,11 +28,18 @@
 //! `cage_wasm::numeric`: the row's family ([`AluOp`], [`DivOp`] or
 //! [`UnaOp`], defined there and re-exported here) picks the 3-address
 //! form, its class the [`ChargeTag`], and its `eval` is what the dispatch
-//! loop runs. The rare stateful data instructions (globals, memory
-//! management, segments, pointer sign/auth, `unreachable`) ride in the
-//! register form as [`RegOp::Bridge`] holding the `Instr` itself, and run
-//! the same `exec_op` the tree-walking reference runs every data
-//! instruction through.
+//! loop runs. The twelve stateful data instructions (globals, memory
+//! management, the Fig. 11 segment and pointer instructions,
+//! `unreachable`) lower to one inline op, [`RegOp::Sys`]: a [`SysOp`],
+//! up to three operand registers, a result register and the
+//! instruction's immediate. No register op holds an `Instr`, and nothing
+//! the dispatch loop runs reads one: the `Instr` tree ends here, in the
+//! lowering (and in the tree-walking oracle, `crate::tree`, which
+//! production never enters). A `Sys` op still disassembles as `bridge
+//! global.get 0 args [] -> r4` — the name is from when these ran through
+//! the oracle's `exec_op` on a staged operand stack — because the
+//! disassembly is pinned byte for byte (`golden_regcode_digests.tsv`) and
+//! the change of executor was not a change of lowering.
 //!
 //! Statically unreachable code (anything following an unconditional
 //! branch inside a block) is never lowered; all that survives of it is
@@ -230,20 +237,93 @@ pub struct RegCallIndirect {
     pub rets: Box<[u16]>,
 }
 
-/// A rare or stateful instruction bridged to the shared `exec_op`:
-/// globals, memory management, segments, pointer sign/auth and
-/// `unreachable`. The dispatch loop's bridge arm — an out-of-line call,
-/// these are cold — stages `args` into a scratch operand stack, runs the
-/// instruction (which does its own internal charging, exactly as under
-/// the tree walker), and moves the result to `ret`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegBridge {
-    /// The bridged instruction.
-    pub op: Instr,
-    /// Argument registers, deepest stack operand first.
-    pub args: Box<[u16]>,
-    /// Result register, when the instruction pushes one.
-    pub ret: Option<u16>,
+/// The twelve stateful instructions of [`RegOp::Sys`]: globals, memory
+/// management, the paper's Fig. 11 segment and pointer instructions, and
+/// `unreachable`. What an instruction carried as an immediate (the global
+/// index, the static offset of the `segment.*` forms) rides in the op's
+/// `imm`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SysOp {
+    /// `unreachable`.
+    Unreachable,
+    /// `global.get imm`.
+    GlobalGet,
+    /// `global.set imm`.
+    GlobalSet,
+    /// `memory.size`.
+    MemorySize,
+    /// `memory.grow`.
+    MemoryGrow,
+    /// `memory.fill`: operands `dst, val, len`.
+    MemoryFill,
+    /// `memory.copy`: operands `dst, src, len`.
+    MemoryCopy,
+    /// `segment.new offset=imm`: operands `ptr, len`.
+    SegmentNew,
+    /// `segment.set_tag offset=imm`: operands `ptr, tagged, len`.
+    SegmentSetTag,
+    /// `segment.free offset=imm`: operands `ptr, len`.
+    SegmentFree,
+    /// `i64.pointer_sign`.
+    PointerSign,
+    /// `i64.pointer_auth`.
+    PointerAuth,
+}
+
+impl SysOp {
+    /// The register form of a stateful instruction and its immediate;
+    /// `None` for every other instruction.
+    pub(crate) fn of(instr: &Instr) -> Option<(SysOp, u64)> {
+        Some(match *instr {
+            Instr::Unreachable => (SysOp::Unreachable, 0),
+            Instr::GlobalGet(i) => (SysOp::GlobalGet, u64::from(i)),
+            Instr::GlobalSet(i) => (SysOp::GlobalSet, u64::from(i)),
+            Instr::MemorySize => (SysOp::MemorySize, 0),
+            Instr::MemoryGrow => (SysOp::MemoryGrow, 0),
+            Instr::MemoryFill => (SysOp::MemoryFill, 0),
+            Instr::MemoryCopy => (SysOp::MemoryCopy, 0),
+            Instr::SegmentNew(offset) => (SysOp::SegmentNew, offset),
+            Instr::SegmentSetTag(offset) => (SysOp::SegmentSetTag, offset),
+            Instr::SegmentFree(offset) => (SysOp::SegmentFree, offset),
+            Instr::PointerSign => (SysOp::PointerSign, 0),
+            Instr::PointerAuth => (SysOp::PointerAuth, 0),
+            _ => return None,
+        })
+    }
+
+    /// How many operand registers the op reads (deepest stack operand
+    /// first) and whether it writes a result.
+    #[must_use]
+    pub const fn effect(self) -> (usize, bool) {
+        match self {
+            SysOp::Unreachable => (0, false),
+            SysOp::GlobalGet | SysOp::MemorySize => (0, true),
+            SysOp::GlobalSet => (1, false),
+            SysOp::MemoryGrow | SysOp::PointerSign | SysOp::PointerAuth => (1, true),
+            SysOp::SegmentFree => (2, false),
+            SysOp::SegmentNew => (2, true),
+            SysOp::MemoryFill | SysOp::MemoryCopy | SysOp::SegmentSetTag => (3, false),
+        }
+    }
+
+    /// The text of the instruction this op stands for, as the wasm text
+    /// format spells it.
+    fn text(self, imm: u64) -> String {
+        match self {
+            SysOp::Unreachable => "unreachable".into(),
+            SysOp::GlobalGet => format!("global.get {imm}"),
+            SysOp::GlobalSet => format!("global.set {imm}"),
+            SysOp::MemorySize => "memory.size".into(),
+            SysOp::MemoryGrow => "memory.grow".into(),
+            SysOp::MemoryFill => "memory.fill".into(),
+            SysOp::MemoryCopy => "memory.copy".into(),
+            SysOp::SegmentNew => format!("segment.new offset={imm}"),
+            SysOp::SegmentSetTag => format!("segment.set_tag offset={imm}"),
+            SysOp::SegmentFree => format!("segment.free offset={imm}"),
+            SysOp::PointerSign => "i64.pointer_sign".into(),
+            SysOp::PointerAuth => "i64.pointer_auth".into(),
+        }
+    }
 }
 
 /// How [`RegOp::IndexAdd`] widens its index register before scaling it.
@@ -464,8 +544,23 @@ pub enum RegOp {
         /// Value register.
         val: u16,
     },
-    /// Bridged instruction (see [`RegBridge`]).
-    Bridge(Box<RegBridge>),
+    /// A stateful instruction (see [`SysOp`]), run out of line by the
+    /// dispatch loop. Unlike every other op it retires its own
+    /// instruction: the recipe holds only what dissolved in front of it,
+    /// and the arm charges the op's class — and, for the bulk and segment
+    /// forms, the bytes or granules its operands name — before anything
+    /// in it can trap.
+    Sys {
+        /// The instruction.
+        op: SysOp,
+        /// Operand registers, deepest stack operand first; the first
+        /// `op.effect().0` are read.
+        args: [u16; 3],
+        /// Result register, when the instruction pushes one.
+        ret: Option<u16>,
+        /// Global index or static offset.
+        imm: u64,
+    },
 }
 
 // The dispatch loop indexes `RegCode::ops` by pc (`lea (%r12,%r12,2)`):
@@ -560,8 +655,9 @@ enum RInst {
         args: Vec<ssa::Value>,
         rets: Vec<ssa::Value>,
     },
-    Bridge {
-        op: Instr,
+    Sys {
+        op: SysOp,
+        imm: u64,
         args: Vec<ssa::Value>,
         ret: Option<ssa::Value>,
     },
@@ -598,7 +694,7 @@ enum LTerm {
     Ret {
         srcs: Vec<ssa::Value>,
     },
-    /// Unreachable end (a trapping bridge precedes it); emits no op.
+    /// Unreachable end (a trapping [`RInst::Sys`] precedes it); emits no op.
     Halt,
 }
 
@@ -616,7 +712,7 @@ enum Operand {
 
 impl RInst {
     /// The value the instruction defines, when it is one that [`select`]
-    /// may rename (calls and bridges define theirs in place).
+    /// may rename (calls and stateful ops define theirs in place).
     fn dst_mut(&mut self) -> Option<&mut ssa::Value> {
         match self {
             RInst::Alu { dst, .. }
@@ -629,7 +725,7 @@ impl RInst {
             | RInst::Store { .. }
             | RInst::Call { .. }
             | RInst::CallIndirect { .. }
-            | RInst::Bridge { .. } => None,
+            | RInst::Sys { .. } => None,
         }
     }
 
@@ -678,7 +774,7 @@ impl RInst {
                 args.iter().for_each(|&a| f(Use, a));
                 rets.iter().for_each(|&d| f(Def, d));
             }
-            RInst::Bridge { args, ret, .. } => {
+            RInst::Sys { args, ret, .. } => {
                 args.iter().for_each(|&a| f(Use, a));
                 ret.iter().for_each(|&d| f(Def, d));
             }
@@ -855,16 +951,11 @@ impl<'m> RegCompiler<'m> {
         std::mem::replace(&mut self.pending_from, end)..end
     }
 
-    /// Emits an instruction that charges `tag` itself, after the pending
-    /// tags.
-    fn emit(&mut self, inst: RInst, tag: ChargeTag) {
-        self.tags.push(tag);
-        self.emit_bridge(inst);
-    }
-
-    /// Emits a bridge, whose recipe is the pending tags only (`exec_op`
-    /// does the op's own charging internally).
-    fn emit_bridge(&mut self, inst: RInst) {
+    /// Emits an instruction whose recipe is the pending tags and then
+    /// `tag`, the class of the instruction itself — none for a
+    /// [`RInst::Sys`], which retires its own instruction in its arm.
+    fn emit(&mut self, inst: RInst, tag: impl Into<Option<ChargeTag>>) {
+        self.tags.extend(tag.into());
         let recipe = self.take_pending();
         self.insts.push((inst, recipe));
     }
@@ -1147,22 +1238,6 @@ impl<'m> RegCompiler<'m> {
     }
 }
 
-/// Stack effect `(pops, pushes)` of an instruction that bridges to
-/// `exec_op`.
-fn bridge_effect(instr: &Instr) -> (usize, usize) {
-    use Instr::*;
-    match instr {
-        Unreachable => (0, 0),
-        GlobalGet(_) | MemorySize => (0, 1),
-        GlobalSet(_) => (1, 0),
-        MemoryGrow | PointerSign | PointerAuth => (1, 1),
-        MemoryFill | MemoryCopy | SegmentSetTag(_) => (3, 0),
-        SegmentNew(_) => (2, 1),
-        SegmentFree(_) => (2, 0),
-        other => unreachable!("instruction {other:?} does not bridge"),
-    }
-}
-
 /// The untagged operand slot of a constant instruction.
 fn const_bits(instr: &Instr) -> Option<u64> {
     match *instr {
@@ -1206,7 +1281,7 @@ impl RegCompiler<'_> {
                 Numeric::Una(op) => RInst::Una { op, dst, a: pop() },
             };
             self.stack.push(dst);
-            self.emit(inst, op.class().into());
+            self.emit(inst, ChargeTag::from(op.class()));
             return Ok(false);
         }
         if let Some(bits) = const_bits(instr) {
@@ -1272,16 +1347,15 @@ impl RegCompiler<'_> {
                 );
             }
             _ => {
-                let (pops, pushes) = bridge_effect(instr);
+                let Some((op, imm)) = SysOp::of(instr) else {
+                    unreachable!("control instruction {instr:?} in lower_data_op");
+                };
+                let (pops, pushes) = op.effect();
                 let args = self.stack.split_off(self.stack.len() - pops);
-                let ret = (pushes > 0).then(|| self.b.new_value());
+                let ret = pushes.then(|| self.b.new_value());
                 self.stack.extend(ret);
-                self.emit_bridge(RInst::Bridge {
-                    op: instr.clone(),
-                    args,
-                    ret,
-                });
-                if matches!(instr, Instr::Unreachable) {
+                self.emit(RInst::Sys { op, imm, args, ret }, None);
+                if op == SysOp::Unreachable {
                     self.terminate(LTerm::Halt, 0..0);
                     return Ok(true);
                 }
@@ -2034,11 +2108,18 @@ fn emit_reg(
                     args: args.iter().map(|&a| slot(a)).collect(),
                     rets: rets.iter().map(|&d| slot(d)).collect(),
                 })),
-                RInst::Bridge { op, args, ret } => RegOp::Bridge(Box::new(RegBridge {
-                    op: op.clone(),
-                    args: args.iter().map(|&a| slot(a)).collect(),
-                    ret: (*ret).map(&slot),
-                })),
+                RInst::Sys { op, imm, args, ret } => {
+                    let mut regs = [0; 3];
+                    for (reg, &a) in regs.iter_mut().zip(args) {
+                        *reg = slot(a);
+                    }
+                    RegOp::Sys {
+                        op: *op,
+                        args: regs,
+                        ret: (*ret).map(&slot),
+                        imm: *imm,
+                    }
+                }
             };
             em.push(op, tags_of(recipe));
         }
@@ -2167,11 +2248,11 @@ fn charge_letter(tag: ChargeTag) -> char {
 /// Disassembles `code`, the register bytecode of function `func_idx`
 /// (joint index space) with signature `ty` — the backend of
 /// [`crate::Precompiled::disassemble`] and `cagec --dump-bytecode`.
-/// Registers are frame slots `r0..`; a bridged instruction prints with
-/// its text mnemonic; the fused forms print as what they compute (`r9 <-
-/// r7 + sext r5 * 0x8`; `br_cmp I64LtS r1, r2`, or `br_cmp_z` when it
-/// branches on a zero result); each op's charge recipe is appended as
-/// `; charges <letters>` in retired-source order.
+/// Registers are frame slots `r0..`; a [`RegOp::Sys`] prints as `bridge`
+/// and the text mnemonic of its instruction; the fused forms print as
+/// what they compute (`r9 <- r7 + sext r5 * 0x8`; `br_cmp I64LtS r1, r2`,
+/// or `br_cmp_z` when it branches on a zero result); each op's charge
+/// recipe is appended as `; charges <letters>` in retired-source order.
 pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> String {
     use std::fmt::Write as _;
 
@@ -2304,12 +2385,13 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 reg(*addr),
                 reg(*val)
             ),
-            RegOp::Bridge(bridge) => {
-                let ret = match bridge.ret {
-                    Some(r) => format!(" -> {}", reg(r)),
+            RegOp::Sys { op, args, ret, imm } => {
+                let ret = match ret {
+                    Some(r) => format!(" -> {}", reg(*r)),
                     None => String::new(),
                 };
-                format!("bridge {} args {}{ret}", bridge.op, regs(&bridge.args))
+                let args = &args[..op.effect().0];
+                format!("bridge {} args {}{ret}", op.text(*imm), regs(args))
             }
         };
         let (off, len) = code.recipes[pc];
@@ -2779,5 +2861,25 @@ mod tests {
         let text = pre.disassemble(0).expect("local function");
         assert!(text.starts_with("func 0 (params 1, results 1): "), "{text}");
         assert!(text.contains("bridge memory.grow args [r0] -> r"), "{text}");
+        // A `Sys` op holds no `Instr` to print: its text is `SysOp`'s own
+        // and has to stay what the instruction's was.
+        let stateful = [
+            Instr::Unreachable,
+            Instr::GlobalGet(3),
+            Instr::GlobalSet(4),
+            Instr::MemorySize,
+            Instr::MemoryGrow,
+            Instr::MemoryFill,
+            Instr::MemoryCopy,
+            Instr::SegmentNew(16),
+            Instr::SegmentSetTag(32),
+            Instr::SegmentFree(48),
+            Instr::PointerSign,
+            Instr::PointerAuth,
+        ];
+        for instr in &stateful {
+            let (op, imm) = SysOp::of(instr).expect("a stateful instruction");
+            assert_eq!(op.text(imm), instr.to_string());
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Differential property test: the register tier (`Store::call`, SSA →
 //! linear scan → 3-address bytecode) must be bit-identical to the
 //! structured tree walker (`Store::call_tree`, the reference
-//! implementation in `interp.rs`) on randomized control-flow bodies.
+//! implementation in `tree.rs`) on randomized control-flow bodies.
 //! Same results, same traps, same charge: the whole vector of retired
 //! counts per class plus the bits of what hosts charged, from which cycles
 //! and the retired-instruction count follow — so two mis-charges that
@@ -461,6 +461,73 @@ impl Gen {
         out.push(Instr::LocalSet(self.pick_dst_local()));
     }
 
+    /// The stateful instructions the other statements leave out: both
+    /// globals, `memory.size`, pointer sign/auth (moves on the base
+    /// config, real under the second) and the segment life cycle (inert
+    /// on the base config). Operands mix 16-aligned constants, which
+    /// succeed, with locals, which mostly trap — unaligned, out of range,
+    /// a pointer that was never signed, a free through the wrong tag.
+    fn stateful_statement(&mut self, out: &mut Vec<Instr>) {
+        let global = self.upto(2) as u32;
+        let aligned = |g: &mut Gen, out: &mut Vec<Instr>| {
+            if g.upto(4) == 0 {
+                out.push(Instr::LocalGet(g.pick_i64_local()));
+            } else {
+                out.push(Instr::I64Const(16 * g.int_in(0, 64)));
+            }
+        };
+        match self.upto(8) {
+            0 => {
+                out.push(Instr::GlobalGet(global));
+                out.push(Instr::LocalSet(self.pick_dst_local()));
+            }
+            1 => {
+                self.value(out);
+                out.push(Instr::GlobalSet(global));
+            }
+            2 => {
+                out.push(Instr::MemorySize);
+                out.push(Instr::LocalSet(self.pick_dst_local()));
+            }
+            // Sign, and usually authenticate what was signed.
+            3 => {
+                self.value(out);
+                out.push(Instr::PointerSign);
+                if self.upto(3) != 0 {
+                    out.push(Instr::PointerAuth);
+                }
+                out.push(Instr::LocalSet(self.pick_dst_local()));
+            }
+            // Authenticate whatever a local holds.
+            4 => {
+                out.push(Instr::LocalGet(self.pick_i64_local()));
+                out.push(Instr::PointerAuth);
+                out.push(Instr::LocalSet(self.pick_dst_local()));
+            }
+            // A segment's life: created, perhaps handed another range,
+            // perhaps freed (sometimes twice, sometimes through a stale
+            // local).
+            _ => {
+                let offset = 16 * self.int_in(0, 4) as u64;
+                aligned(self, out);
+                aligned(self, out);
+                out.push(Instr::SegmentNew(offset));
+                out.push(Instr::LocalSet(SCR));
+                if self.rng.gen() {
+                    aligned(self, out);
+                    out.push(Instr::LocalGet(SCR));
+                    aligned(self, out);
+                    out.push(Instr::SegmentSetTag(offset));
+                }
+                for _ in 0..self.upto(3) {
+                    out.push(Instr::LocalGet(SCR));
+                    aligned(self, out);
+                    out.push(Instr::SegmentFree(0));
+                }
+            }
+        }
+    }
+
     /// Bulk ops: `memory.fill`/`memory.copy` with mixed constant/local
     /// operands, so both the in-bounds loop and the trapping resolve are
     /// differentially pinned.
@@ -577,7 +644,7 @@ impl Gen {
             self.call_statement(out);
             return false;
         }
-        let max = if depth >= 4 { 19 } else { 24 };
+        let max = if depth >= 4 { 20 } else { 25 };
         match self.upto(max) {
             // acc-style arithmetic.
             0 | 1 => {
@@ -719,8 +786,13 @@ impl Gen {
                 self.phi_diamond_statement(out, 0);
                 false
             }
-            // Early return / unreachable.
+            // Globals, memory.size, pointer sign/auth, segments.
             19 => {
+                self.stateful_statement(out);
+                false
+            }
+            // Early return / unreachable.
+            20 => {
                 if self.upto(4) == 0 {
                     out.push(Instr::Unreachable);
                 } else {
@@ -730,7 +802,7 @@ impl Gen {
                 true
             }
             // Nested block, empty or value-yielding.
-            20 | 21 => {
+            21 | 22 => {
                 if self.rng.gen() {
                     self.frames.push(0);
                     let inner = self.sequence(depth + 1, &[]);
@@ -746,7 +818,7 @@ impl Gen {
                 false
             }
             // If / if-else.
-            22 => {
+            23 => {
                 self.condition(out);
                 self.frames.push(0);
                 let then_body = self.sequence(depth + 1, &[]);
@@ -840,6 +912,9 @@ fn random_module(seed: u64) -> Module {
         },
         memory64: true,
     });
+    // Two mutable globals, told apart by what they start as.
+    b.add_global(ValType::I64, true, Instr::I64Const(5));
+    b.add_global(ValType::I64, true, Instr::I64Const(-6));
     let run = b.add_function(&[ValType::I64], &[ValType::I64], &locals, body);
     let helper = b.add_function(&[ValType::I64], &[ValType::I64], &locals, helper_body);
     let mismatch = b.add_function(
@@ -877,11 +952,13 @@ fn configs() -> [ExecConfig; 2] {
     };
     [
         base,
-        // Internal memory safety (`CageMemSafety`'s engine config): memory
+        // Internal memory safety with pointer authentication: memory
         // accesses leave the cached fast path for the `resolve()` ladder
-        // and its tag check, under a second cost model.
+        // and its tag check, segments are live and sign/auth are real,
+        // under a second cost model.
         ExecConfig {
             internal: InternalSafety::Mte,
+            pointer_auth: true,
             ..base
         },
     ]
@@ -1652,6 +1729,36 @@ fn trap_rate_stays_in_a_healthy_band() {
         "difftest trap rate collapsed to {:.1}% — generator coverage changed",
         100.0 * rate
     );
+}
+
+/// The register tier runs the twelve stateful instructions in bodies of
+/// its own (`RegState::sys`), so the generator has to reach all twelve:
+/// over the seeds the trap-rate probe runs, each appears in some body.
+#[test]
+fn generator_emits_every_stateful_instruction() {
+    fn walk(body: &[Instr], seen: &mut [bool; 12]) {
+        for instr in body {
+            match instr {
+                Instr::Block(_, inner) | Instr::Loop(_, inner) => walk(inner, seen),
+                Instr::If(_, then_body, else_body) => {
+                    walk(then_body, seen);
+                    walk(else_body, seen);
+                }
+                other => {
+                    if let Some((op, _)) = crate::bytecode::SysOp::of(other) {
+                        seen[op as usize] = true;
+                    }
+                }
+            }
+        }
+    }
+    let mut seen = [false; 12];
+    for seed in 0..150 {
+        for func in &random_module(seed).funcs {
+            walk(&func.body, &mut seen);
+        }
+    }
+    assert_eq!(seen, [true; 12], "stateful instructions generated");
 }
 
 // ---------------------------------------------------------------------------

@@ -36,37 +36,37 @@
 //! [`crate::memory::LinearMemory::resolve`]. The loop owns the cache and
 //! nothing else: no policy is derived here.
 //!
-//! The structured tree walker (`mod tree`, behind `Store::call_tree`) is
-//! the reference implementation: it executes the `Instr` tree recursively,
-//! one source instruction at a time, and the differential tests assert
-//! the register machine is identical to it on results, traps and the
-//! whole count vector. The walker runs every data instruction
-//! through [`Interp::exec_op`], which holds the oracle's own hand-written
-//! arm — semantics and charge — for each of them. The register machine
-//! shares that function only for its bridged ops (globals, memory
-//! management, segments, pointer sign/auth, `unreachable`). The 128
-//! numeric instructions it evaluates instead through the rows of the
-//! table in `cage_wasm::numeric` (`AluOp`/`DivOp`/`UnaOp::eval`, inlined
-//! into the dispatch loop's arms — the four generic ones and the three
-//! fused forms — and charged by the recipe), so for
-//! those the differential tests compare two independent transcriptions
-//! of the semantics, and `exec_op`'s numeric arms read nothing from the
-//! table but the slot encoding and the `fmin`/`fmax`/`trunc` helpers.
+//! This loop is the only production executor: everything reachable from
+//! `Store::call` and `Store::invoke` is in this file, holds no
+//! `cage_wasm::Instr` and builds no operand stack (a host call stages its
+//! arguments for the typed boundary, nothing else does). The 128 numeric
+//! instructions run the rows of the table in `cage_wasm::numeric`
+//! (`AluOp`/`DivOp`/`UnaOp::eval`, inlined into the loop's arms — the four
+//! generic ones and the three fused forms — and charged by the recipe).
+//! The twelve stateful ones (globals, memory management, segments, pointer
+//! sign/auth, `unreachable`) are one arm, [`RegOp::Sys`], which calls the
+//! out-of-line [`RegState::sys`]: twelve register-form bodies written from
+//! Fig. 11, each charging its own instruction before anything in it can
+//! trap.
+//!
+//! The structured tree walker (`crate::tree`, behind `Store::call_tree`)
+//! is the reference implementation: it executes the `Instr` tree
+//! recursively, one source instruction at a time, every data instruction
+//! through a hand-written arm of its own, and the differential tests
+//! assert the register machine is identical to it on results, traps and
+//! the whole count vector. Nothing here calls into it, so for every
+//! instruction the tests compare two independent transcriptions of the
+//! semantics.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use cage_wasm::instr::{LoadOp, StoreOp};
-use cage_wasm::numeric::{
-    get_f32, get_f64, get_i32, get_i64, slot_bool, slot_i32, slot_i64, trunc_to_i32, trunc_to_i64,
-    trunc_to_u32, trunc_to_u64, wasm_fmax32, wasm_fmax64, wasm_fmin32, wasm_fmin64, IntoSlot,
-};
-use cage_wasm::{FuncType, Instr};
+use cage_wasm::numeric::{get_i32, slot_i32, slot_i64};
+use cage_wasm::FuncType;
 
-use crate::bytecode::{
-    unpack_lanes, AluOp, RegBridge, RegCallIndirect, RegCode, RegOp, LANE_GUARD,
-};
+use crate::bytecode::{unpack_lanes, AluOp, RegCallIndirect, RegCode, RegOp, SysOp, LANE_GUARD};
 use crate::config::ExecConfig;
 use crate::cost::ChargeClass;
 use crate::host::HostContext;
@@ -76,21 +76,18 @@ use crate::trap::{panic_message, Trap};
 use crate::value::Value;
 
 pub(crate) struct Interp<'s> {
-    store: &'s mut Store,
-    inst: usize,
-    config: ExecConfig,
-    depth: usize,
-    /// The retired counts per [`ChargeClass`], mirrored from the instance
-    /// for the duration of a call so [`Interp::charge`] touches no memory
-    /// beyond the interpreter struct. Written back before host calls and
-    /// at the end of execution ([`Interp::flush_accounting`]). What hosts
-    /// charge is not mirrored: it goes straight to the instance's
-    /// `host_cycles` through [`HostContext`].
-    counts: [u64; ChargeClass::COUNT],
-    /// Remaining fuel, mirrored from the instance like `counts`; `None`
-    /// disables the checks entirely.
+    pub(crate) store: &'s mut Store,
+    pub(crate) inst: usize,
+    pub(crate) config: ExecConfig,
+    pub(crate) depth: usize,
+    /// Remaining fuel, mirrored from the instance for the duration of a
+    /// call (it is read on every taken branch) and written back at the end
+    /// of execution ([`Interp::flush_accounting`]); `None` disables the
+    /// checks entirely. The retired counts are not mirrored: the loop sums
+    /// recipes in a register and everything else charges the instance
+    /// directly.
     fuel: Option<u64>,
-    /// Consumed-fuel accumulator, mirrored like `counts`.
+    /// Consumed-fuel accumulator, mirrored like `fuel`.
     fuel_consumed: u64,
     /// Epoch deadline, mirrored from the instance; `None` disables the
     /// epoch compare (and the load of the store's shared counter)
@@ -98,7 +95,7 @@ pub(crate) struct Interp<'s> {
     epoch_deadline: Option<u64>,
     /// Effective call-depth limit: the engine config tightened by the
     /// instance's [`crate::store::InstanceLimits`].
-    max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Reusable scratch for host-call argument conversion, so crossing
     /// the typed API boundary does not allocate per call.
     host_args: Vec<Value>,
@@ -107,7 +104,6 @@ pub(crate) struct Interp<'s> {
 impl<'s> Interp<'s> {
     pub(crate) fn new(store: &'s mut Store, inst: usize) -> Self {
         let config = store.config;
-        let counts = store.instances[inst].counts.counts;
         let fuel = store.instances[inst].fuel;
         let fuel_consumed = store.instances[inst].fuel_consumed;
         let epoch_deadline = store.instances[inst].epoch_deadline;
@@ -120,7 +116,6 @@ impl<'s> Interp<'s> {
             inst,
             config,
             depth: 0,
-            counts,
             fuel,
             fuel_consumed,
             epoch_deadline,
@@ -129,18 +124,24 @@ impl<'s> Interp<'s> {
         }
     }
 
+    /// The instance's retired counts per [`ChargeClass`].
+    #[inline]
+    fn counts(&mut self) -> &mut [u64; ChargeClass::COUNT] {
+        &mut self.store.instances[self.inst].counts.counts
+    }
+
     /// Retires one instruction of `class`.
     #[inline]
-    fn charge(&mut self, class: ChargeClass) {
-        self.counts[class as usize] += 1;
+    pub(crate) fn charge(&mut self, class: ChargeClass) {
+        self.counts()[class as usize] += 1;
     }
 
     /// Charges `n` data-dependent units of `class` (bytes, granules). The
     /// guest chooses `n` — a `memory.fill` of `u64::MAX` bytes is charged
     /// before it traps — so the count saturates instead of wrapping.
     #[inline]
-    fn charge_units(&mut self, class: ChargeClass, n: u64) {
-        let count = &mut self.counts[class as usize];
+    pub(crate) fn charge_units(&mut self, class: ChargeClass, n: u64) {
+        let count = &mut self.counts()[class as usize];
         *count = count.saturating_add(n);
     }
 
@@ -150,15 +151,13 @@ impl<'s> Interp<'s> {
     #[cold]
     #[inline(never)]
     fn spill(&mut self, acc: u64) {
-        unpack_lanes(acc, &mut self.counts);
+        unpack_lanes(acc, self.counts());
     }
 
-    /// Writes the local counts and fuel back to the instance — before
-    /// anything else observes them (host calls, the embedder after the
-    /// call returns).
-    fn flush_accounting(&mut self) {
+    /// Writes the local fuel back to the instance, before the embedder
+    /// observes it after the call returns.
+    pub(crate) fn flush_accounting(&mut self) {
         let i = &mut self.store.instances[self.inst];
-        i.counts.counts = self.counts;
         i.fuel = self.fuel;
         i.fuel_consumed = self.fuel_consumed;
     }
@@ -193,7 +192,7 @@ impl<'s> Interp<'s> {
     /// Internal call sites are arity-checked by validation, but the
     /// external entry points take embedder-supplied arguments: verify them
     /// before they hit the frame layout.
-    fn check_entry(&self, func_idx: u32, args: &[Value]) -> Result<(), Trap> {
+    pub(crate) fn check_entry(&self, func_idx: u32, args: &[Value]) -> Result<(), Trap> {
         let inst = &self.store.instances[self.inst];
         let func = inst
             .pre
@@ -221,27 +220,10 @@ impl<'s> Interp<'s> {
         Ok(())
     }
 
-    /// Moves the callee's arguments off the operand stack into its frame
-    /// in the locals arena, appends zeroed declared locals, and returns
-    /// `(locals_base, frame_base)`.
-    fn enter(func: &CompiledFunc, stack: &mut Vec<u64>, locals: &mut Vec<u64>) -> (usize, usize) {
-        debug_assert!(
-            stack.len() >= func.ty.params.len(),
-            "arity checked by validation"
-        );
-        let locals_base = locals.len();
-        let args_base = stack.len() - func.ty.params.len();
-        locals.extend_from_slice(&stack[args_base..]);
-        stack.truncate(args_base);
-        // All-zero slots are the zero value of every type.
-        locals.resize(locals.len() + func.locals.len(), 0);
-        (locals_base, stack.len())
-    }
-
     /// The typed API boundary for host calls: untagged argument slots
     /// convert to [`Value`]s (through a reusable scratch buffer, no
     /// per-call allocation) and the host's results convert back.
-    fn call_host(
+    pub(crate) fn call_host(
         &mut self,
         func_idx: u32,
         func: &CompiledFunc,
@@ -258,10 +240,9 @@ impl<'s> Interp<'s> {
                 .zip(&stack[args_base..])
                 .map(|(ty, raw)| Value::from_slot(*ty, *raw)),
         );
-        // The instance's counts are complete while foreign code runs; what
-        // the host charges lands in the instance's `host_cycles`, which
-        // nothing else writes.
-        self.flush_accounting();
+        // What the host charges lands in the instance's `host_cycles`,
+        // which nothing else writes; the dispatch loop spilled its running
+        // sum before it came here.
         let inst = &mut self.store.instances[self.inst];
         let mut ctx = HostContext {
             memory: inst.memory.as_mut(),
@@ -300,507 +281,18 @@ impl<'s> Interp<'s> {
         Ok(())
     }
 
-    /// Slides the top `arity` values down to `height` in place — the
-    /// allocation-free replacement for `split_off` + `extend` on branch
-    /// exits and returns.
-    fn collapse(stack: &mut Vec<u64>, height: usize, arity: usize) {
-        let result_start = stack.len() - arity;
-        if result_start > height {
-            for i in 0..arity {
-                stack[height + i] = stack[result_start + i];
-            }
-            stack.truncate(height + arity);
-        }
-    }
-
-    fn memory(&mut self) -> Result<&crate::memory::LinearMemory, Trap> {
+    pub(crate) fn memory(&mut self) -> Result<&crate::memory::LinearMemory, Trap> {
         self.store.instances[self.inst]
             .memory
             .as_ref()
             .ok_or_else(|| Trap::Host("no memory".into()))
     }
 
-    fn memory_mut(&mut self) -> Result<&mut crate::memory::LinearMemory, Trap> {
+    pub(crate) fn memory_mut(&mut self) -> Result<&mut crate::memory::LinearMemory, Trap> {
         self.store.instances[self.inst]
             .memory
             .as_mut()
             .ok_or_else(|| Trap::Host("no memory".into()))
-    }
-
-    /// Pops a memory index. Slot encoding already zero-extends i32, so
-    /// the raw slot *is* the index for both memory widths.
-    fn pop_index(&mut self, stack: &mut Vec<u64>) -> u64 {
-        stack.pop().expect("validated")
-    }
-
-    /// Executes one data instruction (anything but control flow and
-    /// calls): the single implementation shared by the tree-walking
-    /// reference and the register machine's bridged ops.
-    ///
-    /// `inline(always)` so the tree walker's control match and this data
-    /// match fuse into a single jump table — without it every arithmetic
-    /// instruction pays a second dispatch.
-    #[inline(always)]
-    #[allow(clippy::too_many_lines, clippy::inline_always)]
-    fn exec_op(
-        &mut self,
-        instr: &Instr,
-        stack: &mut Vec<u64>,
-        locals: &mut [u64],
-        lbase: usize,
-    ) -> Result<(), Trap> {
-        use Instr::*;
-        macro_rules! una {
-            ($cost:expr, $pop:ident, $push:expr) => {{
-                self.charge($cost);
-                let a = $pop(stack.pop().expect("validated"));
-                stack.push(IntoSlot::into_slot($push(a)));
-            }};
-        }
-        macro_rules! bin {
-            ($cost:expr, $pop:ident, $push:expr) => {{
-                self.charge($cost);
-                let b = $pop(stack.pop().expect("validated"));
-                let a = $pop(stack.pop().expect("validated"));
-                stack.push(IntoSlot::into_slot($push(a, b)));
-            }};
-        }
-        macro_rules! cmp {
-            ($cost:expr, $pop:ident, $op:expr) => {{
-                self.charge($cost);
-                let b = $pop(stack.pop().expect("validated"));
-                let a = $pop(stack.pop().expect("validated"));
-                stack.push(slot_bool($op(a, b)));
-            }};
-        }
-        let s = ChargeClass::Simple;
-        let fl = ChargeClass::Float;
-        let dv = ChargeClass::Div;
-        let fdv = ChargeClass::FloatDiv;
-        match instr {
-            // Validation plus the callers' own control match keep these
-            // out: the tree walker handles them positionally, and the
-            // register lowering never bridges them.
-            Block(..) | Loop(..) | If(..) | Br(_) | BrIf(_) | BrTable(..) | Return | Call(_)
-            | CallIndirect(_) => unreachable!("control instruction {instr:?} in exec_op"),
-            Unreachable => {
-                self.charge(s);
-                return Err(Trap::Unreachable);
-            }
-            Nop => self.charge(s),
-            Drop => {
-                self.charge(s);
-                stack.pop();
-            }
-            Select => {
-                self.charge(s);
-                let c = get_i32(stack.pop().expect("validated"));
-                let b = stack.pop().expect("validated");
-                let a = stack.pop().expect("validated");
-                stack.push(if c != 0 { a } else { b });
-            }
-            LocalGet(i) => {
-                self.charge(s);
-                stack.push(locals[lbase + *i as usize]);
-            }
-            LocalSet(i) => {
-                self.charge(s);
-                locals[lbase + *i as usize] = stack.pop().expect("validated");
-            }
-            LocalTee(i) => {
-                self.charge(s);
-                locals[lbase + *i as usize] = *stack.last().expect("validated");
-            }
-            GlobalGet(i) => {
-                self.charge(s);
-                stack.push(self.store.instances[self.inst].globals[*i as usize].to_slot());
-            }
-            GlobalSet(i) => {
-                self.charge(s);
-                let raw = stack.pop().expect("validated");
-                let g = &mut self.store.instances[self.inst].globals[*i as usize];
-                // Globals keep their typed API representation; the declared
-                // type is recovered from the current value.
-                *g = Value::from_slot(g.ty(), raw);
-            }
-            Load(op, memarg) => {
-                self.charge(ChargeClass::Mem);
-                let index = self.pop_index(stack);
-                let raw = self
-                    .memory_mut()?
-                    .read_scalar(index, memarg.offset, op.width())?;
-                stack.push(decode_load(*op, raw));
-            }
-            Store(op, memarg) => {
-                self.charge(ChargeClass::Mem);
-                // Slot encoding is the store encoding: the write truncates
-                // to the op's width, which is exactly what every StoreOp
-                // did to its typed value.
-                let raw = stack.pop().expect("validated");
-                let index = self.pop_index(stack);
-                self.memory_mut()?
-                    .write_scalar(index, memarg.offset, op.width(), raw)?;
-            }
-            MemorySize => {
-                self.charge(ChargeClass::MemManage);
-                let (pages, m64) = {
-                    let mem = self.memory()?;
-                    (mem.size_pages(), mem.is_memory64())
-                };
-                stack.push(size_value(pages, m64));
-            }
-            MemoryGrow => {
-                self.charge(ChargeClass::MemManage);
-                let delta = self.pop_index(stack);
-                let (result, m64) = {
-                    let mem = self.memory_mut()?;
-                    let m64 = mem.is_memory64();
-                    (mem.grow(delta), m64)
-                };
-                match result {
-                    Some(old) => stack.push(size_value(old, m64)),
-                    None => stack.push(if m64 { slot_i64(-1) } else { slot_i32(-1) }),
-                }
-            }
-            MemoryFill => {
-                let len = self.pop_index(stack);
-                let val = get_i32(stack.pop().expect("validated")) as u8;
-                let dst = self.pop_index(stack);
-                self.charge(ChargeClass::Fill);
-                self.charge_units(ChargeClass::FillBytes, len);
-                self.memory_mut()?.fill(dst, val, len)?;
-            }
-            MemoryCopy => {
-                let len = self.pop_index(stack);
-                let src = self.pop_index(stack);
-                let dst = self.pop_index(stack);
-                self.charge(ChargeClass::Copy);
-                self.charge_units(ChargeClass::CopyBytes, len);
-                self.memory_mut()?.copy(dst, src, len)?;
-            }
-            I32Const(v) => {
-                self.charge(s);
-                stack.push(slot_i32(*v));
-            }
-            I64Const(v) => {
-                self.charge(s);
-                stack.push(slot_i64(*v));
-            }
-            F32Const(bits) => {
-                self.charge(s);
-                stack.push(u64::from(*bits));
-            }
-            F64Const(bits) => {
-                self.charge(s);
-                stack.push(*bits);
-            }
-
-            // -- Cage extension (Fig. 11) ---------------------------------
-            SegmentNew(offset) => {
-                let len = stack.pop().expect("validated");
-                let ptr = stack.pop().expect("validated");
-                // Partial granules still cost a full stzg/stg (div_ceil).
-                self.charge(ChargeClass::SegmentNew);
-                self.charge_units(ChargeClass::SegmentNewGranules, len.div_ceil(16));
-                let tagged = self
-                    .memory_mut()?
-                    .segment_new(ptr.wrapping_add(*offset), len)?;
-                stack.push(tagged);
-            }
-            SegmentSetTag(offset) => {
-                let len = stack.pop().expect("validated");
-                let tagged = stack.pop().expect("validated");
-                let ptr = stack.pop().expect("validated");
-                self.charge(ChargeClass::Retag);
-                self.charge_units(ChargeClass::RetagGranules, len.div_ceil(16));
-                self.memory_mut()?
-                    .segment_set_tag(ptr.wrapping_add(*offset), tagged, len)?;
-            }
-            SegmentFree(offset) => {
-                let len = stack.pop().expect("validated");
-                let ptr = stack.pop().expect("validated");
-                self.charge(ChargeClass::Retag);
-                self.charge_units(ChargeClass::RetagGranules, len.div_ceil(16));
-                self.memory_mut()?
-                    .segment_free(ptr.wrapping_add(*offset), len)?;
-            }
-            PointerSign => {
-                self.charge(ChargeClass::Sign);
-                let ptr = stack.pop().expect("validated");
-                let signed = if self.config.pointer_auth {
-                    let inst = &self.store.instances[self.inst];
-                    inst.pac.sign(ptr, inst.pac_modifier)
-                } else {
-                    ptr
-                };
-                stack.push(signed);
-            }
-            PointerAuth => {
-                self.charge(ChargeClass::Auth);
-                let ptr = stack.pop().expect("validated");
-                let stripped = if self.config.pointer_auth {
-                    let inst = &self.store.instances[self.inst];
-                    inst.pac.auth(ptr, inst.pac_modifier)?
-                } else {
-                    ptr
-                };
-                stack.push(stripped);
-            }
-
-            // -- numeric ----------------------------------------------------
-            I32Eqz => una!(s, get_i32, |a: i32| i32::from(a == 0)),
-            I32Eq => cmp!(s, get_i32, |a, b| a == b),
-            I32Ne => cmp!(s, get_i32, |a, b| a != b),
-            I32LtS => cmp!(s, get_i32, |a, b| a < b),
-            I32LtU => cmp!(s, get_i32, |a: i32, b: i32| (a as u32) < b as u32),
-            I32GtS => cmp!(s, get_i32, |a, b| a > b),
-            I32GtU => cmp!(s, get_i32, |a: i32, b: i32| a as u32 > b as u32),
-            I32LeS => cmp!(s, get_i32, |a, b| a <= b),
-            I32LeU => cmp!(s, get_i32, |a: i32, b: i32| a as u32 <= b as u32),
-            I32GeS => cmp!(s, get_i32, |a, b| a >= b),
-            I32GeU => cmp!(s, get_i32, |a: i32, b: i32| a as u32 >= b as u32),
-            I32Clz => una!(s, get_i32, |a: i32| a.leading_zeros() as i32),
-            I32Ctz => una!(s, get_i32, |a: i32| a.trailing_zeros() as i32),
-            I32Popcnt => una!(s, get_i32, |a: i32| a.count_ones() as i32),
-            I32Add => bin!(s, get_i32, |a: i32, b: i32| a.wrapping_add(b)),
-            I32Sub => bin!(s, get_i32, |a: i32, b: i32| a.wrapping_sub(b)),
-            I32Mul => bin!(s, get_i32, |a: i32, b: i32| a.wrapping_mul(b)),
-            I32DivS => {
-                self.charge(dv);
-                let b = get_i32(stack.pop().expect("validated"));
-                let a = get_i32(stack.pop().expect("validated"));
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                let (q, overflow) = a.overflowing_div(b);
-                if overflow {
-                    return Err(Trap::IntegerOverflow);
-                }
-                stack.push(slot_i32(q));
-            }
-            I32DivU => {
-                self.charge(dv);
-                let b = get_i32(stack.pop().expect("validated")) as u32;
-                let a = get_i32(stack.pop().expect("validated")) as u32;
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                stack.push(slot_i32((a / b) as i32));
-            }
-            I32RemS => {
-                self.charge(dv);
-                let b = get_i32(stack.pop().expect("validated"));
-                let a = get_i32(stack.pop().expect("validated"));
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                stack.push(slot_i32(a.wrapping_rem(b)));
-            }
-            I32RemU => {
-                self.charge(dv);
-                let b = get_i32(stack.pop().expect("validated")) as u32;
-                let a = get_i32(stack.pop().expect("validated")) as u32;
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                stack.push(slot_i32((a % b) as i32));
-            }
-            I32And => bin!(s, get_i32, |a: i32, b: i32| a & b),
-            I32Or => bin!(s, get_i32, |a: i32, b: i32| a | b),
-            I32Xor => bin!(s, get_i32, |a: i32, b: i32| a ^ b),
-            I32Shl => bin!(s, get_i32, |a: i32, b: i32| a.wrapping_shl(b as u32)),
-            I32ShrS => bin!(s, get_i32, |a: i32, b: i32| a.wrapping_shr(b as u32)),
-            I32ShrU => bin!(
-                s,
-                get_i32,
-                |a: i32, b: i32| ((a as u32).wrapping_shr(b as u32)) as i32
-            ),
-            I32Rotl => bin!(s, get_i32, |a: i32, b: i32| a.rotate_left(b as u32 & 31)),
-            I32Rotr => bin!(s, get_i32, |a: i32, b: i32| a.rotate_right(b as u32 & 31)),
-
-            I64Eqz => {
-                self.charge(s);
-                let a = get_i64(stack.pop().expect("validated"));
-                stack.push(slot_bool(a == 0));
-            }
-            I64Eq => cmp!(s, get_i64, |a, b| a == b),
-            I64Ne => cmp!(s, get_i64, |a, b| a != b),
-            I64LtS => cmp!(s, get_i64, |a, b| a < b),
-            I64LtU => cmp!(s, get_i64, |a: i64, b: i64| (a as u64) < b as u64),
-            I64GtS => cmp!(s, get_i64, |a, b| a > b),
-            I64GtU => cmp!(s, get_i64, |a: i64, b: i64| a as u64 > b as u64),
-            I64LeS => cmp!(s, get_i64, |a, b| a <= b),
-            I64LeU => cmp!(s, get_i64, |a: i64, b: i64| a as u64 <= b as u64),
-            I64GeS => cmp!(s, get_i64, |a, b| a >= b),
-            I64GeU => cmp!(s, get_i64, |a: i64, b: i64| a as u64 >= b as u64),
-            I64Clz => una!(s, get_i64, |a: i64| i64::from(a.leading_zeros())),
-            I64Ctz => una!(s, get_i64, |a: i64| i64::from(a.trailing_zeros())),
-            I64Popcnt => una!(s, get_i64, |a: i64| i64::from(a.count_ones())),
-            I64Add => bin!(s, get_i64, |a: i64, b: i64| a.wrapping_add(b)),
-            I64Sub => bin!(s, get_i64, |a: i64, b: i64| a.wrapping_sub(b)),
-            I64Mul => bin!(s, get_i64, |a: i64, b: i64| a.wrapping_mul(b)),
-            I64DivS => {
-                self.charge(dv);
-                let b = get_i64(stack.pop().expect("validated"));
-                let a = get_i64(stack.pop().expect("validated"));
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                let (q, overflow) = a.overflowing_div(b);
-                if overflow {
-                    return Err(Trap::IntegerOverflow);
-                }
-                stack.push(slot_i64(q));
-            }
-            I64DivU => {
-                self.charge(dv);
-                let b = get_i64(stack.pop().expect("validated")) as u64;
-                let a = get_i64(stack.pop().expect("validated")) as u64;
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                stack.push(slot_i64((a / b) as i64));
-            }
-            I64RemS => {
-                self.charge(dv);
-                let b = get_i64(stack.pop().expect("validated"));
-                let a = get_i64(stack.pop().expect("validated"));
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                stack.push(slot_i64(a.wrapping_rem(b)));
-            }
-            I64RemU => {
-                self.charge(dv);
-                let b = get_i64(stack.pop().expect("validated")) as u64;
-                let a = get_i64(stack.pop().expect("validated")) as u64;
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                stack.push(slot_i64((a % b) as i64));
-            }
-            I64And => bin!(s, get_i64, |a: i64, b: i64| a & b),
-            I64Or => bin!(s, get_i64, |a: i64, b: i64| a | b),
-            I64Xor => bin!(s, get_i64, |a: i64, b: i64| a ^ b),
-            I64Shl => bin!(s, get_i64, |a: i64, b: i64| a.wrapping_shl(b as u32)),
-            I64ShrS => bin!(s, get_i64, |a: i64, b: i64| a.wrapping_shr(b as u32)),
-            I64ShrU => bin!(
-                s,
-                get_i64,
-                |a: i64, b: i64| ((a as u64).wrapping_shr(b as u32)) as i64
-            ),
-            I64Rotl => bin!(s, get_i64, |a: i64, b: i64| a.rotate_left(b as u32 & 63)),
-            I64Rotr => bin!(s, get_i64, |a: i64, b: i64| a.rotate_right(b as u32 & 63)),
-
-            F32Eq => cmp!(fl, get_f32, |a, b| a == b),
-            F32Ne => cmp!(fl, get_f32, |a, b| a != b),
-            F32Lt => cmp!(fl, get_f32, |a, b| a < b),
-            F32Gt => cmp!(fl, get_f32, |a, b| a > b),
-            F32Le => cmp!(fl, get_f32, |a, b| a <= b),
-            F32Ge => cmp!(fl, get_f32, |a, b| a >= b),
-            F32Abs => una!(fl, get_f32, |a: f32| a.abs()),
-            F32Neg => una!(fl, get_f32, |a: f32| -a),
-            F32Ceil => una!(fl, get_f32, |a: f32| a.ceil()),
-            F32Floor => una!(fl, get_f32, |a: f32| a.floor()),
-            F32Trunc => una!(fl, get_f32, |a: f32| a.trunc()),
-            F32Nearest => una!(fl, get_f32, |a: f32| a.round_ties_even()),
-            F32Sqrt => una!(fdv, get_f32, |a: f32| a.sqrt()),
-            F32Add => bin!(fl, get_f32, |a: f32, b: f32| a + b),
-            F32Sub => bin!(fl, get_f32, |a: f32, b: f32| a - b),
-            F32Mul => bin!(fl, get_f32, |a: f32, b: f32| a * b),
-            F32Div => bin!(fdv, get_f32, |a: f32, b: f32| a / b),
-            F32Min => bin!(fl, get_f32, wasm_fmin32),
-            F32Max => bin!(fl, get_f32, wasm_fmax32),
-            F32Copysign => bin!(fl, get_f32, |a: f32, b: f32| a.copysign(b)),
-
-            F64Eq => cmp!(fl, get_f64, |a, b| a == b),
-            F64Ne => cmp!(fl, get_f64, |a, b| a != b),
-            F64Lt => cmp!(fl, get_f64, |a, b| a < b),
-            F64Gt => cmp!(fl, get_f64, |a, b| a > b),
-            F64Le => cmp!(fl, get_f64, |a, b| a <= b),
-            F64Ge => cmp!(fl, get_f64, |a, b| a >= b),
-            F64Abs => una!(fl, get_f64, |a: f64| a.abs()),
-            F64Neg => una!(fl, get_f64, |a: f64| -a),
-            F64Ceil => una!(fl, get_f64, |a: f64| a.ceil()),
-            F64Floor => una!(fl, get_f64, |a: f64| a.floor()),
-            F64Trunc => una!(fl, get_f64, |a: f64| a.trunc()),
-            F64Nearest => una!(fl, get_f64, |a: f64| a.round_ties_even()),
-            F64Sqrt => una!(fdv, get_f64, |a: f64| a.sqrt()),
-            F64Add => bin!(fl, get_f64, |a: f64, b: f64| a + b),
-            F64Sub => bin!(fl, get_f64, |a: f64, b: f64| a - b),
-            F64Mul => bin!(fl, get_f64, |a: f64, b: f64| a * b),
-            F64Div => bin!(fdv, get_f64, |a: f64, b: f64| a / b),
-            F64Min => bin!(fl, get_f64, wasm_fmin64),
-            F64Max => bin!(fl, get_f64, wasm_fmax64),
-            F64Copysign => bin!(fl, get_f64, |a: f64, b: f64| a.copysign(b)),
-
-            // Width changes are register renames on the simulated cores
-            // (zero-cost move elimination): charged as free so wasm64's
-            // extra extend/wrap traffic prices only real work.
-            I32WrapI64 => una!(ChargeClass::Zero, get_i64, |a: i64| a as i32),
-            I32TruncF32S => {
-                self.charge(fl);
-                let a = get_f32(stack.pop().expect("validated"));
-                stack.push(slot_i32(trunc_to_i32(f64::from(a))?));
-            }
-            I32TruncF32U => {
-                self.charge(fl);
-                let a = get_f32(stack.pop().expect("validated"));
-                stack.push(slot_i32(trunc_to_u32(f64::from(a))? as i32));
-            }
-            I32TruncF64S => {
-                self.charge(fl);
-                let a = get_f64(stack.pop().expect("validated"));
-                stack.push(slot_i32(trunc_to_i32(a)?));
-            }
-            I32TruncF64U => {
-                self.charge(fl);
-                let a = get_f64(stack.pop().expect("validated"));
-                stack.push(slot_i32(trunc_to_u32(a)? as i32));
-            }
-            I64ExtendI32S => una!(ChargeClass::Zero, get_i32, |a: i32| i64::from(a)),
-            I64ExtendI32U => una!(ChargeClass::Zero, get_i32, |a: i32| (a as u32) as i64),
-            I64TruncF32S => {
-                self.charge(fl);
-                let a = get_f32(stack.pop().expect("validated"));
-                stack.push(slot_i64(trunc_to_i64(f64::from(a))?));
-            }
-            I64TruncF32U => {
-                self.charge(fl);
-                let a = get_f32(stack.pop().expect("validated"));
-                stack.push(slot_i64(trunc_to_u64(f64::from(a))? as i64));
-            }
-            I64TruncF64S => {
-                self.charge(fl);
-                let a = get_f64(stack.pop().expect("validated"));
-                stack.push(slot_i64(trunc_to_i64(a)?));
-            }
-            I64TruncF64U => {
-                self.charge(fl);
-                let a = get_f64(stack.pop().expect("validated"));
-                stack.push(slot_i64(trunc_to_u64(a)? as i64));
-            }
-            F32ConvertI32S => una!(fl, get_i32, |a: i32| a as f32),
-            F32ConvertI32U => una!(fl, get_i32, |a: i32| (a as u32) as f32),
-            F32ConvertI64S => una!(fl, get_i64, |a: i64| a as f32),
-            F32ConvertI64U => una!(fl, get_i64, |a: i64| (a as u64) as f32),
-            F32DemoteF64 => una!(fl, get_f64, |a: f64| a as f32),
-            F64ConvertI32S => una!(fl, get_i32, |a: i32| f64::from(a)),
-            F64ConvertI32U => una!(fl, get_i32, |a: i32| f64::from(a as u32)),
-            F64ConvertI64S => una!(fl, get_i64, |a: i64| a as f64),
-            F64ConvertI64U => una!(fl, get_i64, |a: i64| (a as u64) as f64),
-            F64PromoteF32 => una!(fl, get_f32, f64::from),
-            I32ReinterpretF32 => una!(s, get_f32, |a: f32| a.to_bits() as i32),
-            I64ReinterpretF64 => una!(s, get_f64, |a: f64| a.to_bits() as i64),
-            F32ReinterpretI32 => una!(s, get_i32, |a: i32| f32::from_bits(a as u32)),
-            F64ReinterpretI64 => una!(s, get_i64, |a: i64| f64::from_bits(a as u64)),
-            I32Extend8S => una!(s, get_i32, |a: i32| i32::from(a as i8)),
-            I32Extend16S => una!(s, get_i32, |a: i32| i32::from(a as i16)),
-            I64Extend8S => una!(s, get_i64, |a: i64| i64::from(a as i8)),
-            I64Extend16S => una!(s, get_i64, |a: i64| i64::from(a as i16)),
-            I64Extend32S => una!(s, get_i64, |a: i64| i64::from(a as i32)),
-        }
-        Ok(())
     }
 }
 
@@ -808,7 +300,7 @@ impl<'s> Interp<'s> {
 // Register dispatch
 // ===========================================================================
 //
-// One function, one `loop { match op }` over the 18 `RegOp` kinds (a single
+// One function, one `loop { match op }` over the 21 `RegOp` kinds (a single
 // jump table whose layout is the compiler's, not the linker's), with an
 // explicit call stack of function *indices* into the template's function
 // table — borrowed once per invocation, so a guest call or return touches
@@ -847,7 +339,8 @@ struct RegState<'a, 's> {
     func: u32,
     /// Arena offset of the active frame.
     base: usize,
-    /// Reusable staging stack for bridged ops and host calls.
+    /// Reusable staging stack for host calls: the typed boundary takes its
+    /// arguments as a slice and returns its results as one.
     scratch: Vec<u64>,
     // Cached linear-memory fast path: when the memory says no tag check
     // is live (`LinearMemory::tag_checked`), a scalar access is one
@@ -1062,28 +555,123 @@ impl<'a> RegState<'a, '_> {
         Some((code, frame.ret_pc))
     }
 
-    /// Runs a bridged instruction through the oracle's [`Interp::exec_op`]
-    /// on the staging stack. Bridged ops never touch locals, so an empty
-    /// arena suffices, and the op does its own internal charging, exactly
-    /// as under the tree walker.
+    /// Runs a stateful instruction on the active frame's registers: the
+    /// twelve bodies of [`RegOp::Sys`], from Fig. 11 for the Cage forms
+    /// and the core specification for the rest. Unlike the loop's other
+    /// arms each body retires its own instruction — class first, then the
+    /// data-dependent units its operands name, then the effect — so a trap
+    /// finds the op charged in full. Out of line and `cold`: these are a
+    /// few per call frame at most, and the loop's shape should not know
+    /// them — without the hint the register allocator keeps the running
+    /// charge sum on the stack around this call, which costs every
+    /// dispatch a store and a reload.
+    #[cold]
     #[inline(never)]
-    fn bridge(&mut self, bridge: &RegBridge) -> Result<(), Trap> {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        buf.extend(bridge.args.iter().map(|&a| self.get(a)));
-        let result = self.it.exec_op(&bridge.op, &mut buf, &mut [], 0);
-        if result.is_ok() {
-            // `memory.grow` can move linear memory: refresh the fast-path
-            // cache.
-            if matches!(bridge.op, Instr::MemoryGrow) {
+    fn sys(&mut self, op: SysOp, args: [u16; 3], ret: Option<u16>, imm: u64) -> Result<(), Trap> {
+        // A partial granule still costs a full `stg`/`stzg`.
+        let granules = |len: u64| len.div_ceil(16);
+        let result = match op {
+            SysOp::Unreachable => {
+                self.it.charge(ChargeClass::Simple);
+                return Err(Trap::Unreachable);
+            }
+            SysOp::GlobalGet => {
+                self.it.charge(ChargeClass::Simple);
+                self.it.store.instances[self.it.inst].globals[imm as usize].to_slot()
+            }
+            SysOp::GlobalSet => {
+                self.it.charge(ChargeClass::Simple);
+                let raw = self.get(args[0]);
+                // A global keeps its typed API representation; its
+                // declared type is that of the value it holds.
+                let global = &mut self.it.store.instances[self.it.inst].globals[imm as usize];
+                *global = Value::from_slot(global.ty(), raw);
+                0
+            }
+            SysOp::MemorySize => {
+                self.it.charge(ChargeClass::MemManage);
+                let mem = self.it.memory()?;
+                pages_slot(mem.is_memory64(), Some(mem.size_pages()))
+            }
+            SysOp::MemoryGrow => {
+                self.it.charge(ChargeClass::MemManage);
+                let delta = self.get(args[0]);
+                let mem = self.it.memory_mut()?;
+                let old = pages_slot(mem.is_memory64(), mem.grow(delta));
+                // The guest size moved: so does the fast path's bound.
                 self.refresh_mem();
+                old
             }
-            if let Some(dst) = bridge.ret {
-                self.set(dst, buf.pop().expect("bridged op pushes its result"));
+            SysOp::MemoryFill => {
+                let [dst, val, len] = args.map(|r| self.get(r));
+                self.it.charge(ChargeClass::Fill);
+                self.it.charge_units(ChargeClass::FillBytes, len);
+                self.it.memory_mut()?.fill(dst, val as u8, len)?;
+                0
             }
+            SysOp::MemoryCopy => {
+                let [dst, src, len] = args.map(|r| self.get(r));
+                self.it.charge(ChargeClass::Copy);
+                self.it.charge_units(ChargeClass::CopyBytes, len);
+                self.it.memory_mut()?.copy(dst, src, len)?;
+                0
+            }
+            SysOp::SegmentNew => {
+                let (ptr, len) = (self.get(args[0]), self.get(args[1]));
+                self.it.charge(ChargeClass::SegmentNew);
+                self.it
+                    .charge_units(ChargeClass::SegmentNewGranules, granules(len));
+                self.it
+                    .memory_mut()?
+                    .segment_new(ptr.wrapping_add(imm), len)?
+            }
+            SysOp::SegmentSetTag => {
+                let [ptr, tagged, len] = args.map(|r| self.get(r));
+                self.it.charge(ChargeClass::Retag);
+                self.it
+                    .charge_units(ChargeClass::RetagGranules, granules(len));
+                self.it
+                    .memory_mut()?
+                    .segment_set_tag(ptr.wrapping_add(imm), tagged, len)?;
+                0
+            }
+            SysOp::SegmentFree => {
+                let (ptr, len) = (self.get(args[0]), self.get(args[1]));
+                self.it.charge(ChargeClass::Retag);
+                self.it
+                    .charge_units(ChargeClass::RetagGranules, granules(len));
+                self.it
+                    .memory_mut()?
+                    .segment_free(ptr.wrapping_add(imm), len)?;
+                0
+            }
+            // Without pointer authentication both are moves, and still
+            // retire their instruction.
+            SysOp::PointerSign => {
+                self.it.charge(ChargeClass::Sign);
+                let ptr = self.get(args[0]);
+                let inst = &self.it.store.instances[self.it.inst];
+                if self.it.config.pointer_auth {
+                    inst.pac.sign(ptr, inst.pac_modifier)
+                } else {
+                    ptr
+                }
+            }
+            SysOp::PointerAuth => {
+                self.it.charge(ChargeClass::Auth);
+                let ptr = self.get(args[0]);
+                let inst = &self.it.store.instances[self.it.inst];
+                if self.it.config.pointer_auth {
+                    inst.pac.auth(ptr, inst.pac_modifier)?
+                } else {
+                    ptr
+                }
+            }
+        };
+        if let Some(dst) = ret {
+            self.set(dst, result);
         }
-        self.scratch = buf;
-        result
+        Ok(())
     }
 }
 
@@ -1123,10 +711,11 @@ impl Interp<'_> {
     /// running sum `acc`, a local that no arm's straight path stores), one
     /// test of the lanes' guard bits, and one jump-table `match`. `acc` is
     /// emptied into the counts when a guard bit is set, before a host
-    /// call or a bridged op (so the instance's counts are complete
-    /// whenever code that is not this loop runs), and after the loop,
-    /// which every arm leaves the same way — a `break` with the result, a
-    /// trap included. Control flow never recurses: a call
+    /// call (so the instance's counts are complete whenever foreign code
+    /// runs), and after the loop, which every arm leaves the same way — a
+    /// `break` with the result, a trap included. A [`RegOp::Sys`] arm adds
+    /// to the instance's counts directly, around a sum still in flight:
+    /// integer counts commute. Control flow never recurses: a call
     /// pushes a [`RegFrame`] and continues at pc 0 of the callee, so host
     /// stack usage is constant in both guest nesting depth and guest call
     /// depth (the latter bounded by `max_call_depth`). Fuel is consumed in
@@ -1324,10 +913,7 @@ impl Interp<'_> {
                     addr,
                     val,
                 } => tri!(st.store_scalar(op, st.get(addr), offset, st.get(val))),
-                RegOp::Bridge(bridge) => {
-                    spill!();
-                    tri!(st.bridge(bridge));
-                }
+                &RegOp::Sys { op, args, ret, imm } => tri!(st.sys(op, args, ret, imm)),
             }
             pc += 1;
         };
@@ -1336,216 +922,14 @@ impl Interp<'_> {
     }
 }
 
-// -- tree-walking reference (testing only) --------------------------------
-//
-// The reference implementation the register machine is compared against:
-// it executes the *structured* `Instr` tree recursively, one source
-// instruction at a time, delegating every data op to the same `exec_op`
-// the register machine's bridged ops use. Property tests — the in-crate
-// difftest and the trap-matrix integration test, which is why this is not
-// `#[cfg(test)]` — assert both paths are bit-identical on results, traps,
-// cycles and retired instructions.
-mod tree {
-    use super::*;
-    use cage_wasm::Instr;
-
-    /// Control-flow outcome of executing an instruction sequence.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Flow {
-        /// Fell through.
-        Next,
-        /// Branch to the label `depth` levels up.
-        Br(u32),
-        /// Return from the function.
-        Return,
-    }
-
-    impl Interp<'_> {
-        /// Oracle entry point: the structured-tree twin of
-        /// [`Interp::call_function_reg`].
-        pub(crate) fn call_function_tree(
-            &mut self,
-            func_idx: u32,
-            args: &[Value],
-        ) -> Result<Vec<Value>, Trap> {
-            self.check_entry(func_idx, args)?;
-            // The oracle shares the untagged-slot machinery (`enter`,
-            // `collapse`, `exec_op`); typed values convert at this call
-            // boundary exactly like `call_function_reg`.
-            let ty = Arc::clone(&self.store.instances[self.inst].pre.funcs[func_idx as usize].ty);
-            let mut stack: Vec<u64> = Vec::with_capacity(64);
-            let mut locals: Vec<u64> = Vec::with_capacity(32);
-            stack.extend(args.iter().map(|v| v.to_slot()));
-            let result = self.call_frame_tree(func_idx, &mut stack, &mut locals);
-            self.flush_accounting();
-            result?;
-            debug_assert_eq!(stack.len(), ty.results.len(), "validated result arity");
-            Ok(ty
-                .results
-                .iter()
-                .zip(&stack)
-                .map(|(ty, raw)| Value::from_slot(*ty, *raw))
-                .collect())
-        }
-
-        fn call_frame_tree(
-            &mut self,
-            func_idx: u32,
-            stack: &mut Vec<u64>,
-            locals: &mut Vec<u64>,
-        ) -> Result<(), Trap> {
-            if self.depth >= self.max_depth {
-                return Err(Trap::CallStackExhausted);
-            }
-            self.depth += 1;
-            let result = self.call_inner_tree(func_idx, stack, locals);
-            self.depth -= 1;
-            result
-        }
-
-        fn call_inner_tree(
-            &mut self,
-            func_idx: u32,
-            stack: &mut Vec<u64>,
-            locals: &mut Vec<u64>,
-        ) -> Result<(), Trap> {
-            // Function table and structured body (the compiled form is
-            // flat) are borrowed from a clone of the instance's template:
-            // three reference counts per call, fine on this test-only path.
-            let pre = self.store.instances[self.inst].pre.clone();
-            let func = &pre.funcs[func_idx as usize];
-            if func.is_host {
-                return self.call_host(func_idx, func, stack);
-            }
-            let imported = pre.module.imported_func_count();
-            let body = &pre.module.funcs[(func_idx - imported) as usize].body;
-            let (locals_base, frame_base) = Self::enter(func, stack, locals);
-            // On Next/Return/Br(function level) alike, the results sit on
-            // top; slide them down over any abandoned operands.
-            self.exec_seq_tree(body, stack, locals, locals_base)?;
-            Self::collapse(stack, frame_base, func.ty.results.len());
-            locals.truncate(locals_base);
-            Ok(())
-        }
-
-        fn exec_seq_tree(
-            &mut self,
-            body: &[Instr],
-            stack: &mut Vec<u64>,
-            locals: &mut Vec<u64>,
-            lbase: usize,
-        ) -> Result<Flow, Trap> {
-            for instr in body {
-                match self.exec_instr_tree(instr, stack, locals, lbase)? {
-                    Flow::Next => {}
-                    other => return Ok(other),
-                }
-            }
-            Ok(Flow::Next)
-        }
-
-        fn exec_instr_tree(
-            &mut self,
-            instr: &Instr,
-            stack: &mut Vec<u64>,
-            locals: &mut Vec<u64>,
-            lbase: usize,
-        ) -> Result<Flow, Trap> {
-            match instr {
-                Instr::Block(bt, inner) => {
-                    let height = stack.len();
-                    let arity = bt.arity();
-                    match self.exec_seq_tree(inner, stack, locals, lbase)? {
-                        Flow::Next => {}
-                        Flow::Br(0) => Self::collapse(stack, height, arity),
-                        Flow::Br(n) => return Ok(Flow::Br(n - 1)),
-                        Flow::Return => return Ok(Flow::Return),
-                    }
-                }
-                Instr::Loop(_bt, inner) => {
-                    let height = stack.len();
-                    loop {
-                        match self.exec_seq_tree(inner, stack, locals, lbase)? {
-                            Flow::Next => break,
-                            Flow::Br(0) => {
-                                // Loop labels have no parameters in this
-                                // subset: restart with a clean frame.
-                                stack.truncate(height);
-                            }
-                            Flow::Br(n) => return Ok(Flow::Br(n - 1)),
-                            Flow::Return => return Ok(Flow::Return),
-                        }
-                    }
-                }
-                Instr::If(bt, then_body, else_body) => {
-                    self.charge(ChargeClass::Branch);
-                    let cond = get_i32(stack.pop().expect("validated"));
-                    let height = stack.len();
-                    let arity = bt.arity();
-                    let body = if cond != 0 { then_body } else { else_body };
-                    match self.exec_seq_tree(body, stack, locals, lbase)? {
-                        Flow::Next => {}
-                        Flow::Br(0) => Self::collapse(stack, height, arity),
-                        Flow::Br(n) => return Ok(Flow::Br(n - 1)),
-                        Flow::Return => return Ok(Flow::Return),
-                    }
-                }
-                Instr::Br(depth) => {
-                    self.charge(ChargeClass::Branch);
-                    return Ok(Flow::Br(*depth));
-                }
-                Instr::BrIf(depth) => {
-                    self.charge(ChargeClass::Branch);
-                    let cond = get_i32(stack.pop().expect("validated"));
-                    if cond != 0 {
-                        return Ok(Flow::Br(*depth));
-                    }
-                }
-                Instr::BrTable(targets, default) => {
-                    self.charge(ChargeClass::Branch);
-                    let i = get_i32(stack.pop().expect("validated")) as usize;
-                    let target = targets.get(i).copied().unwrap_or(*default);
-                    return Ok(Flow::Br(target));
-                }
-                Instr::Return => {
-                    self.charge(ChargeClass::Branch);
-                    return Ok(Flow::Return);
-                }
-                Instr::Call(f) => {
-                    self.charge(ChargeClass::Call);
-                    // Arguments are already on the shared stack; the callee
-                    // consumes them and leaves its results in place.
-                    self.call_frame_tree(*f, stack, locals)?;
-                }
-                Instr::CallIndirect(type_idx) => {
-                    self.charge(ChargeClass::CallIndirect);
-                    let table_idx = get_i32(stack.pop().expect("validated")) as u32;
-                    let inst = &self.store.instances[self.inst];
-                    let func_idx = inst
-                        .table
-                        .get(table_idx as usize)
-                        .copied()
-                        .flatten()
-                        .ok_or(Trap::UndefinedElement)?;
-                    if inst.pre.types[*type_idx as usize] != inst.pre.funcs[func_idx as usize].ty {
-                        return Err(Trap::IndirectCallTypeMismatch);
-                    }
-                    self.call_frame_tree(func_idx, stack, locals)?;
-                }
-                other => {
-                    self.exec_op(other, stack, locals, lbase)?;
-                }
-            }
-            Ok(Flow::Next)
-        }
-    }
-}
-
-fn size_value(pages: u64, memory64: bool) -> u64 {
-    if memory64 {
-        slot_i64(pages as i64)
-    } else {
-        slot_i32(pages as i32)
+/// The result slot of `memory.size` and `memory.grow`: a page count in the
+/// memory's index type, `-1` for a grow that was refused.
+fn pages_slot(memory64: bool, pages: Option<u64>) -> u64 {
+    match (memory64, pages) {
+        (true, Some(pages)) => slot_i64(pages as i64),
+        (false, Some(pages)) => slot_i32(pages as i32),
+        (true, None) => slot_i64(-1),
+        (false, None) => slot_i32(-1),
     }
 }
 
@@ -1556,7 +940,7 @@ fn size_value(pages: u64, memory64: bool) -> u64 {
 /// There is no `encode_store` twin: slot encoding *is* the store
 /// encoding — the scalar write truncates to the op's width, which is what
 /// every `StoreOp` did to its typed value.
-fn decode_load(op: LoadOp, raw: u64) -> u64 {
+pub(crate) fn decode_load(op: LoadOp, raw: u64) -> u64 {
     use LoadOp::*;
     match op {
         I32Load | F32Load | F64Load | I64Load | I32Load8U | I32Load16U | I64Load8U | I64Load16U

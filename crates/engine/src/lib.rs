@@ -57,6 +57,7 @@ pub mod memory;
 mod memory_model;
 pub mod store;
 pub mod trap;
+mod tree;
 pub mod typed;
 pub mod value;
 

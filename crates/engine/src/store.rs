@@ -640,9 +640,11 @@ impl Store {
 
     /// Calls a function by index through the structured tree walker — the
     /// reference implementation (the in-crate difftest and the trap-matrix
-    /// integration test compare the register machine against it). Mirrors
-    /// [`Store::call`] exactly, including surfacing of deferred
-    /// asynchronous MTE faults. Not part of the supported embedder API.
+    /// integration test compare the register machine against it), and the
+    /// only way into `crate::tree`: nothing [`Store::call`] reaches runs
+    /// any of it. Mirrors [`Store::call`] exactly, including surfacing of
+    /// deferred asynchronous MTE faults. Not part of the supported
+    /// embedder API.
     #[doc(hidden)]
     pub fn call_tree(
         &mut self,

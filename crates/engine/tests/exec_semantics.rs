@@ -2,7 +2,7 @@
 
 use cage_engine::{
     BoundsCheckStrategy, ChargeClass, ChargeCounts, CostModel, ExecConfig, Imports,
-    InstantiateError, InternalSafety, Store, Trap, Value,
+    InstantiateError, InternalSafety, Precompiled, Store, Trap, Value,
 };
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
@@ -274,8 +274,26 @@ fn memory_grow_and_size() {
         vec![Instr::LocalGet(0), Instr::MemoryGrow],
     );
     let size = b.add_function(&[], &[ValType::I64], &[], vec![Instr::MemorySize]);
+    // Grows by one page and, in the same invocation, stores to and loads
+    // from the page that did not exist when the call began.
+    let touch = b.add_function(
+        &[],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::I64Const(1),
+            Instr::MemoryGrow,
+            Instr::Drop,
+            Instr::I64Const(65_536 + 8),
+            Instr::I64Const(0x5A5A),
+            Instr::Store(StoreOp::I64Store, MemArg::none()),
+            Instr::I64Const(65_536 + 8),
+            Instr::Load(LoadOp::I64Load, MemArg::none()),
+        ],
+    );
     b.export_func("grow", grow);
     b.export_func("size", size);
+    b.export_func("touch", touch);
     let m = b.build();
     let mut store = Store::new(ExecConfig::default());
     let h = store.instantiate(&m, &Imports::new()).unwrap();
@@ -285,11 +303,48 @@ fn memory_grow_and_size() {
         vec![Value::I64(1)]
     );
     assert_eq!(store.invoke(h, "size", &[]).unwrap(), vec![Value::I64(3)]);
-    // Past the max: -1.
+    // Past the max: -1, and the instruction is retired all the same.
+    store.reset_counters(h);
     assert_eq!(
         store.invoke(h, "grow", &[Value::I64(1)]).unwrap(),
         vec![Value::I64(-1)]
     );
+    let mut refused = ChargeCounts::default();
+    refused.counts[ChargeClass::Simple as usize] = 1;
+    refused.counts[ChargeClass::MemManage as usize] = 1;
+    assert_eq!(store.charge_counts(h), refused);
+
+    // The new page is there for the rest of the call that grew it, on the
+    // register tier's cached bound as on the oracle's uncached one, under
+    // the plain bounds check and under the sandbox's tag check.
+    for config in [
+        ExecConfig::default(),
+        ExecConfig {
+            bounds: BoundsCheckStrategy::MteSandbox,
+            ..ExecConfig::default()
+        },
+    ] {
+        let run = |tree: bool| {
+            let mut store = Store::new(config);
+            let h = store.instantiate(&m, &Imports::new()).unwrap();
+            let out = if tree {
+                store.call_tree(h, touch, &[])
+            } else {
+                store.call(h, touch, &[])
+            };
+            let pages = store.memory(h).unwrap().size_pages();
+            (out, pages, store.charge_counts(h))
+        };
+        let reg = run(false);
+        assert_eq!(reg, run(true), "{config:?}");
+        assert_eq!(reg.0, Ok(vec![Value::I64(0x5A5A)]), "{config:?}");
+        assert_eq!(reg.1, 2);
+        let mut charged = ChargeCounts::default();
+        charged.counts[ChargeClass::Simple as usize] = 5;
+        charged.counts[ChargeClass::MemManage as usize] = 1;
+        charged.counts[ChargeClass::Mem as usize] = 2;
+        assert_eq!(reg.2, charged, "{config:?}");
+    }
 }
 
 fn indirect_module() -> (Module, u32, u32) {
@@ -982,8 +1037,11 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
     // The whole opcode table, taken from the decoder itself: each data
     // instruction as a one-instruction body over typed arguments must
     // lower (no instruction reaches the `unreachable!` arms of the
-    // lowering or of `exec_op`) and agree with the tree oracle on result
-    // or trap, cycle bits and retired count.
+    // lowering or of the oracle) and agree with the tree oracle on result
+    // or trap, the whole count vector, and the globals, memory bytes and
+    // memory tags it leaves behind. The register tier shares no semantics
+    // with the oracle, so each of the 140 is compared with a second
+    // transcription of itself.
     let mut codes: Vec<Vec<u8>> = (0x00..=0xFAu8).map(|op| vec![op]).collect();
     for prefix in [0xFB, 0xFC] {
         codes.extend((0..32u8).map(|sub| vec![prefix, sub]));
@@ -1023,6 +1081,14 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
     }
     assert_eq!(rows, [66, 10, 52], "numeric rows swept (alu, div, una)");
 
+    // The two untagged configurations and the two sandboxed ones: the
+    // stateful instructions do different things under each (segments are
+    // inert without internal MTE, sign/auth are moves without PAC, an
+    // index loses its tag bits under the sandbox mask).
+    let sandbox = ExecConfig {
+        bounds: BoundsCheckStrategy::MteSandbox,
+        ..ExecConfig::default()
+    };
     let configs = [
         ExecConfig::default(),
         ExecConfig {
@@ -1030,19 +1096,37 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
             pointer_auth: true,
             ..ExecConfig::default()
         },
+        sandbox,
+        ExecConfig {
+            internal: InternalSafety::Mte,
+            pointer_auth: true,
+            ..sandbox
+        },
     ];
-    // Five argument rows per instruction. Three feed every parameter the
+    // Seven argument rows per instruction. Three feed every parameter the
     // same value: zeros (division and bulk-op edge), small in-range
     // values, and negative/non-finite ones (out-of-bounds addresses,
     // trapping truncations). Two depend on the parameter's position, for
     // what only a *pair* of operands reaches: `MIN / -1`, a shift count
     // past the width, the zero-sign tie of `min`/`max`/`copysign`, and
-    // finite truncations out of range (3e9 for i32, 2^63 for i64).
-    const ROWS: usize = 5;
+    // finite truncations out of range (3e9 for i32, 2^63 for i64). The
+    // last two are for the stateful instructions with two and three
+    // operands: pairwise distinct, in range and 16-aligned by position
+    // (`dst`/`ptr` 32, `src`/`len` 96, `len` 16), so that swapping any two
+    // operands changes what the instruction does; the second of them puts
+    // tag 4 on the middle operand, which is what `segment.set_tag` reads
+    // its tag from.
+    const ROWS: usize = 7;
+    const TAGGED_96: i64 = (4 << 56) | 96;
     let arg = |ty: ValType, row: usize, pos: usize| {
         let p = pos % 2;
+        // The last two rows differ in their `i64` column only.
+        let r = row.min(5);
         match ty {
-            ValType::I32 => Value::I32([[0; 2], [16; 2], [-7; 2], [i32::MIN, -1], [1, 65]][row][p]),
+            ValType::I32 => {
+                Value::I32([[0; 2], [16; 2], [-7; 2], [i32::MIN, -1], [1, 65], [0x5A; 2]][r][p])
+            }
+            ValType::I64 if row >= 5 => Value::I64([32, [96, TAGGED_96][row - 5], 16][pos % 3]),
             ValType::I64 => Value::I64([[0; 2], [16; 2], [-7; 2], [i64::MIN, -1], [1, 65]][row][p]),
             ValType::F32 => Value::F32(
                 [
@@ -1051,7 +1135,8 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
                     [f32::NAN; 2],
                     [0.0, -0.0],
                     [3e9, 9_223_372_036_854_775_808.0],
-                ][row][p],
+                    [2.5, -1.5],
+                ][r][p],
             ),
             ValType::F64 => Value::F64(
                 [
@@ -1060,7 +1145,8 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
                     [f64::NEG_INFINITY; 2],
                     [0.0, -0.0],
                     [3e9, 9_223_372_036_854_775_808.0],
-                ][row][p],
+                    [2.5, -1.5],
+                ][r][p],
             ),
         }
     };
@@ -1068,14 +1154,7 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
         let (params, results) = data_signature(instr);
         let mut body: Vec<Instr> = (0..params.len() as u32).map(Instr::LocalGet).collect();
         body.push(instr.clone());
-        let mut b = ModuleBuilder::new();
-        b.add_memory64(1);
-        b.add_global(ValType::I64, true, Instr::I64Const(5));
-        // One declared local, so `local.get 0` has a local to read.
-        let f = b.add_function(&params, &results, &[ValType::I64], body);
-        b.export_func("f", f);
-        let m = b.build();
-        cage_wasm::validate(&m).unwrap_or_else(|e| panic!("{instr}: {e}"));
+        let (pre, f) = stateful_fixture(&params, &results, body);
         for config in configs {
             for row in 0..ROWS {
                 let args: Vec<Value> = params
@@ -1083,25 +1162,159 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
                     .enumerate()
                     .map(|(pos, &ty)| arg(ty, row, pos))
                     .collect();
-                let outcome = |tree: bool| {
-                    let mut store = Store::new(config);
-                    let h = store.instantiate(&m, &Imports::new()).unwrap();
-                    let out = if tree {
-                        store.call_tree(h, f, &args)
-                    } else {
-                        store.call(h, f, &args)
-                    };
-                    // NaN results compare by bit pattern.
-                    let out = out.map(|vs| vs.iter().map(|v| v.to_slot()).collect::<Vec<_>>());
-                    (out, store.charge_counts(h))
-                };
                 assert_eq!(
-                    outcome(false),
-                    outcome(true),
+                    run_fixture(&pre, f, config, &args, false),
+                    run_fixture(&pre, f, config, &args, true),
                     "{instr} row {row} {config:?}"
                 );
             }
         }
+    }
+
+    // Each stateful instruction retires itself — class, then the units its
+    // operands name — before anything in it can trap. One trapping row
+    // each for the bodies that can, the whole count vector as literals
+    // (the `Simple`s are the `local.get`s that fed the operands).
+    let cage = configs[1];
+    let (i32t, i64t) = (ValType::I32, ValType::I64);
+    let traps_charged =
+        |instr: Instr, params: &[ValType], raw: &[i64], charged: &[(ChargeClass, u64)]| {
+            let mut body: Vec<Instr> = (0..params.len() as u32).map(Instr::LocalGet).collect();
+            body.push(instr.clone());
+            let (_, results) = data_signature(&instr);
+            let (pre, f) = stateful_fixture(params, &results, body);
+            let args: Vec<Value> = params
+                .iter()
+                .zip(raw)
+                .map(|(ty, &v)| match ty {
+                    ValType::I32 => Value::I32(v as i32),
+                    _ => Value::I64(v),
+                })
+                .collect();
+            let reg = run_fixture(&pre, f, cage, &args, false);
+            assert_eq!(
+                reg,
+                run_fixture(&pre, f, cage, &args, true),
+                "{instr} traps"
+            );
+            assert!(
+                reg.out.is_err(),
+                "{instr} {args:?} must trap: {:?}",
+                reg.out
+            );
+            let mut expected = ChargeCounts::default();
+            expected.counts[ChargeClass::Simple as usize] = params.len() as u64;
+            for &(class, n) in charged {
+                expected.counts[class as usize] = n;
+            }
+            assert_eq!(reg.counts, expected, "{instr}: charged before the trap");
+        };
+    // Past the end of the one page.
+    traps_charged(
+        Instr::MemoryFill,
+        &[i64t, i32t, i64t],
+        &[65_520, 1, 32],
+        &[(ChargeClass::Fill, 1), (ChargeClass::FillBytes, 32)],
+    );
+    traps_charged(
+        Instr::MemoryCopy,
+        &[i64t, i64t, i64t],
+        &[0, 65_520, 48],
+        &[(ChargeClass::Copy, 1), (ChargeClass::CopyBytes, 48)],
+    );
+    // 32 + 8 is not 16-aligned; 17 bytes are two granules.
+    traps_charged(
+        Instr::SegmentNew(8),
+        &[i64t, i64t],
+        &[32, 17],
+        &[
+            (ChargeClass::SegmentNew, 1),
+            (ChargeClass::SegmentNewGranules, 2),
+        ],
+    );
+    traps_charged(
+        Instr::SegmentSetTag(0),
+        &[i64t, i64t, i64t],
+        &[65_520, TAGGED_96, 33],
+        &[(ChargeClass::Retag, 1), (ChargeClass::RetagGranules, 3)],
+    );
+    // A pointer carrying tag 4 does not own untagged memory.
+    traps_charged(
+        Instr::SegmentFree(0),
+        &[i64t, i64t],
+        &[TAGGED_96, 16],
+        &[(ChargeClass::Retag, 1), (ChargeClass::RetagGranules, 1)],
+    );
+    // Never signed: the PAC field is empty.
+    traps_charged(
+        Instr::PointerAuth,
+        &[i64t],
+        &[96],
+        &[(ChargeClass::Auth, 1)],
+    );
+}
+
+/// What a run of a [`stateful_fixture`] leaves behind: the state a
+/// stateful instruction can touch, next to outcome and charge.
+#[derive(Debug, PartialEq)]
+struct FixtureOutcome {
+    /// Results by bit pattern, so NaNs compare.
+    out: Result<Vec<u64>, Trap>,
+    counts: ChargeCounts,
+    globals: [Option<Value>; 2],
+    /// The first 256 bytes of memory...
+    bytes: Vec<u8>,
+    /// ...and the tags of their 16 granules.
+    tags: Vec<Option<u8>>,
+}
+
+/// A one-function module for the stateful instructions: one page of
+/// memory whose first 256 bytes count up from zero (so a copy or a fill
+/// in the wrong place shows), two globals (so a `global.set` of the wrong
+/// one shows) and one declared local.
+fn stateful_fixture(
+    params: &[ValType],
+    results: &[ValType],
+    body: Vec<Instr>,
+) -> (Precompiled, u32) {
+    let mut b = ModuleBuilder::new();
+    b.add_memory64(1);
+    b.add_data(0, (0..=255).collect());
+    for (name, init) in [("g0", 5), ("g1", 6)] {
+        let g = b.add_global(ValType::I64, true, Instr::I64Const(init));
+        b.export_global(name, g);
+    }
+    let what = format!("{body:?}");
+    let f = b.add_function(params, results, &[ValType::I64], body);
+    let pre = Precompiled::new(&b.build()).unwrap_or_else(|e| panic!("{what}: {e}"));
+    (pre, f)
+}
+
+fn run_fixture(
+    pre: &Precompiled,
+    f: u32,
+    config: ExecConfig,
+    args: &[Value],
+    tree: bool,
+) -> FixtureOutcome {
+    let mut store = Store::new(config);
+    let h = store.instantiate_precompiled(pre, &Imports::new()).unwrap();
+    let out = if tree {
+        store.call_tree(h, f, args)
+    } else {
+        store.call(h, f, args)
+    };
+    let out = out.map(|vs| vs.iter().map(|v| v.to_slot()).collect::<Vec<_>>());
+    let mem = store.memory(h).unwrap();
+    FixtureOutcome {
+        out,
+        counts: store.charge_counts(h),
+        globals: [store.global(h, "g0"), store.global(h, "g1")],
+        bytes: mem.read_resolved(0, 256),
+        tags: (0..256)
+            .step_by(16)
+            .map(|addr| mem.tags().tag_at(addr).map(|t| t.value()))
+            .collect(),
     }
 }
 

@@ -153,11 +153,12 @@ pub enum ServeError {
     Instantiate(InstantiateError),
     /// A guest trap during checkout (start-function re-run on reset).
     Trap(Trap),
-    /// The pool is at its slot cap ([`Pool::set_max_slots`]) with every
-    /// healthy slot checked out: shed this request (retry, or route to
-    /// another worker) instead of growing without bound.
+    /// Every healthy slot the pool may hold is checked out — it is at its
+    /// slot cap ([`Pool::set_max_slots`]) or its store has no sandbox tag
+    /// left (see [`Pool`]): shed this request (retry, or route to another
+    /// worker) instead of growing without bound.
     Exhausted {
-        /// The cap that was hit.
+        /// The number of healthy slots that was hit.
         capacity: usize,
     },
     /// The module exceeded a compile limit at template-build time — too
@@ -372,6 +373,16 @@ impl PooledInstance {
 /// instance; steady state therefore allocates nothing. A pool lives on
 /// one thread (host closures and the store are single-threaded); the
 /// shared, thread-safe object is the [`InstancePre`].
+///
+/// The variant bounds how many slots can be live at once, because a
+/// sandbox tag is a resource of the store (§6.4): a `CageSandboxing` pool
+/// holds at most 15 checked-out instances, and a `CageFull` pool is *one
+/// sandbox per worker store* — the paper's combined mode spends the tag
+/// bits on memory safety inside the one sandbox, so such a pool is a
+/// single slot and concurrency comes from more workers, not more slots.
+/// Past that bound a checkout is shed with [`ServeError::Exhausted`]
+/// carrying the bound, exactly as at a [`Pool::set_max_slots`] cap; a
+/// quarantined slot returns its tag, so poisoned capacity is replaced.
 pub struct Pool {
     pre: Arc<InstancePre>,
     store: Store,
@@ -496,6 +507,13 @@ impl Pool {
         self.metrics.quarantined += 1;
     }
 
+    /// Counts a shed checkout: every one of the `capacity` healthy slots
+    /// the pool may hold is checked out.
+    fn exhausted(&mut self, capacity: usize) -> ServeError {
+        self.metrics.exhausted += 1;
+        ServeError::Exhausted { capacity }
+    }
+
     /// Checks an instance out: recycles a released slot when one exists
     /// (reset memory/globals/table, rewound libc, fresh fuel and epoch
     /// deadline), otherwise stamps a new instance from the template. A
@@ -504,10 +522,11 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Exhausted`] when a slot cap is set and every healthy
-    /// slot is checked out; [`ServeError::Instantiate`] on the cold path
-    /// (e.g. the 15-sandbox MTE budget, or a deterministically trapping
-    /// start function).
+    /// [`ServeError::Exhausted`] when every healthy slot the pool may hold
+    /// is checked out — the slot cap, or the variant's sandbox tags (15
+    /// under `CageSandboxing`, one under `CageFull`), whichever is hit
+    /// first; [`ServeError::Instantiate`] on the cold path (e.g. a
+    /// deterministically trapping start function).
     pub fn checkout(&mut self) -> Result<PooledInstance, ServeError> {
         while let Some(slot) = self.free.pop() {
             let handle = self.slots[slot].handle;
@@ -531,8 +550,7 @@ impl Pool {
         }
         if let Some(cap) = self.max_slots {
             if self.slots.len() - self.quarantined >= cap {
-                self.metrics.exhausted += 1;
-                return Err(ServeError::Exhausted { capacity: cap });
+                return Err(self.exhausted(cap));
             }
         }
         let libc = if self.linker.provides_libc() {
@@ -545,9 +563,17 @@ impl Pool {
             None
         };
         let imports = self.linker.build_imports(libc.as_ref());
-        let handle = self
-            .store
-            .instantiate_precompiled(&self.pre.pre, &imports)?;
+        let handle = match self.store.instantiate_precompiled(&self.pre.pre, &imports) {
+            Ok(handle) => handle,
+            // The store has no sandbox tag left (§6.4). The free list is
+            // empty here and a quarantined slot has returned its tag, so
+            // every tag is under a healthy slot that is checked out: the
+            // pool is saturated, at the capacity the variant gives it.
+            Err(InstantiateError::TooManySandboxes) => {
+                return Err(self.exhausted(self.slots.len() - self.quarantined));
+            }
+            Err(e) => return Err(e.into()),
+        };
         self.arm(handle);
         self.metrics.instantiations += 1;
         self.slots.push(Slot {
@@ -1151,6 +1177,63 @@ mod tests {
         assert_eq!(out, vec![Value::I64(42)]);
         pool.release(inst);
         assert_eq!(pool.metrics().instantiations, 21);
+    }
+
+    #[test]
+    fn the_sixteenth_concurrent_sandbox_is_shed_not_an_instantiate_error() {
+        // §6.4: 15 sandbox tags per store. The pool's capacity under
+        // `CageSandboxing` is read off the store's refusal, and the
+        // refusal takes the load-shedding path of a capped pool.
+        let pre = template(COUNTER, Variant::CageSandboxing, HostProfile::Libc);
+        let mut pool = Pool::new(pre);
+        let mut held: Vec<PooledInstance> = (0..15)
+            .map(|n| pool.checkout().unwrap_or_else(|e| panic!("slot {n}: {e}")))
+            .collect();
+        let err = pool.checkout().unwrap_err();
+        assert!(
+            matches!(err, ServeError::Exhausted { capacity: 15 }),
+            "{err}"
+        );
+        assert_eq!(pool.metrics().exhausted, 1);
+        assert_eq!(pool.capacity(), 15, "the refused checkout made no slot");
+        // Releasing one serves the next checkout from the free list.
+        pool.release(held.pop().unwrap());
+        let inst = pool.checkout().unwrap();
+        assert_eq!(
+            pool.invoke(&inst, "bump", &[Value::I64(1)]).unwrap(),
+            vec![Value::I64(1)]
+        );
+        held.push(inst);
+        assert_eq!(pool.metrics().instantiations, 15);
+        assert_eq!(pool.metrics().exhausted, 1);
+        held.into_iter().for_each(|inst| pool.release(inst));
+    }
+
+    #[test]
+    fn a_combined_mode_pool_is_one_sandbox_per_worker_store() {
+        // `CageFull` is §6.4's combined mode: one sandbox per store. The
+        // second concurrent checkout is shed; the one slot recycles.
+        let pre = template(COUNTER, Variant::CageFull, HostProfile::Libc);
+        let mut pool = Pool::new(pre);
+        let only = pool.checkout().unwrap();
+        let err = pool.checkout().unwrap_err();
+        assert!(
+            matches!(err, ServeError::Exhausted { capacity: 1 }),
+            "{err}"
+        );
+        assert_eq!(pool.metrics().exhausted, 1);
+        assert_eq!(
+            pool.invoke(&only, "bump", &[Value::I64(1)]).unwrap(),
+            vec![Value::I64(1)]
+        );
+        pool.release(only);
+        let again = pool.checkout().unwrap();
+        assert_eq!(
+            pool.invoke(&again, "bump", &[Value::I64(1)]).unwrap(),
+            vec![Value::I64(1)]
+        );
+        pool.release(again);
+        assert_eq!(pool.capacity(), 1, "recycled, not grown");
     }
 
     #[test]

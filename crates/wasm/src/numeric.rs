@@ -30,7 +30,8 @@
 //! are in opcode order.
 //!
 //! What deliberately does *not* read the table: the tree-walking oracle in
-//! `cage-engine` (`exec_op`) keeps its own hand-written arm and its own
+//! `cage-engine` (`exec_op` in `engine/src/tree.rs`, which no production
+//! path enters) keeps its own hand-written arm and its own
 //! charge per instruction — it is the reference the register tier is
 //! compared against, and two readers of one table cannot disagree — and
 //! `tests/golden_numeric_table.tsv` pins every opcode, mnemonic and

@@ -677,7 +677,7 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
         }
     }
 
-    let panics_before = cage::compile_panic_count() + cage::serve::compile_panic_count();
+    let panics_before = cage::compile_panic_count();
 
     for case in 0..config.cases {
         match case % 3 {
@@ -775,8 +775,7 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
         }
     }
 
-    report.compile_panics =
-        cage::compile_panic_count() + cage::serve::compile_panic_count() - panics_before;
+    report.compile_panics = cage::compile_panic_count() - panics_before;
     assert_eq!(
         report.compile_panics, 0,
         "compile stages panicked during the sweep (caught by the \

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cage_engine::store::InstantiateError;
-use cage_engine::trap::panic_message;
+use cage_engine::trap::caught_compile_panic;
 use cage_engine::{CostModel, ExecConfig, Precompiled, WasmParams, WasmResults};
 use cage_ir::passes::{HardenConfig, OptLevel, PipelineConfig};
 use cage_mte::Core;
@@ -161,12 +161,9 @@ impl Engine {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.compile_inner(source)))
         {
             Ok(result) => result,
-            Err(payload) => {
-                COMPILE_PANICS.fetch_add(1, Ordering::Relaxed);
-                Err(Error::CompilePanic {
-                    message: panic_message(&*payload),
-                })
-            }
+            Err(payload) => Err(Error::CompilePanic {
+                message: caught_compile_panic(&*payload),
+            }),
         }
     }
 
@@ -478,19 +475,6 @@ impl fmt::Debug for Instance {
 
 /// Source of unique [`Instance`] identities.
 static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Compile stages that panicked and were caught at the
-/// [`Engine::compile`] boundary (each one is a toolchain bug — the
-/// pipeline is supposed to reject every input with a structured error).
-static COMPILE_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// How many [`Engine::compile`] calls have ever panicked inside a
-/// compile stage (and been converted to [`Error::CompilePanic`]).
-/// Process-wide, monotonic — the fuzz harness asserts it stays zero.
-#[must_use]
-pub fn compile_panic_count() -> u64 {
-    COMPILE_PANICS.load(Ordering::Relaxed)
-}
 
 impl Instance {
     /// Wraps a freshly instantiated (runtime, token) pair.

@@ -77,9 +77,10 @@ mod error;
 pub mod gallery;
 
 pub use cage_ir::passes::OptLevel;
-pub use embed::{compile_panic_count, Artifact, Engine, EngineBuilder, Instance, TypedFunc};
+pub use embed::{Artifact, Engine, EngineBuilder, Instance, TypedFunc};
 pub use error::Error;
 
+pub use cage_engine::trap::compile_panic_count;
 pub use cage_engine::{InstanceLimits, Trap, Value, WasmParams, WasmResults, WasmTy};
 pub use cage_mte::Core;
 pub use cage_runtime::{Linker, MemoryReport, PoolMetrics, StartupReport, Variant};

@@ -2,6 +2,7 @@
 //! tag-check and pointer-authentication faults.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use cage_mte::TagCheckFault;
 use cage_pac::PacFault;
@@ -70,6 +71,29 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Compile stages that panicked and were caught at a backstop —
+/// `cage::Engine::compile` or the serving template build (each one is a
+/// toolchain bug: the pipeline is supposed to reject every input with a
+/// structured error).
+static COMPILE_PANICS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one compile-stage panic caught at a backstop and renders its
+/// payload for the error the backstop returns instead.
+#[must_use]
+pub fn caught_compile_panic(payload: &(dyn std::any::Any + Send)) -> String {
+    COMPILE_PANICS.fetch_add(1, Ordering::Relaxed);
+    panic_message(payload)
+}
+
+/// How many compile stages have ever panicked and been caught, by either
+/// backstop (re-exported as `cage::compile_panic_count`). Process-wide,
+/// monotonic — the fuzz harness asserts it stays zero, and a serving
+/// fleet alerts on any increase.
+#[must_use]
+pub fn compile_panic_count() -> u64 {
+    COMPILE_PANICS.load(Ordering::Relaxed)
 }
 
 /// Why a segment instruction trapped.

@@ -19,7 +19,10 @@
 //! ```
 
 use cage_engine::host::HostFn;
-use cage_engine::{HostContext, HostFunc, Imports, Trap, Value};
+use cage_engine::store::InstantiateError;
+use cage_engine::{
+    HostContext, HostFunc, Imports, InstanceHandle, Precompiled, Store, Trap, Value,
+};
 use cage_libc::Libc;
 use cage_wasm::ValType;
 
@@ -128,14 +131,41 @@ impl Linker {
         self.host.is_empty()
     }
 
-    /// Builds the import set for one instantiation: libc first (when
-    /// enabled), then embedder definitions on top so they shadow libc.
+    /// Stamps one instance of `pre` into `store` against this linker —
+    /// the one place an instance gets its libc. When the linker provides
+    /// libc, a fresh one is created for the module's pointer width with
+    /// its heap at `heap_base` (the module's `__heap_base`) and returned
+    /// beside the handle: it is the instance's own allocator and stdout.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Store::instantiate_precompiled`] reports: unresolved
+    /// imports, the 15-sandbox MTE limit, a trapping start function.
     ///
     /// Public for the serving layer (`cage-serve` stamps instances out of
-    /// a template and must resolve imports the same way the runtime
-    /// does); not part of the stable embedder surface.
+    /// a template and must wire libc the same way the runtime does); not
+    /// part of the stable embedder surface.
     #[doc(hidden)]
-    pub fn build_imports(&self, libc: Option<&Libc>) -> Imports {
+    pub fn instantiate(
+        &self,
+        store: &mut Store,
+        pre: &Precompiled,
+        heap_base: u64,
+    ) -> Result<(InstanceHandle, Option<Libc>), InstantiateError> {
+        let libc = self.libc.then(|| {
+            if pre.module().is_memory64() {
+                Libc::new(heap_base)
+            } else {
+                Libc::new_wasm32(heap_base)
+            }
+        });
+        let handle = store.instantiate_precompiled(pre, &self.build_imports(libc.as_ref()))?;
+        Ok((handle, libc))
+    }
+
+    /// Builds the import set for one instantiation: libc first (when
+    /// enabled), then embedder definitions on top so they shadow libc.
+    fn build_imports(&self, libc: Option<&Libc>) -> Imports {
         let mut merged = Imports::new();
         if let Some(libc) = libc {
             libc.register(&mut merged);

@@ -124,17 +124,7 @@ impl Runtime {
         heap_base: u64,
         linker: &Linker,
     ) -> Result<InstanceToken, RuntimeError> {
-        let libc = if linker.provides_libc() {
-            Some(if pre.module().is_memory64() {
-                Libc::new(heap_base)
-            } else {
-                Libc::new_wasm32(heap_base)
-            })
-        } else {
-            None
-        };
-        let imports = linker.build_imports(libc.as_ref());
-        let handle = self.store.instantiate_precompiled(pre, &imports)?;
+        let (handle, libc) = linker.instantiate(&mut self.store, pre, heap_base)?;
         self.libcs.push(libc);
         self.handles.push(handle);
         Ok(InstanceToken {

@@ -1,14 +1,14 @@
 //! Deterministic fault injection for the serving layer.
 //!
 //! A [`FaultPlan`] is a seeded stream of [`Fault`]s — one drawn per
-//! request — that the chaos harness (the `chaos` integration suite and
-//! `serve_load --chaos`) uses to decide *which* failure to force into a
-//! checkout/invoke/release cycle and *where*: grow denials via a
-//! one-page [`cage_engine::InstanceLimits`] cap, host-function traps and
-//! panics via a mode flag the chaos host hook reads, and fuel/epoch
-//! expiry via a budget chosen at plan time, so the trap lands at a
-//! chosen control-transition count. Same seed, same fault sequence,
-//! every run — chaos results are reproducible and CI can pin one seed.
+//! request — that the `chaos` integration suite uses to decide *which*
+//! failure to force into a checkout/invoke/release cycle and *where*:
+//! grow denials via a one-page [`cage_engine::InstanceLimits`] cap,
+//! host-function traps and panics via a mode flag the chaos host hook
+//! reads, and fuel/epoch expiry via a budget chosen at plan time, so the
+//! trap lands at a chosen control-transition count. Same seed, same
+//! fault sequence, every run — chaos results are reproducible and CI can
+//! pin one seed.
 //!
 //! The generator is an inline splitmix64: the serving crate takes no
 //! dependency on a rand crate, and the stream is stable across
@@ -39,7 +39,7 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Short stable name (the chaos survival report keys on it).
+    /// Short stable name (the chaos suite's per-class tally keys on it).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

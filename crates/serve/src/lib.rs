@@ -33,10 +33,10 @@
 //!   dispatch boundary as `Trap::HostPanic` and poisons the slot; a
 //!   poisoned or reset-failed slot is quarantined (never recycled),
 //!   counted in [`PoolMetrics::quarantined`], and replaced lazily.
-//! * fault injection — a seeded [`FaultPlan`] drives the chaos harness
-//!   (the `chaos` suite, `serve_load --chaos`), proving every failure
-//!   path returns the pool to a state bit-identical to fresh
-//!   instantiation or retires the slot.
+//! * fault injection — a seeded [`FaultPlan`] drives the `chaos` suite
+//!   (`tests/chaos.rs`, every pool-capacity regime across threads),
+//!   proving every failure path returns the pool to a state
+//!   bit-identical to fresh instantiation or retires the slot.
 //!
 //! Host state is described by a [`HostProfile`] rather than a
 //! [`Linker`]: linkers hold `Rc`-shared closures and cannot cross
@@ -90,7 +90,7 @@ use std::thread;
 use std::time::Duration;
 
 use cage_engine::store::InstantiateError;
-use cage_engine::trap::panic_message;
+use cage_engine::trap::caught_compile_panic;
 use cage_engine::{InstanceHandle, InstanceLimits, Precompiled, Store, Trap, Value};
 use cage_libc::Libc;
 use cage_mte::Core;
@@ -168,7 +168,10 @@ pub enum ServeError {
     Rejected(LimitError),
     /// A compile stage panicked while building the template. The panic
     /// was caught at the [`InstancePre`] boundary (the worker is fine)
-    /// and counted in [`compile_panic_count`]; the module is refused.
+    /// and counted in the process-wide
+    /// [`cage_engine::trap::compile_panic_count`] (`cage::compile_panic_count`),
+    /// the one counter `Engine::compile`'s backstop bumps too; the module
+    /// is refused.
     CompilePanic(String),
 }
 
@@ -219,20 +222,6 @@ pub struct InstancePre {
     variant: Variant,
     core: Core,
     host: HostProfile,
-}
-
-/// Compile stages that panicked while building an [`InstancePre`] and
-/// were caught at the template boundary (each one is a toolchain bug —
-/// the pipeline is supposed to reject every input with a structured
-/// error).
-static TEMPLATE_COMPILE_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// How many template builds have ever panicked inside a compile stage
-/// (and been converted to [`ServeError::CompilePanic`]). Process-wide,
-/// monotonic — a serving fleet alerts on any increase.
-#[must_use]
-pub fn compile_panic_count() -> u64 {
-    TEMPLATE_COMPILE_PANICS.load(Ordering::Relaxed)
 }
 
 impl InstancePre {
@@ -286,10 +275,7 @@ impl InstancePre {
             Precompiled::with_limits(module, limits)
         })) {
             Ok(result) => result?,
-            Err(payload) => {
-                TEMPLATE_COMPILE_PANICS.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::CompilePanic(panic_message(&*payload)));
-            }
+            Err(payload) => return Err(ServeError::CompilePanic(caught_compile_panic(&*payload))),
         };
         Ok(Self::from_precompiled(variant, core, pre, heap_base, host))
     }
@@ -553,18 +539,9 @@ impl Pool {
                 return Err(self.exhausted(cap));
             }
         }
-        let libc = if self.linker.provides_libc() {
-            Some(if self.pre.module().is_memory64() {
-                Libc::new(self.pre.heap_base)
-            } else {
-                Libc::new_wasm32(self.pre.heap_base)
-            })
-        } else {
-            None
-        };
-        let imports = self.linker.build_imports(libc.as_ref());
-        let handle = match self.store.instantiate_precompiled(&self.pre.pre, &imports) {
-            Ok(handle) => handle,
+        let (linker, pre) = (&self.linker, &self.pre);
+        let (handle, libc) = match linker.instantiate(&mut self.store, &pre.pre, pre.heap_base) {
+            Ok(stamped) => stamped,
             // The store has no sandbox tag left (§6.4). The free list is
             // empty here and a quarantined slot has returned its tag, so
             // every tag is under a healthy slot that is checked out: the
@@ -675,12 +652,6 @@ impl Pool {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Slots currently checked out.
-    #[must_use]
-    pub fn live(&self) -> usize {
-        self.outstanding
     }
 
     /// Slots currently checked out and not yet released — the leak
@@ -947,7 +918,7 @@ mod tests {
         let pre = template(COUNTER, Variant::CagePtrAuth, HostProfile::Libc);
         let mut pool = Pool::new(Arc::clone(&pre));
         let held: Vec<_> = (0..8).map(|_| pool.checkout().unwrap()).collect();
-        assert_eq!(pool.live(), 8);
+        assert_eq!(pool.outstanding(), 8);
         for inst in &held {
             assert_eq!(
                 pool.invoke(inst, "bump", &[Value::I64(2)]).unwrap()[0].as_i64(),
@@ -957,7 +928,7 @@ mod tests {
         for inst in held {
             pool.release(inst);
         }
-        assert_eq!(pool.live(), 0);
+        assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.capacity(), 8);
         // Another pool on the same template: no recompilation needed.
         let mut other = Pool::new(pre);
@@ -1481,7 +1452,11 @@ mod tests {
         let mut fleet = PoolMetrics::default();
         fleet.merge(&pool.metrics());
         assert_eq!(fleet.rejected, 1, "rejection merges into fleet totals");
-        assert_eq!(compile_panic_count(), 0, "no stage panicked");
+        assert_eq!(
+            cage_engine::trap::compile_panic_count(),
+            0,
+            "no stage panicked"
+        );
     }
 
     #[cfg(debug_assertions)]

@@ -35,7 +35,7 @@ fn assert_compile_rejects(source: &str) -> Error {
 /// Pushes a hostile module through the serving template and asserts a
 /// structured rejection (with zero caught panics).
 fn assert_template_rejects(module: &Module) -> ServeError {
-    let panics_before = cage::serve::compile_panic_count();
+    let panics_before = cage::compile_panic_count();
     let Err(err) = InstancePre::new(
         Variant::BaselineWasm64,
         Core::CortexX3,
@@ -49,7 +49,7 @@ fn assert_template_rejects(module: &Module) -> ServeError {
         !matches!(err, ServeError::CompilePanic(_)),
         "rejection must be designed, not a rescued panic: {err}"
     );
-    assert_eq!(cage::serve::compile_panic_count(), panics_before);
+    assert_eq!(cage::compile_panic_count(), panics_before);
     err
 }
 

@@ -3,7 +3,7 @@
 //! One `cage::Error` spans the whole pipeline — frontend, lowering,
 //! validation, instantiation, execution traps, and typed-call signature
 //! checking — so embedders never convert between per-stage error types
-//! (`CompileError`, `LowerError`, `RuntimeError`, bare `Trap`).
+//! (`CompileError`, `LowerError`, `InstantiateError`, bare `Trap`).
 
 use std::fmt;
 
@@ -200,14 +200,6 @@ impl From<InstantiateError> for Error {
 impl From<Trap> for Error {
     fn from(t: Trap) -> Self {
         Error::Trap(t)
-    }
-}
-
-impl From<cage_runtime::RuntimeError> for Error {
-    fn from(e: cage_runtime::RuntimeError) -> Self {
-        match e {
-            cage_runtime::RuntimeError::Instantiate(i) => Error::Instantiate(i),
-        }
     }
 }
 

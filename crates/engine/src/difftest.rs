@@ -448,8 +448,8 @@ impl Gen {
         }
     }
 
-    /// `memory.grow`: small constant deltas succeed (and must invalidate
-    /// the flat dispatcher's cached memory view); local deltas usually
+    /// `memory.grow`: small constant deltas succeed (and the new pages
+    /// must be reachable for the rest of the call); local deltas usually
     /// fail with `-1`. Both paths are compared against the oracle.
     fn grow_statement(&mut self, out: &mut Vec<Instr>) {
         match self.upto(3) {
@@ -569,7 +569,7 @@ impl Gen {
     }
 
     /// Temporaries pinned live across a frame switch (a helper call) or
-    /// a `memory.grow` (which invalidates the cached memory view): the
+    /// a `memory.grow` (which changes the memory's size): the
     /// register file must carry them through intact.
     fn live_across_call_statement(&mut self, out: &mut Vec<Instr>) {
         let n = 2 + self.upto(4);

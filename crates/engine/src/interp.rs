@@ -27,14 +27,11 @@
 //! door to — validation already guarantees types, so no runtime tag is
 //! stored or matched). Typed [`Value`]s exist only at API boundaries:
 //! external `Store::call` arguments/results, host calls and globals
-//! convert at the edge. Which path a scalar load/store takes is the
-//! memory's decision, made once when it was built from its
-//! [`crate::memory::TagScheme`]: the loop asks
-//! [`crate::memory::LinearMemory::tag_checked`] and, when no tag check is
-//! live, caches a bound — one compare against the cached guest size, then
-//! a direct little-endian read; otherwise every access goes through
-//! [`crate::memory::LinearMemory::resolve`]. The loop owns the cache and
-//! nothing else: no policy is derived here.
+//! convert at the edge. A scalar load or store is one call to
+//! [`crate::memory::LinearMemory::read_scalar`] /
+//! [`crate::memory::LinearMemory::write_scalar`]: the memory owns its
+//! policy, its bound and its fast path, and the loop holds no
+//! linear-memory state at all.
 //!
 //! This loop is the only production executor: everything reachable from
 //! `Store::call` and `Store::invoke` is in this file, holds no
@@ -56,7 +53,9 @@
 //! assert the register machine is identical to it on results, traps and
 //! the whole count vector. Nothing here calls into it, so for every
 //! instruction the tests compare two independent transcriptions of the
-//! semantics.
+//! semantics — except where both call the same `LinearMemory` accessor
+//! (a scalar load or store), whose independent transcription is the eager
+//! model in `crate::memory_model`.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -70,7 +69,6 @@ use crate::bytecode::{unpack_lanes, AluOp, RegCallIndirect, RegCode, RegOp, SysO
 use crate::config::ExecConfig;
 use crate::cost::ChargeClass;
 use crate::host::HostContext;
-use crate::memory::fast_addr;
 use crate::store::{CompiledFunc, Store};
 use crate::trap::{panic_message, Trap};
 use crate::value::Value;
@@ -342,19 +340,6 @@ struct RegState<'a, 's> {
     /// Reusable staging stack for host calls: the typed boundary takes its
     /// arguments as a slice and returns its results as one.
     scratch: Vec<u64>,
-    // Cached linear-memory fast path: when the memory says no tag check
-    // is live (`LinearMemory::tag_checked`), a scalar access is one
-    // overflow-checked address add, one bounds compare against this
-    // cached bound, and a direct little-endian read — the full
-    // `resolve()` policy ladder never runs. The bound is `LinearMemory::fast_bound` (guest size capped by
-    // the committed prefix); a miss goes to `commit_miss`, which decides
-    // against the real guest size. The cache is refreshed wherever the
-    // guest size can change — `memory.grow` and host calls (hosts may
-    // grow the memory through their checked context) — and a stale value
-    // is only ever too small, which costs a `commit_miss` and nothing else.
-    mem_m64: bool,
-    mem_size: u64,
-    mem_fast: bool,
 }
 
 impl<'a> RegState<'a, '_> {
@@ -370,81 +355,22 @@ impl<'a> RegState<'a, '_> {
         self.regs[self.base + slot as usize] = v;
     }
 
-    /// Recomputes the cached linear-memory view from the instance.
-    fn refresh_mem(&mut self) {
-        match self.it.store.instances[self.it.inst].memory.as_ref() {
-            Some(m) if !m.tag_checked() => {
-                self.mem_m64 = m.is_memory64();
-                self.mem_size = m.fast_bound();
-                self.mem_fast = true;
-            }
-            _ => self.mem_fast = false,
-        }
-    }
-
-    /// The fast path's address: one overflow-checked add and one compare
-    /// against the cached bound; anything else is [`RegState::commit_miss`].
-    #[inline(always)]
-    fn fast_scalar_addr(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
-        match fast_addr(index, offset, width, self.mem_m64, self.mem_size) {
-            Ok(addr) => Ok(addr),
-            Err(_) => self.commit_miss(index, offset, width),
-        }
-    }
-
-    /// The fast path's miss: the access ends past the cached bound, so it
-    /// is either out of bounds or the first touch of an uncommitted page.
-    /// The memory decides (same trap payload as the fast path would have
-    /// built against the guest size), commits, and the cache is refreshed.
-    #[cold]
-    #[inline(never)]
-    fn commit_miss(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
-        let mem = self.it.store.instances[self.it.inst]
-            .memory
-            .as_mut()
-            .expect("fast path implies memory");
-        let addr = mem.commit_scalar(index, offset, width)?;
-        self.mem_size = mem.fast_bound();
-        Ok(addr)
-    }
-
-    /// Scalar load: the cached fast path when no tag scheme is live, the
-    /// full `resolve()` policy ladder otherwise — identical results and
-    /// trap payloads either way (pinned by the differential tests and the
-    /// trap matrix).
+    /// Scalar load: the memory's accessor, then the op's sign extension.
     #[inline(always)]
     fn load_scalar(&mut self, op: LoadOp, index: u64, offset: u64) -> Result<u64, Trap> {
-        let width = op.width();
-        let raw = if self.mem_fast {
-            let addr = self.fast_scalar_addr(index, offset, width)?;
-            self.it.store.instances[self.it.inst]
-                .memory
-                .as_ref()
-                .expect("fast path implies memory")
-                .read_le(addr, width)
-        } else {
-            self.it.memory_mut()?.read_scalar(index, offset, width)?
-        };
+        let raw = self
+            .it
+            .memory_mut()?
+            .read_scalar(index, offset, op.width())?;
         Ok(decode_load(op, raw))
     }
 
     /// Scalar store twin of [`RegState::load_scalar`].
     #[inline(always)]
     fn store_scalar(&mut self, op: StoreOp, index: u64, offset: u64, raw: u64) -> Result<(), Trap> {
-        let width = op.width();
-        if self.mem_fast {
-            let addr = self.fast_scalar_addr(index, offset, width)?;
-            self.it.store.instances[self.it.inst]
-                .memory
-                .as_mut()
-                .expect("fast path implies memory")
-                .write_le(addr, width, raw);
-            Ok(())
-        } else {
-            self.it
-                .memory_mut()?
-                .write_scalar(index, offset, width, raw)
-        }
+        self.it
+            .memory_mut()?
+            .write_scalar(index, offset, op.width(), raw)
     }
 
     /// Calls function `idx` from the op at `pc`. A guest callee suspends
@@ -501,8 +427,6 @@ impl<'a> RegState<'a, '_> {
         let result = self.it.call_host(idx, callee, &mut buf);
         self.it.depth -= 1;
         if result.is_ok() {
-            // Hosts may grow the memory through their checked context.
-            self.refresh_mem();
             for (&slot, &v) in rets.iter().zip(buf.iter()) {
                 self.set(slot, v);
             }
@@ -597,10 +521,7 @@ impl<'a> RegState<'a, '_> {
                 self.it.charge(ChargeClass::MemManage);
                 let delta = self.get(args[0]);
                 let mem = self.it.memory_mut()?;
-                let old = pages_slot(mem.is_memory64(), mem.grow(delta));
-                // The guest size moved: so does the fast path's bound.
-                self.refresh_mem();
-                old
+                pages_slot(mem.is_memory64(), mem.grow(delta))
             }
             SysOp::MemoryFill => {
                 let [dst, val, len] = args.map(|r| self.get(r));
@@ -756,11 +677,7 @@ impl Interp<'_> {
             func: func_idx,
             base: 0,
             scratch: Vec::with_capacity(8),
-            mem_m64: false,
-            mem_size: 0,
-            mem_fast: false,
         };
-        st.refresh_mem();
         let mut code = &func.reg;
         let mut pc: usize = 0;
         let mut acc: u64 = 0;
@@ -958,6 +875,7 @@ mod tests {
     use cage_mte::pointer::ADDR_MASK;
 
     use super::*;
+    use crate::memory::fast_addr;
 
     #[test]
     fn load_codec_decodes_slots() {

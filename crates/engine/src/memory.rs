@@ -14,10 +14,10 @@
 //! ordinary accesses are tag-checked at all — and every access method
 //! reads them off `self`. No caller passes a configuration in, so a memory
 //! cannot be driven under a policy it was not pre-tagged for. The store
-//! picks the scheme from the engine configuration at instantiation; the
-//! interpreter's dispatch loop asks [`LinearMemory::tag_checked`] and
-//! caches a bound when the answer is no. That cache is loop state, not a
-//! second copy of the policy.
+//! picks the scheme from the engine configuration at instantiation. Every
+//! scalar access — the dispatch loop's, the tree oracle's, libc's — is one
+//! call to [`LinearMemory::read_scalar`] or [`LinearMemory::write_scalar`],
+//! so no caller holds a bound or a copy of the policy.
 //!
 //! # The committed prefix
 //!
@@ -33,22 +33,26 @@
 //!   be on the dirty list for its *tags*, which are stored eagerly).
 //!
 //! The prefix grows where an access was already being compared against
-//! `data.len()`: the final slack check of [`LinearMemory::resolve`] and the
-//! interpreter's cached scalar bound (`LinearMemory::fast_bound`). A miss
-//! of either compare goes to a cold function that re-runs the real
-//! guest/slack bound (same trap payload as before), zero-extends the prefix
-//! inside the reserved capacity (no reallocation) and retries. The stack
-//! sits at the bottom of a guest's memory and the heap grows up from
-//! `__heap_base`, so the touched set is a prefix and the worst case commits
-//! what an eager allocation would have zeroed unconditionally.
+//! `data.len()`: the final slack check of [`LinearMemory::resolve`]. A miss
+//! goes to a cold function that re-runs the real guest/slack bound (same
+//! trap payload as before), zero-extends the prefix inside the reserved
+//! capacity (no reallocation) and retries. The stack sits at the bottom of
+//! a guest's memory and the heap grows up from `__heap_base`, so the
+//! touched set is a prefix and the worst case commits what an eager
+//! allocation would have zeroed unconditionally.
 //!
-//! **A stale cached bound is safe.** The interpreter caches
-//! `min(guest size, committed)`. Neither term shrinks under it: only
-//! `reset` of a grown memory truncates, which happens between calls, and
-//! the cache is refreshed at the start of every call and after every host
-//! call. So a stale value is only ever too *small*: the access takes the
-//! cold path, which decides against the real bounds. It can never admit an
-//! access the real bounds would refuse.
+//! # The scalar fast path
+//!
+//! An untagged memory keeps `scalar_bound = min(guest size, committed)`:
+//! a scalar access ending at or below it is inside guest memory and inside
+//! the prefix, so the scalar accessors index `data` after one
+//! overflow-checked add and one compare ([`fast_addr`]). Anything else — a
+//! miss, or any access to a tagged memory, whose bound stays 0 — falls
+//! through to [`LinearMemory::resolve`], which decides it in full. The
+//! field is written where the minimum can move: `commit` raises it, and
+//! `reset` of a grown memory lowers it. (`grow` raises the guest size
+//! only above a prefix of whole pages, so the minimum stays put unless
+//! the grow's own `commit` moves it.)
 //!
 //! The tag store stays eager: it is 1/32 of the data (3 µs per 4 MiB) and
 //! pre-tagging it is the instantiation cost §7.2 measures.
@@ -182,6 +186,10 @@ pub struct LinearMemory {
     segments_live: bool,
     /// … ordinary accesses are tag-checked at all.
     tag_checked: bool,
+    /// The scalar fast path's bound (see the module docs): `min(guest_size,
+    /// data.len())` when `!tag_checked`, else 0, which no scalar access is
+    /// under.
+    scalar_bound: u64,
     pool: TagPool,
     /// Construction parameters retained so [`LinearMemory::reset`] can
     /// restore the freshly-instantiated state.
@@ -266,6 +274,7 @@ impl LinearMemory {
             sandboxed,
             segments_live,
             tag_checked: sandboxed || segments_live,
+            scalar_bound: 0,
             pool,
             base_pages: initial_pages,
             seed,
@@ -293,7 +302,19 @@ impl LinearMemory {
             .map_or(self.total(), |rounded| rounded.min(self.total()));
         if target > self.data.len() as u64 {
             self.data.resize(target as usize, 0);
+            self.set_scalar_bound();
         }
+    }
+
+    /// Re-derives `scalar_bound` after the committed prefix moved; called
+    /// from [`LinearMemory::commit`] and [`LinearMemory::reset`] only.
+    #[inline]
+    fn set_scalar_bound(&mut self) {
+        self.scalar_bound = if self.tag_checked {
+            0
+        } else {
+            self.guest_size.min(self.data.len() as u64)
+        };
     }
 
     /// The miss path of the final check in [`LinearMemory::resolve`] and
@@ -310,37 +331,6 @@ impl LinearMemory {
             }
             _ => Err(Trap::OutOfBounds { addr, len: width }),
         }
-    }
-
-    /// The bound the interpreter's scalar fast path caches: an access that
-    /// ends at or below it is inside guest memory *and* inside the
-    /// committed prefix, so [`LinearMemory::read_le`] /
-    /// [`LinearMemory::write_le`] may index `data` directly.
-    #[inline]
-    pub(crate) fn fast_bound(&self) -> u64 {
-        self.guest_size.min(self.data.len() as u64)
-    }
-
-    /// The miss path of that fast path: re-runs [`fast_addr`] against the
-    /// real guest size (so the trap payload is the one a fully committed
-    /// memory would have produced), commits the page(s) under the access
-    /// and returns the address. The caller refreshes its cached
-    /// [`LinearMemory::fast_bound`] afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::OutOfBounds`], exactly as [`fast_addr`].
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn commit_scalar(
-        &mut self,
-        index: u64,
-        offset: u64,
-        width: u64,
-    ) -> Result<u64, Trap> {
-        let addr = fast_addr(index, offset, width, self.memory64, self.guest_size)?;
-        self.commit(addr + width);
-        Ok(addr)
     }
 
     /// Host bytes of linear memory actually backed: the committed prefix.
@@ -405,6 +395,7 @@ impl LinearMemory {
             self.tags
                 .set_tag_range(base_size, RUNTIME_SLACK, Tag::ZERO)
                 .expect("granule-aligned slack inside the shrunk tag store");
+            self.set_scalar_bound();
         }
         let initial = self.scheme.initial_tag();
         let (total, committed) = (self.total(), self.data.len() as u64);
@@ -482,9 +473,9 @@ impl LinearMemory {
     }
 
     /// Whether ordinary accesses are tag-checked at all: every scheme but
-    /// [`TagScheme::None`]. A caller that caches a bounds-only fast path
-    /// (the interpreter's dispatch loop) may do so exactly when this is
-    /// `false`.
+    /// [`TagScheme::None`]. Exactly when this is `false` the scalar
+    /// accessors may skip [`LinearMemory::resolve`] (see the module docs);
+    /// the answer is for observers, no caller needs it to access memory.
     #[must_use]
     pub fn tag_checked(&self) -> bool {
         self.tag_checked
@@ -554,7 +545,9 @@ impl LinearMemory {
         if new_size > old_size {
             // The old slack becomes guest memory: zero whatever of it was
             // committed (a sandbox escape may have scribbled there), and
-            // re-round a prefix that ended with it.
+            // re-round a prefix that ended with it. That commit is the only
+            // way the scalar bound can move here: a prefix of whole pages
+            // already lies inside the old guest memory.
             if committed > old_size {
                 let slack_end = committed.min(old_size + RUNTIME_SLACK);
                 self.data[old_size as usize..slack_end as usize].fill(0);
@@ -581,6 +574,7 @@ impl LinearMemory {
     ///
     /// * [`Trap::OutOfBounds`] when a software/guard check fails;
     /// * [`Trap::TagCheck`] when the MTE lock-and-key check fails.
+    #[inline]
     pub fn resolve(
         &mut self,
         index: u64,
@@ -702,7 +696,7 @@ impl LinearMemory {
     ///
     /// Panics if `addr + width` exceeds guest memory plus slack — callers
     /// must have bounds-checked (via [`LinearMemory::resolve`] or the
-    /// interpreter's cached fast path).
+    /// scalar bound).
     #[inline(always)]
     #[must_use]
     pub fn read_le(&self, addr: u64, width: u64) -> u64 {
@@ -764,24 +758,32 @@ impl LinearMemory {
     }
 
     /// Checked scalar read: the `width` low bytes at `index + offset`,
-    /// little-endian-assembled into a `u64` — the allocation-free load
-    /// path (`width` ≤ 8).
+    /// little-endian-assembled into a `u64` (`width` ≤ 8) — the one scalar
+    /// load path. Under the scalar bound it is one compare and a direct
+    /// read; anything else is decided by [`LinearMemory::resolve`], with
+    /// identical results and trap payloads.
     ///
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
+    #[inline(always)]
     pub fn read_scalar(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
         debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-        let addr = self.resolve(index, offset, width, AccessKind::Read)?;
+        let addr = match fast_addr(index, offset, width, self.memory64, self.scalar_bound) {
+            Ok(addr) => addr,
+            Err(_) => self.resolve(index, offset, width, AccessKind::Read)?,
+        };
         Ok(self.read_le(addr, width))
     }
 
     /// Checked scalar write: stores the `width` low bytes of `raw` at
-    /// `index + offset`, little-endian — the allocation-free store path.
+    /// `index + offset`, little-endian — the store twin of
+    /// [`LinearMemory::read_scalar`].
     ///
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
+    #[inline(always)]
     pub fn write_scalar(
         &mut self,
         index: u64,
@@ -790,7 +792,10 @@ impl LinearMemory {
         raw: u64,
     ) -> Result<(), Trap> {
         debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-        let addr = self.resolve(index, offset, width, AccessKind::Write)?;
+        let addr = match fast_addr(index, offset, width, self.memory64, self.scalar_bound) {
+            Ok(addr) => addr,
+            Err(_) => self.resolve(index, offset, width, AccessKind::Write)?,
+        };
         self.write_le(addr, width, raw);
         Ok(())
     }
@@ -971,8 +976,8 @@ impl LinearMemory {
 /// The scalar fast path's address computation: bit-identical to the
 /// [`LinearMemory::resolve`] arithmetic for configurations with no live
 /// tag checks — same masking, same overflow handling, same trap payloads.
-/// The interpreter runs it against its cached [`LinearMemory::fast_bound`];
-/// [`LinearMemory::commit_scalar`] re-runs it against the guest size.
+/// The scalar accessors run it against the memory's scalar bound and
+/// discard its `Err`: a miss is [`LinearMemory::resolve`]'s to decide.
 #[inline(always)]
 pub(crate) fn fast_addr(
     index: u64,
@@ -989,6 +994,15 @@ pub(crate) fn fast_addr(
     match addr.checked_add(width) {
         Some(end) if end <= bound => Ok(addr),
         _ => Err(Trap::OutOfBounds { addr, len: width }),
+    }
+}
+
+#[cfg(test)]
+impl LinearMemory {
+    /// The scalar fast path's bound, for the eager model to hold to its
+    /// own reading of the scheme.
+    pub(crate) fn scalar_bound(&self) -> u64 {
+        self.scalar_bound
     }
 }
 

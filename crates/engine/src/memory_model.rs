@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::memory::{fast_addr, LinearMemory, TagScheme, PAGE_SIZE, RUNTIME_SLACK};
+use crate::memory::{LinearMemory, TagScheme, PAGE_SIZE, RUNTIME_SLACK};
 use crate::trap::{SegmentFaultReason, Trap};
 
 struct Eager {
@@ -341,23 +341,6 @@ fn pick_len(rng: &mut StdRng) -> u64 {
     }
 }
 
-/// The interpreter's scalar fast path (`RegState::fast_scalar_addr`),
-/// reproduced: the compare runs against a bound cached across ops, and
-/// only a miss asks the memory and refreshes the cache.
-fn fast_scalar_addr(
-    real: &mut LinearMemory,
-    cached: &mut u64,
-    index: u64,
-    offset: u64,
-    width: u64,
-) -> Result<u64, Trap> {
-    fast_addr(index, offset, width, real.is_memory64(), *cached).or_else(|_| {
-        let addr = real.commit_scalar(index, offset, width)?;
-        *cached = real.fast_bound();
-        Ok(addr)
-    })
-}
-
 /// The observables that must match after every step, and the invariants
 /// of the committed prefix itself.
 fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
@@ -392,10 +375,18 @@ fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
         committed == total || (committed < total && committed.is_multiple_of(PAGE_SIZE)),
         "{what}: committed prefix {committed:#x} is neither page-rounded nor all of {total:#x}"
     );
+    // The scalar fast path is taken only under the bound, which is the
+    // guest size capped by the prefix for an untagged memory and admits
+    // nothing for a tagged one.
+    let untagged = !model.sandboxed() && !model.segments_live();
     assert_eq!(
-        real.fast_bound(),
-        committed.min(model.guest_size),
-        "{what}: fast bound"
+        real.scalar_bound(),
+        if untagged {
+            committed.min(model.guest_size)
+        } else {
+            0
+        },
+        "{what}: scalar bound"
     );
 }
 
@@ -411,11 +402,6 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
     let mut model = Eager::new(pages, max_pages, memory64, scheme, mode, tag_seed);
     assert_eq!(real.committed_bytes(), 0, "creation commits nothing");
 
-    // The interpreter's scalar fast path applies when no tag scheme is
-    // live; its cached bound is refreshed only by a miss, after a grow and
-    // at the start of a call (here: a reset).
-    let fast = !model.sandboxed() && !model.segments_live();
-    let mut cached = real.fast_bound();
     // Tagged pointers to live segments, so most accesses under a tag
     // scheme go through a pointer that is allowed to make them.
     let mut segments: Vec<(u64, u64)> = Vec::new();
@@ -438,24 +424,14 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
         match op {
             0..=2 => {
                 let (width, offset) = (1 << below(&mut rng, 4), below(&mut rng, 3) * 7);
-                let got = if fast {
-                    fast_scalar_addr(&mut real, &mut cached, index, offset, width)
-                        .map(|addr| real.read_le(addr, width))
-                } else {
-                    real.read_scalar(index, offset, width)
-                };
+                let got = real.read_scalar(index, offset, width);
                 let want = model.read_scalar(index, offset, width);
                 assert_eq!(got, want, "{what}: load{width}({index:#x}+{offset})");
             }
             3..=5 => {
                 let (width, offset) = (1 << below(&mut rng, 4), below(&mut rng, 3) * 7);
                 let raw = rng.next_u64();
-                let got = if fast {
-                    fast_scalar_addr(&mut real, &mut cached, index, offset, width)
-                        .map(|addr| real.write_le(addr, width, raw))
-                } else {
-                    real.write_scalar(index, offset, width, raw)
-                };
+                let got = real.write_scalar(index, offset, width, raw);
                 let want = model.write_scalar(index, offset, width, raw);
                 assert_eq!(got, want, "{what}: store{width}({index:#x}+{offset})");
             }
@@ -560,7 +536,6 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
             17 => {
                 let delta = [0, 1, 1, 2, 3, u64::MAX / PAGE_SIZE][below(&mut rng, 6) as usize];
                 assert_eq!(real.grow(delta), model.grow(delta), "{what}: grow({delta})");
-                cached = real.fast_bound();
             }
             18 => {
                 assert_eq!(
@@ -610,7 +585,6 @@ fn run_against_model(seed: u64, scheme: TagScheme, mode: MteMode) {
             real.reset();
             model.reset();
             segments.clear();
-            cached = real.fast_bound();
             assert_same_state(&real, &model, &format!("{what}, then reset"));
         }
     }
@@ -674,6 +648,17 @@ fn grown_reset_shrinks_in_place_and_matches_the_model() {
         assert_eq!(real.size_pages(), 2);
         assert_eq!(real.committed_bytes(), 2 * PAGE_SIZE + RUNTIME_SLACK);
         assert_eq!(real.tags().size(), 2 * PAGE_SIZE + RUNTIME_SLACK);
+        // What was guest memory while grown is out of reach again: the
+        // scalar accessors must not admit it on a bound left over from
+        // the grown size.
+        let past = 2 * PAGE_SIZE + 100;
+        let load = real.read_scalar(past, 0, 8);
+        assert!(load.is_err(), "{scheme:?}: load past the shrunk size");
+        assert_eq!(load, model.read_scalar(past, 0, 8), "{scheme:?}");
+        let store = real.write_scalar(past, 0, 8, 0xEF);
+        assert!(store.is_err(), "{scheme:?}: store past the shrunk size");
+        assert_eq!(store, model.write_scalar(past, 0, 8, 0xEF), "{scheme:?}");
+        assert_same_state(&real, &model, "accessed past the shrunk size");
         // And it grows again, with fresh pages.
         assert_eq!(real.grow(1), model.grow(1));
         assert_eq!(

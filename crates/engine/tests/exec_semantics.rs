@@ -315,8 +315,8 @@ fn memory_grow_and_size() {
     assert_eq!(store.charge_counts(h), refused);
 
     // The new page is there for the rest of the call that grew it, on the
-    // register tier's cached bound as on the oracle's uncached one, under
-    // the plain bounds check and under the sandbox's tag check.
+    // register tier as on the oracle, under the plain bounds check and
+    // under the sandbox's tag check.
     for config in [
         ExecConfig::default(),
         ExecConfig {
@@ -345,6 +345,70 @@ fn memory_grow_and_size() {
         charged.counts[ChargeClass::Mem as usize] = 2;
         assert_eq!(reg.2, charged, "{config:?}");
     }
+}
+
+/// A reset shrinks a grown memory back to its declared size: the page the
+/// guest grew and wrote is out of bounds again on the next call, however
+/// far the scalar fast path's bound had moved while it was there.
+#[test]
+fn memory_grow_then_reset_traps_on_the_dropped_page() {
+    let mut b = ModuleBuilder::new();
+    b.add_memory(cage_wasm::MemoryType {
+        limits: cage_wasm::Limits::bounded(1, 3),
+        memory64: true,
+    });
+    let new_page = 65_536 + 8;
+    let grow_and_write = b.add_function(
+        &[],
+        &[],
+        &[],
+        vec![
+            Instr::I64Const(1),
+            Instr::MemoryGrow,
+            Instr::Drop,
+            Instr::I64Const(new_page),
+            Instr::I64Const(0x5A5A),
+            Instr::Store(StoreOp::I64Store, MemArg::none()),
+        ],
+    );
+    let load = b.add_function(
+        &[],
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::I64Const(new_page),
+            Instr::Load(LoadOp::I64Load, MemArg::none()),
+        ],
+    );
+    let m = b.build();
+    let run = |tree: bool| {
+        let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(&m, &Imports::new()).unwrap();
+        let call = |store: &mut Store, f| {
+            if tree {
+                store.call_tree(h, f, &[])
+            } else {
+                store.call(h, f, &[])
+            }
+        };
+        assert_eq!(call(&mut store, grow_and_write), Ok(vec![]));
+        store.reset_instance(h).unwrap();
+        assert_eq!(store.memory(h).unwrap().size_pages(), 1);
+        (call(&mut store, load), store.charge_counts(h))
+    };
+    let reg = run(false);
+    assert_eq!(reg, run(true));
+    assert_eq!(
+        reg.0,
+        Err(Trap::OutOfBounds {
+            addr: new_page as u64,
+            len: 8
+        })
+    );
+    let mut charged = ChargeCounts::default();
+    charged.counts[ChargeClass::Simple as usize] = 1;
+    charged.counts[ChargeClass::Mem as usize] = 1;
+    assert_eq!(reg.1, charged);
 }
 
 fn indirect_module() -> (Module, u32, u32) {

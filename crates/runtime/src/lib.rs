@@ -45,6 +45,6 @@ pub mod variant;
 
 pub use linker::Linker;
 pub use metrics::{MemoryReport, PoolMetrics};
-pub use runtime::{InstanceToken, Runtime, RuntimeError};
+pub use runtime::{InstanceToken, Runtime};
 pub use startup::{startup_report, StartupReport};
 pub use variant::Variant;

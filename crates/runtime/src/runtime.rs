@@ -12,29 +12,6 @@ use crate::linker::Linker;
 use crate::metrics::MemoryReport;
 use crate::variant::Variant;
 
-/// Runtime errors.
-#[derive(Debug)]
-pub enum RuntimeError {
-    /// Instantiation failed.
-    Instantiate(InstantiateError),
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::Instantiate(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
-impl From<InstantiateError> for RuntimeError {
-    fn from(e: InstantiateError) -> Self {
-        RuntimeError::Instantiate(e)
-    }
-}
-
 /// Handle to an instance inside a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstanceToken {
@@ -95,14 +72,14 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Instantiate`] — an invalid or over-limit module,
-    /// and everything [`Runtime::instantiate_precompiled`] reports.
+    /// [`InstantiateError`] — an invalid or over-limit module, and
+    /// everything [`Runtime::instantiate_precompiled`] reports.
     pub fn instantiate_linked(
         &mut self,
         module: &Module,
         heap_base: u64,
         linker: &Linker,
-    ) -> Result<InstanceToken, RuntimeError> {
+    ) -> Result<InstanceToken, InstantiateError> {
         self.instantiate_precompiled(&Precompiled::new(module)?, heap_base, linker)
     }
 
@@ -116,14 +93,14 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Instantiate`] — unresolved imports, the 15-sandbox
-    /// MTE limit, a trapping start function.
+    /// [`InstantiateError`] — unresolved imports, the 15-sandbox MTE
+    /// limit, a trapping start function.
     pub fn instantiate_precompiled(
         &mut self,
         pre: &Precompiled,
         heap_base: u64,
         linker: &Linker,
-    ) -> Result<InstanceToken, RuntimeError> {
+    ) -> Result<InstanceToken, InstantiateError> {
         let (handle, libc) = linker.instantiate(&mut self.store, pre, heap_base)?;
         self.libcs.push(libc);
         self.handles.push(handle);
@@ -328,9 +305,7 @@ mod tests {
         }
         assert!(matches!(
             rt.instantiate_linked(&module, heap_base, &Linker::with_libc()),
-            Err(RuntimeError::Instantiate(
-                InstantiateError::TooManySandboxes
-            ))
+            Err(InstantiateError::TooManySandboxes)
         ));
     }
 

@@ -33,6 +33,7 @@ const GOLDEN: &str = include_str!("golden_polybench_cycles.tsv");
 const GOLDEN_OPT: &str = include_str!("golden_polybench_cycles_opt.tsv");
 const BRIDGE: &str = include_str!("bridge_f64_chain_cycles.tsv");
 const BRIDGE_OPT: &str = include_str!("bridge_f64_chain_cycles_opt.tsv");
+const WEIGHTS: &str = include_str!("golden_class_weights.tsv");
 
 /// The sweep's size at capture time (20 kernels x 6 variants); never
 /// shrink silently.
@@ -144,6 +145,34 @@ fn check_golden(golden: &str, sweep: &[(ChargeCounts, f64)], what: &str) {
             );
         }
     }
+}
+
+/// The per-class weights of every Table 3 variant on every core, as bit
+/// patterns: 18 rows of the classes in `ChargeClass::ALL` order. The
+/// goldens above price only what the kernels retire; this pins every
+/// weight, the ones no kernel reaches (a variant's sign/auth cost, the
+/// segment classes of a baseline) included.
+#[test]
+fn class_weights_are_pinned_for_every_variant_and_core() {
+    let mut table = String::from("# variant\tcore");
+    for class in ChargeClass::ALL {
+        table += &format!("\t{}", class.name());
+    }
+    table.push('\n');
+    for variant in Variant::ALL {
+        for core in Core::ALL {
+            table += &format!("{variant:?}\t{core:?}");
+            for w in CostModel::class_weights(&variant.exec_config(core)) {
+                table += &format!("\t{}", w.to_bits());
+            }
+            table.push('\n');
+        }
+    }
+    assert_eq!(table.lines().count(), 1 + 6 * 3);
+    assert!(
+        table == WEIGHTS,
+        "class weights drifted; today's table:\n{table}"
+    );
 }
 
 #[test]

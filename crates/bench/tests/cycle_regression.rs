@@ -26,7 +26,8 @@
 
 use std::sync::OnceLock;
 
-use cage::engine::{ChargeClass, ChargeCounts, CostModel};
+use cage::engine::cost::class_weights;
+use cage::engine::{ChargeClass, ChargeCounts};
 use cage::{Core, Engine, OptLevel, Variant};
 
 const GOLDEN: &str = include_str!("golden_polybench_cycles.tsv");
@@ -104,7 +105,7 @@ fn golden_counts(f: &[&str]) -> ChargeCounts {
 
 /// Cycles of `counts` under `variant` on `core`.
 fn derive(counts: &ChargeCounts, variant: Variant, core: Core) -> f64 {
-    counts.cycles(&CostModel::class_weights(&variant.exec_config(core)))
+    counts.cycles(&class_weights(&variant.exec_config(core)))
 }
 
 /// Every row of `golden` against `sweep`: the count vector exactly, the
@@ -162,7 +163,7 @@ fn class_weights_are_pinned_for_every_variant_and_core() {
     for variant in Variant::ALL {
         for core in Core::ALL {
             table += &format!("{variant:?}\t{core:?}");
-            for w in CostModel::class_weights(&variant.exec_config(core)) {
+            for w in class_weights(&variant.exec_config(core)) {
                 table += &format!("\t{}", w.to_bits());
             }
             table.push('\n');

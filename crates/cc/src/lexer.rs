@@ -10,7 +10,7 @@
 //! the source and carries its own `String`.
 //!
 //! Punctuation is decided by the first byte and at most two bytes of
-//! lookahead ([`punct`]), longest operator first (maximal munch).
+//! lookahead (`punct`), longest operator first (maximal munch).
 //!
 //! The loop charges one fuel unit per iteration (a token, one
 //! whitespace byte, a comment or a preprocessor line), never per byte
@@ -48,17 +48,6 @@ pub enum TokenKind<'src> {
     Punct(&'static str),
     /// End of input.
     Eof,
-}
-
-impl<'src> TokenKind<'src> {
-    /// The identifier text, if this is an identifier.
-    #[must_use]
-    pub fn as_ident(&self) -> Option<&'src str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 /// The operator or punctuator at the start of `rest` (non-empty), longest

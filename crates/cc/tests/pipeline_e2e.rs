@@ -2,7 +2,7 @@
 //! lower → validate → execute.
 
 use cage_cc::compile;
-use cage_engine::{ExecConfig, Imports, InternalSafety, Store, Trap, Value};
+use cage_engine::{ExecConfig, Imports, Store, Trap, Value, Variant};
 use cage_ir::passes::{run_pipeline, HardenConfig};
 use cage_ir::{lower, LowerOptions};
 
@@ -114,7 +114,7 @@ fn hardened_stack_overflow_is_caught() {
     assert!(baseline.is_ok(), "baseline misses the overflow");
     // Cage: caught by MTE.
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
+        variant: Variant::CageMemSafety,
         ..ExecConfig::default()
     };
     let err = build_and_run(
@@ -162,8 +162,7 @@ fn listing1_vtable_overflow() {
     // Hardened + MTE: the overflow into the vtable slot traps before the
     // indirect call can be redirected.
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
-        pointer_auth: true,
+        variant: Variant::CageFull,
         ..ExecConfig::default()
     };
     let err = build_and_run(
@@ -203,9 +202,10 @@ fn function_pointer_dispatch() {
             return fp(x);
         }
     "#;
-    for harden in [HardenConfig::none(), HardenConfig::full()] {
+    for variant in [Variant::BaselineWasm64, Variant::CageFull] {
+        let harden = variant.harden_config();
         let config = ExecConfig {
-            pointer_auth: harden.ptr_auth,
+            variant,
             ..ExecConfig::default()
         };
         let out = build_and_run(
@@ -337,7 +337,7 @@ fn custom_allocator_with_builtins() {
         }
     "#;
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
+        variant: Variant::CageMemSafety,
         ..ExecConfig::default()
     };
     // Normal path works.
@@ -419,9 +419,7 @@ fn hardened_results_match_baseline_results() {
         src,
         HardenConfig::full(),
         ExecConfig {
-            internal: InternalSafety::Mte,
-            pointer_auth: true,
-            bounds: cage_engine::BoundsCheckStrategy::MteSandbox,
+            variant: Variant::CageFull,
             ..ExecConfig::default()
         },
         "kernel",

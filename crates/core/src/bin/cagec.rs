@@ -19,7 +19,8 @@
 
 use std::process::ExitCode;
 
-use cage::engine::{ChargeCounts, CostModel};
+use cage::engine::cost::class_weights;
+use cage::engine::ChargeCounts;
 use cage::{Core, Engine, Error, Instance, OptLevel, Value, Variant};
 
 /// Compile (or usage/I-O) failure.
@@ -194,7 +195,7 @@ fn report(err: &Error) {
 fn print_profile(engine: &Engine, instance: &Instance) {
     let counts = instance.charge_counts();
     let config = engine.exec_config();
-    let weights = CostModel::class_weights(&config);
+    let weights = class_weights(&config);
     let total = counts.cycles(&weights);
     let row = |name: &str, count: &str, cycles: f64| {
         let share = if total > 0.0 {
@@ -225,7 +226,7 @@ fn print_profile(engine: &Engine, instance: &Instance) {
     };
     for core in Core::ALL {
         if core != engine.core() {
-            let weights = CostModel::class_weights(&config.on_core(core));
+            let weights = class_weights(&config.on_core(core));
             eprintln!(
                 "[profile] {:<22} {:>12} {:>16.2}",
                 format!("guest on {core}"),

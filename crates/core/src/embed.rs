@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use cage_engine::store::InstantiateError;
 use cage_engine::trap::caught_compile_panic;
-use cage_engine::{CostModel, ExecConfig, Precompiled, WasmParams, WasmResults};
+use cage_engine::{ExecConfig, Precompiled, WasmParams, WasmResults};
 use cage_ir::passes::{HardenConfig, OptLevel, PipelineConfig};
 use cage_mte::Core;
 use cage_runtime::{InstanceToken, Linker, MemoryReport, Runtime, Variant};
@@ -132,12 +132,6 @@ impl Engine {
         self.inner.variant.exec_config(self.inner.core)
     }
 
-    /// The cycle cost model for this engine's core and configuration.
-    #[must_use]
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::for_config(&self.exec_config())
-    }
-
     /// Compiles and hardens C `source` into an [`Artifact`]: frontend,
     /// passes, lowering to wasm, the module's one validation, and the
     /// register lowering of every function — the artifact holds the
@@ -148,7 +142,7 @@ impl Engine {
     /// shared compile-fuel budget, so arbitrary (hostile) source is
     /// rejected with a structured error instead of wedging the process.
     /// A residual panic in any stage is caught here, counted in
-    /// [`compile_panic_count`], and reported as
+    /// [`crate::compile_panic_count`], and reported as
     /// [`Error::CompilePanic`] — never propagated to the caller's
     /// thread.
     ///
@@ -543,7 +537,7 @@ impl Instance {
     /// [`cage_engine::ChargeClass`] (each class knows its name) and the
     /// cycles its host functions charged. The counts do not depend on the
     /// simulated core: price them with
-    /// [`cage_engine::CostModel::class_weights`] of any core's
+    /// [`cage_engine::cost::class_weights`] of any core's
     /// configuration to see where the cycles went there.
     #[must_use]
     pub fn charge_counts(&self) -> cage_engine::ChargeCounts {
@@ -572,11 +566,6 @@ impl Instance {
     #[must_use]
     pub fn memory_report(&self) -> MemoryReport {
         self.rt.memory_report(self.token)
-    }
-
-    /// The underlying runtime (advanced use).
-    pub fn runtime_mut(&mut self) -> &mut Runtime {
-        &mut self.rt
     }
 }
 

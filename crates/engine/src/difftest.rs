@@ -35,7 +35,9 @@ use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::{validate, BlockType, Instr, MemArg, Module, ValType};
 
-use crate::config::{ExecConfig, InternalSafety};
+use cage_mte::Core;
+
+use crate::config::{ExecConfig, Variant};
 use crate::cost::{ChargeClass, ChargeCounts};
 use crate::host::Imports;
 use crate::memory::RUNTIME_SLACK;
@@ -462,9 +464,9 @@ impl Gen {
     }
 
     /// The stateful instructions the other statements leave out: both
-    /// globals, `memory.size`, pointer sign/auth (moves on the base
-    /// config, real under the second) and the segment life cycle (inert
-    /// on the base config). Operands mix 16-aligned constants, which
+    /// globals, `memory.size`, pointer sign/auth (moves except under
+    /// `CageFull`) and the segment life cycle (inert except under the two
+    /// variants with internal safety). Operands mix 16-aligned constants, which
     /// succeed, with locals, which mostly trap — unaligned, out of range,
     /// a pointer that was never signed, a free through the wrong tag.
     fn stateful_statement(&mut self, out: &mut Vec<Instr>) {
@@ -941,28 +943,31 @@ fn random_module(seed: u64) -> Module {
     b.build()
 }
 
-fn configs() -> [ExecConfig; 2] {
-    // A modest call-depth limit: deep enough that `RECURSE` builds a real
-    // frame stack before trapping, shallow enough that the *oracle* —
-    // which still recurses one debug-size Rust frame chain per guest
-    // call — fits the default test-thread stack.
-    let base = ExecConfig {
-        max_call_depth: 40,
-        ..ExecConfig::default()
-    };
+/// The Table 3 rows every module here runs under: one per tag scheme —
+/// none, internal only, external only, combined — so each memory policy
+/// is compared (the tagged ones leave the scalar fast path for the
+/// `resolve()` ladder and its tag check; segments are live under the
+/// internal ones), and `CageFull` signs and authenticates for real, each
+/// under its own cost weights.
+fn configs() -> [ExecConfig; 4] {
     [
-        base,
-        // Internal memory safety with pointer authentication: memory
-        // accesses leave the cached fast path for the `resolve()` ladder
-        // and its tag check, segments are live and sign/auth are real,
-        // under a second cost model.
-        ExecConfig {
-            internal: InternalSafety::Mte,
-            pointer_auth: true,
-            ..base
-        },
+        Variant::BaselineWasm64,
+        Variant::CageMemSafety,
+        Variant::CageSandboxing,
+        Variant::CageFull,
     ]
+    .map(|v| v.exec_config(Core::CortexX3))
 }
+
+/// A modest call-depth limit: deep enough that `RECURSE` builds a real
+/// frame stack before trapping, shallow enough that the *oracle* — which
+/// still recurses one debug-size Rust frame chain per guest call — fits
+/// the default test-thread stack.
+const LIMITS: InstanceLimits = InstanceLimits {
+    max_memory_pages: None,
+    max_table_elements: None,
+    max_call_depth: Some(40),
+};
 
 /// Renders the module's register bytecode (as it executes: slot
 /// assignments, charge recipes and resolved targets included) next to
@@ -1032,7 +1037,7 @@ fn assert_bitwise_same(seed: u64, pair: &str, module: &Module, a: &Observed, b: 
 /// tier and the tree oracle are bit-identical; returns
 /// whether the base-config execution trapped (the trap-rate probe).
 fn check_equivalence(seed: u64, arg: i64) -> bool {
-    check_equivalence_with(seed, arg, InstanceLimits::default())
+    check_equivalence_with(seed, arg, LIMITS)
 }
 
 /// [`check_equivalence`] under explicit resource limits, installed
@@ -1092,11 +1097,10 @@ fn known_shapes_are_bit_identical() {
 /// page: every `memory.grow` with a positive delta is denied by the
 /// resource limit (the guest observes `-1`), and bulk ops that banked on
 /// the grown region trap OOB instead — identically across both tiers
-/// and both cost models.
+/// and every cost model.
 const PINNED: InstanceLimits = InstanceLimits {
     max_memory_pages: Some(1),
-    max_table_elements: None,
-    max_call_depth: None,
+    ..LIMITS
 };
 
 proptest! {
@@ -1205,6 +1209,7 @@ fn check_reset_equivalence(seed: u64, arg: i64, dirty_arg: i64) {
 fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64, dirty_arg: i64) {
     for &config in configs {
         let mut fresh_store = Store::new(config);
+        fresh_store.set_default_limits(LIMITS);
         let fresh_h = fresh_store
             .instantiate(module, &Imports::new())
             .expect("instantiates");
@@ -1212,6 +1217,7 @@ fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64,
         // Same-seed store: one tenant dirties the instance (a trap here
         // is fine — that's a tenant dying), then the slot is recycled.
         let mut pool_store = Store::new(config);
+        pool_store.set_default_limits(LIMITS);
         let pool_h = pool_store
             .instantiate(module, &Imports::new())
             .expect("instantiates");
@@ -1400,7 +1406,7 @@ fn charge_is_the_same_however_a_run_is_split() {
     };
 
     for config in configs() {
-        let weights = crate::cost::CostModel::class_weights(&config);
+        let weights = crate::cost::class_weights(&config);
         for tree in [false, true] {
             let call = |store: &mut Store, h, func: u32, args: &[Value]| {
                 if tree {
@@ -1561,28 +1567,16 @@ fn segment_straddle_module() -> Module {
 #[test]
 fn straddling_segments_and_scattered_pages_reset_to_a_fresh_instance() {
     let module = segment_straddle_module();
-    let [plain, software] = configs();
-    let mte = ExecConfig {
-        internal: InternalSafety::Mte,
-        ..plain
-    };
-    let combined = ExecConfig {
-        bounds: crate::config::BoundsCheckStrategy::MteSandbox,
-        ..mte
-    };
-    let configs = [plain, software, mte, combined];
     // Probe after a dirty tenant, dirty after dirty, dirty after a probe
     // (whose own segment must be gone again).
     for (arg, dirty_arg) in [(0, 1), (1, 1), (1, 0), (0, 0)] {
-        check_reset_of("straddle shape", &module, &configs, arg, dirty_arg);
+        check_reset_of("straddle shape", &module, &configs(), arg, dirty_arg);
     }
     // The shape is only a test if the dirty tenant ran to completion and
     // the probe after it reads zeroes through tag-matching untagged
-    // pointers. (Not under `software`: outside `mte_active()` the store
-    // builds the memory with `TagScheme::None`, whose pointers all carry
-    // tag 0, so the dirty tenant's own `segment.free` is a `BadFree` —
-    // still a history the oracle above must reset from.)
-    for config in [plain, mte, combined] {
+    // pointers.
+    for config in configs() {
+        let internal = config.variant.provides_memory_safety();
         let mut store = Store::new(config);
         let h = store.instantiate(&module, &Imports::new()).unwrap();
         assert_eq!(
@@ -1594,7 +1588,7 @@ fn straddling_segments_and_scattered_pages_reset_to_a_fresh_instance() {
         // of the second segment, which is inert without internal safety.
         assert_eq!(
             store.memory(h).unwrap().dirty_page_count(),
-            if config.internal.is_enabled() { 6 } else { 5 },
+            if internal { 6 } else { 5 },
         );
         store.reset_instance(h).unwrap();
         assert_eq!(store.memory(h).unwrap().dirty_page_count(), 0);
@@ -1602,7 +1596,7 @@ fn straddling_segments_and_scattered_pages_reset_to_a_fresh_instance() {
         let tag = probed[0].as_i64();
         assert_eq!(
             tag == 0,
-            !config.internal.is_enabled(),
+            !internal,
             "the probe sums zeroes, leaving only the new segment's tag nibble: {tag:#x}"
         );
     }
@@ -1674,22 +1668,12 @@ fn grow_and_scribble_module() -> Module {
 #[test]
 fn a_grown_and_scribbled_memory_resets_to_a_fresh_instance() {
     let module = grow_and_scribble_module();
-    let [plain, software] = configs();
-    let mte = ExecConfig {
-        internal: InternalSafety::Mte,
-        ..plain
-    };
-    let combined = ExecConfig {
-        bounds: crate::config::BoundsCheckStrategy::MteSandbox,
-        ..mte
-    };
-    let configs = [plain, software, mte, combined];
     for (arg, dirty_arg) in [(0, 1), (1, 1), (1, 0), (0, 0)] {
-        check_reset_of("grown shape", &module, &configs, arg, dirty_arg);
+        check_reset_of("grown shape", &module, &configs(), arg, dirty_arg);
     }
     // The shape is only a test if the dirty tenant ran to completion, and
     // the reset then gave back exactly the pages above the base size.
-    for config in [plain, mte, combined] {
+    for config in configs() {
         let mut store = Store::new(config);
         let h = store.instantiate(&module, &Imports::new()).unwrap();
         assert_eq!(

@@ -4,7 +4,7 @@
 //!
 //! Execution is a *register machine*: function bodies are lowered through
 //! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
-//! fixed per-frame register file — and executed by [`Interp::run_reg`]:
+//! fixed per-frame register file — and executed by `Interp::run_reg`:
 //! one function holding one `loop { match op }`, a single jump table over
 //! the 21 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
 //! (how many source instructions of each class it retires, packed into
@@ -42,7 +42,7 @@
 //! generic ones and the three fused forms — and charged by the recipe).
 //! The twelve stateful ones (globals, memory management, segments, pointer
 //! sign/auth, `unreachable`) are one arm, [`RegOp::Sys`], which calls the
-//! out-of-line [`RegState::sys`]: twelve register-form bodies written from
+//! out-of-line `RegState::sys`: twelve register-form bodies written from
 //! Fig. 11, each charging its own instruction before anything in it can
 //! trap.
 //!
@@ -69,7 +69,7 @@ use crate::bytecode::{unpack_lanes, AluOp, RegCallIndirect, RegCode, RegOp, SysO
 use crate::config::ExecConfig;
 use crate::cost::ChargeClass;
 use crate::host::HostContext;
-use crate::store::{CompiledFunc, Store};
+use crate::store::{CompiledFunc, Store, DEFAULT_MAX_CALL_DEPTH};
 use crate::trap::{panic_message, Trap};
 use crate::value::Value;
 
@@ -91,8 +91,8 @@ pub(crate) struct Interp<'s> {
     /// epoch compare (and the load of the store's shared counter)
     /// entirely.
     epoch_deadline: Option<u64>,
-    /// Effective call-depth limit: the engine config tightened by the
-    /// instance's [`crate::store::InstanceLimits`].
+    /// The instance's call-depth limit
+    /// ([`crate::store::InstanceLimits::max_call_depth`]).
     pub(crate) max_depth: usize,
     /// Reusable scratch for host-call argument conversion, so crossing
     /// the typed API boundary does not allocate per call.
@@ -108,7 +108,7 @@ impl<'s> Interp<'s> {
         let max_depth = store.instances[inst]
             .limits
             .max_call_depth
-            .map_or(config.max_call_depth, |l| l.min(config.max_call_depth));
+            .unwrap_or(DEFAULT_MAX_CALL_DEPTH);
         Interp {
             store,
             inst,
@@ -572,7 +572,7 @@ impl<'a> RegState<'a, '_> {
                 self.it.charge(ChargeClass::Sign);
                 let ptr = self.get(args[0]);
                 let inst = &self.it.store.instances[self.it.inst];
-                if self.it.config.pointer_auth {
+                if self.it.config.variant.pointer_auth() {
                     inst.pac.sign(ptr, inst.pac_modifier)
                 } else {
                     ptr
@@ -582,7 +582,7 @@ impl<'a> RegState<'a, '_> {
                 self.it.charge(ChargeClass::Auth);
                 let ptr = self.get(args[0]);
                 let inst = &self.it.store.instances[self.it.inst];
-                if self.it.config.pointer_auth {
+                if self.it.config.variant.pointer_auth() {
                     inst.pac.auth(ptr, inst.pac_modifier)?
                 } else {
                     ptr
@@ -639,7 +639,7 @@ impl Interp<'_> {
     /// integer counts commute. Control flow never recurses: a call
     /// pushes a [`RegFrame`] and continues at pc 0 of the callee, so host
     /// stack usage is constant in both guest nesting depth and guest call
-    /// depth (the latter bounded by `max_call_depth`). Fuel is consumed in
+    /// depth (the latter bounded by `max_depth`). Fuel is consumed in
     /// the arms that transfer control (a taken branch, a guest call, a
     /// return) and nowhere else: the check stays off the straight-line
     /// fall-through path, off host calls and off the cycle model.

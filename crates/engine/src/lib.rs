@@ -7,15 +7,19 @@
 //!   the paper's Fig. 11 small-step semantics for `segment.new`,
 //!   `segment.set_tag`, `segment.free`, `i64.pointer_sign` and
 //!   `i64.pointer_auth`;
+//! * the six configurations of the paper's Table 3 ([`Variant`]), which
+//!   are the whole configuration space: an engine is configured by a
+//!   variant and a core ([`ExecConfig`]);
 //! * the three sandboxing strategies of §2.1/§6.4 — explicit software
 //!   bounds checks, guard pages (wasm32 only) and MTE-based sandboxing with
 //!   the Fig. 13 index masking;
 //! * internal memory safety (tag-checked loads/stores) on hardware MTE,
-//!   plus a disabled mode (the paper's "equivalent software fallback"
-//!   deployment, §4.1, is not modelled);
+//!   checked synchronously as Cage deploys it (§6.3); variants without it
+//!   run segment instructions inert (the paper's "equivalent software
+//!   fallback" deployment, §4.1, is not modelled);
 //! * deterministic cycle accounting parameterised by Tensor G3 core
-//!   ([`cost::CostModel`]), which is how the reproduction regenerates the
-//!   paper's relative performance results without Arm hardware.
+//!   ([`cost::class_weights`]), which is how the reproduction regenerates
+//!   the paper's relative performance results without Arm hardware.
 //!
 //! ## Example
 //!
@@ -61,8 +65,8 @@ mod tree;
 pub mod typed;
 pub mod value;
 
-pub use config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
-pub use cost::{ChargeClass, ChargeCounts, ClassWeights, CostModel};
+pub use config::{ExecConfig, Variant};
+pub use cost::{ChargeClass, ChargeCounts, ClassWeights};
 pub use host::{HostContext, HostFunc, Imports};
 pub use memory::{LinearMemory, TagScheme};
 pub use store::{InstanceHandle, InstanceLimits, InstantiateError, Precompiled, Store};

@@ -46,7 +46,7 @@
 //! An untagged memory keeps `scalar_bound = min(guest size, committed)`:
 //! a scalar access ending at or below it is inside guest memory and inside
 //! the prefix, so the scalar accessors index `data` after one
-//! overflow-checked add and one compare ([`fast_addr`]). Anything else — a
+//! overflow-checked add and one compare (`fast_addr`). Anything else — a
 //! miss, or any access to a tagged memory, whose bound stays 0 — falls
 //! through to [`LinearMemory::resolve`], which decides it in full. The
 //! field is written where the minimum can move: `commit` raises it, and
@@ -58,7 +58,7 @@
 //! pre-tagging it is the instantiation cost §7.2 measures.
 
 use cage_mte::pointer::ADDR_MASK;
-use cage_mte::{AccessKind, MteMode, Tag, TagExclusionMask, TagMemory, TagPool};
+use cage_mte::{AccessKind, Tag, TagExclusionMask, TagMemory, TagPool};
 
 use crate::trap::{SegmentFaultReason, Trap};
 
@@ -215,10 +215,9 @@ impl LinearMemory {
         max_pages: Option<u64>,
         memory64: bool,
         scheme: TagScheme,
-        mode: MteMode,
         seed: u64,
     ) -> Self {
-        Self::try_new(initial_pages, max_pages, memory64, scheme, mode, seed)
+        Self::try_new(initial_pages, max_pages, memory64, scheme, seed)
             .expect("initial memory size representable and allocatable")
     }
 
@@ -238,7 +237,6 @@ impl LinearMemory {
         max_pages: Option<u64>,
         memory64: bool,
         scheme: TagScheme,
-        mode: MteMode,
         seed: u64,
     ) -> Result<Self, String> {
         let too_big = || format!("initial memory of {initial_pages} pages is unallocatable");
@@ -247,7 +245,7 @@ impl LinearMemory {
         let total_usize = usize::try_from(total).map_err(|_| too_big())?;
         let mut data = Vec::new();
         data.try_reserve_exact(total_usize).map_err(|_| too_big())?;
-        let mut tags = TagMemory::new(total, mode);
+        let mut tags = TagMemory::new(total);
         let initial = scheme.initial_tag();
         if !initial.is_zero() {
             tags.set_tag_range(0, guest_size, initial)
@@ -370,8 +368,7 @@ impl LinearMemory {
 
     /// Restores the memory to its freshly-created state in O(pages
     /// touched): re-zeroes and re-tags only the pages on the dirty list
-    /// (one fill pair per run of adjacent pages), discards any pending
-    /// asynchronous fault, and rewinds the segment
+    /// (one fill pair per run of adjacent pages), and rewinds the segment
     /// tag pool to its seed so the next run draws the same tags. Data
     /// segments are *not* re-applied here — the store does that, exactly
     /// as at instantiation.
@@ -423,7 +420,6 @@ impl LinearMemory {
             }
         }
         self.dirty_pages.clear();
-        let _ = self.tags.take_async_fault();
         self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed)
             .expect("segment exclusion leaves tags available");
     }
@@ -611,14 +607,12 @@ impl LinearMemory {
             let ptr_tag = self.scheme.ptr_tag(index);
             self.tags.check_access(addr, width, ptr_tag, kind)?;
         }
-        // The tag check above also bounds the access to the tagged region
-        // *when it faults synchronously*; in asynchronous MTE modes it
-        // records the fault and returns Ok, and the software branch was
-        // skipped entirely under MteSandbox — so this final slack check
-        // must tolerate `addr + width` overflowing for huge bulk lengths
-        // instead of wrapping around. It compares against the committed
-        // prefix: a miss is either the first touch of a page or a real
-        // escape past the slack, and the cold path tells them apart.
+        // Under sandboxing the software branch was skipped and the tag
+        // check above bounded the access to the tagged region (guest
+        // memory plus slack). This final check compares against the
+        // committed prefix: a miss is either the first touch of a page or
+        // a real escape past the slack, and the cold path tells them
+        // apart.
         if addr
             .checked_add(width)
             .is_none_or(|end| end > self.data.len() as u64)
@@ -965,12 +959,6 @@ impl LinearMemory {
             .expect("range checked above");
         Ok(())
     }
-
-    /// Polls for a deferred asynchronous tag fault (checked by the runtime
-    /// at call boundaries, like the kernel does at context switches).
-    pub fn take_async_fault(&mut self) -> Option<cage_mte::TagCheckFault> {
-        self.tags.take_async_fault()
-    }
 }
 
 /// The scalar fast path's address computation: bit-identical to the
@@ -1010,7 +998,7 @@ impl LinearMemory {
 mod tests {
     use super::*;
     fn mem(scheme: TagScheme) -> LinearMemory {
-        LinearMemory::new(1, None, true, scheme, MteMode::Synchronous, 42)
+        LinearMemory::new(1, None, true, scheme, 42)
     }
 
     #[test]
@@ -1200,7 +1188,6 @@ mod tests {
             Some(4),
             true,
             TagScheme::ExternalOnly { instance_tag },
-            MteMode::Synchronous,
             1,
         );
         assert_eq!(m.grow(2), Some(1));
@@ -1215,7 +1202,7 @@ mod tests {
     fn grow_memory64_byte_size_overflow_fails_cleanly() {
         // A page delta whose byte size overflows u64 must fail the grow
         // (wasm -1) instead of wrapping to a tiny allocation.
-        let mut m = LinearMemory::new(1, None, true, TagScheme::None, MteMode::Disabled, 0);
+        let mut m = LinearMemory::new(1, None, true, TagScheme::None, 0);
         let delta = u64::MAX / PAGE_SIZE; // pages fit in u64, bytes do not
         assert_eq!(m.grow(delta), None);
         assert_eq!(m.grow(u64::MAX), None); // page count itself overflows
@@ -1225,7 +1212,7 @@ mod tests {
 
     #[test]
     fn wasm32_memory_capped_at_4gib() {
-        let mut m = LinearMemory::new(65_535, None, false, TagScheme::None, MteMode::Disabled, 0);
+        let mut m = LinearMemory::new(65_535, None, false, TagScheme::None, 0);
         assert_eq!(m.grow(1), Some(65_535));
         assert_eq!(m.grow(1), None);
     }
@@ -1240,36 +1227,33 @@ mod tests {
 
     #[test]
     fn huge_bulk_length_traps_oob_instead_of_wrapping() {
-        // Under MteSandbox the software bounds branch is skipped, and in
-        // asynchronous MTE mode the tag check records its fault but
-        // returns Ok — so the final slack check is the only thing
-        // standing between a huge bulk length and `addr + width`
-        // wrapping around. It must use checked arithmetic.
+        // A huge bulk length must not let `addr + width` wrap around: the
+        // software check refuses it, and under sandboxing (where that
+        // check is skipped) the tag check finds it outside tagged memory.
         let instance_tag = Tag::new(5).unwrap();
-        let mut m = LinearMemory::new(
-            1,
-            None,
-            true,
-            TagScheme::ExternalOnly { instance_tag },
-            MteMode::Asynchronous,
-            9,
-        );
-        for len in [u64::MAX, u64::MAX - 64, u64::MAX / 2] {
-            let err = m.resolve(64, 0, len, AccessKind::Write).unwrap_err();
-            assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}");
-            let err = m.fill(64, 0xAA, len).unwrap_err();
-            assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}");
-            let err = m.copy(64, 0, len).unwrap_err();
-            assert!(matches!(err, Trap::OutOfBounds { .. }), "{err}");
+        for scheme in [TagScheme::None, TagScheme::ExternalOnly { instance_tag }] {
+            let mut m = LinearMemory::new(1, None, true, scheme, 9);
+            let outside = |err: &Trap| match (scheme, err) {
+                (TagScheme::None, Trap::OutOfBounds { .. }) => true,
+                (_, Trap::TagCheck(fault)) => fault.mem_tag.is_none(),
+                _ => false,
+            };
+            for len in [u64::MAX, u64::MAX - 64, u64::MAX / 2] {
+                let err = m.resolve(64, 0, len, AccessKind::Write).unwrap_err();
+                assert!(outside(&err), "{err}");
+                let err = m.fill(64, 0xAA, len).unwrap_err();
+                assert!(outside(&err), "{err}");
+                let err = m.copy(64, 0, len).unwrap_err();
+                assert!(outside(&err), "{err}");
+            }
+            // The memory stays usable afterwards.
+            assert!(m.write(0, 0, &[1]).is_ok());
         }
-        // The memory stays usable afterwards.
-        assert!(m.write(0, 0, &[1]).is_ok());
     }
 
     #[test]
     fn creation_reserves_the_declared_size_and_commits_none_of_it() {
-        let m =
-            LinearMemory::try_new(1024, None, true, TagScheme::None, MteMode::Disabled, 0).unwrap();
+        let m = LinearMemory::try_new(1024, None, true, TagScheme::None, 0).unwrap();
         assert_eq!(m.committed_bytes(), 0);
         assert_eq!(m.size_pages(), 1024);
         assert_eq!(m.resident_bytes(), 1024 * PAGE_SIZE, "the model is not");
@@ -1283,7 +1267,7 @@ mod tests {
 
     #[test]
     fn the_prefix_grows_by_whole_pages_at_first_touch_and_survives_reset() {
-        let mut m = LinearMemory::new(4, None, true, TagScheme::None, MteMode::Disabled, 0);
+        let mut m = LinearMemory::new(4, None, true, TagScheme::None, 0);
         m.write(100, 0, &[1]).unwrap();
         assert_eq!(m.committed_bytes(), PAGE_SIZE);
         // A read is a touch too, and one that straddles the frontier
@@ -1329,7 +1313,7 @@ mod tests {
     }
 
     fn mem4(scheme: TagScheme) -> LinearMemory {
-        LinearMemory::new(4, Some(16), true, scheme, MteMode::Synchronous, 42)
+        LinearMemory::new(4, Some(16), true, scheme, 42)
     }
 
     #[test]
@@ -1367,30 +1351,12 @@ mod tests {
     fn a_grow_the_host_cannot_reserve_is_a_wasm_minus_one() {
         // 2^49 bytes is more address space than the host has: the
         // reservation fails, and that must be an answer, not an abort.
-        let mut m = LinearMemory::new(1, None, true, TagScheme::None, MteMode::Disabled, 0);
+        let mut m = LinearMemory::new(1, None, true, TagScheme::None, 0);
         m.write(8, 0, &[1]).unwrap();
         assert_eq!(m.grow(1 << 33), None);
         assert_eq!((m.size_pages(), m.committed_bytes()), (1, PAGE_SIZE));
         assert_eq!(m.tags().size(), PAGE_SIZE + RUNTIME_SLACK);
         assert_eq!(m.grow(1), Some(1), "still growable");
         assert_eq!(m.read(8, 0, 1).unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn async_mode_defers_fault_to_poll() {
-        let mut m = LinearMemory::new(
-            1,
-            None,
-            true,
-            TagScheme::InternalOnly,
-            MteMode::Asynchronous,
-            7,
-        );
-        let p = m.segment_new(0, 32).unwrap();
-        m.segment_free(p, 32).unwrap();
-        // UAF write completes...
-        assert!(m.write(p, 0, &[1]).is_ok());
-        // ...but the fault is pending.
-        assert!(m.take_async_fault().is_some());
     }
 }

@@ -11,14 +11,14 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cage_mte::{MteMode, Tag};
+use cage_mte::Tag;
 use cage_pac::{PacKey, PacSigner, PointerLayout};
 use cage_wasm::{FuncType, ImportKind, Module, ValType, ValidationError};
 use rand::{Rng, SeedableRng};
 
 use crate::bytecode::{self, RegCode};
-use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
-use crate::cost::{ChargeCounts, ClassWeights, CostModel};
+use crate::config::ExecConfig;
+use crate::cost::{self, ChargeCounts, ClassWeights};
 use crate::host::{HostFunc, Imports};
 use crate::interp::Interp;
 use crate::memory::{LinearMemory, TagScheme};
@@ -106,17 +106,30 @@ pub struct InstanceHandle(pub(crate) usize);
 /// * `max_table_elements` caps the function table at instantiation (the
 ///   engine has no `table.grow`, so the initial size is the only growth
 ///   point).
-/// * `max_call_depth` tightens [`crate::ExecConfig::max_call_depth`]; the
-///   effective limit is the minimum of the two.
+/// * `max_call_depth` is the one call-depth limit: a call that would nest
+///   deeper traps with [`Trap::CallStackExhausted`]. `None` means the
+///   default of [`DEFAULT_MAX_CALL_DEPTH`] frames, not unbounded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstanceLimits {
     /// Maximum linear-memory size in 64KiB pages.
     pub max_memory_pages: Option<u64>,
     /// Maximum number of function-table elements.
     pub max_table_elements: Option<usize>,
-    /// Maximum guest call depth (tightens the engine config).
+    /// Maximum guest call depth in frames (`None`:
+    /// [`DEFAULT_MAX_CALL_DEPTH`]).
+    ///
+    /// Guest calls cost no host stack: the dispatch loop keeps suspended
+    /// callers on an explicit frame `Vec` and their registers in one
+    /// arena, so no thread stack size goes with this limit. What it bounds
+    /// is that heap: at most depth × 65 535 register slots × 8 B of arena
+    /// (a frame is as wide as its function's peak register pressure, a
+    /// `u16` count) plus one frame record per call. Only the tree-walking
+    /// reference (`Store::call_tree`) recurses on the host.
     pub max_call_depth: Option<usize>,
 }
+
+/// The call-depth limit of an instance whose [`InstanceLimits`] sets none.
+pub const DEFAULT_MAX_CALL_DEPTH: usize = 128;
 
 /// One function of a [`Precompiled`] module: resolved type, local
 /// declarations and register bytecode, lowered once when the module was
@@ -353,11 +366,10 @@ pub(crate) struct Instance {
     pub(crate) limits: InstanceLimits,
 }
 
-/// The engine store: configuration, cost model and instances.
+/// The engine store: configuration, cost weights and instances.
 pub struct Store {
     pub(crate) config: ExecConfig,
-    pub(crate) cost: CostModel,
-    /// `cost` as cycles per unit of each charge class, under `config`.
+    /// Cycles per unit of each charge class, under `config`.
     weights: ClassWeights,
     pub(crate) instances: Vec<Instance>,
     /// Engine-shared epoch counter for wall-clock preemption: an embedder
@@ -384,8 +396,7 @@ impl Store {
     #[must_use]
     pub fn new(config: ExecConfig) -> Self {
         Store {
-            cost: CostModel::for_config(&config),
-            weights: CostModel::class_weights(&config),
+            weights: cost::class_weights(&config),
             rng: rand::rngs::StdRng::seed_from_u64(config.seed),
             config,
             instances: Vec::new(),
@@ -400,19 +411,13 @@ impl Store {
         &self.config
     }
 
-    /// The cost model in force.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The scheme the next instance's memory is built under. Sandbox tags
     /// are read off the live memories, not counted: a tag is taken while
     /// some instance's memory holds it and free again the moment that
     /// memory is dropped ([`Store::drop_memory`]).
     fn tag_scheme(&self) -> Result<TagScheme, InstantiateError> {
-        let sandbox = self.config.bounds == BoundsCheckStrategy::MteSandbox;
-        let internal = self.config.internal == InternalSafety::Mte;
+        let variant = self.config.variant;
+        let (sandbox, internal) = (variant.sandboxed(), variant.provides_memory_safety());
         let held = |scheme: TagScheme| {
             self.instances
                 .iter()
@@ -469,6 +474,12 @@ impl Store {
         imports: &Imports,
     ) -> Result<InstanceHandle, InstantiateError> {
         let module: &Module = &pre.module;
+        // The instance table grows before this instance allocates anything.
+        // Grown at the push instead, the table is reallocated between two
+        // memories' reservations, and where glibc puts it then depends on
+        // the size of an `Instance`: on `cage-bench`'s `serve_cold` the
+        // peak RSS swung between 6 and 12 MB for sizes a word apart.
+        self.instances.reserve(1);
         let mut host_funcs = Vec::new();
         for import in &module.imports {
             match &import.kind {
@@ -496,22 +507,11 @@ impl Store {
                         )));
                     }
                 }
-                let scheme = if self.config.mte_active() {
-                    self.tag_scheme()?
-                } else {
-                    TagScheme::None
-                };
-                let mode = if self.config.mte_active() {
-                    self.config.mte_mode
-                } else {
-                    MteMode::Disabled
-                };
                 let mut mem = LinearMemory::try_new(
                     ty.limits.min,
                     ty.limits.max,
                     ty.memory64,
-                    scheme,
-                    mode,
+                    self.tag_scheme()?,
                     self.rng.gen(),
                 )
                 .map_err(InstantiateError::LimitExceeded)?;
@@ -564,7 +564,7 @@ impl Store {
             // elsewhere (§4.2).
             pac: PacSigner::new(
                 PacKey::generate(&mut self.rng),
-                if self.config.mte_active() {
+                if self.config.variant.uses_mte() {
                     PointerLayout::MtePac
                 } else {
                     PointerLayout::PacOnly
@@ -618,33 +618,22 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates traps, including deferred asynchronous MTE faults
-    /// surfaced at the call boundary.
+    /// Propagates traps.
     pub fn call(
         &mut self,
         handle: InstanceHandle,
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let mut interp = Interp::new(self, handle.0);
-        let results = interp.call_function_reg(func_idx, args)?;
-        // Surface deferred asynchronous tag faults, as the kernel does at
-        // context-switch time.
-        if let Some(mem) = self.instances[handle.0].memory.as_mut() {
-            if let Some(fault) = mem.take_async_fault() {
-                return Err(Trap::AsyncTagCheck(fault));
-            }
-        }
-        Ok(results)
+        Interp::new(self, handle.0).call_function_reg(func_idx, args)
     }
 
     /// Calls a function by index through the structured tree walker — the
     /// reference implementation (the in-crate difftest and the trap-matrix
     /// integration test compare the register machine against it), and the
     /// only way into `crate::tree`: nothing [`Store::call`] reaches runs
-    /// any of it. Mirrors [`Store::call`] exactly, including surfacing of
-    /// deferred asynchronous MTE faults. Not part of the supported
-    /// embedder API.
+    /// any of it. Mirrors [`Store::call`] exactly. Not part of the
+    /// supported embedder API.
     #[doc(hidden)]
     pub fn call_tree(
         &mut self,
@@ -652,14 +641,7 @@ impl Store {
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let mut interp = Interp::new(self, handle.0);
-        let results = interp.call_function_tree(func_idx, args)?;
-        if let Some(mem) = self.instances[handle.0].memory.as_mut() {
-            if let Some(fault) = mem.take_async_fault() {
-                return Err(Trap::AsyncTagCheck(fault));
-            }
-        }
-        Ok(results)
+        Interp::new(self, handle.0).call_function_tree(func_idx, args)
     }
 
     /// What `handle` has been charged so far: the retired counts per
@@ -688,7 +670,7 @@ impl Store {
     /// Simulated milliseconds for `handle` on the configured core.
     #[must_use]
     pub fn simulated_ms(&self, handle: InstanceHandle) -> f64 {
-        self.cost.cycles_to_ms(self.cycles(handle))
+        self.config.core.cycles_to_ms(self.cycles(handle))
     }
 
     /// Instructions retired by `handle`.
@@ -811,12 +793,6 @@ impl Store {
         }
     }
 
-    /// The limits policy of `handle`.
-    #[must_use]
-    pub fn instance_limits(&self, handle: InstanceHandle) -> InstanceLimits {
-        self.instances[handle.0].limits
-    }
-
     /// Resets `handle` back to its freshly-instantiated state in place:
     /// linear memory (dirty pages re-zeroed and re-tagged, data segments
     /// re-applied), globals, table, counters and fuel — then re-runs the
@@ -926,6 +902,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Variant;
     use cage_wasm::builder::ModuleBuilder;
     use cage_wasm::{Instr, ValType};
 
@@ -1042,7 +1019,7 @@ mod tests {
     #[test]
     fn sandbox_tag_limit_is_15() {
         let config = ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
+            variant: Variant::CageSandboxing,
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);
@@ -1061,7 +1038,7 @@ mod tests {
     #[test]
     fn a_dropped_memory_returns_its_sandbox_tag() {
         let config = ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
+            variant: Variant::CageSandboxing,
             ..ExecConfig::default()
         };
         let mut b = ModuleBuilder::new();
@@ -1121,8 +1098,7 @@ mod tests {
     #[test]
     fn combined_mode_allows_a_single_instance() {
         let config = ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
-            internal: InternalSafety::Mte,
+            variant: Variant::CageFull,
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);
@@ -1164,7 +1140,7 @@ mod tests {
         // §4.2: each instance generates its own key, so a pointer signed in
         // one instance fails authentication in another.
         let config = ExecConfig {
-            pointer_auth: true,
+            variant: Variant::CagePtrAuth,
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);

@@ -48,8 +48,6 @@ pub enum Trap {
     CallStackExhausted,
     /// A host function reported an error.
     Host(String),
-    /// Deferred asynchronous MTE fault surfaced at a check point.
-    AsyncTagCheck(TagCheckFault),
     /// The instance's fuel budget ([`crate::Store::set_fuel`]) ran out at
     /// a preemption check point.
     FuelExhausted,
@@ -137,7 +135,6 @@ impl fmt::Display for Trap {
             Trap::IndirectCallTypeMismatch => f.write_str("indirect call type mismatch"),
             Trap::CallStackExhausted => f.write_str("call stack exhausted"),
             Trap::Host(msg) => write!(f, "host error: {msg}"),
-            Trap::AsyncTagCheck(fault) => write!(f, "deferred {fault}"),
             Trap::FuelExhausted => f.write_str("fuel exhausted"),
             Trap::EpochInterrupt => f.write_str("epoch deadline reached"),
             Trap::HostPanic(msg) => write!(f, "host function panicked: {msg}"),
@@ -149,11 +146,7 @@ impl std::error::Error for Trap {}
 
 impl From<TagCheckFault> for Trap {
     fn from(fault: TagCheckFault) -> Self {
-        if fault.asynchronous {
-            Trap::AsyncTagCheck(fault)
-        } else {
-            Trap::TagCheck(fault)
-        }
+        Trap::TagCheck(fault)
     }
 }
 
@@ -178,10 +171,7 @@ impl Trap {
     /// ordinary WASM trap) — what the CVE-gallery tests assert on.
     #[must_use]
     pub fn is_memory_safety_violation(&self) -> bool {
-        matches!(
-            self,
-            Trap::TagCheck(_) | Trap::AsyncTagCheck(_) | Trap::SegmentFault { .. }
-        )
+        matches!(self, Trap::TagCheck(_) | Trap::SegmentFault { .. })
     }
 }
 
@@ -190,29 +180,23 @@ mod tests {
     use super::*;
     use cage_mte::{AccessKind, Tag};
 
-    fn fault(asynchronous: bool) -> TagCheckFault {
+    fn fault() -> TagCheckFault {
         TagCheckFault {
             addr: 0x40,
             ptr_tag: Tag::new(1).unwrap(),
             mem_tag: Some(Tag::new(2).unwrap()),
             access: AccessKind::Read,
-            asynchronous,
         }
     }
 
     #[test]
     fn sync_fault_converts_to_tag_check() {
-        assert!(matches!(Trap::from(fault(false)), Trap::TagCheck(_)));
-    }
-
-    #[test]
-    fn async_fault_converts_to_deferred() {
-        assert!(matches!(Trap::from(fault(true)), Trap::AsyncTagCheck(_)));
+        assert!(matches!(Trap::from(fault()), Trap::TagCheck(_)));
     }
 
     #[test]
     fn memory_safety_classification() {
-        assert!(Trap::from(fault(false)).is_memory_safety_violation());
+        assert!(Trap::from(fault()).is_memory_safety_violation());
         assert!(Trap::SegmentFault {
             addr: 0,
             reason: SegmentFaultReason::BadFree

@@ -265,7 +265,7 @@ impl Interp<'_> {
             PointerSign => {
                 self.charge(ChargeClass::Sign);
                 let ptr = stack.pop().expect("validated");
-                let signed = if self.config.pointer_auth {
+                let signed = if self.config.variant.pointer_auth() {
                     let inst = &self.store.instances[self.inst];
                     inst.pac.sign(ptr, inst.pac_modifier)
                 } else {
@@ -276,7 +276,7 @@ impl Interp<'_> {
             PointerAuth => {
                 self.charge(ChargeClass::Auth);
                 let ptr = stack.pop().expect("validated");
-                let stripped = if self.config.pointer_auth {
+                let stripped = if self.config.variant.pointer_auth() {
                     let inst = &self.store.instances[self.inst];
                     inst.pac.auth(ptr, inst.pac_modifier)?
                 } else {

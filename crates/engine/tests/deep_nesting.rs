@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cage_engine::{ExecConfig, HostFunc, Imports, Precompiled, Store, Value};
+use cage_engine::{ExecConfig, HostFunc, Imports, InstanceLimits, Precompiled, Store, Value};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::{BlockType, CompileLimits, Instr, ValType};
 
@@ -174,9 +174,10 @@ fn a_hundred_thousand_nested_calls_execute_in_constant_host_stack() {
             let module = b.build();
 
             let (imports, addrs) = probe_imports();
-            let mut store = Store::new(ExecConfig {
-                max_call_depth: 200_000,
-                ..ExecConfig::default()
+            let mut store = Store::new(ExecConfig::default());
+            store.set_default_limits(InstanceLimits {
+                max_call_depth: Some(200_000),
+                ..InstanceLimits::default()
             });
             let h = store.instantiate(&module, &imports).expect("instantiates");
             let out = store

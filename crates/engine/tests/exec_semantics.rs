@@ -1,8 +1,9 @@
 //! End-to-end execution semantics: whole modules through the interpreter.
 
+use cage_engine::cost::class_weights;
 use cage_engine::{
-    BoundsCheckStrategy, ChargeClass, ChargeCounts, CostModel, ExecConfig, Imports,
-    InstantiateError, InternalSafety, Precompiled, Store, Trap, Value,
+    ChargeClass, ChargeCounts, ExecConfig, Imports, InstantiateError, Precompiled, Store, Trap,
+    Value, Variant,
 };
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
@@ -109,14 +110,59 @@ fn fibonacci_recursion() {
     );
 }
 
+/// The call-depth limit is the instance's `max_call_depth`: 128 frames,
+/// the entry frame included, when it sets none — on both tiers.
 #[test]
 fn infinite_recursion_exhausts_call_stack() {
     let mut b = ModuleBuilder::new();
     let f = b.add_function(&[], &[], &[], vec![]);
     b.set_body(f, vec![Instr::Call(f)]);
     b.export_func("spin", f);
+    // down(n) = n == 0 ? 0 : down(n - 1) + 1, in n + 1 frames.
+    let down = b.add_function(&[ValType::I64], &[ValType::I64], &[], vec![]);
+    b.set_body(
+        down,
+        vec![
+            Instr::LocalGet(0),
+            Instr::I64Eqz,
+            Instr::If(
+                BlockType::Value(ValType::I64),
+                vec![Instr::I64Const(0)],
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Sub,
+                    Instr::Call(down),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                ],
+            ),
+        ],
+    );
     let m = b.build();
     assert_eq!(run1(&m, "spin", &[]).unwrap_err(), Trap::CallStackExhausted);
+    // The tree oracle recurses on the host: a debug build needs more than
+    // a test thread's stack for 128 of its frames.
+    std::thread::Builder::new()
+        .stack_size(32 << 20)
+        .spawn(move || {
+            for tree in [false, true] {
+                let depth = |n: i64| {
+                    let mut store = Store::new(ExecConfig::default());
+                    let h = store.instantiate(&m, &Imports::new()).unwrap();
+                    if tree {
+                        store.call_tree(h, down, &[Value::I64(n)])
+                    } else {
+                        store.call(h, down, &[Value::I64(n)])
+                    }
+                };
+                assert_eq!(depth(127), Ok(vec![Value::I64(127)]), "tree {tree}");
+                assert_eq!(depth(128), Err(Trap::CallStackExhausted), "tree {tree}");
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("call-depth thread");
 }
 
 #[test]
@@ -320,7 +366,7 @@ fn memory_grow_and_size() {
     for config in [
         ExecConfig::default(),
         ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
+            variant: Variant::CageSandboxing,
             ..ExecConfig::default()
         },
     ] {
@@ -497,7 +543,7 @@ fn pointer_sign_auth_roundtrip_in_guest() {
     let m = b.build();
 
     let config = ExecConfig {
-        pointer_auth: true,
+        variant: Variant::CagePtrAuth,
         ..ExecConfig::default()
     };
     let mut store = Store::new(config);
@@ -556,7 +602,7 @@ fn segments_detect_overflow_between_allocations() {
     let m = b.build();
 
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
+        variant: Variant::CageMemSafety,
         ..ExecConfig::default()
     };
     let mut store = Store::new(config);
@@ -569,12 +615,14 @@ fn segments_detect_overflow_between_allocations() {
         .unwrap()[0];
     // In-bounds write through p1 is fine.
     store.invoke(h, "poke", &[p1, Value::I64(7)]).unwrap();
-    // Off-by-32 (into the second segment) through p1's tag: caught.
+    // Off-by-32 (into the second segment) through p1's tag: caught, and
+    // synchronously — the faulting store does not land.
     let p1_past = Value::I64(p1.as_i64() + 32);
     let err = store
         .invoke(h, "poke", &[p1_past, Value::I64(7)])
         .unwrap_err();
     assert!(err.is_memory_safety_violation(), "{err}");
+    assert_eq!(store.memory(h).unwrap().read_resolved(32, 1), [0]);
 }
 
 #[test]
@@ -617,7 +665,7 @@ fn mte_sandbox_runs_normal_code_and_catches_oob() {
     let m = b.build();
 
     let config = ExecConfig {
-        bounds: BoundsCheckStrategy::MteSandbox,
+        variant: Variant::CageSandboxing,
         ..ExecConfig::default()
     };
     let mut store = Store::new(config);
@@ -708,7 +756,7 @@ fn fifteen_sandboxes_work_and_the_sixteenth_is_refused() {
     let m = b.build();
 
     let config = ExecConfig {
-        bounds: BoundsCheckStrategy::MteSandbox,
+        variant: Variant::CageSandboxing,
         ..ExecConfig::default()
     };
     let mut store = Store::new(config);
@@ -734,60 +782,6 @@ fn fifteen_sandboxes_work_and_the_sixteenth_is_refused() {
         store.instantiate(&m, &Imports::new()),
         Err(InstantiateError::TooManySandboxes)
     ));
-}
-
-#[test]
-fn async_mode_defers_guest_fault_to_call_boundary() {
-    // §2.3 asynchronous mode: the faulting store completes; the fault
-    // surfaces at the next check point (our call boundary, standing in for
-    // the kernel's context switch).
-    let mut b = ModuleBuilder::new();
-    b.add_memory64(1);
-    let f = b.add_function(
-        &[],
-        &[ValType::I64],
-        &[],
-        vec![
-            // Create a segment over [0,32), then store through an
-            // untagged pointer (tag mismatch).
-            Instr::I64Const(0),
-            Instr::I64Const(32),
-            Instr::SegmentNew(0),
-            Instr::Drop,
-            Instr::I64Const(0),
-            Instr::I64Const(77),
-            Instr::Store(StoreOp::I64Store, MemArg::none()),
-            // The store completed; keep computing.
-            Instr::I64Const(1),
-        ],
-    );
-    b.export_func("f", f);
-    let m = b.build();
-
-    let config = ExecConfig {
-        internal: InternalSafety::Mte,
-        mte_mode: cage_mte::MteMode::Asynchronous,
-        ..ExecConfig::default()
-    };
-    let mut store = Store::new(config);
-    let h = store.instantiate(&m, &Imports::new()).unwrap();
-    let err = store.invoke(h, "f", &[]).unwrap_err();
-    assert!(matches!(err, Trap::AsyncTagCheck(_)), "{err}");
-    // The write took effect before detection — async's weaker guarantee.
-    let mem = store.memory(h).unwrap();
-    assert_eq!(mem.read_resolved(0, 1)[0], 77);
-
-    // Synchronous mode: the same program faults before the store lands.
-    let config = ExecConfig {
-        internal: InternalSafety::Mte,
-        mte_mode: cage_mte::MteMode::Synchronous,
-        ..ExecConfig::default()
-    };
-    let mut store = Store::new(config);
-    let h = store.instantiate(&m, &Imports::new()).unwrap();
-    let err = store.invoke(h, "f", &[]).unwrap_err();
-    assert!(matches!(err, Trap::TagCheck(_)), "{err}");
-    assert_eq!(store.memory(h).unwrap().read_resolved(0, 1)[0], 0);
 }
 
 #[test]
@@ -854,11 +848,11 @@ fn zero_length_bulk_ops_at_memory_boundary_do_not_trap() {
     for config in [
         ExecConfig::default(),
         ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
+            variant: Variant::CageSandboxing,
             ..ExecConfig::default()
         },
         ExecConfig {
-            internal: InternalSafety::Mte,
+            variant: Variant::CageMemSafety,
             ..ExecConfig::default()
         },
     ] {
@@ -902,7 +896,7 @@ fn segment_tag_costs_round_partial_granules_up() {
     b.export_func("f", f);
     let m = b.build();
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
+        variant: Variant::CageMemSafety,
         ..ExecConfig::default()
     };
     let charged_for = |len: i64| {
@@ -923,7 +917,7 @@ fn segment_tag_costs_round_partial_granules_up() {
     expected.counts[ChargeClass::SegmentNewGranules as usize] = 2;
     assert_eq!(c31, expected);
     // And a granule costs cycles under MTE.
-    let weights = CostModel::class_weights(&config);
+    let weights = class_weights(&config);
     assert!(c31.cycles(&weights) > c15.cycles(&weights));
 }
 
@@ -951,7 +945,7 @@ fn bulk_ops_respect_tag_checks() {
     b.export_func("f", f);
     let m = b.build();
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
+        variant: Variant::CageMemSafety,
         ..ExecConfig::default()
     };
     let mut store = Store::new(config);
@@ -1145,28 +1139,21 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
     }
     assert_eq!(rows, [66, 10, 52], "numeric rows swept (alu, div, una)");
 
-    // The two untagged configurations and the two sandboxed ones: the
-    // stateful instructions do different things under each (segments are
-    // inert without internal MTE, sign/auth are moves without PAC, an
+    // Every 64-bit variant: the stateful instructions do different things
+    // under each (segments are inert without internal MTE, sign/auth are
+    // moves without PAC and sign under two pointer layouts with it, an
     // index loses its tag bits under the sandbox mask).
-    let sandbox = ExecConfig {
-        bounds: BoundsCheckStrategy::MteSandbox,
-        ..ExecConfig::default()
-    };
     let configs = [
-        ExecConfig::default(),
-        ExecConfig {
-            internal: InternalSafety::Mte,
-            pointer_auth: true,
-            ..ExecConfig::default()
-        },
-        sandbox,
-        ExecConfig {
-            internal: InternalSafety::Mte,
-            pointer_auth: true,
-            ..sandbox
-        },
-    ];
+        Variant::BaselineWasm64,
+        Variant::CageMemSafety,
+        Variant::CagePtrAuth,
+        Variant::CageSandboxing,
+        Variant::CageFull,
+    ]
+    .map(|v| ExecConfig {
+        variant: v,
+        ..ExecConfig::default()
+    });
     // Seven argument rows per instruction. Three feed every parameter the
     // same value: zeros (division and bulk-op edge), small in-range
     // values, and negative/non-finite ones (out-of-bounds addresses,
@@ -1239,7 +1226,7 @@ fn every_decodable_data_instruction_agrees_between_register_and_tree() {
     // operands name — before anything in it can trap. One trapping row
     // each for the bodies that can, the whole count vector as literals
     // (the `Simple`s are the `local.get`s that fed the operands).
-    let cage = configs[1];
+    let cage = configs[4];
     let (i32t, i64t) = (ValType::I32, ValType::I64);
     let traps_charged =
         |instr: Instr, params: &[ValType], raw: &[i64], charged: &[(ChargeClass, u64)]| {

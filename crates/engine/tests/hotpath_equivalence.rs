@@ -7,7 +7,7 @@
 
 use cage_engine::memory::PAGE_SIZE;
 use cage_engine::{LinearMemory, TagScheme};
-use cage_mte::{MteMode, Tag};
+use cage_mte::Tag;
 use cage_wasm::instr::{LoadOp, StoreOp};
 
 const LOAD_OPS: [LoadOp; 14] = [
@@ -52,12 +52,7 @@ fn schemes() -> [TagScheme; 4] {
 }
 
 fn mem(scheme: TagScheme) -> LinearMemory {
-    let mode = if scheme == TagScheme::None {
-        MteMode::Disabled
-    } else {
-        MteMode::Synchronous
-    };
-    LinearMemory::new(1, None, true, scheme, mode, 7)
+    LinearMemory::new(1, None, true, scheme, 7)
 }
 
 fn mask(width: u64) -> u64 {

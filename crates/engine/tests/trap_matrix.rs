@@ -27,8 +27,7 @@
 
 use cage_engine::ChargeClass::{Branch, Call, CallIndirect, Simple};
 use cage_engine::{
-    BoundsCheckStrategy, ChargeClass, ChargeCounts, ExecConfig, Imports, InternalSafety,
-    Precompiled, Store, Trap, Value,
+    ChargeClass, ChargeCounts, ExecConfig, Imports, Precompiled, Store, Trap, Value, Variant,
 };
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
@@ -147,43 +146,24 @@ impl Access {
     }
 }
 
-/// The four tag schemes of the paper's deployment matrix.
+/// The four tag schemes of the paper's deployment matrix, each under the
+/// Table 3 variant that builds it.
 fn schemes() -> [(&'static str, ExecConfig); 4] {
-    let base = ExecConfig::default();
     [
-        (
-            "none",
-            ExecConfig {
-                bounds: BoundsCheckStrategy::Software,
-                internal: InternalSafety::Off,
-                ..base
-            },
-        ),
-        (
-            "internal-only",
-            ExecConfig {
-                bounds: BoundsCheckStrategy::Software,
-                internal: InternalSafety::Mte,
-                ..base
-            },
-        ),
-        (
-            "sandbox-only",
-            ExecConfig {
-                bounds: BoundsCheckStrategy::MteSandbox,
-                internal: InternalSafety::Off,
-                ..base
-            },
-        ),
-        (
-            "combined",
-            ExecConfig {
-                bounds: BoundsCheckStrategy::MteSandbox,
-                internal: InternalSafety::Mte,
-                ..base
-            },
-        ),
+        ("none", Variant::BaselineWasm64),
+        ("internal-only", Variant::CageMemSafety),
+        ("sandbox-only", Variant::CageSandboxing),
+        ("combined", Variant::CageFull),
     ]
+    .map(|(scheme, variant)| {
+        (
+            scheme,
+            ExecConfig {
+                variant,
+                ..ExecConfig::default()
+            },
+        )
+    })
 }
 
 /// The address classes of the matrix; `must_trap`/`must_pass` pin the
@@ -394,7 +374,7 @@ fn bulk_ops_fault_at_the_first_mismatching_granule_across_tiers() {
                 let reg = run_path(config, &module, func as u32, needle as u64, Tier::Reg);
                 let tree = run_path(config, &module, func as u32, needle as u64, Tier::Tree);
                 assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
-                if needle < 0 || !config.internal.is_enabled() {
+                if needle < 0 || !config.variant.provides_memory_safety() {
                     assert!(reg.0.is_ok(), "{cell}: expected pass, got {:?}", reg.0);
                     continue;
                 }
@@ -406,9 +386,8 @@ fn bulk_ops_fault_at_the_first_mismatching_granule_across_tiers() {
                 // The retag went through an untagged pointer, so the
                 // needle carries the guest-untagged tag: 1 when combined
                 // with sandboxing (Fig. 13b), else 0.
-                let untagged = u8::from(config.bounds == BoundsCheckStrategy::MteSandbox);
+                let untagged = u8::from(config.variant.sandboxed());
                 assert_eq!(fault.mem_tag.map(|t| t.value()), Some(untagged), "{cell}");
-                assert!(!fault.asynchronous, "{cell}");
             }
         }
     }
@@ -419,14 +398,12 @@ fn bulk_ops_fault_at_the_first_mismatching_granule_across_tiers() {
 /// and leaves the frontier at the 0|1 page boundary; then comes the access
 /// under test. Scalar and bulk accesses that straddle the frontier, end
 /// exactly at the end of guest memory, are zero-width at that boundary,
-/// or land in the runtime slack (where asynchronous MTE lets the access
-/// complete and reports at the call boundary) must produce the same
-/// payload, cycle bits, retired count *and committed prefix* on the
-/// register tier — whose scalar fast path commits through its cached
-/// bound — and on the tree oracle, which goes through `resolve()`.
+/// or land in the runtime slack must produce the same payload, cycle bits,
+/// retired count *and committed prefix* on the register tier — whose
+/// scalar fast path commits through its cached bound — and on the tree
+/// oracle, which goes through `resolve()`.
 #[test]
 fn accesses_at_the_commit_frontier_agree_across_tiers() {
-    use cage_mte::MteMode;
     const GUEST: u64 = 3 * PAGE;
     const SLACK: u64 = 4096;
 
@@ -529,7 +506,6 @@ fn accesses_at_the_commit_frontier_agree_across_tiers() {
         /// Out of bounds by the spec whatever the strategy.
         Refused,
     }
-    let bulk = [fill, copy_to, copy_from];
     let mut rows: Vec<(&str, u32, u64, u64, Where)> = Vec::new();
     for (name, func) in [("load", load), ("store", store)] {
         rows.extend([
@@ -567,76 +543,55 @@ fn accesses_at_the_commit_frontier_agree_across_tiers() {
         ]);
     }
 
-    for (scheme, base) in schemes() {
-        for mode in [
-            MteMode::Synchronous,
-            MteMode::Asynchronous,
-            MteMode::Asymmetric,
-        ] {
-            let config = ExecConfig {
-                mte_mode: mode,
-                ..base
-            };
-            for &(name, func, addr, len, place) in &rows {
-                let cell = format!("{name}({addr:#x}, {len:#x}) under {scheme}, {mode:?}");
-                let reg = run(config, func, addr, len, Tier::Reg);
-                let tree = run(config, func, addr, len, Tier::Tree);
-                assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
-                let (result, committed) = (&reg.0, reg.2);
-                let sandbox = config.bounds == BoundsCheckStrategy::MteSandbox;
-                // Whether the tag check of this access faults in place.
-                let reads = func == load || func == copy_from;
-                let sync = mode == MteMode::Synchronous || (mode == MteMode::Asymmetric && !reads);
-                match place {
-                    Where::Guest { pages } => {
-                        assert_eq!(result, &Ok(vec![]), "{cell}");
-                        assert_eq!(committed, pages * PAGE, "{cell}: committed prefix");
-                    }
-                    Where::Slack if !sandbox => {
+    for (scheme, config) in schemes() {
+        for &(name, func, addr, len, place) in &rows {
+            let cell = format!("{name}({addr:#x}, {len:#x}) under {scheme}");
+            let reg = run(config, func, addr, len, Tier::Reg);
+            let tree = run(config, func, addr, len, Tier::Tree);
+            assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
+            let (result, committed) = (&reg.0, reg.2);
+            let sandbox = config.variant.sandboxed();
+            match place {
+                Where::Guest { pages } => {
+                    assert_eq!(result, &Ok(vec![]), "{cell}");
+                    assert_eq!(committed, pages * PAGE, "{cell}: committed prefix");
+                }
+                Where::Slack if !sandbox => {
+                    assert_eq!(result, &Err(Trap::OutOfBounds { addr, len }), "{cell}");
+                    assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
+                }
+                // The CVE-2023-26489 shape: the tag check refuses the
+                // access before it lands in the slack.
+                Where::Slack => {
+                    assert!(
+                        matches!(result, Err(Trap::TagCheck(_))),
+                        "{cell}: {result:?}"
+                    );
+                    assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
+                }
+                Where::Refused => {
+                    assert!(result.is_err(), "{cell}: expected a trap");
+                    // `memory.copy` resolves its source (address 0 in
+                    // `copy to`) first, and a huge length fails there.
+                    let addr = if func == copy_to && len > GUEST {
+                        0
+                    } else {
+                        addr
+                    };
+                    if len == 0 || !sandbox {
                         assert_eq!(result, &Err(Trap::OutOfBounds { addr, len }), "{cell}");
-                        assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
                     }
-                    Where::Slack if sync => {
-                        assert!(
-                            matches!(result, Err(Trap::TagCheck(_))),
-                            "{cell}: {result:?}"
-                        );
-                        assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
-                    }
-                    // The CVE-2023-26489 shape under asynchronous MTE: the
-                    // access completes in the slack, the fault surfaces at
-                    // the call boundary.
-                    Where::Slack => {
-                        assert!(
-                            matches!(result, Err(Trap::AsyncTagCheck(f)) if f.asynchronous),
-                            "{cell}: {result:?}"
-                        );
-                        assert_eq!(committed, GUEST + SLACK, "{cell}: the slack is committed");
-                    }
-                    Where::Refused => {
-                        assert!(result.is_err(), "{cell}: expected a trap");
-                        // `memory.copy` resolves its source (address 0 in
-                        // `copy to`) first, and a huge length fails there.
-                        let addr = if func == copy_to && len > GUEST {
-                            0
-                        } else {
-                            addr
-                        };
-                        if len == 0 || !sandbox || !bulk.contains(&func) && !sync {
-                            assert_eq!(result, &Err(Trap::OutOfBounds { addr, len }), "{cell}");
-                        }
-                        assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
-                    }
+                    assert_eq!(committed, PAGE, "{cell}: a refused access commits nothing");
                 }
             }
-            let reg = run(config, grow, 0, 0, Tier::Reg);
-            assert_eq!(
-                reg,
-                run(config, grow, 0, 0, Tier::Tree),
-                "grow under {scheme}"
-            );
-            assert_eq!(reg.0, Ok(vec![Value::I64(-1)]), "grow under {scheme}");
         }
+        let reg = run(config, grow, 0, 0, Tier::Reg);
+        assert_eq!(
+            reg,
+            run(config, grow, 0, 0, Tier::Tree),
+            "grow under {scheme}"
+        );
+        assert_eq!(reg.0, Ok(vec![Value::I64(-1)]), "grow under {scheme}");
     }
 }
 

@@ -24,7 +24,7 @@
 //! # The sinks
 //!
 //! Four kinds of use decide an alloca's fate, and each hangs a demand on
-//! the register it goes through ([`Need`]):
+//! the register it goes through (`Need`):
 //!
 //! 1. **escape** — the register is stored *as a value*, returned, or is
 //!    an argument or the target of a call: every alloca behind it
@@ -49,7 +49,7 @@
 //! # The computation
 //!
 //! One walk over the body collects edges, roots and each register's own
-//! [`Need`]; the edges become a CSR table by source. Tarjan's algorithm,
+//! `Need`; the edges become a CSR table by source. Tarjan's algorithm,
 //! started from the roots only (so it never touches the registers no
 //! alloca flows into — most of them, after `mem2reg`), finishes
 //! components successors-first; a register's need is its own joined with

@@ -9,7 +9,7 @@
 //! cost `n` scans):
 //!
 //! 1. one walk counts, per register, the operand positions that read it
-//!    and notes which registers a pure assignment writes ([`Register`]);
+//!    and notes which registers a pure assignment writes (`Register`);
 //!    if every such register is read, nothing is dead and the pass is done;
 //! 2. otherwise a second walk threads every pure assignment onto a list
 //!    headed at its destination (`head` / `next`), its register operands

@@ -1,7 +1,7 @@
 //! End-to-end: build IR, run the pass pipeline, lower to wasm, validate,
 //! and execute in the engine.
 
-use cage_engine::{ExecConfig, Imports, InternalSafety, Store, Value};
+use cage_engine::{ExecConfig, Imports, Store, Value, Variant};
 use cage_ir::passes::{run_pipeline, HardenConfig};
 use cage_ir::{
     lower, BinOp, Callee, Expr, FunctionBuilder, IrModule, IrType, LowerOptions, MemTy, Operand,
@@ -124,8 +124,7 @@ fn hardened_module_still_computes_correctly() {
     // The sanitizer instrumented the alloca.
     assert!(ir.functions[0].allocas.iter().any(|a| a.instrument));
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
-        pointer_auth: true,
+        variant: Variant::CageFull,
         ..ExecConfig::default()
     };
     let out = run_export(
@@ -169,7 +168,7 @@ fn hardened_module_traps_on_stack_overflow() {
     );
 
     let config = ExecConfig {
-        internal: InternalSafety::Mte,
+        variant: Variant::CageMemSafety,
         ..ExecConfig::default()
     };
     // In-bounds write is fine.
@@ -252,7 +251,7 @@ fn function_pointers_with_auth_dispatch_correctly() {
 
     run_pipeline(&mut m, HardenConfig::full());
     let config = ExecConfig {
-        pointer_auth: true,
+        variant: Variant::CagePtrAuth,
         ..ExecConfig::default()
     };
     let lowered = lower(&m, &LowerOptions::default()).unwrap();
@@ -311,7 +310,7 @@ fn forged_function_pointer_traps_under_auth() {
 
     run_pipeline(&mut m, HardenConfig::full());
     let config = ExecConfig {
-        pointer_auth: true,
+        variant: Variant::CagePtrAuth,
         ..ExecConfig::default()
     };
     let lowered = lower(&m, &LowerOptions::default()).unwrap();
@@ -591,7 +590,7 @@ fn tag_increment_discipline_gives_distinct_adjacent_tags() {
 
     for seed in 0..20u64 {
         let config = ExecConfig {
-            internal: InternalSafety::Mte,
+            variant: Variant::CageMemSafety,
             seed,
             ..ExecConfig::default()
         };

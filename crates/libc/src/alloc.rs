@@ -87,7 +87,7 @@ impl Allocator {
     /// Cycle cost charged for tagging `bytes` of a fresh allocation.
     #[must_use]
     pub fn tagging_cycles(config: &ExecConfig, bytes: u64) -> f64 {
-        if config.internal.is_enabled() {
+        if config.variant.provides_memory_safety() {
             let granules = bytes.div_ceil(16);
             granules as f64 * MteInstr::Stzg.issue_cycles(config.core)
         } else {
@@ -268,29 +268,18 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cage_engine::{InternalSafety, TagScheme};
-    use cage_mte::MteMode;
+    use cage_engine::TagScheme;
 
     const HEAP_BASE: u64 = 4096;
 
-    fn setup(internal: InternalSafety) -> (LinearMemory, Allocator) {
-        let scheme = if internal.is_enabled() {
-            TagScheme::InternalOnly
-        } else {
-            TagScheme::None
-        };
-        let mode = if internal.is_enabled() {
-            MteMode::Synchronous
-        } else {
-            MteMode::Disabled
-        };
-        let mem = LinearMemory::new(4, None, true, scheme, mode, 99);
+    fn setup(scheme: TagScheme) -> (LinearMemory, Allocator) {
+        let mem = LinearMemory::new(4, None, true, scheme, 99);
         (mem, Allocator::new(HEAP_BASE))
     }
 
     #[test]
     fn malloc_returns_tagged_16_aligned_pointers() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 20).unwrap();
         assert_ne!(p, 0);
         assert_eq!(p & ADDR_MASK & 0xF, 0, "16-aligned");
@@ -300,7 +289,7 @@ mod tests {
 
     #[test]
     fn heap_overflow_into_metadata_is_caught() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 32).unwrap();
         let _q = a.malloc(&mut mem, 32).unwrap();
         // In-bounds write: fine.
@@ -312,7 +301,7 @@ mod tests {
 
     #[test]
     fn adjacent_allocations_never_share_a_tag_with_metadata_between() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         // Many pairs: even with random tags, the untagged metadata slot
         // guarantees a tag break at every boundary.
         let mut prev = a.malloc(&mut mem, 16).unwrap();
@@ -327,7 +316,7 @@ mod tests {
 
     #[test]
     fn use_after_free_is_caught() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 64).unwrap();
         mem.write(p, 0, &[7]).unwrap();
         a.free(&mut mem, p).unwrap();
@@ -337,7 +326,7 @@ mod tests {
 
     #[test]
     fn double_free_is_caught() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 64).unwrap();
         a.free(&mut mem, p).unwrap();
         let err = a.free(&mut mem, p).unwrap_err();
@@ -347,7 +336,7 @@ mod tests {
     #[test]
     fn baseline_misses_overflow_uaf_and_double_free() {
         // Table 2's "Mitigated in WASM: No" column.
-        let (mut mem, mut a) = setup(InternalSafety::Off);
+        let (mut mem, mut a) = setup(TagScheme::None);
         let p = a.malloc(&mut mem, 32).unwrap();
         let _q = a.malloc(&mut mem, 32).unwrap();
         assert!(mem.write(p, 32, &[1]).is_ok(), "overflow unnoticed");
@@ -358,7 +347,7 @@ mod tests {
 
     #[test]
     fn free_reuses_memory() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p1 = a.malloc(&mut mem, 64).unwrap();
         let addr1 = p1 & ADDR_MASK;
         a.free(&mut mem, p1).unwrap();
@@ -371,7 +360,7 @@ mod tests {
 
     #[test]
     fn coalescing_merges_neighbours() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p1 = a.malloc(&mut mem, 32).unwrap();
         let p2 = a.malloc(&mut mem, 32).unwrap();
         let p3 = a.malloc(&mut mem, 32).unwrap();
@@ -386,7 +375,7 @@ mod tests {
 
     #[test]
     fn wilderness_shrinks_on_trailing_free() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let before = a.stats().brk;
         let p = a.malloc(&mut mem, 128).unwrap();
         assert!(a.stats().brk > before);
@@ -396,14 +385,14 @@ mod tests {
 
     #[test]
     fn out_of_memory_returns_null() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 10 * 1024 * 1024).unwrap();
         assert_eq!(p, 0);
     }
 
     #[test]
     fn realloc_preserves_contents() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 16).unwrap();
         mem.write(p, 0, b"abcdefgh").unwrap();
         let q = a.realloc(&mut mem, p, 64).unwrap();
@@ -414,7 +403,7 @@ mod tests {
 
     #[test]
     fn stats_track_live_and_peak() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p1 = a.malloc(&mut mem, 32).unwrap();
         let _p2 = a.malloc(&mut mem, 32).unwrap();
         assert_eq!(a.stats().live, 2);
@@ -428,13 +417,13 @@ mod tests {
 
     #[test]
     fn free_null_is_a_no_op() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         a.free(&mut mem, 0).unwrap();
     }
 
     #[test]
     fn hardened_free_of_garbage_pointer_errors() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let err = a.free(&mut mem, 0x4040).unwrap_err();
         assert!(matches!(err, Trap::Host(_)), "{err}");
     }
@@ -471,7 +460,7 @@ mod tests {
 
     #[test]
     fn hardened_free_and_realloc_of_wild_pointers_trap_without_panicking() {
-        let (mut mem, mut a) = setup(InternalSafety::Mte);
+        let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         for ptr in wild_pointers(&mut mem, &mut a) {
             let err = a.free(&mut mem, ptr).unwrap_err();
             assert!(matches!(err, Trap::Host(_)), "free({ptr:#x}): {err}");
@@ -484,7 +473,7 @@ mod tests {
 
     #[test]
     fn baseline_free_and_realloc_of_wild_pointers_carry_on_without_panicking() {
-        let (mut mem, mut a) = setup(InternalSafety::Off);
+        let (mut mem, mut a) = setup(TagScheme::None);
         for ptr in wild_pointers(&mut mem, &mut a) {
             a.free(&mut mem, ptr).unwrap();
             // The zero-length copy out of a pointer past guest memory is
@@ -503,8 +492,8 @@ mod tests {
         // and any size it likes; a size running past memory must not reach
         // the free list (a later malloc would hand out, and the host would
         // write metadata to, addresses outside the backing store).
-        for internal in [InternalSafety::Off, InternalSafety::Mte] {
-            let (mut mem, mut a) = setup(internal);
+        for scheme in [TagScheme::None, TagScheme::InternalOnly] {
+            let (mut mem, mut a) = setup(scheme);
             let block = HEAP_BASE + 256;
             for size in [u64::MAX - 15, u64::MAX - 31, mem.size(), 1 << 40] {
                 let mut meta = [0u8; 16];
@@ -512,7 +501,7 @@ mod tests {
                 meta[8..12].copy_from_slice(&MAGIC.to_le_bytes());
                 mem.write_resolved(block, &meta);
                 let freed = a.free(&mut mem, block + META_SIZE);
-                assert_eq!(freed.is_err(), internal.is_enabled(), "size {size:#x}");
+                assert_eq!(freed.is_err(), mem.segments_live(), "size {size:#x}");
             }
             let p = a.malloc(&mut mem, 64).unwrap();
             assert_eq!(p & ADDR_MASK, HEAP_BASE + META_SIZE, "free list untouched");
@@ -524,7 +513,7 @@ mod tests {
         /// 16-aligned, and hardened adjacent overflow is always caught.
         #[test]
         fn prop_no_overlapping_allocations(sizes in proptest::collection::vec(1u64..200, 1..40)) {
-            let (mut mem, mut a) = setup(InternalSafety::Mte);
+            let (mut mem, mut a) = setup(TagScheme::InternalOnly);
             let mut ptrs: Vec<(u64, u64)> = Vec::new();
             for s in &sizes {
                 let p = a.malloc(&mut mem, *s).unwrap();

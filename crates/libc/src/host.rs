@@ -288,31 +288,26 @@ impl Libc {
 mod tests {
     use super::*;
     use cage_engine::host::HostContext;
-    use cage_engine::{ExecConfig, InternalSafety, LinearMemory, Store, TagScheme};
-    use cage_ir::passes::{run_pipeline, HardenConfig};
+    use cage_engine::{ExecConfig, LinearMemory, Store, TagScheme, Variant};
+    use cage_ir::passes::run_pipeline;
     use cage_ir::{lower, LowerOptions};
-    use cage_mte::{AccessKind, MteMode, Tag, TagCheckFault};
+    use cage_mte::{AccessKind, Tag, TagCheckFault};
 
+    /// Compiles `source` for `variant`, links libc and invokes `entry`.
     fn run_c(
         source: &str,
-        internal: InternalSafety,
+        variant: Variant,
         entry: &str,
         args: &[Value],
     ) -> (Result<Vec<Value>, Trap>, Libc) {
         let mut ir = cage_cc::compile(source).expect("compiles");
-        run_pipeline(
-            &mut ir,
-            HardenConfig {
-                stack_safety: internal.is_enabled(),
-                ptr_auth: false,
-            },
-        );
+        run_pipeline(&mut ir, variant.harden_config());
         let lowered = lower(&ir, &LowerOptions::default()).expect("lowers");
         let libc = Libc::new(lowered.heap_base);
         let mut imports = Imports::new();
         libc.register(&mut imports);
         let config = ExecConfig {
-            internal,
+            variant,
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);
@@ -332,7 +327,7 @@ mod tests {
                 return v;
             }
         "#;
-        let (out, _) = run_c(src, InternalSafety::Mte, "run", &[]);
+        let (out, _) = run_c(src, Variant::CageMemSafety, "run", &[]);
         assert_eq!(out.unwrap(), vec![Value::I64(42)]);
     }
 
@@ -350,12 +345,12 @@ mod tests {
                 return v;
             }
         "#;
-        let (ok, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(32)]);
+        let (ok, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(32)]);
         assert_eq!(ok.unwrap(), vec![Value::I64(65)]);
-        let (err, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(33)]);
+        let (err, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(33)]);
         assert!(err.unwrap_err().is_memory_safety_violation());
         // Baseline: silent.
-        let (base, _) = run_c(src, InternalSafety::Off, "run", &[Value::I64(33)]);
+        let (base, _) = run_c(src, Variant::BaselineWasm64, "run", &[Value::I64(33)]);
         assert!(base.is_ok());
     }
 
@@ -371,9 +366,9 @@ mod tests {
                 return v;
             }
         "#;
-        let (ok, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(0)]);
+        let (ok, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(0)]);
         assert_eq!(ok.unwrap(), vec![Value::I64(7)]);
-        let (err, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(1)]);
+        let (err, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(1)]);
         assert!(err.unwrap_err().is_memory_safety_violation());
     }
 
@@ -387,9 +382,9 @@ mod tests {
                 return 0;
             }
         "#;
-        let (ok, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(0)]);
+        let (ok, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(0)]);
         assert!(ok.is_ok());
-        let (err, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(1)]);
+        let (err, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(1)]);
         assert!(err.unwrap_err().is_memory_safety_violation());
     }
 
@@ -410,14 +405,14 @@ mod tests {
         "#;
         for p in [8, 1 << 40] {
             for entry in ["run", "again"] {
-                let (hardened, _) = run_c(src, InternalSafety::Mte, entry, &[Value::I64(p)]);
+                let (hardened, _) = run_c(src, Variant::CageMemSafety, entry, &[Value::I64(p)]);
                 let err = hardened.unwrap_err();
                 assert!(!matches!(err, Trap::HostPanic(_)), "{entry}({p:#x}): {err}");
             }
-            let (base, _) = run_c(src, InternalSafety::Off, "run", &[Value::I64(p)]);
+            let (base, _) = run_c(src, Variant::BaselineWasm64, "run", &[Value::I64(p)]);
             assert_eq!(base.unwrap(), vec![Value::I64(1)], "baseline ignores it");
         }
-        let (base, _) = run_c(src, InternalSafety::Off, "again", &[Value::I64(8)]);
+        let (base, _) = run_c(src, Variant::BaselineWasm64, "again", &[Value::I64(8)]);
         assert_eq!(base.unwrap(), vec![Value::I64(1)], "realloc allocates anew");
     }
 
@@ -441,9 +436,9 @@ mod tests {
                 return 1;
             }
         "#;
-        let (ok, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(0)]);
+        let (ok, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(0)]);
         assert!(ok.is_ok());
-        let (err, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(1)]);
+        let (err, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(1)]);
         assert!(err.unwrap_err().is_memory_safety_violation());
     }
 
@@ -456,7 +451,7 @@ mod tests {
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
         let config = ExecConfig {
-            internal: InternalSafety::Mte,
+            variant: Variant::CageMemSafety,
             ..ExecConfig::default()
         };
         let mut cycles = 0.0;
@@ -479,14 +474,7 @@ mod tests {
         let libc = Libc::new(4096);
         let mut imports = Imports::new();
         libc.register(&mut imports);
-        let mut mem = LinearMemory::new(
-            4,
-            None,
-            true,
-            TagScheme::InternalOnly,
-            MteMode::Synchronous,
-            99,
-        );
+        let mut mem = LinearMemory::new(4, None, true, TagScheme::InternalOnly, 99);
         let malloc = |mem: &mut LinearMemory, size: i64| {
             host_call(&imports, mem, "malloc", &[Value::I64(size)]).unwrap()[0].as_i64() as u64
         };
@@ -504,7 +492,6 @@ mod tests {
                 ptr_tag: Tag::new(3).unwrap(),
                 mem_tag: Some(Tag::ZERO),
                 access: AccessKind::Write,
-                asynchronous: false,
             })
         );
         assert_eq!(mem.tags().check_count() - checks, 34, "17 reads, 17 writes");
@@ -528,7 +515,7 @@ mod tests {
                 print_f64(1.5);
             }
         "#;
-        let (ok, libc) = run_c(src, InternalSafety::Off, "run", &[]);
+        let (ok, libc) = run_c(src, Variant::BaselineWasm64, "run", &[]);
         ok.unwrap();
         assert_eq!(libc.stdout(), "cage says\n42\n1.500000\n");
     }
@@ -544,7 +531,7 @@ mod tests {
                 return sum * 100 + q[0];
             }
         "#;
-        let (out, _) = run_c(src, InternalSafety::Mte, "run", &[]);
+        let (out, _) = run_c(src, Variant::CageMemSafety, "run", &[]);
         assert_eq!(out.unwrap(), vec![Value::I64(9)]);
     }
 
@@ -557,7 +544,7 @@ mod tests {
                 free(a);
             }
         "#;
-        let (ok, libc) = run_c(src, InternalSafety::Mte, "run", &[]);
+        let (ok, libc) = run_c(src, Variant::CageMemSafety, "run", &[]);
         ok.unwrap();
         let stats = libc.stats();
         assert_eq!(stats.mallocs, 2);
@@ -583,9 +570,9 @@ mod tests {
                 return v;
             }
         "#;
-        let (ok, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(0)]);
+        let (ok, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(0)]);
         assert_eq!(ok.unwrap(), vec![Value::I64(7)]);
-        let (err, _) = run_c(src, InternalSafety::Mte, "run", &[Value::I64(1)]);
+        let (err, _) = run_c(src, Variant::CageMemSafety, "run", &[Value::I64(1)]);
         assert!(err.unwrap_err().is_memory_safety_violation());
     }
 }

@@ -5,9 +5,6 @@ use std::fmt;
 use crate::tag::Tag;
 
 /// Whether a checked access was a read or a write.
-///
-/// The distinction matters for the *asymmetric* MTE mode, where reads are
-/// checked asynchronously and writes synchronously (§2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load.
@@ -29,7 +26,9 @@ impl fmt::Display for AccessKind {
 ///
 /// Produced when a memory access is performed through a pointer whose
 /// logical tag does not match the allocation tag of the granule(s) accessed,
-/// or when tag storage itself is addressed out of bounds.
+/// or when tag storage itself is addressed out of bounds. Checks are
+/// synchronous, as Cage deploys MTE (§6.3): the faulting access does not
+/// take effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TagCheckFault {
     /// Faulting (untagged) address.
@@ -40,23 +39,19 @@ pub struct TagCheckFault {
     pub mem_tag: Option<Tag>,
     /// Read or write.
     pub access: AccessKind,
-    /// `true` if the fault was reported asynchronously (TFSR-style), i.e.
-    /// the access itself was allowed to complete before detection.
-    pub asynchronous: bool,
 }
 
 impl fmt::Display for TagCheckFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let how = if self.asynchronous { "async" } else { "sync" };
         match self.mem_tag {
             Some(mem) => write!(
                 f,
-                "{how} tag-check fault on {} at {:#x}: pointer tag {} != memory tag {}",
+                "sync tag-check fault on {} at {:#x}: pointer tag {} != memory tag {}",
                 self.access, self.addr, self.ptr_tag, mem
             ),
             None => write!(
                 f,
-                "{how} tag-check fault on {} at {:#x}: address outside tagged memory",
+                "sync tag-check fault on {} at {:#x}: address outside tagged memory",
                 self.access, self.addr
             ),
         }
@@ -76,7 +71,6 @@ mod tests {
             ptr_tag: Tag::new(3).unwrap(),
             mem_tag: Some(Tag::new(7).unwrap()),
             access: AccessKind::Write,
-            asynchronous: false,
         };
         let text = fault.to_string();
         assert!(text.contains("sync"));
@@ -92,9 +86,10 @@ mod tests {
             ptr_tag: Tag::ZERO,
             mem_tag: None,
             access: AccessKind::Read,
-            asynchronous: true,
         };
-        assert!(fault.to_string().contains("outside tagged memory"));
-        assert!(fault.to_string().contains("async"));
+        assert_eq!(
+            fault.to_string(),
+            "sync tag-check fault on read at 0xdead: address outside tagged memory"
+        );
     }
 }

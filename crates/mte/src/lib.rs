@@ -6,14 +6,15 @@
 //! has no MTE hardware, so `cage-mte` models the extension in software:
 //!
 //! * **Architectural state** ([`TagMemory`]): one 4-bit allocation tag per
-//!   16-byte granule, lock-and-key checks on every access, the four check
-//!   modes (disabled / synchronous / asynchronous / asymmetric), and a
-//!   GCR_EL1-style tag-exclusion mask configured like Linux `prctl`.
+//!   16-byte granule, lock-and-key checks on every access in synchronous
+//!   mode (the one Cage deploys, §6.3), and a GCR_EL1-style tag-exclusion
+//!   mask configured like Linux `prctl`.
 //! * **Tagged pointers** ([`mod@pointer`]): logical tags in address bits 56–59,
 //!   plus the tag-manipulation instructions (`irg`, `addg`, `subg`, `subp`).
 //! * **Timing** ([`cost`], [`timing`]): a deterministic per-core cost model
 //!   for the Tensor G3's Cortex-X3 / Cortex-A715 / Cortex-A510, calibrated
-//!   from the paper's own measurements (Table 1, Fig. 4, Fig. 16).
+//!   from the paper's own measurements (Table 1, Fig. 4, Fig. 16); the four
+//!   check modes ([`MteMode`]) are the input of Fig. 4's `memset` model.
 //!
 //! The architectural rules are implemented bit-for-bit, so everything the
 //! paper's security argument relies on (what faults, and when) behaves as on
@@ -45,22 +46,21 @@
 //! the `memset` of the page's *data*, 32 times the size of its tags. The
 //! per-granule loops these kernels replaced live on as the `#[cfg(test)]`
 //! reference model in `model.rs`; a seeded property test compares every
-//! granule, fault payload, sticky async fault and check count between the
-//! two in all four [`MteMode`]s.
+//! granule, fault payload and check count between the two.
 //!
 //! ## Example
 //!
 //! ```
-//! use cage_mte::{TagMemory, MteMode, Tag, AccessKind};
+//! use cage_mte::{TagMemory, Tag, AccessKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut mem = TagMemory::new(4096, MteMode::Synchronous);
+//! let mut mem = TagMemory::new(4096);
 //! let tag = Tag::new(5)?;
 //! mem.set_tag_range(0, 64, tag)?;
 //!
 //! // Accesses through a matching tag succeed…
 //! assert!(mem.check_access(0, 16, tag, AccessKind::Write).is_ok());
-//! // …and a mismatching tag faults synchronously.
+//! // …and a mismatching tag faults before the access takes effect.
 //! assert!(mem.check_access(0, 16, Tag::new(6)?, AccessKind::Read).is_err());
 //! # Ok(())
 //! # }
@@ -83,6 +83,7 @@ pub mod timing;
 pub use core_kind::Core;
 pub use cost::MteInstr;
 pub use fault::{AccessKind, TagCheckFault};
-pub use memory::{MteMode, TagMemory};
+pub use memory::TagMemory;
 pub use pointer::TaggedPtr;
 pub use tag::{Tag, TagError, TagExclusionMask, TagPool, GRANULE_SIZE};
+pub use timing::MteMode;

@@ -4,7 +4,7 @@
 //! address space invisible to the OS (§7.3: "Tags are stored in a separate
 //! physical address space, the tag PA space"). [`TagMemory`] models that
 //! space for a contiguous region (a WASM linear memory or a whole simulated
-//! process address space) plus the check machinery for the four MTE modes.
+//! process address space) plus the synchronous check Cage deploys (§6.3).
 
 use std::collections::TryReserveError;
 
@@ -16,45 +16,12 @@ const GRANULE: u64 = GRANULE_SIZE as u64;
 /// The most granules an access of scalar width (at most 8 bytes) touches.
 const SCALAR_GRANULES: usize = 2;
 
-/// The MTE check mode, per-thread state on real hardware (§2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MteMode {
-    /// No tag checks are performed.
-    Disabled,
-    /// A mismatch faults immediately; the access does not take effect.
-    #[default]
-    Synchronous,
-    /// A mismatch sets a cumulative flag (TFSR) checked later; the access
-    /// itself completes.
-    Asynchronous,
-    /// Reads are checked asynchronously, writes synchronously.
-    Asymmetric,
-}
-
-impl MteMode {
-    /// Whether an access of `kind` is checked synchronously in this mode.
-    #[must_use]
-    pub fn is_sync_for(self, kind: AccessKind) -> bool {
-        match self {
-            MteMode::Disabled => false,
-            MteMode::Synchronous => true,
-            MteMode::Asynchronous => false,
-            MteMode::Asymmetric => kind == AccessKind::Write,
-        }
-    }
-
-    /// Whether tag checks happen at all.
-    #[must_use]
-    pub fn checks_enabled(self) -> bool {
-        self != MteMode::Disabled
-    }
-}
-
 /// Tag storage and checking for a contiguous byte range `[0, size)`.
 ///
 /// Freshly created memory carries [`Tag::ZERO`] everywhere, matching the
 /// kernel's zero-initialised tag pages. All tag manipulation must be
-/// 16-byte aligned, as on hardware.
+/// 16-byte aligned, as on hardware. Every [`TagMemory::check_access`]
+/// checks: a region that is not tag-checked simply never asks.
 #[derive(Debug, Clone)]
 pub struct TagMemory {
     /// One nibble per granule, two granules per byte (low nibble = even
@@ -62,9 +29,6 @@ pub struct TagMemory {
     /// overhead ratio the paper uses in §7.3.
     nibbles: Vec<u8>,
     size: u64,
-    mode: MteMode,
-    /// TFSR-style sticky fault for asynchronous reporting.
-    pending_async: Option<TagCheckFault>,
     /// Statistics: checks performed (used by the cost model and tests).
     checks: u64,
 }
@@ -72,13 +36,11 @@ pub struct TagMemory {
 impl TagMemory {
     /// Creates tag storage for `size` bytes, all granules tagged zero.
     #[must_use]
-    pub fn new(size: u64, mode: MteMode) -> Self {
+    pub fn new(size: u64) -> Self {
         let granules = size.div_ceil(GRANULE);
         TagMemory {
             nibbles: vec![0; granules.div_ceil(2) as usize],
             size,
-            mode,
-            pending_async: None,
             checks: 0,
         }
     }
@@ -125,17 +87,6 @@ impl TagMemory {
     #[must_use]
     pub fn packed(&self) -> &[u8] {
         &self.nibbles
-    }
-
-    /// The current check mode.
-    #[must_use]
-    pub fn mode(&self) -> MteMode {
-        self.mode
-    }
-
-    /// Switches the check mode (models `prctl` reconfiguration).
-    pub fn set_mode(&mut self, mode: MteMode) {
-        self.mode = mode;
     }
 
     /// Number of tag checks performed so far.
@@ -275,15 +226,12 @@ impl TagMemory {
     /// `addr` through a pointer carrying `ptr_tag`.
     ///
     /// Returns `Ok(())` when the access is architecturally allowed to
-    /// proceed *and* no synchronous fault is raised. In asynchronous modes a
-    /// mismatch records a pending fault (retrievable via
-    /// [`TagMemory::take_async_fault`]) and still returns `Ok(())`, because
-    /// the access itself completes — exactly the behaviour that makes async
-    /// mode cheaper but weaker (§2.3).
+    /// proceed.
     ///
     /// # Errors
     ///
-    /// Returns the [`TagCheckFault`] for synchronous mismatches.
+    /// The [`TagCheckFault`] of the first mismatching granule, or of an
+    /// access leaving the covered region.
     pub fn check_access(
         &mut self,
         addr: u64,
@@ -291,27 +239,15 @@ impl TagMemory {
         ptr_tag: Tag,
         kind: AccessKind,
     ) -> Result<(), TagCheckFault> {
-        if !self.mode.checks_enabled() {
-            return Ok(());
-        }
         self.checks += 1;
-        let mismatch_at = self.first_mismatch(addr, len, ptr_tag);
-        let Some((fault_addr, mem_tag)) = mismatch_at else {
-            return Ok(());
-        };
-        let fault = TagCheckFault {
-            addr: fault_addr,
-            ptr_tag,
-            mem_tag,
-            access: kind,
-            asynchronous: !self.mode.is_sync_for(kind),
-        };
-        if self.mode.is_sync_for(kind) {
-            Err(fault)
-        } else {
-            // TFSR accumulates; the first fault wins (it is sticky).
-            self.pending_async.get_or_insert(fault);
-            Ok(())
+        match self.first_mismatch(addr, len, ptr_tag) {
+            None => Ok(()),
+            Some((fault_addr, mem_tag)) => Err(TagCheckFault {
+                addr: fault_addr,
+                ptr_tag,
+                mem_tag,
+                access: kind,
+            }),
         }
     }
 
@@ -331,31 +267,19 @@ impl TagMemory {
         )?;
         Some(((g as u64 * GRANULE).max(addr), Some(mem_tag)))
     }
-
-    /// Takes the pending asynchronous fault, if any (models the kernel
-    /// checking TFSR at the next context switch).
-    pub fn take_async_fault(&mut self) -> Option<TagCheckFault> {
-        self.pending_async.take()
-    }
-
-    /// Whether an asynchronous fault is pending.
-    #[must_use]
-    pub fn has_async_fault(&self) -> bool {
-        self.pending_async.is_some()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mem(mode: MteMode) -> TagMemory {
-        TagMemory::new(1024, mode)
+    fn mem() -> TagMemory {
+        TagMemory::new(1024)
     }
 
     #[test]
     fn fresh_memory_is_zero_tagged() {
-        let m = mem(MteMode::Synchronous);
+        let m = mem();
         assert_eq!(m.tag_at(0), Some(Tag::ZERO));
         assert_eq!(m.tag_at(1023), Some(Tag::ZERO));
         assert_eq!(m.tag_at(1024), None);
@@ -363,7 +287,7 @@ mod tests {
 
     #[test]
     fn set_and_read_tags() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let t = Tag::new(0xA).unwrap();
         m.set_tag_range(32, 48, t).unwrap();
         assert_eq!(m.tag_at(31), Some(Tag::ZERO));
@@ -374,7 +298,7 @@ mod tests {
 
     #[test]
     fn set_tag_range_enforces_alignment() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let t = Tag::new(1).unwrap();
         assert_eq!(m.set_tag_range(8, 16, t), Err(TagError::Unaligned(8)));
         assert_eq!(m.set_tag_range(16, 8, t), Err(TagError::Unaligned(8)));
@@ -382,7 +306,7 @@ mod tests {
 
     #[test]
     fn set_tag_range_enforces_bounds() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let t = Tag::new(1).unwrap();
         for (addr, len) in [(1008, 32), (1024, 16), (u64::MAX - 15, 16)] {
             assert_eq!(
@@ -398,7 +322,7 @@ mod tests {
 
     #[test]
     fn matching_access_passes() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let t = Tag::new(5).unwrap();
         m.set_tag_range(0, 64, t).unwrap();
         assert!(m.check_access(3, 8, t, AccessKind::Read).is_ok());
@@ -407,7 +331,7 @@ mod tests {
 
     #[test]
     fn sync_mismatch_faults_with_details() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let t = Tag::new(5).unwrap();
         m.set_tag_range(0, 64, t).unwrap();
         let fault = m
@@ -415,14 +339,13 @@ mod tests {
             .unwrap_err();
         assert_eq!(fault.addr, 16);
         assert_eq!(fault.mem_tag, Some(t));
-        assert!(!fault.asynchronous);
     }
 
     #[test]
     fn access_straddling_boundary_checks_every_granule() {
         // Off-by-one overflow across an allocation boundary: the classic
         // spatial violation MTE must catch (Fig. 2).
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let a = Tag::new(5).unwrap();
         let b = Tag::new(9).unwrap();
         m.set_tag_range(0, 32, a).unwrap();
@@ -434,55 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn async_mode_defers_fault_and_lets_access_complete() {
-        let mut m = mem(MteMode::Asynchronous);
-        let t = Tag::new(5).unwrap();
-        m.set_tag_range(0, 64, t).unwrap();
-        assert!(m
-            .check_access(0, 4, Tag::new(1).unwrap(), AccessKind::Write)
-            .is_ok());
-        assert!(m.has_async_fault());
-        let fault = m.take_async_fault().unwrap();
-        assert!(fault.asynchronous);
-        assert!(!m.has_async_fault());
-    }
-
-    #[test]
-    fn async_fault_is_sticky_first_wins() {
-        let mut m = mem(MteMode::Asynchronous);
-        m.set_tag_range(0, 32, Tag::new(2).unwrap()).unwrap();
-        m.check_access(0, 1, Tag::new(1).unwrap(), AccessKind::Read)
-            .unwrap();
-        m.check_access(16, 1, Tag::new(3).unwrap(), AccessKind::Read)
-            .unwrap();
-        let fault = m.take_async_fault().unwrap();
-        assert_eq!(fault.ptr_tag.value(), 1, "first fault is sticky");
-    }
-
-    #[test]
-    fn asymmetric_mode_sync_on_write_async_on_read() {
-        let mut m = mem(MteMode::Asymmetric);
-        m.set_tag_range(0, 32, Tag::new(2).unwrap()).unwrap();
-        let bad = Tag::new(9).unwrap();
-        assert!(m.check_access(0, 1, bad, AccessKind::Read).is_ok());
-        assert!(m.has_async_fault());
-        assert!(m.check_access(0, 1, bad, AccessKind::Write).is_err());
-    }
-
-    #[test]
-    fn disabled_mode_never_faults_nor_counts() {
-        let mut m = mem(MteMode::Disabled);
-        m.set_tag_range(0, 32, Tag::new(2).unwrap()).unwrap();
-        assert!(m
-            .check_access(0, 1, Tag::new(9).unwrap(), AccessKind::Write)
-            .is_ok());
-        assert_eq!(m.check_count(), 0);
-        assert!(!m.has_async_fault());
-    }
-
-    #[test]
     fn out_of_bounds_access_faults_even_with_zero_tag() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let fault = m
             .check_access(2048, 4, Tag::ZERO, AccessKind::Read)
             .unwrap_err();
@@ -491,7 +367,7 @@ mod tests {
 
     #[test]
     fn range_tag_agrees_and_disagrees() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         let t = Tag::new(4).unwrap();
         m.set_tag_range(0, 64, t).unwrap();
         assert_eq!(m.range_tag(0, 64), Some(t));
@@ -502,7 +378,7 @@ mod tests {
 
     #[test]
     fn grow_extends_with_zero_tags() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         m.set_tag_range(1008, 16, Tag::new(3).unwrap()).unwrap();
         m.try_grow(2048).unwrap();
         assert_eq!(m.tag_at(1008), Some(Tag::new(3).unwrap()));
@@ -515,7 +391,7 @@ mod tests {
         let three = Tag::new(3).unwrap();
         // An odd and an even granule count, and a ragged (mid-granule) end.
         for new_size in [1008 - 16, 1008, 1008 - 8] {
-            let mut m = mem(MteMode::Synchronous);
+            let mut m = mem();
             m.set_tag_range(0, 1024, three).unwrap();
             m.shrink(new_size);
             assert_eq!(m.size(), new_size);
@@ -531,7 +407,7 @@ mod tests {
 
     #[test]
     fn zero_length_check_is_a_point_check() {
-        let mut m = mem(MteMode::Synchronous);
+        let mut m = mem();
         m.set_tag_range(0, 16, Tag::new(1).unwrap()).unwrap();
         assert!(m
             .check_access(0, 0, Tag::new(1).unwrap(), AccessKind::Read)

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{AccessKind, TagCheckFault};
-use crate::memory::{MteMode, TagMemory};
+use crate::memory::TagMemory;
 use crate::tag::{Tag, TagError, GRANULE_SIZE};
 
 const GRANULE: u64 = GRANULE_SIZE as u64;
@@ -19,18 +19,14 @@ const GRANULE: u64 = GRANULE_SIZE as u64;
 struct Model {
     granules: Vec<Tag>,
     size: u64,
-    mode: MteMode,
-    pending_async: Option<TagCheckFault>,
     checks: u64,
 }
 
 impl Model {
-    fn new(size: u64, mode: MteMode) -> Self {
+    fn new(size: u64) -> Self {
         Model {
             granules: vec![Tag::ZERO; size.div_ceil(GRANULE) as usize],
             size,
-            mode,
-            pending_async: None,
             checks: 0,
         }
     }
@@ -87,26 +83,16 @@ impl Model {
         ptr_tag: Tag,
         kind: AccessKind,
     ) -> Result<(), TagCheckFault> {
-        if !self.mode.checks_enabled() {
-            return Ok(());
-        }
         self.checks += 1;
         let Some((fault_addr, mem_tag)) = self.first_mismatch(addr, len, ptr_tag) else {
             return Ok(());
         };
-        let fault = TagCheckFault {
+        Err(TagCheckFault {
             addr: fault_addr,
             ptr_tag,
             mem_tag,
             access: kind,
-            asynchronous: !self.mode.is_sync_for(kind),
-        };
-        if self.mode.is_sync_for(kind) {
-            Err(fault)
-        } else {
-            self.pending_async.get_or_insert(fault);
-            Ok(())
-        }
+        })
     }
 
     fn first_mismatch(&self, addr: u64, len: u64, ptr_tag: Tag) -> Option<(u64, Option<Tag>)> {
@@ -172,23 +158,23 @@ fn assert_same_granules(kernel: &TagMemory, model: &Model, step: &str) {
     }
 }
 
-/// One seeded run: a few hundred random set/range/check/poll steps
-/// against both implementations, comparing every observable after each.
-fn run_against_model(seed: u64, mode: MteMode) {
+/// One seeded run: a few hundred random set/range/check steps against
+/// both implementations, comparing every observable after each.
+fn run_against_model(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Odd and even granule totals, and a size that ends mid-granule.
     let mut granules = [640u64, 641, 1024, 333][below(&mut rng, 4) as usize];
     let mut size = granules * GRANULE - [0, 0, 8][below(&mut rng, 3) as usize];
-    let mut kernel = TagMemory::new(size, mode);
-    let mut model = Model::new(size, mode);
+    let mut kernel = TagMemory::new(size);
+    let mut model = Model::new(size);
 
     for step in 0..200 {
-        let what = format!("seed {seed} {mode:?} step {step}");
+        let what = format!("seed {seed} step {step}");
         let g = below(&mut rng, granules);
-        match below(&mut rng, 11) {
+        match below(&mut rng, 10) {
             // Resize, in place: a shrink to an odd, even or ragged granule
             // count must leave nothing behind for the next grow to find.
-            10 => {
+            9 => {
                 granules = [300u64, 333, 640, 641, 1024, 1100][below(&mut rng, 6) as usize];
                 let new_size = granules * GRANULE - [0, 0, 8][below(&mut rng, 3) as usize];
                 if new_size >= size {
@@ -240,7 +226,7 @@ fn run_against_model(seed: u64, mode: MteMode) {
             }
             // Access check, usually through the tag the first granule
             // carries so the mismatch (if any) is deep in the range.
-            7 | 8 => {
+            _ => {
                 let addr = g * GRANULE + below(&mut rng, GRANULE);
                 let len = pick_len(&mut rng);
                 let ptr_tag = match model.tag_at(addr) {
@@ -258,44 +244,16 @@ fn run_against_model(seed: u64, mode: MteMode) {
                     "{what}: check_access({addr:#x}, {len:#x}, {ptr_tag}, {kind})"
                 );
                 assert_eq!(kernel.check_count(), model.checks, "{what}: check count");
-                assert_eq!(
-                    kernel.has_async_fault(),
-                    model.pending_async.is_some(),
-                    "{what}: pending async fault"
-                );
-            }
-            // Poll TFSR: the sticky first fault, then nothing.
-            _ => {
-                assert_eq!(
-                    kernel.take_async_fault(),
-                    model.pending_async.take(),
-                    "{what}: sticky async fault"
-                );
-                assert!(!kernel.has_async_fault(), "{what}: TFSR cleared");
             }
         }
     }
-    assert_eq!(
-        kernel.take_async_fault(),
-        model.pending_async.take(),
-        "seed {seed} {mode:?}: final async fault"
-    );
 }
 
-const MODES: [MteMode; 4] = [
-    MteMode::Disabled,
-    MteMode::Synchronous,
-    MteMode::Asynchronous,
-    MteMode::Asymmetric,
-];
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
     fn kernels_match_the_per_granule_model(seed: u64) {
-        for mode in MODES {
-            run_against_model(seed, mode);
-        }
+        run_against_model(seed);
     }
 }
 
@@ -313,8 +271,8 @@ fn every_seam_agrees_with_the_model() {
     for first in 0..40u64 {
         for count in 0..=50u64 {
             let (addr, len) = (first * GRANULE, count * GRANULE);
-            let mut kernel = TagMemory::new(size, MteMode::Synchronous);
-            let mut model = Model::new(size, MteMode::Synchronous);
+            let mut kernel = TagMemory::new(size);
+            let mut model = Model::new(size);
             // A non-zero background, so an edge nibble spilling into a
             // neighbour shows.
             kernel.set_tag_range(0, size, background).unwrap();

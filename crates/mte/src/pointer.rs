@@ -25,12 +25,6 @@ pub const ADDR_MASK: u64 = (1 << 48) - 1;
 pub struct TaggedPtr(u64);
 
 impl TaggedPtr {
-    /// Wraps a raw 64-bit value without interpretation.
-    #[must_use]
-    pub fn from_raw(raw: u64) -> Self {
-        TaggedPtr(raw)
-    }
-
     /// Builds a pointer from a 48-bit address and a tag.
     #[must_use]
     pub fn from_parts(addr: u64, tag: Tag) -> Self {

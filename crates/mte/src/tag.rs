@@ -226,12 +226,6 @@ impl TagPool {
         })
     }
 
-    /// The exclusion mask this pool honours.
-    #[must_use]
-    pub fn exclusion_mask(&self) -> TagExclusionMask {
-        self.exclude
-    }
-
     /// Draws a random allowed tag (models `irg`).
     pub fn random_tag(&mut self) -> Tag {
         loop {

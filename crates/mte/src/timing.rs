@@ -17,8 +17,23 @@
 //! the model composes for arbitrary sizes and modes.
 
 use crate::core_kind::Core;
-use crate::memory::MteMode;
 use crate::tag::GRANULE_SIZE;
+
+/// The MTE check mode, per-thread state on real hardware (§2.3): the
+/// input of the Fig. 4 `memset` model. The engine itself checks
+/// synchronously, as Cage deploys MTE (§6.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MteMode {
+    /// No tag checks are performed.
+    Disabled,
+    /// A mismatch faults immediately; the access does not take effect.
+    Synchronous,
+    /// A mismatch sets a cumulative flag (TFSR) checked later; the access
+    /// itself completes.
+    Asynchronous,
+    /// Reads are checked asynchronously, writes synchronously.
+    Asymmetric,
+}
 
 /// The calibration size used throughout the paper: 128 MiB.
 pub const CALIBRATION_BYTES: u64 = 128 * 1024 * 1024;

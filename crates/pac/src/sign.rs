@@ -68,12 +68,6 @@ impl PacSigner {
         self.layout
     }
 
-    /// Whether failed authentication traps immediately.
-    #[must_use]
-    pub fn has_fpac(&self) -> bool {
-        self.fpac
-    }
-
     fn mac(&self, pointer: u64, modifier: u64) -> u64 {
         // The MAC covers the pointer with its signature field zeroed (the
         // canonical form) so that sign(auth(p)) is stable, plus the

@@ -41,10 +41,9 @@ pub mod linker;
 pub mod metrics;
 pub mod runtime;
 pub mod startup;
-pub mod variant;
 
+pub use cage_engine::Variant;
 pub use linker::Linker;
 pub use metrics::{MemoryReport, PoolMetrics};
 pub use runtime::{InstanceToken, Runtime};
 pub use startup::{startup_report, StartupReport};
-pub use variant::Variant;

@@ -2,9 +2,7 @@
 //!
 //! A `Linker` collects the host surface a module instantiates against —
 //! the hardened libc and any embedder-defined functions — and can
-//! instantiate any number of modules against it. It replaces the old
-//! model where [`crate::Runtime::instantiate`] wired `cage_libc`
-//! implicitly and nothing else could be imported.
+//! instantiate any number of modules against it.
 //!
 //! ```
 //! use cage_engine::Value;
@@ -18,7 +16,6 @@
 //! assert!(linker.is_defined("env", "tick"));
 //! ```
 
-use cage_engine::host::HostFn;
 use cage_engine::store::InstantiateError;
 use cage_engine::{
     HostContext, HostFunc, Imports, InstanceHandle, Precompiled, Store, Trap, Value,
@@ -87,28 +84,6 @@ impl Linker {
     /// Registers a pre-built [`HostFunc`] under `module.name`.
     pub fn define(&mut self, module: &str, name: &str, func: HostFunc) -> &mut Self {
         self.host.define(module, name, func);
-        self
-    }
-
-    /// Registers a boxed host function with explicit types (the escape
-    /// hatch for generated bindings).
-    pub fn define_raw(
-        &mut self,
-        module: &str,
-        name: &str,
-        params: Vec<ValType>,
-        results: Vec<ValType>,
-        func: HostFn,
-    ) -> &mut Self {
-        self.host.define(
-            module,
-            name,
-            HostFunc {
-                params,
-                results,
-                func,
-            },
-        );
         self
     }
 

@@ -121,10 +121,9 @@ impl PoolMetrics {
 mod tests {
     use super::*;
     use cage_engine::TagScheme;
-    use cage_mte::MteMode;
 
     fn mem(pages: u64, scheme: TagScheme) -> LinearMemory {
-        LinearMemory::new(pages, None, true, scheme, MteMode::Synchronous, 0)
+        LinearMemory::new(pages, None, true, scheme, 0)
     }
 
     #[test]

@@ -10,7 +10,7 @@ use cage_wasm::Module;
 
 use crate::linker::Linker;
 use crate::metrics::MemoryReport;
-use crate::variant::Variant;
+use crate::Variant;
 
 /// Handle to an instance inside a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,11 +58,6 @@ impl Runtime {
     #[must_use]
     pub fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// Mutable access to the engine store.
-    pub fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
     }
 
     /// Compiles `module` under the default compile limits and

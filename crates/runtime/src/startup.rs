@@ -10,7 +10,7 @@
 use cage_mte::timing::{bulk_init_ms, BulkInitVariant};
 use cage_mte::Core;
 
-use crate::variant::Variant;
+use cage_engine::Variant;
 
 /// Cost breakdown of instantiating a module.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,11 +56,10 @@ pub fn startup_report(variant: Variant, core: Core, memory_bytes: u64) -> Startu
     // observation that tagging hides inside it.
     const MODULE_PROCESSING_MS: f64 = 30.0;
     let zeroing_ms = bulk_init_ms(core, memory_bytes, BulkInitVariant::Memset);
-    let mte_on = variant.exec_config(core).mte_active();
     // The tagging pass: with MTE, the runtime can use stzg (zero + tag in
     // one pass), so the *extra* cost over plain zeroing is the stzg/memset
     // delta — which Fig. 16 shows is zero or negative.
-    let tagging_ms = if mte_on {
+    let tagging_ms = if variant.uses_mte() {
         (bulk_init_ms(core, memory_bytes, BulkInitVariant::Stzg) - zeroing_ms).max(0.0)
     } else {
         0.0

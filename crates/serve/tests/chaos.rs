@@ -12,8 +12,8 @@
 //! hostile module, so the suite controls which engine path each fault
 //! takes. After **every** fault the pool must serve a probe bit-identical
 //! to a fresh pool of the same variant (results, cycle f64 bits, retired
-//! count, remaining fuel): faults recycle perfectly or quarantine, and
-//! nothing leaks. The ticker only meets deadlines armed at the current
+//! count, remaining fuel, the libc stdout the request printed): faults
+//! recycle perfectly or quarantine, and nothing leaks. The ticker only meets deadlines armed at the current
 //! epoch, due at the first preemption point however far it has ticked,
 //! so it adds no nondeterminism; nothing here reads a clock.
 //!
@@ -28,11 +28,11 @@ use std::thread;
 use std::time::Duration;
 
 use cage_engine::trap::panic_message;
-use cage_engine::{BoundsCheckStrategy, InstanceLimits, Trap, Value};
+use cage_engine::{InstanceLimits, Trap, Value};
 use cage_ir::passes::run_pipeline;
 use cage_ir::{lower, LowerOptions};
 use cage_mte::Core;
-use cage_runtime::{PoolMetrics, Variant};
+use cage_runtime::{Linker, PoolMetrics, Variant};
 use cage_serve::{EpochTicker, Fault, FaultPlan, HostProfile, InstancePre, Pool, ServeError};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
@@ -84,18 +84,21 @@ thread_local! {
 const FUEL: u64 = 10_000;
 
 /// The hostile guest: a host-calling worker loop with memory traffic
-/// (`work`), a bare `memory.grow` (`grow`), a bulk fill into the second
-/// page (`fill_high`, OOB unless the memory actually grew), and an
-/// infinite loop (`spin`) for the preemption classes.
+/// that prints its result through libc (`work`), a bare `memory.grow`
+/// (`grow`), a bulk fill into the second page (`fill_high`, OOB unless the
+/// memory actually grew), and an infinite loop (`spin`) for the
+/// preemption classes.
 fn hostile_module() -> Module {
     let mut b = ModuleBuilder::new();
     let hook = b.import_func("env", "hook", &[ValType::I64], &[ValType::I64]);
+    let print = b.import_func("cage_libc", "print_i64", &[ValType::I64], &[]);
     let mut memory = cage_wasm::MemoryType::wasm64(1);
     memory.limits.max = Some(64);
     b.add_memory(memory);
     // work(n): n rounds of acc += hook(acc + i) with a store/load of the
     // accumulator each round — host boundary and memory both on the hot
-    // path of the probe.
+    // path of the probe — then one line of stdout: the slot's libc is
+    // part of what a recycle must restore.
     let work = b.add_function(
         &[ValType::I64],
         &[ValType::I64],
@@ -133,6 +136,8 @@ fn hostile_module() -> Module {
                 )],
             ),
             Instr::LocalGet(1),
+            Instr::Call(print),
+            Instr::LocalGet(1),
         ],
     );
     let grow = b.add_function(
@@ -169,10 +174,11 @@ fn hostile_module() -> Module {
     b.build()
 }
 
-/// The hostile module's template under `variant`, its chaos hook reading
-/// the calling worker's [`MODE`].
+/// The hostile module's template under `variant`: libc, and the chaos
+/// hook reading the calling worker's [`MODE`].
 fn template(variant: Variant) -> Arc<InstancePre> {
     let host = HostProfile::Custom(Arc::new(|linker| {
+        *linker = Linker::with_libc();
         linker.func(
             "env",
             "hook",
@@ -237,10 +243,10 @@ fn on_workers<T: Send>(
 }
 
 /// Everything observable about one healthy probe request.
-type Observed = (Vec<Value>, u64, u64, Option<u64>);
+type Observed = (Vec<Value>, u64, u64, Option<u64>, String);
 
 /// Serves one healthy `work(6)` request and records its result, cycle
-/// bits, retired instructions and remaining fuel.
+/// bits, retired instructions, remaining fuel and captured stdout.
 fn probe(pool: &mut Pool) -> Observed {
     let inst = pool.checkout().expect("probe checkout");
     let result = pool
@@ -251,6 +257,7 @@ fn probe(pool: &mut Pool) -> Observed {
         pool.cycles(&inst).to_bits(),
         pool.instr_count(&inst),
         pool.fuel_remaining(&inst),
+        pool.stdout(&inst),
     );
     pool.release(inst);
     obs
@@ -263,9 +270,10 @@ fn probe(pool: &mut Pool) -> Observed {
 /// replaces that bounds check, and the granules past the sandbox do not
 /// carry its tag (`TagCheck`).
 fn fill_past_the_end(variant: Variant, trap: &Trap) -> bool {
-    match variant.exec_config(CORE).bounds {
-        BoundsCheckStrategy::MteSandbox => matches!(trap, Trap::TagCheck(_)),
-        _ => matches!(trap, Trap::OutOfBounds { .. }),
+    if variant.sandboxed() {
+        matches!(trap, Trap::TagCheck(_))
+    } else {
+        matches!(trap, Trap::OutOfBounds { .. })
     }
 }
 
@@ -385,6 +393,8 @@ fn every_fault_class_recycles_bit_identically_or_quarantines() {
         let mut fresh = Pool::new(Arc::clone(&pre));
         fresh.set_fuel_budget(Some(FUEL));
         let baseline = probe(&mut fresh);
+        let printed = format!("{}\n", baseline.0[0].as_i64());
+        assert_eq!(baseline.4, printed, "{variant}: one line of stdout");
         assert_eq!(baseline, probe(&mut fresh), "{variant}: unstable probe");
 
         let storms = on_workers(&pre, workers, |w, pool| {

@@ -4,7 +4,8 @@
 //! with `opt` the full IR optimiser (`…_opt.tsv`), which pins what the
 //! optimiser leaves behind — charges follow the surviving ops. Row format
 //! and when to regenerate are in `crates/bench/tests/cycle_regression.rs`.
-use cage::engine::{ChargeClass, CostModel};
+use cage::engine::cost::class_weights;
+use cage::engine::ChargeClass;
 use cage::{Core, Engine, OptLevel, Variant};
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
             assert_eq!(counts.host_cycles, 0.0, "the kernels call no host function");
             let on = |core| {
                 counts
-                    .cycles(&CostModel::class_weights(&variant.exec_config(core)))
+                    .cycles(&class_weights(&variant.exec_config(core)))
                     .to_bits()
             };
             assert_eq!(on(Core::CortexX3), inst.cycles().to_bits());

@@ -11,7 +11,7 @@
 //! cargo run -p cage --example sandbox_escape
 //! ```
 
-use cage::engine::{BoundsCheckStrategy, ExecConfig, Imports, Store};
+use cage::engine::{Imports, Store};
 use cage::{Core, Engine, Variant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,19 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = artifact.module();
     let escape_offset = 64u64; // bytes past the end of the linear memory
 
-    for (label, bounds) in [
+    for (label, variant) in [
         (
             "software bounds checks (wasm64 baseline)",
-            BoundsCheckStrategy::Software,
+            Variant::BaselineWasm64,
         ),
-        ("MTE sandboxing (Cage)", BoundsCheckStrategy::MteSandbox),
+        ("MTE sandboxing (Cage)", Variant::CageSandboxing),
     ] {
-        let config = ExecConfig {
-            bounds,
-            core: Core::CortexX3,
-            ..ExecConfig::default()
-        };
-        let mut store = Store::new(config);
+        let mut store = Store::new(variant.exec_config(Core::CortexX3));
         let handle = store.instantiate(module, &Imports::new())?;
         let mem = store.memory_mut(handle).expect("module has memory");
         let target = mem.size() + escape_offset;

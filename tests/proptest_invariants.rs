@@ -1,6 +1,6 @@
 //! Property-based invariants across the stack.
 
-use cage::engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store};
+use cage::engine::{ExecConfig, Imports, Store};
 use cage::pac::{PacKey, PacSigner, PointerLayout};
 use cage::{Core, Engine, Value, Variant};
 use proptest::prelude::*;
@@ -43,10 +43,8 @@ proptest! {
             .compile("long f() { return 0; }")
             .unwrap();
         let config = ExecConfig {
-            bounds: BoundsCheckStrategy::MteSandbox,
-            core: Core::CortexX3,
             seed,
-            ..ExecConfig::default()
+            ..Variant::CageSandboxing.exec_config(Core::CortexX3)
         };
         let mut store = Store::new(config);
         let h = store.instantiate(artifact.module(), &Imports::new()).unwrap();
@@ -158,20 +156,23 @@ proptest! {
     }
 
     /// Engine determinism: identical (module, config, seed) runs are
-    /// charged identical counts under arbitrary internal-safety settings.
+    /// charged identical counts, with and without internal safety and
+    /// pointer authentication.
     #[test]
     fn cycle_accounting_is_pure(
         seed: u64,
-        internal in prop_oneof![Just(InternalSafety::Off), Just(InternalSafety::Mte)],
+        variant in prop_oneof![
+            Just(Variant::BaselineWasm64),
+            Just(Variant::CageMemSafety),
+            Just(Variant::CageFull)
+        ],
     ) {
         let artifact = Engine::new(Variant::CageFull)
             .compile("long f(long n) { long a[8]; for (long i=0;i<n;i++) a[i%8]=i; return a[0]; }")
             .unwrap();
         let config = ExecConfig {
-            internal,
             seed,
-            core: Core::CortexA510,
-            ..ExecConfig::default()
+            ..variant.exec_config(Core::CortexA510)
         };
         let run = || {
             let mut store = Store::new(config);

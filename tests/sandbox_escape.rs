@@ -2,19 +2,14 @@
 //! check was miscompiled away. MTE sandboxing must still contain it;
 //! software bounds checking, by construction, cannot.
 
-use cage::engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store, Trap};
+use cage::engine::{Imports, Store, Trap};
 use cage::{Core, Engine, Variant};
 
-fn store_with(bounds: BoundsCheckStrategy) -> (Store, cage::engine::InstanceHandle) {
+fn store_with(variant: Variant) -> (Store, cage::engine::InstanceHandle) {
     let artifact = Engine::new(Variant::CageSandboxing)
         .compile("long f() { return 0; }")
         .unwrap();
-    let config = ExecConfig {
-        bounds,
-        core: Core::CortexX3,
-        ..ExecConfig::default()
-    };
-    let mut store = Store::new(config);
+    let mut store = Store::new(variant.exec_config(Core::CortexX3));
     let h = store
         .instantiate(artifact.module(), &Imports::new())
         .unwrap();
@@ -23,7 +18,7 @@ fn store_with(bounds: BoundsCheckStrategy) -> (Store, cage::engine::InstanceHand
 
 #[test]
 fn software_bounds_cannot_stop_a_miscompiled_access() {
-    let (mut store, h) = store_with(BoundsCheckStrategy::Software);
+    let (mut store, h) = store_with(Variant::BaselineWasm64);
     let mem = store.memory_mut(h).unwrap();
     let target = mem.size() + 128;
     // The faulty lowering skipped the check: the write lands in runtime
@@ -38,7 +33,7 @@ fn software_bounds_cannot_stop_a_miscompiled_access() {
 
 #[test]
 fn mte_sandbox_contains_the_same_access() {
-    let (mut store, h) = store_with(BoundsCheckStrategy::MteSandbox);
+    let (mut store, h) = store_with(Variant::CageSandboxing);
     let mem = store.memory_mut(h).unwrap();
     let target = mem.size() + 128;
     let err = mem.raw_write_unchecked(target, &[0xAB]).unwrap_err();
@@ -50,7 +45,7 @@ fn mte_sandbox_contains_the_same_access() {
 fn mte_sandbox_blocks_forged_tag_bits() {
     // Fig. 13a: index masking strips guest-controlled tag bits, so even an
     // index with "the right" tag nibble cannot address runtime memory.
-    let (mut store, h) = store_with(BoundsCheckStrategy::MteSandbox);
+    let (mut store, h) = store_with(Variant::CageSandboxing);
     let mem = store.memory_mut(h).unwrap();
     let beyond = mem.size() + 16;
     for forged_nibble in 0..16u64 {
@@ -64,7 +59,7 @@ fn mte_sandbox_blocks_forged_tag_bits() {
 
 #[test]
 fn in_bounds_accesses_unaffected_by_sandboxing() {
-    let (mut store, h) = store_with(BoundsCheckStrategy::MteSandbox);
+    let (mut store, h) = store_with(Variant::CageSandboxing);
     let mem = store.memory_mut(h).unwrap();
     mem.write(1024, 0, &[7, 8, 9]).unwrap();
     assert_eq!(mem.read(1024, 0, 3).unwrap(), vec![7, 8, 9]);
@@ -75,13 +70,7 @@ fn combined_mode_still_contains_escapes() {
     let artifact = Engine::new(Variant::CageFull)
         .compile("long f() { return 0; }")
         .unwrap();
-    let config = ExecConfig {
-        bounds: BoundsCheckStrategy::MteSandbox,
-        internal: InternalSafety::Mte,
-        core: Core::CortexX3,
-        ..ExecConfig::default()
-    };
-    let mut store = Store::new(config);
+    let mut store = Store::new(Variant::CageFull.exec_config(Core::CortexX3));
     let h = store
         .instantiate(artifact.module(), &Imports::new())
         .unwrap();

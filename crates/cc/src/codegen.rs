@@ -5,8 +5,15 @@
 //! later analyses. Code is generated per target pointer width because C
 //! object layout (`sizeof(void*)`, struct offsets, GEP scales) differs
 //! between wasm32 and wasm64.
+//!
+//! Names resolve innermost first: the block scopes of the function, then
+//! one file-scope table in which every name is exactly one `Symbol` — a
+//! function of this unit, a host import, or a global. Loops lower without
+//! rewriting the AST: a `for`'s step is emitted where it runs (before each
+//! of its `continue`s and at the end of the body), resolved in the `for`'s
+//! own scope, never in the body's.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cage_ir::{
     AllocaId, BinOp, Callee, CastKind, Expr as IrExpr, FuncId, FunctionBuilder, GlobalId, IrModule,
@@ -87,7 +94,12 @@ pub fn compile_ast_for_with(
     Ok(cg.module)
 }
 
-/// The libc surface recognised implicitly (imported from `cage_libc`).
+/// The import module of the implicit libc surface.
+const LIBC: &str = "cage_libc";
+/// The import module of functions the program declares but never defines.
+const ENV: &str = "env";
+
+/// The libc surface recognised implicitly (imported from [`LIBC`]).
 const KNOWN_EXTERNS: &[(&str, &[CTypeTag], CTypeTag)] = &[
     ("malloc", &[CTypeTag::Long], CTypeTag::CharPtr),
     (
@@ -156,7 +168,25 @@ struct Binding {
     storage: Storage,
 }
 
+/// What a file-scope name denotes.
+#[derive(Debug, Clone)]
+enum Symbol {
+    /// A function this unit defines (its prototypes name it too).
+    Func(FuncId, FuncSig),
+    /// A host function: the implicit libc surface ([`LIBC`]) or a
+    /// prototype with no definition ([`ENV`]). Its import index is
+    /// assigned at its first call, so imports come in first-use order.
+    Host {
+        module: &'static str,
+        sig: FuncSig,
+        import: Option<u32>,
+    },
+    /// A global variable.
+    Global(GlobalId, CType),
+}
+
 /// An lvalue: a register or a memory location.
+#[derive(Clone)]
 enum LV {
     Reg(ValueId, CType),
     Mem(Operand, u64, CType),
@@ -174,12 +204,9 @@ struct Codegen<'p> {
     prog: &'p Program,
     module: IrModule,
     ptr_bytes: u64,
-    func_sigs: HashMap<String, (FuncId, FuncSig)>,
-    extern_ids: HashMap<String, (u32, FuncSig)>,
-    /// Prototype-only functions: declared host imports (the `env` module).
-    declared_externs: HashMap<String, FuncSig>,
-    global_ids: HashMap<String, (GlobalId, CType)>,
-    str_cache: HashMap<String, GlobalId>,
+    /// Every file-scope name.
+    symbols: BTreeMap<String, Symbol>,
+    str_cache: BTreeMap<String, GlobalId>,
     limits: cage_wasm::CompileLimits,
     fuel: &'p cage_wasm::CompileFuel,
     /// Bytes of global data emitted so far (counted against
@@ -187,14 +214,18 @@ struct Codegen<'p> {
     global_bytes: u64,
 }
 
-struct FnCtx {
+struct FnCtx<'p> {
     b: FunctionBuilder,
-    scopes: Vec<HashMap<String, Binding>>,
+    scopes: Vec<BTreeMap<String, Binding>>,
     ret: CType,
-    slot_names: HashSet<String>,
+    slot_names: BTreeSet<String>,
+    /// One entry per enclosing loop, innermost last: a `for`'s step with
+    /// the number of scopes open where the `for` began (its own scope
+    /// included), or `None` for a `while` or a `for` without a step.
+    loop_steps: Vec<Option<(&'p Expr, usize)>>,
 }
 
-impl FnCtx {
+impl FnCtx<'_> {
     fn lookup(&self, name: &str) -> Option<&Binding> {
         self.scopes.iter().rev().find_map(|s| s.get(name))
     }
@@ -218,11 +249,22 @@ impl<'p> Codegen<'p> {
             prog,
             module: IrModule::new(),
             ptr_bytes,
-            func_sigs: HashMap::new(),
-            extern_ids: HashMap::new(),
-            declared_externs: HashMap::new(),
-            global_ids: HashMap::new(),
-            str_cache: HashMap::new(),
+            symbols: KNOWN_EXTERNS
+                .iter()
+                .map(|(name, params, ret)| {
+                    let sig = FuncSig {
+                        params: params.iter().map(|t| t.to_ctype()).collect(),
+                        ret: ret.to_ctype(),
+                    };
+                    let host = Symbol::Host {
+                        module: LIBC,
+                        sig,
+                        import: None,
+                    };
+                    ((*name).to_string(), host)
+                })
+                .collect(),
+            str_cache: BTreeMap::new(),
             limits,
             fuel,
             global_bytes: 0,
@@ -282,96 +324,109 @@ impl<'p> Codegen<'p> {
         })
     }
 
+    /// The IR parameter and result types of `sig`.
+    fn ir_sig(&self, sig: &FuncSig) -> (Vec<IrType>, Option<IrType>) {
+        let params = sig.params.iter().map(|t| self.ir_type(t)).collect();
+        let ret = match sig.ret {
+            CType::Void => None,
+            ref t => Some(self.ir_type(t)),
+        };
+        (params, ret)
+    }
+
     fn declare_functions(&mut self) -> Result<(), CompileError> {
-        // Prototype-only functions (declared but never defined) are host
-        // imports: they compile to calls into the `env` import module, so
-        // embedders can expose custom host functions through a `Linker`.
-        let defined: HashSet<&str> = self
+        // Names whose body is still ahead: a prototype of one of them
+        // declares a function of this unit, not a host import.
+        let mut bodies_ahead: BTreeSet<&str> = self
             .prog
             .funcs
             .iter()
             .filter(|f| f.body.is_some())
             .map(|f| f.name.as_str())
             .collect();
-        let mut next_id = 0u32;
-        let mut bodies_seen: HashSet<&str> = HashSet::new();
         for f in &self.prog.funcs {
             let sig = FuncSig {
                 params: f.params.iter().map(|(_, t)| t.clone()).collect(),
                 ret: f.ret.clone(),
             };
-            if f.body.is_some() && !bodies_seen.insert(f.name.as_str()) {
+            if f.body.is_some() && !bodies_ahead.remove(f.name.as_str()) {
                 return Err(CompileError::new(
                     f.line,
                     format!("redefinition of `{}`", f.name),
                 ));
             }
-            if !defined.contains(f.name.as_str()) {
-                // A prototype for a libc name must match the implicit
-                // libc signature — it resolves to `cage_libc.*`, never to
-                // a user host import.
-                if let Some((_, params, ret)) = KNOWN_EXTERNS.iter().find(|(n, _, _)| *n == f.name)
-                {
-                    let libc_sig = FuncSig {
-                        params: params.iter().map(|t| t.to_ctype()).collect(),
-                        ret: ret.to_ctype(),
-                    };
-                    if sig != libc_sig {
-                        return Err(CompileError::new(
-                            f.line,
-                            format!(
-                                "declaration of `{}` conflicts with the libc signature",
-                                f.name
-                            ),
-                        ));
-                    }
-                    continue;
-                }
-                if let Some(existing) = self.declared_externs.get(&f.name) {
+            let defined = f.body.is_some() || bodies_ahead.contains(f.name.as_str());
+            match self.symbols.get(&f.name) {
+                // A prototype before or after the definition: the
+                // signature must agree.
+                Some(Symbol::Func(_, existing)) => {
                     if *existing != sig {
                         return Err(CompileError::new(
                             f.line,
                             format!("conflicting declarations of `{}`", f.name),
                         ));
                     }
-                } else {
-                    self.declared_externs.insert(f.name.clone(), sig);
                 }
-                continue;
-            }
-            if let Some((_, existing)) = self.func_sigs.get(&f.name) {
-                // Redeclaration (a prototype before or after the
-                // definition): the signature must agree.
-                if *existing != sig {
-                    return Err(CompileError::new(
-                        f.line,
-                        format!("conflicting declarations of `{}`", f.name),
-                    ));
+                // A prototype for a libc name must match the implicit
+                // libc signature — it resolves to `cage_libc.*`, never to
+                // a user host import.
+                Some(Symbol::Host {
+                    module,
+                    sig: existing,
+                    ..
+                }) if !defined => {
+                    if *existing != sig {
+                        let message = if *module == LIBC {
+                            format!(
+                                "declaration of `{}` conflicts with the libc signature",
+                                f.name
+                            )
+                        } else {
+                            format!("conflicting declarations of `{}`", f.name)
+                        };
+                        return Err(CompileError::new(f.line, message));
+                    }
                 }
-                continue;
+                // A definition (which replaces a libc name's implicit
+                // declaration): a placeholder until its body is compiled,
+                // pushed now so that FuncId == index.
+                _ if defined => {
+                    let id = FuncId(self.module.functions.len() as u32);
+                    let (params, ret) = self.ir_sig(&sig);
+                    let mut fb = FunctionBuilder::new(&f.name, &params, ret);
+                    fb.set_exported(true);
+                    self.module.functions.push(fb.finish());
+                    self.symbols.insert(f.name.clone(), Symbol::Func(id, sig));
+                }
+                // Prototype-only functions (declared but never defined)
+                // are host imports: they compile to calls into the `env`
+                // import module, so embedders can expose custom host
+                // functions through a `Linker`.
+                _ => {
+                    let host = Symbol::Host {
+                        module: ENV,
+                        sig,
+                        import: None,
+                    };
+                    self.symbols.insert(f.name.clone(), host);
+                }
             }
-            self.func_sigs
-                .insert(f.name.clone(), (FuncId(next_id), sig));
-            next_id += 1;
-        }
-        // Emit placeholder functions in id order so FuncId == index.
-        let mut ordered: Vec<(&String, &(FuncId, FuncSig))> = self.func_sigs.iter().collect();
-        ordered.sort_by_key(|(_, (id, _))| id.0);
-        for (name, (_, sig)) in ordered {
-            let params: Vec<IrType> = sig.params.iter().map(|t| self.ir_type(t)).collect();
-            let ret = match sig.ret {
-                CType::Void => None,
-                ref t => Some(self.ir_type(t)),
-            };
-            let mut fb = FunctionBuilder::new(name, &params, ret);
-            fb.set_exported(true);
-            self.module.functions.push(fb.finish());
         }
         Ok(())
     }
 
     fn define_globals(&mut self) -> Result<(), CompileError> {
         for g in &self.prog.globals {
+            // A global may take over a libc name, which this unit then
+            // cannot call, but not a name the unit declares as a function.
+            if let Some(Symbol::Func(..) | Symbol::Host { module: ENV, .. }) =
+                self.symbols.get(&g.name)
+            {
+                return Err(CompileError::new(
+                    g.line,
+                    format!("redefinition of `{}`", g.name),
+                ));
+            }
             let size = self.size_of(&g.ty);
             self.charge_global(size)?;
             let Ok(len) = usize::try_from(size) else {
@@ -406,7 +461,8 @@ impl<'p> Codegen<'p> {
             }
             let align = self.structs().align_of(&g.ty, self.ptr_bytes).max(16);
             let id = self.module.add_global(&g.name, bytes, align);
-            self.global_ids.insert(g.name.clone(), (id, g.ty.clone()));
+            self.symbols
+                .insert(g.name.clone(), Symbol::Global(id, g.ty.clone()));
         }
         Ok(())
     }
@@ -425,59 +481,57 @@ impl<'p> Codegen<'p> {
         Ok(id)
     }
 
-    fn extern_id(&mut self, name: &str) -> Option<(u32, FuncSig)> {
-        if let Some(e) = self.extern_ids.get(name) {
-            return Some(e.clone());
-        }
-        // The implicit libc surface keeps its `cage_libc` namespace;
-        // everything else the program declared without defining is an
-        // embedder host function in the `env` namespace.
-        let (module, sig) =
-            if let Some((_, params, ret)) = KNOWN_EXTERNS.iter().find(|(n, _, _)| *n == name) {
-                let sig = FuncSig {
-                    params: params.iter().map(|t| t.to_ctype()).collect(),
-                    ret: ret.to_ctype(),
-                };
-                ("cage_libc", sig)
-            } else {
-                ("env", self.declared_externs.get(name)?.clone())
-            };
-        let ir_params: Vec<IrType> = sig.params.iter().map(|t| self.ir_type(t)).collect();
-        let ir_ret = match sig.ret {
-            CType::Void => None,
-            ref t => Some(self.ir_type(t)),
+    /// The import index and signature of host function `name`, imported
+    /// from its module on first use.
+    fn host_import(&mut self, name: &str) -> Option<(u32, FuncSig)> {
+        let Some(Symbol::Host {
+            module,
+            sig,
+            import,
+        }) = self.symbols.get(name)
+        else {
+            return None;
         };
+        let (module, sig, import) = (*module, sig.clone(), *import);
+        if let Some(idx) = import {
+            return Some((idx, sig));
+        }
+        let (params, ret) = self.ir_sig(&sig);
         let idx = self.module.add_extern(cage_ir::ExternFunc {
             module: module.into(),
             name: name.into(),
-            params: ir_params,
-            ret: ir_ret,
+            params,
+            ret,
         });
-        self.extern_ids.insert(name.to_string(), (idx, sig.clone()));
+        if let Some(Symbol::Host { import, .. }) = self.symbols.get_mut(name) {
+            *import = Some(idx);
+        }
         Some((idx, sig))
     }
 
     // -- function compilation -------------------------------------------------
 
-    fn compile_function(&mut self, func: &FuncDef) -> Result<(), CompileError> {
-        let (func_id, sig) = self.func_sigs[&func.name].clone();
-        let params: Vec<IrType> = sig.params.iter().map(|t| self.ir_type(t)).collect();
-        let ret = match sig.ret {
-            CType::Void => None,
-            ref t => Some(self.ir_type(t)),
+    fn compile_function(&mut self, func: &'p FuncDef) -> Result<(), CompileError> {
+        let Some(Symbol::Func(func_id, sig)) = self.symbols.get(&func.name).cloned() else {
+            return Err(CompileError::new(
+                func.line,
+                format!("internal: `{}` is not a function of this unit", func.name),
+            ));
         };
+        let (params, ret) = self.ir_sig(&sig);
         let mut fb = FunctionBuilder::new(&func.name, &params, ret);
         fb.set_exported(true);
 
         // Which names need memory slots: address-taken, arrays, structs.
-        let mut slot_names = HashSet::new();
+        let mut slot_names = BTreeSet::new();
         collect_addr_taken(func.body.as_deref().unwrap_or(&[]), &mut slot_names);
 
         let mut ctx = FnCtx {
             b: fb,
-            scopes: vec![HashMap::new()],
+            scopes: vec![BTreeMap::new()],
             ret: sig.ret.clone(),
             slot_names,
+            loop_steps: Vec::new(),
         };
         // Bind parameters (copy address-taken params into slots).
         for (i, (name, ty)) in func.params.iter().enumerate() {
@@ -537,7 +591,7 @@ impl<'p> Codegen<'p> {
     // -- statements -----------------------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn stmt(&mut self, ctx: &mut FnCtx, stmt: &Stmt) -> Result<(), CompileError> {
+    fn stmt(&mut self, ctx: &mut FnCtx<'p>, stmt: &'p Stmt) -> Result<(), CompileError> {
         self.fuel.charge(1).map_err(CompileError::from_limit)?;
         match stmt {
             Stmt::Decl {
@@ -555,18 +609,10 @@ impl<'p> Codegen<'p> {
                 let (c, cty) = self.expr(ctx, cond)?;
                 let c = self.truthiness(ctx, c, &cty);
                 ctx.b.push_block();
-                ctx.scopes.push(HashMap::new());
-                for s in then {
-                    self.stmt(ctx, s)?;
-                }
-                ctx.scopes.pop();
+                self.scoped(ctx, then)?;
                 let then_ir = ctx.b.pop_block();
                 ctx.b.push_block();
-                ctx.scopes.push(HashMap::new());
-                for s in els {
-                    self.stmt(ctx, s)?;
-                }
-                ctx.scopes.pop();
+                self.scoped(ctx, els)?;
                 let else_ir = ctx.b.pop_block();
                 ctx.b.stmt(IrStmt::If {
                     cond: c,
@@ -575,43 +621,23 @@ impl<'p> Codegen<'p> {
                 });
                 Ok(())
             }
-            Stmt::While { cond, body } => {
-                ctx.b.push_block();
-                let (c, cty) = self.expr(ctx, cond)?;
-                let c = self.truthiness(ctx, c, &cty);
-                let header = ctx.b.pop_block();
-                ctx.b.push_block();
-                ctx.scopes.push(HashMap::new());
-                for s in body {
-                    self.stmt(ctx, s)?;
-                }
-                ctx.scopes.pop();
-                let body_ir = ctx.b.pop_block();
-                ctx.b.stmt(IrStmt::While {
-                    header,
-                    cond: c,
-                    body: body_ir,
-                });
-                Ok(())
-            }
+            Stmt::While { cond, body } => self.lower_loop(ctx, Some(cond), body, None),
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
             } => {
-                // Desugar: init; while (cond) { body[continue -> step;continue]; step }
-                ctx.scopes.push(HashMap::new());
+                // The `for` is a scope (its init's declarations live in
+                // it) and its body a scope nested inside that one (C99
+                // 6.8.5p5).
+                ctx.scopes.push(BTreeMap::new());
                 if let Some(init) = init {
                     self.stmt(ctx, init)?;
                 }
-                let desugared = desugar_for_body(body, step.as_ref());
-                let cond_expr = cond.clone().unwrap_or(Expr::new(ExprKind::IntLit(1), 0));
-                let while_stmt = Stmt::While {
-                    cond: cond_expr,
-                    body: desugared,
-                };
-                self.stmt(ctx, &while_stmt)?;
+                // A `for` costs the fuel of the `while` it lowers to.
+                self.fuel.charge(1).map_err(CompileError::from_limit)?;
+                self.lower_loop(ctx, cond.as_ref(), body, step.as_ref())?;
                 ctx.scopes.pop();
                 Ok(())
             }
@@ -640,18 +666,69 @@ impl<'p> Codegen<'p> {
                 Ok(())
             }
             Stmt::Continue(_) => {
+                if let Some((step, depth)) = ctx.loop_steps.last().copied().flatten() {
+                    // Costs the fuel of `{ step; continue; }`.
+                    self.fuel.charge(2).map_err(CompileError::from_limit)?;
+                    // The step resolves in its `for`'s scope: the body's
+                    // scopes, and whatever they shadow, are hidden.
+                    let body_scopes = ctx.scopes.split_off(depth);
+                    let stepped = self.expr_discard(ctx, step);
+                    ctx.scopes.extend(body_scopes);
+                    stepped?;
+                }
                 ctx.b.stmt(IrStmt::Continue);
                 Ok(())
             }
-            Stmt::Block(stmts) => {
-                ctx.scopes.push(HashMap::new());
-                for s in stmts {
-                    self.stmt(ctx, s)?;
-                }
-                ctx.scopes.pop();
-                Ok(())
-            }
+            Stmt::Block(stmts) => self.scoped(ctx, stmts),
         }
+    }
+
+    /// Compiles `stmts` in a scope of their own.
+    fn scoped(&mut self, ctx: &mut FnCtx<'p>, stmts: &'p [Stmt]) -> Result<(), CompileError> {
+        ctx.scopes.push(BTreeMap::new());
+        for s in stmts {
+            self.stmt(ctx, s)?;
+        }
+        ctx.scopes.pop();
+        Ok(())
+    }
+
+    /// Lowers `while (cond) body`, `cond` absent meaning true. A `for`
+    /// passes its `step`, which runs at the end of the body and before
+    /// each `continue` of this loop, resolved in the scope the loop began
+    /// in: the body's own scope is closed before it.
+    fn lower_loop(
+        &mut self,
+        ctx: &mut FnCtx<'p>,
+        cond: Option<&'p Expr>,
+        body: &'p [Stmt],
+        step: Option<&'p Expr>,
+    ) -> Result<(), CompileError> {
+        ctx.b.push_block();
+        let c = match cond {
+            Some(cond) => {
+                let (c, cty) = self.expr(ctx, cond)?;
+                self.truthiness(ctx, c, &cty)
+            }
+            None => Operand::ConstI32(1),
+        };
+        let header = ctx.b.pop_block();
+        ctx.b.push_block();
+        ctx.loop_steps.push(step.map(|s| (s, ctx.scopes.len())));
+        self.scoped(ctx, body)?;
+        if let Some(step) = step {
+            // Costs the fuel of a statement.
+            self.fuel.charge(1).map_err(CompileError::from_limit)?;
+            self.expr_discard(ctx, step)?;
+        }
+        ctx.loop_steps.pop();
+        let body_ir = ctx.b.pop_block();
+        ctx.b.stmt(IrStmt::While {
+            header,
+            cond: c,
+            body: body_ir,
+        });
+        Ok(())
     }
 
     fn decl(
@@ -853,40 +930,37 @@ impl<'p> Codegen<'p> {
                 (Storage::Reg(reg), ty) => (Operand::Value(*reg), ty.clone()),
             });
         }
-        if let Some((gid, gty)) = self.global_ids.get(name).cloned() {
-            let addr = ctx.b.assign(IrType::Ptr, IrExpr::GlobalAddr(gid));
-            return Ok(match &gty {
-                CType::Array(elem, _) => (addr, CType::Ptr(elem.clone())),
-                CType::Struct(_) => (addr, gty),
-                ty => {
-                    let v = ctx.b.load(self.mem_ty(ty)?, addr, 0);
-                    (v, ty.clone())
-                }
-            });
-        }
-        if let Some((fid, sig)) = self.func_sigs.get(name).cloned() {
-            // Function designator decays to a function pointer.
-            let v = ctx.b.assign(IrType::Ptr, IrExpr::FuncAddr(fid));
-            return Ok((v, CType::FuncPtr(Box::new(sig))));
-        }
-        if self.declared_externs.contains_key(name)
-            || self.extern_ids.contains_key(name)
-            || KNOWN_EXTERNS.iter().any(|(n, _, _)| *n == name)
-        {
+        match self.symbols.get(name) {
+            Some(Symbol::Global(gid, gty)) => {
+                let addr = ctx.b.assign(IrType::Ptr, IrExpr::GlobalAddr(*gid));
+                Ok(match gty {
+                    CType::Array(elem, _) => (addr, CType::Ptr(elem.clone())),
+                    CType::Struct(_) => (addr, gty.clone()),
+                    ty => {
+                        let v = ctx.b.load(self.mem_ty(ty)?, addr, 0);
+                        (v, ty.clone())
+                    }
+                })
+            }
+            Some(Symbol::Func(fid, sig)) => {
+                // Function designator decays to a function pointer.
+                let v = ctx.b.assign(IrType::Ptr, IrExpr::FuncAddr(*fid));
+                Ok((v, CType::FuncPtr(Box::new(sig.clone()))))
+            }
             // Host imports have no table slot, so they cannot decay to a
             // callable function pointer — only direct calls work.
-            return Err(CompileError::new(
+            Some(Symbol::Host { .. }) => Err(CompileError::new(
                 line,
                 format!(
                     "host function `{name}` cannot be used as a value \
                      (function pointers to host imports are not supported)"
                 ),
-            ));
+            )),
+            None => Err(CompileError::new(
+                line,
+                format!("unknown identifier `{name}`"),
+            )),
         }
-        Err(CompileError::new(
-            line,
-            format!("unknown identifier `{name}`"),
-        ))
     }
 
     /// Usual arithmetic conversions: double > long > int.
@@ -1050,32 +1124,17 @@ impl<'p> Codegen<'p> {
         rhs: &Expr,
         line: u32,
     ) -> Result<(Operand, CType), CompileError> {
-        let value = match op {
-            None => {
-                let (rv, rty) = self.expr(ctx, rhs)?;
-                let lv = self.lvalue(ctx, lhs)?;
-                let target_ty = lv.ctype().clone();
-                let rv = self.convert(ctx, rv, &rty, &target_ty, line)?;
-                self.store_lvalue(ctx, &lv, rv)?;
-                (rv, target_ty)
-            }
-            Some(op) => {
-                // Desugar `a op= b` to `a = a op b` through the AST so
-                // pointer arithmetic and conversions are shared. The lhs is
-                // evaluated twice, which is fine for the supported lvalues.
-                let combined = Expr::new(
-                    ExprKind::Bin(op, Box::new(lhs.clone()), Box::new(rhs.clone())),
-                    line,
-                );
-                let (rv, rty) = self.expr(ctx, &combined)?;
-                let lv = self.lvalue(ctx, lhs)?;
-                let target_ty = lv.ctype().clone();
-                let rv = self.convert(ctx, rv, &rty, &target_ty, line)?;
-                self.store_lvalue(ctx, &lv, rv)?;
-                (rv, target_ty)
-            }
+        // `a op= b` is `a = a op b`, sharing `binary`'s pointer arithmetic
+        // and conversions; `a` is evaluated again as the lvalue stored to.
+        let (rv, rty) = match op {
+            None => self.expr(ctx, rhs)?,
+            Some(op) => self.binary(ctx, op, lhs, rhs, line)?,
         };
-        Ok(value)
+        let lv = self.lvalue(ctx, lhs)?;
+        let target_ty = lv.ctype().clone();
+        let rv = self.convert(ctx, rv, &rty, &target_ty, line)?;
+        self.store_lvalue(ctx, &lv, rv)?;
+        Ok((rv, target_ty))
     }
 
     fn unary(
@@ -1159,7 +1218,7 @@ impl<'p> Codegen<'p> {
     ) -> Result<(Operand, CType), CompileError> {
         let lv = self.lvalue(ctx, inner)?;
         let ty = lv.ctype().clone();
-        let (old, _) = { self.load_lvalue(ctx, self.copy_lv(&lv))? };
+        let (old, _) = self.load_lvalue(ctx, lv.clone())?;
         let step: i64 = if inc { 1 } else { -1 };
         let ir_ty = self.ir_type(&ty);
         let new = match &ty {
@@ -1192,13 +1251,6 @@ impl<'p> Codegen<'p> {
         Ok((if pre { new } else { old }, ty))
     }
 
-    fn copy_lv(&self, lv: &LV) -> LV {
-        match lv {
-            LV::Reg(v, t) => LV::Reg(*v, t.clone()),
-            LV::Mem(a, o, t) => LV::Mem(*a, *o, t.clone()),
-        }
-    }
-
     #[allow(clippy::too_many_lines)]
     fn call(
         &mut self,
@@ -1214,11 +1266,12 @@ impl<'p> Codegen<'p> {
             }
             // Direct call to a user function (not shadowed by a local).
             if ctx.lookup(name).is_none() {
-                if let Some((fid, sig)) = self.func_sigs.get(name).cloned() {
+                if let Some(Symbol::Func(fid, sig)) = self.symbols.get(name) {
+                    let (fid, sig) = (*fid, sig.clone());
                     let vals = self.call_args(ctx, &sig, args, line)?;
                     return Ok(self.emit_call(ctx, Callee::Local(fid), &sig, vals));
                 }
-                if let Some((eid, sig)) = self.extern_id(name) {
+                if let Some((eid, sig)) = self.host_import(name) {
                     let vals = self.call_args(ctx, &sig, args, line)?;
                     return Ok(self.emit_call(ctx, Callee::Extern(eid), &sig, vals));
                 }
@@ -1230,11 +1283,7 @@ impl<'p> Codegen<'p> {
             return Err(CompileError::new(line, "call of non-function"));
         };
         let vals = self.call_args(ctx, &sig, args, line)?;
-        let params: Vec<IrType> = sig.params.iter().map(|t| self.ir_type(t)).collect();
-        let ret = match sig.ret {
-            CType::Void => None,
-            ref t => Some(self.ir_type(t)),
-        };
+        let (params, ret) = self.ir_sig(&sig);
         if ret.is_none() {
             ctx.b.stmt(IrStmt::Perform(IrExpr::CallIndirect {
                 target: fv,
@@ -1393,9 +1442,9 @@ impl<'p> Codegen<'p> {
                         }
                     });
                 }
-                if let Some((gid, gty)) = self.global_ids.get(name).cloned() {
-                    let addr = ctx.b.assign(IrType::Ptr, IrExpr::GlobalAddr(gid));
-                    return Ok(LV::Mem(addr, 0, gty));
+                if let Some(Symbol::Global(gid, gty)) = self.symbols.get(name) {
+                    let addr = ctx.b.assign(IrType::Ptr, IrExpr::GlobalAddr(*gid));
+                    return Ok(LV::Mem(addr, 0, gty.clone()));
                 }
                 Err(CompileError::new(
                     e.line,
@@ -1616,8 +1665,8 @@ fn int_cmp_op(op: BinOpKind, is_float: bool) -> BinOp {
 }
 
 /// Collects identifiers whose address is taken (they need stack slots).
-fn collect_addr_taken(body: &[Stmt], out: &mut HashSet<String>) {
-    fn walk_expr(e: &Expr, out: &mut HashSet<String>) {
+fn collect_addr_taken(body: &[Stmt], out: &mut BTreeSet<String>) {
+    fn walk_expr(e: &Expr, out: &mut BTreeSet<String>) {
         match &e.kind {
             ExprKind::Un(UnOpKind::AddrOf, inner) => {
                 // &x, &arr[i], &s.f — the root identifier needs a slot.
@@ -1705,37 +1754,6 @@ fn collect_addr_taken(body: &[Stmt], out: &mut HashSet<String>) {
             _ => {}
         }
     }
-}
-
-/// Desugars a `for` body: `continue` becomes `{ step; continue; }` (without
-/// descending into nested loops) and the step is appended at the end.
-fn desugar_for_body(body: &[Stmt], step: Option<&Expr>) -> Vec<Stmt> {
-    fn rewrite(stmts: &[Stmt], step: &Expr) -> Vec<Stmt> {
-        stmts
-            .iter()
-            .map(|s| match s {
-                Stmt::Continue(line) => {
-                    Stmt::Block(vec![Stmt::Expr(step.clone()), Stmt::Continue(*line)])
-                }
-                Stmt::If { cond, then, els } => Stmt::If {
-                    cond: cond.clone(),
-                    then: rewrite(then, step),
-                    els: rewrite(els, step),
-                },
-                Stmt::Block(inner) => Stmt::Block(rewrite(inner, step)),
-                // Nested loops own their continues.
-                other => other.clone(),
-            })
-            .collect()
-    }
-    let mut out = match step {
-        Some(step) => rewrite(body, step),
-        None => body.to_vec(),
-    };
-    if let Some(step) = step {
-        out.push(Stmt::Expr(step.clone()));
-    }
-    out
 }
 
 #[cfg(test)]

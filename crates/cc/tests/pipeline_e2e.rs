@@ -428,3 +428,127 @@ fn hardened_results_match_baseline_results() {
     .unwrap();
     assert_eq!(baseline, hardened);
 }
+
+/// The compile fuel `codegen` charges for a parsed `source`.
+fn codegen_fuel(source: &str) -> u64 {
+    let limits = cage_wasm::CompileLimits::default();
+    let fuel = limits.fuel();
+    let ast = cage_cc::parse_with(source, &limits, &fuel).expect("parses");
+    let parsed = fuel.consumed();
+    cage_cc::codegen::compile_ast_with(&ast, &limits, &fuel).expect("compiles");
+    fuel.consumed() - parsed
+}
+
+const CODEGEN_FUEL: u64 = 71;
+
+/// Name resolution and loop lowering in the front end, one row per rule.
+/// Each `f()` runs under a fuel budget, so a loop that never ends fails
+/// its row with `FuelExhausted` instead of hanging the suite.
+#[test]
+fn front_end_scopes_and_loops() {
+    // (rule, source, expected `f()`); `Err` rows must not compile.
+    let rows: &[(&str, &str, Result<i64, &str>)] = &[
+        (
+            "a body that redeclares the loop variable",
+            "long f() {
+                long s = 0;
+                for (long i = 0; i < 3; i++) { long i = 10; s += i; }
+                return s;
+            }",
+            Ok(30),
+        ),
+        (
+            "continue in a nested block after a shadowing declaration",
+            "long f() {
+                long s = 0;
+                for (long i = 0; i < 4; i++) {
+                    s += i;
+                    { long i = 100; if (i > 0) { s += 1; continue; } }
+                    s += 1000;
+                }
+                return s;
+            }",
+            Ok(10),
+        ),
+        (
+            "continue in an inner while runs no outer step",
+            "long f() {
+                long s = 0;
+                for (long i = 0; i < 3; i++) {
+                    long j = 0;
+                    while (j < 4) { j++; if (j % 2 == 0) continue; s += 1; }
+                    s += 10;
+                }
+                return s;
+            }",
+            Ok(36),
+        ),
+        (
+            "a for with no step and a for with no condition",
+            "long f() {
+                long s = 0;
+                for (long i = 0; i < 5;) { i += 1; if (i == 2) continue; s += i; }
+                for (long k = 0; ; k++) { if (k == 3) break; s += 100; }
+                return s;
+            }",
+            Ok(313),
+        ),
+        (
+            "a local shadows a function, a global and a libc name",
+            "long g = 5;
+            long h(long x) { return x + 1; }
+            long f() {
+                long r = h(g);
+                { long g = 7; long h = 8; long malloc = 9; r += g + h + malloc; }
+                return r + g + h(0);
+            }",
+            Ok(36),
+        ),
+        (
+            "a prototype before its definition",
+            "long twice(long x);
+            long f() { return twice(21); }
+            long twice(long x) { return 2 * x; }",
+            Ok(42),
+        ),
+        (
+            "a function and a global with the same name",
+            "long dup = 1;
+            long dup() { return 2; }
+            long f() { return dup(); }",
+            Err("redefinition of `dup`"),
+        ),
+    ];
+    // A `for` costs the compile fuel its old rewrite into a `while` did,
+    // to the unit (`cage-bench` pins the sum as `cc.codegen_fuel`).
+    let fuel: u64 = rows
+        .iter()
+        .filter(|(_, _, want)| want.is_ok())
+        .map(|(_, source, _)| codegen_fuel(source))
+        .sum();
+    let mut failures = Vec::new();
+    if fuel != CODEGEN_FUEL {
+        failures.push(format!("codegen fuel {fuel}, want {CODEGEN_FUEL}"));
+    }
+    for (rule, source, want) in rows {
+        let got = compile(source).map_err(|e| e.to_string()).map(|mut ir| {
+            run_pipeline(&mut ir, HardenConfig::none());
+            let lowered = lower(&ir, &LowerOptions::default()).expect("lowers");
+            let mut store = Store::new(ExecConfig::default());
+            let h = store
+                .instantiate(&lowered.module, &Imports::new())
+                .expect("instantiates");
+            store.set_fuel(h, Some(1_000_000));
+            store.invoke(h, "f", &[])
+        });
+        let ok = match (&got, want) {
+            (Ok(Ok(out)), Ok(v)) => *out == vec![Value::I64(*v)],
+            (Err(message), Err(needle)) => message.contains(needle),
+            _ => false,
+        };
+        if !ok {
+            failures.push(format!("{rule}: want {want:?}, got {got:?}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cage_engine::store::InstantiateError;
 use cage_engine::trap::caught_compile_panic;
 use cage_engine::{ExecConfig, Precompiled, WasmParams, WasmResults};
-use cage_ir::passes::{HardenConfig, OptLevel, PipelineConfig};
+use cage_ir::passes::{OptLevel, PipelineConfig};
 use cage_mte::Core;
 use cage_runtime::{InstanceToken, Linker, MemoryReport, Runtime, Variant};
 use cage_wasm::{CompileLimits, ValType};
@@ -85,7 +85,7 @@ impl Engine {
             core: Core::CortexX3,
             memory_pages: 64,
             stack_size: 64 * 1024,
-            pipeline: PipelineConfig::standard(variant.harden_config()),
+            opt_level: OptLevel::Standard,
             limits: CompileLimits::default(),
         }
     }
@@ -114,7 +114,8 @@ impl Engine {
         self.inner.stack_size
     }
 
-    /// The configured pass pipeline.
+    /// The pass pipeline: the builder's optimisation level, then the
+    /// sanitizers of the variant's Table 3 row.
     #[must_use]
     pub fn pipeline(&self) -> PipelineConfig {
         self.inner.pipeline
@@ -286,7 +287,7 @@ pub struct EngineBuilder {
     core: Core,
     memory_pages: u64,
     stack_size: u64,
-    pipeline: PipelineConfig,
+    opt_level: OptLevel,
     limits: CompileLimits,
 }
 
@@ -312,13 +313,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the sanitizer passes (defaults to the variant's own).
-    #[must_use]
-    pub fn passes(mut self, harden: HardenConfig) -> Self {
-        self.pipeline.harden = harden;
-        self
-    }
-
     /// Selects how much of the optimiser precedes the sanitizers
     /// ([`OptLevel::Standard`] by default). The default pipeline's output
     /// is pinned byte-for-byte by the PolyBench cycle golden file;
@@ -326,7 +320,7 @@ impl EngineBuilder {
     /// surviving ops), and [`OptLevel::None`] is for ablations.
     #[must_use]
     pub fn opt_level(mut self, level: OptLevel) -> Self {
-        self.pipeline.opt_level = level;
+        self.opt_level = level;
         self
     }
 
@@ -348,7 +342,10 @@ impl EngineBuilder {
                 core: self.core,
                 memory_pages: self.memory_pages,
                 stack_size: self.stack_size,
-                pipeline: self.pipeline,
+                pipeline: PipelineConfig {
+                    opt_level: self.opt_level,
+                    harden: self.variant.harden_config(),
+                },
                 limits: self.limits,
             }),
         }

@@ -45,7 +45,7 @@
 //! branch inside a block) is never lowered; all that survives of it is
 //! the construct's join block, which may itself be unreachable.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use cage_ir::regalloc::{self, BlockRange, LivenessInput, ValueRef};
@@ -869,9 +869,9 @@ struct RegCompiler<'m> {
 /// pattern, shared across uses.
 #[derive(Default)]
 struct ConstPool {
-    /// Bits -> value id. Keyed by guest-chosen bits, so hashed, and never
-    /// iterated.
-    ids: HashMap<u64, ssa::Value>,
+    /// Bits -> value id. Keyed by guest-chosen bits, so ordered (there is
+    /// no hash to collide on), and never iterated.
+    ids: BTreeMap<u64, ssa::Value>,
     /// Every constant `(value id, bits)`, in ascending value id...
     list: Vec<(ssa::Value, u64)>,
     /// ...and value id -> index into `list` (grown on demand, [`NONE`]

@@ -9,7 +9,6 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
@@ -121,8 +120,14 @@ impl std::fmt::Debug for HostFunc {
 /// exposes no collision attack.
 #[derive(Debug, Default, Clone)]
 pub struct Imports {
-    map: HashMap<(String, String), Rc<RefCell<HostFunc>>, BuildHasherDefault<DefaultHasher>>,
+    map: FixedKeyMap<(String, String), Rc<RefCell<HostFunc>>>,
 }
+
+/// The workspace's one hash map (`clippy.toml` bans std's `HashMap` and
+/// `HashSet` everywhere else): SipHash under a fixed key, so the same
+/// inserts give the same layout and drop order in every process.
+#[allow(clippy::disallowed_types)]
+type FixedKeyMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 impl Imports {
     /// An empty import set.

@@ -9,7 +9,7 @@ use crate::module::{AllocaId, FuncId, GlobalId, ValueId};
 use crate::types::IrType;
 
 /// Memory access granularity and interpretation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemTy {
     /// 1 byte, sign-extended to i32 (C `signed char`).
     I8,
@@ -54,7 +54,7 @@ impl MemTy {
 
 /// Binary operators. Integer ops interpret their operands by the
 /// expression's type; comparisons yield `i32` 0/1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum BinOp {
     Add,
@@ -95,7 +95,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -144,7 +144,7 @@ impl Operand {
 }
 
 /// Call target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Callee {
     /// A function defined in this module.
     Local(FuncId),
@@ -153,7 +153,7 @@ pub enum Callee {
 }
 
 /// Conversions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum CastKind {
     I32ToI64S,

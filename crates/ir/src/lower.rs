@@ -17,12 +17,11 @@
 //! does); `__heap_base` is exported as an immutable global for the
 //! allocator.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
-use cage_wasm::{Instr, MemArg, ValType};
+use cage_wasm::{FuncType, Instr, MemArg, ValType};
 
 use crate::instr::{BinOp, Callee, CastKind, Expr, MemTy, Operand, Stmt, UnOp};
 use crate::module::{FuncId, IrFunction, IrModule, ValueId};
@@ -123,8 +122,6 @@ pub struct Lowered {
     pub heap_base: u64,
     /// Addresses assigned to IR globals.
     pub global_addrs: Vec<u64>,
-    /// Function-table slot of each address-taken IR function (if any).
-    pub table_slots: HashMap<FuncId, u32>,
 }
 
 /// Iteratively checks one statement tree before the recursive lowering
@@ -285,17 +282,30 @@ pub fn lower_with_limits(
         return Err(LowerError::MemoryTooSmall);
     }
 
-    // Function-table slots for address-taken functions (slot 0 = null).
-    let mut table_slots: HashMap<FuncId, u32> = HashMap::new();
+    // Function-table slots of address-taken functions, by `FuncId` (0 =
+    // none; table slot 0 is the null pointer), and the functions in slot
+    // order: the order their addresses are first taken in.
+    let mut table_slots = vec![0u32; ir.functions.len()];
+    let mut elems: Vec<FuncId> = Vec::new();
+    let mut dangling = false;
     for f in &ir.functions {
         crate::instr::visit_stmts(&f.body, &mut |stmt| {
             crate::instr::visit_exprs(stmt, &mut |e| {
                 if let Expr::FuncAddr(id) = e {
-                    let next = table_slots.len() as u32 + 1;
-                    table_slots.entry(*id).or_insert(next);
+                    match table_slots.get_mut(id.0 as usize) {
+                        Some(slot) if *slot == 0 => {
+                            elems.push(*id);
+                            *slot = elems.len() as u32;
+                        }
+                        Some(_) => {}
+                        None => dangling = true,
+                    }
                 }
             });
         });
+    }
+    if dangling {
+        return Err(LowerError::Malformed("address of an undefined function"));
     }
 
     let mut b = ModuleBuilder::new();
@@ -324,12 +334,10 @@ pub fn lower_with_limits(
     };
     b.export_global("__heap_base", hb);
 
-    if !table_slots.is_empty() {
-        b.add_table(table_slots.len() as u64 + 1);
-        let mut slots: Vec<(u32, FuncId)> = table_slots.iter().map(|(f, s)| (*s, *f)).collect();
-        slots.sort_unstable();
-        for (slot, f) in slots {
-            b.add_elem(u64::from(slot), vec![imported + f.0]);
+    if !elems.is_empty() {
+        b.add_table(elems.len() as u64 + 1);
+        for (i, f) in elems.iter().enumerate() {
+            b.add_elem(i as u64 + 1, vec![imported + f.0]);
         }
     }
 
@@ -337,34 +345,21 @@ pub fn lower_with_limits(
         b.add_data(global_addrs[g], ir.globals[g].bytes.clone());
     }
 
-    // Pre-intern indirect-call signatures so bodies can reference their
-    // type indices before the functions themselves are added.
-    let mut sig_types: HashMap<SigKey, u32> = HashMap::new();
+    // Intern indirect-call signatures before any function's own type, so
+    // the type section lists them first; a body's `call_indirect` then
+    // finds its index by interning again.
     for f in &ir.functions {
         crate::instr::visit_stmts(&f.body, &mut |stmt| {
             crate::instr::visit_exprs(stmt, &mut |e| {
                 if let Expr::CallIndirect { params, ret, .. } = e {
-                    let key = sig_key(params, *ret, pw);
-                    if let std::collections::hash_map::Entry::Vacant(entry) = sig_types.entry(key) {
-                        let ft = cage_wasm::FuncType::new(&entry.key().0, &entry.key().1);
-                        entry.insert(b.intern_type(ft));
-                    }
+                    b.intern_type(func_type(params, *ret, pw));
                 }
             });
         });
     }
 
     for (i, f) in ir.functions.iter().enumerate() {
-        let ctx = FuncLowering::new(
-            f,
-            ir,
-            pw,
-            sp,
-            imported,
-            &table_slots,
-            &global_addrs,
-            &sig_types,
-        );
+        let ctx = FuncLowering::new(f, ir, pw, sp, imported, &table_slots, &global_addrs, &mut b);
         let (locals, body) = ctx.lower();
         let params: Vec<ValType> = f.params.iter().map(|t| valtype(*t, pw)).collect();
         let results: Vec<ValType> = f.ret.iter().map(|t| valtype(*t, pw)).collect();
@@ -379,18 +374,14 @@ pub fn lower_with_limits(
         module: b.build(),
         heap_base,
         global_addrs,
-        table_slots,
     })
 }
 
-/// Canonical signature key: lowered param/result value types.
-type SigKey = (Vec<ValType>, Vec<ValType>);
-
-fn sig_key(params: &[IrType], ret: Option<IrType>, pw: PtrWidth) -> SigKey {
-    (
-        params.iter().map(|t| valtype(*t, pw)).collect(),
-        ret.iter().map(|t| valtype(*t, pw)).collect(),
-    )
+/// The wasm type of an indirect call's signature.
+fn func_type(params: &[IrType], ret: Option<IrType>, pw: PtrWidth) -> FuncType {
+    let params: Vec<ValType> = params.iter().map(|t| valtype(*t, pw)).collect();
+    let results: Vec<ValType> = ret.iter().map(|t| valtype(*t, pw)).collect();
+    FuncType::new(&params, &results)
 }
 
 fn valtype(t: IrType, pw: PtrWidth) -> ValType {
@@ -408,9 +399,12 @@ struct FuncLowering<'a> {
     pw: PtrWidth,
     sp_global: u32,
     imported: u32,
-    table_slots: &'a HashMap<FuncId, u32>,
+    /// Function-table slot per `FuncId` (0 = not address-taken).
+    table_slots: &'a [u32],
     global_addrs: &'a [u64],
-    sig_types: &'a HashMap<SigKey, u32>,
+    /// The module under construction, whose type list holds every
+    /// indirect-call signature already.
+    module: &'a mut ModuleBuilder,
     /// wasm local index per IR register.
     locals_map: Vec<u32>,
     /// Extra wasm locals beyond the parameters.
@@ -431,9 +425,9 @@ impl<'a> FuncLowering<'a> {
         pw: PtrWidth,
         sp_global: u32,
         imported: u32,
-        table_slots: &'a HashMap<FuncId, u32>,
+        table_slots: &'a [u32],
         global_addrs: &'a [u64],
-        sig_types: &'a HashMap<SigKey, u32>,
+        module: &'a mut ModuleBuilder,
     ) -> Self {
         let n_params = func.params.len();
         let mut locals_map = Vec::with_capacity(func.value_types.len());
@@ -472,7 +466,7 @@ impl<'a> FuncLowering<'a> {
             imported,
             table_slots,
             global_addrs,
-            sig_types,
+            module,
             locals_map,
             extra_locals,
             fp_local: None,
@@ -864,7 +858,7 @@ impl<'a> FuncLowering<'a> {
                 out.push(Instr::CallIndirect(type_idx));
             }
             Expr::FuncAddr(f) => {
-                let slot = self.table_slots[f];
+                let slot = self.table_slots[f.0 as usize];
                 out.push(self.ptr_const(u64::from(slot)));
             }
             Expr::Cast { kind, operand } => {
@@ -920,7 +914,7 @@ impl<'a> FuncLowering<'a> {
     }
 
     fn sig_type_index(&mut self, params: &[IrType], ret: Option<IrType>) -> u32 {
-        self.sig_types[&sig_key(params, ret, self.pw)]
+        self.module.intern_type(func_type(params, ret, self.pw))
     }
 }
 

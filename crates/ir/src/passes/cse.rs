@@ -30,15 +30,16 @@
 //! pointer-width constants lower differently from pointer-typed
 //! registers on 32-bit targets, so those stay in registers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
+use super::Versions;
 use crate::instr::{BinOp, CastKind, Expr, Operand, Stmt, UnOp};
 use crate::module::{AllocaId, FuncId, GlobalId, IrFunction, ValueId};
 use crate::types::IrType;
 
 /// Operand identity at a point in time: register *at a version*, or a
 /// constant by bits.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum OpKey {
     Val(ValueId, u32),
     C32(i32),
@@ -46,8 +47,8 @@ enum OpKey {
     F64(u64),
 }
 
-/// Hashable identity of a pure expression.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// Identity of a pure expression.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum ExprKey {
     Bin(BinOp, IrType, OpKey, OpKey),
     Un(UnOp, IrType, OpKey),
@@ -65,11 +66,11 @@ enum PropVal {
     Copy(ValueId, u32),
 }
 
-type Table = HashMap<ExprKey, (ValueId, u32)>;
-type Prop = HashMap<ValueId, (u32, PropVal)>;
+type Table = BTreeMap<ExprKey, (ValueId, u32)>;
+type Prop = BTreeMap<ValueId, (u32, PropVal)>;
 
 struct Cse<'a> {
-    versions: HashMap<ValueId, u32>,
+    versions: Versions,
     value_types: &'a [IrType],
 }
 
@@ -77,7 +78,7 @@ struct Cse<'a> {
 pub fn run(func: &mut IrFunction) {
     let mut body = std::mem::take(&mut func.body);
     let mut cse = Cse {
-        versions: HashMap::new(),
+        versions: Versions::new(func.value_types.len()),
         value_types: &func.value_types,
     };
     cse.walk(&mut body, &mut Table::new(), &mut Prop::new());
@@ -85,28 +86,8 @@ pub fn run(func: &mut IrFunction) {
 }
 
 impl Cse<'_> {
-    fn version(&self, v: ValueId) -> u32 {
-        self.versions.get(&v).copied().unwrap_or(0)
-    }
-
-    fn bump(&mut self, v: ValueId) {
-        *self.versions.entry(v).or_insert(0) += 1;
-    }
-
     fn value_type(&self, v: ValueId) -> Option<IrType> {
         self.value_types.get(v.0 as usize).copied()
-    }
-
-    fn bump_all_assigned(&mut self, body: &[Stmt]) {
-        let mut dsts = Vec::new();
-        crate::instr::visit_stmts(body, &mut |stmt| {
-            if let Stmt::Assign { dst, .. } = stmt {
-                dsts.push(*dst);
-            }
-        });
-        for dst in dsts {
-            self.bump(dst);
-        }
     }
 
     /// Replaces a register use with its propagated constant or copy
@@ -114,11 +95,11 @@ impl Cse<'_> {
     fn subst(&self, op: &mut Operand, prop: &Prop) {
         if let Operand::Value(v) = op {
             if let Some((dst_ver, pv)) = prop.get(v) {
-                if self.version(*v) == *dst_ver {
+                if self.versions.of(*v) == *dst_ver {
                     match pv {
                         PropVal::Const(c) => *op = *c,
                         PropVal::Copy(src, src_ver) => {
-                            if self.version(*src) == *src_ver {
+                            if self.versions.of(*src) == *src_ver {
                                 *op = Operand::Value(*src);
                             }
                         }
@@ -169,7 +150,7 @@ impl Cse<'_> {
 
     fn op_key(&self, op: &Operand) -> OpKey {
         match op {
-            Operand::Value(v) => OpKey::Val(*v, self.version(*v)),
+            Operand::Value(v) => OpKey::Val(*v, self.versions.of(*v)),
             Operand::ConstI32(c) => OpKey::C32(*c),
             Operand::ConstI64(c) => OpKey::C64(*c),
             Operand::ConstF64(c) => OpKey::F64(c.to_bits()),
@@ -204,14 +185,14 @@ impl Cse<'_> {
                     let key = self.expr_key(expr);
                     if let Some(key) = key {
                         if let Some((prev, prev_ver)) = table.get(&key) {
-                            if self.version(*prev) == *prev_ver && prev != dst {
+                            if self.versions.of(*prev) == *prev_ver && prev != dst {
                                 *expr = Expr::Use(Operand::Value(*prev));
                             }
                         }
                     }
-                    self.bump(*dst);
+                    self.versions.bump(*dst);
                     if let Some(key) = key {
-                        table.insert(key, (*dst, self.version(*dst)));
+                        table.insert(key, (*dst, self.versions.of(*dst)));
                     }
                     let rec = match expr {
                         Expr::Use(c @ (Operand::ConstI32(_) | Operand::ConstI64(_)))
@@ -221,13 +202,13 @@ impl Cse<'_> {
                         }
                         Expr::Use(c @ Operand::ConstF64(_)) => Some(PropVal::Const(*c)),
                         Expr::Use(Operand::Value(src)) => {
-                            Some(PropVal::Copy(*src, self.version(*src)))
+                            Some(PropVal::Copy(*src, self.versions.of(*src)))
                         }
                         _ => None,
                     };
                     match rec {
                         Some(pv) => {
-                            prop.insert(*dst, (self.version(*dst), pv));
+                            prop.insert(*dst, (self.versions.of(*dst), pv));
                         }
                         None => {
                             prop.remove(dst);
@@ -252,8 +233,8 @@ impl Cse<'_> {
                     // Every register assigned anywhere in the loop may
                     // change between iterations; kill entries that
                     // mention them before scanning the loop once.
-                    self.bump_all_assigned(header);
-                    self.bump_all_assigned(body);
+                    self.versions.bump_all_assigned(header);
+                    self.versions.bump_all_assigned(body);
                     let mut t = table.clone();
                     let mut p = prop.clone();
                     self.walk(header, &mut t, &mut p);

@@ -29,13 +29,14 @@
 //! (the load re-extends; the store's operand is not the loaded value);
 //! sub-word load-to-load forwarding is fine (both extend identically).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
+use super::Versions;
 use crate::instr::{Expr, MemTy, Operand, Stmt};
 use crate::module::{IrFunction, ValueId};
 
 /// Address identity: register at a version, or a constant address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum AddrKey {
     Val(ValueId, u32),
     C32(i32),
@@ -50,16 +51,16 @@ struct Known {
     value_ver: u32,
 }
 
-type Table = HashMap<(AddrKey, u64), Known>;
+type Table = BTreeMap<(AddrKey, u64), Known>;
 
 struct Fwd {
-    versions: HashMap<ValueId, u32>,
+    versions: Versions,
 }
 
 /// Runs store-to-load forwarding over `func`.
 pub fn run(func: &mut IrFunction) {
     let mut fwd = Fwd {
-        versions: HashMap::new(),
+        versions: Versions::new(func.value_types.len()),
     };
     fwd.walk(&mut func.body, &mut Table::new());
 }
@@ -90,29 +91,9 @@ fn store_forwardable(ty: MemTy) -> bool {
 }
 
 impl Fwd {
-    fn version(&self, v: ValueId) -> u32 {
-        self.versions.get(&v).copied().unwrap_or(0)
-    }
-
-    fn bump(&mut self, v: ValueId) {
-        *self.versions.entry(v).or_insert(0) += 1;
-    }
-
-    fn bump_all_assigned(&mut self, body: &[Stmt]) {
-        let mut dsts = Vec::new();
-        crate::instr::visit_stmts(body, &mut |stmt| {
-            if let Stmt::Assign { dst, .. } = stmt {
-                dsts.push(*dst);
-            }
-        });
-        for dst in dsts {
-            self.bump(dst);
-        }
-    }
-
     fn addr_key(&self, op: &Operand) -> Option<AddrKey> {
         match op {
-            Operand::Value(v) => Some(AddrKey::Val(*v, self.version(*v))),
+            Operand::Value(v) => Some(AddrKey::Val(*v, self.versions.of(*v))),
             Operand::ConstI32(c) => Some(AddrKey::C32(*c)),
             Operand::ConstI64(c) => Some(AddrKey::C64(*c)),
             Operand::ConstF64(_) => None,
@@ -121,7 +102,7 @@ impl Fwd {
 
     fn value_ver(&self, op: &Operand) -> u32 {
         match op {
-            Operand::Value(v) => self.version(*v),
+            Operand::Value(v) => self.versions.of(*v),
             _ => 0,
         }
     }
@@ -129,7 +110,7 @@ impl Fwd {
     /// Whether a recorded value operand still holds the recorded value.
     fn still_live(&self, k: &Known) -> bool {
         match k.value {
-            Operand::Value(v) => self.version(v) == k.value_ver,
+            Operand::Value(v) => self.versions.of(v) == k.value_ver,
             _ => true,
         }
     }
@@ -143,7 +124,7 @@ impl Fwd {
                         Expr::Call { .. } | Expr::CallIndirect { .. } | Expr::SegmentNew { .. }
                     ) {
                         table.clear();
-                        self.bump(*dst);
+                        self.versions.bump(*dst);
                         continue;
                     }
                     if let Expr::Load { ty, addr, offset } = expr {
@@ -159,23 +140,23 @@ impl Fwd {
                         });
                         if let Some(known) = hit {
                             *expr = Expr::Use(known.value);
-                            self.bump(*dst);
+                            self.versions.bump(*dst);
                         } else {
-                            self.bump(*dst);
+                            self.versions.bump(*dst);
                             if let Some(k) = key {
                                 table.insert(
                                     k,
                                     Known {
                                         ty: lty,
                                         value: Operand::Value(*dst),
-                                        value_ver: self.version(*dst),
+                                        value_ver: self.versions.of(*dst),
                                     },
                                 );
                             }
                         }
                         continue;
                     }
-                    self.bump(*dst);
+                    self.versions.bump(*dst);
                 }
                 Stmt::Perform(expr) => {
                     if matches!(
@@ -228,8 +209,8 @@ impl Fwd {
                     if clobbers_memory(header) || clobbers_memory(body) {
                         table.clear();
                     }
-                    self.bump_all_assigned(header);
-                    self.bump_all_assigned(body);
+                    self.versions.bump_all_assigned(header);
+                    self.versions.bump_all_assigned(body);
                     let mut t = table.clone();
                     self.walk(header, &mut t);
                     self.walk(body, &mut t);

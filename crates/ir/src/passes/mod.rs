@@ -14,7 +14,42 @@ pub mod simplify_cfg;
 pub mod stack_safety;
 pub mod strength_reduce;
 
-use crate::module::IrModule;
+use crate::instr::{visit_stmts, Stmt};
+use crate::module::{value_slot, IrModule, ValueId};
+
+/// Per-register version counters for the passes that key what they know
+/// on a register *at a version* (`cse`, `load_forward`): every assignment
+/// bumps its destination, so an entry recorded at an older version is
+/// stale. Dense by `ValueId`, grown on demand like the other per-register
+/// tables (hand-built IR may name a register past the type table).
+pub(crate) struct Versions(Vec<u32>);
+
+impl Versions {
+    /// All registers of a function with `values` typed registers at 0.
+    pub(crate) fn new(values: usize) -> Self {
+        Versions(vec![0; values])
+    }
+
+    /// The current version of `v` (0 before its first assignment).
+    pub(crate) fn of(&self, v: ValueId) -> u32 {
+        self.0.get(v.0 as usize).copied().unwrap_or(0)
+    }
+
+    pub(crate) fn bump(&mut self, v: ValueId) {
+        *value_slot(&mut self.0, v) += 1;
+    }
+
+    /// Bumps every register assigned anywhere in `body`: a loop's
+    /// registers may change between iterations, so nothing recorded
+    /// before the loop may be trusted inside it.
+    pub(crate) fn bump_all_assigned(&mut self, body: &[Stmt]) {
+        visit_stmts(body, &mut |stmt| {
+            if let Stmt::Assign { dst, .. } = stmt {
+                self.bump(*dst);
+            }
+        });
+    }
+}
 
 thread_local! {
     static WORK_UNITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };

@@ -19,6 +19,10 @@
 //! statement and value id for value id, because wasm local indices (and
 //! the bytecode digests behind them) depend on the exact numbering.
 
+// The models keep the old code verbatim, its std hash containers
+// included; none of them is ever iterated where order could leak out.
+#![allow(clippy::disallowed_types)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// `Ptr` abstracts over the pointer width: it lowers to `i64` on wasm64
 /// (where Cage's metadata bits live) and to `i32` on wasm32 baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IrType {
     /// 32-bit integer (C `int`, comparison results).
     I32,

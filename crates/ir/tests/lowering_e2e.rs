@@ -321,6 +321,20 @@ fn forged_function_pointer_traps_under_auth() {
 }
 
 #[test]
+fn address_of_an_undefined_function_is_malformed() {
+    // Hand-built IR can name a function the module does not have; the
+    // table slots are indexed by `FuncId`, so this must be refused, not
+    // indexed.
+    let mut m = IrModule::new();
+    let mut fb = FunctionBuilder::new("f", &[], Some(IrType::Ptr));
+    let fp = fb.assign(IrType::Ptr, Expr::FuncAddr(cage_ir::FuncId(7)));
+    fb.stmt(Stmt::Return(Some(fp)));
+    m.functions.push(fb.finish());
+    let err = lower(&m, &LowerOptions::default()).unwrap_err();
+    assert!(matches!(err, cage_ir::LowerError::Malformed(_)), "{err}");
+}
+
+#[test]
 fn segments_rejected_on_wasm32() {
     let mut ir = sum_array_module();
     run_pipeline(

@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn every_class_appears() {
         let mut plan = FaultPlan::new(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             seen.insert(plan.next_fault().name());
         }

@@ -259,6 +259,37 @@ fn compiling_twice_gives_the_same_module() {
     }
     assert_eq!(modules.len(), 1, "Engine::compile is not deterministic");
 
+    // A per-process hash seed is the same for every compile above; two
+    // `cagec` processes each draw their own.
+    let dir = std::env::temp_dir();
+    let stem = format!("cage-compile-twice-{}", std::process::id());
+    let source = dir.join(format!("{stem}.c"));
+    std::fs::write(&source, SIX_PROMOTABLE_SLOTS).expect("write source");
+    let texts: Vec<String> = (0..2)
+        .map(|i| {
+            let wat = dir.join(format!("{stem}-{i}.wat"));
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_cagec"))
+                .arg(&source)
+                .args(["--variant", "cage", "--emit-wat"])
+                .arg(&wat)
+                .output()
+                .expect("cagec runs");
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let text = std::fs::read_to_string(&wat).expect("read module text");
+            let _ = std::fs::remove_file(&wat);
+            text
+        })
+        .collect();
+    let _ = std::fs::remove_file(&source);
+    assert_eq!(
+        texts[0], texts[1],
+        "two cagec processes emitted different modules"
+    );
+
     let artifact = engine.compile(SIX_PROMOTABLE_SLOTS).unwrap();
     let mut instance = engine.instantiate(&artifact).unwrap();
     let out = instance.invoke("f", &[Value::I64(5)]).unwrap();

@@ -13,13 +13,13 @@
 //! dissolve into the dataflow, and each remaining dispatch is a generic
 //! 3-address operation — or, after one instruction-selection step
 //! (`select`) over the SSA form, a whole expression tree of them: an
-//! array address, a comparison and the branch on it, an op and the phi
-//! copy of its result. What is retired stays identical, class by class,
-//! to executing the source instructions one by one (which is what the
-//! tree-walking reference in `interp` does) because every register op
-//! carries a *charge recipe* — the classes of the source ops it retired,
-//! in original order — which the dispatch loop charges, as one packed
-//! word of per-class counts, before the op body.
+//! array address (and the load or store through it), a comparison and the
+//! branch on it, an op and the phi copy of its result. What is retired
+//! stays identical, class by class, to executing the source instructions
+//! one by one (which is what the tree-walking reference in `interp` does)
+//! because every register op carries a *charge recipe* — the classes of
+//! the source ops it retired, in original order — which the dispatch loop
+//! charges, as one packed word of per-class counts, before the op body.
 //! The loop dispatches by matching on the [`RegOp`] itself, so a
 //! [`RegCode`] holds nothing per op beyond the op and its recipe.
 //!
@@ -359,18 +359,30 @@ impl IndexExt {
         };
         widened.unwrap_or(x)
     }
+
+    /// `base + self(idx) * k`, wrapping: the `i64.mul` and `i64.add` rows
+    /// an address op stands for — what [`RegOp::IndexAdd`] writes and
+    /// what [`RegOp::LoadIdx`]/[`RegOp::StoreIdx`] access.
+    #[inline(always)]
+    #[must_use]
+    pub fn address(self, base: u64, idx: u64, k: u64) -> u64 {
+        AluOp::I64Add.eval(base, AluOp::I64Mul.eval(self.eval(idx), k))
+    }
 }
 
 /// A register bytecode instruction: generic 3-address operations over a
 /// fixed per-frame register file. No operand stack exists at run time;
 /// branch targets are plain pcs (the register file needs no collapse).
 ///
-/// Three forms retire a whole expression tree in one dispatch, the way
+/// Four forms retire a whole expression tree in one dispatch, the way
 /// the paper's AArch64 backend selects `add Xd, Xn, Wm, SXTW`/`madd` and
-/// `b.cond`/`cbz` for the same trees: [`RegOp::IndexAdd`],
-/// [`RegOp::BrCmp`] and [`RegOp::BrCmpImm`]. Each carries the recipes of
-/// the instructions it stands for, in order, so what is charged — and
-/// where a trap or the end of the fuel finds the counts — does not move.
+/// `b.cond`/`cbz` for the same trees: [`RegOp::IndexAdd`], the access
+/// through such an address ([`RegOp::LoadIdx`]/[`RegOp::StoreIdx`], what
+/// AArch64's register-offset `ldr`/`str` do when the scale is the access
+/// size), [`RegOp::BrCmp`] and [`RegOp::BrCmpImm`]. Each carries the
+/// recipes of the instructions it stands for, in order, so what is
+/// charged — and where a trap or the end of the fuel finds the counts —
+/// does not move.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegOp {
     /// Placeholder that only carries a charge recipe (source ops whose
@@ -544,6 +556,44 @@ pub enum RegOp {
         /// Value register.
         val: u16,
     },
+    /// `dst <- memory[base + ext(idx) * k + offset]`: a
+    /// [`RegOp::IndexAdd`] and the [`RegOp::Load`] that was its only
+    /// reader, fused. Scale and offset are `u32`, which keeps the op at
+    /// three words; wider ones stay two ops.
+    LoadIdx {
+        /// Access width and extension.
+        op: LoadOp,
+        /// Destination register.
+        dst: u16,
+        /// Base register.
+        base: u16,
+        /// Index register.
+        idx: u16,
+        /// How the index widens to `i64`.
+        ext: IndexExt,
+        /// Scale.
+        k: u32,
+        /// Static byte offset.
+        offset: u32,
+    },
+    /// `memory[base + ext(idx) * k + offset] <- val`: the store twin of
+    /// [`RegOp::LoadIdx`].
+    StoreIdx {
+        /// Access width.
+        op: StoreOp,
+        /// Base register.
+        base: u16,
+        /// Index register.
+        idx: u16,
+        /// How the index widens to `i64`.
+        ext: IndexExt,
+        /// Scale.
+        k: u32,
+        /// Static byte offset.
+        offset: u32,
+        /// Value register.
+        val: u16,
+    },
     /// A stateful instruction (see [`SysOp`]), run out of line by the
     /// dispatch loop. Unlike every other op it retires its own
     /// instruction: the recipe holds only what dissolved in front of it,
@@ -644,6 +694,26 @@ enum RInst {
         addr: ssa::Value,
         val: ssa::Value,
     },
+    /// A `Load` at an [`RInst::IndexAdd`]; only [`select`] makes these.
+    LoadIdx {
+        op: LoadOp,
+        offset: u32,
+        dst: ssa::Value,
+        base: ssa::Value,
+        idx: ssa::Value,
+        ext: IndexExt,
+        k: u32,
+    },
+    /// A `Store` at an [`RInst::IndexAdd`]; only [`select`] makes these.
+    StoreIdx {
+        op: StoreOp,
+        offset: u32,
+        base: ssa::Value,
+        idx: ssa::Value,
+        ext: IndexExt,
+        k: u32,
+        val: ssa::Value,
+    },
     Call {
         func: u32,
         args: Vec<ssa::Value>,
@@ -720,9 +790,11 @@ impl RInst {
             | RInst::Una { dst, .. }
             | RInst::IndexAdd { dst, .. }
             | RInst::Select { dst, .. }
-            | RInst::Load { dst, .. } => Some(dst),
+            | RInst::Load { dst, .. }
+            | RInst::LoadIdx { dst, .. } => Some(dst),
             RInst::Flush
             | RInst::Store { .. }
+            | RInst::StoreIdx { .. }
             | RInst::Call { .. }
             | RInst::CallIndirect { .. }
             | RInst::Sys { .. } => None,
@@ -748,10 +820,15 @@ impl RInst {
                 f(Use, *a);
                 f(Def, *dst);
             }
-            RInst::IndexAdd { dst, base, idx, .. } => {
+            RInst::IndexAdd { dst, base, idx, .. } | RInst::LoadIdx { dst, base, idx, .. } => {
                 f(Use, *base);
                 f(Use, *idx);
                 f(Def, *dst);
+            }
+            RInst::StoreIdx { base, idx, val, .. } => {
+                f(Use, *base);
+                f(Use, *idx);
+                f(Use, *val);
             }
             RInst::Select { dst, cond, a, b } => {
                 f(Use, *cond);
@@ -1582,6 +1659,10 @@ fn fused_recipe(parts: &[(RInst, Recipe)], last: &Recipe) -> Recipe {
 ///
 /// * `ext; mul by constant; add` (either operand order, the `ext`
 ///   optional) becomes [`RInst::IndexAdd`];
+/// * an [`RInst::IndexAdd`] whose sum only the load or store right after
+///   it reads, as its address, becomes [`RInst::LoadIdx`] /
+///   [`RInst::StoreIdx`] — when its scale and the access's offset fit a
+///   `u32`;
 /// * an op whose `i32` result — or the `i32.eqz` of it — only a `br_if`
 ///   or an `if` reads becomes that block's [`LTerm::BrCmp`];
 /// * an op whose result only a phi copy of its own block reads writes
@@ -1622,7 +1703,10 @@ fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, Limit
         let first = kept;
         for at in lb.insts.start as usize..lb.insts.end as usize {
             let (mut inst, mut recipe) = std::mem::replace(&mut c.insts[at], (RInst::Flush, 0..0));
-            if let Some((fused, parts)) = index_add(&mut t, &c.insts[first..kept], &inst) {
+            let tail = &c.insts[first..kept];
+            let fusion =
+                index_add(&mut t, tail, &inst).or_else(|| index_access(&mut t, tail, &inst));
+            if let Some((fused, parts)) = fusion {
                 recipe = fused_recipe(&c.insts[kept - parts..kept], &recipe);
                 kept -= parts;
                 inst = fused;
@@ -1710,6 +1794,67 @@ fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Optio
         k,
     };
     Some((fused, parts))
+}
+
+/// [`RInst::LoadIdx`]/[`RInst::StoreIdx`] for `access`, the instruction
+/// about to follow `tail` in its block, replacing the last instruction of
+/// `tail` — when `access` is a load or store, that instruction is an
+/// [`RInst::IndexAdd`] whose sum `access` alone reads, as its address,
+/// and the scale and the access's offset both fit a `u32`.
+fn index_access(
+    t: &mut ValueTable,
+    tail: &[(RInst, Recipe)],
+    access: &RInst,
+) -> Option<(RInst, usize)> {
+    let &(
+        RInst::IndexAdd {
+            dst: sum,
+            base,
+            idx,
+            ext,
+            k,
+        },
+        _,
+    ) = tail.last()?
+    else {
+        return None;
+    };
+    let k = u32::try_from(k).ok()?;
+    let at_sum = |addr: ssa::Value| t.b.resolve(addr) == sum && t.read_once(sum);
+    let fused = match *access {
+        RInst::Load {
+            op,
+            offset,
+            dst,
+            addr,
+        } if at_sum(addr) => RInst::LoadIdx {
+            op,
+            offset: u32::try_from(offset).ok()?,
+            dst,
+            base,
+            idx,
+            ext,
+            k,
+        },
+        RInst::Store {
+            op,
+            offset,
+            addr,
+            val,
+        } if at_sum(addr) => RInst::StoreIdx {
+            op,
+            offset: u32::try_from(offset).ok()?,
+            base,
+            idx,
+            ext,
+            k,
+            val,
+        },
+        _ => return None,
+    };
+    // The sum no longer exists to be read.
+    t.reads[sum as usize] = 0;
+    Some((fused, 1))
 }
 
 /// The terminator `term` of a block fused with the end of its
@@ -2092,6 +2237,40 @@ fn emit_reg(
                     addr: slot(*addr),
                     val: slot(*val),
                 },
+                &RInst::LoadIdx {
+                    op,
+                    offset,
+                    dst,
+                    base,
+                    idx,
+                    ext,
+                    k,
+                } => RegOp::LoadIdx {
+                    op,
+                    dst: slot(dst),
+                    base: slot(base),
+                    idx: slot(idx),
+                    ext,
+                    k,
+                    offset,
+                },
+                &RInst::StoreIdx {
+                    op,
+                    offset,
+                    base,
+                    idx,
+                    ext,
+                    k,
+                    val,
+                } => RegOp::StoreIdx {
+                    op,
+                    base: slot(base),
+                    idx: slot(idx),
+                    ext,
+                    k,
+                    offset,
+                    val: slot(val),
+                },
                 RInst::Call { func, args, rets } => RegOp::Call(Box::new(RegCall {
                     func: *func,
                     args: args.iter().map(|&a| slot(a)).collect(),
@@ -2250,9 +2429,11 @@ fn charge_letter(tag: ChargeTag) -> char {
 /// [`crate::Precompiled::disassemble`] and `cagec --dump-bytecode`.
 /// Registers are frame slots `r0..`; a [`RegOp::Sys`] prints as `bridge`
 /// and the text mnemonic of its instruction; the fused forms print as
-/// what they compute (`r9 <- r7 + sext r5 * 0x8`; `br_cmp I64LtS r1, r2`,
-/// or `br_cmp_z` when it branches on a zero result); each op's charge
-/// recipe is appended as `; charges <letters>` in retired-source order.
+/// what they compute (`r9 <- r7 + sext r5 * 0x8`; an access at such an
+/// address as `r2 <- I64Load offset=0 addr=r7 + sext r5 * 0x8`;
+/// `br_cmp I64LtS r1, r2`, or `br_cmp_z` when it branches on a zero
+/// result); each op's charge recipe is appended as `; charges <letters>`
+/// in retired-source order.
 pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> String {
     use std::fmt::Write as _;
 
@@ -2262,6 +2443,14 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
         format!("[{}]", names.join(", "))
     };
     let br_cmp = |negate: bool| if negate { "br_cmp_z" } else { "br_cmp" };
+    let index = |base: u16, idx: u16, ext: IndexExt, k: u64| {
+        let ext = match ext {
+            IndexExt::None => "",
+            IndexExt::S32 => "sext ",
+            IndexExt::U32 => "zext ",
+        };
+        format!("{} + {ext}{} * {k:#x}", reg(base), reg(idx))
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -2339,25 +2528,13 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 format!("{} <- {op:?} {}, const {k:#x}", reg(*dst), reg(*a))
             }
             RegOp::Una { op, dst, a } => format!("{} <- {op:?} {}", reg(*dst), reg(*a)),
-            RegOp::IndexAdd {
+            &RegOp::IndexAdd {
                 dst,
                 base,
                 idx,
                 ext,
                 k,
-            } => {
-                let ext = match ext {
-                    IndexExt::None => "",
-                    IndexExt::S32 => "sext ",
-                    IndexExt::U32 => "zext ",
-                };
-                format!(
-                    "{} <- {} + {ext}{} * {k:#x}",
-                    reg(*dst),
-                    reg(*base),
-                    reg(*idx)
-                )
-            }
+            } => format!("{} <- {}", reg(dst), index(base, idx, ext, k)),
             RegOp::Select { dst, cond, a, b } => format!(
                 "{} <- select {} ? {} : {}",
                 reg(*dst),
@@ -2384,6 +2561,32 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 "{op:?} offset={offset} addr={}, val={}",
                 reg(*addr),
                 reg(*val)
+            ),
+            &RegOp::LoadIdx {
+                op,
+                dst,
+                base,
+                idx,
+                ext,
+                k,
+                offset,
+            } => format!(
+                "{} <- {op:?} offset={offset} addr={}",
+                reg(dst),
+                index(base, idx, ext, k.into())
+            ),
+            &RegOp::StoreIdx {
+                op,
+                base,
+                idx,
+                ext,
+                k,
+                offset,
+                val,
+            } => format!(
+                "{op:?} offset={offset} addr={}, val={}",
+                index(base, idx, ext, k.into()),
+                reg(val)
             ),
             RegOp::Sys { op, args, ret, imm } => {
                 let ret = match ret {

@@ -383,11 +383,14 @@ impl Gen {
 
     /// Array-address chains — `base + ext(index) * scale`, the shape
     /// instruction selection fuses into one op — then a load or store at
-    /// the computed address. Every spelling: signed, unsigned or no
-    /// widening; the scale on either side of the product and the product
-    /// on either side of the sum; scales that wrap or vanish; and, half
-    /// the time, a second reader of the widened index or of the product
-    /// (through a `local.tee`), which must keep that part an op of its own.
+    /// the computed address, which selection fuses into the access too.
+    /// Every spelling: signed, unsigned or no widening; the scale on
+    /// either side of the product and the product on either side of the
+    /// sum; scales that wrap or vanish; half the time, a second reader of
+    /// the widened index or of the product (through a `local.tee`), which
+    /// must keep that part an op of its own; and what keeps the address
+    /// out of its access — a scale or an offset past `u32::MAX`, or an op
+    /// computing the stored value between the two.
     fn addr_chain_statement(&mut self, out: &mut Vec<Instr>) {
         let mut base = Vec::new();
         if self.rng.gen() {
@@ -412,7 +415,9 @@ impl Gen {
                 Instr::I64And,
             ]),
         }
-        let scale = Instr::I64Const([8, 8, 8, 1, 0, -1, 24, i64::MIN][self.upto(8)]);
+        // The last three do not fit the `u32` scale of a fused access.
+        let scales = [8, 8, 8, 1, 0, 24, u32::MAX.into(), 1 << 32, -1, i64::MIN];
+        let scale = Instr::I64Const(scales[self.upto(scales.len())]);
         // Second readers: of the index, of the product, or none.
         let reread = self.upto(4);
         if reread == 0 {
@@ -437,16 +442,33 @@ impl Gen {
         out.push(Instr::I64Add);
         out.push(Instr::LocalSet(SCR));
         out.push(Instr::LocalGet(SCR));
-        let offset = MemArg::offset(self.rng.next_u64() % 32);
-        if self.rng.gen() {
-            out.push(Instr::Load(LoadOp::I64Load, offset));
-            out.push(Instr::LocalSet(self.pick_dst_local()));
-        } else if self.rng.gen() {
-            out.push(Instr::LocalGet(self.pick_i64_local()));
-            out.push(Instr::Store(StoreOp::I64Store, offset));
-        } else {
-            out.push(Instr::I64Const(self.small_const()));
-            out.push(Instr::Store(StoreOp::I64Store, offset));
+        // Mostly small; sometimes the largest offset a fused access holds,
+        // or one past it.
+        let offset = match self.upto(8) {
+            0 => u64::from(u32::MAX),
+            1 => 1 << 32,
+            _ => self.rng.next_u64() % 32,
+        };
+        let offset = MemArg::offset(offset);
+        match self.upto(4) {
+            0 | 1 => {
+                out.push(Instr::Load(LoadOp::I64Load, offset));
+                out.push(Instr::LocalSet(self.pick_dst_local()));
+            }
+            2 => {
+                out.push(Instr::LocalGet(self.pick_i64_local()));
+                out.push(Instr::Store(StoreOp::I64Store, offset));
+            }
+            _ => {
+                // A stored value computed after the address: an op stands
+                // between the address and the store half the time.
+                out.push(Instr::I64Const(self.small_const()));
+                if self.rng.gen() {
+                    out.push(Instr::LocalGet(self.pick_i64_local()));
+                    out.push(Instr::I64Xor);
+                }
+                out.push(Instr::Store(StoreOp::I64Store, offset));
+            }
         }
     }
 
@@ -1743,6 +1765,47 @@ fn generator_emits_every_stateful_instruction() {
         }
     }
     assert_eq!(seen, [true; 12], "stateful instructions generated");
+}
+
+/// The address chains reach both fused accesses — at the largest offset
+/// they hold, too — and the selection's refusals: an address op left in
+/// front of a plain load or store, for a scale or an offset past `u32` or
+/// an op standing between the two.
+#[test]
+fn generator_reaches_fused_accesses_and_their_refusals() {
+    use crate::bytecode::{compile_reg, RegOp};
+    // load, store, load at offset u32::MAX, address then plain access
+    let mut seen = [false; 4];
+    for seed in 0..150 {
+        let module = random_module(seed);
+        let limits = cage_wasm::CompileLimits::unlimited();
+        for func in &module.funcs {
+            let ty = &module.types[func.type_idx as usize];
+            let code = compile_reg(
+                &module,
+                ty,
+                func.locals.len(),
+                &func.body,
+                &limits,
+                &limits.fuel(),
+            )
+            .expect("unlimited lowering cannot bust a limit");
+            for pair in code.ops.windows(2) {
+                match pair {
+                    [_, RegOp::LoadIdx { offset, .. }] => {
+                        seen[0] = true;
+                        seen[2] |= *offset == u32::MAX;
+                    }
+                    [_, RegOp::StoreIdx { .. }] => seen[1] = true,
+                    [RegOp::IndexAdd { .. }, RegOp::Load { .. } | RegOp::Store { .. }] => {
+                        seen[3] = true;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert_eq!(seen, [true; 4], "fused accesses and refusals generated");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
 //! fixed per-frame register file — and executed by `Interp::run_reg`:
 //! one function holding one `loop { match op }`, a single jump table over
-//! the 21 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
+//! the 23 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
 //! (how many source instructions of each class it retires, packed into
 //! one word) to a running sum held in a register and then runs the op's
 //! arm, so the per-class retired counts are exactly those of retiring the
@@ -39,7 +39,7 @@
 //! arguments for the typed boundary, nothing else does). The 128 numeric
 //! instructions run the rows of the table in `cage_wasm::numeric`
 //! (`AluOp`/`DivOp`/`UnaOp::eval`, inlined into the loop's arms — the four
-//! generic ones and the three fused forms — and charged by the recipe).
+//! generic ones and the five fused forms — and charged by the recipe).
 //! The twelve stateful ones (globals, memory management, segments, pointer
 //! sign/auth, `unreachable`) are one arm, [`RegOp::Sys`], which calls the
 //! out-of-line `RegState::sys`: twelve register-form bodies written from
@@ -65,7 +65,7 @@ use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::numeric::{get_i32, slot_i32, slot_i64};
 use cage_wasm::FuncType;
 
-use crate::bytecode::{unpack_lanes, AluOp, RegCallIndirect, RegCode, RegOp, SysOp, LANE_GUARD};
+use crate::bytecode::{unpack_lanes, RegCallIndirect, RegCode, RegOp, SysOp, LANE_GUARD};
 use crate::config::ExecConfig;
 use crate::cost::ChargeClass;
 use crate::host::HostContext;
@@ -298,7 +298,7 @@ impl<'s> Interp<'s> {
 // Register dispatch
 // ===========================================================================
 //
-// One function, one `loop { match op }` over the 21 `RegOp` kinds (a single
+// One function, one `loop { match op }` over the 23 `RegOp` kinds (a single
 // jump table whose layout is the compiler's, not the linker's), with an
 // explicit call stack of function *indices* into the template's function
 // table — borrowed once per invocation, so a guest call or return touches
@@ -803,10 +803,7 @@ impl Interp<'_> {
                     idx,
                     ext,
                     k,
-                } => {
-                    let scaled = AluOp::I64Mul.eval(ext.eval(st.get(idx)), k);
-                    st.set(dst, AluOp::I64Add.eval(st.get(base), scaled));
-                }
+                } => st.set(dst, ext.address(st.get(base), st.get(idx), k)),
                 &RegOp::Select { dst, cond, a, b } => {
                     let v = if get_i32(st.get(cond)) != 0 {
                         st.get(a)
@@ -830,6 +827,31 @@ impl Interp<'_> {
                     addr,
                     val,
                 } => tri!(st.store_scalar(op, st.get(addr), offset, st.get(val))),
+                &RegOp::LoadIdx {
+                    op,
+                    dst,
+                    base,
+                    idx,
+                    ext,
+                    k,
+                    offset,
+                } => {
+                    let addr = ext.address(st.get(base), st.get(idx), k.into());
+                    let v = tri!(st.load_scalar(op, addr, offset.into()));
+                    st.set(dst, v);
+                }
+                &RegOp::StoreIdx {
+                    op,
+                    base,
+                    idx,
+                    ext,
+                    k,
+                    offset,
+                    val,
+                } => {
+                    let addr = ext.address(st.get(base), st.get(idx), k.into());
+                    tri!(st.store_scalar(op, addr, offset.into(), st.get(val)));
+                }
                 &RegOp::Sys { op, args, ret, imm } => tri!(st.sys(op, args, ret, imm)),
             }
             pc += 1;
@@ -896,27 +918,21 @@ mod tests {
 
     #[test]
     fn fast_addr_matches_resolve_arithmetic() {
-        // In-bounds, overflow in index+offset, and end-past-size all
-        // produce the same traps `resolve()` would.
-        assert_eq!(fast_addr(16, 8, 4, true, 4096), Ok(24));
+        // In bounds, the address `resolve()` computes; overflow in
+        // index + offset or an end past the bound, no fast path at all.
+        assert_eq!(fast_addr(16, 8, 4, true, 4096), Some(24));
         // memory64 masks the tag bits out of the index.
-        assert_eq!(fast_addr((7 << 56) | 16, 0, 4, true, 4096), Ok(16));
+        assert_eq!(fast_addr((7 << 56) | 16, 0, 4, true, 4096), Some(16));
         // wasm32 indices arrive zero-extended: no masking.
-        assert!(matches!(
-            fast_addr(u64::MAX, 1, 4, false, 4096),
-            Err(Trap::OutOfBounds {
-                addr: u64::MAX,
-                len: 4
-            })
-        ));
-        assert!(matches!(
-            fast_addr(4093, 0, 4, true, 4096),
-            Err(Trap::OutOfBounds { addr: 4093, len: 4 })
-        ));
-        // addr + width overflow is out of bounds, not a wrap.
-        assert!(matches!(
-            fast_addr(ADDR_MASK, 0, 8, false, 4096),
-            Err(Trap::OutOfBounds { .. })
-        ));
+        assert_eq!(
+            fast_addr(ADDR_MASK + 1, 0, 4, false, u64::MAX),
+            Some(ADDR_MASK + 1)
+        );
+        assert_eq!(fast_addr(u64::MAX, 1, 4, false, u64::MAX), None);
+        // The access may end exactly at the bound.
+        assert_eq!(fast_addr(4092, 0, 4, true, 4096), Some(4092));
+        assert_eq!(fast_addr(4093, 0, 4, true, 4096), None);
+        // addr + width overflow is a miss, not a wrap.
+        assert_eq!(fast_addr(u64::MAX - 3, 0, 8, false, u64::MAX), None);
     }
 }

@@ -43,16 +43,24 @@
 //!
 //! # The scalar fast path
 //!
-//! An untagged memory keeps `scalar_bound = min(guest size, committed)`:
-//! a scalar access ending at or below it is inside guest memory and inside
-//! the prefix, so the scalar accessors index `data` after one
-//! overflow-checked add and one compare (`fast_addr`). Anything else — a
-//! miss, or any access to a tagged memory, whose bound stays 0 — falls
-//! through to [`LinearMemory::resolve`], which decides it in full. The
-//! field is written where the minimum can move: `commit` raises it, and
-//! `reset` of a grown memory lowers it. (`grow` raises the guest size
-//! only above a prefix of whole pages, so the minimum stays put unless
-//! the grow's own `commit` moves it.)
+//! Every memory keeps `scalar_bound = min(guest size, committed)`: a
+//! scalar access ending at or below it is inside guest memory and inside
+//! the prefix, so neither the software bounds check nor the commit can
+//! fail. An untagged memory then indexes `data` after one overflow-checked
+//! add and one compare (`fast_addr`). A tag-checked memory also compares
+//! the nibbles of the access's first and last granule — all it touches, at
+//! 8 bytes or fewer — against the pointer's tag
+//! ([`TagMemory::check_scalar`], the one-granule compare MTE hardware
+//! makes on every access), which counts a check only when it passes.
+//! Anything else — past the bound, a stale or forged tag, a straddle onto
+//! a granule of another tag — falls through to [`LinearMemory::resolve`],
+//! which decides it in full, counts its check and builds the trap. So the
+//! fast path moves no result, trap payload or check count. The field is
+//! written where the minimum can move: `commit` raises it, and `reset` of
+//! a grown memory lowers it. (`grow` raises the guest size only above a
+//! prefix of whole pages, so the minimum stays put unless the grow's own
+//! `commit` moves it.) Retagging never moves it: tags are compared on
+//! every access, not folded into the bound.
 //!
 //! The tag store stays eager: it is 1/32 of the data (3 µs per 4 MiB) and
 //! pre-tagging it is the instantiation cost §7.2 measures.
@@ -186,9 +194,8 @@ pub struct LinearMemory {
     segments_live: bool,
     /// … ordinary accesses are tag-checked at all.
     tag_checked: bool,
-    /// The scalar fast path's bound (see the module docs): `min(guest_size,
-    /// data.len())` when `!tag_checked`, else 0, which no scalar access is
-    /// under.
+    /// The scalar fast path's bound (see the module docs):
+    /// `min(guest_size, data.len())`, under every scheme.
     scalar_bound: u64,
     pool: TagPool,
     /// Construction parameters retained so [`LinearMemory::reset`] can
@@ -308,11 +315,7 @@ impl LinearMemory {
     /// from [`LinearMemory::commit`] and [`LinearMemory::reset`] only.
     #[inline]
     fn set_scalar_bound(&mut self) {
-        self.scalar_bound = if self.tag_checked {
-            0
-        } else {
-            self.guest_size.min(self.data.len() as u64)
-        };
+        self.scalar_bound = self.guest_size.min(self.data.len() as u64);
     }
 
     /// The miss path of the final check in [`LinearMemory::resolve`] and
@@ -469,8 +472,8 @@ impl LinearMemory {
     }
 
     /// Whether ordinary accesses are tag-checked at all: every scheme but
-    /// [`TagScheme::None`]. Exactly when this is `false` the scalar
-    /// accessors may skip [`LinearMemory::resolve`] (see the module docs);
+    /// [`TagScheme::None`]. When it is, the scalar fast path compares the
+    /// access's granule tags as well as its bound (see the module docs);
     /// the answer is for observers, no caller needs it to access memory.
     #[must_use]
     pub fn tag_checked(&self) -> bool {
@@ -753,19 +756,19 @@ impl LinearMemory {
 
     /// Checked scalar read: the `width` low bytes at `index + offset`,
     /// little-endian-assembled into a `u64` (`width` ≤ 8) — the one scalar
-    /// load path. Under the scalar bound it is one compare and a direct
-    /// read; anything else is decided by [`LinearMemory::resolve`], with
-    /// identical results and trap payloads.
+    /// load path. Under the scalar bound it is one compare (and, on a
+    /// tag-checked memory, the granule-tag compare) and a direct read;
+    /// anything else is decided by [`LinearMemory::resolve`], with
+    /// identical results, trap payloads and check counts.
     ///
     /// # Errors
     ///
     /// See [`LinearMemory::resolve`].
     #[inline(always)]
     pub fn read_scalar(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
-        debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-        let addr = match fast_addr(index, offset, width, self.memory64, self.scalar_bound) {
-            Ok(addr) => addr,
-            Err(_) => self.resolve(index, offset, width, AccessKind::Read)?,
+        let addr = match self.scalar_addr(index, offset, width) {
+            Some(addr) => addr,
+            None => self.resolve(index, offset, width, AccessKind::Read)?,
         };
         Ok(self.read_le(addr, width))
     }
@@ -785,13 +788,30 @@ impl LinearMemory {
         width: u64,
         raw: u64,
     ) -> Result<(), Trap> {
-        debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
-        let addr = match fast_addr(index, offset, width, self.memory64, self.scalar_bound) {
-            Ok(addr) => addr,
-            Err(_) => self.resolve(index, offset, width, AccessKind::Write)?,
+        let addr = match self.scalar_addr(index, offset, width) {
+            Some(addr) => addr,
+            None => self.resolve(index, offset, width, AccessKind::Write)?,
         };
         self.write_le(addr, width, raw);
         Ok(())
+    }
+
+    /// The scalar fast path (see the module docs): the address of a
+    /// `width`-byte access at `index + offset` when it ends under the
+    /// scalar bound and, on a tag-checked memory, its first and last
+    /// granule carry the pointer's tag. `None` leaves the access to
+    /// [`LinearMemory::resolve`]: so does a zero width, which touches no
+    /// granule and checks none.
+    #[inline(always)]
+    fn scalar_addr(&mut self, index: u64, offset: u64, width: u64) -> Option<u64> {
+        debug_assert!(width <= 8, "scalar accesses are at most 8 bytes");
+        let addr = fast_addr(index, offset, width, self.memory64, self.scalar_bound)?;
+        let tag_ok = !self.tag_checked
+            || (width != 0
+                && self
+                    .tags
+                    .check_scalar(addr, width, self.scheme.ptr_tag(index)));
+        tag_ok.then_some(addr)
     }
 
     /// Checked bulk fill (`memory.fill`, libc `memset`): resolves the whole
@@ -961,28 +981,17 @@ impl LinearMemory {
     }
 }
 
-/// The scalar fast path's address computation: bit-identical to the
-/// [`LinearMemory::resolve`] arithmetic for configurations with no live
-/// tag checks — same masking, same overflow handling, same trap payloads.
-/// The scalar accessors run it against the memory's scalar bound and
-/// discard its `Err`: a miss is [`LinearMemory::resolve`]'s to decide.
+/// The scalar fast path's address computation: the
+/// [`LinearMemory::resolve`] arithmetic — same masking, same overflow
+/// handling — and `Some` exactly when the access ends at or below `bound`.
+/// A miss carries no trap: it is [`LinearMemory::resolve`]'s to decide.
 #[inline(always)]
-pub(crate) fn fast_addr(
-    index: u64,
-    offset: u64,
-    width: u64,
-    m64: bool,
-    bound: u64,
-) -> Result<u64, Trap> {
+pub(crate) fn fast_addr(index: u64, offset: u64, width: u64, m64: bool, bound: u64) -> Option<u64> {
     let base = if m64 { index & ADDR_MASK } else { index };
-    let addr = base.checked_add(offset).ok_or(Trap::OutOfBounds {
-        addr: u64::MAX,
-        len: width,
-    })?;
-    match addr.checked_add(width) {
-        Some(end) if end <= bound => Ok(addr),
-        _ => Err(Trap::OutOfBounds { addr, len: width }),
-    }
+    let addr = base.checked_add(offset)?;
+    addr.checked_add(width)
+        .is_some_and(|end| end <= bound)
+        .then_some(addr)
 }
 
 #[cfg(test)]

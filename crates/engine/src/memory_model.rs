@@ -369,23 +369,19 @@ fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
         "{what}: committed prefix {committed:#x} is neither page-rounded nor all of {total:#x}"
     );
     // The scalar fast path is taken only under the bound, which is the
-    // guest size capped by the prefix for an untagged memory and admits
-    // nothing for a tagged one.
-    let untagged = !model.sandboxed() && !model.segments_live();
+    // guest size capped by the prefix under every scheme: a tagged memory
+    // compares the granule tags on top of it, so the tag check count
+    // above is what holds that compare to `resolve`.
     assert_eq!(
         real.scalar_bound(),
-        if untagged {
-            committed.min(model.guest_size)
-        } else {
-            0
-        },
+        committed.min(model.guest_size),
         "{what}: scalar bound"
     );
 }
 
 /// One seeded run: a stream of random steps against both memories,
 /// comparing every returned value and the whole state after each.
-fn run_against_model(seed: u64, scheme: TagScheme) {
+fn run_against_model(seed: u64, mut scheme: TagScheme) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pages = 1 + below(&mut rng, 2);
     let max_pages = Some(pages + 2);
@@ -413,7 +409,7 @@ fn run_against_model(seed: u64, scheme: TagScheme) {
         if !memory64 {
             index &= u64::from(u32::MAX);
         }
-        let op = below(&mut rng, 20);
+        let op = below(&mut rng, 23);
         match op {
             0..=2 => {
                 let (width, offset) = (1 << below(&mut rng, 4), below(&mut rng, 3) * 7);
@@ -532,6 +528,80 @@ fn run_against_model(seed: u64, scheme: TagScheme) {
             }
             // The tenant dies between two accesses (see the recycle below).
             18 => {}
+            // A committed page reached through a stale tag: an access
+            // through a live segment commits its page, the segment is
+            // freed, and the old pointer loads and stores again.
+            20 => {
+                let (ptr, len) = segments.pop().unwrap_or((index, 16));
+                let width = 1 << below(&mut rng, 4);
+                let at = below(&mut rng, len - width + 1);
+                let raw = rng.next_u64();
+                let access = format!("{what}: stale {width}-byte access at {ptr:#x}+{at}");
+                assert_eq!(
+                    real.write_scalar(ptr, at, width, raw),
+                    model.write_scalar(ptr, at, width, raw),
+                    "{access}: before the free"
+                );
+                assert_eq!(
+                    real.segment_free(ptr & !0xF, len),
+                    model.segment_free(ptr & !0xF, len),
+                    "{access}: the free"
+                );
+                assert_eq!(
+                    real.read_scalar(ptr, at, width),
+                    model.read_scalar(ptr, at, width),
+                    "{access}: load"
+                );
+                assert_eq!(
+                    real.write_scalar(ptr, at, width, !raw),
+                    model.write_scalar(ptr, at, width, !raw),
+                    "{access}: store"
+                );
+            }
+            // A scalar straddling a segment's edge, on a committed page:
+            // its first granule inside and its last outside, or the other
+            // way round.
+            21 => {
+                let (ptr, len) = segments.last().copied().unwrap_or((index & !0xF, 16));
+                let width = [2, 4, 8][below(&mut rng, 3) as usize];
+                let half = width / 2;
+                assert_eq!(
+                    real.write_scalar(ptr, 0, 1, 0x5A),
+                    model.write_scalar(ptr, 0, 1, 0x5A),
+                    "{what}: touch {ptr:#x}"
+                );
+                let (at, offset) = if rng.gen() || ptr & ADDR_MASK < half {
+                    (ptr, len - half)
+                } else {
+                    (ptr - half, 0)
+                };
+                let access = format!("{what}: {width}-byte straddle at {at:#x}+{offset}");
+                assert_eq!(
+                    real.read_scalar(at, offset, width),
+                    model.read_scalar(at, offset, width),
+                    "{access}: load"
+                );
+                let raw = rng.next_u64();
+                assert_eq!(
+                    real.write_scalar(at, offset, width, raw),
+                    model.write_scalar(at, offset, width, raw),
+                    "{access}: store"
+                );
+            }
+            // The tenant is retired with its memory, and the slot's next
+            // memory is built under a tag another tenant handed back (a
+            // sandbox tag other than this one's). Its old pointers stay in
+            // play.
+            22 => {
+                if let TagScheme::ExternalOnly { instance_tag } = scheme {
+                    let other = 1 + (instance_tag.value() + below(&mut rng, 14) as u8) % 15;
+                    scheme = TagScheme::ExternalOnly {
+                        instance_tag: Tag::from_low_bits(other),
+                    };
+                }
+                real = LinearMemory::new(pages, max_pages, memory64, scheme, tag_seed);
+                model = Eager::new(pages, max_pages, memory64, scheme, tag_seed);
+            }
             // The `&self` readers, anywhere inside guest memory plus
             // slack: committed or not, they see the logical image.
             _ => {

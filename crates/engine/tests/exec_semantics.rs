@@ -1540,6 +1540,169 @@ fn selection_index_add_rows_agree_with_the_tree_oracle() {
     assert_eq!(out, Ok(vec![0x10010 + 24 * u64::from(u32::MAX)]));
 }
 
+/// `base + ext(idx) * k` in one of three spellings (the product on the
+/// sum's right or left, the scale on the product's right or left), as
+/// [`selection_index_add_rows_agree_with_the_tree_oracle`] builds it:
+/// local 0 is the base, local 1 the index.
+fn index_address(ext: Option<&Instr>, k: i64, order: usize) -> Vec<Instr> {
+    let index = [Instr::LocalGet(1)].into_iter().chain(ext.cloned());
+    let mut body = Vec::new();
+    match order {
+        0 => {
+            body.push(Instr::LocalGet(0));
+            body.extend(index);
+            body.extend([Instr::I64Const(k), Instr::I64Mul]);
+        }
+        1 => {
+            body.extend(index);
+            body.extend([Instr::I64Const(k), Instr::I64Mul, Instr::LocalGet(0)]);
+        }
+        _ => {
+            body.extend([Instr::LocalGet(0), Instr::I64Const(k)]);
+            body.extend(index);
+            body.push(Instr::I64Mul);
+        }
+    }
+    body.push(Instr::I64Add);
+    body
+}
+
+#[test]
+fn selection_fuses_an_address_into_the_access_that_reads_it() {
+    use ValType::{I32, I64};
+    let exts = [
+        (IndexExt::None, None),
+        (IndexExt::S32, Some(Instr::I64ExtendI32S)),
+        (IndexExt::U32, Some(Instr::I64ExtendI32U)),
+    ];
+    // Store the third argument at `base + ext(idx) * k + offset`, then
+    // load it back from there: a fused store, then a fused load.
+    let widths = [
+        (StoreOp::I64Store, LoadOp::I64Load),
+        (StoreOp::I64Store32, LoadOp::I64Load32S),
+        (StoreOp::I64Store8, LoadOp::I64Load8U),
+    ];
+    let value = 0x0123_4567_89AB_CDEFi64 | i64::MIN;
+    for (ext, ext_instr) in &exts {
+        for k in [8i64, 1, 0, 24, i64::from(u32::MAX)] {
+            for order in 0..3 {
+                for (store, load) in widths {
+                    let offset = 16;
+                    let what = format!("{ext:?} * {k} (order {order}) {store:?}/{load:?}");
+                    let mut body = index_address(ext_instr.as_ref(), k, order);
+                    body.push(Instr::LocalGet(2));
+                    body.push(Instr::Store(store, MemArg::offset(offset)));
+                    body.extend(index_address(ext_instr.as_ref(), k, order));
+                    body.push(Instr::Load(load, MemArg::offset(offset)));
+                    let idx_ty = if *ext == IndexExt::None { I64 } else { I32 };
+                    let (m, code) = lowered(&what, &[I64, idx_ty, I64], &[I64], &[], body);
+                    let k32 = k as u32;
+                    assert!(
+                        matches!(
+                            code.ops.as_ref(),
+                            [
+                                RegOp::StoreIdx { op: s, ext: e1, k: k1, offset: 16, .. },
+                                RegOp::LoadIdx { op: l, ext: e2, k: k2, offset: 16, .. },
+                                RegOp::Ret { .. }
+                            ] if *s == store && *l == load && e1 == ext && e2 == ext
+                                && *k1 == k32 && *k2 == k32
+                        ),
+                        "{what}: {:?}",
+                        code.ops
+                    );
+                    // In bounds (index 0 and 1 are, whatever the scale is,
+                    // from a base far enough below the end), wrapped far
+                    // out, and one past the last word.
+                    let rows = [
+                        (0x100i64, 0i64),
+                        (0x100, 1),
+                        (0x100, -1),
+                        (PAGE_BYTES - 24 - k.min(PAGE_BYTES), 1),
+                        (PAGE_BYTES - 23, 0),
+                    ];
+                    for (base, idx) in rows {
+                        let (arg, wide) = match ext {
+                            IndexExt::None => (Value::I64(idx), idx),
+                            IndexExt::S32 => (Value::I32(idx as i32), i64::from(idx as i32)),
+                            IndexExt::U32 => (Value::I32(idx as i32), i64::from(idx as u32)),
+                        };
+                        let args = [Value::I64(base), arg, Value::I64(value)];
+                        let (out, counts) = on_both_tiers(&what, &m, &args);
+                        let at = base.wrapping_add(wide.wrapping_mul(k)) as u64;
+                        let width = match load {
+                            LoadOp::I64Load => 8,
+                            LoadOp::I64Load32S => 4,
+                            _ => 1,
+                        };
+                        if at
+                            .checked_add(offset + width)
+                            .is_some_and(|end| end <= PAGE_BYTES as u64)
+                        {
+                            let expected = match load {
+                                LoadOp::I64Load => value,
+                                LoadOp::I64Load32S => i64::from(value as i32),
+                                _ => value & 0xFF,
+                            };
+                            assert_eq!(out, Ok(vec![expected as u64]), "{what}: {base} {idx}");
+                            let widenings = 2 * u64::from(*ext != IndexExt::None);
+                            // Twice get, get, const, mul, add, and the
+                            // access; the stored value's get; the widenings.
+                            assert_eq!(counts.get(ChargeClass::Mem), 2, "{what}");
+                            assert_eq!(counts.get(ChargeClass::Zero), widenings, "{what}");
+                            assert_eq!(counts.instr_count(), 13 + widenings, "{what}");
+                        } else {
+                            assert!(
+                                matches!(out, Err(Trap::OutOfBounds { .. })),
+                                "{what}: {base} {idx}: {out:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // The access traps behind its fused address exactly where the two ops
+    // it replaces did: after all of their charges.
+    let (m, code) = lowered(
+        "out-of-bounds fused load",
+        &[I64, I32],
+        &[I64],
+        &[],
+        [
+            index_address(Some(&Instr::I64ExtendI32S), 8, 0),
+            vec![Instr::Load(LoadOp::I64Load, MemArg::none())],
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        count_ops(&code, |o| matches!(o, RegOp::LoadIdx { .. })),
+        1,
+        "{:?}",
+        code.ops
+    );
+    let (out, counts) = on_both_tiers(
+        "out-of-bounds fused load",
+        &m,
+        &[Value::I64(PAGE_BYTES - 8), Value::I32(1)],
+    );
+    assert_eq!(
+        out,
+        Err(Trap::OutOfBounds {
+            addr: PAGE_BYTES as u64,
+            len: 8
+        })
+    );
+    let mut expected = ChargeCounts::default();
+    expected.counts[ChargeClass::Simple as usize] = 5;
+    expected.counts[ChargeClass::Zero as usize] = 1;
+    expected.counts[ChargeClass::Mem as usize] = 1;
+    assert_eq!(counts, expected);
+}
+
+/// One page of linear memory, in bytes.
+const PAGE_BYTES: i64 = cage_wasm::types::PAGE_SIZE as i64;
+
 #[test]
 fn selection_compare_and_branch_rows_agree_with_the_tree_oracle() {
     // Every comparison row of the numeric table (opcodes 0x46..=0x66, the
@@ -2133,5 +2296,97 @@ fn selection_must_not_fuse_table() {
     for (n, expected) in [(0i64, 0u64), (1, 1), (2, 1), (10, 55)] {
         let (out, _) = on_both_tiers("fibonacci swap", &m, &[Value::I64(n)]);
         assert_eq!(out, Ok(vec![expected]), "fib({n})");
+    }
+
+    // An address stays an op of its own, and its access a plain one, when
+    // something else reads it too, when the scale or the offset does not
+    // fit the fused op's `u32`, or when an instruction stands between the
+    // two. Each row: (what, body, arguments, expected result).
+    type Row = (&'static str, Vec<Instr>, [Value; 2], Result<Vec<u64>, Trap>);
+    let fused = |code: &RegCode| {
+        count_ops(code, |o| {
+            matches!(o, RegOp::LoadIdx { .. } | RegOp::StoreIdx { .. })
+        })
+    };
+    let address = |k: i64| index_address(Some(&Instr::I64ExtendI32S), k, 0);
+    let load_at = |k: i64, offset: u64| {
+        [
+            address(k),
+            vec![Instr::Load(LoadOp::I64Load, MemArg::offset(offset))],
+        ]
+        .concat()
+    };
+    let rows: [Row; 5] = [
+        (
+            "address read twice",
+            [
+                address(8),
+                vec![
+                    Instr::LocalTee(2),
+                    Instr::Load(LoadOp::I64Load, MemArg::none()),
+                    Instr::LocalGet(2),
+                    Instr::I64Add,
+                ],
+            ]
+            .concat(),
+            [Value::I64(0x100), Value::I32(2)],
+            Ok(vec![0x110]),
+        ),
+        (
+            "scale past u32::MAX",
+            load_at(1 << 32, 0),
+            [Value::I64(0x100), Value::I32(0)],
+            Ok(vec![0]),
+        ),
+        (
+            "offset past u32::MAX",
+            load_at(8, 1 << 32),
+            [Value::I64(0x100), Value::I32(0)],
+            Err(Trap::OutOfBounds {
+                addr: (1 << 32) + 0x100,
+                len: 8,
+            }),
+        ),
+        (
+            "offset u32::MAX",
+            load_at(8, u64::from(u32::MAX)),
+            [Value::I64(0x100), Value::I32(0)],
+            Err(Trap::OutOfBounds {
+                addr: u64::from(u32::MAX) + 0x100,
+                len: 8,
+            }),
+        ),
+        (
+            // The stored value is computed after the address: the `add`
+            // runs between it and the store.
+            "an op between address and store",
+            [
+                address(8),
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::Store(StoreOp::I64Store, MemArg::none()),
+                    Instr::LocalGet(0),
+                    Instr::Load(LoadOp::I64Load, MemArg::offset(8)),
+                ],
+            ]
+            .concat(),
+            [Value::I64(0x100), Value::I32(1)],
+            Ok(vec![0x101]),
+        ),
+    ];
+    for (what, body, args, expected) in rows {
+        let (m, code) = lowered(what, &[I64, I32], &[I64], &[I64], body);
+        // `offset u32::MAX` is the one row that does fit.
+        let fuses = usize::from(what == "offset u32::MAX");
+        assert_eq!(
+            (fused(&code), index_adds(&code)),
+            (fuses, 1 - fuses),
+            "{what}: {:?}",
+            code.ops
+        );
+        let (out, _) = on_both_tiers(what, &m, &args);
+        assert_eq!(out, expected, "{what}");
     }
 }

@@ -1249,8 +1249,8 @@ fn selection_keeps_trap_and_preemption_points() {
     let pre = Precompiled::new(&module).expect("compiles");
     let text = |func: u32| pre.disassemble(func).expect("local function");
     assert!(
-        text(load).contains("r2 <- r0 + sext r1 * 0x8  ; charges sszsss\n")
-            && text(load).contains("I64Load offset=0 addr=r2  ; charges m\n"),
+        text(load).contains("<- I64Load offset=0 addr=r0 + sext r1 * 0x8  ; charges sszsssm\n")
+            && !text(load).contains("<- r0 + sext"),
         "{}",
         text(load)
     );

@@ -29,7 +29,8 @@ pub struct TagMemory {
     /// overhead ratio the paper uses in §7.3.
     nibbles: Vec<u8>,
     size: u64,
-    /// Statistics: checks performed (used by the cost model and tests).
+    /// Statistics: checks performed. Only tests and the reference models
+    /// read it; the cost model charges tag checks by instruction class.
     checks: u64,
 }
 
@@ -249,6 +250,26 @@ impl TagMemory {
                 access: kind,
             }),
         }
+    }
+
+    /// The scalar fast path's check: whether the first and the last
+    /// granule of `[addr, addr + width)` carry `ptr_tag` — every granule
+    /// of an access of 1 to 16 bytes. Only a pass counts as a check: a
+    /// caller that gets `false` decides the access with
+    /// [`TagMemory::check_access`], which counts it there, so the count
+    /// is the same whichever path an access takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` is 0 or the range leaves the covered region;
+    /// callers bound the access first.
+    #[inline(always)]
+    pub fn check_scalar(&mut self, addr: u64, width: u64, ptr_tag: Tag) -> bool {
+        let first = Self::granule_index(addr);
+        let last = Self::granule_index(addr + width - 1);
+        let pass = self.nibble(first) == ptr_tag.value() && self.nibble(last) == ptr_tag.value();
+        self.checks += u64::from(pass);
+        pass
     }
 
     fn first_mismatch(&self, addr: u64, len: u64, ptr_tag: Tag) -> Option<(u64, Option<Tag>)> {

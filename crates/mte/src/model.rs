@@ -95,6 +95,13 @@ impl Model {
         })
     }
 
+    /// The scalar fast path's check: a pass counts, a miss does not.
+    fn check_scalar(&mut self, addr: u64, width: u64, ptr_tag: Tag) -> bool {
+        let pass = self.first_mismatch(addr, width, ptr_tag).is_none();
+        self.checks += u64::from(pass);
+        pass
+    }
+
     fn first_mismatch(&self, addr: u64, len: u64, ptr_tag: Tag) -> Option<(u64, Option<Tag>)> {
         let len = len.max(1);
         let Some(last) = addr.checked_add(len - 1) else {
@@ -233,6 +240,15 @@ fn run_against_model(seed: u64) {
                     Some(t) if below(&mut rng, 4) != 0 => t,
                     _ => pick_tag(&mut rng),
                 };
+                // An access of scalar width inside the store can take
+                // the one- or two-granule compare first.
+                if (1..=16).contains(&len) && addr + len <= size {
+                    assert_eq!(
+                        kernel.check_scalar(addr, len, ptr_tag),
+                        model.check_scalar(addr, len, ptr_tag),
+                        "{what}: check_scalar({addr:#x}, {len}, {ptr_tag})"
+                    );
+                }
                 let kind = if below(&mut rng, 2) == 0 {
                     AccessKind::Read
                 } else {

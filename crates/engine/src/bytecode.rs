@@ -3,27 +3,38 @@
 //! The structured `cage_wasm::Instr` tree is what the validator and the
 //! toolchain passes consume; when a module is compiled
 //! ([`crate::Precompiled`]) each body is lowered once, into **register
-//! bytecode** ([`RegOp`] / [`RegCode`], built by [`compile_reg`]). The
-//! body goes through SSA construction
-//! (`cage_ir::ssa`, Braun-style) into virtual registers, phis are
-//! eliminated with parallel copies, and a linear scan
-//! (`cage_ir::regalloc`) assigns every value a slot in a fixed per-frame
-//! register file. Stack shuffling disappears by construction:
-//! `local.get`/`local.set`/`local.tee`, constants, `drop` and `nop`
-//! dissolve into the dataflow, and each remaining dispatch is a generic
-//! 3-address operation — or, after one instruction-selection step
-//! (`select`) over the SSA form, a whole expression tree of them: an
-//! array address (and the load or store through it), a comparison and the
-//! branch on it, an op and the phi copy of its result. What is retired
-//! stays identical, class by class, to executing the source instructions
-//! one by one (which is what the tree-walking reference in `interp` does)
-//! because every register op carries a *charge recipe* — the classes of
-//! the source ops it retired, in original order — which the dispatch loop
-//! charges, as one packed word of per-class counts, before the op body.
-//! The loop dispatches by matching on the [`RegOp`] itself, so a
-//! [`RegCode`] holds nothing per op beyond the op and its recipe.
+//! bytecode** ([`RegOp`] / [`RegCode`], built by [`compile_reg`]).
 //!
-//! `cage_wasm::Instr` is the only instruction vocabulary. The 128
+//! One op vocabulary serves the whole way, from instruction selection to
+//! dispatch: [`RegOp`] is generic over what names a register. The
+//! lowering builds `RegOp<ssa::Value>` from the first instruction on: the
+//! body goes through SSA construction (`cage_ir::ssa`, Braun-style), each
+//! data instruction becomes an op over SSA values and each block ends in
+//! a branch op over SSA blocks. One instruction-selection step (`select`)
+//! fuses those ops into the forms that retire a whole expression tree in
+//! one dispatch: an array address (and the load or store through it), a
+//! comparison and the branch on it, an op and the phi copy of its result.
+//! Phis are eliminated with parallel copies, and a linear scan
+//! (`cage_ir::regalloc`) assigns every value a slot in a fixed per-frame
+//! register file — reading every op's registers through the one walker,
+//! `RegOp::operands`. Emission then folds a constant right operand into
+//! the immediate form and renames every value to its slot
+//! (`RegOp::map_regs`), which gives the plain `RegOp` (`u16` frame slots)
+//! the dispatch loop runs; one last walk turns branch targets from blocks
+//! into pcs.
+//!
+//! Stack shuffling disappears by construction: `local.get`/`local.set`/
+//! `local.tee`, constants, `drop` and `nop` dissolve into the dataflow.
+//! What is retired stays identical, class by class, to executing the
+//! source instructions one by one (which is what the tree-walking
+//! reference in `crate::tree` does) because every register op carries a
+//! *charge recipe* — the classes of the source ops it retired, in
+//! original order — which the dispatch loop charges, as one packed word
+//! of per-class counts, before the op body. The loop dispatches by
+//! matching on the [`RegOp`] itself, so a [`RegCode`] holds nothing per
+//! op beyond the op and its recipe.
+//!
+//! `cage_wasm::Instr` is the only source instruction vocabulary. The 128
 //! numeric instructions lower by one lookup in the table of
 //! `cage_wasm::numeric`: the row's family ([`AluOp`], [`DivOp`] or
 //! [`UnaOp`], defined there and re-exported here) picks the 3-address
@@ -215,26 +226,26 @@ pub(crate) fn unpack_lanes(acc: u64, counts: &mut [u64; ChargeClass::COUNT]) {
 /// replace the operand stack. The callee's own frame is laid out by its
 /// [`RegCode::param_slots`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegCall {
+pub struct RegCall<R = u16> {
     /// Callee function index (joint index space).
     pub func: u32,
     /// Argument registers, in signature order.
-    pub args: Box<[u16]>,
+    pub args: Box<[R]>,
     /// Result registers, in signature order.
-    pub rets: Box<[u16]>,
+    pub rets: Box<[R]>,
 }
 
 /// An indirect call in register form.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegCallIndirect {
+pub struct RegCallIndirect<R = u16> {
     /// Expected signature (type index).
     pub type_idx: u32,
     /// Register holding the table index.
-    pub sel: u16,
+    pub sel: R,
     /// Argument registers, in signature order.
-    pub args: Box<[u16]>,
+    pub args: Box<[R]>,
     /// Result registers, in signature order.
-    pub rets: Box<[u16]>,
+    pub rets: Box<[R]>,
 }
 
 /// The twelve stateful instructions of [`RegOp::Sys`]: globals, memory
@@ -374,6 +385,14 @@ impl IndexExt {
 /// fixed per-frame register file. No operand stack exists at run time;
 /// branch targets are plain pcs (the register file needs no collapse).
 ///
+/// `R` names a register. What the dispatch loop runs, and what a
+/// [`RegCode`] holds, is `RegOp` — `R = u16`, a frame slot, and branch
+/// targets are pcs. The lowering builds the same ops over SSA values
+/// (`RegOp<ssa::Value>`, a branch target naming an SSA block) from the
+/// first instruction it lowers on: selection fuses them, liveness reads
+/// their operands, and emission only renames each value to its slot and
+/// each block to its pc. One vocabulary serves from selection to dispatch.
+///
 /// Four forms retire a whole expression tree in one dispatch, the way
 /// the paper's AArch64 backend selects `add Xd, Xn, Wm, SXTW`/`madd` and
 /// `b.cond`/`cbz` for the same trees: [`RegOp::IndexAdd`], the access
@@ -384,7 +403,7 @@ impl IndexExt {
 /// charged — and where a trap or the end of the fuel finds the counts —
 /// does not move.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RegOp {
+pub enum RegOp<R = u16> {
     /// Placeholder that only carries a charge recipe (source ops whose
     /// effects fully dissolved, pinned at a control-flow point).
     Nop,
@@ -393,14 +412,14 @@ pub enum RegOp {
     /// Jump when `cond` (as i32) is non-zero.
     BrIf {
         /// Condition register.
-        cond: u16,
+        cond: R,
         /// Destination pc.
         target: u32,
     },
     /// Jump when `cond` (as i32) is zero (the false edge of `if`).
     BrIfZ {
         /// Condition register.
-        cond: u16,
+        cond: R,
         /// Destination pc.
         target: u32,
     },
@@ -413,9 +432,9 @@ pub enum RegOp {
         /// Branch on a zero result instead.
         negate: bool,
         /// Left operand register.
-        a: u16,
+        a: R,
         /// Right operand register.
-        b: u16,
+        b: R,
         /// Destination pc.
         target: u32,
     },
@@ -426,7 +445,7 @@ pub enum RegOp {
         /// Branch on a zero result instead.
         negate: bool,
         /// Left operand register.
-        a: u16,
+        a: R,
         /// Pre-encoded right operand.
         k: u64,
         /// Destination pc.
@@ -436,31 +455,31 @@ pub enum RegOp {
     /// last.
     BrTable {
         /// Selector register.
-        sel: u16,
+        sel: R,
         /// Destination pcs, default last.
         targets: Box<[u32]>,
     },
     /// Function return carrying the result registers.
     Ret {
         /// Result registers, in signature order.
-        srcs: Box<[u16]>,
+        srcs: Box<[R]>,
     },
     /// Direct call.
-    Call(Box<RegCall>),
+    Call(Box<RegCall<R>>),
     /// Indirect call.
-    CallIndirect(Box<RegCallIndirect>),
+    CallIndirect(Box<RegCallIndirect<R>>),
     /// `dst <- src` (phi-elimination copy; free, no recipe).
     Move {
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Source register.
-        src: u16,
+        src: R,
     },
     /// `dst <- constant` (materialized constant; free unless it carries
     /// a recipe).
     Const {
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Pre-encoded operand slot.
         v: u64,
     },
@@ -469,11 +488,11 @@ pub enum RegOp {
         /// The operation.
         op: AluOp,
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Left operand register.
-        a: u16,
+        a: R,
         /// Right operand register.
-        b: u16,
+        b: R,
     },
     /// `dst <- a op b` for division/remainder: the integer forms trap on
     /// a zero divisor (and `INT_MIN / -1`), after the recipe — which
@@ -482,20 +501,20 @@ pub enum RegOp {
         /// The operation.
         op: DivOp,
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Dividend register.
-        a: u16,
+        a: R,
         /// Divisor register.
-        b: u16,
+        b: R,
     },
     /// `dst <- a op constant` (right operand folded).
     AluImm {
         /// The operation.
         op: AluOp,
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Left operand register.
-        a: u16,
+        a: R,
         /// Pre-encoded right operand.
         k: u64,
     },
@@ -504,20 +523,20 @@ pub enum RegOp {
         /// The operation.
         op: UnaOp,
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Operand register.
-        a: u16,
+        a: R,
     },
     /// `dst <- base + ext(idx) * k`, wrapping: the address of `A[i]` — an
     /// `i64.extend_i32_{s,u}` (or none), an `i64.mul` by a constant and
     /// an `i64.add`, fused.
     IndexAdd {
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Base register.
-        base: u16,
+        base: R,
         /// Index register.
-        idx: u16,
+        idx: R,
         /// How the index widens to `i64`.
         ext: IndexExt,
         /// Pre-encoded scale.
@@ -526,13 +545,13 @@ pub enum RegOp {
     /// `dst <- cond != 0 ? a : b`.
     Select {
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Condition register.
-        cond: u16,
+        cond: R,
         /// Value when the condition is non-zero.
-        a: u16,
+        a: R,
         /// Value when the condition is zero.
-        b: u16,
+        b: R,
     },
     /// `dst <- memory[addr + offset]`.
     Load {
@@ -541,9 +560,9 @@ pub enum RegOp {
         /// Static byte offset.
         offset: u64,
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Address register.
-        addr: u16,
+        addr: R,
     },
     /// `memory[addr + offset] <- val`.
     Store {
@@ -552,9 +571,9 @@ pub enum RegOp {
         /// Static byte offset.
         offset: u64,
         /// Address register.
-        addr: u16,
+        addr: R,
         /// Value register.
-        val: u16,
+        val: R,
     },
     /// `dst <- memory[base + ext(idx) * k + offset]`: a
     /// [`RegOp::IndexAdd`] and the [`RegOp::Load`] that was its only
@@ -564,11 +583,11 @@ pub enum RegOp {
         /// Access width and extension.
         op: LoadOp,
         /// Destination register.
-        dst: u16,
+        dst: R,
         /// Base register.
-        base: u16,
+        base: R,
         /// Index register.
-        idx: u16,
+        idx: R,
         /// How the index widens to `i64`.
         ext: IndexExt,
         /// Scale.
@@ -582,9 +601,9 @@ pub enum RegOp {
         /// Access width.
         op: StoreOp,
         /// Base register.
-        base: u16,
+        base: R,
         /// Index register.
-        idx: u16,
+        idx: R,
         /// How the index widens to `i64`.
         ext: IndexExt,
         /// Scale.
@@ -592,7 +611,7 @@ pub enum RegOp {
         /// Static byte offset.
         offset: u32,
         /// Value register.
-        val: u16,
+        val: R,
     },
     /// A stateful instruction (see [`SysOp`]), run out of line by the
     /// dispatch loop. Unlike every other op it retires its own
@@ -605,9 +624,9 @@ pub enum RegOp {
         op: SysOp,
         /// Operand registers, deepest stack operand first; the first
         /// `op.effect().0` are read.
-        args: [u16; 3],
+        args: [R; 3],
         /// Result register, when the instruction pushes one.
-        ret: Option<u16>,
+        ret: Option<R>,
         /// Global index or static offset.
         imm: u64,
     },
@@ -643,239 +662,336 @@ pub struct RegCode {
     pub param_slots: Box<[u16]>,
 }
 
-// -- register lowering, pass 1: structured body -> SSA CFG ------------------
+// -- the walkers the lowering reads its ops through -------------------------
 
-/// A register instruction over SSA values, before slot assignment.
-#[derive(Debug)]
-enum RInst {
-    /// Charge-recipe carrier with no effect (dissolved ops pinned at a
-    /// fall-through point); emits [`RegOp::Nop`].
-    Flush,
-    Alu {
-        op: AluOp,
-        dst: ssa::Value,
-        a: ssa::Value,
-        b: ssa::Value,
-    },
-    Div {
-        op: DivOp,
-        dst: ssa::Value,
-        a: ssa::Value,
-        b: ssa::Value,
-    },
-    Una {
-        op: UnaOp,
-        dst: ssa::Value,
-        a: ssa::Value,
-    },
-    /// `dst <- base + ext(idx) * k`; only [`select`] makes these.
-    IndexAdd {
-        dst: ssa::Value,
-        base: ssa::Value,
-        idx: ssa::Value,
-        ext: IndexExt,
-        k: u64,
-    },
-    Select {
-        dst: ssa::Value,
-        cond: ssa::Value,
-        a: ssa::Value,
-        b: ssa::Value,
-    },
-    Load {
-        op: LoadOp,
-        offset: u64,
-        dst: ssa::Value,
-        addr: ssa::Value,
-    },
-    Store {
-        op: StoreOp,
-        offset: u64,
-        addr: ssa::Value,
-        val: ssa::Value,
-    },
-    /// A `Load` at an [`RInst::IndexAdd`]; only [`select`] makes these.
-    LoadIdx {
-        op: LoadOp,
-        offset: u32,
-        dst: ssa::Value,
-        base: ssa::Value,
-        idx: ssa::Value,
-        ext: IndexExt,
-        k: u32,
-    },
-    /// A `Store` at an [`RInst::IndexAdd`]; only [`select`] makes these.
-    StoreIdx {
-        op: StoreOp,
-        offset: u32,
-        base: ssa::Value,
-        idx: ssa::Value,
-        ext: IndexExt,
-        k: u32,
-        val: ssa::Value,
-    },
-    Call {
-        func: u32,
-        args: Vec<ssa::Value>,
-        rets: Vec<ssa::Value>,
-    },
-    CallIndirect {
-        type_idx: u32,
-        sel: ssa::Value,
-        args: Vec<ssa::Value>,
-        rets: Vec<ssa::Value>,
-    },
-    Sys {
-        op: SysOp,
-        imm: u64,
-        args: Vec<ssa::Value>,
-        ret: Option<ssa::Value>,
-    },
-}
-
-/// Block terminator over SSA values.
-#[derive(Debug, Default)]
-enum LTerm {
-    /// Fall through to the next block in layout order (emits no op).
-    #[default]
-    None,
-    Jump(ssa::Block),
-    BrIf {
-        cond: ssa::Value,
-        then_b: ssa::Block,
-    },
-    BrIfZ {
-        cond: ssa::Value,
-        else_b: ssa::Block,
-    },
-    /// Branch when `a op b` is non-zero (zero, with `negate`); only
-    /// [`select`] makes these.
-    BrCmp {
-        op: AluOp,
-        negate: bool,
-        a: ssa::Value,
-        b: ssa::Value,
-        target: ssa::Block,
-    },
-    BrTable {
-        sel: ssa::Value,
-        targets: Vec<ssa::Block>,
-    },
-    Ret {
-        srcs: Vec<ssa::Value>,
-    },
-    /// Unreachable end (a trapping [`RInst::Sys`] precedes it); emits no op.
-    Halt,
-}
-
-/// How an instruction touches one of its SSA operands.
-#[derive(Clone, Copy, PartialEq)]
+/// How an op touches one of its registers.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Operand {
     /// Read from a register.
     Use,
-    /// Read that may stay a constant: the right operand of an ALU op
-    /// folds into an immediate form.
+    /// Read that may stay a constant: the right operand of an ALU op or
+    /// a fused comparison folds into an immediate form.
     FoldableUse,
     /// Written.
     Def,
 }
 
-impl RInst {
-    /// The value the instruction defines, when it is one that [`select`]
-    /// may rename (calls and stateful ops define theirs in place).
-    fn dst_mut(&mut self) -> Option<&mut ssa::Value> {
-        match self {
-            RInst::Alu { dst, .. }
-            | RInst::Div { dst, .. }
-            | RInst::Una { dst, .. }
-            | RInst::IndexAdd { dst, .. }
-            | RInst::Select { dst, .. }
-            | RInst::Load { dst, .. }
-            | RInst::LoadIdx { dst, .. } => Some(dst),
-            RInst::Flush
-            | RInst::Store { .. }
-            | RInst::StoreIdx { .. }
-            | RInst::Call { .. }
-            | RInst::CallIndirect { .. }
-            | RInst::Sys { .. } => None,
-        }
-    }
-
-    /// Enumerates the operands, uses before definitions.
-    fn operands(&self, mut f: impl FnMut(Operand, ssa::Value)) {
+impl<R: Copy> RegOp<R> {
+    /// Enumerates the registers the op touches, uses before definitions
+    /// (the order the liveness pass wants at one position); a
+    /// [`RegOp::Sys`] reads only the first `op.effect().0` of its `args`.
+    fn operands(&self, mut f: impl FnMut(Operand, R)) {
         use Operand::{Def, FoldableUse, Use};
         match self {
-            RInst::Flush => {}
-            RInst::Alu { dst, a, b, .. } => {
+            RegOp::Nop | RegOp::Jump(_) => {}
+            RegOp::BrIf { cond: v, .. }
+            | RegOp::BrIfZ { cond: v, .. }
+            | RegOp::BrCmpImm { a: v, .. }
+            | RegOp::BrTable { sel: v, .. } => f(Use, *v),
+            RegOp::BrCmp { a, b, .. } => {
+                f(Use, *a);
+                f(FoldableUse, *b);
+            }
+            RegOp::Ret { srcs } => srcs.iter().for_each(|&s| f(Use, s)),
+            RegOp::Call(call) => {
+                call.args.iter().for_each(|&a| f(Use, a));
+                call.rets.iter().for_each(|&d| f(Def, d));
+            }
+            RegOp::CallIndirect(call) => {
+                f(Use, call.sel);
+                call.args.iter().for_each(|&a| f(Use, a));
+                call.rets.iter().for_each(|&d| f(Def, d));
+            }
+            RegOp::Const { dst, .. } => f(Def, *dst),
+            RegOp::Alu { dst, a, b, .. } => {
                 f(Use, *a);
                 f(FoldableUse, *b);
                 f(Def, *dst);
             }
-            RInst::Div { dst, a, b, .. } => {
+            RegOp::Div { dst, a, b, .. } => {
                 f(Use, *a);
                 f(Use, *b);
                 f(Def, *dst);
             }
-            RInst::Una { dst, a, .. } | RInst::Load { dst, addr: a, .. } => {
+            RegOp::Move { dst, src: a }
+            | RegOp::AluImm { dst, a, .. }
+            | RegOp::Una { dst, a, .. }
+            | RegOp::Load { dst, addr: a, .. } => {
                 f(Use, *a);
                 f(Def, *dst);
             }
-            RInst::IndexAdd { dst, base, idx, .. } | RInst::LoadIdx { dst, base, idx, .. } => {
+            RegOp::IndexAdd { dst, base, idx, .. } | RegOp::LoadIdx { dst, base, idx, .. } => {
                 f(Use, *base);
                 f(Use, *idx);
                 f(Def, *dst);
             }
-            RInst::StoreIdx { base, idx, val, .. } => {
-                f(Use, *base);
-                f(Use, *idx);
-                f(Use, *val);
-            }
-            RInst::Select { dst, cond, a, b } => {
+            RegOp::Select { dst, cond, a, b } => {
                 f(Use, *cond);
                 f(Use, *a);
                 f(Use, *b);
                 f(Def, *dst);
             }
-            RInst::Store { addr, val, .. } => {
+            RegOp::Store { addr, val, .. } => {
                 f(Use, *addr);
                 f(Use, *val);
             }
-            RInst::Call { args, rets, .. } => {
-                args.iter().for_each(|&a| f(Use, a));
-                rets.iter().for_each(|&d| f(Def, d));
+            RegOp::StoreIdx { base, idx, val, .. } => {
+                f(Use, *base);
+                f(Use, *idx);
+                f(Use, *val);
             }
-            RInst::CallIndirect {
-                sel, args, rets, ..
-            } => {
-                f(Use, *sel);
-                args.iter().for_each(|&a| f(Use, a));
-                rets.iter().for_each(|&d| f(Def, d));
-            }
-            RInst::Sys { args, ret, .. } => {
-                args.iter().for_each(|&a| f(Use, a));
+            RegOp::Sys { op, args, ret, .. } => {
+                args[..op.effect().0].iter().for_each(|&a| f(Use, a));
                 ret.iter().for_each(|&d| f(Def, d));
+            }
+        }
+    }
+
+    /// The one register the op writes, when it is one that [`select`]
+    /// may rename (calls and stateful ops define theirs in place).
+    fn dst_mut(&mut self) -> Option<&mut R> {
+        match self {
+            RegOp::Move { dst, .. }
+            | RegOp::Const { dst, .. }
+            | RegOp::Alu { dst, .. }
+            | RegOp::Div { dst, .. }
+            | RegOp::AluImm { dst, .. }
+            | RegOp::Una { dst, .. }
+            | RegOp::IndexAdd { dst, .. }
+            | RegOp::Select { dst, .. }
+            | RegOp::Load { dst, .. }
+            | RegOp::LoadIdx { dst, .. } => Some(dst),
+            RegOp::Nop
+            | RegOp::Jump(_)
+            | RegOp::BrIf { .. }
+            | RegOp::BrIfZ { .. }
+            | RegOp::BrCmp { .. }
+            | RegOp::BrCmpImm { .. }
+            | RegOp::BrTable { .. }
+            | RegOp::Ret { .. }
+            | RegOp::Call(_)
+            | RegOp::CallIndirect(_)
+            | RegOp::Store { .. }
+            | RegOp::StoreIdx { .. }
+            | RegOp::Sys { .. } => None,
+        }
+    }
+
+    /// The branch targets of the op.
+    fn targets_mut(&mut self) -> &mut [u32] {
+        match self {
+            RegOp::Jump(target)
+            | RegOp::BrIf { target, .. }
+            | RegOp::BrIfZ { target, .. }
+            | RegOp::BrCmp { target, .. }
+            | RegOp::BrCmpImm { target, .. } => std::slice::from_mut(target),
+            RegOp::BrTable { targets, .. } => targets,
+            RegOp::Nop
+            | RegOp::Ret { .. }
+            | RegOp::Call(_)
+            | RegOp::CallIndirect(_)
+            | RegOp::Move { .. }
+            | RegOp::Const { .. }
+            | RegOp::Alu { .. }
+            | RegOp::Div { .. }
+            | RegOp::AluImm { .. }
+            | RegOp::Una { .. }
+            | RegOp::IndexAdd { .. }
+            | RegOp::Select { .. }
+            | RegOp::Load { .. }
+            | RegOp::Store { .. }
+            | RegOp::LoadIdx { .. }
+            | RegOp::StoreIdx { .. }
+            | RegOp::Sys { .. } => &mut [],
+        }
+    }
+
+    /// The same op over other registers: `f` renames every register
+    /// [`RegOp::operands`] visits, in the order it visits them (an unread
+    /// `Sys` argument becomes `S::default()`). Branch targets stay.
+    fn map_regs<S: Copy + Default>(&self, mut f: impl FnMut(R) -> S) -> RegOp<S> {
+        fn list<R: Copy, S>(regs: &[R], f: &mut impl FnMut(R) -> S) -> Box<[S]> {
+            regs.iter().map(|&r| f(r)).collect()
+        }
+        match self {
+            RegOp::Nop => RegOp::Nop,
+            &RegOp::Jump(target) => RegOp::Jump(target),
+            &RegOp::BrIf { cond, target } => RegOp::BrIf {
+                cond: f(cond),
+                target,
+            },
+            &RegOp::BrIfZ { cond, target } => RegOp::BrIfZ {
+                cond: f(cond),
+                target,
+            },
+            &RegOp::BrCmp {
+                op,
+                negate,
+                a,
+                b,
+                target,
+            } => RegOp::BrCmp {
+                op,
+                negate,
+                a: f(a),
+                b: f(b),
+                target,
+            },
+            &RegOp::BrCmpImm {
+                op,
+                negate,
+                a,
+                k,
+                target,
+            } => RegOp::BrCmpImm {
+                op,
+                negate,
+                a: f(a),
+                k,
+                target,
+            },
+            RegOp::BrTable { sel, targets } => RegOp::BrTable {
+                sel: f(*sel),
+                targets: targets.clone(),
+            },
+            RegOp::Ret { srcs } => RegOp::Ret {
+                srcs: list(srcs, &mut f),
+            },
+            RegOp::Call(call) => RegOp::Call(Box::new(RegCall {
+                func: call.func,
+                args: list(&call.args, &mut f),
+                rets: list(&call.rets, &mut f),
+            })),
+            RegOp::CallIndirect(call) => RegOp::CallIndirect(Box::new(RegCallIndirect {
+                type_idx: call.type_idx,
+                sel: f(call.sel),
+                args: list(&call.args, &mut f),
+                rets: list(&call.rets, &mut f),
+            })),
+            &RegOp::Move { dst, src } => RegOp::Move {
+                src: f(src),
+                dst: f(dst),
+            },
+            &RegOp::Const { dst, v } => RegOp::Const { dst: f(dst), v },
+            &RegOp::Alu { op, dst, a, b } => RegOp::Alu {
+                op,
+                a: f(a),
+                b: f(b),
+                dst: f(dst),
+            },
+            &RegOp::Div { op, dst, a, b } => RegOp::Div {
+                op,
+                a: f(a),
+                b: f(b),
+                dst: f(dst),
+            },
+            &RegOp::AluImm { op, dst, a, k } => RegOp::AluImm {
+                op,
+                a: f(a),
+                dst: f(dst),
+                k,
+            },
+            &RegOp::Una { op, dst, a } => RegOp::Una {
+                op,
+                a: f(a),
+                dst: f(dst),
+            },
+            &RegOp::IndexAdd {
+                dst,
+                base,
+                idx,
+                ext,
+                k,
+            } => RegOp::IndexAdd {
+                base: f(base),
+                idx: f(idx),
+                dst: f(dst),
+                ext,
+                k,
+            },
+            &RegOp::Select { dst, cond, a, b } => RegOp::Select {
+                cond: f(cond),
+                a: f(a),
+                b: f(b),
+                dst: f(dst),
+            },
+            &RegOp::Load {
+                op,
+                offset,
+                dst,
+                addr,
+            } => RegOp::Load {
+                op,
+                offset,
+                addr: f(addr),
+                dst: f(dst),
+            },
+            &RegOp::Store {
+                op,
+                offset,
+                addr,
+                val,
+            } => RegOp::Store {
+                op,
+                offset,
+                addr: f(addr),
+                val: f(val),
+            },
+            &RegOp::LoadIdx {
+                op,
+                dst,
+                base,
+                idx,
+                ext,
+                k,
+                offset,
+            } => RegOp::LoadIdx {
+                op,
+                base: f(base),
+                idx: f(idx),
+                dst: f(dst),
+                ext,
+                k,
+                offset,
+            },
+            &RegOp::StoreIdx {
+                op,
+                base,
+                idx,
+                ext,
+                k,
+                offset,
+                val,
+            } => RegOp::StoreIdx {
+                op,
+                base: f(base),
+                idx: f(idx),
+                ext,
+                k,
+                offset,
+                val: f(val),
+            },
+            &RegOp::Sys { op, args, ret, imm } => {
+                let mut regs = [S::default(); 3];
+                for (reg, &arg) in regs.iter_mut().zip(&args[..op.effect().0]) {
+                    *reg = f(arg);
+                }
+                RegOp::Sys {
+                    op,
+                    args: regs,
+                    ret: ret.map(f),
+                    imm,
+                }
             }
         }
     }
 }
 
-impl LTerm {
-    /// Enumerates the values the terminator reads.
-    fn operands(&self, mut f: impl FnMut(Operand, ssa::Value)) {
-        use Operand::{FoldableUse, Use};
-        match self {
-            LTerm::BrIf { cond: v, .. }
-            | LTerm::BrIfZ { cond: v, .. }
-            | LTerm::BrTable { sel: v, .. } => f(Use, *v),
-            LTerm::BrCmp { a, b, .. } => {
-                f(Use, *a);
-                f(FoldableUse, *b);
-            }
-            LTerm::Ret { srcs } => srcs.iter().for_each(|&s| f(Use, s)),
-            LTerm::None | LTerm::Jump(_) | LTerm::Halt => {}
-        }
-    }
-}
+// -- register lowering, pass 1: structured body -> SSA CFG ------------------
+
+/// An op of the lowering: registers are SSA values, branch targets SSA
+/// blocks, until emission renames them to slots and pcs.
+type SsaOp = RegOp<ssa::Value>;
 
 /// A charge recipe during lowering: a run of [`RegCompiler::tags`].
 type Recipe = Range<u32>;
@@ -883,8 +999,9 @@ type Recipe = Range<u32>;
 /// Table marker: no entry.
 const NONE: u32 = u32::MAX;
 
-/// One lowered basic block: instructions plus terminator, each with its
-/// charge recipe, and the successor edges (mirrored into the SSA
+/// One lowered basic block: instructions plus terminator (`None` where
+/// control falls through to the next block in layout order, or where a
+/// trapping [`RegOp::Sys`] ends it), each with its charge recipe, and the successor edges (mirrored into the SSA
 /// builder's predecessor lists). A block is only ever appended to while
 /// it is the current one, so its instructions and edges are contiguous
 /// runs of the compiler's two arenas.
@@ -892,7 +1009,7 @@ const NONE: u32 = u32::MAX;
 struct LBlock {
     /// Run of [`RegCompiler::insts`].
     insts: Range<u32>,
-    term: LTerm,
+    term: Option<SsaOp>,
     term_recipe: Recipe,
     /// Run of [`RegCompiler::succs`].
     succs: Range<u32>,
@@ -931,7 +1048,7 @@ struct RegCompiler<'m> {
     ctrl: Vec<RCtrlFrame>,
     /// The instructions of every block with their recipes, in layout
     /// order.
-    insts: Vec<(RInst, Recipe)>,
+    insts: Vec<(SsaOp, Recipe)>,
     /// The successor edges of every block, in layout order, each with
     /// its index among the successor's predecessor edges.
     succs: Vec<(ssa::Block, u32)>,
@@ -966,7 +1083,7 @@ impl ConstPool {
 
 impl<'m> RegCompiler<'m> {
     /// The instructions of a (closed) block, with their recipes.
-    fn insts_of(&self, lb: &LBlock) -> &[(RInst, Recipe)] {
+    fn insts_of(&self, lb: &LBlock) -> &[(SsaOp, Recipe)] {
         &self.insts[lb.insts.start as usize..lb.insts.end as usize]
     }
 
@@ -983,7 +1100,7 @@ impl<'m> RegCompiler<'m> {
     }
 
     /// Makes `blk` the current block and appends it to the layout; the
-    /// previous block (if it ended with [`LTerm::None`]) falls through
+    /// previous block (if it ended without a terminator) falls through
     /// into it.
     fn start_block(&mut self, blk: ssa::Block) {
         self.close_block();
@@ -1030,25 +1147,25 @@ impl<'m> RegCompiler<'m> {
 
     /// Emits an instruction whose recipe is the pending tags and then
     /// `tag`, the class of the instruction itself — none for a
-    /// [`RInst::Sys`], which retires its own instruction in its arm.
-    fn emit(&mut self, inst: RInst, tag: impl Into<Option<ChargeTag>>) {
+    /// [`RegOp::Sys`], which retires its own instruction in its arm.
+    fn emit(&mut self, inst: SsaOp, tag: impl Into<Option<ChargeTag>>) {
         self.tags.extend(tag.into());
         let recipe = self.take_pending();
         self.insts.push((inst, recipe));
     }
 
-    /// Pins pending charges on a [`RInst::Flush`] before a point where
+    /// Pins pending charges on a [`RegOp::Nop`] before a point where
     /// control can leave the block without a terminator op.
     fn flush_pending(&mut self) {
         let recipe = self.take_pending();
         if !recipe.is_empty() {
-            self.insts.push((RInst::Flush, recipe));
+            self.insts.push((RegOp::Nop, recipe));
         }
     }
 
-    fn terminate(&mut self, term: LTerm, recipe: Recipe) {
+    fn terminate(&mut self, term: SsaOp, recipe: Recipe) {
         let blk = &mut self.blocks[self.cur as usize];
-        blk.term = term;
+        blk.term = Some(term);
         blk.term_recipe = recipe;
     }
 
@@ -1152,7 +1269,7 @@ impl<'m> RegCompiler<'m> {
                 if else_body.is_empty() {
                     // False edge lands straight on the join (a result-
                     // carrying `if` cannot have an empty else arm).
-                    self.terminate(LTerm::BrIfZ { cond, else_b: x }, recipe);
+                    self.terminate(RegOp::BrIfZ { cond, target: x }, recipe);
                     self.edge(x);
                     let t = self.new_block();
                     self.edge(t);
@@ -1169,7 +1286,7 @@ impl<'m> RegCompiler<'m> {
                     self.end_construct(!reachable)?;
                 } else {
                     let e = self.new_block();
-                    self.terminate(LTerm::BrIfZ { cond, else_b: e }, recipe);
+                    self.terminate(RegOp::BrIfZ { cond, target: e }, recipe);
                     self.edge(e);
                     let t = self.new_block();
                     self.edge(t);
@@ -1193,7 +1310,7 @@ impl<'m> RegCompiler<'m> {
                         let phis = frame.end_phis.clone();
                         self.feed_phis(&phis);
                         let recipe = self.take_pending();
-                        self.terminate(LTerm::Jump(x), recipe);
+                        self.terminate(RegOp::Jump(x), recipe);
                     }
                     self.stack.truncate(height);
                     self.start_block(e);
@@ -1212,7 +1329,7 @@ impl<'m> RegCompiler<'m> {
                 self.edge(target);
                 self.feed_phis(&phis);
                 let recipe = self.branch_recipe(ChargeTag::Branch);
-                self.terminate(LTerm::Jump(target), recipe);
+                self.terminate(RegOp::Jump(target), recipe);
                 true
             }
             Instr::BrIf(depth) => {
@@ -1227,20 +1344,14 @@ impl<'m> RegCompiler<'m> {
                 let fall = self.new_block();
                 self.edge(fall);
                 let recipe = self.branch_recipe(ChargeTag::Branch);
-                self.terminate(
-                    LTerm::BrIf {
-                        cond,
-                        then_b: target,
-                    },
-                    recipe,
-                );
+                self.terminate(RegOp::BrIf { cond, target }, recipe);
                 self.start_block(fall);
                 self.b.seal_block(fall, self.fuel)?;
                 false
             }
             Instr::BrTable(targets, default) => {
                 let sel = self.stack.pop().expect("validated");
-                let resolved: Vec<ssa::Block> = targets
+                let resolved: Box<[ssa::Block]> = targets
                     .iter()
                     .chain(std::iter::once(default))
                     .map(|&d| self.ctrl[self.ctrl.len() - 1 - d as usize].br_block)
@@ -1261,7 +1372,7 @@ impl<'m> RegCompiler<'m> {
                 }
                 let recipe = self.branch_recipe(ChargeTag::Branch);
                 self.terminate(
-                    LTerm::BrTable {
+                    RegOp::BrTable {
                         sel,
                         targets: resolved,
                     },
@@ -1271,43 +1382,39 @@ impl<'m> RegCompiler<'m> {
             }
             Instr::Return => {
                 let results = self.ctrl[0].br_phis.len();
-                let srcs = self.stack[self.stack.len() - results..].to_vec();
+                let srcs = self.stack[self.stack.len() - results..].into();
                 let recipe = self.branch_recipe(ChargeTag::Branch);
-                self.terminate(LTerm::Ret { srcs }, recipe);
+                self.terminate(RegOp::Ret { srcs }, recipe);
                 true
             }
             Instr::Call(f) => {
                 let ty = self.module.func_type(*f).expect("validated call target");
                 let args = self.stack.split_off(self.stack.len() - ty.params.len());
-                let rets: Vec<ssa::Value> =
+                let rets: Box<[ssa::Value]> =
                     (0..ty.results.len()).map(|_| self.b.new_value()).collect();
                 self.stack.extend(rets.iter().copied());
-                self.emit(
-                    RInst::Call {
-                        func: *f,
-                        args,
-                        rets,
-                    },
-                    ChargeTag::Call,
-                );
+                let call = RegCall {
+                    func: *f,
+                    args: args.into(),
+                    rets,
+                };
+                self.emit(RegOp::Call(Box::new(call)), ChargeTag::Call);
                 false
             }
             Instr::CallIndirect(type_idx) => {
                 let ty = &self.module.types[*type_idx as usize];
                 let sel = self.stack.pop().expect("validated");
                 let args = self.stack.split_off(self.stack.len() - ty.params.len());
-                let rets: Vec<ssa::Value> =
+                let rets: Box<[ssa::Value]> =
                     (0..ty.results.len()).map(|_| self.b.new_value()).collect();
                 self.stack.extend(rets.iter().copied());
-                self.emit(
-                    RInst::CallIndirect {
-                        type_idx: *type_idx,
-                        sel,
-                        args,
-                        rets,
-                    },
-                    ChargeTag::CallIndirect,
-                );
+                let call = RegCallIndirect {
+                    type_idx: *type_idx,
+                    sel,
+                    args: args.into(),
+                    rets,
+                };
+                self.emit(RegOp::CallIndirect(Box::new(call)), ChargeTag::CallIndirect);
                 false
             }
             other => self.lower_data_op(other)?,
@@ -1349,13 +1456,13 @@ impl RegCompiler<'_> {
             let inst = match op {
                 Numeric::Alu(op) => {
                     let (b, a) = (pop(), pop());
-                    RInst::Alu { op, dst, a, b }
+                    RegOp::Alu { op, dst, a, b }
                 }
                 Numeric::Div(op) => {
                     let (b, a) = (pop(), pop());
-                    RInst::Div { op, dst, a, b }
+                    RegOp::Div { op, dst, a, b }
                 }
-                Numeric::Una(op) => RInst::Una { op, dst, a: pop() },
+                Numeric::Una(op) => RegOp::Una { op, dst, a: pop() },
             };
             self.stack.push(dst);
             self.emit(inst, ChargeTag::from(op.class()));
@@ -1394,14 +1501,14 @@ impl RegCompiler<'_> {
                 let a = self.stack.pop().expect("validated");
                 let dst = self.b.new_value();
                 self.stack.push(dst);
-                self.emit(RInst::Select { dst, cond, a, b }, ChargeTag::Simple);
+                self.emit(RegOp::Select { dst, cond, a, b }, ChargeTag::Simple);
             }
             Instr::Load(op, memarg) => {
                 let addr = self.stack.pop().expect("validated");
                 let dst = self.b.new_value();
                 self.stack.push(dst);
                 self.emit(
-                    RInst::Load {
+                    RegOp::Load {
                         op,
                         offset: memarg.offset,
                         dst,
@@ -1414,7 +1521,7 @@ impl RegCompiler<'_> {
                 let val = self.stack.pop().expect("validated");
                 let addr = self.stack.pop().expect("validated");
                 self.emit(
-                    RInst::Store {
+                    RegOp::Store {
                         op,
                         offset: memarg.offset,
                         addr,
@@ -1428,12 +1535,15 @@ impl RegCompiler<'_> {
                     unreachable!("control instruction {instr:?} in lower_data_op");
                 };
                 let (pops, pushes) = op.effect();
-                let args = self.stack.split_off(self.stack.len() - pops);
+                let mut args = [UNDEF; 3];
+                let deepest = self.stack.len() - pops;
+                args[..pops].copy_from_slice(&self.stack[deepest..]);
+                self.stack.truncate(deepest);
                 let ret = pushes.then(|| self.b.new_value());
                 self.stack.extend(ret);
-                self.emit(RInst::Sys { op, imm, args, ret }, None);
+                self.emit(RegOp::Sys { op, args, ret, imm }, None);
                 if op == SysOp::Unreachable {
-                    self.terminate(LTerm::Halt, 0..0);
+                    // The block ends in the trap: no terminator.
                     return Ok(true);
                 }
             }
@@ -1524,8 +1634,8 @@ pub fn compile_reg(
     });
     let reachable = c.lower_seq(body)?;
     c.end_construct(!reachable)?;
-    let srcs = std::mem::take(&mut c.stack);
-    c.terminate(LTerm::Ret { srcs }, 0..0);
+    let srcs = std::mem::take(&mut c.stack).into();
+    c.terminate(RegOp::Ret { srcs }, 0..0);
     c.close_block();
 
     c.b.finish(fuel)?;
@@ -1629,7 +1739,7 @@ impl ValueTable<'_> {
     }
 
     /// Records that `inst` now stands at index `at`.
-    fn keep(&mut self, inst: &RInst, at: usize) {
+    fn keep(&mut self, inst: &SsaOp, at: usize) {
         inst.operands(|role, v| match (role, self.b.resolve(v)) {
             (_, UNDEF) => {}
             (Operand::Def, v) => self.def_at[v as usize] = at as u32,
@@ -1643,7 +1753,7 @@ impl ValueTable<'_> {
 /// which makes their recipes one run of [`RegCompiler::tags`]: nothing
 /// that could trap or consume fuel stands between the charges the fused
 /// op takes together.
-fn fused_recipe(parts: &[(RInst, Recipe)], last: &Recipe) -> Recipe {
+fn fused_recipe(parts: &[(SsaOp, Recipe)], last: &Recipe) -> Recipe {
     let recipes = parts.iter().map(|(_, recipe)| recipe).chain([last]);
     debug_assert!(recipes
         .clone()
@@ -1658,13 +1768,13 @@ fn fused_recipe(parts: &[(RInst, Recipe)], last: &Recipe) -> Recipe {
 /// as they stand afterwards.
 ///
 /// * `ext; mul by constant; add` (either operand order, the `ext`
-///   optional) becomes [`RInst::IndexAdd`];
-/// * an [`RInst::IndexAdd`] whose sum only the load or store right after
-///   it reads, as its address, becomes [`RInst::LoadIdx`] /
-///   [`RInst::StoreIdx`] — when its scale and the access's offset fit a
+///   optional) becomes [`RegOp::IndexAdd`];
+/// * an [`RegOp::IndexAdd`] whose sum only the load or store right after
+///   it reads, as its address, becomes [`RegOp::LoadIdx`] /
+///   [`RegOp::StoreIdx`] — when its scale and the access's offset fit a
 ///   `u32`;
 /// * an op whose `i32` result — or the `i32.eqz` of it — only a `br_if`
-///   or an `if` reads becomes that block's [`LTerm::BrCmp`];
+///   or an `if` reads becomes that block's [`RegOp::BrCmp`];
 /// * an op whose result only a phi copy of its own block reads writes
 ///   the phi itself, and the copy goes.
 ///
@@ -1686,7 +1796,9 @@ fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, Limit
         for (inst, _) in c.insts_of(lb) {
             inst.operands(|role, v| t.count(role, v));
         }
-        lb.term.operands(|role, v| t.count(role, v));
+        if let Some(term) = &lb.term {
+            term.operands(|role, v| t.count(role, v));
+        }
         for (_, src) in copies.pending(i) {
             t.count(Operand::FoldableUse, src);
         }
@@ -1702,7 +1814,7 @@ fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, Limit
             .charge(u64::from(lb.insts.end - lb.insts.start) + batch.len() as u64)?;
         let first = kept;
         for at in lb.insts.start as usize..lb.insts.end as usize {
-            let (mut inst, mut recipe) = std::mem::replace(&mut c.insts[at], (RInst::Flush, 0..0));
+            let (mut inst, mut recipe) = std::mem::replace(&mut c.insts[at], (RegOp::Nop, 0..0));
             let tail = &c.insts[first..kept];
             let fusion =
                 index_add(&mut t, tail, &inst).or_else(|| index_access(&mut t, tail, &inst));
@@ -1715,10 +1827,10 @@ fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, Limit
             c.insts[kept] = (inst, recipe);
             kept += 1;
         }
-        if let Some((term, parts)) = br_cmp(&t, &c.insts[first..kept], &lb.term, batch) {
+        if let Some((term, parts)) = br_cmp(&t, &c.insts[first..kept], lb.term.as_ref(), batch) {
             lb.term_recipe = fused_recipe(&c.insts[kept - parts..kept], &lb.term_recipe);
             kept -= parts;
-            lb.term = term;
+            lb.term = Some(term);
         }
         lb.insts = first as u32..kept as u32;
         coalesce_copies(&mut t, &mut c.insts[first..kept], first, batch);
@@ -1727,15 +1839,15 @@ fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, Limit
     Ok(t.reads)
 }
 
-/// [`RInst::IndexAdd`] for `add`, the instruction about to follow `tail`
+/// [`RegOp::IndexAdd`] for `add`, the instruction about to follow `tail`
 /// in its block, and how many instructions at the end of `tail` it
 /// replaces — when `add` is an `i64.add` of the `i64.mul` right before
 /// it, that product is by a constant and has no other reader, and (to
 /// take the index's widening in as well) the same holds for an
 /// `i64.extend_i32_{s,u}` before the product.
-fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Option<(RInst, usize)> {
+fn index_add(t: &mut ValueTable, tail: &[(SsaOp, Recipe)], add: &SsaOp) -> Option<(SsaOp, usize)> {
     let r = |v: ssa::Value| t.b.resolve(v);
-    let &RInst::Alu {
+    let &RegOp::Alu {
         op: AluOp::I64Add,
         dst,
         a,
@@ -1745,7 +1857,7 @@ fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Optio
         return None;
     };
     let (mul, rest) = tail.split_last()?;
-    let RInst::Alu {
+    let RegOp::Alu {
         op: AluOp::I64Mul,
         dst: product,
         a: p,
@@ -1771,7 +1883,7 @@ fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Optio
     };
     let mut ext = IndexExt::None;
     let mut parts = 1;
-    if let Some(&(RInst::Una { op, dst: wide, a }, _)) = rest.last() {
+    if let Some(&(RegOp::Una { op, dst: wide, a }, _)) = rest.last() {
         if let Some(widens) = IndexExt::of(op) {
             if r(idx) == wide && t.read_once(wide) {
                 (idx, ext, parts) = (a, widens, 2);
@@ -1786,7 +1898,7 @@ fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Optio
     if base == b && t.consts.bits(r(b)).is_some() {
         t.reads[r(b) as usize] += 1;
     }
-    let fused = RInst::IndexAdd {
+    let fused = RegOp::IndexAdd {
         dst,
         base,
         idx,
@@ -1796,18 +1908,18 @@ fn index_add(t: &mut ValueTable, tail: &[(RInst, Recipe)], add: &RInst) -> Optio
     Some((fused, parts))
 }
 
-/// [`RInst::LoadIdx`]/[`RInst::StoreIdx`] for `access`, the instruction
+/// [`RegOp::LoadIdx`]/[`RegOp::StoreIdx`] for `access`, the instruction
 /// about to follow `tail` in its block, replacing the last instruction of
 /// `tail` — when `access` is a load or store, that instruction is an
-/// [`RInst::IndexAdd`] whose sum `access` alone reads, as its address,
+/// [`RegOp::IndexAdd`] whose sum `access` alone reads, as its address,
 /// and the scale and the access's offset both fit a `u32`.
 fn index_access(
     t: &mut ValueTable,
-    tail: &[(RInst, Recipe)],
-    access: &RInst,
-) -> Option<(RInst, usize)> {
+    tail: &[(SsaOp, Recipe)],
+    access: &SsaOp,
+) -> Option<(SsaOp, usize)> {
     let &(
-        RInst::IndexAdd {
+        RegOp::IndexAdd {
             dst: sum,
             base,
             idx,
@@ -1822,12 +1934,12 @@ fn index_access(
     let k = u32::try_from(k).ok()?;
     let at_sum = |addr: ssa::Value| t.b.resolve(addr) == sum && t.read_once(sum);
     let fused = match *access {
-        RInst::Load {
+        RegOp::Load {
             op,
             offset,
             dst,
             addr,
-        } if at_sum(addr) => RInst::LoadIdx {
+        } if at_sum(addr) => RegOp::LoadIdx {
             op,
             offset: u32::try_from(offset).ok()?,
             dst,
@@ -1836,12 +1948,12 @@ fn index_access(
             ext,
             k,
         },
-        RInst::Store {
+        RegOp::Store {
             op,
             offset,
             addr,
             val,
-        } if at_sum(addr) => RInst::StoreIdx {
+        } if at_sum(addr) => RegOp::StoreIdx {
             op,
             offset: u32::try_from(offset).ok()?,
             base,
@@ -1868,38 +1980,32 @@ fn index_access(
 /// i; i = i + 1; if (old < n) continue` in a one-block loop).
 fn br_cmp(
     t: &ValueTable,
-    tail: &[(RInst, Recipe)],
-    term: &LTerm,
+    tail: &[(SsaOp, Recipe)],
+    term: Option<&SsaOp>,
     batch: &[(ssa::Value, ssa::Value)],
-) -> Option<(LTerm, usize)> {
+) -> Option<(SsaOp, usize)> {
     let r = |v: ssa::Value| t.b.resolve(v);
-    let (mut cond, target, mut negate) = match *term {
-        LTerm::BrIf { cond, then_b } => (cond, then_b, false),
-        LTerm::BrIfZ { cond, else_b } => (cond, else_b, true),
+    let (mut cond, target, mut negate) = match *term? {
+        RegOp::BrIf { cond, target } => (cond, target, false),
+        RegOp::BrIfZ { cond, target } => (cond, target, true),
         _ => return None,
     };
     // Whether the branch is all that reads `dst`.
     let feeds = |dst: ssa::Value, cond: ssa::Value| r(cond) == dst && t.read_once(dst);
     let mut rest = tail;
-    if let Some(&(RInst::Una { op, dst, a }, _)) = rest.last() {
+    if let Some(&(RegOp::Una { op, dst, a }, _)) = rest.last() {
         if op == UnaOp::I32Eqz && feeds(dst, cond) {
             (cond, negate) = (a, !negate);
             rest = &rest[..rest.len() - 1];
         }
     }
     let mut fused = match negate {
-        false => LTerm::BrIf {
-            cond,
-            then_b: target,
-        },
-        true => LTerm::BrIfZ {
-            cond,
-            else_b: target,
-        },
+        false => RegOp::BrIf { cond, target },
+        true => RegOp::BrIfZ { cond, target },
     };
-    if let Some(&(RInst::Alu { op, dst, a, b }, _)) = rest.last() {
+    if let Some(&(RegOp::Alu { op, dst, a, b }, _)) = rest.last() {
         if feeds(dst, cond) {
-            fused = LTerm::BrCmp {
+            fused = RegOp::BrCmp {
                 op,
                 negate,
                 a,
@@ -1926,7 +2032,7 @@ fn br_cmp(
 /// phi's old value.
 fn coalesce_copies(
     t: &mut ValueTable,
-    insts: &mut [(RInst, Recipe)],
+    insts: &mut [(SsaOp, Recipe)],
     first: usize,
     batch: &mut [(ssa::Value, ssa::Value)],
 ) {
@@ -2022,6 +2128,34 @@ impl Emitter {
     }
 }
 
+/// `op` with its right operand folded into the immediate form
+/// ([`RegOp::AluImm`], [`RegOp::BrCmpImm`]) when `bits` finds it a
+/// constant.
+fn fold_imm(op: &SsaOp, bits: impl Fn(ssa::Value) -> Option<u64>) -> Option<SsaOp> {
+    Some(match *op {
+        RegOp::Alu { op, dst, a, b } => RegOp::AluImm {
+            op,
+            dst,
+            a,
+            k: bits(b)?,
+        },
+        RegOp::BrCmp {
+            op,
+            negate,
+            a,
+            b,
+            target,
+        } => RegOp::BrCmpImm {
+            op,
+            negate,
+            a,
+            k: bits(b)?,
+            target,
+        },
+        _ => return None,
+    })
+}
+
 fn emit_reg(
     c: &RegCompiler,
     params: &[ssa::Value],
@@ -2099,7 +2233,9 @@ fn emit_reg(
         for &(phi, _) in copies.batch(i) {
             refer(pos, Operand::Use, phi);
         }
-        lb.term.operands(|role, v| refer(pos, role, v));
+        if let Some(term) = &lb.term {
+            term.operands(|role, v| refer(pos, role, v));
+        }
         pos += 1;
         let first_succ = liveness.succs.len() as u32;
         let layout_succs = c
@@ -2133,13 +2269,14 @@ fn emit_reg(
         }
     };
 
-    // Final emission in layout order; branch targets are patched from
-    // ssa block ids to pcs once every block's start pc is known.
-    struct RPatch {
-        op: usize,
-        slot: usize,
-        target: ssa::Block,
-    }
+    // Final emission in layout order: the op with a constant right
+    // operand folded, then every value renamed to its slot.
+    let to_slots = |op: &SsaOp| {
+        fold_imm(op, const_bits)
+            .as_ref()
+            .unwrap_or(op)
+            .map_regs(slot)
+    };
     let capacity = c.insts.len() + c.layout.len();
     let mut em = Emitter {
         ops: Vec::with_capacity(capacity),
@@ -2151,7 +2288,6 @@ fn emit_reg(
         },
     };
     let tags_of = |recipe: &Recipe| &c.tags[recipe.start as usize..recipe.end as usize];
-    let mut patches: Vec<RPatch> = Vec::new();
     let mut block_pc: Vec<u32> = Vec::with_capacity(c.layout.len());
     let mut pairs: Vec<(u16, u16)> = Vec::new();
     for (i, &blk) in c.layout.iter().enumerate() {
@@ -2164,143 +2300,7 @@ fn emit_reg(
             }
         }
         for (inst, recipe) in c.insts_of(lb) {
-            let op = match inst {
-                RInst::Flush => RegOp::Nop,
-                RInst::Alu { op, dst, a, b: rb } => match const_bits(*rb) {
-                    Some(k) => RegOp::AluImm {
-                        op: *op,
-                        dst: slot(*dst),
-                        a: slot(*a),
-                        k,
-                    },
-                    None => RegOp::Alu {
-                        op: *op,
-                        dst: slot(*dst),
-                        a: slot(*a),
-                        b: slot(*rb),
-                    },
-                },
-                RInst::Div { op, dst, a, b: rb } => RegOp::Div {
-                    op: *op,
-                    dst: slot(*dst),
-                    a: slot(*a),
-                    b: slot(*rb),
-                },
-                RInst::Una { op, dst, a } => RegOp::Una {
-                    op: *op,
-                    dst: slot(*dst),
-                    a: slot(*a),
-                },
-                RInst::IndexAdd {
-                    dst,
-                    base,
-                    idx,
-                    ext,
-                    k,
-                } => RegOp::IndexAdd {
-                    dst: slot(*dst),
-                    base: slot(*base),
-                    idx: slot(*idx),
-                    ext: *ext,
-                    k: *k,
-                },
-                RInst::Select {
-                    dst,
-                    cond,
-                    a,
-                    b: sb,
-                } => RegOp::Select {
-                    dst: slot(*dst),
-                    cond: slot(*cond),
-                    a: slot(*a),
-                    b: slot(*sb),
-                },
-                RInst::Load {
-                    op,
-                    offset,
-                    dst,
-                    addr,
-                } => RegOp::Load {
-                    op: *op,
-                    offset: *offset,
-                    dst: slot(*dst),
-                    addr: slot(*addr),
-                },
-                RInst::Store {
-                    op,
-                    offset,
-                    addr,
-                    val,
-                } => RegOp::Store {
-                    op: *op,
-                    offset: *offset,
-                    addr: slot(*addr),
-                    val: slot(*val),
-                },
-                &RInst::LoadIdx {
-                    op,
-                    offset,
-                    dst,
-                    base,
-                    idx,
-                    ext,
-                    k,
-                } => RegOp::LoadIdx {
-                    op,
-                    dst: slot(dst),
-                    base: slot(base),
-                    idx: slot(idx),
-                    ext,
-                    k,
-                    offset,
-                },
-                &RInst::StoreIdx {
-                    op,
-                    offset,
-                    base,
-                    idx,
-                    ext,
-                    k,
-                    val,
-                } => RegOp::StoreIdx {
-                    op,
-                    base: slot(base),
-                    idx: slot(idx),
-                    ext,
-                    k,
-                    offset,
-                    val: slot(val),
-                },
-                RInst::Call { func, args, rets } => RegOp::Call(Box::new(RegCall {
-                    func: *func,
-                    args: args.iter().map(|&a| slot(a)).collect(),
-                    rets: rets.iter().map(|&d| slot(d)).collect(),
-                })),
-                RInst::CallIndirect {
-                    type_idx,
-                    sel,
-                    args,
-                    rets,
-                } => RegOp::CallIndirect(Box::new(RegCallIndirect {
-                    type_idx: *type_idx,
-                    sel: slot(*sel),
-                    args: args.iter().map(|&a| slot(a)).collect(),
-                    rets: rets.iter().map(|&d| slot(d)).collect(),
-                })),
-                RInst::Sys { op, imm, args, ret } => {
-                    let mut regs = [0; 3];
-                    for (reg, &a) in regs.iter_mut().zip(args) {
-                        *reg = slot(a);
-                    }
-                    RegOp::Sys {
-                        op: *op,
-                        args: regs,
-                        ret: (*ret).map(&slot),
-                        imm: *imm,
-                    }
-                }
-            };
-            em.push(op, tags_of(recipe));
+            em.push(to_slots(inst), tags_of(recipe));
         }
         pairs.clear();
         pairs.extend(
@@ -2317,83 +2317,14 @@ fn emit_reg(
                 em.push(RegOp::Const { dst: slot(phi), v }, &[]);
             }
         }
-        // The terminator's targets are patched once every block has its
-        // pc; its own pc is known only after its recipe's carriers.
-        let (term_op, targets): (RegOp, &[ssa::Block]) = match &lb.term {
-            LTerm::None | LTerm::Halt => continue,
-            LTerm::Jump(t) => (RegOp::Jump(u32::MAX), std::slice::from_ref(t)),
-            LTerm::BrIf { cond, then_b } => (
-                RegOp::BrIf {
-                    cond: slot(*cond),
-                    target: u32::MAX,
-                },
-                std::slice::from_ref(then_b),
-            ),
-            LTerm::BrIfZ { cond, else_b } => (
-                RegOp::BrIfZ {
-                    cond: slot(*cond),
-                    target: u32::MAX,
-                },
-                std::slice::from_ref(else_b),
-            ),
-            LTerm::BrCmp {
-                op,
-                negate,
-                a,
-                b: rb,
-                target,
-            } => (
-                match const_bits(*rb) {
-                    Some(k) => RegOp::BrCmpImm {
-                        op: *op,
-                        negate: *negate,
-                        a: slot(*a),
-                        k,
-                        target: u32::MAX,
-                    },
-                    None => RegOp::BrCmp {
-                        op: *op,
-                        negate: *negate,
-                        a: slot(*a),
-                        b: slot(*rb),
-                        target: u32::MAX,
-                    },
-                },
-                std::slice::from_ref(target),
-            ),
-            LTerm::BrTable { sel, targets } => (
-                RegOp::BrTable {
-                    sel: slot(*sel),
-                    targets: vec![u32::MAX; targets.len()].into_boxed_slice(),
-                },
-                targets,
-            ),
-            LTerm::Ret { srcs } => (
-                RegOp::Ret {
-                    srcs: srcs.iter().map(|&s| slot(s)).collect(),
-                },
-                &[],
-            ),
-        };
-        em.push(term_op, tags_of(&lb.term_recipe));
-        let op = em.ops.len() - 1;
-        patches.extend(targets.iter().enumerate().map(|(slot, &target)| RPatch {
-            op,
-            slot,
-            target,
-        }));
-    }
-    for p in &patches {
-        let pc = block_pc[c.blocks[p.target as usize].layout_idx as usize];
-        match &mut em.ops[p.op] {
-            RegOp::Jump(t) => *t = pc,
-            RegOp::BrIf { target, .. }
-            | RegOp::BrIfZ { target, .. }
-            | RegOp::BrCmp { target, .. }
-            | RegOp::BrCmpImm { target, .. } => *target = pc,
-            RegOp::BrTable { targets, .. } => targets[p.slot] = pc,
-            other => unreachable!("patching non-branch reg op {other:?}"),
+        if let Some(term) = &lb.term {
+            em.push(to_slots(term), tags_of(&lb.term_recipe));
         }
+    }
+    // Every block has its pc now: the branch targets, SSA block ids so
+    // far, become pcs.
+    for target in em.ops.iter_mut().flat_map(RegOp::targets_mut) {
+        *target = block_pc[c.blocks[*target as usize].layout_idx as usize];
     }
 
     Ok(RegCode {
@@ -3030,6 +2961,194 @@ mod tests {
             );
             assert_eq!(tree.call_tree(th, 0, &args), Ok(vec![Value::I64(expected)]));
             assert_eq!(reg.charge_counts(rh), tree.charge_counts(th));
+        }
+    }
+
+    #[test]
+    fn selection_operands_and_map_regs_agree_on_every_kind() {
+        // One op of each kind over pairwise-distinct SSA values: `map_regs`
+        // renames exactly the registers `operands` visits, in the order it
+        // visits them, and puts each back in the field it came from —
+        // renamed to its rank in the visit, the op visits 0, 1, 2, ... with
+        // the same roles. Branch targets pass through untouched.
+        fn kind<R>(op: &RegOp<R>) -> usize {
+            match op {
+                RegOp::Nop => 0,
+                RegOp::Jump(_) => 1,
+                RegOp::BrIf { .. } => 2,
+                RegOp::BrIfZ { .. } => 3,
+                RegOp::BrCmp { .. } => 4,
+                RegOp::BrCmpImm { .. } => 5,
+                RegOp::BrTable { .. } => 6,
+                RegOp::Ret { .. } => 7,
+                RegOp::Call(_) => 8,
+                RegOp::CallIndirect(_) => 9,
+                RegOp::Move { .. } => 10,
+                RegOp::Const { .. } => 11,
+                RegOp::Alu { .. } => 12,
+                RegOp::Div { .. } => 13,
+                RegOp::AluImm { .. } => 14,
+                RegOp::Una { .. } => 15,
+                RegOp::IndexAdd { .. } => 16,
+                RegOp::Select { .. } => 17,
+                RegOp::Load { .. } => 18,
+                RegOp::Store { .. } => 19,
+                RegOp::LoadIdx { .. } => 20,
+                RegOp::StoreIdx { .. } => 21,
+                RegOp::Sys { .. } => 22,
+            }
+        }
+        let mut next: ssa::Value = 0;
+        let mut v = || {
+            next += 1;
+            next
+        };
+        let ops: Vec<SsaOp> = vec![
+            RegOp::Nop,
+            RegOp::Jump(7),
+            RegOp::BrIf {
+                cond: v(),
+                target: 7,
+            },
+            RegOp::BrIfZ {
+                cond: v(),
+                target: 8,
+            },
+            RegOp::BrCmp {
+                op: AluOp::I64LtS,
+                negate: true,
+                a: v(),
+                b: v(),
+                target: 9,
+            },
+            RegOp::BrCmpImm {
+                op: AluOp::I32Eq,
+                negate: false,
+                a: v(),
+                k: 5,
+                target: 10,
+            },
+            RegOp::BrTable {
+                sel: v(),
+                targets: [3, 1, 2].into(),
+            },
+            RegOp::Ret {
+                srcs: [v(), v()].into(),
+            },
+            RegOp::Call(Box::new(RegCall {
+                func: 4,
+                args: [v(), v(), v()].into(),
+                rets: [v()].into(),
+            })),
+            RegOp::CallIndirect(Box::new(RegCallIndirect {
+                type_idx: 2,
+                sel: v(),
+                args: [v(), v()].into(),
+                rets: [v(), v()].into(),
+            })),
+            RegOp::Move { dst: v(), src: v() },
+            RegOp::Const { dst: v(), v: 11 },
+            RegOp::Alu {
+                op: AluOp::I64Sub,
+                dst: v(),
+                a: v(),
+                b: v(),
+            },
+            RegOp::Div {
+                op: DivOp::I64DivS,
+                dst: v(),
+                a: v(),
+                b: v(),
+            },
+            RegOp::AluImm {
+                op: AluOp::I64Add,
+                dst: v(),
+                a: v(),
+                k: 3,
+            },
+            RegOp::Una {
+                op: UnaOp::I32Clz,
+                dst: v(),
+                a: v(),
+            },
+            RegOp::IndexAdd {
+                dst: v(),
+                base: v(),
+                idx: v(),
+                ext: IndexExt::S32,
+                k: 8,
+            },
+            RegOp::Select {
+                dst: v(),
+                cond: v(),
+                a: v(),
+                b: v(),
+            },
+            RegOp::Load {
+                op: LoadOp::F64Load,
+                offset: 16,
+                dst: v(),
+                addr: v(),
+            },
+            RegOp::Store {
+                op: StoreOp::I64Store,
+                offset: 24,
+                addr: v(),
+                val: v(),
+            },
+            RegOp::LoadIdx {
+                op: LoadOp::I32Load,
+                dst: v(),
+                base: v(),
+                idx: v(),
+                ext: IndexExt::None,
+                k: 4,
+                offset: 8,
+            },
+            RegOp::StoreIdx {
+                op: StoreOp::F32Store,
+                base: v(),
+                idx: v(),
+                ext: IndexExt::U32,
+                k: 4,
+                offset: 0,
+                val: v(),
+            },
+            // The third argument is not one `segment.new` reads.
+            RegOp::Sys {
+                op: SysOp::SegmentNew,
+                args: [v(), v(), v()],
+                ret: Some(v()),
+                imm: 32,
+            },
+        ];
+        let kinds: BTreeSet<usize> = ops.iter().map(kind).collect();
+        assert_eq!(kinds, (0..23).collect(), "one op of each kind");
+
+        for op in &ops {
+            let mut visited = Vec::new();
+            op.operands(|role, r| visited.push((role, r)));
+            let regs: Vec<ssa::Value> = visited.iter().map(|&(_, r)| r).collect();
+            let mut renamed = Vec::new();
+            let mut mapped: RegOp = op.map_regs(|r| {
+                renamed.push(r);
+                regs.iter()
+                    .position(|&seen| seen == r)
+                    .map_or(u16::MAX, |rank| rank as u16)
+            });
+            assert_eq!(renamed, regs, "{op:?}");
+            let mut ranks = Vec::new();
+            mapped.operands(|role, r| ranks.push((role, u32::from(r))));
+            let expected: Vec<(Operand, u32)> = (0..)
+                .zip(&visited)
+                .map(|(rank, &(role, _))| (role, rank))
+                .collect();
+            assert_eq!(ranks, expected, "{op:?} -> {mapped:?}");
+            let mut own = op.clone();
+            assert_eq!(own.targets_mut(), mapped.targets_mut(), "{op:?}");
+            if let Some(&mut dst) = own.dst_mut() {
+                assert_eq!(visited.last(), Some(&(Operand::Def, dst)), "{op:?}");
+            }
         }
     }
 

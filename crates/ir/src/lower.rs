@@ -525,12 +525,12 @@ impl<'a> FuncLowering<'a> {
             body.push(Instr::LocalTee(fp));
             body.push(Instr::GlobalSet(self.sp_global));
         }
-        let stmts = self.func.body.clone();
-        self.lower_stmts(&stmts, &mut body, &mut Vec::new());
+        let func = self.func;
+        self.lower_stmts(&func.body, &mut body, &mut Vec::new());
         // Fall-through epilogue (functions returning a value end in
         // Return; void functions may fall off the end).
         self.emit_epilogue(&mut body);
-        (self.extra_locals.clone(), body)
+        (self.extra_locals, body)
     }
 
     fn emit_epilogue(&self, out: &mut Vec<Instr>) {

@@ -840,9 +840,13 @@ impl<'p> Codegen<'p> {
 
     // -- expressions -----------------------------------------------------------
 
-    /// Emits `e` for side effects, discarding any value.
+    /// Emits `e` for side effects, discarding any value. A discarded
+    /// postfix `++`/`--` is its prefix form: nobody reads the old value.
     fn expr_discard(&mut self, ctx: &mut FnCtx, e: &Expr) -> Result<(), CompileError> {
-        let _ = self.expr(ctx, e)?;
+        let _ = match &e.kind {
+            ExprKind::PostIncDec(inc, inner) => self.incdec(ctx, *inc, inner, true, e.line)?,
+            _ => self.expr(ctx, e)?,
+        };
         Ok(())
     }
 
@@ -1218,9 +1222,14 @@ impl<'p> Codegen<'p> {
     ) -> Result<(Operand, CType), CompileError> {
         let lv = self.lvalue(ctx, inner)?;
         let ty = lv.ctype().clone();
-        let (old, _) = self.load_lvalue(ctx, lv.clone())?;
+        let (mut old, _) = self.load_lvalue(ctx, lv.clone())?;
         let step: i64 = if inc { 1 } else { -1 };
         let ir_ty = self.ir_type(&ty);
+        if !pre && matches!(lv, LV::Reg(..)) {
+            // The store below reassigns the variable's register: a postfix
+            // keeps the old value in a copy of its own.
+            old = ctx.b.assign(ir_ty, IrExpr::Use(old));
+        }
         let new = match &ty {
             CType::Ptr(p) => {
                 let scale = self.size_of(p);

@@ -12,8 +12,10 @@
 //! data instruction becomes an op over SSA values and each block ends in
 //! a branch op over SSA blocks. One instruction-selection step (`select`)
 //! fuses those ops into the forms that retire a whole expression tree in
-//! one dispatch: an array address (and the load or store through it), a
-//! comparison and the branch on it, an op and the phi copy of its result.
+//! one dispatch: an array address (and the load or store through it, with
+//! the row address of a 2-D access folded in as a second index term), a
+//! comparison and the branch on it, an op and the phi copy of its result,
+//! and a loop's step and the back-edge `jump` behind it.
 //! Phis are eliminated with parallel copies, and a linear scan
 //! (`cage_ir::regalloc`) assigns every value a slot in a fixed per-frame
 //! register file — reading every op's registers through the one walker,
@@ -46,11 +48,8 @@
 //! instruction's immediate. No register op holds an `Instr`, and nothing
 //! the dispatch loop runs reads one: the `Instr` tree ends here, in the
 //! lowering (and in the tree-walking oracle, `crate::tree`, which
-//! production never enters). A `Sys` op still disassembles as `bridge
-//! global.get 0 args [] -> r4` — the name is from when these ran through
-//! the oracle's `exec_op` on a staged operand stack — because the
-//! disassembly is pinned byte for byte (`golden_regcode_digests.tsv`) and
-//! the change of executor was not a change of lowering.
+//! production never enters). A `Sys` op disassembles as `sys global.get 0
+//! args [] -> r4`.
 //!
 //! Statically unreachable code (anything following an unconditional
 //! branch inside a block) is never lowered; all that survives of it is
@@ -372,8 +371,9 @@ impl IndexExt {
     }
 
     /// `base + self(idx) * k`, wrapping: the `i64.mul` and `i64.add` rows
-    /// an address op stands for — what [`RegOp::IndexAdd`] writes and
-    /// what [`RegOp::LoadIdx`]/[`RegOp::StoreIdx`] access.
+    /// an address op stands for — what [`RegOp::IndexAdd`] writes, and
+    /// each of the two index terms [`RegOp::LoadIdx`]/[`RegOp::StoreIdx`]
+    /// add to their base.
     #[inline(always)]
     #[must_use]
     pub fn address(self, base: u64, idx: u64, k: u64) -> u64 {
@@ -393,15 +393,16 @@ impl IndexExt {
 /// their operands, and emission only renames each value to its slot and
 /// each block to its pc. One vocabulary serves from selection to dispatch.
 ///
-/// Four forms retire a whole expression tree in one dispatch, the way
+/// Five forms retire a whole expression tree in one dispatch, the way
 /// the paper's AArch64 backend selects `add Xd, Xn, Wm, SXTW`/`madd` and
 /// `b.cond`/`cbz` for the same trees: [`RegOp::IndexAdd`], the access
 /// through such an address ([`RegOp::LoadIdx`]/[`RegOp::StoreIdx`], what
 /// AArch64's register-offset `ldr`/`str` do when the scale is the access
-/// size), [`RegOp::BrCmp`] and [`RegOp::BrCmpImm`]. Each carries the
-/// recipes of the instructions it stands for, in order, so what is
-/// charged — and where a trap or the end of the fuel finds the counts —
-/// does not move.
+/// size; a 2-D access takes its row address in as a second index term),
+/// [`RegOp::BrCmp`] and [`RegOp::BrCmpImm`], and a loop's step riding its
+/// back edge ([`RegOp::AluImmJump`]). Each carries the recipes of the
+/// instructions it stands for, in order, so what is charged — and where
+/// a trap or the end of the fuel finds the counts — does not move.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegOp<R = u16> {
     /// Placeholder that only carries a charge recipe (source ops whose
@@ -444,6 +445,21 @@ pub enum RegOp<R = u16> {
         op: AluOp,
         /// Branch on a zero result instead.
         negate: bool,
+        /// Left operand register.
+        a: R,
+        /// Pre-encoded right operand.
+        k: u64,
+        /// Destination pc.
+        target: u32,
+    },
+    /// `dst <- a op constant`, then an unconditional jump: a loop's step
+    /// and the back edge behind it, fused. The op cannot trap, so the
+    /// jump's preemption point sees the counts it saw unfused.
+    AluImmJump {
+        /// The operation.
+        op: AluOp,
+        /// Destination register.
+        dst: R,
         /// Left operand register.
         a: R,
         /// Pre-encoded right operand.
@@ -575,10 +591,12 @@ pub enum RegOp<R = u16> {
         /// Value register.
         val: R,
     },
-    /// `dst <- memory[base + ext(idx) * k + offset]`: a
+    /// `dst <- memory[base + rext(row) * rk + ext(idx) * k + offset]`: a
     /// [`RegOp::IndexAdd`] and the [`RegOp::Load`] that was its only
-    /// reader, fused. Scale and offset are `u32`, which keeps the op at
-    /// three words; wider ones stay two ops.
+    /// reader, fused — and, for `A[i][j]`, the row address `A + i * stride`
+    /// that only the column address read, as its base. A 1-D access has
+    /// `rk = 0` and `row = base`. Scales and offset are `u32`, which keeps
+    /// the op at three words; wider ones stay apart.
     LoadIdx {
         /// Access width and extension.
         op: LoadOp,
@@ -586,6 +604,12 @@ pub enum RegOp<R = u16> {
         dst: R,
         /// Base register.
         base: R,
+        /// Row index register (`base` when `rk` is 0).
+        row: R,
+        /// How the row index widens to `i64`.
+        rext: IndexExt,
+        /// Row scale; 0 for a 1-D access.
+        rk: u32,
         /// Index register.
         idx: R,
         /// How the index widens to `i64`.
@@ -595,13 +619,19 @@ pub enum RegOp<R = u16> {
         /// Static byte offset.
         offset: u32,
     },
-    /// `memory[base + ext(idx) * k + offset] <- val`: the store twin of
-    /// [`RegOp::LoadIdx`].
+    /// `memory[base + rext(row) * rk + ext(idx) * k + offset] <- val`: the
+    /// store twin of [`RegOp::LoadIdx`].
     StoreIdx {
         /// Access width.
         op: StoreOp,
         /// Base register.
         base: R,
+        /// Row index register (`base` when `rk` is 0).
+        row: R,
+        /// How the row index widens to `i64`.
+        rext: IndexExt,
+        /// Row scale; 0 for a 1-D access.
+        rk: u32,
         /// Index register.
         idx: R,
         /// How the index widens to `i64`.
@@ -715,13 +745,26 @@ impl<R: Copy> RegOp<R> {
             }
             RegOp::Move { dst, src: a }
             | RegOp::AluImm { dst, a, .. }
+            | RegOp::AluImmJump { dst, a, .. }
             | RegOp::Una { dst, a, .. }
             | RegOp::Load { dst, addr: a, .. } => {
                 f(Use, *a);
                 f(Def, *dst);
             }
-            RegOp::IndexAdd { dst, base, idx, .. } | RegOp::LoadIdx { dst, base, idx, .. } => {
+            RegOp::IndexAdd { dst, base, idx, .. } => {
                 f(Use, *base);
+                f(Use, *idx);
+                f(Def, *dst);
+            }
+            RegOp::LoadIdx {
+                dst,
+                base,
+                row,
+                idx,
+                ..
+            } => {
+                f(Use, *base);
+                f(Use, *row);
                 f(Use, *idx);
                 f(Def, *dst);
             }
@@ -735,8 +778,15 @@ impl<R: Copy> RegOp<R> {
                 f(Use, *addr);
                 f(Use, *val);
             }
-            RegOp::StoreIdx { base, idx, val, .. } => {
+            RegOp::StoreIdx {
+                base,
+                row,
+                idx,
+                val,
+                ..
+            } => {
                 f(Use, *base);
+                f(Use, *row);
                 f(Use, *idx);
                 f(Use, *val);
             }
@@ -756,6 +806,7 @@ impl<R: Copy> RegOp<R> {
             | RegOp::Alu { dst, .. }
             | RegOp::Div { dst, .. }
             | RegOp::AluImm { dst, .. }
+            | RegOp::AluImmJump { dst, .. }
             | RegOp::Una { dst, .. }
             | RegOp::IndexAdd { dst, .. }
             | RegOp::Select { dst, .. }
@@ -784,7 +835,8 @@ impl<R: Copy> RegOp<R> {
             | RegOp::BrIf { target, .. }
             | RegOp::BrIfZ { target, .. }
             | RegOp::BrCmp { target, .. }
-            | RegOp::BrCmpImm { target, .. } => std::slice::from_mut(target),
+            | RegOp::BrCmpImm { target, .. }
+            | RegOp::AluImmJump { target, .. } => std::slice::from_mut(target),
             RegOp::BrTable { targets, .. } => targets,
             RegOp::Nop
             | RegOp::Ret { .. }
@@ -891,6 +943,19 @@ impl<R: Copy> RegOp<R> {
                 dst: f(dst),
                 k,
             },
+            &RegOp::AluImmJump {
+                op,
+                dst,
+                a,
+                k,
+                target,
+            } => RegOp::AluImmJump {
+                op,
+                a: f(a),
+                dst: f(dst),
+                k,
+                target,
+            },
             &RegOp::Una { op, dst, a } => RegOp::Una {
                 op,
                 a: f(a),
@@ -941,6 +1006,9 @@ impl<R: Copy> RegOp<R> {
                 op,
                 dst,
                 base,
+                row,
+                rext,
+                rk,
                 idx,
                 ext,
                 k,
@@ -948,8 +1016,11 @@ impl<R: Copy> RegOp<R> {
             } => RegOp::LoadIdx {
                 op,
                 base: f(base),
+                row: f(row),
                 idx: f(idx),
                 dst: f(dst),
+                rext,
+                rk,
                 ext,
                 k,
                 offset,
@@ -957,6 +1028,9 @@ impl<R: Copy> RegOp<R> {
             &RegOp::StoreIdx {
                 op,
                 base,
+                row,
+                rext,
+                rk,
                 idx,
                 ext,
                 k,
@@ -965,7 +1039,10 @@ impl<R: Copy> RegOp<R> {
             } => RegOp::StoreIdx {
                 op,
                 base: f(base),
+                row: f(row),
                 idx: f(idx),
+                rext,
+                rk,
                 ext,
                 k,
                 offset,
@@ -1772,11 +1849,17 @@ fn fused_recipe(parts: &[(SsaOp, Recipe)], last: &Recipe) -> Recipe {
 /// * an [`RegOp::IndexAdd`] whose sum only the load or store right after
 ///   it reads, as its address, becomes [`RegOp::LoadIdx`] /
 ///   [`RegOp::StoreIdx`] — when its scale and the access's offset fit a
-///   `u32`;
+///   `u32` — and takes in the [`RegOp::IndexAdd`] right before it too, as
+///   its row term, when that one's sum is its base and read nowhere else
+///   and its scale fits a `u32` and is not 0;
 /// * an op whose `i32` result — or the `i32.eqz` of it — only a `br_if`
 ///   or an `if` reads becomes that block's [`RegOp::BrCmp`];
 /// * an op whose result only a phi copy of its own block reads writes
-///   the phi itself, and the copy goes.
+///   the phi itself, and the copy goes;
+/// * an op with a constant right operand that ends a block whose
+///   terminator is a `jump` and whose copy batch copies nothing (a loop's
+///   step, `i = i + 1`, in front of the back edge) becomes
+///   [`RegOp::AluImmJump`].
 ///
 /// The fused op takes the parts' recipes, which adjacency makes one run
 /// of [`RegCompiler::tags`]: every charge stays where it was relative to
@@ -1832,8 +1915,13 @@ fn select(c: &mut RegCompiler, copies: &mut PhiCopies) -> Result<Vec<u32>, Limit
             kept -= parts;
             lb.term = Some(term);
         }
-        lb.insts = first as u32..kept as u32;
         coalesce_copies(&mut t, &mut c.insts[first..kept], first, batch);
+        if let Some(term) = step_jump(&t, &c.insts[first..kept], lb.term.as_ref(), batch) {
+            lb.term_recipe = fused_recipe(&c.insts[kept - 1..kept], &lb.term_recipe);
+            kept -= 1;
+            lb.term = Some(term);
+        }
+        lb.insts = first as u32..kept as u32;
     }
     c.insts.truncate(kept);
     Ok(t.reads)
@@ -1909,30 +1997,59 @@ fn index_add(t: &mut ValueTable, tail: &[(SsaOp, Recipe)], add: &SsaOp) -> Optio
 }
 
 /// [`RegOp::LoadIdx`]/[`RegOp::StoreIdx`] for `access`, the instruction
-/// about to follow `tail` in its block, replacing the last instruction of
-/// `tail` — when `access` is a load or store, that instruction is an
-/// [`RegOp::IndexAdd`] whose sum `access` alone reads, as its address,
-/// and the scale and the access's offset both fit a `u32`.
+/// about to follow `tail` in its block, and how many instructions at the
+/// end of `tail` it replaces — when `access` is a load or store, the last
+/// instruction is an [`RegOp::IndexAdd`] whose sum `access` alone reads,
+/// as its address, and the scale and the access's offset both fit a
+/// `u32`. The access takes in the [`RegOp::IndexAdd`] before that one as
+/// well, as its row term, when the column address alone reads its sum,
+/// as its base, and its scale fits a `u32` and is not 0 (a zero row scale
+/// marks a 1-D access).
 fn index_access(
     t: &mut ValueTable,
     tail: &[(SsaOp, Recipe)],
     access: &SsaOp,
 ) -> Option<(SsaOp, usize)> {
-    let &(
-        RegOp::IndexAdd {
-            dst: sum,
-            base,
-            idx,
-            ext,
-            k,
-        },
-        _,
-    ) = tail.last()?
+    let r = |v: ssa::Value| t.b.resolve(v);
+    let (
+        &(
+            RegOp::IndexAdd {
+                dst: sum,
+                base,
+                idx,
+                ext,
+                k,
+            },
+            _,
+        ),
+        rest,
+    ) = tail.split_last()?
     else {
         return None;
     };
     let k = u32::try_from(k).ok()?;
-    let at_sum = |addr: ssa::Value| t.b.resolve(addr) == sum && t.read_once(sum);
+    let at_sum = |addr: ssa::Value| r(addr) == sum && t.read_once(sum);
+    // The row address in front: its sum, base, index, widening and scale.
+    let row_term = match rest.last() {
+        Some(&(
+            RegOp::IndexAdd {
+                dst,
+                base: outer,
+                idx: row,
+                ext: rext,
+                k: rk,
+            },
+            _,
+        )) if r(base) == dst && t.read_once(dst) => {
+            let rk = u32::try_from(rk).ok().filter(|&rk| rk != 0);
+            rk.map(|rk| (dst, outer, row, rext, rk))
+        }
+        _ => None,
+    };
+    let (base, row, rext, rk) = match row_term {
+        Some((_, outer, row, rext, rk)) => (outer, row, rext, rk),
+        None => (base, base, IndexExt::None, 0),
+    };
     let fused = match *access {
         RegOp::Load {
             op,
@@ -1944,6 +2061,9 @@ fn index_access(
             offset: u32::try_from(offset).ok()?,
             dst,
             base,
+            row,
+            rext,
+            rk,
             idx,
             ext,
             k,
@@ -1957,6 +2077,9 @@ fn index_access(
             op,
             offset: u32::try_from(offset).ok()?,
             base,
+            row,
+            rext,
+            rk,
             idx,
             ext,
             k,
@@ -1964,9 +2087,12 @@ fn index_access(
         },
         _ => return None,
     };
-    // The sum no longer exists to be read.
+    // The sums no longer exist to be read.
     t.reads[sum as usize] = 0;
-    Some((fused, 1))
+    if let Some((row_sum, ..)) = row_term {
+        t.reads[row_sum as usize] = 0;
+    }
+    Some((fused, 1 + usize::from(row_term.is_some())))
 }
 
 /// The terminator `term` of a block fused with the end of its
@@ -2022,6 +2148,34 @@ fn br_cmp(
     let mut overwritten = false;
     fused.operands(|_, v| overwritten |= batch.iter().any(|&(phi, _)| phi == r(v)));
     (!overwritten).then_some((fused, parts))
+}
+
+/// [`RegOp::AluImmJump`] for a block whose instructions `insts` end in an
+/// op with a constant right operand and whose terminator `term` is a
+/// `jump` — when the block's copy batch `batch` copies nothing, so no copy
+/// stands between the op and the jump. The op cannot trap, so the jump's
+/// preemption point finds the counts it found unfused.
+fn step_jump(
+    t: &ValueTable,
+    insts: &[(SsaOp, Recipe)],
+    term: Option<&SsaOp>,
+    batch: &[(ssa::Value, ssa::Value)],
+) -> Option<SsaOp> {
+    let &RegOp::Jump(target) = term? else {
+        return None;
+    };
+    let &(RegOp::Alu { op, dst, a, b }, _) = insts.last()? else {
+        return None;
+    };
+    let k = t.consts.bits(t.b.resolve(b))?;
+    let copies_nothing = batch.iter().all(|&(phi, src)| src == phi);
+    copies_nothing.then_some(RegOp::AluImmJump {
+        op,
+        dst,
+        a,
+        k,
+        target,
+    })
 }
 
 /// Strikes out every copy `phi <- t` of `batch` whose source is the
@@ -2358,13 +2512,15 @@ fn charge_letter(tag: ChargeTag) -> char {
 /// Disassembles `code`, the register bytecode of function `func_idx`
 /// (joint index space) with signature `ty` — the backend of
 /// [`crate::Precompiled::disassemble`] and `cagec --dump-bytecode`.
-/// Registers are frame slots `r0..`; a [`RegOp::Sys`] prints as `bridge`
+/// Registers are frame slots `r0..`; a [`RegOp::Sys`] prints as `sys`
 /// and the text mnemonic of its instruction; the fused forms print as
 /// what they compute (`r9 <- r7 + sext r5 * 0x8`; an access at such an
-/// address as `r2 <- I64Load offset=0 addr=r7 + sext r5 * 0x8`;
-/// `br_cmp I64LtS r1, r2`, or `br_cmp_z` when it branches on a zero
-/// result); each op's charge recipe is appended as `; charges <letters>`
-/// in retired-source order.
+/// address as `r2 <- I64Load offset=0 addr=r7 + sext r5 * 0x8`, with the
+/// row term in front of the column's when it has one,
+/// `addr=r3 + sext r0 * 0xa0 + sext r5 * 0x8`; `br_cmp I64LtS r1, r2`, or
+/// `br_cmp_z` when it branches on a zero result;
+/// `r6 <- I32Add r6, const 0x1; jump →0004`); each op's charge recipe is
+/// appended as `; charges <letters>` in retired-source order.
 pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> String {
     use std::fmt::Write as _;
 
@@ -2374,13 +2530,22 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
         format!("[{}]", names.join(", "))
     };
     let br_cmp = |negate: bool| if negate { "br_cmp_z" } else { "br_cmp" };
-    let index = |base: u16, idx: u16, ext: IndexExt, k: u64| {
+    let term = |idx: u16, ext: IndexExt, k: u64| {
         let ext = match ext {
             IndexExt::None => "",
             IndexExt::S32 => "sext ",
             IndexExt::U32 => "zext ",
         };
-        format!("{} + {ext}{} * {k:#x}", reg(base), reg(idx))
+        format!(" + {ext}{} * {k:#x}", reg(idx))
+    };
+    // An access's address: the row term only where there is one.
+    let access = |base: u16, row: u16, rext: IndexExt, rk: u32, idx: u16, ext: IndexExt, k: u32| {
+        let row = if rk == 0 {
+            String::new()
+        } else {
+            term(row, rext, rk.into())
+        };
+        format!("{}{row}{}", reg(base), term(idx, ext, k.into()))
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -2458,6 +2623,17 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
             RegOp::AluImm { op, dst, a, k } => {
                 format!("{} <- {op:?} {}, const {k:#x}", reg(*dst), reg(*a))
             }
+            RegOp::AluImmJump {
+                op,
+                dst,
+                a,
+                k,
+                target,
+            } => format!(
+                "{} <- {op:?} {}, const {k:#x}; jump \u{2192}{target:04}",
+                reg(*dst),
+                reg(*a)
+            ),
             RegOp::Una { op, dst, a } => format!("{} <- {op:?} {}", reg(*dst), reg(*a)),
             &RegOp::IndexAdd {
                 dst,
@@ -2465,7 +2641,7 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 idx,
                 ext,
                 k,
-            } => format!("{} <- {}", reg(dst), index(base, idx, ext, k)),
+            } => format!("{} <- {}{}", reg(dst), reg(base), term(idx, ext, k)),
             RegOp::Select { dst, cond, a, b } => format!(
                 "{} <- select {} ? {} : {}",
                 reg(*dst),
@@ -2497,6 +2673,9 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 op,
                 dst,
                 base,
+                row,
+                rext,
+                rk,
                 idx,
                 ext,
                 k,
@@ -2504,11 +2683,14 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
             } => format!(
                 "{} <- {op:?} offset={offset} addr={}",
                 reg(dst),
-                index(base, idx, ext, k.into())
+                access(base, row, rext, rk, idx, ext, k)
             ),
             &RegOp::StoreIdx {
                 op,
                 base,
+                row,
+                rext,
+                rk,
                 idx,
                 ext,
                 k,
@@ -2516,7 +2698,7 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                 val,
             } => format!(
                 "{op:?} offset={offset} addr={}, val={}",
-                index(base, idx, ext, k.into()),
+                access(base, row, rext, rk, idx, ext, k),
                 reg(val)
             ),
             RegOp::Sys { op, args, ret, imm } => {
@@ -2525,7 +2707,7 @@ pub(crate) fn disassemble(func_idx: u32, ty: &FuncType, code: &RegCode) -> Strin
                     None => String::new(),
                 };
                 let args = &args[..op.effect().0];
-                format!("bridge {} args {}{ret}", op.text(*imm), regs(args))
+                format!("sys {} args {}{ret}", op.text(*imm), regs(args))
             }
         };
         let (off, len) = code.recipes[pc];
@@ -2888,6 +3070,92 @@ mod tests {
     }
 
     #[test]
+    fn selection_gives_a_row_term_and_a_step_their_parts_recipes_in_order() {
+        use ChargeTag::{Branch, Mem, Simple};
+        // `A[i][j]` as `(A + i * 160) + j * 8`, loaded: the access retires
+        // both address chains and itself. Then `i = i + 1` in front of a
+        // back edge: the step retires the `get`, the constant, the `add`,
+        // the `set` and the `br`.
+        let code = compile_reg_body(vec![
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I64Const(160),
+            Instr::I64Mul,
+            Instr::I64Add,
+            Instr::LocalGet(2),
+            Instr::I64Const(8),
+            Instr::I64Mul,
+            Instr::I64Add,
+            Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
+            Instr::LocalSet(2),
+            Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                    Instr::Br(0),
+                ],
+            ),
+            Instr::LocalGet(0),
+        ]);
+        let at = |pick: fn(&RegOp) -> bool| {
+            code.ops
+                .iter()
+                .position(pick)
+                .unwrap_or_else(|| panic!("{:?}", code.ops))
+        };
+        let access = at(|op| {
+            matches!(
+                op,
+                RegOp::LoadIdx {
+                    rext: IndexExt::None,
+                    rk: 160,
+                    ext: IndexExt::None,
+                    k: 8,
+                    offset: 0,
+                    ..
+                }
+            )
+        });
+        let step = at(|op| {
+            matches!(
+                op,
+                RegOp::AluImmJump {
+                    op: AluOp::I64Add,
+                    k: 1,
+                    ..
+                }
+            )
+        });
+        assert_eq!(
+            recipe(&code, access),
+            [[Simple; 9].as_slice(), &[Mem]].concat()
+        );
+        assert_eq!(
+            recipe(&code, step),
+            [Simple, Simple, Simple, Simple, Branch]
+        );
+        let RegOp::AluImmJump { dst, a, target, .. } = code.ops[step] else {
+            unreachable!()
+        };
+        assert_eq!((dst, target), (a, step as u32), "{:?}", code.ops);
+        assert!(
+            !code
+                .ops
+                .iter()
+                .any(|op| matches!(op, RegOp::IndexAdd { .. } | RegOp::Jump(_))),
+            "{:?}",
+            code.ops
+        );
+        for pc in 0..code.ops.len() {
+            let packed = pack_counts(&fitting_prefix(recipe(&code, pc)).0);
+            assert_eq!(code.packed[pc], packed, "pc {pc}");
+        }
+    }
+
+    #[test]
     fn selection_keeps_a_fused_comparison_live_across_the_copies_in_front_of_it() {
         // The branch carries a value to the block's result, so a phi copy
         // stands between the fused comparison's old place and the
@@ -2996,6 +3264,7 @@ mod tests {
                 RegOp::LoadIdx { .. } => 20,
                 RegOp::StoreIdx { .. } => 21,
                 RegOp::Sys { .. } => 22,
+                RegOp::AluImmJump { .. } => 23,
             }
         }
         let mut next: ssa::Value = 0;
@@ -3100,6 +3369,9 @@ mod tests {
                 op: LoadOp::I32Load,
                 dst: v(),
                 base: v(),
+                row: v(),
+                rext: IndexExt::S32,
+                rk: 0xa0,
                 idx: v(),
                 ext: IndexExt::None,
                 k: 4,
@@ -3108,6 +3380,9 @@ mod tests {
             RegOp::StoreIdx {
                 op: StoreOp::F32Store,
                 base: v(),
+                row: v(),
+                rext: IndexExt::None,
+                rk: 64,
                 idx: v(),
                 ext: IndexExt::U32,
                 k: 4,
@@ -3121,9 +3396,16 @@ mod tests {
                 ret: Some(v()),
                 imm: 32,
             },
+            RegOp::AluImmJump {
+                op: AluOp::I32Add,
+                dst: v(),
+                a: v(),
+                k: 1,
+                target: 11,
+            },
         ];
         let kinds: BTreeSet<usize> = ops.iter().map(kind).collect();
-        assert_eq!(kinds, (0..23).collect(), "one op of each kind");
+        assert_eq!(kinds, (0..24).collect(), "one op of each kind");
 
         for op in &ops {
             let mut visited = Vec::new();
@@ -3168,8 +3450,8 @@ mod tests {
     }
 
     #[test]
-    fn disassembly_prints_bridged_instructions_with_text_mnemonics() {
-        // `memory.grow` has no C spelling, so its bridge text is pinned
+    fn disassembly_prints_sys_instructions_with_text_mnemonics() {
+        // `memory.grow` has no C spelling, so its `sys` text is pinned
         // here rather than through `cagec --dump-bytecode`.
         let mut b = ModuleBuilder::new();
         b.add_memory64(1);
@@ -3182,7 +3464,7 @@ mod tests {
         let pre = crate::Precompiled::new(&b.build()).expect("fixture compiles");
         let text = pre.disassemble(0).expect("local function");
         assert!(text.starts_with("func 0 (params 1, results 1): "), "{text}");
-        assert!(text.contains("bridge memory.grow args [r0] -> r"), "{text}");
+        assert!(text.contains("sys memory.grow args [r0] -> r"), "{text}");
         // A `Sys` op holds no `Instr` to print: its text is `SysOp`'s own
         // and has to stay what the instruction's was.
         let stateful = [

@@ -390,7 +390,10 @@ impl Gen {
     /// the widened index or of the product (through a `local.tee`), which
     /// must keep that part an op of its own; and what keeps the address
     /// out of its access — a scale or an offset past `u32::MAX`, or an op
-    /// computing the stored value between the two.
+    /// computing the stored value between the two. Half the time the base
+    /// is itself a row address, `A + ext(row) * stride` (`A[i][j]`), which
+    /// the access takes in as a second term — unless a second reader or a
+    /// stride past `u32::MAX` or of 0 keeps it apart.
     fn addr_chain_statement(&mut self, out: &mut Vec<Instr>) {
         let mut base = Vec::new();
         if self.rng.gen() {
@@ -400,6 +403,20 @@ impl Gen {
             base.push(Instr::LocalGet(SCR));
         } else {
             base.push(Instr::LocalGet(self.pick_i64_local()));
+        }
+        let row = self.rng.gen();
+        if row {
+            match self.upto(3) {
+                0 => base.push(Instr::LocalGet(self.pick_i64_local())),
+                1 => base.extend([Instr::LocalGet(FLAG), Instr::I64ExtendI32S]),
+                _ => base.extend([Instr::LocalGet(FLAG), Instr::I64ExtendI32U]),
+            }
+            let strides = [0xa0, 0xa0, 64, 8, 0, 1 << 32];
+            base.push(Instr::I64Const(strides[self.upto(strides.len())]));
+            base.extend([Instr::I64Mul, Instr::I64Add]);
+            if self.upto(4) == 0 {
+                base.push(Instr::LocalTee(ACC));
+            }
         }
         let mut index = Vec::new();
         match self.upto(4) {
@@ -432,7 +449,8 @@ impl Gen {
         if reread == 1 {
             product.push(Instr::LocalTee(ACC));
         }
-        if self.rng.gen() {
+        // A row address comes first, as `A[i][j]` spells it.
+        if row || self.rng.gen() {
             out.extend(base);
             out.extend(product);
         } else {
@@ -1768,15 +1786,30 @@ fn generator_emits_every_stateful_instruction() {
 }
 
 /// The address chains reach both fused accesses — at the largest offset
-/// they hold, too — and the selection's refusals: an address op left in
-/// front of a plain load or store, for a scale or an offset past `u32` or
-/// an op standing between the two.
+/// they hold, too, and with a row address folded in as a second index
+/// term — and the selection's refusals: an address op left in front of a
+/// plain load or store, for a scale or an offset past `u32` or an op
+/// standing between the two, and a row address left in front of a
+/// one-term access. The generated steps reach the back edge they ride
+/// (`AluImmJump`) and its refusal: a step, a copy, then the `jump`.
 #[test]
 fn generator_reaches_fused_accesses_and_their_refusals() {
     use crate::bytecode::{compile_reg, RegOp};
-    // load, store, load at offset u32::MAX, address then plain access
-    let mut seen = [false; 4];
-    for seed in 0..150 {
+    const SEEN: [&str; 9] = [
+        "load",
+        "store",
+        "load at offset u32::MAX",
+        "address, then a plain access",
+        "two-term load",
+        "two-term store",
+        "row address, then a one-term access",
+        "step riding its back edge",
+        "step, copy, then its jump",
+    ];
+    let mut seen = [false; SEEN.len()];
+    // Compile only, so more seeds than the trap-rate probe runs: a
+    // two-term load comes up about twice in a hundred of them.
+    for seed in 0..400 {
         let module = random_module(seed);
         let limits = cage_wasm::CompileLimits::unlimited();
         for func in &module.funcs {
@@ -1790,22 +1823,49 @@ fn generator_reaches_fused_accesses_and_their_refusals() {
                 &limits.fuel(),
             )
             .expect("unlimited lowering cannot bust a limit");
-            for pair in code.ops.windows(2) {
-                match pair {
-                    [_, RegOp::LoadIdx { offset, .. }] => {
+            for op in code.ops.iter() {
+                match op {
+                    RegOp::LoadIdx { offset, rk, .. } => {
                         seen[0] = true;
                         seen[2] |= *offset == u32::MAX;
+                        seen[4] |= *rk != 0;
                     }
-                    [_, RegOp::StoreIdx { .. }] => seen[1] = true,
+                    RegOp::StoreIdx { rk, .. } => {
+                        seen[1] = true;
+                        seen[5] |= *rk != 0;
+                    }
+                    RegOp::AluImmJump { .. } => seen[7] = true,
+                    _ => {}
+                }
+            }
+            for pair in code.ops.windows(2) {
+                match pair {
+                    [RegOp::IndexAdd { dst, .. }, RegOp::LoadIdx { base, rk: 0, .. } | RegOp::StoreIdx { base, rk: 0, .. }] =>
+                    {
+                        seen[6] |= dst == base;
+                    }
                     [RegOp::IndexAdd { .. }, RegOp::Load { .. } | RegOp::Store { .. }] => {
                         seen[3] = true;
                     }
                     _ => {}
                 }
             }
+            // A step with a copy between it and its `jump`.
+            seen[8] |= code.ops.windows(3).any(|w| {
+                matches!(
+                    w,
+                    [RegOp::AluImm { dst, .. }, RegOp::Move { src, .. }, RegOp::Jump(_)] if dst != src
+                )
+            });
         }
     }
-    assert_eq!(seen, [true; 4], "fused accesses and refusals generated");
+    let missing: Vec<&str> = SEEN
+        .iter()
+        .zip(seen)
+        .filter(|&(_, seen)| !seen)
+        .map(|(what, _)| *what)
+        .collect();
+    assert!(missing.is_empty(), "not generated: {missing:?}");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! SSA into [`crate::bytecode::RegCode`] — generic 3-address ops over a
 //! fixed per-frame register file — and executed by `Interp::run_reg`:
 //! one function holding one `loop { match op }`, a single jump table over
-//! the 23 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
+//! the 24 [`RegOp`] kinds. Each iteration adds the op's *charge recipe*
 //! (how many source instructions of each class it retires, packed into
 //! one word) to a running sum held in a register and then runs the op's
 //! arm, so the per-class retired counts are exactly those of retiring the
@@ -39,7 +39,7 @@
 //! arguments for the typed boundary, nothing else does). The 128 numeric
 //! instructions run the rows of the table in `cage_wasm::numeric`
 //! (`AluOp`/`DivOp`/`UnaOp::eval`, inlined into the loop's arms — the four
-//! generic ones and the five fused forms — and charged by the recipe).
+//! generic ones and the six fused forms — and charged by the recipe).
 //! The twelve stateful ones (globals, memory management, segments, pointer
 //! sign/auth, `unreachable`) are one arm, [`RegOp::Sys`], which calls the
 //! out-of-line `RegState::sys`: twelve register-form bodies written from
@@ -298,7 +298,7 @@ impl<'s> Interp<'s> {
 // Register dispatch
 // ===========================================================================
 //
-// One function, one `loop { match op }` over the 23 `RegOp` kinds (a single
+// One function, one `loop { match op }` over the 24 `RegOp` kinds (a single
 // jump table whose layout is the compiler's, not the linker's), with an
 // explicit call stack of function *indices* into the template's function
 // table — borrowed once per invocation, so a guest call or return touches
@@ -789,6 +789,16 @@ impl Interp<'_> {
                 &RegOp::Const { dst, v } => st.set(dst, v),
                 &RegOp::Alu { op, dst, a, b } => st.set(dst, op.eval(st.get(a), st.get(b))),
                 &RegOp::AluImm { op, dst, a, k } => st.set(dst, op.eval(st.get(a), k)),
+                &RegOp::AluImmJump {
+                    op,
+                    dst,
+                    a,
+                    k,
+                    target,
+                } => {
+                    st.set(dst, op.eval(st.get(a), k));
+                    jump!(target);
+                }
                 &RegOp::Div { op, dst, a, b } => {
                     let v = tri!(op.eval(st.get(a), st.get(b)));
                     st.set(dst, v);
@@ -831,25 +841,33 @@ impl Interp<'_> {
                     op,
                     dst,
                     base,
+                    row,
+                    rext,
+                    rk,
                     idx,
                     ext,
                     k,
                     offset,
                 } => {
-                    let addr = ext.address(st.get(base), st.get(idx), k.into());
+                    let row = rext.address(st.get(base), st.get(row), rk.into());
+                    let addr = ext.address(row, st.get(idx), k.into());
                     let v = tri!(st.load_scalar(op, addr, offset.into()));
                     st.set(dst, v);
                 }
                 &RegOp::StoreIdx {
                     op,
                     base,
+                    row,
+                    rext,
+                    rk,
                     idx,
                     ext,
                     k,
                     offset,
                     val,
                 } => {
-                    let addr = ext.address(st.get(base), st.get(idx), k.into());
+                    let row = rext.address(st.get(base), st.get(row), rk.into());
+                    let addr = ext.address(row, st.get(idx), k.into());
                     tri!(st.store_scalar(op, addr, offset.into(), st.get(val)));
                 }
                 &RegOp::Sys { op, args, ret, imm } => tri!(st.sys(op, args, ret, imm)),

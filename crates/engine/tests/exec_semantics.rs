@@ -1411,8 +1411,18 @@ fn lowered(
 /// Runs function 0 of `m` on both tiers: outcome (results by bit pattern)
 /// and count vector must be the same, and are returned.
 fn on_both_tiers(what: &str, m: &Module, args: &[Value]) -> (Result<Vec<u64>, Trap>, ChargeCounts) {
+    on_both_tiers_under(ExecConfig::default(), what, m, args)
+}
+
+/// [`on_both_tiers`] under `config`.
+fn on_both_tiers_under(
+    config: ExecConfig,
+    what: &str,
+    m: &Module,
+    args: &[Value],
+) -> (Result<Vec<u64>, Trap>, ChargeCounts) {
     let outcome = |tree: bool| {
-        let mut store = Store::new(ExecConfig::default());
+        let mut store = Store::new(config);
         let h = store.instantiate(m, &Imports::new()).unwrap();
         let out = if tree {
             store.call_tree(h, 0, args)
@@ -1426,7 +1436,12 @@ fn on_both_tiers(what: &str, m: &Module, args: &[Value]) -> (Result<Vec<u64>, Tr
         (out, store.charge_counts(h))
     };
     let reg = outcome(false);
-    assert_eq!(reg, outcome(true), "{what} {args:?}: register vs tree");
+    assert_eq!(
+        reg,
+        outcome(true),
+        "{what} {args:?} under {:?}: register vs tree",
+        config.variant
+    );
     reg
 }
 
@@ -1702,6 +1717,121 @@ fn selection_fuses_an_address_into_the_access_that_reads_it() {
 
 /// One page of linear memory, in bytes.
 const PAGE_BYTES: i64 = cage_wasm::types::PAGE_SIZE as i64;
+
+/// `base + rext(row) * rk + ext(col) * k`, as the C front end spells
+/// `A[i][j]`: the row address first, then the column added to it. Local 0
+/// is the base, local 1 the row, local 2 the column.
+fn two_term_address(rext: Option<&Instr>, rk: i64, ext: Option<&Instr>, k: i64) -> Vec<Instr> {
+    let mut body = vec![Instr::LocalGet(0), Instr::LocalGet(1)];
+    body.extend(rext.cloned());
+    body.extend([Instr::I64Const(rk), Instr::I64Mul, Instr::I64Add]);
+    body.push(Instr::LocalGet(2));
+    body.extend(ext.cloned());
+    body.extend([Instr::I64Const(k), Instr::I64Mul, Instr::I64Add]);
+    body
+}
+
+#[test]
+fn selection_folds_a_row_address_into_the_access_as_a_second_term() {
+    use ValType::{I32, I64};
+    let exts = [
+        (IndexExt::None, None),
+        (IndexExt::S32, Some(Instr::I64ExtendI32S)),
+        (IndexExt::U32, Some(Instr::I64ExtendI32U)),
+    ];
+    let value = 0x0123_4567_89AB_CDEFi64 | i64::MIN;
+    let offset = 16u64;
+    // Store the fourth argument at `A[row][col]`, then load it back from
+    // there: a two-term store, then a two-term load.
+    for (rext, rext_instr) in &exts {
+        for (ext, ext_instr) in &exts {
+            for (rk, k) in [(0xa0i64, 8i64), (64, 1), (1, 24), (i64::from(u32::MAX), 8)] {
+                let what = format!("{rext:?} * {rk} + {ext:?} * {k}");
+                let address = || two_term_address(rext_instr.as_ref(), rk, ext_instr.as_ref(), k);
+                let mut body = address();
+                body.push(Instr::LocalGet(3));
+                body.push(Instr::Store(StoreOp::I64Store, MemArg::offset(offset)));
+                body.extend(address());
+                body.push(Instr::Load(LoadOp::I64Load, MemArg::offset(offset)));
+                let ty = |e: &IndexExt| if *e == IndexExt::None { I64 } else { I32 };
+                let params = [I64, ty(rext), ty(ext), I64];
+                let (m, code) = lowered(&what, &params, &[I64], &[], body);
+                let (rk32, k32) = (rk as u32, k as u32);
+                assert!(
+                    matches!(
+                        code.ops.as_ref(),
+                        [
+                            RegOp::StoreIdx { rext: r1, rk: rk1, ext: e1, k: k1, offset: 16, .. },
+                            RegOp::LoadIdx { rext: r2, rk: rk2, ext: e2, k: k2, offset: 16, .. },
+                            RegOp::Ret { .. }
+                        ] if r1 == rext && r2 == rext && e1 == ext && e2 == ext
+                            && *rk1 == rk32 && *rk2 == rk32 && *k1 == k32 && *k2 == k32
+                    ),
+                    "{what}: {:?}",
+                    code.ops
+                );
+                let arg = |e: &IndexExt, i: i64| match e {
+                    IndexExt::None => (Value::I64(i), i),
+                    IndexExt::S32 => (Value::I32(i as i32), i64::from(i as i32)),
+                    IndexExt::U32 => (Value::I32(i as i32), i64::from(i as u32)),
+                };
+                // In bounds, at the last word, one past it, and wrapped by
+                // a negative row or column.
+                let last = PAGE_BYTES - 8 - offset as i64;
+                let rows = [
+                    (0x2000i64, 1i64, 2i64),
+                    (0x2000, 0, 0),
+                    (last - rk - k, 1, 1),
+                    (last - rk - k + 1, 1, 1),
+                    (0x2000, -1, 3),
+                    (0x2000, 2, -1),
+                ];
+                for (base, row, col) in rows {
+                    let ((row_arg, row_wide), (col_arg, col_wide)) =
+                        (arg(rext, row), arg(ext, col));
+                    let args = [Value::I64(base), row_arg, col_arg, Value::I64(value)];
+                    let at = base
+                        .wrapping_add(row_wide.wrapping_mul(rk))
+                        .wrapping_add(col_wide.wrapping_mul(k)) as u64;
+                    let in_bounds = at
+                        .checked_add(offset + 8)
+                        .is_some_and(|end| end <= PAGE_BYTES as u64);
+                    let widenings = 2 * u64::from(*rext != IndexExt::None)
+                        + 2 * u64::from(*ext != IndexExt::None);
+                    for variant in [Variant::BaselineWasm64, Variant::CageFull] {
+                        let config = ExecConfig {
+                            variant,
+                            ..ExecConfig::default()
+                        };
+                        let (out, counts) = on_both_tiers_under(config, &what, &m, &args);
+                        let here = format!("{what} under {variant:?}: {base} [{row}][{col}]");
+                        // The sandbox mask may bring a wrapped address back
+                        // in; an address that stays in bounds is one
+                        // everywhere.
+                        if in_bounds {
+                            assert_eq!(out, Ok(vec![value as u64]), "{here}");
+                            // Twice get, get, const, mul, add for each
+                            // term, and the access; the stored value's get;
+                            // the widenings.
+                            assert_eq!(counts.get(ChargeClass::Mem), 2, "{here}");
+                            assert_eq!(counts.get(ChargeClass::Zero), widenings, "{here}");
+                            assert_eq!(counts.instr_count(), 21 + widenings, "{here}");
+                        } else if variant == Variant::BaselineWasm64 {
+                            assert!(
+                                matches!(out, Err(Trap::OutOfBounds { len: 8, .. })),
+                                "{here}: {out:?}"
+                            );
+                            // The store traps after the charges of its
+                            // address, its value and itself.
+                            assert_eq!(counts.get(ChargeClass::Mem), 1, "{here}");
+                            assert_eq!(counts.instr_count(), 11 + widenings / 2, "{here}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 #[test]
 fn selection_compare_and_branch_rows_agree_with_the_tree_oracle() {
@@ -2388,5 +2518,193 @@ fn selection_must_not_fuse_table() {
         );
         let (out, _) = on_both_tiers(what, &m, &args);
         assert_eq!(out, expected, "{what}");
+    }
+
+    // A row address stays an op of its own, in front of a one-term
+    // access, when something else reads it too, or when its scale does
+    // not fit the fused op's `u32` or is 0. Local 0 is the base, 1 the
+    // row, 2 the column, 3 a spare.
+    let row_address = |rk: i64| {
+        [
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I64ExtendI32S,
+            Instr::I64Const(rk),
+            Instr::I64Mul,
+            Instr::I64Add,
+        ]
+    };
+    let column = [
+        Instr::LocalGet(2),
+        Instr::I64ExtendI32S,
+        Instr::I64Const(8),
+        Instr::I64Mul,
+        Instr::I64Add,
+        Instr::Load(LoadOp::I64Load, MemArg::none()),
+    ];
+    let two_term = |code: &RegCode| {
+        count_ops(
+            code,
+            |o| matches!(o, RegOp::LoadIdx { rk, .. } | RegOp::StoreIdx { rk, .. } if *rk != 0),
+        )
+    };
+    let row_rows: [(&str, Vec<Instr>, [Value; 3], u64); 4] = [
+        (
+            "row address read twice",
+            [
+                row_address(0xa0).to_vec(),
+                vec![Instr::LocalTee(3)],
+                column.to_vec(),
+                vec![Instr::LocalGet(3), Instr::I64Add],
+            ]
+            .concat(),
+            [Value::I64(0x100), Value::I32(1), Value::I32(2)],
+            0x100 + 0xa0,
+        ),
+        (
+            "row scale past u32::MAX",
+            [row_address(1 << 32).to_vec(), column.to_vec()].concat(),
+            [Value::I64(0x100), Value::I32(0), Value::I32(2)],
+            0,
+        ),
+        (
+            "row scale u32::MAX",
+            [row_address(u32::MAX.into()).to_vec(), column.to_vec()].concat(),
+            [Value::I64(0x100), Value::I32(0), Value::I32(2)],
+            0,
+        ),
+        (
+            "row scale 0",
+            [row_address(0).to_vec(), column.to_vec()].concat(),
+            [Value::I64(0x100), Value::I32(5), Value::I32(2)],
+            0,
+        ),
+    ];
+    for (what, body, args, expected) in row_rows {
+        let (m, code) = lowered(what, &[I64, I32, I32], &[I64], &[I64], body);
+        // `row scale u32::MAX` is the one row that does fuse.
+        let fuses = usize::from(what == "row scale u32::MAX");
+        assert_eq!(
+            (two_term(&code), index_adds(&code), fused(&code)),
+            (fuses, 1 - fuses, 1),
+            "{what}: {:?}",
+            code.ops
+        );
+        let (out, _) = on_both_tiers(what, &m, &args);
+        assert_eq!(out, Ok(vec![expected]), "{what}");
+    }
+
+    // A loop's step rides the `jump` behind it only when nothing stands
+    // between the two: not a phi copy the block still makes, and not when
+    // the back edge is a `br_if` (`do i++; while (i < n)`). In
+    // `i, j = j, i + 1` the step `i + 1` reads the old `i` and the copy
+    // batch — `i <- j`, `j <- i + 1` — overwrites `i` and reads the step's
+    // result: a step moved behind the batch would read the new `i` and
+    // leave `j` stale.
+    let steps = |code: &RegCode| count_ops(code, |o| matches!(o, RegOp::AluImmJump { .. }));
+    let swap = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I64Eqz,
+                    Instr::BrIf(1),
+                    Instr::LocalGet(0),
+                    Instr::I64Const(1),
+                    Instr::I64Sub,
+                    Instr::LocalSet(0),
+                    Instr::LocalGet(2),
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(2),
+                    Instr::LocalSet(1),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(1),
+        Instr::I64Const(1000),
+        Instr::I64Mul,
+        Instr::LocalGet(2),
+        Instr::I64Add,
+    ];
+    let (m, code) = lowered(
+        "step with a phi copy before its jump",
+        &[I64],
+        &[I64],
+        &[I64, I64],
+        swap,
+    );
+    assert_eq!(steps(&code), 0, "{:?}", code.ops);
+    // The step, the copies, the back edge.
+    let step = code
+        .ops
+        .iter()
+        .position(|o| {
+            matches!(
+                o,
+                RegOp::AluImm {
+                    op: AluOp::I64Add,
+                    ..
+                }
+            )
+        })
+        .unwrap_or_else(|| panic!("no step: {:?}", code.ops));
+    let copies = code.ops[step + 1..]
+        .iter()
+        .take_while(|o| matches!(o, RegOp::Move { .. }))
+        .count();
+    assert!(
+        copies > 0 && matches!(code.ops[step + 1 + copies], RegOp::Jump(_)),
+        "{:?}",
+        code.ops
+    );
+    // (i, j): (0, 0) -> (0, 1) -> (1, 1) -> (1, 2) -> (2, 2) -> (2, 3).
+    for (n, expected) in [(0i64, 0u64), (1, 1), (2, 1001), (5, 2003)] {
+        let (out, _) = on_both_tiers("step with a phi copy", &m, &[Value::I64(n)]);
+        assert_eq!(out, Ok(vec![expected]), "n = {n}");
+    }
+    let (m, code) = lowered(
+        "step before a br_if",
+        &[I64],
+        &[I64],
+        &[I64],
+        vec![
+            Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(0),
+                    Instr::I64LtS,
+                    Instr::BrIf(0),
+                ],
+            ),
+            Instr::LocalGet(1),
+        ],
+    );
+    assert_eq!(steps(&code), 0, "{:?}", code.ops);
+    assert_eq!(
+        count_ops(&code, |o| matches!(
+            o,
+            RegOp::AluImm {
+                op: AluOp::I64Add,
+                ..
+            }
+        )),
+        1,
+        "{:?}",
+        code.ops
+    );
+    assert_eq!(count_ops(&code, |o| matches!(o, RegOp::BrCmp { .. })), 1);
+    for (n, expected) in [(0i64, 1u64), (1, 1), (4, 4)] {
+        let (out, _) = on_both_tiers("step before a br_if", &m, &[Value::I64(n)]);
+        assert_eq!(out, Ok(vec![expected]), "n = {n}");
     }
 }

@@ -1392,3 +1392,114 @@ fn selection_keeps_trap_and_preemption_points() {
         );
     }
 }
+
+/// A loop's step rides its back edge (`RegOp::AluImmJump`): the step
+/// cannot trap, so the fuel check of the jump it now shares a dispatch
+/// with runs dry at every budget where the unfused `jump` did, on the
+/// counts the unfused code had. The literals are what the parent of the
+/// step fusion (a step op, then a `jump`) retired for the same budgets.
+#[test]
+fn selection_step_on_the_back_edge_keeps_preemption_points() {
+    // for (i = 0; i < n; i++) acc = acc + i; return acc — both loop
+    // variables written in place, so the back edge copies nothing.
+    let body = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(1),
+                    Instr::LocalGet(0),
+                    Instr::I64LtS,
+                    Instr::I32Eqz,
+                    Instr::BrIf(1),
+                    Instr::LocalGet(2),
+                    Instr::LocalGet(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(2),
+                    Instr::LocalGet(1),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(1),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(2),
+    ];
+    let mut b = ModuleBuilder::new();
+    b.add_memory64(1);
+    b.add_function(
+        &[ValType::I64],
+        &[ValType::I64],
+        &[ValType::I64, ValType::I64],
+        body,
+    );
+    let module = b.build();
+    cage_wasm::validate(&module).expect("fixture validates");
+    let text = Precompiled::new(&module)
+        .expect("compiles")
+        .disassemble(0)
+        .expect("local function");
+    assert!(
+        text.contains("<- I64Add r") && text.contains(", const 0x1; jump \u{2192}"),
+        "{text}"
+    );
+    assert!(!text.contains(": jump "), "{text}");
+
+    let run = |n: i64, budget: u64| {
+        let mut store = Store::new(ExecConfig::default());
+        let h = store
+            .instantiate(&module, &Imports::new())
+            .expect("instantiates");
+        store.set_fuel(h, Some(budget));
+        let result = store.call(h, 0, &[Value::I64(n)]);
+        (result, store.fuel_consumed(h), store.charge_counts(h))
+    };
+    // Three rounds of twelve simple instructions and two branches (the
+    // exit test falls through, the back edge jumps), the exit test that
+    // branches out, and the `local.get` the return retires.
+    assert_eq!(
+        run(3, 1_000),
+        (
+            Ok(vec![Value::I64(3)]),
+            5,
+            counts(&[(Simple, 12 * 3 + 4 + 1), (Branch, 2 * 3 + 1)])
+        )
+    );
+    let points: [&[(ChargeClass, u64)]; 5] = [
+        // The back edge of rounds one to three.
+        &[(Simple, 12), (Branch, 2)],
+        &[(Simple, 24), (Branch, 4)],
+        &[(Simple, 36), (Branch, 6)],
+        // The taken exit branch.
+        &[(Simple, 40), (Branch, 7)],
+        // The return.
+        &[(Simple, 41), (Branch, 7)],
+    ];
+    for (budget, point) in points.iter().enumerate() {
+        let first = run(3, budget as u64);
+        assert_eq!(
+            first,
+            run(3, budget as u64),
+            "budget {budget}: not reproducible"
+        );
+        assert_eq!(
+            first,
+            (Err(Trap::FuelExhausted), budget as u64, counts(point)),
+            "budget {budget}: {:?}",
+            classes(&first.2)
+        );
+    }
+    // The register tier agrees with the tree oracle wherever the fuel
+    // does not run out.
+    for n in [0, 1, 5] {
+        let (result, _, charged) = run(n, 1_000);
+        let mut store = Store::new(ExecConfig::default());
+        let h = store
+            .instantiate(&module, &Imports::new())
+            .expect("instantiates");
+        let tree = store.call_tree(h, 0, &[Value::I64(n)]);
+        assert_eq!((result, charged), (tree, store.charge_counts(h)), "n = {n}");
+    }
+}

@@ -184,14 +184,14 @@ fn dump_bytecode_renders_register_form() {
 }
 
 #[test]
-fn dump_bytecode_shows_gemm_inner_loop_in_fourteen_ops() {
+fn dump_bytecode_shows_gemm_inner_loop_in_nine_ops() {
     // The `k` loop of gemm under `cage` — `C[i][j] = C[i][j] + 1.5 *
     // A[i][k] * B[k][j]` — is the hottest code of the PolyBench sweep.
-    // Instruction selection leaves it at 14 dispatches per round (37
-    // without it, 18 before the accesses took in their last address op):
-    // one fused exit test, four row addresses `base + sext(i) * stride`,
-    // three loads and the store each at `row + sext(col) * 8`, three float
-    // ops, the increment writing `k` in place, and the back edge.
+    // Instruction selection leaves it at 9 dispatches per round (37
+    // without it, 14 before the accesses took in their row addresses and
+    // the step its back edge): one fused exit test, three loads and the
+    // store each at `base + sext(row) * stride + sext(col) * 8`, three
+    // float ops, and the increment writing `k` in place on the back edge.
     let gemm = cage_polybench::kernel("gemm").expect("gemm exists");
     let program = tempfile::with_suffix(".c", gemm.source);
     let out = cagec()
@@ -210,64 +210,72 @@ fn dump_bytecode_shows_gemm_inner_loop_in_fourteen_ops() {
         let (_, pc) = line.split_once('\u{2192}')?;
         pc[..4].parse().ok()
     };
-    // Loops are `header: br_cmp_z … →exit`, body, `jump →header`; the
-    // innermost one with three loads in it is the `k` loop.
+    // The op of a line: what follows `pc: `, without the charges.
+    fn body(line: &str) -> &str {
+        let op = line.split_once(": ").map_or(line, |(_, op)| op);
+        op.split("  ; charges").next().unwrap_or(op)
+    }
+    // What follows `<- rN` on a line whose op reads a register first:
+    // nothing on a `Move`, ` + …` on a standalone `IndexAdd`.
+    fn after_source(line: &str) -> Option<&str> {
+        let (_, src) = body(line).split_once("<- r")?;
+        let digits = src.chars().take_while(char::is_ascii_digit).count();
+        (digits > 0).then(|| &src[digits..])
+    }
+    // Loops are `header: br_cmp_z … →exit`, body, and a back edge to the
+    // header (a `jump`, or a step riding one); the innermost one with
+    // three loads in it is the `k` loop.
     let k_loop = ops
         .iter()
         .enumerate()
-        .filter(|(_, l)| l.contains(": jump "))
+        .filter(|(_, l)| l.contains("jump \u{2192}"))
         .filter_map(|(back, l)| Some(&ops[target(l)?..=back]))
         .filter(|body| body.iter().filter(|l| l.contains("F64Load")).count() == 3)
         .min_by_key(|body| body.len())
         .expect("a loop with three loads");
     assert!(
-        k_loop.len() <= 14,
+        k_loop.len() <= 9,
         "{} ops:\n{}",
         k_loop.len(),
         k_loop.join("\n")
     );
     assert!(k_loop[0].contains("br_cmp_z I32LtS"), "{}", k_loop[0]);
-    // `rA <- rB` and nothing else on the line is a `Move`.
-    let is_move = |l: &str| {
-        l.split_once("<- r")
-            .is_some_and(|(_, src)| src.chars().all(|c| c.is_ascii_digit()))
-    };
+    // No `Move`, no standalone `IndexAdd` and no standalone `jump` is left.
     let left: Vec<&&str> = k_loop
         .iter()
         .filter(|l| {
-            is_move(l)
+            matches!(after_source(l), Some(rest) if rest.is_empty() || rest.starts_with(" + "))
+                || body(l).starts_with("jump ")
                 || ["I64ExtendI32S", "I32Eqz", "I64Mul"]
                     .iter()
                     .any(|op| l.contains(op))
         })
         .collect();
     assert!(left.is_empty(), "left in the k loop: {left:?}");
+    // Four two-term accesses: a row term and a column term each.
+    let two_term = |l: &&&str| {
+        (l.contains("64Load offset=0 addr=r") || l.contains("64Store offset=0 addr=r"))
+            && l.matches(" + sext r").count() == 2
+    };
     assert_eq!(
-        k_loop.iter().filter(|l| l.contains(" + sext r")).count(),
-        8,
-        "{}",
-        k_loop.join("\n")
-    );
-    // Four of them are the accesses themselves.
-    assert_eq!(
-        k_loop
-            .iter()
-            .filter(
-                |l| l.contains("64Load offset=0 addr=r") || l.contains("64Store offset=0 addr=r")
-            )
-            .filter(|l| l.contains(" + sext r"))
-            .count(),
+        k_loop.iter().filter(two_term).count(),
         4,
         "{}",
         k_loop.join("\n")
+    );
+    // The back edge carries the step.
+    let back = k_loop.last().expect("a back edge");
+    assert!(
+        back.contains("<- I32Add r") && back.contains(", const 0x1; jump \u{2192}"),
+        "{back}"
     );
 }
 
 #[test]
 fn dump_bytecode_prints_bridged_instructions_by_mnemonic_over_one_register_namespace() {
-    // Bridged instructions print with the paper's text mnemonics (the
-    // same ones `--emit-wat` uses), and every register is a frame slot
-    // `rN`: there is no second register class.
+    // Stateful (`sys`) instructions print with the paper's text mnemonics
+    // (the same ones `--emit-wat` uses), and every register is a frame
+    // slot `rN`: there is no second register class.
     let program = tempfile::with_suffix(
         ".c",
         "long run(char* p) {
@@ -290,11 +298,11 @@ fn dump_bytecode_prints_bridged_instructions_by_mnemonic_over_one_register_names
     assert!(
         stdout
             .lines()
-            .any(|l| l.contains("bridge segment.new offset=0 args [r0, r") && l.contains("] -> r")),
+            .any(|l| l.contains("sys segment.new offset=0 args [r0, r") && l.contains("] -> r")),
         "{stdout}"
     );
     assert!(
-        stdout.contains("bridge segment.free offset=0 args [r"),
+        stdout.contains("sys segment.free offset=0 args [r"),
         "{stdout}"
     );
     // Every operand list names frame slots only.

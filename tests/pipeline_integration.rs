@@ -295,3 +295,47 @@ fn compiling_twice_gives_the_same_module() {
     let out = instance.invoke("f", &[Value::I64(5)]).unwrap();
     assert_eq!(out, vec![Value::I64(149)]);
 }
+
+/// Postfix `++`/`--` yield the variable's value from before the step,
+/// whether it lives in a register or in memory, and a discarded one steps
+/// it all the same. Each export returns its known answer.
+const POSTFIX: &str = r#"
+long post_inc_value() { long i = 0; long j = i++; return j; }
+long post_inc_variable() { long i = 0; long j = i++; return i + j; }
+long post_dec_runs() { long n = 3; long k = 0; while (n--) k = k + 1; return k; }
+long post_dec_variable() { long n = 3; long k = 0; while (n--) k = k + 1; return n; }
+long post_inc_in_memory() { long a[2]; a[0] = 5; long j = a[0]++; return j * 10 + a[0]; }
+long post_inc_discarded() { long i = 7; i++; i--; i++; return i; }
+"#;
+
+#[test]
+fn postfix_steps_yield_the_old_value_on_every_variant_and_level() {
+    use cage::OptLevel;
+    let answers = [
+        ("post_inc_value", 0),
+        ("post_inc_variable", 1),
+        ("post_dec_runs", 3),
+        ("post_dec_variable", -1),
+        ("post_inc_in_memory", 56),
+        ("post_inc_discarded", 8),
+    ];
+    for variant in Variant::ALL {
+        for level in [OptLevel::None, OptLevel::Standard, OptLevel::Full] {
+            let engine = Engine::builder(variant).opt_level(level).build();
+            let artifact = engine
+                .compile(POSTFIX)
+                .unwrap_or_else(|e| panic!("{variant} {level:?}: {e}"));
+            let mut inst = engine.instantiate(&artifact).unwrap();
+            for (export, answer) in answers {
+                let out = inst
+                    .invoke(export, &[])
+                    .unwrap_or_else(|e| panic!("{export} under {variant} at {level:?}: {e}"));
+                assert_eq!(
+                    out,
+                    vec![Value::I64(answer)],
+                    "{export} under {variant} at {level:?}"
+                );
+            }
+        }
+    }
+}

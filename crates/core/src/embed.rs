@@ -18,14 +18,14 @@ use std::sync::Arc;
 
 use cage_engine::store::InstantiateError;
 use cage_engine::trap::caught_compile_panic;
-use cage_engine::{ExecConfig, Precompiled, WasmParams, WasmResults};
+use cage_engine::{ExecConfig, InstanceHandle, Precompiled, WasmParams, WasmResults};
 use cage_ir::passes::{OptLevel, PipelineConfig};
 use cage_mte::Core;
-use cage_runtime::{InstanceToken, Linker, MemoryReport, Runtime, Variant};
 use cage_wasm::{CompileLimits, ValType};
 
 use crate::error::Error;
-use crate::Value;
+use crate::runtime::{MemoryReport, Runtime};
+use crate::{Linker, Value, Variant};
 
 /// The shared compilation environment (cheap to clone, wasmtime-style).
 ///
@@ -275,8 +275,8 @@ impl Engine {
     ) -> Result<Instance, Error> {
         self.check_variant(artifact)?;
         let mut rt = self.runtime();
-        let token = rt.instantiate_precompiled(&artifact.pre, artifact.heap_base, linker)?;
-        Ok(Instance::new(rt, token))
+        let handle = rt.instantiate_precompiled(&artifact.pre, artifact.heap_base, linker)?;
+        Ok(Instance::new(rt, handle))
     }
 }
 
@@ -436,7 +436,7 @@ impl Artifact {
         &self,
         rt: &mut Runtime,
         linker: &Linker,
-    ) -> Result<InstanceToken, Error> {
+    ) -> Result<InstanceHandle, Error> {
         if rt.variant() != self.variant {
             return Err(Error::VariantMismatch {
                 artifact: self.variant.to_string(),
@@ -450,7 +450,7 @@ impl Artifact {
 /// A live instance with its runtime.
 pub struct Instance {
     rt: Runtime,
-    token: InstanceToken,
+    handle: InstanceHandle,
     /// Process-unique identity: lets a [`TypedFunc`] detect being called
     /// on a different instance than the one that validated it.
     id: u64,
@@ -468,11 +468,11 @@ impl fmt::Debug for Instance {
 static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl Instance {
-    /// Wraps a freshly instantiated (runtime, token) pair.
-    pub(crate) fn new(rt: Runtime, token: InstanceToken) -> Self {
+    /// Wraps a freshly instantiated (runtime, handle) pair.
+    pub(crate) fn new(rt: Runtime, handle: InstanceHandle) -> Self {
         Instance {
             rt,
-            token,
+            handle,
             id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -486,7 +486,7 @@ impl Instance {
     /// [`Error::Trap`] on guest traps (memory-safety violations
     /// included) — the same unified error type as the typed path.
     pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Error> {
-        Ok(self.rt.invoke(self.token, name, args)?)
+        Ok(self.rt.invoke(self.handle, name, args)?)
     }
 
     /// Creates a typed handle to the export `name`, checking the module's
@@ -504,7 +504,7 @@ impl Instance {
         Params: WasmParams,
         Results: WasmResults,
     {
-        check_signature::<Params, Results>(self.rt.module(self.token), name)?;
+        check_signature::<Params, Results>(self.rt.module(self.handle), name)?;
         Ok(TypedFunc {
             name: name.to_string(),
             instance_id: self.id,
@@ -515,19 +515,19 @@ impl Instance {
     /// The exported function names and their signatures, in module order.
     #[must_use]
     pub fn exports(&self) -> Vec<(String, String)> {
-        list_exports(self.rt.module(self.token))
+        list_exports(self.rt.module(self.handle))
     }
 
     /// Captured `print_*` output.
     #[must_use]
     pub fn stdout(&self) -> String {
-        self.rt.stdout(self.token)
+        self.rt.stdout(self.handle)
     }
 
     /// Simulated milliseconds on the configured core.
     #[must_use]
     pub fn simulated_ms(&self) -> f64 {
-        self.rt.simulated_ms(self.token)
+        self.rt.simulated_ms(self.handle)
     }
 
     /// What the instance has been charged: the retired counts per
@@ -538,31 +538,31 @@ impl Instance {
     /// configuration to see where the cycles went there.
     #[must_use]
     pub fn charge_counts(&self) -> cage_engine::ChargeCounts {
-        self.rt.charge_counts(self.token)
+        self.rt.charge_counts(self.handle)
     }
 
     /// Simulated cycles: [`Instance::charge_counts`] priced on the
     /// configured core.
     #[must_use]
     pub fn cycles(&self) -> f64 {
-        self.rt.cycles(self.token)
+        self.rt.cycles(self.handle)
     }
 
     /// Instructions retired.
     #[must_use]
     pub fn instr_count(&self) -> u64 {
-        self.rt.instr_count(self.token)
+        self.rt.instr_count(self.handle)
     }
 
     /// Resets timing counters (between benchmark phases).
     pub fn reset_counters(&mut self) {
-        self.rt.reset_counters(self.token);
+        self.rt.reset_counters(self.handle);
     }
 
     /// Memory report (§7.3 accounting).
     #[must_use]
     pub fn memory_report(&self) -> MemoryReport {
-        self.rt.memory_report(self.token)
+        self.rt.memory_report(self.handle)
     }
 }
 
@@ -683,11 +683,11 @@ where
     /// instance.
     pub fn call(&self, instance: &mut Instance, params: Params) -> Result<Results, Error> {
         if instance.id != self.instance_id {
-            check_signature::<Params, Results>(instance.rt.module(instance.token), &self.name)?;
+            check_signature::<Params, Results>(instance.rt.module(instance.handle), &self.name)?;
         }
         let out = instance
             .rt
-            .invoke(instance.token, &self.name, &params.into_values())?;
+            .invoke(instance.handle, &self.name, &params.into_values())?;
         Results::from_values(&out).ok_or_else(|| Error::SignatureMismatch {
             name: self.name.clone(),
             requested: render_sig(&Params::val_types(), &Results::val_types()),

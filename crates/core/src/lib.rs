@@ -5,9 +5,10 @@
 //! execution:
 //!
 //! ```text
-//! C source ──cage-cc──▶ IR ──passes──▶ IR' ──lower──▶ wasm64 ──cage-runtime──▶ result
+//! C source ──cage-cc──▶ IR ──passes──▶ IR' ──lower──▶ wasm64 ──cage-engine──▶ result
 //!                        (Algorithm 1,              (segment.new,        (MTE tags,
-//!                         ptr-auth pass)             pointer_sign/auth)   PAC keys)
+//!                         ptr-auth pass)             pointer_sign/auth)   PAC keys,
+//!                                                                        cage-libc)
 //! ```
 //!
 //! ## Quick start
@@ -75,18 +76,23 @@
 mod embed;
 mod error;
 pub mod gallery;
+mod metrics;
+pub mod runtime;
+mod startup;
 
 pub use cage_ir::passes::OptLevel;
 pub use embed::{Artifact, Engine, EngineBuilder, Instance, TypedFunc};
 pub use error::Error;
 
 pub use cage_engine::trap::compile_panic_count;
-pub use cage_engine::{InstanceLimits, Trap, Value, WasmParams, WasmResults, WasmTy};
+pub use cage_engine::{InstanceLimits, Trap, Value, Variant, WasmParams, WasmResults, WasmTy};
+pub use cage_libc::Linker;
 pub use cage_mte::Core;
-pub use cage_runtime::{Linker, MemoryReport, PoolMetrics, StartupReport, Variant};
 pub use cage_serve::{
-    EpochTicker, Fault, FaultPlan, HostProfile, InstancePre, Pool, PooledInstance, ServeError,
+    EpochTicker, Fault, FaultPlan, HostProfile, InstancePre, Pool, PoolMetrics, PooledInstance,
+    ServeError,
 };
+pub use runtime::{MemoryReport, StartupReport};
 
 pub use cage_cc as cc;
 pub use cage_engine as engine;
@@ -94,7 +100,6 @@ pub use cage_ir as ir;
 pub use cage_libc as libc;
 pub use cage_mte as mte;
 pub use cage_pac as pac;
-pub use cage_runtime as runtime;
 pub use cage_serve as serve;
 pub use cage_wasm as wasm;
 

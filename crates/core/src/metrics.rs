@@ -5,7 +5,7 @@
 //! of the tagged memory. Tag storage lives in the tag PA space, invisible
 //! to the OS, so the paper *adds* it to the RSS estimate; we do the same.
 
-use cage_engine::{ChargeCounts, LinearMemory};
+use cage_engine::LinearMemory;
 use cage_libc::AllocStats;
 
 /// A memory report for one instance: §7.3's *modelled* footprint — a
@@ -51,69 +51,6 @@ impl MemoryReport {
             return 0.0;
         }
         self.resident_bytes as f64 / baseline.resident_bytes as f64 - 1.0
-    }
-}
-
-/// Pool-level execution totals: per-instance counters (what was charged,
-/// fuel) aggregated across every instance a pool has served, plus the
-/// pool's own churn counters. The load driver merges one snapshot per
-/// worker into the run totals it reports.
-///
-/// A pool accumulates the integer [`ChargeCounts`] of its instances and
-/// nothing priced: `cycles` and `instr_count` are derived from `counts`
-/// when the pool hands out a snapshot (`Pool::metrics`), so they do not
-/// depend on the order instances were released in, and a release adds
-/// integers.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PoolMetrics {
-    /// Instances stamped out from scratch (cold path).
-    pub instantiations: u64,
-    /// Instance slots recycled via reset instead of re-instantiated.
-    pub resets: u64,
-    /// Guest invocations completed (including ones that trapped).
-    pub invocations: u64,
-    /// What all served instances were charged, class by class.
-    pub counts: ChargeCounts,
-    /// Model cycles of `counts` under the pool's cost model, as of the
-    /// snapshot (zero in a pool's own running totals).
-    pub cycles: f64,
-    /// Retired instructions in `counts`, as of the snapshot (likewise).
-    pub instr_count: u64,
-    /// Fuel consumed across all served instances (0 when no budget set).
-    pub fuel_consumed: u64,
-    /// Slots permanently retired from circulation — a host function
-    /// panicked in them or their reset failed — and replaced lazily.
-    pub quarantined: u64,
-    /// Checkouts refused because the pool's slot cap was saturated.
-    pub exhausted: u64,
-    /// Checked-out instances never released before the pool was dropped
-    /// (the leak detector's tally).
-    pub leaked: u64,
-    /// Modules refused at template-build time because they exceeded a
-    /// compile limit (counted via `Pool::record_rejection`).
-    pub rejected: u64,
-}
-
-impl PoolMetrics {
-    /// Folds the counters of one served instance into the totals.
-    pub fn absorb_instance(&mut self, counts: &ChargeCounts, fuel_consumed: u64) {
-        self.counts += counts;
-        self.fuel_consumed += fuel_consumed;
-    }
-
-    /// Merges another snapshot (e.g. a worker thread's pool) into this one.
-    pub fn merge(&mut self, other: &PoolMetrics) {
-        self.instantiations += other.instantiations;
-        self.resets += other.resets;
-        self.invocations += other.invocations;
-        self.counts += &other.counts;
-        self.cycles += other.cycles;
-        self.instr_count += other.instr_count;
-        self.fuel_consumed += other.fuel_consumed;
-        self.quarantined += other.quarantined;
-        self.exhausted += other.exhausted;
-        self.leaked += other.leaked;
-        self.rejected += other.rejected;
     }
 }
 

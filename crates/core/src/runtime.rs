@@ -1,39 +1,53 @@
-//! The runtime: instance lifecycle with libc wiring.
-
-use std::fmt;
+//! The multi-instance runtime: one simulated process, its instances
+//! and their libcs, plus the §7.3 memory and §7.2 startup reports
+//! ([`MemoryReport`], [`startup_report`]).
+//!
+//! A [`Runtime`] is an engine [`Store`] under one Table 3 variant and
+//! core; the store keeps each instance's libc ([`Libc`], its allocator
+//! and captured stdout), so an instance is named by its
+//! [`InstanceHandle`] alone. Instantiate several artifacts into one
+//! runtime to share the §6.4 sandbox-tag budget
+//! ([`crate::Artifact::instantiate_into`]).
+//!
+//! ```
+//! use cage::runtime::Runtime;
+//! use cage::{Core, Linker, Value, Variant};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! // A tiny module built through the toolchain's lowering.
+//! let ir = {
+//!     let mut b = cage::ir::FunctionBuilder::new("answer", &[], Some(cage::ir::IrType::I64));
+//!     b.set_exported(true);
+//!     b.stmt(cage::ir::Stmt::Return(Some(cage::ir::Operand::ConstI64(42))));
+//!     let mut m = cage::ir::IrModule::new();
+//!     m.functions.push(b.finish());
+//!     m
+//! };
+//! let lowered = cage::ir::lower(&ir, &cage::ir::LowerOptions::default())?;
+//!
+//! // The host surface is explicit: a Linker names what instances import.
+//! let linker = Linker::with_libc();
+//! let mut rt = Runtime::new(Variant::BaselineWasm64, Core::CortexX3);
+//! let inst = rt.instantiate_linked(&lowered.module, lowered.heap_base, &linker)?;
+//! assert_eq!(rt.invoke(inst, "answer", &[])?, vec![Value::I64(42)]);
+//! # Ok(())
+//! # }
+//! ```
 
 use cage_engine::store::InstantiateError;
-use cage_engine::{InstanceHandle, Precompiled, Store, Trap, Value};
-use cage_libc::Libc;
+use cage_engine::{ChargeCounts, InstanceHandle, Precompiled, Store, Trap, Value};
+use cage_libc::{Libc, Linker};
 use cage_mte::Core;
 use cage_wasm::Module;
 
-use crate::linker::Linker;
-use crate::metrics::MemoryReport;
+pub use crate::metrics::MemoryReport;
+pub use crate::startup::{startup_report, StartupReport};
 use crate::Variant;
 
-/// Handle to an instance inside a [`Runtime`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InstanceToken {
-    handle: InstanceHandle,
-    idx: usize,
-}
-
 /// One simulated process executing under a Table 3 variant on one core.
+#[derive(Debug)]
 pub struct Runtime {
     store: Store,
-    variant: Variant,
-    libcs: Vec<Option<Libc>>,
-    handles: Vec<InstanceHandle>,
-}
-
-impl fmt::Debug for Runtime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Runtime")
-            .field("variant", &self.variant)
-            .field("instances", &self.handles.len())
-            .finish()
-    }
 }
 
 impl Runtime {
@@ -42,22 +56,13 @@ impl Runtime {
     pub fn new(variant: Variant, core: Core) -> Self {
         Runtime {
             store: Store::new(variant.exec_config(core)),
-            variant,
-            libcs: Vec::new(),
-            handles: Vec::new(),
         }
     }
 
     /// The configured variant.
     #[must_use]
     pub fn variant(&self) -> Variant {
-        self.variant
-    }
-
-    /// The underlying engine store (advanced embedding).
-    #[must_use]
-    pub fn store(&self) -> &Store {
-        &self.store
+        self.store.config().variant
     }
 
     /// Compiles `module` under the default compile limits and
@@ -74,17 +79,14 @@ impl Runtime {
         module: &Module,
         heap_base: u64,
         linker: &Linker,
-    ) -> Result<InstanceToken, InstantiateError> {
+    ) -> Result<InstanceHandle, InstantiateError> {
         self.instantiate_precompiled(&Precompiled::new(module)?, heap_base, linker)
     }
 
     /// Stamps an instance out of `pre` against `linker`, the explicit
-    /// host surface; nothing is validated or compiled here.
-    ///
-    /// When the linker provides libc ([`Linker::with_libc`]) a fresh
-    /// per-instance libc is created with its heap at `heap_base` (use the
-    /// module's `__heap_base` / `cage_ir::Lowered::heap_base`); embedder
-    /// definitions in the linker shadow libc names.
+    /// host surface; nothing is validated or compiled here
+    /// ([`Linker::instantiate`]: a linker that provides libc gives the
+    /// instance a fresh one with its heap at `heap_base`).
     ///
     /// # Errors
     ///
@@ -95,14 +97,8 @@ impl Runtime {
         pre: &Precompiled,
         heap_base: u64,
         linker: &Linker,
-    ) -> Result<InstanceToken, InstantiateError> {
-        let (handle, libc) = linker.instantiate(&mut self.store, pre, heap_base)?;
-        self.libcs.push(libc);
-        self.handles.push(handle);
-        Ok(InstanceToken {
-            handle,
-            idx: self.handles.len() - 1,
-        })
+    ) -> Result<InstanceHandle, InstantiateError> {
+        linker.instantiate(&mut self.store, pre, heap_base)
     }
 
     /// Invokes an export.
@@ -112,81 +108,80 @@ impl Runtime {
     /// Propagates guest traps.
     pub fn invoke(
         &mut self,
-        token: InstanceToken,
+        inst: InstanceHandle,
         name: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        self.store.invoke(token.handle, name, args)
+        self.store.invoke(inst, name, args)
+    }
+
+    /// The libc an instance was linked with, if any.
+    fn libc(&self, inst: InstanceHandle) -> Option<&Libc> {
+        self.store.host_state::<Libc>(inst)
     }
 
     /// Captured stdout of an instance (empty when the instance was linked
     /// without libc).
     #[must_use]
-    pub fn stdout(&self, token: InstanceToken) -> String {
-        self.libcs[token.idx]
-            .as_ref()
-            .map(Libc::stdout)
-            .unwrap_or_default()
+    pub fn stdout(&self, inst: InstanceHandle) -> String {
+        self.libc(inst).map(Libc::stdout).unwrap_or_default()
     }
 
     /// The module an instance was created from.
     #[must_use]
-    pub fn module(&self, token: InstanceToken) -> &Module {
-        self.store.module(token.handle)
+    pub fn module(&self, inst: InstanceHandle) -> &Module {
+        self.store.module(inst)
     }
 
     /// Simulated milliseconds consumed by an instance.
     #[must_use]
-    pub fn simulated_ms(&self, token: InstanceToken) -> f64 {
-        self.store.simulated_ms(token.handle)
+    pub fn simulated_ms(&self, inst: InstanceHandle) -> f64 {
+        self.store.simulated_ms(inst)
     }
 
     /// What an instance has been charged: retired counts per class and
     /// the cycles its host functions charged (core-independent; cycles
     /// and the instruction count are derived from it).
     #[must_use]
-    pub fn charge_counts(&self, token: InstanceToken) -> cage_engine::ChargeCounts {
-        self.store.charge_counts(token.handle)
+    pub fn charge_counts(&self, inst: InstanceHandle) -> ChargeCounts {
+        self.store.charge_counts(inst)
     }
 
     /// Simulated cycles consumed by an instance.
     #[must_use]
-    pub fn cycles(&self, token: InstanceToken) -> f64 {
-        self.store.cycles(token.handle)
+    pub fn cycles(&self, inst: InstanceHandle) -> f64 {
+        self.store.cycles(inst)
     }
 
     /// Instructions retired by an instance.
     #[must_use]
-    pub fn instr_count(&self, token: InstanceToken) -> u64 {
-        self.store.instr_count(token.handle)
+    pub fn instr_count(&self, inst: InstanceHandle) -> u64 {
+        self.store.instr_count(inst)
     }
 
     /// Resets an instance's cycle accounting (between benchmark phases).
-    pub fn reset_counters(&mut self, token: InstanceToken) {
-        self.store.reset_counters(token.handle);
+    pub fn reset_counters(&mut self, inst: InstanceHandle) {
+        self.store.reset_counters(inst);
     }
 
     /// Memory report for §7.3.
     #[must_use]
-    pub fn memory_report(&self, token: InstanceToken) -> MemoryReport {
-        let stats = self.libcs[token.idx]
-            .as_ref()
-            .map(Libc::stats)
-            .unwrap_or_default();
-        MemoryReport::collect(self.store.memory(token.handle), stats)
+    pub fn memory_report(&self, inst: InstanceHandle) -> MemoryReport {
+        let stats = self.libc(inst).map(Libc::stats).unwrap_or_default();
+        MemoryReport::collect(self.store.memory(inst), stats)
     }
 
     /// Number of instances in this process.
     #[must_use]
     pub fn instance_count(&self) -> usize {
-        self.handles.len()
+        self.store.instance_count()
     }
 
     /// Signs a pointer with an instance's PAC key (cross-instance
     /// experiments).
     #[must_use]
-    pub fn sign_pointer(&self, token: InstanceToken, ptr: u64) -> u64 {
-        self.store.sign_pointer(token.handle, ptr)
+    pub fn sign_pointer(&self, inst: InstanceHandle, ptr: u64) -> u64 {
+        self.store.sign_pointer(inst, ptr)
     }
 
     /// Authenticates a pointer under an instance's PAC key.
@@ -194,8 +189,8 @@ impl Runtime {
     /// # Errors
     ///
     /// [`Trap::PointerAuth`] on signature mismatch.
-    pub fn auth_pointer(&self, token: InstanceToken, ptr: u64) -> Result<u64, Trap> {
-        self.store.auth_pointer(token.handle, ptr)
+    pub fn auth_pointer(&self, inst: InstanceHandle, ptr: u64) -> Result<u64, Trap> {
+        self.store.auth_pointer(inst, ptr)
     }
 }
 

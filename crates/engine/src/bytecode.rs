@@ -8,7 +8,7 @@
 //! One op vocabulary serves the whole way, from instruction selection to
 //! dispatch: [`RegOp`] is generic over what names a register. The
 //! lowering builds `RegOp<ssa::Value>` from the first instruction on: the
-//! body goes through SSA construction (`cage_ir::ssa`, Braun-style), each
+//! body goes through SSA construction (`crate::ssa`, Braun-style), each
 //! data instruction becomes an op over SSA values and each block ends in
 //! a branch op over SSA blocks. One instruction-selection step (`select`)
 //! fuses those ops into the forms that retire a whole expression tree in
@@ -17,7 +17,7 @@
 //! comparison and the branch on it, an op and the phi copy of its result,
 //! and a loop's step and the back-edge `jump` behind it.
 //! Phis are eliminated with parallel copies, and a linear scan
-//! (`cage_ir::regalloc`) assigns every value a slot in a fixed per-frame
+//! (`crate::regalloc`) assigns every value a slot in a fixed per-frame
 //! register file — reading every op's registers through the one walker,
 //! `RegOp::operands`. Emission then folds a constant right operand into
 //! the immediate form and renames every value to its slot
@@ -58,13 +58,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use cage_ir::regalloc::{self, BlockRange, LivenessInput, ValueRef};
-use cage_ir::ssa::{self, SsaBuilder, UNDEF};
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::numeric::{self, slot_i32, slot_i64, Numeric, NumericClass};
 use cage_wasm::{CompileFuel, FuncType, Instr, LimitError, Module};
 
 use crate::cost::ChargeClass;
+use crate::regalloc::{self, BlockRange, LivenessInput, ValueRef};
+use crate::ssa::{self, SsaBuilder, UNDEF};
 
 /// The three register-form families of the numeric instructions, named
 /// after the instructions they lower from. Their variant lists, semantics

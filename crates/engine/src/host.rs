@@ -6,7 +6,13 @@
 //! access to the calling instance's linear memory — including the segment
 //! primitives, so a host-side allocator can create and free segments
 //! exactly like the paper's dlmalloc modification does from guest code.
+//!
+//! A host surface may also carry one per-instance [`HostState`] (the
+//! libc's allocator and captured stdout): the store keeps it beside the
+//! instance it was instantiated with and rewinds it on
+//! [`crate::Store::reset_instance`].
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::BuildHasherDefault;
@@ -103,7 +109,20 @@ impl std::fmt::Debug for HostFunc {
     }
 }
 
-/// A set of named host functions to satisfy a module's imports.
+/// Host-side state that belongs to one instance — what its host
+/// functions read and write between calls (the libc's allocator and
+/// captured stdout). Recorded on the [`Imports`] an instance is created
+/// from ([`Imports::set_host_state`]), kept by the store for that
+/// instance, and read back typed with [`crate::Store::host_state`].
+pub trait HostState: Any + std::fmt::Debug {
+    /// Rewinds the state to how it was before the instance's start
+    /// function first ran. [`crate::Store::reset_instance`] calls it
+    /// before it runs the start function again.
+    fn reset(&self);
+}
+
+/// A set of named host functions to satisfy a module's imports, plus at
+/// most one per-instance [`HostState`].
 ///
 /// Cloning is cheap: entries are shared handles, so a clone registers the
 /// *same* host functions (and their captured state) — which is what a
@@ -121,6 +140,7 @@ impl std::fmt::Debug for HostFunc {
 #[derive(Debug, Default, Clone)]
 pub struct Imports {
     map: FixedKeyMap<(String, String), Rc<RefCell<HostFunc>>>,
+    pub(crate) state: Option<Rc<dyn HostState>>,
 }
 
 /// The workspace's one hash map (`clippy.toml` bans std's `HashMap` and
@@ -137,11 +157,19 @@ impl Imports {
     }
 
     /// Copies every entry of `other` into `self` (shared handles),
-    /// replacing entries with the same `module.name`.
+    /// replacing entries with the same `module.name`. The host state of
+    /// `self` is kept.
     pub fn merge_from(&mut self, other: &Imports) {
         for (key, func) in &other.map {
             self.map.insert(key.clone(), Rc::clone(func));
         }
+    }
+
+    /// Records the per-instance state the functions of this set share,
+    /// replacing any earlier one: each instance created from these
+    /// imports keeps it, and a reset rewinds it.
+    pub fn set_host_state(&mut self, state: Rc<dyn HostState>) {
+        self.state = Some(state);
     }
 
     /// Registers `func` under `module.name`, replacing any previous entry.

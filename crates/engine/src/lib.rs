@@ -56,9 +56,13 @@ pub mod cost;
 mod difftest;
 pub mod host;
 pub mod interp;
+#[cfg(test)]
+mod lowering_model;
 pub mod memory;
 #[cfg(test)]
 mod memory_model;
+pub mod regalloc;
+pub mod ssa;
 pub mod store;
 pub mod trap;
 mod tree;
@@ -67,7 +71,7 @@ pub mod value;
 
 pub use config::{ExecConfig, Variant};
 pub use cost::{ChargeClass, ChargeCounts, ClassWeights};
-pub use host::{HostContext, HostFunc, Imports};
+pub use host::{HostContext, HostFunc, HostState, Imports};
 pub use memory::{LinearMemory, TagScheme};
 pub use store::{InstanceHandle, InstanceLimits, InstantiateError, Precompiled, Store};
 pub use trap::Trap;

@@ -5,6 +5,7 @@
 //! (§6.4 "we limit the number of sandboxes in one process to at most 15")
 //! — and gives each instance its own PAC key and modifier (§6.3).
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -19,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use crate::bytecode::{self, RegCode};
 use crate::config::ExecConfig;
 use crate::cost::{self, ChargeCounts, ClassWeights};
-use crate::host::{HostFunc, Imports};
+use crate::host::{HostFunc, HostState, Imports};
 use crate::interp::Interp;
 use crate::memory::{LinearMemory, TagScheme};
 use crate::trap::Trap;
@@ -348,6 +349,10 @@ pub(crate) struct Instance {
     pub(crate) globals: Vec<Value>,
     pub(crate) table: Vec<Option<u32>>,
     pub(crate) host_funcs: Vec<Rc<RefCell<HostFunc>>>,
+    /// The per-instance host state the imports carried (the libc), if
+    /// any: rewound by [`Store::reset_instance`] before the start
+    /// function runs again.
+    pub(crate) host_state: Option<Rc<dyn HostState>>,
     pub(crate) pac: PacSigner,
     pub(crate) pac_modifier: u64,
     /// What the instance has been charged, as integer counts per class;
@@ -560,6 +565,7 @@ impl Store {
             globals,
             table,
             host_funcs,
+            host_state: imports.state.clone(),
             // A fresh key per instance: leaked signed pointers are useless
             // elsewhere (§4.2).
             pac: PacSigner::new(
@@ -795,8 +801,9 @@ impl Store {
 
     /// Resets `handle` back to its freshly-instantiated state in place:
     /// linear memory (dirty pages re-zeroed and re-tagged, data segments
-    /// re-applied), globals, table, counters and fuel — then re-runs the
-    /// start function, exactly like a fresh instantiation would.
+    /// re-applied), globals, table, counters, fuel and its [`HostState`]
+    /// — then re-runs the start function, exactly like a fresh
+    /// instantiation would.
     ///
     /// The instance keeps its identity: sandbox tag, memory tag seed, PAC
     /// key and modifier are unchanged, so a reset instance is
@@ -830,11 +837,24 @@ impl Store {
             // instance's identity and survives (including the memory's
             // page cap, which `LinearMemory::reset` preserves).
             inst.epoch_deadline = None;
+            // Before the start function: what it allocates and prints
+            // belongs to the fresh state, as on a first instantiation.
+            if let Some(state) = &inst.host_state {
+                state.reset();
+            }
         }
         if let Some(start) = module.start {
             self.call(handle, start, &[])?;
         }
         Ok(())
+    }
+
+    /// The host state `handle` was instantiated with, if it has one of
+    /// type `T` (see [`Imports::set_host_state`]).
+    #[must_use]
+    pub fn host_state<T: HostState>(&self, handle: InstanceHandle) -> Option<&T> {
+        let state: &dyn Any = self.instances[handle.0].host_state.as_deref()?;
+        state.downcast_ref()
     }
 
     /// The module an instance was created from (export/type lookups for
@@ -1169,6 +1189,54 @@ mod tests {
         let mut store = Store::new(ExecConfig::default());
         let h = store.instantiate(&b.build(), &Imports::new()).unwrap();
         assert_eq!(store.invoke(h, "get", &[]).unwrap(), vec![Value::I64(99)]);
+    }
+
+    /// A host state that logs what happens to it: resets, and calls of
+    /// the `env.tick` import its closure shares.
+    #[derive(Debug)]
+    struct TickLog(RefCell<Vec<&'static str>>);
+
+    impl HostState for TickLog {
+        fn reset(&self) {
+            self.0.borrow_mut().push("reset");
+        }
+    }
+
+    #[test]
+    fn reset_instance_rewinds_host_state_before_start_runs() {
+        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
+        let mut imports = Imports::new();
+        let tick = Rc::clone(&log);
+        imports.define(
+            "env",
+            "tick",
+            HostFunc::new(&[], &[], move |_, _| {
+                tick.0.borrow_mut().push("tick");
+                Ok(vec![])
+            }),
+        );
+        imports.set_host_state(log.clone());
+        let mut b = ModuleBuilder::new();
+        b.import_func("env", "tick", &[], &[]);
+        let start = b.add_function(&[], &[], &[], vec![Instr::Call(0)]);
+        b.set_start(start);
+        let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(&b.build(), &imports).unwrap();
+        assert_eq!(*log.0.borrow(), ["tick"]);
+        store.reset_instance(h).unwrap();
+        assert_eq!(*log.0.borrow(), ["tick", "reset", "tick"]);
+        // The store hands back the very state the imports carried, and
+        // only under its own type.
+        let kept = store.host_state::<TickLog>(h).unwrap();
+        assert!(std::ptr::eq(kept, &*log));
+        #[derive(Debug)]
+        struct Other;
+        impl HostState for Other {
+            fn reset(&self) {}
+        }
+        assert!(store.host_state::<Other>(h).is_none());
+        let bare = store.instantiate(&add_module(), &Imports::new()).unwrap();
+        assert!(store.host_state::<TickLog>(bare).is_none());
     }
 
     #[test]

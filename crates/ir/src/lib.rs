@@ -20,11 +20,6 @@
 //! Utility passes (`mem2reg`, constant folding, DCE) run *before* the
 //! sanitizers, mirroring the paper's pipeline ("both sanitizer passes run
 //! after all LLVM optimizations", §6.1).
-//!
-//! The crate also hosts the generic machinery behind the engine's
-//! register-bytecode tier: [`ssa`] (Braun-style SSA construction and
-//! parallel-copy sequencing for phi elimination) and [`regalloc`]
-//! (block liveness and linear-scan slot assignment).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,14 +28,10 @@ pub mod analysis;
 pub mod builder;
 pub mod instr;
 pub mod lower;
-#[cfg(test)]
-mod lowering_model;
 pub mod module;
 pub mod passes;
 #[cfg(test)]
 mod passes_model;
-pub mod regalloc;
-pub mod ssa;
 pub mod types;
 
 pub use builder::FunctionBuilder;

@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cage_engine::host::{HostFunc, Imports};
+use cage_engine::host::{HostFunc, HostState, Imports};
 use cage_engine::{Trap, Value};
 use cage_wasm::ValType;
 
@@ -74,27 +74,18 @@ impl Libc {
         self.state.borrow().stdout.clone()
     }
 
-    /// Rewinds the libc to its freshly-created state: a fresh allocator
-    /// over the same heap base and empty captured stdout. The host
-    /// closures share this state behind an `Rc`, so the reset reaches
-    /// every instance already linked against this libc — which is what
-    /// lets a pooled instance slot recycle without re-linking.
-    pub fn reset(&self) {
-        let mut st = self.state.borrow_mut();
-        let heap_base = st.alloc.heap_base();
-        st.alloc = Allocator::new(heap_base);
-        st.stdout.clear();
-    }
-
     /// Allocator statistics.
     #[must_use]
     pub fn stats(&self) -> crate::alloc::AllocStats {
         self.state.borrow().alloc.stats()
     }
 
-    /// Registers every libc function into `imports`.
+    /// Registers every libc function into `imports`, and this libc as
+    /// their per-instance [`HostState`]: the store keeps it beside the
+    /// instance and rewinds it when the instance is reset.
     pub fn register(&self, imports: &mut Imports) {
         use ValType::{F64, I64};
+        imports.set_host_state(Rc::new(self.clone()));
         let st = &self.state;
         let ptr32 = self.ptr32;
         let ptr_ty = if ptr32 { ValType::I32 } else { I64 };
@@ -281,6 +272,20 @@ impl Libc {
                 Ok(vec![])
             }),
         );
+    }
+}
+
+impl HostState for Libc {
+    /// Rewinds the libc to its freshly-created state: a fresh allocator
+    /// over the same heap base and empty captured stdout. The host
+    /// closures share this state behind an `Rc`, so the reset reaches
+    /// the instance already linked against this libc — which is what
+    /// lets a pooled instance slot recycle without re-linking.
+    fn reset(&self) {
+        let mut st = self.state.borrow_mut();
+        let heap_base = st.alloc.heap_base();
+        st.alloc = Allocator::new(heap_base);
+        st.stdout.clear();
     }
 }
 

@@ -21,12 +21,18 @@
 //! `strcpy`/`memset`/`memcpy` route every byte through the engine's
 //! checked access path, so C-level misuse (the Table 2 CVE analogues)
 //! faults exactly where hardware MTE would fault.
+//!
+//! The [`Linker`] names the host surface instances are created against —
+//! this libc, embedder functions, or both — and is what gives each
+//! instance its own libc.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod host;
+pub mod linker;
 
 pub use alloc::{AllocStats, Allocator};
 pub use host::Libc;
+pub use linker::Linker;

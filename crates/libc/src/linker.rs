@@ -2,11 +2,12 @@
 //!
 //! A `Linker` collects the host surface a module instantiates against —
 //! the hardened libc and any embedder-defined functions — and can
-//! instantiate any number of modules against it.
+//! instantiate any number of modules against it. It lives with the libc
+//! because it is the one place that knows what "with libc" means.
 //!
 //! ```
 //! use cage_engine::Value;
-//! use cage_runtime::Linker;
+//! use cage_libc::Linker;
 //! use cage_wasm::ValType;
 //!
 //! let mut linker = Linker::with_libc();
@@ -20,8 +21,9 @@ use cage_engine::store::InstantiateError;
 use cage_engine::{
     HostContext, HostFunc, Imports, InstanceHandle, Precompiled, Store, Trap, Value,
 };
-use cage_libc::Libc;
 use cage_wasm::ValType;
+
+use crate::Libc;
 
 /// Named host-function registry plus libc policy.
 ///
@@ -109,24 +111,21 @@ impl Linker {
     /// Stamps one instance of `pre` into `store` against this linker —
     /// the one place an instance gets its libc. When the linker provides
     /// libc, a fresh one is created for the module's pointer width with
-    /// its heap at `heap_base` (the module's `__heap_base`) and returned
-    /// beside the handle: it is the instance's own allocator and stdout.
+    /// its heap at `heap_base` (the module's `__heap_base`; ignored
+    /// otherwise). The store keeps it as the instance's host state: read
+    /// it back with `store.host_state::<Libc>(handle)`, and
+    /// [`Store::reset_instance`] rewinds it.
     ///
     /// # Errors
     ///
     /// Whatever [`Store::instantiate_precompiled`] reports: unresolved
     /// imports, the 15-sandbox MTE limit, a trapping start function.
-    ///
-    /// Public for the serving layer (`cage-serve` stamps instances out of
-    /// a template and must wire libc the same way the runtime does); not
-    /// part of the stable embedder surface.
-    #[doc(hidden)]
     pub fn instantiate(
         &self,
         store: &mut Store,
         pre: &Precompiled,
         heap_base: u64,
-    ) -> Result<(InstanceHandle, Option<Libc>), InstantiateError> {
+    ) -> Result<InstanceHandle, InstantiateError> {
         let libc = self.libc.then(|| {
             if pre.module().is_memory64() {
                 Libc::new(heap_base)
@@ -134,8 +133,7 @@ impl Linker {
                 Libc::new_wasm32(heap_base)
             }
         });
-        let handle = store.instantiate_precompiled(pre, &self.build_imports(libc.as_ref()))?;
-        Ok((handle, libc))
+        store.instantiate_precompiled(pre, &self.build_imports(libc.as_ref()))
     }
 
     /// Builds the import set for one instantiation: libc first (when
@@ -169,6 +167,16 @@ mod tests {
         let imports = linker.build_imports(Some(&libc));
         assert!(imports.resolve("cage_libc", "malloc").is_some());
         assert!(imports.resolve("cage_libc", "print_i64").is_some());
+        // The store keeps the instance's libc; a linker without one
+        // leaves it none.
+        let mut b = cage_wasm::builder::ModuleBuilder::new();
+        b.add_memory64(1);
+        let pre = Precompiled::new(&b.build()).unwrap();
+        let mut store = Store::new(cage_engine::ExecConfig::default());
+        let h = linker.instantiate(&mut store, &pre, 0x1_0000).unwrap();
+        assert!(store.host_state::<Libc>(h).is_some());
+        let bare = Linker::new().instantiate(&mut store, &pre, 0).unwrap();
+        assert!(store.host_state::<Libc>(bare).is_none());
     }
 
     #[test]

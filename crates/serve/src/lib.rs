@@ -1,6 +1,6 @@
 //! # cage-serve — multi-tenant serving: templates, pooling, fuel
 //!
-//! The throughput layer over `cage-engine`/`cage-runtime`, shaped like
+//! The throughput layer over `cage-engine` and `cage-libc`, shaped like
 //! wasmtime's serving stack: thousands of concurrent sandboxes handling
 //! traffic instead of one instance handling one invoke. Three pieces:
 //!
@@ -49,7 +49,7 @@
 //! use std::sync::Arc;
 //! use cage_engine::Value;
 //! use cage_mte::Core;
-//! use cage_runtime::Variant;
+//! use cage_engine::Variant;
 //! use cage_serve::{HostProfile, InstancePre, Pool};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -91,15 +91,16 @@ use std::time::Duration;
 
 use cage_engine::store::InstantiateError;
 use cage_engine::trap::caught_compile_panic;
-use cage_engine::{InstanceHandle, InstanceLimits, Precompiled, Store, Trap, Value};
-use cage_libc::Libc;
+use cage_engine::{InstanceHandle, InstanceLimits, Precompiled, Store, Trap, Value, Variant};
+use cage_libc::{Libc, Linker};
 use cage_mte::Core;
-use cage_runtime::{Linker, PoolMetrics, Variant};
 use cage_wasm::{CompileLimits, LimitError, Module};
 
 mod chaos;
+mod metrics;
 
 pub use chaos::{Fault, FaultPlan};
+pub use metrics::PoolMetrics;
 
 /// The host surface an [`InstancePre`] stamps instances against.
 ///
@@ -325,10 +326,9 @@ impl InstancePre {
     }
 }
 
-/// One instance slot of a [`Pool`].
+/// One instance slot of a [`Pool`]; the store keeps its libc.
 struct Slot {
     handle: InstanceHandle,
-    libc: Option<Libc>,
     /// Set when a host function panicked inside this slot, or its reset
     /// failed: the slot's state can no longer be trusted, so it is
     /// quarantined (never re-enters the free list) and replaced lazily
@@ -355,10 +355,11 @@ impl PooledInstance {
 /// A per-worker pooling allocator over one engine [`Store`].
 ///
 /// `checkout` prefers recycling a released slot — an O(pages-touched)
-/// [`Store::reset_instance`] plus a libc rewind — over stamping a new
-/// instance; steady state therefore allocates nothing. A pool lives on
-/// one thread (host closures and the store are single-threaded); the
-/// shared, thread-safe object is the [`InstancePre`].
+/// [`Store::reset_instance`], which rewinds the slot's libc too — over
+/// stamping a new instance; steady state therefore allocates nothing. A
+/// pool lives on one thread (host closures and the store are
+/// single-threaded); the shared, thread-safe object is the
+/// [`InstancePre`].
 ///
 /// The variant bounds how many slots can be live at once, because a
 /// sandbox tag is a resource of the store (§6.4): a `CageSandboxing` pool
@@ -518,9 +519,6 @@ impl Pool {
             let handle = self.slots[slot].handle;
             match self.store.reset_instance(handle) {
                 Ok(()) => {
-                    if let Some(libc) = &self.slots[slot].libc {
-                        libc.reset();
-                    }
                     self.arm(handle);
                     self.metrics.resets += 1;
                     self.outstanding += 1;
@@ -540,8 +538,8 @@ impl Pool {
             }
         }
         let (linker, pre) = (&self.linker, &self.pre);
-        let (handle, libc) = match linker.instantiate(&mut self.store, &pre.pre, pre.heap_base) {
-            Ok(stamped) => stamped,
+        let handle = match linker.instantiate(&mut self.store, &pre.pre, pre.heap_base) {
+            Ok(handle) => handle,
             // The store has no sandbox tag left (§6.4). The free list is
             // empty here and a quarantined slot has returned its tag, so
             // every tag is under a healthy slot that is checked out: the
@@ -555,7 +553,6 @@ impl Pool {
         self.metrics.instantiations += 1;
         self.slots.push(Slot {
             handle,
-            libc,
             poisoned: false,
         });
         self.outstanding += 1;
@@ -619,9 +616,8 @@ impl Pool {
     /// Captured `print_*` output of a checked-out instance.
     #[must_use]
     pub fn stdout(&self, inst: &PooledInstance) -> String {
-        self.slots[inst.slot]
-            .libc
-            .as_ref()
+        self.store
+            .host_state::<Libc>(self.slots[inst.slot].handle)
             .map(Libc::stdout)
             .unwrap_or_default()
     }
@@ -990,6 +986,79 @@ mod tests {
         pool.invoke(&b, "greet", &[Value::I64(0)]).unwrap();
         assert_eq!(pool.stdout(&b), "hi\n");
         pool.release(b);
+    }
+
+    /// A hand-built module whose start function takes a 16-byte block
+    /// from libc and prints 7: `start_ptr` returns that block, `alloc`
+    /// takes the next one.
+    fn start_allocating_module(variant: Variant) -> Module {
+        use cage_wasm::builder::ModuleBuilder;
+        use cage_wasm::{Instr, ValType};
+        let wasm64 = variant.ptr_width().bytes() == 8;
+        let ptr = if wasm64 { ValType::I64 } else { ValType::I32 };
+        let mut b = ModuleBuilder::new();
+        let malloc = b.import_func("cage_libc", "malloc", &[ValType::I64], &[ptr]);
+        let print = b.import_func("cage_libc", "print_i64", &[ValType::I64], &[]);
+        let null = if wasm64 {
+            b.add_memory64(1);
+            Instr::I64Const(0)
+        } else {
+            b.add_memory32(1);
+            Instr::I32Const(0)
+        };
+        let block = b.add_global(ptr, true, null);
+        let start = b.add_function(
+            &[],
+            &[],
+            &[],
+            vec![
+                Instr::I64Const(16),
+                Instr::Call(malloc),
+                Instr::GlobalSet(block),
+                Instr::I64Const(7),
+                Instr::Call(print),
+            ],
+        );
+        let start_ptr = b.add_function(&[], &[ptr], &[], vec![Instr::GlobalGet(block)]);
+        let alloc = b.add_function(
+            &[],
+            &[ptr],
+            &[],
+            vec![Instr::I64Const(16), Instr::Call(malloc)],
+        );
+        b.set_start(start);
+        b.export_func("start_ptr", start_ptr);
+        b.export_func("alloc", alloc);
+        b.build()
+    }
+
+    #[test]
+    fn a_recycled_slot_sees_its_start_functions_libc_calls_as_a_fresh_one_does() {
+        // The libc is rewound before the start function runs again, so
+        // what the start function allocates and prints survives the
+        // recycle, and the next block is handed out after it.
+        for variant in Variant::ALL {
+            let module = start_allocating_module(variant);
+            let pre = InstancePre::new(variant, Core::CortexX3, &module, 4096, HostProfile::Libc);
+            let mut pool = Pool::new(Arc::new(pre.expect("validates")));
+            let mut probe = || {
+                let inst = pool.checkout().expect("checks out");
+                let start_ptr = pool.invoke(&inst, "start_ptr", &[]).expect("runs");
+                let next = pool.invoke(&inst, "alloc", &[]).expect("runs");
+                let seen = (start_ptr, next, pool.stdout(&inst));
+                pool.release(inst);
+                seen
+            };
+            let fresh = probe();
+            let recycled = probe();
+            if variant == Variant::BaselineWasm64 {
+                let expect = (vec![Value::I64(4112)], vec![Value::I64(4144)], "7\n".into());
+                assert_eq!(fresh, expect);
+            }
+            assert_eq!(recycled, fresh, "{variant}");
+            let m = pool.metrics();
+            assert_eq!((m.instantiations, m.resets), (1, 1), "{variant}");
+        }
     }
 
     #[test]

@@ -28,12 +28,14 @@ use std::thread;
 use std::time::Duration;
 
 use cage_engine::trap::panic_message;
-use cage_engine::{InstanceLimits, Trap, Value};
+use cage_engine::{InstanceLimits, Trap, Value, Variant};
 use cage_ir::passes::run_pipeline;
 use cage_ir::{lower, LowerOptions};
+use cage_libc::Linker;
 use cage_mte::Core;
-use cage_runtime::{Linker, PoolMetrics, Variant};
-use cage_serve::{EpochTicker, Fault, FaultPlan, HostProfile, InstancePre, Pool, ServeError};
+use cage_serve::{
+    EpochTicker, Fault, FaultPlan, HostProfile, InstancePre, Pool, PoolMetrics, ServeError,
+};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::{BlockType, Instr, MemArg, Module, ValType};

@@ -178,6 +178,21 @@ impl std::ops::AddAssign<&ChargeCounts> for ChargeCounts {
 }
 
 impl ChargeCounts {
+    /// Retires one instruction of `class`.
+    #[inline]
+    pub(crate) fn charge(&mut self, class: ChargeClass) {
+        self.counts[class as usize] += 1;
+    }
+
+    /// Charges `n` data-dependent units of `class` (bytes, granules). The
+    /// guest chooses `n` — a `memory.fill` of `u64::MAX` bytes is charged
+    /// before it traps — so the count saturates instead of wrapping.
+    #[inline]
+    pub(crate) fn charge_units(&mut self, class: ChargeClass, n: u64) {
+        let count = &mut self.counts[class as usize];
+        *count = count.saturating_add(n);
+    }
+
     /// The count of one class.
     #[must_use]
     pub fn get(&self, class: ChargeClass) -> u64 {

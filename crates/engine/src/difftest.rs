@@ -1756,7 +1756,7 @@ fn trap_rate_stays_in_a_healthy_band() {
 }
 
 /// The register tier runs the twelve stateful instructions in bodies of
-/// its own (`RegState::sys`), so the generator has to reach all twelve:
+/// its own (`Env::sys`), so the generator has to reach all twelve:
 /// over the seeds the trap-rate probe runs, each appears in some body.
 #[test]
 fn generator_emits_every_stateful_instruction() {

@@ -15,11 +15,32 @@
 //! the loop runs, and on the loop's one exit. Cycles are not accumulated
 //! at all: they are derived from the counts when somebody reads them
 //! ([`crate::cost::ChargeCounts::cycles`]).
-//! Calls push a frame — the caller's *index* in the template's function
-//! table, its arena base and return pc — on an explicit call stack and
-//! grow the register arena, so guest call depth never consumes host Rust
-//! stack; the table is borrowed once per invocation, so a call or return
-//! touches no reference count.
+//! Calls push a frame — the caller's code, borrowed from the template's
+//! function table, its arena base and return pc — on an explicit call
+//! stack and grow the register arena, so guest call depth never consumes
+//! host Rust stack; the table is borrowed once per invocation, so a call
+//! or return touches no reference count.
+//!
+//! The loop's hot state is its own locals, so it can live in machine
+//! registers (Ertl and Gregg, "The structure and performance of efficient
+//! interpreters", JILP 2003): the pc, the charge sum, the active frame as
+//! a `&mut [u64]` slice of the arena, and the running code (kept in the
+//! call stack, which the loop reads it from, so it is reloaded rather
+//! than stored back when a register is short). The instance's linear
+//! memory is borrowed *once per run*: `Interp` holds one instance of the
+//! store — not the store and an index — and the loop splits it into the
+//! memory and an `Env` of the fields its out-of-line ops touch (counts,
+//! globals, table, host functions, PAC key), so `Env::sys` and the
+//! host-call boundary receive the loop's own memory borrow, and the
+//! only loop-carried value a call or return changes is the frame slice,
+//! which those arms re-derive. A scalar load or store is one `match` on
+//! its op whose arms call [`crate::memory::LinearMemory::read_scalar`] /
+//! [`crate::memory::LinearMemory::write_scalar`] at a constant width: the
+//! memory owns its policy, its bound and its fast path, and the loop
+//! copies none of them. What calls out of the loop — a fast-path miss, a
+//! lane spill, a guest call, `sys`, a host call — does so from a cold or
+//! out-of-line path, which is what leaves the hot state its registers;
+//! `ci/dispatch_lint.sh` checks the dispatch head in the binary.
 //!
 //! Operands are *untagged*: registers (and the reference walker's operand
 //! stack and locals arena) are plain `u64` slots (the encoding
@@ -27,11 +48,7 @@
 //! door to — validation already guarantees types, so no runtime tag is
 //! stored or matched). Typed [`Value`]s exist only at API boundaries:
 //! external `Store::call` arguments/results, host calls and globals
-//! convert at the edge. A scalar load or store is one call to
-//! [`crate::memory::LinearMemory::read_scalar`] /
-//! [`crate::memory::LinearMemory::write_scalar`]: the memory owns its
-//! policy, its bound and its fast path, and the loop holds no
-//! linear-memory state at all.
+//! convert at the edge.
 //!
 //! This loop is the only production executor: everything reachable from
 //! `Store::call` and `Store::invoke` is in this file, holds no
@@ -42,7 +59,7 @@
 //! generic ones and the six fused forms — and charged by the recipe).
 //! The twelve stateful ones (globals, memory management, segments, pointer
 //! sign/auth, `unreachable`) are one arm, [`RegOp::Sys`], which calls the
-//! out-of-line `RegState::sys`: twelve register-form bodies written from
+//! out-of-line `Env::sys`: twelve register-form bodies written from
 //! Fig. 11, each charging its own instruction before anything in it can
 //! trap.
 //!
@@ -53,44 +70,40 @@
 //! assert the register machine is identical to it on results, traps and
 //! the whole count vector. Nothing here calls into it, so for every
 //! instruction the tests compare two independent transcriptions of the
-//! semantics — except where both call the same `LinearMemory` accessor
-//! (a scalar load or store), whose independent transcription is the eager
-//! model in `crate::memory_model`.
+//! semantics — the loads' widths and sign extensions included (the oracle
+//! decodes through `decode_load`, the loop through its own `match`) —
+//! except where both call the same `LinearMemory` accessor, whose
+//! independent transcription is the eager model in `crate::memory_model`.
 
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cage_pac::PacSigner;
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::numeric::{get_i32, slot_i32, slot_i64};
 use cage_wasm::FuncType;
 
-use crate::bytecode::{unpack_lanes, RegCallIndirect, RegCode, RegOp, SysOp, LANE_GUARD};
+use crate::bytecode::{unpack_lanes, RegCode, RegOp, SysOp, LANE_GUARD};
 use crate::config::ExecConfig;
-use crate::cost::ChargeClass;
-use crate::host::HostContext;
-use crate::store::{CompiledFunc, Store, DEFAULT_MAX_CALL_DEPTH};
+use crate::cost::{ChargeClass, ChargeCounts};
+use crate::host::{HostContext, HostFunc};
+use crate::memory::LinearMemory;
+use crate::store::{CompiledFunc, Instance, DEFAULT_MAX_CALL_DEPTH};
 use crate::trap::{panic_message, Trap};
 use crate::value::Value;
 
 pub(crate) struct Interp<'s> {
-    pub(crate) store: &'s mut Store,
-    pub(crate) inst: usize,
+    /// The instance being run: one element of the store, borrowed apart
+    /// from the store's other fields, so its memory is one field away.
+    pub(crate) inst: &'s mut Instance,
     pub(crate) config: ExecConfig,
     pub(crate) depth: usize,
-    /// Remaining fuel, mirrored from the instance for the duration of a
-    /// call (it is read on every taken branch) and written back at the end
-    /// of execution ([`Interp::flush_accounting`]); `None` disables the
-    /// checks entirely. The retired counts are not mirrored: the loop sums
-    /// recipes in a register and everything else charges the instance
-    /// directly.
-    fuel: Option<u64>,
-    /// Consumed-fuel accumulator, mirrored like `fuel`.
-    fuel_consumed: u64,
-    /// Epoch deadline, mirrored from the instance; `None` disables the
-    /// epoch compare (and the load of the store's shared counter)
-    /// entirely.
-    epoch_deadline: Option<u64>,
+    /// Fuel and the epoch deadline, mirrored from the instance for the
+    /// duration of a call.
+    preempt: Preempt<'s>,
     /// The instance's call-depth limit
     /// ([`crate::store::InstanceLimits::max_call_depth`]).
     pub(crate) max_depth: usize,
@@ -99,67 +112,25 @@ pub(crate) struct Interp<'s> {
     host_args: Vec<Value>,
 }
 
-impl<'s> Interp<'s> {
-    pub(crate) fn new(store: &'s mut Store, inst: usize) -> Self {
-        let config = store.config;
-        let fuel = store.instances[inst].fuel;
-        let fuel_consumed = store.instances[inst].fuel_consumed;
-        let epoch_deadline = store.instances[inst].epoch_deadline;
-        let max_depth = store.instances[inst]
-            .limits
-            .max_call_depth
-            .unwrap_or(DEFAULT_MAX_CALL_DEPTH);
-        Interp {
-            store,
-            inst,
-            config,
-            depth: 0,
-            fuel,
-            fuel_consumed,
-            epoch_deadline,
-            max_depth,
-            host_args: Vec::new(),
-        }
-    }
+/// The preemption point's state: the instance's fuel and epoch deadline,
+/// mirrored for the duration of a call (the fuel is read on every taken
+/// branch) and written back at the end of execution
+/// ([`Interp::flush_accounting`]). A field of its own so the dispatch loop
+/// can consume fuel while it holds the instance's memory.
+#[derive(Clone, Copy)]
+struct Preempt<'s> {
+    /// Remaining fuel; `None` disables the checks entirely.
+    fuel: Option<u64>,
+    /// Consumed-fuel accumulator.
+    fuel_consumed: u64,
+    /// Epoch deadline; `None` disables the epoch compare (and the load of
+    /// the store's shared counter) entirely.
+    epoch_deadline: Option<u64>,
+    /// The store's shared epoch counter.
+    epoch: &'s AtomicU64,
+}
 
-    /// The instance's retired counts per [`ChargeClass`].
-    #[inline]
-    fn counts(&mut self) -> &mut [u64; ChargeClass::COUNT] {
-        &mut self.store.instances[self.inst].counts.counts
-    }
-
-    /// Retires one instruction of `class`.
-    #[inline]
-    pub(crate) fn charge(&mut self, class: ChargeClass) {
-        self.counts()[class as usize] += 1;
-    }
-
-    /// Charges `n` data-dependent units of `class` (bytes, granules). The
-    /// guest chooses `n` — a `memory.fill` of `u64::MAX` bytes is charged
-    /// before it traps — so the count saturates instead of wrapping.
-    #[inline]
-    pub(crate) fn charge_units(&mut self, class: ChargeClass, n: u64) {
-        let count = &mut self.counts()[class as usize];
-        *count = count.saturating_add(n);
-    }
-
-    /// Empties the dispatch loop's running sum of packed recipes into the
-    /// counts. Off the loop's straight path: a narrow lane fills after 32
-    /// ops of its class at the earliest, the simple lane after 2^15.
-    #[cold]
-    #[inline(never)]
-    fn spill(&mut self, acc: u64) {
-        unpack_lanes(acc, self.counts());
-    }
-
-    /// Writes the local fuel back to the instance, before the embedder
-    /// observes it after the call returns.
-    pub(crate) fn flush_accounting(&mut self) {
-        let i = &mut self.store.instances[self.inst];
-        i.fuel = self.fuel;
-        i.fuel_consumed = self.fuel_consumed;
-    }
-
+impl Preempt<'_> {
     /// The preemption point: consumes one unit of fuel and compares the
     /// shared epoch counter against the instance's deadline, at a control
     /// transition of the dispatch loop (branch taken, function entered or
@@ -171,7 +142,7 @@ impl<'s> Interp<'s> {
     /// (traps at the first preemption point). Fuel wins when both expire
     /// at the same point. Free (two `None` tests) when neither is set.
     #[inline(always)]
-    fn consume_fuel(&mut self) -> Result<(), Trap> {
+    fn consume(&mut self) -> Result<(), Trap> {
         if let Some(f) = self.fuel {
             if f == 0 {
                 return Err(Trap::FuelExhausted);
@@ -180,19 +151,61 @@ impl<'s> Interp<'s> {
             self.fuel_consumed += 1;
         }
         if let Some(deadline) = self.epoch_deadline {
-            if self.store.epoch.load(Ordering::Relaxed) >= deadline {
+            if self.epoch.load(Ordering::Relaxed) >= deadline {
                 return Err(Trap::EpochInterrupt);
             }
         }
         Ok(())
+    }
+}
+
+impl<'s> Interp<'s> {
+    /// An interpreter over `inst`, under the store's `config` and its
+    /// shared `epoch` counter.
+    pub(crate) fn new(inst: &'s mut Instance, epoch: &'s AtomicU64, config: ExecConfig) -> Self {
+        let preempt = Preempt {
+            fuel: inst.fuel,
+            fuel_consumed: inst.fuel_consumed,
+            epoch_deadline: inst.epoch_deadline,
+            epoch,
+        };
+        let max_depth = inst.limits.max_call_depth.unwrap_or(DEFAULT_MAX_CALL_DEPTH);
+        Interp {
+            inst,
+            config,
+            depth: 0,
+            preempt,
+            max_depth,
+            host_args: Vec::new(),
+        }
+    }
+
+    /// Retires one instruction of `class`.
+    #[inline]
+    pub(crate) fn charge(&mut self, class: ChargeClass) {
+        self.inst.counts.charge(class);
+    }
+
+    /// Charges `n` data-dependent units of `class` (bytes, granules); see
+    /// [`ChargeCounts::charge_units`].
+    #[inline]
+    pub(crate) fn charge_units(&mut self, class: ChargeClass, n: u64) {
+        self.inst.counts.charge_units(class, n);
+    }
+
+    /// Writes the local fuel back to the instance, before the embedder
+    /// observes it after the call returns.
+    pub(crate) fn flush_accounting(&mut self) {
+        self.inst.fuel = self.preempt.fuel;
+        self.inst.fuel_consumed = self.preempt.fuel_consumed;
     }
 
     /// Internal call sites are arity-checked by validation, but the
     /// external entry points take embedder-supplied arguments: verify them
     /// before they hit the frame layout.
     pub(crate) fn check_entry(&self, func_idx: u32, args: &[Value]) -> Result<(), Trap> {
-        let inst = &self.store.instances[self.inst];
-        let func = inst
+        let func = self
+            .inst
             .pre
             .funcs
             .get(func_idx as usize)
@@ -218,80 +231,105 @@ impl<'s> Interp<'s> {
         Ok(())
     }
 
-    /// The typed API boundary for host calls: untagged argument slots
-    /// convert to [`Value`]s (through a reusable scratch buffer, no
-    /// per-call allocation) and the host's results convert back.
+    /// Calls host function `func_idx` on the staging `stack` (see
+    /// [`host_boundary`]).
     pub(crate) fn call_host(
         &mut self,
         func_idx: u32,
         func: &CompiledFunc,
         stack: &mut Vec<u64>,
     ) -> Result<(), Trap> {
-        let args_base = stack.len() - func.ty.params.len();
-        let func_rc = self.store.instances[self.inst].host_funcs[func_idx as usize].clone();
-        let mut host = func_rc.borrow_mut();
-        self.host_args.clear();
-        self.host_args.extend(
-            func.ty
-                .params
-                .iter()
-                .zip(&stack[args_base..])
-                .map(|(ty, raw)| Value::from_slot(*ty, *raw)),
-        );
-        // What the host charges lands in the instance's `host_cycles`,
-        // which nothing else writes; the dispatch loop spilled its running
-        // sum before it came here.
-        let inst = &mut self.store.instances[self.inst];
-        let mut ctx = HostContext {
+        let inst = &mut *self.inst;
+        let ctx = HostContext {
             memory: inst.memory.as_mut(),
             config: &self.config,
             cycles: &mut inst.counts.host_cycles,
         };
-        // A panicking host function must not unwind through the dispatch
-        // loop: the store would be left mid-mutation with no record of
-        // it. Catch the panic at this boundary and surface it as a trap —
-        // the embedder (the serve pool) treats it as poisoning the
-        // instance, quarantining the slot instead of recycling it.
-        let result =
-            panic::catch_unwind(AssertUnwindSafe(|| (host.func)(&mut ctx, &self.host_args)))
-                .unwrap_or_else(|payload| Err(Trap::HostPanic(panic_message(payload.as_ref()))));
-        let results = result?;
-        // Host results re-enter the untagged stack, so arity and type
-        // errors here would corrupt the frame layout or silently
-        // reinterpret bits — they are real traps, not debug assertions.
-        if results.len() != func.ty.results.len() {
+        let host = &inst.host_funcs[func_idx as usize];
+        host_boundary(host, ctx, &mut self.host_args, func, stack)
+    }
+
+    pub(crate) fn memory(&mut self) -> Result<&LinearMemory, Trap> {
+        self.inst.memory.as_ref().ok_or_else(no_memory)
+    }
+
+    pub(crate) fn memory_mut(&mut self) -> Result<&mut LinearMemory, Trap> {
+        self.inst.memory.as_mut().ok_or_else(no_memory)
+    }
+}
+
+/// The typed API boundary for host calls: the untagged argument slots on
+/// top of `stack` convert to [`Value`]s (through the reusable `host_args`
+/// buffer, no per-call allocation), `host` runs with `ctx`, and its
+/// results convert back in their place.
+fn host_boundary(
+    host: &RefCell<HostFunc>,
+    mut ctx: HostContext<'_>,
+    host_args: &mut Vec<Value>,
+    func: &CompiledFunc,
+    stack: &mut Vec<u64>,
+) -> Result<(), Trap> {
+    let args_base = stack.len() - func.ty.params.len();
+    let mut host = host.borrow_mut();
+    host_args.clear();
+    host_args.extend(
+        func.ty
+            .params
+            .iter()
+            .zip(&stack[args_base..])
+            .map(|(ty, raw)| Value::from_slot(*ty, *raw)),
+    );
+    // What the host charges lands in the instance's `host_cycles`, which
+    // nothing else writes; the dispatch loop spilled its running sum
+    // before it came here.
+    //
+    // A panicking host function must not unwind through the dispatch
+    // loop: the store would be left mid-mutation with no record of it.
+    // Catch the panic at this boundary and surface it as a trap — the
+    // embedder (the serve pool) treats it as poisoning the instance,
+    // quarantining the slot instead of recycling it.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| (host.func)(&mut ctx, host_args)))
+        .unwrap_or_else(|payload| Err(Trap::HostPanic(panic_message(payload.as_ref()))));
+    let results = result?;
+    // Host results re-enter the untagged stack, so arity and type errors
+    // here would corrupt the frame layout or silently reinterpret bits —
+    // they are real traps, not debug assertions.
+    if results.len() != func.ty.results.len() {
+        return Err(Trap::Host(format!(
+            "host function returned {} results, signature declares {}",
+            results.len(),
+            func.ty.results.len()
+        )));
+    }
+    for (i, (v, want)) in results.iter().zip(&func.ty.results).enumerate() {
+        if v.ty() != *want {
             return Err(Trap::Host(format!(
-                "host function returned {} results, signature declares {}",
-                results.len(),
-                func.ty.results.len()
+                "host function result {i} declares {want:?}, got {:?}",
+                v.ty()
             )));
         }
-        for (i, (v, want)) in results.iter().zip(&func.ty.results).enumerate() {
-            if v.ty() != *want {
-                return Err(Trap::Host(format!(
-                    "host function result {i} declares {want:?}, got {:?}",
-                    v.ty()
-                )));
-            }
-        }
-        stack.truncate(args_base);
-        stack.extend(results.iter().map(|v| v.to_slot()));
-        Ok(())
     }
+    stack.truncate(args_base);
+    stack.extend(results.iter().map(|v| v.to_slot()));
+    Ok(())
+}
 
-    pub(crate) fn memory(&mut self) -> Result<&crate::memory::LinearMemory, Trap> {
-        self.store.instances[self.inst]
-            .memory
-            .as_ref()
-            .ok_or_else(|| Trap::Host("no memory".into()))
-    }
+/// The trap of a memory instruction in an instance without a memory
+/// (validation rejects such a module, so no guest reaches it).
+#[cold]
+fn no_memory() -> Trap {
+    Trap::Host("no memory".into())
+}
 
-    pub(crate) fn memory_mut(&mut self) -> Result<&mut crate::memory::LinearMemory, Trap> {
-        self.store.instances[self.inst]
-            .memory
-            .as_mut()
-            .ok_or_else(|| Trap::Host("no memory".into()))
-    }
+/// Empties the dispatch loop's running sum of packed recipes into the
+/// counts. Off the loop's straight path: a narrow lane fills after 32
+/// ops of its class at the earliest, the simple lane after 2^15. A free
+/// function over the counts alone, so the loop can call it while it
+/// holds the instance's memory.
+#[cold]
+#[inline(never)]
+fn spill(counts: &mut [u64; ChargeClass::COUNT], acc: u64) {
+    unpack_lanes(acc, counts);
 }
 
 // ===========================================================================
@@ -300,9 +338,9 @@ impl<'s> Interp<'s> {
 //
 // One function, one `loop { match op }` over the 24 `RegOp` kinds (a single
 // jump table whose layout is the compiler's, not the linker's), with an
-// explicit call stack of function *indices* into the template's function
-// table — borrowed once per invocation, so a guest call or return touches
-// no reference count — and fuel consumed only at charge-free control
+// explicit call stack of code borrowed from the template's function table
+// — borrowed once per invocation, so a guest call or return touches no
+// reference count — and fuel consumed only at charge-free control
 // transfers (so a fuel trap lands on the identical count vector on every
 // run). The loop has one exit: an arm that traps breaks out of it with the
 // error, so the running charge sum is emptied in exactly one place.
@@ -312,160 +350,56 @@ impl<'s> Interp<'s> {
 // paths.
 
 /// A suspended caller on the register tier's explicit call stack.
-struct RegFrame {
-    /// The caller's index in the function table.
-    func: u32,
+struct RegFrame<'a> {
+    /// The caller's code, borrowed from the template's function table.
+    code: &'a RegCode,
     base: usize,
     ret_pc: usize,
 }
 
-/// The per-invocation execution state of the dispatch loop.
-struct RegState<'a, 's> {
-    it: &'a mut Interp<'s>,
-    /// The template's function table, borrowed for the whole run: frames
-    /// and calls name functions by index into it.
-    funcs: &'a [CompiledFunc],
-    /// The template's type table (`call_indirect` signature checks).
-    types: &'a [Arc<FuncType>],
+/// The register tier's call stack. The dispatch loop reads `code` from it
+/// at every dispatch, reads and writes registers through a slice of
+/// `regs` from `base` on, and calls into it only to call and return,
+/// re-deriving the slice after.
+struct CallStack<'a> {
+    /// The running function's code.
+    code: &'a RegCode,
     /// Register-file arena: the active frame owns its function's
-    /// `frame_size` slots starting at `base`; suspended callers keep
-    /// theirs below.
+    /// `frame_size` slots starting at `base`, up to the end; suspended
+    /// callers keep theirs below.
     regs: Vec<u64>,
-    /// Suspended callers (the explicit call stack).
-    frames: Vec<RegFrame>,
-    /// Index of the function currently executing.
-    func: u32,
+    /// Suspended callers.
+    frames: Vec<RegFrame<'a>>,
     /// Arena offset of the active frame.
     base: usize,
-    /// Reusable staging stack for host calls: the typed boundary takes its
-    /// arguments as a slice and returns its results as one.
-    scratch: Vec<u64>,
 }
 
-impl<'a> RegState<'a, '_> {
-    /// Reads register `slot` of the active frame.
-    #[inline(always)]
-    fn get(&self, slot: u16) -> u64 {
-        self.regs[self.base + slot as usize]
-    }
-
-    /// Writes register `slot` of the active frame.
-    #[inline(always)]
-    fn set(&mut self, slot: u16, v: u64) {
-        self.regs[self.base + slot as usize] = v;
-    }
-
-    /// Scalar load: the memory's accessor, then the op's sign extension.
-    #[inline(always)]
-    fn load_scalar(&mut self, op: LoadOp, index: u64, offset: u64) -> Result<u64, Trap> {
-        let raw = self
-            .it
-            .memory_mut()?
-            .read_scalar(index, offset, op.width())?;
-        Ok(decode_load(op, raw))
-    }
-
-    /// Scalar store twin of [`RegState::load_scalar`].
-    #[inline(always)]
-    fn store_scalar(&mut self, op: StoreOp, index: u64, offset: u64, raw: u64) -> Result<(), Trap> {
-        self.it
-            .memory_mut()?
-            .write_scalar(index, offset, op.width(), raw)
-    }
-
-    /// Calls function `idx` from the op at `pc`. A guest callee suspends
-    /// the caller onto `frames`, grows the arena by its frame, receives
-    /// the arguments in its parameter slots and becomes `self.func`: the
-    /// loop resumes at its pc 0 with its code, returned here. A host
-    /// callee runs to completion on the staging stack and returns `None`:
-    /// the loop falls through.
-    fn do_call(
-        &mut self,
-        idx: u32,
-        args: &[u16],
-        rets: &[u16],
-        pc: usize,
-    ) -> Result<Option<&'a RegCode>, Trap> {
-        if self.it.depth >= self.it.max_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        let callee = &self.funcs[idx as usize];
-        if callee.is_host {
-            self.host_call(idx, callee, args, rets)?;
-            return Ok(None);
-        }
-        self.it.depth += 1;
+impl<'a> CallStack<'a> {
+    /// Enters the guest function of code `callee` from the op at `pc`:
+    /// suspends the caller, grows the arena by the callee's frame and
+    /// copies the `args` registers into its parameter slots.
+    fn call(&mut self, callee: &'a RegCode, args: &[u16], pc: usize) {
         let new_base = self.regs.len();
-        self.regs
-            .resize(new_base + callee.reg.frame_size as usize, 0);
-        for (&slot, &a) in callee.reg.param_slots.iter().zip(args) {
+        self.regs.resize(new_base + callee.frame_size as usize, 0);
+        for (&slot, &a) in callee.param_slots.iter().zip(args) {
             self.regs[new_base + slot as usize] = self.regs[self.base + a as usize];
         }
         self.frames.push(RegFrame {
-            func: std::mem::replace(&mut self.func, idx),
+            code: std::mem::replace(&mut self.code, callee),
             base: self.base,
             ret_pc: pc + 1,
         });
         self.base = new_base;
-        Ok(Some(&callee.reg))
-    }
-
-    /// Stages the argument registers for the typed host boundary and
-    /// moves the host's results into the result registers.
-    #[inline(never)]
-    fn host_call(
-        &mut self,
-        idx: u32,
-        callee: &CompiledFunc,
-        args: &[u16],
-        rets: &[u16],
-    ) -> Result<(), Trap> {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        buf.extend(args.iter().map(|&a| self.get(a)));
-        self.it.depth += 1;
-        let result = self.it.call_host(idx, callee, &mut buf);
-        self.it.depth -= 1;
-        if result.is_ok() {
-            for (&slot, &v) in rets.iter().zip(buf.iter()) {
-                self.set(slot, v);
-            }
-        }
-        self.scratch = buf;
-        result
-    }
-
-    /// Resolves a `call_indirect` to its callee: table lookup, then the
-    /// signature check — by pointer first, since types are deduplicated
-    /// per module and both sides borrow the template's tables; the
-    /// structural compare is the cold fallback.
-    #[inline(never)]
-    fn resolve_indirect(&self, call: &RegCallIndirect) -> Result<u32, Trap> {
-        let table_idx = get_i32(self.get(call.sel)) as u32;
-        let func_idx = self.it.store.instances[self.it.inst]
-            .table
-            .get(table_idx as usize)
-            .copied()
-            .flatten()
-            .ok_or(Trap::UndefinedElement)?;
-        let expected = &self.types[call.type_idx as usize];
-        let actual = &self.funcs[func_idx as usize].ty;
-        if !Arc::ptr_eq(expected, actual) && expected != actual {
-            return Err(Trap::IndirectCallTypeMismatch);
-        }
-        Ok(func_idx)
     }
 
     /// Function epilogue: copy the `srcs` registers into the caller's
     /// result registers (they live in the caller's call op), release the
-    /// frame and resume the suspended caller — its code and return pc are
-    /// returned. `None` when this was the outermost frame, whose results
-    /// the loop reads out of `srcs` itself.
-    fn do_return(&mut self, srcs: &[u16]) -> Option<(&'a RegCode, usize)> {
-        self.it.depth -= 1;
+    /// frame and resume the suspended caller — its return pc is returned.
+    /// `None` when this was the outermost frame, whose results the loop
+    /// reads out of `srcs` itself.
+    fn ret(&mut self, srcs: &[u16]) -> Option<usize> {
         let frame = self.frames.pop()?;
-        let code = &self.funcs[frame.func as usize].reg;
-        let rets = match &code.ops[frame.ret_pc - 1] {
+        let rets = match &frame.code.ops[frame.ret_pc - 1] {
             RegOp::Call(c) => &c.rets,
             RegOp::CallIndirect(c) => &c.rets,
             other => unreachable!("return to non-call reg op {other:?}"),
@@ -475,11 +409,134 @@ impl<'a> RegState<'a, '_> {
         }
         self.regs.truncate(self.base);
         self.base = frame.base;
-        self.func = frame.func;
-        Some((code, frame.ret_pc))
+        self.code = frame.code;
+        Some(frame.ret_pc)
+    }
+}
+
+/// Resolves a `call_indirect` to its callee: table lookup of the
+/// selector `sel`, then the signature check — by pointer first, since
+/// types are deduplicated per module and both sides borrow the template's
+/// tables; the structural compare is the cold fallback.
+#[inline(never)]
+fn resolve_indirect(
+    table: &[Option<u32>],
+    types: &[Arc<FuncType>],
+    funcs: &[CompiledFunc],
+    sel: u64,
+    type_idx: u32,
+) -> Result<u32, Trap> {
+    let table_idx = get_i32(sel) as u32;
+    let func_idx = table
+        .get(table_idx as usize)
+        .copied()
+        .flatten()
+        .ok_or(Trap::UndefinedElement)?;
+    let expected = &types[type_idx as usize];
+    let actual = &funcs[func_idx as usize].ty;
+    if !Arc::ptr_eq(expected, actual) && expected != actual {
+        return Err(Trap::IndirectCallTypeMismatch);
+    }
+    Ok(func_idx)
+}
+
+/// Scalar load: one `match` on the op, each arm a read of constant width
+/// (so the memory's width dispatch folds away) and its own extension.
+/// Unsigned widths come back zero-extended from the read.
+#[inline(always)]
+fn load_scalar(
+    mem: Option<&mut LinearMemory>,
+    op: LoadOp,
+    index: u64,
+    offset: u64,
+) -> Result<u64, Trap> {
+    use LoadOp::*;
+    let mem = mem.ok_or_else(no_memory)?;
+    // A macro, not a closure: a closure is not inlined into every arm.
+    macro_rules! read {
+        ($width:expr) => {
+            mem.read_scalar(index, offset, $width)?
+        };
+    }
+    Ok(match op {
+        I64Load | F64Load => read!(8),
+        I32Load | F32Load | I64Load32U => read!(4),
+        I32Load16U | I64Load16U => read!(2),
+        I32Load8U | I64Load8U => read!(1),
+        I64Load32S => slot_i64(i64::from(read!(4) as u32 as i32)),
+        I32Load16S => slot_i32(i32::from(read!(2) as u16 as i16)),
+        I64Load16S => slot_i64(i64::from(read!(2) as u16 as i16)),
+        I32Load8S => slot_i32(i32::from(read!(1) as u8 as i8)),
+        I64Load8S => slot_i64(i64::from(read!(1) as u8 as i8)),
+    })
+}
+
+/// Scalar store twin of [`load_scalar`]: the write keeps the op's width of
+/// the slot's low bytes, which is the store encoding.
+#[inline(always)]
+fn store_scalar(
+    mem: Option<&mut LinearMemory>,
+    op: StoreOp,
+    index: u64,
+    offset: u64,
+    raw: u64,
+) -> Result<(), Trap> {
+    use StoreOp::*;
+    let mem = mem.ok_or_else(no_memory)?;
+    match op {
+        I64Store | F64Store => mem.write_scalar(index, offset, 8, raw),
+        I32Store | F32Store | I64Store32 => mem.write_scalar(index, offset, 4, raw),
+        I32Store16 | I64Store16 => mem.write_scalar(index, offset, 2, raw),
+        I32Store8 | I64Store8 => mem.write_scalar(index, offset, 1, raw),
+    }
+}
+
+/// The instance as the dispatch loop's out-of-line ops see it: every
+/// field they touch but the memory, borrowed one by one, so the loop can
+/// hold the memory's one borrow for the whole run and hand it to them.
+struct Env<'a> {
+    counts: &'a mut ChargeCounts,
+    globals: &'a mut [Value],
+    table: &'a [Option<u32>],
+    host_funcs: &'a [Rc<RefCell<HostFunc>>],
+    pac: &'a PacSigner,
+    pac_modifier: u64,
+    config: &'a ExecConfig,
+    host_args: &'a mut Vec<Value>,
+}
+
+impl Env<'_> {
+    /// Runs host function `idx` for a call op of the active `frame`:
+    /// stages the `args` registers for the typed host boundary on
+    /// `scratch` and moves the host's results into the `rets` registers.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn host_call(
+        &mut self,
+        mem: Option<&mut LinearMemory>,
+        idx: u32,
+        callee: &CompiledFunc,
+        frame: &mut [u64],
+        args: &[u16],
+        rets: &[u16],
+        scratch: &mut Vec<u64>,
+    ) -> Result<(), Trap> {
+        scratch.clear();
+        scratch.extend(args.iter().map(|&a| frame[a as usize]));
+        let ctx = HostContext {
+            memory: mem,
+            config: self.config,
+            cycles: &mut self.counts.host_cycles,
+        };
+        let host = &self.host_funcs[idx as usize];
+        host_boundary(host, ctx, self.host_args, callee, scratch)?;
+        for (&slot, &v) in rets.iter().zip(scratch.iter()) {
+            frame[slot as usize] = v;
+        }
+        Ok(())
     }
 
-    /// Runs a stateful instruction on the active frame's registers: the
+    /// Runs a stateful instruction on the active `frame`'s registers: the
     /// twelve bodies of [`RegOp::Sys`], from Fig. 11 for the Cage forms
     /// and the core specification for the rest. Unlike the loop's other
     /// arms each body retires its own instruction — class first, then the
@@ -491,106 +548,108 @@ impl<'a> RegState<'a, '_> {
     /// dispatch a store and a reload.
     #[cold]
     #[inline(never)]
-    fn sys(&mut self, op: SysOp, args: [u16; 3], ret: Option<u16>, imm: u64) -> Result<(), Trap> {
+    fn sys(
+        &mut self,
+        mem: Option<&mut LinearMemory>,
+        frame: &mut [u64],
+        op: SysOp,
+        args: [u16; 3],
+        ret: Option<u16>,
+        imm: u64,
+    ) -> Result<(), Trap> {
+        let get = |r: u16| frame[r as usize];
+        let mem = || mem.ok_or_else(no_memory);
         // A partial granule still costs a full `stg`/`stzg`.
         let granules = |len: u64| len.div_ceil(16);
         let result = match op {
             SysOp::Unreachable => {
-                self.it.charge(ChargeClass::Simple);
+                self.counts.charge(ChargeClass::Simple);
                 return Err(Trap::Unreachable);
             }
             SysOp::GlobalGet => {
-                self.it.charge(ChargeClass::Simple);
-                self.it.store.instances[self.it.inst].globals[imm as usize].to_slot()
+                self.counts.charge(ChargeClass::Simple);
+                self.globals[imm as usize].to_slot()
             }
             SysOp::GlobalSet => {
-                self.it.charge(ChargeClass::Simple);
-                let raw = self.get(args[0]);
+                self.counts.charge(ChargeClass::Simple);
+                let raw = get(args[0]);
                 // A global keeps its typed API representation; its
                 // declared type is that of the value it holds.
-                let global = &mut self.it.store.instances[self.it.inst].globals[imm as usize];
+                let global = &mut self.globals[imm as usize];
                 *global = Value::from_slot(global.ty(), raw);
                 0
             }
             SysOp::MemorySize => {
-                self.it.charge(ChargeClass::MemManage);
-                let mem = self.it.memory()?;
+                self.counts.charge(ChargeClass::MemManage);
+                let mem = mem()?;
                 pages_slot(mem.is_memory64(), Some(mem.size_pages()))
             }
             SysOp::MemoryGrow => {
-                self.it.charge(ChargeClass::MemManage);
-                let delta = self.get(args[0]);
-                let mem = self.it.memory_mut()?;
+                self.counts.charge(ChargeClass::MemManage);
+                let delta = get(args[0]);
+                let mem = mem()?;
                 pages_slot(mem.is_memory64(), mem.grow(delta))
             }
             SysOp::MemoryFill => {
-                let [dst, val, len] = args.map(|r| self.get(r));
-                self.it.charge(ChargeClass::Fill);
-                self.it.charge_units(ChargeClass::FillBytes, len);
-                self.it.memory_mut()?.fill(dst, val as u8, len)?;
+                let [dst, val, len] = args.map(get);
+                self.counts.charge(ChargeClass::Fill);
+                self.counts.charge_units(ChargeClass::FillBytes, len);
+                mem()?.fill(dst, val as u8, len)?;
                 0
             }
             SysOp::MemoryCopy => {
-                let [dst, src, len] = args.map(|r| self.get(r));
-                self.it.charge(ChargeClass::Copy);
-                self.it.charge_units(ChargeClass::CopyBytes, len);
-                self.it.memory_mut()?.copy(dst, src, len)?;
+                let [dst, src, len] = args.map(get);
+                self.counts.charge(ChargeClass::Copy);
+                self.counts.charge_units(ChargeClass::CopyBytes, len);
+                mem()?.copy(dst, src, len)?;
                 0
             }
             SysOp::SegmentNew => {
-                let (ptr, len) = (self.get(args[0]), self.get(args[1]));
-                self.it.charge(ChargeClass::SegmentNew);
-                self.it
+                let (ptr, len) = (get(args[0]), get(args[1]));
+                self.counts.charge(ChargeClass::SegmentNew);
+                self.counts
                     .charge_units(ChargeClass::SegmentNewGranules, granules(len));
-                self.it
-                    .memory_mut()?
-                    .segment_new(ptr.wrapping_add(imm), len)?
+                mem()?.segment_new(ptr.wrapping_add(imm), len)?
             }
             SysOp::SegmentSetTag => {
-                let [ptr, tagged, len] = args.map(|r| self.get(r));
-                self.it.charge(ChargeClass::Retag);
-                self.it
+                let [ptr, tagged, len] = args.map(get);
+                self.counts.charge(ChargeClass::Retag);
+                self.counts
                     .charge_units(ChargeClass::RetagGranules, granules(len));
-                self.it
-                    .memory_mut()?
-                    .segment_set_tag(ptr.wrapping_add(imm), tagged, len)?;
+                mem()?.segment_set_tag(ptr.wrapping_add(imm), tagged, len)?;
                 0
             }
             SysOp::SegmentFree => {
-                let (ptr, len) = (self.get(args[0]), self.get(args[1]));
-                self.it.charge(ChargeClass::Retag);
-                self.it
+                let (ptr, len) = (get(args[0]), get(args[1]));
+                self.counts.charge(ChargeClass::Retag);
+                self.counts
                     .charge_units(ChargeClass::RetagGranules, granules(len));
-                self.it
-                    .memory_mut()?
-                    .segment_free(ptr.wrapping_add(imm), len)?;
+                mem()?.segment_free(ptr.wrapping_add(imm), len)?;
                 0
             }
             // Without pointer authentication both are moves, and still
             // retire their instruction.
             SysOp::PointerSign => {
-                self.it.charge(ChargeClass::Sign);
-                let ptr = self.get(args[0]);
-                let inst = &self.it.store.instances[self.it.inst];
-                if self.it.config.variant.pointer_auth() {
-                    inst.pac.sign(ptr, inst.pac_modifier)
+                self.counts.charge(ChargeClass::Sign);
+                let ptr = get(args[0]);
+                if self.config.variant.pointer_auth() {
+                    self.pac.sign(ptr, self.pac_modifier)
                 } else {
                     ptr
                 }
             }
             SysOp::PointerAuth => {
-                self.it.charge(ChargeClass::Auth);
-                let ptr = self.get(args[0]);
-                let inst = &self.it.store.instances[self.it.inst];
-                if self.it.config.variant.pointer_auth() {
-                    inst.pac.auth(ptr, inst.pac_modifier)?
+                self.counts.charge(ChargeClass::Auth);
+                let ptr = get(args[0]);
+                if self.config.variant.pointer_auth() {
+                    self.pac.auth(ptr, self.pac_modifier)?
                 } else {
                     ptr
                 }
             }
         };
         if let Some(dst) = ret {
-            self.set(dst, result);
+            frame[dst as usize] = result;
         }
         Ok(())
     }
@@ -608,7 +667,7 @@ impl Interp<'_> {
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
         self.check_entry(func_idx, args)?;
-        let pre = &self.store.instances[self.inst].pre;
+        let pre = &self.inst.pre;
         let (types, funcs) = (Arc::clone(&pre.types), Arc::clone(&pre.funcs));
         let ty = &funcs[func_idx as usize].ty;
         let arg_slots: Vec<u64> = args.iter().map(|v| v.to_slot()).collect();
@@ -628,21 +687,31 @@ impl Interp<'_> {
     /// The dispatch loop: executes function `func_idx` (and everything it
     /// calls) to completion on one growing register-file arena.
     ///
-    /// Each dispatch is one integer add (the op's packed recipe onto the
-    /// running sum `acc`, a local that no arm's straight path stores), one
-    /// test of the lanes' guard bits, and one jump-table `match`. `acc` is
-    /// emptied into the counts when a guard bit is set, before a host
-    /// call (so the instance's counts are complete whenever foreign code
-    /// runs), and after the loop, which every arm leaves the same way — a
-    /// `break` with the result, a trap included. A [`RegOp::Sys`] arm adds
-    /// to the instance's counts directly, around a sum still in flight:
-    /// integer counts commute. Control flow never recurses: a call
-    /// pushes a [`RegFrame`] and continues at pc 0 of the callee, so host
-    /// stack usage is constant in both guest nesting depth and guest call
-    /// depth (the latter bounded by `max_depth`). Fuel is consumed in
-    /// the arms that transfer control (a taken branch, a guest call, a
-    /// return) and nowhere else: the check stays off the straight-line
-    /// fall-through path, off host calls and off the cycle model.
+    /// Its state is five locals: `pc`, the running `code`, the charge sum
+    /// `acc`, the active `frame` slice and the instance's memory `mem`.
+    /// Each dispatch is one integer add (the op's packed recipe onto
+    /// `acc`, which no arm's straight path stores), one test of the lanes'
+    /// guard bits, and one jump-table `match`. `acc` is emptied into the
+    /// counts when a guard bit is set, before a host call (so the
+    /// instance's counts are complete whenever foreign code runs), and
+    /// after the loop, which every arm leaves the same way — a `break`
+    /// with the result, a trap included. A [`RegOp::Sys`] arm adds to the
+    /// instance's counts directly, around a sum still in flight: integer
+    /// counts commute. Control flow never recurses: a call pushes a
+    /// [`RegFrame`] and continues at pc 0 of the callee, so host stack
+    /// usage is constant in both guest nesting depth and guest call depth
+    /// (the latter bounded by `max_depth`). Fuel is consumed in the arms
+    /// that transfer control (a taken branch, a guest call, a return) and
+    /// nowhere else: the check stays off the straight-line fall-through
+    /// path, off host calls and off the cycle model.
+    ///
+    /// `frame` borrows the call stack's arena, so a guest call or return
+    /// (which may move it) re-derives it; `mem` borrows the instance's
+    /// memory for the whole run, and `sys` and a host call receive it.
+    ///
+    /// Never inlined, so the loop is one symbol whose layout
+    /// `ci/dispatch_lint.sh` can find and check.
+    #[inline(never)]
     fn run_reg(
         &mut self,
         types: &[Arc<FuncType>],
@@ -664,23 +733,66 @@ impl Interp<'_> {
             self.depth -= 1;
             return result;
         }
+        // From here on the instance is split: `mem` is the memory's one
+        // borrow for the run, `env` the rest of what the out-of-line ops
+        // touch, and the preemption state a local copy.
+        let Interp {
+            inst,
+            config,
+            depth,
+            preempt: preempt_state,
+            max_depth,
+            host_args,
+        } = self;
+        let Instance {
+            memory,
+            counts,
+            globals,
+            table,
+            host_funcs,
+            pac,
+            pac_modifier,
+            ..
+        } = &mut **inst;
+        let mut env = Env {
+            counts,
+            globals,
+            table,
+            host_funcs,
+            pac,
+            pac_modifier: *pac_modifier,
+            config,
+            host_args,
+        };
+        let mut mem = memory.as_mut();
+        let mut preempt = *preempt_state;
         let mut regs: Vec<u64> = vec![0; func.reg.frame_size as usize];
         for (&slot, &v) in func.reg.param_slots.iter().zip(args) {
             regs[slot as usize] = v;
         }
-        let mut st = RegState {
-            it: self,
-            funcs,
-            types,
+        let mut stack = CallStack {
+            code: &func.reg,
             regs,
             frames: Vec::with_capacity(8),
-            func: func_idx,
             base: 0,
-            scratch: Vec::with_capacity(8),
         };
-        let mut code = &func.reg;
+        let mut scratch: Vec<u64> = Vec::with_capacity(8);
         let mut pc: usize = 0;
         let mut acc: u64 = 0;
+        // The active frame's registers: a borrow of the arena alone, so
+        // the loop can still read `stack.code`.
+        macro_rules! frame {
+            () => {
+                &mut stack.regs[stack.base..]
+            };
+        }
+        let mut frame = frame!();
+        // Register `$r` of the active frame, as a place.
+        macro_rules! reg {
+            ($r:expr) => {
+                frame[usize::from($r)]
+            };
+        }
         // `?` for the loop: a trap is the loop's value.
         macro_rules! tri {
             ($result:expr) => {
@@ -694,7 +806,7 @@ impl Interp<'_> {
         // from them when the code that follows runs.
         macro_rules! spill {
             () => {{
-                st.it.spill(acc);
+                spill(&mut env.counts.counts, acc);
                 acc = 0;
             }};
         }
@@ -702,22 +814,36 @@ impl Interp<'_> {
         // point, then the jump.
         macro_rules! jump {
             ($target:expr) => {{
-                tri!(st.it.consume_fuel());
+                tri!(preempt.consume());
                 pc = $target as usize;
                 continue;
             }};
         }
         // A call to function `$idx`: a guest callee becomes the running
-        // code, a host callee has run when `do_call` returns.
+        // code and frame; a host callee has run when `host_call` returns.
         macro_rules! call {
             ($idx:expr, $call:expr) => {{
                 let idx = $idx;
-                if st.funcs[idx as usize].is_host {
-                    spill!();
+                if *depth >= *max_depth {
+                    break Err(Trap::CallStackExhausted);
                 }
-                if let Some(callee) = tri!(st.do_call(idx, &$call.args, &$call.rets, pc)) {
-                    tri!(st.it.consume_fuel());
-                    code = callee;
+                let callee = &funcs[idx as usize];
+                if callee.is_host {
+                    spill!();
+                    tri!(env.host_call(
+                        mem.as_deref_mut(),
+                        idx,
+                        callee,
+                        frame,
+                        &$call.args,
+                        &$call.rets,
+                        &mut scratch
+                    ));
+                } else {
+                    *depth += 1;
+                    stack.call(&callee.reg, &$call.args, pc);
+                    frame = frame!();
+                    tri!(preempt.consume());
                     pc = 0;
                     continue;
                 }
@@ -726,20 +852,22 @@ impl Interp<'_> {
         let result = loop {
             // Charge the op before its body: a trap inside the body leaves
             // exactly the charges the unfused source sequence would have.
+            let code = stack.code;
             acc += code.packed[pc];
             if acc & LANE_GUARD != 0 {
+                std::hint::cold_path();
                 spill!();
             }
             match &code.ops[pc] {
                 RegOp::Nop => {}
                 &RegOp::Jump(target) => jump!(target),
                 &RegOp::BrIf { cond, target } => {
-                    if get_i32(st.get(cond)) != 0 {
+                    if get_i32(reg!(cond)) != 0 {
                         jump!(target);
                     }
                 }
                 &RegOp::BrIfZ { cond, target } => {
-                    if get_i32(st.get(cond)) == 0 {
+                    if get_i32(reg!(cond)) == 0 {
                         jump!(target);
                     }
                 }
@@ -750,7 +878,7 @@ impl Interp<'_> {
                     b,
                     target,
                 } => {
-                    if (get_i32(op.eval(st.get(a), st.get(b))) != 0) != negate {
+                    if (get_i32(op.eval(reg!(a), reg!(b))) != 0) != negate {
                         jump!(target);
                     }
                 }
@@ -761,34 +889,44 @@ impl Interp<'_> {
                     k,
                     target,
                 } => {
-                    if (get_i32(op.eval(st.get(a), k)) != 0) != negate {
+                    if (get_i32(op.eval(reg!(a), k)) != 0) != negate {
                         jump!(target);
                     }
                 }
                 RegOp::BrTable { sel, targets } => {
-                    let i = get_i32(st.get(*sel)) as usize;
+                    let i = get_i32(reg!(*sel)) as usize;
                     let target = *targets
                         .get(i)
                         .unwrap_or_else(|| targets.last().expect("br_table has a default"));
                     jump!(target);
                 }
                 RegOp::Ret { srcs } => {
-                    let resumed = st.do_return(srcs);
-                    tri!(st.it.consume_fuel());
-                    let Some((caller, ret_pc)) = resumed else {
-                        results.extend(srcs.iter().map(|&s| st.get(s)));
+                    *depth -= 1;
+                    let resumed = stack.ret(srcs);
+                    frame = frame!();
+                    tri!(preempt.consume());
+                    let Some(ret_pc) = resumed else {
+                        results.extend(srcs.iter().map(|&s| reg!(s)));
                         break Ok(());
                     };
-                    code = caller;
                     pc = ret_pc;
                     continue;
                 }
                 RegOp::Call(call) => call!(call.func, call),
-                RegOp::CallIndirect(call) => call!(tri!(st.resolve_indirect(call)), call),
-                &RegOp::Move { dst, src } => st.set(dst, st.get(src)),
-                &RegOp::Const { dst, v } => st.set(dst, v),
-                &RegOp::Alu { op, dst, a, b } => st.set(dst, op.eval(st.get(a), st.get(b))),
-                &RegOp::AluImm { op, dst, a, k } => st.set(dst, op.eval(st.get(a), k)),
+                RegOp::CallIndirect(call) => call!(
+                    tri!(resolve_indirect(
+                        env.table,
+                        types,
+                        funcs,
+                        reg!(call.sel),
+                        call.type_idx
+                    )),
+                    call
+                ),
+                &RegOp::Move { dst, src } => reg!(dst) = reg!(src),
+                &RegOp::Const { dst, v } => reg!(dst) = v,
+                &RegOp::Alu { op, dst, a, b } => reg!(dst) = op.eval(reg!(a), reg!(b)),
+                &RegOp::AluImm { op, dst, a, k } => reg!(dst) = op.eval(reg!(a), k),
                 &RegOp::AluImmJump {
                     op,
                     dst,
@@ -796,47 +934,43 @@ impl Interp<'_> {
                     k,
                     target,
                 } => {
-                    st.set(dst, op.eval(st.get(a), k));
+                    reg!(dst) = op.eval(reg!(a), k);
                     jump!(target);
                 }
-                &RegOp::Div { op, dst, a, b } => {
-                    let v = tri!(op.eval(st.get(a), st.get(b)));
-                    st.set(dst, v);
-                }
-                &RegOp::Una { op, dst, a } => {
-                    let v = tri!(op.eval(st.get(a)));
-                    st.set(dst, v);
-                }
+                &RegOp::Div { op, dst, a, b } => reg!(dst) = tri!(op.eval(reg!(a), reg!(b))),
+                &RegOp::Una { op, dst, a } => reg!(dst) = tri!(op.eval(reg!(a))),
                 &RegOp::IndexAdd {
                     dst,
                     base,
                     idx,
                     ext,
                     k,
-                } => st.set(dst, ext.address(st.get(base), st.get(idx), k)),
+                } => reg!(dst) = ext.address(reg!(base), reg!(idx), k),
                 &RegOp::Select { dst, cond, a, b } => {
-                    let v = if get_i32(st.get(cond)) != 0 {
-                        st.get(a)
+                    reg!(dst) = if get_i32(reg!(cond)) != 0 {
+                        reg!(a)
                     } else {
-                        st.get(b)
+                        reg!(b)
                     };
-                    st.set(dst, v);
                 }
                 &RegOp::Load {
                     op,
                     offset,
                     dst,
                     addr,
-                } => {
-                    let v = tri!(st.load_scalar(op, st.get(addr), offset));
-                    st.set(dst, v);
-                }
+                } => reg!(dst) = tri!(load_scalar(mem.as_deref_mut(), op, reg!(addr), offset)),
                 &RegOp::Store {
                     op,
                     offset,
                     addr,
                     val,
-                } => tri!(st.store_scalar(op, st.get(addr), offset, st.get(val))),
+                } => tri!(store_scalar(
+                    mem.as_deref_mut(),
+                    op,
+                    reg!(addr),
+                    offset,
+                    reg!(val)
+                )),
                 &RegOp::LoadIdx {
                     op,
                     dst,
@@ -849,10 +983,9 @@ impl Interp<'_> {
                     k,
                     offset,
                 } => {
-                    let row = rext.address(st.get(base), st.get(row), rk.into());
-                    let addr = ext.address(row, st.get(idx), k.into());
-                    let v = tri!(st.load_scalar(op, addr, offset.into()));
-                    st.set(dst, v);
+                    let row = rext.address(reg!(base), reg!(row), rk.into());
+                    let addr = ext.address(row, reg!(idx), k.into());
+                    reg!(dst) = tri!(load_scalar(mem.as_deref_mut(), op, addr, offset.into()));
                 }
                 &RegOp::StoreIdx {
                     op,
@@ -866,15 +999,24 @@ impl Interp<'_> {
                     offset,
                     val,
                 } => {
-                    let row = rext.address(st.get(base), st.get(row), rk.into());
-                    let addr = ext.address(row, st.get(idx), k.into());
-                    tri!(st.store_scalar(op, addr, offset.into(), st.get(val)));
+                    let row = rext.address(reg!(base), reg!(row), rk.into());
+                    let addr = ext.address(row, reg!(idx), k.into());
+                    tri!(store_scalar(
+                        mem.as_deref_mut(),
+                        op,
+                        addr,
+                        offset.into(),
+                        reg!(val)
+                    ));
                 }
-                &RegOp::Sys { op, args, ret, imm } => tri!(st.sys(op, args, ret, imm)),
+                &RegOp::Sys { op, args, ret, imm } => {
+                    tri!(env.sys(mem.as_deref_mut(), frame, op, args, ret, imm));
+                }
             }
             pc += 1;
         };
-        st.it.spill(acc);
+        spill(&mut env.counts.counts, acc);
+        *preempt_state = preempt;
         result
     }
 }

@@ -51,11 +51,16 @@
 //! the nibbles of the access's first and last granule — all it touches, at
 //! 8 bytes or fewer — against the pointer's tag
 //! ([`TagMemory::check_scalar`], the one-granule compare MTE hardware
-//! makes on every access), which counts a check only when it passes.
+//! makes on every access), which counts a check only when it passes. The
+//! pointer's tag is [`TagScheme::ptr_tag`] resolved at construction to a
+//! mask and an addend, so taking it is a shift, an `and` and an add, with
+//! no `match` on the scheme.
 //! Anything else — past the bound, a stale or forged tag, a straddle onto
 //! a granule of another tag — falls through to [`LinearMemory::resolve`],
-//! which decides it in full, counts its check and builds the trap. So the
-//! fast path moves no result, trap payload or check count. The field is
+//! which decides it in full, counts its check and builds the trap — out of
+//! line, so a caller that inlines the fast path at several constant
+//! widths inlines no `resolve`. So the fast path moves no result, trap
+//! payload or check count. The field is
 //! written where the minimum can move: `commit` raises it, and `reset` of
 //! a grown memory lowers it. (`grow` raises the guest size only above a
 //! prefix of whole pages, so the minimum stays put unless the grow's own
@@ -197,6 +202,14 @@ pub struct LinearMemory {
     /// The scalar fast path's bound (see the module docs):
     /// `min(guest_size, data.len())`, under every scheme.
     scalar_bound: u64,
+    /// The scheme's pointer-tag extraction as arithmetic, resolved once in
+    /// [`LinearMemory::try_new`]: the fast path's tag of `index` is
+    /// `((index >> 56) & ptr_tag_mask) + ptr_tag_add`, which is
+    /// [`TagScheme::ptr_tag`] with no `match`.
+    ptr_tag_mask: u8,
+    /// … and its constant term (the instance tag, or Combined's heap-base
+    /// nibble 1).
+    ptr_tag_add: u8,
     pool: TagPool,
     /// Construction parameters retained so [`LinearMemory::reset`] can
     /// restore the freshly-instantiated state.
@@ -261,12 +274,13 @@ impl LinearMemory {
         let pool = TagPool::new(scheme.segment_exclusion(), seed)
             .expect("segment exclusion leaves tags available");
         let total_pages = total.div_ceil(PAGE_SIZE);
-        // The one place the scheme becomes an access policy.
-        let (sandboxed, segments_live) = match scheme {
-            TagScheme::None => (false, false),
-            TagScheme::InternalOnly => (false, true),
-            TagScheme::ExternalOnly { .. } => (true, false),
-            TagScheme::Combined => (true, true),
+        // The one place the scheme becomes an access policy: the three
+        // predicates, and `ptr_tag` as a mask and an addend.
+        let (sandboxed, segments_live, ptr_tag_mask, ptr_tag_add) = match scheme {
+            TagScheme::None => (false, false, 0, 0),
+            TagScheme::InternalOnly => (false, true, 0xF, 0),
+            TagScheme::ExternalOnly { instance_tag } => (true, false, 0, instance_tag.value()),
+            TagScheme::Combined => (true, true, 0xE, 1),
         };
         Ok(LinearMemory {
             data,
@@ -280,6 +294,8 @@ impl LinearMemory {
             segments_live,
             tag_checked: sandboxed || segments_live,
             scalar_bound: 0,
+            ptr_tag_mask,
+            ptr_tag_add,
             pool,
             base_pages: initial_pages,
             seed,
@@ -357,10 +373,18 @@ impl LinearMemory {
         for page in first..=last {
             let (word, bit) = ((page / 64) as usize, page % 64);
             if self.dirty_bits[word] & (1 << bit) == 0 {
-                self.dirty_bits[word] |= 1 << bit;
-                self.dirty_pages.push(page);
+                self.first_dirty(page);
             }
         }
+    }
+
+    /// Puts a clean page on the dirty list: once per page per reset, so
+    /// out of the scalar stores' inlined path.
+    #[cold]
+    #[inline(never)]
+    fn first_dirty(&mut self, page: u64) {
+        self.dirty_bits[(page / 64) as usize] |= 1 << (page % 64);
+        self.dirty_pages.push(page);
     }
 
     /// Number of pages currently on the dirty list (pool observability).
@@ -719,6 +743,17 @@ impl LinearMemory {
         }
     }
 
+    /// [`LinearMemory::read_le`] of a range the scalar fast path has found
+    /// under the scalar bound, so inside the committed prefix: a plain
+    /// slice read, no uncommitted fallback.
+    #[inline(always)]
+    fn read_committed(&self, addr: u64, width: u64) -> u64 {
+        let a = addr as usize;
+        let mut buf = [0u8; 8];
+        buf[..width as usize].copy_from_slice(&self.data[a..a + width as usize]);
+        u64::from_le_bytes(buf)
+    }
+
     /// [`LinearMemory::read_le`] for a range that is not wholly committed
     /// (or an odd width): zeros past the prefix.
     #[cold]
@@ -766,10 +801,19 @@ impl LinearMemory {
     /// See [`LinearMemory::resolve`].
     #[inline(always)]
     pub fn read_scalar(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
-        let addr = match self.scalar_addr(index, offset, width) {
-            Some(addr) => addr,
-            None => self.resolve(index, offset, width, AccessKind::Read)?,
-        };
+        match self.scalar_addr(index, offset, width) {
+            Some(addr) => Ok(self.read_committed(addr, width)),
+            None => self.read_scalar_miss(index, offset, width),
+        }
+    }
+
+    /// [`LinearMemory::read_scalar`] past the fast path: out of line, so
+    /// a caller that inlines the fast path at several constant widths
+    /// does not inline [`LinearMemory::resolve`] with each.
+    #[cold]
+    #[inline(never)]
+    fn read_scalar_miss(&mut self, index: u64, offset: u64, width: u64) -> Result<u64, Trap> {
+        let addr = self.resolve(index, offset, width, AccessKind::Read)?;
         Ok(self.read_le(addr, width))
     }
 
@@ -788,10 +832,27 @@ impl LinearMemory {
         width: u64,
         raw: u64,
     ) -> Result<(), Trap> {
-        let addr = match self.scalar_addr(index, offset, width) {
-            Some(addr) => addr,
-            None => self.resolve(index, offset, width, AccessKind::Write)?,
-        };
+        match self.scalar_addr(index, offset, width) {
+            Some(addr) => {
+                self.write_le(addr, width, raw);
+                Ok(())
+            }
+            None => self.write_scalar_miss(index, offset, width, raw),
+        }
+    }
+
+    /// [`LinearMemory::write_scalar`] past the fast path, out of line like
+    /// [`LinearMemory::read_scalar_miss`].
+    #[cold]
+    #[inline(never)]
+    fn write_scalar_miss(
+        &mut self,
+        index: u64,
+        offset: u64,
+        width: u64,
+        raw: u64,
+    ) -> Result<(), Trap> {
+        let addr = self.resolve(index, offset, width, AccessKind::Write)?;
         self.write_le(addr, width, raw);
         Ok(())
     }
@@ -810,8 +871,15 @@ impl LinearMemory {
             || (width != 0
                 && self
                     .tags
-                    .check_scalar(addr, width, self.scheme.ptr_tag(index)));
+                    .check_scalar(addr, width, self.scalar_ptr_tag(index)));
         tag_ok.then_some(addr)
+    }
+
+    /// [`TagScheme::ptr_tag`] of `index` under this memory's scheme,
+    /// branch-free: a shift, a mask and an add.
+    #[inline(always)]
+    fn scalar_ptr_tag(&self, index: u64) -> Tag {
+        Tag::from_low_bits(((index >> 56) as u8 & self.ptr_tag_mask) + self.ptr_tag_add)
     }
 
     /// Checked bulk fill (`memory.fill`, libc `memset`): resolves the whole
@@ -1172,6 +1240,33 @@ mod tests {
         for nib in 0..16u64 {
             let forged = 0x40 | (nib << 56);
             assert_ne!(scheme.ptr_tag(forged), Tag::ZERO);
+        }
+    }
+
+    #[test]
+    fn precomputed_pointer_tag_matches_the_scheme() {
+        let mut schemes = vec![
+            TagScheme::None,
+            TagScheme::InternalOnly,
+            TagScheme::Combined,
+        ];
+        schemes.extend((1..16).map(|t| TagScheme::ExternalOnly {
+            instance_tag: Tag::new(t).unwrap(),
+        }));
+        for scheme in schemes {
+            let m = mem(scheme);
+            // Every nibble in bits 56-59 (so bit 56 both set and clear),
+            // under clear and set top bits and address bits.
+            for nib in 0..16u64 {
+                for rest in [0, 0x40, 0xF000_0000_0000_0000 | 0x00FF_FFFF_FFFF_FFF0] {
+                    let index = rest | (nib << 56);
+                    assert_eq!(
+                        m.scalar_ptr_tag(index),
+                        scheme.ptr_tag(index),
+                        "{scheme:?} index {index:#x}"
+                    );
+                }
+            }
         }
     }
 

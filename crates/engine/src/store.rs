@@ -631,7 +631,8 @@ impl Store {
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        Interp::new(self, handle.0).call_function_reg(func_idx, args)
+        Interp::new(&mut self.instances[handle.0], &self.epoch, self.config)
+            .call_function_reg(func_idx, args)
     }
 
     /// Calls a function by index through the structured tree walker — the
@@ -647,7 +648,8 @@ impl Store {
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        Interp::new(self, handle.0).call_function_tree(func_idx, args)
+        Interp::new(&mut self.instances[handle.0], &self.epoch, self.config)
+            .call_function_tree(func_idx, args)
     }
 
     /// What `handle` has been charged so far: the retired counts per

@@ -20,7 +20,7 @@
 //! `exec_op`'s arms with the rows of `cage_wasm::numeric`; for the twelve
 //! stateful ones (globals, memory management, the Fig. 11 segment and
 //! pointer instructions, `unreachable`) with the register-form bodies of
-//! `RegState::sys`: argument order, charge class, granule rounding and
+//! `Env::sys`: argument order, charge class, granule rounding and
 //! charge-before-trap order are written down twice.
 
 use cage_wasm::numeric::{
@@ -151,12 +151,12 @@ impl Interp<'_> {
             }
             GlobalGet(i) => {
                 self.charge(s);
-                stack.push(self.store.instances[self.inst].globals[*i as usize].to_slot());
+                stack.push(self.inst.globals[*i as usize].to_slot());
             }
             GlobalSet(i) => {
                 self.charge(s);
                 let raw = stack.pop().expect("validated");
-                let g = &mut self.store.instances[self.inst].globals[*i as usize];
+                let g = &mut self.inst.globals[*i as usize];
                 // Globals keep their typed API representation; the declared
                 // type is recovered from the current value.
                 *g = Value::from_slot(g.ty(), raw);
@@ -266,8 +266,7 @@ impl Interp<'_> {
                 self.charge(ChargeClass::Sign);
                 let ptr = stack.pop().expect("validated");
                 let signed = if self.config.variant.pointer_auth() {
-                    let inst = &self.store.instances[self.inst];
-                    inst.pac.sign(ptr, inst.pac_modifier)
+                    self.inst.pac.sign(ptr, self.inst.pac_modifier)
                 } else {
                     ptr
                 };
@@ -277,8 +276,7 @@ impl Interp<'_> {
                 self.charge(ChargeClass::Auth);
                 let ptr = stack.pop().expect("validated");
                 let stripped = if self.config.variant.pointer_auth() {
-                    let inst = &self.store.instances[self.inst];
-                    inst.pac.auth(ptr, inst.pac_modifier)?
+                    self.inst.pac.auth(ptr, self.inst.pac_modifier)?
                 } else {
                     ptr
                 };
@@ -567,7 +565,7 @@ impl Interp<'_> {
         // once — three reference counts — and borrowed by every frame
         // below: function table, type table and the structured bodies
         // (the compiled form is flat).
-        let pre = self.store.instances[self.inst].pre.clone();
+        let pre = self.inst.pre.clone();
         let ty = &pre.funcs[func_idx as usize].ty;
         let mut stack: Vec<u64> = Vec::with_capacity(64);
         let mut locals: Vec<u64> = Vec::with_capacity(32);
@@ -716,7 +714,8 @@ impl Interp<'_> {
             Instr::CallIndirect(type_idx) => {
                 self.charge(ChargeClass::CallIndirect);
                 let table_idx = get_i32(stack.pop().expect("validated")) as u32;
-                let func_idx = self.store.instances[self.inst]
+                let func_idx = self
+                    .inst
                     .table
                     .get(table_idx as usize)
                     .copied()

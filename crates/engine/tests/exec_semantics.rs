@@ -733,6 +733,133 @@ fn host_function_call_and_memory_access() {
     assert_eq!(store.memory(h).unwrap().read_resolved(8, 1), &[0xAB]);
 }
 
+/// A host import that writes guest memory and grows it by a page between
+/// two guest loads. The dispatch loop holds one borrow of the instance's
+/// memory for the whole run and hands that borrow to the host, so the
+/// load after the call must read the host's bytes and a load in the new
+/// page must succeed — on both tiers, under every variant, with the same
+/// result, trap and count vector.
+#[test]
+fn a_host_call_that_writes_and_grows_memory_is_seen_by_the_next_loads() {
+    const ADDR: i64 = 64;
+    const NEW_PAGE: i64 = 65_536 + 8;
+    const HOST_WORD: u64 = 0x1122_3344_5566_7700;
+    let mut b = ModuleBuilder::new();
+    let poke = b.import_func("env", "poke_and_grow", &[ValType::I64], &[]);
+    b.add_memory(cage_wasm::MemoryType {
+        limits: cage_wasm::Limits::bounded(1, 2),
+        memory64: true,
+    });
+    let load = |addr: i64| {
+        [
+            Instr::I64Const(addr),
+            Instr::Load(LoadOp::I64Load, MemArg::none()),
+        ]
+    };
+    let mut body = Vec::new();
+    body.extend(load(ADDR));
+    body.extend([Instr::I64Const(ADDR), Instr::Call(poke)]);
+    body.extend(load(ADDR));
+    body.push(Instr::I64Add);
+    body.extend(load(NEW_PAGE));
+    body.push(Instr::I64Add);
+    body.extend([Instr::MemorySize, Instr::I64Add]);
+    let f = b.add_function(&[], &[ValType::I64], &[], body);
+    let m = b.build();
+    let imports = || {
+        let mut imports = Imports::new();
+        imports.define(
+            "env",
+            "poke_and_grow",
+            cage_engine::host::HostFunc::new(&[ValType::I64], &[], |ctx, args| {
+                ctx.write_bytes(args[0].as_i64() as u64, &HOST_WORD.to_le_bytes())?;
+                let mem = ctx.memory()?;
+                assert_eq!(mem.grow(1), Some(1));
+                mem.write(NEW_PAGE as u64, 0, &[0x99])?;
+                Ok(vec![])
+            }),
+        );
+        imports
+    };
+    for variant in Variant::ALL {
+        let run = |tree: bool| {
+            let mut store = Store::new(ExecConfig {
+                variant,
+                ..ExecConfig::default()
+            });
+            let h = store.instantiate(&m, &imports()).unwrap();
+            let out = if tree {
+                store.call_tree(h, f, &[])
+            } else {
+                store.call(h, f, &[])
+            };
+            (out, store.charge_counts(h))
+        };
+        let reg = run(false);
+        assert_eq!(reg, run(true), "{variant:?}: register vs tree");
+        // 0 before the call, the host's word after it, the host's byte in
+        // the new page, and two pages.
+        assert_eq!(
+            reg.0,
+            Ok(vec![Value::I64((HOST_WORD + 0x99 + 2) as i64)]),
+            "{variant:?}"
+        );
+    }
+}
+
+/// Every load op over a word whose every byte has its top bit set, so each
+/// width's extension shows: both tiers agree with each other and with the
+/// value written out here by hand, under every variant.
+#[test]
+fn every_load_op_extends_a_high_bit_pattern_like_the_oracle() {
+    const ADDR: i64 = 64;
+    const WORD: u64 = 0xF1F2_F3F4_F5F6_F7F8;
+    let expected = [
+        (LoadOp::I32Load, Value::I32(0xF5F6_F7F8_u32 as i32)),
+        (LoadOp::I64Load, Value::I64(WORD as i64)),
+        (LoadOp::F32Load, Value::F32(f32::from_bits(0xF5F6_F7F8))),
+        (LoadOp::F64Load, Value::F64(f64::from_bits(WORD))),
+        (LoadOp::I32Load8S, Value::I32(-8)),
+        (LoadOp::I32Load8U, Value::I32(0xF8)),
+        (LoadOp::I32Load16S, Value::I32(-2056)),
+        (LoadOp::I32Load16U, Value::I32(0xF7F8)),
+        (LoadOp::I64Load8S, Value::I64(-8)),
+        (LoadOp::I64Load8U, Value::I64(0xF8)),
+        (LoadOp::I64Load16S, Value::I64(-2056)),
+        (LoadOp::I64Load16U, Value::I64(0xF7F8)),
+        (
+            LoadOp::I64Load32S,
+            Value::I64(i64::from(0xF5F6_F7F8_u32 as i32)),
+        ),
+        (LoadOp::I64Load32U, Value::I64(0xF5F6_F7F8)),
+    ];
+    for (op, want) in expected {
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(1);
+        b.add_function(
+            &[],
+            &[op.result_type()],
+            &[],
+            vec![
+                Instr::I64Const(ADDR),
+                Instr::I64Const(WORD as i64),
+                Instr::Store(StoreOp::I64Store, MemArg::none()),
+                Instr::I64Const(ADDR),
+                Instr::Load(op, MemArg::none()),
+            ],
+        );
+        let m = b.build();
+        for variant in Variant::ALL {
+            let config = ExecConfig {
+                variant,
+                ..ExecConfig::default()
+            };
+            let (out, _) = on_both_tiers_under(config, &format!("{op:?}"), &m, &[]);
+            assert_eq!(out, Ok(vec![want.to_slot()]), "{op:?} under {variant:?}");
+        }
+    }
+}
+
 #[test]
 fn fifteen_sandboxes_work_and_the_sixteenth_is_refused() {
     // §6.4: one sandbox tag per instance, 15 per process. Every one of

@@ -1285,7 +1285,7 @@ fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64,
             "{what}: reset tag store differs from a fresh instance's\n{}",
             dump_divergence(module)
         );
-        assert_eq!(pool_mem.dirty_page_count(), 0, "{what}: dirty after reset");
+        assert_eq!(pool_mem.dirty_block_count(), 0, "{what}: dirty after reset");
 
         let fresh = fresh_store.invoke(fresh_h, "run", &[Value::I64(arg)]);
         let recycled = pool_store.invoke(pool_h, "run", &[Value::I64(arg)]);
@@ -1624,14 +1624,15 @@ fn straddling_segments_and_scattered_pages_reset_to_a_fresh_instance() {
             Ok(vec![Value::I64(1)]),
             "{config:?}"
         );
-        // Pages 7, 5, 2, 3, 0 by the stores; page 1 only by the tagging
-        // of the second segment, which is inert without internal safety.
+        // Blocks 112, 80, 47, 48, 15 (in pages 7, 5, 2, 3, 0) by the
+        // stores; block 16 (page 1) only by the tagging of the second
+        // segment, which is inert without internal safety.
         assert_eq!(
-            store.memory(h).unwrap().dirty_page_count(),
+            store.memory(h).unwrap().dirty_block_count(),
             if internal { 6 } else { 5 },
         );
         store.reset_instance(h).unwrap();
-        assert_eq!(store.memory(h).unwrap().dirty_page_count(), 0);
+        assert_eq!(store.memory(h).unwrap().dirty_block_count(), 0);
         let probed = store.invoke(h, "run", &[Value::I64(0)]).unwrap();
         let tag = probed[0].as_i64();
         assert_eq!(

@@ -29,8 +29,8 @@
 //!   (guest plus slack), and never exceeds it;
 //! * bytes in `[data.len(), total)` are logically zero: nothing has ever
 //!   been written there, so readers that take `&self` see zeros, and
-//!   [`LinearMemory::reset`] has nothing to clear there (a page can still
-//!   be on the dirty list for its *tags*, which are stored eagerly).
+//!   [`LinearMemory::reset`] has nothing to clear there (a block can still
+//!   be dirty for its *tags*, which are stored eagerly).
 //!
 //! The prefix grows where an access was already being compared against
 //! `data.len()`: the final slack check of [`LinearMemory::resolve`]. A miss
@@ -69,6 +69,32 @@
 //!
 //! The tag store stays eager: it is 1/32 of the data (3 µs per 4 MiB) and
 //! pre-tagging it is the instantiation cost §7.2 measures.
+//!
+//! # Dirty tracking
+//!
+//! [`LinearMemory::reset`] restores only what a tenant changed, so every
+//! mutation of the data or of the guest tags — a store, a bulk op, a
+//! segment op — goes through `mark_dirty`, which records the
+//! `DIRTY_BLOCK`s (4 KiB, the host page) it covered. The unit is the
+//! host page, not the 64 KiB wasm page: a request that writes one word
+//! costs its recycle one 4 KiB fill, not 64 KiB. (The committed prefix
+//! still grows by whole wasm pages; the two units are independent.)
+//!
+//! The record is a bitmap of one bit per block, grown lazily: it starts
+//! empty and `first_dirty` (cold: a block's first dirtying after a reset,
+//! or an access spanning blocks, marked a word at a time) extends it to
+//! cover the blocks it marks. So the inline test of a store treats a word
+//! past its end as clean, and a tenant that writes only low memory never
+//! allocates the bitmap for the rest. (Sizing it eagerly for the whole
+//! memory moves `serve_cold`'s peak RSS through the allocator's layout
+//! alone.) Beside it, a worklist holds the index of every bitmap word
+//! that went from zero to non-zero. `reset` sorts those few words, takes
+//! each word's bits and walks its runs of set bits, joining a run that
+//! carries on into the next word: one data fill and one retag per run of
+//! adjacent dirty blocks, so a tenant that dirtied 2 MiB in one piece is
+//! cleared by one 2 MiB `memset` rather than one per bitmap word.
+//! Both vectors keep their capacity across resets, so a recycled slot
+//! that dirties what its predecessor did allocates nothing.
 
 use cage_mte::pointer::ADDR_MASK;
 use cage_mte::{AccessKind, Tag, TagExclusionMask, TagMemory, TagPool};
@@ -80,6 +106,10 @@ pub const RUNTIME_SLACK: u64 = 4096;
 
 /// WASM page size re-export for convenience.
 pub const PAGE_SIZE: u64 = cage_wasm::types::PAGE_SIZE;
+
+/// The unit of dirty tracking: 4 KiB, the host page. [`LinearMemory::reset`]
+/// re-zeroes and retags whole blocks (see the module docs).
+pub(crate) const DIRTY_BLOCK: u64 = 4096;
 
 /// How pointer tags are derived and memory is pre-tagged (§6.3/§6.4) —
 /// and thereby the memory's whole access policy: which check guards an
@@ -215,12 +245,14 @@ pub struct LinearMemory {
     /// restore the freshly-instantiated state.
     base_pages: u64,
     seed: u64,
-    /// One bit per page of `data` (guest plus slack): set when the page
-    /// has been written or retagged since creation or the last reset.
+    /// One bit per `DIRTY_BLOCK` of `data` (guest plus slack): set when
+    /// the block has been written or retagged since creation or the last
+    /// reset. Grown only to cover the highest block dirtied, so a word
+    /// past its end is clean.
     dirty_bits: Vec<u64>,
-    /// The set bits in first-dirtied order — the O(pages-touched)
-    /// worklist [`LinearMemory::reset`] walks.
-    dirty_pages: Vec<u64>,
+    /// The index of every non-zero word of `dirty_bits`, in the order it
+    /// became non-zero — the worklist [`LinearMemory::reset`] walks.
+    dirty_words: Vec<usize>,
 }
 
 impl LinearMemory {
@@ -273,7 +305,6 @@ impl LinearMemory {
         }
         let pool = TagPool::new(scheme.segment_exclusion(), seed)
             .expect("segment exclusion leaves tags available");
-        let total_pages = total.div_ceil(PAGE_SIZE);
         // The one place the scheme becomes an access policy: the three
         // predicates, and `ptr_tag` as a mask and an addend.
         let (sandboxed, segments_live, ptr_tag_mask, ptr_tag_add) = match scheme {
@@ -299,8 +330,8 @@ impl LinearMemory {
             pool,
             base_pages: initial_pages,
             seed,
-            dirty_bits: vec![0; total_pages.div_ceil(64) as usize],
-            dirty_pages: Vec::new(),
+            dirty_bits: Vec::new(),
+            dirty_words: Vec::new(),
         })
     }
 
@@ -360,45 +391,60 @@ impl LinearMemory {
         self.data.len() as u64
     }
 
-    /// Records the pages covering `[addr, addr + len)` in the dirty
-    /// list. Every mutation of `data` or of the guest tag store funnels
-    /// through here; [`LinearMemory::reset`] undoes exactly these pages.
+    /// Marks the blocks covering `[addr, addr + len)` dirty. Every
+    /// mutation of `data` or of the guest tag store funnels through here;
+    /// [`LinearMemory::reset`] undoes exactly these blocks. What stays
+    /// inline is the common case of a store: one block, already dirty.
     #[inline]
     fn mark_dirty(&mut self, addr: u64, len: u64) {
         if len == 0 {
             return;
         }
-        let first = addr / PAGE_SIZE;
-        let last = (addr + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            let (word, bit) = ((page / 64) as usize, page % 64);
-            if self.dirty_bits[word] & (1 << bit) == 0 {
-                self.first_dirty(page);
-            }
+        let (first, last) = (addr / DIRTY_BLOCK, (addr + len - 1) / DIRTY_BLOCK);
+        let (word, bit) = ((first / 64) as usize, 1 << (first % 64));
+        if first != last || self.dirty_bits.get(word).is_none_or(|w| w & bit == 0) {
+            self.first_dirty(first, last);
         }
     }
 
-    /// Puts a clean page on the dirty list: once per page per reset, so
-    /// out of the scalar stores' inlined path.
+    /// Marks blocks `first..=last` dirty a bitmap word at a time, growing
+    /// the bitmap to cover `last` and putting each word that was clean on
+    /// the worklist. Taken the first time a block is dirtied after a reset
+    /// and by accesses spanning blocks, so out of the scalar stores'
+    /// inlined path.
     #[cold]
     #[inline(never)]
-    fn first_dirty(&mut self, page: u64) {
-        self.dirty_bits[(page / 64) as usize] |= 1 << (page % 64);
-        self.dirty_pages.push(page);
+    fn first_dirty(&mut self, first: u64, last: u64) {
+        let (first_word, last_word) = ((first / 64) as usize, (last / 64) as usize);
+        if last_word >= self.dirty_bits.len() {
+            self.dirty_bits.resize(last_word + 1, 0);
+        }
+        for word in first_word..=last_word {
+            let from = if word == first_word { first % 64 } else { 0 };
+            let to = if word == last_word { last % 64 } else { 63 };
+            if self.dirty_bits[word] == 0 {
+                self.dirty_words.push(word);
+            }
+            self.dirty_bits[word] |= (u64::MAX << from) & (u64::MAX >> (63 - to));
+        }
     }
 
-    /// Number of pages currently on the dirty list (pool observability).
+    /// Number of dirty 4 KiB blocks: what the next [`LinearMemory::reset`]
+    /// re-zeroes and retags (pool observability).
     #[must_use]
-    pub fn dirty_page_count(&self) -> usize {
-        self.dirty_pages.len()
+    pub fn dirty_block_count(&self) -> usize {
+        self.dirty_words
+            .iter()
+            .map(|&word| self.dirty_bits[word].count_ones() as usize)
+            .sum()
     }
 
-    /// Restores the memory to its freshly-created state in O(pages
-    /// touched): re-zeroes and re-tags only the pages on the dirty list
-    /// (one fill pair per run of adjacent pages), and rewinds the segment
-    /// tag pool to its seed so the next run draws the same tags. Data
-    /// segments are *not* re-applied here — the store does that, exactly
-    /// as at instantiation.
+    /// Restores the memory to its freshly-created state in O(blocks
+    /// touched): re-zeroes and re-tags only the dirty blocks (one fill
+    /// pair per run of adjacent blocks), and rewinds the segment tag pool
+    /// to its seed so the next run draws the same tags. Data segments are
+    /// *not* re-applied here — the store does that, exactly as at
+    /// instantiation.
     ///
     /// The committed prefix survives (a warm slot stays warm), so the data
     /// fill is clamped to it. A grown memory shrinks back in place first.
@@ -409,9 +455,9 @@ impl LinearMemory {
         if self.guest_size != base_size {
             // Undo the grows: drop the pages above the base size from the
             // prefix and the tag store (the loop below clamps to the new
-            // total, so for them it only clears the dirty bit). The
+            // total, so for them it only clears the dirty bits). The
             // base-sized slack was guest memory while grown, so it carries
-            // guest tags; its data is on the dirty list like any page's.
+            // guest tags; its data is dirty-tracked like any block's.
             self.guest_size = base_size;
             let total = self.total();
             self.data.truncate(total as usize);
@@ -421,34 +467,55 @@ impl LinearMemory {
                 .expect("granule-aligned slack inside the shrunk tag store");
             self.set_scalar_bound();
         }
-        let initial = self.scheme.initial_tag();
-        let (total, committed) = (self.total(), self.data.len() as u64);
-        // Each maximal run of adjacent dirty pages is one data fill and
-        // one tag fill, whatever order the pages were first touched in.
-        self.dirty_pages.sort_unstable();
-        for run in self.dirty_pages.chunk_by(|a, b| a + 1 == *b) {
-            let start = run[0] * PAGE_SIZE;
-            let end = (start + run.len() as u64 * PAGE_SIZE).min(total);
-            // Past the prefix there is nothing to clear: a page is dirty
-            // there only for its tags.
-            if start < committed {
-                self.data[start as usize..end.min(committed) as usize].fill(0);
-            }
-            // Retag the guest portion; slack tags never change (segment
-            // ops are guest-bounded) so zero is still in force there.
-            let guest_end = end.min(self.guest_size);
-            if start < guest_end {
-                self.tags
-                    .set_tag_range(start, guest_end - start, initial)
-                    .expect("page-aligned run inside guest memory");
-            }
-            for page in run {
-                self.dirty_bits[(page / 64) as usize] &= !(1 << (page % 64));
+        // Each maximal run of adjacent dirty blocks, across bitmap words
+        // too, is one data fill and one tag fill, whatever order the
+        // blocks were first touched in. The worklist is taken for the walk
+        // and handed back empty, keeping its capacity.
+        let mut words = std::mem::take(&mut self.dirty_words);
+        words.sort_unstable();
+        let mut run = 0..0;
+        for &word in &words {
+            let mut bits = std::mem::take(&mut self.dirty_bits[word]);
+            while bits != 0 {
+                let low = bits.trailing_zeros();
+                let len = (bits >> low).trailing_ones();
+                // Adding the run's lowest bit carries through the run and
+                // clears it.
+                bits &= bits.wrapping_add(1 << low);
+                let start = word as u64 * 64 + u64::from(low);
+                if start != run.end {
+                    self.restore_blocks(run);
+                    run = start..start;
+                }
+                run.end = start + u64::from(len);
             }
         }
-        self.dirty_pages.clear();
+        self.restore_blocks(run);
+        words.clear();
+        self.dirty_words = words;
         self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed)
             .expect("segment exclusion leaves tags available");
+    }
+
+    /// Re-zeroes and retags dirty blocks `blocks` for
+    /// [`LinearMemory::reset`], clamped to the total size.
+    fn restore_blocks(&mut self, blocks: std::ops::Range<u64>) {
+        let start = blocks.start * DIRTY_BLOCK;
+        let end = (blocks.end * DIRTY_BLOCK).min(self.total());
+        // Past the prefix there is nothing to clear: a block is dirty there
+        // only for its tags.
+        let committed = self.data.len() as u64;
+        if start < committed {
+            self.data[start as usize..end.min(committed) as usize].fill(0);
+        }
+        // Retag the guest portion; slack tags never change (segment ops are
+        // guest-bounded) so zero is still in force there.
+        let guest_end = end.min(self.guest_size);
+        if start < guest_end {
+            self.tags
+                .set_tag_range(start, guest_end - start, self.scheme.initial_tag())
+                .expect("block-aligned run inside guest memory");
+        }
     }
 
     /// Guest-accessible size in bytes.
@@ -552,18 +619,12 @@ impl LinearMemory {
         // (wasm `-1`) instead of wrapping to a tiny allocation.
         let new_size = new_pages.checked_mul(PAGE_SIZE)?;
         let total = new_size.checked_add(RUNTIME_SLACK)?;
-        // Reserve data, tags and dirty bits before touching any state: a
-        // host that cannot back the grow answers `-1`, it does not abort.
+        // Reserve data and tags before touching any state: a host that
+        // cannot back the grow answers `-1`, it does not abort.
         let committed = self.data.len() as u64;
         let extra = usize::try_from(total - committed).ok()?;
         self.data.try_reserve_exact(extra).ok()?;
-        let words = total.div_ceil(PAGE_SIZE).div_ceil(64) as usize;
-        let more_words = words.saturating_sub(self.dirty_bits.len());
-        self.dirty_bits.try_reserve_exact(more_words).ok()?;
         self.tags.try_grow(total).ok()?;
-        if more_words > 0 {
-            self.dirty_bits.resize(words, 0);
-        }
         let old_size = self.guest_size;
         if new_size > old_size {
             // The old slack becomes guest memory: zero whatever of it was
@@ -1397,7 +1458,7 @@ mod tests {
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
         m.reset();
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
-        assert_eq!(m.dirty_page_count(), 0);
+        assert_eq!(m.dirty_block_count(), 0);
         assert_eq!(m.read(0, 0, 128).unwrap(), vec![0; 128]);
         assert_eq!(m.runtime_byte(8), Some(0));
     }
@@ -1406,18 +1467,60 @@ mod tests {
     fn a_page_dirty_for_its_tags_alone_resets_without_being_committed() {
         let mut m = mem4(TagScheme::InternalOnly);
         let p = m.segment_new(3 * PAGE_SIZE - 32, 64).unwrap();
-        assert_eq!((m.committed_bytes(), m.dirty_page_count()), (0, 2));
+        assert_eq!((m.committed_bytes(), m.dirty_block_count()), (0, 2));
         assert_eq!(
             m.tags().tag_at(3 * PAGE_SIZE).map(Tag::value),
             Some((p >> 56) as u8)
         );
         m.reset();
-        assert_eq!((m.committed_bytes(), m.dirty_page_count()), (0, 0));
+        assert_eq!((m.committed_bytes(), m.dirty_block_count()), (0, 0));
         assert_eq!(m.tags().range_tag(0, 4 * PAGE_SIZE), Some(Tag::ZERO));
     }
 
     fn mem4(scheme: TagScheme) -> LinearMemory {
         LinearMemory::new(4, Some(16), true, scheme, 42)
+    }
+
+    #[test]
+    fn reset_restores_exactly_the_blocks_written() {
+        let instance_tag = Tag::new(6).unwrap();
+        for scheme in [
+            TagScheme::None,
+            TagScheme::InternalOnly,
+            TagScheme::ExternalOnly { instance_tag },
+            TagScheme::Combined,
+        ] {
+            let fresh = mem4(scheme);
+            let total = 4 * PAGE_SIZE + RUNTIME_SLACK;
+            let mut m = mem4(scheme);
+            // Grown, so blocks 63 | 64 (the edge of bitmap word 0) are both
+            // guest memory, and block 64 is slack again after the reset.
+            assert_eq!(m.grow(2), Some(4), "{scheme:?}");
+            // Blocks 1 and 3 of page 0: two runs of one block each.
+            m.write(DIRTY_BLOCK + 8, 0, &[1]).unwrap();
+            m.write(3 * DIRTY_BLOCK + 100, 0, &[3; 4]).unwrap();
+            // A straddle of blocks 63 and 64, across two bitmap words.
+            m.write(64 * DIRTY_BLOCK - 2, 0, &[0xAB; 4]).unwrap();
+            assert_eq!(m.committed_bytes(), 5 * PAGE_SIZE, "{scheme:?}");
+            // Block 82, above the committed prefix, dirty for its tags alone
+            // where segments are live.
+            let seg = m.segment_new(82 * DIRTY_BLOCK + 64, 32).unwrap();
+            let retagged = m.segments_live();
+            assert_eq!(seg >> 56 != 0, retagged, "{scheme:?}");
+            assert_eq!(m.committed_bytes(), 5 * PAGE_SIZE, "{scheme:?}");
+            assert_eq!(m.dirty_block_count(), 4 + usize::from(retagged));
+            m.reset();
+            assert_eq!(m.dirty_block_count(), 0, "{scheme:?}");
+            assert_eq!(m.size_pages(), 4, "{scheme:?}");
+            assert!(m.read_resolved(0, total) == fresh.read_resolved(0, total));
+            assert!(m.tags().packed() == fresh.tags().packed(), "{scheme:?}");
+            // A block of a word the reset emptied is tracked again.
+            m.write(2 * DIRTY_BLOCK, 0, &[2]).unwrap();
+            assert_eq!(m.dirty_block_count(), 1, "{scheme:?}");
+            m.reset();
+            assert!(m.read_resolved(0, total) == fresh.read_resolved(0, total));
+            assert!(m.tags().packed() == fresh.tags().packed(), "{scheme:?}");
+        }
     }
 
     #[test]
@@ -1434,7 +1537,7 @@ mod tests {
         assert_eq!(m.page_limit(), Some(12), "the embedder's cap survives");
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
         assert_eq!(m.tags().size(), 4 * PAGE_SIZE + RUNTIME_SLACK);
-        assert_eq!(m.dirty_page_count(), 0);
+        assert_eq!(m.dirty_block_count(), 0);
         // What was guest memory while grown is runtime slack again:
         // zeroed, tagged zero, and out of the guest's reach.
         assert_eq!(m.runtime_byte(16), Some(0));

@@ -3,9 +3,9 @@
 //!
 //! The model is the memory as it was before the committed prefix: a plain
 //! `vec![0; total]` allocated and zeroed up front, a reset that rebuilds
-//! everything, a dirty *set*. It shares the tag store and the tag pool
-//! with the real thing (they have a model of their own in `cage-mte`) and
-//! nothing else, so that "which bytes are backed" cannot leak into any
+//! everything, a *set* of dirty blocks. It shares the tag store and the
+//! tag pool with the real thing (they have a model of their own in
+//! `cage-mte`) and nothing else, so that "which bytes are backed" cannot leak into any
 //! value, trap, dirty count or byte a guest or an embedder can observe.
 
 use std::collections::BTreeSet;
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::memory::{LinearMemory, TagScheme, PAGE_SIZE, RUNTIME_SLACK};
+use crate::memory::{LinearMemory, TagScheme, DIRTY_BLOCK, PAGE_SIZE, RUNTIME_SLACK};
 use crate::trap::{SegmentFaultReason, Trap};
 
 struct Eager {
@@ -29,7 +29,7 @@ struct Eager {
     pool: TagPool,
     base_pages: u64,
     seed: u64,
-    dirty: BTreeSet<u64>,
+    dirty_blocks: BTreeSet<u64>,
 }
 
 impl Eager {
@@ -55,7 +55,7 @@ impl Eager {
             pool: TagPool::new(scheme.segment_exclusion(), seed).unwrap(),
             base_pages: pages,
             seed,
-            dirty: BTreeSet::new(),
+            dirty_blocks: BTreeSet::new(),
         }
     }
 
@@ -74,7 +74,7 @@ impl Eager {
             .set_tag_range(self.guest_size, RUNTIME_SLACK, Tag::ZERO)
             .unwrap();
         self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed).unwrap();
-        self.dirty.clear();
+        self.dirty_blocks.clear();
     }
 
     /// The model's own reading of the scheme — spelled out here rather
@@ -96,8 +96,8 @@ impl Eager {
 
     fn mark_dirty(&mut self, addr: u64, len: u64) {
         if len > 0 {
-            self.dirty
-                .extend(addr / PAGE_SIZE..=(addr + len - 1) / PAGE_SIZE);
+            self.dirty_blocks
+                .extend(addr / DIRTY_BLOCK..=(addr + len - 1) / DIRTY_BLOCK);
         }
     }
 
@@ -306,17 +306,23 @@ fn jitter(rng: &mut StdRng, around: u64, spread: u64) -> u64 {
     (around + below(rng, 2 * spread + 1)).saturating_sub(spread)
 }
 
-/// An address near something that matters: a page edge, the committed
-/// frontier, the end of guest memory, the slack, the end of the slack —
-/// or anywhere, or nowhere near the memory at all.
+/// An address near something that matters: a page edge, a dirty block's
+/// edge, a dirty bitmap word's edge, the committed frontier, the end of
+/// guest memory, the slack, the end of the slack — or anywhere, or nowhere
+/// near the memory at all.
 fn pick_addr(rng: &mut StdRng, real: &LinearMemory) -> u64 {
     let guest = real.size();
-    match below(rng, 12) {
+    match below(rng, 14) {
         0 => below(rng, 256),
         1 | 2 => {
             let edge = (1 + below(rng, guest / PAGE_SIZE)) * PAGE_SIZE;
             jitter(rng, edge, 20)
         }
+        12 => {
+            let edge = (1 + below(rng, guest / DIRTY_BLOCK)) * DIRTY_BLOCK;
+            jitter(rng, edge, 20)
+        }
+        13 => jitter(rng, 64 * DIRTY_BLOCK, 20),
         3..=5 => jitter(rng, real.committed_bytes(), 20),
         6 | 7 => jitter(rng, guest, 20),
         8 => guest + below(rng, RUNTIME_SLACK),
@@ -326,15 +332,18 @@ fn pick_addr(rng: &mut StdRng, real: &LinearMemory) -> u64 {
     }
 }
 
-/// A bulk length: zero, scalar-sized, around a page, several pages, or
-/// large enough to wrap the address space.
+/// A bulk length: zero, scalar-sized, around a page, around a dirty
+/// block, around a dirty bitmap word's span, several pages, or large
+/// enough to wrap the address space.
 fn pick_len(rng: &mut StdRng) -> u64 {
-    match below(rng, 8) {
+    match below(rng, 10) {
         0 | 1 => 0,
         2 | 3 => 1 + below(rng, 64),
         4 => jitter(rng, PAGE_SIZE, 40),
         5 => below(rng, 3 * PAGE_SIZE),
         6 => jitter(rng, RUNTIME_SLACK, 20),
+        7 => jitter(rng, DIRTY_BLOCK, 40),
+        8 => jitter(rng, 64 * DIRTY_BLOCK, 40),
         _ => u64::MAX - below(rng, 64),
     }
 }
@@ -345,9 +354,9 @@ fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
     let total = model.data.len() as u64;
     assert_eq!(real.size(), model.guest_size, "{what}: guest size");
     assert_eq!(
-        real.dirty_page_count(),
-        model.dirty.len(),
-        "{what}: dirty pages"
+        real.dirty_block_count(),
+        model.dirty_blocks.len(),
+        "{what}: dirty blocks"
     );
     let image = real.read_resolved(0, total);
     if image != model.data {
@@ -384,7 +393,9 @@ fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
 fn run_against_model(seed: u64, mut scheme: TagScheme) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pages = 1 + below(&mut rng, 2);
-    let max_pages = Some(pages + 2);
+    // Room to grow past 64 blocks, so a bitmap word's edge lies inside
+    // guest memory.
+    let max_pages = Some(pages + 3);
     let memory64 = scheme != TagScheme::None || below(&mut rng, 4) != 0;
     let tag_seed = rng.next_u64();
     let mut real = LinearMemory::new(pages, max_pages, memory64, scheme, tag_seed);

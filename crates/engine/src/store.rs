@@ -802,16 +802,16 @@ impl Store {
     }
 
     /// Resets `handle` back to its freshly-instantiated state in place:
-    /// linear memory (dirty pages re-zeroed and re-tagged, data segments
-    /// re-applied), globals, table, counters, fuel and its [`HostState`]
-    /// — then re-runs the start function, exactly like a fresh
-    /// instantiation would.
+    /// linear memory (dirty 4 KiB blocks re-zeroed and re-tagged, data
+    /// segments re-applied), globals, table, counters, fuel and its
+    /// [`HostState`] — then re-runs the start function, exactly like a
+    /// fresh instantiation would.
     ///
     /// The instance keeps its identity: sandbox tag, memory tag seed, PAC
     /// key and modifier are unchanged, so a reset instance is
     /// bit-identical to the first instance of a fresh store with the same
     /// config (the reset-equivalence difftest oracle pins this). Cost is
-    /// O(pages touched since the last reset), not O(memory size).
+    /// O(blocks touched since the last reset), not O(memory size).
     ///
     /// # Errors
     ///

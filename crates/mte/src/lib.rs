@@ -42,8 +42,9 @@
 //!   one-granule (scalar) access is a single nibble compare.
 //!
 //! A linear-memory reset on top of this re-tags each run of adjacent
-//! dirty pages with one fill; what a recycle costs per dirty page is then
-//! the `memset` of the page's *data*, 32 times the size of its tags. The
+//! dirty 4 KiB blocks with one fill; what a recycle costs per dirty block
+//! is then the `memset` of the block's *data*, 32 times the size of its
+//! tags. The
 //! per-granule loops these kernels replaced live on as the `#[cfg(test)]`
 //! reference model in `model.rs`; a seeded property test compares every
 //! granule, fault payload and check count between the two.

@@ -9,10 +9,10 @@
 //!   template is `Send + Sync`, so worker threads stamp instances out of
 //!   one shared `Arc<InstancePre>`.
 //! * [`Pool`] — a per-worker pooling allocator. Released instance slots
-//!   are recycled by an O(pages-touched) reset (dirty-page list kept by
-//!   the engine's `LinearMemory`) instead of a fresh instantiation, so
-//!   steady-state checkout does no allocation and no re-tagging of
-//!   untouched memory.
+//!   are recycled by a reset in O(blocks touched) (the 4 KiB blocks the
+//!   engine's `LinearMemory` records as dirty) instead of a fresh
+//!   instantiation, so steady-state checkout does no allocation and no
+//!   re-zeroing or re-tagging of untouched memory.
 //! * fuel preemption — an optional per-checkout fuel budget
 //!   ([`Pool::set_fuel_budget`]) decremented at the dispatch loop's
 //!   charge-free control transitions, trapping with
@@ -354,8 +354,8 @@ impl PooledInstance {
 
 /// A per-worker pooling allocator over one engine [`Store`].
 ///
-/// `checkout` prefers recycling a released slot — an O(pages-touched)
-/// [`Store::reset_instance`], which rewinds the slot's libc too — over
+/// `checkout` prefers recycling a released slot — a
+/// [`Store::reset_instance`] in O(blocks touched), which rewinds the slot's libc too — over
 /// stamping a new instance; steady state therefore allocates nothing. A
 /// pool lives on one thread (host closures and the store are
 /// single-threaded); the shared, thread-safe object is the
@@ -1061,6 +1061,107 @@ mod tests {
         }
     }
 
+    /// A hand-built module whose `scribble` loads and then stores one byte
+    /// in every other 4 KiB block of its two wasm pages (blocks 0, 2, …,
+    /// 30), and under an MTE variant also makes a segment of block 5 and
+    /// leaves it live. It returns the sum of the loaded bytes plus the
+    /// segment's pointer.
+    fn every_other_block_module(variant: Variant) -> Module {
+        use cage_wasm::builder::ModuleBuilder;
+        use cage_wasm::instr::{LoadOp, StoreOp};
+        use cage_wasm::{Instr, MemArg, ValType};
+        const BLOCK: i64 = 4096;
+        let wasm64 = variant.ptr_width().bytes() == 8;
+        let addr = |a: i64| {
+            if wasm64 {
+                Instr::I64Const(a)
+            } else {
+                Instr::I32Const(a as i32)
+            }
+        };
+        let mut body = vec![Instr::I64Const(0)];
+        for block in (0..32).step_by(2) {
+            let at = block * BLOCK + block;
+            body.extend([
+                addr(at),
+                Instr::Load(LoadOp::I64Load8U, MemArg::none()),
+                Instr::I64Add,
+                addr(at),
+                Instr::I64Const(block + 1),
+                Instr::Store(StoreOp::I64Store8, MemArg::none()),
+            ]);
+        }
+        if variant.uses_mte() {
+            body.extend([
+                Instr::I64Const(5 * BLOCK),
+                Instr::I64Const(BLOCK),
+                Instr::SegmentNew(0),
+                Instr::I64Add,
+            ]);
+        }
+        let mut b = ModuleBuilder::new();
+        if wasm64 {
+            b.add_memory64(2);
+        } else {
+            b.add_memory32(2);
+        }
+        let scribble = b.add_function(&[], &[ValType::I64], &[], body);
+        b.export_func("scribble", scribble);
+        b.build()
+    }
+
+    #[test]
+    fn a_recycled_slot_restores_every_block_its_tenant_dirtied_as_a_fresh_one_has_it() {
+        use cage_engine::memory::RUNTIME_SLACK;
+        // Memory image and tag store of a checked-out slot.
+        fn image(pool: &Pool, inst: &PooledInstance) -> (Vec<u8>, Vec<u8>) {
+            let mem = pool.store().memory(pool.slots[inst.slot].handle).unwrap();
+            let total = mem.size() + RUNTIME_SLACK;
+            (mem.read_resolved(0, total), mem.tags().packed().to_vec())
+        }
+        for variant in Variant::ALL {
+            let module = every_other_block_module(variant);
+            let pre = InstancePre::new(variant, Core::CortexX3, &module, 4096, HostProfile::Empty);
+            let mut pool = Pool::new(Arc::new(pre.expect("validates")));
+            let mut probe = || {
+                let inst = pool.checkout().expect("checks out");
+                let handle = pool.slots[inst.slot].handle;
+                let before = image(&pool, &inst);
+                let out = pool.invoke(&inst, "scribble", &[]).expect("runs");
+                let dirty = pool.store().memory(handle).unwrap().dirty_block_count();
+                let after = image(&pool, &inst);
+                let counts = pool.store().charge_counts(handle);
+                pool.release(inst);
+                (before, out, dirty, after, counts)
+            };
+            let fresh = probe();
+            let recycled = probe();
+            let (before, out, dirty, after, _) = &fresh;
+            let retagged = variant.provides_memory_safety();
+            assert_eq!(*dirty, 16 + usize::from(retagged), "{variant}");
+            assert_ne!(before.0, after.0, "{variant}: the tenant wrote");
+            assert_eq!(
+                before.1 != after.1,
+                retagged,
+                "{variant}: the tenant retagged"
+            );
+            if variant == Variant::BaselineWasm64 {
+                assert_eq!(out, &[Value::I64(0)]);
+            }
+            assert!(
+                recycled.0 == fresh.0 && recycled.3 == fresh.3,
+                "{variant}: a recycled slot's memory image or tags differ from a fresh one's"
+            );
+            assert_eq!(
+                (&recycled.1, recycled.2, recycled.4),
+                (&fresh.1, fresh.2, fresh.4),
+                "{variant}: results, dirty blocks or count vectors differ"
+            );
+            let m = pool.metrics();
+            assert_eq!((m.instantiations, m.resets), (1, 1), "{variant}");
+        }
+    }
+
     #[test]
     fn custom_profiles_rebuild_per_pool() {
         use cage_wasm::ValType;
@@ -1323,7 +1424,7 @@ mod tests {
         let inst = pool.checkout().unwrap();
         assert_eq!(pool.metrics().resets, 1);
         assert_eq!(pool.committed_bytes(), touched);
-        assert_eq!(pool.store().memory(handle).unwrap().dirty_page_count(), 0);
+        assert_eq!(pool.store().memory(handle).unwrap().dirty_block_count(), 0);
         pool.invoke(&inst, "handle", &[Value::I64(8)]).unwrap();
         assert_eq!(pool.committed_bytes(), touched);
         pool.release(inst);

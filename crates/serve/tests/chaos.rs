@@ -485,7 +485,7 @@ fn quarantined_capacity_is_replaced_within_the_cap() {
 }
 
 /// The C request handler: allocator churn plus a memory sweep, so cold
-/// instantiation, invoke and dirty-page reset all have real work;
+/// instantiation, invoke and dirty-block reset all have real work;
 /// [`expected`] is its host-side reference. `hog` asks the allocator for
 /// more memory than the instance has.
 const HANDLER: &str = r#"
@@ -537,7 +537,7 @@ const ROUNDS: usize = 3;
 
 /// Load under threads: every worker fills its pool to what its store
 /// holds (eight slots where no tag caps it), serves [`ROUNDS`] requests
-/// per slot, then recycles every slot once (the dirty-page reset path)
+/// per slot, then recycles every slot once (the dirty-block reset path)
 /// and serves one more from each. Every response is checked against the
 /// host-side reference, and the pool counters against the arithmetic of
 /// the run.

@@ -26,7 +26,8 @@
 #                                  # (e.g. the cage-bench executable)
 #
 # Needs `nm` and `objdump` (binutils) and an x86-64 target; not part of
-# the tier-1 tests.
+# the tier-1 tests (CI runs it, with no arguments, in its warm-call
+# allocations step).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

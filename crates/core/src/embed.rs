@@ -504,9 +504,10 @@ impl Instance {
         Params: WasmParams,
         Results: WasmResults,
     {
-        check_signature::<Params, Results>(self.rt.module(self.handle), name)?;
+        let func_idx = check_signature::<Params, Results>(self.rt.module(self.handle), name)?;
         Ok(TypedFunc {
             name: name.to_string(),
+            func_idx,
             instance_id: self.id,
             _marker: PhantomData,
         })
@@ -578,8 +579,8 @@ fn render_sig(params: &[ValType], results: &[ValType]) -> String {
 }
 
 /// Checks that `module` exports `name` as a function whose signature
-/// matches `Params` / `Results`.
-fn check_signature<Params, Results>(module: &cage_wasm::Module, name: &str) -> Result<(), Error>
+/// matches `Params` / `Results`, and returns its function index.
+fn check_signature<Params, Results>(module: &cage_wasm::Module, name: &str) -> Result<u32, Error>
 where
     Params: WasmParams,
     Results: WasmResults,
@@ -604,7 +605,7 @@ where
             actual: render_sig(&ty.params, &ty.results),
         });
     }
-    Ok(())
+    Ok(idx)
 }
 
 /// Lists a module's exported functions with rendered signatures.
@@ -627,11 +628,14 @@ fn list_exports(module: &cage_wasm::Module) -> Vec<(String, String)> {
 
 /// A typed handle to one exported function of an [`Instance`].
 ///
-/// Created by [`Instance::get_typed`], which validates the signature once;
-/// calls then convert arguments and results without `&[Value]`
+/// Created by [`Instance::get_typed`], which validates the signature once
+/// and resolves the export to its function index; calls on that instance
+/// then go straight to the index, with no name search and no `&[Value]`
 /// boilerplate.
 pub struct TypedFunc<Params, Results> {
     name: String,
+    /// The function index `get_typed` resolved `name` to.
+    func_idx: u32,
     /// The [`Instance`] the signature was validated against.
     instance_id: u64,
     _marker: PhantomData<fn(Params) -> Results>,
@@ -649,6 +653,7 @@ impl<Params, Results> Clone for TypedFunc<Params, Results> {
     fn clone(&self) -> Self {
         TypedFunc {
             name: self.name.clone(),
+            func_idx: self.func_idx,
             instance_id: self.instance_id,
             _marker: PhantomData,
         }
@@ -668,8 +673,9 @@ where
 
     /// Calls the function on `instance`.
     ///
-    /// The handle is bound to the instance that created it; calling with
-    /// a *different* instance re-validates the signature against that
+    /// The handle is bound to the instance that created it and calls the
+    /// function index resolved there; calling with a *different* instance
+    /// re-resolves the name and re-validates the signature against that
     /// instance's module first, so a mismatched module surfaces as
     /// [`Error::SignatureMismatch`] (never a panic inside the engine).
     /// The re-check runs on every such call — in a hot loop over another
@@ -682,12 +688,14 @@ where
     /// [`Error::SignatureMismatch`] when called on an incompatible
     /// instance.
     pub fn call(&self, instance: &mut Instance, params: Params) -> Result<Results, Error> {
-        if instance.id != self.instance_id {
-            check_signature::<Params, Results>(instance.rt.module(instance.handle), &self.name)?;
-        }
+        let func_idx = if instance.id == self.instance_id {
+            self.func_idx
+        } else {
+            check_signature::<Params, Results>(instance.rt.module(instance.handle), &self.name)?
+        };
         let out = instance
             .rt
-            .invoke(instance.handle, &self.name, &params.into_values())?;
+            .call(instance.handle, func_idx, &params.into_values())?;
         Results::from_values(&out).ok_or_else(|| Error::SignatureMismatch {
             name: self.name.clone(),
             requested: render_sig(&Params::val_types(), &Results::val_types()),

@@ -115,6 +115,21 @@ impl Runtime {
         self.store.invoke(inst, name, args)
     }
 
+    /// Calls a function by index (an export resolved once, as
+    /// [`crate::TypedFunc`] does).
+    ///
+    /// # Errors
+    ///
+    /// Propagates guest traps.
+    pub fn call(
+        &mut self,
+        inst: InstanceHandle,
+        func_idx: u32,
+        args: &[Value],
+    ) -> Result<Vec<Value>, Trap> {
+        self.store.call(inst, func_idx, args)
+    }
+
     /// The libc an instance was linked with, if any.
     fn libc(&self, inst: InstanceHandle) -> Option<&Libc> {
         self.store.host_state::<Libc>(inst)

@@ -15,11 +15,14 @@
 //! the loop runs, and on the loop's one exit. Cycles are not accumulated
 //! at all: they are derived from the counts when somebody reads them
 //! ([`crate::cost::ChargeCounts::cycles`]).
-//! Calls push a frame — the caller's code, borrowed from the template's
-//! function table, its arena base and return pc — on an explicit call
-//! stack and grow the register arena, so guest call depth never consumes
-//! host Rust stack; the table is borrowed once per invocation, so a call
-//! or return touches no reference count.
+//! Calls push a frame — the caller's function index, its arena base and
+//! return pc — on an explicit call stack and grow the register arena, so
+//! guest call depth never consumes host Rust stack. The template's
+//! function table is borrowed from the instance for the whole run, so
+//! neither an invocation nor a call or return inside it touches a
+//! reference count. The arena, the frame stack and the host-call staging
+//! are the store's `CallBuffers`, lent to each call and given back on
+//! every exit, so a warm invocation allocates none of them.
 //!
 //! The loop's hot state is its own locals, so it can live in machine
 //! registers (Ertl and Gregg, "The structure and performance of efficient
@@ -76,6 +79,7 @@
 //! independent transcription is the eager model in `crate::memory_model`.
 
 use std::cell::RefCell;
+use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,9 +111,87 @@ pub(crate) struct Interp<'s> {
     /// The instance's call-depth limit
     /// ([`crate::store::InstanceLimits::max_call_depth`]).
     pub(crate) max_depth: usize,
-    /// Reusable scratch for host-call argument conversion, so crossing
-    /// the typed API boundary does not allocate per call.
+    /// The store's working buffers, lent for this call.
+    bufs: &'s mut CallBuffers,
+}
+
+/// The most register slots a store keeps between calls (128 KiB of
+/// arena). A call that grew the arena past it — a deep recursion of wide
+/// frames can reach depth × 65 535 slots — gives back a buffer trimmed to
+/// it, so one such call does not pin its peak for the store's lifetime.
+pub(crate) const KEPT_REG_SLOTS: usize = 1 << 14;
+
+/// The most suspended-caller records a store keeps between calls.
+const KEPT_FRAMES: usize = 256;
+
+/// The most typed host-call arguments a store keeps between calls.
+const KEPT_HOST_ARGS: usize = 64;
+
+/// The register tier's working buffers: the register arena (whose tail
+/// also stages a host call's argument and result slots), the stack of
+/// suspended callers and a host call's typed arguments. The store owns
+/// one set and lends it to every call it runs — one at a time, since a
+/// call holds the store mutably and no host function can reach the
+/// store — so a warm call allocates none of them. A call takes them
+/// emptied ([`CallBuffers::take`]) and gives them back on every exit,
+/// traps included ([`CallBuffers::give_back`]); what they keep between
+/// calls is capacity only, bounded by the `KEPT_*` constants.
+#[derive(Default)]
+pub(crate) struct CallBuffers {
+    regs: Vec<u64>,
+    frames: Vec<RegFrame>,
     host_args: Vec<Value>,
+}
+
+impl CallBuffers {
+    /// Reserves what a call into `funcs` that makes no guest call needs:
+    /// the widest frame plus a host call's staged arguments, and the
+    /// typed arguments of the widest host function.
+    pub(crate) fn reserve_for(&mut self, funcs: &[CompiledFunc]) {
+        let frame = funcs.iter().map(|f| usize::from(f.reg.frame_size));
+        let params = funcs
+            .iter()
+            .filter(|f| f.is_host)
+            .map(|f| f.ty.params.len());
+        let params = params.max().unwrap_or(0);
+        self.regs.clear();
+        self.regs.reserve(frame.max().unwrap_or(0) + params);
+        self.host_args.clear();
+        self.host_args.reserve(params);
+    }
+
+    /// The buffers for one call, emptied, their capacity kept; the store
+    /// holds empty ones until [`CallBuffers::give_back`].
+    fn take(&mut self) -> CallBuffers {
+        let mut bufs = mem::take(self);
+        bufs.regs.clear();
+        bufs.frames.clear();
+        bufs.host_args.clear();
+        bufs
+    }
+
+    /// Returns what a call took, each buffer trimmed to what a store
+    /// keeps.
+    fn give_back(&mut self, mut bufs: CallBuffers) {
+        trim(&mut bufs.regs, KEPT_REG_SLOTS);
+        trim(&mut bufs.frames, KEPT_FRAMES);
+        trim(&mut bufs.host_args, KEPT_HOST_ARGS);
+        *self = bufs;
+    }
+
+    /// The register slots the store keeps allocated between calls.
+    #[cfg(test)]
+    pub(crate) fn kept_reg_slots(&self) -> usize {
+        self.regs.capacity()
+    }
+}
+
+/// Shrinks `buf` to `cap` elements of capacity if it grew past them.
+fn trim<T>(buf: &mut Vec<T>, cap: usize) {
+    if buf.capacity() > cap {
+        buf.clear();
+        buf.shrink_to(cap);
+    }
 }
 
 /// The preemption point's state: the instance's fuel and epoch deadline,
@@ -161,8 +243,13 @@ impl Preempt<'_> {
 
 impl<'s> Interp<'s> {
     /// An interpreter over `inst`, under the store's `config` and its
-    /// shared `epoch` counter.
-    pub(crate) fn new(inst: &'s mut Instance, epoch: &'s AtomicU64, config: ExecConfig) -> Self {
+    /// shared `epoch` counter, running on the store's buffers `bufs`.
+    pub(crate) fn new(
+        inst: &'s mut Instance,
+        epoch: &'s AtomicU64,
+        config: ExecConfig,
+        bufs: &'s mut CallBuffers,
+    ) -> Self {
         let preempt = Preempt {
             fuel: inst.fuel,
             fuel_consumed: inst.fuel_consumed,
@@ -176,7 +263,7 @@ impl<'s> Interp<'s> {
             depth: 0,
             preempt,
             max_depth,
-            host_args: Vec::new(),
+            bufs,
         }
     }
 
@@ -246,7 +333,7 @@ impl<'s> Interp<'s> {
             cycles: &mut inst.counts.host_cycles,
         };
         let host = &inst.host_funcs[func_idx as usize];
-        host_boundary(host, ctx, &mut self.host_args, func, stack)
+        host_boundary(host, ctx, &mut self.bufs.host_args, func, stack)
     }
 
     pub(crate) fn memory(&mut self) -> Result<&LinearMemory, Trap> {
@@ -349,10 +436,12 @@ fn spill(counts: &mut [u64; ChargeClass::COUNT], acc: u64) {
 // keeps the counts identical to the tree-walking reference even on trap
 // paths.
 
-/// A suspended caller on the register tier's explicit call stack.
-struct RegFrame<'a> {
-    /// The caller's code, borrowed from the template's function table.
-    code: &'a RegCode,
+/// A suspended caller on the register tier's explicit call stack. It
+/// names its function by index, not by a borrow of its code, so the
+/// store can keep the stack's buffer across calls.
+struct RegFrame {
+    /// The caller's index in the template's function table.
+    func: u32,
     base: usize,
     ret_pc: usize,
 }
@@ -362,33 +451,38 @@ struct RegFrame<'a> {
 /// `regs` from `base` on, and calls into it only to call and return,
 /// re-deriving the slice after.
 struct CallStack<'a> {
+    /// The template's function table, borrowed for the run.
+    funcs: &'a [CompiledFunc],
     /// The running function's code.
     code: &'a RegCode,
+    /// The running function's index in `funcs`.
+    func: u32,
     /// Register-file arena: the active frame owns its function's
     /// `frame_size` slots starting at `base`, up to the end; suspended
     /// callers keep theirs below.
     regs: Vec<u64>,
     /// Suspended callers.
-    frames: Vec<RegFrame<'a>>,
+    frames: Vec<RegFrame>,
     /// Arena offset of the active frame.
     base: usize,
 }
 
 impl<'a> CallStack<'a> {
-    /// Enters the guest function of code `callee` from the op at `pc`:
-    /// suspends the caller, grows the arena by the callee's frame and
-    /// copies the `args` registers into its parameter slots.
-    fn call(&mut self, callee: &'a RegCode, args: &[u16], pc: usize) {
+    /// Enters guest function `idx`, whose code is `callee`, from the op
+    /// at `pc`: suspends the caller, grows the arena by the callee's frame
+    /// and copies the `args` registers into its parameter slots.
+    fn call(&mut self, idx: u32, callee: &'a RegCode, args: &[u16], pc: usize) {
         let new_base = self.regs.len();
         self.regs.resize(new_base + callee.frame_size as usize, 0);
         for (&slot, &a) in callee.param_slots.iter().zip(args) {
             self.regs[new_base + slot as usize] = self.regs[self.base + a as usize];
         }
         self.frames.push(RegFrame {
-            code: std::mem::replace(&mut self.code, callee),
+            func: std::mem::replace(&mut self.func, idx),
             base: self.base,
             ret_pc: pc + 1,
         });
+        self.code = callee;
         self.base = new_base;
     }
 
@@ -399,7 +493,8 @@ impl<'a> CallStack<'a> {
     /// reads out of `srcs` itself.
     fn ret(&mut self, srcs: &[u16]) -> Option<usize> {
         let frame = self.frames.pop()?;
-        let rets = match &frame.code.ops[frame.ret_pc - 1] {
+        let code = &self.funcs[frame.func as usize].reg;
+        let rets = match &code.ops[frame.ret_pc - 1] {
             RegOp::Call(c) => &c.rets,
             RegOp::CallIndirect(c) => &c.rets,
             other => unreachable!("return to non-call reg op {other:?}"),
@@ -409,7 +504,8 @@ impl<'a> CallStack<'a> {
         }
         self.regs.truncate(self.base);
         self.base = frame.base;
-        self.code = frame.code;
+        self.code = code;
+        self.func = frame.func;
         Some(frame.ret_pc)
     }
 }
@@ -506,9 +602,10 @@ struct Env<'a> {
 }
 
 impl Env<'_> {
-    /// Runs host function `idx` for a call op of the active `frame`:
-    /// stages the `args` registers for the typed host boundary on
-    /// `scratch` and moves the host's results into the `rets` registers.
+    /// Runs host function `idx` for a call op of the frame at `base` of
+    /// the arena `regs`: stages the `args` registers for the typed host
+    /// boundary on the arena's tail and moves the host's results from
+    /// there into the `rets` registers. The arena may move.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn host_call(
@@ -516,23 +613,26 @@ impl Env<'_> {
         mem: Option<&mut LinearMemory>,
         idx: u32,
         callee: &CompiledFunc,
-        frame: &mut [u64],
+        regs: &mut Vec<u64>,
+        base: usize,
         args: &[u16],
         rets: &[u16],
-        scratch: &mut Vec<u64>,
     ) -> Result<(), Trap> {
-        scratch.clear();
-        scratch.extend(args.iter().map(|&a| frame[a as usize]));
+        let top = regs.len();
+        for &a in args {
+            regs.push(regs[base + a as usize]);
+        }
         let ctx = HostContext {
             memory: mem,
             config: self.config,
             cycles: &mut self.counts.host_cycles,
         };
         let host = &self.host_funcs[idx as usize];
-        host_boundary(host, ctx, self.host_args, callee, scratch)?;
-        for (&slot, &v) in rets.iter().zip(scratch.iter()) {
-            frame[slot as usize] = v;
+        host_boundary(host, ctx, self.host_args, callee, regs)?;
+        for (i, &slot) in rets.iter().enumerate() {
+            regs[base + slot as usize] = regs[top + i];
         }
+        regs.truncate(top);
         Ok(())
     }
 
@@ -656,36 +756,72 @@ impl Env<'_> {
 }
 
 impl Interp<'_> {
-    /// Calls function `func_idx` with `args` — the external entry point.
-    /// Typed [`Value`]s convert to untagged slots here and back at the
-    /// end; the interior never sees a tag. The template's two tables are
-    /// cloned here, once, and borrowed by everything below: the only
-    /// shared reference counts an invocation touches.
-    pub(crate) fn call_function_reg(
+    /// Calls function `func_idx` with `args` and writes its results into
+    /// `results` — the external entry point. Typed [`Value`]s convert to
+    /// untagged slots straight into the callee's parameter registers, and
+    /// back straight into `results`; the interior never sees a tag.
+    /// `results` must hold exactly the function's result count; on a trap
+    /// it is left as it was.
+    pub(crate) fn call_into(
         &mut self,
         func_idx: u32,
         args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
+        results: &mut [Value],
+    ) -> Result<(), Trap> {
         self.check_entry(func_idx, args)?;
-        let pre = &self.inst.pre;
-        let (types, funcs) = (Arc::clone(&pre.types), Arc::clone(&pre.funcs));
-        let ty = &funcs[func_idx as usize].ty;
-        let arg_slots: Vec<u64> = args.iter().map(|v| v.to_slot()).collect();
-        let mut results: Vec<u64> = Vec::with_capacity(ty.results.len());
-        let result = self.run_reg(&types, &funcs, func_idx, &arg_slots, &mut results);
+        let func = &self.inst.pre.funcs[func_idx as usize];
+        let want = func.ty.results.len();
+        if results.len() != want {
+            return Err(Trap::Host(format!(
+                "function {func_idx} returns {want} results, the caller's slice holds {}",
+                results.len()
+            )));
+        }
+        let result = if func.is_host {
+            self.call_host_entry(func_idx, args, results)
+        } else {
+            self.run_reg(func_idx, args, results)
+        };
         self.flush_accounting();
-        result?;
-        debug_assert_eq!(results.len(), ty.results.len(), "validated result arity");
-        Ok(ty
-            .results
-            .iter()
-            .zip(&results)
-            .map(|(ty, raw)| Value::from_slot(*ty, *raw))
-            .collect())
+        result
     }
 
-    /// The dispatch loop: executes function `func_idx` (and everything it
-    /// calls) to completion on one growing register-file arena.
+    /// A host function called as the entry point: it has no register
+    /// code, so its arguments are staged for the typed boundary and its
+    /// results read back from the staging.
+    #[cold]
+    fn call_host_entry(
+        &mut self,
+        func_idx: u32,
+        args: &[Value],
+        results: &mut [Value],
+    ) -> Result<(), Trap> {
+        if self.depth >= self.max_depth {
+            return Err(Trap::CallStackExhausted);
+        }
+        let mut bufs = self.bufs.take();
+        bufs.regs.extend(args.iter().map(|v| v.to_slot()));
+        let inst = &mut *self.inst;
+        let func = &inst.pre.funcs[func_idx as usize];
+        let ctx = HostContext {
+            memory: inst.memory.as_mut(),
+            config: &self.config,
+            cycles: &mut inst.counts.host_cycles,
+        };
+        let host = &inst.host_funcs[func_idx as usize];
+        let result = host_boundary(host, ctx, &mut bufs.host_args, func, &mut bufs.regs);
+        if result.is_ok() {
+            for ((out, ty), &raw) in results.iter_mut().zip(&func.ty.results).zip(&bufs.regs) {
+                *out = Value::from_slot(*ty, raw);
+            }
+        }
+        self.bufs.give_back(bufs);
+        result
+    }
+
+    /// The dispatch loop: executes guest function `func_idx` (and
+    /// everything it calls) to completion on one growing register-file
+    /// arena, then writes its results into `results`.
     ///
     /// Its state is five locals: `pc`, the running `code`, the charge sum
     /// `acc`, the active `frame` slice and the instance's memory `mem`.
@@ -705,46 +841,41 @@ impl Interp<'_> {
     /// nowhere else: the check stays off the straight-line fall-through
     /// path, off host calls and off the cycle model.
     ///
-    /// `frame` borrows the call stack's arena, so a guest call or return
-    /// (which may move it) re-derives it; `mem` borrows the instance's
+    /// `frame` borrows the call stack's arena, so a guest call, a host
+    /// call (which stages on the arena's tail) or a return — each may
+    /// move it — re-derives it; `mem` borrows the instance's
     /// memory for the whole run, and `sys` and a host call receive it.
+    /// The arena, the frame stack and the host staging are the store's
+    /// [`CallBuffers`], taken here and given back after the loop's one
+    /// exit.
     ///
     /// Never inlined, so the loop is one symbol whose layout
     /// `ci/dispatch_lint.sh` can find and check.
     #[inline(never)]
     fn run_reg(
         &mut self,
-        types: &[Arc<FuncType>],
-        funcs: &[CompiledFunc],
         func_idx: u32,
-        args: &[u64],
-        results: &mut Vec<u64>,
+        args: &[Value],
+        results: &mut [Value],
     ) -> Result<(), Trap> {
         if self.depth >= self.max_depth {
             return Err(Trap::CallStackExhausted);
         }
         self.depth += 1;
-        let func = &funcs[func_idx as usize];
-        if func.is_host {
-            // Host entry points have no register code: `call_host`
-            // replaces the staged arguments with the results in place.
-            results.extend_from_slice(args);
-            let result = self.call_host(func_idx, func, results);
-            self.depth -= 1;
-            return result;
-        }
         // From here on the instance is split: `mem` is the memory's one
         // borrow for the run, `env` the rest of what the out-of-line ops
-        // touch, and the preemption state a local copy.
+        // touch, the template's tables plain borrows, and the preemption
+        // state a local copy.
         let Interp {
             inst,
             config,
             depth,
             preempt: preempt_state,
             max_depth,
-            host_args,
+            bufs: kept,
         } = self;
         let Instance {
+            pre,
             memory,
             counts,
             globals,
@@ -754,6 +885,13 @@ impl Interp<'_> {
             pac_modifier,
             ..
         } = &mut **inst;
+        let (types, funcs) = (&*pre.types, &*pre.funcs);
+        let func = &funcs[func_idx as usize];
+        let CallBuffers {
+            mut regs,
+            frames,
+            mut host_args,
+        } = kept.take();
         let mut env = Env {
             counts,
             globals,
@@ -762,21 +900,22 @@ impl Interp<'_> {
             pac,
             pac_modifier: *pac_modifier,
             config,
-            host_args,
+            host_args: &mut host_args,
         };
         let mut mem = memory.as_mut();
         let mut preempt = *preempt_state;
-        let mut regs: Vec<u64> = vec![0; func.reg.frame_size as usize];
-        for (&slot, &v) in func.reg.param_slots.iter().zip(args) {
-            regs[slot as usize] = v;
+        regs.resize(func.reg.frame_size as usize, 0);
+        for (&slot, v) in func.reg.param_slots.iter().zip(args) {
+            regs[slot as usize] = v.to_slot();
         }
         let mut stack = CallStack {
+            funcs,
             code: &func.reg,
+            func: func_idx,
             regs,
-            frames: Vec::with_capacity(8),
+            frames,
             base: 0,
         };
-        let mut scratch: Vec<u64> = Vec::with_capacity(8);
         let mut pc: usize = 0;
         let mut acc: u64 = 0;
         // The active frame's registers: a borrow of the arena alone, so
@@ -834,14 +973,15 @@ impl Interp<'_> {
                         mem.as_deref_mut(),
                         idx,
                         callee,
-                        frame,
+                        &mut stack.regs,
+                        stack.base,
                         &$call.args,
-                        &$call.rets,
-                        &mut scratch
+                        &$call.rets
                     ));
+                    frame = frame!();
                 } else {
                     *depth += 1;
-                    stack.call(&callee.reg, &$call.args, pc);
+                    stack.call(idx, &callee.reg, &$call.args, pc);
                     frame = frame!();
                     tri!(preempt.consume());
                     pc = 0;
@@ -906,8 +1046,7 @@ impl Interp<'_> {
                     frame = frame!();
                     tri!(preempt.consume());
                     let Some(ret_pc) = resumed else {
-                        results.extend(srcs.iter().map(|&s| reg!(s)));
-                        break Ok(());
+                        break Ok(srcs);
                     };
                     pc = ret_pc;
                     continue;
@@ -1017,7 +1156,19 @@ impl Interp<'_> {
         };
         spill(&mut env.counts.counts, acc);
         *preempt_state = preempt;
-        result
+        // The outermost frame is the arena's base: its `srcs` registers
+        // are the results.
+        if let Ok(srcs) = result {
+            for ((out, ty), &src) in results.iter_mut().zip(&func.ty.results).zip(srcs) {
+                *out = Value::from_slot(*ty, stack.regs[src as usize]);
+            }
+        }
+        kept.give_back(CallBuffers {
+            regs: stack.regs,
+            frames: stack.frames,
+            host_args,
+        });
+        result.map(drop)
     }
 }
 

@@ -553,18 +553,18 @@ enum Flow {
 
 impl Interp<'_> {
     /// Oracle entry point: the structured-tree twin of
-    /// [`Interp::call_function_reg`].
+    /// [`Interp::call_into`].
     pub(crate) fn call_function_tree(
         &mut self,
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
         self.check_entry(func_idx, args)?;
-        // Typed values convert at this call boundary exactly like
-        // `call_function_reg`, and like it the template is cloned here,
-        // once — three reference counts — and borrowed by every frame
-        // below: function table, type table and the structured bodies
-        // (the compiled form is flat).
+        // Typed values convert at this call boundary like `call_into`.
+        // Unlike it, the walker clones the template here, once — three
+        // reference counts — because its recursion borrows the template
+        // beside `&mut self`: function table, type table and the
+        // structured bodies (the compiled form is flat).
         let pre = self.inst.pre.clone();
         let ty = &pre.funcs[func_idx as usize].ty;
         let mut stack: Vec<u64> = Vec::with_capacity(64);

@@ -3,8 +3,12 @@
 //! model).
 //!
 //! Rust argument and result types are checked against a function's WASM
-//! signature once, when the typed handle is created; afterwards calls
-//! convert without any per-call type dispatch or `&[Value]` boilerplate.
+//! signature once, when the typed handle is created, which also resolves
+//! the export to its function index. A call then converts its arguments
+//! into [`Value`]s, calls that index (no name search; the engine's entry
+//! still compares each argument's type, one compare per argument) and
+//! converts the result vector back, with no `&[Value]` boilerplate for
+//! the caller.
 
 use cage_wasm::ValType;
 

@@ -1503,3 +1503,207 @@ fn selection_step_on_the_back_edge_keeps_preemption_points() {
         assert_eq!((result, charged), (tree, store.charge_counts(h)), "n = {n}");
     }
 }
+
+/// How the kept-buffers rows make `leaf` trap, three calls deep.
+#[derive(Debug, Clone, Copy)]
+enum MidCallTrap {
+    /// A fuel budget that runs out in `leaf`'s loop.
+    Fuel,
+    /// An epoch deadline already due: the first preemption point, the
+    /// entry of `mid`, traps.
+    Epoch,
+    /// `leaf` recurses until the call-depth limit.
+    Depth,
+    /// `leaf` loads far outside its memory.
+    OutOfBounds,
+    /// The host import returns a trap.
+    HostTrap,
+    /// The host import panics.
+    HostPanic,
+}
+
+/// `run(mode, n)` calls `mid`, which calls `leaf`: a loop of `n`
+/// stores and loads, then a call of the host import `env.host(mode)`.
+/// Mode 3 makes `leaf` recurse forever and mode 4 load out of bounds;
+/// the host traps on mode 1 and panics on mode 2.
+fn chain_module() -> (Module, Imports) {
+    const MODE: u32 = 0;
+    const N: u32 = 1;
+    const ACC: u32 = 2;
+    const I: u32 = 3;
+    let mut b = ModuleBuilder::new();
+    let host = b.import_func("env", "host", &[ValType::I64], &[ValType::I64]);
+    b.add_memory64(1);
+    let two = [ValType::I64, ValType::I64];
+    let when_mode = |mode: i64, then: Vec<Instr>| {
+        vec![
+            Instr::LocalGet(MODE),
+            Instr::I64Const(mode),
+            Instr::I64Eq,
+            Instr::If(BlockType::Empty, then, vec![]),
+        ]
+    };
+    let leaf_idx = host + 1;
+    let mut leaf = when_mode(
+        3,
+        vec![
+            Instr::LocalGet(MODE),
+            Instr::LocalGet(N),
+            Instr::Call(leaf_idx),
+            Instr::Return,
+        ],
+    );
+    leaf.extend(when_mode(
+        4,
+        vec![
+            Instr::I64Const(1 << 40),
+            Instr::Load(LoadOp::I64Load, MemArg::none()),
+            Instr::Return,
+        ],
+    ));
+    leaf.extend([
+        Instr::Block(
+            BlockType::Empty,
+            vec![Instr::Loop(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(I),
+                    Instr::LocalGet(N),
+                    Instr::I64GeS,
+                    Instr::BrIf(1),
+                    // mem[8 i] = acc; acc += mem[8 i] + i; i += 1
+                    Instr::LocalGet(I),
+                    Instr::I64Const(8),
+                    Instr::I64Mul,
+                    Instr::LocalGet(ACC),
+                    Instr::Store(StoreOp::I64Store, MemArg::none()),
+                    Instr::LocalGet(ACC),
+                    Instr::LocalGet(I),
+                    Instr::I64Const(8),
+                    Instr::I64Mul,
+                    Instr::Load(LoadOp::I64Load, MemArg::none()),
+                    Instr::LocalGet(I),
+                    Instr::I64Add,
+                    Instr::I64Add,
+                    Instr::LocalSet(ACC),
+                    Instr::LocalGet(I),
+                    Instr::I64Const(1),
+                    Instr::I64Add,
+                    Instr::LocalSet(I),
+                    Instr::Br(0),
+                ],
+            )],
+        ),
+        Instr::LocalGet(MODE),
+        Instr::Call(host),
+        Instr::LocalGet(ACC),
+        Instr::I64Add,
+    ]);
+    let leaf = b.add_function(&two, &[ValType::I64], &two, leaf);
+    assert_eq!(leaf, leaf_idx);
+    let mid = b.add_function(
+        &two,
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::LocalGet(MODE),
+            Instr::LocalGet(N),
+            Instr::Call(leaf),
+            Instr::I64Const(1),
+            Instr::I64Add,
+        ],
+    );
+    let run = b.add_function(
+        &two,
+        &[ValType::I64],
+        &[],
+        vec![
+            Instr::LocalGet(MODE),
+            Instr::LocalGet(N),
+            Instr::Call(mid),
+            Instr::I64Const(2),
+            Instr::I64Mul,
+        ],
+    );
+    b.export_func("run", run);
+    let mut imports = Imports::new();
+    imports.define(
+        "env",
+        "host",
+        cage_engine::HostFunc::new(&[ValType::I64], &[ValType::I64], |_, args| match args[0] {
+            Value::I64(1) => Err(Trap::Host("the host refused".into())),
+            Value::I64(2) => panic!("the host panicked"),
+            mode => Ok(vec![mode]),
+        }),
+    );
+    (b.build(), imports)
+}
+
+/// A trap raised three calls deep leaves the store's kept call buffers
+/// (register arena, frame stack, host staging) clean: the next call on
+/// the same store — on the trapping instance after a reset, and on a
+/// second instance — returns what a fresh store returns, with the same
+/// count vector and the same fuel consumed. Every variant but combined
+/// mode, which holds one instance per store.
+#[test]
+fn a_mid_call_trap_leaves_the_kept_call_buffers_clean() {
+    use MidCallTrap::*;
+    let (module, imports) = chain_module();
+    let probe_args = [Value::I64(0), Value::I64(40)];
+    let probe = |store: &mut Store, h| {
+        store.set_fuel(h, Some(1_000_000));
+        let out = store.invoke(h, "run", &probe_args);
+        (out, store.charge_counts(h), store.fuel_consumed(h))
+    };
+    for variant in Variant::ALL
+        .into_iter()
+        .filter(|v| !(v.sandboxed() && v.provides_memory_safety()))
+    {
+        let config = ExecConfig {
+            variant,
+            ..ExecConfig::default()
+        };
+        let fresh = {
+            let mut store = Store::new(config);
+            let h = store.instantiate(&module, &imports).unwrap();
+            probe(&mut store, h)
+        };
+        // mem[8 i] holds the acc before step i: acc_{i+1} = 2 acc_i + i.
+        let acc = (0..40i64).fold(0i64, |acc, i| 2 * acc + i);
+        assert_eq!(fresh.0, Ok(vec![Value::I64(2 * (acc + 1))]), "{variant}");
+        for row in [Fuel, Epoch, Depth, OutOfBounds, HostTrap, HostPanic] {
+            let mut store = Store::new(config);
+            let a = store.instantiate(&module, &imports).unwrap();
+            let b = store.instantiate(&module, &imports).unwrap();
+            let mode = match row {
+                HostTrap => 1,
+                HostPanic => 2,
+                Depth => 3,
+                OutOfBounds => 4,
+                Fuel | Epoch => 0,
+            };
+            match row {
+                Fuel => store.set_fuel(a, Some(25)),
+                Epoch => store.set_epoch_deadline(a, Some(store.current_epoch())),
+                _ => {}
+            }
+            let err = store
+                .invoke(a, "run", &[Value::I64(mode), Value::I64(40)])
+                .unwrap_err();
+            let expected = match row {
+                Fuel => matches!(err, Trap::FuelExhausted),
+                Epoch => matches!(err, Trap::EpochInterrupt),
+                Depth => matches!(err, Trap::CallStackExhausted),
+                OutOfBounds => {
+                    matches!(err, Trap::OutOfBounds { .. }) || err.is_memory_safety_violation()
+                }
+                HostTrap => matches!(err, Trap::Host(_)),
+                HostPanic => matches!(err, Trap::HostPanic(_)),
+            };
+            assert!(expected, "{variant}, {row:?}: trapped with {err:?}");
+            store.reset_instance(a).unwrap();
+            assert_eq!(probe(&mut store, a), fresh, "{variant}, {row:?}: reset");
+            assert_eq!(probe(&mut store, b), fresh, "{variant}, {row:?}: 2nd");
+        }
+    }
+}

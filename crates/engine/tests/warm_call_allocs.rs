@@ -1,0 +1,241 @@
+//! What a warm call allocates, counted by a global allocator of this
+//! test binary's own (no other test shares it).
+//!
+//! The store keeps the register arena, the frame stack and the host-call
+//! staging across calls, so once it has run a call of the same shape:
+//!
+//! * `Store::call_into` allocates nothing — a leaf, a counted loop, a
+//!   three-deep call chain with a host call at the bottom, and the call
+//!   after a trap;
+//! * `Store::call` and `Pool::invoke` allocate exactly the returned
+//!   `Vec`;
+//! * a libc-linked C request shaped like `cage-bench`'s `handle` —
+//!   `malloc`, two loops, `free`, on a slot fresh from its reset —
+//!   allocates exactly three times: the reply, the `Vec` the `malloc`
+//!   host function returns its pointer in, and the first node of the
+//!   libc allocator's map of live blocks. The last two are the host
+//!   ABI's and the libc's, not the engine's.
+//!
+//! Counts are per thread, so tests running side by side do not see each
+//! other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use cage_engine::{ExecConfig, HostFunc, Imports, InstanceHandle, Store, Trap, Value, Variant};
+use cage_ir::passes::run_pipeline;
+use cage_ir::{lower, LowerOptions};
+use cage_serve::{HostProfile, InstancePre, Pool};
+use cage_wasm::builder::ModuleBuilder;
+use cage_wasm::{BlockType, Instr, ValType};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot may already be gone while the thread exits.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the count is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread, and its value.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// func 1 `id(x) = x`; func 2 `count(n)` sums `1..=n` in a loop; func 3
+/// `chain(x)` calls func 4, which calls func 5, which passes `x` to the
+/// host import `env.note` (func 0) and returns `x + 1`. `env.note`
+/// returns nothing (a host function's result `Vec` is the host ABI's
+/// allocation, not the engine's) and traps on `-1`.
+fn engine_module() -> (cage_wasm::Module, Imports) {
+    let i64s = [ValType::I64];
+    let mut b = ModuleBuilder::new();
+    let note = b.import_func("env", "note", &i64s, &[]);
+    let id = b.add_function(&i64s, &i64s, &[], vec![Instr::LocalGet(0)]);
+    let count = b.add_function(
+        &i64s,
+        &i64s,
+        &i64s,
+        vec![
+            Instr::Block(
+                BlockType::Empty,
+                vec![Instr::Loop(
+                    BlockType::Empty,
+                    vec![
+                        Instr::LocalGet(0),
+                        Instr::I64Eqz,
+                        Instr::BrIf(1),
+                        Instr::LocalGet(1),
+                        Instr::LocalGet(0),
+                        Instr::I64Add,
+                        Instr::LocalSet(1),
+                        Instr::LocalGet(0),
+                        Instr::I64Const(1),
+                        Instr::I64Sub,
+                        Instr::LocalSet(0),
+                        Instr::Br(0),
+                    ],
+                )],
+            ),
+            Instr::LocalGet(1),
+        ],
+    );
+    let chain = b.add_function(&i64s, &i64s, &[], vec![Instr::LocalGet(0), Instr::Call(4)]);
+    let mid = b.add_function(&i64s, &i64s, &[], vec![Instr::LocalGet(0), Instr::Call(5)]);
+    let leaf = b.add_function(
+        &i64s,
+        &i64s,
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::Call(note),
+            Instr::LocalGet(0),
+            Instr::I64Const(1),
+            Instr::I64Add,
+        ],
+    );
+    assert_eq!((note, id, count, chain, mid, leaf), (0, 1, 2, 3, 4, 5));
+    let mut imports = Imports::new();
+    imports.define(
+        "env",
+        "note",
+        HostFunc::new(&i64s, &[], |_, args| match args[0] {
+            Value::I64(-1) => Err(Trap::Host("refused".into())),
+            _ => Ok(Vec::new()),
+        }),
+    );
+    (b.build(), imports)
+}
+
+#[test]
+fn a_warm_call_into_allocates_nothing() {
+    let (module, imports) = engine_module();
+    let config = ExecConfig {
+        variant: Variant::CagePtrAuth,
+        ..ExecConfig::default()
+    };
+    let mut store = Store::new(config);
+    let h = store.instantiate(&module, &imports).unwrap();
+    let mut out = [Value::I64(0)];
+    let mut call = |store: &mut Store, h: InstanceHandle, func: u32, x: i64| {
+        let r = store.call_into(h, func, &[Value::I64(x)], &mut out);
+        r.map(|()| out[0])
+    };
+    for (func, x, want) in [(1, 7, 7), (2, 100, 5050), (3, 20, 21)] {
+        // The warm-up: the first call of a shape may size the buffers.
+        assert_eq!(call(&mut store, h, func, x), Ok(Value::I64(want)));
+        let (n, got) = allocations(|| call(&mut store, h, func, x));
+        assert_eq!(got, Ok(Value::I64(want)), "func {func}");
+        assert_eq!(n, 0, "func {func}: a warm call_into allocated");
+    }
+    // A trap three calls deep (the host refuses) gives every buffer back:
+    // the chain's next call allocates nothing either. The trap itself
+    // allocates its message.
+    assert!(matches!(call(&mut store, h, 3, -1), Err(Trap::Host(_))));
+    let (n, got) = allocations(|| call(&mut store, h, 3, 20));
+    assert_eq!((n, got), (0, Ok(Value::I64(21))), "after a trap");
+    // `Store::call` allocates its reply and nothing else.
+    let (n, got) = allocations(|| store.call(h, 3, &[Value::I64(20)]));
+    assert_eq!((n, got), (1, Ok(vec![Value::I64(21)])));
+}
+
+/// `cage-bench`'s `handle` request, and `id`.
+const HANDLER: &str = r#"
+    long id(long x) { return x; }
+    long handle(long req) {
+        long n = 16 + (req % 16);
+        long* buf = (long*)malloc(n * 8);
+        long acc = 0;
+        for (long i = 0; i < n; i++) {
+            buf[i] = req * 31 + i;
+        }
+        for (long i = 0; i < n; i++) {
+            acc = acc + buf[i];
+        }
+        free((char*)buf);
+        return acc;
+    }
+"#;
+
+fn handler_pool(variant: Variant) -> Pool {
+    let mut ir = cage_cc::compile(HANDLER).expect("handler compiles");
+    run_pipeline(&mut ir, variant.harden_config());
+    let opts = LowerOptions {
+        ptr_width: variant.ptr_width(),
+        ..LowerOptions::default()
+    };
+    let lowered = lower(&ir, &opts).expect("handler lowers");
+    let core = ExecConfig::default().core;
+    let pre = InstancePre::new(
+        variant,
+        core,
+        &lowered.module,
+        lowered.heap_base,
+        HostProfile::Libc,
+    )
+    .expect("template builds");
+    let mut pool = Pool::new(Arc::new(pre));
+    pool.set_fuel_budget(Some(1_000_000));
+    pool
+}
+
+#[test]
+fn a_pool_invoke_allocates_its_reply_and_a_libc_request_three_times() {
+    let handle_of = |req: i64| (0..16 + req % 16).map(|i| req * 31 + i).sum::<i64>();
+    for variant in [Variant::CagePtrAuth, Variant::BaselineWasm64] {
+        let mut pool = handler_pool(variant);
+        let inst = pool.checkout().unwrap();
+        let id = |pool: &mut Pool| pool.invoke(&inst, "id", &[Value::I64(9)]);
+        assert_eq!(id(&mut pool), Ok(vec![Value::I64(9)]));
+        let (n, got) = allocations(|| id(&mut pool));
+        assert_eq!((n, got), (1, Ok(vec![Value::I64(9)])), "{variant}: id");
+        pool.release(inst);
+        // Each request on a slot fresh from its reset, as `serve_steady`
+        // serves them; the first one warms the store.
+        for (round, req) in [5i64, 6, 7].into_iter().enumerate() {
+            let inst = pool.checkout().unwrap();
+            let (n, got) = allocations(|| pool.invoke(&inst, "handle", &[Value::I64(req)]));
+            assert_eq!(got, Ok(vec![Value::I64(handle_of(req))]), "{variant}");
+            if round > 0 {
+                assert_eq!(n, 3, "{variant}: handle({req})");
+            }
+            pool.release(inst);
+        }
+    }
+}

@@ -4,13 +4,19 @@
 //! sandboxed instances under MTE sandboxing — the paper's per-process limit
 //! (§6.4 "we limit the number of sandboxes in one process to at most 15")
 //! — and gives each instance its own PAC key and modifier (§6.3).
+//!
+//! [`Store::retire`] drops an instance whole, sandbox tag included, and
+//! frees its index for the next one, so a store that keeps replacing
+//! retired tenants stays the size of its live ones. A handle kept past
+//! retirement is stale: it gets a [`Trap::Host`] or `None` where a method
+//! can fail, and what each other method's doc states where it cannot.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use cage_mte::Tag;
 use cage_pac::{PacKey, PacSigner, PointerLayout};
@@ -90,9 +96,14 @@ impl From<ValidationError> for InstantiateError {
     }
 }
 
-/// Handle to an instance within a [`Store`].
+/// Handle to an instance within a [`Store`]: an index into its instance
+/// table and the index's generation, which [`Store::retire`] bumps, so a
+/// stale handle never reaches the next instance at its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InstanceHandle(pub(crate) usize);
+pub struct InstanceHandle {
+    index: u32,
+    generation: u32,
+}
 
 /// Per-instance resource policy, in the spirit of wasmtime's
 /// `ResourceLimiter`: every field is an *upper bound the embedder imposes
@@ -371,12 +382,35 @@ pub(crate) struct Instance {
     pub(crate) limits: InstanceLimits,
 }
 
+/// An instance-table entry: its live instance, if any, and generation.
+#[derive(Default)]
+struct Entry {
+    generation: u32,
+    instance: Option<Instance>,
+}
+
+/// `handle`'s instance in `table`, unless the handle is stale.
+fn instance_mut(table: &mut [Entry], handle: InstanceHandle) -> Option<&mut Instance> {
+    let entry = table.get_mut(handle.index as usize)?;
+    let live = entry.generation == handle.generation;
+    entry.instance.as_mut().filter(|_| live)
+}
+
+/// What an operation through a stale [`InstanceHandle`] traps with.
+fn stale() -> Trap {
+    Trap::Host("stale instance handle: the instance was retired".into())
+}
+
+/// What [`Store::module`] answers for a stale handle.
+static NO_MODULE: LazyLock<Module> = LazyLock::new(Module::default);
+
 /// The engine store: configuration, cost weights and instances.
 pub struct Store {
     pub(crate) config: ExecConfig,
     /// Cycles per unit of each charge class, under `config`.
     weights: ClassWeights,
-    pub(crate) instances: Vec<Instance>,
+    /// A retired instance leaves its entry empty for the next one.
+    instances: Vec<Entry>,
     /// Engine-shared epoch counter for wall-clock preemption: an embedder
     /// thread ticks it, the dispatch loop compares it against per-instance
     /// deadlines at the charge-free preemption points. Shareable across
@@ -396,7 +430,7 @@ impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Store")
             .field("config", &self.config)
-            .field("instances", &self.instances.len())
+            .field("instances", &self.instance_count())
             .finish()
     }
 }
@@ -425,14 +459,15 @@ impl Store {
     /// The scheme the next instance's memory is built under. Sandbox tags
     /// are read off the live memories, not counted: a tag is taken while
     /// some instance's memory holds it and free again the moment that
-    /// memory is dropped ([`Store::drop_memory`]).
+    /// instance is retired ([`Store::retire`]).
     fn tag_scheme(&self) -> Result<TagScheme, InstantiateError> {
         let variant = self.config.variant;
         let (sandbox, internal) = (variant.sandboxed(), variant.provides_memory_safety());
         let held = |scheme: TagScheme| {
-            self.instances
-                .iter()
-                .any(|i| i.memory.as_ref().is_some_and(|m| m.scheme() == scheme))
+            self.instances.iter().any(|e| {
+                let memory = e.instance.as_ref().and_then(|i| i.memory.as_ref());
+                memory.is_some_and(|m| m.scheme() == scheme)
+            })
         };
         Ok(match (sandbox, internal) {
             (false, false) => TagScheme::None,
@@ -449,6 +484,13 @@ impl Store {
             }
             (true, true) => TagScheme::Combined,
         })
+    }
+
+    /// `handle`'s instance, unless the handle is stale.
+    fn instance(&self, handle: InstanceHandle) -> Option<&Instance> {
+        let entry = self.instances.get(handle.index as usize)?;
+        let live = entry.generation == handle.generation;
+        entry.instance.as_ref().filter(|_| live)
     }
 
     /// Compiles `module` under the default [`cage_wasm::CompileLimits`]
@@ -600,12 +642,25 @@ impl Store {
             limits,
         };
 
-        self.instances.push(instance);
-        let handle = InstanceHandle(self.instances.len() - 1);
-
+        // The first empty entry takes the instance, unless it is at the
+        // last generation: that one stays retired, so no handle aliases.
+        let free = |e: &Entry| e.instance.is_none() && e.generation < u32::MAX;
+        let len = self.instances.len();
+        let index = self.instances.iter().position(free).unwrap_or(len);
+        if index == len {
+            self.instances.push(Entry::default());
+        }
+        let entry = &mut self.instances[index];
+        entry.instance = Some(instance);
+        let (index, generation) = (index as u32, entry.generation);
+        let handle = InstanceHandle { index, generation };
         if let Some(start) = module.start {
-            self.call(handle, start, &[])
-                .map_err(InstantiateError::Start)?;
+            // An instance whose start function trapped is never handed
+            // out, so it must not keep its sandbox tag either.
+            if let Err(trap) = self.call(handle, start, &[]) {
+                self.retire(handle);
+                return Err(InstantiateError::Start(trap));
+            }
         }
         Ok(handle)
     }
@@ -614,19 +669,18 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Traps from guest execution, or a host trap if the export is missing.
+    /// Traps from guest execution, or a host trap if the export is missing
+    /// or `handle` is stale.
     pub fn invoke(
         &mut self,
         handle: InstanceHandle,
         name: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let func_idx = {
-            let inst = &self.instances[handle.0];
-            match inst.pre.module.export(name).map(|e| e.kind) {
-                Some(cage_wasm::ExportKind::Func(i)) => i,
-                _ => return Err(Trap::Host(format!("no exported function \"{name}\""))),
-            }
+        let inst = self.instance(handle).ok_or_else(stale)?;
+        let func_idx = match inst.pre.module.export(name).map(|e| e.kind) {
+            Some(cage_wasm::ExportKind::Func(i)) => i,
+            _ => return Err(Trap::Host(format!("no exported function \"{name}\""))),
         };
         self.call(handle, func_idx, args)
     }
@@ -638,16 +692,15 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates traps.
+    /// Propagates traps; a host trap when `handle` is stale.
     pub fn call(
         &mut self,
         handle: InstanceHandle,
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let arity = self.instances[handle.0]
-            .pre
-            .funcs
+        let funcs = &self.instance(handle).ok_or_else(stale)?.pre.funcs;
+        let arity = funcs
             .get(func_idx as usize)
             .map_or(0, |f| f.ty.results.len());
         let mut results = vec![Value::I32(0); arity];
@@ -666,9 +719,9 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates traps; a host trap when `func_idx` is out of range or
-    /// `args` or `results` do not fit its signature. On a trap, `results`
-    /// is left as it was.
+    /// Propagates traps; a host trap when `handle` is stale, `func_idx` is
+    /// out of range or `args` or `results` do not fit its signature. On a
+    /// trap, `results` is left as it was.
     pub fn call_into(
         &mut self,
         handle: InstanceHandle,
@@ -676,13 +729,9 @@ impl Store {
         args: &[Value],
         results: &mut [Value],
     ) -> Result<(), Trap> {
-        Interp::new(
-            &mut self.instances[handle.0],
-            &self.epoch,
-            self.config,
-            &mut self.bufs,
-        )
-        .call_into(func_idx, args, results)
+        let inst = instance_mut(&mut self.instances, handle).ok_or_else(stale)?;
+        Interp::new(inst, &self.epoch, self.config, &mut self.bufs)
+            .call_into(func_idx, args, results)
     }
 
     /// Calls a function by index through the structured tree walker — the
@@ -698,29 +747,25 @@ impl Store {
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        Interp::new(
-            &mut self.instances[handle.0],
-            &self.epoch,
-            self.config,
-            &mut self.bufs,
-        )
-        .call_function_tree(func_idx, args)
+        let inst = instance_mut(&mut self.instances, handle).ok_or_else(stale)?;
+        Interp::new(inst, &self.epoch, self.config, &mut self.bufs)
+            .call_function_tree(func_idx, args)
     }
 
     /// What `handle` has been charged so far: the retired counts per
     /// [`crate::ChargeClass`] and the cycles its host functions charged.
     /// Independent of the simulated core; [`Store::cycles`] and
-    /// [`Store::instr_count`] are derived from it.
+    /// [`Store::instr_count`] are derived from it. Zero for a stale handle.
     #[must_use]
     pub fn charge_counts(&self, handle: InstanceHandle) -> ChargeCounts {
-        self.instances[handle.0].counts
+        self.instance(handle).map(|i| i.counts).unwrap_or_default()
     }
 
     /// Simulated cycles charged to `handle` so far: its counts priced by
-    /// the configured core's cost model.
+    /// the configured core's cost model (0 for a stale handle).
     #[must_use]
     pub fn cycles(&self, handle: InstanceHandle) -> f64 {
-        self.price(&self.instances[handle.0].counts)
+        self.price(&self.charge_counts(handle))
     }
 
     /// What `counts` — of one instance, or summed over several of this
@@ -730,26 +775,28 @@ impl Store {
         counts.cycles(&self.weights)
     }
 
-    /// Simulated milliseconds for `handle` on the configured core.
+    /// Simulated milliseconds for `handle` on the configured core (0 if stale).
     #[must_use]
     pub fn simulated_ms(&self, handle: InstanceHandle) -> f64 {
         self.config.core.cycles_to_ms(self.cycles(handle))
     }
 
-    /// Instructions retired by `handle`.
+    /// Instructions retired by `handle` (0 for a stale handle).
     #[must_use]
     pub fn instr_count(&self, handle: InstanceHandle) -> u64 {
-        self.instances[handle.0].counts.instr_count()
+        self.charge_counts(handle).instr_count()
     }
 
     /// Resets the cycle/instruction counters of `handle` (between benchmark
-    /// phases).
+    /// phases). Does nothing through a stale handle.
     pub fn reset_counters(&mut self, handle: InstanceHandle) {
-        self.instances[handle.0].counts = ChargeCounts::default();
+        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+            inst.counts = ChargeCounts::default();
+        }
     }
 
     /// Sets (or clears, with `None`) the fuel budget of `handle` and
-    /// zeroes its consumed-fuel counter.
+    /// zeroes its consumed-fuel counter (neither, if `handle` is stale).
     ///
     /// Fuel is a deterministic preemption mechanism for multi-tenant
     /// serving: one unit is consumed at every control transition of the
@@ -762,21 +809,22 @@ impl Store {
     /// fuel; it models wasm semantics, not embedder preemption — the trap
     /// matrix pins the preemption points as literals instead.
     pub fn set_fuel(&mut self, handle: InstanceHandle, fuel: Option<u64>) {
-        let inst = &mut self.instances[handle.0];
-        inst.fuel = fuel;
-        inst.fuel_consumed = 0;
+        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+            inst.fuel = fuel;
+            inst.fuel_consumed = 0;
+        }
     }
 
-    /// Remaining fuel of `handle` (`None` = unlimited).
+    /// Remaining fuel of `handle` (`None`: unlimited, or `handle` is stale).
     #[must_use]
     pub fn fuel_remaining(&self, handle: InstanceHandle) -> Option<u64> {
-        self.instances[handle.0].fuel
+        self.instance(handle)?.fuel
     }
 
-    /// Fuel consumed by `handle` since the last [`Store::set_fuel`].
+    /// Fuel consumed by `handle` since the last [`Store::set_fuel`] (0 if stale).
     #[must_use]
     pub fn fuel_consumed(&self, handle: InstanceHandle) -> u64 {
-        self.instances[handle.0].fuel_consumed
+        self.instance(handle).map_or(0, |inst| inst.fuel_consumed)
     }
 
     /// The store's shared epoch counter. Clone the `Arc` into an embedder
@@ -810,7 +858,8 @@ impl Store {
 
     /// Sets (or clears, with `None`) the *absolute* epoch deadline of
     /// `handle`: once `current_epoch() >= deadline`, execution traps with
-    /// [`Trap::EpochInterrupt`] at the next preemption point.
+    /// [`Trap::EpochInterrupt`] at the next preemption point. Does nothing
+    /// through a stale handle.
     ///
     /// Epoch preemption is the wall-clock complement to fuel: the check
     /// rides on the identical charge-free control transitions (branch
@@ -822,13 +871,9 @@ impl Store {
     /// cleared by [`Store::reset_instance`], and the tree-walking oracle
     /// does not implement it.
     pub fn set_epoch_deadline(&mut self, handle: InstanceHandle, deadline: Option<u64>) {
-        self.instances[handle.0].epoch_deadline = deadline;
-    }
-
-    /// The absolute epoch deadline of `handle` (`None` = never).
-    #[must_use]
-    pub fn epoch_deadline(&self, handle: InstanceHandle) -> Option<u64> {
-        self.instances[handle.0].epoch_deadline
+        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+            inst.epoch_deadline = deadline;
+        }
     }
 
     /// Sets the [`InstanceLimits`] policy applied to instances created
@@ -839,20 +884,15 @@ impl Store {
         self.default_limits = limits;
     }
 
-    /// The limits policy for subsequently created instances.
-    #[must_use]
-    pub fn default_limits(&self) -> InstanceLimits {
-        self.default_limits
-    }
-
-    /// Installs a limits policy on an existing instance. Memory already
-    /// grown past a new, tighter `max_memory_pages` is not reclaimed —
-    /// the cap bites at the next `memory.grow`.
+    /// Installs a limits policy on an existing instance (not a stale one).
+    /// Memory already grown past a new, tighter `max_memory_pages` is not
+    /// reclaimed — the cap bites at the next `memory.grow`.
     pub fn set_instance_limits(&mut self, handle: InstanceHandle, limits: InstanceLimits) {
-        let inst = &mut self.instances[handle.0];
-        inst.limits = limits;
-        if let Some(mem) = inst.memory.as_mut() {
-            mem.set_page_limit(limits.max_memory_pages);
+        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+            inst.limits = limits;
+            if let Some(mem) = inst.memory.as_mut() {
+                mem.set_page_limit(limits.max_memory_pages);
+            }
         }
     }
 
@@ -870,35 +910,33 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates a trapping start function.
+    /// Propagates a trapping start function; a host trap if `handle` is stale.
     pub fn reset_instance(&mut self, handle: InstanceHandle) -> Result<(), Trap> {
-        let module = Arc::clone(&self.instances[handle.0].pre.module);
-        {
-            let inst = &mut self.instances[handle.0];
-            if let Some(mem) = inst.memory.as_mut() {
-                mem.reset();
-            }
-            inst.table.fill(None);
-            apply_initial_state(
-                &module,
-                inst.memory.as_mut(),
-                &mut inst.globals,
-                &mut inst.table,
-            )
-            .expect("segment ranges were checked at instantiation");
-            inst.counts = ChargeCounts::default();
-            inst.fuel = None;
-            inst.fuel_consumed = 0;
-            // Preemption state is per-checkout embedder policy, cleared
-            // like fuel; the resource-limit policy is part of the
-            // instance's identity and survives (including the memory's
-            // page cap, which `LinearMemory::reset` preserves).
-            inst.epoch_deadline = None;
-            // Before the start function: what it allocates and prints
-            // belongs to the fresh state, as on a first instantiation.
-            if let Some(state) = &inst.host_state {
-                state.reset();
-            }
+        let inst = instance_mut(&mut self.instances, handle).ok_or_else(stale)?;
+        let module = Arc::clone(&inst.pre.module);
+        if let Some(mem) = inst.memory.as_mut() {
+            mem.reset();
+        }
+        inst.table.fill(None);
+        apply_initial_state(
+            &module,
+            inst.memory.as_mut(),
+            &mut inst.globals,
+            &mut inst.table,
+        )
+        .expect("segment ranges were checked at instantiation");
+        inst.counts = ChargeCounts::default();
+        inst.fuel = None;
+        inst.fuel_consumed = 0;
+        // Preemption state is per-checkout embedder policy, cleared
+        // like fuel; the resource-limit policy is part of the
+        // instance's identity and survives (including the memory's
+        // page cap, which `LinearMemory::reset` preserves).
+        inst.epoch_deadline = None;
+        // Before the start function: what it allocates and prints
+        // belongs to the fresh state, as on a first instantiation.
+        if let Some(state) = &inst.host_state {
+            state.reset();
         }
         if let Some(start) = module.start {
             self.call(handle, start, &[])?;
@@ -906,73 +944,89 @@ impl Store {
         Ok(())
     }
 
+    /// Retires `handle`'s instance (if live) for good: drops all of it —
+    /// memory and sandbox tag, globals, table, host functions, host state —
+    /// and frees its index for the next instance, under a new generation.
+    pub fn retire(&mut self, handle: InstanceHandle) {
+        if let Some(entry) = self.instances.get_mut(handle.index as usize) {
+            if entry.generation == handle.generation && entry.instance.take().is_some() {
+                entry.generation += 1;
+            }
+        }
+    }
+
     /// The host state `handle` was instantiated with, if it has one of
     /// type `T` (see [`Imports::set_host_state`]).
     #[must_use]
     pub fn host_state<T: HostState>(&self, handle: InstanceHandle) -> Option<&T> {
-        let state: &dyn Any = self.instances[handle.0].host_state.as_deref()?;
+        let state: &dyn Any = self.instance(handle)?.host_state.as_deref()?;
         state.downcast_ref()
     }
 
     /// The module an instance was created from (export/type lookups for
-    /// typed calls).
+    /// typed calls); an empty module, with no exports, for a stale handle.
     #[must_use]
     pub fn module(&self, handle: InstanceHandle) -> &Module {
-        &self.instances[handle.0].pre.module
+        self.instance(handle).map_or(&NO_MODULE, |i| &i.pre.module)
     }
 
     /// Read access to an instance's memory.
     #[must_use]
     pub fn memory(&self, handle: InstanceHandle) -> Option<&LinearMemory> {
-        self.instances[handle.0].memory.as_ref()
+        self.instance(handle)?.memory.as_ref()
     }
 
     /// Mutable access to an instance's memory (embedder-side I/O).
     pub fn memory_mut(&mut self, handle: InstanceHandle) -> Option<&mut LinearMemory> {
-        self.instances[handle.0].memory.as_mut()
-    }
-
-    /// Releases the linear memory of an instance that will never run
-    /// again (a serving pool's quarantined slot): instances live as long
-    /// as the store, and without this so would the backing store of every
-    /// retired one. Later accesses through `handle` trap with "no memory".
-    pub fn drop_memory(&mut self, handle: InstanceHandle) {
-        self.instances[handle.0].memory = None;
+        instance_mut(&mut self.instances, handle)?.memory.as_mut()
     }
 
     /// Signs `ptr` with `handle`'s instance key — the runtime-side
     /// operation backing `i64.pointer_sign` (exposed for tests and the
-    /// cross-instance experiments).
+    /// cross-instance experiments). A stale handle has no key: `ptr`
+    /// comes back unsigned.
     #[must_use]
     pub fn sign_pointer(&self, handle: InstanceHandle, ptr: u64) -> u64 {
-        let inst = &self.instances[handle.0];
-        inst.pac.sign(ptr, inst.pac_modifier)
+        self.instance(handle)
+            .map_or(ptr, |inst| inst.pac.sign(ptr, inst.pac_modifier))
     }
 
     /// Authenticates `ptr` under `handle`'s instance key.
     ///
     /// # Errors
     ///
-    /// [`Trap::PointerAuth`] when the signature does not verify.
+    /// [`Trap::PointerAuth`] when the signature does not verify; a host
+    /// trap when `handle` is stale.
     pub fn auth_pointer(&self, handle: InstanceHandle, ptr: u64) -> Result<u64, Trap> {
-        let inst = &self.instances[handle.0];
+        let inst = self.instance(handle).ok_or_else(stale)?;
         Ok(inst.pac.auth(ptr, inst.pac_modifier)?)
     }
 
     /// Reads an exported global's current value.
     #[must_use]
     pub fn global(&self, handle: InstanceHandle, name: &str) -> Option<Value> {
-        let inst = &self.instances[handle.0];
+        let inst = self.instance(handle)?;
         match inst.pre.module.export(name).map(|e| e.kind) {
             Some(cage_wasm::ExportKind::Global(i)) => inst.globals.get(i as usize).copied(),
             _ => None,
         }
     }
 
-    /// Number of live instances.
+    /// The handles of the live instances, in index order.
+    pub fn handles(&self) -> impl Iterator<Item = InstanceHandle> + '_ {
+        let live = |(index, e): (u32, &Entry)| {
+            let generation = e.generation;
+            e.instance
+                .as_ref()
+                .map(|_| InstanceHandle { index, generation })
+        };
+        (0..).zip(&self.instances).filter_map(live)
+    }
+
+    /// Number of live instances: made and not yet retired.
     #[must_use]
     pub fn instance_count(&self) -> usize {
-        self.instances.len()
+        self.handles().count()
     }
 }
 
@@ -1113,7 +1167,7 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_memory_returns_its_sandbox_tag() {
+    fn a_retired_instance_returns_its_sandbox_tag() {
         let config = ExecConfig {
             variant: Variant::CageSandboxing,
             ..ExecConfig::default()
@@ -1143,7 +1197,7 @@ mod tests {
             // next holder of the tag must see none of it.
             let mem = store.memory_mut(handles[victim]).unwrap();
             mem.write(64, 0, &[0xEE; 32]).unwrap();
-            store.drop_memory(handles[victim]);
+            store.retire(handles[victim]);
             let h = store.instantiate(&module, &Imports::new()).unwrap();
             assert_eq!(tag_of(&store, h), tags[victim], "the freed tag, no other");
             assert!(full(&mut store), "and only that one was free");
@@ -1170,6 +1224,183 @@ mod tests {
             assert_eq!(escape, fresh.write(size, 0, &[1]));
             assert_eq!(recycled.committed_bytes(), fresh.committed_bytes());
         }
+    }
+
+    /// A module with a memory, an exported global, an export `add` and
+    /// an export `tick` that calls the host function `env.tick`, and
+    /// imports that define `env.tick` over `log`, with `log` as their host
+    /// state.
+    fn tenant(log: &Rc<TickLog>) -> (Module, Imports) {
+        let mut b = ModuleBuilder::new();
+        b.import_func("env", "tick", &[], &[]);
+        b.add_memory64(1);
+        let g = b.add_global(ValType::I64, true, Instr::I64Const(5));
+        b.export_global("g", g);
+        let tick = b.add_function(&[], &[], &[], vec![Instr::Call(0)]);
+        b.export_func("tick", tick);
+        let add = b.add_function(
+            &[ValType::I64, ValType::I64],
+            &[ValType::I64],
+            &[],
+            vec![Instr::LocalGet(0), Instr::LocalGet(1), Instr::I64Add],
+        );
+        b.export_func("add", add);
+        let mut imports = Imports::new();
+        let ticks = Rc::clone(log);
+        imports.define(
+            "env",
+            "tick",
+            HostFunc::new(&[], &[], move |_, _| {
+                ticks.0.borrow_mut().push("tick");
+                Ok(vec![])
+            }),
+        );
+        imports.set_host_state(Rc::clone(log) as Rc<dyn HostState>);
+        (b.build(), imports)
+    }
+
+    #[test]
+    fn a_retired_instance_drops_its_host_state_and_host_functions() {
+        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
+        let (module, imports) = tenant(&log);
+        let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(&module, &imports).unwrap();
+        drop(imports);
+        store.invoke(h, "tick", &[]).unwrap();
+        // The host state, and the host function that captured it.
+        assert_eq!(Rc::strong_count(&log), 3);
+        store.retire(h);
+        assert_eq!(Rc::strong_count(&log), 1, "the store keeps nothing of it");
+        assert_eq!(*log.0.borrow(), ["tick"]);
+        assert_eq!(store.instance_count(), 0);
+    }
+
+    #[test]
+    fn a_stale_handle_traps_or_answers_none() {
+        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
+        let (module, imports) = tenant(&log);
+        let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(&module, &imports).unwrap();
+        store.set_fuel(h, Some(100));
+        store.invoke(h, "tick", &[]).unwrap();
+        assert!(store.memory(h).is_some() && store.global(h, "g").is_some());
+        store.retire(h);
+
+        fn host<T>(r: Result<T, Trap>) -> bool {
+            matches!(r, Err(Trap::Host(_)))
+        }
+        let args = [Value::I64(1), Value::I64(2)];
+        assert!(host(store.call(h, 2, &args)));
+        let mut out = [Value::I64(7)];
+        assert!(host(store.call_into(h, 2, &args, &mut out)));
+        assert_eq!(out, [Value::I64(7)], "results untouched");
+        assert!(host(store.invoke(h, "add", &args)));
+        assert!(host(store.call_tree(h, 2, &args)));
+        assert!(host(store.reset_instance(h)));
+        assert!(host(store.auth_pointer(h, 0x1000)));
+        assert!(store.memory(h).is_none());
+        assert!(store.memory_mut(h).is_none());
+        assert!(store.host_state::<TickLog>(h).is_none());
+        assert!(store.global(h, "g").is_none());
+        // The infallible accessors answer what their docs say, and the
+        // setters change nothing.
+        store.set_fuel(h, Some(9));
+        store.set_epoch_deadline(h, Some(9));
+        store.set_instance_limits(h, InstanceLimits::default());
+        store.reset_counters(h);
+        assert_eq!(store.charge_counts(h), ChargeCounts::default());
+        assert_eq!((store.cycles(h), store.simulated_ms(h)), (0.0, 0.0));
+        assert_eq!(store.instr_count(h), 0);
+        assert_eq!((store.fuel_remaining(h), store.fuel_consumed(h)), (None, 0));
+        assert_eq!(store.sign_pointer(h, 0x1000), 0x1000);
+        assert!(store.module(h).exports.is_empty());
+        store.retire(h);
+        assert_eq!(store.instance_count(), 0);
+        assert_eq!(store.handles().count(), 0);
+    }
+
+    #[test]
+    fn an_instance_that_reuses_a_retired_index_is_unreachable_through_the_old_handle() {
+        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
+        let (module, imports) = tenant(&log);
+        let config = ExecConfig {
+            variant: Variant::CageFull,
+            ..ExecConfig::default()
+        };
+        let mut store = Store::new(config);
+        let old = store.instantiate(&module, &imports).unwrap();
+        store.retire(old);
+        let new = store.instantiate(&module, &imports).unwrap();
+        assert_eq!(new.index, old.index, "the freed index is reused");
+        assert_ne!(new, old);
+        assert_eq!(store.handles().collect::<Vec<_>>(), [new]);
+
+        store.invoke(new, "tick", &[]).unwrap();
+        assert!(store.instr_count(new) > 0);
+        assert_eq!(store.charge_counts(old), ChargeCounts::default());
+        assert!(store.memory(new).is_some() && store.memory(old).is_none());
+        assert!(store.host_state::<TickLog>(new).is_some());
+        assert!(store.host_state::<TickLog>(old).is_none());
+        assert_eq!(store.global(new, "g"), Some(Value::I64(5)));
+        assert_eq!(store.global(old, "g"), None);
+        let signed = store.sign_pointer(new, 0x1000);
+        assert_ne!(store.sign_pointer(old, 0x1000), signed);
+        assert_eq!(store.auth_pointer(new, signed), Ok(0x1000));
+        assert!(matches!(
+            store.auth_pointer(old, signed),
+            Err(Trap::Host(_))
+        ));
+        // A call through the old handle neither runs nor charges the new
+        // tenant.
+        let counts = store.charge_counts(new);
+        assert!(store.invoke(old, "tick", &[]).is_err());
+        assert_eq!(store.charge_counts(new), counts);
+        assert_eq!(*log.0.borrow(), ["tick"]);
+        // Retiring the old handle again leaves the new tenant in place.
+        store.retire(old);
+        assert_eq!(store.instance_count(), 1);
+        assert_eq!(
+            store.invoke(new, "add", &[Value::I64(2), Value::I64(3)]),
+            Ok(vec![Value::I64(5)])
+        );
+    }
+
+    #[test]
+    fn a_thousand_retirements_leave_the_instance_table_one_entry_long() {
+        let config = ExecConfig {
+            variant: Variant::CageFull,
+            ..ExecConfig::default()
+        };
+        let mut store = Store::new(config);
+        let mut h = store.instantiate(&add_module(), &Imports::new()).unwrap();
+        for round in 0..1_000 {
+            store.retire(h);
+            h = store
+                .instantiate(&add_module(), &Imports::new())
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        }
+        assert_eq!(store.instances.len(), 1);
+        assert_eq!(store.instance_count(), 1);
+        assert_eq!(h.generation, 1_000);
+    }
+
+    #[test]
+    fn an_instance_whose_start_function_traps_keeps_no_sandbox_tag() {
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(1);
+        let start = b.add_function(&[], &[], &[], vec![Instr::Unreachable]);
+        b.set_start(start);
+        let config = ExecConfig {
+            variant: Variant::CageFull,
+            ..ExecConfig::default()
+        };
+        let mut store = Store::new(config);
+        for _ in 0..2 {
+            let err = store.instantiate(&b.module().clone(), &Imports::new());
+            assert!(matches!(err, Err(InstantiateError::Start(_))), "{err:?}");
+        }
+        assert_eq!(store.instance_count(), 0);
+        assert!(store.instantiate(&add_module(), &Imports::new()).is_ok());
     }
 
     #[test]
@@ -1315,7 +1546,8 @@ mod tests {
         );
         let mut store = Store::new(ExecConfig::default());
         let h = store.instantiate(&b.build(), &Imports::new()).unwrap();
-        let frame = usize::from(store.instances[h.0].pre.funcs[deep as usize].reg.frame_size);
+        let inst = store.instance(h).unwrap();
+        let frame = usize::from(inst.pre.funcs[deep as usize].reg.frame_size);
         let peak = frame * DEFAULT_MAX_CALL_DEPTH;
         assert!(peak >= 38_400, "a frame of {frame} slots");
 

@@ -30,9 +30,11 @@
 //!   plus a slot cap ([`Pool::set_max_slots`]); a saturated pool refuses
 //!   checkout with [`ServeError::Exhausted`] instead of growing forever.
 //! * poison quarantine — a host-function panic is caught at the engine's
-//!   dispatch boundary as `Trap::HostPanic` and poisons the slot; a
-//!   poisoned or reset-failed slot is quarantined (never recycled),
-//!   counted in [`PoolMetrics::quarantined`], and replaced lazily.
+//!   dispatch boundary as `Trap::HostPanic` and poisons the checkout; a
+//!   poisoned or reset-failed slot is quarantined — retired from the
+//!   store whole, libc and sandbox tag included (`Store::retire`), so a
+//!   steady fault rate costs no memory — counted in
+//!   [`PoolMetrics::quarantined`], and replaced lazily.
 //! * fault injection — a seeded [`FaultPlan`] drives the `chaos` suite
 //!   (`tests/chaos.rs`, every pool-capacity regime across threads),
 //!   proving every failure path returns the pool to a state
@@ -82,6 +84,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -154,12 +157,12 @@ pub enum ServeError {
     Instantiate(InstantiateError),
     /// A guest trap during checkout (start-function re-run on reset).
     Trap(Trap),
-    /// Every healthy slot the pool may hold is checked out — it is at its
-    /// slot cap ([`Pool::set_max_slots`]) or its store has no sandbox tag
-    /// left (see [`Pool`]): shed this request (retry, or route to another
+    /// Every slot the pool may hold is checked out — it is at its slot
+    /// cap ([`Pool::set_max_slots`]) or its store has no sandbox tag left
+    /// (see [`Pool`]): shed this request (retry, or route to another
     /// worker) instead of growing without bound.
     Exhausted {
-        /// The number of healthy slots that was hit.
+        /// The number of live slots that was hit.
         capacity: usize,
     },
     /// The module exceeded a compile limit at template-build time — too
@@ -312,28 +315,6 @@ impl InstancePre {
     pub fn variant(&self) -> Variant {
         self.variant
     }
-
-    /// The simulated core.
-    #[must_use]
-    pub fn core(&self) -> Core {
-        self.core
-    }
-
-    /// First heap byte for per-slot libcs.
-    #[must_use]
-    pub fn heap_base(&self) -> u64 {
-        self.heap_base
-    }
-}
-
-/// One instance slot of a [`Pool`]; the store keeps its libc.
-struct Slot {
-    handle: InstanceHandle,
-    /// Set when a host function panicked inside this slot, or its reset
-    /// failed: the slot's state can no longer be trusted, so it is
-    /// quarantined (never re-enters the free list) and replaced lazily
-    /// by the cold instantiation path.
-    poisoned: bool,
 }
 
 /// A checked-out instance of a [`Pool`] — a token, valid only against
@@ -341,15 +322,10 @@ struct Slot {
 /// can be recycled.
 #[derive(Debug)]
 pub struct PooledInstance {
-    slot: usize,
-}
-
-impl PooledInstance {
-    /// The slot index inside the owning pool (stable across recycling).
-    #[must_use]
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
+    handle: InstanceHandle,
+    /// Set when a host function panicked inside this checkout: its state
+    /// can no longer be trusted, so release quarantines it.
+    poisoned: Cell<bool>,
 }
 
 /// A per-worker pooling allocator over one engine [`Store`].
@@ -359,7 +335,9 @@ impl PooledInstance {
 /// stamping a new instance; steady state therefore allocates nothing. A
 /// pool lives on one thread (host closures and the store are
 /// single-threaded); the shared, thread-safe object is the
-/// [`InstancePre`].
+/// [`InstancePre`]. Its slots are its store's live instances, the
+/// released ones on a free list; a quarantined slot is retired from the
+/// store ([`Store::retire`]), and nothing of it stays behind.
 ///
 /// The variant bounds how many slots can be live at once, because a
 /// sandbox tag is a resource of the store (§6.4): a `CageSandboxing` pool
@@ -374,17 +352,13 @@ pub struct Pool {
     pre: Arc<InstancePre>,
     store: Store,
     linker: Linker,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
+    /// Released slots, to be reset at the checkout that recycles them.
+    free: Vec<InstanceHandle>,
     fuel_budget: Option<u64>,
     /// Epoch ticks granted per checkout (`None` = no epoch deadline).
     epoch_budget: Option<u64>,
-    /// Cap on non-quarantined slots (`None` = unbounded).
+    /// Cap on live slots (`None` = unbounded).
     max_slots: Option<usize>,
-    /// Slots currently checked out (the leak detector's ledger).
-    outstanding: usize,
-    /// Slots permanently retired.
-    quarantined: usize,
     metrics: PoolMetrics,
 }
 
@@ -392,10 +366,9 @@ impl fmt::Debug for Pool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pool")
             .field("variant", &self.pre.variant)
-            .field("slots", &self.slots.len())
+            .field("slots", &self.capacity())
             .field("free", &self.free.len())
-            .field("outstanding", &self.outstanding)
-            .field("quarantined", &self.quarantined)
+            .field("quarantined", &self.metrics.quarantined)
             .finish()
     }
 }
@@ -409,13 +382,10 @@ impl Pool {
             store: Store::new(pre.variant.exec_config(pre.core)),
             linker,
             pre,
-            slots: Vec::new(),
             free: Vec::new(),
             fuel_budget: None,
             epoch_budget: None,
             max_slots: None,
-            outstanding: 0,
-            quarantined: 0,
             metrics: PoolMetrics::default(),
         }
     }
@@ -452,10 +422,10 @@ impl Pool {
         self.store.set_epoch(epoch);
     }
 
-    /// Caps the pool at `max` non-quarantined slots (`None` = unbounded).
-    /// A checkout that finds every healthy slot busy returns
-    /// [`ServeError::Exhausted`] instead of instantiating past the cap;
-    /// quarantined slots do not count, so poisoned capacity is replaced.
+    /// Caps the pool at `max` live slots (`None` = unbounded). A checkout
+    /// that finds every slot busy returns [`ServeError::Exhausted`]
+    /// instead of instantiating past the cap; a quarantined slot is no
+    /// longer live, so poisoned capacity is replaced.
     pub fn set_max_slots(&mut self, max: Option<usize>) {
         self.max_slots = max;
     }
@@ -466,8 +436,8 @@ impl Pool {
     /// or table already exceeds it).
     pub fn set_limits(&mut self, limits: InstanceLimits) {
         self.store.set_default_limits(limits);
-        for slot in &self.slots {
-            self.store.set_instance_limits(slot.handle, limits);
+        for handle in self.store.handles().collect::<Vec<_>>() {
+            self.store.set_instance_limits(handle, limits);
         }
     }
 
@@ -481,21 +451,15 @@ impl Pool {
         self.store.set_epoch_deadline(handle, deadline);
     }
 
-    /// Permanently retires a slot: it never re-enters the free list, its
-    /// capacity no longer counts against the cap (so the cold path can
-    /// replace it lazily), and the quarantine metric records it. The
-    /// slot's linear memory is released now — the instance itself lives
-    /// as long as the store, and a capped pool that keeps replacing
-    /// poisoned capacity must not keep every dead tenant's memory too.
-    fn quarantine(&mut self, slot: usize) {
-        self.slots[slot].poisoned = true;
-        self.store.drop_memory(self.slots[slot].handle);
-        self.quarantined += 1;
+    /// Permanently retires a slot: the store drops its instance whole, so
+    /// the cold path may replace it, and the quarantine metric counts it.
+    fn quarantine(&mut self, handle: InstanceHandle) {
+        self.store.retire(handle);
         self.metrics.quarantined += 1;
     }
 
-    /// Counts a shed checkout: every one of the `capacity` healthy slots
-    /// the pool may hold is checked out.
+    /// Counts a shed checkout: every one of the `capacity` slots the pool
+    /// may hold is checked out.
     fn exhausted(&mut self, capacity: usize) -> ServeError {
         self.metrics.exhausted += 1;
         ServeError::Exhausted { capacity }
@@ -509,31 +473,39 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Exhausted`] when every healthy slot the pool may hold
-    /// is checked out — the slot cap, or the variant's sandbox tags (15
+    /// [`ServeError::Exhausted`] when every slot the pool may hold is
+    /// checked out — the slot cap, or the variant's sandbox tags (15
     /// under `CageSandboxing`, one under `CageFull`), whichever is hit
     /// first; [`ServeError::Instantiate`] on the cold path (e.g. a
     /// deterministically trapping start function).
     pub fn checkout(&mut self) -> Result<PooledInstance, ServeError> {
-        while let Some(slot) = self.free.pop() {
-            let handle = self.slots[slot].handle;
-            match self.store.reset_instance(handle) {
-                Ok(()) => {
-                    self.arm(handle);
-                    self.metrics.resets += 1;
-                    self.outstanding += 1;
-                    return Ok(PooledInstance { slot });
-                }
-                // The slot was already popped off the free list; dropping
-                // the error here used to leak it silently. Quarantine it
-                // and keep looking — if the failure is deterministic (the
-                // start function always traps), the cold path below
-                // reports it as an instantiation error.
-                Err(_) => self.quarantine(slot),
+        let handle = loop {
+            let Some(handle) = self.free.pop() else {
+                break self.instantiate()?;
+            };
+            if self.store.reset_instance(handle).is_ok() {
+                self.metrics.resets += 1;
+                break handle;
             }
-        }
+            // The slot was already popped off the free list; dropping the
+            // error here used to leak it silently. Quarantine it and keep
+            // looking — if the failure is deterministic (the start
+            // function always traps), the cold path reports it as an
+            // instantiation error.
+            self.quarantine(handle);
+        };
+        self.arm(handle);
+        Ok(PooledInstance {
+            handle,
+            poisoned: Cell::default(),
+        })
+    }
+
+    /// The cold path of [`Pool::checkout`]: a new slot stamped from the
+    /// template, unless the pool is at its capacity.
+    fn instantiate(&mut self) -> Result<InstanceHandle, ServeError> {
         if let Some(cap) = self.max_slots {
-            if self.slots.len() - self.quarantined >= cap {
+            if self.capacity() >= cap {
                 return Err(self.exhausted(cap));
             }
         }
@@ -542,23 +514,15 @@ impl Pool {
             Ok(handle) => handle,
             // The store has no sandbox tag left (§6.4). The free list is
             // empty here and a quarantined slot has returned its tag, so
-            // every tag is under a healthy slot that is checked out: the
+            // every tag is under a live slot that is checked out: the
             // pool is saturated, at the capacity the variant gives it.
             Err(InstantiateError::TooManySandboxes) => {
-                return Err(self.exhausted(self.slots.len() - self.quarantined));
+                return Err(self.exhausted(self.capacity()));
             }
             Err(e) => return Err(e.into()),
         };
-        self.arm(handle);
         self.metrics.instantiations += 1;
-        self.slots.push(Slot {
-            handle,
-            poisoned: false,
-        });
-        self.outstanding += 1;
-        Ok(PooledInstance {
-            slot: self.slots.len() - 1,
-        })
+        Ok(handle)
     }
 
     /// Invokes an export on a checked-out instance.
@@ -581,9 +545,9 @@ impl Pool {
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
         self.metrics.invocations += 1;
-        let result = self.store.invoke(self.slots[inst.slot].handle, name, args);
+        let result = self.store.invoke(inst.handle, name, args);
         if matches!(result, Err(Trap::HostPanic(_))) {
-            self.slots[inst.slot].poisoned = true;
+            inst.poisoned.set(true);
         }
         result
     }
@@ -592,7 +556,7 @@ impl Pool {
     /// (it will be quarantined, not recycled, on release).
     #[must_use]
     pub fn is_poisoned(&self, inst: &PooledInstance) -> bool {
-        self.slots[inst.slot].poisoned
+        inst.poisoned.get()
     }
 
     /// Returns an instance to the pool. Its counters are folded into the
@@ -600,16 +564,13 @@ impl Pool {
     /// expensive state reset is deferred to the next [`Pool::checkout`]
     /// that recycles it), a poisoned one is quarantined.
     pub fn release(&mut self, inst: PooledInstance) {
-        let handle = self.slots[inst.slot].handle;
-        self.metrics.absorb_instance(
-            &self.store.charge_counts(handle),
-            self.store.fuel_consumed(handle),
-        );
-        self.outstanding -= 1;
-        if self.slots[inst.slot].poisoned {
-            self.quarantine(inst.slot);
+        let handle = inst.handle;
+        self.metrics.counts += &self.store.charge_counts(handle);
+        self.metrics.fuel_consumed += self.store.fuel_consumed(handle);
+        if inst.poisoned.get() {
+            self.quarantine(handle);
         } else {
-            self.free.push(inst.slot);
+            self.free.push(handle);
         }
     }
 
@@ -617,7 +578,7 @@ impl Pool {
     #[must_use]
     pub fn stdout(&self, inst: &PooledInstance) -> String {
         self.store
-            .host_state::<Libc>(self.slots[inst.slot].handle)
+            .host_state::<Libc>(inst.handle)
             .map(Libc::stdout)
             .unwrap_or_default()
     }
@@ -625,7 +586,7 @@ impl Pool {
     /// Remaining fuel of a checked-out instance (`None` = unlimited).
     #[must_use]
     pub fn fuel_remaining(&self, inst: &PooledInstance) -> Option<u64> {
-        self.store.fuel_remaining(self.slots[inst.slot].handle)
+        self.store.fuel_remaining(inst.handle)
     }
 
     /// Modeled cycle counter of a checked-out instance. Zeroed by the
@@ -633,21 +594,21 @@ impl Pool {
     /// probe against a fresh pool's bit-for-bit.
     #[must_use]
     pub fn cycles(&self, inst: &PooledInstance) -> f64 {
-        self.store.cycles(self.slots[inst.slot].handle)
+        self.store.cycles(inst.handle)
     }
 
     /// Retired-instruction count of a checked-out instance (zeroed by the
     /// recycle reset, like [`Pool::cycles`]).
     #[must_use]
     pub fn instr_count(&self, inst: &PooledInstance) -> u64 {
-        self.store.instr_count(self.slots[inst.slot].handle)
+        self.store.instr_count(inst.handle)
     }
 
-    /// Instance slots ever created (recycled slots count once,
-    /// quarantined slots still count).
+    /// Live slots: checked out or released for recycling (the store's
+    /// live instances). A quarantined slot is gone and does not count.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.store.instance_count()
     }
 
     /// Slots currently checked out and not yet released — the leak
@@ -656,25 +617,18 @@ impl Pool {
     /// and the [`PoolMetrics::leaked`] counter.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.outstanding
+        self.capacity() - self.free.len()
     }
 
-    /// Slots permanently retired by host panics or failed resets.
-    #[must_use]
-    pub fn quarantined(&self) -> usize {
-        self.quarantined
-    }
-
-    /// Host bytes of linear memory this pool's slots actually back: the
-    /// sum of [`cage_engine::LinearMemory::committed_bytes`] over every
-    /// slot that is not quarantined (those have released theirs).
-    /// Host-side, and it varies with what the tenants touched — the
+    /// Host bytes of linear memory this pool's live slots actually back:
+    /// the sum of [`cage_engine::LinearMemory::committed_bytes`] over
+    /// them. Host-side, and it varies with what the tenants touched — the
     /// *modelled* footprint of §7.3 is `resident_bytes`, which does not.
     #[must_use]
     pub fn committed_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter_map(|slot| self.store.memory(slot.handle))
+        self.store
+            .handles()
+            .filter_map(|handle| self.store.memory(handle))
             .map(cage_engine::LinearMemory::committed_bytes)
             .sum()
     }
@@ -688,12 +642,12 @@ impl Pool {
         self.metrics.rejected += 1;
     }
 
-    /// Snapshot of the pool totals, with `cycles` and `instr_count`
-    /// derived from the accumulated counts here, on read.
+    /// Snapshot of the pool totals, with `instr_count` derived from the
+    /// accumulated counts here, on read; price the counts with
+    /// [`Store::price`] for cycles.
     #[must_use]
     pub fn metrics(&self) -> PoolMetrics {
         PoolMetrics {
-            cycles: self.store.price(&self.metrics.counts),
             instr_count: self.metrics.counts.instr_count(),
             ..self.metrics
         }
@@ -720,13 +674,13 @@ impl Drop for Pool {
     /// in debug builds, a hard failure (suppressed while already
     /// panicking, so a failing test reports its own error).
     fn drop(&mut self) {
-        if self.outstanding > 0 {
-            self.metrics.leaked += self.outstanding as u64;
+        let outstanding = self.outstanding();
+        if outstanding > 0 {
+            self.metrics.leaked += outstanding as u64;
             if !thread::panicking() {
                 debug_assert_eq!(
-                    self.outstanding, 0,
-                    "pool dropped with {} instance(s) still checked out",
-                    self.outstanding
+                    outstanding, 0,
+                    "pool dropped with {outstanding} instance(s) still checked out"
                 );
             }
         }
@@ -865,8 +819,8 @@ mod tests {
         // Three instances with unlike amounts of work (memory traffic,
         // libc host calls, a division), released in two different orders
         // by two pools of one template: the totals are the same to the
-        // bit, and `cycles`/`instr_count` are what the accumulated counts
-        // come to under the pool's cost model.
+        // bit, `instr_count` is what the accumulated counts come to, and
+        // so are the cycles a reader prices them at.
         let pre = template(
             r#"
             long work(long n) {
@@ -883,10 +837,14 @@ mod tests {
             Variant::CageMemSafety,
             HostProfile::Libc,
         );
+        const WORK: [i64; 3] = [7, 1_000, 33];
+        // Cycles are priced on read, by any store of the template's config.
+        let pricer = Pool::new(Arc::clone(&pre));
+        let price = |m: &PoolMetrics| pricer.store().price(&m.counts).to_bits();
         let totals = |order: [usize; 3]| {
             let mut pool = Pool::new(Arc::clone(&pre));
             let mut held: Vec<_> = (0..3).map(|_| Some(pool.checkout().unwrap())).collect();
-            for (inst, n) in held.iter().zip([7, 1_000, 33]) {
+            for (inst, n) in held.iter().zip(WORK) {
                 let inst = inst.as_ref().expect("held");
                 pool.invoke(inst, "work", &[Value::I64(n)]).unwrap();
             }
@@ -894,19 +852,41 @@ mod tests {
                 pool.release(held[i].take().expect("released once"));
             }
             let m = pool.metrics();
-            assert_eq!(m.cycles, pool.store().price(&m.counts));
             assert_eq!(m.instr_count, m.counts.instr_count());
             m
         };
         let m = totals([0, 1, 2]);
         assert_eq!(m, totals([2, 0, 1]));
         assert_eq!(m, totals([1, 2, 0]));
-        assert!(m.instr_count > 10_000 && m.cycles > 0.0, "{m:?}");
-        // Merged snapshots add up, derived fields included.
-        let mut fleet = m;
-        fleet.merge(&m);
-        assert_eq!(fleet.instr_count, 2 * m.instr_count);
-        assert_eq!(fleet.counts.instr_count(), fleet.instr_count);
+        assert!(
+            m.instr_count > 10_000 && f64::from_bits(price(&m)) > 0.0,
+            "{m:?}"
+        );
+        // One worker per request: their snapshots merged in two orders
+        // give the one pool's counts, and so its cycles to the bit.
+        let workers: Vec<PoolMetrics> = WORK
+            .iter()
+            .map(|&n| {
+                let mut pool = Pool::new(Arc::clone(&pre));
+                let inst = pool.checkout().unwrap();
+                pool.invoke(&inst, "work", &[Value::I64(n)]).unwrap();
+                pool.release(inst);
+                pool.metrics()
+            })
+            .collect();
+        let fleet = |order: [usize; 3]| {
+            let mut fleet = PoolMetrics::default();
+            order.iter().for_each(|&i| fleet.merge(&workers[i]));
+            fleet
+        };
+        let (forward, backward) = (fleet([0, 1, 2]), fleet([2, 1, 0]));
+        assert_eq!(forward, backward);
+        assert_eq!(price(&forward), price(&backward));
+        assert_eq!(
+            (forward.counts, forward.instr_count),
+            (m.counts, m.instr_count)
+        );
+        assert_eq!(price(&forward), price(&m));
     }
 
     #[test]
@@ -1115,7 +1095,7 @@ mod tests {
         use cage_engine::memory::RUNTIME_SLACK;
         // Memory image and tag store of a checked-out slot.
         fn image(pool: &Pool, inst: &PooledInstance) -> (Vec<u8>, Vec<u8>) {
-            let mem = pool.store().memory(pool.slots[inst.slot].handle).unwrap();
+            let mem = pool.store().memory(inst.handle).unwrap();
             let total = mem.size() + RUNTIME_SLACK;
             (mem.read_resolved(0, total), mem.tags().packed().to_vec())
         }
@@ -1125,7 +1105,7 @@ mod tests {
             let mut pool = Pool::new(Arc::new(pre.expect("validates")));
             let mut probe = || {
                 let inst = pool.checkout().expect("checks out");
-                let handle = pool.slots[inst.slot].handle;
+                let handle = inst.handle;
                 let before = image(&pool, &inst);
                 let out = pool.invoke(&inst, "scribble", &[]).expect("runs");
                 let dirty = pool.store().memory(handle).unwrap().dirty_block_count();
@@ -1223,22 +1203,26 @@ mod tests {
         assert!(matches!(err, Trap::HostPanic(_)), "{err}");
         assert!(pool.is_poisoned(&inst));
         pool.release(inst);
-        assert_eq!(pool.quarantined(), 1);
         assert_eq!(pool.metrics().quarantined, 1);
         // The quarantined slot is replaced lazily by a fresh instantiation,
         // and ordinary work proceeds.
         let inst = pool.checkout().unwrap();
         assert_eq!(pool.invoke(&inst, "ok", &[]).unwrap(), vec![Value::I64(1)]);
         pool.release(inst);
-        assert_eq!(pool.capacity(), 2, "fresh slot beside the quarantined one");
+        assert_eq!(
+            pool.capacity(),
+            1,
+            "a fresh slot, nothing of the quarantined one"
+        );
+        assert_eq!(pool.store().instance_count(), 1);
         assert_eq!(pool.metrics().instantiations, 2);
         assert_eq!(pool.metrics().resets, 0, "poisoned slot never recycled");
     }
 
     #[test]
     fn quarantined_slots_release_their_linear_memory() {
-        // A capped pool replaces poisoned capacity; the instances it
-        // retires live as long as its store. Their memories must not.
+        // A capped pool replaces poisoned capacity; the store retires each
+        // quarantined instance whole, memory included.
         use cage_wasm::ValType;
         let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
             *linker = Linker::with_libc();
@@ -1272,8 +1256,11 @@ mod tests {
             pool.release(inst);
             assert_eq!(pool.committed_bytes(), 0, "round {round}");
         }
-        assert_eq!(pool.quarantined(), 8);
-        assert_eq!(pool.capacity(), 8);
+        assert_eq!(pool.metrics().quarantined, 8);
+        assert_eq!(pool.capacity(), 0, "no dead slot kept");
+        let inst = pool.checkout().unwrap();
+        pool.release(inst);
+        assert_eq!(pool.capacity(), 1);
     }
 
     #[test]
@@ -1312,7 +1299,7 @@ mod tests {
             pool.release(inst);
             assert_eq!(pool.committed_bytes(), 0, "round {round}");
         }
-        assert_eq!(pool.quarantined(), 20);
+        assert_eq!(pool.metrics().quarantined, 20);
         let inst = pool.checkout().unwrap();
         let out = pool.invoke(&inst, "g", &[Value::I64(41)]).unwrap();
         assert_eq!(out, vec![Value::I64(42)]);
@@ -1408,7 +1395,7 @@ mod tests {
             .unwrap_or(0);
         let mut pool = Pool::new(pre);
         let inst = pool.checkout().unwrap();
-        let handle = pool.slots[inst.slot].handle;
+        let handle = inst.handle;
         assert_eq!(pool.store().memory(handle).unwrap().size_pages(), 64);
         assert_eq!(pool.committed_bytes(), under_data);
         assert!(under_data <= PAGE, "{under_data}");

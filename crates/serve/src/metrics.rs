@@ -8,11 +8,12 @@ use cage_engine::ChargeCounts;
 /// worker into the run totals it reports.
 ///
 /// A pool accumulates the integer [`ChargeCounts`] of its instances and
-/// nothing priced: `cycles` and `instr_count` are derived from `counts`
-/// when the pool hands out a snapshot (`Pool::metrics`), so they do not
-/// depend on the order instances were released in, and a release adds
-/// integers.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// nothing priced: `instr_count` is derived from `counts` when the pool
+/// hands out a snapshot (`Pool::metrics`), and a reader prices `counts`
+/// with the store's cost model (`Store::price`) for cycles. Release and
+/// merge add integers only, so totals do not depend on the order
+/// instances were released or snapshots merged in.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
     /// Instances stamped out anew (cold path).
     pub instantiations: u64,
@@ -22,10 +23,8 @@ pub struct PoolMetrics {
     pub invocations: u64,
     /// What all served instances were charged, class by class.
     pub counts: ChargeCounts,
-    /// Model cycles of `counts` under the pool's cost model, as of the
-    /// snapshot (zero in a pool's own running totals).
-    pub cycles: f64,
-    /// Retired instructions in `counts`, as of the snapshot (likewise).
+    /// Retired instructions in `counts`, as of the snapshot (zero in a
+    /// pool's own running totals).
     pub instr_count: u64,
     /// Fuel consumed across all served instances (0 when no budget set).
     pub fuel_consumed: u64,
@@ -43,19 +42,12 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Folds the counters of one served instance into the totals.
-    pub fn absorb_instance(&mut self, counts: &ChargeCounts, fuel_consumed: u64) {
-        self.counts += counts;
-        self.fuel_consumed += fuel_consumed;
-    }
-
     /// Merges another snapshot (e.g. a worker thread's pool) into this one.
     pub fn merge(&mut self, other: &PoolMetrics) {
         self.instantiations += other.instantiations;
         self.resets += other.resets;
         self.invocations += other.invocations;
         self.counts += &other.counts;
-        self.cycles += other.cycles;
         self.instr_count += other.instr_count;
         self.fuel_consumed += other.fuel_consumed;
         self.quarantined += other.quarantined;

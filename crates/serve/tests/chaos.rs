@@ -20,6 +20,10 @@
 //! *Load.* A C handler linked against libc: every response checked
 //! against a host-side reference, the pool counters against the
 //! arithmetic of the run, and `malloc` NULL under a page cap.
+//!
+//! *Storm.* Thousands of host panics through a one-slot pool under each
+//! of the six variants: quarantine must leave nothing behind in the
+//! store.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -336,10 +340,13 @@ fn inject(pool: &mut Pool, fault: Fault) {
     // Only a host panic poisons, and releasing the poisoned slot
     // quarantines it; every other class recycles.
     let panicked = fault == Fault::HostPanic;
-    let quarantined = pool.quarantined();
+    let quarantined = pool.metrics().quarantined;
     assert_eq!(pool.is_poisoned(&inst), panicked, "{variant}: {fault:?}");
     pool.release(inst);
-    assert_eq!(pool.quarantined(), quarantined + usize::from(panicked));
+    assert_eq!(
+        pool.metrics().quarantined,
+        quarantined + u64::from(panicked)
+    );
     pool.set_limits(InstanceLimits::default());
     pool.set_fuel_budget(Some(FUEL));
     pool.set_epoch_budget(None);
@@ -415,7 +422,6 @@ fn every_fault_class_recycles_bit_identically_or_quarantines() {
             // panic, no other class retires capacity, and the ledger
             // balances at zero.
             let panics = injected["host_panic"];
-            assert_eq!(pool.quarantined(), panics, "{row}");
             assert_eq!(pool.metrics().quarantined, panics as u64, "{row}");
             assert_eq!(pool.metrics().leaked, 0, "{row}");
             panics
@@ -437,7 +443,7 @@ fn chaos_runs_are_deterministic_for_a_fixed_seed() {
         let run = |workers: usize, seed: u64| {
             on_workers(&pre, workers, |w, pool| {
                 let trace = chaos(pool, seed + w as u64, 40);
-                (trace, pool.metrics(), pool.quarantined())
+                (trace, pool.metrics())
             })
         };
         let alone = run(one, 7);
@@ -463,7 +469,7 @@ fn quarantined_capacity_is_replaced_within_the_cap() {
         on_workers(&template(variant), workers, |w, pool| {
             pool.set_max_slots(Some(2));
             inject(pool, Fault::HostPanic);
-            assert_eq!(pool.quarantined(), 1);
+            assert_eq!(pool.metrics().quarantined, 1);
 
             // The quarantined slot no longer counts (and has returned
             // its sandbox tag), so the cold path may stamp replacements.
@@ -481,6 +487,50 @@ fn quarantined_capacity_is_replaced_within_the_cap() {
             }
             assert_eq!(pool.metrics().exhausted, 1);
         });
+    }
+}
+
+/// Host panics in the storm of [`a_quarantine_storm_leaves_nothing_behind`].
+const QUARANTINES: usize = 5_000;
+
+/// A pool that quarantines slot after slot keeps nothing of them: under
+/// every variant, capped at one slot and with every request panicking its
+/// host function, the store holds at most the one live slot and commits
+/// no memory after each release, and after the storm the pool serves a
+/// probe equal to a fresh pool's.
+#[test]
+fn a_quarantine_storm_leaves_nothing_behind() {
+    silence_injected_panics();
+    for variant in Variant::ALL {
+        let pre = template(variant);
+        let mut fresh = Pool::new(Arc::clone(&pre));
+        fresh.set_fuel_budget(Some(FUEL));
+        let baseline = probe(&mut fresh);
+        let mut pool = Pool::new(pre);
+        pool.set_fuel_budget(Some(FUEL));
+        pool.set_max_slots(Some(1));
+        for round in 0..QUARANTINES {
+            MODE.with(|m| m.set(MODE_PANIC));
+            let inst = pool.checkout().expect("checkout");
+            let out = pool.invoke(&inst, "work", &[Value::I64(3)]);
+            MODE.with(|m| m.set(MODE_OK));
+            assert!(matches!(out, Err(Trap::HostPanic(_))), "{variant}: {out:?}");
+            pool.release(inst);
+            let live = pool.store().instance_count();
+            assert!(
+                live == pool.capacity() && live <= 1,
+                "{variant}, round {round}: {live}"
+            );
+            assert_eq!(pool.committed_bytes(), 0, "{variant}, round {round}");
+        }
+        assert_eq!(probe(&mut pool), baseline, "{variant}: after the storm");
+        let m = pool.metrics();
+        let quarantines = QUARANTINES as u64;
+        assert_eq!(
+            (m.quarantined, m.instantiations),
+            (quarantines, quarantines + 1)
+        );
+        assert_eq!(pool.store().instance_count(), 1, "{variant}");
     }
 }
 

@@ -7,15 +7,15 @@
 //! primitives, so a host-side allocator can create and free segments
 //! exactly like the paper's dlmalloc modification does from guest code.
 //!
-//! A host surface may also carry one per-instance [`HostState`] (the
-//! libc's allocator and captured stdout): the store keeps it beside the
-//! instance it was instantiated with and rewinds it on
-//! [`crate::Store::reset_instance`].
+//! An instance may also own one [`HostState`] (the libc's allocator and
+//! captured stdout), handed to [`crate::Store::instantiate_precompiled`]:
+//! the store keeps it beside the instance, rewinds it on
+//! [`crate::Store::reset_instance`], and passes it to every host call of
+//! that instance ([`HostContext::state`]). Host functions themselves hold
+//! no per-instance state, so one definition serves every instance.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use cage_wasm::ValType;
@@ -38,9 +38,20 @@ pub struct HostContext<'a> {
     /// priced when read — so reading it tells a host only what hosts
     /// charged.
     pub cycles: &'a mut f64,
+    /// The calling instance's host state, if it was instantiated with one.
+    pub state: Option<&'a dyn HostState>,
 }
 
-impl HostContext<'_> {
+impl<'a> HostContext<'a> {
+    /// The calling instance's host state, if it has one of type `T`. The
+    /// reference lives as long as the context, not as this borrow of it,
+    /// so a host function can hold it and [`HostContext::memory`] at once.
+    #[must_use]
+    pub fn state<T: HostState>(&self) -> Option<&'a T> {
+        let state: &'a dyn Any = self.state?;
+        state.downcast_ref()
+    }
+
     /// The instance memory.
     ///
     /// # Errors
@@ -111,9 +122,10 @@ impl std::fmt::Debug for HostFunc {
 
 /// Host-side state that belongs to one instance — what its host
 /// functions read and write between calls (the libc's allocator and
-/// captured stdout). Recorded on the [`Imports`] an instance is created
-/// from ([`Imports::set_host_state`]), kept by the store for that
-/// instance, and read back typed with [`crate::Store::host_state`].
+/// captured stdout). Handed to [`crate::Store::instantiate_precompiled`],
+/// owned by the store for that instance, reached by its host functions
+/// through [`HostContext::state`] and by the embedder through
+/// [`crate::Store::host_state`].
 pub trait HostState: Any + std::fmt::Debug {
     /// Rewinds the state to how it was before the instance's start
     /// function first ran. [`crate::Store::reset_instance`] calls it
@@ -121,33 +133,29 @@ pub trait HostState: Any + std::fmt::Debug {
     fn reset(&self);
 }
 
-/// A set of named host functions to satisfy a module's imports, plus at
-/// most one per-instance [`HostState`].
-///
-/// Cloning is cheap: entries are shared handles, so a clone registers the
-/// *same* host functions (and their captured state) — which is what a
-/// `Linker` wants when it instantiates many modules against one host
-/// surface.
-///
-/// The map hashes with a fixed key, so it is filled, walked and dropped
-/// in the same order in every process. Every cold instantiation builds
-/// one and frees its entries at once; under the per-process random key
-/// of `RandomState` that free order — and with it where glibc placed the
-/// next instance's memory — changed from run to run, and the peak RSS
-/// of `cage-bench`'s `serve_cold` read anywhere from 6 to 10 MB. Keys
-/// come from the embedder, never from a guest, so a fixed hash key
-/// exposes no collision attack.
-#[derive(Debug, Default, Clone)]
-pub struct Imports {
-    map: FixedKeyMap<(String, String), Rc<RefCell<HostFunc>>>,
-    pub(crate) state: Option<Rc<dyn HostState>>,
+/// One instance's host side: the host functions its imports resolved
+/// to, by import index, and its own host state (its libc), if any —
+/// passed to each of its host calls and rewound by
+/// [`crate::Store::reset_instance`] before the start function runs again.
+/// One field of the instance, so the dispatch loop's `Env` reaches both
+/// through one reference: with the state as a field of its own there,
+/// `run_reg` kept its charge sum on the stack (`ci/dispatch_lint.sh`).
+pub(crate) struct InstanceHost {
+    pub(crate) funcs: Vec<Rc<RefCell<HostFunc>>>,
+    pub(crate) state: Option<Box<dyn HostState>>,
 }
 
-/// The workspace's one hash map (`clippy.toml` bans std's `HashMap` and
-/// `HashSet` everywhere else): SipHash under a fixed key, so the same
-/// inserts give the same layout and drop order in every process.
-#[allow(clippy::disallowed_types)]
-type FixedKeyMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+/// A set of named host functions to satisfy a module's imports, in
+/// definition order, looked up by name without allocating.
+///
+/// Cloning is cheap: entries are shared handles, so a clone holds the
+/// *same* host functions (and whatever they capture) — which is what a
+/// `Linker` wants when it instantiates many modules against one host
+/// surface.
+#[derive(Debug, Default, Clone)]
+pub struct Imports {
+    funcs: Vec<(String, String, Rc<RefCell<HostFunc>>)>,
+}
 
 impl Imports {
     /// An empty import set.
@@ -156,49 +164,42 @@ impl Imports {
         Imports::default()
     }
 
-    /// Copies every entry of `other` into `self` (shared handles),
-    /// replacing entries with the same `module.name`. The host state of
-    /// `self` is kept.
-    pub fn merge_from(&mut self, other: &Imports) {
-        for (key, func) in &other.map {
-            self.map.insert(key.clone(), Rc::clone(func));
-        }
-    }
-
-    /// Records the per-instance state the functions of this set share,
-    /// replacing any earlier one: each instance created from these
-    /// imports keeps it, and a reset rewinds it.
-    pub fn set_host_state(&mut self, state: Rc<dyn HostState>) {
-        self.state = Some(state);
-    }
-
     /// Registers `func` under `module.name`, replacing any previous entry.
     pub fn define(&mut self, module: &str, name: &str, func: HostFunc) -> &mut Self {
-        self.map.insert(
-            (module.to_string(), name.to_string()),
-            Rc::new(RefCell::new(func)),
-        );
+        let func = Rc::new(RefCell::new(func));
+        match self.entry(module, name) {
+            Some(i) => self.funcs[i].2 = func,
+            None => self
+                .funcs
+                .push((module.to_string(), name.to_string(), func)),
+        }
         self
     }
 
     /// Looks up an import.
     #[must_use]
     pub fn resolve(&self, module: &str, name: &str) -> Option<Rc<RefCell<HostFunc>>> {
-        self.map
-            .get(&(module.to_string(), name.to_string()))
-            .cloned()
+        self.entry(module, name)
+            .map(|i| Rc::clone(&self.funcs[i].2))
+    }
+
+    /// The index of `module.name`'s entry.
+    fn entry(&self, module: &str, name: &str) -> Option<usize> {
+        self.funcs
+            .iter()
+            .position(|(m, n, _)| m == module && n == name)
     }
 
     /// Number of registered functions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.funcs.len()
     }
 
     /// Whether no functions are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.funcs.is_empty()
     }
 }
 
@@ -242,6 +243,7 @@ mod tests {
             memory: None,
             config: &config,
             cycles: &mut cycles,
+            state: None,
         };
         ctx.charge(12.5);
         assert_eq!(cycles, 12.5);
@@ -255,6 +257,7 @@ mod tests {
             memory: None,
             config: &config,
             cycles: &mut cycles,
+            state: None,
         };
         assert!(matches!(ctx.read_bytes(0, 1), Err(Trap::Host(_))));
     }

@@ -81,7 +81,6 @@
 use std::cell::RefCell;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -93,7 +92,7 @@ use cage_wasm::FuncType;
 use crate::bytecode::{unpack_lanes, RegCode, RegOp, SysOp, LANE_GUARD};
 use crate::config::ExecConfig;
 use crate::cost::{ChargeClass, ChargeCounts};
-use crate::host::{HostContext, HostFunc};
+use crate::host::{HostContext, HostFunc, InstanceHost};
 use crate::memory::LinearMemory;
 use crate::store::{CompiledFunc, Instance, DEFAULT_MAX_CALL_DEPTH};
 use crate::trap::{panic_message, Trap};
@@ -331,8 +330,9 @@ impl<'s> Interp<'s> {
             memory: inst.memory.as_mut(),
             config: &self.config,
             cycles: &mut inst.counts.host_cycles,
+            state: inst.host.state.as_deref(),
         };
-        let host = &inst.host_funcs[func_idx as usize];
+        let host = &inst.host.funcs[func_idx as usize];
         host_boundary(host, ctx, &mut self.bufs.host_args, func, stack)
     }
 
@@ -594,7 +594,7 @@ struct Env<'a> {
     counts: &'a mut ChargeCounts,
     globals: &'a mut [Value],
     table: &'a [Option<u32>],
-    host_funcs: &'a [Rc<RefCell<HostFunc>>],
+    host: &'a InstanceHost,
     pac: &'a PacSigner,
     pac_modifier: u64,
     config: &'a ExecConfig,
@@ -626,8 +626,9 @@ impl Env<'_> {
             memory: mem,
             config: self.config,
             cycles: &mut self.counts.host_cycles,
+            state: self.host.state.as_deref(),
         };
-        let host = &self.host_funcs[idx as usize];
+        let host = &self.host.funcs[idx as usize];
         host_boundary(host, ctx, self.host_args, callee, regs)?;
         for (i, &slot) in rets.iter().enumerate() {
             regs[base + slot as usize] = regs[top + i];
@@ -807,8 +808,9 @@ impl Interp<'_> {
             memory: inst.memory.as_mut(),
             config: &self.config,
             cycles: &mut inst.counts.host_cycles,
+            state: inst.host.state.as_deref(),
         };
-        let host = &inst.host_funcs[func_idx as usize];
+        let host = &inst.host.funcs[func_idx as usize];
         let result = host_boundary(host, ctx, &mut bufs.host_args, func, &mut bufs.regs);
         if result.is_ok() {
             for ((out, ty), &raw) in results.iter_mut().zip(&func.ty.results).zip(&bufs.regs) {
@@ -880,7 +882,7 @@ impl Interp<'_> {
             counts,
             globals,
             table,
-            host_funcs,
+            host,
             pac,
             pac_modifier,
             ..
@@ -896,7 +898,7 @@ impl Interp<'_> {
             counts,
             globals,
             table,
-            host_funcs,
+            host,
             pac,
             pac_modifier: *pac_modifier,
             config,

@@ -12,9 +12,7 @@
 //! can fail, and what each other method's doc states where it cannot.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 
@@ -26,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use crate::bytecode::{self, RegCode};
 use crate::config::ExecConfig;
 use crate::cost::{self, ChargeCounts, ClassWeights};
-use crate::host::{HostFunc, HostState, Imports};
+use crate::host::{HostState, Imports, InstanceHost};
 use crate::interp::{CallBuffers, Interp};
 use crate::memory::{LinearMemory, TagScheme};
 use crate::trap::Trap;
@@ -359,11 +357,7 @@ pub(crate) struct Instance {
     pub(crate) memory: Option<LinearMemory>,
     pub(crate) globals: Vec<Value>,
     pub(crate) table: Vec<Option<u32>>,
-    pub(crate) host_funcs: Vec<Rc<RefCell<HostFunc>>>,
-    /// The per-instance host state the imports carried (the libc), if
-    /// any: rewound by [`Store::reset_instance`] before the start
-    /// function runs again.
-    pub(crate) host_state: Option<Rc<dyn HostState>>,
+    pub(crate) host: InstanceHost,
     pub(crate) pac: PacSigner,
     pub(crate) pac_modifier: u64,
     /// What the instance has been charged, as integer counts per class;
@@ -494,10 +488,10 @@ impl Store {
     }
 
     /// Compiles `module` under the default [`cage_wasm::CompileLimits`]
-    /// and instantiates it: [`Precompiled::new`] followed by
-    /// [`Store::instantiate_precompiled`], for a module that gets one
-    /// instance. Anything else builds the [`Precompiled`] itself — once,
-    /// and under the limits it wants.
+    /// and instantiates it against `imports`, with no host state:
+    /// [`Precompiled::new`] followed by [`Store::instantiate_precompiled`],
+    /// for a module that gets one instance. Anything else builds the
+    /// [`Precompiled`] itself — once, and under the limits it wants.
     ///
     /// # Errors
     ///
@@ -507,7 +501,7 @@ impl Store {
         module: &Module,
         imports: &Imports,
     ) -> Result<InstanceHandle, InstantiateError> {
-        self.instantiate_precompiled(&Precompiled::new(module)?, imports)
+        self.instantiate_precompiled(&Precompiled::new(module)?, &[imports], None)
     }
 
     /// Instantiates a [`Precompiled`] template: the per-instance half
@@ -517,6 +511,13 @@ impl Store {
     /// data segments, generates the per-instance PAC key and modifier,
     /// and runs the start function.
     ///
+    /// Each function import resolves to the first of `imports` that
+    /// defines it, so an earlier set shadows a later one. `host_state`
+    /// becomes the instance's own: its host functions reach it through
+    /// [`crate::HostContext::state`], [`Store::host_state`] reads it back,
+    /// [`Store::reset_instance`] rewinds it and [`Store::retire`] drops
+    /// it.
+    ///
     /// # Errors
     ///
     /// See [`InstantiateError`] (everything except `Validation` and
@@ -524,7 +525,8 @@ impl Store {
     pub fn instantiate_precompiled(
         &mut self,
         pre: &Precompiled,
-        imports: &Imports,
+        imports: &[&Imports],
+        host_state: Option<Box<dyn HostState>>,
     ) -> Result<InstanceHandle, InstantiateError> {
         let module: &Module = &pre.module;
         // The call buffers and the instance table grow before this
@@ -544,7 +546,8 @@ impl Store {
             match &import.kind {
                 ImportKind::Func(_) => {
                     let f = imports
-                        .resolve(&import.module, &import.name)
+                        .iter()
+                        .find_map(|set| set.resolve(&import.module, &import.name))
                         .ok_or_else(|| InstantiateError::MissingImport {
                             module: import.module.clone(),
                             name: import.name.clone(),
@@ -618,8 +621,10 @@ impl Store {
             memory,
             globals,
             table,
-            host_funcs,
-            host_state: imports.state.clone(),
+            host: InstanceHost {
+                funcs: host_funcs,
+                state: host_state,
+            },
             // A fresh key per instance: leaked signed pointers are useless
             // elsewhere (§4.2).
             pac: PacSigner::new(
@@ -629,8 +634,6 @@ impl Store {
                 } else {
                     PointerLayout::PacOnly
                 },
-                // FEAT_FPAC: a failed auth traps (the Pixel 8 has it).
-                true,
             ),
             // PAC keys are per-process on hardware; co-resident instances
             // are distinguished by a random modifier (§6.3).
@@ -935,7 +938,7 @@ impl Store {
         inst.epoch_deadline = None;
         // Before the start function: what it allocates and prints
         // belongs to the fresh state, as on a first instantiation.
-        if let Some(state) = &inst.host_state {
+        if let Some(state) = &inst.host.state {
             state.reset();
         }
         if let Some(start) = module.start {
@@ -956,10 +959,10 @@ impl Store {
     }
 
     /// The host state `handle` was instantiated with, if it has one of
-    /// type `T` (see [`Imports::set_host_state`]).
+    /// type `T` (see [`Store::instantiate_precompiled`]).
     #[must_use]
     pub fn host_state<T: HostState>(&self, handle: InstanceHandle) -> Option<&T> {
-        let state: &dyn Any = self.instance(handle)?.host_state.as_deref()?;
+        let state: &dyn Any = self.instance(handle)?.host.state.as_deref()?;
         state.downcast_ref()
     }
 
@@ -1034,8 +1037,11 @@ impl Store {
 mod tests {
     use super::*;
     use crate::config::Variant;
+    use crate::host::{HostContext, HostFunc};
     use cage_wasm::builder::ModuleBuilder;
     use cage_wasm::{Instr, ValType};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn add_module() -> Module {
         let mut b = ModuleBuilder::new();
@@ -1228,9 +1234,9 @@ mod tests {
 
     /// A module with a memory, an exported global, an export `add` and
     /// an export `tick` that calls the host function `env.tick`, and
-    /// imports that define `env.tick` over `log`, with `log` as their host
-    /// state.
-    fn tenant(log: &Rc<TickLog>) -> (Module, Imports) {
+    /// imports that define `env.tick` as a tick on the calling instance's
+    /// [`TickLog`].
+    fn tenant() -> (Module, Imports) {
         let mut b = ModuleBuilder::new();
         b.import_func("env", "tick", &[], &[]);
         b.add_memory64(1);
@@ -1246,41 +1252,84 @@ mod tests {
         );
         b.export_func("add", add);
         let mut imports = Imports::new();
-        let ticks = Rc::clone(log);
-        imports.define(
-            "env",
-            "tick",
-            HostFunc::new(&[], &[], move |_, _| {
-                ticks.0.borrow_mut().push("tick");
-                Ok(vec![])
-            }),
-        );
-        imports.set_host_state(Rc::clone(log) as Rc<dyn HostState>);
+        imports.define("env", "tick", HostFunc::new(&[], &[], log_tick));
         (b.build(), imports)
+    }
+
+    /// A host function that logs a tick on the calling instance's
+    /// [`TickLog`], and traps when it has none.
+    fn log_tick(ctx: &mut HostContext<'_>, _: &[Value]) -> Result<Vec<Value>, Trap> {
+        let log = ctx.state::<TickLog>().ok_or(Trap::Unreachable)?;
+        log.0.borrow_mut().push("tick");
+        Ok(vec![])
+    }
+
+    /// Instantiates `module` against `imports` with a [`TickLog`] over
+    /// `log` as its host state.
+    fn with_log(
+        store: &mut Store,
+        module: &Module,
+        imports: &Imports,
+        log: &Rc<RefCell<Vec<&'static str>>>,
+    ) -> Result<InstanceHandle, InstantiateError> {
+        let pre = Precompiled::new(module)?;
+        let state = Box::new(TickLog(Rc::clone(log)));
+        store.instantiate_precompiled(&pre, &[imports], Some(state))
     }
 
     #[test]
     fn a_retired_instance_drops_its_host_state_and_host_functions() {
-        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
-        let (module, imports) = tenant(&log);
+        let log = Rc::default();
+        let (module, imports) = tenant();
+        let tick = imports.resolve("env", "tick").unwrap();
         let mut store = Store::new(ExecConfig::default());
-        let h = store.instantiate(&module, &imports).unwrap();
-        drop(imports);
+        let h = with_log(&mut store, &module, &imports, &log).unwrap();
         store.invoke(h, "tick", &[]).unwrap();
-        // The host state, and the host function that captured it.
-        assert_eq!(Rc::strong_count(&log), 3);
+        // The host state, and the host function (which captures none).
+        assert_eq!((Rc::strong_count(&log), Rc::strong_count(&tick)), (2, 3));
         store.retire(h);
-        assert_eq!(Rc::strong_count(&log), 1, "the store keeps nothing of it");
-        assert_eq!(*log.0.borrow(), ["tick"]);
+        let counts = (Rc::strong_count(&log), Rc::strong_count(&tick));
+        assert_eq!(counts, (1, 2), "the store keeps nothing of either");
+        assert_eq!(*log.borrow(), ["tick"]);
         assert_eq!(store.instance_count(), 0);
     }
 
     #[test]
-    fn a_stale_handle_traps_or_answers_none() {
-        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
-        let (module, imports) = tenant(&log);
+    fn a_host_function_of_an_instance_without_state_sees_none() {
+        let (module, imports) = tenant();
         let mut store = Store::new(ExecConfig::default());
-        let h = store.instantiate(&module, &imports).unwrap();
+        let bare = store.instantiate(&module, &imports).unwrap();
+        assert_eq!(store.invoke(bare, "tick", &[]), Err(Trap::Unreachable));
+        // The entry path (a host function called directly) too.
+        assert_eq!(store.call(bare, 0, &[]), Err(Trap::Unreachable));
+        let log = Rc::default();
+        let h = with_log(&mut store, &module, &imports, &log).unwrap();
+        store.invoke(h, "tick", &[]).unwrap();
+        store.call(h, 0, &[]).unwrap();
+        assert_eq!(*log.borrow(), ["tick", "tick"]);
+    }
+
+    #[test]
+    fn two_instances_of_one_import_set_keep_their_own_host_state() {
+        let (module, imports) = tenant();
+        let (log_a, log_b) = (Rc::default(), Rc::default());
+        let mut store = Store::new(ExecConfig::default());
+        let a = with_log(&mut store, &module, &imports, &log_a).unwrap();
+        let b = with_log(&mut store, &module, &imports, &log_b).unwrap();
+        store.invoke(a, "tick", &[]).unwrap();
+        store.invoke(b, "tick", &[]).unwrap();
+        store.invoke(b, "tick", &[]).unwrap();
+        store.reset_instance(a).unwrap();
+        assert_eq!(*log_a.borrow(), ["tick", "reset"]);
+        assert_eq!(*log_b.borrow(), ["tick", "tick"]);
+    }
+
+    #[test]
+    fn a_stale_handle_traps_or_answers_none() {
+        let log = Rc::default();
+        let (module, imports) = tenant();
+        let mut store = Store::new(ExecConfig::default());
+        let h = with_log(&mut store, &module, &imports, &log).unwrap();
         store.set_fuel(h, Some(100));
         store.invoke(h, "tick", &[]).unwrap();
         assert!(store.memory(h).is_some() && store.global(h, "g").is_some());
@@ -1321,16 +1370,16 @@ mod tests {
 
     #[test]
     fn an_instance_that_reuses_a_retired_index_is_unreachable_through_the_old_handle() {
-        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
-        let (module, imports) = tenant(&log);
+        let log = Rc::default();
+        let (module, imports) = tenant();
         let config = ExecConfig {
             variant: Variant::CageFull,
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);
-        let old = store.instantiate(&module, &imports).unwrap();
+        let old = with_log(&mut store, &module, &imports, &log).unwrap();
         store.retire(old);
-        let new = store.instantiate(&module, &imports).unwrap();
+        let new = with_log(&mut store, &module, &imports, &log).unwrap();
         assert_eq!(new.index, old.index, "the freed index is reused");
         assert_ne!(new, old);
         assert_eq!(store.handles().collect::<Vec<_>>(), [new]);
@@ -1355,7 +1404,7 @@ mod tests {
         let counts = store.charge_counts(new);
         assert!(store.invoke(old, "tick", &[]).is_err());
         assert_eq!(store.charge_counts(new), counts);
-        assert_eq!(*log.0.borrow(), ["tick"]);
+        assert_eq!(*log.borrow(), ["tick"]);
         // Retiring the old handle again leaves the new tenant in place.
         store.retire(old);
         assert_eq!(store.instance_count(), 1);
@@ -1479,10 +1528,10 @@ mod tests {
         assert_eq!(store.invoke(h, "get", &[]).unwrap(), vec![Value::I64(99)]);
     }
 
-    /// A host state that logs what happens to it: resets, and calls of
-    /// the `env.tick` import its closure shares.
+    /// A host state that logs what happens to it, into a log the test
+    /// keeps: resets, and calls of the `env.tick` import.
     #[derive(Debug)]
-    struct TickLog(RefCell<Vec<&'static str>>);
+    struct TickLog(Rc<RefCell<Vec<&'static str>>>);
 
     impl HostState for TickLog {
         fn reset(&self) {
@@ -1492,31 +1541,22 @@ mod tests {
 
     #[test]
     fn reset_instance_rewinds_host_state_before_start_runs() {
-        let log = Rc::new(TickLog(RefCell::new(Vec::new())));
+        let log = Rc::default();
         let mut imports = Imports::new();
-        let tick = Rc::clone(&log);
-        imports.define(
-            "env",
-            "tick",
-            HostFunc::new(&[], &[], move |_, _| {
-                tick.0.borrow_mut().push("tick");
-                Ok(vec![])
-            }),
-        );
-        imports.set_host_state(log.clone());
+        imports.define("env", "tick", HostFunc::new(&[], &[], log_tick));
         let mut b = ModuleBuilder::new();
         b.import_func("env", "tick", &[], &[]);
         let start = b.add_function(&[], &[], &[], vec![Instr::Call(0)]);
         b.set_start(start);
         let mut store = Store::new(ExecConfig::default());
-        let h = store.instantiate(&b.build(), &imports).unwrap();
-        assert_eq!(*log.0.borrow(), ["tick"]);
+        let h = with_log(&mut store, &b.build(), &imports, &log).unwrap();
+        assert_eq!(*log.borrow(), ["tick"]);
         store.reset_instance(h).unwrap();
-        assert_eq!(*log.0.borrow(), ["tick", "reset", "tick"]);
-        // The store hands back the very state the imports carried, and
-        // only under its own type.
+        assert_eq!(*log.borrow(), ["tick", "reset", "tick"]);
+        // The store hands back the very state it was given, and only
+        // under its own type.
         let kept = store.host_state::<TickLog>(h).unwrap();
-        assert!(std::ptr::eq(kept, &*log));
+        assert!(Rc::ptr_eq(&kept.0, &log));
         #[derive(Debug)]
         struct Other;
         impl HostState for Other {

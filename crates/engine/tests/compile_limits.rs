@@ -61,7 +61,7 @@ fn nesting_within_limits_still_compiles_and_runs() {
     let pre = Precompiled::new(&module).expect("80 levels is within the default bound");
     let mut store = Store::new(ExecConfig::default());
     let h = store
-        .instantiate_precompiled(&pre, &Imports::new())
+        .instantiate_precompiled(&pre, &[], None)
         .expect("instantiates");
     let out = store.invoke(h, "run", &[]).expect("runs");
     assert_eq!(out, vec![cage_engine::Value::I64(42)]);

@@ -80,7 +80,7 @@ fn fifty_thousand_nested_blocks_execute_in_constant_host_stack() {
             let pre = Precompiled::with_limits(&module, &CompileLimits::unlimited())
                 .expect("compiles unbounded");
             let h = store
-                .instantiate_precompiled(&pre, &imports)
+                .instantiate_precompiled(&pre, &[&imports], None)
                 .expect("instantiates");
             let out = store.invoke(h, "run", &[]).expect("runs");
             assert_eq!(out, vec![Value::I64(42)], "deep br carried the result out");
@@ -124,7 +124,7 @@ fn deep_branch_is_cheap_in_cycles_too() {
             let pre = Precompiled::with_limits(&module, &CompileLimits::unlimited())
                 .expect("compiles unbounded");
             let h = store
-                .instantiate_precompiled(&pre, &Imports::new())
+                .instantiate_precompiled(&pre, &[], None)
                 .expect("instantiates");
             let out = store.invoke(h, "run", &[]).expect("runs");
             assert_eq!(out, vec![Value::I64(42)]);

@@ -1476,7 +1476,7 @@ fn run_fixture(
     tree: bool,
 ) -> FixtureOutcome {
     let mut store = Store::new(config);
-    let h = store.instantiate_precompiled(pre, &Imports::new()).unwrap();
+    let h = store.instantiate_precompiled(pre, &[], None).unwrap();
     let out = if tree {
         store.call_tree(h, f, args)
     } else {

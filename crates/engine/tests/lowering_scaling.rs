@@ -9,7 +9,7 @@
 //! ends a hostile one — never on wall clock.
 
 use cage_engine::store::InstantiateError;
-use cage_engine::{ExecConfig, Imports, Precompiled, Store, Value};
+use cage_engine::{ExecConfig, Precompiled, Store, Value};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::{BlockType, CompileLimits, Instr, Module, ValType};
 
@@ -63,7 +63,7 @@ fn a_diamond_ladder_lowers_in_fuel_linear_in_its_length() {
     // And the code is right: the sum of the k that share a bit with x.
     let mut store = Store::new(ExecConfig::default());
     let h = store
-        .instantiate_precompiled(&pre, &Imports::new())
+        .instantiate_precompiled(&pre, &[], None)
         .expect("instantiates");
     let x = 0x5a5a;
     let expected: i64 = (1..=16_000).filter(|k| k & x != 0).sum();
@@ -124,7 +124,7 @@ fn instruction_selection_lowers_in_fuel_linear_in_the_chains_it_fuses() {
     let run = |pre: &Precompiled, args: &[Value]| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
-            .instantiate_precompiled(pre, &Imports::new())
+            .instantiate_precompiled(pre, &[], None)
             .expect("instantiates");
         store.invoke(h, "run", args).expect("runs")
     };

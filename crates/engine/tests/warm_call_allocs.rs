@@ -16,6 +16,12 @@
 //!   libc allocator's map of live blocks. The last two are the host
 //!   ABI's and the libc's, not the engine's.
 //!
+//! And what a cold instantiation of that request's module allocates,
+//! once the thread has instantiated one (the libc's host functions are
+//! built once per thread and shared): 5 for `Linker::instantiate` into a
+//! store that has held an instance, 8 for a fresh pool's first
+//! `Pool::checkout`, 9 for `cage::Engine::instantiate`.
+//!
 //! Counts are per thread, so tests running side by side do not see each
 //! other's allocations.
 
@@ -23,9 +29,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use cage_engine::{ExecConfig, HostFunc, Imports, InstanceHandle, Store, Trap, Value, Variant};
+use cage_engine::{
+    ExecConfig, HostFunc, Imports, InstanceHandle, Precompiled, Store, Trap, Value, Variant,
+};
 use cage_ir::passes::run_pipeline;
 use cage_ir::{lower, LowerOptions};
+use cage_libc::Linker;
 use cage_serve::{HostProfile, InstancePre, Pool};
 use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::{BlockType, Instr, ValType};
@@ -193,7 +202,8 @@ const HANDLER: &str = r#"
     }
 "#;
 
-fn handler_pool(variant: Variant) -> Pool {
+/// `HANDLER` compiled for `variant`, and its heap base.
+fn handler_template(variant: Variant) -> (Precompiled, u64) {
     let mut ir = cage_cc::compile(HANDLER).expect("handler compiles");
     run_pipeline(&mut ir, variant.harden_config());
     let opts = LowerOptions {
@@ -201,15 +211,14 @@ fn handler_pool(variant: Variant) -> Pool {
         ..LowerOptions::default()
     };
     let lowered = lower(&ir, &opts).expect("handler lowers");
+    let pre = Precompiled::new(&lowered.module).expect("handler precompiles");
+    (pre, lowered.heap_base)
+}
+
+fn handler_pool(variant: Variant) -> Pool {
+    let (pre, heap_base) = handler_template(variant);
     let core = ExecConfig::default().core;
-    let pre = InstancePre::new(
-        variant,
-        core,
-        &lowered.module,
-        lowered.heap_base,
-        HostProfile::Libc,
-    )
-    .expect("template builds");
+    let pre = InstancePre::from_precompiled(variant, core, pre, heap_base, HostProfile::Libc);
     let mut pool = Pool::new(Arc::new(pre));
     pool.set_fuel_budget(Some(1_000_000));
     pool
@@ -237,5 +246,42 @@ fn a_pool_invoke_allocates_its_reply_and_a_libc_request_three_times() {
             }
             pool.release(inst);
         }
+    }
+}
+
+#[test]
+fn a_cold_libc_instantiation_allocates_a_pinned_count() {
+    for variant in [
+        Variant::BaselineWasm64,
+        Variant::CagePtrAuth,
+        Variant::CageFull,
+    ] {
+        // The first libc instantiation on a thread builds its table of
+        // libc functions; every one after it shares that table.
+        let (pre, heap_base) = handler_template(variant);
+        let linker = Linker::with_libc();
+        let mut store = Store::new(variant.exec_config(ExecConfig::default().core));
+        let h = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+        store.retire(h);
+
+        // Into a store that has held an instance: the memory and its tag
+        // store, the globals, the host-function handles and the boxed libc.
+        let (n, h) = allocations(|| linker.instantiate(&mut store, &pre, heap_base).unwrap());
+        assert_eq!(n, 5, "{variant}: Linker::instantiate");
+        store.retire(h);
+
+        // A fresh pool's first checkout: that, plus the fresh store's
+        // instance table and call buffers.
+        let mut pool = handler_pool(variant);
+        let (n, inst) = allocations(|| pool.checkout().unwrap());
+        assert_eq!(n, 8, "{variant}: Pool::checkout, cold");
+        pool.release(inst);
+
+        // A fresh runtime, its store and the instance.
+        let engine = cage::Engine::new(variant);
+        let artifact = engine.compile(HANDLER).unwrap();
+        let (n, inst) = allocations(|| engine.instantiate(&artifact).unwrap());
+        assert_eq!(n, 9, "{variant}: Engine::instantiate");
+        drop(inst);
     }
 }

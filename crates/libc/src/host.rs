@@ -1,9 +1,8 @@
 //! Host-function bindings: the `cage_libc` import module.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
-use cage_engine::host::{HostFunc, HostState, Imports};
+use cage_engine::host::{HostContext, HostFunc, HostState, Imports};
 use cage_engine::{Trap, Value};
 use cage_wasm::ValType;
 
@@ -19,31 +18,26 @@ fn arg_u64(v: &Value) -> u64 {
     }
 }
 
-/// Per-instance libc state: the allocator plus captured stdout.
-#[derive(Debug)]
-struct LibcState {
-    alloc: Allocator,
-    stdout: String,
-}
-
-/// The libc facade: create one per instance, register it into the
-/// instance's imports, and read back output/statistics afterwards.
+/// One instance's libc: its allocator and captured stdout. The store owns
+/// it as the instance's [`HostState`]; the libc's host functions, which
+/// every instance shares, reach it through the calling
+/// [`HostContext`], and the embedder reads it back from the store.
 ///
 /// ## Example
 ///
 /// ```
-/// use cage_engine::Imports;
-/// use cage_libc::Libc;
+/// use cage_engine::{ExecConfig, Precompiled, Store};
+/// use cage_libc::{Libc, Linker};
 ///
-/// let libc = Libc::new(0x20000);
-/// let mut imports = Imports::new();
-/// libc.register(&mut imports);
-/// assert!(imports.resolve("cage_libc", "malloc").is_some());
+/// let pre = Precompiled::new(&cage_wasm::Module::default()).unwrap();
+/// let mut store = Store::new(ExecConfig::default());
+/// let h = Linker::with_libc().instantiate(&mut store, &pre, 0).unwrap();
+/// assert_eq!(store.host_state::<Libc>(h).unwrap().stdout(), "");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Libc {
-    state: Rc<RefCell<LibcState>>,
-    ptr32: bool,
+    alloc: RefCell<Allocator>,
+    stdout: RefCell<String>,
 }
 
 impl Libc {
@@ -52,251 +46,264 @@ impl Libc {
     #[must_use]
     pub fn new(heap_base: u64) -> Self {
         Libc {
-            state: Rc::new(RefCell::new(LibcState {
-                alloc: Allocator::new(heap_base),
-                stdout: String::new(),
-            })),
-            ptr32: false,
+            alloc: RefCell::new(Allocator::new(heap_base)),
+            stdout: RefCell::default(),
         }
-    }
-
-    /// Creates a libc for a wasm32 module (pointers are `i32`).
-    #[must_use]
-    pub fn new_wasm32(heap_base: u64) -> Self {
-        let mut libc = Libc::new(heap_base);
-        libc.ptr32 = true;
-        libc
     }
 
     /// Captured program output (`print_*`).
     #[must_use]
     pub fn stdout(&self) -> String {
-        self.state.borrow().stdout.clone()
+        self.stdout.borrow().clone()
     }
 
     /// Allocator statistics.
     #[must_use]
     pub fn stats(&self) -> crate::alloc::AllocStats {
-        self.state.borrow().alloc.stats()
+        self.alloc.borrow().stats()
     }
 
-    /// Registers every libc function into `imports`, and this libc as
-    /// their per-instance [`HostState`]: the store keeps it beside the
-    /// instance and rewinds it when the instance is reset.
-    pub fn register(&self, imports: &mut Imports) {
-        use ValType::{F64, I64};
-        imports.set_host_state(Rc::new(self.clone()));
-        let st = &self.state;
-        let ptr32 = self.ptr32;
-        let ptr_ty = if ptr32 { ValType::I32 } else { I64 };
-        // Produces a pointer result in the module's width.
-        let ptr_val = move |p: u64| -> Value {
-            if ptr32 {
-                Value::I32(p as u32 as i32)
-            } else {
-                Value::from(p)
-            }
-        };
-
-        // malloc(size) -> ptr
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "malloc",
-            HostFunc::new(&[I64], &[ptr_ty], move |ctx, args| {
-                let size = arg_u64(&args[0]);
-                ctx.charge(80.0 + Allocator::tagging_cycles(ctx.config, size));
-                let mem = ctx.memory()?;
-                let p = s.borrow_mut().alloc.malloc(mem, size)?;
-                Ok(vec![ptr_val(p)])
-            }),
-        );
-
-        // calloc(n, size) -> zeroed ptr
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "calloc",
-            HostFunc::new(&[I64, I64], &[ptr_ty], move |ctx, args| {
-                let total = arg_u64(&args[0]).saturating_mul(arg_u64(&args[1]));
-                ctx.charge(90.0 + Allocator::tagging_cycles(ctx.config, total));
-                let mem = ctx.memory()?;
-                let p = s.borrow_mut().alloc.malloc(mem, total)?;
-                if p != 0 {
-                    // segment.new zeroes under MTE; zero explicitly for the
-                    // baseline path too.
-                    mem.fill(p, 0, total)?;
-                }
-                Ok(vec![ptr_val(p)])
-            }),
-        );
-
-        // realloc(ptr, size) -> ptr
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "realloc",
-            HostFunc::new(&[ptr_ty, I64], &[ptr_ty], move |ctx, args| {
-                let (ptr, size) = (arg_u64(&args[0]), arg_u64(&args[1]));
-                ctx.charge(120.0 + Allocator::tagging_cycles(ctx.config, size));
-                let mem = ctx.memory()?;
-                let p = s.borrow_mut().alloc.realloc(mem, ptr, size)?;
-                Ok(vec![ptr_val(p)])
-            }),
-        );
-
-        // free(ptr)
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "free",
-            HostFunc::new(&[ptr_ty], &[], move |ctx, args| {
-                let ptr = arg_u64(&args[0]);
-                ctx.charge(60.0);
-                let mem = ctx.memory()?;
-                s.borrow_mut().alloc.free(mem, ptr)?;
-                Ok(vec![])
-            }),
-        );
-
-        // strcpy(dst, src) -> dst: byte-by-byte through checked accesses,
-        // so overflowing the destination segment faults mid-copy exactly
-        // like hardware MTE (the heartbleed/CVE experiments rely on this).
-        imports.define(
-            "cage_libc",
-            "strcpy",
-            HostFunc::new(&[ptr_ty, ptr_ty], &[ptr_ty], move |ctx, args| {
-                let (dst, src) = (arg_u64(&args[0]), arg_u64(&args[1]));
-                let mem = ctx.memory()?;
-                let mut i = 0u64;
-                loop {
-                    let byte = mem.read_scalar(src, i, 1)?;
-                    mem.write_scalar(dst, i, 1, byte)?;
-                    if byte == 0 {
-                        break;
-                    }
-                    i += 1;
-                }
-                ctx.charge(4.0 * i as f64);
-                Ok(vec![ptr_val(dst)])
-            }),
-        );
-
-        // strlen(s) -> len
-        imports.define(
-            "cage_libc",
-            "strlen",
-            HostFunc::new(&[ptr_ty], &[I64], move |ctx, args| {
-                let s = arg_u64(&args[0]);
-                let mem = ctx.memory()?;
-                let mut n = 0u64;
-                while mem.read_scalar(s, n, 1)? != 0 {
-                    n += 1;
-                }
-                ctx.charge(2.0 * n as f64);
-                Ok(vec![Value::from(n)])
-            }),
-        );
-
-        // memset(p, value, len) -> p
-        imports.define(
-            "cage_libc",
-            "memset",
-            HostFunc::new(&[ptr_ty, ValType::I32, I64], &[ptr_ty], move |ctx, args| {
-                let (p, v, len) = (arg_u64(&args[0]), args[1].as_i32() as u8, arg_u64(&args[2]));
-                ctx.charge(len as f64 / 8.0 + 4.0);
-                ctx.memory()?.fill(p, v, len)?;
-                Ok(vec![ptr_val(p)])
-            }),
-        );
-
-        // memcpy(dst, src, len) -> dst
-        imports.define(
-            "cage_libc",
-            "memcpy",
-            HostFunc::new(&[ptr_ty, ptr_ty, I64], &[ptr_ty], move |ctx, args| {
-                let (dst, src, len) = (arg_u64(&args[0]), arg_u64(&args[1]), arg_u64(&args[2]));
-                ctx.charge(len as f64 / 8.0 + 4.0);
-                ctx.memory()?.copy(dst, src, len)?;
-                Ok(vec![ptr_val(dst)])
-            }),
-        );
-
-        // print_i64(v)
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "print_i64",
-            HostFunc::new(&[I64], &[], move |_, args| {
-                use std::fmt::Write as _;
-                let _ = writeln!(s.borrow_mut().stdout, "{}", args[0].as_i64());
-                Ok(vec![])
-            }),
-        );
-
-        // print_f64(v)
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "print_f64",
-            HostFunc::new(&[F64], &[], move |_, args| {
-                use std::fmt::Write as _;
-                let _ = writeln!(s.borrow_mut().stdout, "{:.6}", args[0].as_f64());
-                Ok(vec![])
-            }),
-        );
-
-        // print_str(p): reads the NUL-terminated guest string.
-        let s = st.clone();
-        imports.define(
-            "cage_libc",
-            "print_str",
-            HostFunc::new(&[ptr_ty], &[], move |ctx, args| {
-                let p = arg_u64(&args[0]);
-                let mem = ctx.memory()?;
-                let mut bytes = Vec::new();
-                let mut i = 0u64;
-                loop {
-                    let b = mem.read_scalar(p, i, 1)? as u8;
-                    if b == 0 {
-                        break;
-                    }
-                    bytes.push(b);
-                    i += 1;
-                    if i > 1 << 20 {
-                        return Err(Trap::Host("unterminated string".into()));
-                    }
-                }
-                use std::fmt::Write as _;
-                let _ = writeln!(s.borrow_mut().stdout, "{}", String::from_utf8_lossy(&bytes));
-                Ok(vec![])
-            }),
-        );
+    /// Appends a line to the captured stdout.
+    fn print(&self, line: std::fmt::Arguments<'_>) {
+        use std::fmt::Write as _;
+        let _ = writeln!(self.stdout.borrow_mut(), "{line}");
     }
 }
 
 impl HostState for Libc {
     /// Rewinds the libc to its freshly-created state: a fresh allocator
-    /// over the same heap base and empty captured stdout. The host
-    /// closures share this state behind an `Rc`, so the reset reaches
-    /// the instance already linked against this libc — which is what
-    /// lets a pooled instance slot recycle without re-linking.
+    /// over the same heap base and empty captured stdout.
     fn reset(&self) {
-        let mut st = self.state.borrow_mut();
-        let heap_base = st.alloc.heap_base();
-        st.alloc = Allocator::new(heap_base);
-        st.stdout.clear();
+        let mut alloc = self.alloc.borrow_mut();
+        *alloc = Allocator::new(alloc.heap_base());
+        self.stdout.borrow_mut().clear();
     }
+}
+
+/// The calling instance's libc.
+fn libc<'a>(ctx: &HostContext<'a>) -> Result<&'a Libc, Trap> {
+    ctx.state::<Libc>()
+        .ok_or_else(|| Trap::Host("libc function called by an instance without a libc".into()))
+}
+
+thread_local! {
+    /// The libc's functions for wasm64 and for wasm32 modules, built on
+    /// first use. They hold no state, so every instance on the thread
+    /// shares them.
+    static FUNCTIONS: [Imports; 2] = [functions(false), functions(true)];
+}
+
+/// Runs `f` with this thread's libc functions for a module whose pointers
+/// are `i32` (`ptr32`) or `i64`.
+pub(crate) fn with_functions<R>(ptr32: bool, f: impl FnOnce(&Imports) -> R) -> R {
+    FUNCTIONS.with(|table| f(&table[usize::from(ptr32)]))
+}
+
+/// Every libc function, typed for `ptr32` or wasm64 pointers.
+fn functions(ptr32: bool) -> Imports {
+    use ValType::{F64, I64};
+    let mut imports = Imports::new();
+    let ptr_ty = if ptr32 { ValType::I32 } else { I64 };
+    // Produces a pointer result in the module's width.
+    let ptr_val = move |p: u64| -> Value {
+        if ptr32 {
+            Value::I32(p as u32 as i32)
+        } else {
+            Value::from(p)
+        }
+    };
+
+    // malloc(size) -> ptr
+    imports.define(
+        "cage_libc",
+        "malloc",
+        HostFunc::new(&[I64], &[ptr_ty], move |ctx, args| {
+            let size = arg_u64(&args[0]);
+            ctx.charge(80.0 + Allocator::tagging_cycles(ctx.config, size));
+            let libc = libc(ctx)?;
+            let mem = ctx.memory()?;
+            let p = libc.alloc.borrow_mut().malloc(mem, size)?;
+            Ok(vec![ptr_val(p)])
+        }),
+    );
+
+    // calloc(n, size) -> zeroed ptr
+    imports.define(
+        "cage_libc",
+        "calloc",
+        HostFunc::new(&[I64, I64], &[ptr_ty], move |ctx, args| {
+            let total = arg_u64(&args[0]).saturating_mul(arg_u64(&args[1]));
+            ctx.charge(90.0 + Allocator::tagging_cycles(ctx.config, total));
+            let libc = libc(ctx)?;
+            let mem = ctx.memory()?;
+            let p = libc.alloc.borrow_mut().malloc(mem, total)?;
+            if p != 0 {
+                // segment.new zeroes under MTE; zero explicitly for the
+                // baseline path too.
+                mem.fill(p, 0, total)?;
+            }
+            Ok(vec![ptr_val(p)])
+        }),
+    );
+
+    // realloc(ptr, size) -> ptr
+    imports.define(
+        "cage_libc",
+        "realloc",
+        HostFunc::new(&[ptr_ty, I64], &[ptr_ty], move |ctx, args| {
+            let (ptr, size) = (arg_u64(&args[0]), arg_u64(&args[1]));
+            ctx.charge(120.0 + Allocator::tagging_cycles(ctx.config, size));
+            let libc = libc(ctx)?;
+            let mem = ctx.memory()?;
+            let p = libc.alloc.borrow_mut().realloc(mem, ptr, size)?;
+            Ok(vec![ptr_val(p)])
+        }),
+    );
+
+    // free(ptr)
+    imports.define(
+        "cage_libc",
+        "free",
+        HostFunc::new(&[ptr_ty], &[], move |ctx, args| {
+            let ptr = arg_u64(&args[0]);
+            ctx.charge(60.0);
+            let libc = libc(ctx)?;
+            let mem = ctx.memory()?;
+            libc.alloc.borrow_mut().free(mem, ptr)?;
+            Ok(vec![])
+        }),
+    );
+
+    // strcpy(dst, src) -> dst: byte-by-byte through checked accesses,
+    // so overflowing the destination segment faults mid-copy exactly
+    // like hardware MTE (the heartbleed/CVE experiments rely on this).
+    imports.define(
+        "cage_libc",
+        "strcpy",
+        HostFunc::new(&[ptr_ty, ptr_ty], &[ptr_ty], move |ctx, args| {
+            let (dst, src) = (arg_u64(&args[0]), arg_u64(&args[1]));
+            let mem = ctx.memory()?;
+            let mut i = 0u64;
+            loop {
+                let byte = mem.read_scalar(src, i, 1)?;
+                mem.write_scalar(dst, i, 1, byte)?;
+                if byte == 0 {
+                    break;
+                }
+                i += 1;
+            }
+            ctx.charge(4.0 * i as f64);
+            Ok(vec![ptr_val(dst)])
+        }),
+    );
+
+    // strlen(s) -> len
+    imports.define(
+        "cage_libc",
+        "strlen",
+        HostFunc::new(&[ptr_ty], &[I64], move |ctx, args| {
+            let s = arg_u64(&args[0]);
+            let mem = ctx.memory()?;
+            let mut n = 0u64;
+            while mem.read_scalar(s, n, 1)? != 0 {
+                n += 1;
+            }
+            ctx.charge(2.0 * n as f64);
+            Ok(vec![Value::from(n)])
+        }),
+    );
+
+    // memset(p, value, len) -> p
+    imports.define(
+        "cage_libc",
+        "memset",
+        HostFunc::new(&[ptr_ty, ValType::I32, I64], &[ptr_ty], move |ctx, args| {
+            let (p, v, len) = (arg_u64(&args[0]), args[1].as_i32() as u8, arg_u64(&args[2]));
+            ctx.charge(len as f64 / 8.0 + 4.0);
+            ctx.memory()?.fill(p, v, len)?;
+            Ok(vec![ptr_val(p)])
+        }),
+    );
+
+    // memcpy(dst, src, len) -> dst
+    imports.define(
+        "cage_libc",
+        "memcpy",
+        HostFunc::new(&[ptr_ty, ptr_ty, I64], &[ptr_ty], move |ctx, args| {
+            let (dst, src, len) = (arg_u64(&args[0]), arg_u64(&args[1]), arg_u64(&args[2]));
+            ctx.charge(len as f64 / 8.0 + 4.0);
+            ctx.memory()?.copy(dst, src, len)?;
+            Ok(vec![ptr_val(dst)])
+        }),
+    );
+
+    // print_i64(v)
+    imports.define(
+        "cage_libc",
+        "print_i64",
+        HostFunc::new(&[I64], &[], |ctx, args| {
+            libc(ctx)?.print(format_args!("{}", args[0].as_i64()));
+            Ok(vec![])
+        }),
+    );
+
+    // print_f64(v)
+    imports.define(
+        "cage_libc",
+        "print_f64",
+        HostFunc::new(&[F64], &[], |ctx, args| {
+            libc(ctx)?.print(format_args!("{:.6}", args[0].as_f64()));
+            Ok(vec![])
+        }),
+    );
+
+    // print_str(p): reads the NUL-terminated guest string.
+    imports.define(
+        "cage_libc",
+        "print_str",
+        HostFunc::new(&[ptr_ty], &[], |ctx, args| {
+            let p = arg_u64(&args[0]);
+            let libc = libc(ctx)?;
+            let mem = ctx.memory()?;
+            let mut bytes = Vec::new();
+            let mut i = 0u64;
+            loop {
+                let b = mem.read_scalar(p, i, 1)? as u8;
+                if b == 0 {
+                    break;
+                }
+                bytes.push(b);
+                i += 1;
+                if i > 1 << 20 {
+                    return Err(Trap::Host("unterminated string".into()));
+                }
+            }
+            libc.print(format_args!("{}", String::from_utf8_lossy(&bytes)));
+            Ok(vec![])
+        }),
+    );
+    imports
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cage_engine::host::HostContext;
-    use cage_engine::{ExecConfig, LinearMemory, Store, TagScheme, Variant};
+    use crate::Linker;
+    use cage_engine::{
+        ExecConfig, InstanceHandle, LinearMemory, Precompiled, Store, TagScheme, Variant,
+    };
     use cage_ir::passes::run_pipeline;
     use cage_ir::{lower, LowerOptions};
     use cage_mte::{AccessKind, Tag, TagCheckFault};
+
+    /// A store and the libc-linked instance a test ran.
+    struct Ran(Store, InstanceHandle);
+
+    impl Ran {
+        fn libc(&self) -> &Libc {
+            self.0.host_state::<Libc>(self.1).unwrap()
+        }
+    }
 
     /// Compiles `source` for `variant`, links libc and invokes `entry`.
     fn run_c(
@@ -304,20 +311,20 @@ mod tests {
         variant: Variant,
         entry: &str,
         args: &[Value],
-    ) -> (Result<Vec<Value>, Trap>, Libc) {
+    ) -> (Result<Vec<Value>, Trap>, Ran) {
         let mut ir = cage_cc::compile(source).expect("compiles");
         run_pipeline(&mut ir, variant.harden_config());
         let lowered = lower(&ir, &LowerOptions::default()).expect("lowers");
-        let libc = Libc::new(lowered.heap_base);
-        let mut imports = Imports::new();
-        libc.register(&mut imports);
+        let pre = Precompiled::new(&lowered.module).unwrap();
         let config = ExecConfig {
             variant,
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);
-        let h = store.instantiate(&lowered.module, &imports).unwrap();
-        (store.invoke(h, entry, args), libc)
+        let h = Linker::with_libc()
+            .instantiate(&mut store, &pre, lowered.heap_base)
+            .unwrap();
+        (store.invoke(h, entry, args), Ran(store, h))
     }
 
     #[test]
@@ -447,10 +454,10 @@ mod tests {
         assert!(err.unwrap_err().is_memory_safety_violation());
     }
 
-    /// Calls one registered libc function on a bare memory, the way the
-    /// interpreter's host boundary does.
+    /// Calls one wasm64 libc function on a bare memory for the instance
+    /// whose libc is `libc`, the way the interpreter's host boundary does.
     fn host_call(
-        imports: &Imports,
+        libc: Option<&Libc>,
         mem: &mut LinearMemory,
         name: &str,
         args: &[Value],
@@ -464,10 +471,31 @@ mod tests {
             memory: Some(mem),
             config: &config,
             cycles: &mut cycles,
+            state: libc.map(|l| l as &dyn HostState),
         };
-        let func = imports.resolve("cage_libc", name).unwrap();
+        let func = with_functions(false, |f| f.resolve("cage_libc", name)).unwrap();
         let out = (func.borrow_mut().func)(&mut ctx, args);
         out
+    }
+
+    #[test]
+    fn a_libc_function_called_without_a_libc_traps() {
+        let mut mem = LinearMemory::new(1, None, true, TagScheme::None, 1);
+        for name in [
+            "malloc",
+            "calloc",
+            "realloc",
+            "free",
+            "print_i64",
+            "print_str",
+        ] {
+            let args = match name {
+                "calloc" | "realloc" => vec![Value::I64(1), Value::I64(8)],
+                _ => vec![Value::I64(8)],
+            };
+            let err = host_call(None, &mut mem, name, &args).unwrap_err();
+            assert!(matches!(err, Trap::Host(_)), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -477,11 +505,9 @@ mod tests {
         // byte past the destination segment — into the next block's
         // untagged metadata slot — with everything before it copied.
         let libc = Libc::new(4096);
-        let mut imports = Imports::new();
-        libc.register(&mut imports);
         let mut mem = LinearMemory::new(4, None, true, TagScheme::InternalOnly, 99);
         let malloc = |mem: &mut LinearMemory, size: i64| {
-            host_call(&imports, mem, "malloc", &[Value::I64(size)]).unwrap()[0].as_i64() as u64
+            host_call(Some(&libc), mem, "malloc", &[Value::I64(size)]).unwrap()[0].as_i64() as u64
         };
         let dst = malloc(&mut mem, 16);
         let src = malloc(&mut mem, 64);
@@ -489,7 +515,7 @@ mod tests {
         mem.write(src, 0, &[b'A'; 30]).unwrap();
         let checks = mem.tags().check_count();
         let args = [Value::from(dst), Value::from(src)];
-        let err = host_call(&imports, &mut mem, "strcpy", &args).unwrap_err();
+        let err = host_call(Some(&libc), &mut mem, "strcpy", &args).unwrap_err();
         assert_eq!(
             err,
             Trap::TagCheck(TagCheckFault {
@@ -504,9 +530,9 @@ mod tests {
         // `strlen` and `print_str` walk the same way: one check per byte,
         // terminator included.
         let checks = mem.tags().check_count();
-        let len = host_call(&imports, &mut mem, "strlen", &[Value::from(src)]).unwrap();
+        let len = host_call(Some(&libc), &mut mem, "strlen", &[Value::from(src)]).unwrap();
         assert_eq!(len, vec![Value::I64(30)]);
-        host_call(&imports, &mut mem, "print_str", &[Value::from(src)]).unwrap();
+        host_call(Some(&libc), &mut mem, "print_str", &[Value::from(src)]).unwrap();
         assert_eq!(mem.tags().check_count() - checks, 62);
         assert_eq!(libc.stdout(), format!("{}\n", "A".repeat(30)));
     }
@@ -520,9 +546,9 @@ mod tests {
                 print_f64(1.5);
             }
         "#;
-        let (ok, libc) = run_c(src, Variant::BaselineWasm64, "run", &[]);
+        let (ok, ran) = run_c(src, Variant::BaselineWasm64, "run", &[]);
         ok.unwrap();
-        assert_eq!(libc.stdout(), "cage says\n42\n1.500000\n");
+        assert_eq!(ran.libc().stdout(), "cage says\n42\n1.500000\n");
     }
 
     #[test]
@@ -549,9 +575,9 @@ mod tests {
                 free(a);
             }
         "#;
-        let (ok, libc) = run_c(src, Variant::CageMemSafety, "run", &[]);
+        let (ok, ran) = run_c(src, Variant::CageMemSafety, "run", &[]);
         ok.unwrap();
-        let stats = libc.stats();
+        let stats = ran.libc().stats();
         assert_eq!(stats.mallocs, 2);
         assert_eq!(stats.frees, 1);
         assert_eq!(stats.live, 1);

@@ -23,7 +23,7 @@ use cage_engine::{
 };
 use cage_wasm::ValType;
 
-use crate::Libc;
+use crate::{host, Libc};
 
 /// Named host-function registry plus libc policy.
 ///
@@ -31,8 +31,10 @@ use crate::Libc;
 /// through this `Linker` calls the same closures (so captured state — a
 /// counter, a log — is naturally shared, like a wasmtime `Linker` with
 /// host state). The libc, by contrast, is stateful per instance
-/// (allocator, captured stdout) and is therefore created fresh at each
-/// instantiation when enabled via [`Linker::with_libc`].
+/// (allocator, captured stdout): when enabled via [`Linker::with_libc`],
+/// each instantiation gives the instance a fresh [`Libc`] as its host
+/// state, which the libc's functions — defined once per thread and
+/// pointer width — reach through the calling [`HostContext`].
 #[derive(Debug, Default, Clone)]
 pub struct Linker {
     host: Imports,
@@ -89,8 +91,8 @@ impl Linker {
         self
     }
 
-    /// Whether `module.name` is defined (embedder functions only; libc
-    /// functions materialise at instantiation).
+    /// Whether `module.name` is defined (embedder functions only, not
+    /// the libc's).
     #[must_use]
     pub fn is_defined(&self, module: &str, name: &str) -> bool {
         self.host.resolve(module, name).is_some()
@@ -109,12 +111,14 @@ impl Linker {
     }
 
     /// Stamps one instance of `pre` into `store` against this linker —
-    /// the one place an instance gets its libc. When the linker provides
-    /// libc, a fresh one is created for the module's pointer width with
-    /// its heap at `heap_base` (the module's `__heap_base`; ignored
-    /// otherwise). The store keeps it as the instance's host state: read
-    /// it back with `store.host_state::<Libc>(handle)`, and
-    /// [`Store::reset_instance`] rewinds it.
+    /// the one place an instance gets its libc. Imports resolve to the
+    /// embedder's definitions first, then (when the linker provides
+    /// libc) to the libc's functions for the module's pointer width, and
+    /// the instance gets a fresh [`Libc`] with its heap at `heap_base`
+    /// (the module's `__heap_base`; ignored otherwise). The store keeps
+    /// it as the instance's host state: read it back with
+    /// `store.host_state::<Libc>(handle)`, and [`Store::reset_instance`]
+    /// rewinds it.
     ///
     /// # Errors
     ///
@@ -126,55 +130,74 @@ impl Linker {
         pre: &Precompiled,
         heap_base: u64,
     ) -> Result<InstanceHandle, InstantiateError> {
-        let libc = self.libc.then(|| {
-            if pre.module().is_memory64() {
-                Libc::new(heap_base)
-            } else {
-                Libc::new_wasm32(heap_base)
-            }
-        });
-        store.instantiate_precompiled(pre, &self.build_imports(libc.as_ref()))
-    }
-
-    /// Builds the import set for one instantiation: libc first (when
-    /// enabled), then embedder definitions on top so they shadow libc.
-    fn build_imports(&self, libc: Option<&Libc>) -> Imports {
-        let mut merged = Imports::new();
-        if let Some(libc) = libc {
-            libc.register(&mut merged);
+        if !self.libc {
+            return store.instantiate_precompiled(pre, &[&self.host], None);
         }
-        merged.merge_from(&self.host);
-        merged
+        let libc = Box::new(Libc::new(heap_base));
+        host::with_functions(!pre.module().is_memory64(), |functions| {
+            store.instantiate_precompiled(pre, &[&self.host, functions], Some(libc))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cage_engine::{ExecConfig, HostState};
+    use cage_wasm::builder::ModuleBuilder;
+    use cage_wasm::Instr::{Call, LocalGet};
+    use ValType::I64;
+
+    /// A wasm64 module with a memory that imports `cage_libc.malloc` and
+    /// `cage_libc.print_i64` and exports them as `alloc` and `say`.
+    fn libc_module() -> Precompiled {
+        let mut b = ModuleBuilder::new();
+        let malloc = b.import_func("cage_libc", "malloc", &[I64], &[I64]);
+        let print = b.import_func("cage_libc", "print_i64", &[I64], &[]);
+        b.add_memory64(1);
+        let alloc = b.add_function(&[I64], &[I64], &[], vec![LocalGet(0), Call(malloc)]);
+        let say = b.add_function(&[I64], &[], &[], vec![LocalGet(0), Call(print)]);
+        b.export_func("alloc", alloc);
+        b.export_func("say", say);
+        Precompiled::new(&b.build()).unwrap()
+    }
+
+    /// The libc `h` was linked with.
+    fn libc(store: &Store, h: InstanceHandle) -> &Libc {
+        store.host_state::<Libc>(h).unwrap()
+    }
 
     #[test]
     fn empty_linker_has_no_imports() {
         let linker = Linker::new();
         assert!(!linker.provides_libc());
         assert!(linker.is_empty());
-        assert!(linker.build_imports(None).is_empty());
+        let mut store = Store::new(ExecConfig::default());
+        let err = linker
+            .instantiate(&mut store, &libc_module(), 0x1000)
+            .unwrap_err();
+        assert!(
+            matches!(&err, InstantiateError::MissingImport { module, name }
+                if module == "cage_libc" && name == "malloc"),
+            "{err}"
+        );
     }
 
     #[test]
     fn with_libc_registers_the_libc_surface() {
         let linker = Linker::with_libc();
-        let libc = Libc::new(0x1_0000);
-        let imports = linker.build_imports(Some(&libc));
-        assert!(imports.resolve("cage_libc", "malloc").is_some());
-        assert!(imports.resolve("cage_libc", "print_i64").is_some());
-        // The store keeps the instance's libc; a linker without one
-        // leaves it none.
-        let mut b = cage_wasm::builder::ModuleBuilder::new();
+        let mut store = Store::new(ExecConfig::default());
+        let h = linker
+            .instantiate(&mut store, &libc_module(), 0x1000)
+            .unwrap();
+        let p = store.invoke(h, "alloc", &[Value::I64(16)]).unwrap();
+        assert_ne!(p, vec![Value::I64(0)]);
+        store.invoke(h, "say", &[Value::I64(7)]).unwrap();
+        assert_eq!(libc(&store, h).stdout(), "7\n");
+        // A linker without libc leaves the instance no host state.
+        let mut b = ModuleBuilder::new();
         b.add_memory64(1);
         let pre = Precompiled::new(&b.build()).unwrap();
-        let mut store = Store::new(cage_engine::ExecConfig::default());
-        let h = linker.instantiate(&mut store, &pre, 0x1_0000).unwrap();
-        assert!(store.host_state::<Libc>(h).is_some());
         let bare = Linker::new().instantiate(&mut store, &pre, 0).unwrap();
         assert!(store.host_state::<Libc>(bare).is_none());
     }
@@ -182,20 +205,20 @@ mod tests {
     #[test]
     fn embedder_definitions_shadow_libc() {
         let mut linker = Linker::with_libc();
-        linker.func(
-            "cage_libc",
-            "malloc",
-            &[ValType::I64],
-            &[ValType::I64],
-            |_, _| Ok(vec![Value::I64(0)]),
-        );
-        let libc = Libc::new(0x1_0000);
-        let imports = linker.build_imports(Some(&libc));
-        let f = imports.resolve("cage_libc", "malloc").unwrap();
-        // The shadowing definition returns i64, the libc one returns a
-        // pointer-typed result through its own registration; check params
-        // shape to tell them apart.
-        assert_eq!(f.borrow().results, vec![ValType::I64]);
+        linker.func("cage_libc", "malloc", &[I64], &[I64], |_, _| {
+            Ok(vec![Value::I64(0)])
+        });
+        let mut store = Store::new(ExecConfig::default());
+        let h = linker
+            .instantiate(&mut store, &libc_module(), 0x1000)
+            .unwrap();
+        // The embedder's `malloc` answers; the libc's `print_i64` still
+        // does, into the instance's own libc.
+        let p = store.invoke(h, "alloc", &[Value::I64(16)]).unwrap();
+        assert_eq!(p, vec![Value::I64(0)]);
+        assert_eq!(libc(&store, h).stats().mallocs, 0);
+        store.invoke(h, "say", &[Value::I64(3)]).unwrap();
+        assert_eq!(libc(&store, h).stdout(), "3\n");
     }
 
     #[test]
@@ -210,19 +233,46 @@ mod tests {
             c.set(c.get() + 1);
             Ok(vec![])
         });
-        let imports_a = linker.build_imports(None);
-        let imports_b = linker.clone().build_imports(None);
-        let config = cage_engine::ExecConfig::default();
-        let mut cycles = 0.0;
-        let mut ctx = HostContext {
-            memory: None,
-            config: &config,
-            cycles: &mut cycles,
-        };
-        for imports in [&imports_a, &imports_b] {
-            let f = imports.resolve("env", "poke").unwrap();
-            (f.borrow_mut().func)(&mut ctx, &[]).unwrap();
+        let mut b = ModuleBuilder::new();
+        let poke = b.import_func("env", "poke", &[], &[]);
+        let run = b.add_function(&[], &[], &[], vec![Call(poke)]);
+        b.export_func("run", run);
+        let pre = Precompiled::new(&b.build()).unwrap();
+        let mut store = Store::new(ExecConfig::default());
+        for linker in [&linker, &linker.clone()] {
+            let h = linker.instantiate(&mut store, &pre, 0).unwrap();
+            store.invoke(h, "run", &[]).unwrap();
         }
-        assert_eq!(calls.get(), 2, "one closure shared by both import sets");
+        assert_eq!(calls.get(), 2, "one closure shared by both linkers");
+    }
+
+    #[test]
+    fn two_instances_of_one_linker_keep_their_own_libc() {
+        let (linker, pre) = (Linker::with_libc(), libc_module());
+        let mut store = Store::new(ExecConfig::default());
+        let a = linker.instantiate(&mut store, &pre, 0x1000).unwrap();
+        let b = linker.instantiate(&mut store, &pre, 0x1000).unwrap();
+        let alloc = |store: &mut Store, h| store.invoke(h, "alloc", &[Value::I64(16)]).unwrap();
+        // Separate allocators: each hands out its heap's first block.
+        let first = alloc(&mut store, a);
+        assert_eq!(alloc(&mut store, b), first);
+        assert_ne!(alloc(&mut store, b), first);
+        store.invoke(a, "say", &[Value::I64(1)]).unwrap();
+        store.invoke(b, "say", &[Value::I64(2)]).unwrap();
+        assert_eq!(libc(&store, a).stdout(), "1\n");
+        assert_eq!(libc(&store, b).stdout(), "2\n");
+        // A reset rewinds its own instance's libc and no other.
+        store.reset_instance(a).unwrap();
+        assert_eq!(
+            (libc(&store, a).stdout(), libc(&store, a).stats().live),
+            (String::new(), 0)
+        );
+        assert_eq!(
+            (libc(&store, b).stdout(), libc(&store, b).stats().live),
+            ("2\n".into(), 2)
+        );
+        assert_eq!(alloc(&mut store, a), first);
+        libc(&store, b).reset();
+        assert_eq!(alloc(&mut store, b), first);
     }
 }

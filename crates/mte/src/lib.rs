@@ -9,8 +9,11 @@
 //!   16-byte granule, lock-and-key checks on every access in synchronous
 //!   mode (the one Cage deploys, §6.3), and a GCR_EL1-style tag-exclusion
 //!   mask configured like Linux `prctl`.
-//! * **Tagged pointers** ([`mod@pointer`]): logical tags in address bits 56–59,
-//!   plus the tag-manipulation instructions (`irg`, `addg`, `subg`, `subp`).
+//! * **Tagged pointers** ([`mod@pointer`]): the layout of logical tags in
+//!   address bits 56–59. Of the tag instructions, `irg`'s random tag is
+//!   [`TagPool::random_tag`] and `addg`'s step past excluded tags is
+//!   [`Tag::offset_excluding`]; `subg` and `subp` are not modelled, as
+//!   guest pointer arithmetic is plain `i64` arithmetic.
 //! * **Timing** ([`cost`], [`timing`]): a deterministic per-core cost model
 //!   for the Tensor G3's Cortex-X3 / Cortex-A715 / Cortex-A510, calibrated
 //!   from the paper's own measurements (Table 1, Fig. 4, Fig. 16); the four
@@ -85,6 +88,5 @@ pub use core_kind::Core;
 pub use cost::MteInstr;
 pub use fault::{AccessKind, TagCheckFault};
 pub use memory::TagMemory;
-pub use pointer::TaggedPtr;
 pub use tag::{Tag, TagError, TagExclusionMask, TagPool, GRANULE_SIZE};
 pub use timing::MteMode;

@@ -13,9 +13,8 @@
 //! * the exact Linux pointer layouts of Fig. 3, including the reduced
 //!   signature budget when MTE is enabled (bits 63–60 and 54–49) versus
 //!   PAC alone (bits 63–56 and 54–49, bit 55 reserved for kernel/user);
-//! * `FEAT_FPAC` semantics: authentication failure traps immediately on the
-//!   paper's Pixel 8 hardware (§7.1), with the corrupt-pointer fallback for
-//!   cores without the feature;
+//! * `FEAT_FPAC` semantics: authentication failure traps immediately, as on
+//!   the paper's Pixel 8 hardware (§7.1);
 //! * Table 1's PAC instruction timings, consumed by the engine's cycle
 //!   accounting.
 //!
@@ -29,7 +28,7 @@
 //! use cage_pac::{PacKey, PacSigner, PointerLayout};
 //!
 //! let key = PacKey::from_parts(1, 2);
-//! let signer = PacSigner::new(key, PointerLayout::PacOnly, true);
+//! let signer = PacSigner::new(key, PointerLayout::PacOnly);
 //! let signed = signer.sign(0x1000, 0);
 //! assert_ne!(signed, 0x1000, "signature occupies the upper bits");
 //! assert_eq!(signer.auth(signed, 0), Ok(0x1000));

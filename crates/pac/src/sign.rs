@@ -6,36 +6,22 @@ use crate::key::PacKey;
 use crate::layout::PointerLayout;
 use crate::siphash::siphash24_pair;
 
-/// Authentication failure.
-///
-/// With `FEAT_FPAC` (the Pixel 8 configuration, §7.1) the instruction traps
-/// immediately; without it, hardware instead flips a fixed "poison" bit so
-/// the pointer faults on its next dereference. [`PacSigner::auth`] reports
-/// both through this error so callers can't miss a failure; the poisoned
-/// pointer is carried for non-FPAC semantics.
+/// Authentication failure. The modelled core implements `FEAT_FPAC`, as
+/// the paper's Pixel 8 does (§7.1): a failed `autda` traps at once rather
+/// than returning a poisoned pointer that faults on its next use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacFault {
     /// The pointer whose authentication failed (as presented).
     pub pointer: u64,
-    /// Poisoned pointer produced on cores without `FEAT_FPAC`; dereferencing
-    /// it faults. `None` when FPAC traps immediately.
-    pub poisoned: Option<u64>,
 }
 
 impl fmt::Display for PacFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.poisoned {
-            None => write!(
-                f,
-                "pointer authentication failed for {:#x} (FPAC trap)",
-                self.pointer
-            ),
-            Some(p) => write!(
-                f,
-                "pointer authentication failed for {:#x} (poisoned to {p:#x})",
-                self.pointer
-            ),
-        }
+        write!(
+            f,
+            "pointer authentication failed for {:#x} (FPAC trap)",
+            self.pointer
+        )
     }
 }
 
@@ -51,15 +37,13 @@ impl std::error::Error for PacFault {}
 pub struct PacSigner {
     key: PacKey,
     layout: PointerLayout,
-    /// Whether `FEAT_FPAC` is implemented (trap on failed auth).
-    fpac: bool,
 }
 
 impl PacSigner {
-    /// Creates a signer. `fpac = true` models the paper's hardware.
+    /// Creates a signer.
     #[must_use]
-    pub fn new(key: PacKey, layout: PointerLayout, fpac: bool) -> Self {
-        PacSigner { key, layout, fpac }
+    pub fn new(key: PacKey, layout: PointerLayout) -> Self {
+        PacSigner { key, layout }
     }
 
     /// The pointer layout in force.
@@ -90,27 +74,14 @@ impl PacSigner {
     ///
     /// # Errors
     ///
-    /// Returns [`PacFault`] when the signature does not match. With FPAC the
-    /// fault carries no poisoned pointer (the instruction traps); without,
-    /// it carries the corrupted pointer hardware would have produced.
+    /// Returns [`PacFault`] when the signature does not match: the
+    /// instruction traps (`FEAT_FPAC`).
     pub fn auth(&self, pointer: u64, modifier: u64) -> Result<u64, PacFault> {
         let presented = self.layout.extract_signature(pointer);
-        let expected = self.mac(pointer, modifier);
-        if presented == expected {
+        if presented == self.mac(pointer, modifier) {
             Ok(self.layout.strip(pointer))
-        } else if self.fpac {
-            Err(PacFault {
-                pointer,
-                poisoned: None,
-            })
         } else {
-            // Non-FPAC: flip the top signature bit of the stripped pointer,
-            // producing a non-canonical address that faults on use.
-            let top_bit = 63;
-            Err(PacFault {
-                pointer,
-                poisoned: Some(self.layout.strip(pointer) | (1 << top_bit)),
-            })
+            Err(PacFault { pointer })
         }
     }
 
@@ -126,7 +97,7 @@ mod tests {
     use super::*;
 
     fn signer(layout: PointerLayout) -> PacSigner {
-        PacSigner::new(PacKey::from_parts(0x1111, 0x2222), layout, true)
+        PacSigner::new(PacKey::from_parts(0x1111, 0x2222), layout)
     }
 
     #[test]
@@ -153,11 +124,7 @@ mod tests {
         // pointer signed by one instance's key never authenticates under
         // another's.
         let a = signer(PointerLayout::PacOnly);
-        let b = PacSigner::new(
-            PacKey::from_parts(0x3333, 0x4444),
-            PointerLayout::PacOnly,
-            true,
-        );
+        let b = PacSigner::new(PacKey::from_parts(0x3333, 0x4444), PointerLayout::PacOnly);
         let signed = a.sign(0x4000, 0);
         assert!(b.auth(signed, 0).is_err());
     }
@@ -195,14 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn fpac_trap_vs_poisoned_pointer() {
-        let key = PacKey::from_parts(1, 2);
-        let with_fpac = PacSigner::new(key, PointerLayout::PacOnly, true);
-        let without = PacSigner::new(key, PointerLayout::PacOnly, false);
-        let bad = 0xBAD_u64;
-        assert_eq!(with_fpac.auth(bad, 0).unwrap_err().poisoned, None);
-        let poisoned = without.auth(bad, 0).unwrap_err().poisoned.unwrap();
-        assert_ne!(poisoned & (1 << 63), 0, "poison bit set");
+    fn a_failed_auth_traps_with_the_presented_pointer() {
+        let s = signer(PointerLayout::PacOnly);
+        let fault = s.auth(0xBAD, 0).unwrap_err();
+        assert_eq!(fault, PacFault { pointer: 0xBAD });
+        assert_eq!(
+            fault.to_string(),
+            "pointer authentication failed for 0xbad (FPAC trap)"
+        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! wasmtime's serving stack: thousands of concurrent sandboxes handling
 //! traffic instead of one instance handling one invoke. Three pieces:
 //!
-//! * [`InstancePre`] — a pre-validated, pre-compiled, pre-linked
-//!   instance template. Compilation and link resolution run once; the
-//!   template is `Send + Sync`, so worker threads stamp instances out of
-//!   one shared `Arc<InstancePre>`.
+//! * [`InstancePre`] — a validated, precompiled instance template: the
+//!   compiled module, the libc's heap base and a recipe for the host
+//!   surface. Compilation runs once; imports are resolved per instance,
+//!   when a pool instantiates. The template is `Send + Sync`, so worker
+//!   threads stamp instances out of one shared `Arc<InstancePre>`.
 //! * [`Pool`] — a per-worker pooling allocator. Released instance slots
 //!   are recycled by a reset in O(blocks touched) (the 4 KiB blocks the
 //!   engine's `LinearMemory` records as dirty) instead of a fresh
@@ -212,11 +213,15 @@ impl From<Trap> for ServeError {
     }
 }
 
-/// A pre-validated, pre-compiled, pre-linked instance template.
+/// A validated, precompiled instance template: the [`Precompiled`]
+/// module, the heap base its libc starts at, its variant and core, and
+/// the [`HostProfile`] its host surface is built from.
 ///
 /// Building one runs validation and bytecode compilation exactly
 /// once; every instance stamped from it shares the compiled functions
-/// behind `Arc`s. The template is `Send + Sync` — clone an
+/// behind `Arc`s. Nothing is linked here: each [`Pool`] builds its
+/// [`Linker`] from the profile once, and each instantiation resolves the
+/// module's imports against it. The template is `Send + Sync` — clone an
 /// `Arc<InstancePre>` into each worker thread and give it to that
 /// worker's [`Pool`].
 #[derive(Debug, Clone)]

@@ -20,7 +20,7 @@ proptest! {
         mte in any::<bool>(),
     ) {
         let layout = if mte { PointerLayout::MtePac } else { PointerLayout::PacOnly };
-        let signer = PacSigner::new(PacKey::from_parts(k0, k1), layout, true);
+        let signer = PacSigner::new(PacKey::from_parts(k0, k1), layout);
         let signed = signer.sign(addr, modifier);
         prop_assert_eq!(signer.auth(signed, modifier), Ok(addr));
         // Tamper with an address bit: must fail.

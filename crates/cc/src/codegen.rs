@@ -1012,7 +1012,11 @@ impl<'p> Codegen<'p> {
                     return Ok((addr, lty.clone()));
                 }
                 BinOpKind::Sub if rty.is_pointer() => {
+                    // The difference is a `long`: both pointers become
+                    // `long`s first, which on wasm32 widens them.
                     let scale = self.size_of(pointee);
+                    let lv = self.convert(ctx, lv, &lty, &CType::Long, line)?;
+                    let rv = self.convert(ctx, rv, &rty, &CType::Long, line)?;
                     let diff = ctx.b.binop(BinOp::Sub, IrType::I64, lv, rv);
                     let count = ctx.b.binop(
                         BinOp::DivS,

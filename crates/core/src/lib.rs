@@ -40,7 +40,9 @@
 //! ```
 //!
 //! Custom host functions are first-class: declare a prototype in C and
-//! register the implementation in a [`Linker`]:
+//! register the implementation in a [`Linker`]. It writes its results
+//! into the slots it is given, and its declared type must be the one the
+//! module imports, which instantiation checks once:
 //!
 //! ```
 //! use cage::{Engine, Linker, Value, Variant};
@@ -55,8 +57,9 @@
 //!     "#,
 //! )?;
 //! let mut linker = Linker::with_libc();
-//! linker.func("env", "next_id", &[ValType::I64], &[ValType::I64], |_ctx, args| {
-//!     Ok(vec![Value::I64(args[0].as_i64() + 1)])
+//! linker.func("env", "next_id", &[ValType::I64], &[ValType::I64], |_ctx, args, out| {
+//!     out[0] = Value::I64(args[0].as_i64() + 1);
+//!     Ok(())
 //! });
 //! let mut instance = engine.instantiate_with(&artifact, &linker)?;
 //! let fresh = instance.get_typed::<i64, i64>("fresh")?;

@@ -1425,11 +1425,12 @@ fn charge_is_the_same_however_a_run_is_split() {
         imports.define(
             "env",
             "tick",
-            crate::host::HostFunc::new(i64_to_i64.0, i64_to_i64.1, |ctx, args| {
+            crate::host::HostFunc::new(i64_to_i64.0, i64_to_i64.1, |ctx, args, out| {
                 // Exactly representable, so the hosts' own sum does not
                 // depend on where a run is cut either.
                 ctx.charge(12.5);
-                Ok(vec![Value::I64(args[0].as_i64() + 100)])
+                out[0] = Value::I64(args[0].as_i64() + 100);
+                Ok(())
             }),
         );
         imports

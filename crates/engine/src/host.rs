@@ -2,10 +2,15 @@
 //!
 //! `cage-libc` registers its hardened allocator and WASI-lite shims as host
 //! functions; guests import them like wasi-libc imports the system
-//! interface. Host functions receive a [`HostContext`] giving checked
-//! access to the calling instance's linear memory — including the segment
-//! primitives, so a host-side allocator can create and free segments
-//! exactly like the paper's dlmalloc modification does from guest code.
+//! interface. Every host function has one shape, that of wasmtime's
+//! `Func::new`: it receives a [`HostContext`] giving checked access to the
+//! calling instance's linear memory — including the segment primitives, so
+//! a host-side allocator can create and free segments exactly like the
+//! paper's dlmalloc modification does from guest code — its arguments, and
+//! a slice of result slots to write, pre-filled with zeros of its result
+//! types. Its declared [`FuncType`] is compared with the module's import
+//! type once, when the instance is created, so a call never meets an
+//! argument or a result count it did not declare.
 //!
 //! An instance may also own one [`HostState`] (the libc's allocator and
 //! captured stdout), handed to [`crate::Store::instantiate_precompiled`]:
@@ -15,10 +20,9 @@
 //! no per-instance state, so one definition serves every instance.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use cage_wasm::ValType;
+use cage_wasm::{FuncType, ValType};
 
 use crate::config::ExecConfig;
 use crate::memory::LinearMemory;
@@ -63,39 +67,22 @@ impl<'a> HostContext<'a> {
             .ok_or_else(|| Trap::Host("host function requires a memory".into()))
     }
 
-    /// Reads guest memory through the memory's own checks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bounds/tag traps.
-    pub fn read_bytes(&mut self, ptr: u64, len: u64) -> Result<Vec<u8>, Trap> {
-        self.memory()?.read(ptr, 0, len)
-    }
-
-    /// Writes guest memory through the memory's own checks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bounds/tag traps.
-    pub fn write_bytes(&mut self, ptr: u64, bytes: &[u8]) -> Result<(), Trap> {
-        self.memory()?.write(ptr, 0, bytes)
-    }
-
     /// Charges `cycles` of simulated time to the caller.
     pub fn charge(&mut self, cycles: f64) {
         *self.cycles += cycles;
     }
 }
 
-/// The boxed host-function signature.
-pub type HostFn = Box<dyn FnMut(&mut HostContext<'_>, &[Value]) -> Result<Vec<Value>, Trap>>;
+/// The boxed host-function signature: the calling context, the
+/// arguments, and the result slots to write. The slots arrive holding
+/// zeros of the declared result types; a slot written with a value of
+/// another type is a [`Trap::Host`] when the function returns.
+pub type HostFn = Box<dyn Fn(&mut HostContext<'_>, &[Value], &mut [Value]) -> Result<(), Trap>>;
 
 /// A host function with its WASM-visible type.
 pub struct HostFunc {
-    /// Parameter types.
-    pub params: Vec<ValType>,
-    /// Result types.
-    pub results: Vec<ValType>,
+    /// The declared type, which an import must match to link.
+    pub ty: FuncType,
     /// The implementation.
     pub func: HostFn,
 }
@@ -104,11 +91,10 @@ impl HostFunc {
     /// Wraps a closure with its type.
     pub fn new<F>(params: &[ValType], results: &[ValType], func: F) -> Self
     where
-        F: FnMut(&mut HostContext<'_>, &[Value]) -> Result<Vec<Value>, Trap> + 'static,
+        F: Fn(&mut HostContext<'_>, &[Value], &mut [Value]) -> Result<(), Trap> + 'static,
     {
         HostFunc {
-            params: params.to_vec(),
-            results: results.to_vec(),
+            ty: FuncType::new(params, results),
             func: Box::new(func),
         }
     }
@@ -116,7 +102,7 @@ impl HostFunc {
 
 impl std::fmt::Debug for HostFunc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HostFunc({:?} -> {:?})", self.params, self.results)
+        write!(f, "HostFunc({})", self.ty)
     }
 }
 
@@ -141,7 +127,7 @@ pub trait HostState: Any + std::fmt::Debug {
 /// through one reference: with the state as a field of its own there,
 /// `run_reg` kept its charge sum on the stack (`ci/dispatch_lint.sh`).
 pub(crate) struct InstanceHost {
-    pub(crate) funcs: Vec<Rc<RefCell<HostFunc>>>,
+    pub(crate) funcs: Vec<Rc<HostFunc>>,
     pub(crate) state: Option<Box<dyn HostState>>,
 }
 
@@ -151,10 +137,12 @@ pub(crate) struct InstanceHost {
 /// Cloning is cheap: entries are shared handles, so a clone holds the
 /// *same* host functions (and whatever they capture) — which is what a
 /// `Linker` wants when it instantiates many modules against one host
-/// surface.
+/// surface. A host function is `Fn`, not `FnMut`: one that keeps state
+/// between calls keeps it in its instance's [`HostState`] or in a `Cell`
+/// of its own.
 #[derive(Debug, Default, Clone)]
 pub struct Imports {
-    funcs: Vec<(String, String, Rc<RefCell<HostFunc>>)>,
+    funcs: Vec<(String, String, Rc<HostFunc>)>,
 }
 
 impl Imports {
@@ -166,7 +154,7 @@ impl Imports {
 
     /// Registers `func` under `module.name`, replacing any previous entry.
     pub fn define(&mut self, module: &str, name: &str, func: HostFunc) -> &mut Self {
-        let func = Rc::new(RefCell::new(func));
+        let func = Rc::new(func);
         match self.entry(module, name) {
             Some(i) => self.funcs[i].2 = func,
             None => self
@@ -178,7 +166,7 @@ impl Imports {
 
     /// Looks up an import.
     #[must_use]
-    pub fn resolve(&self, module: &str, name: &str) -> Option<Rc<RefCell<HostFunc>>> {
+    pub fn resolve(&self, module: &str, name: &str) -> Option<Rc<HostFunc>> {
         self.entry(module, name)
             .map(|i| Rc::clone(&self.funcs[i].2))
     }
@@ -188,18 +176,6 @@ impl Imports {
         self.funcs
             .iter()
             .position(|(m, n, _)| m == module && n == name)
-    }
-
-    /// Number of registered functions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.funcs.len()
-    }
-
-    /// Whether no functions are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.funcs.is_empty()
     }
 }
 
@@ -213,26 +189,27 @@ mod tests {
         imports.define(
             "env",
             "answer",
-            HostFunc::new(&[], &[ValType::I32], |_, _| Ok(vec![Value::I32(42)])),
+            HostFunc::new(&[], &[ValType::I32], |_, _, out| {
+                out[0] = Value::I32(42);
+                Ok(())
+            }),
         );
         assert!(imports.resolve("env", "answer").is_some());
         assert!(imports.resolve("env", "missing").is_none());
-        assert_eq!(imports.len(), 1);
-        assert!(!imports.is_empty());
     }
 
     #[test]
     fn redefinition_replaces() {
         let mut imports = Imports::new();
-        imports.define("m", "f", HostFunc::new(&[], &[], |_, _| Ok(vec![])));
+        imports.define("m", "f", HostFunc::new(&[], &[], |_, _, _| Ok(())));
         imports.define(
             "m",
             "f",
-            HostFunc::new(&[ValType::I64], &[], |_, _| Ok(vec![])),
+            HostFunc::new(&[ValType::I64], &[], |_, _, _| Ok(())),
         );
-        assert_eq!(imports.len(), 1);
+        assert_eq!(imports.funcs.len(), 1);
         let f = imports.resolve("m", "f").unwrap();
-        assert_eq!(f.borrow().params, vec![ValType::I64]);
+        assert_eq!(f.ty.params, vec![ValType::I64]);
     }
 
     #[test]
@@ -259,6 +236,6 @@ mod tests {
             cycles: &mut cycles,
             state: None,
         };
-        assert!(matches!(ctx.read_bytes(0, 1), Err(Trap::Host(_))));
+        assert!(matches!(ctx.memory(), Err(Trap::Host(_))));
     }
 }

@@ -78,7 +78,6 @@
 //! except where both call the same `LinearMemory` accessor, whose
 //! independent transcription is the eager model in `crate::memory_model`.
 
-use std::cell::RefCell;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +91,7 @@ use cage_wasm::FuncType;
 use crate::bytecode::{unpack_lanes, RegCode, RegOp, SysOp, LANE_GUARD};
 use crate::config::ExecConfig;
 use crate::cost::{ChargeClass, ChargeCounts};
-use crate::host::{HostContext, HostFunc, InstanceHost};
+use crate::host::{HostContext, InstanceHost};
 use crate::memory::LinearMemory;
 use crate::store::{CompiledFunc, Instance, DEFAULT_MAX_CALL_DEPTH};
 use crate::trap::{panic_message, Trap};
@@ -123,15 +122,15 @@ pub(crate) const KEPT_REG_SLOTS: usize = 1 << 14;
 /// The most suspended-caller records a store keeps between calls.
 const KEPT_FRAMES: usize = 256;
 
-/// The most typed host-call arguments a store keeps between calls.
-const KEPT_HOST_ARGS: usize = 64;
+/// The most typed host-call values a store keeps between calls.
+const KEPT_HOST_VALUES: usize = 64;
 
 /// The register tier's working buffers: the register arena (whose tail
 /// also stages a host call's argument and result slots), the stack of
-/// suspended callers and a host call's typed arguments. The store owns
-/// one set and lends it to every call it runs — one at a time, since a
-/// call holds the store mutably and no host function can reach the
-/// store — so a warm call allocates none of them. A call takes them
+/// suspended callers and a host call's typed arguments and results. The
+/// store owns one set and lends it to every call it runs — one at a time,
+/// since a call holds the store mutably and no host function can reach
+/// the store — so a warm call allocates none of them. A call takes them
 /// emptied ([`CallBuffers::take`]) and gives them back on every exit,
 /// traps included ([`CallBuffers::give_back`]); what they keep between
 /// calls is capacity only, bounded by the `KEPT_*` constants.
@@ -139,24 +138,23 @@ const KEPT_HOST_ARGS: usize = 64;
 pub(crate) struct CallBuffers {
     regs: Vec<u64>,
     frames: Vec<RegFrame>,
-    host_args: Vec<Value>,
+    host_values: Vec<Value>,
 }
 
 impl CallBuffers {
     /// Reserves what a call into `funcs` that makes no guest call needs:
     /// the widest frame plus a host call's staged arguments, and the
-    /// typed arguments of the widest host function.
+    /// typed arguments and results of the widest host function.
     pub(crate) fn reserve_for(&mut self, funcs: &[CompiledFunc]) {
         let frame = funcs.iter().map(|f| usize::from(f.reg.frame_size));
-        let params = funcs
-            .iter()
-            .filter(|f| f.is_host)
-            .map(|f| f.ty.params.len());
-        let params = params.max().unwrap_or(0);
+        let hosts = funcs.iter().filter(|f| f.is_host);
+        let params = hosts.clone().map(|f| f.ty.params.len()).max();
+        let values = hosts.map(|f| f.ty.params.len() + f.ty.results.len()).max();
         self.regs.clear();
-        self.regs.reserve(frame.max().unwrap_or(0) + params);
-        self.host_args.clear();
-        self.host_args.reserve(params);
+        self.regs
+            .reserve(frame.max().unwrap_or(0) + params.unwrap_or(0));
+        self.host_values.clear();
+        self.host_values.reserve(values.unwrap_or(0));
     }
 
     /// The buffers for one call, emptied, their capacity kept; the store
@@ -165,7 +163,7 @@ impl CallBuffers {
         let mut bufs = mem::take(self);
         bufs.regs.clear();
         bufs.frames.clear();
-        bufs.host_args.clear();
+        bufs.host_values.clear();
         bufs
     }
 
@@ -174,7 +172,7 @@ impl CallBuffers {
     fn give_back(&mut self, mut bufs: CallBuffers) {
         trim(&mut bufs.regs, KEPT_REG_SLOTS);
         trim(&mut bufs.frames, KEPT_FRAMES);
-        trim(&mut bufs.host_args, KEPT_HOST_ARGS);
+        trim(&mut bufs.host_values, KEPT_HOST_VALUES);
         *self = bufs;
     }
 
@@ -319,21 +317,11 @@ impl<'s> Interp<'s> {
 
     /// Calls host function `func_idx` on the staging `stack` (see
     /// [`host_boundary`]).
-    pub(crate) fn call_host(
-        &mut self,
-        func_idx: u32,
-        func: &CompiledFunc,
-        stack: &mut Vec<u64>,
-    ) -> Result<(), Trap> {
+    pub(crate) fn call_host(&mut self, func_idx: u32, stack: &mut Vec<u64>) -> Result<(), Trap> {
         let inst = &mut *self.inst;
-        let ctx = HostContext {
-            memory: inst.memory.as_mut(),
-            config: &self.config,
-            cycles: &mut inst.counts.host_cycles,
-            state: inst.host.state.as_deref(),
-        };
-        let host = &inst.host.funcs[func_idx as usize];
-        host_boundary(host, ctx, &mut self.bufs.host_args, func, stack)
+        let (host, memory, config) = (&inst.host, inst.memory.as_mut(), &self.config);
+        let (cycles, staging) = (&mut inst.counts.host_cycles, &mut self.bufs.host_values);
+        host_boundary(host, func_idx, memory, config, cycles, staging, stack)
     }
 
     pub(crate) fn memory(&mut self) -> Result<&LinearMemory, Trap> {
@@ -345,27 +333,41 @@ impl<'s> Interp<'s> {
     }
 }
 
-/// The typed API boundary for host calls: the untagged argument slots on
-/// top of `stack` convert to [`Value`]s (through the reusable `host_args`
-/// buffer, no per-call allocation), `host` runs with `ctx`, and its
-/// results convert back in their place.
+/// The typed API boundary for host calls, the one place a host function
+/// runs: the untagged argument slots of host function `idx` on top of
+/// `stack` convert to [`Value`]s in the reusable `staging` buffer,
+/// followed by its result slots, zeros of its result types; it runs with
+/// a [`HostContext`] over `memory`, `config`, `cycles` and the instance's
+/// host state and writes its results there, and they convert back in the
+/// arguments' place. Instantiation checked the function's declared type
+/// against the module's import type, so the slots are the call's.
 fn host_boundary(
-    host: &RefCell<HostFunc>,
-    mut ctx: HostContext<'_>,
-    host_args: &mut Vec<Value>,
-    func: &CompiledFunc,
+    host: &InstanceHost,
+    idx: u32,
+    memory: Option<&mut LinearMemory>,
+    config: &ExecConfig,
+    cycles: &mut f64,
+    staging: &mut Vec<Value>,
     stack: &mut Vec<u64>,
 ) -> Result<(), Trap> {
-    let args_base = stack.len() - func.ty.params.len();
-    let mut host = host.borrow_mut();
-    host_args.clear();
-    host_args.extend(
-        func.ty
-            .params
+    let func = &host.funcs[idx as usize];
+    let mut ctx = HostContext {
+        memory,
+        config,
+        cycles,
+        state: host.state.as_deref(),
+    };
+    let ty = &func.ty;
+    let args_base = stack.len() - ty.params.len();
+    staging.clear();
+    staging.extend(
+        ty.params
             .iter()
             .zip(&stack[args_base..])
             .map(|(ty, raw)| Value::from_slot(*ty, *raw)),
     );
+    staging.extend(ty.results.iter().map(|ty| Value::zero(*ty)));
+    let (args, results) = staging.split_at_mut(ty.params.len());
     // What the host charges lands in the instance's `host_cycles`, which
     // nothing else writes; the dispatch loop spilled its running sum
     // before it came here.
@@ -375,20 +377,12 @@ fn host_boundary(
     // Catch the panic at this boundary and surface it as a trap — the
     // embedder (the serve pool) treats it as poisoning the instance,
     // quarantining the slot instead of recycling it.
-    let result = panic::catch_unwind(AssertUnwindSafe(|| (host.func)(&mut ctx, host_args)))
-        .unwrap_or_else(|payload| Err(Trap::HostPanic(panic_message(payload.as_ref()))));
-    let results = result?;
-    // Host results re-enter the untagged stack, so arity and type errors
-    // here would corrupt the frame layout or silently reinterpret bits —
-    // they are real traps, not debug assertions.
-    if results.len() != func.ty.results.len() {
-        return Err(Trap::Host(format!(
-            "host function returned {} results, signature declares {}",
-            results.len(),
-            func.ty.results.len()
-        )));
-    }
-    for (i, (v, want)) in results.iter().zip(&func.ty.results).enumerate() {
+    panic::catch_unwind(AssertUnwindSafe(|| (func.func)(&mut ctx, args, results)))
+        .unwrap_or_else(|payload| Err(Trap::HostPanic(panic_message(payload.as_ref()))))?;
+    // Host results re-enter the untagged stack, so a slot overwritten
+    // with another type would silently reinterpret bits — a real trap,
+    // not a debug assertion.
+    for (i, (v, want)) in results.iter().zip(&ty.results).enumerate() {
         if v.ty() != *want {
             return Err(Trap::Host(format!(
                 "host function result {i} declares {want:?}, got {:?}",
@@ -598,7 +592,7 @@ struct Env<'a> {
     pac: &'a PacSigner,
     pac_modifier: u64,
     config: &'a ExecConfig,
-    host_args: &'a mut Vec<Value>,
+    host_values: &'a mut Vec<Value>,
 }
 
 impl Env<'_> {
@@ -607,12 +601,10 @@ impl Env<'_> {
     /// boundary on the arena's tail and moves the host's results from
     /// there into the `rets` registers. The arena may move.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     fn host_call(
         &mut self,
         mem: Option<&mut LinearMemory>,
         idx: u32,
-        callee: &CompiledFunc,
         regs: &mut Vec<u64>,
         base: usize,
         args: &[u16],
@@ -622,14 +614,8 @@ impl Env<'_> {
         for &a in args {
             regs.push(regs[base + a as usize]);
         }
-        let ctx = HostContext {
-            memory: mem,
-            config: self.config,
-            cycles: &mut self.counts.host_cycles,
-            state: self.host.state.as_deref(),
-        };
-        let host = &self.host.funcs[idx as usize];
-        host_boundary(host, ctx, self.host_args, callee, regs)?;
+        let (host, config, cycles) = (self.host, self.config, &mut self.counts.host_cycles);
+        host_boundary(host, idx, mem, config, cycles, self.host_values, regs)?;
         for (i, &slot) in rets.iter().enumerate() {
             regs[base + slot as usize] = regs[top + i];
         }
@@ -803,15 +789,11 @@ impl Interp<'_> {
         let mut bufs = self.bufs.take();
         bufs.regs.extend(args.iter().map(|v| v.to_slot()));
         let inst = &mut *self.inst;
+        let (host, memory, config) = (&inst.host, inst.memory.as_mut(), &self.config);
+        let cycles = &mut inst.counts.host_cycles;
+        let (staging, regs) = (&mut bufs.host_values, &mut bufs.regs);
+        let result = host_boundary(host, func_idx, memory, config, cycles, staging, regs);
         let func = &inst.pre.funcs[func_idx as usize];
-        let ctx = HostContext {
-            memory: inst.memory.as_mut(),
-            config: &self.config,
-            cycles: &mut inst.counts.host_cycles,
-            state: inst.host.state.as_deref(),
-        };
-        let host = &inst.host.funcs[func_idx as usize];
-        let result = host_boundary(host, ctx, &mut bufs.host_args, func, &mut bufs.regs);
         if result.is_ok() {
             for ((out, ty), &raw) in results.iter_mut().zip(&func.ty.results).zip(&bufs.regs) {
                 *out = Value::from_slot(*ty, raw);
@@ -892,7 +874,7 @@ impl Interp<'_> {
         let CallBuffers {
             mut regs,
             frames,
-            mut host_args,
+            mut host_values,
         } = kept.take();
         let mut env = Env {
             counts,
@@ -902,7 +884,7 @@ impl Interp<'_> {
             pac,
             pac_modifier: *pac_modifier,
             config,
-            host_args: &mut host_args,
+            host_values: &mut host_values,
         };
         let mut mem = memory.as_mut();
         let mut preempt = *preempt_state;
@@ -974,7 +956,6 @@ impl Interp<'_> {
                     tri!(env.host_call(
                         mem.as_deref_mut(),
                         idx,
-                        callee,
                         &mut stack.regs,
                         stack.base,
                         &$call.args,
@@ -1168,7 +1149,7 @@ impl Interp<'_> {
         kept.give_back(CallBuffers {
             regs: stack.regs,
             frames: stack.frames,
-            host_args,
+            host_values,
         });
         result.map(drop)
     }

@@ -42,6 +42,18 @@ pub enum InstantiateError {
         /// Import field name.
         name: String,
     },
+    /// An import resolved to a host function whose declared type is not
+    /// the import's.
+    ImportType {
+        /// Import module namespace.
+        module: String,
+        /// Import field name.
+        name: String,
+        /// The type the module imports it at.
+        import: Box<FuncType>,
+        /// The type the host function declares.
+        host: Box<FuncType>,
+    },
     /// Non-function imports are not supported by this engine.
     UnsupportedImport(String),
     /// MTE sandboxing ran out of tags: at most 15 instances per store
@@ -72,6 +84,15 @@ impl fmt::Display for InstantiateError {
             InstantiateError::MissingImport { module, name } => {
                 write!(f, "unresolved import {module}.{name}")
             }
+            InstantiateError::ImportType {
+                module,
+                name,
+                import,
+                host,
+            } => write!(
+                f,
+                "import {module}.{name} is typed {import}, its host function {host}"
+            ),
             InstantiateError::UnsupportedImport(what) => {
                 write!(f, "unsupported import kind: {what}")
             }
@@ -543,18 +564,30 @@ impl Store {
         self.instances.reserve(1);
         let mut host_funcs = Vec::new();
         for import in &module.imports {
-            match &import.kind {
-                ImportKind::Func(_) => {
-                    let f = imports
-                        .iter()
-                        .find_map(|set| set.resolve(&import.module, &import.name))
-                        .ok_or_else(|| InstantiateError::MissingImport {
-                            module: import.module.clone(),
-                            name: import.name.clone(),
-                        })?;
-                    host_funcs.push(f);
+            let ImportKind::Func(ty) = &import.kind else {
+                let kind = format!("{:?}", import.kind);
+                return Err(InstantiateError::UnsupportedImport(kind));
+            };
+            let (module, name) = (&import.module, &import.name);
+            // The one type check of a host function: every call after it
+            // stages exactly the slots the function declares.
+            let ty = &pre.module.types[*ty as usize];
+            match imports.iter().find_map(|set| set.resolve(module, name)) {
+                Some(f) if f.ty == *ty => host_funcs.push(f),
+                Some(f) => {
+                    let (import, host) = (Box::new(ty.clone()), Box::new(f.ty.clone()));
+                    let (module, name) = (module.clone(), name.clone());
+                    return Err(InstantiateError::ImportType {
+                        module,
+                        name,
+                        import,
+                        host,
+                    });
                 }
-                other => return Err(InstantiateError::UnsupportedImport(format!("{other:?}"))),
+                None => {
+                    let (module, name) = (module.clone(), name.clone());
+                    return Err(InstantiateError::MissingImport { module, name });
+                }
             }
         }
 
@@ -757,7 +790,10 @@ impl Store {
 
     /// What `handle` has been charged so far: the retired counts per
     /// [`crate::ChargeClass`] and the cycles its host functions charged.
-    /// Independent of the simulated core; [`Store::cycles`] and
+    /// The counts are independent of the simulated core; the host cycles
+    /// are not: the libc prices its tagging for the configured core when
+    /// it runs, so a libc-using instance under a memory-safety variant
+    /// reads different `host_cycles` on each core. [`Store::cycles`] and
     /// [`Store::instr_count`] are derived from it. Zero for a stale handle.
     #[must_use]
     pub fn charge_counts(&self, handle: InstanceHandle) -> ChargeCounts {
@@ -1109,31 +1145,68 @@ mod tests {
 
     #[test]
     fn host_result_arity_and_type_mismatches_trap() {
-        use crate::host::HostFunc;
+        // A result slot overwritten with another type traps at the
+        // boundary, on the dispatch loop, the tree oracle and the entry.
         let mut b = ModuleBuilder::new();
         b.import_func("env", "bad_ty", &[], &[ValType::I64]);
-        b.import_func("env", "bad_arity", &[], &[ValType::I64]);
         let call_ty = b.add_function(&[], &[ValType::I64], &[], vec![Instr::Call(0)]);
-        let call_arity = b.add_function(&[], &[ValType::I64], &[], vec![Instr::Call(1)]);
         b.export_func("call_ty", call_ty);
-        b.export_func("call_arity", call_arity);
+        let module = b.build();
         let mut imports = Imports::new();
         imports.define(
             "env",
             "bad_ty",
-            HostFunc::new(&[], &[ValType::I64], |_, _| Ok(vec![Value::F64(1.0)])),
-        );
-        imports.define(
-            "env",
-            "bad_arity",
-            HostFunc::new(&[], &[ValType::I64], |_, _| Ok(vec![])),
+            HostFunc::new(&[], &[ValType::I64], |_, _, out| {
+                out[0] = Value::F64(1.0);
+                Ok(())
+            }),
         );
         let mut store = Store::new(ExecConfig::default());
+        let h = store.instantiate(&module, &imports).unwrap();
+        for err in [
+            store.invoke(h, "call_ty", &[]).unwrap_err(),
+            store.call_tree(h, call_ty, &[]).unwrap_err(),
+            store.call(h, 0, &[]).unwrap_err(),
+        ] {
+            assert_eq!(
+                err,
+                Trap::Host("host function result 0 declares I64, got F64".into())
+            );
+        }
+        // A host function of another arity does not link: its type is
+        // checked once, at instantiation.
+        let mut imports = Imports::new();
+        imports.define("env", "bad_ty", HostFunc::new(&[], &[], |_, _, _| Ok(())));
+        let err = store.instantiate(&module, &imports).unwrap_err();
+        assert!(
+            matches!(&err, InstantiateError::ImportType { module, name, import, host }
+                if module == "env" && name == "bad_ty"
+                    && import.results == [ValType::I64] && host.results.is_empty()),
+            "{err}"
+        );
+        assert_eq!(store.instance_count(), 1);
+    }
+
+    #[test]
+    fn a_result_slot_left_unwritten_reads_zero_of_its_type() {
+        let mut b = ModuleBuilder::new();
+        let mut imports = Imports::new();
+        for (i, ty) in [ValType::I32, ValType::F32, ValType::F64]
+            .into_iter()
+            .enumerate()
+        {
+            let name = format!("zero{i}");
+            b.import_func("env", &name, &[], &[ty]);
+            imports.define("env", &name, HostFunc::new(&[], &[ty], |_, _, _| Ok(())));
+        }
+        let call = b.add_function(&[], &[ValType::F64], &[], vec![Instr::Call(2)]);
+        b.export_func("call", call);
+        let mut store = Store::new(ExecConfig::default());
         let h = store.instantiate(&b.build(), &imports).unwrap();
-        let err = store.invoke(h, "call_ty", &[]).unwrap_err();
-        assert!(matches!(err, Trap::Host(_)), "{err}");
-        let err = store.invoke(h, "call_arity", &[]).unwrap_err();
-        assert!(matches!(err, Trap::Host(_)), "{err}");
+        assert_eq!(store.call(h, 0, &[]), Ok(vec![Value::I32(0)]));
+        assert_eq!(store.call(h, 1, &[]), Ok(vec![Value::F32(0.0)]));
+        assert_eq!(store.invoke(h, "call", &[]), Ok(vec![Value::F64(0.0)]));
+        assert_eq!(store.call_tree(h, call, &[]), Ok(vec![Value::F64(0.0)]));
     }
 
     #[test]
@@ -1258,10 +1331,10 @@ mod tests {
 
     /// A host function that logs a tick on the calling instance's
     /// [`TickLog`], and traps when it has none.
-    fn log_tick(ctx: &mut HostContext<'_>, _: &[Value]) -> Result<Vec<Value>, Trap> {
+    fn log_tick(ctx: &mut HostContext<'_>, _: &[Value], _: &mut [Value]) -> Result<(), Trap> {
         let log = ctx.state::<TickLog>().ok_or(Trap::Unreachable)?;
         log.0.borrow_mut().push("tick");
-        Ok(vec![])
+        Ok(())
     }
 
     /// Instantiates `module` against `imports` with a [`TickLog`] over

@@ -607,7 +607,7 @@ impl Interp<'_> {
     ) -> Result<(), Trap> {
         let func = &pre.funcs[func_idx as usize];
         if func.is_host {
-            return self.call_host(func_idx, func, stack);
+            return self.call_host(func_idx, stack);
         }
         let imported = pre.module.imported_func_count();
         let body = &pre.module.funcs[(func_idx - imported) as usize].body;

@@ -52,10 +52,10 @@ fn probe_imports() -> (Imports, Rc<RefCell<Vec<usize>>>) {
     imports.define(
         "env",
         "probe",
-        HostFunc::new(&[], &[], move |_, _| {
+        HostFunc::new(&[], &[], move |_, _, _| {
             let marker = 0u8;
             sink.borrow_mut().push(std::ptr::addr_of!(marker) as usize);
-            Ok(vec![])
+            Ok(())
         }),
     );
     (imports, addrs)

@@ -716,12 +716,17 @@ fn host_function_call_and_memory_access() {
     imports.define(
         "env",
         "accumulate",
-        cage_engine::host::HostFunc::new(&[ValType::I64], &[ValType::I64], move |ctx, args| {
-            seen2.borrow_mut().push(args[0].as_i64());
-            // The host can read/write guest memory through checks.
-            ctx.write_bytes(8, &[0xAB])?;
-            Ok(vec![Value::I64(args[0].as_i64() * 2)])
-        }),
+        cage_engine::host::HostFunc::new(
+            &[ValType::I64],
+            &[ValType::I64],
+            move |ctx, args, out| {
+                seen2.borrow_mut().push(args[0].as_i64());
+                // The host can read/write guest memory through checks.
+                ctx.memory()?.write(8, 0, &[0xAB])?;
+                out[0] = Value::I64(args[0].as_i64() * 2);
+                Ok(())
+            },
+        ),
     );
     let mut store = Store::new(ExecConfig::default());
     let h = store.instantiate(&m, &imports).unwrap();
@@ -771,12 +776,12 @@ fn a_host_call_that_writes_and_grows_memory_is_seen_by_the_next_loads() {
         imports.define(
             "env",
             "poke_and_grow",
-            cage_engine::host::HostFunc::new(&[ValType::I64], &[], |ctx, args| {
-                ctx.write_bytes(args[0].as_i64() as u64, &HOST_WORD.to_le_bytes())?;
+            cage_engine::host::HostFunc::new(&[ValType::I64], &[], |ctx, args, _| {
                 let mem = ctx.memory()?;
+                mem.write(args[0].as_i64() as u64, 0, &HOST_WORD.to_le_bytes())?;
                 assert_eq!(mem.grow(1), Some(1));
                 mem.write(NEW_PAGE as u64, 0, &[0x99])?;
-                Ok(vec![])
+                Ok(())
             }),
         );
         imports

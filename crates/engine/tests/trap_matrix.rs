@@ -1029,8 +1029,9 @@ fn fuel_is_consumed_at_exactly_the_control_transitions() {
         imports.define(
             "env",
             "inc",
-            HostFunc::new(&i64_to_i64.0, &i64_to_i64.1, |_, args| {
-                Ok(vec![Value::I64(args[0].as_i64() + 1)])
+            HostFunc::new(&i64_to_i64.0, &i64_to_i64.1, |_, args, out| {
+                out[0] = Value::I64(args[0].as_i64() + 1);
+                Ok(())
             }),
         );
         let mut store = Store::new(ExecConfig::default());
@@ -1630,10 +1631,13 @@ fn chain_module() -> (Module, Imports) {
     imports.define(
         "env",
         "host",
-        cage_engine::HostFunc::new(&[ValType::I64], &[ValType::I64], |_, args| match args[0] {
-            Value::I64(1) => Err(Trap::Host("the host refused".into())),
-            Value::I64(2) => panic!("the host panicked"),
-            mode => Ok(vec![mode]),
+        cage_engine::HostFunc::new(&[ValType::I64], &[ValType::I64], |_, args, out| {
+            match args[0] {
+                Value::I64(1) => return Err(Trap::Host("the host refused".into())),
+                Value::I64(2) => panic!("the host panicked"),
+                mode => out[0] = mode,
+            }
+            Ok(())
         }),
     );
     (b.build(), imports)

@@ -507,7 +507,10 @@ fn extern_calls_route_to_host_functions() {
         cage_engine::host::HostFunc::new(
             &[cage_wasm::ValType::I64],
             &[cage_wasm::ValType::I64],
-            |_, args| Ok(vec![Value::I64(args[0].as_i64() * 3)]),
+            |_, args, out| {
+                out[0] = Value::I64(args[0].as_i64() * 3);
+                Ok(())
+            },
         ),
     );
     let mut store = Store::new(ExecConfig::default());
@@ -616,7 +619,7 @@ fn tag_increment_discipline_gives_distinct_adjacent_tags() {
             cage_engine::host::HostFunc::new(
                 &[cage_wasm::ValType::I64, cage_wasm::ValType::I64],
                 &[],
-                |_, _| Ok(vec![]),
+                |_, _, _| Ok(()),
             ),
         );
         let h = store.instantiate(&lowered.module, &imports).unwrap();

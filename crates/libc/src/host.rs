@@ -9,7 +9,9 @@ use cage_wasm::ValType;
 use crate::alloc::Allocator;
 
 /// Reads an integer argument as an unsigned pointer/size, accepting both
-/// widths (wasm32 pointers arrive as `i32`).
+/// widths (wasm32 pointers arrive as `i32`). Instantiation rejects an
+/// import that declares any other type, so the panic arm is unreachable
+/// from a guest.
 fn arg_u64(v: &Value) -> u64 {
     match v {
         Value::I32(x) => *x as u32 as u64,
@@ -104,26 +106,26 @@ fn functions(ptr32: bool) -> Imports {
     use ValType::{F64, I64};
     let mut imports = Imports::new();
     let ptr_ty = if ptr32 { ValType::I32 } else { I64 };
-    // Produces a pointer result in the module's width.
-    let ptr_val = move |p: u64| -> Value {
-        if ptr32 {
+    // Writes a pointer result in the module's width.
+    let ret_ptr = move |out: &mut [Value], p: u64| -> Result<(), Trap> {
+        out[0] = if ptr32 {
             Value::I32(p as u32 as i32)
         } else {
             Value::from(p)
-        }
+        };
+        Ok(())
     };
 
     // malloc(size) -> ptr
     imports.define(
         "cage_libc",
         "malloc",
-        HostFunc::new(&[I64], &[ptr_ty], move |ctx, args| {
+        HostFunc::new(&[I64], &[ptr_ty], move |ctx, args, out| {
             let size = arg_u64(&args[0]);
             ctx.charge(80.0 + Allocator::tagging_cycles(ctx.config, size));
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
-            let p = libc.alloc.borrow_mut().malloc(mem, size)?;
-            Ok(vec![ptr_val(p)])
+            ret_ptr(out, libc.alloc.borrow_mut().malloc(mem, size)?)
         }),
     );
 
@@ -131,7 +133,7 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "calloc",
-        HostFunc::new(&[I64, I64], &[ptr_ty], move |ctx, args| {
+        HostFunc::new(&[I64, I64], &[ptr_ty], move |ctx, args, out| {
             let total = arg_u64(&args[0]).saturating_mul(arg_u64(&args[1]));
             ctx.charge(90.0 + Allocator::tagging_cycles(ctx.config, total));
             let libc = libc(ctx)?;
@@ -142,7 +144,7 @@ fn functions(ptr32: bool) -> Imports {
                 // baseline path too.
                 mem.fill(p, 0, total)?;
             }
-            Ok(vec![ptr_val(p)])
+            ret_ptr(out, p)
         }),
     );
 
@@ -150,13 +152,12 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "realloc",
-        HostFunc::new(&[ptr_ty, I64], &[ptr_ty], move |ctx, args| {
+        HostFunc::new(&[ptr_ty, I64], &[ptr_ty], move |ctx, args, out| {
             let (ptr, size) = (arg_u64(&args[0]), arg_u64(&args[1]));
             ctx.charge(120.0 + Allocator::tagging_cycles(ctx.config, size));
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
-            let p = libc.alloc.borrow_mut().realloc(mem, ptr, size)?;
-            Ok(vec![ptr_val(p)])
+            ret_ptr(out, libc.alloc.borrow_mut().realloc(mem, ptr, size)?)
         }),
     );
 
@@ -164,13 +165,13 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "free",
-        HostFunc::new(&[ptr_ty], &[], move |ctx, args| {
+        HostFunc::new(&[ptr_ty], &[], move |ctx, args, _| {
             let ptr = arg_u64(&args[0]);
             ctx.charge(60.0);
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
             libc.alloc.borrow_mut().free(mem, ptr)?;
-            Ok(vec![])
+            Ok(())
         }),
     );
 
@@ -180,7 +181,7 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "strcpy",
-        HostFunc::new(&[ptr_ty, ptr_ty], &[ptr_ty], move |ctx, args| {
+        HostFunc::new(&[ptr_ty, ptr_ty], &[ptr_ty], move |ctx, args, out| {
             let (dst, src) = (arg_u64(&args[0]), arg_u64(&args[1]));
             let mem = ctx.memory()?;
             let mut i = 0u64;
@@ -193,7 +194,7 @@ fn functions(ptr32: bool) -> Imports {
                 i += 1;
             }
             ctx.charge(4.0 * i as f64);
-            Ok(vec![ptr_val(dst)])
+            ret_ptr(out, dst)
         }),
     );
 
@@ -201,7 +202,7 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "strlen",
-        HostFunc::new(&[ptr_ty], &[I64], move |ctx, args| {
+        HostFunc::new(&[ptr_ty], &[I64], move |ctx, args, out| {
             let s = arg_u64(&args[0]);
             let mem = ctx.memory()?;
             let mut n = 0u64;
@@ -209,7 +210,8 @@ fn functions(ptr32: bool) -> Imports {
                 n += 1;
             }
             ctx.charge(2.0 * n as f64);
-            Ok(vec![Value::from(n)])
+            out[0] = Value::from(n);
+            Ok(())
         }),
     );
 
@@ -217,23 +219,27 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "memset",
-        HostFunc::new(&[ptr_ty, ValType::I32, I64], &[ptr_ty], move |ctx, args| {
-            let (p, v, len) = (arg_u64(&args[0]), args[1].as_i32() as u8, arg_u64(&args[2]));
-            ctx.charge(len as f64 / 8.0 + 4.0);
-            ctx.memory()?.fill(p, v, len)?;
-            Ok(vec![ptr_val(p)])
-        }),
+        HostFunc::new(
+            &[ptr_ty, ValType::I32, I64],
+            &[ptr_ty],
+            move |ctx, args, out| {
+                let (p, v, len) = (arg_u64(&args[0]), args[1].as_i32() as u8, arg_u64(&args[2]));
+                ctx.charge(len as f64 / 8.0 + 4.0);
+                ctx.memory()?.fill(p, v, len)?;
+                ret_ptr(out, p)
+            },
+        ),
     );
 
     // memcpy(dst, src, len) -> dst
     imports.define(
         "cage_libc",
         "memcpy",
-        HostFunc::new(&[ptr_ty, ptr_ty, I64], &[ptr_ty], move |ctx, args| {
+        HostFunc::new(&[ptr_ty, ptr_ty, I64], &[ptr_ty], move |ctx, args, out| {
             let (dst, src, len) = (arg_u64(&args[0]), arg_u64(&args[1]), arg_u64(&args[2]));
             ctx.charge(len as f64 / 8.0 + 4.0);
             ctx.memory()?.copy(dst, src, len)?;
-            Ok(vec![ptr_val(dst)])
+            ret_ptr(out, dst)
         }),
     );
 
@@ -241,9 +247,9 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "print_i64",
-        HostFunc::new(&[I64], &[], |ctx, args| {
+        HostFunc::new(&[I64], &[], |ctx, args, _| {
             libc(ctx)?.print(format_args!("{}", args[0].as_i64()));
-            Ok(vec![])
+            Ok(())
         }),
     );
 
@@ -251,9 +257,9 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "print_f64",
-        HostFunc::new(&[F64], &[], |ctx, args| {
+        HostFunc::new(&[F64], &[], |ctx, args, _| {
             libc(ctx)?.print(format_args!("{:.6}", args[0].as_f64()));
-            Ok(vec![])
+            Ok(())
         }),
     );
 
@@ -261,7 +267,7 @@ fn functions(ptr32: bool) -> Imports {
     imports.define(
         "cage_libc",
         "print_str",
-        HostFunc::new(&[ptr_ty], &[], |ctx, args| {
+        HostFunc::new(&[ptr_ty], &[], |ctx, args, _| {
             let p = arg_u64(&args[0]);
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
@@ -279,7 +285,7 @@ fn functions(ptr32: bool) -> Imports {
                 }
             }
             libc.print(format_args!("{}", String::from_utf8_lossy(&bytes)));
-            Ok(vec![])
+            Ok(())
         }),
     );
     imports
@@ -455,7 +461,8 @@ mod tests {
     }
 
     /// Calls one wasm64 libc function on a bare memory for the instance
-    /// whose libc is `libc`, the way the interpreter's host boundary does.
+    /// whose libc is `libc`, the way the interpreter's host boundary does:
+    /// result slots zeroed to the declared types, then written.
     fn host_call(
         libc: Option<&Libc>,
         mem: &mut LinearMemory,
@@ -474,8 +481,9 @@ mod tests {
             state: libc.map(|l| l as &dyn HostState),
         };
         let func = with_functions(false, |f| f.resolve("cage_libc", name)).unwrap();
-        let out = (func.borrow_mut().func)(&mut ctx, args);
-        out
+        let mut out: Vec<Value> = func.ty.results.iter().map(|t| Value::zero(*t)).collect();
+        (func.func)(&mut ctx, args, &mut out)?;
+        Ok(out)
     }
 
     #[test]

@@ -5,16 +5,23 @@
 //! instantiate any number of modules against it. It lives with the libc
 //! because it is the one place that knows what "with libc" means.
 //!
+//! A host function has one shape, that of wasmtime's `Func::new`: it
+//! reads its arguments and writes its results into the slots it is given,
+//! zeros of its declared result types on entry. Imports are typed at
+//! link: a module that imports a function at another type than the one
+//! registered for it fails [`Linker::instantiate`] with
+//! [`InstantiateError::ImportType`].
+//!
 //! ```
 //! use cage_engine::Value;
 //! use cage_libc::Linker;
 //! use cage_wasm::ValType;
 //!
 //! let mut linker = Linker::with_libc();
-//! linker.func("env", "tick", &[ValType::I64], &[ValType::I64], |_ctx, args| {
-//!     Ok(vec![Value::I64(args[0].as_i64() + 1)])
+//! linker.func("env", "tick", &[ValType::I64], &[ValType::I64], |_ctx, args, out| {
+//!     out[0] = Value::I64(args[0].as_i64() + 1);
+//!     Ok(())
 //! });
-//! assert!(linker.is_defined("env", "tick"));
 //! ```
 
 use cage_engine::store::InstantiateError;
@@ -29,12 +36,13 @@ use crate::{host, Libc};
 ///
 /// Host functions registered here are *shared*: every instance linked
 /// through this `Linker` calls the same closures (so captured state — a
-/// counter, a log — is naturally shared, like a wasmtime `Linker` with
-/// host state). The libc, by contrast, is stateful per instance
-/// (allocator, captured stdout): when enabled via [`Linker::with_libc`],
-/// each instantiation gives the instance a fresh [`Libc`] as its host
-/// state, which the libc's functions — defined once per thread and
-/// pointer width — reach through the calling [`HostContext`].
+/// counter in a `Cell`, a log in a `RefCell` — is naturally shared, like
+/// a wasmtime `Linker` with host state). The libc, by contrast, is
+/// stateful per instance (allocator, captured stdout): when enabled via
+/// [`Linker::with_libc`], each instantiation gives the instance a fresh
+/// [`Libc`] as its host state, which the libc's functions — defined once
+/// per thread and pointer width — reach through the calling
+/// [`HostContext`].
 #[derive(Debug, Default, Clone)]
 pub struct Linker {
     host: Imports,
@@ -60,15 +68,11 @@ impl Linker {
         }
     }
 
-    /// Whether this linker provides the hardened libc.
-    #[must_use]
-    pub fn provides_libc(&self) -> bool {
-        self.libc
-    }
-
     /// Registers a typed host closure under `module.name`, replacing any
     /// previous definition (including a libc function of the same name —
-    /// embedder definitions win).
+    /// embedder definitions win). `func` reads its arguments and writes
+    /// its results into the slice it is given; `params` and `results` must
+    /// be the type each importing module declares, or instantiation fails.
     pub fn func<F>(
         &mut self,
         module: &str,
@@ -78,36 +82,11 @@ impl Linker {
         func: F,
     ) -> &mut Self
     where
-        F: FnMut(&mut HostContext<'_>, &[Value]) -> Result<Vec<Value>, Trap> + 'static,
+        F: Fn(&mut HostContext<'_>, &[Value], &mut [Value]) -> Result<(), Trap> + 'static,
     {
         self.host
             .define(module, name, HostFunc::new(params, results, func));
         self
-    }
-
-    /// Registers a pre-built [`HostFunc`] under `module.name`.
-    pub fn define(&mut self, module: &str, name: &str, func: HostFunc) -> &mut Self {
-        self.host.define(module, name, func);
-        self
-    }
-
-    /// Whether `module.name` is defined (embedder functions only, not
-    /// the libc's).
-    #[must_use]
-    pub fn is_defined(&self, module: &str, name: &str) -> bool {
-        self.host.resolve(module, name).is_some()
-    }
-
-    /// Number of embedder-defined host functions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.host.len()
-    }
-
-    /// Whether no embedder host functions are defined.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.host.is_empty()
     }
 
     /// Stamps one instance of `pre` into `store` against this linker —
@@ -123,7 +102,8 @@ impl Linker {
     /// # Errors
     ///
     /// Whatever [`Store::instantiate_precompiled`] reports: unresolved
-    /// imports, the 15-sandbox MTE limit, a trapping start function.
+    /// or mistyped imports, the 15-sandbox MTE limit, a trapping start
+    /// function.
     pub fn instantiate(
         &self,
         store: &mut Store,
@@ -170,8 +150,6 @@ mod tests {
     #[test]
     fn empty_linker_has_no_imports() {
         let linker = Linker::new();
-        assert!(!linker.provides_libc());
-        assert!(linker.is_empty());
         let mut store = Store::new(ExecConfig::default());
         let err = linker
             .instantiate(&mut store, &libc_module(), 0x1000)
@@ -181,6 +159,58 @@ mod tests {
                 if module == "cage_libc" && name == "malloc"),
             "{err}"
         );
+    }
+
+    /// A wasm64 module with a memory that imports `module.name` at
+    /// `params -> results` and does nothing else.
+    fn importing(module: &str, name: &str, params: &[ValType], results: &[ValType]) -> Precompiled {
+        let mut b = ModuleBuilder::new();
+        b.import_func(module, name, params, results);
+        b.add_memory64(1);
+        Precompiled::new(&b.build()).unwrap()
+    }
+
+    #[test]
+    fn a_mistyped_libc_import_fails_to_link() {
+        let pre = importing("cage_libc", "malloc", &[ValType::F64], &[I64]);
+        let mut store = Store::new(ExecConfig::default());
+        let err = Linker::with_libc()
+            .instantiate(&mut store, &pre, 0x1000)
+            .unwrap_err();
+        assert!(
+            matches!(&err, InstantiateError::ImportType { module, name, .. }
+                if module == "cage_libc" && name == "malloc"),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "import cage_libc.malloc is typed (func (param f64) (result i64)), \
+             its host function (func (param i64) (result i64))"
+        );
+        assert_eq!(store.instance_count(), 0);
+    }
+
+    #[test]
+    fn an_embedder_function_of_the_wrong_arity_fails_to_link() {
+        let mut linker = Linker::new();
+        linker.func("env", "f", &[I64], &[I64], |_, args, out| {
+            out[0] = args[0];
+            Ok(())
+        });
+        let mut store = Store::new(ExecConfig::default());
+        for (params, results) in [(&[][..], &[][..]), (&[I64], &[]), (&[I64, I64], &[I64])] {
+            let pre = importing("env", "f", params, results);
+            let err = linker.instantiate(&mut store, &pre, 0).unwrap_err();
+            assert!(
+                matches!(&err, InstantiateError::ImportType { module, name, .. }
+                    if module == "env" && name == "f"),
+                "{params:?} -> {results:?}: {err}"
+            );
+        }
+        let h = linker
+            .instantiate(&mut store, &importing("env", "f", &[I64], &[I64]), 0)
+            .unwrap();
+        assert_eq!(store.call(h, 0, &[Value::I64(5)]), Ok(vec![Value::I64(5)]));
     }
 
     #[test]
@@ -205,9 +235,7 @@ mod tests {
     #[test]
     fn embedder_definitions_shadow_libc() {
         let mut linker = Linker::with_libc();
-        linker.func("cage_libc", "malloc", &[I64], &[I64], |_, _| {
-            Ok(vec![Value::I64(0)])
-        });
+        linker.func("cage_libc", "malloc", &[I64], &[I64], |_, _, _| Ok(()));
         let mut store = Store::new(ExecConfig::default());
         let h = linker
             .instantiate(&mut store, &libc_module(), 0x1000)
@@ -229,9 +257,9 @@ mod tests {
         let calls = Rc::new(Cell::new(0u32));
         let mut linker = Linker::new();
         let c = Rc::clone(&calls);
-        linker.func("env", "poke", &[], &[], move |_, _| {
+        linker.func("env", "poke", &[], &[], move |_, _, _| {
             c.set(c.get() + 1);
-            Ok(vec![])
+            Ok(())
         });
         let mut b = ModuleBuilder::new();
         let poke = b.import_func("env", "poke", &[], &[]);

@@ -1152,8 +1152,9 @@ mod tests {
         use cage_wasm::ValType;
         let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
             *linker = Linker::with_libc();
-            linker.func("env", "seven", &[], &[ValType::I64], |_ctx, _args| {
-                Ok(vec![Value::I64(7)])
+            linker.func("env", "seven", &[], &[ValType::I64], |_ctx, _args, out| {
+                out[0] = Value::I64(7);
+                Ok(())
             });
         }));
         let pre = template(
@@ -1165,6 +1166,44 @@ mod tests {
         let inst = pool.checkout().unwrap();
         assert_eq!(pool.invoke(&inst, "f", &[]).unwrap(), vec![Value::I64(8)]);
         pool.release(inst);
+    }
+
+    #[test]
+    fn a_mistyped_custom_hook_fails_at_checkout_and_quarantines_nothing() {
+        use cage_wasm::ValType;
+        // The module imports `env.seven` as `() -> i64`; the hook declares
+        // `(i64) -> i64`.
+        let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
+            *linker = Linker::with_libc();
+            linker.func(
+                "env",
+                "seven",
+                &[ValType::I64],
+                &[ValType::I64],
+                |_, _, out| {
+                    out[0] = Value::I64(7);
+                    Ok(())
+                },
+            );
+        }));
+        let pre = template(
+            "long seven(void); long f() { return seven() + 1; }",
+            Variant::CageFull,
+            profile,
+        );
+        let mut pool = Pool::new(pre);
+        for _ in 0..2 {
+            let err = pool.checkout().unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Instantiate(InstantiateError::ImportType { module, name, .. })
+                    if module == "env" && name == "seven"),
+                "{err}"
+            );
+        }
+        assert_eq!((pool.capacity(), pool.outstanding()), (0, 0));
+        let metrics = pool.metrics();
+        assert_eq!((metrics.instantiations, metrics.quarantined), (0, 0));
+        assert_eq!(pool.store().instance_count(), 0);
     }
 
     #[test]
@@ -1193,7 +1232,7 @@ mod tests {
         use cage_wasm::ValType;
         let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
             *linker = Linker::with_libc();
-            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args| {
+            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args, _| {
                 panic!("injected host panic")
             });
         }));
@@ -1231,7 +1270,7 @@ mod tests {
         use cage_wasm::ValType;
         let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
             *linker = Linker::with_libc();
-            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args| {
+            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args, _| {
                 panic!("injected host panic")
             });
         }));
@@ -1276,7 +1315,7 @@ mod tests {
         use cage_wasm::ValType;
         let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
             *linker = Linker::with_libc();
-            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args| {
+            linker.func("env", "boom", &[], &[ValType::I64], |_ctx, _args, _| {
                 panic!("injected host panic")
             });
         }));
@@ -1427,7 +1466,7 @@ mod tests {
         use cage_wasm::ValType;
         let profile = HostProfile::Custom(Arc::new(|linker: &mut Linker| {
             *linker = Linker::with_libc();
-            linker.func("env", "fail", &[], &[ValType::I64], |_ctx, _args| {
+            linker.func("env", "fail", &[], &[ValType::I64], |_ctx, _args, _| {
                 Err(Trap::Host("ordinary failure".into()))
             });
         }));

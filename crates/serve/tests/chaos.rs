@@ -190,8 +190,11 @@ fn template(variant: Variant) -> Arc<InstancePre> {
             "hook",
             &[ValType::I64],
             &[ValType::I64],
-            |_ctx, args| match MODE.with(Cell::get) {
-                MODE_OK => Ok(vec![Value::I64(args[0].as_i64() + 1)]),
+            |_ctx, args, out| match MODE.with(Cell::get) {
+                MODE_OK => {
+                    out[0] = Value::I64(args[0].as_i64() + 1);
+                    Ok(())
+                }
                 MODE_TRAP => Err(Trap::Host("chaos injected host trap".into())),
                 _ => panic!("chaos injected host panic"),
             },

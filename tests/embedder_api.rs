@@ -40,11 +40,12 @@ fn host_linker() -> (Linker, Rc<RefCell<Vec<i64>>>) {
         "accumulate",
         &[ValType::I64],
         &[ValType::I64],
-        move |_ctx, args| {
+        move |_ctx, args, out| {
             let v = args[0].as_i64();
             state.borrow_mut().push(v);
             *total.borrow_mut() += v;
-            Ok(vec![Value::I64(*total.borrow())])
+            out[0] = Value::I64(*total.borrow());
+            Ok(())
         },
     );
     linker.func(
@@ -52,7 +53,10 @@ fn host_linker() -> (Linker, Rc<RefCell<Vec<i64>>>) {
         "scale",
         &[ValType::F64, ValType::I64],
         &[ValType::F64],
-        |_ctx, args| Ok(vec![Value::F64(args[0].as_f64() * args[1].as_i64() as f64)]),
+        |_ctx, args, out| {
+            out[0] = Value::F64(args[0].as_f64() * args[1].as_i64() as f64);
+            Ok(())
+        },
     );
     (linker, seen)
 }
@@ -237,9 +241,9 @@ fn linker_definitions_shadow_libc() {
         "print_i64",
         &[ValType::I64],
         &[],
-        move |_ctx, args| {
+        move |_ctx, args, _| {
             log.borrow_mut().push(args[0].as_i64());
-            Ok(vec![])
+            Ok(())
         },
     );
     let mut inst = engine.instantiate_with(&artifact, &linker).unwrap();

@@ -339,3 +339,41 @@ fn postfix_steps_yield_the_old_value_on_every_variant_and_level() {
         }
     }
 }
+
+/// Pointer differences, counted in elements of the pointee: a `long`
+/// under every pointer width, so the wasm32 baseline (4-byte pointers)
+/// compiles and runs them like the wasm64 variants.
+const POINTER_DIFFERENCE: &str = r#"
+long char_diff() { char s[4]; char *p = s + 3; return p - s; }
+long long_diff() { long a[4]; long *p = a + 3; long *q = a + 1; return p - q; }
+long long_diff_negative() { long a[4]; long *p = a + 3; long *q = a + 1; return q - p; }
+"#;
+
+#[test]
+fn pointer_differences_are_longs_on_every_variant_and_level() {
+    use cage::OptLevel;
+    let answers = [
+        ("char_diff", 3),
+        ("long_diff", 2),
+        ("long_diff_negative", -2),
+    ];
+    for variant in Variant::ALL {
+        for level in [OptLevel::None, OptLevel::Standard, OptLevel::Full] {
+            let engine = Engine::builder(variant).opt_level(level).build();
+            let artifact = engine
+                .compile(POINTER_DIFFERENCE)
+                .unwrap_or_else(|e| panic!("{variant} {level:?}: {e}"));
+            let mut inst = engine.instantiate(&artifact).unwrap();
+            for (export, answer) in answers {
+                let out = inst
+                    .invoke(export, &[])
+                    .unwrap_or_else(|e| panic!("{export} under {variant} at {level:?}: {e}"));
+                assert_eq!(
+                    out,
+                    vec![Value::I64(answer)],
+                    "{export} under {variant} at {level:?}"
+                );
+            }
+        }
+    }
+}

@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 
 use cage::engine::cost::class_weights;
 use cage::engine::{ChargeClass, ChargeCounts};
-use cage::{Core, Engine, OptLevel, Variant};
+use cage::{Core, Engine, OptLevel, Value, Variant};
 
 const GOLDEN: &str = include_str!("golden_polybench_cycles.tsv");
 const GOLDEN_OPT: &str = include_str!("golden_polybench_cycles_opt.tsv");
@@ -251,6 +251,119 @@ fn count_vectors_are_identical_under_all_three_cores() {
                     "{kernel}/{variant:?} on {core}"
                 );
             }
+        }
+    }
+}
+
+/// Every libc function that charges: `run(0)` allocates, fills, copies,
+/// reallocates and frees; `run(1)` also copies into the block `realloc`
+/// freed, which traps under a memory-safety variant.
+const LIBC_PROGRAM: &str = r#"
+long run(long trigger) {
+    char* a = malloc(100);
+    char* b = calloc(3, 40);
+    memset(a, 'x', 99);
+    a[99] = 0;
+    memcpy(b, a, 64);
+    char* c = realloc(b, 200);
+    strcpy(c + 100, a);
+    if (trigger) {
+        strcpy(b, a);
+    }
+    long v = c[5] + c[150];
+    free(a);
+    free(c);
+    return v;
+}
+"#;
+
+/// `source`'s `run(arg)` under (`variant`, `core`): its outcome (a trap
+/// as its message), what it was charged and the engine's own cycles.
+fn run_c(
+    source: &str,
+    variant: Variant,
+    core: Core,
+    arg: i64,
+) -> (Result<Vec<Value>, String>, ChargeCounts, f64) {
+    let engine = Engine::builder(variant).core(core).build();
+    let artifact = engine.compile(source).expect("builds");
+    let mut inst = engine.instantiate(&artifact).expect("instantiates");
+    let outcome = inst
+        .invoke("run", &[Value::I64(arg)])
+        .map_err(|e| e.to_string());
+    (outcome, inst.charge_counts(), inst.cycles())
+}
+
+/// Host charges are counts too: the eight Table 2 programs and a program
+/// of every charging libc function, benign and triggered, under every
+/// variant are charged the same vector on all three cores — traps
+/// included — and pricing that vector with a core's weights is that
+/// core's own reading. The libc's tagging is `SegmentNewGranules`, whose
+/// weight is one `stzg`, so one `malloc(256)` + `free` costs the host
+/// what the libc charged when it priced `stzg` for the configured core
+/// itself: 140 cycles of fixed work plus 16 granules under
+/// `CageMemSafety`, 140 under `BaselineWasm64`.
+#[test]
+fn libc_charges_are_identical_under_all_three_cores() {
+    let mut programs: Vec<(&str, &str)> = cage::gallery::cases()
+        .iter()
+        .map(|case| (case.cve, case.source))
+        .collect();
+    programs.push(("libc", LIBC_PROGRAM));
+    for (name, source) in programs {
+        for variant in Variant::ALL {
+            for trigger in [0, 1] {
+                let runs = Core::ALL.map(|core| run_c(source, variant, core, trigger));
+                let (outcome, counts, _) = &runs[0];
+                if name == "libc" {
+                    let hardened = variant.provides_memory_safety();
+                    assert!(counts.host_eighths > 0, "{variant:?}");
+                    assert_eq!(counts.get(ChargeClass::SegmentNewGranules) > 0, hardened);
+                    let expected = if trigger == 1 && hardened {
+                        None
+                    } else {
+                        Some(vec![Value::I64(240)])
+                    };
+                    assert_eq!(outcome.clone().ok(), expected, "{variant:?} run({trigger})");
+                }
+                for (core, (o, c, cycles)) in Core::ALL.into_iter().zip(&runs) {
+                    let what = format!("{name}/{variant:?} run({trigger}) on {core}");
+                    assert_eq!(o, outcome, "{what}");
+                    assert_eq!(c, counts, "{what}");
+                    assert_eq!(
+                        derive(counts, variant, core).to_bits(),
+                        cycles.to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    const MALLOC_FREE: &str = "long run(long n) { char* p = malloc(n); free(p); return 0; }";
+    let by_hand = [
+        (Core::CortexX3, 156.0),
+        (Core::CortexA715, 148.695_652_173_913_06),
+        (Core::CortexA510, 156.326_530_612_244_88),
+    ];
+    for (core, cage) in by_hand {
+        for (variant, by_hand) in [
+            (Variant::CageMemSafety, cage),
+            (Variant::BaselineWasm64, 140.0),
+        ] {
+            let (outcome, counts, _) = run_c(MALLOC_FREE, variant, core, 256);
+            assert_eq!(outcome, Ok(vec![Value::I64(0)]));
+            let mut host = ChargeCounts {
+                host_eighths: counts.host_eighths,
+                ..ChargeCounts::default()
+            };
+            let granules = ChargeClass::SegmentNewGranules as usize;
+            host.counts[granules] = counts.counts[granules];
+            let cycles = derive(&host, variant, core);
+            assert!(
+                (cycles - by_hand).abs() < 1e-9,
+                "{variant:?} on {core}: {cycles} vs {by_hand}"
+            );
         }
     }
 }

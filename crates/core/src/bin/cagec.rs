@@ -20,7 +20,6 @@
 use std::process::ExitCode;
 
 use cage::engine::cost::class_weights;
-use cage::engine::ChargeCounts;
 use cage::{Core, Engine, Error, Instance, OptLevel, Value, Variant};
 
 /// Compile (or usage/I-O) failure.
@@ -188,10 +187,9 @@ fn report(err: &Error) {
 
 /// Prints the cycle attribution of what `instance` has run so far: one
 /// row per charge class it retired anything in, priced on the engine's
-/// core, then what hosts charged, the total, and the guest's share of
-/// the same counts priced on the other two cores. What the hosts charged
-/// was computed under the selected core's configuration (libc prices its
-/// tagging by core), so it is its own row and is not rescaled.
+/// core, then the hosts' fixed work, the total, and the same counts
+/// priced on the other two cores. The counts do not depend on the core,
+/// so each total is what a run there prints.
 fn print_profile(engine: &Engine, instance: &Instance) {
     let counts = instance.charge_counts();
     let config = engine.exec_config();
@@ -214,24 +212,20 @@ fn print_profile(engine: &Engine, instance: &Instance) {
             row(class.name(), &n.to_string(), n as f64 * weight);
         }
     }
-    row("host functions", "-", counts.host_cycles);
+    row("host functions", "-", counts.host_eighths as f64 / 8.0);
     row(
         &format!("total on {}", engine.core()),
         &counts.instr_count().to_string(),
         total,
     );
-    let guest = ChargeCounts {
-        host_cycles: 0.0,
-        ..counts
-    };
     for core in Core::ALL {
         if core != engine.core() {
             let weights = class_weights(&config.on_core(core));
             eprintln!(
                 "[profile] {:<22} {:>12} {:>16.2}",
-                format!("guest on {core}"),
+                format!("total on {core}"),
                 "",
-                guest.cycles(&weights)
+                counts.cycles(&weights)
             );
         }
     }

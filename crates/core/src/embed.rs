@@ -531,10 +531,10 @@ impl Instance {
         self.rt.simulated_ms(self.handle)
     }
 
-    /// What the instance has been charged: the retired counts per
-    /// [`cage_engine::ChargeClass`] (each class knows its name) and the
-    /// cycles its host functions charged. The counts do not depend on the
-    /// simulated core: price them with
+    /// What the instance has been charged: the counts per
+    /// [`cage_engine::ChargeClass`] (each class knows its name) and its
+    /// host functions' eighth-cycles. None of it depends on the
+    /// simulated core: price it with
     /// [`cage_engine::cost::class_weights`] of any core's
     /// configuration to see where the cycles went there.
     #[must_use]

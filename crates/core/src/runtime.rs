@@ -154,9 +154,9 @@ impl Runtime {
         self.store.simulated_ms(inst)
     }
 
-    /// What an instance has been charged: retired counts per class and
-    /// the cycles its host functions charged (core-independent; cycles
-    /// and the instruction count are derived from it).
+    /// What an instance has been charged: counts per class and its host
+    /// functions' eighth-cycles (core-independent; cycles and the
+    /// instruction count are derived from it).
     #[must_use]
     pub fn charge_counts(&self, inst: InstanceHandle) -> ChargeCounts {
         self.store.charge_counts(inst)

@@ -34,8 +34,8 @@ use crate::config::ExecConfig;
 /// each — the nine classes of the register tier's charge recipes first,
 /// in [`crate::bytecode::ChargeTag`] order, then the bridged
 /// instructions. The rest are the data-dependent units those bridged
-/// instructions charge on top (bytes filled or copied, granules tagged)
-/// and retire nothing.
+/// instructions — and a host's tagging, as `SegmentNewGranules` — charge
+/// on top (bytes filled or copied, granules tagged) and retire nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ChargeClass {
@@ -143,37 +143,27 @@ impl ChargeClass {
 /// Cycles per unit of each [`ChargeClass`], in class order.
 pub type ClassWeights = [f64; ChargeClass::COUNT];
 
-/// What an instance has been charged: the retired counts per
-/// [`ChargeClass`], and the cycles host functions charged through
-/// [`crate::HostContext::charge`] (an `f64` the embedder chooses, so it
-/// stays one; host calls are its only writers and keep their order).
-///
-/// Equality compares `host_cycles` by bit pattern: two executions agree
-/// when they charged exactly the same things.
-#[derive(Debug, Clone, Copy, Default)]
+/// What an instance has been charged, in integers only: the retired
+/// counts and data-dependent units per [`ChargeClass`], and the fixed work
+/// host functions charged ([`crate::HostContext::charge_eighths`]).
+/// Nothing in it depends on the simulated core; cycles are derived on
+/// read ([`ChargeCounts::cycles`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChargeCounts {
-    /// Retired counts, indexed by `ChargeClass as usize`.
+    /// Retired counts and units, indexed by `ChargeClass as usize`.
     pub counts: [u64; ChargeClass::COUNT],
-    /// Cycles charged by host functions.
-    pub host_cycles: f64,
+    /// Fixed host work in eighths of a cycle (the libc's `memset` and
+    /// `memcpy` charge `len/8 + 4` cycles).
+    pub host_eighths: u64,
 }
-
-impl PartialEq for ChargeCounts {
-    fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts && self.host_cycles.to_bits() == other.host_cycles.to_bits()
-    }
-}
-
-impl Eq for ChargeCounts {}
 
 impl std::ops::AddAssign<&ChargeCounts> for ChargeCounts {
-    /// Adds what another run was charged: class by class, and the host's
-    /// cycles.
+    /// Adds what another run was charged, field by field, saturating.
     fn add_assign(&mut self, other: &ChargeCounts) {
         for (sum, n) in self.counts.iter_mut().zip(other.counts) {
-            *sum += n;
+            *sum = sum.saturating_add(n);
         }
-        self.host_cycles += other.host_cycles;
+        self.host_eighths = self.host_eighths.saturating_add(other.host_eighths);
     }
 }
 
@@ -185,7 +175,7 @@ impl ChargeCounts {
     }
 
     /// Charges `n` data-dependent units of `class` (bytes, granules). The
-    /// guest chooses `n` — a `memory.fill` of `u64::MAX` bytes is charged
+    /// caller chooses `n` — a `memory.fill` of `u64::MAX` bytes is charged
     /// before it traps — so the count saturates instead of wrapping.
     #[inline]
     pub(crate) fn charge_units(&mut self, class: ChargeClass, n: u64) {
@@ -210,18 +200,18 @@ impl ChargeCounts {
         self.counts[..ChargeClass::OPS].iter().sum()
     }
 
-    /// Simulated cycles under `weights`: the host's cycles plus the dot
+    /// Simulated cycles under `weights`: the hosts' fixed work plus the dot
     /// product in class order — a function of the counts alone, however
     /// invocations, host calls and resets split the run that made them.
     #[must_use]
     pub fn cycles(&self, weights: &ClassWeights) -> f64 {
-        let guest: f64 = self
+        let classes: f64 = self
             .counts
             .iter()
             .zip(weights)
             .map(|(&n, w)| n as f64 * w)
             .sum();
-        self.host_cycles + guest
+        self.host_eighths as f64 / 8.0 + classes
     }
 }
 
@@ -390,29 +380,44 @@ mod tests {
         );
     }
 
+    /// A granule's weight is one `stzg` on every variant and core: the
+    /// price of the guest's `segment.new` and of the libc's tagging alike.
     #[test]
     fn segment_costs_scale_with_granules() {
-        let weights = class_weights(&cfg(Core::CortexX3));
-        let segment_new = |granules: u64| {
-            let mut counts = ChargeCounts::default();
-            counts.counts[ChargeClass::SegmentNew as usize] = 1;
-            counts.counts[ChargeClass::SegmentNewGranules as usize] = granules;
-            counts.cycles(&weights)
-        };
-        let stzg = MteInstr::Stzg.issue_cycles(Core::CortexX3);
-        assert_eq!(weights[ChargeClass::SegmentNewGranules as usize], stzg);
-        assert_eq!(
-            segment_new(1),
-            weights[ChargeClass::SegmentNew as usize] + stzg
-        );
-        assert!((segment_new(64) - segment_new(1) - stzg * 63.0).abs() < 1e-9);
+        for variant in Variant::ALL {
+            for core in Core::ALL {
+                let weights = class_weights(&variant.exec_config(core));
+                let segment_new = |granules: u64| {
+                    let mut counts = ChargeCounts::default();
+                    counts.counts[ChargeClass::SegmentNew as usize] = 1;
+                    counts.counts[ChargeClass::SegmentNewGranules as usize] = granules;
+                    counts.cycles(&weights)
+                };
+                let stzg = MteInstr::Stzg.issue_cycles(core);
+                let what = format!("{variant} on {core}");
+                assert_eq!(
+                    weights[ChargeClass::SegmentNewGranules as usize],
+                    stzg,
+                    "{what}"
+                );
+                assert_eq!(
+                    segment_new(1),
+                    weights[ChargeClass::SegmentNew as usize] + stzg,
+                    "{what}"
+                );
+                assert!(
+                    (segment_new(64) - segment_new(1) - stzg * 63.0).abs() < 1e-9,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]
     fn counts_price_to_cycles_and_retired_instructions() {
         let weights = class_weights(&cfg(Core::CortexA510));
         let mut counts = ChargeCounts {
-            host_cycles: 80.0,
+            host_eighths: 642,
             ..ChargeCounts::default()
         };
         counts.counts[ChargeClass::Simple as usize] = 3;
@@ -424,7 +429,7 @@ mod tests {
         let mem = weights[ChargeClass::Mem as usize];
         assert_eq!(
             counts.cycles(&weights),
-            80.0 + 3.0 * 1.0 + mem + 32.0 * (mem / 16.0)
+            80.25 + 3.0 * 1.0 + mem + 32.0 * (mem / 16.0)
         );
         // Every class has a distinct name, and the order is the enum's.
         for (i, class) in ChargeClass::ALL.into_iter().enumerate() {

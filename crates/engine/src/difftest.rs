@@ -3,7 +3,7 @@
 //! structured tree walker (`Store::call_tree`, the reference
 //! implementation in `tree.rs`) on randomized control-flow bodies.
 //! Same results, same traps, same charge: the whole vector of retired
-//! counts per class plus the bits of what hosts charged, from which cycles
+//! counts per class plus the hosts' eighth-cycles, from which cycles
 //! and the retired-instruction count follow — so two mis-charges that
 //! cancel in the cycle total still show.
 //!
@@ -1426,9 +1426,10 @@ fn charge_is_the_same_however_a_run_is_split() {
             "env",
             "tick",
             crate::host::HostFunc::new(i64_to_i64.0, i64_to_i64.1, |ctx, args, out| {
-                // Exactly representable, so the hosts' own sum does not
-                // depend on where a run is cut either.
-                ctx.charge(12.5);
+                // Fixed work and a data-dependent unit class, both
+                // counted like the guest's charges.
+                ctx.charge_eighths(100);
+                ctx.charge_granules(args[0].as_i64() as u64 + 1);
                 out[0] = Value::I64(args[0].as_i64() + 100);
                 Ok(())
             }),
@@ -1482,7 +1483,12 @@ fn charge_is_the_same_however_a_run_is_split() {
 
             let what = format!("{config:?}, tree {tree}");
             let counts = whole.charge_counts(whole_h);
-            assert_eq!(counts.host_cycles, 16.0 * 12.5, "{what}");
+            assert_eq!(counts.host_eighths, 16 * 100, "{what}");
+            assert_eq!(
+                counts.get(ChargeClass::SegmentNewGranules),
+                15 + 66,
+                "{what}"
+            );
             assert_eq!(counts.get(ChargeClass::Fill), 3, "{what}");
             assert_eq!(counts.get(ChargeClass::FillBytes), 16, "{what}");
             assert_eq!(counts.get(ChargeClass::FloatDiv), 16, "{what}");

@@ -25,6 +25,7 @@ use std::rc::Rc;
 use cage_wasm::{FuncType, ValType};
 
 use crate::config::ExecConfig;
+use crate::cost::{ChargeClass, ChargeCounts};
 use crate::memory::LinearMemory;
 use crate::trap::Trap;
 use crate::value::Value;
@@ -35,18 +36,30 @@ pub struct HostContext<'a> {
     pub memory: Option<&'a mut LinearMemory>,
     /// The engine configuration in force.
     pub config: &'a ExecConfig,
-    /// The cycles host functions have charged this instance
-    /// ([`crate::ChargeCounts::host_cycles`]): host functions may charge
-    /// simulated time by adding to it. It is not the instance's cycle
-    /// total — the guest's share is kept as integer counts per class and
-    /// priced when read — so reading it tells a host only what hosts
-    /// charged.
-    pub cycles: &'a mut f64,
     /// The calling instance's host state, if it was instantiated with one.
     pub state: Option<&'a dyn HostState>,
+    /// The calling instance's counts: private, so a host only adds to them
+    /// through the two `charge_*` methods and retires no instruction.
+    counts: &'a mut ChargeCounts,
 }
 
 impl<'a> HostContext<'a> {
+    /// A context whose host charges land in `counts`.
+    #[must_use]
+    pub fn new(
+        memory: Option<&'a mut LinearMemory>,
+        config: &'a ExecConfig,
+        state: Option<&'a dyn HostState>,
+        counts: &'a mut ChargeCounts,
+    ) -> Self {
+        HostContext {
+            memory,
+            config,
+            state,
+            counts,
+        }
+    }
+
     /// The calling instance's host state, if it has one of type `T`. The
     /// reference lives as long as the context, not as this borrow of it,
     /// so a host function can hold it and [`HostContext::memory`] at once.
@@ -67,9 +80,17 @@ impl<'a> HostContext<'a> {
             .ok_or_else(|| Trap::Host("host function requires a memory".into()))
     }
 
-    /// Charges `cycles` of simulated time to the caller.
-    pub fn charge(&mut self, cycles: f64) {
-        *self.cycles += cycles;
+    /// Charges `eighths` eighth-cycles of fixed work, the same on every
+    /// core ([`ChargeCounts::host_eighths`]).
+    pub fn charge_eighths(&mut self, eighths: u64) {
+        self.counts.host_eighths = self.counts.host_eighths.saturating_add(eighths);
+    }
+
+    /// Charges `granules` granules tagged and zeroed (`stzg`), priced on
+    /// read like the guest's `segment.new` ([`ChargeClass::SegmentNewGranules`]).
+    pub fn charge_granules(&mut self, granules: u64) {
+        self.counts
+            .charge_units(ChargeClass::SegmentNewGranules, granules);
     }
 }
 
@@ -215,27 +236,25 @@ mod tests {
     #[test]
     fn host_context_charges_cycles() {
         let config = ExecConfig::default();
-        let mut cycles = 0.0;
-        let mut ctx = HostContext {
-            memory: None,
-            config: &config,
-            cycles: &mut cycles,
-            state: None,
-        };
-        ctx.charge(12.5);
-        assert_eq!(cycles, 12.5);
+        let mut counts = ChargeCounts::default();
+        let mut ctx = HostContext::new(None, &config, None, &mut counts);
+        ctx.charge_eighths(100);
+        ctx.charge_granules(3);
+        assert_eq!(counts.host_eighths, 100);
+        assert_eq!(counts.get(ChargeClass::SegmentNewGranules), 3);
+        assert_eq!(counts.instr_count(), 0, "a host retires nothing");
+        let mut ctx = HostContext::new(None, &config, None, &mut counts);
+        ctx.charge_eighths(u64::MAX);
+        ctx.charge_granules(u64::MAX);
+        assert_eq!(counts.host_eighths, u64::MAX);
+        assert_eq!(counts.get(ChargeClass::SegmentNewGranules), u64::MAX);
     }
 
     #[test]
     fn host_context_without_memory_errors() {
         let config = ExecConfig::default();
-        let mut cycles = 0.0;
-        let mut ctx = HostContext {
-            memory: None,
-            config: &config,
-            cycles: &mut cycles,
-            state: None,
-        };
+        let mut counts = ChargeCounts::default();
+        let mut ctx = HostContext::new(None, &config, None, &mut counts);
         assert!(matches!(ctx.memory(), Err(Trap::Host(_))));
     }
 }

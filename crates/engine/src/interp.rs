@@ -320,8 +320,8 @@ impl<'s> Interp<'s> {
     pub(crate) fn call_host(&mut self, func_idx: u32, stack: &mut Vec<u64>) -> Result<(), Trap> {
         let inst = &mut *self.inst;
         let (host, memory, config) = (&inst.host, inst.memory.as_mut(), &self.config);
-        let (cycles, staging) = (&mut inst.counts.host_cycles, &mut self.bufs.host_values);
-        host_boundary(host, func_idx, memory, config, cycles, staging, stack)
+        let (counts, staging) = (&mut inst.counts, &mut self.bufs.host_values);
+        host_boundary(host, func_idx, memory, config, counts, staging, stack)
     }
 
     pub(crate) fn memory(&mut self) -> Result<&LinearMemory, Trap> {
@@ -337,26 +337,21 @@ impl<'s> Interp<'s> {
 /// runs: the untagged argument slots of host function `idx` on top of
 /// `stack` convert to [`Value`]s in the reusable `staging` buffer,
 /// followed by its result slots, zeros of its result types; it runs with
-/// a [`HostContext`] over `memory`, `config`, `cycles` and the instance's
-/// host state and writes its results there, and they convert back in the
-/// arguments' place. Instantiation checked the function's declared type
+/// a [`HostContext`] over `memory`, `config`, the instance's host state
+/// and its `counts` and writes its results there, and they convert back
+/// in the arguments' place. Instantiation checked the function's declared type
 /// against the module's import type, so the slots are the call's.
 fn host_boundary(
     host: &InstanceHost,
     idx: u32,
     memory: Option<&mut LinearMemory>,
     config: &ExecConfig,
-    cycles: &mut f64,
+    counts: &mut ChargeCounts,
     staging: &mut Vec<Value>,
     stack: &mut Vec<u64>,
 ) -> Result<(), Trap> {
     let func = &host.funcs[idx as usize];
-    let mut ctx = HostContext {
-        memory,
-        config,
-        cycles,
-        state: host.state.as_deref(),
-    };
+    let mut ctx = HostContext::new(memory, config, host.state.as_deref(), counts);
     let ty = &func.ty;
     let args_base = stack.len() - ty.params.len();
     staging.clear();
@@ -368,9 +363,8 @@ fn host_boundary(
     );
     staging.extend(ty.results.iter().map(|ty| Value::zero(*ty)));
     let (args, results) = staging.split_at_mut(ty.params.len());
-    // What the host charges lands in the instance's `host_cycles`, which
-    // nothing else writes; the dispatch loop spilled its running sum
-    // before it came here.
+    // What the host charges lands in the instance's counts; the dispatch
+    // loop spilled its running sum before it came here.
     //
     // A panicking host function must not unwind through the dispatch
     // loop: the store would be left mid-mutation with no record of it.
@@ -614,8 +608,8 @@ impl Env<'_> {
         for &a in args {
             regs.push(regs[base + a as usize]);
         }
-        let (host, config, cycles) = (self.host, self.config, &mut self.counts.host_cycles);
-        host_boundary(host, idx, mem, config, cycles, self.host_values, regs)?;
+        let (host, config) = (self.host, self.config);
+        host_boundary(host, idx, mem, config, self.counts, self.host_values, regs)?;
         for (i, &slot) in rets.iter().enumerate() {
             regs[base + slot as usize] = regs[top + i];
         }
@@ -790,9 +784,8 @@ impl Interp<'_> {
         bufs.regs.extend(args.iter().map(|v| v.to_slot()));
         let inst = &mut *self.inst;
         let (host, memory, config) = (&inst.host, inst.memory.as_mut(), &self.config);
-        let cycles = &mut inst.counts.host_cycles;
-        let (staging, regs) = (&mut bufs.host_values, &mut bufs.regs);
-        let result = host_boundary(host, func_idx, memory, config, cycles, staging, regs);
+        let (counts, staging, regs) = (&mut inst.counts, &mut bufs.host_values, &mut bufs.regs);
+        let result = host_boundary(host, func_idx, memory, config, counts, staging, regs);
         let func = &inst.pre.funcs[func_idx as usize];
         if result.is_ok() {
             for ((out, ty), &raw) in results.iter_mut().zip(&func.ty.results).zip(&bufs.regs) {

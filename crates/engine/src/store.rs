@@ -788,12 +788,9 @@ impl Store {
             .call_function_tree(func_idx, args)
     }
 
-    /// What `handle` has been charged so far: the retired counts per
-    /// [`crate::ChargeClass`] and the cycles its host functions charged.
-    /// The counts are independent of the simulated core; the host cycles
-    /// are not: the libc prices its tagging for the configured core when
-    /// it runs, so a libc-using instance under a memory-safety variant
-    /// reads different `host_cycles` on each core. [`Store::cycles`] and
+    /// What `handle` has been charged so far: the counts per
+    /// [`crate::ChargeClass`] and its host functions' eighth-cycles, all
+    /// independent of the simulated core. [`Store::cycles`] and
     /// [`Store::instr_count`] are derived from it. Zero for a stale handle.
     #[must_use]
     pub fn charge_counts(&self, handle: InstanceHandle) -> ChargeCounts {

@@ -223,7 +223,7 @@ fn counts(classes: &[(ChargeClass, u64)]) -> ChargeCounts {
 /// The non-zero classes of a count vector (how the literals below are
 /// written; a mismatch prints this form).
 fn classes(counts: &ChargeCounts) -> Vec<(ChargeClass, u64)> {
-    assert_eq!(counts.host_cycles, 0.0);
+    assert_eq!(counts.host_eighths, 0);
     counts.iter().filter(|&(_, n)| n != 0).collect()
 }
 

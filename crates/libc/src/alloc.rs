@@ -13,9 +13,8 @@
 
 use std::collections::BTreeMap;
 
-use cage_engine::{ExecConfig, LinearMemory, Trap};
+use cage_engine::{LinearMemory, Trap};
 use cage_mte::pointer::ADDR_MASK;
-use cage_mte::MteInstr;
 
 /// Metadata slot size = one tag granule.
 pub const META_SIZE: u64 = 16;
@@ -84,17 +83,6 @@ impl Allocator {
         s
     }
 
-    /// Cycle cost charged for tagging `bytes` of a fresh allocation.
-    #[must_use]
-    pub fn tagging_cycles(config: &ExecConfig, bytes: u64) -> f64 {
-        if config.variant.provides_memory_safety() {
-            let granules = bytes.div_ceil(16);
-            granules as f64 * MteInstr::Stzg.issue_cycles(config.core)
-        } else {
-            0.0
-        }
-    }
-
     /// `malloc`: returns the (tagged) user pointer, or 0 on exhaustion.
     ///
     /// # Errors
@@ -102,6 +90,9 @@ impl Allocator {
     /// Propagates segment traps (only possible through engine bugs, since
     /// the allocator always passes aligned in-bounds regions).
     pub fn malloc(&mut self, mem: &mut LinearMemory, size: u64) -> Result<u64, Trap> {
+        if size > mem.size() {
+            return Ok(0); // NULL: it cannot fit, and its aligned size may not fit a u64
+        }
         let user_size = align16(size);
         let need = META_SIZE + user_size;
 

@@ -82,6 +82,15 @@ impl HostState for Libc {
     }
 }
 
+/// Charges an allocation of `bytes`: `eighths` of fixed work and, under a
+/// memory-safety variant, one `stzg` per granule it tags.
+fn charge_alloc(ctx: &mut HostContext<'_>, eighths: u64, bytes: u64) {
+    ctx.charge_eighths(eighths);
+    if ctx.config.variant.provides_memory_safety() {
+        ctx.charge_granules(bytes.div_ceil(16));
+    }
+}
+
 /// The calling instance's libc.
 fn libc<'a>(ctx: &HostContext<'a>) -> Result<&'a Libc, Trap> {
     ctx.state::<Libc>()
@@ -122,7 +131,7 @@ fn functions(ptr32: bool) -> Imports {
         "malloc",
         HostFunc::new(&[I64], &[ptr_ty], move |ctx, args, out| {
             let size = arg_u64(&args[0]);
-            ctx.charge(80.0 + Allocator::tagging_cycles(ctx.config, size));
+            charge_alloc(ctx, 640, size);
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
             ret_ptr(out, libc.alloc.borrow_mut().malloc(mem, size)?)
@@ -135,7 +144,7 @@ fn functions(ptr32: bool) -> Imports {
         "calloc",
         HostFunc::new(&[I64, I64], &[ptr_ty], move |ctx, args, out| {
             let total = arg_u64(&args[0]).saturating_mul(arg_u64(&args[1]));
-            ctx.charge(90.0 + Allocator::tagging_cycles(ctx.config, total));
+            charge_alloc(ctx, 720, total);
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
             let p = libc.alloc.borrow_mut().malloc(mem, total)?;
@@ -154,7 +163,7 @@ fn functions(ptr32: bool) -> Imports {
         "realloc",
         HostFunc::new(&[ptr_ty, I64], &[ptr_ty], move |ctx, args, out| {
             let (ptr, size) = (arg_u64(&args[0]), arg_u64(&args[1]));
-            ctx.charge(120.0 + Allocator::tagging_cycles(ctx.config, size));
+            charge_alloc(ctx, 960, size);
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
             ret_ptr(out, libc.alloc.borrow_mut().realloc(mem, ptr, size)?)
@@ -167,7 +176,7 @@ fn functions(ptr32: bool) -> Imports {
         "free",
         HostFunc::new(&[ptr_ty], &[], move |ctx, args, _| {
             let ptr = arg_u64(&args[0]);
-            ctx.charge(60.0);
+            ctx.charge_eighths(480);
             let libc = libc(ctx)?;
             let mem = ctx.memory()?;
             libc.alloc.borrow_mut().free(mem, ptr)?;
@@ -193,7 +202,7 @@ fn functions(ptr32: bool) -> Imports {
                 }
                 i += 1;
             }
-            ctx.charge(4.0 * i as f64);
+            ctx.charge_eighths(32 * i);
             ret_ptr(out, dst)
         }),
     );
@@ -209,7 +218,7 @@ fn functions(ptr32: bool) -> Imports {
             while mem.read_scalar(s, n, 1)? != 0 {
                 n += 1;
             }
-            ctx.charge(2.0 * n as f64);
+            ctx.charge_eighths(16 * n);
             out[0] = Value::from(n);
             Ok(())
         }),
@@ -224,7 +233,7 @@ fn functions(ptr32: bool) -> Imports {
             &[ptr_ty],
             move |ctx, args, out| {
                 let (p, v, len) = (arg_u64(&args[0]), args[1].as_i32() as u8, arg_u64(&args[2]));
-                ctx.charge(len as f64 / 8.0 + 4.0);
+                ctx.charge_eighths(len.saturating_add(32));
                 ctx.memory()?.fill(p, v, len)?;
                 ret_ptr(out, p)
             },
@@ -237,7 +246,7 @@ fn functions(ptr32: bool) -> Imports {
         "memcpy",
         HostFunc::new(&[ptr_ty, ptr_ty, I64], &[ptr_ty], move |ctx, args, out| {
             let (dst, src, len) = (arg_u64(&args[0]), arg_u64(&args[1]), arg_u64(&args[2]));
-            ctx.charge(len as f64 / 8.0 + 4.0);
+            ctx.charge_eighths(len.saturating_add(32));
             ctx.memory()?.copy(dst, src, len)?;
             ret_ptr(out, dst)
         }),
@@ -296,7 +305,8 @@ mod tests {
     use super::*;
     use crate::Linker;
     use cage_engine::{
-        ExecConfig, InstanceHandle, LinearMemory, Precompiled, Store, TagScheme, Variant,
+        ChargeCounts, ExecConfig, InstanceHandle, LinearMemory, Precompiled, Store, TagScheme,
+        Variant,
     };
     use cage_ir::passes::run_pipeline;
     use cage_ir::{lower, LowerOptions};
@@ -473,13 +483,9 @@ mod tests {
             variant: Variant::CageMemSafety,
             ..ExecConfig::default()
         };
-        let mut cycles = 0.0;
-        let mut ctx = HostContext {
-            memory: Some(mem),
-            config: &config,
-            cycles: &mut cycles,
-            state: libc.map(|l| l as &dyn HostState),
-        };
+        let mut counts = ChargeCounts::default();
+        let state = libc.map(|l| l as &dyn HostState);
+        let mut ctx = HostContext::new(Some(mem), &config, state, &mut counts);
         let func = with_functions(false, |f| f.resolve("cage_libc", name)).unwrap();
         let mut out: Vec<Value> = func.ty.results.iter().map(|t| Value::zero(*t)).collect();
         (func.func)(&mut ctx, args, &mut out)?;
@@ -504,6 +510,27 @@ mod tests {
             let err = host_call(None, &mut mem, name, &args).unwrap_err();
             assert!(matches!(err, Trap::Host(_)), "{name}: {err}");
         }
+    }
+
+    #[test]
+    fn a_length_of_u64_max_traps_out_of_bounds_without_overflowing_a_charge() {
+        // `len + 32` eighths would overflow a debug build's u64 before the
+        // access trapped; the charge saturates instead.
+        let libc = Libc::new(4096);
+        let mut mem = LinearMemory::new(1, None, true, TagScheme::InternalOnly, 7);
+        let p = host_call(Some(&libc), &mut mem, "malloc", &[Value::I64(32)]).unwrap()[0];
+        for (name, args) in [
+            ("memset", vec![p, Value::I32(1), Value::I64(-1)]),
+            ("memcpy", vec![p, p, Value::I64(-1)]),
+        ] {
+            let err = host_call(Some(&libc), &mut mem, name, &args).unwrap_err();
+            assert!(matches!(err, Trap::OutOfBounds { .. }), "{name}: {err}");
+        }
+        // `calloc(u64::MAX, 2)` asks for more than any memory holds: NULL,
+        // not a panic while aligning the size.
+        let args = [Value::I64(-1), Value::I64(2)];
+        let q = host_call(Some(&libc), &mut mem, "calloc", &args).unwrap();
+        assert_eq!(q, vec![Value::I64(0)]);
     }
 
     #[test]

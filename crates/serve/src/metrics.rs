@@ -7,8 +7,8 @@ use cage_engine::ChargeCounts;
 /// pool's own churn counters. A multi-worker server merges one snapshot per
 /// worker into the run totals it reports.
 ///
-/// A pool accumulates the integer [`ChargeCounts`] of its instances and
-/// nothing priced: `instr_count` is derived from `counts` when the pool
+/// A pool accumulates the [`ChargeCounts`] of its instances — integers
+/// only, host charges included — and nothing priced: `instr_count` is derived from `counts` when the pool
 /// hands out a snapshot (`Pool::metrics`), and a reader prices `counts`
 /// with the store's cost model (`Store::price`) for cycles. Release and
 /// merge add integers only, so totals do not depend on the order

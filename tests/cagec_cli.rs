@@ -438,8 +438,8 @@ fn opt_flag_shrinks_dumped_bytecode() {
 }
 
 /// `--profile` answers "where did the cycles go" for one run: the gemm
-/// kernel under full Cage on Cortex-X3, class by class, then the guest's
-/// same counts priced on the other two cores. The counts are the golden's
+/// kernel under full Cage on Cortex-X3, class by class, then the same
+/// counts priced on the other two cores. The counts are the golden's
 /// (`gemm CageFull`), the cycles column is counts x the class's weight.
 #[test]
 fn profile_prints_the_gemm_attribution_table() {
@@ -469,5 +469,59 @@ mem                           34400         28208.00   11.2%
 zero                          68800             0.00    0.0%
 host functions                    -             0.00    0.0%
 total on Cortex-X3           906211        251805.15  100.0%
-guest on Cortex-A715                       325473.71
-guest on Cortex-A510                       986267.00";
+total on Cortex-A715                       325473.71
+total on Cortex-A510                       986267.00";
+
+/// A `malloc`/`free` loop under `CageMemSafety`: the libc's tagging shows
+/// as the `segment_new_granules` row, and since a run's counts do not
+/// depend on the core, the total the default core's profile prices for
+/// Cortex-A715 is the total a run on Cortex-A715 prints.
+#[test]
+fn profile_prices_a_malloc_program_on_every_core_as_its_own_run() {
+    let program = tempfile::with_suffix(
+        ".c",
+        r#"
+        long work(long n) {
+            long acc = 0;
+            for (long i = 0; i < n; i++) {
+                long* p = (long*)malloc(8 * i + 8);
+                p[i] = i;
+                acc += p[i];
+                free((char*)p);
+            }
+            return acc;
+        }
+        "#,
+    );
+    let profile = |core: &[&str]| {
+        let out = cagec()
+            .arg(program.path())
+            .args([
+                "--variant",
+                "mem-safety",
+                "--invoke",
+                "work",
+                "10",
+                "--profile",
+            ])
+            .args(core)
+            .output()
+            .expect("cagec runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        stderr
+    };
+    // The cycles column of the "total on Cortex-A715" row: the first
+    // field with a decimal point (the count column has none).
+    let total_on_a715 = |stderr: &str| {
+        stderr
+            .lines()
+            .find_map(|l| l.strip_prefix("[profile] total on Cortex-A715"))
+            .and_then(|rest| rest.split_whitespace().find(|f| f.contains('.')))
+            .unwrap_or_else(|| panic!("no A715 total in {stderr}"))
+            .to_string()
+    };
+    let (on_x3, on_a715) = (profile(&[]), profile(&["--core", "a715"]));
+    assert!(on_x3.contains("[profile] segment_new_granules"), "{on_x3}");
+    assert_eq!(total_on_a715(&on_x3), total_on_a715(&on_a715));
+}

@@ -23,8 +23,12 @@
 //! And what a cold instantiation of that request's module allocates,
 //! once the thread has instantiated one (the libc's host functions are
 //! built once per thread and shared): 5 for `Linker::instantiate` into a
-//! store that has held an instance, 8 for a fresh pool's first
-//! `Pool::checkout`, 9 for `cage::Engine::instantiate`.
+//! store that has held an instance, 6 for a fresh pool's first
+//! `Pool::checkout`, 7 for `cage::Engine::instantiate` — and two fewer
+//! each (3 / 4 / 5) when a memory of the same size was dropped on the
+//! thread before, whose data buffer and tag store the new memory reuses
+//! instead of allocating. (A fresh store's call buffers, two of the 8
+//! and 9 these rows read before, are allocated by its first call.)
 //!
 //! Counts are per thread, so tests running side by side do not see each
 //! other's allocations.
@@ -260,31 +264,77 @@ fn a_cold_libc_instantiation_allocates_a_pinned_count() {
         Variant::CageFull,
     ] {
         // The first libc instantiation on a thread builds its table of
-        // libc functions; every one after it shares that table.
+        // libc functions; every one after it shares that table. Retired,
+        // it leaves its memory's buffers to the thread as a spare.
         let (pre, heap_base) = handler_template(variant);
         let linker = Linker::with_libc();
         let mut store = Store::new(variant.exec_config(ExecConfig::default().core));
         let h = linker.instantiate(&mut store, &pre, heap_base).unwrap();
         store.retire(h);
 
-        // Into a store that has held an instance: the memory and its tag
-        // store, the globals, the host-function handles and the boxed libc.
+        // Into a store that has held an instance, on the spare: the
+        // globals, the host-function handles and the boxed libc. (The
+        // memory's data buffer and tag store were the other two of five.)
         let (n, h) = allocations(|| linker.instantiate(&mut store, &pre, heap_base).unwrap());
-        assert_eq!(n, 5, "{variant}: Linker::instantiate");
+        assert_eq!(n, 3, "{variant}: Linker::instantiate");
         store.retire(h);
 
         // A fresh pool's first checkout: that, plus the fresh store's
-        // instance table and call buffers.
+        // instance table. (Its call buffers are allocated by its first
+        // call, as every store's are.)
         let mut pool = handler_pool(variant);
         let (n, inst) = allocations(|| pool.checkout().unwrap());
-        assert_eq!(n, 8, "{variant}: Pool::checkout, cold");
+        assert_eq!(n, 4, "{variant}: Pool::checkout, cold");
         pool.release(inst);
 
-        // A fresh runtime, its store and the instance.
+        // A fresh runtime, its store and the instance, after another
+        // instance of the artifact (whose memory is four times the
+        // template's above) was dropped.
         let engine = cage::Engine::new(variant);
         let artifact = engine.compile(HANDLER).unwrap();
+        drop(engine.instantiate(&artifact).unwrap());
         let (n, inst) = allocations(|| engine.instantiate(&artifact).unwrap());
-        assert_eq!(n, 9, "{variant}: Engine::instantiate");
+        assert_eq!(n, 5, "{variant}: Engine::instantiate");
         drop(inst);
+    }
+}
+
+/// The same three rows on a thread that holds no spare memory, where the
+/// memory's data buffer and tag store are allocated too.
+#[test]
+fn a_cold_libc_instantiation_with_no_spare_memory_allocates_a_pinned_count() {
+    for variant in [
+        Variant::BaselineWasm64,
+        Variant::CagePtrAuth,
+        Variant::CageFull,
+    ] {
+        // A thread of its own: no memory was dropped on it yet.
+        std::thread::spawn(move || {
+            let (pre, heap_base) = handler_template(variant);
+            let linker = Linker::with_libc();
+            let config = variant.exec_config(ExecConfig::default().core);
+            let mut store = Store::new(config);
+            let h = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+            store.retire(h);
+            // Another store's live instance takes the spare, and keeps it.
+            let mut holder = Store::new(config);
+            let held = linker.instantiate(&mut holder, &pre, heap_base).unwrap();
+
+            let (n, h) = allocations(|| linker.instantiate(&mut store, &pre, heap_base).unwrap());
+            assert_eq!(n, 5, "{variant}: Linker::instantiate");
+
+            let mut pool = handler_pool(variant);
+            let (n, inst) = allocations(|| pool.checkout().unwrap());
+            assert_eq!(n, 6, "{variant}: Pool::checkout, cold");
+
+            let engine = cage::Engine::new(variant);
+            let artifact = engine.compile(HANDLER).unwrap();
+            let (n, cage_inst) = allocations(|| engine.instantiate(&artifact).unwrap());
+            assert_eq!(n, 7, "{variant}: Engine::instantiate");
+            pool.release(inst);
+            drop((held, h, cage_inst));
+        })
+        .join()
+        .expect("the row's thread passes");
     }
 }

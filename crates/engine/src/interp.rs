@@ -142,21 +142,6 @@ pub(crate) struct CallBuffers {
 }
 
 impl CallBuffers {
-    /// Reserves what a call into `funcs` that makes no guest call needs:
-    /// the widest frame plus a host call's staged arguments, and the
-    /// typed arguments and results of the widest host function.
-    pub(crate) fn reserve_for(&mut self, funcs: &[CompiledFunc]) {
-        let frame = funcs.iter().map(|f| usize::from(f.reg.frame_size));
-        let hosts = funcs.iter().filter(|f| f.is_host);
-        let params = hosts.clone().map(|f| f.ty.params.len()).max();
-        let values = hosts.map(|f| f.ty.params.len() + f.ty.results.len()).max();
-        self.regs.clear();
-        self.regs
-            .reserve(frame.max().unwrap_or(0) + params.unwrap_or(0));
-        self.host_values.clear();
-        self.host_values.reserve(values.unwrap_or(0));
-    }
-
     /// The buffers for one call, emptied, their capacity kept; the store
     /// holds empty ones until [`CallBuffers::give_back`].
     fn take(&mut self) -> CallBuffers {

@@ -22,24 +22,33 @@
 //! # The committed prefix
 //!
 //! Creating (or growing) a memory *reserves* its declared size and backs
-//! none of it: `data.len()` is the **committed prefix**, `data.capacity()`
-//! covers guest memory plus slack. The invariant every method keeps:
+//! none of it: `data.capacity()` covers guest memory plus slack, and a
+//! field, `committed`, is the **committed prefix**: what the guest has
+//! touched, as [`LinearMemory::committed_bytes`] reports it. `data.len()`
+//! is the **zeroed length**, the part of the buffer that holds bytes at
+//! all. The two are equal on a memory built from nothing; a memory built
+//! from a recycled buffer (below) starts with its predecessor's zeroed
+//! length and a committed prefix of zero. The invariant every method
+//! keeps:
 //!
-//! * `data.len()` is a multiple of [`PAGE_SIZE`] or equals the total size
-//!   (guest plus slack), and never exceeds it;
-//! * bytes in `[data.len(), total)` are logically zero: nothing has ever
-//!   been written there, so readers that take `&self` see zeros, and
-//!   [`LinearMemory::reset`] has nothing to clear there (a block can still
-//!   be dirty for its *tags*, which are stored eagerly).
+//! * `committed` is a multiple of [`PAGE_SIZE`] or equals the total size
+//!   (guest plus slack), and never exceeds `data.len()`, which never
+//!   exceeds the total;
+//! * bytes in `[committed, total)` are logically zero: nothing has been
+//!   written there since the memory was built, so readers that take
+//!   `&self` see zeros, and [`LinearMemory::reset`] has nothing to clear
+//!   there (a block can still be dirty for its *tags*, which are stored
+//!   eagerly). Those of them below `data.len()` are real zero bytes.
 //!
 //! The prefix grows where an access was already being compared against
-//! `data.len()`: the final slack check of [`LinearMemory::resolve`]. A miss
-//! goes to a cold function that re-runs the real guest/slack bound (same
-//! trap payload as before), zero-extends the prefix inside the reserved
-//! capacity (no reallocation) and retries. The stack sits at the bottom of
-//! a guest's memory and the heap grows up from `__heap_base`, so the
-//! touched set is a prefix and the worst case commits what an eager
-//! allocation would have zeroed unconditionally.
+//! it: the final slack check of [`LinearMemory::resolve`]. A miss goes to a
+//! cold function that re-runs the real guest/slack bound (same trap
+//! payload as before), moves the prefix up by whole pages — zero-extending
+//! the buffer inside the reserved capacity (no reallocation) only where
+//! the prefix passes the zeroed length — and retries. The stack sits at
+//! the bottom of a guest's memory and the heap grows up from
+//! `__heap_base`, so the touched set is a prefix and the worst case
+//! commits what an eager allocation would have zeroed unconditionally.
 //!
 //! # The scalar fast path
 //!
@@ -95,6 +104,37 @@
 //! cleared by one 2 MiB `memset` rather than one per bitmap word.
 //! Both vectors keep their capacity across resets, so a recycled slot
 //! that dirties what its predecessor did allocates nothing.
+//!
+//! # Recycled memories
+//!
+//! A dropped memory — its instance retired, its store or pool dropped —
+//! hands its buffers to a per-thread list of *spares*, and
+//! [`LinearMemory::try_new`] takes one of the same total size before it
+//! allocates anything: a cold instantiation then skips the reservation,
+//! the tag store's allocation and the page fills of its first touches.
+//! Every spare is clean — the invariant the list keeps:
+//!
+//! * its `data` buffer is all zero bytes, with the capacity of the total
+//!   size; its length is the zeroed length the taker starts with;
+//! * its tag store covers the total size, every granule tagged zero, with
+//!   a check count of zero: exactly what `TagMemory::new` builds;
+//! * its dirty bitmap is all zero words and its worklist empty, both with
+//!   their capacity kept.
+//!
+//! The giver restores its dirty blocks with the walk [`LinearMemory::reset`]
+//! uses and, under a scheme whose initial tag is not zero, clears its guest
+//! tags. Only a memory that never grew is kept (a grown one's buffers are
+//! larger than its total; it is freed), and the list holds at most
+//! `KEPT_SPARES` memories and `KEPT_SPARE_BYTES` of buffer capacity, like
+//! the call buffers' `KEPT_*` trims: a memory that would pass either bound
+//! is freed. The taker builds every other field fresh and pre-tags the
+//! guest range under its own scheme exactly as a memory built from nothing
+//! does, so nothing a guest or an embedder can observe — bytes, tags,
+//! dirty blocks, check count, committed prefix — tells the two apart. Each
+//! thread has its own list, so which memories a run recycles never depends
+//! on another thread.
+
+use std::cell::RefCell;
 
 use cage_mte::pointer::ADDR_MASK;
 use cage_mte::{AccessKind, Tag, TagExclusionMask, TagMemory, TagPool};
@@ -110,6 +150,45 @@ pub const PAGE_SIZE: u64 = cage_wasm::types::PAGE_SIZE;
 /// The unit of dirty tracking: 4 KiB, the host page. [`LinearMemory::reset`]
 /// re-zeroes and retags whole blocks (see the module docs).
 pub(crate) const DIRTY_BLOCK: u64 = 4096;
+
+/// The most spare memories a thread keeps (see the module docs).
+pub(crate) const KEPT_SPARES: usize = 16;
+
+/// The most buffer capacity, in bytes, a thread's spare memories hold
+/// together: fifteen of the C front end's 4 MiB memories with their tag
+/// stores (a full sandboxed store) fit.
+pub(crate) const KEPT_SPARE_BYTES: u64 = 64 << 20;
+
+/// The buffers of a dropped memory that never grew, clean (see the module
+/// docs), and the capacity they hold, as `KEPT_SPARE_BYTES` counts it.
+#[derive(Debug)]
+struct Spare {
+    bytes: u64,
+    data: Vec<u8>,
+    tags: TagMemory,
+    dirty_bits: Vec<u64>,
+    dirty_words: Vec<usize>,
+}
+
+thread_local! {
+    /// This thread's spare memories, most recently given last.
+    static SPARES: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes this thread's most recently given spare of `total` bytes, if it
+/// has one.
+fn take_spare(total: u64) -> Option<Spare> {
+    SPARES
+        .try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let at = spares
+                .iter()
+                .rposition(|s| s.data.capacity() as u64 == total && s.tags.size() == total)?;
+            Some(spares.remove(at))
+        })
+        .ok()
+        .flatten()
+}
 
 /// How pointer tags are derived and memory is pre-tagged (§6.3/§6.4) —
 /// and thereby the memory's whole access policy: which check guards an
@@ -206,45 +285,28 @@ impl TagScheme {
 }
 
 /// A guest linear memory plus its MTE tag storage.
+///
+/// `repr(C)`, so the declaration order below is the layout: the offsets
+/// the dispatch loop reads its memory's fields at are part of its code,
+/// so a new field goes where it moves none of the others.
 #[derive(Debug)]
+#[repr(C)]
 pub struct LinearMemory {
-    /// The committed prefix (see the module docs); capacity is reserved
-    /// for `guest_size + RUNTIME_SLACK`.
-    data: Vec<u8>,
-    guest_size: u64,
-    max_pages: Option<u64>,
+    /// The module-declared maximum, `u64::MAX` where it declares none (no
+    /// page count reaches it: its byte size overflows first).
+    max_pages: u64,
+    /// The committed prefix (see the module docs).
+    committed: u64,
     /// Embedder-imposed page cap ([`crate::store::InstanceLimits`]), on
     /// top of the module-declared `max_pages`. Checked only in
     /// [`LinearMemory::grow`] — the single choke point every tier and the
     /// host-side grow go through — and preserved across [`LinearMemory::reset`].
     page_limit: Option<u64>,
-    memory64: bool,
+    /// The bytes; its length is the zeroed length, at least `committed`,
+    /// and its capacity is reserved for `guest_size + RUNTIME_SLACK` (see
+    /// the module docs).
+    data: Vec<u8>,
     tags: TagMemory,
-    scheme: TagScheme,
-    /// The scheme's three predicates, resolved once in
-    /// [`LinearMemory::try_new`] so no access re-derives them: the MTE
-    /// tag check stands in for the bounds check (§6.4), …
-    sandboxed: bool,
-    /// … the `segment.*` instructions act on this memory (§6.3), …
-    segments_live: bool,
-    /// … ordinary accesses are tag-checked at all.
-    tag_checked: bool,
-    /// The scalar fast path's bound (see the module docs):
-    /// `min(guest_size, data.len())`, under every scheme.
-    scalar_bound: u64,
-    /// The scheme's pointer-tag extraction as arithmetic, resolved once in
-    /// [`LinearMemory::try_new`]: the fast path's tag of `index` is
-    /// `((index >> 56) & ptr_tag_mask) + ptr_tag_add`, which is
-    /// [`TagScheme::ptr_tag`] with no `match`.
-    ptr_tag_mask: u8,
-    /// … and its constant term (the instance tag, or Combined's heap-base
-    /// nibble 1).
-    ptr_tag_add: u8,
-    pool: TagPool,
-    /// Construction parameters retained so [`LinearMemory::reset`] can
-    /// restore the freshly-instantiated state.
-    base_pages: u64,
-    seed: u64,
     /// One bit per `DIRTY_BLOCK` of `data` (guest plus slack): set when
     /// the block has been written or retagged since creation or the last
     /// reset. Grown only to cover the highest block dirtied, so a word
@@ -253,6 +315,33 @@ pub struct LinearMemory {
     /// The index of every non-zero word of `dirty_bits`, in the order it
     /// became non-zero — the worklist [`LinearMemory::reset`] walks.
     dirty_words: Vec<usize>,
+    guest_size: u64,
+    /// The scalar fast path's bound (see the module docs):
+    /// `min(guest_size, committed)`, under every scheme.
+    scalar_bound: u64,
+    pool: TagPool,
+    /// Construction parameters retained so [`LinearMemory::reset`] can
+    /// restore the freshly-instantiated state.
+    base_pages: u64,
+    seed: u64,
+    scheme: TagScheme,
+    memory64: bool,
+    /// The scheme's three predicates, resolved once in
+    /// [`LinearMemory::try_new`] so no access re-derives them: the MTE
+    /// tag check stands in for the bounds check (§6.4), …
+    sandboxed: bool,
+    /// … the `segment.*` instructions act on this memory (§6.3), …
+    segments_live: bool,
+    /// … ordinary accesses are tag-checked at all.
+    tag_checked: bool,
+    /// The scheme's pointer-tag extraction as arithmetic, resolved once in
+    /// [`LinearMemory::try_new`]: the fast path's tag of `index` is
+    /// `((index >> 56) & ptr_tag_mask) + ptr_tag_add`, which is
+    /// [`TagScheme::ptr_tag`] with no `match`.
+    ptr_tag_mask: u8,
+    /// … and its constant term (the instance tag, or Combined's heap-base
+    /// nibble 1).
+    ptr_tag_add: u8,
 }
 
 impl LinearMemory {
@@ -260,7 +349,9 @@ impl LinearMemory {
     ///
     /// Guest memory is pre-tagged with the scheme's initial tag (this is
     /// the instantiation-time tagging pass whose cost §7.2 measures); the
-    /// runtime slack stays tagged zero. No data byte is committed.
+    /// runtime slack stays tagged zero. No data byte is committed. The
+    /// buffers are this thread's spare of the same total size when it has
+    /// one (see the module docs).
     #[must_use]
     pub fn new(
         initial_pages: u64,
@@ -295,9 +386,14 @@ impl LinearMemory {
         let guest_size = initial_pages.checked_mul(PAGE_SIZE).ok_or_else(too_big)?;
         let total = guest_size.checked_add(RUNTIME_SLACK).ok_or_else(too_big)?;
         let total_usize = usize::try_from(total).map_err(|_| too_big())?;
-        let mut data = Vec::new();
-        data.try_reserve_exact(total_usize).map_err(|_| too_big())?;
-        let mut tags = TagMemory::new(total);
+        let (data, mut tags, dirty_bits, dirty_words) = match take_spare(total) {
+            Some(spare) => (spare.data, spare.tags, spare.dirty_bits, spare.dirty_words),
+            None => {
+                let mut data = Vec::new();
+                data.try_reserve_exact(total_usize).map_err(|_| too_big())?;
+                (data, TagMemory::new(total), Vec::new(), Vec::new())
+            }
+        };
         let initial = scheme.initial_tag();
         if !initial.is_zero() {
             tags.set_tag_range(0, guest_size, initial)
@@ -315,8 +411,9 @@ impl LinearMemory {
         };
         Ok(LinearMemory {
             data,
+            committed: 0,
             guest_size,
-            max_pages,
+            max_pages: max_pages.unwrap_or(u64::MAX),
             page_limit: None,
             memory64,
             tags,
@@ -330,9 +427,16 @@ impl LinearMemory {
             pool,
             base_pages: initial_pages,
             seed,
-            dirty_bits: Vec::new(),
-            dirty_words: Vec::new(),
+            dirty_bits,
+            dirty_words,
         })
+    }
+
+    /// The capacity of the buffers a spare keeps (see the module docs).
+    fn buffer_bytes(&self) -> u64 {
+        let bitmap = self.dirty_bits.capacity() * std::mem::size_of::<u64>();
+        let worklist = self.dirty_words.capacity() * std::mem::size_of::<usize>();
+        (self.data.capacity() + self.tags.packed().len() + bitmap + worklist) as u64
     }
 
     /// Guest memory plus runtime slack: the reserved size of `data`.
@@ -341,9 +445,10 @@ impl LinearMemory {
         self.guest_size + RUNTIME_SLACK
     }
 
-    /// Zero-extends the committed prefix to cover `[0, end)`, rounded up
-    /// to a page and capped at the total size. The capacity was reserved
-    /// at creation or by [`LinearMemory::grow`], so this never reallocates.
+    /// Extends the committed prefix to cover `[0, end)`, rounded up to a
+    /// page and capped at the total size, zero-extending the buffer where
+    /// the prefix passes its zeroed length. The capacity was reserved at
+    /// creation or by [`LinearMemory::grow`], so this never reallocates.
     /// An `end` past the total commits everything and leaves the caller's
     /// slice index to panic, as it always did.
     #[cold]
@@ -352,8 +457,11 @@ impl LinearMemory {
         let target = end
             .checked_next_multiple_of(PAGE_SIZE)
             .map_or(self.total(), |rounded| rounded.min(self.total()));
-        if target > self.data.len() as u64 {
-            self.data.resize(target as usize, 0);
+        if target > self.committed {
+            if target > self.data.len() as u64 {
+                self.data.resize(target as usize, 0);
+            }
+            self.committed = target;
             self.set_scalar_bound();
         }
     }
@@ -362,7 +470,7 @@ impl LinearMemory {
     /// from [`LinearMemory::commit`] and [`LinearMemory::reset`] only.
     #[inline]
     fn set_scalar_bound(&mut self) {
-        self.scalar_bound = self.guest_size.min(self.data.len() as u64);
+        self.scalar_bound = self.guest_size.min(self.committed);
     }
 
     /// The miss path of the final check in [`LinearMemory::resolve`] and
@@ -381,14 +489,18 @@ impl LinearMemory {
         }
     }
 
-    /// Host bytes of linear memory actually backed: the committed prefix.
-    /// Host-side and dependent on the touch pattern — unlike
+    /// Bytes of linear memory the guest has touched: the committed prefix,
+    /// in whole pages (or all of guest memory plus slack). Host-side and
+    /// dependent on the touch pattern — unlike
     /// [`LinearMemory::resident_bytes`], which is the *modelled* footprint
-    /// of §7.3 and must not change with it. The tag store (eager, 1/32 of
-    /// the declared size) is not counted.
+    /// of §7.3 and must not change with it. It is zero on every new
+    /// memory, one built from a recycled buffer included, whose zeroed
+    /// length it does not count (see the module docs): what the host backs
+    /// can exceed it by that much. The tag store (eager, 1/32 of the
+    /// declared size) is not counted.
     #[must_use]
     pub fn committed_bytes(&self) -> u64 {
-        self.data.len() as u64
+        self.committed
     }
 
     /// Marks the blocks covering `[addr, addr + len)` dirty. Every
@@ -461,16 +573,25 @@ impl LinearMemory {
             self.guest_size = base_size;
             let total = self.total();
             self.data.truncate(total as usize);
+            self.committed = self.committed.min(total);
             self.tags.shrink(total);
             self.tags
                 .set_tag_range(base_size, RUNTIME_SLACK, Tag::ZERO)
                 .expect("granule-aligned slack inside the shrunk tag store");
             self.set_scalar_bound();
         }
-        // Each maximal run of adjacent dirty blocks, across bitmap words
-        // too, is one data fill and one tag fill, whatever order the
-        // blocks were first touched in. The worklist is taken for the walk
-        // and handed back empty, keeping its capacity.
+        self.restore_dirty();
+        self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed)
+            .expect("segment exclusion leaves tags available");
+    }
+
+    /// Re-zeroes and retags every dirty block and clears the record, for
+    /// [`LinearMemory::reset`] and a memory handed on as a spare. Each
+    /// maximal run of adjacent dirty blocks, across bitmap words too, is
+    /// one data fill and one tag fill, whatever order the blocks were
+    /// first touched in. The worklist is taken for the walk and handed
+    /// back empty, keeping its capacity.
+    fn restore_dirty(&mut self) {
         let mut words = std::mem::take(&mut self.dirty_words);
         words.sort_unstable();
         let mut run = 0..0;
@@ -493,20 +614,17 @@ impl LinearMemory {
         self.restore_blocks(run);
         words.clear();
         self.dirty_words = words;
-        self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed)
-            .expect("segment exclusion leaves tags available");
     }
 
     /// Re-zeroes and retags dirty blocks `blocks` for
-    /// [`LinearMemory::reset`], clamped to the total size.
+    /// [`LinearMemory::restore_dirty`], clamped to the total size.
     fn restore_blocks(&mut self, blocks: std::ops::Range<u64>) {
         let start = blocks.start * DIRTY_BLOCK;
         let end = (blocks.end * DIRTY_BLOCK).min(self.total());
         // Past the prefix there is nothing to clear: a block is dirty there
         // only for its tags.
-        let committed = self.data.len() as u64;
-        if start < committed {
-            self.data[start as usize..end.min(committed) as usize].fill(0);
+        if start < self.committed {
+            self.data[start as usize..end.min(self.committed) as usize].fill(0);
         }
         // Retag the guest portion; slack tags never change (segment ops are
         // guest-bounded) so zero is still in force there.
@@ -598,10 +716,8 @@ impl LinearMemory {
     pub fn grow(&mut self, delta_pages: u64) -> Option<u64> {
         let old_pages = self.size_pages();
         let new_pages = old_pages.checked_add(delta_pages)?;
-        if let Some(max) = self.max_pages {
-            if new_pages > max {
-                return None;
-            }
+        if new_pages > self.max_pages {
+            return None;
         }
         // The embedder's resource policy fails a grow exactly like the
         // module's own declared maximum: an in-language `-1`, identical
@@ -621,8 +737,7 @@ impl LinearMemory {
         let total = new_size.checked_add(RUNTIME_SLACK)?;
         // Reserve data and tags before touching any state: a host that
         // cannot back the grow answers `-1`, it does not abort.
-        let committed = self.data.len() as u64;
-        let extra = usize::try_from(total - committed).ok()?;
+        let extra = usize::try_from(total - self.data.len() as u64).ok()?;
         self.data.try_reserve_exact(extra).ok()?;
         self.tags.try_grow(total).ok()?;
         let old_size = self.guest_size;
@@ -632,13 +747,14 @@ impl LinearMemory {
             // re-round a prefix that ended with it. That commit is the only
             // way the scalar bound can move here: a prefix of whole pages
             // already lies inside the old guest memory.
+            let committed = self.committed;
             if committed > old_size {
                 let slack_end = committed.min(old_size + RUNTIME_SLACK);
                 self.data[old_size as usize..slack_end as usize].fill(0);
             }
             self.guest_size = new_size;
-            if !self.data.len().is_multiple_of(PAGE_SIZE as usize) {
-                self.commit(self.data.len() as u64);
+            if !committed.is_multiple_of(PAGE_SIZE) {
+                self.commit(committed);
             }
             // New guest pages (the old slack region included) carry the
             // scheme's initial tag.
@@ -703,14 +819,14 @@ impl LinearMemory {
         // apart.
         if addr
             .checked_add(width)
-            .is_none_or(|end| end > self.data.len() as u64)
+            .is_none_or(|end| end > self.committed)
         {
             self.commit_access(addr, width)?;
         }
         Ok(addr)
     }
 
-    /// The `width` bytes at the resolved address: what is committed of
+    /// The `width` bytes at the resolved address: what the buffer holds of
     /// them, and zeros for the rest — a range that was never written reads
     /// as zeros without being committed by the read.
     ///
@@ -725,10 +841,10 @@ impl LinearMemory {
                 .is_some_and(|end| end <= self.total()),
             "read of {width} bytes at {addr:#x} leaves the memory"
         );
-        let committed = self.data.len() as u64;
+        let held = self.data.len() as u64;
         let mut out = Vec::with_capacity(width as usize);
         out.extend_from_slice(
-            &self.data[addr.min(committed) as usize..(addr + width).min(committed) as usize],
+            &self.data[addr.min(held) as usize..(addr + width).min(held) as usize],
         );
         out.resize(width as usize, 0);
         out
@@ -739,7 +855,7 @@ impl LinearMemory {
     /// — arrive here without a [`LinearMemory::resolve`]).
     pub fn write_resolved(&mut self, addr: u64, bytes: &[u8]) {
         let end = addr + bytes.len() as u64;
-        if end > self.data.len() as u64 {
+        if end > self.committed {
             self.commit(end);
         }
         self.mark_dirty(addr, bytes.len() as u64);
@@ -993,7 +1109,7 @@ impl LinearMemory {
             self.tags
                 .check_access(addr, width.max(1), ptr_tag, AccessKind::Write)?;
         }
-        if addr + width > self.data.len() as u64 {
+        if addr + width > self.committed {
             self.commit_access(addr, width)?;
         }
         self.write_resolved(addr, bytes);
@@ -1049,9 +1165,8 @@ impl LinearMemory {
             .expect("range checked above");
         // Zero the segment (segment.new returns zeroed memory); what lies
         // past the committed prefix is zero already and stays uncommitted.
-        let committed = self.data.len() as u64;
-        if addr < committed {
-            self.data[addr as usize..(addr + len).min(committed) as usize].fill(0);
+        if addr < self.committed {
+            self.data[addr as usize..(addr + len).min(self.committed) as usize].fill(0);
         }
         let nibble = self.scheme.pointer_nibble(mem_tag);
         Ok((ptr & !(0xF << 56)) | (u64::from(nibble) << 56))
@@ -1110,6 +1225,42 @@ impl LinearMemory {
     }
 }
 
+impl Drop for LinearMemory {
+    /// Hands the buffers of a memory that never grew to this thread's
+    /// spares, cleaned, unless that would pass a `KEPT_*` bound; anything
+    /// else is freed (see the module docs).
+    fn drop(&mut self) {
+        let never_grew = self.guest_size == self.base_pages * PAGE_SIZE
+            && self.data.capacity() as u64 == self.total();
+        if !never_grew {
+            return;
+        }
+        // `try_with`: the list may already be gone while the thread exits.
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let bytes = self.buffer_bytes();
+            let held: u64 = spares.iter().map(|s| s.bytes).sum();
+            if spares.len() >= KEPT_SPARES || held + bytes > KEPT_SPARE_BYTES {
+                return;
+            }
+            self.restore_dirty();
+            if !self.scheme.initial_tag().is_zero() {
+                self.tags
+                    .set_tag_range(0, self.guest_size, Tag::ZERO)
+                    .expect("page-aligned guest region inside the tag store");
+            }
+            self.tags.reset_check_count();
+            spares.push(Spare {
+                bytes,
+                data: std::mem::take(&mut self.data),
+                tags: std::mem::replace(&mut self.tags, TagMemory::new(0)),
+                dirty_bits: std::mem::take(&mut self.dirty_bits),
+                dirty_words: std::mem::take(&mut self.dirty_words),
+            });
+        });
+    }
+}
+
 /// The scalar fast path's address computation: the
 /// [`LinearMemory::resolve`] arithmetic — same masking, same overflow
 /// handling — and `Some` exactly when the access ends at or below `bound`.
@@ -1130,6 +1281,23 @@ impl LinearMemory {
     pub(crate) fn scalar_bound(&self) -> u64 {
         self.scalar_bound
     }
+}
+
+/// How many spare memories this thread holds, and their bytes as
+/// `KEPT_SPARE_BYTES` counts them.
+#[cfg(test)]
+pub(crate) fn spares_held() -> (usize, u64) {
+    SPARES.with(|spares| {
+        let spares = spares.borrow();
+        (spares.len(), spares.iter().map(|s| s.bytes).sum())
+    })
+}
+
+/// Frees every spare memory this thread holds, so the next memory is
+/// built from nothing.
+#[cfg(test)]
+pub(crate) fn free_spares() {
+    SPARES.with(|spares| spares.borrow_mut().clear());
 }
 
 #[cfg(test)]
@@ -1552,6 +1720,144 @@ mod tests {
         // And it grows again, into zeroed pages carrying the guest tag.
         assert_eq!(m.grow(1), Some(4));
         assert_eq!(m.read(4 * PAGE_SIZE + 16, 0, 1).unwrap(), vec![0]);
+    }
+
+    /// Every scheme a spare can come from or go to: both ends of a
+    /// sandbox-tag change, and the two that pre-tag nothing.
+    fn spare_schemes() -> [TagScheme; 5] {
+        let external = |t| TagScheme::ExternalOnly {
+            instance_tag: Tag::new(t).unwrap(),
+        };
+        [
+            TagScheme::None,
+            TagScheme::InternalOnly,
+            external(3),
+            external(5),
+            TagScheme::Combined,
+        ]
+    }
+
+    /// A tenant that leaves everything a spare must not carry: bytes in
+    /// guest memory, across two blocks and in the slack (the second bitmap
+    /// word), a segment's tags above the committed prefix, tag checks, a
+    /// page cap.
+    fn a_dirty_tenant(scheme: TagScheme) -> LinearMemory {
+        let mut m = mem4(scheme);
+        m.set_page_limit(Some(6));
+        m.write(8, 0, &[0xAB; 24]).unwrap();
+        m.write_scalar(63 * DIRTY_BLOCK - 4, 0, 8, u64::MAX)
+            .unwrap();
+        m.fill(5 * DIRTY_BLOCK, 0xCD, 3 * DIRTY_BLOCK).unwrap();
+        m.segment_new(3 * PAGE_SIZE + 64, 64).unwrap();
+        m.raw_write_unchecked(4 * PAGE_SIZE + 32, &[0xEE; 8])
+            .unwrap_or_else(|trap| assert!(m.tag_checked(), "{scheme:?}: {trap}"));
+        assert_eq!(m.read_scalar(16, 0, 8), Ok(0xABAB_ABAB_ABAB_ABAB));
+        assert!(m.dirty_block_count() > 0 && m.committed_bytes() > 0);
+        m
+    }
+
+    #[test]
+    fn a_memory_built_from_a_spare_equals_one_built_from_nothing() {
+        let total = 4 * PAGE_SIZE + RUNTIME_SLACK;
+        for given in spare_schemes() {
+            for taken in spare_schemes() {
+                let pair = format!("{given:?} -> {taken:?}");
+                free_spares();
+                let tenant = a_dirty_tenant(given);
+                let zeroed = tenant.data.len();
+                drop(tenant);
+                assert_eq!(spares_held().0, 1, "{pair}: the tenant's buffers are kept");
+                let mut recycled = mem4(taken);
+                assert_eq!(spares_held().0, 0, "{pair}: and taken");
+                assert_eq!(recycled.data.len(), zeroed, "{pair}: zeroed length");
+                let mut fresh = mem4(taken);
+                assert_eq!(fresh.data.len(), 0, "{pair}: built from nothing");
+
+                assert!(recycled.read_resolved(0, total) == fresh.read_resolved(0, total));
+                assert!(recycled.tags().packed() == fresh.tags().packed(), "{pair}");
+                for m in [&recycled, &fresh] {
+                    assert_eq!(m.dirty_block_count(), 0, "{pair}");
+                    assert_eq!(m.tags().check_count(), 0, "{pair}");
+                    assert_eq!(m.committed_bytes(), 0, "{pair}");
+                    assert_eq!(m.scalar_bound(), 0, "{pair}");
+                    assert_eq!(m.page_limit(), None, "{pair}");
+                }
+                // The same segment tag for the same seed, and the same
+                // first touches: a page commits at its first access, not
+                // before, though its bytes were zeroed already.
+                let seg = recycled.segment_new(PAGE_SIZE, 32);
+                assert_eq!(seg, fresh.segment_new(PAGE_SIZE, 32), "{pair}");
+                let p = seg.unwrap();
+                assert_eq!(recycled.read(p, 0, 16), fresh.read(p, 0, 16), "{pair}");
+                assert_eq!(
+                    recycled.write_scalar(100, 0, 8, 7),
+                    fresh.write_scalar(100, 0, 8, 7)
+                );
+                let escape = recycled.write(4 * PAGE_SIZE, 0, &[1]);
+                assert_eq!(escape, fresh.write(4 * PAGE_SIZE, 0, &[1]), "{pair}");
+                for m in [&recycled, &fresh] {
+                    assert_eq!(m.committed_bytes(), 2 * PAGE_SIZE, "{pair}");
+                    assert_eq!(m.scalar_bound(), 2 * PAGE_SIZE, "{pair}");
+                }
+                assert_eq!(recycled.tags().check_count(), fresh.tags().check_count());
+                assert_eq!(recycled.dirty_block_count(), fresh.dirty_block_count());
+                assert!(recycled.read_resolved(0, total) == fresh.read_resolved(0, total));
+                assert!(recycled.tags().packed() == fresh.tags().packed(), "{pair}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_grown_memory_is_freed_not_kept() {
+        free_spares();
+        for reset in [false, true] {
+            let mut m = a_dirty_tenant(TagScheme::Combined);
+            assert_eq!(m.grow(1), Some(4));
+            if reset {
+                // Back to its base size, but its buffers are a grown
+                // memory's.
+                m.reset();
+            }
+            drop(m);
+            assert_eq!(spares_held(), (0, 0), "reset {reset}");
+        }
+        drop(a_dirty_tenant(TagScheme::Combined));
+        assert_eq!(spares_held().0, 1, "one that never grew is kept");
+    }
+
+    #[test]
+    fn a_thread_that_drops_ten_thousand_memories_holds_no_more_than_the_bounds() {
+        free_spares();
+        let over_budget = KEPT_SPARE_BYTES / PAGE_SIZE;
+        drop(LinearMemory::new(
+            over_budget,
+            None,
+            true,
+            TagScheme::None,
+            0,
+        ));
+        assert_eq!(spares_held(), (0, 0), "a memory past the budget alone");
+        let mut most = 0;
+        for i in 0..10_000u64 {
+            // Forty sizes, more than a thread keeps, so most memories find
+            // no spare of their size and the list stays full.
+            let mut m = LinearMemory::new(1 + i % 40, None, true, TagScheme::InternalOnly, i);
+            m.write(i % PAGE_SIZE, 0, &[1]).unwrap();
+            drop(m);
+            let (count, bytes) = spares_held();
+            assert!(count <= KEPT_SPARES && bytes <= KEPT_SPARE_BYTES, "{i}");
+            most = most.max(count);
+        }
+        assert_eq!(most, KEPT_SPARES, "the list fills");
+        // Memories of 4 MiB: the byte budget binds before the count.
+        free_spares();
+        let big: Vec<_> = (0..KEPT_SPARES)
+            .map(|_| LinearMemory::new(64, None, true, TagScheme::None, 0))
+            .collect();
+        drop(big);
+        let (count, bytes) = spares_held();
+        assert_eq!(count, 15, "{bytes}");
+        assert!(bytes <= KEPT_SPARE_BYTES);
     }
 
     #[test]

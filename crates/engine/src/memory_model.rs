@@ -7,6 +7,10 @@
 //! tag pool with the real thing (they have a model of their own in
 //! `cage-mte`) and nothing else, so that "which bytes are backed" cannot leak into any
 //! value, trap, dirty count or byte a guest or an embedder can observe.
+//! The model never recycles: a retired tenant's real memory is dropped
+//! before the next is built, so the next is built from its buffers (and
+//! a run's first memory from the previous run's), and the model holds
+//! them to a memory built from nothing.
 
 use std::collections::BTreeSet;
 
@@ -599,10 +603,11 @@ fn run_against_model(seed: u64, mut scheme: TagScheme) {
                     "{access}: store"
                 );
             }
-            // The tenant is retired with its memory, and the slot's next
-            // memory is built under a tag another tenant handed back (a
-            // sandbox tag other than this one's). Its old pointers stay in
-            // play.
+            // The tenant is retired with its memory — dropped first, so
+            // the slot's next memory is built from its buffers unless it
+            // grew — and that memory is built under a tag another tenant
+            // handed back (a sandbox tag other than this one's). Its old
+            // pointers stay in play.
             22 => {
                 if let TagScheme::ExternalOnly { instance_tag } = scheme {
                     let other = 1 + (instance_tag.value() + below(&mut rng, 14) as u8) % 15;
@@ -610,8 +615,14 @@ fn run_against_model(seed: u64, mut scheme: TagScheme) {
                         instance_tag: Tag::from_low_bits(other),
                     };
                 }
+                drop(real);
                 real = LinearMemory::new(pages, max_pages, memory64, scheme, tag_seed);
                 model = Eager::new(pages, max_pages, memory64, scheme, tag_seed);
+                assert_eq!(
+                    real.committed_bytes(),
+                    0,
+                    "{what}: rebuilding commits nothing"
+                );
             }
             // The `&self` readers, anywhere inside guest memory plus
             // slack: committed or not, they see the logical image.

@@ -550,18 +550,6 @@ impl Store {
         host_state: Option<Box<dyn HostState>>,
     ) -> Result<InstanceHandle, InstantiateError> {
         let module: &Module = &pre.module;
-        // The call buffers and the instance table grow before this
-        // instance allocates anything. Reserved at the first call instead,
-        // the buffers land among the memories of a cold pool and
-        // `cage-bench`'s `serve_cold` read 0.3–0.8 MB more peak RSS; here
-        // the first call of a fresh store allocates none of them.
-        self.bufs.reserve_for(&pre.funcs);
-        // The instance table grows before this instance allocates anything.
-        // Grown at the push instead, the table is reallocated between two
-        // memories' reservations, and where glibc puts it then depends on
-        // the size of an `Instance`: on `cage-bench`'s `serve_cold` the
-        // peak RSS swung between 6 and 12 MB for sizes a word apart.
-        self.instances.reserve(1);
         let mut host_funcs = Vec::new();
         for import in &module.imports {
             let ImportKind::Func(ty) = &import.kind else {
@@ -616,15 +604,6 @@ impl Store {
             None => None,
         };
 
-        // Allocated before the table and filled by `apply_initial_state`,
-        // which touches memory last: the order of these small allocations
-        // decides where glibc puts them relative to the memory's
-        // reservation, and with another order a dropped pool's memories go
-        // back to the kernel in about half of all processes, to be
-        // page-faulted in again by every cold instantiation (measured on
-        // `cage-bench`'s `serve_cold`: 1.27 M minor faults a run, not 4 k).
-        let mut globals = Vec::with_capacity(module.globals.len());
-
         let table_min = module.tables.first().map_or(0, |t| t.limits.min);
         let table_size = usize::try_from(table_min).map_err(|_| {
             InstantiateError::LimitExceeded(format!(
@@ -647,6 +626,7 @@ impl Store {
             ))
         })?;
         table.resize(table_size, None);
+        let mut globals = Vec::with_capacity(module.globals.len());
         apply_initial_state(module, memory.as_mut(), &mut globals, &mut table)?;
 
         let instance = Instance {
@@ -983,6 +963,11 @@ impl Store {
     /// Retires `handle`'s instance (if live) for good: drops all of it —
     /// memory and sandbox tag, globals, table, host functions, host state —
     /// and frees its index for the next instance, under a new generation.
+    /// The memory's buffers go to this thread's spares, cleaned, unless it
+    /// grew or the spares are full (see [`LinearMemory`]'s "Recycled
+    /// memories"): the next instantiation of the same memory size on the
+    /// thread, in this store or any other, is built from them and cannot
+    /// tell.
     pub fn retire(&mut self, handle: InstanceHandle) {
         if let Some(entry) = self.instances.get_mut(handle.index as usize) {
             if entry.generation == handle.generation && entry.instance.take().is_some() {

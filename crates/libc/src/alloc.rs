@@ -51,8 +51,14 @@ pub struct Allocator {
     stats: AllocStats,
 }
 
+/// The granules of the block `malloc(n)` tags: at least one, so even
+/// `malloc(0)` returns a block of its own.
+pub(crate) fn user_granules(n: u64) -> u64 {
+    n.div_ceil(16).max(1)
+}
+
 fn align16(n: u64) -> u64 {
-    n.div_ceil(16).max(1) * 16
+    user_granules(n) * 16
 }
 
 impl Allocator {

@@ -6,7 +6,7 @@ use cage_engine::host::{HostContext, HostFunc, HostState, Imports};
 use cage_engine::{Trap, Value};
 use cage_wasm::ValType;
 
-use crate::alloc::Allocator;
+use crate::alloc::{user_granules, Allocator};
 
 /// Reads an integer argument as an unsigned pointer/size, accepting both
 /// widths (wasm32 pointers arrive as `i32`). Instantiation rejects an
@@ -83,11 +83,12 @@ impl HostState for Libc {
 }
 
 /// Charges an allocation of `bytes`: `eighths` of fixed work and, under a
-/// memory-safety variant, one `stzg` per granule it tags.
+/// memory-safety variant, one `stzg` per granule the allocator tags for
+/// it (one for `malloc(0)`).
 fn charge_alloc(ctx: &mut HostContext<'_>, eighths: u64, bytes: u64) {
     ctx.charge_eighths(eighths);
     if ctx.config.variant.provides_memory_safety() {
-        ctx.charge_granules(bytes.div_ceil(16));
+        ctx.charge_granules(user_granules(bytes));
     }
 }
 

@@ -96,6 +96,12 @@ impl TagMemory {
         self.checks
     }
 
+    /// Sets the check count back to zero, as [`TagMemory::new`] starts
+    /// it: for a store that is handed on to a new owner.
+    pub fn reset_check_count(&mut self) {
+        self.checks = 0;
+    }
+
     fn granule_index(addr: u64) -> usize {
         (addr / GRANULE) as usize
     }

@@ -625,10 +625,13 @@ impl Pool {
         self.capacity() - self.free.len()
     }
 
-    /// Host bytes of linear memory this pool's live slots actually back:
-    /// the sum of [`cage_engine::LinearMemory::committed_bytes`] over
-    /// them. Host-side, and it varies with what the tenants touched — the
+    /// Bytes of linear memory this pool's live slots have committed: the
+    /// sum of [`cage_engine::LinearMemory::committed_bytes`] over them.
+    /// Host-side, and it varies with what the tenants touched — the
     /// *modelled* footprint of §7.3 is `resident_bytes`, which does not.
+    /// A slot built from a retired memory's buffers starts at zero like
+    /// any other; the zeroed bytes it inherited, and the spare memories
+    /// the thread keeps, are not counted.
     #[must_use]
     pub fn committed_bytes(&self) -> u64 {
         self.store

@@ -183,7 +183,15 @@ fn hostile_module() -> Module {
 /// The hostile module's template under `variant`: libc, and the chaos
 /// hook reading the calling worker's [`MODE`].
 fn template(variant: Variant) -> Arc<InstancePre> {
-    let host = HostProfile::Custom(Arc::new(|linker| {
+    let pre = InstancePre::new(variant, CORE, &hostile_module(), 0, chaos_host())
+        .expect("hostile module validates");
+    Arc::new(pre)
+}
+
+/// Libc, and `env.hook` as the chaos hook reading the calling worker's
+/// [`MODE`].
+fn chaos_host() -> HostProfile {
+    HostProfile::Custom(Arc::new(|linker| {
         *linker = Linker::with_libc();
         linker.func(
             "env",
@@ -199,10 +207,7 @@ fn template(variant: Variant) -> Arc<InstancePre> {
                 _ => panic!("chaos injected host panic"),
             },
         );
-    }));
-    let pre = InstancePre::new(variant, CORE, &hostile_module(), 0, host)
-        .expect("hostile module validates");
-    Arc::new(pre)
+    }))
 }
 
 /// Suppresses only the suite's own injected host panics (caught at the
@@ -567,21 +572,28 @@ fn expected(req: i64) -> i64 {
 
 /// [`HANDLER`] compiled and hardened for `variant`, linked against libc.
 fn c_template(variant: Variant) -> Arc<InstancePre> {
-    let mut ir = cage_cc::compile(HANDLER).expect("handler compiles");
+    let pages = LowerOptions::default().memory_pages;
+    c_template_of(variant, HANDLER, pages, HostProfile::Libc)
+}
+
+/// C `source` compiled and hardened for `variant` into a module of
+/// `memory_pages`, linked through `host`.
+fn c_template_of(
+    variant: Variant,
+    source: &str,
+    memory_pages: u64,
+    host: HostProfile,
+) -> Arc<InstancePre> {
+    let mut ir = cage_cc::compile(source).expect("handler compiles");
     run_pipeline(&mut ir, variant.harden_config());
     let opts = LowerOptions {
         ptr_width: variant.ptr_width(),
+        memory_pages,
         ..LowerOptions::default()
     };
     let lowered = lower(&ir, &opts).expect("handler lowers");
-    let pre = InstancePre::new(
-        variant,
-        CORE,
-        &lowered.module,
-        lowered.heap_base,
-        HostProfile::Libc,
-    )
-    .expect("template builds");
+    let pre = InstancePre::new(variant, CORE, &lowered.module, lowered.heap_base, host)
+        .expect("template builds");
     Arc::new(pre)
 }
 
@@ -659,5 +671,139 @@ fn guest_malloc_returns_null_under_a_pool_page_cap_without_poisoning() {
             let m = pool.metrics();
             assert_eq!((m.instantiations, m.resets, m.quarantined), (1, 1, 0));
         });
+    }
+}
+
+/// The request handler of the recycling test: `handle` as in [`HANDLER`],
+/// `dirty(pages)`, which writes a word into every 4 KiB block of `pages`
+/// pages of heap, and `poke(x)`, which calls the chaos hook.
+const SPARE_HANDLER: &str = r#"
+    long hook(long x);
+    long handle(long req) {
+        long n = 16 + (req % 16);
+        long* buf = (long*)malloc(n * 8);
+        long acc = 0;
+        for (long i = 0; i < n; i++) { buf[i] = req * 31 + i; }
+        for (long i = 0; i < n; i++) { acc = acc + buf[i]; }
+        free((char*)buf);
+        return acc;
+    }
+    long dirty(long pages) {
+        long* p = (long*)malloc(pages * 65536);
+        for (long i = 0; i < pages * 8192; i += 512) { p[i] = i + 1; }
+        free((char*)p);
+        return pages;
+    }
+    long poke(long x) { return hook(x); }
+"#;
+
+/// Everything one served slot shows: each request's result, then the
+/// instance's charge counts, committed bytes, dirty blocks, tag checks,
+/// memory image (guest plus slack) and tag store.
+type SlotImage = (
+    Vec<Result<Vec<Value>, Trap>>,
+    cage_engine::ChargeCounts,
+    u64,
+    usize,
+    u64,
+    Vec<u8>,
+    Vec<u8>,
+);
+
+/// Checks a slot out of a one-slot `pool`, serves three requests (two of
+/// which allocate, one dirtying two pages) and images the slot before it
+/// is released.
+fn serve_slot(pool: &mut Pool) -> SlotImage {
+    let inst = pool.checkout().expect("checkout");
+    let results = [("handle", 5), ("dirty", 2), ("handle", 9)]
+        .map(|(export, arg)| pool.invoke(&inst, export, &[Value::I64(arg)]))
+        .to_vec();
+    let store = pool.store();
+    let handle = store.handles().next().expect("the one slot");
+    let memory = store.memory(handle).expect("a memory");
+    let image = (
+        results,
+        store.charge_counts(handle),
+        memory.committed_bytes(),
+        memory.dirty_block_count(),
+        memory.tags().check_count(),
+        memory.read_resolved(0, memory.size() + cage_engine::memory::RUNTIME_SLACK),
+        memory.tags().packed().to_vec(),
+    );
+    pool.release(inst);
+    image
+}
+
+/// A cold slot and the same slot recycled, from a fresh pool on the
+/// calling thread.
+fn serve_fresh_pool(pre: &Arc<InstancePre>) -> [SlotImage; 2] {
+    let mut pool = Pool::new(Arc::clone(pre));
+    [serve_slot(&mut pool), serve_slot(&mut pool)]
+}
+
+/// A dropped instance's memory is kept by its thread and the next one of
+/// its size is built from it: that must not show. A thread is given the
+/// memories of three tenants — one of another variant, one quarantined by
+/// a host panic, and one that dirtied 32 pages and was dropped with its
+/// pool — and then three fresh pools on it, open at once so each is built
+/// from one of them, must serve exactly what a fresh pool on a fresh
+/// thread serves: the same results, charge counts, memory image and tags,
+/// cold and after a recycle.
+#[test]
+fn pools_built_from_retired_memories_serve_what_a_fresh_thread_serves() {
+    silence_injected_panics();
+    let variants = [
+        Variant::CageMemSafety,
+        Variant::CageSandboxing,
+        Variant::CageFull,
+    ];
+    for (i, variant) in variants.into_iter().enumerate() {
+        // 4 MiB, so 32 pages of heap fit.
+        let template = |variant| c_template_of(variant, SPARE_HANDLER, 64, chaos_host());
+        let (pre, other) = (template(variant), template(variants[(i + 1) % 3]));
+        let want = thread::scope(|s| s.spawn(|| serve_fresh_pool(&pre)).join().unwrap());
+        assert_eq!(want[0].0[1], Ok(vec![Value::I64(2)]), "{variant}");
+
+        let got = thread::scope(|s| {
+            s.spawn(|| {
+                let mut tenant = Pool::new(Arc::clone(&other));
+                let inst = tenant.checkout().unwrap();
+                assert!(tenant.invoke(&inst, "handle", &[Value::I64(3)]).is_ok());
+                tenant.release(inst);
+                drop(tenant);
+
+                let mut tenant = Pool::new(Arc::clone(&pre));
+                let inst = tenant.checkout().unwrap();
+                assert!(tenant.invoke(&inst, "dirty", &[Value::I64(1)]).is_ok());
+                MODE.with(|m| m.set(MODE_PANIC));
+                let out = tenant.invoke(&inst, "poke", &[Value::I64(1)]);
+                MODE.with(|m| m.set(MODE_OK));
+                assert!(matches!(out, Err(Trap::HostPanic(_))), "{out:?}");
+                tenant.release(inst);
+                assert_eq!((tenant.metrics().quarantined, tenant.capacity()), (1, 0));
+
+                let mut tenant = Pool::new(Arc::clone(&pre));
+                let inst = tenant.checkout().unwrap();
+                let out = tenant.invoke(&inst, "dirty", &[Value::I64(32)]);
+                assert_eq!(out, Ok(vec![Value::I64(32)]));
+                let memory = tenant
+                    .store()
+                    .memory(tenant.store().handles().next().unwrap());
+                assert!(memory.unwrap().dirty_block_count() >= 32 * 16);
+                tenant.release(inst);
+                drop(tenant);
+
+                let mut pools: Vec<Pool> = (0..3).map(|_| Pool::new(Arc::clone(&pre))).collect();
+                let cold: Vec<SlotImage> = pools.iter_mut().map(serve_slot).collect();
+                let warm: Vec<SlotImage> = pools.iter_mut().map(serve_slot).collect();
+                (cold, warm)
+            })
+            .join()
+            .unwrap()
+        });
+        for (k, (cold, warm)) in got.0.iter().zip(&got.1).enumerate() {
+            assert!(*cold == want[0], "{variant}: pool {k}, cold slot");
+            assert!(*warm == want[1], "{variant}: pool {k}, recycled slot");
+        }
     }
 }

@@ -525,3 +525,43 @@ fn profile_prices_a_malloc_program_on_every_core_as_its_own_run() {
     assert!(on_x3.contains("[profile] segment_new_granules"), "{on_x3}");
     assert_eq!(total_on_a715(&on_x3), total_on_a715(&on_a715));
 }
+
+/// `malloc(0)` returns a tagged block of one granule, and under
+/// `CageMemSafety` that granule's `stzg` is charged like any other: four
+/// `malloc(0)`/`free` pairs show as a `segment_new_granules` row of four.
+#[test]
+fn profile_charges_the_granule_a_zero_byte_malloc_tags() {
+    let program = tempfile::with_suffix(
+        ".c",
+        r#"
+        long work(long n) {
+            long acc = 0;
+            for (long i = 0; i < n; i++) {
+                char* p = malloc(0);
+                acc += p != 0;
+                free(p);
+            }
+            return acc;
+        }
+        "#,
+    );
+    let out = cagec()
+        .arg(program.path())
+        .args([
+            "--variant",
+            "mem-safety",
+            "--invoke",
+            "work",
+            "4",
+            "--profile",
+        ])
+        .output()
+        .expect("cagec runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let row = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("[profile] segment_new_granules"))
+        .unwrap_or_else(|| panic!("no segment_new_granules row in {stderr}"));
+    assert_eq!(row.split_whitespace().next(), Some("4"), "{stderr}");
+}

@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 
 use cage::engine::cost::class_weights;
-use cage::{Core, Engine, Error, Instance, OptLevel, Value, Variant};
+use cage::{Artifact, Core, Engine, Error, Instance, OptLevel, Value, Variant};
 
 /// Compile (or usage/I-O) failure.
 const EXIT_COMPILE: u8 = 1;
@@ -69,10 +69,10 @@ options:
                    strength reduction, CFG simplify) on top of the
                    standard passes
   -O0              disable all optimisation passes (sanitizers only)
-  --stats          print simulated cycles/time and memory report
-  --profile        print where the run's cycles went: retired count, cycles
-                   and share per charge class on the selected core, and what
-                   the same counts cost on the other two cores
+  --stats          print the --invoke run's cycles, time and memory report
+  --profile        print where the --invoke run's cycles went: retired count,
+                   cycles and share per charge class on the selected core, and
+                   what the same counts cost on the other two cores
 
 exit codes: 1 compile error, 2 usage, 3 guest trap, 4 instantiation failure,
             5 input exceeds compile limits
@@ -153,6 +153,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
+    if invoke.is_none() && (stats || profile) {
+        let flag = if stats { "--stats" } else { "--profile" };
+        return Err(format!("{flag} needs --invoke"));
+    }
     Ok(Args {
         input: input.ok_or("missing input file")?,
         variant,
@@ -183,6 +187,21 @@ fn report(err: &Error) {
         }
         source = cause.source();
     }
+}
+
+/// Checks `--invoke name` with `argc` integer arguments before anything
+/// is instantiated: `name` must be an exported function whose rendered
+/// signature takes exactly `argc` `i64`s.
+fn check_invoke(artifact: &Artifact, name: &str, argc: usize) -> Result<(), String> {
+    let Some((_, sig)) = artifact.exports().into_iter().find(|(n, _)| n == name) else {
+        return Err(format!("no exported function \"{name}\" to invoke"));
+    };
+    if sig.starts_with(&format!("({}) ->", vec!["i64"; argc].join(", "))) {
+        return Ok(());
+    }
+    Err(format!(
+        "\"{name}\" has signature {sig}; --invoke passes {argc} i64 argument(s)"
+    ))
 }
 
 /// Prints the cycle attribution of what `instance` has run so far: one
@@ -323,7 +342,11 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.invoke.is_some() {
+    if let Some((name, int_args)) = &args.invoke {
+        if let Err(msg) = check_invoke(&artifact, name, int_args.len()) {
+            eprintln!("cagec: {msg}");
+            return ExitCode::from(EXIT_USAGE);
+        }
         let mut instance = match engine.instantiate(&artifact) {
             Ok(i) => i,
             Err(e) => {
@@ -331,41 +354,38 @@ fn main() -> ExitCode {
                 return ExitCode::from(EXIT_INSTANTIATE);
             }
         };
-
-        if let Some((name, int_args)) = &args.invoke {
-            let values: Vec<Value> = int_args.iter().map(|v| Value::I64(*v)).collect();
-            match instance.invoke(name, &values) {
-                Ok(results) => {
-                    print!("{}", instance.stdout());
-                    for r in &results {
-                        println!("{r}");
-                    }
-                    if args.stats {
-                        eprintln!(
-                            "[stats] {:.0} cycles, {:.6} ms simulated on {}, {} instructions",
-                            instance.cycles(),
-                            instance.simulated_ms(),
-                            args.core,
-                            instance.instr_count()
-                        );
-                        let mem = instance.memory_report();
-                        eprintln!(
-                            "[stats] linear {} B, tag space {} B, heap peak {} B",
-                            mem.linear_bytes, mem.tag_bytes, mem.heap_peak_bytes
-                        );
-                    }
-                    if args.profile {
-                        print_profile(&engine, &instance);
-                    }
+        let values: Vec<Value> = int_args.iter().map(|v| Value::I64(*v)).collect();
+        match instance.invoke(name, &values) {
+            Ok(results) => {
+                print!("{}", instance.stdout());
+                for r in &results {
+                    println!("{r}");
                 }
-                Err(err) => {
-                    print!("{}", instance.stdout());
-                    report(&err);
-                    if err.is_memory_safety_violation() {
-                        eprintln!("cagec: (memory-safety violation caught by Cage)");
-                    }
-                    return ExitCode::from(EXIT_TRAP);
+                if args.stats {
+                    eprintln!(
+                        "[stats] {:.0} cycles, {:.6} ms simulated on {}, {} instructions",
+                        instance.cycles(),
+                        instance.simulated_ms(),
+                        args.core,
+                        instance.instr_count()
+                    );
+                    let mem = instance.memory_report();
+                    eprintln!(
+                        "[stats] linear {} B, tag space {} B, heap peak {} B",
+                        mem.linear_bytes, mem.tag_bytes, mem.heap_peak_bytes
+                    );
                 }
+                if args.profile {
+                    print_profile(&engine, &instance);
+                }
+            }
+            Err(err) => {
+                print!("{}", instance.stdout());
+                report(&err);
+                if err.is_memory_safety_violation() {
+                    eprintln!("cagec: (memory-safety violation caught by Cage)");
+                }
+                return ExitCode::from(EXIT_TRAP);
             }
         }
     }

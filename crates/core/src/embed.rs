@@ -7,8 +7,8 @@
 //! is compiled all the way down to register bytecode, once, and
 //! instantiates any number of times without compiling anything again —
 //! against the engine's default libc linker, a custom [`Linker`], into a
-//! shared [`Runtime`] for multi-instance processes under the §6.4 MTE
-//! tag budget, or as the template of serving pools
+//! shared engine [`Store`] for multi-instance processes under the §6.4
+//! MTE tag budget, or as the template of serving pools
 //! ([`Engine::instance_pre`]).
 
 use std::fmt;
@@ -18,8 +18,9 @@ use std::sync::Arc;
 
 use cage_engine::store::InstantiateError;
 use cage_engine::trap::caught_compile_panic;
-use cage_engine::{ExecConfig, InstanceHandle, Precompiled, WasmParams, WasmResults};
+use cage_engine::{ExecConfig, InstanceHandle, Precompiled, Store, WasmParams, WasmResults};
 use cage_ir::passes::{OptLevel, PipelineConfig};
+use cage_libc::Libc;
 use cage_mte::Core;
 use cage_wasm::{CompileLimits, ValType};
 
@@ -204,25 +205,12 @@ impl Engine {
         })
     }
 
-    /// A fresh simulated process (engine store) for this configuration —
-    /// instantiate several artifacts into it to share the §6.4 sandbox-tag
-    /// budget.
+    /// A fresh [`Runtime`] for this configuration.
+    // Kept for cage-bench's two call sites until the benchmark changes (ROADMAP item 7).
+    #[doc(hidden)]
     #[must_use]
     pub fn runtime(&self) -> Runtime {
-        Runtime::new(self.inner.variant, self.inner.core)
-    }
-
-    /// Checks that `artifact` was compiled for the variant this engine
-    /// runs: its hardening instructions would not match the execution
-    /// config otherwise.
-    fn check_variant(&self, artifact: &Artifact) -> Result<(), Error> {
-        if artifact.variant == self.inner.variant {
-            return Ok(());
-        }
-        Err(Error::VariantMismatch {
-            artifact: artifact.variant.to_string(),
-            engine: self.inner.variant.to_string(),
-        })
+        Runtime::new(self.exec_config())
     }
 
     /// Wraps `artifact` as a `Send + Sync` serving template, stamped out
@@ -238,7 +226,7 @@ impl Engine {
         artifact: &Artifact,
         host: cage_serve::HostProfile,
     ) -> Result<cage_serve::InstancePre, Error> {
-        self.check_variant(artifact)?;
+        artifact.check_variant(self.inner.variant)?;
         Ok(cage_serve::InstancePre::from_precompiled(
             self.inner.variant,
             self.inner.core,
@@ -249,8 +237,10 @@ impl Engine {
     }
 
     /// Instantiates `artifact` in its own process with the hardened libc:
-    /// a fresh [`Runtime`] and one instance stamped from the artifact's
-    /// precompiled module.
+    /// a fresh [`Store`] and one instance stamped from the artifact's
+    /// precompiled module. For several instances in one process, build
+    /// the store yourself (`Store::new(engine.exec_config())`) and use
+    /// [`Artifact::instantiate_into`].
     ///
     /// # Errors
     ///
@@ -273,10 +263,9 @@ impl Engine {
         artifact: &Artifact,
         linker: &Linker,
     ) -> Result<Instance, Error> {
-        self.check_variant(artifact)?;
-        let mut rt = self.runtime();
-        let handle = rt.instantiate_precompiled(&artifact.pre, artifact.heap_base, linker)?;
-        Ok(Instance::new(rt, handle))
+        let mut store = Store::new(self.exec_config());
+        let handle = artifact.instantiate_into(&mut store, linker)?;
+        Ok(Instance::new(store, handle))
     }
 }
 
@@ -424,54 +413,55 @@ impl Artifact {
         }
     }
 
-    /// Instantiates into an existing runtime against `linker` — the
+    /// Instantiates into an existing engine store against `linker` — the
     /// multi-instance path sharing one store's MTE tag budget (§6.4).
     ///
     /// # Errors
     ///
-    /// [`Error::VariantMismatch`] when `rt` runs a different variant than
-    /// this artifact was compiled for, and [`Error::Instantiate`] —
+    /// [`Error::VariantMismatch`] when `store` runs a different variant
+    /// than this artifact was compiled for, and [`Error::Instantiate`] —
     /// including `TooManySandboxes` past the 15-instance limit.
     pub fn instantiate_into(
         &self,
-        rt: &mut Runtime,
+        store: &mut Store,
         linker: &Linker,
     ) -> Result<InstanceHandle, Error> {
-        if rt.variant() != self.variant {
-            return Err(Error::VariantMismatch {
-                artifact: self.variant.to_string(),
-                engine: rt.variant().to_string(),
-            });
+        self.check_variant(store.config().variant)?;
+        Ok(linker.instantiate(store, &self.pre, self.heap_base)?)
+    }
+
+    /// Checks that this artifact was compiled for `variant`: its
+    /// hardening instructions would not match the execution config
+    /// otherwise.
+    fn check_variant(&self, variant: Variant) -> Result<(), Error> {
+        if self.variant == variant {
+            return Ok(());
         }
-        Ok(rt.instantiate_precompiled(&self.pre, self.heap_base, linker)?)
+        Err(Error::VariantMismatch {
+            artifact: self.variant.to_string(),
+            engine: variant.to_string(),
+        })
     }
 }
 
-/// A live instance with its runtime.
+/// A live instance with its own engine store.
+#[derive(Debug)]
 pub struct Instance {
-    rt: Runtime,
+    store: Store,
     handle: InstanceHandle,
     /// Process-unique identity: lets a [`TypedFunc`] detect being called
     /// on a different instance than the one that validated it.
     id: u64,
 }
 
-impl fmt::Debug for Instance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Instance")
-            .field("variant", &self.rt.variant())
-            .finish()
-    }
-}
-
 /// Source of unique [`Instance`] identities.
 static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl Instance {
-    /// Wraps a freshly instantiated (runtime, handle) pair.
-    pub(crate) fn new(rt: Runtime, handle: InstanceHandle) -> Self {
+    /// Wraps a freshly instantiated (store, handle) pair.
+    pub(crate) fn new(store: Store, handle: InstanceHandle) -> Self {
         Instance {
-            rt,
+            store,
             handle,
             id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -486,7 +476,7 @@ impl Instance {
     /// [`Error::Trap`] on guest traps (memory-safety violations
     /// included) — the same unified error type as the typed path.
     pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Error> {
-        Ok(self.rt.invoke(self.handle, name, args)?)
+        Ok(self.store.invoke(self.handle, name, args)?)
     }
 
     /// Creates a typed handle to the export `name`, checking the module's
@@ -504,7 +494,7 @@ impl Instance {
         Params: WasmParams,
         Results: WasmResults,
     {
-        let func_idx = check_signature::<Params, Results>(self.rt.module(self.handle), name)?;
+        let func_idx = check_signature::<Params, Results>(self.store.module(self.handle), name)?;
         Ok(TypedFunc {
             name: name.to_string(),
             func_idx,
@@ -516,19 +506,22 @@ impl Instance {
     /// The exported function names and their signatures, in module order.
     #[must_use]
     pub fn exports(&self) -> Vec<(String, String)> {
-        list_exports(self.rt.module(self.handle))
+        list_exports(self.store.module(self.handle))
     }
 
     /// Captured `print_*` output.
     #[must_use]
     pub fn stdout(&self) -> String {
-        self.rt.stdout(self.handle)
+        self.store
+            .host_state::<Libc>(self.handle)
+            .map(Libc::stdout)
+            .unwrap_or_default()
     }
 
     /// Simulated milliseconds on the configured core.
     #[must_use]
     pub fn simulated_ms(&self) -> f64 {
-        self.rt.simulated_ms(self.handle)
+        self.store.simulated_ms(self.handle)
     }
 
     /// What the instance has been charged: the counts per
@@ -539,31 +532,32 @@ impl Instance {
     /// configuration to see where the cycles went there.
     #[must_use]
     pub fn charge_counts(&self) -> cage_engine::ChargeCounts {
-        self.rt.charge_counts(self.handle)
+        self.store.charge_counts(self.handle)
     }
 
     /// Simulated cycles: [`Instance::charge_counts`] priced on the
     /// configured core.
     #[must_use]
     pub fn cycles(&self) -> f64 {
-        self.rt.cycles(self.handle)
+        self.store.cycles(self.handle)
     }
 
     /// Instructions retired.
     #[must_use]
     pub fn instr_count(&self) -> u64 {
-        self.rt.instr_count(self.handle)
+        self.store.instr_count(self.handle)
     }
 
     /// Resets timing counters (between benchmark phases).
     pub fn reset_counters(&mut self) {
-        self.rt.reset_counters(self.handle);
+        self.store.reset_counters(self.handle);
     }
 
     /// Memory report (§7.3 accounting).
     #[must_use]
     pub fn memory_report(&self) -> MemoryReport {
-        self.rt.memory_report(self.handle)
+        let stats = self.store.host_state::<Libc>(self.handle).map(Libc::stats);
+        MemoryReport::collect(self.store.memory(self.handle), stats.unwrap_or_default())
     }
 }
 
@@ -691,10 +685,10 @@ where
         let func_idx = if instance.id == self.instance_id {
             self.func_idx
         } else {
-            check_signature::<Params, Results>(instance.rt.module(instance.handle), &self.name)?
+            check_signature::<Params, Results>(instance.store.module(instance.handle), &self.name)?
         };
         let out = instance
-            .rt
+            .store
             .call(instance.handle, func_idx, &params.into_values())?;
         Results::from_values(&out).ok_or_else(|| Error::SignatureMismatch {
             name: self.name.clone(),

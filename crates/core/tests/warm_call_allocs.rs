@@ -287,9 +287,9 @@ fn a_cold_libc_instantiation_allocates_a_pinned_count() {
         assert_eq!(n, 4, "{variant}: Pool::checkout, cold");
         pool.release(inst);
 
-        // A fresh runtime, its store and the instance, after another
-        // instance of the artifact (whose memory is four times the
-        // template's above) was dropped.
+        // A fresh store and the instance, after another instance of the
+        // artifact (whose memory is four times the template's above) was
+        // dropped.
         let engine = cage::Engine::new(variant);
         let artifact = engine.compile(HANDLER).unwrap();
         drop(engine.instantiate(&artifact).unwrap());

@@ -6,6 +6,7 @@
 //! cargo run -p cage --example ptr_auth_vtable
 //! ```
 
+use cage::engine::Store;
 use cage::{Engine, Linker, Variant};
 
 /// Listing 1, made runnable: `vulnerable(overflow, payload)` copies
@@ -86,23 +87,28 @@ fn main() -> Result<(), cage::Error> {
 
     // Cross-instance reuse (§4.2): a pointer signed by instance A fails
     // authentication in instance B, because each instance gets its own
-    // key. Both instances share one runtime (one simulated process).
+    // key. Both instances share one store (one simulated process).
     let auth_engine = Engine::new(Variant::CagePtrAuth);
     let artifact = auth_engine.compile("long id(long x) { return x; }")?;
     let linker = Linker::with_libc();
-    let mut rt = auth_engine.runtime();
-    let a = artifact.instantiate_into(&mut rt, &linker)?;
-    let b = artifact.instantiate_into(&mut rt, &linker)?;
-    let signed_in_a = rt.sign_pointer(a, 0x2_0000);
+    let mut store = Store::new(auth_engine.exec_config());
+    let a = artifact.instantiate_into(&mut store, &linker)?;
+    let b = artifact.instantiate_into(&mut store, &linker)?;
+    let signed_in_a = store.sign_pointer(a, 0x2_0000);
     println!("cross-instance reuse:");
     println!("  signed in A:        {signed_in_a:#018x}");
     println!(
         "  auth in A:          {:?}",
-        rt.auth_pointer(a, signed_in_a).map(|p| format!("{p:#x}"))
+        store
+            .auth_pointer(a, signed_in_a)
+            .map(|p| format!("{p:#x}"))
     );
     println!(
         "  auth in B:          {:?}",
-        rt.auth_pointer(b, signed_in_a).err().map(|t| t.to_string())
+        store
+            .auth_pointer(b, signed_in_a)
+            .err()
+            .map(|t| t.to_string())
     );
     Ok(())
 }

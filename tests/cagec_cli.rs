@@ -1,10 +1,12 @@
 //! CLI tests for `cagec`: the `--dump-bytecode` disassembly must show
 //! the register bytecode the interpreter executes — pcs, 3-address ops
 //! over linear-scan slots, resolved branch targets, charge recipes —
-//! unknown functions must fail with the usage exit code, `--profile`
-//! must print the per-class attribution of a run, and hostile inputs
-//! (empty, binary, limit-busting) must exit with the documented codes
-//! rather than crash.
+//! unknown functions must fail with the usage exit code, as must an
+//! `--invoke` whose arguments do not fit the export and `--stats` or
+//! `--profile` without `--invoke`; `--profile` must print the per-class
+//! attribution of a run, and hostile inputs (empty, binary,
+//! limit-busting) must exit with the documented codes rather than
+//! crash.
 
 use std::process::Command;
 
@@ -373,6 +375,55 @@ fn dump_bytecode_unknown_function_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "usage exit code");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ghost"), "{stderr}");
+}
+
+#[test]
+fn invoke_is_checked_against_the_export_before_instantiating() {
+    let program = tempfile::with_suffix(
+        ".c",
+        "long f(long a, long b) { return a + b; }\nint g(int x) { return x; }\n",
+    );
+    for (args, wanted) in [
+        (&["--invoke", "ghost"][..], "\"ghost\""),
+        (
+            &["--invoke", "f", "1"][..],
+            "\"f\" has signature (i64, i64) -> (i64)",
+        ),
+        (&["--invoke", "f", "1", "2", "3"][..], "(i64, i64) -> (i64)"),
+        (
+            &["--invoke", "g", "3"][..],
+            "\"g\" has signature (i32) -> (i32)",
+        ),
+    ] {
+        let out = cagec()
+            .arg(program.path())
+            .args(args)
+            .output()
+            .expect("cagec runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(wanted), "{args:?}: {stderr}");
+        assert!(!stderr.contains("trap"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn stats_and_profile_without_invoke_are_usage_errors() {
+    let program = write_program();
+    for flag in ["--stats", "--profile"] {
+        let out = cagec()
+            .arg(program.path())
+            .args(["--list-exports", flag])
+            .output()
+            .expect("cagec runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs --invoke")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: nothing compiled or listed");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use cage::engine::store::InstantiateError;
-use cage::engine::Precompiled;
+use cage::engine::{Precompiled, Store};
 use cage::wasm::builder::ModuleBuilder;
 use cage::wasm::validate::validation_count;
 use cage::wasm::{CompileLimits, Instr, Module, ValType};
@@ -67,13 +67,15 @@ fn source_to_instances_validates_once() {
             [Value::I64(8)]
         );
 
-        let mut rt = engine.runtime();
+        let mut store = Store::new(engine.exec_config());
         for _ in 0..3 {
             let token = artifact
-                .instantiate_into(&mut rt, &Linker::with_libc())
+                .instantiate_into(&mut store, &Linker::with_libc())
                 .expect("instantiates");
             assert_eq!(
-                rt.invoke(token, "twice", &[Value::I64(5)]).expect("runs"),
+                store
+                    .invoke(token, "twice", &[Value::I64(5)])
+                    .expect("runs"),
                 [Value::I64(10)]
             );
         }
@@ -104,17 +106,20 @@ fn source_to_instances_validates_once() {
 #[test]
 fn a_raw_module_validates_once_on_either_surface() {
     let module = raw_module();
-    let through_runtime = validations(|| {
-        let mut rt = Engine::new(Variant::BaselineWasm64).runtime();
-        let token = rt
-            .instantiate_linked(&module, 0, &Linker::new())
+    let through_store = validations(|| {
+        let mut store = Store::new(Engine::new(Variant::BaselineWasm64).exec_config());
+        let pre = Precompiled::new(&module).expect("compiles");
+        let token = Linker::new()
+            .instantiate(&mut store, &pre, 0)
             .expect("instantiates");
         assert_eq!(
-            rt.invoke(token, "twice", &[Value::I64(3)]).expect("runs"),
+            store
+                .invoke(token, "twice", &[Value::I64(3)])
+                .expect("runs"),
             [Value::I64(6)]
         );
     });
-    assert_eq!(through_runtime, 1);
+    assert_eq!(through_store, 1);
 
     let through_template = validations(|| {
         let pre = InstancePre::with_limits(

@@ -7,6 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cage::engine::store::InstantiateError;
+use cage::engine::Store;
 use cage::wasm::ValType;
 use cage::{Engine, Error, Linker, Value, Variant};
 
@@ -196,29 +197,29 @@ fn traps_surface_through_typed_calls_as_unified_errors() {
 #[test]
 fn engine_shared_instances_exhaust_the_sandbox_tag_budget() {
     // §6.4: at most 15 MTE sandboxes per process. One Engine, one shared
-    // Runtime, sixteen instantiations.
+    // store, sixteen instantiations.
     let engine = Engine::new(Variant::CageSandboxing);
     let artifact = engine.compile("long f() { return 1; }").unwrap();
     let linker = Linker::with_libc();
-    let mut rt = engine.runtime();
+    let mut store = Store::new(engine.exec_config());
     for i in 0..15 {
         let token = artifact
-            .instantiate_into(&mut rt, &linker)
+            .instantiate_into(&mut store, &linker)
             .unwrap_or_else(|e| panic!("sandbox {i}: {e}"));
         assert_eq!(
-            rt.invoke(token, "f", &[]).unwrap(),
+            store.invoke(token, "f", &[]).unwrap(),
             vec![Value::I64(1)],
             "sandbox {i} runs"
         );
     }
-    let err = artifact.instantiate_into(&mut rt, &linker).unwrap_err();
+    let err = artifact.instantiate_into(&mut store, &linker).unwrap_err();
     assert!(
         matches!(err, Error::Instantiate(InstantiateError::TooManySandboxes)),
         "{err}"
     );
-    // A fresh engine-shared runtime has a fresh budget.
-    let mut rt2 = engine.runtime();
-    assert!(artifact.instantiate_into(&mut rt2, &linker).is_ok());
+    // A fresh store has a fresh budget.
+    let mut store2 = Store::new(engine.exec_config());
+    assert!(artifact.instantiate_into(&mut store2, &linker).is_ok());
 }
 
 #[test]
@@ -281,9 +282,9 @@ fn variant_mismatch_between_artifact_and_engine_is_rejected() {
     let err = baseline_engine.instantiate(&hardened).unwrap_err();
     assert!(matches!(err, Error::VariantMismatch { .. }), "{err}");
     // The multi-instance path enforces the same guard.
-    let mut baseline_rt = baseline_engine.runtime();
+    let mut baseline_store = Store::new(baseline_engine.exec_config());
     let err = hardened
-        .instantiate_into(&mut baseline_rt, &Linker::with_libc())
+        .instantiate_into(&mut baseline_store, &Linker::with_libc())
         .unwrap_err();
     assert!(matches!(err, Error::VariantMismatch { .. }), "{err}");
     // The matching engine still works.
@@ -367,4 +368,37 @@ fn artifact_exports_need_no_instantiation() {
     assert_eq!(feed.1, "(i64) -> (i64)");
     let amplify = exports.iter().find(|(n, _)| n == "amplify").unwrap();
     assert_eq!(amplify.1, "(f64) -> (f64)");
+}
+
+#[test]
+fn the_one_instance_and_shared_store_paths_stamp_the_same_instance() {
+    let program = r#"
+        long work(long n) {
+            long* buf = (long*)malloc(n * 8);
+            long acc = 0;
+            for (long i = 0; i < n; i++) buf[i] = i * 3;
+            for (long i = 0; i < n; i++) acc += buf[i];
+            free((char*)buf);
+            print_i64(acc);
+            return acc;
+        }
+    "#;
+    for variant in Variant::ALL {
+        let engine = Engine::new(variant);
+        let artifact = engine.compile(program).unwrap();
+        let mut one = engine.instantiate(&artifact).unwrap();
+        let mut store = Store::new(engine.exec_config());
+        let h = artifact
+            .instantiate_into(&mut store, &Linker::with_libc())
+            .unwrap();
+        let out = one.invoke("work", &[Value::I64(50)]).unwrap();
+        assert_eq!(out, [Value::I64(3675)], "{variant}");
+        assert_eq!(out, store.invoke(h, "work", &[Value::I64(50)]).unwrap());
+        assert_eq!(one.charge_counts(), store.charge_counts(h), "{variant}");
+        let libc = store.host_state::<cage::libc::Libc>(h).unwrap();
+        assert_eq!(one.stdout(), "3675\n", "{variant}");
+        assert_eq!(one.stdout(), libc.stdout(), "{variant}");
+        let report = cage::MemoryReport::collect(store.memory(h), libc.stats());
+        assert_eq!(one.memory_report(), report, "{variant}");
+    }
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the whole pipeline (cc → ir → wasm → binary →
 //! engine → runtime → libc) exercised through the public facade.
 
+use cage::engine::{Precompiled, Store};
 use cage::{Core, Engine, Linker, Value, Variant};
 
 const APP: &str = r#"
@@ -44,11 +45,12 @@ fn artifact_survives_binary_roundtrip_and_runs() {
         let bytes = artifact.wasm_bytes();
         let module = cage::wasm::binary::decode(&bytes).unwrap();
         cage::wasm::validate(&module).unwrap();
-        let mut rt = engine.runtime();
-        let token = rt
-            .instantiate_linked(&module, artifact.heap_base(), &Linker::with_libc())
+        let mut store = Store::new(engine.exec_config());
+        let pre = Precompiled::new(&module).unwrap();
+        let token = Linker::with_libc()
+            .instantiate(&mut store, &pre, artifact.heap_base())
             .unwrap();
-        let out = rt.invoke(token, "run_stats", &[Value::I64(50)]).unwrap();
+        let out = store.invoke(token, "run_stats", &[Value::I64(50)]).unwrap();
         // mean of squares 1..=50 = (50+1)(2*50+1)/6 = 858.5
         assert_eq!(out, vec![Value::F64(858.5)], "{variant}");
     }
@@ -193,14 +195,14 @@ fn fifteen_sandboxes_then_exhaustion() {
     let engine = Engine::new(Variant::CageSandboxing);
     let artifact = engine.compile("long f() { return 1; }").unwrap();
     let linker = Linker::with_libc();
-    let mut rt = engine.runtime();
+    let mut store = Store::new(engine.exec_config());
     for i in 0..15 {
         artifact
-            .instantiate_into(&mut rt, &linker)
+            .instantiate_into(&mut store, &linker)
             .unwrap_or_else(|e| panic!("sandbox {i}: {e}"));
     }
     assert!(
-        artifact.instantiate_into(&mut rt, &linker).is_err(),
+        artifact.instantiate_into(&mut store, &linker).is_err(),
         "16th sandbox must fail"
     );
 }

@@ -4,6 +4,7 @@
 //! (b) slip past the baselines, and (c) trap under the memory-safety
 //! variants — exactly the paper's "Mitigated in WASM: No → Cage: yes".
 
+use cage::engine::Store;
 use cage::gallery::{cases, CveCase};
 use cage::{Core, Engine, Linker, Value, Variant};
 
@@ -153,12 +154,12 @@ fn detection_is_deterministic_across_seeds() {
     for seed_offset in 0..5u64 {
         for case in cases() {
             let artifact = engine.compile(case.source).unwrap();
-            // Vary the store seed through a fresh runtime per iteration:
+            // Vary the store seed through a fresh store per iteration:
             // instance tags and PAC keys derive from it.
             let _ = seed_offset;
-            let mut rt = engine.runtime();
-            let token = artifact.instantiate_into(&mut rt, &linker).unwrap();
-            let r = rt.invoke(token, "run", &[Value::I64(1)]);
+            let mut store = Store::new(engine.exec_config());
+            let token = artifact.instantiate_into(&mut store, &linker).unwrap();
+            let r = store.invoke(token, "run", &[Value::I64(1)]);
             assert!(r.is_err(), "{} (seed {seed_offset})", case.cve);
         }
     }

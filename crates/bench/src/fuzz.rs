@@ -722,7 +722,6 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
                     Variant::BaselineWasm64,
                     Core::CortexX3,
                     &module,
-                    0,
                     HostProfile::Empty,
                 ) {
                     Ok(_) => {
@@ -762,7 +761,6 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
                             Variant::BaselineWasm64,
                             Core::CortexX3,
                             &module,
-                            0,
                             HostProfile::Empty,
                         ) {
                             Ok(_) | Err(ServeError::Rejected(_) | ServeError::Instantiate(_)) => {}

@@ -9,6 +9,7 @@
 //! cagec program.c --variant wasm64 --emit program.wasm
 //! cagec program.c --list-exports
 //! cagec program.c --invoke work 42 7 --core a510 --stats
+//! cagec program.c --variant wasm32 --invoke scale 2.5 3
 //! cagec program.c --invoke work 42 7 --profile
 //! ```
 //!
@@ -20,6 +21,7 @@
 use std::process::ExitCode;
 
 use cage::engine::cost::class_weights;
+use cage::wasm::{ExportKind, ValType};
 use cage::{Artifact, Core, Engine, Error, Instance, OptLevel, Value, Variant};
 
 /// Compile (or usage/I-O) failure.
@@ -40,7 +42,7 @@ struct Args {
     core: Core,
     emit: Option<String>,
     emit_wat: Option<String>,
-    invoke: Option<(String, Vec<i64>)>,
+    invoke: Option<(String, Vec<String>)>,
     list_exports: bool,
     dump_bytecode: Option<String>,
     stats: bool,
@@ -58,8 +60,10 @@ options:
   --core <c>       x3 | a715 | a510 (default: x3)
   --emit <path>    write the compiled wasm module to <path>
   --emit-wat <path> write a WAT-flavoured text dump to <path>
-  --invoke <fn> [int args...]
-                   run an exported function with i64 arguments
+  --invoke <fn> [args...]
+                   run an exported function; its arguments (up to the next
+                   `--` option) are read as its parameter types: integers
+                   for i32/i64, decimals for f32/f64
   --list-exports   print the exported functions and their signatures
   --dump-bytecode <fn>
                    disassemble the register bytecode of an exported
@@ -119,17 +123,13 @@ fn parse_args() -> Result<Args, String> {
             "--emit-wat" => emit_wat = Some(argv.next().ok_or("--emit-wat needs a path")?),
             "--invoke" => {
                 let name = argv.next().ok_or("--invoke needs a function name")?;
-                let mut args = Vec::new();
-                while let Some(peek) = argv.peek() {
-                    match peek.parse::<i64>() {
-                        Ok(v) => {
-                            args.push(v);
-                            argv.next();
-                        }
-                        Err(_) => break,
-                    }
+                let mut operands = Vec::new();
+                while let Some(op) =
+                    argv.next_if(|a| !a.starts_with("--") && !matches!(a.as_str(), "-O0" | "-h"))
+                {
+                    operands.push(op);
                 }
-                invoke = Some((name, args));
+                invoke = Some((name, operands));
             }
             "--list-exports" => list_exports = true,
             "--dump-bytecode" => {
@@ -189,19 +189,36 @@ fn report(err: &Error) {
     }
 }
 
-/// Checks `--invoke name` with `argc` integer arguments before anything
-/// is instantiated: `name` must be an exported function whose rendered
-/// signature takes exactly `argc` `i64`s.
-fn check_invoke(artifact: &Artifact, name: &str, argc: usize) -> Result<(), String> {
+/// The arguments of `--invoke name operands...`, read before anything is
+/// instantiated: `name` must be an exported function taking exactly as
+/// many parameters as there are operands, each operand a value of its
+/// parameter's type — an in-range integer for `i32`/`i64`, a decimal for
+/// `f32`/`f64`.
+fn invoke_args(artifact: &Artifact, name: &str, operands: &[String]) -> Result<Vec<Value>, String> {
     let Some((_, sig)) = artifact.exports().into_iter().find(|(n, _)| n == name) else {
         return Err(format!("no exported function \"{name}\" to invoke"));
     };
-    if sig.starts_with(&format!("({}) ->", vec!["i64"; argc].join(", "))) {
-        return Ok(());
+    let module = artifact.module();
+    let params = match module.export(name).map(|e| e.kind) {
+        Some(ExportKind::Func(idx)) => module.func_type(idx).map_or(&[][..], |t| &t.params),
+        _ => &[],
+    };
+    let mismatch = |why: String| format!("\"{name}\" has signature {sig}; {why}");
+    if operands.len() != params.len() {
+        let n = operands.len();
+        return Err(mismatch(format!("--invoke passes {n} argument(s)")));
     }
-    Err(format!(
-        "\"{name}\" has signature {sig}; --invoke passes {argc} i64 argument(s)"
-    ))
+    let parse = |ty: ValType, op: &str| match ty {
+        ValType::I32 => op.parse().ok().map(Value::I32),
+        ValType::I64 => op.parse().ok().map(Value::I64),
+        ValType::F32 => op.parse().ok().map(Value::F32),
+        ValType::F64 => op.parse().ok().map(Value::F64),
+    };
+    params
+        .iter()
+        .zip(operands)
+        .map(|(&ty, op)| parse(ty, op).ok_or_else(|| mismatch(format!("`{op}` is not an {ty}"))))
+        .collect()
 }
 
 /// Prints the cycle attribution of what `instance` has run so far: one
@@ -342,11 +359,14 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some((name, int_args)) = &args.invoke {
-        if let Err(msg) = check_invoke(&artifact, name, int_args.len()) {
-            eprintln!("cagec: {msg}");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    if let Some((name, operands)) = &args.invoke {
+        let values = match invoke_args(&artifact, name, operands) {
+            Ok(values) => values,
+            Err(msg) => {
+                eprintln!("cagec: {msg}");
+                return ExitCode::from(EXIT_USAGE);
+            }
+        };
         let mut instance = match engine.instantiate(&artifact) {
             Ok(i) => i,
             Err(e) => {
@@ -354,7 +374,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(EXIT_INSTANTIATE);
             }
         };
-        let values: Vec<Value> = int_args.iter().map(|v| Value::I64(*v)).collect();
         match instance.invoke(name, &values) {
             Ok(results) => {
                 print!("{}", instance.stdout());

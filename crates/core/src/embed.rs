@@ -199,9 +199,7 @@ impl Engine {
         })?;
         Ok(Artifact {
             pre,
-            heap_base: lowered.heap_base,
             variant: self.inner.variant,
-            memory_pages: self.inner.memory_pages,
         })
     }
 
@@ -231,7 +229,6 @@ impl Engine {
             self.inner.variant,
             self.inner.core,
             artifact.pre.clone(),
-            artifact.heap_base,
             host,
         ))
     }
@@ -347,9 +344,7 @@ impl EngineBuilder {
 #[derive(Debug, Clone)]
 pub struct Artifact {
     pub(crate) pre: Precompiled,
-    pub(crate) heap_base: u64,
     pub(crate) variant: Variant,
-    pub(crate) memory_pages: u64,
 }
 
 impl Artifact {
@@ -367,12 +362,6 @@ impl Artifact {
         &self.pre
     }
 
-    /// First heap byte (where the hardened allocator starts).
-    #[must_use]
-    pub fn heap_base(&self) -> u64 {
-        self.heap_base
-    }
-
     /// The variant this artifact was compiled for.
     #[must_use]
     pub fn variant(&self) -> Variant {
@@ -382,7 +371,7 @@ impl Artifact {
     /// Linear-memory pages the module declares.
     #[must_use]
     pub fn memory_pages(&self) -> u64 {
-        self.memory_pages
+        self.module().memory_type().map_or(0, |m| m.limits.min)
     }
 
     /// Serialises to the binary format (with Cage's `0xFB` instructions).
@@ -427,7 +416,7 @@ impl Artifact {
         linker: &Linker,
     ) -> Result<InstanceHandle, Error> {
         self.check_variant(store.config().variant)?;
-        Ok(linker.instantiate(store, &self.pre, self.heap_base)?)
+        Ok(linker.instantiate(store, &self.pre)?)
     }
 
     /// Checks that this artifact was compiled for `variant`: its
@@ -473,10 +462,22 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// [`Error::Trap`] on guest traps (memory-safety violations
-    /// included) — the same unified error type as the typed path.
+    /// The caller's mistakes as [`Instance::get_typed`] reports them —
+    /// [`Error::MissingExport`], [`Error::NotAFunction`], or
+    /// [`Error::SignatureMismatch`] when `args` are not of the export's
+    /// parameter types — and [`Error::Trap`] on guest traps
+    /// (memory-safety violations included).
     pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Error> {
-        Ok(self.store.invoke(self.handle, name, args)?)
+        let (func_idx, ty) = exported_func(self.store.module(self.handle), name)?;
+        if !args.iter().map(Value::ty).eq(ty.params.iter().copied()) {
+            let arg_types: Vec<ValType> = args.iter().map(Value::ty).collect();
+            return Err(Error::SignatureMismatch {
+                name: name.to_string(),
+                requested: render_sig(&arg_types, &ty.results),
+                actual: render_sig(&ty.params, &ty.results),
+            });
+        }
+        Ok(self.store.call(self.handle, func_idx, args)?)
     }
 
     /// Creates a typed handle to the export `name`, checking the module's
@@ -572,6 +573,23 @@ fn render_sig(params: &[ValType], results: &[ValType]) -> String {
     format!("({}) -> ({})", list(params), list(results))
 }
 
+/// The function index and type of `module`'s exported function `name`.
+fn exported_func<'m>(
+    module: &'m cage_wasm::Module,
+    name: &str,
+) -> Result<(u32, &'m cage_wasm::FuncType), Error> {
+    let export = module.export(name).ok_or_else(|| Error::MissingExport {
+        name: name.to_string(),
+    })?;
+    let not_a_function = || Error::NotAFunction {
+        name: name.to_string(),
+    };
+    let cage_wasm::ExportKind::Func(idx) = export.kind else {
+        return Err(not_a_function());
+    };
+    Ok((idx, module.func_type(idx).ok_or_else(not_a_function)?))
+}
+
 /// Checks that `module` exports `name` as a function whose signature
 /// matches `Params` / `Results`, and returns its function index.
 fn check_signature<Params, Results>(module: &cage_wasm::Module, name: &str) -> Result<u32, Error>
@@ -579,17 +597,7 @@ where
     Params: WasmParams,
     Results: WasmResults,
 {
-    let export = module.export(name).ok_or_else(|| Error::MissingExport {
-        name: name.to_string(),
-    })?;
-    let cage_wasm::ExportKind::Func(idx) = export.kind else {
-        return Err(Error::NotAFunction {
-            name: name.to_string(),
-        });
-    };
-    let ty = module.func_type(idx).ok_or_else(|| Error::NotAFunction {
-        name: name.to_string(),
-    })?;
+    let (idx, ty) = exported_func(module, name)?;
     let requested_params = Params::val_types();
     let requested_results = Results::val_types();
     if ty.params != requested_params || ty.results != requested_results {

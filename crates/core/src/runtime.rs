@@ -28,7 +28,7 @@
 //! let linker = Linker::with_libc();
 //! let mut store = Store::new(Variant::BaselineWasm64.exec_config(Core::CortexX3));
 //! let pre = Precompiled::new(&lowered.module)?;
-//! let inst = linker.instantiate(&mut store, &pre, lowered.heap_base)?;
+//! let inst = linker.instantiate(&mut store, &pre)?;
 //! assert_eq!(store.invoke(inst, "answer", &[])?, vec![Value::I64(42)]);
 //! # Ok(())
 //! # }
@@ -58,14 +58,16 @@ impl Runtime {
     }
 
     /// [`Precompiled::new`] under the default compile limits, then
-    /// [`Linker::instantiate`].
+    /// [`Linker::instantiate`], whose libc reads the module's own heap
+    /// base.
     pub fn instantiate_linked(
         &mut self,
         module: &Module,
-        heap_base: u64,
+        // Unread; goes with `Runtime` in ROADMAP item 7 (14).
+        _heap_base: u64,
         linker: &Linker,
     ) -> Result<InstanceHandle, InstantiateError> {
-        linker.instantiate(&mut self.store, &Precompiled::new(module)?, heap_base)
+        linker.instantiate(&mut self.store, &Precompiled::new(module)?)
     }
 
     /// [`Store::invoke`].
@@ -103,9 +105,9 @@ mod tests {
 
     use crate::Variant;
 
-    /// `source` hardened, lowered and precompiled for `variant`, its heap
-    /// base, and an empty store on `core` to instantiate it into.
-    fn build(source: &str, variant: Variant, core: Core) -> (Precompiled, u64, Store) {
+    /// `source` hardened, lowered and precompiled for `variant`, and an
+    /// empty store on `core` to instantiate it into.
+    fn build(source: &str, variant: Variant, core: Core) -> (Precompiled, Store) {
         let mut ir = compile(source).expect("compiles");
         run_pipeline(&mut ir, variant.harden_config());
         let opts = LowerOptions {
@@ -114,11 +116,7 @@ mod tests {
         };
         let lowered = lower(&ir, &opts).expect("lowers");
         let pre = Precompiled::new(&lowered.module).expect("precompiles");
-        (
-            pre,
-            lowered.heap_base,
-            Store::new(variant.exec_config(core)),
-        )
+        (pre, Store::new(variant.exec_config(core)))
     }
 
     fn stdout(store: &Store, inst: InstanceHandle) -> String {
@@ -146,8 +144,8 @@ mod tests {
         let linker = Linker::with_libc();
         let mut results = Vec::new();
         for variant in Variant::ALL {
-            let (pre, heap_base, mut store) = build(PROGRAM, variant, Core::CortexX3);
-            let inst = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+            let (pre, mut store) = build(PROGRAM, variant, Core::CortexX3);
+            let inst = linker.instantiate(&mut store, &pre).unwrap();
             let out = store.invoke(inst, "work", &[Value::I64(50)]).unwrap();
             assert_eq!(stdout(&store, inst), "3675\n", "{variant}");
             results.push((variant, out));
@@ -162,8 +160,8 @@ mod tests {
     fn variants_differ_in_simulated_cost() {
         let linker = Linker::with_libc();
         let cost = |variant: Variant| {
-            let (pre, heap_base, mut store) = build(PROGRAM, variant, Core::CortexA510);
-            let inst = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+            let (pre, mut store) = build(PROGRAM, variant, Core::CortexA510);
+            let inst = linker.instantiate(&mut store, &pre).unwrap();
             store.invoke(inst, "work", &[Value::I64(200)]).unwrap();
             store.simulated_ms(inst)
         };
@@ -181,9 +179,9 @@ mod tests {
     #[test]
     fn multiple_instances_are_isolated() {
         let linker = Linker::with_libc();
-        let (pre, heap_base, mut store) = build(PROGRAM, Variant::CageSandboxing, Core::CortexX3);
-        let a = linker.instantiate(&mut store, &pre, heap_base).unwrap();
-        let b = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+        let (pre, mut store) = build(PROGRAM, Variant::CageSandboxing, Core::CortexX3);
+        let a = linker.instantiate(&mut store, &pre).unwrap();
+        let b = linker.instantiate(&mut store, &pre).unwrap();
         store.invoke(a, "work", &[Value::I64(10)]).unwrap();
         assert_eq!(stdout(&store, a), "135\n");
         assert_eq!(stdout(&store, b), "", "b untouched");
@@ -194,12 +192,12 @@ mod tests {
     fn sandbox_limit_is_surfaced() {
         let linker = Linker::with_libc();
         let source = "long f() { return 1; }";
-        let (pre, heap_base, mut store) = build(source, Variant::CageSandboxing, Core::CortexX3);
+        let (pre, mut store) = build(source, Variant::CageSandboxing, Core::CortexX3);
         for _ in 0..15 {
-            linker.instantiate(&mut store, &pre, heap_base).unwrap();
+            linker.instantiate(&mut store, &pre).unwrap();
         }
         assert!(matches!(
-            linker.instantiate(&mut store, &pre, heap_base),
+            linker.instantiate(&mut store, &pre),
             Err(InstantiateError::TooManySandboxes)
         ));
     }
@@ -209,13 +207,13 @@ mod tests {
         // §4.2: signed pointers leak-proof across instances.
         let linker = Linker::with_libc();
         let source = "long f() { return 1; }";
-        let (pre, heap_base, mut store) = build(source, Variant::CageFull, Core::CortexX3);
-        let a = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+        let (pre, mut store) = build(source, Variant::CageFull, Core::CortexX3);
+        let a = linker.instantiate(&mut store, &pre).unwrap();
         // Combined mode allows one sandbox; use a ptr-auth-only store
         // for the two-instance check.
-        let (pre2, hb2, mut store2) = build(source, Variant::CagePtrAuth, Core::CortexX3);
-        let x = linker.instantiate(&mut store2, &pre2, hb2).unwrap();
-        let y = linker.instantiate(&mut store2, &pre2, hb2).unwrap();
+        let (pre2, mut store2) = build(source, Variant::CagePtrAuth, Core::CortexX3);
+        let x = linker.instantiate(&mut store2, &pre2).unwrap();
+        let y = linker.instantiate(&mut store2, &pre2).unwrap();
         let signed = store2.sign_pointer(x, 0x1234);
         assert!(store2.auth_pointer(x, signed).is_ok());
         assert!(store2.auth_pointer(y, signed).is_err());

@@ -209,8 +209,8 @@ const HANDLER: &str = r#"
     }
 "#;
 
-/// `HANDLER` compiled for `variant`, and its heap base.
-fn handler_template(variant: Variant) -> (Precompiled, u64) {
+/// `HANDLER` compiled for `variant`.
+fn handler_template(variant: Variant) -> Precompiled {
     let mut ir = cage_cc::compile(HANDLER).expect("handler compiles");
     run_pipeline(&mut ir, variant.harden_config());
     let opts = LowerOptions {
@@ -218,14 +218,13 @@ fn handler_template(variant: Variant) -> (Precompiled, u64) {
         ..LowerOptions::default()
     };
     let lowered = lower(&ir, &opts).expect("handler lowers");
-    let pre = Precompiled::new(&lowered.module).expect("handler precompiles");
-    (pre, lowered.heap_base)
+    Precompiled::new(&lowered.module).expect("handler precompiles")
 }
 
 fn handler_pool(variant: Variant) -> Pool {
-    let (pre, heap_base) = handler_template(variant);
     let core = ExecConfig::default().core;
-    let pre = InstancePre::from_precompiled(variant, core, pre, heap_base, HostProfile::Libc);
+    let pre =
+        InstancePre::from_precompiled(variant, core, handler_template(variant), HostProfile::Libc);
     let mut pool = Pool::new(Arc::new(pre));
     pool.set_fuel_budget(Some(1_000_000));
     pool
@@ -266,16 +265,16 @@ fn a_cold_libc_instantiation_allocates_a_pinned_count() {
         // The first libc instantiation on a thread builds its table of
         // libc functions; every one after it shares that table. Retired,
         // it leaves its memory's buffers to the thread as a spare.
-        let (pre, heap_base) = handler_template(variant);
+        let pre = handler_template(variant);
         let linker = Linker::with_libc();
         let mut store = Store::new(variant.exec_config(ExecConfig::default().core));
-        let h = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+        let h = linker.instantiate(&mut store, &pre).unwrap();
         store.retire(h);
 
         // Into a store that has held an instance, on the spare: the
         // globals, the host-function handles and the boxed libc. (The
         // memory's data buffer and tag store were the other two of five.)
-        let (n, h) = allocations(|| linker.instantiate(&mut store, &pre, heap_base).unwrap());
+        let (n, h) = allocations(|| linker.instantiate(&mut store, &pre).unwrap());
         assert_eq!(n, 3, "{variant}: Linker::instantiate");
         store.retire(h);
 
@@ -310,17 +309,17 @@ fn a_cold_libc_instantiation_with_no_spare_memory_allocates_a_pinned_count() {
     ] {
         // A thread of its own: no memory was dropped on it yet.
         std::thread::spawn(move || {
-            let (pre, heap_base) = handler_template(variant);
+            let pre = handler_template(variant);
             let linker = Linker::with_libc();
             let config = variant.exec_config(ExecConfig::default().core);
             let mut store = Store::new(config);
-            let h = linker.instantiate(&mut store, &pre, heap_base).unwrap();
+            let h = linker.instantiate(&mut store, &pre).unwrap();
             store.retire(h);
             // Another store's live instance takes the spare, and keeps it.
             let mut holder = Store::new(config);
-            let held = linker.instantiate(&mut holder, &pre, heap_base).unwrap();
+            let held = linker.instantiate(&mut holder, &pre).unwrap();
 
-            let (n, h) = allocations(|| linker.instantiate(&mut store, &pre, heap_base).unwrap());
+            let (n, h) = allocations(|| linker.instantiate(&mut store, &pre).unwrap());
             assert_eq!(n, 5, "{variant}: Linker::instantiate");
 
             let mut pool = handler_pool(variant);

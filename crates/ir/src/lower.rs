@@ -14,8 +14,9 @@
 //! ```
 //!
 //! The stack pointer lives in a mutable global (as LLVM's wasm backend
-//! does); `__heap_base` is exported as an immutable global for the
-//! allocator.
+//! does); `__heap_base` is exported as an immutable global, a constant of
+//! the pointer type, for the allocator: the libc reads its heap from
+//! there and nowhere else.
 
 use std::fmt;
 
@@ -113,13 +114,12 @@ impl From<cage_wasm::LimitError> for LowerError {
     }
 }
 
-/// Result of lowering: the module plus layout facts the runtime needs.
+/// Result of lowering: the module plus the addresses of its data. Where
+/// the heap starts, the module states itself: its `__heap_base` export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lowered {
     /// The wasm module.
     pub module: cage_wasm::Module,
-    /// First heap byte (16-aligned).
-    pub heap_base: u64,
     /// Addresses assigned to IR globals.
     pub global_addrs: Vec<u64>,
 }
@@ -372,7 +372,6 @@ pub fn lower_with_limits(
 
     Ok(Lowered {
         module: b.build(),
-        heap_base,
         global_addrs,
     })
 }

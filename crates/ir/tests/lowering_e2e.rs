@@ -366,15 +366,76 @@ fn globals_are_laid_out_and_initialised() {
     m.functions.push(fb.finish());
 
     let lowered = lower(&m, &LowerOptions::default()).unwrap();
-    assert!(lowered.heap_base > lowered.global_addrs[0]);
+    let heap_base = checked_heap_base(&m, &lowered, PtrWidth::W64);
     let mut store = Store::new(ExecConfig::default());
     let h = store.instantiate(&lowered.module, &Imports::new()).unwrap();
     assert_eq!(store.invoke(h, "read_g", &[]).unwrap(), vec![Value::I64(7)]);
-    // __heap_base global is exported.
     assert_eq!(
         store.global(h, "__heap_base"),
-        Some(Value::I64(lowered.heap_base as i64))
+        Some(Value::I64(heap_base as i64))
     );
+}
+
+/// The `__heap_base` the libc reads, checked: an immutable global of the
+/// module's own (lowered modules import none) whose validated initialiser
+/// is a constant of the pointer type, 16-aligned, at or above the end of
+/// every IR global and inside the declared memory.
+fn checked_heap_base(ir: &IrModule, lowered: &cage_ir::lower::Lowered, pw: PtrWidth) -> u64 {
+    use cage_wasm::{ExportKind, ImportKind, Instr};
+    let m = &lowered.module;
+    cage_wasm::validate(m).expect("validates");
+    assert!(!m
+        .imports
+        .iter()
+        .any(|i| matches!(i.kind, ImportKind::Global(_))));
+    let Some(ExportKind::Global(idx)) = m.export("__heap_base").map(|e| e.kind) else {
+        panic!("no __heap_base global export");
+    };
+    let g = &m.globals[idx as usize];
+    let base = match (pw, &g.init, g.ty.mutable) {
+        (PtrWidth::W32, Instr::I32Const(v), false) => u64::from(*v as u32),
+        (PtrWidth::W64, Instr::I64Const(v), false) => *v as u64,
+        other => panic!("__heap_base is {other:?}"),
+    };
+    let data_end = ir.globals.iter().zip(&lowered.global_addrs);
+    let data_end = data_end.map(|(g, a)| a + g.bytes.len() as u64).max();
+    let memory = m.memory_type().expect("a memory").limits.min * cage_wasm::types::PAGE_SIZE;
+    assert!(
+        base % 16 == 0 && base >= data_end.unwrap_or(0) && base <= memory,
+        "{pw:?}: {base:#x}, data to {data_end:?}, memory {memory:#x}"
+    );
+    base
+}
+
+#[test]
+fn every_lowered_module_exports_its_heap_base_under_both_pointer_widths() {
+    // Empty, globals ending off a granule boundary, data filling memory.
+    let mut odd = IrModule::new();
+    for (name, len, align) in [("a", 3, 1), ("b", 8, 8), ("c", 5, 4)] {
+        odd.add_global(name, vec![1; len], align);
+    }
+    let mut full = IrModule::new();
+    full.add_global("fill", vec![0; 65_536 - 16 - 4096], 16);
+    let one_page = LowerOptions {
+        memory_pages: 1,
+        stack_size: 4096,
+        ..LowerOptions::default()
+    };
+    for ptr_width in [PtrWidth::W32, PtrWidth::W64] {
+        for (ir, opts) in [
+            (IrModule::new(), LowerOptions::default()),
+            (odd.clone(), LowerOptions::default()),
+            (sum_array_module(), LowerOptions::default()),
+            (full.clone(), one_page),
+        ] {
+            let opts = LowerOptions { ptr_width, ..opts };
+            let base = checked_heap_base(&ir, &lower(&ir, &opts).expect("lowers"), ptr_width);
+            assert!(
+                base > opts.stack_size,
+                "{ptr_width:?}: {base:#x} above the stack"
+            );
+        }
+    }
 }
 
 #[test]

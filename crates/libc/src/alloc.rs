@@ -62,10 +62,13 @@ fn align16(n: u64) -> u64 {
 }
 
 impl Allocator {
-    /// Creates an allocator over `[heap_base, memory end)`.
+    /// Creates an allocator over `[heap_base, memory end)`. Any `u64` is
+    /// accepted: a base at or past the end of memory leaves no room, so
+    /// every `malloc` returns 0 (one that does not round up to a granule
+    /// within a `u64` becomes `u64::MAX`).
     #[must_use]
     pub fn new(heap_base: u64) -> Self {
-        let heap_base = align16(heap_base);
+        let heap_base = user_granules(heap_base).saturating_mul(16);
         Allocator {
             heap_base,
             brk: heap_base,
@@ -120,7 +123,7 @@ impl Allocator {
             None => {
                 // Extend the wilderness.
                 let addr = self.brk;
-                if addr + need > mem.size() {
+                if addr.checked_add(need).is_none_or(|end| end > mem.size()) {
                     return Ok(0); // NULL: out of memory
                 }
                 self.brk += need;
@@ -385,6 +388,26 @@ mod tests {
         let (mut mem, mut a) = setup(TagScheme::InternalOnly);
         let p = a.malloc(&mut mem, 10 * 1024 * 1024).unwrap();
         assert_eq!(p, 0);
+    }
+
+    #[test]
+    fn a_heap_base_at_or_past_the_end_of_memory_makes_every_malloc_null() {
+        for scheme in [TagScheme::None, TagScheme::InternalOnly] {
+            let end = LinearMemory::new(4, None, true, scheme, 99).size();
+            // One block of 16 bytes (and its metadata slot) still fits.
+            let mut mem = LinearMemory::new(4, None, true, scheme, 99);
+            let mut a = Allocator::new(end - 32);
+            assert_eq!(a.malloc(&mut mem, 16).unwrap() & ADDR_MASK, end - 16);
+            assert_eq!(a.malloc(&mut mem, 0).unwrap(), 0);
+            for base in [end - 16, end, end + 1, 1 << 40, u64::MAX - 15, u64::MAX] {
+                let mut mem = LinearMemory::new(4, None, true, scheme, 99);
+                let mut a = Allocator::new(base);
+                assert_eq!(a.malloc(&mut mem, 16).unwrap(), 0, "base {base:#x}");
+                assert_eq!(a.malloc(&mut mem, 0).unwrap(), 0, "base {base:#x}");
+                assert_eq!(a.realloc(&mut mem, 0, 16).unwrap(), 0, "base {base:#x}");
+                assert_eq!(a.stats().mallocs, 0, "base {base:#x}");
+            }
+        }
     }
 
     #[test]

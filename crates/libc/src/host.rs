@@ -4,7 +4,7 @@ use std::cell::RefCell;
 
 use cage_engine::host::{HostContext, HostFunc, HostState, Imports};
 use cage_engine::{Trap, Value};
-use cage_wasm::ValType;
+use cage_wasm::{ExportKind, ImportKind, Instr, Module, ValType};
 
 use crate::alloc::{user_granules, Allocator};
 
@@ -25,6 +25,11 @@ fn arg_u64(v: &Value) -> u64 {
 /// every instance shares, reach it through the calling
 /// [`HostContext`], and the embedder reads it back from the store.
 ///
+/// The heap starts at the module's own `__heap_base`, as wasi-libc's
+/// dlmalloc does: the initial value of that exported global when the
+/// module defines it with an `i32.const` or `i64.const` initialiser, and
+/// 0 otherwise ([`heap_base_of`]; `Linker::instantiate` reads it).
+///
 /// ## Example
 ///
 /// ```
@@ -33,7 +38,7 @@ fn arg_u64(v: &Value) -> u64 {
 ///
 /// let pre = Precompiled::new(&cage_wasm::Module::default()).unwrap();
 /// let mut store = Store::new(ExecConfig::default());
-/// let h = Linker::with_libc().instantiate(&mut store, &pre, 0).unwrap();
+/// let h = Linker::with_libc().instantiate(&mut store, &pre).unwrap();
 /// assert_eq!(store.host_state::<Libc>(h).unwrap().stdout(), "");
 /// ```
 #[derive(Debug)]
@@ -42,9 +47,35 @@ pub struct Libc {
     stdout: RefCell<String>,
 }
 
+/// Where `module`'s heap starts: the initial value of its `__heap_base`
+/// export, the symbol wasi-libc's dlmalloc finds its heap at. The export
+/// must name a global the module defines itself (not an import) whose
+/// initialiser is an `i32.const` (zero-extended) or an `i64.const`; for
+/// any other module — no such export, an imported or float global, any
+/// other initialiser — the heap starts at 0. The value is read once, so
+/// a mutable global's later writes do not move the heap, and any value is
+/// safe: a heap past the end of memory makes every `malloc` return 0.
+#[must_use]
+pub fn heap_base_of(module: &Module) -> u64 {
+    let Some(ExportKind::Global(idx)) = module.export("__heap_base").map(|e| e.kind) else {
+        return 0;
+    };
+    let imported = module
+        .imports
+        .iter()
+        .filter(|i| matches!(i.kind, ImportKind::Global(_)))
+        .count();
+    let own = (idx as usize).checked_sub(imported);
+    match own.and_then(|i| module.globals.get(i)).map(|g| &g.init) {
+        Some(Instr::I32Const(v)) => u64::from(*v as u32),
+        Some(Instr::I64Const(v)) => *v as u64,
+        _ => 0,
+    }
+}
+
 impl Libc {
     /// Creates the libc for a module whose heap starts at `heap_base`
-    /// (the `__heap_base` export of lowered modules).
+    /// ([`heap_base_of`] the module).
     #[must_use]
     pub fn new(heap_base: u64) -> Self {
         Libc {
@@ -338,9 +369,7 @@ mod tests {
             ..ExecConfig::default()
         };
         let mut store = Store::new(config);
-        let h = Linker::with_libc()
-            .instantiate(&mut store, &pre, lowered.heap_base)
-            .unwrap();
+        let h = Linker::with_libc().instantiate(&mut store, &pre).unwrap();
         (store.invoke(h, entry, args), Ran(store, h))
     }
 

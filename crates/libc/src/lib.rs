@@ -24,7 +24,8 @@
 //!
 //! The [`Linker`] names the host surface instances are created against —
 //! this libc, embedder functions, or both — and is what gives each
-//! instance its own libc.
+//! instance its own libc, its heap starting at the module's own
+//! `__heap_base` ([`heap_base_of`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +35,5 @@ pub mod host;
 pub mod linker;
 
 pub use alloc::{AllocStats, Allocator};
-pub use host::Libc;
+pub use host::{heap_base_of, Libc};
 pub use linker::Linker;

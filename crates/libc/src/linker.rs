@@ -30,7 +30,7 @@ use cage_engine::{
 };
 use cage_wasm::ValType;
 
-use crate::{host, Libc};
+use crate::{heap_base_of, host, Libc};
 
 /// Named host-function registry plus libc policy.
 ///
@@ -93,11 +93,13 @@ impl Linker {
     /// the one place an instance gets its libc. Imports resolve to the
     /// embedder's definitions first, then (when the linker provides
     /// libc) to the libc's functions for the module's pointer width, and
-    /// the instance gets a fresh [`Libc`] with its heap at `heap_base`
-    /// (the module's `__heap_base`; ignored otherwise). The store keeps
-    /// it as the instance's host state: read it back with
-    /// `store.host_state::<Libc>(handle)`, and [`Store::reset_instance`]
-    /// rewinds it.
+    /// the instance gets a fresh [`Libc`]. Its heap starts at the
+    /// module's own `__heap_base`, as wasi-libc's dlmalloc does: the
+    /// initial value of that exported global when it is one the module
+    /// defines with an `i32.const` or `i64.const` initialiser, else 0
+    /// ([`heap_base_of`]). The store keeps the libc as the instance's host
+    /// state: read it back with `store.host_state::<Libc>(handle)`, and
+    /// [`Store::reset_instance`] rewinds it.
     ///
     /// # Errors
     ///
@@ -108,13 +110,13 @@ impl Linker {
         &self,
         store: &mut Store,
         pre: &Precompiled,
-        heap_base: u64,
     ) -> Result<InstanceHandle, InstantiateError> {
         if !self.libc {
             return store.instantiate_precompiled(pre, &[&self.host], None);
         }
-        let libc = Box::new(Libc::new(heap_base));
-        host::with_functions(!pre.module().is_memory64(), |functions| {
+        let module = pre.module();
+        let libc = Box::new(Libc::new(heap_base_of(module)));
+        host::with_functions(!module.is_memory64(), |functions| {
             store.instantiate_precompiled(pre, &[&self.host, functions], Some(libc))
         })
     }
@@ -125,16 +127,19 @@ mod tests {
     use super::*;
     use cage_engine::{ExecConfig, HostState};
     use cage_wasm::builder::ModuleBuilder;
-    use cage_wasm::Instr::{Call, LocalGet};
+    use cage_wasm::Instr::{self, Call, F64Const, GlobalGet, I32Const, I64Const, LocalGet};
     use ValType::I64;
 
-    /// A wasm64 module with a memory that imports `cage_libc.malloc` and
-    /// `cage_libc.print_i64` and exports them as `alloc` and `say`.
+    /// A wasm64 module with a memory whose heap starts at 0x1000 that
+    /// imports `cage_libc.malloc` and `cage_libc.print_i64` and exports
+    /// them as `alloc` and `say`.
     fn libc_module() -> Precompiled {
         let mut b = ModuleBuilder::new();
         let malloc = b.import_func("cage_libc", "malloc", &[I64], &[I64]);
         let print = b.import_func("cage_libc", "print_i64", &[I64], &[]);
         b.add_memory64(1);
+        let heap_base = b.add_global(I64, false, I64Const(0x1000));
+        b.export_global("__heap_base", heap_base);
         let alloc = b.add_function(&[I64], &[I64], &[], vec![LocalGet(0), Call(malloc)]);
         let say = b.add_function(&[I64], &[], &[], vec![LocalGet(0), Call(print)]);
         b.export_func("alloc", alloc);
@@ -151,9 +156,7 @@ mod tests {
     fn empty_linker_has_no_imports() {
         let linker = Linker::new();
         let mut store = Store::new(ExecConfig::default());
-        let err = linker
-            .instantiate(&mut store, &libc_module(), 0x1000)
-            .unwrap_err();
+        let err = linker.instantiate(&mut store, &libc_module()).unwrap_err();
         assert!(
             matches!(&err, InstantiateError::MissingImport { module, name }
                 if module == "cage_libc" && name == "malloc"),
@@ -175,7 +178,7 @@ mod tests {
         let pre = importing("cage_libc", "malloc", &[ValType::F64], &[I64]);
         let mut store = Store::new(ExecConfig::default());
         let err = Linker::with_libc()
-            .instantiate(&mut store, &pre, 0x1000)
+            .instantiate(&mut store, &pre)
             .unwrap_err();
         assert!(
             matches!(&err, InstantiateError::ImportType { module, name, .. }
@@ -200,7 +203,7 @@ mod tests {
         let mut store = Store::new(ExecConfig::default());
         for (params, results) in [(&[][..], &[][..]), (&[I64], &[]), (&[I64, I64], &[I64])] {
             let pre = importing("env", "f", params, results);
-            let err = linker.instantiate(&mut store, &pre, 0).unwrap_err();
+            let err = linker.instantiate(&mut store, &pre).unwrap_err();
             assert!(
                 matches!(&err, InstantiateError::ImportType { module, name, .. }
                     if module == "env" && name == "f"),
@@ -208,7 +211,7 @@ mod tests {
             );
         }
         let h = linker
-            .instantiate(&mut store, &importing("env", "f", &[I64], &[I64]), 0)
+            .instantiate(&mut store, &importing("env", "f", &[I64], &[I64]))
             .unwrap();
         assert_eq!(store.call(h, 0, &[Value::I64(5)]), Ok(vec![Value::I64(5)]));
     }
@@ -217,9 +220,7 @@ mod tests {
     fn with_libc_registers_the_libc_surface() {
         let linker = Linker::with_libc();
         let mut store = Store::new(ExecConfig::default());
-        let h = linker
-            .instantiate(&mut store, &libc_module(), 0x1000)
-            .unwrap();
+        let h = linker.instantiate(&mut store, &libc_module()).unwrap();
         let p = store.invoke(h, "alloc", &[Value::I64(16)]).unwrap();
         assert_ne!(p, vec![Value::I64(0)]);
         store.invoke(h, "say", &[Value::I64(7)]).unwrap();
@@ -228,7 +229,7 @@ mod tests {
         let mut b = ModuleBuilder::new();
         b.add_memory64(1);
         let pre = Precompiled::new(&b.build()).unwrap();
-        let bare = Linker::new().instantiate(&mut store, &pre, 0).unwrap();
+        let bare = Linker::new().instantiate(&mut store, &pre).unwrap();
         assert!(store.host_state::<Libc>(bare).is_none());
     }
 
@@ -237,9 +238,7 @@ mod tests {
         let mut linker = Linker::with_libc();
         linker.func("cage_libc", "malloc", &[I64], &[I64], |_, _, _| Ok(()));
         let mut store = Store::new(ExecConfig::default());
-        let h = linker
-            .instantiate(&mut store, &libc_module(), 0x1000)
-            .unwrap();
+        let h = linker.instantiate(&mut store, &libc_module()).unwrap();
         // The embedder's `malloc` answers; the libc's `print_i64` still
         // does, into the instance's own libc.
         let p = store.invoke(h, "alloc", &[Value::I64(16)]).unwrap();
@@ -268,18 +267,80 @@ mod tests {
         let pre = Precompiled::new(&b.build()).unwrap();
         let mut store = Store::new(ExecConfig::default());
         for linker in [&linker, &linker.clone()] {
-            let h = linker.instantiate(&mut store, &pre, 0).unwrap();
+            let h = linker.instantiate(&mut store, &pre).unwrap();
             store.invoke(h, "run", &[]).unwrap();
         }
         assert_eq!(calls.get(), 2, "one closure shared by both linkers");
+    }
+
+    /// `heap_base_of` a module with one imported function and whatever
+    /// `heap` adds.
+    fn heap_base_with(heap: impl FnOnce(&mut ModuleBuilder)) -> u64 {
+        let mut b = ModuleBuilder::new();
+        b.import_func("cage_libc", "malloc", &[I64], &[I64]);
+        heap(&mut b);
+        heap_base_of(&b.build())
+    }
+
+    /// Exports a global of `ty`, mutable or not, initialised by `init`,
+    /// as `__heap_base`.
+    fn exports_heap_base(
+        ty: ValType,
+        mutable: bool,
+        init: Instr,
+    ) -> impl FnOnce(&mut ModuleBuilder) {
+        move |b| {
+            let g = b.add_global(ty, mutable, init);
+            b.export_global("__heap_base", g);
+        }
+    }
+
+    #[test]
+    fn the_heap_base_is_the_initial_value_of_an_own_constant_export() {
+        use cage_wasm::{GlobalType, Import, ImportKind};
+        use ValType::{F64, I32};
+        let read = |ty, mutable, init| heap_base_with(exports_heap_base(ty, mutable, init));
+        assert_eq!(read(I64, false, I64Const(0x1230)), 0x1230);
+        assert_eq!(read(I32, false, I32Const(0x1230)), 0x1230);
+        assert_eq!(
+            read(I32, false, I32Const(-16)),
+            0xFFFF_FFF0,
+            "zero-extended"
+        );
+        assert_eq!(read(I64, false, I64Const(-1)), u64::MAX);
+        assert_eq!(
+            read(I64, true, I64Const(64)),
+            64,
+            "mutable: its initial value"
+        );
+        // No heap base: absent, a float, no constant, not a global, no
+        // such global, or a global the module imports.
+        assert_eq!(heap_base_with(|_| {}), 0);
+        assert_eq!(read(F64, false, F64Const(64f64.to_bits())), 0);
+        assert_eq!(read(I64, false, GlobalGet(0)), 0);
+        assert_eq!(heap_base_with(|b| b.export_func("__heap_base", 0)), 0);
+        assert_eq!(heap_base_with(|b| b.export_global("__heap_base", 7)), 0);
+        let mut b = ModuleBuilder::new();
+        exports_heap_base(I64, false, I64Const(0x1000))(&mut b);
+        let mut module = b.build();
+        assert_eq!(heap_base_of(&module), 0x1000);
+        module.imports.push(Import {
+            module: "env".into(),
+            name: "base".into(),
+            kind: ImportKind::Global(GlobalType {
+                value: I64,
+                mutable: false,
+            }),
+        });
+        assert_eq!(heap_base_of(&module), 0, "global 0 is now the import");
     }
 
     #[test]
     fn two_instances_of_one_linker_keep_their_own_libc() {
         let (linker, pre) = (Linker::with_libc(), libc_module());
         let mut store = Store::new(ExecConfig::default());
-        let a = linker.instantiate(&mut store, &pre, 0x1000).unwrap();
-        let b = linker.instantiate(&mut store, &pre, 0x1000).unwrap();
+        let a = linker.instantiate(&mut store, &pre).unwrap();
+        let b = linker.instantiate(&mut store, &pre).unwrap();
         let alloc = |store: &mut Store, h| store.invoke(h, "alloc", &[Value::I64(16)]).unwrap();
         // Separate allocators: each hands out its heap's first block.
         let first = alloc(&mut store, a);

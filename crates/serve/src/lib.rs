@@ -5,8 +5,7 @@
 //! traffic instead of one instance handling one invoke. Three pieces:
 //!
 //! * [`InstancePre`] — a validated, precompiled instance template: the
-//!   compiled module, the libc's heap base and a recipe for the host
-//!   surface. Compilation runs once; imports are resolved per instance,
+//!   compiled module and a recipe for the host surface. Compilation runs once; imports are resolved per instance,
 //!   when a pool instantiates. The template is `Send + Sync`, so worker
 //!   threads stamp instances out of one shared `Arc<InstancePre>`.
 //! * [`Pool`] — a per-worker pooling allocator. Released instance slots
@@ -71,7 +70,6 @@
 //!     Variant::BaselineWasm64,
 //!     Core::CortexX3,
 //!     &lowered.module,
-//!     lowered.heap_base,
 //!     HostProfile::Libc,
 //! )?);
 //! let mut pool = Pool::new(pre);
@@ -214,8 +212,10 @@ impl From<Trap> for ServeError {
 }
 
 /// A validated, precompiled instance template: the [`Precompiled`]
-/// module, the heap base its libc starts at, its variant and core, and
-/// the [`HostProfile`] its host surface is built from.
+/// module, its variant and core, and the [`HostProfile`] its host
+/// surface is built from. Under [`HostProfile::Libc`] each instance's
+/// heap starts where the module's own `__heap_base` export says
+/// ([`cage_libc::heap_base_of`]).
 ///
 /// Building one runs validation and bytecode compilation exactly
 /// once; every instance stamped from it shares the compiled functions
@@ -227,7 +227,6 @@ impl From<Trap> for ServeError {
 #[derive(Debug, Clone)]
 pub struct InstancePre {
     pre: Precompiled,
-    heap_base: u64,
     variant: Variant,
     core: Core,
     host: HostProfile,
@@ -236,9 +235,6 @@ pub struct InstancePre {
 impl InstancePre {
     /// Compiles `module` once into a template for `variant` on `core`,
     /// under the default (generous) [`CompileLimits`].
-    ///
-    /// `heap_base` is where the hardened libc's allocator starts (the
-    /// module's `__heap_base`); it is ignored for [`HostProfile::Empty`].
     ///
     /// # Errors
     ///
@@ -250,17 +246,9 @@ impl InstancePre {
         variant: Variant,
         core: Core,
         module: &Module,
-        heap_base: u64,
         host: HostProfile,
     ) -> Result<Self, ServeError> {
-        Self::with_limits(
-            variant,
-            core,
-            module,
-            heap_base,
-            host,
-            &CompileLimits::default(),
-        )
+        Self::with_limits(variant, core, module, host, &CompileLimits::default())
     }
 
     /// Like [`InstancePre::new`] with an explicit per-tenant limit
@@ -273,7 +261,6 @@ impl InstancePre {
         variant: Variant,
         core: Core,
         module: &Module,
-        heap_base: u64,
         host: HostProfile,
         limits: &CompileLimits,
     ) -> Result<Self, ServeError> {
@@ -286,7 +273,7 @@ impl InstancePre {
             Ok(result) => result?,
             Err(payload) => return Err(ServeError::CompilePanic(caught_compile_panic(&*payload))),
         };
-        Ok(Self::from_precompiled(variant, core, pre, heap_base, host))
+        Ok(Self::from_precompiled(variant, core, pre, host))
     }
 
     /// A template over an already compiled module — nothing is validated
@@ -297,12 +284,10 @@ impl InstancePre {
         variant: Variant,
         core: Core,
         pre: Precompiled,
-        heap_base: u64,
         host: HostProfile,
     ) -> Self {
         InstancePre {
             pre,
-            heap_base,
             variant,
             core,
             host,
@@ -515,7 +500,7 @@ impl Pool {
             }
         }
         let (linker, pre) = (&self.linker, &self.pre);
-        let handle = match linker.instantiate(&mut self.store, &pre.pre, pre.heap_base) {
+        let handle = match linker.instantiate(&mut self.store, &pre.pre) {
             Ok(handle) => handle,
             // The store has no sandbox tag left (§6.4). The free list is
             // empty here and a quarantined slot has returned its tag, so
@@ -777,14 +762,7 @@ mod tests {
         };
         let lowered = lower(&ir, &opts).expect("lowers");
         Arc::new(
-            InstancePre::new(
-                variant,
-                Core::CortexX3,
-                &lowered.module,
-                lowered.heap_base,
-                host,
-            )
-            .expect("validates"),
+            InstancePre::new(variant, Core::CortexX3, &lowered.module, host).expect("validates"),
         )
     }
 
@@ -976,9 +954,9 @@ mod tests {
         pool.release(b);
     }
 
-    /// A hand-built module whose start function takes a 16-byte block
-    /// from libc and prints 7: `start_ptr` returns that block, `alloc`
-    /// takes the next one.
+    /// A hand-built module whose heap starts at 4096 and whose start
+    /// function takes a 16-byte block from libc and prints 7: `start_ptr`
+    /// returns that block, `alloc` takes the next one.
     fn start_allocating_module(variant: Variant) -> Module {
         use cage_wasm::builder::ModuleBuilder;
         use cage_wasm::{Instr, ValType};
@@ -987,14 +965,16 @@ mod tests {
         let mut b = ModuleBuilder::new();
         let malloc = b.import_func("cage_libc", "malloc", &[ValType::I64], &[ptr]);
         let print = b.import_func("cage_libc", "print_i64", &[ValType::I64], &[]);
-        let null = if wasm64 {
+        let (null, base) = if wasm64 {
             b.add_memory64(1);
-            Instr::I64Const(0)
+            (Instr::I64Const(0), Instr::I64Const(4096))
         } else {
             b.add_memory32(1);
-            Instr::I32Const(0)
+            (Instr::I32Const(0), Instr::I32Const(4096))
         };
         let block = b.add_global(ptr, true, null);
+        let base = b.add_global(ptr, false, base);
+        b.export_global("__heap_base", base);
         let start = b.add_function(
             &[],
             &[],
@@ -1027,7 +1007,7 @@ mod tests {
         // recycle, and the next block is handed out after it.
         for variant in Variant::ALL {
             let module = start_allocating_module(variant);
-            let pre = InstancePre::new(variant, Core::CortexX3, &module, 4096, HostProfile::Libc);
+            let pre = InstancePre::new(variant, Core::CortexX3, &module, HostProfile::Libc);
             let mut pool = Pool::new(Arc::new(pre.expect("validates")));
             let mut probe = || {
                 let inst = pool.checkout().expect("checks out");
@@ -1109,7 +1089,7 @@ mod tests {
         }
         for variant in Variant::ALL {
             let module = every_other_block_module(variant);
-            let pre = InstancePre::new(variant, Core::CortexX3, &module, 4096, HostProfile::Empty);
+            let pre = InstancePre::new(variant, Core::CortexX3, &module, HostProfile::Empty);
             let mut pool = Pool::new(Arc::new(pre.expect("validates")));
             let mut probe = || {
                 let inst = pool.checkout().expect("checks out");
@@ -1625,7 +1605,6 @@ mod tests {
             Variant::BaselineWasm64,
             Core::CortexX3,
             &module,
-            0,
             HostProfile::Empty,
             &tight,
         )
@@ -1642,7 +1621,6 @@ mod tests {
                 Variant::BaselineWasm64,
                 Core::CortexX3,
                 &module,
-                0,
                 HostProfile::Empty,
             )
             .expect("fine under default limits"),

@@ -183,7 +183,7 @@ fn hostile_module() -> Module {
 /// The hostile module's template under `variant`: libc, and the chaos
 /// hook reading the calling worker's [`MODE`].
 fn template(variant: Variant) -> Arc<InstancePre> {
-    let pre = InstancePre::new(variant, CORE, &hostile_module(), 0, chaos_host())
+    let pre = InstancePre::new(variant, CORE, &hostile_module(), chaos_host())
         .expect("hostile module validates");
     Arc::new(pre)
 }
@@ -592,8 +592,7 @@ fn c_template_of(
         ..LowerOptions::default()
     };
     let lowered = lower(&ir, &opts).expect("handler lowers");
-    let pre = InstancePre::new(variant, CORE, &lowered.module, lowered.heap_base, host)
-        .expect("template builds");
+    let pre = InstancePre::new(variant, CORE, &lowered.module, host).expect("template builds");
     Arc::new(pre)
 }
 

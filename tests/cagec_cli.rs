@@ -2,7 +2,9 @@
 //! the register bytecode the interpreter executes — pcs, 3-address ops
 //! over linear-scan slots, resolved branch targets, charge recipes —
 //! unknown functions must fail with the usage exit code, as must an
-//! `--invoke` whose arguments do not fit the export and `--stats` or
+//! `--invoke` whose arguments do not fit the export's parameter types
+//! (an `--invoke` whose arguments do fit runs, whatever those types
+//! are) and `--stats` or
 //! `--profile` without `--invoke`; `--profile` must print the per-class
 //! attribution of a run, and hostile inputs (empty, binary,
 //! limit-busting) must exit with the documented codes rather than
@@ -391,7 +393,15 @@ fn invoke_is_checked_against_the_export_before_instantiating() {
         ),
         (&["--invoke", "f", "1", "2", "3"][..], "(i64, i64) -> (i64)"),
         (
-            &["--invoke", "g", "3"][..],
+            &["--invoke", "f", "1", "two"][..],
+            "\"f\" has signature (i64, i64) -> (i64); `two` is not an i64",
+        ),
+        (
+            &["--invoke", "g", "2147483648"][..],
+            "\"g\" has signature (i32) -> (i32); `2147483648` is not an i32",
+        ),
+        (
+            &["--invoke", "g", "3", "4"][..],
             "\"g\" has signature (i32) -> (i32)",
         ),
     ] {
@@ -404,6 +414,34 @@ fn invoke_is_checked_against_the_export_before_instantiating() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(wanted), "{args:?}: {stderr}");
         assert!(!stderr.contains("trap"), "{args:?}: {stderr}");
+    }
+}
+
+/// `--invoke` reads each argument as its parameter's type: an `int`, a
+/// `double`, and under wasm32 a pointer (`i32` there) can all be passed,
+/// and options after the arguments are still options.
+#[test]
+fn invoke_passes_arguments_of_the_exports_parameter_types() {
+    let program = tempfile::with_suffix(
+        ".c",
+        "int g(int x) { return x * 2; }\n\
+         double h(double x) { return x * 1.5; }\n\
+         long p(long* q) { q[0] = 7; return q[0] * 6; }\n",
+    );
+    for (args, wanted) in [
+        (&["--invoke", "g", "-21"][..], "-42: i32\n"),
+        (&["--invoke", "h", "2.5"][..], "3.75: f64\n"),
+        (&["--invoke", "p", "1048576", "--stats"][..], "42: i64\n"),
+    ] {
+        let out = cagec()
+            .arg(program.path())
+            .args(["--variant", "wasm32"])
+            .args(args)
+            .output()
+            .expect("cagec runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), wanted, "{args:?}");
     }
 }
 

@@ -110,7 +110,7 @@ fn a_raw_module_validates_once_on_either_surface() {
         let mut store = Store::new(Engine::new(Variant::BaselineWasm64).exec_config());
         let pre = Precompiled::new(&module).expect("compiles");
         let token = Linker::new()
-            .instantiate(&mut store, &pre, 0)
+            .instantiate(&mut store, &pre)
             .expect("instantiates");
         assert_eq!(
             store
@@ -126,7 +126,6 @@ fn a_raw_module_validates_once_on_either_surface() {
             Variant::BaselineWasm64,
             Core::CortexX3,
             &module,
-            0,
             HostProfile::Empty,
             &CompileLimits::default(),
         )

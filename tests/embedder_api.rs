@@ -195,6 +195,48 @@ fn traps_surface_through_typed_calls_as_unified_errors() {
 }
 
 #[test]
+fn untyped_invoke_reports_caller_mistakes_as_get_typed_does() {
+    let engine = Engine::new(Variant::CageFull);
+    let artifact = engine
+        .compile("long add(long a, long b) { return a + b; }")
+        .unwrap();
+    let mut inst = engine.instantiate(&artifact).unwrap();
+    let mismatch = |requested: &str| Error::SignatureMismatch {
+        name: "add".into(),
+        requested: requested.into(),
+        actual: "(i64, i64) -> (i64)".into(),
+    };
+    for (name, args, wanted) in [
+        (
+            "ghost",
+            &[][..],
+            Error::MissingExport {
+                name: "ghost".into(),
+            },
+        ),
+        (
+            "__heap_base",
+            &[][..],
+            Error::NotAFunction {
+                name: "__heap_base".into(),
+            },
+        ),
+        ("add", &[Value::I64(1)][..], mismatch("(i64) -> (i64)")),
+        (
+            "add",
+            &[Value::I64(1), Value::F64(2.0)][..],
+            mismatch("(i64, f64) -> (i64)"),
+        ),
+    ] {
+        let err = inst.invoke(name, args).unwrap_err();
+        assert_eq!(err.to_string(), wanted.to_string(), "{name}{args:?}");
+        assert!(err.as_trap().is_none(), "{name}{args:?}: {err}");
+    }
+    let sum = inst.invoke("add", &[Value::I64(40), Value::I64(2)]);
+    assert_eq!(sum.unwrap(), vec![Value::I64(42)]);
+}
+
+#[test]
 fn engine_shared_instances_exhaust_the_sandbox_tag_budget() {
     // §6.4: at most 15 MTE sandboxes per process. One Engine, one shared
     // store, sixteen instantiations.

@@ -11,11 +11,19 @@
 //! The catch-unwind backstops at those boundaries count every caught
 //! panic; the suite asserts the counters never move, so each rejection
 //! here is a *designed* limit or validation error, not a rescued crash.
+//!
+//! A module's `__heap_base` export is hostile input too: the libc starts
+//! its heap there, so a base that is missing, mistyped, mutable, huge or
+//! past the memory must still instantiate on both surfaces, with
+//! `malloc` returning NULL where no block fits.
 
-use cage::serve::{HostProfile, InstancePre, ServeError};
+use std::sync::Arc;
+
+use cage::engine::{Precompiled, Store};
+use cage::serve::{HostProfile, InstancePre, Pool, ServeError};
 use cage::wasm::builder::ModuleBuilder;
 use cage::wasm::{BlockType, Instr, Module, ValType};
-use cage::{Core, Engine, Error, Variant};
+use cage::{Core, Engine, Error, Linker, Value, Variant};
 
 /// Compiles hostile C through the engine and asserts a structured
 /// rejection (with zero caught panics).
@@ -40,7 +48,6 @@ fn assert_template_rejects(module: &Module) -> ServeError {
         Variant::BaselineWasm64,
         Core::CortexX3,
         module,
-        0,
         HostProfile::Empty,
     ) else {
         panic!("hostile module must be rejected");
@@ -277,7 +284,6 @@ fn truncated_and_garbage_binaries_never_panic_the_decoder() {
             Variant::BaselineWasm64,
             Core::CortexX3,
             &module,
-            0,
             HostProfile::Empty,
         );
     }
@@ -306,4 +312,105 @@ fn rejection_is_symmetric_across_both_surfaces() {
         matches!(template_err, ServeError::Rejected(_)),
         "{template_err}"
     );
+}
+
+// ------------------------------------------------------ hostile heap bases
+
+/// One page of memory for `variant`'s pointer width, `alloc` =
+/// `malloc(16)` through the libc, and — unless `base` is `None` — a
+/// global of the given type, mutability and initialiser exported as
+/// `__heap_base`.
+fn allocating_module(variant: Variant, base: Option<(ValType, bool, Instr)>) -> Module {
+    let wasm64 = variant.ptr_width().bytes() == 8;
+    let ptr = if wasm64 { ValType::I64 } else { ValType::I32 };
+    let mut b = ModuleBuilder::new();
+    let malloc = b.import_func("cage_libc", "malloc", &[ValType::I64], &[ptr]);
+    if wasm64 {
+        b.add_memory64(1);
+    } else {
+        b.add_memory32(1);
+    }
+    if let Some((ty, mutable, init)) = base {
+        let g = b.add_global(ty, mutable, init);
+        b.export_global("__heap_base", g);
+    }
+    let alloc = b.add_function(
+        &[],
+        &[ptr],
+        &[],
+        vec![Instr::I64Const(16), Instr::Call(malloc)],
+    );
+    b.export_func("alloc", alloc);
+    b.build()
+}
+
+/// The untagged address `malloc(16)` returns in `module`'s first instance
+/// on both instantiation surfaces — a pool stamped from the serving
+/// template and `Linker::with_libc` into a store — which must agree.
+fn first_block(variant: Variant, module: &Module) -> u64 {
+    let addr = |out: Vec<Value>| out[0].to_slot() & cage::mte::pointer::ADDR_MASK;
+    let pre = InstancePre::new(variant, Core::CortexX3, module, HostProfile::Libc)
+        .expect("the template builds");
+    let mut pool = Pool::new(Arc::new(pre));
+    let inst = pool.checkout().expect("an instance");
+    let pooled = addr(pool.invoke(&inst, "alloc", &[]).expect("malloc answers"));
+    pool.release(inst);
+
+    let pre = Precompiled::new(module).expect("compiles");
+    let mut store = Store::new(variant.exec_config(Core::CortexX3));
+    let h = Linker::with_libc()
+        .instantiate(&mut store, &pre)
+        .expect("instantiates");
+    let linked = addr(store.invoke(h, "alloc", &[]).expect("malloc answers"));
+    assert_eq!(pooled, linked, "{variant}");
+    pooled
+}
+
+#[test]
+fn hostile_heap_bases_instantiate_and_malloc_is_null_where_no_block_fits() {
+    let panics_before = cage::compile_panic_count();
+    for variant in Variant::ALL {
+        let ptr = if variant.ptr_width().bytes() == 8 {
+            ValType::I64
+        } else {
+            ValType::I32
+        };
+        let konst = |v: i64| match ptr {
+            ValType::I64 => Instr::I64Const(v),
+            _ => Instr::I32Const(v as i32),
+        };
+        let one_past_memory = 65_536 + 1;
+        // (case, the `__heap_base` export, the first block's address; 0 = NULL)
+        let rows = [
+            ("absent", None, 32),
+            (
+                "f64-typed",
+                Some((ValType::F64, false, Instr::F64Const(4096f64.to_bits()))),
+                32,
+            ),
+            ("mutable", Some((ptr, true, konst(4096))), 4112),
+            (
+                "i64 -1",
+                Some((ValType::I64, false, Instr::I64Const(-1))),
+                0,
+            ),
+            ("past memory", Some((ptr, false, konst(one_past_memory))), 0),
+        ];
+        for (case, base, first) in rows {
+            let module = allocating_module(variant, base);
+            assert_eq!(first_block(variant, &module), first, "{variant}: {case}");
+        }
+        // A `global.get` initialiser is no constant: the module is refused
+        // before any libc reads it.
+        let module = allocating_module(variant, Some((ptr, false, Instr::GlobalGet(0))));
+        let Err(err) = InstancePre::new(variant, Core::CortexX3, &module, HostProfile::Libc) else {
+            panic!("{variant}: a global.get initialiser validated");
+        };
+        assert!(
+            matches!(err, ServeError::Instantiate(_)),
+            "{variant}: {err}"
+        );
+        assert!(Precompiled::new(&module).is_err(), "{variant}");
+    }
+    assert_eq!(cage::compile_panic_count(), panics_before);
 }

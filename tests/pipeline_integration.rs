@@ -47,9 +47,7 @@ fn artifact_survives_binary_roundtrip_and_runs() {
         cage::wasm::validate(&module).unwrap();
         let mut store = Store::new(engine.exec_config());
         let pre = Precompiled::new(&module).unwrap();
-        let token = Linker::with_libc()
-            .instantiate(&mut store, &pre, artifact.heap_base())
-            .unwrap();
+        let token = Linker::with_libc().instantiate(&mut store, &pre).unwrap();
         let out = store.invoke(token, "run_stats", &[Value::I64(50)]).unwrap();
         // mean of squares 1..=50 = (50+1)(2*50+1)/6 = 858.5
         assert_eq!(out, vec![Value::F64(858.5)], "{variant}");

@@ -19,6 +19,10 @@
 //!   engine's. It was three while a host function returned its results
 //!   in a `Vec` of its own: `malloc` now writes its pointer into a slot
 //!   of the store's kept host-call staging.
+//! * a recycle shaped like `cage-bench`'s `serve_churn` — release, then
+//!   the resetting checkout, after a request that dirtied 32 pages —
+//!   allocates nothing once the slot has served one such request: the
+//!   memory's dirty records keep their capacity across resets.
 //!
 //! And what a cold instantiation of that request's module allocates,
 //! once the thread has instantiated one (the libc's host functions are
@@ -211,10 +215,16 @@ const HANDLER: &str = r#"
 
 /// `HANDLER` compiled for `variant`.
 fn handler_template(variant: Variant) -> Precompiled {
-    let mut ir = cage_cc::compile(HANDLER).expect("handler compiles");
+    template_of(HANDLER, LowerOptions::default().memory_pages, variant)
+}
+
+/// `source` compiled for `variant`, with a memory of `memory_pages`.
+fn template_of(source: &str, memory_pages: u64, variant: Variant) -> Precompiled {
+    let mut ir = cage_cc::compile(source).expect("handler compiles");
     run_pipeline(&mut ir, variant.harden_config());
     let opts = LowerOptions {
         ptr_width: variant.ptr_width(),
+        memory_pages,
         ..LowerOptions::default()
     };
     let lowered = lower(&ir, &opts).expect("handler lowers");
@@ -222,9 +232,12 @@ fn handler_template(variant: Variant) -> Precompiled {
 }
 
 fn handler_pool(variant: Variant) -> Pool {
+    pool_of(handler_template(variant), variant)
+}
+
+fn pool_of(template: Precompiled, variant: Variant) -> Pool {
     let core = ExecConfig::default().core;
-    let pre =
-        InstancePre::from_precompiled(variant, core, handler_template(variant), HostProfile::Libc);
+    let pre = InstancePre::from_precompiled(variant, core, template, HostProfile::Libc);
     let mut pool = Pool::new(Arc::new(pre));
     pool.set_fuel_budget(Some(1_000_000));
     pool
@@ -252,6 +265,62 @@ fn a_pool_invoke_allocates_its_reply_and_a_libc_request_twice() {
             }
             pool.release(inst);
         }
+    }
+}
+
+/// `cage-bench`'s `serve_churn` request: a 2 MiB block, one word stored
+/// into every 4 KiB of it, read back, freed.
+const CHURN: &str = r#"
+    long dirty(long req) {
+        long words = 32 * 65536 / 8;
+        long* buf = (long*)malloc(words * 8);
+        long acc = 0;
+        for (long i = 0; i < words; i = i + 512) {
+            buf[i] = req + i;
+        }
+        for (long i = 0; i < words; i = i + 512) {
+            acc = acc + buf[i];
+        }
+        free((char*)buf);
+        return acc;
+    }
+"#;
+
+/// The recycle `serve_churn` times — release, then the checkout that
+/// resets the slot — after a request that dirtied 32 pages: once the slot
+/// has served one such request, its dirty records and its libc hold the
+/// capacity the next needs, and the recycle allocates nothing.
+#[test]
+fn a_churn_shaped_recycle_allocates_nothing_on_a_warm_slot() {
+    let dirty_of = |req: i64| {
+        (0..32 * 65536 / 8)
+            .step_by(512)
+            .map(|i| req + i)
+            .sum::<i64>()
+    };
+    for variant in [
+        Variant::CageMemSafety,
+        Variant::CageFull,
+        Variant::BaselineWasm64,
+    ] {
+        let mut pool = pool_of(template_of(CHURN, 64, variant), variant);
+        pool.set_fuel_budget(Some(10_000_000));
+        let mut inst = pool.checkout().unwrap();
+        for req in 0..4 {
+            let got = pool.invoke(&inst, "dirty", &[Value::I64(req)]);
+            assert_eq!(got, Ok(vec![Value::I64(dirty_of(req))]), "{variant}");
+            let (n, next) = allocations(|| {
+                pool.release(inst);
+                pool.checkout().unwrap()
+            });
+            inst = next;
+            // The first recycle's one allocation is the pool's free list,
+            // whose first release it is.
+            let want = u64::from(req == 0);
+            assert_eq!(n, want, "{variant}: recycle after dirty({req})");
+        }
+        assert_eq!(pool.metrics().resets, 4, "{variant}");
+        pool.release(inst);
     }
 }
 

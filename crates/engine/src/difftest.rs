@@ -1285,7 +1285,11 @@ fn check_reset_of(what: &str, module: &Module, configs: &[ExecConfig], arg: i64,
             "{what}: reset tag store differs from a fresh instance's\n{}",
             dump_divergence(module)
         );
-        assert_eq!(pool_mem.dirty_block_count(), 0, "{what}: dirty after reset");
+        assert_eq!(
+            (pool_mem.dirty_line_count(), pool_mem.retagged_block_count()),
+            (0, 0),
+            "{what}: dirty after reset"
+        );
 
         let fresh = fresh_store.invoke(fresh_h, "run", &[Value::I64(arg)]);
         let recycled = pool_store.invoke(pool_h, "run", &[Value::I64(arg)]);
@@ -1521,9 +1525,11 @@ fn charge_is_the_same_however_a_run_is_split() {
 /// segment ops, and their stores land where the locals point): a dirty
 /// tenant that touches pages 7 and 5 in descending order, tags an
 /// odd-granule, odd-length segment across the page 2|3 boundary, frees
-/// it (retag), leaves a second segment allocated across 0|1 — a dirty
-/// list of `[7, 5, 2, 3, 0, 1]`, which reset must coalesce into the runs
-/// `0..=3`, `5`, `7` — and a probe tenant that reads all of it back
+/// it (retag), leaves a second segment allocated across 0|1 — written
+/// lines marked in the order `[7168, 5120, 3071, 3072, 1023]` and
+/// retagged blocks `[47, 48, 15, 16]`, which reset must coalesce into the
+/// runs `1023`, `3071..=3072`, `5120`, `7168` and `15..=16`, `47..=48` —
+/// and a probe tenant that reads all of it back
 /// through untagged pointers (stale tags trap, stale data changes the
 /// sum) and re-creates the first segment (a tag pool that was not rewound
 /// draws a different tag).
@@ -1631,15 +1637,17 @@ fn straddling_segments_and_scattered_pages_reset_to_a_fresh_instance() {
             Ok(vec![Value::I64(1)]),
             "{config:?}"
         );
-        // Blocks 112, 80, 47, 48, 15 (in pages 7, 5, 2, 3, 0) by the
-        // stores; block 16 (page 1) only by the tagging of the second
-        // segment, which is inert without internal safety.
-        assert_eq!(
-            store.memory(h).unwrap().dirty_block_count(),
-            if internal { 6 } else { 5 },
-        );
+        // Lines 7168, 5120, 3071, 3072, 1023 (in pages 7, 5, 2, 3, 0)
+        // by the stores; blocks 47, 48, 15, 16 (across pages 2|3 and
+        // 0|1) by the tagging of the two segments, which is inert without
+        // internal safety.
+        let dirty = |store: &Store| {
+            let m = store.memory(h).unwrap();
+            (m.dirty_line_count(), m.retagged_block_count())
+        };
+        assert_eq!(dirty(&store), (5, if internal { 4 } else { 0 }));
         store.reset_instance(h).unwrap();
-        assert_eq!(store.memory(h).unwrap().dirty_block_count(), 0);
+        assert_eq!(dirty(&store), (0, 0));
         let probed = store.invoke(h, "run", &[Value::I64(0)]).unwrap();
         let tag = probed[0].as_i64();
         assert_eq!(

@@ -37,8 +37,9 @@
 //! * bytes in `[committed, total)` are logically zero: nothing has been
 //!   written there since the memory was built, so readers that take
 //!   `&self` see zeros, and [`LinearMemory::reset`] has nothing to clear
-//!   there (a block can still be dirty for its *tags*, which are stored
-//!   eagerly). Those of them below `data.len()` are real zero bytes.
+//!   there (a block there can still be retagged: the tags are stored
+//!   eagerly and tracked apart). Those of them below `data.len()` are
+//!   real zero bytes.
 //!
 //! The prefix grows where an access was already being compared against
 //! it: the final slack check of [`LinearMemory::resolve`]. A miss goes to a
@@ -81,29 +82,52 @@
 //!
 //! # Dirty tracking
 //!
-//! [`LinearMemory::reset`] restores only what a tenant changed, so every
-//! mutation of the data or of the guest tags — a store, a bulk op, a
-//! segment op — goes through `mark_dirty`, which records the
-//! `DIRTY_BLOCK`s (4 KiB, the host page) it covered. The unit is the
-//! host page, not the 64 KiB wasm page: a request that writes one word
-//! costs its recycle one 4 KiB fill, not 64 KiB. (The committed prefix
-//! still grows by whole wasm pages; the two units are independent.)
+//! [`LinearMemory::reset`] restores only what a tenant changed. It keeps
+//! two records of that, one per kind of state, because the two are written
+//! by different operations and cost different amounts to restore:
 //!
-//! The record is a bitmap of one bit per block, grown lazily: it starts
-//! empty and `first_dirty` (cold: a block's first dirtying after a reset,
-//! or an access spanning blocks, marked a word at a time) extends it to
-//! cover the blocks it marks. So the inline test of a store treats a word
-//! past its end as clean, and a tenant that writes only low memory never
+//! * **Written data, per 64-byte line** (`DIRTY_LINE`). Every write of data
+//!   bytes marks the lines it covers: a store, [`LinearMemory::fill`],
+//!   [`LinearMemory::copy`], [`LinearMemory::write_resolved`] (data
+//!   segments, allocator metadata) and
+//!   [`LinearMemory::raw_write_unchecked`]. A segment op writes only zeros
+//!   and marks none. A request that stores one word per 4 KiB over 2 MiB
+//!   costs its recycle 512 line fills, not one 2 MiB `memset`.
+//! * **Retagged guest memory, per 4 KiB block** (`TAG_BLOCK`, the host
+//!   page). `segment.new`, `segment.set_tag` and `segment.free` mark the
+//!   blocks whose tags they change, and `reset` retags them to the
+//!   scheme's initial tag. A block's tags are 128 bytes (the tag store is
+//!   1/32 of the data), so the coarser unit costs little.
+//!
+//! Between them the records keep one invariant on the bytes: **every data
+//! byte outside a dirty line is zero.** A memory starts zero (built from
+//! nothing, from a spare, or committed past its zeroed length), a byte can
+//! become non-zero only through a write that marks its line (data
+//! segments arrive through `write_resolved`), and `reset` zeroes exactly
+//! the dirty lines. So `segment.new`, which hands back a zeroed segment
+//! (Fig. 11 rule 5), zeroes only what was written of it since the last
+//! reset. It skips a bitmap word (4 KiB) at a time and fills each run of
+//! words that hold a dirty line in one go, so a small `malloc` still
+//! costs one fill and a large one over fresh memory costs none.
+//!
+//! Each record is a `DirtySet`: a bitmap of one bit per unit, grown
+//! lazily, and a worklist. The bitmap starts empty, and a unit's first
+//! marking after a reset (cold, out of the stores' inlined path, like an
+//! access spanning units, which is marked a word at a time) extends it to
+//! cover what it marks. So the inline test of a store treats a word past
+//! its end as clean, and a tenant that writes only low memory never
 //! allocates the bitmap for the rest. (Sizing it eagerly for the whole
 //! memory moves `serve_cold`'s peak RSS through the allocator's layout
-//! alone.) Beside it, a worklist holds the index of every bitmap word
-//! that went from zero to non-zero. `reset` sorts those few words, takes
-//! each word's bits and walks its runs of set bits, joining a run that
-//! carries on into the next word: one data fill and one retag per run of
-//! adjacent dirty blocks, so a tenant that dirtied 2 MiB in one piece is
-//! cleared by one 2 MiB `memset` rather than one per bitmap word.
-//! Both vectors keep their capacity across resets, so a recycled slot
-//! that dirties what its predecessor did allocates nothing.
+//! alone.) The worklist holds the index of every bitmap word that went
+//! from zero to non-zero. One walk serves both records: it sorts those
+//! few words, takes each word's bits and hands on its runs of set bits,
+//! joining a run that carries on into the next word. So `reset` does one
+//! data fill per run of adjacent dirty lines, clamped to the committed
+//! prefix, and one tag fill per run of retagged blocks, clamped to guest
+//! memory: a tenant that wrote 2 MiB in one piece is cleared by one 2 MiB
+//! `memset`, not one per line. Both vectors of both records keep their
+//! capacity across resets, so a recycled slot that dirties what its
+//! predecessor did allocates nothing.
 //!
 //! # Recycled memories
 //!
@@ -118,26 +142,29 @@
 //!   size; its length is the zeroed length the taker starts with;
 //! * its tag store covers the total size, every granule tagged zero, with
 //!   a check count of zero: exactly what `TagMemory::new` builds;
-//! * its dirty bitmap is all zero words and its worklist empty, both with
-//!   their capacity kept.
+//! * both its dirty records are empty: all-zero bitmaps and empty
+//!   worklists, each with its capacity kept.
 //!
-//! The giver restores its dirty blocks with the walk [`LinearMemory::reset`]
-//! uses and, under a scheme whose initial tag is not zero, clears its guest
-//! tags. Only a memory that never grew is kept (a grown one's buffers are
-//! larger than its total; it is freed), and the list holds at most
-//! `KEPT_SPARES` memories and `KEPT_SPARE_BYTES` of buffer capacity, like
-//! the call buffers' `KEPT_*` trims: a memory that would pass either bound
-//! is freed. The taker builds every other field fresh and pre-tags the
-//! guest range under its own scheme exactly as a memory built from nothing
-//! does, so nothing a guest or an embedder can observe — bytes, tags,
-//! dirty blocks, check count, committed prefix — tells the two apart. Each
-//! thread has its own list, so which memories a run recycles never depends
-//! on another thread.
+//! The giver zeroes its dirty lines and retags its retagged blocks to zero
+//! with the walk [`LinearMemory::reset`] uses and, under a scheme whose
+//! initial tag is not zero, clears all its guest tags. Should a retag fail
+//! (it cannot on a memory that never grew), the memory is freed instead:
+//! `drop` must not panic, since a panic while the thread unwinds aborts
+//! the process. Only a memory that never grew is kept (a grown one's
+//! buffers are larger than its total; it is freed), and the list holds at
+//! most `KEPT_SPARES` memories and `KEPT_SPARE_BYTES` of buffer capacity,
+//! like the call buffers' `KEPT_*` trims: a memory that would pass either
+//! bound is freed. The taker builds every other field fresh and pre-tags
+//! the guest range under its own scheme exactly as a memory built from
+//! nothing does, so nothing a guest or an embedder can observe — bytes,
+//! tags, dirty lines and blocks, check count, committed prefix — tells
+//! the two apart. Each thread has its own list, so which memories a run
+//! recycles never depends on another thread.
 
 use std::cell::RefCell;
 
 use cage_mte::pointer::ADDR_MASK;
-use cage_mte::{AccessKind, Tag, TagExclusionMask, TagMemory, TagPool};
+use cage_mte::{AccessKind, Tag, TagError, TagExclusionMask, TagMemory, TagPool};
 
 use crate::trap::{SegmentFaultReason, Trap};
 
@@ -147,9 +174,13 @@ pub const RUNTIME_SLACK: u64 = 4096;
 /// WASM page size re-export for convenience.
 pub const PAGE_SIZE: u64 = cage_wasm::types::PAGE_SIZE;
 
-/// The unit of dirty tracking: 4 KiB, the host page. [`LinearMemory::reset`]
-/// re-zeroes and retags whole blocks (see the module docs).
-pub(crate) const DIRTY_BLOCK: u64 = 4096;
+/// The unit of data dirtiness: a 64-byte line. [`LinearMemory::reset`]
+/// and `segment.new` re-zero whole dirty lines (see the module docs).
+pub(crate) const DIRTY_LINE: u64 = 64;
+
+/// The unit of tag dirtiness: 4 KiB, the host page. [`LinearMemory::reset`]
+/// retags whole retagged blocks (see the module docs).
+pub(crate) const TAG_BLOCK: u64 = 4096;
 
 /// The most spare memories a thread keeps (see the module docs).
 pub(crate) const KEPT_SPARES: usize = 16;
@@ -166,8 +197,8 @@ struct Spare {
     bytes: u64,
     data: Vec<u8>,
     tags: TagMemory,
-    dirty_bits: Vec<u64>,
-    dirty_words: Vec<usize>,
+    dirty: DirtySet,
+    retagged: DirtySet,
 }
 
 thread_local! {
@@ -188,6 +219,100 @@ fn take_spare(total: u64) -> Option<Spare> {
         })
         .ok()
         .flatten()
+}
+
+/// A set of dirty units of a memory — 64-byte lines of its data, or 4 KiB
+/// blocks of its guest tags (see the module docs): a bitmap of one bit per
+/// unit, grown only to cover the highest unit marked, so a word past its
+/// end is clean, and the index of every word of it that went from zero to
+/// non-zero, in that order. Both keep their capacity when the set is
+/// emptied. `repr(C)`, as it sits inside [`LinearMemory`]'s layout.
+#[derive(Debug, Default)]
+#[repr(C)]
+struct DirtySet {
+    bits: Vec<u64>,
+    words: Vec<usize>,
+}
+
+impl DirtySet {
+    /// Whether `first..=last` is one unit, already marked: the common case
+    /// of a store, and the one test a mark makes inline.
+    #[inline]
+    fn holds(&self, first: u64, last: u64) -> bool {
+        let (word, bit) = ((first / 64) as usize, 1 << (first % 64));
+        first == last && self.bits.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Marks units `first..=last` a bitmap word at a time, growing the
+    /// bitmap to cover `last` and putting each word that was clean on the
+    /// worklist. Called past a failed [`DirtySet::holds`]: the first time
+    /// a unit is marked after the set was emptied, or by an access
+    /// spanning units.
+    fn mark(&mut self, first: u64, last: u64) {
+        let (first_word, last_word) = ((first / 64) as usize, (last / 64) as usize);
+        if last_word >= self.bits.len() {
+            self.bits.resize(last_word + 1, 0);
+        }
+        for word in first_word..=last_word {
+            if self.bits[word] == 0 {
+                self.words.push(word);
+            }
+            self.bits[word] |= word_mask(word as u64, first, last);
+        }
+    }
+
+    /// The number of marked units.
+    fn count(&self) -> usize {
+        self.words
+            .iter()
+            .map(|&word| self.bits[word].count_ones() as usize)
+            .sum()
+    }
+
+    /// The bitmap words, in ascending order, that hold a marked unit of
+    /// `first..=last`.
+    fn words_marked_in(&self, first: u64, last: u64) -> impl Iterator<Item = u64> + '_ {
+        let held = (self.bits.len() as u64).min(last / 64 + 1);
+        (first / 64..held)
+            .filter(move |&word| self.bits[word as usize] & word_mask(word, first, last) != 0)
+    }
+
+    /// Empties the set, handing `restore` each maximal run of marked
+    /// units in ascending order — runs that carry on into the next bitmap
+    /// word included, whatever order the units were marked in.
+    fn drain_runs(&mut self, mut restore: impl FnMut(std::ops::Range<u64>)) {
+        self.words.sort_unstable();
+        let mut run = 0..0;
+        for &word in &self.words {
+            let mut bits = std::mem::take(&mut self.bits[word]);
+            while bits != 0 {
+                let low = bits.trailing_zeros();
+                let len = (bits >> low).trailing_ones();
+                // Adding the run's lowest bit carries through the run and
+                // clears it.
+                bits &= bits.wrapping_add(1 << low);
+                let start = word as u64 * 64 + u64::from(low);
+                if start != run.end {
+                    if !run.is_empty() {
+                        restore(run);
+                    }
+                    run = start..start;
+                }
+                run.end = start + u64::from(len);
+            }
+        }
+        if !run.is_empty() {
+            restore(run);
+        }
+        self.words.clear();
+    }
+}
+
+/// The bits of bitmap word `word` that units `first..=last` cover.
+fn word_mask(word: u64, first: u64, last: u64) -> u64 {
+    let from = if word == first / 64 { first % 64 } else { 0 };
+    let to = if word == last / 64 { last % 64 } else { 63 };
+    (u64::MAX << from) & (u64::MAX >> (63 - to))
 }
 
 /// How pointer tags are derived and memory is pre-tagged (§6.3/§6.4) —
@@ -307,14 +432,9 @@ pub struct LinearMemory {
     /// the module docs).
     data: Vec<u8>,
     tags: TagMemory,
-    /// One bit per `DIRTY_BLOCK` of `data` (guest plus slack): set when
-    /// the block has been written or retagged since creation or the last
-    /// reset. Grown only to cover the highest block dirtied, so a word
-    /// past its end is clean.
-    dirty_bits: Vec<u64>,
-    /// The index of every non-zero word of `dirty_bits`, in the order it
-    /// became non-zero — the worklist [`LinearMemory::reset`] walks.
-    dirty_words: Vec<usize>,
+    /// The `DIRTY_LINE`s of `data` (guest plus slack) written since
+    /// creation or the last reset (see the module docs).
+    dirty: DirtySet,
     guest_size: u64,
     /// The scalar fast path's bound (see the module docs):
     /// `min(guest_size, committed)`, under every scheme.
@@ -342,6 +462,10 @@ pub struct LinearMemory {
     /// … and its constant term (the instance tag, or Combined's heap-base
     /// nibble 1).
     ptr_tag_add: u8,
+    /// The `TAG_BLOCK`s of guest memory whose tags a segment op changed
+    /// since creation or the last reset. Last, so it moves no field the
+    /// dispatch loop reads.
+    retagged: DirtySet,
 }
 
 impl LinearMemory {
@@ -386,12 +510,13 @@ impl LinearMemory {
         let guest_size = initial_pages.checked_mul(PAGE_SIZE).ok_or_else(too_big)?;
         let total = guest_size.checked_add(RUNTIME_SLACK).ok_or_else(too_big)?;
         let total_usize = usize::try_from(total).map_err(|_| too_big())?;
-        let (data, mut tags, dirty_bits, dirty_words) = match take_spare(total) {
-            Some(spare) => (spare.data, spare.tags, spare.dirty_bits, spare.dirty_words),
+        let (data, mut tags, dirty, retagged) = match take_spare(total) {
+            Some(spare) => (spare.data, spare.tags, spare.dirty, spare.retagged),
             None => {
                 let mut data = Vec::new();
                 data.try_reserve_exact(total_usize).map_err(|_| too_big())?;
-                (data, TagMemory::new(total), Vec::new(), Vec::new())
+                let empty = DirtySet::default;
+                (data, TagMemory::new(total), empty(), empty())
             }
         };
         let initial = scheme.initial_tag();
@@ -427,16 +552,19 @@ impl LinearMemory {
             pool,
             base_pages: initial_pages,
             seed,
-            dirty_bits,
-            dirty_words,
+            dirty,
+            retagged,
         })
     }
 
     /// The capacity of the buffers a spare keeps (see the module docs).
     fn buffer_bytes(&self) -> u64 {
-        let bitmap = self.dirty_bits.capacity() * std::mem::size_of::<u64>();
-        let worklist = self.dirty_words.capacity() * std::mem::size_of::<usize>();
-        (self.data.capacity() + self.tags.packed().len() + bitmap + worklist) as u64
+        let set = |s: &DirtySet| {
+            s.bits.capacity() * std::mem::size_of::<u64>()
+                + s.words.capacity() * std::mem::size_of::<usize>()
+        };
+        let records = set(&self.dirty) + set(&self.retagged);
+        (self.data.capacity() + self.tags.packed().len() + records) as u64
     }
 
     /// Guest memory plus runtime slack: the reserved size of `data`.
@@ -503,60 +631,65 @@ impl LinearMemory {
         self.committed
     }
 
-    /// Marks the blocks covering `[addr, addr + len)` dirty. Every
-    /// mutation of `data` or of the guest tag store funnels through here;
-    /// [`LinearMemory::reset`] undoes exactly these blocks. What stays
-    /// inline is the common case of a store: one block, already dirty.
+    /// Marks the lines covering `[addr, addr + len)` written. Every write
+    /// of data bytes funnels through here; [`LinearMemory::reset`] zeroes
+    /// exactly these lines. What stays inline is the common case of a
+    /// store: one line, already dirty.
     #[inline]
-    fn mark_dirty(&mut self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let (first, last) = (addr / DIRTY_BLOCK, (addr + len - 1) / DIRTY_BLOCK);
-        let (word, bit) = ((first / 64) as usize, 1 << (first % 64));
-        if first != last || self.dirty_bits.get(word).is_none_or(|w| w & bit == 0) {
-            self.first_dirty(first, last);
+    fn mark_written(&mut self, addr: u64, len: u64) {
+        if len != 0 {
+            let (first, last) = (addr / DIRTY_LINE, (addr + len - 1) / DIRTY_LINE);
+            if !self.dirty.holds(first, last) {
+                self.mark_written_new(first, last);
+            }
         }
     }
 
-    /// Marks blocks `first..=last` dirty a bitmap word at a time, growing
-    /// the bitmap to cover `last` and putting each word that was clean on
-    /// the worklist. Taken the first time a block is dirtied after a reset
-    /// and by accesses spanning blocks, so out of the scalar stores'
-    /// inlined path.
+    /// [`LinearMemory::mark_written`] past its inline test, out of the
+    /// scalar stores' inlined path. A method of the memory rather than of
+    /// its record, so the stores inlined into the dispatch loop pass the
+    /// memory they already hold.
     #[cold]
     #[inline(never)]
-    fn first_dirty(&mut self, first: u64, last: u64) {
-        let (first_word, last_word) = ((first / 64) as usize, (last / 64) as usize);
-        if last_word >= self.dirty_bits.len() {
-            self.dirty_bits.resize(last_word + 1, 0);
-        }
-        for word in first_word..=last_word {
-            let from = if word == first_word { first % 64 } else { 0 };
-            let to = if word == last_word { last % 64 } else { 63 };
-            if self.dirty_bits[word] == 0 {
-                self.dirty_words.push(word);
+    fn mark_written_new(&mut self, first: u64, last: u64) {
+        self.dirty.mark(first, last);
+    }
+
+    /// Marks the blocks covering `[addr, addr + len)` of guest memory
+    /// retagged. Every segment op that changes tags funnels through here;
+    /// [`LinearMemory::reset`] retags exactly these blocks.
+    #[inline]
+    fn mark_retagged(&mut self, addr: u64, len: u64) {
+        if len != 0 {
+            let (first, last) = (addr / TAG_BLOCK, (addr + len - 1) / TAG_BLOCK);
+            if !self.retagged.holds(first, last) {
+                self.retagged.mark(first, last);
             }
-            self.dirty_bits[word] |= (u64::MAX << from) & (u64::MAX >> (63 - to));
         }
     }
 
-    /// Number of dirty 4 KiB blocks: what the next [`LinearMemory::reset`]
-    /// re-zeroes and retags (pool observability).
+    /// Number of 64-byte lines written since creation or the last reset:
+    /// what the next [`LinearMemory::reset`] re-zeroes, as far as they lie
+    /// in the committed prefix (pool observability).
     #[must_use]
-    pub fn dirty_block_count(&self) -> usize {
-        self.dirty_words
-            .iter()
-            .map(|&word| self.dirty_bits[word].count_ones() as usize)
-            .sum()
+    pub fn dirty_line_count(&self) -> usize {
+        self.dirty.count()
     }
 
-    /// Restores the memory to its freshly-created state in O(blocks
-    /// touched): re-zeroes and re-tags only the dirty blocks (one fill
-    /// pair per run of adjacent blocks), and rewinds the segment tag pool
-    /// to its seed so the next run draws the same tags. Data segments are
-    /// *not* re-applied here — the store does that, exactly as at
-    /// instantiation.
+    /// Number of 4 KiB blocks of guest memory a segment op retagged since
+    /// creation or the last reset: what the next [`LinearMemory::reset`]
+    /// retags (pool observability).
+    #[must_use]
+    pub fn retagged_block_count(&self) -> usize {
+        self.retagged.count()
+    }
+
+    /// Restores the memory to its freshly-created state in O(lines
+    /// written + blocks retagged): re-zeroes only the dirty lines and
+    /// retags only the retagged blocks (one fill per run of adjacent
+    /// units), and rewinds the segment tag pool to its seed so the next
+    /// run draws the same tags. Data segments are *not* re-applied here —
+    /// the store does that, exactly as at instantiation.
     ///
     /// The committed prefix survives (a warm slot stays warm), so the data
     /// fill is clamped to it. A grown memory shrinks back in place first.
@@ -566,10 +699,10 @@ impl LinearMemory {
         let base_size = self.base_pages * PAGE_SIZE;
         if self.guest_size != base_size {
             // Undo the grows: drop the pages above the base size from the
-            // prefix and the tag store (the loop below clamps to the new
-            // total, so for them it only clears the dirty bits). The
+            // prefix and the tag store (the walks below clamp to the new
+            // sizes, so for them they only clear the records). The
             // base-sized slack was guest memory while grown, so it carries
-            // guest tags; its data is dirty-tracked like any block's.
+            // guest tags; its data is dirty-tracked like any line's.
             self.guest_size = base_size;
             let total = self.total();
             self.data.truncate(total as usize);
@@ -580,60 +713,63 @@ impl LinearMemory {
                 .expect("granule-aligned slack inside the shrunk tag store");
             self.set_scalar_bound();
         }
-        self.restore_dirty();
+        self.restore(self.scheme.initial_tag())
+            .expect("block-aligned runs inside guest memory");
         self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed)
             .expect("segment exclusion leaves tags available");
     }
 
-    /// Re-zeroes and retags every dirty block and clears the record, for
-    /// [`LinearMemory::reset`] and a memory handed on as a spare. Each
-    /// maximal run of adjacent dirty blocks, across bitmap words too, is
-    /// one data fill and one tag fill, whatever order the blocks were
-    /// first touched in. The worklist is taken for the walk and handed
-    /// back empty, keeping its capacity.
-    fn restore_dirty(&mut self) {
-        let mut words = std::mem::take(&mut self.dirty_words);
-        words.sort_unstable();
-        let mut run = 0..0;
-        for &word in &words {
-            let mut bits = std::mem::take(&mut self.dirty_bits[word]);
-            while bits != 0 {
-                let low = bits.trailing_zeros();
-                let len = (bits >> low).trailing_ones();
-                // Adding the run's lowest bit carries through the run and
-                // clears it.
-                bits &= bits.wrapping_add(1 << low);
-                let start = word as u64 * 64 + u64::from(low);
-                if start != run.end {
-                    self.restore_blocks(run);
-                    run = start..start;
-                }
-                run.end = start + u64::from(len);
+    /// Re-zeroes every dirty line, retags every retagged block to `tag`
+    /// and empties both records, for [`LinearMemory::reset`] and a memory
+    /// handed on as a spare. The data fills are clamped to the committed
+    /// prefix — past it a line holds nothing to clear — and the tag fills
+    /// to guest memory, whose slack tags no segment op reaches.
+    ///
+    /// # Errors
+    ///
+    /// A tag fill the tag store refuses; both records are emptied anyway.
+    fn restore(&mut self, tag: Tag) -> Result<(), TagError> {
+        let (committed, data) = (self.committed, &mut self.data);
+        self.dirty.drain_runs(|lines| {
+            let (start, end) = (lines.start * DIRTY_LINE, lines.end * DIRTY_LINE);
+            if start < committed {
+                data[start as usize..end.min(committed) as usize].fill(0);
             }
-        }
-        self.restore_blocks(run);
-        words.clear();
-        self.dirty_words = words;
+        });
+        let (guest_size, tags) = (self.guest_size, &mut self.tags);
+        let mut retag = Ok(());
+        self.retagged.drain_runs(|blocks| {
+            let (start, end) = (blocks.start * TAG_BLOCK, blocks.end * TAG_BLOCK);
+            if start < guest_size {
+                let filled = tags.set_tag_range(start, end.min(guest_size) - start, tag);
+                retag = retag.and(filled);
+            }
+        });
+        retag
     }
 
-    /// Re-zeroes and retags dirty blocks `blocks` for
-    /// [`LinearMemory::restore_dirty`], clamped to the total size.
-    fn restore_blocks(&mut self, blocks: std::ops::Range<u64>) {
-        let start = blocks.start * DIRTY_BLOCK;
-        let end = (blocks.end * DIRTY_BLOCK).min(self.total());
-        // Past the prefix there is nothing to clear: a block is dirty there
-        // only for its tags.
-        if start < self.committed {
-            self.data[start as usize..end.min(self.committed) as usize].fill(0);
+    /// Zeroes what was written of `[addr, addr + len)` since the last
+    /// reset, for `segment.new`: every byte outside a dirty line is zero
+    /// already (see the module docs). A bitmap word (4 KiB of data) at a
+    /// time: each run of words that hold a dirty line of the range is one
+    /// fill of the range's part of them, clamped to the committed prefix.
+    fn zero_written(&mut self, addr: u64, len: u64) {
+        let end = (addr + len).min(self.committed);
+        if addr >= end {
+            return;
         }
-        // Retag the guest portion; slack tags never change (segment ops are
-        // guest-bounded) so zero is still in force there.
-        let guest_end = end.min(self.guest_size);
-        if start < guest_end {
-            self.tags
-                .set_tag_range(start, guest_end - start, self.scheme.initial_tag())
-                .expect("block-aligned run inside guest memory");
+        const WORD_SPAN: u64 = 64 * DIRTY_LINE;
+        let (first, last) = (addr / DIRTY_LINE, (end - 1) / DIRTY_LINE);
+        let mut run = addr..addr;
+        for word in self.dirty.words_marked_in(first, last) {
+            let from = (word * WORD_SPAN).max(addr);
+            if from != run.end {
+                self.data[run.start as usize..run.end as usize].fill(0);
+                run = from..from;
+            }
+            run.end = ((word + 1) * WORD_SPAN).min(end);
         }
+        self.data[run.start as usize..run.end as usize].fill(0);
     }
 
     /// Guest-accessible size in bytes.
@@ -858,7 +994,7 @@ impl LinearMemory {
         if end > self.committed {
             self.commit(end);
         }
-        self.mark_dirty(addr, bytes.len() as u64);
+        self.mark_written(addr, bytes.len() as u64);
         self.data[addr as usize..end as usize].copy_from_slice(bytes);
     }
 
@@ -951,7 +1087,7 @@ impl LinearMemory {
     /// [`LinearMemory::read_le`]).
     #[inline(always)]
     pub fn write_le(&mut self, addr: u64, width: u64, raw: u64) {
-        self.mark_dirty(addr, width);
+        self.mark_written(addr, width);
         let a = addr as usize;
         match width {
             8 => self.data[a..a + 8].copy_from_slice(&raw.to_le_bytes()),
@@ -1068,7 +1204,7 @@ impl LinearMemory {
     /// See [`LinearMemory::resolve`].
     pub fn fill(&mut self, dst: u64, val: u8, len: u64) -> Result<(), Trap> {
         let addr = self.resolve(dst, 0, len, AccessKind::Write)?;
-        self.mark_dirty(addr, len);
+        self.mark_written(addr, len);
         self.data[addr as usize..(addr + len) as usize].fill(val);
         Ok(())
     }
@@ -1085,7 +1221,7 @@ impl LinearMemory {
     pub fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
         let s = self.resolve(src, 0, len, AccessKind::Read)?;
         let d = self.resolve(dst, 0, len, AccessKind::Write)?;
-        self.mark_dirty(d, len);
+        self.mark_written(d, len);
         self.data
             .copy_within(s as usize..(s + len) as usize, d as usize);
         Ok(())
@@ -1158,16 +1294,15 @@ impl LinearMemory {
         }
         let addr = ptr & ADDR_MASK;
         self.segment_range_check(addr, len)?;
-        self.mark_dirty(addr, len);
+        self.mark_retagged(addr, len);
         let mem_tag = self.pool.random_tag();
         self.tags
             .set_tag_range(addr, len, mem_tag)
             .expect("range checked above");
-        // Zero the segment (segment.new returns zeroed memory); what lies
-        // past the committed prefix is zero already and stays uncommitted.
-        if addr < self.committed {
-            self.data[addr as usize..(addr + len).min(self.committed) as usize].fill(0);
-        }
+        // Zero the segment (segment.new returns zeroed memory): only its
+        // lines written since the last reset hold anything, and what lies
+        // past the committed prefix stays uncommitted.
+        self.zero_written(addr, len);
         let nibble = self.scheme.pointer_nibble(mem_tag);
         Ok((ptr & !(0xF << 56)) | (u64::from(nibble) << 56))
     }
@@ -1184,7 +1319,7 @@ impl LinearMemory {
         }
         let addr = ptr & ADDR_MASK;
         self.segment_range_check(addr, len)?;
-        self.mark_dirty(addr, len);
+        self.mark_retagged(addr, len);
         let mem_tag = self.scheme.ptr_tag(tagged_ptr);
         self.tags
             .set_tag_range(addr, len, mem_tag)
@@ -1216,7 +1351,7 @@ impl LinearMemory {
                 })
             }
         }
-        self.mark_dirty(addr, len);
+        self.mark_retagged(addr, len);
         let free_tag = self.pool.random_tag_excluding(ptr_tag);
         self.tags
             .set_tag_range(addr, len, free_tag)
@@ -1243,19 +1378,26 @@ impl Drop for LinearMemory {
             if spares.len() >= KEPT_SPARES || held + bytes > KEPT_SPARE_BYTES {
                 return;
             }
-            self.restore_dirty();
-            if !self.scheme.initial_tag().is_zero() {
-                self.tags
-                    .set_tag_range(0, self.guest_size, Tag::ZERO)
-                    .expect("page-aligned guest region inside the tag store");
+            // A spare's tags are all zero. A retag that fails frees the
+            // memory instead of keeping it: a panic here, while the thread
+            // may be unwinding, would abort the process.
+            let wiped = self.restore(Tag::ZERO).and_then(|()| {
+                if self.scheme.initial_tag().is_zero() {
+                    Ok(())
+                } else {
+                    self.tags.set_tag_range(0, self.guest_size, Tag::ZERO)
+                }
+            });
+            if wiped.is_err() {
+                return;
             }
             self.tags.reset_check_count();
             spares.push(Spare {
                 bytes,
                 data: std::mem::take(&mut self.data),
                 tags: std::mem::replace(&mut self.tags, TagMemory::new(0)),
-                dirty_bits: std::mem::take(&mut self.dirty_bits),
-                dirty_words: std::mem::take(&mut self.dirty_words),
+                dirty: std::mem::take(&mut self.dirty),
+                retagged: std::mem::take(&mut self.retagged),
             });
         });
     }
@@ -1280,6 +1422,24 @@ impl LinearMemory {
     /// own reading of the scheme.
     pub(crate) fn scalar_bound(&self) -> u64 {
         self.scalar_bound
+    }
+
+    /// The units both dirty records hold — written lines, retagged
+    /// blocks — for the eager model to compare with its own sets.
+    pub(crate) fn dirty_units(&self) -> [Vec<u64>; 2] {
+        [&self.dirty, &self.retagged].map(|set| {
+            let mut words = set.words.clone();
+            words.sort_unstable();
+            words
+                .iter()
+                .flat_map(|&word| {
+                    let bits = set.bits[word];
+                    (0..64u64)
+                        .filter(move |bit| bits >> bit & 1 == 1)
+                        .map(move |bit| word as u64 * 64 + bit)
+                })
+                .collect()
+        })
     }
 }
 
@@ -1626,7 +1786,7 @@ mod tests {
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
         m.reset();
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
-        assert_eq!(m.dirty_block_count(), 0);
+        assert_eq!(m.dirty_line_count(), 0);
         assert_eq!(m.read(0, 0, 128).unwrap(), vec![0; 128]);
         assert_eq!(m.runtime_byte(8), Some(0));
     }
@@ -1635,13 +1795,19 @@ mod tests {
     fn a_page_dirty_for_its_tags_alone_resets_without_being_committed() {
         let mut m = mem4(TagScheme::InternalOnly);
         let p = m.segment_new(3 * PAGE_SIZE - 32, 64).unwrap();
-        assert_eq!((m.committed_bytes(), m.dirty_block_count()), (0, 2));
+        // Two blocks retagged (47 and 48); no line written: the segment's
+        // zeros are what its uncommitted bytes held already.
+        let state = |m: &LinearMemory| {
+            let counts = (m.dirty_line_count(), m.retagged_block_count());
+            (m.committed_bytes(), counts)
+        };
+        assert_eq!(state(&m), (0, (0, 2)));
         assert_eq!(
             m.tags().tag_at(3 * PAGE_SIZE).map(Tag::value),
             Some((p >> 56) as u8)
         );
         m.reset();
-        assert_eq!((m.committed_bytes(), m.dirty_block_count()), (0, 0));
+        assert_eq!(state(&m), (0, (0, 0)));
         assert_eq!(m.tags().range_tag(0, 4 * PAGE_SIZE), Some(Tag::ZERO));
     }
 
@@ -1649,45 +1815,189 @@ mod tests {
         LinearMemory::new(4, Some(16), true, scheme, 42)
     }
 
-    #[test]
-    fn reset_restores_exactly_the_blocks_written() {
-        let instance_tag = Tag::new(6).unwrap();
-        for scheme in [
+    /// The four schemes, with a sandbox tag for the external one.
+    fn schemes() -> [TagScheme; 4] {
+        [
             TagScheme::None,
             TagScheme::InternalOnly,
-            TagScheme::ExternalOnly { instance_tag },
+            TagScheme::ExternalOnly {
+                instance_tag: Tag::new(6).unwrap(),
+            },
             TagScheme::Combined,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn reset_restores_exactly_the_blocks_written() {
+        for scheme in schemes() {
             let fresh = mem4(scheme);
             let total = 4 * PAGE_SIZE + RUNTIME_SLACK;
             let mut m = mem4(scheme);
-            // Grown, so blocks 63 | 64 (the edge of bitmap word 0) are both
-            // guest memory, and block 64 is slack again after the reset.
+            // Grown, so lines 4095 | 4096 (the edge of bitmap word 63) are
+            // both guest memory, and line 4096 is slack again after the
+            // reset.
             assert_eq!(m.grow(2), Some(4), "{scheme:?}");
-            // Blocks 1 and 3 of page 0: two runs of one block each.
-            m.write(DIRTY_BLOCK + 8, 0, &[1]).unwrap();
-            m.write(3 * DIRTY_BLOCK + 100, 0, &[3; 4]).unwrap();
-            // A straddle of blocks 63 and 64, across two bitmap words.
-            m.write(64 * DIRTY_BLOCK - 2, 0, &[0xAB; 4]).unwrap();
+            // Line 1, and lines 3 | 4 by a straddle: two runs.
+            m.write(DIRTY_LINE + 8, 0, &[1]).unwrap();
+            m.write(4 * DIRTY_LINE - 2, 0, &[3; 4]).unwrap();
+            // Straddles of lines 63 | 64 and 4095 | 4096, each across two
+            // bitmap words.
+            m.write(64 * DIRTY_LINE - 2, 0, &[0xAB; 4]).unwrap();
+            m.write(4 * PAGE_SIZE - 2, 0, &[0xCD; 4]).unwrap();
             assert_eq!(m.committed_bytes(), 5 * PAGE_SIZE, "{scheme:?}");
-            // Block 82, above the committed prefix, dirty for its tags alone
-            // where segments are live.
-            let seg = m.segment_new(82 * DIRTY_BLOCK + 64, 32).unwrap();
+            assert_eq!(m.dirty_line_count(), 7, "{scheme:?}");
+            // Block 82, above the committed prefix, retagged where segments
+            // are live; block 0 too, by a segment over the written lines 0
+            // and 1, which it zeroes without marking a line.
+            let seg = m.segment_new(82 * TAG_BLOCK + 64, 32).unwrap();
             let retagged = m.segments_live();
             assert_eq!(seg >> 56 != 0, retagged, "{scheme:?}");
+            let low = m.segment_new(0, 2 * DIRTY_LINE).unwrap();
+            assert_eq!(
+                m.read(low, DIRTY_LINE + 8, 1).unwrap(),
+                [u8::from(!retagged)]
+            );
             assert_eq!(m.committed_bytes(), 5 * PAGE_SIZE, "{scheme:?}");
-            assert_eq!(m.dirty_block_count(), 4 + usize::from(retagged));
+            assert_eq!(m.dirty_line_count(), 7, "{scheme:?}");
+            assert_eq!(m.retagged_block_count(), 2 * usize::from(retagged));
             m.reset();
-            assert_eq!(m.dirty_block_count(), 0, "{scheme:?}");
+            assert_eq!(m.dirty_line_count(), 0, "{scheme:?}");
+            assert_eq!(m.retagged_block_count(), 0, "{scheme:?}");
             assert_eq!(m.size_pages(), 4, "{scheme:?}");
             assert!(m.read_resolved(0, total) == fresh.read_resolved(0, total));
             assert!(m.tags().packed() == fresh.tags().packed(), "{scheme:?}");
-            // A block of a word the reset emptied is tracked again.
-            m.write(2 * DIRTY_BLOCK, 0, &[2]).unwrap();
-            assert_eq!(m.dirty_block_count(), 1, "{scheme:?}");
+            // A line of a word the reset emptied is tracked again.
+            m.write(2 * DIRTY_LINE, 0, &[2]).unwrap();
+            assert_eq!(m.dirty_line_count(), 1, "{scheme:?}");
             m.reset();
             assert!(m.read_resolved(0, total) == fresh.read_resolved(0, total));
             assert!(m.tags().packed() == fresh.tags().packed(), "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn segment_new_zeroes_the_lines_written_since_the_reset() {
+        for scheme in [TagScheme::InternalOnly, TagScheme::Combined] {
+            let mut m = mem4(scheme);
+            for round in 0..2 {
+                let what = format!("{scheme:?} round {round}");
+                // Written: lines 0-3 whole and the last line of bitmap word
+                // 0, one word of word 2 (a clean word 1 between), and a 4
+                // KiB run across the edge of words 4 and 5.
+                m.fill(0, 0xAA, 4 * DIRTY_LINE).unwrap();
+                m.write_scalar(TAG_BLOCK - 8, 0, 8, u64::MAX).unwrap();
+                m.write_scalar(2 * TAG_BLOCK + 200, 0, 8, u64::MAX).unwrap();
+                m.fill(4 * TAG_BLOCK + 2048, 0xBB, TAG_BLOCK).unwrap();
+                let lines = m.dirty_line_count();
+                // A segment from the middle of line 0 to the middle of
+                // line 2: its bytes read zero through the tagged pointer,
+                // and the written bytes either side of it are kept.
+                let p = m.segment_new(48, 96).unwrap();
+                assert_eq!(m.read(p, 0, 96).unwrap(), vec![0; 96], "{what}");
+                let outside = |m: &LinearMemory, addr, len| m.read_resolved(addr, len);
+                assert_eq!(outside(&m, 0, 48), vec![0xAA; 48], "{what}");
+                assert_eq!(outside(&m, 144, 112), vec![0xAA; 112], "{what}");
+                // Segments of exactly one dirty line: the last of bitmap
+                // word 0, and the only one of word 2.
+                for line in [TAG_BLOCK - DIRTY_LINE, 2 * TAG_BLOCK + 192] {
+                    let p = m.segment_new(line, DIRTY_LINE).unwrap();
+                    let got = m.read(p, 0, DIRTY_LINE).unwrap();
+                    assert_eq!(got, vec![0; 64], "{what}: line at {line:#x}");
+                }
+                // One segment over all of it, clean words included.
+                let p = m.segment_new(0, 6 * TAG_BLOCK).unwrap();
+                let image = m.read(p, 0, 6 * TAG_BLOCK).unwrap();
+                assert!(image.iter().all(|&b| b == 0), "{what}");
+                // Segment ops write only zeros: no line is marked by them.
+                assert_eq!(m.dirty_line_count(), lines, "{what}");
+                m.segment_free(p, 6 * TAG_BLOCK).unwrap();
+                // The reset empties both records; the next round writes
+                // the same lines again.
+                m.reset();
+                assert_eq!(m.dirty_line_count(), 0, "{what}");
+                assert_eq!(m.read_resolved(0, 6 * TAG_BLOCK), vec![0; 6 * 4096]);
+            }
+        }
+    }
+
+    #[test]
+    fn segment_new_over_a_data_segment_zeroes_it_and_the_next_reset_restores_its_image() {
+        use crate::config::Variant;
+        use crate::host::Imports;
+        use crate::store::Store;
+        use cage_mte::Core;
+        use cage_wasm::builder::ModuleBuilder;
+
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(2);
+        let image: Vec<u8> = (1..=200).collect();
+        b.add_data(1000, image.clone());
+        let module = b.build();
+        for variant in [Variant::CageMemSafety, Variant::CageFull] {
+            let config = variant.exec_config(Core::CortexX3);
+            let mut store = Store::new(config);
+            let h = store.instantiate(&module, &Imports::new()).unwrap();
+            let fresh = |store: &Store| {
+                let m = store.memory(h).unwrap();
+                (m.read_resolved(0, m.size()), m.tags().packed().to_vec())
+            };
+            let before = fresh(&store);
+            assert_eq!(before.0[1000..1200], image[..], "{variant}");
+            let m = store.memory_mut(h).unwrap();
+            // The segment's bytes arrived through `write_resolved`, so its
+            // lines (15 to 18) are dirty and `segment.new` clears them.
+            assert_eq!(m.dirty_line_count(), 4, "{variant}");
+            let p = m.segment_new(992, 224).unwrap();
+            assert_eq!(m.read(p, 0, 224).unwrap(), vec![0; 224], "{variant}");
+            m.segment_free(p, 224).unwrap();
+            // The reset zeroes them again, retags the block, and the store
+            // writes the data segment back: the instance's fresh image.
+            store.reset_instance(h).unwrap();
+            assert!(fresh(&store) == before, "{variant}");
+            let m = store.memory(h).unwrap();
+            assert_eq!((m.dirty_line_count(), m.retagged_block_count()), (4, 0));
+        }
+    }
+
+    #[test]
+    fn one_store_per_block_over_32_pages_resets_to_a_fresh_memory() {
+        const PAGES: u64 = 40;
+        // The churn request: a segment over 32 pages (inert without
+        // internal safety), one 8-byte store through its pointer per 4
+        // KiB, the segment freed.
+        fn tenant(m: &mut LinearMemory) {
+            let (base, len) = (4 * PAGE_SIZE, 32 * PAGE_SIZE);
+            let p = m.segment_new(base, len).unwrap();
+            for at in (0..len).step_by(TAG_BLOCK as usize) {
+                assert_eq!(m.read_scalar(p, at, 8), Ok(0), "a zeroed segment");
+                m.write_scalar(p, at, 8, at ^ 0x5A5A).unwrap();
+            }
+            m.segment_free(p, len).unwrap();
+        }
+        for scheme in schemes() {
+            let total = PAGES * PAGE_SIZE + RUNTIME_SLACK;
+            let new = || LinearMemory::new(PAGES, None, true, scheme, 3);
+            let state = |m: &LinearMemory| {
+                let counts = (m.dirty_line_count(), m.retagged_block_count());
+                let image = (m.read_resolved(0, total), m.tags().packed().to_vec());
+                (image, counts, m.committed_bytes())
+            };
+            let mut m = new();
+            tenant(&mut m);
+            let retagged = if m.segments_live() { 512 } else { 0 };
+            assert_eq!(state(&m).1, (512, retagged), "{scheme:?}");
+            m.reset();
+            let (image, counts, committed) = state(&m);
+            let fresh = new();
+            assert!(image == state(&fresh).0, "{scheme:?}: bytes and tags");
+            assert_eq!(counts, (0, 0), "{scheme:?}");
+            // The tenant's prefix survives; a fresh memory that serves the
+            // same request commits the same one and ends in the same state.
+            assert_eq!(committed, 36 * PAGE_SIZE, "{scheme:?}");
+            let mut fresh = fresh;
+            tenant(&mut m);
+            tenant(&mut fresh);
+            assert!(state(&m) == state(&fresh), "{scheme:?}: the next tenant");
         }
     }
 
@@ -1705,7 +2015,7 @@ mod tests {
         assert_eq!(m.page_limit(), Some(12), "the embedder's cap survives");
         assert_eq!(m.committed_bytes(), 4 * PAGE_SIZE + RUNTIME_SLACK);
         assert_eq!(m.tags().size(), 4 * PAGE_SIZE + RUNTIME_SLACK);
-        assert_eq!(m.dirty_block_count(), 0);
+        assert_eq!((m.dirty_line_count(), m.retagged_block_count()), (0, 0));
         // What was guest memory while grown is runtime slack again:
         // zeroed, tagged zero, and out of the guest's reach.
         assert_eq!(m.runtime_byte(16), Some(0));
@@ -1738,21 +2048,21 @@ mod tests {
     }
 
     /// A tenant that leaves everything a spare must not carry: bytes in
-    /// guest memory, across two blocks and in the slack (the second bitmap
-    /// word), a segment's tags above the committed prefix, tag checks, a
-    /// page cap.
+    /// guest memory, across two lines at a bitmap word's edge, over
+    /// several blocks and in the slack, a segment's tags above the
+    /// committed prefix, tag checks, a page cap.
     fn a_dirty_tenant(scheme: TagScheme) -> LinearMemory {
         let mut m = mem4(scheme);
         m.set_page_limit(Some(6));
         m.write(8, 0, &[0xAB; 24]).unwrap();
-        m.write_scalar(63 * DIRTY_BLOCK - 4, 0, 8, u64::MAX)
-            .unwrap();
-        m.fill(5 * DIRTY_BLOCK, 0xCD, 3 * DIRTY_BLOCK).unwrap();
+        m.write_scalar(64 * DIRTY_LINE - 4, 0, 8, u64::MAX).unwrap();
+        m.fill(5 * TAG_BLOCK, 0xCD, 3 * TAG_BLOCK).unwrap();
         m.segment_new(3 * PAGE_SIZE + 64, 64).unwrap();
         m.raw_write_unchecked(4 * PAGE_SIZE + 32, &[0xEE; 8])
             .unwrap_or_else(|trap| assert!(m.tag_checked(), "{scheme:?}: {trap}"));
         assert_eq!(m.read_scalar(16, 0, 8), Ok(0xABAB_ABAB_ABAB_ABAB));
-        assert!(m.dirty_block_count() > 0 && m.committed_bytes() > 0);
+        assert!(m.dirty_line_count() > 0 && m.committed_bytes() > 0);
+        assert_eq!(m.retagged_block_count() > 0, m.segments_live());
         m
     }
 
@@ -1776,7 +2086,8 @@ mod tests {
                 assert!(recycled.read_resolved(0, total) == fresh.read_resolved(0, total));
                 assert!(recycled.tags().packed() == fresh.tags().packed(), "{pair}");
                 for m in [&recycled, &fresh] {
-                    assert_eq!(m.dirty_block_count(), 0, "{pair}");
+                    assert_eq!(m.dirty_line_count(), 0, "{pair}");
+                    assert_eq!(m.retagged_block_count(), 0, "{pair}");
                     assert_eq!(m.tags().check_count(), 0, "{pair}");
                     assert_eq!(m.committed_bytes(), 0, "{pair}");
                     assert_eq!(m.scalar_bound(), 0, "{pair}");
@@ -1800,7 +2111,11 @@ mod tests {
                     assert_eq!(m.scalar_bound(), 2 * PAGE_SIZE, "{pair}");
                 }
                 assert_eq!(recycled.tags().check_count(), fresh.tags().check_count());
-                assert_eq!(recycled.dirty_block_count(), fresh.dirty_block_count());
+                assert_eq!(recycled.dirty_line_count(), fresh.dirty_line_count());
+                assert_eq!(
+                    recycled.retagged_block_count(),
+                    fresh.retagged_block_count()
+                );
                 assert!(recycled.read_resolved(0, total) == fresh.read_resolved(0, total));
                 assert!(recycled.tags().packed() == fresh.tags().packed(), "{pair}");
             }

@@ -3,16 +3,20 @@
 //!
 //! The model is the memory as it was before the committed prefix: a plain
 //! `vec![0; total]` allocated and zeroed up front, a reset that rebuilds
-//! everything, a *set* of dirty blocks. It shares the tag store and the
-//! tag pool with the real thing (they have a model of their own in
-//! `cage-mte`) and nothing else, so that "which bytes are backed" cannot leak into any
-//! value, trap, dirty count or byte a guest or an embedder can observe.
+//! everything, a `segment.new` that zeroes its whole range, and two *sets*
+//! of dirty units: the 64-byte lines data writes covered and the 4 KiB
+//! blocks segment ops retagged. It shares the tag store and the tag pool
+//! with the real thing (they have a model of their own in `cage-mte`) and
+//! nothing else, so that "which bytes are backed" and "which lines
+//! `segment.new` may skip" cannot leak into any value, trap, dirty count
+//! or byte a guest or an embedder can observe. After every step the real
+//! memory's records must hold exactly the model's units, and every byte
+//! outside a dirty line must be zero: the invariant the real `segment.new`
+//! skips clean lines on.
 //! The model never recycles: a retired tenant's real memory is dropped
 //! before the next is built, so the next is built from its buffers (and
 //! a run's first memory from the previous run's), and the model holds
 //! them to a memory built from nothing.
-
-use std::collections::BTreeSet;
 
 use cage_mte::pointer::ADDR_MASK;
 use cage_mte::{AccessKind, Tag, TagMemory, TagPool};
@@ -20,8 +24,34 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::memory::{LinearMemory, TagScheme, DIRTY_BLOCK, PAGE_SIZE, RUNTIME_SLACK};
+use crate::memory::{LinearMemory, TagScheme, DIRTY_LINE, PAGE_SIZE, RUNTIME_SLACK, TAG_BLOCK};
 use crate::trap::{SegmentFaultReason, Trap};
+
+/// A set of unit indices as a dense vector of flags: the model's plain
+/// counterpart of the real memory's bitmap and worklist.
+#[derive(Default)]
+struct Units(Vec<bool>);
+
+impl Units {
+    fn mark(&mut self, first: u64, last: u64) {
+        let (first, last) = (first as usize, last as usize);
+        if self.0.len() <= last {
+            self.0.resize(last + 1, false);
+        }
+        self.0[first..=last].fill(true);
+    }
+
+    fn contains(&self, unit: u64) -> bool {
+        self.0.get(unit as usize).copied().unwrap_or(false)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        (0u64..)
+            .zip(&self.0)
+            .filter(|(_, &b)| b)
+            .map(|(unit, _)| unit)
+    }
+}
 
 struct Eager {
     data: Vec<u8>,
@@ -33,7 +63,8 @@ struct Eager {
     pool: TagPool,
     base_pages: u64,
     seed: u64,
-    dirty_blocks: BTreeSet<u64>,
+    dirty_lines: Units,
+    retagged_blocks: Units,
 }
 
 impl Eager {
@@ -59,7 +90,8 @@ impl Eager {
             pool: TagPool::new(scheme.segment_exclusion(), seed).unwrap(),
             base_pages: pages,
             seed,
-            dirty_blocks: BTreeSet::new(),
+            dirty_lines: Units::default(),
+            retagged_blocks: Units::default(),
         }
     }
 
@@ -78,7 +110,8 @@ impl Eager {
             .set_tag_range(self.guest_size, RUNTIME_SLACK, Tag::ZERO)
             .unwrap();
         self.pool = TagPool::new(self.scheme.segment_exclusion(), self.seed).unwrap();
-        self.dirty_blocks.clear();
+        self.dirty_lines = Units::default();
+        self.retagged_blocks = Units::default();
     }
 
     /// The model's own reading of the scheme — spelled out here rather
@@ -98,10 +131,17 @@ impl Eager {
         }
     }
 
-    fn mark_dirty(&mut self, addr: u64, len: u64) {
+    fn mark_written(&mut self, addr: u64, len: u64) {
         if len > 0 {
-            self.dirty_blocks
-                .extend(addr / DIRTY_BLOCK..=(addr + len - 1) / DIRTY_BLOCK);
+            self.dirty_lines
+                .mark(addr / DIRTY_LINE, (addr + len - 1) / DIRTY_LINE);
+        }
+    }
+
+    fn mark_retagged(&mut self, addr: u64, len: u64) {
+        if len > 0 {
+            self.retagged_blocks
+                .mark(addr / TAG_BLOCK, (addr + len - 1) / TAG_BLOCK);
         }
     }
 
@@ -173,7 +213,7 @@ impl Eager {
 
     fn write(&mut self, index: u64, bytes: &[u8]) -> Result<(), Trap> {
         let addr = self.resolve(index, 0, bytes.len() as u64, AccessKind::Write)?;
-        self.mark_dirty(addr, bytes.len() as u64);
+        self.mark_written(addr, bytes.len() as u64);
         self.data[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
@@ -187,7 +227,7 @@ impl Eager {
 
     fn write_scalar(&mut self, index: u64, offset: u64, width: u64, raw: u64) -> Result<(), Trap> {
         let addr = self.resolve(index, offset, width, AccessKind::Write)?;
-        self.mark_dirty(addr, width);
+        self.mark_written(addr, width);
         self.data[addr as usize..(addr + width) as usize]
             .copy_from_slice(&raw.to_le_bytes()[..width as usize]);
         Ok(())
@@ -195,7 +235,7 @@ impl Eager {
 
     fn fill(&mut self, dst: u64, val: u8, len: u64) -> Result<(), Trap> {
         let addr = self.resolve(dst, 0, len, AccessKind::Write)?;
-        self.mark_dirty(addr, len);
+        self.mark_written(addr, len);
         self.data[addr as usize..(addr + len) as usize].fill(val);
         Ok(())
     }
@@ -203,7 +243,7 @@ impl Eager {
     fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
         let s = self.resolve(src, 0, len, AccessKind::Read)? as usize;
         let d = self.resolve(dst, 0, len, AccessKind::Write)?;
-        self.mark_dirty(d, len);
+        self.mark_written(d, len);
         let moved = self.data[s..s + len as usize].to_vec();
         self.data[d as usize..(d + len) as usize].copy_from_slice(&moved);
         Ok(())
@@ -223,7 +263,7 @@ impl Eager {
         if addr + width > self.data.len() as u64 {
             return Err(Trap::OutOfBounds { addr, len: width });
         }
-        self.mark_dirty(addr, width);
+        self.mark_written(addr, width);
         self.data[addr as usize..(addr + width) as usize].copy_from_slice(bytes);
         Ok(())
     }
@@ -248,7 +288,7 @@ impl Eager {
         }
         let addr = ptr & ADDR_MASK;
         self.segment_range_check(addr, len)?;
-        self.mark_dirty(addr, len);
+        self.mark_retagged(addr, len);
         let mem_tag = self.pool.random_tag();
         self.tags.set_tag_range(addr, len, mem_tag).unwrap();
         self.data[addr as usize..(addr + len) as usize].fill(0);
@@ -262,7 +302,7 @@ impl Eager {
         }
         let addr = ptr & ADDR_MASK;
         self.segment_range_check(addr, len)?;
-        self.mark_dirty(addr, len);
+        self.mark_retagged(addr, len);
         let tag = self.scheme.ptr_tag(tagged_ptr);
         self.tags.set_tag_range(addr, len, tag).unwrap();
         Ok(())
@@ -281,7 +321,7 @@ impl Eager {
                 reason: SegmentFaultReason::BadFree,
             });
         }
-        self.mark_dirty(addr, len);
+        self.mark_retagged(addr, len);
         let free_tag = self.pool.random_tag_excluding(ptr_tag);
         self.tags.set_tag_range(addr, len, free_tag).unwrap();
         Ok(())
@@ -310,23 +350,28 @@ fn jitter(rng: &mut StdRng, around: u64, spread: u64) -> u64 {
     (around + below(rng, 2 * spread + 1)).saturating_sub(spread)
 }
 
-/// An address near something that matters: a page edge, a dirty block's
-/// edge, a dirty bitmap word's edge, the committed frontier, the end of
+/// An address near something that matters: a page edge, a tag block's
+/// edge (a line bitmap word's edge too), a tag bitmap word's edge, a
+/// line's edge, the committed frontier, the end of
 /// guest memory, the slack, the end of the slack — or anywhere, or nowhere
 /// near the memory at all.
 fn pick_addr(rng: &mut StdRng, real: &LinearMemory) -> u64 {
     let guest = real.size();
-    match below(rng, 14) {
+    match below(rng, 15) {
         0 => below(rng, 256),
         1 | 2 => {
             let edge = (1 + below(rng, guest / PAGE_SIZE)) * PAGE_SIZE;
             jitter(rng, edge, 20)
         }
         12 => {
-            let edge = (1 + below(rng, guest / DIRTY_BLOCK)) * DIRTY_BLOCK;
+            let edge = (1 + below(rng, guest / TAG_BLOCK)) * TAG_BLOCK;
             jitter(rng, edge, 20)
         }
-        13 => jitter(rng, 64 * DIRTY_BLOCK, 20),
+        13 => jitter(rng, 64 * TAG_BLOCK, 20),
+        14 => {
+            let edge = (1 + below(rng, guest / DIRTY_LINE)) * DIRTY_LINE;
+            jitter(rng, edge, 8)
+        }
         3..=5 => jitter(rng, real.committed_bytes(), 20),
         6 | 7 => jitter(rng, guest, 20),
         8 => guest + below(rng, RUNTIME_SLACK),
@@ -336,9 +381,9 @@ fn pick_addr(rng: &mut StdRng, real: &LinearMemory) -> u64 {
     }
 }
 
-/// A bulk length: zero, scalar-sized, around a page, around a dirty
-/// block, around a dirty bitmap word's span, several pages, or large
-/// enough to wrap the address space.
+/// A bulk length: zero, up to a line, around a page, around a tag block
+/// (a line bitmap word's span), around a tag bitmap word's span, several
+/// pages, or large enough to wrap the address space.
 fn pick_len(rng: &mut StdRng) -> u64 {
     match below(rng, 10) {
         0 | 1 => 0,
@@ -346,8 +391,8 @@ fn pick_len(rng: &mut StdRng) -> u64 {
         4 => jitter(rng, PAGE_SIZE, 40),
         5 => below(rng, 3 * PAGE_SIZE),
         6 => jitter(rng, RUNTIME_SLACK, 20),
-        7 => jitter(rng, DIRTY_BLOCK, 40),
-        8 => jitter(rng, 64 * DIRTY_BLOCK, 40),
+        7 => jitter(rng, TAG_BLOCK, 40),
+        8 => jitter(rng, 64 * TAG_BLOCK, 40),
         _ => u64::MAX - below(rng, 64),
     }
 }
@@ -358,15 +403,36 @@ fn assert_same_state(real: &LinearMemory, model: &Eager, what: &str) {
     let total = model.data.len() as u64;
     assert_eq!(real.size(), model.guest_size, "{what}: guest size");
     assert_eq!(
-        real.dirty_block_count(),
-        model.dirty_blocks.len(),
-        "{what}: dirty blocks"
+        (real.dirty_line_count(), real.retagged_block_count()),
+        (
+            model.dirty_lines.iter().count(),
+            model.retagged_blocks.iter().count()
+        ),
+        "{what}: dirty lines, retagged blocks"
+    );
+    let [lines, blocks] = real.dirty_units();
+    assert!(
+        lines.into_iter().eq(model.dirty_lines.iter())
+            && blocks.into_iter().eq(model.retagged_blocks.iter()),
+        "{what}: dirty units"
     );
     let image = real.read_resolved(0, total);
     if image != model.data {
         let at = (0..image.len()).find(|&i| image[i] != model.data[i]);
         panic!("{what}: logical image diverged at {at:#x?}");
     }
+    // The zero invariant: what `segment.new` and a reset skip is zero.
+    let stray = image
+        .chunks(DIRTY_LINE as usize)
+        .zip(0u64..)
+        .find(|(line, at)| {
+            line.iter().fold(0, |or, &b| or | b) != 0 && !model.dirty_lines.contains(*at)
+        });
+    assert!(
+        stray.is_none(),
+        "{what}: clean line {:?} holds data",
+        stray.map(|s| s.1)
+    );
     assert!(
         real.tags().packed() == model.tags.packed(),
         "{what}: tag store diverged"
@@ -481,6 +547,17 @@ fn run_against_model(seed: u64, mut scheme: TagScheme) {
             }
             12 | 13 => {
                 let (mut ptr, mut len) = (index & !0xF, pick_len(&mut rng) & !0xF);
+                // Often over bytes just written, as a `malloc` that reuses
+                // a freed block: the dirty lines `segment.new` must clear.
+                if below(&mut rng, 3) == 0 {
+                    let bytes = random_bytes(&mut rng, len.min(2 * PAGE_SIZE));
+                    assert_eq!(
+                        real.write(index, 0, &bytes),
+                        model.write(index, &bytes),
+                        "{what}: write({index:#x}, {:#x}) before segment_new",
+                        bytes.len()
+                    );
+                }
                 match below(&mut rng, 8) {
                     0 => ptr += 8,
                     1 => len += 4,

@@ -913,8 +913,8 @@ impl Store {
     }
 
     /// Resets `handle` back to its freshly-instantiated state in place:
-    /// linear memory (dirty 4 KiB blocks re-zeroed and re-tagged, data
-    /// segments re-applied), globals, table, counters, fuel and its
+    /// linear memory (the 64-byte lines written re-zeroed, the 4 KiB
+    /// blocks retagged re-tagged, data segments re-applied), globals, table, counters, fuel and its
     /// [`HostState`] — then re-runs the start function, exactly like a
     /// fresh instantiation would.
     ///
@@ -922,7 +922,8 @@ impl Store {
     /// key and modifier are unchanged, so a reset instance is
     /// bit-identical to the first instance of a fresh store with the same
     /// config (the reset-equivalence difftest oracle pins this). Cost is
-    /// O(blocks touched since the last reset), not O(memory size).
+    /// O(lines written and blocks retagged since the last reset), not
+    /// O(memory size).
     ///
     /// # Errors
     ///

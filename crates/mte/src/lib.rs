@@ -45,9 +45,9 @@
 //!   one-granule (scalar) access is a single nibble compare.
 //!
 //! A linear-memory reset on top of this re-tags each run of adjacent
-//! dirty 4 KiB blocks with one fill; what a recycle costs per dirty block
-//! is then the `memset` of the block's *data*, 32 times the size of its
-//! tags. The
+//! retagged 4 KiB blocks with one fill, apart from the `memset` of the
+//! 64-byte data lines the tenant wrote; a block's tags are 128 bytes,
+//! 1/32 of its data. The
 //! per-granule loops these kernels replaced live on as the `#[cfg(test)]`
 //! reference model in `model.rs`; a seeded property test compares every
 //! granule, fault payload and check count between the two.

@@ -697,13 +697,13 @@ const SPARE_HANDLER: &str = r#"
 "#;
 
 /// Everything one served slot shows: each request's result, then the
-/// instance's charge counts, committed bytes, dirty blocks, tag checks,
-/// memory image (guest plus slack) and tag store.
+/// instance's charge counts, committed bytes, dirty lines and retagged
+/// blocks, tag checks, memory image (guest plus slack) and tag store.
 type SlotImage = (
     Vec<Result<Vec<Value>, Trap>>,
     cage_engine::ChargeCounts,
     u64,
-    usize,
+    (usize, usize),
     u64,
     Vec<u8>,
     Vec<u8>,
@@ -724,7 +724,7 @@ fn serve_slot(pool: &mut Pool) -> SlotImage {
         results,
         store.charge_counts(handle),
         memory.committed_bytes(),
-        memory.dirty_block_count(),
+        (memory.dirty_line_count(), memory.retagged_block_count()),
         memory.tags().check_count(),
         memory.read_resolved(0, memory.size() + cage_engine::memory::RUNTIME_SLACK),
         memory.tags().packed().to_vec(),
@@ -788,7 +788,20 @@ fn pools_built_from_retired_memories_serve_what_a_fresh_thread_serves() {
                 let memory = tenant
                     .store()
                     .memory(tenant.store().handles().next().unwrap());
-                assert!(memory.unwrap().dirty_block_count() >= 32 * 16);
+                // One line per 4 KiB written (the first shares its line
+                // with the block's metadata), and the 2 MiB segment's 513
+                // blocks retagged where segments are live.
+                let memory = memory.unwrap();
+                let retagged = if variant.provides_memory_safety() {
+                    513
+                } else {
+                    0
+                };
+                assert_eq!(
+                    (memory.dirty_line_count(), memory.retagged_block_count()),
+                    (32 * 16, retagged),
+                    "{variant}"
+                );
                 tenant.release(inst);
                 drop(tenant);
 

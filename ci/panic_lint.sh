@@ -11,7 +11,8 @@
 #     unreachable-by-construction, a deliberate baseline bump in the
 #     same change, with review);
 #   * a file whose count SHRINKS prints a reminder to tighten the
-#     baseline (non-fatal, so cleanups never block);
+#     baseline (non-fatal, so cleanups never block) — down to 0, when
+#     the file is in the baseline and the scan finds no site in it;
 #   * a file not in the baseline must be panic-free.
 #
 # Counting stops at the first `#[cfg(test)]` attribute line (a mention
@@ -101,13 +102,17 @@ while IFS=' ' read -r file count; do
   fi
 done <"$current"
 
-# Files that vanished from the scan but linger in the baseline are
-# stale entries; flag them so the allowlist stays honest.
+# Baseline entries the scan did not list: a missing file is a stale
+# entry and fails; a file with no site left has improved to 0, and keeps
+# an allowance that would hide new sites until the baseline is tightened.
 while IFS=' ' read -r file baseline; do
   case "$file" in '#'*|'') continue ;; esac
   if [ ! -f "$file" ]; then
     echo "panic_lint: stale baseline entry for missing file $file" >&2
     fail=1
+  elif ! awk -v f="$file" '$1 == f { found = 1 } END { exit !found }' "$current"; then
+    echo "panic_lint: $file improved to 0 (baseline $baseline)" \
+      "- consider tightening $ALLOWLIST"
   fi
 done <"$ALLOWLIST"
 

@@ -13,7 +13,6 @@
 
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cage_engine::store::InstantiateError;
@@ -262,7 +261,7 @@ impl Engine {
     ) -> Result<Instance, Error> {
         let mut store = Store::new(self.exec_config());
         let handle = artifact.instantiate_into(&mut store, linker)?;
-        Ok(Instance::new(store, handle))
+        Ok(Instance { store, handle })
     }
 }
 
@@ -433,29 +432,15 @@ impl Artifact {
     }
 }
 
-/// A live instance with its own engine store.
+/// A live instance with its own engine store. Its handle names that
+/// store, so it equals no other instance's handle.
 #[derive(Debug)]
 pub struct Instance {
     store: Store,
     handle: InstanceHandle,
-    /// Process-unique identity: lets a [`TypedFunc`] detect being called
-    /// on a different instance than the one that validated it.
-    id: u64,
 }
 
-/// Source of unique [`Instance`] identities.
-static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(0);
-
 impl Instance {
-    /// Wraps a freshly instantiated (store, handle) pair.
-    pub(crate) fn new(store: Store, handle: InstanceHandle) -> Self {
-        Instance {
-            store,
-            handle,
-            id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
     /// Invokes an exported C function with untyped values.
     ///
     /// Prefer [`Instance::get_typed`] for statically-known signatures.
@@ -499,7 +484,7 @@ impl Instance {
         Ok(TypedFunc {
             name: name.to_string(),
             func_idx,
-            instance_id: self.id,
+            handle: self.handle,
             _marker: PhantomData,
         })
     }
@@ -638,8 +623,8 @@ pub struct TypedFunc<Params, Results> {
     name: String,
     /// The function index `get_typed` resolved `name` to.
     func_idx: u32,
-    /// The [`Instance`] the signature was validated against.
-    instance_id: u64,
+    /// The handle of the [`Instance`] the signature was validated against.
+    handle: InstanceHandle,
     _marker: PhantomData<fn(Params) -> Results>,
 }
 
@@ -656,7 +641,7 @@ impl<Params, Results> Clone for TypedFunc<Params, Results> {
         TypedFunc {
             name: self.name.clone(),
             func_idx: self.func_idx,
-            instance_id: self.instance_id,
+            handle: self.handle,
             _marker: PhantomData,
         }
     }
@@ -675,8 +660,10 @@ where
 
     /// Calls the function on `instance`.
     ///
-    /// The handle is bound to the instance that created it and calls the
-    /// function index resolved there; calling with a *different* instance
+    /// The handle is bound to the instance that created it: it keeps that
+    /// instance's [`InstanceHandle`], which names the instance's own store,
+    /// and calls the function index resolved there when `instance`'s
+    /// handle is the same. Calling with a *different* instance
     /// re-resolves the name and re-validates the signature against that
     /// instance's module first, so a mismatched module surfaces as
     /// [`Error::SignatureMismatch`] (never a panic inside the engine).
@@ -690,7 +677,7 @@ where
     /// [`Error::SignatureMismatch`] when called on an incompatible
     /// instance.
     pub fn call(&self, instance: &mut Instance, params: Params) -> Result<Results, Error> {
-        let func_idx = if instance.id == self.instance_id {
+        let func_idx = if instance.handle == self.handle {
             self.func_idx
         } else {
             check_signature::<Params, Results>(instance.store.module(instance.handle), &self.name)?

@@ -10,6 +10,8 @@
 //! retired tenants stays the size of its live ones. A handle kept past
 //! retirement is stale: it gets a [`Trap::Host`] or `None` where a method
 //! can fail, and what each other method's doc states where it cannot.
+//! A handle carries the id of the store that issued it, so a handle used
+//! with another store is answered exactly as a stale one.
 
 use std::any::Any;
 use std::fmt;
@@ -115,11 +117,16 @@ impl From<ValidationError> for InstantiateError {
     }
 }
 
-/// Handle to an instance within a [`Store`]: an index into its instance
-/// table and the index's generation, which [`Store::retire`] bumps, so a
-/// stale handle never reaches the next instance at its index.
+/// Handle to an instance within a [`Store`]: the id of the store that
+/// issued it, an index into that store's instance table and the index's
+/// generation, which [`Store::retire`] bumps. So a stale handle never
+/// reaches the next instance at its index, and a handle used with
+/// another store never reaches that store's instance at the same index:
+/// both get what a stale handle gets (see [`Store`]). Store ids never
+/// repeat within a process. 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstanceHandle {
+    store: u64,
     index: u32,
     generation: u32,
 }
@@ -404,23 +411,37 @@ struct Entry {
     instance: Option<Instance>,
 }
 
-/// `handle`'s instance in `table`, unless the handle is stale.
-fn instance_mut(table: &mut [Entry], handle: InstanceHandle) -> Option<&mut Instance> {
+/// `handle`'s instance in `table`, the instance table of the store `id`,
+/// unless the handle is stale or another store's.
+fn instance_mut(id: u64, table: &mut [Entry], handle: InstanceHandle) -> Option<&mut Instance> {
     let entry = table.get_mut(handle.index as usize)?;
-    let live = entry.generation == handle.generation;
+    let live = handle.store == id && entry.generation == handle.generation;
     entry.instance.as_mut().filter(|_| live)
 }
 
-/// What an operation through a stale [`InstanceHandle`] traps with.
+/// What an operation through a stale or foreign [`InstanceHandle`] traps
+/// with.
 fn stale() -> Trap {
-    Trap::Host("stale instance handle: the instance was retired".into())
+    Trap::Host("stale instance handle: the instance was retired or is another store's".into())
 }
+
+/// Source of [`Store`] ids: one per store built, never reused.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// What [`Store::module`] answers for a stale handle.
 static NO_MODULE: LazyLock<Module> = LazyLock::new(Module::default);
 
 /// The engine store: configuration, cost weights and instances.
+///
+/// Every [`InstanceHandle`] a store hands out carries the store's id, and
+/// every method that takes a handle looks it up through one check of the
+/// id and the generation. A handle of another store is therefore refused
+/// like a stale one: a [`Trap::Host`] or `None` where the method can
+/// fail, its documented default where it cannot, and no change to this
+/// store's instances.
 pub struct Store {
+    /// Process-unique: stamped into every handle this store issues.
+    id: u64,
     pub(crate) config: ExecConfig,
     /// Cycles per unit of each charge class, under `config`.
     weights: ClassWeights,
@@ -455,6 +476,7 @@ impl Store {
     #[must_use]
     pub fn new(config: ExecConfig) -> Self {
         Store {
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             weights: cost::class_weights(&config),
             rng: rand::rngs::StdRng::seed_from_u64(config.seed),
             config,
@@ -501,10 +523,11 @@ impl Store {
         })
     }
 
-    /// `handle`'s instance, unless the handle is stale.
+    /// `handle`'s instance, unless the handle is stale or another
+    /// store's.
     fn instance(&self, handle: InstanceHandle) -> Option<&Instance> {
         let entry = self.instances.get(handle.index as usize)?;
-        let live = entry.generation == handle.generation;
+        let live = handle.store == self.id && entry.generation == handle.generation;
         entry.instance.as_ref().filter(|_| live)
     }
 
@@ -669,7 +692,11 @@ impl Store {
         let entry = &mut self.instances[index];
         entry.instance = Some(instance);
         let (index, generation) = (index as u32, entry.generation);
-        let handle = InstanceHandle { index, generation };
+        let handle = InstanceHandle {
+            store: self.id,
+            index,
+            generation,
+        };
         if let Some(start) = module.start {
             // An instance whose start function trapped is never handed
             // out, so it must not keep its sandbox tag either.
@@ -745,7 +772,7 @@ impl Store {
         args: &[Value],
         results: &mut [Value],
     ) -> Result<(), Trap> {
-        let inst = instance_mut(&mut self.instances, handle).ok_or_else(stale)?;
+        let inst = instance_mut(self.id, &mut self.instances, handle).ok_or_else(stale)?;
         Interp::new(inst, &self.epoch, self.config, &mut self.bufs)
             .call_into(func_idx, args, results)
     }
@@ -763,7 +790,7 @@ impl Store {
         func_idx: u32,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let inst = instance_mut(&mut self.instances, handle).ok_or_else(stale)?;
+        let inst = instance_mut(self.id, &mut self.instances, handle).ok_or_else(stale)?;
         Interp::new(inst, &self.epoch, self.config, &mut self.bufs)
             .call_function_tree(func_idx, args)
     }
@@ -806,7 +833,7 @@ impl Store {
     /// Resets the cycle/instruction counters of `handle` (between benchmark
     /// phases). Does nothing through a stale handle.
     pub fn reset_counters(&mut self, handle: InstanceHandle) {
-        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+        if let Some(inst) = instance_mut(self.id, &mut self.instances, handle) {
             inst.counts = ChargeCounts::default();
         }
     }
@@ -825,7 +852,7 @@ impl Store {
     /// fuel; it models wasm semantics, not embedder preemption — the trap
     /// matrix pins the preemption points as literals instead.
     pub fn set_fuel(&mut self, handle: InstanceHandle, fuel: Option<u64>) {
-        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+        if let Some(inst) = instance_mut(self.id, &mut self.instances, handle) {
             inst.fuel = fuel;
             inst.fuel_consumed = 0;
         }
@@ -887,7 +914,7 @@ impl Store {
     /// cleared by [`Store::reset_instance`], and the tree-walking oracle
     /// does not implement it.
     pub fn set_epoch_deadline(&mut self, handle: InstanceHandle, deadline: Option<u64>) {
-        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+        if let Some(inst) = instance_mut(self.id, &mut self.instances, handle) {
             inst.epoch_deadline = deadline;
         }
     }
@@ -904,7 +931,7 @@ impl Store {
     /// Memory already grown past a new, tighter `max_memory_pages` is not
     /// reclaimed — the cap bites at the next `memory.grow`.
     pub fn set_instance_limits(&mut self, handle: InstanceHandle, limits: InstanceLimits) {
-        if let Some(inst) = instance_mut(&mut self.instances, handle) {
+        if let Some(inst) = instance_mut(self.id, &mut self.instances, handle) {
             inst.limits = limits;
             if let Some(mem) = inst.memory.as_mut() {
                 mem.set_page_limit(limits.max_memory_pages);
@@ -929,7 +956,7 @@ impl Store {
     ///
     /// Propagates a trapping start function; a host trap if `handle` is stale.
     pub fn reset_instance(&mut self, handle: InstanceHandle) -> Result<(), Trap> {
-        let inst = instance_mut(&mut self.instances, handle).ok_or_else(stale)?;
+        let inst = instance_mut(self.id, &mut self.instances, handle).ok_or_else(stale)?;
         let module = Arc::clone(&inst.pre.module);
         if let Some(mem) = inst.memory.as_mut() {
             mem.reset();
@@ -970,10 +997,10 @@ impl Store {
     /// thread, in this store or any other, is built from them and cannot
     /// tell.
     pub fn retire(&mut self, handle: InstanceHandle) {
-        if let Some(entry) = self.instances.get_mut(handle.index as usize) {
-            if entry.generation == handle.generation && entry.instance.take().is_some() {
-                entry.generation += 1;
-            }
+        if self.contains(handle) {
+            let entry = &mut self.instances[handle.index as usize];
+            entry.instance = None;
+            entry.generation += 1;
         }
     }
 
@@ -1000,7 +1027,9 @@ impl Store {
 
     /// Mutable access to an instance's memory (embedder-side I/O).
     pub fn memory_mut(&mut self, handle: InstanceHandle) -> Option<&mut LinearMemory> {
-        instance_mut(&mut self.instances, handle)?.memory.as_mut()
+        instance_mut(self.id, &mut self.instances, handle)?
+            .memory
+            .as_mut()
     }
 
     /// Signs `ptr` with `handle`'s instance key — the runtime-side
@@ -1034,13 +1063,22 @@ impl Store {
         }
     }
 
+    /// Whether `handle` names a live instance of this store: `false` for a
+    /// stale handle and for another store's.
+    #[must_use]
+    pub fn contains(&self, handle: InstanceHandle) -> bool {
+        self.instance(handle).is_some()
+    }
+
     /// The handles of the live instances, in index order.
     pub fn handles(&self) -> impl Iterator<Item = InstanceHandle> + '_ {
         let live = |(index, e): (u32, &Entry)| {
-            let generation = e.generation;
-            e.instance
-                .as_ref()
-                .map(|_| InstanceHandle { index, generation })
+            let (store, generation) = (self.id, e.generation);
+            e.instance.as_ref().map(|_| InstanceHandle {
+                store,
+                index,
+                generation,
+            })
         };
         (0..).zip(&self.instances).filter_map(live)
     }
@@ -1422,6 +1460,64 @@ mod tests {
         store.retire(h);
         assert_eq!(store.instance_count(), 0);
         assert_eq!(store.handles().count(), 0);
+    }
+
+    #[test]
+    fn another_stores_handle_is_refused_like_a_stale_one() {
+        let (module, imports) = tenant();
+        let (log1, log2) = (Rc::default(), Rc::default());
+        let mut s1 = Store::new(ExecConfig::default());
+        let mut s2 = Store::new(ExecConfig::default());
+        let h1 = with_log(&mut s1, &module, &imports, &log1).unwrap();
+        let h2 = with_log(&mut s2, &module, &imports, &log2).unwrap();
+        // Both sit at index 0, generation 0: only the store id differs.
+        assert_eq!((h1.index, h1.generation), (h2.index, h2.generation));
+        assert_ne!(h1, h2);
+        assert_eq!(std::mem::size_of::<InstanceHandle>(), 16);
+        s2.invoke(h2, "tick", &[]).unwrap();
+        s2.set_fuel(h2, Some(100));
+        let counts = s2.charge_counts(h2);
+        let memory: *const LinearMemory = s2.memory(h2).unwrap();
+
+        fn host<T>(r: Result<T, Trap>) -> bool {
+            matches!(r, Err(Trap::Host(_)))
+        }
+        let args = [Value::I64(1), Value::I64(2)];
+        assert!(host(s2.invoke(h1, "add", &args)));
+        assert!(host(s2.invoke(h1, "tick", &[])));
+        assert!(host(s2.call(h1, 2, &args)));
+        let mut out = [Value::I64(7)];
+        assert!(host(s2.call_into(h1, 2, &args, &mut out)));
+        assert_eq!(out, [Value::I64(7)], "results untouched");
+        assert!(host(s2.call_tree(h1, 2, &args)));
+        assert!(host(s2.reset_instance(h1)));
+        let signed = s2.sign_pointer(h2, 0x1000);
+        assert!(host(s2.auth_pointer(h1, signed)));
+        assert_eq!(s2.sign_pointer(h1, 0x1000), 0x1000);
+        assert!(s2.memory(h1).is_none() && s2.memory_mut(h1).is_none());
+        assert!(s2.host_state::<TickLog>(h1).is_none());
+        assert!(s2.global(h1, "g").is_none());
+        assert!(s2.module(h1).exports.is_empty());
+        assert!(!s2.contains(h1) && s2.contains(h2));
+        s2.set_fuel(h1, Some(9));
+        s2.set_epoch_deadline(h1, Some(0));
+        s2.set_instance_limits(h1, InstanceLimits::default());
+        s2.reset_counters(h1);
+        assert_eq!(s2.charge_counts(h1), ChargeCounts::default());
+        assert_eq!((s2.fuel_remaining(h1), s2.fuel_consumed(h1)), (None, 0));
+        s2.retire(h1);
+
+        // s2's own tenant is as it was: live, not reset, not re-armed.
+        assert_eq!(s2.handles().collect::<Vec<_>>(), [h2]);
+        assert_eq!(*log2.borrow(), ["tick"]);
+        assert!(log1.borrow().is_empty());
+        assert_eq!(s2.charge_counts(h2), counts);
+        assert_eq!(s2.fuel_remaining(h2), Some(100));
+        assert!(std::ptr::eq(s2.memory(h2).unwrap(), memory));
+        assert_eq!(s2.invoke(h2, "add", &args), Ok(vec![Value::I64(3)]));
+        // And h1 still answers in the store that issued it.
+        assert_eq!(s1.invoke(h1, "add", &args), Ok(vec![Value::I64(3)]));
+        assert_eq!(s1.auth_pointer(h1, s1.sign_pointer(h1, 0x1000)), Ok(0x1000));
     }
 
     #[test]

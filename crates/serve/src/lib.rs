@@ -310,6 +310,11 @@ impl InstancePre {
 /// A checked-out instance of a [`Pool`] — a token, valid only against
 /// the pool that issued it. Return it with [`Pool::release`] so the slot
 /// can be recycled.
+///
+/// Its handle names the pool's store, so another pool refuses it: calls
+/// trap with `Trap::Host`, accessors answer their stale-handle defaults,
+/// and a release leaves that pool as it was (counted in
+/// [`PoolMetrics::foreign_releases`]).
 #[derive(Debug)]
 pub struct PooledInstance {
     handle: InstanceHandle,
@@ -552,9 +557,16 @@ impl Pool {
     /// Returns an instance to the pool. Its counters are folded into the
     /// pool totals now; a healthy slot rejoins the free list (the
     /// expensive state reset is deferred to the next [`Pool::checkout`]
-    /// that recycles it), a poisoned one is quarantined.
+    /// that recycles it), a poisoned one is quarantined. Another pool's
+    /// token changes nothing here and is counted in
+    /// [`PoolMetrics::foreign_releases`]; its slot stays checked out in
+    /// the pool that issued it.
     pub fn release(&mut self, inst: PooledInstance) {
         let handle = inst.handle;
+        if !self.store.contains(handle) {
+            self.metrics.foreign_releases += 1;
+            return;
+        }
         self.metrics.counts += &self.store.charge_counts(handle);
         self.metrics.fuel_consumed += self.store.fuel_consumed(handle);
         if inst.poisoned.get() {
@@ -798,6 +810,46 @@ mod tests {
         assert_eq!((m.instantiations, m.resets, m.invocations), (1, 1, 3));
         assert_eq!(pool.capacity(), 1, "one slot served both checkouts");
         pool.release(b);
+    }
+
+    #[test]
+    fn a_pool_refuses_another_pools_token() {
+        // Two pools of one template on one thread: each one's first slot
+        // sits at index 0, generation 0 of its own store.
+        let pre = template(COUNTER, Variant::CageMemSafety, HostProfile::Libc);
+        let (mut a, mut b) = (Pool::new(Arc::clone(&pre)), Pool::new(pre));
+        let bump = |pool: &mut Pool, inst: &PooledInstance, by: i64| {
+            pool.invoke(inst, "bump", &[Value::I64(by)])
+        };
+        let ta = a.checkout().unwrap();
+        let tb = b.checkout().unwrap();
+        assert_eq!(bump(&mut b, &tb, 100), Ok(vec![Value::I64(100)]));
+        // A's token does not run in B's tenant.
+        assert!(matches!(bump(&mut b, &ta, 1), Err(Trap::Host(_))));
+        assert_eq!((b.cycles(&ta), b.instr_count(&ta)), (0.0, 0));
+        assert_eq!(
+            (b.stdout(&ta), b.fuel_remaining(&ta)),
+            (String::new(), None)
+        );
+        // Released into B, it leaves B as it was.
+        b.release(ta);
+        assert_eq!(b.outstanding(), 1);
+        assert_eq!(b.metrics().foreign_releases, 1);
+        // So B's next checkout is a new slot, and tb's state survives it.
+        let tc = b.checkout().unwrap();
+        assert_eq!((b.capacity(), b.metrics().resets), (2, 0));
+        assert_eq!(bump(&mut b, &tb, 0), Ok(vec![Value::I64(100)]));
+        assert_eq!(bump(&mut b, &tc, 0), Ok(vec![Value::I64(0)]));
+        b.release(tb);
+        b.release(tc);
+        assert_eq!(b.outstanding(), 0);
+        let mut fleet = PoolMetrics::default();
+        fleet.merge(&b.metrics());
+        assert_eq!(fleet.foreign_releases, 1, "merged like the others");
+        // The token never went back to A: its slot is still checked out,
+        // which A's leak detector would flag at drop.
+        assert_eq!(a.outstanding(), 1);
+        std::mem::forget(a);
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub struct PoolMetrics {
     /// Modules refused at template-build time because they exceeded a
     /// compile limit (counted via `Pool::record_rejection`).
     pub rejected: u64,
+    /// Tokens of another pool handed to `Pool::release`, and refused:
+    /// the releasing pool is left as it was.
+    pub foreign_releases: u64,
 }
 
 impl PoolMetrics {
@@ -54,5 +57,6 @@ impl PoolMetrics {
         self.exhausted += other.exhausted;
         self.leaked += other.leaked;
         self.rejected += other.rejected;
+        self.foreign_releases += other.foreign_releases;
     }
 }

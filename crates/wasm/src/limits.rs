@@ -126,12 +126,13 @@ impl CompileLimits {
 
     /// Checks the module-level counts: function count and per-function
     /// locals, body size and nesting depth (iteratively — this runs
-    /// *before* any recursive stage touches the body).
+    /// *before* any recursive stage touches the body). Returns the ops of
+    /// all bodies together, from the same one walk per body.
     ///
     /// # Errors
     ///
     /// The first [`LimitError`] found.
-    pub fn check_module(&self, module: &Module) -> Result<(), LimitError> {
+    pub fn check_module(&self, module: &Module) -> Result<u64, LimitError> {
         let funcs = module.imported_func_count() as usize + module.funcs.len();
         if funcs > self.max_functions {
             return Err(LimitError {
@@ -140,6 +141,7 @@ impl CompileLimits {
                 actual: funcs as u64,
             });
         }
+        let mut ops = 0u64;
         for func in &module.funcs {
             let ty = module.types.get(func.type_idx as usize);
             let params = ty.map_or(0, |t| t.params.len());
@@ -151,19 +153,19 @@ impl CompileLimits {
                     actual: locals as u64,
                 });
             }
-            self.check_body(&func.body)?;
+            ops = ops.saturating_add(self.check_body(&func.body)? as u64);
         }
-        Ok(())
+        Ok(ops)
     }
 
     /// Checks one body's op count and nesting depth with an explicit
     /// work stack (no recursion, so arbitrarily deep hostile trees are
-    /// rejected without touching host stack).
+    /// rejected without touching host stack), and returns the op count.
     ///
     /// # Errors
     ///
     /// [`LimitError`] on too many ops or too-deep nesting.
-    pub fn check_body(&self, body: &[Instr]) -> Result<(), LimitError> {
+    pub fn check_body(&self, body: &[Instr]) -> Result<usize, LimitError> {
         let BodyStats { ops, depth } = body_stats(body, self.max_body_ops);
         if ops > self.max_body_ops {
             return Err(LimitError {
@@ -179,7 +181,7 @@ impl CompileLimits {
                 actual: depth as u64,
             });
         }
-        Ok(())
+        Ok(ops)
     }
 }
 

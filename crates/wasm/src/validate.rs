@@ -112,8 +112,8 @@ pub fn validate(module: &Module) -> VResult<()> {
 
 /// Validates a module under [`CompileLimits`]: the iterative size/depth
 /// pre-scan runs *first* (so hostile bodies are rejected before the
-/// recursive type-checking walk touches them), each op charges `fuel`,
-/// and only then does ordinary validation run.
+/// recursive type-checking walk touches them), each op it counted
+/// charges `fuel`, and only then does ordinary validation run.
 ///
 /// # Errors
 ///
@@ -125,11 +125,9 @@ pub fn validate_with_limits(
     limits: &CompileLimits,
     fuel: &CompileFuel,
 ) -> VResult<()> {
-    limits.check_module(module)?;
-    for func in &module.funcs {
-        let stats = crate::limits::body_stats(&func.body, limits.max_body_ops);
-        fuel.charge(stats.ops as u64)?;
-    }
+    // One charge of every body's ops: a charge either fits or empties the
+    // budget, so this spends and fails exactly as a charge per body would.
+    fuel.charge(limits.check_module(module)?)?;
     validate(module)
 }
 
@@ -1018,6 +1016,36 @@ mod tests {
         b.add_function(&[], &[], &[], vec![Instr::I32Add]);
         let err = validate(&b.build()).unwrap_err();
         assert_eq!(err.func, Some(1));
+    }
+
+    #[test]
+    fn limits_charge_every_bodys_ops_once_and_come_before_fuel() {
+        let mut b = ModuleBuilder::new();
+        let nop = |n| vec![Instr::Nop; n];
+        b.add_function(&[], &[], &[], nop(3));
+        let block = Instr::Block(BlockType::Empty, nop(2));
+        b.add_function(&[], &[], &[], vec![block]);
+        let module = b.build();
+        let limits = CompileLimits::generous();
+        // 3 + (1 + 2) ops.
+        let fuel = CompileFuel::new(100);
+        validate_with_limits(&module, &limits, &fuel).unwrap();
+        assert_eq!(fuel.consumed(), 6);
+        // One unit short: the budget is spent and the error is fuel's.
+        let fuel = CompileFuel::new(5);
+        let err = validate_with_limits(&module, &limits, &fuel).unwrap_err();
+        assert_eq!(err.limit().map(|l| l.what), Some("compile fuel"));
+        assert_eq!(fuel.remaining(), 0);
+        // A body over a limit is reported before any fuel is charged, even
+        // when the budget would run out on an earlier body.
+        let tight = CompileLimits {
+            max_nesting_depth: 1,
+            ..limits
+        };
+        let fuel = CompileFuel::new(1);
+        let err = validate_with_limits(&module, &tight, &fuel).unwrap_err();
+        assert_eq!(err.limit().map(|l| l.what), Some("nesting depth"));
+        assert_eq!(fuel.consumed(), 0);
     }
 
     #[test]

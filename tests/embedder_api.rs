@@ -312,6 +312,15 @@ fn typed_func_rechecks_when_called_on_a_different_instance() {
     // Incompatible module: a unified error, never an engine panic.
     let err = f.call(&mut float_inst, 1).unwrap_err();
     assert!(matches!(err, Error::SignatureMismatch { .. }), "{err}");
+    // A module whose `f` sits at another function index: the name is
+    // resolved again, so `g` (at `f`'s index in `int_art`) is not called.
+    let moved_art = engine
+        .compile("long g(long x) { return x * 100; } long f(long x) { return x + 2; }")
+        .unwrap();
+    let mut moved = engine.instantiate(&moved_art).unwrap();
+    assert_eq!(f.call(&mut moved, 10).unwrap(), 12);
+    // And the first instance still takes its own index.
+    assert_eq!(f.call(&mut int_a, 5).unwrap(), 6);
 }
 
 #[test]
